@@ -13,6 +13,7 @@
 #      ci/metrics-goldens.txt.
 #
 # Usage: ci/check-preset.sh <preset> [--update]
+#   (expects target/release/latency built: cargo build --release --offline)
 #   --update rewrites (or appends, for a new preset) the golden line
 #   instead of checking it.
 set -euo pipefail
@@ -22,9 +23,10 @@ mode="${2:-}"
 goldens="$(dirname "$0")/metrics-goldens.txt"
 out="target/ci-bundle-$preset"
 
-cargo run --release --offline -p latency-bench --bin table1 -- --preset "$preset"
-cargo run --release --offline -p latency-bench --bin validate -- --preset "$preset"
-cargo run --release --offline -p latency-bench --bin trace -- \
+latency=target/release/latency
+"$latency" table1 --preset "$preset"
+"$latency" validate --preset "$preset"
+"$latency" trace \
   --preset "$preset" --workload bfs --nodes 512 --degree 4 --block-dim 64 \
   --out "$out" --validate --stable
 

@@ -4,13 +4,13 @@
 //! latencies and exposure do across the same machines.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin arch_dynamic
+//! latency arch_dynamic
 //! ```
 
 use latency_bench::{run_bfs_traced, BfsExperiment};
 use latency_core::{ArchPreset, ExposureAnalysis};
 
-fn main() {
+pub fn run() {
     let exp = BfsExperiment {
         nodes: 8192,
         degree: 8,

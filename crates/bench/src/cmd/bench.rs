@@ -1,8 +1,8 @@
 //! Unified benchmark and perf-regression harness.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin bench -- [--check]
-//!     [--update-baselines] [--suites sweep,tick,workloads,serve,validation]
+//! latency bench [--check] [--update-baselines]
+//!     [--suites sweep,tick,workloads,serve,validation]
 //!     [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]
 //! ```
 //!
@@ -34,6 +34,7 @@ use latency_bench::{
     compare_json, run_serve_bench, run_sweep_bench, run_tick_bench, run_validation_bench,
     run_workload_bench, workloads_json, ProgressHeartbeat, Thresholds, Workload, SERVE_CLIENTS,
 };
+use latency_core::cli::{Cursor, UsageError};
 use latency_core::ArchPreset;
 
 /// Presets are pinned per suite so results stay comparable with the
@@ -56,24 +57,15 @@ struct Args {
     progress: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench [--check] [--update-baselines]\n\
-         \x20            [--suites sweep,tick,workloads,serve,validation]\n\
-         \x20            [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]"
-    );
-    exit(2);
-}
+pub const FLAGS: &str = "[--check] [--update-baselines]\n\
+     \x20      [--suites sweep,tick,workloads,serve,validation]\n\
+     \x20      [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]";
 
-fn parse_args() -> Args {
+const SUITES: [&str; 5] = ["sweep", "tick", "workloads", "serve", "validation"];
+
+fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     let mut parsed = Args {
-        suites: vec![
-            "sweep".to_string(),
-            "tick".to_string(),
-            "workloads".to_string(),
-            "serve".to_string(),
-            "validation".to_string(),
-        ],
+        suites: SUITES.map(str::to_string).to_vec(),
         out: PathBuf::from("bench-out"),
         baseline_dir: PathBuf::from("."),
         check: false,
@@ -81,35 +73,28 @@ fn parse_args() -> Args {
         inject: false,
         progress: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                exit(2);
-            })
-        };
+    while let Some(arg) = args.next_arg() {
         match arg.as_str() {
             "--suites" => {
-                parsed.suites = val("--suites").split(',').map(str::to_string).collect();
-                if parsed.suites.is_empty() {
-                    usage();
+                let list = args.value("--suites")?;
+                parsed.suites = list.split(',').map(str::to_string).collect();
+                if let Some(bad) = parsed.suites.iter().find(|s| !SUITES.contains(&s.as_str())) {
+                    return Err(UsageError(format!(
+                        "unknown suite: {bad} ({})",
+                        SUITES.join(", ")
+                    )));
                 }
             }
-            "--out" => parsed.out = PathBuf::from(val("--out")),
-            "--baseline-dir" => parsed.baseline_dir = PathBuf::from(val("--baseline-dir")),
+            "--out" => parsed.out = PathBuf::from(args.value("--out")?),
+            "--baseline-dir" => parsed.baseline_dir = PathBuf::from(args.value("--baseline-dir")?),
             "--check" => parsed.check = true,
             "--update-baselines" => parsed.update = true,
             "--inject-regression" => parsed.inject = true,
             "--progress" => parsed.progress = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage();
-            }
+            other => return Err(UsageError::unknown(other)),
         }
     }
-    parsed
+    Ok(parsed)
 }
 
 /// One finished suite: its artifact filename and rendered JSON.
@@ -155,7 +140,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                 );
                 let mut b = run_tick_bench(FULL_PRESET, 4096, 8, &TICK_THREADS);
                 if let Err(e) = b.check() {
-                    eprintln!("FAIL: tick bench determinism: {e}");
+                    eprintln!("FAIL: tick bench self-check: {e}");
                     exit(1);
                 }
                 for m in &b.runs {
@@ -191,6 +176,10 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                             exit(1);
                         }
                     };
+                    if let Err(e) = b.check() {
+                        eprintln!("FAIL: workload bench ({}): {e}", preset.name());
+                        exit(1);
+                    }
                     for r in &b.runs {
                         println!(
                             "[bench] workloads: {:<10} cycles={:<8} wall={:.3}s hash={:016x}",
@@ -279,10 +268,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     json: b.json(),
                 });
             }
-            other => {
-                eprintln!("unknown suite: {other} (sweep, tick, workloads, serve, validation)");
-                exit(2);
-            }
+            other => unreachable!("parse_args admitted unknown suite {other}"),
         }
     }
     results
@@ -295,14 +281,8 @@ fn write_file(path: &std::path::Path, contents: &str) {
     });
 }
 
-fn main() {
-    // A zero or garbled LATENCY_TICK_THREADS would otherwise silently fall
-    // back to serial ticking; refuse it up front like a bad flag.
-    if let Err(e) = latency_core::env_tick_threads() {
-        eprintln!("{e}");
-        exit(2);
-    }
-    let args = parse_args();
+pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
+    let args = parse_args(args)?;
     // The whole suite runs under the self-profiler: profile.json is part of
     // the artifact set, and enabling it never changes simulation results.
     gpu_sim::profile::set_enabled(true);
@@ -338,10 +318,10 @@ fn main() {
                 args.baseline_dir.join(r.file).display()
             );
         }
-        return;
+        return Ok(());
     }
     if !args.check {
-        return;
+        return Ok(());
     }
 
     // Timing regressions cannot be trusted on a single-CPU host (the tick
@@ -389,4 +369,5 @@ fn main() {
         exit(1);
     }
     println!("[bench] check passed ({warnings} timing warnings)");
+    Ok(())
 }

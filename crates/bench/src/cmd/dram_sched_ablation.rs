@@ -3,13 +3,13 @@
 //! algorithm" — BFS under FR-FCFS vs strict FCFS.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin dram_sched_ablation
+//! latency dram_sched_ablation
 //! ```
 
 use latency_bench::{dram_sched_comparison, BfsExperiment};
 use latency_core::ArchPreset;
 
-fn main() {
+pub fn run() {
     let exp = BfsExperiment::default();
     println!("E5: DRAM scheduler ablation, BFS on GF100\n");
     let rows = match dram_sched_comparison(ArchPreset::FermiGf100.config(), &exp) {

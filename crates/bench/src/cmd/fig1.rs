@@ -3,13 +3,13 @@
 //! GF100 (Fermi) configuration.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin fig1
+//! latency fig1
 //! ```
 
 use latency_bench::{run_bfs_traced, BfsExperiment};
 use latency_core::{ArchPreset, Component, LatencyBreakdown};
 
-fn main() {
+pub fn run() {
     let exp = BfsExperiment::default();
     println!("Figure 1: per-bucket memory fetch latency breakdown, BFS kernel");
     println!(

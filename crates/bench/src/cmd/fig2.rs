@@ -3,13 +3,13 @@
 //! the GF100 configuration.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin fig2
+//! latency fig2
 //! ```
 
 use latency_bench::{run_bfs_traced, BfsExperiment};
 use latency_core::{ArchPreset, ExposureAnalysis};
 
-fn main() {
+pub fn run() {
     let exp = BfsExperiment::default();
     println!("Figure 2: exposed vs hidden global load latency, BFS kernel");
     println!(

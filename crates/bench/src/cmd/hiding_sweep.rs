@@ -4,14 +4,14 @@
 //! commonly thought").
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin hiding_sweep
+//! latency hiding_sweep
 //! ```
 
 use gpu_sim::SchedPolicy;
 use latency_bench::{hiding_sweep, BfsExperiment};
 use latency_core::ArchPreset;
 
-fn main() {
+pub fn run() {
     let exp = BfsExperiment::default();
     println!("E6: exposed load-latency fraction vs thread-level parallelism\n");
     let points = match hiding_sweep(

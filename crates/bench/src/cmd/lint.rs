@@ -1,9 +1,8 @@
 //! Static analysis over every built-in workload kernel.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin lint \
-//!     [--json] [--strict] [--deny <lint[,lint]|all>] [--sarif <path|->] \
-//!     [--cost] [--validate]
+//! latency lint [--json] [--strict] [--deny <lint[,lint]|all>]
+//!     [--sarif <path|->] [--cost] [--validate]
 //! ```
 //!
 //! Runs the `latency-check` analyzer (CFG + dataflow + symbolic memory +
@@ -26,39 +25,30 @@
 //! Exit status: 0 clean, 1 findings/violations, 2 usage.
 
 use latency_check::{analyze, to_sarif, AnalysisConfig, Pass, Severity};
+use latency_core::cli::{Cursor, UsageError};
 use latency_core::ArchPreset;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: lint [--json] [--strict] [--deny <lint[,lint]|all>] \
-         [--sarif <path|->] [--cost] [--validate]"
-    );
-    std::process::exit(2);
-}
+pub const FLAGS: &str =
+    "[--json] [--strict] [--deny <lint[,lint]|all>] [--sarif <path|->] [--cost] [--validate]";
 
 /// Parses a `--deny` operand into the set of denied passes.
-fn parse_deny(spec: &str) -> Vec<Pass> {
+fn parse_deny(spec: &str) -> Result<Vec<Pass>, UsageError> {
     if spec == "all" {
-        return Pass::ALL.to_vec();
+        return Ok(Pass::ALL.to_vec());
     }
     let mut denied = Vec::new();
     for name in spec.split(',') {
-        match Pass::parse(name) {
-            Some(p) => {
-                if !denied.contains(&p) {
-                    denied.push(p);
-                }
-            }
-            None => {
-                eprintln!(
-                    "unknown lint '{name}' (known: {})",
-                    Pass::ALL.map(|p| p.name()).join(", ")
-                );
-                std::process::exit(2);
-            }
+        let pass = Pass::parse(name).ok_or_else(|| {
+            UsageError(format!(
+                "unknown lint '{name}' (known: {})",
+                Pass::ALL.map(|p| p.name()).join(", ")
+            ))
+        })?;
+        if !denied.contains(&pass) {
+            denied.push(pass);
         }
     }
-    denied
+    Ok(denied)
 }
 
 /// Prints the per-preset static cost model for every builtin kernel.
@@ -102,29 +92,22 @@ fn run_validation() -> bool {
     ok
 }
 
-fn main() {
+pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
     let mut json = false;
     let mut strict = false;
     let mut cost = false;
     let mut validate = false;
     let mut denied: Vec<Pass> = Vec::new();
     let mut sarif_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    while let Some(arg) = args.next_arg() {
         match arg.as_str() {
             "--json" => json = true,
             "--strict" => strict = true,
             "--cost" => cost = true,
             "--validate" => validate = true,
-            "--deny" => match args.next() {
-                Some(spec) => denied = parse_deny(&spec),
-                None => usage(),
-            },
-            "--sarif" => match args.next() {
-                Some(path) => sarif_path = Some(path),
-                None => usage(),
-            },
-            _ => usage(),
+            "--deny" => denied = parse_deny(&args.value("--deny")?)?,
+            "--sarif" => sarif_path = Some(args.value("--sarif")?),
+            other => return Err(UsageError::unknown(other)),
         }
     }
 
@@ -171,4 +154,5 @@ fn main() {
         }
         std::process::exit(1);
     }
+    Ok(())
 }

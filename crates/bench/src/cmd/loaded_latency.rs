@@ -4,12 +4,12 @@
 //! bandwidth pressure; the inflation is pure queueing and arbitration.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin loaded_latency
+//! latency loaded_latency
 //! ```
 
 use latency_core::{measure_chase_under_load, ArchPreset, ChaseParams};
 
-fn main() {
+pub fn run() {
     let cfg = ArchPreset::FermiGf100.config();
     // DRAM-resident chase on the full 15-SM machine (2 MiB ring: beyond the
     // 768 KiB aggregate L2, small enough to keep the sweep quick).

@@ -3,13 +3,13 @@
 //! Figure-1 analysis repeated for vecadd, matmul, reduce and spmv.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin other_workloads
+//! latency other_workloads
 //! ```
 
 use latency_bench::{run_workload_traced, Workload};
 use latency_core::{ArchPreset, Component, ExposureAnalysis, LatencyBreakdown};
 
-fn main() {
+pub fn run() {
     println!("E4: latency component shares per workload (GF100 config)\n");
     print!("{:>8}", "workload");
     for c in Component::ALL {

@@ -3,7 +3,7 @@
 //! for any builtin workload.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin trace -- --workload bfs
+//! latency trace --workload bfs
 //! ```
 //!
 //! Open `trace-bundle/trace.json` at <https://ui.perfetto.dev> (or
@@ -19,11 +19,13 @@ use latency_bench::{
     resume_bfs_checkpointed, run_bfs_checkpointed, run_bfs_traced, run_workload_traced,
     BfsCheckpointOutcome, BfsExperiment, TraceBundle, TracedRun, Workload,
 };
+use latency_core::cli::{Cursor, UsageError};
 use latency_core::ArchPreset;
 
 struct Args {
     preset: ArchPreset,
-    workload: String,
+    /// `None` is BFS (the only checkpointable workload).
+    workload: Option<Workload>,
     nodes: u32,
     degree: u32,
     seed: u64,
@@ -42,24 +44,19 @@ struct Args {
     kill_at: Option<u64>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace [--preset NAME]\n\
-         \x20            [--workload bfs|vecadd|matmul|reduce|spmv|stencil|histogram|transpose|scan]\n\
-         \x20            [--nodes N] [--degree N] [--seed N] [--block-dim N]\n\
-         \x20            [--sms N] [--partitions N] [--out DIR]\n\
-         \x20            [--sample CYCLES] [--max-events N] [--validate]\n\
-         \x20            [--stable] [--progress] [--tick-threads N]\n\
-         \x20            [--checkpoint-every CYCLES] [--checkpoint-dir DIR]\n\
-         \x20            [--resume DIR] [--kill-at CYCLE]   (BFS only)"
-    );
-    exit(2);
-}
+pub const FLAGS: &str = "[--preset NAME]\n\
+     \x20      [--workload bfs|vecadd|matmul|reduce|spmv|stencil|histogram|transpose|scan]\n\
+     \x20      [--nodes N] [--degree N] [--seed N] [--block-dim N]\n\
+     \x20      [--sms N] [--partitions N] [--out DIR]\n\
+     \x20      [--sample CYCLES] [--max-events N] [--validate]\n\
+     \x20      [--stable] [--progress] [--tick-threads N]\n\
+     \x20      [--checkpoint-every CYCLES] [--checkpoint-dir DIR]\n\
+     \x20      [--resume DIR] [--kill-at CYCLE]   (BFS only)";
 
-fn parse_args() -> Args {
+fn parse_args(presets: &[ArchPreset], it: &mut Cursor) -> Result<Args, UsageError> {
     let mut args = Args {
-        preset: ArchPreset::FermiGf100,
-        workload: "bfs".to_string(),
+        preset: presets.last().copied().unwrap_or(ArchPreset::FermiGf100),
+        workload: None,
         nodes: 4096,
         degree: 8,
         seed: 20150301,
@@ -77,75 +74,47 @@ fn parse_args() -> Args {
         resume: None,
         kill_at: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                exit(2);
-            })
-        };
+    while let Some(flag) = it.next_arg() {
         match flag.as_str() {
-            "--preset" => {
-                let name = val("--preset");
-                args.preset = ArchPreset::parse(&name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown preset: {name} (valid presets: {})",
-                        ArchPreset::valid_tokens()
-                    );
-                    usage();
-                });
+            "--workload" => {
+                let name = it.value("--workload")?;
+                args.workload = match name.as_str() {
+                    "bfs" => None,
+                    _ => Some(
+                        Workload::ALL
+                            .into_iter()
+                            .find(|w| w.name() == name)
+                            .ok_or_else(|| UsageError(format!("unknown workload: {name}")))?,
+                    ),
+                };
             }
-            "--workload" => args.workload = val("--workload"),
-            "--nodes" => args.nodes = val("--nodes").parse().unwrap_or_else(|_| usage()),
-            "--degree" => args.degree = val("--degree").parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--block-dim" => {
-                args.block_dim = val("--block-dim").parse().unwrap_or_else(|_| usage())
-            }
-            "--sms" => args.sms = Some(val("--sms").parse().unwrap_or_else(|_| usage())),
-            "--partitions" => {
-                args.partitions = Some(val("--partitions").parse().unwrap_or_else(|_| usage()));
-            }
-            "--out" => args.out = PathBuf::from(val("--out")),
-            "--sample" => args.sample = val("--sample").parse().unwrap_or_else(|_| usage()),
-            "--max-events" => {
-                args.max_events = val("--max-events").parse().unwrap_or_else(|_| usage());
-            }
+            "--nodes" => args.nodes = it.parsed("--nodes")?,
+            "--degree" => args.degree = it.parsed("--degree")?,
+            "--seed" => args.seed = it.parsed("--seed")?,
+            "--block-dim" => args.block_dim = it.parsed("--block-dim")?,
+            "--sms" => args.sms = Some(it.parsed("--sms")?),
+            "--partitions" => args.partitions = Some(it.parsed("--partitions")?),
+            "--out" => args.out = PathBuf::from(it.value("--out")?),
+            "--sample" => args.sample = it.parsed("--sample")?,
+            "--max-events" => args.max_events = it.parsed("--max-events")?,
             "--validate" => args.validate = true,
             "--stable" => args.stable = true,
             "--progress" => args.progress = true,
-            "--tick-threads" => {
-                let raw = val("--tick-threads");
-                let n =
-                    latency_core::parse_tick_threads(&raw, "--tick-threads").unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    });
-                // Picked up by every Gpu the experiment helpers build; the
-                // emitted bundle is bit-identical for every value of N.
-                latency_core::set_tick_threads(n);
-            }
-            "--checkpoint-every" => {
-                args.checkpoint_every = val("--checkpoint-every")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
+            "--checkpoint-every" => args.checkpoint_every = it.parsed("--checkpoint-every")?,
             "--checkpoint-dir" => {
-                args.checkpoint_dir = Some(PathBuf::from(val("--checkpoint-dir")));
+                args.checkpoint_dir = Some(PathBuf::from(it.value("--checkpoint-dir")?));
             }
-            "--resume" => args.resume = Some(PathBuf::from(val("--resume"))),
-            "--kill-at" => {
-                args.kill_at = Some(val("--kill-at").parse().unwrap_or_else(|_| usage()))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage();
-            }
+            "--resume" => args.resume = Some(PathBuf::from(it.value("--resume")?)),
+            "--kill-at" => args.kill_at = Some(it.parsed("--kill-at")?),
+            other => return Err(UsageError::unknown(other)),
         }
     }
-    args
+    if args.workload.is_some() && checkpointing_requested(&args) {
+        return Err(UsageError(
+            "--checkpoint-every/--resume/--kill-at are only supported for --workload bfs".into(),
+        ));
+    }
+    Ok(args)
 }
 
 fn build_cfg(args: &Args) -> gpu_sim::GpuConfig {
@@ -171,19 +140,12 @@ fn bfs_exp(args: &Args) -> BfsExperiment {
     }
 }
 
-fn run(args: &Args) -> Result<TracedRun, gpu_sim::SimError> {
+fn run_plain(args: &Args) -> Result<TracedRun, gpu_sim::SimError> {
     let cfg = build_cfg(args);
-    if args.workload == "bfs" {
-        return run_bfs_traced(cfg, &bfs_exp(args));
+    match args.workload {
+        None => run_bfs_traced(cfg, &bfs_exp(args)),
+        Some(workload) => run_workload_traced(cfg, workload),
     }
-    let workload = Workload::ALL
-        .into_iter()
-        .find(|w| w.name() == args.workload)
-        .unwrap_or_else(|| {
-            eprintln!("unknown workload: {}", args.workload);
-            usage();
-        });
-    run_workload_traced(cfg, workload)
 }
 
 fn checkpointing_requested(args: &Args) -> bool {
@@ -198,10 +160,6 @@ fn checkpointing_requested(args: &Args) -> bool {
 /// run prints where it stopped and exits 0 — rerun with `--resume DIR` to
 /// finish it; the finished run is bit-identical to an uninterrupted one.
 fn run_checkpointed(args: &Args) -> TracedRun {
-    if args.workload != "bfs" {
-        eprintln!("--checkpoint-every/--resume/--kill-at are only supported for --workload bfs");
-        exit(2);
-    }
     let exp = bfs_exp(args);
     let dir = args
         .checkpoint_dir
@@ -243,18 +201,12 @@ fn run_checkpointed(args: &Args) -> TracedRun {
     }
 }
 
-fn main() {
-    // A zero or garbled LATENCY_TICK_THREADS would otherwise silently fall
-    // back to serial ticking; refuse it up front like a bad flag.
-    if let Err(e) = latency_core::env_tick_threads() {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let args = parse_args();
-    // The self-profiler observes host time only; enabling it never changes
-    // the simulation (`content_hash` is pinned bit-identical either way).
-    // `--progress` needs its cycle counters, so it implies profiling.
-    if gpu_sim::profile::env_requested() || args.progress {
+pub fn run(presets: &[ArchPreset], it: &mut Cursor) -> Result<(), UsageError> {
+    let args = parse_args(presets, it)?;
+    // `--progress` needs the self-profiler's cycle counters, so it implies
+    // profiling; enabling it never changes the simulation (`content_hash`
+    // is pinned bit-identical either way).
+    if args.progress {
         gpu_sim::profile::set_enabled(true);
     }
     let _heartbeat = args
@@ -263,7 +215,7 @@ fn main() {
     let run = if checkpointing_requested(&args) {
         run_checkpointed(&args)
     } else {
-        match run(&args) {
+        match run_plain(&args) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("trace run failed: {e}");
@@ -318,7 +270,7 @@ fn main() {
     println!(
         "preset: {}   workload: {}   cycles: {}   events: {} ({} dropped)   samples: {}",
         args.preset.name(),
-        args.workload,
+        args.workload.map_or("bfs", Workload::name),
         run.cycles,
         run.metrics.events_recorded,
         run.metrics.events_dropped,
@@ -337,4 +289,5 @@ fn main() {
         "bundle written to {:?} — open trace.json at https://ui.perfetto.dev",
         args.out
     );
+    Ok(())
 }

@@ -4,14 +4,14 @@
 //! latency under BFS, whose level/mask stores are a large share of traffic.
 //!
 //! ```text
-//! cargo run --release -p latency-bench --bin write_policy_ablation
+//! latency write_policy_ablation
 //! ```
 
 use gpu_sim::WritePolicy;
 use latency_bench::{run_bfs_traced, BfsExperiment};
 use latency_core::{ArchPreset, LatencyBreakdown};
 
-fn main() {
+pub fn run() {
     let exp = BfsExperiment::default();
     println!("E8: L2 write-policy ablation, BFS on GF100\n");
     println!(

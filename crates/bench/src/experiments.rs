@@ -69,6 +69,9 @@ pub struct TracedRun {
     /// Stable content hash of the run (configuration timing + workload +
     /// inputs; see `RunSummary::content_hash`).
     pub content_hash: u64,
+    /// Invariant violations the sanitizer counted (release builds only
+    /// accumulate them; see `RunSummary::sanitizer_violations`).
+    pub sanitizer_violations: u64,
 }
 
 /// Runs BFS on `config` with tracing enabled and returns the latency traces
@@ -116,6 +119,7 @@ pub fn run_bfs_traced(mut config: GpuConfig, exp: &BfsExperiment) -> Result<Trac
         cycles: gpu.now().get(),
         instructions: run.instructions,
         content_hash: summary.content_hash,
+        sanitizer_violations: summary.sanitizer_violations,
     })
 }
 
@@ -167,6 +171,7 @@ fn finish_bfs_checkpointed(
         cycles: gpu.now().get(),
         instructions: run.instructions,
         content_hash: summary.content_hash,
+        sanitizer_violations: summary.sanitizer_violations,
     };
     BfsCheckpointOutcome::Completed(Box::new(BfsCheckpointed { summary, traced }))
 }
@@ -308,7 +313,7 @@ pub fn workload_kernel(workload: Workload) -> gpu_isa::Kernel {
 
 /// Every built-in workload kernel, as launched by the experiment drivers
 /// (both transpose variants, all three BFS kernels). This is the kernel set
-/// the `lint` bin analyzes.
+/// `latency lint` analyzes.
 pub fn builtin_kernels() -> Vec<gpu_isa::Kernel> {
     vec![
         vecadd::build_vecadd_kernel(),
@@ -418,6 +423,7 @@ pub fn run_workload_traced(
         cycles: summary.cycles,
         instructions: summary.instructions,
         content_hash: summary.content_hash,
+        sanitizer_violations: summary.sanitizer_violations,
     })
 }
 

@@ -1,8 +1,8 @@
 //! Experiment drivers regenerating every table and figure of the paper.
 //!
 //! Each experiment from DESIGN.md's index has a driver here, shared between
-//! the printable binaries (`cargo run -p latency-bench --bin table1`, …) and
-//! the plain-`main` benches timed by [`harness`]:
+//! the `latency` binary's subcommands (`latency table1`, …; `src/main.rs`
+//! and `src/cmd/`) and the plain-`main` benches timed by [`harness`]:
 //!
 //! - **E1 / Table I**: [`run_table1`] (wrapping [`latency_core::Table1`]).
 //! - **E2 / Figure 1**: [`run_bfs_traced`] + [`latency_core::LatencyBreakdown`].

@@ -1,4 +1,4 @@
-//! `--progress`: a bounded-interval heartbeat for the long-running bins.
+//! `--progress`: a bounded-interval heartbeat for the long-running subcommands.
 //!
 //! The heartbeat is a background thread that polls the host-side
 //! self-profiler's counters (`gpu_sim::profile`) and the sweep cache's
@@ -6,7 +6,7 @@
 //! interval — simulated cycles and throughput, the in-flight request gauge,
 //! cache hits, and (when the caller declared a goal) an ETA. It observes
 //! only process-global atomics, so it needs no plumbing through the run
-//! paths: any bin can wrap any workload with [`ProgressHeartbeat::start`].
+//! paths: any subcommand can wrap any workload with [`ProgressHeartbeat::start`].
 //!
 //! Groundwork for the job-server roadmap item: the same counters a human
 //! watches here are what a scheduler would poll.
@@ -23,7 +23,7 @@ use gpu_sim::profile::{self, ProfCounter};
 const BEAT_INTERVAL: Duration = Duration::from_secs(2);
 
 /// Poll granularity for the stop flag, so dropping the heartbeat never
-/// blocks a bin for a full beat interval.
+/// blocks a subcommand for a full beat interval.
 const POLL: Duration = Duration::from_millis(100);
 
 /// A running heartbeat; printing stops (and the thread joins) on drop.

@@ -21,7 +21,7 @@
 //! not have, or vice versa) is a violation too — a preset cannot silently
 //! grow or lose a cache level.
 //!
-//! The `validate` bin drives this from the command line (the CI preset
+//! `latency validate` drives this from the command line (the CI preset
 //! matrix runs it once per preset), and the bench harness commits the full
 //! eight-preset result as `BENCH_validation.json`, where every leaf is
 //! simulation-pure and regression-checked exactly

@@ -12,7 +12,7 @@
 //!   `warm_hit_rate`, the sweep-cache `speedup`): compared against a
 //!   per-metric threshold, regressions only (improvements never flag).
 //!   Fatal by default, downgraded to [`Severity::Warn`] when
-//!   `timing_warn_only` is set — the bench bin sets it on a single-CPU
+//!   `timing_warn_only` is set — `latency bench` sets it on a single-CPU
 //!   host, and it is forced whenever the two documents record different
 //!   `host_cpus` (the timings are then not comparable at all).
 //! - **Informational** (`host_cpus`, the profiler's per-stage `stages` /

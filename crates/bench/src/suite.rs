@@ -1,8 +1,7 @@
-//! The benchmark suite behind `bin/bench`, `bin/sweep --bench-out` and
-//! `bin/tick`: each benchmark is a plain function returning a struct that
-//! renders the committed `BENCH_*.json` schema, so the measuring bins and
-//! the regression harness share one implementation instead of three
-//! hand-rolled JSON writers.
+//! The benchmark suite behind `latency bench`: each benchmark is a plain
+//! function returning a struct that renders the committed `BENCH_*.json`
+//! schema, so measuring and the regression harness share one
+//! implementation.
 //!
 //! Three benchmarks:
 //!
@@ -57,7 +56,7 @@ fn wall_nanos(seconds: f64) -> u64 {
 // Sweep-cache benchmark
 // ---------------------------------------------------------------------------
 
-/// The sweep grid shared by every output mode of the sweep bin and the
+/// The sweep grid shared by every output mode of `latency sweep` and the
 /// bench harness: 2 KiB–512 KiB footprints × four strides.
 pub fn sweep_grid_spec() -> (Vec<u64>, [u64; 4]) {
     (pow2_range(2 * 1024, 512 * 1024), [128u64, 512, 2048, 8192])
@@ -222,6 +221,8 @@ pub struct TickRun {
     pub cycles: u64,
     /// `RunSummary::content_hash` (must match the serial run exactly).
     pub content_hash: u64,
+    /// Invariant violations the sanitizer counted (must be zero).
+    pub sanitizer_violations: u64,
     /// Host nanoseconds per [`ProfSpan::STAGES`] entry, measured by the
     /// self-profiler as a before/after delta around this run; all zeros
     /// when profiling is off.
@@ -297,9 +298,16 @@ impl TickBench {
     }
 
     /// Determinism invariant: every parallel run must reproduce the serial
-    /// run's `content_hash` and cycle count exactly.
+    /// run's `content_hash` and cycle count exactly — and no run may have
+    /// tripped the sanitizer, which release builds only count.
     pub fn check(&self) -> Result<(), String> {
         let serial = &self.runs[0];
+        if let Some(m) = self.runs.iter().find(|m| m.sanitizer_violations > 0) {
+            return Err(format!(
+                "{} sanitizer violation(s) at {} tick threads",
+                m.sanitizer_violations, m.tick_threads
+            ));
+        }
         for m in &self.runs[1..] {
             if m.content_hash != serial.content_hash || m.cycles != serial.cycles {
                 return Err(format!(
@@ -362,6 +370,7 @@ fn measure_tick(preset: ArchPreset, graph: &Graph, tick_threads: usize) -> TickR
         wall_seconds,
         cycles: summary.cycles,
         content_hash: summary.content_hash,
+        sanitizer_violations: summary.sanitizer_violations,
         stage_nanos,
     }
 }
@@ -381,6 +390,8 @@ pub struct WorkloadRun {
     pub instructions: u64,
     /// `RunSummary::content_hash` (exact-reproduce).
     pub content_hash: u64,
+    /// Invariant violations the sanitizer counted (must be zero).
+    pub sanitizer_violations: u64,
     /// Host wall clock including setup and result verification.
     pub wall_seconds: f64,
 }
@@ -401,6 +412,19 @@ impl WorkloadBench {
     /// Sum of per-workload wall clocks.
     pub fn total_wall_seconds(&self) -> f64 {
         self.runs.iter().map(|r| r.wall_seconds).sum()
+    }
+
+    /// The machine's own invariant: no run may have tripped the sanitizer,
+    /// which release builds only count.
+    pub fn check(&self) -> Result<(), String> {
+        match self.runs.iter().find(|r| r.sanitizer_violations > 0) {
+            Some(r) => Err(format!(
+                "{} sanitizer violation(s) running {}",
+                r.sanitizer_violations,
+                r.workload.name()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Renders this preset's section of the `BENCH_workloads.json` schema.
@@ -477,6 +501,7 @@ pub fn run_workload_bench(
             cycles: traced.cycles,
             instructions: traced.instructions,
             content_hash: traced.content_hash,
+            sanitizer_violations: traced.sanitizer_violations,
             wall_seconds: t0.elapsed().as_secs_f64(),
         });
     }
@@ -787,6 +812,7 @@ mod tests {
             wall_seconds: wall,
             cycles: 104_548,
             content_hash: hash,
+            sanitizer_violations: 0,
             stage_nanos: vec![7; ProfSpan::STAGES.len()],
         };
         TickBench {
@@ -859,9 +885,8 @@ mod tests {
         assert!(bad_cycles.check().is_err());
     }
 
-    #[test]
-    fn workload_json_parses_with_exact_fields() {
-        let bench = |preset, hash| WorkloadBench {
+    fn fake_workloads(preset: ArchPreset, hash: u64) -> WorkloadBench {
+        WorkloadBench {
             preset,
             host_cpus: 4,
             runs: vec![WorkloadRun {
@@ -869,9 +894,32 @@ mod tests {
                 cycles: 1000,
                 instructions: 5000,
                 content_hash: hash,
+                sanitizer_violations: 0,
                 wall_seconds: 0.5,
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn checks_fail_on_any_sanitizer_violation() {
+        // Release builds only count violations; `bench --check` is where a
+        // broken machine must turn into a failing exit status.
+        let mut tick = fake_tick();
+        assert!(tick.check().is_ok());
+        tick.runs[0].sanitizer_violations = 3;
+        let err = tick.check().expect_err("serial run tripped the sanitizer");
+        assert!(err.contains("3 sanitizer violation"), "{err}");
+
+        let mut workloads = fake_workloads(ArchPreset::FermiGf100, 1);
+        assert!(workloads.check().is_ok());
+        workloads.runs[0].sanitizer_violations = 1;
+        let err = workloads.check().expect_err("vecadd tripped the sanitizer");
+        assert!(err.contains("vecadd"), "{err}");
+    }
+
+    #[test]
+    fn workload_json_parses_with_exact_fields() {
+        let bench = fake_workloads;
         let json = workloads_json(&[
             bench(ArchPreset::FermiGf100, 0xfeed),
             bench(ArchPreset::VoltaGv100, 0xbeef),

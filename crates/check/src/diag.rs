@@ -2,7 +2,7 @@
 //!
 //! A [`Diagnostic`] pins one finding to an instruction (by PC), names the
 //! pass that produced it, and carries a severity so callers can gate on
-//! "no errors" (the `lint` bin's exit code) while still surfacing advisory
+//! "no errors" (`latency lint`'s exit code) while still surfacing advisory
 //! information. [`Report`] renders a kernel's findings as either a human
 //! listing or a line-oriented JSON document (hand-rolled: the workspace is
 //! hermetic and carries no serialization dependency).

@@ -1,6 +1,6 @@
 //! Round-trip and golden-rendering coverage for the diagnostics layer.
 //!
-//! The `lint` bin's `--json` and `--sarif` outputs are consumed by CI and
+//! `latency lint`'s `--json` and `--sarif` outputs are consumed by CI and
 //! external SARIF viewers, so their shape is a contract: this suite
 //! re-parses both through `gpu_trace::json::parse` (the workspace's own
 //! JSON parser) and pins one golden human rendering per lint class.

@@ -117,8 +117,8 @@ fn line_strided_load_prediction_matches_traced_lines() {
 
 #[test]
 fn all_builtin_workload_kernels_lint_clean() {
-    // The acceptance bar for the `lint` bin, asserted here as a test so a
-    // regression fails CI even when the bin is not run.
+    // The acceptance bar for `latency lint`, asserted here as a test so a
+    // regression fails CI even when the binary is not run.
     let analysis = AnalysisConfig::default();
     let kernels = [
         gpu_workloads::vecadd::build_vecadd_kernel(),

@@ -12,7 +12,7 @@
 //!
 //! The cache is off unless a directory is configured, either through the
 //! [`CACHE_ENV`] environment variable or programmatically
-//! ([`set_cache_dir`], used by the bench binaries' `--cache DIR` flag).
+//! ([`set_cache_dir`], used by the shared `--cache DIR` flag).
 //! Lookups tolerate anything: a missing, truncated, corrupted or
 //! wrong-version entry is simply a miss and gets recomputed and rewritten.
 //! Writes are atomic (temp file + rename), so concurrent sweep workers — or

@@ -32,6 +32,7 @@ pub mod breakdown;
 pub mod bucketing;
 pub mod cache;
 pub mod chase;
+pub mod cli;
 pub mod exposure;
 pub mod inference;
 pub mod loaded;
@@ -56,9 +57,9 @@ pub use exposure::ExposureAnalysis;
 pub use inference::{infer_hierarchy, infer_line_size, CacheLevelEstimate};
 pub use loaded::{build_loaded_kernel, loaded_chase, measure_chase_under_load, LoadedChase};
 pub use parallel::{
-    clear_tick_threads, clear_worker_count, env_tick_threads, grid_worker_count, par_map,
-    parse_tick_threads, set_tick_threads, set_worker_count, tick_threads, try_par_map,
-    worker_count, TickThreadsError,
+    clear_tick_threads, clear_worker_count, env_tick_threads, env_worker_count, grid_worker_count,
+    par_map, parse_thread_count, set_tick_threads, set_worker_count, tick_threads, try_par_map,
+    worker_count, ThreadCountError,
 };
 pub use plateau::{detect_plateaus, Plateau};
 pub use presets::{ArchPreset, Table1Row};

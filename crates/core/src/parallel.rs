@@ -23,7 +23,7 @@
 //! [`worker_count`] resolves, in order:
 //!
 //! 1. a process-wide programmatic override ([`set_worker_count`], used by
-//!    the bench binaries' `--threads` flag),
+//!    the `latency` binary's `--threads` flag),
 //! 2. the `LATENCY_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
@@ -37,13 +37,14 @@ use std::sync::Mutex;
 /// Environment variable overriding the worker count (a positive integer).
 pub const THREADS_ENV: &str = "LATENCY_THREADS";
 
-/// Why a requested tick-thread count was rejected.
+/// Why a requested thread count was rejected.
 ///
-/// Produced by [`parse_tick_threads`] and [`env_tick_threads`] so the bench
-/// binaries can refuse `--tick-threads 0` (and `LATENCY_TICK_THREADS=0`)
-/// with a specific message instead of silently ticking serially.
+/// Produced by [`parse_thread_count`], [`env_tick_threads`] and
+/// [`env_worker_count`] so the binaries can refuse `--tick-threads 0`,
+/// `--threads 0`, `LATENCY_TICK_THREADS=0` and `LATENCY_THREADS=0` with a
+/// specific message instead of silently falling back to a default.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TickThreadsError {
+pub enum ThreadCountError {
     /// The value parsed but was zero; zero threads cannot tick anything.
     Zero {
         /// Which knob carried the value (flag name or env var name).
@@ -58,33 +59,33 @@ pub enum TickThreadsError {
     },
 }
 
-impl fmt::Display for TickThreadsError {
+impl fmt::Display for ThreadCountError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TickThreadsError::Zero { source } => {
+            ThreadCountError::Zero { source } => {
                 write!(f, "{source} must be a positive integer, got 0")
             }
-            TickThreadsError::Malformed { source, value } => {
+            ThreadCountError::Malformed { source, value } => {
                 write!(f, "{source} must be a positive integer, got '{value}'")
             }
         }
     }
 }
 
-impl std::error::Error for TickThreadsError {}
+impl std::error::Error for ThreadCountError {}
 
-/// Parses a tick-thread count from CLI or environment text, rejecting zero
-/// and non-numeric values with a typed error naming `source`.
+/// Parses a thread count from CLI or environment text, rejecting zero and
+/// non-numeric values with a typed error naming `source`.
 ///
 /// # Errors
 ///
-/// [`TickThreadsError::Zero`] for `0`, [`TickThreadsError::Malformed`] for
+/// [`ThreadCountError::Zero`] for `0`, [`ThreadCountError::Malformed`] for
 /// anything that is not an unsigned integer.
-pub fn parse_tick_threads(value: &str, source: &'static str) -> Result<usize, TickThreadsError> {
+pub fn parse_thread_count(value: &str, source: &'static str) -> Result<usize, ThreadCountError> {
     match value.trim().parse::<usize>() {
-        Ok(0) => Err(TickThreadsError::Zero { source }),
+        Ok(0) => Err(ThreadCountError::Zero { source }),
         Ok(n) => Ok(n),
-        Err(_) => Err(TickThreadsError::Malformed {
+        Err(_) => Err(ThreadCountError::Malformed {
             source,
             value: value.to_string(),
         }),
@@ -100,12 +101,29 @@ pub fn parse_tick_threads(value: &str, source: &'static str) -> Result<usize, Ti
 ///
 /// # Errors
 ///
-/// Propagates [`parse_tick_threads`] rejections for a set-but-invalid
+/// Propagates [`parse_thread_count`] rejections for a set-but-invalid
 /// variable.
-pub fn env_tick_threads() -> Result<usize, TickThreadsError> {
+pub fn env_tick_threads() -> Result<usize, ThreadCountError> {
     match std::env::var(TICK_THREADS_ENV) {
-        Ok(v) => parse_tick_threads(&v, TICK_THREADS_ENV),
+        Ok(v) => parse_thread_count(&v, TICK_THREADS_ENV),
         Err(_) => Ok(1),
+    }
+}
+
+/// Validates [`THREADS_ENV`], returning the configured worker count (`None`
+/// when the variable is unset and the CPU count decides).
+///
+/// [`worker_count`] stays forgiving for the same reason [`tick_threads`]
+/// does; binaries call this once at startup.
+///
+/// # Errors
+///
+/// Propagates [`parse_thread_count`] rejections for a set-but-invalid
+/// variable.
+pub fn env_worker_count() -> Result<Option<usize>, ThreadCountError> {
+    match std::env::var(THREADS_ENV) {
+        Ok(v) => parse_thread_count(&v, THREADS_ENV).map(Some),
+        Err(_) => Ok(None),
     }
 }
 
@@ -345,12 +363,12 @@ mod tests {
 
     #[test]
     fn tick_thread_requests_are_validated() {
-        assert_eq!(parse_tick_threads("4", "--tick-threads"), Ok(4));
-        assert_eq!(parse_tick_threads(" 2 ", "--tick-threads"), Ok(2));
-        let zero = parse_tick_threads("0", "--tick-threads");
+        assert_eq!(parse_thread_count("4", "--tick-threads"), Ok(4));
+        assert_eq!(parse_thread_count(" 2 ", "--tick-threads"), Ok(2));
+        let zero = parse_thread_count("0", "--tick-threads");
         assert_eq!(
             zero,
-            Err(TickThreadsError::Zero {
+            Err(ThreadCountError::Zero {
                 source: "--tick-threads"
             })
         );
@@ -359,8 +377,8 @@ mod tests {
             "--tick-threads must be a positive integer, got 0"
         );
         assert!(matches!(
-            parse_tick_threads("many", "--tick-threads"),
-            Err(TickThreadsError::Malformed { .. })
+            parse_thread_count("many", "--tick-threads"),
+            Err(ThreadCountError::Malformed { .. })
         ));
     }
 
@@ -374,11 +392,36 @@ mod tests {
         std::env::set_var(TICK_THREADS_ENV, "0");
         assert_eq!(
             env_tick_threads(),
-            Err(TickThreadsError::Zero {
+            Err(ThreadCountError::Zero {
                 source: TICK_THREADS_ENV
             })
         );
         std::env::remove_var(TICK_THREADS_ENV);
+    }
+
+    #[test]
+    fn env_worker_count_rejects_zero_and_garbled_but_allows_unset() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        std::env::remove_var(THREADS_ENV);
+        assert_eq!(env_worker_count(), Ok(None));
+        std::env::set_var(THREADS_ENV, "6");
+        assert_eq!(env_worker_count(), Ok(Some(6)));
+        std::env::set_var(THREADS_ENV, "0");
+        assert_eq!(
+            env_worker_count(),
+            Err(ThreadCountError::Zero {
+                source: THREADS_ENV
+            })
+        );
+        std::env::set_var(THREADS_ENV, "lots");
+        let garbled = env_worker_count().unwrap_err();
+        assert_eq!(
+            garbled.to_string(),
+            "LATENCY_THREADS must be a positive integer, got 'lots'"
+        );
+        // The library reader stays forgiving; only start-up validation is strict.
+        assert!(worker_count() >= 1);
+        std::env::remove_var(THREADS_ENV);
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl ArchPreset {
         tokens.join(", ")
     }
 
-    /// Parses a user-facing preset name as the sweep/trace binaries accept
+    /// Parses a user-facing preset name as `--preset` accepts
     /// it: a chip name (`gk104`) or a generation name (`kepler`, which maps
     /// to the generation's Table I representative). Case-insensitive.
     pub fn parse(s: &str) -> Option<ArchPreset> {

@@ -22,6 +22,7 @@ use std::process::exit;
 #[cfg(unix)]
 use gpu_serve::server::serve_unix;
 use gpu_serve::server::{serve_session, Server, ServerConfig, ServerHandle};
+use latency_core::cli::{self, exit_usage, Cursor, UsageError};
 
 struct Args {
     listen: String,
@@ -31,15 +32,16 @@ struct Args {
     workers: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serve [--listen ADDR] [--unix PATH] [--stdio] [--state DIR]\n\
-         \x20            [--workers N] [--tick-threads N]"
-    );
-    exit(2);
-}
+const USAGE: &str = "serve [--listen ADDR] [--unix PATH] [--stdio] [--state DIR]\n\
+     \x20            [--workers N] [--tick-threads N]";
 
-fn parse_args() -> Args {
+fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
+    if args.wants_help() {
+        return Err(UsageError::help());
+    }
+    // A garbled LATENCY_TICK_THREADS or LATENCY_THREADS would silently
+    // fall back to a default; refuse it up front like a bad flag.
+    cli::check_env()?;
     let mut parsed = Args {
         listen: "127.0.0.1:4780".to_string(),
         unix: None,
@@ -47,56 +49,23 @@ fn parse_args() -> Args {
         state: PathBuf::from("serve-state"),
         workers: latency_core::grid_worker_count(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                exit(2);
-            })
-        };
+    while let Some(arg) = args.next_arg() {
         match arg.as_str() {
-            "--listen" => parsed.listen = val("--listen"),
-            "--unix" => parsed.unix = Some(PathBuf::from(val("--unix"))),
+            "--listen" => parsed.listen = args.value("--listen")?,
+            "--unix" => parsed.unix = Some(PathBuf::from(args.value("--unix")?)),
             "--stdio" => parsed.stdio = true,
-            "--state" => parsed.state = PathBuf::from(val("--state")),
-            "--workers" => {
-                parsed.workers = val("--workers").parse().unwrap_or_else(|_| {
-                    eprintln!("--workers wants a positive integer");
-                    exit(2);
-                });
-                if parsed.workers == 0 {
-                    eprintln!("--workers wants a positive integer");
-                    exit(2);
-                }
-            }
-            "--tick-threads" => {
-                match latency_core::parse_tick_threads(&val("--tick-threads"), "--tick-threads") {
-                    Ok(n) => latency_core::set_tick_threads(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        exit(2);
-                    }
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage();
-            }
+            "--state" => parsed.state = PathBuf::from(args.value("--state")?),
+            "--workers" => parsed.workers = args.threads("--workers")?,
+            "--tick-threads" => latency_core::set_tick_threads(args.threads("--tick-threads")?),
+            other => return Err(UsageError::unknown(other)),
         }
     }
-    parsed
+    Ok(parsed)
 }
 
 fn main() {
-    // A garbled LATENCY_TICK_THREADS would silently serialize every
-    // simulation; refuse it up front like a bad flag.
-    if let Err(e) = latency_core::env_tick_threads() {
-        eprintln!("{e}");
-        exit(2);
-    }
-    let args = parse_args();
+    let mut cursor = Cursor::new(std::env::args().skip(1).collect());
+    let args = parse_args(&mut cursor).unwrap_or_else(|e| exit_usage(&e, USAGE));
     let cfg = ServerConfig {
         state_dir: args.state.clone(),
         workers: args.workers,

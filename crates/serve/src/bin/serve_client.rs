@@ -28,19 +28,15 @@ use std::process::exit;
 use gpu_serve::client::Client;
 use gpu_serve::proto::is_terminal_event;
 use gpu_trace::json::{parse, Value};
+use latency_core::cli::{exit_usage, Cursor, UsageError};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serve-client [--connect ADDR | --addr-file PATH | --unix PATH] CMD ...\n\
-         CMDs: submit | status JOB | watch JOB | cancel JOB | stats | shutdown\n\
-         submit: [--preset NAME | --arch-frame HEX] [--microbench true|false]\n\
-         \x20       --footprints A,B --strides A,B [--space global|local]\n\
-         \x20       | --workload bfs --nodes N --degree N [--seed N] --block-dim N\n\
-         \x20         --checkpoint-every N | --spec JSON\n\
-         \x20       [--watch] [--quiet]"
-    );
-    exit(2);
-}
+const USAGE: &str = "serve-client [--connect ADDR | --addr-file PATH | --unix PATH] CMD ...\n\
+     CMDs: submit | status JOB | watch JOB | cancel JOB | stats | shutdown\n\
+     submit: [--preset NAME | --arch-frame HEX] [--microbench true|false]\n\
+     \x20       --footprints A,B --strides A,B [--space global|local]\n\
+     \x20       | --workload bfs --nodes N --degree N [--seed N] --block-dim N\n\
+     \x20         --checkpoint-every N | --spec JSON\n\
+     \x20       [--watch] [--quiet]";
 
 enum Connect {
     Tcp(String),
@@ -118,6 +114,7 @@ fn one_shot(client: &mut Client, request: &str) -> ! {
     }
 }
 
+#[derive(Default)]
 struct SubmitFlags {
     preset: Option<String>,
     arch_frame: Option<String>,
@@ -136,17 +133,18 @@ struct SubmitFlags {
     quiet: bool,
 }
 
-fn build_spec(f: &SubmitFlags) -> String {
+fn build_spec(f: &SubmitFlags) -> Result<String, UsageError> {
     if let Some(spec) = &f.spec {
-        return spec.clone();
+        return Ok(spec.clone());
     }
     let mut spec = String::from("{");
     match (&f.preset, &f.arch_frame) {
         (Some(p), None) => spec.push_str(&format!("\"preset\":{p:?}")),
         (None, Some(a)) => spec.push_str(&format!("\"arch\":{a:?}")),
         _ => {
-            eprintln!("serve-client: submit wants exactly one of --preset / --arch-frame");
-            exit(2);
+            return Err(UsageError(
+                "submit wants exactly one of --preset / --arch-frame".into(),
+            ))
         }
     }
     if let Some(m) = f.microbench {
@@ -155,8 +153,9 @@ fn build_spec(f: &SubmitFlags) -> String {
     match f.workload.as_deref() {
         None => {
             let (Some(footprints), Some(strides)) = (&f.footprints, &f.strides) else {
-                eprintln!("serve-client: a sweep wants --footprints and --strides");
-                exit(2);
+                return Err(UsageError(
+                    "a sweep wants --footprints and --strides".into(),
+                ));
             };
             spec.push_str(&format!(
                 ",\"sweep\":{{\"footprints\":[{footprints}],\"strides\":[{strides}]"
@@ -170,10 +169,9 @@ fn build_spec(f: &SubmitFlags) -> String {
             let (Some(nodes), Some(degree), Some(block_dim), Some(every)) =
                 (&f.nodes, &f.degree, &f.block_dim, &f.checkpoint_every)
             else {
-                eprintln!(
-                    "serve-client: bfs wants --nodes, --degree, --block-dim, --checkpoint-every"
-                );
-                exit(2);
+                return Err(UsageError(
+                    "bfs wants --nodes, --degree, --block-dim, --checkpoint-every".into(),
+                ));
             };
             let seed = f.seed.as_deref().unwrap_or("0");
             spec.push_str(&format!(
@@ -182,120 +180,102 @@ fn build_spec(f: &SubmitFlags) -> String {
             ));
         }
         Some(other) => {
-            eprintln!("serve-client: unknown workload {other:?} (only \"bfs\")");
-            exit(2);
+            return Err(UsageError(format!(
+                "unknown workload {other:?} (only \"bfs\")"
+            )))
         }
     }
     spec.push('}');
-    spec
+    Ok(spec)
 }
 
-fn main() {
-    let mut connect_how = Connect::AddrFile(PathBuf::from("serve-state/serve.addr"));
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                exit(2);
-            })
-        };
+fn parse_submit(args: &mut Cursor) -> Result<SubmitFlags, UsageError> {
+    let mut f = SubmitFlags::default();
+    while let Some(arg) = args.next_arg() {
         match arg.as_str() {
-            "--connect" => connect_how = Connect::Tcp(val("--connect")),
-            "--addr-file" => connect_how = Connect::AddrFile(PathBuf::from(val("--addr-file"))),
-            #[cfg(unix)]
-            "--unix" => connect_how = Connect::Unix(PathBuf::from(val("--unix"))),
-            "--help" | "-h" => usage(),
-            _ => {
-                rest.push(arg);
-                rest.extend(args.by_ref());
-            }
+            "--preset" => f.preset = Some(args.value("--preset")?),
+            "--arch-frame" => f.arch_frame = Some(args.value("--arch-frame")?),
+            "--microbench" => f.microbench = Some(args.parsed("--microbench")?),
+            "--footprints" => f.footprints = Some(args.value("--footprints")?),
+            "--strides" => f.strides = Some(args.value("--strides")?),
+            "--space" => f.space = Some(args.value("--space")?),
+            "--workload" => f.workload = Some(args.value("--workload")?),
+            "--nodes" => f.nodes = Some(args.value("--nodes")?),
+            "--degree" => f.degree = Some(args.value("--degree")?),
+            "--seed" => f.seed = Some(args.value("--seed")?),
+            "--block-dim" => f.block_dim = Some(args.value("--block-dim")?),
+            "--checkpoint-every" => f.checkpoint_every = Some(args.value("--checkpoint-every")?),
+            "--spec" => f.spec = Some(args.value("--spec")?),
+            "--watch" => f.watch = true,
+            "--quiet" => f.quiet = true,
+            other => return Err(UsageError::unknown(other)),
         }
     }
-    let Some(cmd) = rest.first().cloned() else {
-        usage();
+    Ok(f)
+}
+
+/// Parses the command line and runs the command; every successful path
+/// ends the process with the command's own exit status, so returning at
+/// all means a usage error.
+fn run(args: &mut Cursor) -> Result<(), UsageError> {
+    if args.wants_help() {
+        return Err(UsageError::help());
+    }
+    let mut connect_how = Connect::AddrFile(PathBuf::from("serve-state/serve.addr"));
+    let cmd = loop {
+        let arg = args.next_arg().ok_or_else(UsageError::help)?;
+        match arg.as_str() {
+            "--connect" => connect_how = Connect::Tcp(args.value("--connect")?),
+            "--addr-file" => {
+                connect_how = Connect::AddrFile(PathBuf::from(args.value("--addr-file")?));
+            }
+            #[cfg(unix)]
+            "--unix" => connect_how = Connect::Unix(PathBuf::from(args.value("--unix")?)),
+            _ => break arg,
+        }
     };
-    let mut client = connect(&connect_how);
+    let job_request = |args: &mut Cursor| -> Result<String, UsageError> {
+        let job = args.next_arg().ok_or_else(UsageError::help)?;
+        Ok(format!("{{\"cmd\":{cmd:?},\"job\":{job:?}}}"))
+    };
     match cmd.as_str() {
         "submit" => {
-            let mut f = SubmitFlags {
-                preset: None,
-                arch_frame: None,
-                microbench: None,
-                footprints: None,
-                strides: None,
-                space: None,
-                workload: None,
-                nodes: None,
-                degree: None,
-                seed: None,
-                block_dim: None,
-                checkpoint_every: None,
-                spec: None,
-                watch: false,
-                quiet: false,
-            };
-            let mut it = rest.into_iter().skip(1);
-            while let Some(arg) = it.next() {
-                let mut val = |name: &str| -> String {
-                    it.next().unwrap_or_else(|| {
-                        eprintln!("missing value for {name}");
-                        exit(2);
-                    })
-                };
-                match arg.as_str() {
-                    "--preset" => f.preset = Some(val("--preset")),
-                    "--arch-frame" => f.arch_frame = Some(val("--arch-frame")),
-                    "--microbench" => match val("--microbench").as_str() {
-                        "true" => f.microbench = Some(true),
-                        "false" => f.microbench = Some(false),
-                        _ => {
-                            eprintln!("--microbench wants true or false");
-                            exit(2);
-                        }
-                    },
-                    "--footprints" => f.footprints = Some(val("--footprints")),
-                    "--strides" => f.strides = Some(val("--strides")),
-                    "--space" => f.space = Some(val("--space")),
-                    "--workload" => f.workload = Some(val("--workload")),
-                    "--nodes" => f.nodes = Some(val("--nodes")),
-                    "--degree" => f.degree = Some(val("--degree")),
-                    "--seed" => f.seed = Some(val("--seed")),
-                    "--block-dim" => f.block_dim = Some(val("--block-dim")),
-                    "--checkpoint-every" => f.checkpoint_every = Some(val("--checkpoint-every")),
-                    "--spec" => f.spec = Some(val("--spec")),
-                    "--watch" => f.watch = true,
-                    "--quiet" => f.quiet = true,
-                    other => {
-                        eprintln!("unknown submit flag: {other}");
-                        usage();
-                    }
-                }
-            }
-            let spec = build_spec(&f);
+            let f = parse_submit(args)?;
+            let spec = build_spec(&f)?;
+            let mut client = connect(&connect_how);
             if f.watch {
                 let request = format!("{{\"cmd\":\"submit\",\"watch\":true,\"spec\":{spec}}}");
-                stream_to_stdout(&mut client, &request, f.quiet);
+                stream_to_stdout(&mut client, &request, f.quiet)
             } else {
-                one_shot(
-                    &mut client,
-                    &format!("{{\"cmd\":\"submit\",\"spec\":{spec}}}"),
-                );
+                let request = format!("{{\"cmd\":\"submit\",\"spec\":{spec}}}");
+                one_shot(&mut client, &request)
             }
         }
         "status" | "cancel" => {
-            let Some(job) = rest.get(1) else { usage() };
-            one_shot(&mut client, &format!("{{\"cmd\":{cmd:?},\"job\":{job:?}}}"));
+            let request = job_request(args)?;
+            args.finish()?;
+            one_shot(&mut connect(&connect_how), &request)
         }
         "watch" => {
-            let Some(job) = rest.get(1) else { usage() };
-            let quiet = rest.iter().any(|a| a == "--quiet");
-            let request = format!("{{\"cmd\":\"watch\",\"job\":{job:?}}}");
-            stream_to_stdout(&mut client, &request, quiet);
+            let request = job_request(args)?;
+            let quiet = match args.next_arg().as_deref() {
+                None => false,
+                Some("--quiet") => true,
+                Some(other) => return Err(UsageError::unknown(other)),
+            };
+            stream_to_stdout(&mut connect(&connect_how), &request, quiet)
         }
-        "stats" => one_shot(&mut client, "{\"cmd\":\"stats\"}"),
-        "shutdown" => one_shot(&mut client, "{\"cmd\":\"shutdown\"}"),
-        _ => usage(),
+        "stats" | "shutdown" => {
+            args.finish()?;
+            one_shot(&mut connect(&connect_how), &format!("{{\"cmd\":{cmd:?}}}"))
+        }
+        other => Err(UsageError::unknown(other)),
+    }
+}
+
+fn main() {
+    let mut args = Cursor::new(std::env::args().skip(1).collect());
+    if let Err(e) = run(&mut args) {
+        exit_usage(&e, USAGE);
     }
 }

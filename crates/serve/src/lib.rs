@@ -1,6 +1,6 @@
 //! `gpu-serve`: simulation-as-a-service over the cache/snapshot substrate.
 //!
-//! The workspace's one-shot bins re-drive the simulator from scratch on
+//! The `latency` subcommands re-drive the simulator from scratch on
 //! every invocation, even though the chase cache (content-addressed by
 //! `latency_core::chase_key`), the `ArchDesc` hash keys, and full-fidelity
 //! checkpoint/restore already exist. This crate turns those substrates into

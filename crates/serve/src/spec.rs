@@ -116,8 +116,8 @@ impl std::fmt::Display for SpecError {
         match self {
             SpecError::UnknownPreset(p) => write!(
                 f,
-                "unknown preset {p:?} (valid presets: {})",
-                ArchPreset::valid_tokens()
+                "unknown preset {p:?} ({})",
+                latency_core::cli::valid_presets()
             ),
             SpecError::BadArchFrame(e) => write!(f, "bad arch frame: {e}"),
             SpecError::MissingArch(e) => write!(f, "{e}"),

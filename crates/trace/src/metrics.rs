@@ -37,7 +37,7 @@ pub struct MetricsReport {
 /// before any ticking, or a normalised `--stable` report) has *no*
 /// throughput, and this returns exactly `0.0` rather than an infinity or a
 /// NaN. Every throughput figure in the workspace — `MetricsReport`,
-/// `RunSummary::cycles_per_second`, the bench bins' stdout and their
+/// `RunSummary::cycles_per_second`, `latency`'s stdout and their
 /// `BENCH_*.json` artifacts — funnels through here, pinned by a shared
 /// cross-crate test.
 pub fn cycles_per_second(cycles: u64, host_nanos: u64) -> f64 {

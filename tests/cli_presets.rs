@@ -1,68 +1,215 @@
-//! The "unknown preset" contract of the command-line binaries: every bin
-//! that accepts a preset must reject a bogus name with exit code 2 and an
-//! error that enumerates every valid token — one source of truth
-//! ([`ArchPreset::valid_tokens`]), so adding a generation updates every
-//! binary's help at once.
+//! The usage-error contract of the `latency` executable, as one table over
+//! `(subcommand, args)`: every row must exit 2 — before simulating
+//! anything — and name what was wrong on stderr. All rows go through the
+//! one argument layer (`latency_core::cli`), so an unknown preset
+//! enumerates every valid token ([`ArchPreset::valid_tokens`]) on every
+//! subcommand, and adding a generation updates every error at once.
 
 use std::process::Command;
 
 use latency_core::ArchPreset;
 
-/// Runs one bin with `args` and returns (exit code, stderr).
-fn run(bin: &str, args: &[&str]) -> (i32, String) {
-    let out = Command::new(bin)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
-    (
-        out.status.code().unwrap_or(-1),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
-}
+/// Every subcommand: the names of the bins `latency` replaced, verbatim.
+const SUBCOMMANDS: [&str; 14] = [
+    "table1",
+    "sweep",
+    "trace",
+    "validate",
+    "lint",
+    "bench",
+    "fig1",
+    "fig2",
+    "other_workloads",
+    "dram_sched_ablation",
+    "hiding_sweep",
+    "loaded_latency",
+    "write_policy_ablation",
+    "arch_dynamic",
+];
 
-fn assert_enumerates_presets(bin: &str, args: &[&str]) {
-    let (code, stderr) = run(bin, args);
-    assert_eq!(code, 2, "{bin} {args:?} should exit 2, stderr:\n{stderr}");
-    for preset in ArchPreset::ALL {
+/// The subcommands that run on a caller-chosen machine.
+const PRESET_SUBCOMMANDS: [&str; 4] = ["table1", "sweep", "trace", "validate"];
+
+/// Runs `latency args…` under `env` and asserts exit code 2 with every
+/// needle on stderr.
+fn assert_usage_error(args: &[&str], env: &[(&str, &str)], needles: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_latency"))
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("spawn latency");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "latency {args:?} {env:?} should exit 2, stderr:\n{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "latency {args:?} printed results before failing"
+    );
+    for needle in needles {
         assert!(
-            stderr.contains(preset.token()),
-            "{bin} {args:?} error does not list {:?}:\n{stderr}",
-            preset.token()
+            stderr.contains(needle),
+            "latency {args:?} {env:?} does not mention {needle:?}:\n{stderr}"
         );
     }
 }
 
+fn rejects_unknown_preset(subcommand: &str) {
+    assert!(PRESET_SUBCOMMANDS.contains(&subcommand));
+    let mut needles = vec!["unknown preset: h100"];
+    needles.extend(ArchPreset::ALL.iter().map(|p| p.token()));
+    assert_usage_error(&[subcommand, "--preset", "h100"], &[], &needles);
+}
+
 #[test]
 fn trace_rejects_unknown_preset_and_lists_tokens() {
-    assert_enumerates_presets(env!("CARGO_BIN_EXE_trace"), &["--preset", "h100"]);
+    rejects_unknown_preset("trace");
 }
 
 #[test]
 fn table1_rejects_unknown_preset_and_lists_tokens() {
-    assert_enumerates_presets(env!("CARGO_BIN_EXE_table1"), &["--preset", "h100"]);
+    rejects_unknown_preset("table1");
 }
 
 #[test]
 fn sweep_rejects_unknown_preset_and_lists_tokens() {
-    // The sweep bin takes the preset as a bare positional token; an
-    // unrecognized one falls through to the unknown-argument error.
-    assert_enumerates_presets(env!("CARGO_BIN_EXE_sweep"), &["h100"]);
-}
-
-#[test]
-fn tick_rejects_unknown_preset_and_lists_tokens() {
-    assert_enumerates_presets(env!("CARGO_BIN_EXE_tick"), &["h100"]);
+    rejects_unknown_preset("sweep");
+    // The preset is a flag like everywhere else, never a bare token.
+    assert_usage_error(&["sweep", "gf106"], &[], &["unknown argument 'gf106'"]);
 }
 
 #[test]
 fn validate_rejects_unknown_preset_and_lists_tokens() {
-    assert_enumerates_presets(env!("CARGO_BIN_EXE_validate"), &["--preset", "h100"]);
+    rejects_unknown_preset("validate");
+}
+
+#[test]
+fn fixed_machine_subcommands_take_no_preset() {
+    for sub in SUBCOMMANDS {
+        if !PRESET_SUBCOMMANDS.contains(&sub) {
+            assert_usage_error(&[sub, "--preset", "gf100"], &[], &["takes no --preset"]);
+        }
+    }
+}
+
+#[test]
+fn unknown_subcommand_lists_every_subcommand() {
+    // `tick` was a bin once; it is `bench --suites tick` now, not an alias.
+    let mut needles = vec!["unknown subcommand"];
+    needles.extend(SUBCOMMANDS);
+    for bogus in ["tick", "table2"] {
+        assert_usage_error(&[bogus], &[], &needles);
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_2() {
+    let mut needles = vec!["usage: latency <subcommand>"];
+    needles.extend(SUBCOMMANDS);
+    let tops: [&[&str]; 3] = [&[], &["--help"], &["-h"]];
+    for top in tops {
+        assert_usage_error(top, &[], &needles);
+    }
+    for sub in SUBCOMMANDS {
+        let usage = format!("usage: latency {sub}");
+        assert_usage_error(&[sub, "--help"], &[], &[&usage]);
+        assert_usage_error(&[sub, "--out", "x", "-h"], &[], &[&usage]);
+    }
+}
+
+#[test]
+fn shared_flags_are_validated_on_every_subcommand() {
+    let rows: [(&[&str], &str); 7] = [
+        (
+            &["--threads", "0"],
+            "--threads must be a positive integer, got 0",
+        ),
+        (
+            &["--threads", "lots"],
+            "--threads must be a positive integer, got 'lots'",
+        ),
+        (
+            &["--tick-threads", "0"],
+            "--tick-threads must be a positive integer, got 0",
+        ),
+        (&["--threads"], "missing value for --threads"),
+        (&["--tick-threads"], "missing value for --tick-threads"),
+        (&["--cache"], "missing value for --cache"),
+        (&["--preset"], "missing value for --preset"),
+    ];
+    for sub in SUBCOMMANDS {
+        let usage = format!("usage: latency {sub}");
+        for (flags, message) in rows {
+            let args: Vec<&str> = std::iter::once(sub).chain(flags.iter().copied()).collect();
+            assert_usage_error(&args, &[], &[message, &usage]);
+        }
+    }
+}
+
+#[test]
+fn thread_environment_is_validated_at_startup() {
+    let rows = [
+        (
+            "LATENCY_THREADS",
+            "0",
+            "LATENCY_THREADS must be a positive integer, got 0",
+        ),
+        (
+            "LATENCY_THREADS",
+            "lots",
+            "LATENCY_THREADS must be a positive integer, got 'lots'",
+        ),
+        (
+            "LATENCY_TICK_THREADS",
+            "0",
+            "LATENCY_TICK_THREADS must be a positive integer, got 0",
+        ),
+        (
+            "LATENCY_TICK_THREADS",
+            "x",
+            "LATENCY_TICK_THREADS must be a positive integer, got 'x'",
+        ),
+    ];
+    for sub in SUBCOMMANDS {
+        for (var, value, message) in rows {
+            assert_usage_error(&[sub], &[(var, value)], &[message]);
+        }
+    }
+}
+
+#[test]
+fn subcommand_flags_are_validated_before_running() {
+    let rows: [(&[&str], &str); 9] = [
+        (&["table1", "--json"], "unknown argument '--json'"),
+        (&["fig1", "extra"], "unknown argument 'extra'"),
+        (
+            &["sweep", "--bench-out", "f"],
+            "unknown argument '--bench-out'",
+        ),
+        (
+            &["trace", "--nodes", "many"],
+            "bad value for --nodes: 'many'",
+        ),
+        (&["trace", "--out"], "missing value for --out"),
+        (&["trace", "--workload", "nbody"], "unknown workload: nbody"),
+        (
+            &["trace", "--workload", "vecadd", "--kill-at", "5"],
+            "only supported for --workload bfs",
+        ),
+        (&["lint", "--deny", "nonsense"], "unknown lint 'nonsense'"),
+        (&["bench", "--suites", "tick,bogus"], "unknown suite: bogus"),
+    ];
+    for (args, message) in rows {
+        assert_usage_error(args, &[], &[message]);
+    }
 }
 
 #[test]
 fn every_valid_token_parses_in_every_spelling() {
     // The tokens the errors advertise must actually round-trip through the
-    // same parser the bins use, in any case.
+    // same parser the binary uses, in any case.
     for preset in ArchPreset::ALL {
         let token = preset.token();
         assert_eq!(ArchPreset::parse(token), Some(preset), "{token}");
