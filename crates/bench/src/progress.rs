@@ -73,14 +73,14 @@ impl Drop for ProgressHeartbeat {
 fn beat_loop(tag: &str, goal: Option<(ProfCounter, u64)>, stop: &AtomicBool) {
     let started = Instant::now();
     let mut last_beat = started;
-    let mut last_cycles = profile::value(ProfCounter::CyclesTicked);
+    let mut last_cycles = cycles_simulated();
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(POLL);
         let now = Instant::now();
         if now.duration_since(last_beat) < BEAT_INTERVAL {
             continue;
         }
-        let cycles = profile::value(ProfCounter::CyclesTicked);
+        let cycles = cycles_simulated();
         let rate = (cycles - last_cycles) as f64 / now.duration_since(last_beat).as_secs_f64();
         last_beat = now;
         last_cycles = cycles;
@@ -96,6 +96,12 @@ fn beat_loop(tag: &str, goal: Option<(ProfCounter, u64)>, stop: &AtomicBool) {
             )
         );
     }
+}
+
+/// Simulated cycles so far: the ones the cycle loop ticked plus the idle
+/// ones it jumped over — progress is simulated time, however it was reached.
+fn cycles_simulated() -> u64 {
+    profile::value(ProfCounter::CyclesTicked) + profile::value(ProfCounter::CyclesSkipped)
 }
 
 /// Renders one heartbeat line. Pure, so the format is unit-testable:

@@ -3,8 +3,9 @@
 //!
 //! Metrics fall into three classes, chosen by leaf key name:
 //!
-//! - **Determinism** (`content_hash`, `simulated_cycles`, `instructions`,
-//!   cache hit/miss counts, grid shape, names): must reproduce *exactly*.
+//! - **Determinism** (`content_hash`, `simulated_cycles`, `skipped_cycles`,
+//!   `instructions`, cache hit/miss counts, grid shape, names): must
+//!   reproduce *exactly*.
 //!   Any divergence is [`Severity::Fatal`] on every host — a changed hash
 //!   means the simulation itself changed, which no amount of CI noise
 //!   explains.
@@ -197,8 +198,9 @@ fn rule_for(path: &str, t: &Thresholds) -> Rule {
     }
     match leaf_key(path) {
         "content_hash" | "name" | "preset" | "workload" => Rule::Exact,
-        "simulated_cycles" | "cycles" | "instructions" | "grid_points" | "skipped" | "num_sms"
-        | "tick_threads" | "nodes" | "degree" | "hits" | "misses" | "stores" => Rule::Exact,
+        "simulated_cycles" | "skipped_cycles" | "cycles" | "instructions" | "grid_points"
+        | "skipped" | "num_sms" | "tick_threads" | "nodes" | "degree" | "hits" | "misses"
+        | "stores" => Rule::Exact,
         // Serve-suite determinism: dedup and execution counts are
         // simulation-pure and must reproduce exactly on any host.
         "clients" | "executed_points" | "deduped_jobs" | "deduped_points" | "recovered_jobs" => {

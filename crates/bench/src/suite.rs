@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use gpu_serve::{Client, ServerConfig, ServerHandle};
-use gpu_sim::profile::{self, ProfSpan};
+use gpu_sim::profile::{self, ProfCounter, ProfSpan};
 use gpu_sim::{Gpu, SimError};
 use gpu_trace::cycles_per_second;
 use gpu_trace::json;
@@ -223,6 +223,11 @@ pub struct TickRun {
     pub content_hash: u64,
     /// Invariant violations the sanitizer counted (must be zero).
     pub sanitizer_violations: u64,
+    /// Idle cycles the run loop jumped over instead of ticking (must match
+    /// the serial run exactly: where the clock jumps is a property of the
+    /// simulated machine, not of the executor). Read from the
+    /// self-profiler like `stage_nanos`; zero when profiling is off.
+    pub skipped_cycles: u64,
     /// Host nanoseconds per [`ProfSpan::STAGES`] entry, measured by the
     /// self-profiler as a before/after delta around this run; all zeros
     /// when profiling is off.
@@ -272,10 +277,12 @@ impl TickBench {
             let sep = if i + 1 == self.runs.len() { "" } else { "," };
             json.push_str(&format!(
                 "    {{\"tick_threads\": {}, \"wall_seconds\": {:.6}, \"simulated_cycles\": {}, \
+                 \"skipped_cycles\": {}, \
                  \"cycles_per_second\": {:.0}, \"speedup_vs_serial\": {:.3}",
                 m.tick_threads,
                 m.wall_seconds,
                 m.cycles,
+                m.skipped_cycles,
                 cycles_per_second(m.cycles, wall_nanos(m.wall_seconds)),
                 serial.wall_seconds / m.wall_seconds.max(1e-9),
             ));
@@ -314,6 +321,12 @@ impl TickBench {
                     "{} tick threads diverged from serial (hash {:016x} vs {:016x}, \
                      cycles {} vs {})",
                     m.tick_threads, m.content_hash, serial.content_hash, m.cycles, serial.cycles
+                ));
+            }
+            if m.skipped_cycles != serial.skipped_cycles {
+                return Err(format!(
+                    "{} tick threads skipped {} idle cycles, serial skipped {}",
+                    m.tick_threads, m.skipped_cycles, serial.skipped_cycles
                 ));
             }
         }
@@ -371,6 +384,8 @@ fn measure_tick(preset: ArchPreset, graph: &Graph, tick_threads: usize) -> TickR
         cycles: summary.cycles,
         content_hash: summary.content_hash,
         sanitizer_violations: summary.sanitizer_violations,
+        skipped_cycles: after.counter(ProfCounter::CyclesSkipped)
+            - before.counter(ProfCounter::CyclesSkipped),
         stage_nanos,
     }
 }
@@ -813,6 +828,7 @@ mod tests {
             cycles: 104_548,
             content_hash: hash,
             sanitizer_violations: 0,
+            skipped_cycles: 61_000,
             stage_nanos: vec![7; ProfSpan::STAGES.len()],
         };
         TickBench {
@@ -862,6 +878,10 @@ mod tests {
         );
         let runs = doc.get("runs").and_then(|v| v.as_arr()).expect("runs");
         assert_eq!(runs.len(), 2);
+        assert_eq!(
+            runs[1].get("skipped_cycles").and_then(|v| v.as_num()),
+            Some(61_000.0)
+        );
         let stages = runs[0].get("stages").expect("stages object");
         assert_eq!(stages.get("tick_sms").and_then(|v| v.as_num()), Some(7.0));
         assert_eq!(
@@ -883,6 +903,9 @@ mod tests {
         let mut bad_cycles = fake_tick();
         bad_cycles.runs[1].cycles += 1;
         assert!(bad_cycles.check().is_err());
+        let mut bad_skips = fake_tick();
+        bad_skips.runs[1].skipped_cycles -= 1;
+        assert!(bad_skips.check().is_err());
     }
 
     fn fake_workloads(preset: ArchPreset, hash: u64) -> WorkloadBench {

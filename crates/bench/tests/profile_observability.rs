@@ -12,7 +12,7 @@
 //! One #[test] runs all three in sequence: the profiler is process-global
 //! state, so parallel tests would race on the enabled flag.
 
-use gpu_sim::profile::{self, ProfSpan};
+use gpu_sim::profile::{self, ProfCounter, ProfSpan};
 use latency_bench::{
     run_bfs_traced, stage_labels_for, track_names_for, BfsExperiment, TraceBundle,
 };
@@ -74,14 +74,24 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
         "stages + drain = {accounted}ns exceed run = {run_nanos}ns beyond clock slack"
     );
     // Every stage ticked as many times as the machine did.
+    let ticked = report.counter(ProfCounter::CyclesTicked);
     for &stage in &ProfSpan::STAGES {
         assert_eq!(
             report.span(stage).count,
-            report.counter(gpu_trace::ProfCounter::CyclesTicked),
+            ticked,
             "stage {} count != cycles ticked",
             stage.label()
         );
     }
+    // Every simulated cycle was either ticked or jumped over, and the jump
+    // counters say how the idle ones were covered.
+    let skipped = report.counter(ProfCounter::CyclesSkipped);
+    let jumps = report.counter(ProfCounter::IdleJumps);
+    assert_eq!(ticked + skipped, on.cycles, "ticked + skipped != cycles");
+    assert!(
+        jumps > 0 && skipped >= jumps,
+        "{jumps} jumps skipped {skipped}"
+    );
 
     // The machine-readable report is valid JSON with the same numbers.
     let report_doc = gpu_trace::json::parse(&report.json()).expect("profile.json parses");

@@ -211,6 +211,19 @@ impl<T> Crossbar<T> {
         self.stats.ejected += n;
     }
 
+    /// The earliest cycle at which a packet can eject: the smallest head
+    /// ready time over the destination queues ([`Cycle::MAX`] when nothing
+    /// is in flight). A head that is already deliverable but was not
+    /// ejected (receiver full, bandwidth spent) answers `now` — the
+    /// receiver may take it any cycle.
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        self.queues
+            .iter()
+            .filter_map(DelayQueue::next_ready)
+            .min()
+            .map_or(Cycle::MAX, |at| at.max(now))
+    }
+
     /// Total packets currently inside the network.
     pub fn in_flight(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
@@ -335,6 +348,21 @@ mod tests {
         assert_eq!(x.peek(1, Cycle::new(110)), Some(&42));
         assert_eq!(x.eject(1, Cycle::new(110)), Some(42));
         assert!(x.is_idle());
+    }
+
+    #[test]
+    fn next_event_is_the_earliest_head_arrival() {
+        let mut x = xbar(10, 8);
+        assert_eq!(x.next_event(Cycle::new(5)), Cycle::MAX);
+        x.begin_cycle();
+        x.try_inject(0, 1, 1, Cycle::new(100)).unwrap();
+        x.begin_cycle();
+        x.try_inject(0, 0, 2, Cycle::new(103)).unwrap();
+        assert_eq!(x.next_event(Cycle::new(104)), Cycle::new(110));
+        // A deliverable packet nobody ejected yet can move any cycle.
+        assert_eq!(x.next_event(Cycle::new(112)), Cycle::new(112));
+        assert_eq!(x.eject(1, Cycle::new(112)), Some(1));
+        assert_eq!(x.next_event(Cycle::new(112)), Cycle::new(113));
     }
 
     #[test]

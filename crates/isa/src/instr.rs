@@ -488,37 +488,28 @@ impl Instr {
         }
     }
 
-    /// The general-purpose registers read by this instruction.
-    pub fn use_regs(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(3);
-        let mut push_op = |o: &Operand| {
-            if let Operand::Reg(r) = o {
-                out.push(*r);
-            }
+    /// The general-purpose registers read by this instruction, in operand
+    /// order (at most two). Allocation-free: the scoreboard asks this of
+    /// every blocked warp every cycle.
+    pub fn use_regs(&self) -> impl Iterator<Item = Reg> {
+        let reg = |o: &Operand| match o {
+            Operand::Reg(r) => Some(*r),
+            _ => None,
         };
-        match self {
-            Instr::Alu { a, b, .. } | Instr::SetP { a, b, .. } => {
-                push_op(a);
-                push_op(b);
-            }
-            Instr::Mov { src, .. } => push_op(src),
-            Instr::Ld { addr, .. } => out.push(*addr),
-            Instr::St { src, addr, .. } => {
-                push_op(src);
-                out.push(*addr);
-            }
-            Instr::AtomAdd { addr, val, .. } => {
-                push_op(val);
-                out.push(*addr);
-            }
+        let uses = match self {
+            Instr::Alu { a, b, .. } | Instr::SetP { a, b, .. } => [reg(a), reg(b)],
+            Instr::Mov { src, .. } => [reg(src), None],
+            Instr::Ld { addr, .. } => [Some(*addr), None],
+            Instr::St { src, addr, .. } => [reg(src), Some(*addr)],
+            Instr::AtomAdd { addr, val, .. } => [reg(val), Some(*addr)],
             Instr::ReadSpecial { .. }
             | Instr::LdParam { .. }
             | Instr::Branch { .. }
             | Instr::Bar
             | Instr::MemBar
-            | Instr::Exit => {}
-        }
-        out
+            | Instr::Exit => [None, None],
+        };
+        uses.into_iter().flatten()
     }
 
     /// Returns `true` if this is a global or local memory access (the kind
@@ -727,7 +718,7 @@ mod tests {
             b: Operand::Imm(5),
         };
         assert_eq!(i.def_reg(), Some(7));
-        assert_eq!(i.use_regs(), vec![1]);
+        assert_eq!(i.use_regs().collect::<Vec<_>>(), vec![1]);
 
         let st = Instr::St {
             space: Space::Global,
@@ -737,7 +728,7 @@ mod tests {
             offset: 8,
         };
         assert_eq!(st.def_reg(), None);
-        assert_eq!(st.use_regs(), vec![2, 3]);
+        assert_eq!(st.use_regs().collect::<Vec<_>>(), vec![2, 3]);
 
         let atom = Instr::AtomAdd {
             width: Width::W4,
@@ -747,10 +738,10 @@ mod tests {
             val: Operand::Reg(4),
         };
         assert_eq!(atom.def_reg(), Some(1));
-        assert_eq!(atom.use_regs(), vec![4, 2]);
+        assert_eq!(atom.use_regs().collect::<Vec<_>>(), vec![4, 2]);
 
         assert_eq!(Instr::Exit.def_reg(), None);
-        assert!(Instr::Exit.use_regs().is_empty());
+        assert_eq!(Instr::Exit.use_regs().count(), 0);
     }
 
     #[test]

@@ -241,21 +241,43 @@ impl DramController {
         self.queue.is_empty() && self.in_service.is_empty()
     }
 
-    /// A request can start service when its bank accepts a command and the
-    /// data bus will be free by the time its access completes (commands
-    /// pipeline up to one access depth; anything beyond waits *in the
-    /// queue*, which is what the paper's `DRAM(QtoSch)` component measures).
-    fn can_start(&self, req: &MemRequest, now: Cycle) -> bool {
-        let bank = self.map.bank_of(req.addr);
-        if self.banks[bank].ready_at > now {
-            return false;
-        }
-        let access = match self.banks[bank].open_row {
+    /// The earliest cycle at which ticking this channel can change its
+    /// state: the first in-service completion, or the first cycle a queued
+    /// request the scheduler considers can start. Bank and bus state only
+    /// move when a request is scheduled, so between `now` and that cycle
+    /// every tick is a no-op. [`Cycle::MAX`] when idle.
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        let considered = match self.config.sched {
+            DramSched::Fcfs => 1,
+            DramSched::FrFcfs => self.queue.len(),
+        };
+        let start = self
+            .queue
+            .iter()
+            .take(considered)
+            .map(|r| self.start_time(r));
+        let done = self.in_service.iter().map(|(at, _)| *at);
+        start.chain(done).min().map_or(Cycle::MAX, |at| at.max(now))
+    }
+
+    /// The first cycle `req` can start service under the current bank and
+    /// bus state: its bank accepts a command and the data bus will be free
+    /// by the time its access completes (commands pipeline up to one access
+    /// depth; anything beyond waits *in the queue*, which is what the
+    /// paper's `DRAM(QtoSch)` component measures).
+    fn start_time(&self, req: &MemRequest) -> Cycle {
+        let bank = &self.banks[self.map.bank_of(req.addr)];
+        let access = match bank.open_row {
             Some(open) if open == self.map.row_of(req.addr) => self.config.timing.row_hit(),
             Some(_) => self.config.timing.row_conflict(),
             None => self.config.timing.row_closed(),
         };
-        self.bus_free_at <= now + access
+        let bus_allows = Cycle::new(self.bus_free_at.get().saturating_sub(access));
+        bank.ready_at.max(bus_allows)
+    }
+
+    fn can_start(&self, req: &MemRequest, now: Cycle) -> bool {
+        self.start_time(req) <= now
     }
 
     fn try_schedule(&mut self, now: Cycle) {
@@ -588,6 +610,42 @@ mod tests {
         // access done 26 but bus busy until 29 -> done 33.
         assert_eq!(t1, 29);
         assert_eq!(t2, 33);
+    }
+
+    #[test]
+    fn next_event_names_the_first_cycle_a_tick_changes_state() {
+        // Conflicting rows in one bank plus a second bank: between events
+        // the controller must be inert, and at each event it must move.
+        for sched in [DramSched::FrFcfs, DramSched::Fcfs] {
+            let mut c = controller(sched);
+            assert_eq!(c.next_event(Cycle::new(7)), Cycle::MAX);
+            c.enqueue(req(1, 0, 0), Cycle::new(0));
+            c.enqueue(req(2, 4096, 0), Cycle::new(0));
+            c.enqueue(req(3, 1024, 0), Cycle::new(0));
+            let fingerprint = |c: &DramController| {
+                let mut e = gpu_snapshot::Encoder::new();
+                c.encode_state(&mut e);
+                e.finish()
+            };
+            let mut now = Cycle::new(0);
+            let mut events = 0;
+            while !c.is_idle() {
+                let at = c.next_event(now);
+                assert!(at >= now && at != Cycle::MAX);
+                let before = fingerprint(&c);
+                while now < at {
+                    assert!(c.tick(now).is_empty());
+                    now.tick();
+                }
+                assert_eq!(fingerprint(&c), before, "state moved before {at}");
+                c.tick(now);
+                assert_ne!(fingerprint(&c), before, "nothing happened at {at}");
+                now.tick();
+                events += 1;
+            }
+            // Three schedules and three completions, none coinciding.
+            assert_eq!(events, 6);
+        }
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //!
 //! [`ClockedComponent`] is the uniform surface the cycle loop and the
 //! sanitizer use to treat SMs, memory partitions and the two crossbar
-//! networks alike: idleness, request occupancy, and the structural audits.
+//! networks alike: idleness, request occupancy, the next-event horizon that
+//! idle-cycle skipping jumps to, and the structural audits.
 //! Adding a component kind to the machine means implementing this trait and
 //! placing its stage in the schedule — not editing three files.
 
 use gpu_icnt::Crossbar;
 use gpu_mem::MemRequest;
+use gpu_types::Cycle;
 
 use crate::config::GpuConfig;
 use crate::partition::Partition;
@@ -118,6 +120,15 @@ pub trait ClockedComponent {
     /// (feeds the global conservation check).
     fn in_flight_requests(&self) -> u64;
 
+    /// The earliest cycle at which ticking this component could change its
+    /// state, assuming no other component hands it work before then (each
+    /// reports its own hand-offs, and the run loop takes the minimum):
+    /// `now` if it could act right away *or is unsure*, [`Cycle::MAX`] if
+    /// nothing is pending. The run loop jumps the clock over the cycles
+    /// before the machine-wide minimum instead of ticking them (DESIGN.md,
+    /// "Idle-cycle skipping"), so an answer may be early but never late.
+    fn next_event(&self, now: Cycle) -> Cycle;
+
     /// Per-cycle structural audit (queue and MSHR capacity checks).
     /// Components without audited structures keep the default no-op.
     fn audit(&self, _san: &mut Sanitizer) {}
@@ -134,6 +145,10 @@ impl ClockedComponent for Sm {
 
     fn in_flight_requests(&self) -> u64 {
         Sm::in_flight_requests(self)
+    }
+
+    fn next_event(&self, now: Cycle) -> Cycle {
+        Sm::next_event(self, now)
     }
 
     fn audit(&self, san: &mut Sanitizer) {
@@ -154,6 +169,10 @@ impl ClockedComponent for Partition {
         Partition::in_flight_requests(self)
     }
 
+    fn next_event(&self, now: Cycle) -> Cycle {
+        Partition::next_event(self, now)
+    }
+
     fn audit(&self, san: &mut Sanitizer) {
         Partition::audit(self, san);
     }
@@ -172,6 +191,10 @@ impl ClockedComponent for Crossbar<MemRequest> {
 
     fn in_flight_requests(&self) -> u64 {
         self.in_flight() as u64
+    }
+
+    fn next_event(&self, now: Cycle) -> Cycle {
+        Crossbar::next_event(self, now)
     }
 }
 

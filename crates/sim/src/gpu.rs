@@ -11,7 +11,8 @@ use gpu_mem::{AddressMap, DeviceMemory, MemRequest, Stamp};
 use gpu_snapshot::{store, Decoder, Encoder, SnapshotError, StableHasher};
 use gpu_trace::profile::{self, ProfCounter, ProfSpan};
 use gpu_trace::{
-    CounterKind, EventKind, NetDir, TraceConfig, TraceData, TraceEvent, TraceSite, Tracer,
+    CounterKind, EventKind, NetDir, StallReason, TraceConfig, TraceData, TraceEvent, TraceSite,
+    Tracer,
 };
 use gpu_types::{Addr, CtaId, Cycle, PartitionId, SmId};
 
@@ -527,42 +528,11 @@ impl Gpu {
     /// Returns [`SimError::Timeout`] at the cycle limit and
     /// [`SimError::NothingLaunched`] if no kernel was launched.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimError> {
-        if self.launch.is_none() {
-            return Err(SimError::NothingLaunched);
+        let no_checkpoints = CheckpointPolicy::new(0, PathBuf::new());
+        match self.run_checkpointed(max_cycles, &no_checkpoints)? {
+            RunOutcome::Completed(summary) => Ok(*summary),
+            RunOutcome::Killed { .. } => unreachable!("the null policy has no kill switch"),
         }
-        let _run_span = profile::span(ProfSpan::Run);
-        let start = self.now;
-        let wall = std::time::Instant::now();
-        while !self.is_done_profiled() {
-            if self.now.since(start) >= max_cycles {
-                self.host_nanos += wall.elapsed().as_nanos() as u64;
-                if self.cfg.sanitize {
-                    // Name any stuck MSHR lines before reporting the hang.
-                    for p in &self.partitions {
-                        p.audit_drained(&mut self.sanitizer);
-                    }
-                }
-                return Err(SimError::Timeout { max_cycles });
-            }
-            self.tick();
-        }
-        self.host_nanos += wall.elapsed().as_nanos() as u64;
-        self.launch = None;
-        if self.cfg.sanitize {
-            let san = &mut self.sanitizer;
-            for c in
-                Self::components_of(&self.sms, &self.partitions, &self.req_net, &self.reply_net)
-            {
-                c.audit_drained(san);
-            }
-            // Violations fail loudly in debug builds (which `cargo test`
-            // uses); release builds keep the report queryable instead of
-            // aborting long experiments.
-            if cfg!(debug_assertions) && !self.sanitizer.is_clean() {
-                panic!("{}", self.sanitizer.report());
-            }
-        }
-        Ok(self.summary())
     }
 
     /// The invariant sanitizer's accumulated findings. Populated only when
@@ -585,14 +555,6 @@ impl Gpu {
             None => true,
         };
         dispatched_all && self.outstanding == 0 && self.components().all(|c| c.is_idle())
-    }
-
-    /// [`Gpu::is_done`] under the self-profiler's `drain_check` span: the
-    /// per-cycle drain scan is the only loop work outside the tick stages,
-    /// so metering it lets the stage totals account for the whole run span.
-    fn is_done_profiled(&self) -> bool {
-        let _g = profile::span(ProfSpan::DrainCheck);
-        self.is_done()
     }
 
     /// The cumulative run summary so far (the same value [`Gpu::run`]
@@ -820,8 +782,14 @@ impl Gpu {
 
     /// Like [`Gpu::run`], but writes periodic checkpoints per `policy` and
     /// honors its deterministic kill switch. With `policy.every == 0` and no
-    /// `kill_at` this is exactly [`Gpu::run`] (same drain condition, same
-    /// audits, same summary).
+    /// `kill_at` this is exactly [`Gpu::run`] (which is that call).
+    ///
+    /// This is the one run loop. Before each tick it asks every component
+    /// for its next event and, when the whole machine is quiescent until
+    /// some later cycle, jumps the clock there instead of ticking the idle
+    /// cycles one by one (`skip_idle` below; DESIGN.md, "Idle-cycle
+    /// skipping"). The result is bit-identical to stepping with
+    /// [`Gpu::tick`], which never skips.
     ///
     /// # Errors
     ///
@@ -839,10 +807,20 @@ impl Gpu {
         let _run_span = profile::span(ProfSpan::Run);
         let start = self.now;
         let wall = std::time::Instant::now();
-        while !self.is_done_profiled() {
+        loop {
+            {
+                // The loop control outside the tick stages, metered so the
+                // stage totals account for the whole run span.
+                let _g = profile::span(ProfSpan::DrainCheck);
+                if self.is_done() {
+                    break;
+                }
+                self.skip_idle(start, max_cycles, policy);
+            }
             if self.now.since(start) >= max_cycles {
                 self.host_nanos += wall.elapsed().as_nanos() as u64;
                 if self.cfg.sanitize {
+                    // Name any stuck MSHR lines before reporting the hang.
                     for p in &self.partitions {
                         p.audit_drained(&mut self.sanitizer);
                     }
@@ -868,6 +846,9 @@ impl Gpu {
             {
                 c.audit_drained(san);
             }
+            // Violations fail loudly in debug builds (which `cargo test`
+            // uses); release builds keep the report queryable instead of
+            // aborting long experiments.
             if cfg!(debug_assertions) && !self.sanitizer.is_clean() {
                 panic!("{}", self.sanitizer.report());
             }
@@ -875,8 +856,107 @@ impl Gpu {
         Ok(RunOutcome::Completed(Box::new(self.summary())))
     }
 
+    /// The earliest cycle at which a tick could change the machine's state:
+    /// `now` while CTAs wait for an SM that could take one, else the
+    /// minimum over every component's [`ClockedComponent::next_event`].
+    /// Components are asked cheapest first (networks, partitions, SMs) and
+    /// the scan stops at the first that can act now, so a busy machine
+    /// rarely looks past its first SM.
+    fn next_event(&self) -> Cycle {
+        let now = self.now;
+        let mut at = Cycle::MAX;
+        let nets = [&self.req_net, &self.reply_net].map(|n| n as &dyn ClockedComponent);
+        let partitions = self.partitions.iter().map(|p| p as &dyn ClockedComponent);
+        let sms = self.sms.iter().map(|s| s as &dyn ClockedComponent);
+        for c in nets.into_iter().chain(partitions).chain(sms) {
+            at = at.min(c.next_event(now));
+            if at <= now {
+                return now;
+            }
+        }
+        if let Some(l) = &self.launch {
+            let warps_needed = l.launch.warps_per_cta(self.cfg.warp_size) as usize;
+            if l.next_cta < l.launch.grid_dim
+                && self.sms.iter().any(|sm| sm.can_dispatch(warps_needed))
+            {
+                return now;
+            }
+        }
+        at
+    }
+
+    /// Idle-cycle skipping: if no component can change state before some
+    /// later cycle, advance the clock straight there, crediting exactly
+    /// what the skipped ticks would have recorded.
+    ///
+    /// Over a quiescent interval every tick is the identity on the machine
+    /// except for three observations, all constant across the interval
+    /// because the state is: each SM with resident warps counts one stall
+    /// cycle for the reason [`Sm::credit_stall`] names, the tracer (when
+    /// on) gets one `Stall` event per such SM per cycle, and the counter
+    /// registry samples at its interval. The sanitizer needs nothing: an
+    /// audit of unchanged state finds what the last one found, so a clean
+    /// machine stays clean — and an unclean one is never skipped, because
+    /// its per-cycle findings would have to be replayed.
+    ///
+    /// The jump stops short at every cycle where the run loop itself acts:
+    /// the `max_cycles` deadline, the next multiple of the checkpoint
+    /// interval, and the kill switch (the run's first cycle triggers
+    /// neither of the last two, exactly as in the loop).
+    fn skip_idle(&mut self, start: Cycle, max_cycles: u64, policy: &CheckpointPolicy) {
+        if !self.sanitizer.is_clean() {
+            return;
+        }
+        let now = self.now.get();
+        let mut target = self.next_event().get();
+        if target <= now {
+            return;
+        }
+        target = target.min(start.get().saturating_add(max_cycles));
+        let first_acting = now.max(start.get() + 1);
+        if policy.every > 0 {
+            target = target.min(first_acting.next_multiple_of(policy.every));
+        }
+        if let Some(kill) = policy.kill_at.filter(|&k| k >= first_acting) {
+            target = target.min(kill);
+        }
+        if target <= now {
+            return;
+        }
+        let skipped = target - now;
+        let tracing = self.tracer.enabled();
+        let mut stalled: Vec<(u32, StallReason)> = Vec::new();
+        for sm in &mut self.sms {
+            if let Some(reason) = sm.credit_stall(skipped) {
+                if tracing {
+                    stalled.push((sm.id().get(), reason));
+                }
+            }
+        }
+        if tracing {
+            for cycle in now..target {
+                for &(sm, reason) in &stalled {
+                    self.tracer.record(TraceEvent {
+                        cycle,
+                        site: TraceSite::Sm(sm),
+                        kind: EventKind::Stall { reason },
+                    });
+                }
+                if self.tracer.should_sample(cycle) {
+                    self.sample_counters(Cycle::new(cycle));
+                }
+            }
+        }
+        self.now = Cycle::new(target);
+        profile::add(ProfCounter::CyclesSkipped, skipped);
+        profile::add(ProfCounter::IdleJumps, 1);
+    }
+
     /// Advances the GPU by one cycle: a plain interpreter over the tick
     /// schedule derived from the machine description at construction.
+    /// Always exactly one cycle — idle-cycle skipping lives in the run loop,
+    /// so stepping with `tick` is the reference the skipping is tested
+    /// against.
     ///
     /// With the self-profiler on, the host clock is stamped once *between*
     /// stages, so the per-stage deltas tile the loop body exactly (n+1

@@ -215,6 +215,34 @@ impl Partition {
             && self.returns.is_empty()
     }
 
+    /// The earliest cycle at which ticking this partition could change its
+    /// state, given that nothing arrives from the request network before
+    /// then (the crossbar reports its own arrivals). Work that moves on
+    /// demand rather than at a stored time — responses awaiting reply
+    /// injection, an L2 input-queue head, dirty victims awaiting DRAM —
+    /// answers `now` (conservative: the head may be structurally blocked);
+    /// otherwise the ROP and hit-pipe heads and the DRAM channel each store
+    /// the cycle they next act. [`Cycle::MAX`] when idle.
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        let on_demand = |s: &L2Slice| {
+            !s.queue.is_empty() || s.cache.as_ref().is_some_and(|c| c.pending_writebacks() > 0)
+        };
+        if !self.returns.is_empty() || self.slices.iter().any(on_demand) {
+            return now;
+        }
+        let pipes = self
+            .slices
+            .iter()
+            .filter_map(|s| s.hit_pipe.next_ready())
+            .chain(self.rop.next_ready())
+            .min()
+            .map_or(Cycle::MAX, |at| at.max(now));
+        if pipes <= now {
+            return now;
+        }
+        pipes.min(self.dram.next_event(now))
+    }
+
     // ---- sanitizer hooks -------------------------------------------------
 
     /// SM-originated memory requests currently inside this partition: ROP

@@ -54,7 +54,7 @@ impl Scoreboard {
                 return false;
             }
         }
-        instr.use_regs().iter().all(|r| !p.contains(r))
+        instr.use_regs().all(|r| !p.contains(&r))
     }
 
     /// Number of registers with in-flight writers on `warp`.

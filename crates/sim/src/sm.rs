@@ -191,6 +191,13 @@ pub struct Sm {
     next_req_id: u64,
     last_issued: usize,
     greedy: Option<usize>,
+    /// Warps that already issued in the current issue stage (at most
+    /// `issue_width` entries; empty between ticks, so not serialized).
+    issued: Vec<usize>,
+    /// Host-side hint for [`Sm::next_event`]: the last issue stage issued
+    /// something, so the next one probably can too. Spares a busy machine
+    /// the ready-warp scan; never serialized, never read by the model.
+    issued_last_tick: bool,
     age_counter: u64,
     stats: SmStats,
 }
@@ -227,6 +234,8 @@ impl Sm {
             next_req_id: 0,
             last_issued: 0,
             greedy: None,
+            issued: Vec::with_capacity(cfg.issue_width),
+            issued_last_tick: false,
             age_counter: 0,
             stats: SmStats::default(),
             cfg,
@@ -722,24 +731,21 @@ impl Sm {
         tracer: &mut Tracer,
     ) -> u64 {
         let mut new_requests = 0;
-        let mut issued = 0u64;
         let mut lsu_used = false;
-        let mut issued_mask = vec![false; self.slots.len()];
         for _ in 0..self.cfg.issue_width {
-            let Some(w) = self.pick_warp(&issued_mask, lsu_used) else {
+            let Some(w) = self.pick_warp(lsu_used) else {
                 break;
             };
-            issued_mask[w] = true;
+            self.issued.push(w);
             new_requests += self.issue_warp(w, now, &mut device, sink, tracer, &mut lsu_used);
-            issued += 1;
         }
+        let issued = self.issued.len() as u64;
+        self.issued.clear();
+        self.issued_last_tick = issued > 0;
         if issued > 0 {
             self.stats.active_cycles += 1;
             self.stats.instructions += issued;
-        } else if self.live_warps() > 0 {
-            self.stats.stall_cycles += 1;
-            let reason = self.classify_stall();
-            self.stats.stalls.bump(reason);
+        } else if let Some(reason) = self.credit_stall(1) {
             if tracer.enabled() {
                 tracer.record(TraceEvent {
                     cycle: now.get(),
@@ -749,6 +755,55 @@ impl Sm {
             }
         }
         new_requests
+    }
+
+    /// Counts `cycles` zero-issue cycles against this SM, all attributed to
+    /// the reason its current state stalls for, and returns that reason;
+    /// `None` (and nothing counted) when no warp is resident. The issue
+    /// stage calls this with 1; the run loop calls it with the length of a
+    /// skipped quiescent interval, over which the state — and so the
+    /// reason — cannot change.
+    pub fn credit_stall(&mut self, cycles: u64) -> Option<StallReason> {
+        if self.live_warps() == 0 {
+            return None;
+        }
+        let reason = self.classify_stall();
+        self.stats.stall_cycles += cycles;
+        self.stats.stalls.bump_by(reason, cycles);
+        Some(reason)
+    }
+
+    /// The earliest cycle at which ticking this SM could change its state,
+    /// given that nothing arrives from the reply network before then (the
+    /// crossbar reports its own arrivals): `now` while any warp can issue
+    /// (assumed, without looking, right after a cycle that issued) or a
+    /// miss waits for the interconnect, else the first ALU/shared
+    /// writeback or memory-pipe head to mature. A matured head that is
+    /// structurally blocked also answers `now` — conservative, always
+    /// legal. [`Cycle::MAX`] when nothing is pending.
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        if self.issued_last_tick || !self.miss_queue.is_empty() {
+            return now;
+        }
+        let writeback = self
+            .alu_wb
+            .peek()
+            .map(|&Reverse((at, _, _))| Cycle::new(at));
+        let matures = [
+            writeback,
+            self.front.next_ready(),
+            self.l1_hit_pipe.next_ready(),
+            self.fill_pipe.next_ready(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .map_or(Cycle::MAX, |at| at.max(now));
+        // The ready-warp scan is the expensive question; ask it last.
+        if matures > now && (0..self.slots.len()).any(|w| self.warp_ready(w, false)) {
+            return now;
+        }
+        matures
     }
 
     /// Names the dominant reason this SM issued nothing despite live warps:
@@ -808,8 +863,8 @@ impl Sm {
         best
     }
 
-    fn warp_ready(&self, w: usize, issued_mask: &[bool], lsu_used: bool) -> bool {
-        if issued_mask[w] {
+    fn warp_ready(&self, w: usize, lsu_used: bool) -> bool {
+        if self.issued.contains(&w) {
             return false;
         }
         let Some(slot) = self.slots[w].as_ref() else {
@@ -839,13 +894,13 @@ impl Sm {
         true
     }
 
-    fn pick_warp(&mut self, issued_mask: &[bool], lsu_used: bool) -> Option<usize> {
+    fn pick_warp(&mut self, lsu_used: bool) -> Option<usize> {
         let n = self.slots.len();
         match self.cfg.scheduler {
             SchedPolicy::Lrr => {
                 for off in 1..=n {
                     let w = (self.last_issued + off) % n;
-                    if self.warp_ready(w, issued_mask, lsu_used) {
+                    if self.warp_ready(w, lsu_used) {
                         self.last_issued = w;
                         return Some(w);
                     }
@@ -854,12 +909,12 @@ impl Sm {
             }
             SchedPolicy::Gto => {
                 if let Some(g) = self.greedy {
-                    if self.warp_ready(g, issued_mask, lsu_used) {
+                    if self.warp_ready(g, lsu_used) {
                         return Some(g);
                     }
                 }
                 let oldest = (0..n)
-                    .filter(|&w| self.warp_ready(w, issued_mask, lsu_used))
+                    .filter(|&w| self.warp_ready(w, lsu_used))
                     .min_by_key(|&w| self.slots[w].as_ref().expect("ready implies live").age);
                 if let Some(w) = oldest {
                     self.greedy = Some(w);

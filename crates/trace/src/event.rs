@@ -73,7 +73,14 @@ impl StallBreakdown {
 
     /// Adds one stall cycle to `reason`.
     pub fn bump(&mut self, reason: StallReason) {
-        self.counts[reason.index()] += 1;
+        self.bump_by(reason, 1);
+    }
+
+    /// Adds `cycles` stall cycles to `reason` at once (an idle interval the
+    /// cycle loop skipped: the machine's state, and so the reason, is
+    /// constant across it).
+    pub fn bump_by(&mut self, reason: StallReason, cycles: u64) {
+        self.counts[reason.index()] += cycles;
     }
 
     /// Stall cycles attributed to `reason`.

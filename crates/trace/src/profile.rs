@@ -60,7 +60,9 @@ pub const PROFILE_ENV: &str = "LATENCY_PROFILE";
 pub enum ProfSpan {
     /// The whole cycle loop of one `Gpu::run` (or `run_checkpointed`).
     Run,
-    /// The per-cycle grid-drained check inside the run loop.
+    /// The run loop's per-iteration control outside the tick stages: the
+    /// grid-drained check and the idle-horizon scan (plus the jump and its
+    /// stall crediting when the machine is quiescent).
     DrainCheck,
     /// `TickStage::BeginNetworks`.
     BeginNetworks,
@@ -245,18 +247,27 @@ pub enum ProfCounter {
     GridTasks,
     /// Simulated cycles ticked while profiling was enabled.
     CyclesTicked,
+    /// Simulated cycles the run loop jumped over instead of ticking
+    /// (idle-cycle skipping); `CyclesTicked + CyclesSkipped` is the cycles
+    /// a run simulated.
+    CyclesSkipped,
+    /// Idle-interval jumps taken (`CyclesSkipped / IdleJumps` is the mean
+    /// quiescent interval).
+    IdleJumps,
     /// Gauge: the GPU's outstanding-request counter at the last sample.
     Outstanding,
 }
 
 impl ProfCounter {
     /// Every counter, in table order.
-    pub const ALL: [ProfCounter; 6] = [
+    pub const ALL: [ProfCounter; 8] = [
         ProfCounter::PoolJobs,
         ProfCounter::PoolNotifies,
         ProfCounter::PoolSleeps,
         ProfCounter::GridTasks,
         ProfCounter::CyclesTicked,
+        ProfCounter::CyclesSkipped,
+        ProfCounter::IdleJumps,
         ProfCounter::Outstanding,
     ];
 
@@ -276,6 +287,8 @@ impl ProfCounter {
             ProfCounter::PoolSleeps => "pool_sleeps",
             ProfCounter::GridTasks => "grid_tasks",
             ProfCounter::CyclesTicked => "cycles_ticked",
+            ProfCounter::CyclesSkipped => "cycles_skipped",
+            ProfCounter::IdleJumps => "idle_jumps",
             ProfCounter::Outstanding => "outstanding",
         }
     }

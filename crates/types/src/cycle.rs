@@ -26,6 +26,11 @@ impl Cycle {
     /// The beginning of simulated time.
     pub const ZERO: Cycle = Cycle(0);
 
+    /// The end of simulated time: later than every reachable timestamp, so
+    /// it is the identity of a `min` over pending event times ("nothing
+    /// scheduled").
+    pub const MAX: Cycle = Cycle(u64::MAX);
+
     /// Creates a timestamp at the given absolute cycle count.
     #[inline]
     pub const fn new(cycle: u64) -> Self {

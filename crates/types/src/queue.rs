@@ -194,6 +194,14 @@ impl<T> DelayQueue<T> {
         }
     }
 
+    /// The absolute cycle at which the head entry becomes poppable (`None`
+    /// when nothing is in flight). The queue is strictly FIFO, so no
+    /// [`DelayQueue::pop_ready`] can succeed before this cycle: it is the
+    /// queue's next event for idle-cycle skipping.
+    pub fn next_ready(&self) -> Option<Cycle> {
+        self.items.front().map(|(ready_at, _)| *ready_at)
+    }
+
     /// Returns the number of in-flight elements.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -296,6 +304,19 @@ mod tests {
         assert_eq!(q.pop_ready(Cycle::new(6)), None);
         assert_eq!(q.pop_ready(Cycle::new(7)), Some(2));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn next_ready_is_the_head_entry_time() {
+        let mut q = DelayQueue::new(4, 10);
+        assert_eq!(q.next_ready(), None);
+        q.push(Cycle::new(3), 'x').unwrap();
+        q.push(Cycle::new(0), 'y').unwrap();
+        // The head gates the queue even when a later entry is older.
+        assert_eq!(q.next_ready(), Some(Cycle::new(13)));
+        assert_eq!(q.pop_ready(Cycle::new(12)), None);
+        assert_eq!(q.pop_ready(Cycle::new(13)), Some('x'));
+        assert_eq!(q.next_ready(), Some(Cycle::new(10)));
     }
 
     #[test]
