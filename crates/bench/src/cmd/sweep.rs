@@ -23,6 +23,7 @@
 
 use gpu_mem::PipelineSpace;
 use gpu_sim::LevelKind;
+use gpu_trace::json::Writer;
 
 use latency_core::cli::{Cursor, UsageError};
 use latency_core::{
@@ -34,38 +35,22 @@ pub const FLAGS: &str = "[--preset NAME] [--threads N] [--tick-threads N] [--cac
 /// Renders the measured grid as JSON (points, skipped combinations, and
 /// this process's cache traffic).
 fn grid_json(preset: ArchPreset, grid: &Sweep) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"preset\": \"{}\",\n", preset.name()));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in grid.points().iter().enumerate() {
-        let sep = if i + 1 == grid.points().len() {
-            ""
-        } else {
-            ","
-        };
-        out.push_str(&format!(
-            "    {{\"footprint\": {}, \"stride\": {}, \"latency\": {}}}{sep}\n",
-            p.footprint, p.stride, p.latency
-        ));
+    let mut w = Writer::indented();
+    w.object().field("preset", preset.name());
+    w.key("points").array();
+    for p in grid.points() {
+        w.object().field("footprint", p.footprint);
+        w.field("stride", p.stride);
+        w.field("latency", p.latency).end();
     }
-    out.push_str("  ],\n  \"skipped\": [\n");
-    for (i, s) in grid.skipped().iter().enumerate() {
-        let sep = if i + 1 == grid.skipped().len() {
-            ""
-        } else {
-            ","
-        };
-        out.push_str(&format!(
-            "    {{\"footprint\": {}, \"stride\": {}, \"reason\": \"{}\"}}{sep}\n",
-            s.footprint, s.stride, s.reason
-        ));
+    w.end().key("skipped").array();
+    for s in grid.skipped() {
+        w.object().field("footprint", s.footprint);
+        w.field("stride", s.stride);
+        w.field("reason", s.reason.to_string()).end();
     }
-    let cache = cache_stats();
-    out.push_str(&format!(
-        "  ],\n  \"cache\": {{\"hits\": {}, \"misses\": {}, \"stores\": {}}}\n}}\n",
-        cache.hits, cache.misses, cache.stores
-    ));
-    out
+    w.end().field("cache", cache_stats());
+    w.finish()
 }
 
 pub fn run(presets: &[ArchPreset], args: &mut Cursor) -> Result<(), UsageError> {

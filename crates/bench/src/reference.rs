@@ -30,7 +30,7 @@
 use std::fmt::Write as _;
 
 use gpu_arch::LevelKind;
-use gpu_trace::json::{self, Value};
+use gpu_trace::json::{self, Fixed, Value, Writer};
 use latency_core::{measure_row, ArchPreset};
 
 /// The published reference tables, committed at the repository root and
@@ -213,30 +213,24 @@ impl ValidationBench {
     /// deterministic) simulation, so the regression harness compares all of
     /// them exactly — there is no timing in this document.
     pub fn json(&self) -> String {
-        let mut out = String::from("{\n  \"name\": \"validation\",\n");
-        out.push_str(&format!(
-            "  \"tolerance_percent\": {:.1},\n  \"rows\": [\n",
-            self.tolerance_percent
-        ));
-        for (i, row) in self.rows.iter().enumerate() {
-            let sep = if i + 1 == self.rows.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"preset\": \"{}\", \"token\": \"{}\", \"source\": \"{}\", \"levels\": [",
-                row.preset.name(),
-                row.preset.token(),
-                row.source,
-            ));
-            for (j, l) in row.levels.iter().enumerate() {
-                let sep = if j + 1 == row.levels.len() { "" } else { ", " };
-                out.push_str(&format!(
-                    "\n      {{\"level\": \"{}\", \"reference\": {}, \"analytic\": {}, \"measured\": {:.1}}}{sep}",
-                    l.level, l.reference, l.analytic, l.measured
-                ));
+        let mut w = Writer::indented();
+        w.object().field("name", "validation");
+        w.field("tolerance_percent", Fixed(self.tolerance_percent, 1));
+        w.key("rows").array();
+        for row in &self.rows {
+            w.object().field("preset", row.preset.name());
+            w.field("token", row.preset.token());
+            w.field("source", &row.source);
+            w.key("levels").array();
+            for l in &row.levels {
+                w.object().field("level", l.level);
+                w.field("reference", l.reference);
+                w.field("analytic", l.analytic);
+                w.field("measured", Fixed(l.measured, 1)).end();
             }
-            out.push_str(&format!("\n    ]}}{sep}\n"));
+            w.end().end();
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.finish()
     }
 }
 
@@ -384,6 +378,18 @@ mod tests {
                 violations: Vec::new(),
             }],
         }
+    }
+
+    /// A citation is free text from `REFERENCE_latencies.json`; quotes and
+    /// backslashes in it must survive into `BENCH_validation.json`.
+    #[test]
+    fn sources_with_quotes_and_backslashes_round_trip() {
+        let mut bench = fake_bench();
+        let source = "Mei & Chu, \"Dissecting GPU memory\" (arXiv 1509.02308), table\\II";
+        bench.rows[0].source = source.to_string();
+        let doc = json::parse(&bench.json()).expect("valid json");
+        let rows = doc.get("rows").and_then(Value::as_arr).expect("rows");
+        assert_eq!(rows[0].get("source").and_then(Value::as_str), Some(source));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use gpu_serve::{Client, ServerConfig, ServerHandle};
 use gpu_sim::profile::{self, ProfCounter, ProfSpan};
 use gpu_sim::{Gpu, SimError};
 use gpu_trace::cycles_per_second;
-use gpu_trace::json;
+use gpu_trace::json::{self, Fixed, ToJson, Writer};
 use gpu_workloads::bfs::{read_costs, run_bfs_mask, upload_graph_mask};
 use gpu_workloads::Graph;
 use latency_core::{
@@ -96,24 +96,24 @@ impl SweepBench {
 
     /// Renders the committed `BENCH_sweep.json` schema.
     pub fn json(&self) -> String {
-        format!(
-            "{{\n  \"name\": \"sweep\",\n  \"preset\": \"{}\",\n  \"grid_points\": {},\n  \
-             \"skipped\": {},\n  \"simulated_cycles\": {},\n  \
-             \"cold\": {{\"wall_seconds\": {:.6}, \"cycles_per_second\": {:.0}, \"cache\": {}}},\n  \
-             \"warm\": {{\"wall_seconds\": {:.6}, \"cache\": {}}},\n  \
-             \"warm_hit_rate\": {:.4},\n  \"speedup\": {:.2}\n}}\n",
-            self.preset.name(),
-            self.grid_points,
-            self.skipped,
-            self.simulated_cycles,
-            self.cold_wall_seconds,
-            cycles_per_second(self.simulated_cycles, wall_nanos(self.cold_wall_seconds)),
-            json_cache_stats(self.cold_cache),
-            self.warm_wall_seconds,
-            json_cache_stats(self.warm_cache),
-            self.warm_hit_rate(),
-            self.speedup(),
-        )
+        let cold_nanos = wall_nanos(self.cold_wall_seconds);
+        let cold_rate = cycles_per_second(self.simulated_cycles, cold_nanos);
+        let mut w = Writer::indented();
+        w.object().field("name", "sweep");
+        w.field("preset", self.preset.name());
+        w.field("grid_points", self.grid_points);
+        w.field("skipped", self.skipped);
+        w.field("simulated_cycles", self.simulated_cycles);
+        w.key("cold").object();
+        w.field("wall_seconds", Fixed(self.cold_wall_seconds, 6));
+        w.field("cycles_per_second", Fixed(cold_rate, 0));
+        w.field("cache", self.cold_cache).end();
+        w.key("warm").object();
+        w.field("wall_seconds", Fixed(self.warm_wall_seconds, 6));
+        w.field("cache", self.warm_cache).end();
+        w.field("warm_hit_rate", Fixed(self.warm_hit_rate(), 4));
+        w.field("speedup", Fixed(self.speedup(), 2));
+        w.finish()
     }
 
     /// The sweep bench's own invariant: the warm pass must actually have
@@ -133,13 +133,6 @@ impl SweepBench {
         }
         Ok(())
     }
-}
-
-fn json_cache_stats(s: CacheStats) -> String {
-    format!(
-        "{{\"hits\": {}, \"misses\": {}, \"stores\": {}}}",
-        s.hits, s.misses, s.stores
-    )
 }
 
 /// Measures the sweep grid cold (empty cache) and warm (fully populated),
@@ -261,47 +254,34 @@ impl TickBench {
     /// lives.
     pub fn json(&self) -> String {
         let serial = &self.runs[0];
-        let mut json = String::from("{\n  \"name\": \"tick\",\n");
-        json.push_str(&format!("  \"preset\": \"{}\",\n", self.preset.name()));
-        json.push_str(&format!("  \"num_sms\": {},\n", self.num_sms));
-        json.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
-        json.push_str(&format!(
-            "  \"workload\": \"bfs nodes={} degree={}\",\n",
-            self.nodes, self.degree
-        ));
-        json.push_str(&format!(
-            "  \"content_hash\": \"{:016x}\",\n  \"runs\": [\n",
-            serial.content_hash
-        ));
-        for (i, m) in self.runs.iter().enumerate() {
-            let sep = if i + 1 == self.runs.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"tick_threads\": {}, \"wall_seconds\": {:.6}, \"simulated_cycles\": {}, \
-                 \"skipped_cycles\": {}, \
-                 \"cycles_per_second\": {:.0}, \"speedup_vs_serial\": {:.3}",
-                m.tick_threads,
-                m.wall_seconds,
-                m.cycles,
-                m.skipped_cycles,
-                cycles_per_second(m.cycles, wall_nanos(m.wall_seconds)),
-                serial.wall_seconds / m.wall_seconds.max(1e-9),
-            ));
+        let workload = format!("bfs nodes={} degree={}", self.nodes, self.degree);
+        let mut w = Writer::indented();
+        w.object().field("name", "tick");
+        w.field("preset", self.preset.name());
+        w.field("num_sms", self.num_sms);
+        w.field("host_cpus", self.host_cpus);
+        w.field("workload", workload);
+        w.field("content_hash", format!("{:016x}", serial.content_hash));
+        w.key("runs").array();
+        for m in &self.runs {
+            let rate = cycles_per_second(m.cycles, wall_nanos(m.wall_seconds));
+            let speedup = serial.wall_seconds / m.wall_seconds.max(1e-9);
+            w.object().field("tick_threads", m.tick_threads);
+            w.field("wall_seconds", Fixed(m.wall_seconds, 6));
+            w.field("simulated_cycles", m.cycles);
+            w.field("skipped_cycles", m.skipped_cycles);
+            w.field("cycles_per_second", Fixed(rate, 0));
+            w.field("speedup_vs_serial", Fixed(speedup, 3));
             if self.profiled {
-                json.push_str(",\n     \"stages\": {");
-                for (j, &stage) in ProfSpan::STAGES.iter().enumerate() {
-                    let sep = if j + 1 == ProfSpan::STAGES.len() {
-                        ""
-                    } else {
-                        ", "
-                    };
-                    json.push_str(&format!("\"{}\": {}{sep}", stage.label(), m.stage_nanos[j]));
+                w.key("stages").object();
+                for (stage, nanos) in ProfSpan::STAGES.iter().zip(&m.stage_nanos) {
+                    w.field(stage.label(), nanos);
                 }
-                json.push('}');
+                w.end();
             }
-            json.push_str(&format!("}}{sep}\n"));
+            w.end();
         }
-        json.push_str("  ]\n}\n");
-        json
+        w.finish()
     }
 
     /// Determinism invariant: every parallel run must reproduce the serial
@@ -442,30 +422,21 @@ impl WorkloadBench {
         }
     }
 
-    /// Renders this preset's section of the `BENCH_workloads.json` schema.
-    fn section_json(&self) -> String {
-        let mut json = String::from("    {\n");
-        json.push_str(&format!("      \"preset\": \"{}\",\n", self.preset.name()));
-        json.push_str(&format!(
-            "      \"total_wall_seconds\": {:.6},\n      \"runs\": [\n",
-            self.total_wall_seconds()
-        ));
-        for (i, r) in self.runs.iter().enumerate() {
-            let sep = if i + 1 == self.runs.len() { "" } else { "," };
-            json.push_str(&format!(
-                "        {{\"workload\": \"{}\", \"simulated_cycles\": {}, \"instructions\": {}, \
-                 \"content_hash\": \"{:016x}\", \"wall_seconds\": {:.6}, \
-                 \"cycles_per_second\": {:.0}}}{sep}\n",
-                r.workload.name(),
-                r.cycles,
-                r.instructions,
-                r.content_hash,
-                r.wall_seconds,
-                cycles_per_second(r.cycles, wall_nanos(r.wall_seconds)),
-            ));
+    /// Writes this preset's section of the `BENCH_workloads.json` schema.
+    fn write_section(&self, w: &mut Writer) {
+        w.object().field("preset", self.preset.name());
+        w.field("total_wall_seconds", Fixed(self.total_wall_seconds(), 6));
+        w.key("runs").array();
+        for r in &self.runs {
+            let rate = cycles_per_second(r.cycles, wall_nanos(r.wall_seconds));
+            w.object().field("workload", r.workload.name());
+            w.field("simulated_cycles", r.cycles);
+            w.field("instructions", r.instructions);
+            w.field("content_hash", format!("{:016x}", r.content_hash));
+            w.field("wall_seconds", Fixed(r.wall_seconds, 6));
+            w.field("cycles_per_second", Fixed(rate, 0)).end();
         }
-        json.push_str("      ]\n    }");
-        json
+        w.end().end();
     }
 
     /// Renders a single-section `BENCH_workloads.json` document.
@@ -484,17 +455,14 @@ impl WorkloadBench {
 /// Panics on an empty slice — an empty benchmark document is a caller bug.
 pub fn workloads_json(benches: &[WorkloadBench]) -> String {
     assert!(!benches.is_empty(), "need at least one workload section");
-    let mut json = String::from("{\n  \"name\": \"workloads\",\n");
-    json.push_str(&format!("  \"host_cpus\": {},\n", benches[0].host_cpus));
-    json.push_str("  \"sections\": [\n");
-    for (i, b) in benches.iter().enumerate() {
-        let sep = if i + 1 == benches.len() { "" } else { "," };
-        json.push_str(&b.section_json());
-        json.push_str(sep);
-        json.push('\n');
+    let mut w = Writer::indented();
+    w.object().field("name", "workloads");
+    w.field("host_cpus", benches[0].host_cpus);
+    w.key("sections").array();
+    for b in benches {
+        b.write_section(&mut w);
     }
-    json.push_str("  ]\n}\n");
-    json
+    w.finish()
 }
 
 /// Runs every workload in `workloads` once on `preset`'s full config,
@@ -574,20 +542,18 @@ impl ServePass {
         let idx = ((self.job_seconds.len() - 1) as f64 * q).round() as usize;
         self.job_seconds[idx]
     }
+}
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"wall_seconds\": {:.6}, \"jobs_per_second\": {:.2}, \
-             \"job_seconds_p50\": {:.6}, \"job_seconds_p95\": {:.6}, \
-             \"executed_points\": {}, \"deduped_jobs\": {}, \"cache\": {}}}",
-            self.wall_seconds,
-            self.jobs_per_second(),
-            self.percentile(0.50),
-            self.percentile(0.95),
-            self.executed_points,
-            self.deduped_jobs,
-            json_cache_stats(self.cache),
-        )
+impl ToJson for ServePass {
+    fn write_json(&self, w: &mut Writer) {
+        w.object();
+        w.field("wall_seconds", Fixed(self.wall_seconds, 6));
+        w.field("jobs_per_second", Fixed(self.jobs_per_second(), 2));
+        w.field("job_seconds_p50", Fixed(self.percentile(0.50), 6));
+        w.field("job_seconds_p95", Fixed(self.percentile(0.95), 6));
+        w.field("executed_points", self.executed_points);
+        w.field("deduped_jobs", self.deduped_jobs);
+        w.field("cache", self.cache).end();
     }
 }
 
@@ -626,18 +592,15 @@ pub struct ServeBench {
 impl ServeBench {
     /// Renders the committed `BENCH_serve.json` schema.
     pub fn json(&self) -> String {
-        format!(
-            "{{\n  \"name\": \"serve\",\n  \"preset\": \"{}\",\n  \"host_cpus\": {},\n  \
-             \"clients\": {},\n  \"grid_points\": {},\n  \"content_hash\": \"{}\",\n  \
-             \"cold\": {},\n  \"warm\": {}\n}}\n",
-            self.preset.name(),
-            self.host_cpus,
-            self.clients,
-            self.grid_points,
-            self.content_hash,
-            self.cold.json(),
-            self.warm.json(),
-        )
+        let mut w = Writer::indented();
+        w.object().field("name", "serve");
+        w.field("preset", self.preset.name());
+        w.field("host_cpus", self.host_cpus);
+        w.field("clients", self.clients);
+        w.field("grid_points", self.grid_points);
+        w.field("content_hash", &self.content_hash);
+        w.field("cold", &self.cold).field("warm", &self.warm);
+        w.finish()
     }
 
     /// The serve bench's own invariants: clients and passes agree byte for
@@ -709,7 +672,7 @@ fn serve_pass(state: &Path, spec: &str, clients: usize) -> (ServePass, String) {
     let mut stats_client = Client::connect_tcp(&addr).expect("connect for stats");
     let stats = json::parse(
         &stats_client
-            .request("{\"cmd\":\"stats\"}")
+            .request(&gpu_serve::proto::request_line("stats", None))
             .expect("stats request"),
     )
     .expect("stats line is JSON");
@@ -761,10 +724,11 @@ pub fn run_serve_bench(preset: ArchPreset, clients: usize, state: Option<PathBuf
     // pass a warm cache or finished job records.
     let _ = std::fs::remove_dir_all(&state);
     let (footprints, strides) = serve_grid_spec();
-    let spec = format!(
-        "{{\"preset\":\"{}\",\"sweep\":{{\"footprints\":{footprints:?},\"strides\":{strides:?}}}}}",
-        gpu_serve::preset_token(preset)
-    );
+    let mut w = Writer::compact();
+    w.object().field("preset", gpu_serve::preset_token(preset));
+    w.key("sweep").object().field("footprints", &footprints[..]);
+    w.field("strides", &strides[..]);
+    let spec = w.finish();
 
     let (cold, cold_result) = serve_pass(&state, &spec, clients);
     // Wipe the finished job records but keep the content cache: the warm

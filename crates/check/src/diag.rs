@@ -4,12 +4,14 @@
 //! pass that produced it, and carries a severity so callers can gate on
 //! "no errors" (`latency lint`'s exit code) while still surfacing advisory
 //! information. [`Report`] renders a kernel's findings as either a human
-//! listing or a line-oriented JSON document (hand-rolled: the workspace is
-//! hermetic and carries no serialization dependency).
+//! listing or a line-oriented JSON document (through the workspace's own
+//! `gpu_types::json::Writer`: it is hermetic and carries no serialization
+//! dependency).
 
 use std::fmt;
 
 use gpu_isa::Pc;
+use gpu_types::json::Writer;
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -214,33 +216,17 @@ impl Report {
 
     /// Renders the report as a JSON object.
     pub fn to_json(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"kernel\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            json_string(&self.kernel),
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"severity\":\"{}\",\"pass\":\"{}\",\"pc\":{},\"message\":{}}}",
-                d.severity,
-                d.pass,
-                match d.pc {
-                    Some(pc) => pc.to_string(),
-                    None => "null".to_string(),
-                },
-                json_string(&d.message),
-            );
+        let mut w = Writer::compact();
+        w.object().field("kernel", &self.kernel);
+        w.field("errors", self.count(Severity::Error));
+        w.field("warnings", self.count(Severity::Warning));
+        w.key("diagnostics").array();
+        for d in &self.diagnostics {
+            w.object().field("severity", d.severity.name());
+            w.field("pass", d.pass.name()).field("pc", d.pc);
+            w.field("message", &d.message).end();
         }
-        out.push_str("]}");
-        out
+        w.finish()
     }
 }
 
@@ -249,69 +235,39 @@ impl Report {
 /// `<kernel>.kasm` artifact so generic SARIF viewers and code-scanning
 /// uploads can anchor the findings.
 pub fn to_sarif(reports: &[Report]) -> String {
-    use fmt::Write as _;
-    let mut out = String::new();
-    out.push_str(
-        "{\"version\":\"2.1.0\",\
-         \"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"runs\":[{\"tool\":{\"driver\":{\"name\":\"latency-check\",\
-         \"informationUri\":\"https://github.com/gpu-latency\",\"rules\":[",
-    );
-    for (i, pass) in Pass::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"id\":{}}}", json_string(pass.name()));
+    let mut w = Writer::compact();
+    w.object().field("version", "2.1.0");
+    w.field("$schema", "https://json.schemastore.org/sarif-2.1.0.json");
+    w.key("runs").array().object();
+    w.key("tool").object().key("driver").object();
+    w.field("name", "latency-check");
+    w.field("informationUri", "https://github.com/gpu-latency");
+    w.key("rules").array();
+    for pass in Pass::ALL {
+        w.object().field("id", pass.name()).end();
     }
-    out.push_str("]}},\"results\":[");
-    let mut first = true;
+    w.end().end().end(); // rules, driver, tool
+    w.key("results").array();
     for report in reports {
         for d in &report.diagnostics {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             let level = match d.severity {
                 Severity::Info => "note",
                 Severity::Warning => "warning",
                 Severity::Error => "error",
             };
-            let _ = write!(
-                out,
-                "{{\"ruleId\":{},\"level\":\"{level}\",\
-                 \"message\":{{\"text\":{}}},\"locations\":[{{\
-                 \"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}},\
-                 \"region\":{{\"startLine\":{}}}}}}}]}}",
-                json_string(d.pass.name()),
-                json_string(&d.message),
-                json_string(&format!("{}.kasm", report.kernel)),
-                d.pc.map_or(1, |pc| pc + 1),
-            );
+            w.object().field("ruleId", d.pass.name());
+            w.field("level", level);
+            w.key("message").object().field("text", &d.message).end();
+            w.key("locations").array().object();
+            w.key("physicalLocation").object();
+            w.key("artifactLocation").object();
+            w.field("uri", format!("{}.kasm", report.kernel)).end();
+            w.key("region").object();
+            w.field("startLine", d.pc.map_or(1, |pc| pc + 1)).end();
+            w.end().end().end().end(); // physicalLocation, location, locations, result
         }
     }
-    out.push_str("]}]}");
-    out
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    w.finish()
 }
 
 #[cfg(test)]
@@ -447,7 +403,16 @@ mod tests {
 
     #[test]
     fn json_escapes_control_chars() {
-        assert_eq!(json_string("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(json_string("t\tn\n"), "\"t\\tn\\n\"");
+        let r = Report {
+            kernel: "a\u{1}b".into(),
+            diagnostics: vec![Diagnostic::kernel_level(
+                Severity::Info,
+                Pass::Structure,
+                "t\tn\n",
+            )],
+        };
+        let json = r.to_json();
+        assert!(json.starts_with("{\"kernel\":\"a\\u0001b\""), "{json}");
+        assert!(json.ends_with("\"message\":\"t\\tn\\n\"}]}"), "{json}");
     }
 }

@@ -24,6 +24,7 @@ use std::sync::Mutex;
 
 use gpu_sim::GpuConfig;
 use gpu_snapshot::{store, Decoder, Encoder, SnapshotError, StableHasher};
+use gpu_types::json::{ToJson, Writer};
 
 use crate::chase::{ChaseMeasurement, ChaseParams, ChasePattern, ChaseSpace};
 
@@ -106,6 +107,16 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+/// The `{"hits":…,"misses":…,"stores":…}` object of every document that
+/// reports cache traffic (`serve` stats, `sweep --json`, the bench suites).
+impl ToJson for CacheStats {
+    fn write_json(&self, w: &mut Writer) {
+        w.object().field("hits", self.hits);
+        w.field("misses", self.misses);
+        w.field("stores", self.stores).end();
     }
 }
 

@@ -24,10 +24,11 @@
 
 use std::path::PathBuf;
 use std::process::exit;
+use std::str::FromStr;
 
 use gpu_serve::client::Client;
-use gpu_serve::proto::is_terminal_event;
-use gpu_trace::json::{parse, Value};
+use gpu_serve::proto::{is_terminal_event, request_line, submit_line};
+use gpu_trace::json::{parse, Value, Writer};
 use latency_core::cli::{exit_usage, Cursor, UsageError};
 
 const USAGE: &str = "serve-client [--connect ADDR | --addr-file PATH | --unix PATH] CMD ...\n\
@@ -114,41 +115,59 @@ fn one_shot(client: &mut Client, request: &str) -> ! {
     }
 }
 
+/// A comma-separated `--footprints`/`--strides` list.
+struct U64List(Vec<u64>);
+
+impl FromStr for U64List {
+    type Err = std::num::ParseIntError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        s.split(',')
+            .map(|x| x.trim().parse())
+            .collect::<Result<_, _>>()
+            .map(U64List)
+    }
+}
+
 #[derive(Default)]
 struct SubmitFlags {
     preset: Option<String>,
     arch_frame: Option<String>,
     microbench: Option<bool>,
-    footprints: Option<String>,
-    strides: Option<String>,
+    footprints: Option<U64List>,
+    strides: Option<U64List>,
     space: Option<String>,
     workload: Option<String>,
-    nodes: Option<String>,
-    degree: Option<String>,
-    seed: Option<String>,
-    block_dim: Option<String>,
-    checkpoint_every: Option<String>,
+    nodes: Option<u64>,
+    degree: Option<u64>,
+    seed: Option<u64>,
+    block_dim: Option<u64>,
+    checkpoint_every: Option<u64>,
     spec: Option<String>,
     watch: bool,
     quiet: bool,
 }
 
+/// The spec object for the flags: strings escaped, numbers already parsed,
+/// so no flag value can change the document's shape. `--spec` is the one
+/// pass-through, for submitting deliberately malformed specs.
 fn build_spec(f: &SubmitFlags) -> Result<String, UsageError> {
     if let Some(spec) = &f.spec {
         return Ok(spec.clone());
     }
-    let mut spec = String::from("{");
+    let mut w = Writer::compact();
+    w.object();
     match (&f.preset, &f.arch_frame) {
-        (Some(p), None) => spec.push_str(&format!("\"preset\":{p:?}")),
-        (None, Some(a)) => spec.push_str(&format!("\"arch\":{a:?}")),
+        (Some(p), None) => w.field("preset", p),
+        (None, Some(a)) => w.field("arch", a),
         _ => {
             return Err(UsageError(
                 "submit wants exactly one of --preset / --arch-frame".into(),
             ))
         }
-    }
+    };
     if let Some(m) = f.microbench {
-        spec.push_str(&format!(",\"microbench\":{m}"));
+        w.field("microbench", m);
     }
     match f.workload.as_deref() {
         None => {
@@ -157,27 +176,26 @@ fn build_spec(f: &SubmitFlags) -> Result<String, UsageError> {
                     "a sweep wants --footprints and --strides".into(),
                 ));
             };
-            spec.push_str(&format!(
-                ",\"sweep\":{{\"footprints\":[{footprints}],\"strides\":[{strides}]"
-            ));
+            w.key("sweep").object();
+            w.field("footprints", &footprints.0[..]);
+            w.field("strides", &strides.0[..]);
             if let Some(space) = &f.space {
-                spec.push_str(&format!(",\"space\":{space:?}"));
+                w.field("space", space);
             }
-            spec.push('}');
         }
         Some("bfs") => {
             let (Some(nodes), Some(degree), Some(block_dim), Some(every)) =
-                (&f.nodes, &f.degree, &f.block_dim, &f.checkpoint_every)
+                (f.nodes, f.degree, f.block_dim, f.checkpoint_every)
             else {
                 return Err(UsageError(
                     "bfs wants --nodes, --degree, --block-dim, --checkpoint-every".into(),
                 ));
             };
-            let seed = f.seed.as_deref().unwrap_or("0");
-            spec.push_str(&format!(
-                ",\"bfs\":{{\"nodes\":{nodes},\"degree\":{degree},\"seed\":{seed},\
-                 \"block_dim\":{block_dim},\"checkpoint_every\":{every}}}"
-            ));
+            w.key("bfs").object();
+            w.field("nodes", nodes).field("degree", degree);
+            w.field("seed", f.seed.unwrap_or(0));
+            w.field("block_dim", block_dim);
+            w.field("checkpoint_every", every);
         }
         Some(other) => {
             return Err(UsageError(format!(
@@ -185,8 +203,7 @@ fn build_spec(f: &SubmitFlags) -> Result<String, UsageError> {
             )))
         }
     }
-    spec.push('}');
-    Ok(spec)
+    Ok(w.finish())
 }
 
 fn parse_submit(args: &mut Cursor) -> Result<SubmitFlags, UsageError> {
@@ -196,15 +213,15 @@ fn parse_submit(args: &mut Cursor) -> Result<SubmitFlags, UsageError> {
             "--preset" => f.preset = Some(args.value("--preset")?),
             "--arch-frame" => f.arch_frame = Some(args.value("--arch-frame")?),
             "--microbench" => f.microbench = Some(args.parsed("--microbench")?),
-            "--footprints" => f.footprints = Some(args.value("--footprints")?),
-            "--strides" => f.strides = Some(args.value("--strides")?),
+            "--footprints" => f.footprints = Some(args.parsed("--footprints")?),
+            "--strides" => f.strides = Some(args.parsed("--strides")?),
             "--space" => f.space = Some(args.value("--space")?),
             "--workload" => f.workload = Some(args.value("--workload")?),
-            "--nodes" => f.nodes = Some(args.value("--nodes")?),
-            "--degree" => f.degree = Some(args.value("--degree")?),
-            "--seed" => f.seed = Some(args.value("--seed")?),
-            "--block-dim" => f.block_dim = Some(args.value("--block-dim")?),
-            "--checkpoint-every" => f.checkpoint_every = Some(args.value("--checkpoint-every")?),
+            "--nodes" => f.nodes = Some(args.parsed("--nodes")?),
+            "--degree" => f.degree = Some(args.parsed("--degree")?),
+            "--seed" => f.seed = Some(args.parsed("--seed")?),
+            "--block-dim" => f.block_dim = Some(args.parsed("--block-dim")?),
+            "--checkpoint-every" => f.checkpoint_every = Some(args.parsed("--checkpoint-every")?),
             "--spec" => f.spec = Some(args.value("--spec")?),
             "--watch" => f.watch = true,
             "--quiet" => f.quiet = true,
@@ -236,18 +253,17 @@ fn run(args: &mut Cursor) -> Result<(), UsageError> {
     };
     let job_request = |args: &mut Cursor| -> Result<String, UsageError> {
         let job = args.next_arg().ok_or_else(UsageError::help)?;
-        Ok(format!("{{\"cmd\":{cmd:?},\"job\":{job:?}}}"))
+        Ok(request_line(&cmd, Some(&job)))
     };
     match cmd.as_str() {
         "submit" => {
             let f = parse_submit(args)?;
             let spec = build_spec(&f)?;
             let mut client = connect(&connect_how);
+            let request = submit_line(&spec, f.watch);
             if f.watch {
-                let request = format!("{{\"cmd\":\"submit\",\"watch\":true,\"spec\":{spec}}}");
                 stream_to_stdout(&mut client, &request, f.quiet)
             } else {
-                let request = format!("{{\"cmd\":\"submit\",\"spec\":{spec}}}");
                 one_shot(&mut client, &request)
             }
         }
@@ -267,7 +283,7 @@ fn run(args: &mut Cursor) -> Result<(), UsageError> {
         }
         "stats" | "shutdown" => {
             args.finish()?;
-            one_shot(&mut connect(&connect_how), &format!("{{\"cmd\":{cmd:?}}}"))
+            one_shot(&mut connect(&connect_how), &request_line(&cmd, None))
         }
         other => Err(UsageError::unknown(other)),
     }

@@ -5,7 +5,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
 
-use crate::proto::is_terminal_event;
+use crate::proto::{is_terminal_event, submit_line};
 
 /// Any bidirectional byte stream the client can ride on.
 pub trait Stream: Read + Write + Send {}
@@ -144,8 +144,6 @@ impl Client {
     ///
     /// Propagates transport failures.
     pub fn submit_watched(&mut self, spec_json: &str) -> std::io::Result<WatchedRun> {
-        self.request_watched(&format!(
-            "{{\"cmd\":\"submit\",\"watch\":true,\"spec\":{spec_json}}}"
-        ))
+        self.request_watched(&submit_line(spec_json, true))
     }
 }

@@ -15,7 +15,8 @@
 //! * [`client`] — the small blocking client used by `serve-client`, the
 //!   bench suite, and the tests.
 //!
-//! Everything is std-only and rides on `gpu_trace::json` for parsing.
+//! Everything is std-only and rides on `gpu_trace::json` (the workspace's
+//! one parser and one writer) for every line read or written.
 
 pub mod client;
 pub mod proto;

@@ -19,7 +19,7 @@
 
 use std::io::{BufRead, ErrorKind, Read};
 
-use gpu_trace::json::{escape_into, Value};
+use gpu_trace::json::{Raw, Value, Writer};
 
 use crate::spec::{JobSpec, SpecError};
 
@@ -153,50 +153,74 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     }
 }
 
+/// Opens a wire line: `{<head>:<name>`, then `"job":<job>` when the line
+/// is about one job.
+fn open_line(head: &str, name: &str, job: Option<&str>) -> Writer {
+    let mut w = Writer::compact();
+    w.object().field(head, name);
+    if let Some(job) = job {
+        w.field("job", job);
+    }
+    w
+}
+
+/// Builds a `status`/`watch`/`cancel` (with `job`) or `stats`/`shutdown`
+/// request line.
+pub fn request_line(cmd: &str, job: Option<&str>) -> String {
+    open_line("cmd", cmd, job).finish()
+}
+
+/// Builds a `submit` request line around the client's spec text, spliced
+/// in verbatim: a deliberately malformed spec must reach the daemon as
+/// typed, and earn its typed error there.
+pub fn submit_line(spec_json: &str, watch: bool) -> String {
+    let mut w = open_line("cmd", "submit", None);
+    if watch {
+        w.field("watch", true);
+    }
+    w.field("spec", Raw(spec_json));
+    w.finish()
+}
+
+/// Opens an event line (`job` spelled by [`format_job_id`]); the caller adds
+/// the event's own fields and finishes it.
+pub(crate) fn event(name: &str, job: Option<u64>) -> Writer {
+    open_line("event", name, job.map(format_job_id).as_deref())
+}
+
 /// Builds an `error` event line (no trailing newline).
 pub fn error_event(code: &str, message: &str) -> String {
-    let mut out = String::from("{\"event\":\"error\",\"code\":");
-    escape_into(&mut out, code);
-    out.push_str(",\"message\":");
-    escape_into(&mut out, message);
-    out.push('}');
-    out
+    let mut w = event("error", None);
+    w.field("code", code).field("message", message);
+    w.finish()
 }
 
 /// Builds the `accepted` event answering a submit.
 pub fn accepted_event(job: u64, state: &str, total: usize, deduped: bool) -> String {
-    let mut out = String::from("{\"event\":\"accepted\",\"job\":");
-    escape_into(&mut out, &format_job_id(job));
-    out.push_str(",\"state\":");
-    escape_into(&mut out, state);
-    out.push_str(&format!(",\"points\":{total},\"deduped\":{deduped}}}"));
-    out
+    let mut w = event("accepted", Some(job));
+    w.field("state", state).field("points", total);
+    w.field("deduped", deduped);
+    w.finish()
 }
 
 /// Builds a `progress` event.
 pub fn progress_event(job: u64, done: usize, total: usize) -> String {
-    let mut out = String::from("{\"event\":\"progress\",\"job\":");
-    escape_into(&mut out, &format_job_id(job));
-    out.push_str(&format!(",\"done\":{done},\"total\":{total}}}"));
-    out
+    let mut w = event("progress", Some(job));
+    w.field("done", done).field("total", total);
+    w.finish()
 }
 
 /// Builds a `status` event.
 pub fn status_event(job: u64, state: &str, done: usize, total: usize) -> String {
-    let mut out = String::from("{\"event\":\"status\",\"job\":");
-    escape_into(&mut out, &format_job_id(job));
-    out.push_str(",\"state\":");
-    escape_into(&mut out, state);
-    out.push_str(&format!(",\"done\":{done},\"total\":{total}}}"));
-    out
+    let mut w = event("status", Some(job));
+    w.field("state", state);
+    w.field("done", done).field("total", total);
+    w.finish()
 }
 
 /// Builds the terminal `cancelled` event.
 pub fn cancelled_event(job: u64) -> String {
-    let mut out = String::from("{\"event\":\"cancelled\",\"job\":");
-    escape_into(&mut out, &format_job_id(job));
-    out.push('}');
-    out
+    event("cancelled", Some(job)).finish()
 }
 
 /// True when an event line ends a submit/watch stream: a terminal `result`
@@ -357,6 +381,51 @@ mod tests {
         let id = 0x00ab_cdef_1234_5678u64;
         assert_eq!(parse_job_id(&format_job_id(id)), Some(id));
         assert_eq!(parse_job_id("123"), None);
+    }
+
+    /// The wire format is also the persisted one (`result.json` is a
+    /// terminal event line): these bytes are those of every earlier build.
+    #[test]
+    fn event_and_request_lines_are_pinned_byte_for_byte() {
+        let pins = [
+            (
+                error_event("bad_json", "oops \"quoted\"\n\u{1}"),
+                r#"{"event":"error","code":"bad_json","message":"oops \"quoted\"\n\u0001"}"#,
+            ),
+            (
+                accepted_event(0xab, "running", 10, false),
+                r#"{"event":"accepted","job":"00000000000000ab","state":"running","points":10,"deduped":false}"#,
+            ),
+            (
+                progress_event(0xab, 3, 10),
+                r#"{"event":"progress","job":"00000000000000ab","done":3,"total":10}"#,
+            ),
+            (
+                status_event(0xab, "done", 10, 10),
+                r#"{"event":"status","job":"00000000000000ab","state":"done","done":10,"total":10}"#,
+            ),
+            (
+                cancelled_event(0xab),
+                r#"{"event":"cancelled","job":"00000000000000ab"}"#,
+            ),
+            (event("shutdown", None).finish(), r#"{"event":"shutdown"}"#),
+            (request_line("stats", None), r#"{"cmd":"stats"}"#),
+            (
+                request_line("status", Some("a\"b")),
+                r#"{"cmd":"status","job":"a\"b"}"#,
+            ),
+            (
+                submit_line("{\"preset\":", false),
+                r#"{"cmd":"submit","spec":{"preset":}"#,
+            ),
+            (
+                submit_line("{}", true),
+                r#"{"cmd":"submit","watch":true,"spec":{}}"#,
+            ),
+        ];
+        for (line, want) in pins {
+            assert_eq!(line, want);
+        }
     }
 
     #[test]

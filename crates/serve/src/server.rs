@@ -32,13 +32,12 @@ use std::thread::JoinHandle;
 
 use gpu_sim::{CheckpointPolicy, Gpu, GpuConfig};
 use gpu_snapshot::{store, StableHasher};
-use gpu_trace::json::escape_into;
 use gpu_workloads::{bfs, Graph};
 use latency_core::{chase_key, measure_chase, ChaseMeasurement, ChaseParams};
 
 use crate::proto::{
-    accepted_event, cancelled_event, error_event, format_job_id, parse_request, progress_event,
-    status_event, LineReader, Request,
+    accepted_event, cancelled_event, error_event, event, format_job_id, parse_request,
+    progress_event, status_event, LineReader, Request,
 };
 use crate::spec::{JobKind, JobSpec, SPEC_VERSION};
 
@@ -429,11 +428,9 @@ impl Server {
         if job.phase != JobPhase::Running {
             return;
         }
-        let mut line = String::from("{\"event\":\"result\",\"job\":");
-        escape_into(&mut line, &format_job_id(job_id));
-        line.push_str(",\"status\":\"failed\",\"error\":");
-        escape_into(&mut line, message);
-        line.push('}');
+        let mut w = event("result", Some(job_id));
+        w.field("status", "failed").field("error", message);
+        let line = w.finish();
         // Failures are not persisted: the spec stays on disk, so a restart
         // retries the job (transient errors heal; deterministic ones fail
         // again and keep reporting).
@@ -496,25 +493,20 @@ impl Server {
         let c = &self.counters;
         let cache = latency_core::cache_stats();
         let queue_depth = self.inner.lock().unwrap().queue.len();
-        format!(
-            "{{\"event\":\"stats\",\"jobs_submitted\":{},\"jobs_deduped\":{},\
-             \"jobs_completed\":{},\"jobs_failed\":{},\"jobs_cancelled\":{},\
-             \"jobs_recovered\":{},\"points_requested\":{},\"points_executed\":{},\
-             \"points_deduped\":{},\"queue_depth\":{queue_depth},\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"stores\":{}}}}}",
-            c.jobs_submitted.load(Ordering::Relaxed),
-            c.jobs_deduped.load(Ordering::Relaxed),
-            c.jobs_completed.load(Ordering::Relaxed),
-            c.jobs_failed.load(Ordering::Relaxed),
-            c.jobs_cancelled.load(Ordering::Relaxed),
-            c.jobs_recovered.load(Ordering::Relaxed),
-            c.points_requested.load(Ordering::Relaxed),
-            c.points_executed.load(Ordering::Relaxed),
-            c.points_deduped.load(Ordering::Relaxed),
-            cache.hits,
-            cache.misses,
-            cache.stores,
-        )
+        let n = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let mut w = event("stats", None);
+        w.field("jobs_submitted", n(&c.jobs_submitted))
+            .field("jobs_deduped", n(&c.jobs_deduped))
+            .field("jobs_completed", n(&c.jobs_completed))
+            .field("jobs_failed", n(&c.jobs_failed))
+            .field("jobs_cancelled", n(&c.jobs_cancelled))
+            .field("jobs_recovered", n(&c.jobs_recovered))
+            .field("points_requested", n(&c.points_requested))
+            .field("points_executed", n(&c.points_executed))
+            .field("points_deduped", n(&c.points_deduped))
+            .field("queue_depth", queue_depth)
+            .field("cache", cache);
+        w.finish()
     }
 
     /// Asks every worker and acceptor loop to wind down.
@@ -694,16 +686,13 @@ fn run_or_resume_bfs(
         return Err("device BFS diverged from host reference".to_string());
     }
     let summary = gpu.summary();
-    let mut line = String::from("{\"event\":\"result\",\"job\":");
-    escape_into(&mut line, &format_job_id(spec.job_id()));
-    line.push_str(&format!(
-        ",\"kind\":\"bfs\",\"status\":\"done\",\"levels\":{},\"cycles\":{},\
-         \"instructions\":{},\"content_hash\":",
-        run.levels_run, summary.cycles, summary.instructions
-    ));
-    escape_into(&mut line, &format!("{:016x}", summary.content_hash));
-    line.push('}');
-    Ok(line)
+    let mut w = event("result", Some(spec.job_id()));
+    w.field("kind", "bfs").field("status", "done");
+    w.field("levels", run.levels_run);
+    w.field("cycles", summary.cycles);
+    w.field("instructions", summary.instructions);
+    w.field("content_hash", format!("{:016x}", summary.content_hash));
+    Ok(w.finish())
 }
 
 /// Renders a finished sweep's terminal line: the measured grid in submission
@@ -715,10 +704,10 @@ fn sweep_result_line(job_id: u64, spec: &JobSpec, results: &[Option<ChaseMeasure
     let mut h = StableHasher::new();
     h.u32(SPEC_VERSION);
     h.u64(job_id);
-    let mut line = String::from("{\"event\":\"result\",\"job\":");
-    escape_into(&mut line, &format_job_id(job_id));
-    line.push_str(",\"kind\":\"sweep\",\"status\":\"done\",\"points\":[");
-    for (i, (params, m)) in points.iter().zip(results).enumerate() {
+    let mut w = event("result", Some(job_id));
+    w.field("kind", "sweep").field("status", "done");
+    w.key("points").array();
+    for (params, m) in points.iter().zip(results) {
         let m = m.as_ref().expect("finalized sweep with a hole");
         h.u64(params.footprint);
         h.u64(params.stride);
@@ -726,24 +715,16 @@ fn sweep_result_line(job_id: u64, spec: &JobSpec, results: &[Option<ChaseMeasure
         h.u64(m.accesses);
         h.u64(m.cycles_short);
         h.u64(m.cycles_long);
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&format!(
-            "{{\"footprint\":{},\"stride\":{},\"per_access\":{},\"accesses\":{},\
-             \"cycles_short\":{},\"cycles_long\":{}}}",
-            params.footprint,
-            params.stride,
-            m.per_access,
-            m.accesses,
-            m.cycles_short,
-            m.cycles_long
-        ));
+        w.object().field("footprint", params.footprint);
+        w.field("stride", params.stride);
+        w.field("per_access", m.per_access);
+        w.field("accesses", m.accesses);
+        w.field("cycles_short", m.cycles_short);
+        w.field("cycles_long", m.cycles_long).end();
     }
-    line.push_str("],\"content_hash\":");
-    escape_into(&mut line, &format!("{:016x}", h.finish()));
-    line.push('}');
-    line
+    w.end();
+    w.field("content_hash", format!("{:016x}", h.finish()));
+    w.finish()
 }
 
 /// Serves one connection: reads request lines, answers with event lines.
@@ -812,7 +793,7 @@ pub fn serve_session<R: Read, W: Write>(
             },
             Request::Stats => send(&mut writer, &server.stats_line())?,
             Request::Shutdown => {
-                send(&mut writer, "{\"event\":\"shutdown\"}")?;
+                send(&mut writer, &event("shutdown", None).finish())?;
                 server.shutdown();
                 return Ok(());
             }
@@ -1004,6 +985,58 @@ mod tests {
             }
             WatchAttach::Unknown => panic!("job vanished"),
         }
+    }
+
+    /// Terminal lines are what `result.json` holds and what clients
+    /// byte-diff: the failed, sweep and stats shapes, pinned exactly.
+    #[test]
+    fn result_and_stats_lines_are_pinned_byte_for_byte() {
+        let dir = tmp_dir("pins");
+        // Workers are never started: nothing races the injected failure.
+        let server = Server::new(ServerConfig {
+            state_dir: dir.clone(),
+            workers: 1,
+        })
+        .unwrap();
+        let spec = tiny_sweep();
+        let id = spec.job_id();
+        server
+            .submit(spec.clone(), spec.build_config().unwrap())
+            .unwrap();
+        let message = "simulation failed: \"cycle limit\"";
+        server.fail_job(&mut server.inner.lock().unwrap(), id, message);
+        let WatchAttach::Terminal(failed) = server.attach_watch(id) else {
+            panic!("failed job is terminal");
+        };
+        assert_eq!(
+            failed,
+            format!(
+                r#"{{"event":"result","job":"{id:016x}","status":"failed","error":"simulation failed: \"cycle limit\""}}"#
+            )
+        );
+        let stats = server.stats_line();
+        let counters = r#"{"event":"stats","jobs_submitted":1,"jobs_deduped":0,"jobs_completed":0,"jobs_failed":1,"jobs_cancelled":0,"jobs_recovered":0,"points_requested":2,"points_executed":0,"points_deduped":0,"queue_depth":2,"cache":{"hits":"#;
+        assert!(stats.starts_with(counters), "{stats}");
+        assert!(stats.ends_with("}}"), "{stats}");
+
+        let m = |per_access| {
+            Some(ChaseMeasurement {
+                per_access,
+                accesses: 512,
+                cycles_short: 100,
+                cycles_long: 300,
+            })
+        };
+        let line = sweep_result_line(id, &spec, &[m(45.0), m(0.390625)]);
+        let (points, hash) = line.split_once("],\"content_hash\":").unwrap();
+        assert_eq!(
+            points,
+            format!(
+                r#"{{"event":"result","job":"{id:016x}","kind":"sweep","status":"done","points":[{{"footprint":2048,"stride":256,"per_access":45,"accesses":512,"cycles_short":100,"cycles_long":300}},{{"footprint":4096,"stride":256,"per_access":0.390625,"accesses":512,"cycles_short":100,"cycles_long":300}}"#
+            )
+        );
+        assert_eq!(hash.len(), "\"0123456789abcdef\"}".len(), "{hash}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

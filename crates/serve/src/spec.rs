@@ -17,7 +17,7 @@
 
 use gpu_sim::{ArchDesc, GpuConfig};
 use gpu_snapshot::{Decoder, Encoder, StableHasher};
-use gpu_trace::json::{escape_into, Value};
+use gpu_trace::json::{Value, Writer};
 use latency_core::{ArchPreset, ChaseParams, ChaseSpace};
 
 /// Version tag folded into every job id; bump when the spec schema changes
@@ -30,6 +30,11 @@ pub const MAX_FOOTPRINT: u64 = 1 << 30;
 
 /// Upper bound on BFS graph size; keeps a single job's memory bounded.
 pub const MAX_NODES: u32 = 1 << 22;
+
+/// Upper bound on a BFS `seed`: the parser holds numbers as `f64`, so
+/// 2^53 and 2^53 + 1 arrive as the same value — and would share a job id
+/// while naming different graphs. Below 2^53 every integer is exact.
+pub const MAX_SEED: u64 = (1 << 53) - 1;
 
 /// Where the architecture comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,7 +285,7 @@ fn parse_sweep(sweep: &Value) -> Result<JobKind, SpecError> {
 fn parse_bfs(bfs: &Value) -> Result<JobKind, SpecError> {
     let nodes = field_u64(bfs, "nodes", MAX_NODES as u64)? as u32;
     let degree = field_u64(bfs, "degree", 1 << 16)? as u32;
-    let seed = field_u64(bfs, "seed", u64::MAX)?;
+    let seed = field_u64(bfs, "seed", MAX_SEED)?;
     let block_dim = field_u64(bfs, "block_dim", 1 << 10)? as u32;
     let checkpoint_every = field_u64(bfs, "checkpoint_every", u64::MAX)?;
     if nodes == 0 || degree == 0 || block_dim == 0 || checkpoint_every == 0 {
@@ -453,37 +458,25 @@ impl JobSpec {
     /// Canonical JSON rendering, stable across processes: persisted as
     /// `spec.json` in the job directory and re-parsed on boot recovery.
     pub fn canonical_json(&self) -> String {
-        let mut out = String::from("{\"version\":1,");
+        let mut w = Writer::compact();
+        w.object().field("version", SPEC_VERSION);
         match &self.arch {
-            ArchSource::Preset(p) => {
-                out.push_str("\"preset\":");
-                escape_into(&mut out, preset_token(*p));
-            }
-            ArchSource::Inline(d) => {
-                out.push_str("\"arch\":");
-                escape_into(&mut out, &encode_arch_frame(d));
-            }
-        }
-        out.push_str(&format!(",\"microbench\":{}", self.microbench));
+            ArchSource::Preset(p) => w.field("preset", preset_token(*p)),
+            ArchSource::Inline(d) => w.field("arch", encode_arch_frame(d)),
+        };
+        w.field("microbench", self.microbench);
         match &self.kind {
             JobKind::Sweep {
                 footprints,
                 strides,
                 space,
             } => {
-                out.push_str(",\"sweep\":{\"footprints\":[");
-                out.push_str(&join_u64(footprints));
-                out.push_str("],\"strides\":[");
-                out.push_str(&join_u64(strides));
-                out.push_str("],\"space\":");
-                escape_into(
-                    &mut out,
-                    match space {
-                        ChaseSpace::Global => "global",
-                        ChaseSpace::Local => "local",
-                    },
-                );
-                out.push('}');
+                let space = match space {
+                    ChaseSpace::Global => "global",
+                    ChaseSpace::Local => "local",
+                };
+                w.key("sweep").object().field("footprints", &footprints[..]);
+                w.field("strides", &strides[..]).field("space", space);
             }
             JobKind::Bfs {
                 nodes,
@@ -492,19 +485,14 @@ impl JobSpec {
                 block_dim,
                 checkpoint_every,
             } => {
-                out.push_str(&format!(
-                    ",\"bfs\":{{\"nodes\":{nodes},\"degree\":{degree},\"seed\":{seed},\
-                     \"block_dim\":{block_dim},\"checkpoint_every\":{checkpoint_every}}}"
-                ));
+                w.key("bfs").object();
+                w.field("nodes", nodes).field("degree", degree);
+                w.field("seed", seed).field("block_dim", block_dim);
+                w.field("checkpoint_every", checkpoint_every);
             }
         }
-        out.push('}');
-        out
+        w.finish()
     }
-}
-
-fn join_u64(xs: &[u64]) -> String {
-    xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
 }
 
 #[cfg(test)]
@@ -599,6 +587,63 @@ mod tests {
             let reparsed = JobSpec::parse_str(&spec.canonical_json()).unwrap();
             assert_eq!(reparsed, spec);
             assert_eq!(reparsed.job_id(), spec.job_id());
+        }
+    }
+
+    /// `spec.json` files written by earlier builds must keep re-parsing to
+    /// the id their directory is named after: the canonical bytes are fixed.
+    #[test]
+    fn canonical_json_is_pinned_byte_for_byte() {
+        let sweep = JobSpec::parse_str(
+            "{\"sweep\":{\"strides\":[128],\"space\":\"local\",\"footprints\":[4096,8192]},\
+             \"microbench\":false,\"preset\":\"fermi\"}",
+        )
+        .unwrap();
+        assert_eq!(
+            sweep.canonical_json(),
+            r#"{"version":1,"preset":"gf106","microbench":false,"sweep":{"footprints":[4096,8192],"strides":[128],"space":"local"}}"#
+        );
+        let bfs = JobSpec::parse_str(
+            "{\"preset\":\"gf100\",\"bfs\":{\"nodes\":1024,\"degree\":6,\"seed\":9007199254740991,\
+             \"block_dim\":64,\"checkpoint_every\":5000}}",
+        )
+        .unwrap();
+        assert_eq!(
+            bfs.canonical_json(),
+            r#"{"version":1,"preset":"gf100","microbench":false,"bfs":{"nodes":1024,"degree":6,"seed":9007199254740991,"block_dim":64,"checkpoint_every":5000}}"#
+        );
+        let frame = encode_arch_frame(&ArchPreset::FermiGf106.desc());
+        let inline = JobSpec::parse_str(&format!(
+            "{{\"arch\":{frame:?},\"sweep\":{{\"footprints\":[4096],\"strides\":[128]}}}}"
+        ))
+        .unwrap();
+        assert_eq!(
+            inline.canonical_json(),
+            format!(
+                r#"{{"version":1,"arch":"{frame}","microbench":true,"sweep":{{"footprints":[4096],"strides":[128],"space":"global"}}}}"#
+            )
+        );
+    }
+
+    /// The parser holds numbers as `f64`: past 2^53 two different seeds
+    /// would arrive as one value and share a job id.
+    #[test]
+    fn seeds_past_f64_exactness_are_rejected() {
+        let bfs = |seed: &str| {
+            JobSpec::parse_str(&format!(
+                "{{\"preset\":\"gf106\",\"bfs\":{{\"nodes\":64,\"degree\":4,\"seed\":{seed},\
+                 \"block_dim\":32,\"checkpoint_every\":1000}}}}"
+            ))
+        };
+        assert!(bfs("9007199254740991").is_ok());
+        for seed in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+        ] {
+            let err = bfs(seed).unwrap_err();
+            assert_eq!(err.code(), "bad_field");
+            assert!(err.to_string().contains("exceeds maximum"), "{err}");
         }
     }
 

@@ -69,6 +69,13 @@ fn typed_errors_never_kill_the_session() {
              \"checkpoint_every\":1000}}}",
             "bad_field",
         ),
+        (
+            // 2^53 + 1 would arrive as 2^53 and take that seed's job id.
+            "{\"cmd\":\"submit\",\"spec\":{\"preset\":\"gf106\",\
+             \"bfs\":{\"nodes\":64,\"degree\":4,\"seed\":9007199254740993,\
+             \"block_dim\":32,\"checkpoint_every\":1000}}}",
+            "bad_field",
+        ),
         (oversized.as_str(), "oversized_request"),
         ("{\"cmd\":\"status\",\"job\":\"nothex\"}", "bad_job_id"),
         (
@@ -129,5 +136,42 @@ fn typed_errors_never_kill_the_session() {
     assert_eq!(last.get("event").and_then(Value::as_str), Some("result"));
     assert_eq!(last.get("status").and_then(Value::as_str), Some("done"));
 
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Half a megabyte of `[` is a legal request line (under the 1 MiB cap)
+/// that used to recurse the parser off the end of its thread's stack and
+/// abort the whole daemon. It must be one more `bad_json`, and the same
+/// connection must go on to answer `stats`.
+#[test]
+fn deep_nesting_is_bad_json_not_a_dead_daemon() {
+    let state = tmp_dir("deep");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--stdio", "--state"])
+        .arg(&state)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve --stdio");
+    let mut stdin = child.stdin.take().unwrap();
+    let input = format!("{}\n{{\"cmd\":\"stats\"}}\n", "[".repeat(512 << 10));
+    let writer = std::thread::spawn(move || {
+        stdin.write_all(input.as_bytes()).unwrap();
+    });
+    let out = child.wait_with_output().expect("serve exited");
+    writer.join().unwrap();
+    assert!(out.status.success(), "daemon died: {:?}", out.status);
+    let text = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<_> = text
+        .lines()
+        .map(|l| parse(l).expect("event is JSON"))
+        .collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert_eq!(
+        lines[0].get("code").and_then(Value::as_str),
+        Some("bad_json")
+    );
+    assert_eq!(lines[1].get("event").and_then(Value::as_str), Some("stats"));
     let _ = std::fs::remove_dir_all(&state);
 }

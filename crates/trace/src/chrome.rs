@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 
 use gpu_mem::{Stamp, Timeline};
 
-use crate::event::{EventKind, TraceEvent, TraceSite};
-use crate::json::{self, Value};
+use crate::event::{TraceEvent, TraceSite};
+use crate::json::{Value, Writer};
 use crate::profile::{ProfCounter, ProfSpan, ProfileReport};
 use crate::tracer::{CounterKind, CounterSample};
 
@@ -162,10 +162,40 @@ fn site_coords(site: TraceSite) -> (u32, u32) {
     }
 }
 
+/// Opens the next event object with the two members every kind but
+/// metadata leads with.
+fn begin<'w>(w: &'w mut Writer, cat: &str, ph: &str) -> &'w mut Writer {
+    w.object().field("cat", cat).field("ph", ph)
+}
+
+/// One `ph` `"M"` metadata event naming a process (`tid` `None`) or thread.
+fn metadata(w: &mut Writer, pid: u32, tid: Option<u32>, what: &str, name: &str) {
+    w.object().field("ph", "M").field("name", what);
+    w.field("pid", pid);
+    if let Some(tid) = tid {
+        w.field("tid", tid);
+    }
+    w.key("args").object().field("name", name).end().end();
+}
+
+/// One edge (`ph` `b`/`e`) of request `id`'s nestable async span `name`.
+fn async_edge(w: &mut Writer, ph: &str, sm: u32, id: u64, name: &str, ts: u64) {
+    begin(w, "request", ph).field("id", id).field("name", name);
+    w.field("pid", PID_SMS).field("tid", sm);
+    w.field("ts", ts).end();
+}
+
+/// One `ph` `"C"` counter event on thread 0 of `pid`.
+fn counter(w: &mut Writer, cat: &str, name: &str, pid: u32, ts: u64, value: u64) {
+    begin(w, cat, "C").field("name", name).field("pid", pid);
+    w.field("tid", 0u32).field("ts", ts);
+    w.key("args").object().field("value", value).end().end();
+}
+
 /// Incrementally builds a Chrome trace-event document.
 #[derive(Debug)]
 pub struct ChromeTraceBuilder {
-    events: Vec<String>,
+    w: Writer,
     stage_labels: StageLabels,
     track_names: TrackNames,
 }
@@ -181,58 +211,32 @@ impl ChromeTraceBuilder {
     /// Starts a trace document whose process/thread/counter tracks carry
     /// the given display names (typically derived from an `ArchDesc`).
     pub fn with_names(num_sms: u32, num_partitions: u32, names: TrackNames) -> Self {
-        let mut b = ChromeTraceBuilder {
-            events: Vec::new(),
-            stage_labels: StageLabels::default(),
-            track_names: names,
-        };
-        let names = b.track_names.clone();
-        b.metadata(PID_SMS, None, "process_name", &names.sms_process);
-        b.metadata(
-            PID_PARTITIONS,
-            None,
-            "process_name",
-            &names.partitions_process,
-        );
-        b.metadata(PID_GPU, None, "process_name", &names.gpu_process);
-        b.metadata(PID_GPU, Some(0), "thread_name", "cycle loop");
+        let mut w = Writer::rows();
+        w.object().key("traceEvents").array();
+        metadata(&mut w, PID_SMS, None, "process_name", &names.sms_process);
+        let partitions = &names.partitions_process;
+        metadata(&mut w, PID_PARTITIONS, None, "process_name", partitions);
+        metadata(&mut w, PID_GPU, None, "process_name", &names.gpu_process);
+        metadata(&mut w, PID_GPU, Some(0), "thread_name", "cycle loop");
         for i in 0..num_sms {
-            b.metadata(
-                PID_SMS,
-                Some(i),
-                "thread_name",
-                &format!("{} {i}", names.sm_prefix),
-            );
+            let name = format!("{} {i}", names.sm_prefix);
+            metadata(&mut w, PID_SMS, Some(i), "thread_name", &name);
         }
         for i in 0..num_partitions {
-            b.metadata(
-                PID_PARTITIONS,
-                Some(i),
-                "thread_name",
-                &format!("{} {i}", names.partition_prefix),
-            );
+            let name = format!("{} {i}", names.partition_prefix);
+            metadata(&mut w, PID_PARTITIONS, Some(i), "thread_name", &name);
         }
-        b
+        ChromeTraceBuilder {
+            w,
+            stage_labels: StageLabels::default(),
+            track_names: names,
+        }
     }
 
     /// Replaces the per-stage span labels (derived from an architecture
     /// description by bundle writers).
     pub fn set_stage_labels(&mut self, labels: StageLabels) {
         self.stage_labels = labels;
-    }
-
-    fn metadata(&mut self, pid: u32, tid: Option<u32>, what: &str, name: &str) {
-        let mut e = String::new();
-        e.push_str("{\"ph\":\"M\",\"name\":");
-        json::escape_into(&mut e, what);
-        e.push_str(&format!(",\"pid\":{pid}"));
-        if let Some(tid) = tid {
-            e.push_str(&format!(",\"tid\":{tid}"));
-        }
-        e.push_str(",\"args\":{\"name\":");
-        json::escape_into(&mut e, name);
-        e.push_str("}}");
-        self.events.push(e);
     }
 
     /// Adds one traced request as a nestable async span on SM `sm`'s track:
@@ -244,86 +248,32 @@ impl ChromeTraceBuilder {
         else {
             return;
         };
-        self.async_edge("b", sm, id, &format!("req{id}"), issue.get());
+        let (w, outer) = (&mut self.w, format!("req{id}"));
+        async_edge(w, "b", sm, id, &outer, issue.get());
         let mut prev = issue;
         for stamp in Stamp::ALL {
             let Some(t) = timeline.get(stamp) else {
                 continue;
             };
-            if let Some(label) = self.stage_labels.get(stamp).map(str::to_string) {
-                self.async_edge("b", sm, id, &label, prev.get());
-                self.async_edge("e", sm, id, &label, t.get());
+            if let Some(label) = self.stage_labels.get(stamp) {
+                async_edge(w, "b", sm, id, label, prev.get());
+                async_edge(w, "e", sm, id, label, t.get());
             }
             prev = t;
         }
-        self.async_edge("e", sm, id, &format!("req{id}"), returned.get());
-    }
-
-    fn async_edge(&mut self, ph: &str, sm: u32, id: u64, name: &str, ts: u64) {
-        let mut e = String::new();
-        e.push_str("{\"cat\":\"request\",\"ph\":");
-        json::escape_into(&mut e, ph);
-        e.push_str(",\"id\":");
-        e.push_str(&id.to_string());
-        e.push_str(",\"name\":");
-        json::escape_into(&mut e, name);
-        e.push_str(&format!(",\"pid\":{PID_SMS},\"tid\":{sm},\"ts\":{ts}}}"));
-        self.events.push(e);
+        async_edge(w, "e", sm, id, &outer, returned.get());
     }
 
     /// Adds one discrete event as a thread-scoped instant on its site's
     /// track, with the payload spelled out in `args`.
     pub fn add_event(&mut self, event: &TraceEvent) {
         let (pid, tid) = site_coords(event.site);
-        let mut e = String::new();
-        e.push_str("{\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"name\":");
-        json::escape_into(&mut e, event.kind.name());
-        e.push_str(&format!(
-            ",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"args\":{{",
-            event.cycle
-        ));
-        match event.kind {
-            EventKind::Stall { reason } => {
-                e.push_str("\"reason\":");
-                json::escape_into(&mut e, reason.name());
-            }
-            EventKind::Coalesce {
-                warp,
-                accesses,
-                lines,
-            } => {
-                e.push_str(&format!(
-                    "\"warp\":{warp},\"accesses\":{accesses},\"lines\":{lines}"
-                ));
-            }
-            EventKind::MshrAllocate { line } | EventKind::MshrMerge { line } => {
-                e.push_str(&format!("\"line\":{line}"));
-            }
-            EventKind::MshrFill { line, waiters } => {
-                e.push_str(&format!("\"line\":{line},\"waiters\":{waiters}"));
-            }
-            EventKind::IcntInject { net, req, port } | EventKind::IcntEject { net, req, port } => {
-                e.push_str("\"net\":");
-                json::escape_into(&mut e, net.name());
-                e.push_str(&format!(",\"req\":{req},\"port\":{port}"));
-            }
-            EventKind::QueueEnter { queue, req } | EventKind::QueueLeave { queue, req } => {
-                e.push_str("\"queue\":");
-                json::escape_into(&mut e, queue.name());
-                e.push_str(&format!(",\"req\":{req}"));
-            }
-            EventKind::RowActivate { bank, row } | EventKind::RowPrecharge { bank, row } => {
-                e.push_str(&format!("\"bank\":{bank},\"row\":{row}"));
-            }
-            EventKind::Checkpoint { bytes } => {
-                e.push_str(&format!("\"bytes\":{bytes}"));
-            }
-            EventKind::CacheHit { key } => {
-                e.push_str(&format!("\"key\":{key}"));
-            }
-        }
-        e.push_str("}}");
-        self.events.push(e);
+        let w = begin(&mut self.w, "event", "i").field("s", "t");
+        w.field("name", event.kind.name());
+        w.field("pid", pid).field("tid", tid);
+        w.field("ts", event.cycle);
+        event.kind.write_fields(w.key("args").object());
+        w.end().end();
     }
 
     /// Adds one counter sample as `ph` `"C"` counter events on the GPU
@@ -331,15 +281,9 @@ impl ChromeTraceBuilder {
     /// named from the builder's [`TrackNames`]).
     pub fn add_counter_sample(&mut self, sample: &CounterSample) {
         for kind in CounterKind::ALL {
-            let mut e = String::new();
-            e.push_str("{\"cat\":\"counter\",\"ph\":\"C\",\"name\":");
-            json::escape_into(&mut e, &self.track_names.counters[kind.index()]);
-            e.push_str(&format!(
-                ",\"pid\":{PID_GPU},\"tid\":0,\"ts\":{},\"args\":{{\"value\":{}}}}}",
-                sample.cycle,
-                sample.values[kind.index()]
-            ));
-            self.events.push(e);
+            let name = &self.track_names.counters[kind.index()];
+            let value = sample.values[kind.index()];
+            counter(&mut self.w, "counter", name, PID_GPU, sample.cycle, value);
         }
     }
 
@@ -357,16 +301,19 @@ impl ChromeTraceBuilder {
     /// Timestamps here are host *microseconds*; the simulated processes use
     /// cycles. They share the file, never a track.
     pub fn add_host_profile(&mut self, report: &ProfileReport) {
-        let host_process = self.track_names.host_process.clone();
-        self.metadata(PID_HOST, None, "process_name", &host_process);
-        self.metadata(PID_HOST, Some(0), "thread_name", "span totals");
-        self.metadata(PID_HOST, Some(1), "thread_name", "span totals (children)");
-        self.metadata(
+        let w = &mut self.w;
+        let host_process = &self.track_names.host_process;
+        metadata(w, PID_HOST, None, "process_name", host_process);
+        metadata(w, PID_HOST, Some(0), "thread_name", "span totals");
+        metadata(
+            w,
             PID_HOST,
-            Some(2),
+            Some(1),
             "thread_name",
-            "span totals (grandchildren)",
+            "span totals (children)",
         );
+        let grandchildren = "span totals (grandchildren)";
+        metadata(w, PID_HOST, Some(2), "thread_name", grandchildren);
 
         // Flame layout: roots tile [0, ..) in table order; every child
         // tiles from its parent's start. A slice sits on the thread for its
@@ -394,31 +341,18 @@ impl ChromeTraceBuilder {
             if stat.count == 0 {
                 continue;
             }
-            let depth = s.path().matches('/').count();
-            let mut e = String::new();
-            e.push_str("{\"cat\":\"host\",\"ph\":\"X\",\"name\":");
-            json::escape_into(&mut e, &s.path());
-            e.push_str(&format!(
-                ",\"pid\":{PID_HOST},\"tid\":{depth},\"ts\":{},\"dur\":{},\"args\":{{\"count\":{},\"nanos\":{}}}}}",
-                at / 1_000,
-                stat.nanos / 1_000,
-                stat.count,
-                stat.nanos
-            ));
-            self.events.push(e);
+            let path = s.path();
+            begin(w, "host", "X").field("name", &path);
+            w.field("pid", PID_HOST);
+            w.field("tid", path.matches('/').count());
+            w.field("ts", at / 1_000).field("dur", stat.nanos / 1_000);
+            w.key("args").object().field("count", stat.count);
+            w.field("nanos", stat.nanos).end().end();
         }
 
-        // Sampled tracks: cumulative snapshots become per-interval deltas.
-        const TRACKED: [ProfSpan; 12] = [
-            ProfSpan::BeginNetworks,
-            ProfSpan::TickPartitions,
-            ProfSpan::InjectReplies,
-            ProfSpan::EjectRequests,
-            ProfSpan::TickSms,
-            ProfSpan::DispatchCtas,
-            ProfSpan::AuditInvariants,
-            ProfSpan::SampleCounters,
-            ProfSpan::AdvanceClock,
+        // Sampled tracks (the tick stages, then the worker spans):
+        // cumulative snapshots become per-interval deltas.
+        const WORKERS: [ProfSpan; 3] = [
             ProfSpan::PoolWorkerBusy,
             ProfSpan::PoolWorkerIdle,
             ProfSpan::GridWorkerBusy,
@@ -427,16 +361,10 @@ impl ChromeTraceBuilder {
         let mut prev_counters = [0u64; ProfCounter::COUNT];
         for sample in &report.samples {
             let ts = sample.host_nanos / 1_000;
-            for s in TRACKED {
+            for s in ProfSpan::STAGES.into_iter().chain(WORKERS) {
                 let delta = sample.span_nanos[s.index()].saturating_sub(prev_spans[s.index()]);
-                let mut e = String::new();
-                e.push_str("{\"cat\":\"host\",\"ph\":\"C\",\"name\":");
-                json::escape_into(&mut e, &format!("host us: {}", s.path()));
-                e.push_str(&format!(
-                    ",\"pid\":{PID_HOST},\"tid\":0,\"ts\":{ts},\"args\":{{\"value\":{}}}}}",
-                    delta / 1_000
-                ));
-                self.events.push(e);
+                let name = format!("host us: {}", s.path());
+                counter(w, "host", &name, PID_HOST, ts, delta / 1_000);
             }
             for c in ProfCounter::ALL {
                 // Gauges are plotted raw; monotonic counts as deltas.
@@ -445,40 +373,17 @@ impl ChromeTraceBuilder {
                     ProfCounter::Outstanding => v,
                     _ => v.saturating_sub(prev_counters[c.index()]),
                 };
-                let mut e = String::new();
-                e.push_str("{\"cat\":\"host\",\"ph\":\"C\",\"name\":");
-                json::escape_into(&mut e, &format!("host: {}", c.label()));
-                e.push_str(&format!(
-                    ",\"pid\":{PID_HOST},\"tid\":0,\"ts\":{ts},\"args\":{{\"value\":{value}}}}}",
-                ));
-                self.events.push(e);
+                let name = format!("host: {}", c.label());
+                counter(w, "host", &name, PID_HOST, ts, value);
             }
             prev_spans = sample.span_nanos;
             prev_counters = sample.counters;
         }
     }
 
-    /// Events added so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events were added.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Serialises the document: `{"traceEvents": [...]}`.
     pub fn finish(self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(e);
-        }
-        out.push_str("\n]}\n");
-        out
+        self.w.finish()
     }
 }
 
@@ -567,7 +472,8 @@ pub fn check_span_sums(doc: &Value) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{NetDir, QueueKind, StallReason};
+    use crate::event::{EventKind, NetDir, QueueKind, StallReason};
+    use crate::json;
     use gpu_types::Cycle;
 
     fn dram_timeline(issue: u64) -> Timeline {
@@ -603,9 +509,8 @@ mod tests {
         let mut b = ChromeTraceBuilder::new(1, 1);
         let mut t = Timeline::new();
         t.record(Stamp::Issue, Cycle::new(5));
-        let before = b.len();
         b.add_request_span(0, 1, &t);
-        assert_eq!(b.len(), before);
+        assert_eq!(b.finish(), ChromeTraceBuilder::new(1, 1).finish());
     }
 
     #[test]

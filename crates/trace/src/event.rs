@@ -6,6 +6,8 @@
 //! and a payload. Events are plain `Copy` data so recording one is a couple
 //! of stores into a pre-grown buffer, never an allocation.
 
+use gpu_types::json::Writer;
+
 /// Why an SM issued nothing on a cycle with live warps.
 ///
 /// This extends the paper's Figure-2 exposed/hidden split: a zero-issue
@@ -304,6 +306,37 @@ impl EventKind {
             EventKind::Checkpoint { .. } => "checkpoint",
             EventKind::CacheHit { .. } => "cache_hit",
         }
+    }
+
+    /// Writes the payload as members of the object `w` has open. This is
+    /// the one spelling of the payload keys: the Chrome exporter puts them
+    /// in an event's `args`, the JSONL exporter flattens them into the row.
+    pub fn write_fields(&self, w: &mut Writer) {
+        match *self {
+            Self::Stall { reason } => w.field("reason", reason.name()),
+            Self::Coalesce {
+                warp,
+                accesses,
+                lines,
+            } => w
+                .field("warp", warp)
+                .field("accesses", accesses)
+                .field("lines", lines),
+            Self::MshrAllocate { line } | Self::MshrMerge { line } => w.field("line", line),
+            Self::MshrFill { line, waiters } => w.field("line", line).field("waiters", waiters),
+            Self::IcntInject { net, req, port } | Self::IcntEject { net, req, port } => w
+                .field("net", net.name())
+                .field("req", req)
+                .field("port", port),
+            Self::QueueEnter { queue, req } | Self::QueueLeave { queue, req } => {
+                w.field("queue", queue.name()).field("req", req)
+            }
+            Self::RowActivate { bank, row } | Self::RowPrecharge { bank, row } => {
+                w.field("bank", bank).field("row", row)
+            }
+            Self::Checkpoint { bytes } => w.field("bytes", bytes),
+            Self::CacheHit { key } => w.field("key", key),
+        };
     }
 }
 

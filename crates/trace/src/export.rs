@@ -2,68 +2,28 @@
 //! for counter samples. Both are plain-text sidecars of the Chrome trace so
 //! ad-hoc analysis does not need a trace viewer.
 
-use crate::event::{EventKind, TraceEvent, TraceSite};
-use crate::json;
+use crate::event::{TraceEvent, TraceSite};
+use crate::json::Writer;
 use crate::tracer::{CounterKind, CounterSample};
-
-fn site_fields(out: &mut String, site: TraceSite) {
-    match site {
-        TraceSite::Sm(i) => out.push_str(&format!("\"site\":\"sm\",\"index\":{i}")),
-        TraceSite::Partition(i) => out.push_str(&format!("\"site\":\"partition\",\"index\":{i}")),
-        TraceSite::Gpu => out.push_str("\"site\":\"gpu\",\"index\":0"),
-    }
-}
 
 /// Serialises events as JSONL: one compact object per line with `cycle`,
 /// `site`, `index`, `kind` and the payload fields flattened in.
 pub fn events_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
+    let mut w = Writer::compact();
     for ev in events {
-        out.push_str(&format!("{{\"cycle\":{},", ev.cycle));
-        site_fields(&mut out, ev.site);
-        out.push_str(",\"kind\":");
-        json::escape_into(&mut out, ev.kind.name());
-        match ev.kind {
-            EventKind::Stall { reason } => {
-                out.push_str(",\"reason\":");
-                json::escape_into(&mut out, reason.name());
-            }
-            EventKind::Coalesce {
-                warp,
-                accesses,
-                lines,
-            } => {
-                out.push_str(&format!(
-                    ",\"warp\":{warp},\"accesses\":{accesses},\"lines\":{lines}"
-                ));
-            }
-            EventKind::MshrAllocate { line } | EventKind::MshrMerge { line } => {
-                out.push_str(&format!(",\"line\":{line}"));
-            }
-            EventKind::MshrFill { line, waiters } => {
-                out.push_str(&format!(",\"line\":{line},\"waiters\":{waiters}"));
-            }
-            EventKind::IcntInject { net, req, port } | EventKind::IcntEject { net, req, port } => {
-                out.push_str(",\"net\":");
-                json::escape_into(&mut out, net.name());
-                out.push_str(&format!(",\"req\":{req},\"port\":{port}"));
-            }
-            EventKind::QueueEnter { queue, req } | EventKind::QueueLeave { queue, req } => {
-                out.push_str(",\"queue\":");
-                json::escape_into(&mut out, queue.name());
-                out.push_str(&format!(",\"req\":{req}"));
-            }
-            EventKind::RowActivate { bank, row } | EventKind::RowPrecharge { bank, row } => {
-                out.push_str(&format!(",\"bank\":{bank},\"row\":{row}"));
-            }
-            EventKind::Checkpoint { bytes } => {
-                out.push_str(&format!(",\"bytes\":{bytes}"));
-            }
-            EventKind::CacheHit { key } => {
-                out.push_str(&format!(",\"key\":{key}"));
-            }
-        }
-        out.push_str("}\n");
+        let (site, index) = match ev.site {
+            TraceSite::Sm(i) => ("sm", i),
+            TraceSite::Partition(i) => ("partition", i),
+            TraceSite::Gpu => ("gpu", 0),
+        };
+        w.object().field("cycle", ev.cycle).field("site", site);
+        w.field("index", index).field("kind", ev.kind.name());
+        ev.kind.write_fields(&mut w);
+        w.end();
+    }
+    let mut out = w.finish();
+    if !out.is_empty() {
+        out.push('\n');
     }
     out
 }
@@ -91,7 +51,7 @@ pub fn counters_csv(samples: &[CounterSample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{QueueKind, StallReason};
+    use crate::event::{EventKind, QueueKind, StallReason};
     use crate::json;
 
     #[test]
@@ -232,6 +192,39 @@ mod tests {
             .unwrap_or_else(|| panic!("missing {key}"))
             .as_str()
             .unwrap_or_else(|| panic!("{key} not a string"))
+    }
+
+    /// Both exporters spell a payload through `EventKind::write_fields`:
+    /// for every variant the Chrome event's `args` object must hold exactly
+    /// the members the JSONL row carries after its four fixed ones.
+    #[test]
+    fn chrome_args_and_jsonl_rows_carry_the_same_payload() {
+        let events = one_event_per_kind();
+        let mut chrome = crate::ChromeTraceBuilder::new(0, 0);
+        for ev in &events {
+            chrome.add_event(ev);
+        }
+        let doc = json::parse(&chrome.finish()).unwrap();
+        let instants: Vec<_> = doc
+            .get("traceEvents")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("cat").and_then(json::Value::as_str) == Some("event"))
+            .collect();
+        let jsonl = events_jsonl(&events);
+        assert_eq!(instants.len(), events.len());
+        for ((instant, line), ev) in instants.iter().zip(jsonl.lines()).zip(&events) {
+            let json::Value::Obj(row) = json::parse(line).unwrap() else {
+                panic!("row is not an object: {line}");
+            };
+            let keys: Vec<_> = row[..4].iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["cycle", "site", "index", "kind"]);
+            assert_eq!(text(instant, "name"), ev.kind.name());
+            let args = instant.get("args").unwrap();
+            assert_eq!(args, &json::Value::Obj(row[4..].to_vec()), "{line}");
+        }
     }
 
     /// Every variant's JSONL line re-parses through `gpu_trace::json` with

@@ -15,7 +15,7 @@
 //! * exporters — Chrome trace-event JSON for Perfetto
 //!   ([`ChromeTraceBuilder`]), JSONL and CSV for scripting, and a
 //!   [`check_span_sums`] validator that re-parses the emitted JSON with the
-//!   built-in [`json`] parser and re-checks the sanitizer's stage-sum
+//!   workspace [`json`] parser (all of them write through its `Writer`) and re-checks the sanitizer's stage-sum
 //!   invariant on the exported spans;
 //! * [`profile`] — the host-side self-profiler (`gpu-profile`): a
 //!   zero-cost-when-off scoped profiler over the host monotonic clock that
@@ -31,10 +31,13 @@
 pub mod chrome;
 pub mod event;
 pub mod export;
-pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod tracer;
+
+/// The workspace's JSON parser and writer, which live in `gpu-types`;
+/// re-exported because this crate's exporters are their main user.
+pub use gpu_types::json;
 
 pub use chrome::{check_span_sums, stage_label, ChromeTraceBuilder, StageLabels, TrackNames};
 pub use event::{EventKind, NetDir, QueueKind, StallBreakdown, StallReason, TraceEvent, TraceSite};

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::json;
+use crate::json::Writer;
 
 /// Environment variable that switches the self-profiler on (`1`, `true`,
 /// `on`; anything else, or unset, leaves it off).
@@ -628,57 +628,29 @@ impl ProfileReport {
     /// Renders `profile.json`: machine-readable span totals (with paths and
     /// parents), counters, and sample metadata.
     pub fn json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"total_nanos\": {},\n", self.total_nanos));
-        out.push_str("  \"spans\": [\n");
-        let mut first = true;
-        for s in &self.spans {
-            if s.count == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("    {\"path\": ");
-            json::escape_into(&mut out, &s.span.path());
-            out.push_str(", \"label\": ");
-            json::escape_into(&mut out, s.span.label());
-            match s.span.parent() {
-                Some(p) => {
-                    out.push_str(", \"parent\": ");
-                    json::escape_into(&mut out, p.label());
-                }
-                None => out.push_str(", \"parent\": null"),
-            }
-            out.push_str(&format!(
-                ", \"count\": {}, \"nanos\": {}}}",
-                s.count, s.nanos
-            ));
+        let mut w = Writer::indented();
+        w.object().field("total_nanos", self.total_nanos);
+        w.key("spans").array();
+        for s in self.spans.iter().filter(|s| s.count > 0) {
+            w.object().field("path", s.span.path());
+            w.field("label", s.span.label());
+            w.field("parent", s.span.parent().map(ProfSpan::label));
+            w.field("count", s.count).field("nanos", s.nanos).end();
         }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"counters\": {");
-        for (i, c) in ProfCounter::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(c.label());
-            out.push_str(&format!("\": {}", self.counter(*c)));
+        w.end().key("counters").object();
+        for c in ProfCounter::ALL {
+            w.field(c.label(), self.counter(c));
         }
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "  \"samples_retained\": {},\n  \"samples_dropped\": {}\n}}\n",
-            self.samples.len(),
-            self.samples_dropped
-        ));
-        out
+        w.end().field("samples_retained", self.samples.len());
+        w.field("samples_dropped", self.samples_dropped);
+        w.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     /// Profiler state is process-global; tests that toggle it serialize on
     /// this lock so the multi-threaded test runner cannot interleave them.

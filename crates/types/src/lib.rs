@@ -13,6 +13,8 @@
 //!   pipeline delay, used to model fixed-latency pipeline segments.
 //! - [`Histogram`] and [`Buckets`]: sample collection and the equal-width
 //!   latency bucketing used by the paper's Figures 1 and 2.
+//! - [`json`]: the workspace's one JSON layer — the parser every reader goes
+//!   through and the streaming writer every emitter goes through.
 //! - [`rng`]: hermetic, seedable pseudo-random number generation
 //!   (SplitMix64 + xoshiro256++) so the workspace needs no external `rand`
 //!   dependency and builds fully offline.
@@ -36,6 +38,7 @@ mod addr;
 mod cycle;
 mod histogram;
 mod ids;
+pub mod json;
 mod queue;
 pub mod rng;
 
