@@ -7,15 +7,13 @@
 //! latency arch_dynamic
 //! ```
 
-use latency_bench::{run_bfs_traced, BfsExperiment};
+use latency_bench::{mean_and_p95, run_bfs_traced, BfsExperiment};
 use latency_core::{ArchPreset, ExposureAnalysis};
 
 pub fn run() {
     let exp = BfsExperiment {
         nodes: 8192,
-        degree: 8,
-        seed: 20150301,
-        block_dim: 128,
+        ..BfsExperiment::default()
     };
     println!(
         "BFS ({} nodes, degree {}) across GPU generations\n",
@@ -33,10 +31,7 @@ pub fn run() {
                 continue;
             }
         };
-        let mut lat: Vec<u64> = run.loads.iter().map(|l| l.total()).collect();
-        lat.sort_unstable();
-        let mean = lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64;
-        let p95 = lat.get(lat.len() * 95 / 100).copied().unwrap_or(0);
+        let (mean, p95) = mean_and_p95(run.loads.iter().map(|l| l.total()).collect());
         let exposure = ExposureAnalysis::from_loads(&run.loads, 24);
         println!(
             "{:>18} {:>10} {:>12.0} {:>14} {:>9.1}%",

@@ -34,7 +34,7 @@ use latency_bench::{
     compare_json, run_serve_bench, run_sweep_bench, run_tick_bench, run_validation_bench,
     run_workload_bench, workloads_json, ProgressHeartbeat, Thresholds, Workload, SERVE_CLIENTS,
 };
-use latency_core::cli::{Cursor, UsageError};
+use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
 
 /// Presets are pinned per suite so results stay comparable with the
@@ -100,8 +100,15 @@ fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
 /// One finished suite: its artifact filename and rendered JSON.
 struct SuiteResult {
     name: &'static str,
-    file: &'static str,
+    file: String,
     json: String,
+}
+
+impl SuiteResult {
+    fn new(name: &'static str, json: String) -> Self {
+        let file = format!("BENCH_{name}.json");
+        SuiteResult { name, file, json }
+    }
 }
 
 fn run_suites(args: &Args) -> Vec<SuiteResult> {
@@ -111,10 +118,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
             "sweep" => {
                 println!("[bench] sweep: cold+warm grid on {}", SWEEP_PRESET.name());
                 let mut b = run_sweep_bench(SWEEP_PRESET, None);
-                if let Err(e) = b.check() {
-                    eprintln!("FAIL: sweep bench self-check: {e}");
-                    exit(1);
-                }
+                or_exit(b.check(), "FAIL: sweep bench self-check");
                 if args.inject {
                     b.simulated_cycles += 1;
                     b.warm_wall_seconds *= 100.0;
@@ -126,11 +130,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     b.warm_wall_seconds,
                     b.warm_hit_rate() * 100.0
                 );
-                results.push(SuiteResult {
-                    name: "sweep",
-                    file: "BENCH_sweep.json",
-                    json: b.json(),
-                });
+                results.push(SuiteResult::new("sweep", b.json()));
             }
             "tick" => {
                 println!(
@@ -139,10 +139,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     TICK_THREADS
                 );
                 let mut b = run_tick_bench(FULL_PRESET, 4096, 8, &TICK_THREADS);
-                if let Err(e) = b.check() {
-                    eprintln!("FAIL: tick bench self-check: {e}");
-                    exit(1);
-                }
+                or_exit(b.check(), "FAIL: tick bench self-check");
                 for m in &b.runs {
                     println!(
                         "[bench] tick: threads={:<2} wall={:.3}s cycles={} hash={:016x}",
@@ -155,38 +152,23 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                         r.wall_seconds *= 100.0;
                     }
                 }
-                results.push(SuiteResult {
-                    name: "tick",
-                    file: "BENCH_tick.json",
-                    json: b.json(),
-                });
+                results.push(SuiteResult::new("tick", b.json()));
             }
             "workloads" => {
                 let mut sections = Vec::new();
                 for preset in [FULL_PRESET, MODERN_PRESET] {
                     println!(
                         "[bench] workloads: {} end-to-end runs on {}",
-                        Workload::ALL.len(),
+                        Workload::e4().len(),
                         preset.name()
                     );
-                    let mut b = match run_workload_bench(preset, &Workload::ALL) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            eprintln!("FAIL: workload bench ({}): {e}", preset.name());
-                            exit(1);
-                        }
-                    };
-                    if let Err(e) = b.check() {
-                        eprintln!("FAIL: workload bench ({}): {e}", preset.name());
-                        exit(1);
-                    }
+                    let what = format!("FAIL: workload bench ({})", preset.name());
+                    let mut b = or_exit(run_workload_bench(preset, Workload::e4()), &what);
+                    or_exit(b.check(), &what);
                     for r in &b.runs {
                         println!(
                             "[bench] workloads: {:<10} cycles={:<8} wall={:.3}s hash={:016x}",
-                            r.workload.name(),
-                            r.cycles,
-                            r.wall_seconds,
-                            r.content_hash
+                            r.workload.name, r.cycles, r.wall_seconds, r.content_hash
                         );
                     }
                     if args.inject {
@@ -197,11 +179,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     }
                     sections.push(b);
                 }
-                results.push(SuiteResult {
-                    name: "workloads",
-                    file: "BENCH_workloads.json",
-                    json: workloads_json(&sections),
-                });
+                results.push(SuiteResult::new("workloads", workloads_json(&sections)));
             }
             "serve" => {
                 println!(
@@ -209,10 +187,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     SWEEP_PRESET.name()
                 );
                 let mut b = run_serve_bench(SWEEP_PRESET, SERVE_CLIENTS, None);
-                if let Err(e) = b.check() {
-                    eprintln!("FAIL: serve bench self-check: {e}");
-                    exit(1);
-                }
+                or_exit(b.check(), "FAIL: serve bench self-check");
                 println!(
                     "[bench] serve: {} points, cold {:.3}s ({:.2} jobs/s), \
                      warm {:.3}s ({:.2} jobs/s), hash {}",
@@ -228,24 +203,17 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     b.cold.wall_seconds *= 100.0;
                     b.warm.wall_seconds *= 100.0;
                 }
-                results.push(SuiteResult {
-                    name: "serve",
-                    file: "BENCH_serve.json",
-                    json: b.json(),
-                });
+                results.push(SuiteResult::new("serve", b.json()));
             }
             "validation" => {
                 println!(
                     "[bench] validation: {} presets vs published reference tables",
                     ArchPreset::ALL.len()
                 );
-                let mut b = match run_validation_bench(&ArchPreset::ALL) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("FAIL: validation bench: {e}");
-                        exit(1);
-                    }
-                };
+                let mut b = or_exit(
+                    run_validation_bench(&ArchPreset::ALL),
+                    "FAIL: validation bench",
+                );
                 if let Err(e) = b.check() {
                     eprintln!("FAIL: validation bench self-check:\n{e}");
                     exit(1);
@@ -262,11 +230,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                         l.measured += 100.0;
                     }
                 }
-                results.push(SuiteResult {
-                    name: "validation",
-                    file: "BENCH_validation.json",
-                    json: b.json(),
-                });
+                results.push(SuiteResult::new("validation", b.json()));
             }
             other => unreachable!("parse_args admitted unknown suite {other}"),
         }
@@ -275,10 +239,10 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
 }
 
 fn write_file(path: &std::path::Path, contents: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| {
-        eprintln!("failed to write {}: {e}", path.display());
-        exit(1);
-    });
+    or_exit(
+        std::fs::write(path, contents),
+        format_args!("failed to write {}", path.display()),
+    );
 }
 
 pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
@@ -290,12 +254,12 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
     let results = run_suites(&args);
     drop(heartbeat);
 
-    std::fs::create_dir_all(&args.out).unwrap_or_else(|e| {
-        eprintln!("failed to create {}: {e}", args.out.display());
-        exit(1);
-    });
+    or_exit(
+        std::fs::create_dir_all(&args.out),
+        format_args!("failed to create {}", args.out.display()),
+    );
     for r in &results {
-        write_file(&args.out.join(r.file), &r.json);
+        write_file(&args.out.join(&r.file), &r.json);
     }
     let report = gpu_sim::profile::report();
     write_file(&args.out.join("profile.json"), &report.json());
@@ -305,17 +269,17 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         args.out.display(),
         results
             .iter()
-            .map(|r| r.file)
+            .map(|r| r.file.as_str())
             .collect::<Vec<_>>()
             .join(", ")
     );
 
     if args.update {
         for r in &results {
-            write_file(&args.baseline_dir.join(r.file), &r.json);
+            write_file(&args.baseline_dir.join(&r.file), &r.json);
             println!(
                 "[bench] baseline updated: {}",
-                args.baseline_dir.join(r.file).display()
+                args.baseline_dir.join(&r.file).display()
             );
         }
         return Ok(());
@@ -330,7 +294,7 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
     let mut fatal = false;
     let mut warnings = 0usize;
     for r in &results {
-        let path = args.baseline_dir.join(r.file);
+        let path = args.baseline_dir.join(&r.file);
         let baseline = match std::fs::read_to_string(&path) {
             Ok(s) => s,
             Err(e) => {

@@ -7,18 +7,16 @@
 //! ```
 
 use latency_bench::{dram_sched_comparison, BfsExperiment};
+use latency_core::cli::or_exit;
 use latency_core::ArchPreset;
 
 pub fn run() {
     let exp = BfsExperiment::default();
     println!("E5: DRAM scheduler ablation, BFS on GF100\n");
-    let rows = match dram_sched_comparison(ArchPreset::FermiGf100.config(), &exp) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("ablation failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let rows = or_exit(
+        dram_sched_comparison(ArchPreset::FermiGf100.config(), &exp),
+        "ablation failed",
+    );
     println!(
         "{:>10} {:>12} {:>16} {:>16} {:>14}",
         "scheduler", "cycles", "mean load lat", "p95 load lat", "QtoSch share"

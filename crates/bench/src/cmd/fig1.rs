@@ -7,6 +7,7 @@
 //! ```
 
 use latency_bench::{run_bfs_traced, BfsExperiment};
+use latency_core::cli::or_exit;
 use latency_core::{ArchPreset, Component, LatencyBreakdown};
 
 pub fn run() {
@@ -18,13 +19,10 @@ pub fn run() {
         exp.nodes,
         exp.degree
     );
-    let run = match run_bfs_traced(ArchPreset::FermiGf100.config(), &exp) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fig1 failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let run = or_exit(
+        run_bfs_traced(ArchPreset::FermiGf100.config(), &exp),
+        "fig1 failed",
+    );
     // Clip the top 1% congestion outliers so the bucket domain matches the
     // readable range of the paper's figure (their x-axis tops out at ~1800).
     let (breakdown, overflow) = LatencyBreakdown::from_requests_clipped(&run.requests, 48, 0.99);

@@ -7,6 +7,7 @@
 //! ```
 
 use latency_bench::{run_bfs_traced, BfsExperiment};
+use latency_core::cli::or_exit;
 use latency_core::{ArchPreset, ExposureAnalysis};
 
 pub fn run() {
@@ -18,13 +19,10 @@ pub fn run() {
         exp.nodes,
         exp.degree
     );
-    let run = match run_bfs_traced(ArchPreset::FermiGf100.config(), &exp) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fig2 failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let run = or_exit(
+        run_bfs_traced(ArchPreset::FermiGf100.config(), &exp),
+        "fig2 failed",
+    );
     let (analysis, overflow) = ExposureAnalysis::from_loads_clipped(&run.loads, 24, 0.99);
     print!("{analysis}");
     println!(

@@ -9,23 +9,19 @@
 
 use gpu_sim::SchedPolicy;
 use latency_bench::{hiding_sweep, BfsExperiment};
+use latency_core::cli::or_exit;
 use latency_core::ArchPreset;
 
 pub fn run() {
     let exp = BfsExperiment::default();
     println!("E6: exposed load-latency fraction vs thread-level parallelism\n");
-    let points = match hiding_sweep(
+    let points = hiding_sweep(
         ArchPreset::FermiGf100.config(),
         &exp,
         &[4, 8, 16, 32, 48],
         &[SchedPolicy::Lrr, SchedPolicy::Gto],
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    );
+    let points = or_exit(points, "sweep failed");
     println!(
         "{:>10} {:>10} {:>14} {:>12}",
         "warps/SM", "scheduler", "exposed", "cycles"

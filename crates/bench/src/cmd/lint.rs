@@ -66,14 +66,14 @@ fn print_costs() {
 fn run_validation() -> bool {
     let mut ok = true;
     for preset in ArchPreset::TABLE1 {
-        for workload in latency_bench::Workload::ALL {
+        for workload in latency_bench::Workload::e4() {
             match latency_bench::validate_run(preset, workload) {
                 Ok(report) => {
                     print!("{}", report.to_human());
                     ok &= report.ok();
                 }
                 Err(e) => {
-                    eprintln!("{} x {:?}: simulation failed: {e}", workload.name(), preset);
+                    eprintln!("{} x {:?}: simulation failed: {e}", workload.name, preset);
                     ok = false;
                 }
             }

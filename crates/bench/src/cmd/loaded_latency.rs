@@ -7,6 +7,7 @@
 //! latency loaded_latency
 //! ```
 
+use latency_core::cli::or_exit;
 use latency_core::{measure_chase_under_load, ArchPreset, ChaseParams};
 
 pub fn run() {
@@ -18,16 +19,12 @@ pub fn run() {
     println!("{:>14} {:>18}", "streamer CTAs", "cycles/access");
     let mut base = None;
     for ctas in [0u32, 8, 32, 96] {
-        match measure_chase_under_load(&cfg, &params, ctas) {
-            Ok(lat) => {
-                let b = *base.get_or_insert(lat);
-                println!("{ctas:>14} {lat:>18.1}   ({:.2}x idle)", lat / b);
-            }
-            Err(e) => {
-                eprintln!("{ctas:>14} failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let lat = or_exit(
+            measure_chase_under_load(&cfg, &params, ctas),
+            format_args!("{ctas:>14} failed"),
+        );
+        let b = *base.get_or_insert(lat);
+        println!("{ctas:>14} {lat:>18.1}   ({:.2}x idle)", lat / b);
     }
     println!(
         "\nthe idle latency of Table I is a lower bound; under load the same\n\

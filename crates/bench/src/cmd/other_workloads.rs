@@ -16,18 +16,18 @@ pub fn run() {
         print!(" {:>12}", c.label());
     }
     println!(" {:>9}", "exposed");
-    for w in Workload::ALL {
+    for w in Workload::e4() {
         let run = match run_workload_traced(ArchPreset::FermiGf100.config(), w) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("{}: failed: {e}", w.name());
+                eprintln!("{}: failed: {e}", w.name);
                 continue;
             }
         };
         let breakdown = LatencyBreakdown::from_requests(&run.requests, 48);
         let shares = breakdown.overall_percentages();
         let exposure = ExposureAnalysis::from_loads(&run.loads, 24);
-        print!("{:>8}", w.name());
+        print!("{:>8}", w.name);
         for c in Component::ALL {
             print!(" {:>11.1}%", shares[c.index()]);
         }

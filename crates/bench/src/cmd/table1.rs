@@ -13,7 +13,7 @@
 //! measures one generation per job.
 
 use latency_bench::run_table1;
-use latency_core::cli::{Cursor, UsageError};
+use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::{ArchPreset, Table1};
 
 pub const FLAGS: &str = "[--threads N] [--preset NAME]...";
@@ -27,18 +27,11 @@ pub fn run(presets: &[ArchPreset], args: &mut Cursor) -> Result<(), UsageError> 
     } else {
         Table1::measure_presets(presets)
     };
-    match result {
-        Ok(table) => {
-            print!("{table}");
-            println!(
-                "\nmax relative error vs. paper: {:.2}%",
-                100.0 * table.max_rel_error()
-            );
-        }
-        Err(e) => {
-            eprintln!("table1 failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let table = or_exit(result, "table1 failed");
+    print!("{table}");
+    println!(
+        "\nmax relative error vs. paper: {:.2}%",
+        100.0 * table.max_rel_error()
+    );
     Ok(())
 }

@@ -15,21 +15,14 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use gpu_sim::CheckpointPolicy;
-use latency_bench::{
-    resume_bfs_checkpointed, run_bfs_checkpointed, run_bfs_traced, run_workload_traced,
-    BfsCheckpointOutcome, BfsExperiment, TraceBundle, TracedRun, Workload,
-};
-use latency_core::cli::{Cursor, UsageError};
+use latency_bench::{run_traced, BfsExperiment, TraceBundle, TracedOutcome, TracedRun, Workload};
+use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
 
 struct Args {
     preset: ArchPreset,
-    /// `None` is BFS (the only checkpointable workload).
-    workload: Option<Workload>,
-    nodes: u32,
-    degree: u32,
-    seed: u64,
-    block_dim: u32,
+    workload: &'static Workload,
+    graph: BfsExperiment,
     sms: Option<usize>,
     partitions: Option<usize>,
     out: PathBuf,
@@ -45,7 +38,7 @@ struct Args {
 }
 
 pub const FLAGS: &str = "[--preset NAME]\n\
-     \x20      [--workload bfs|vecadd|matmul|reduce|spmv|stencil|histogram|transpose|scan]\n\
+     \x20      [--workload {workloads}]\n\
      \x20      [--nodes N] [--degree N] [--seed N] [--block-dim N]\n\
      \x20      [--sms N] [--partitions N] [--out DIR]\n\
      \x20      [--sample CYCLES] [--max-events N] [--validate]\n\
@@ -56,11 +49,11 @@ pub const FLAGS: &str = "[--preset NAME]\n\
 fn parse_args(presets: &[ArchPreset], it: &mut Cursor) -> Result<Args, UsageError> {
     let mut args = Args {
         preset: presets.last().copied().unwrap_or(ArchPreset::FermiGf100),
-        workload: None,
-        nodes: 4096,
-        degree: 8,
-        seed: 20150301,
-        block_dim: 128,
+        workload: Workload::bfs(),
+        graph: BfsExperiment {
+            nodes: 4096,
+            ..BfsExperiment::default()
+        },
         sms: None,
         partitions: None,
         out: PathBuf::from("trace-bundle"),
@@ -78,20 +71,13 @@ fn parse_args(presets: &[ArchPreset], it: &mut Cursor) -> Result<Args, UsageErro
         match flag.as_str() {
             "--workload" => {
                 let name = it.value("--workload")?;
-                args.workload = match name.as_str() {
-                    "bfs" => None,
-                    _ => Some(
-                        Workload::ALL
-                            .into_iter()
-                            .find(|w| w.name() == name)
-                            .ok_or_else(|| UsageError(format!("unknown workload: {name}")))?,
-                    ),
-                };
+                args.workload = Workload::by_name(&name)
+                    .ok_or_else(|| UsageError(format!("unknown workload: {name}")))?;
             }
-            "--nodes" => args.nodes = it.parsed("--nodes")?,
-            "--degree" => args.degree = it.parsed("--degree")?,
-            "--seed" => args.seed = it.parsed("--seed")?,
-            "--block-dim" => args.block_dim = it.parsed("--block-dim")?,
+            "--nodes" => args.graph.nodes = it.parsed("--nodes")?,
+            "--degree" => args.graph.degree = it.parsed("--degree")?,
+            "--seed" => args.graph.seed = it.parsed("--seed")?,
+            "--block-dim" => args.graph.block_dim = it.parsed("--block-dim")?,
             "--sms" => args.sms = Some(it.parsed("--sms")?),
             "--partitions" => args.partitions = Some(it.parsed("--partitions")?),
             "--out" => args.out = PathBuf::from(it.value("--out")?),
@@ -109,7 +95,7 @@ fn parse_args(presets: &[ArchPreset], it: &mut Cursor) -> Result<Args, UsageErro
             other => return Err(UsageError::unknown(other)),
         }
     }
-    if args.workload.is_some() && checkpointing_requested(&args) {
+    if !args.workload.resumable() && checkpointing_requested(&args) {
         return Err(UsageError(
             "--checkpoint-every/--resume/--kill-at are only supported for --workload bfs".into(),
         ));
@@ -131,23 +117,6 @@ fn build_cfg(args: &Args) -> gpu_sim::GpuConfig {
     cfg
 }
 
-fn bfs_exp(args: &Args) -> BfsExperiment {
-    BfsExperiment {
-        nodes: args.nodes,
-        degree: args.degree,
-        seed: args.seed,
-        block_dim: args.block_dim,
-    }
-}
-
-fn run_plain(args: &Args) -> Result<TracedRun, gpu_sim::SimError> {
-    let cfg = build_cfg(args);
-    match args.workload {
-        None => run_bfs_traced(cfg, &bfs_exp(args)),
-        Some(workload) => run_workload_traced(cfg, workload),
-    }
-}
-
 fn checkpointing_requested(args: &Args) -> bool {
     args.checkpoint_every > 0
         || args.checkpoint_dir.is_some()
@@ -155,12 +124,12 @@ fn checkpointing_requested(args: &Args) -> bool {
         || args.kill_at.is_some()
 }
 
-/// The checkpoint/resume path (BFS only): either starts a fresh traversal
-/// under the policy or continues one from the newest checkpoint. A killed
-/// run prints where it stopped and exits 0 — rerun with `--resume DIR` to
-/// finish it; the finished run is bit-identical to an uninterrupted one.
-fn run_checkpointed(args: &Args) -> TracedRun {
-    let exp = bfs_exp(args);
+/// Runs the workload under the checkpoint policy the flags spell (the null
+/// policy when there are none): a fresh run, or with `--resume` the
+/// continuation of one from its newest checkpoint. A killed run prints
+/// where it stopped and exits 0 — rerun with `--resume DIR` to finish it;
+/// the finished run is bit-identical to an uninterrupted one.
+fn run_workload(args: &Args) -> TracedRun {
     let dir = args
         .checkpoint_dir
         .clone()
@@ -168,36 +137,37 @@ fn run_checkpointed(args: &Args) -> TracedRun {
         .unwrap_or_else(|| PathBuf::from("checkpoints"));
     let mut policy = CheckpointPolicy::new(args.checkpoint_every, dir.clone());
     policy.kill_at = args.kill_at;
-    let outcome = if let Some(rdir) = &args.resume {
-        match resume_bfs_checkpointed(rdir, &exp, &policy) {
-            Ok(Some(o)) => o,
-            Ok(None) => {
-                eprintln!("no checkpoint found in {rdir:?}");
-                exit(1);
-            }
-            Err(e) => {
-                eprintln!("resume failed: {e}");
-                exit(1);
-            }
-        }
+    let what = if args.resume.is_some() {
+        "resume"
+    } else if checkpointing_requested(args) {
+        "checkpointed run"
     } else {
-        match run_bfs_checkpointed(build_cfg(args), &exp, &policy) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("checkpointed run failed: {e}");
-                exit(1);
-            }
-        }
+        "trace run"
     };
-    match outcome {
-        BfsCheckpointOutcome::Killed { at } => {
+    let outcome = run_traced(
+        build_cfg(args),
+        args.workload,
+        &args.graph,
+        &policy,
+        args.resume.as_deref(),
+    );
+    match or_exit(outcome, format_args!("{what} failed")) {
+        Some(TracedOutcome::Completed(run)) => *run,
+        Some(TracedOutcome::Killed { at }) => {
             println!(
                 "killed at cycle {at}; checkpoints in {} — rerun with --resume {0}",
                 dir.display()
             );
             exit(0);
         }
-        BfsCheckpointOutcome::Completed(done) => done.traced,
+        None => {
+            let rdir = args
+                .resume
+                .as_ref()
+                .expect("only a resume finds no checkpoint");
+            eprintln!("no checkpoint found in {rdir:?}");
+            exit(1);
+        }
     }
 }
 
@@ -212,65 +182,38 @@ pub fn run(presets: &[ArchPreset], it: &mut Cursor) -> Result<(), UsageError> {
     let _heartbeat = args
         .progress
         .then(|| latency_bench::ProgressHeartbeat::start("trace"));
-    let run = if checkpointing_requested(&args) {
-        run_checkpointed(&args)
-    } else {
-        match run_plain(&args) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("trace run failed: {e}");
-                exit(1);
-            }
-        }
-    };
+    let mut run = run_workload(&args);
     drop(_heartbeat);
     let cfg = build_cfg(&args);
+    let throughput = format!(
+        "throughput: {:.0} simulated cycles/s over {:.2?} host time",
+        run.metrics.cycles_per_second(run.cycles),
+        run.metrics.wall_clock()
+    );
     // --stable: normalise the only wall-clock-derived field so metrics.txt
     // (and the throughput figure computed from it) is a pure function of
     // the simulation — `cycles_per_second` renders 0 by its zero-wall-clock
     // contract, and byte-identical output hashes byte-identically in CI.
-    let mut metrics = run.metrics;
     if args.stable {
-        metrics.host_nanos = 0;
+        run.metrics.host_nanos = 0;
     }
-    let bundle = TraceBundle {
-        requests: &run.requests,
-        loads: &run.loads,
-        trace: &run.trace,
-        metrics: &metrics,
-        cycles: run.cycles,
-        content_hash: run.content_hash,
-        num_sms: cfg.num_sms as u32,
-        num_partitions: cfg.num_partitions as u32,
-        stage_labels: latency_bench::stage_labels_for(&cfg),
-        track_names: latency_bench::track_names_for(&cfg),
-        profile: gpu_sim::profile::enabled().then(gpu_sim::profile::report),
-    };
+    let bundle = TraceBundle::of(&run, &cfg);
     if args.validate {
-        let json = bundle.chrome_json();
-        let doc = match gpu_trace::json::parse(&json) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("validation failed: trace.json does not parse: {e}");
-                exit(1);
-            }
-        };
-        match gpu_trace::check_span_sums(&doc) {
-            Ok(n) => println!("validated: {n} request spans tile their Timeline lifetimes"),
-            Err(e) => {
-                eprintln!("validation failed: {e}");
-                exit(1);
-            }
-        }
+        let doc = or_exit(
+            gpu_trace::json::parse(&bundle.chrome_json()),
+            "validation failed: trace.json does not parse",
+        );
+        let n = or_exit(gpu_trace::check_span_sums(&doc), "validation failed");
+        println!("validated: {n} request spans tile their Timeline lifetimes");
     }
-    if let Err(e) = bundle.write(&args.out) {
-        eprintln!("failed to write bundle to {:?}: {e}", args.out);
-        exit(1);
-    }
+    or_exit(
+        bundle.write(&args.out),
+        format_args!("failed to write bundle to {:?}", args.out),
+    );
     println!(
         "preset: {}   workload: {}   cycles: {}   events: {} ({} dropped)   samples: {}",
         args.preset.name(),
-        args.workload.map_or("bfs", Workload::name),
+        args.workload.name,
         run.cycles,
         run.metrics.events_recorded,
         run.metrics.events_dropped,
@@ -280,11 +223,7 @@ pub fn run(presets: &[ArchPreset], it: &mut Cursor) -> Result<(), UsageError> {
         "content_hash: {:016x}   instructions: {}",
         run.content_hash, run.instructions
     );
-    println!(
-        "throughput: {:.0} simulated cycles/s over {:.2?} host time",
-        run.metrics.cycles_per_second(run.cycles),
-        run.metrics.wall_clock()
-    );
+    println!("{throughput}");
     println!(
         "bundle written to {:?} — open trace.json at https://ui.perfetto.dev",
         args.out

@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 
 use latency_bench::run_validation_bench;
-use latency_core::cli::{Cursor, UsageError};
+use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
 
 pub const FLAGS: &str = "[--preset NAME]... [--out FILE] [--threads N]";
@@ -38,19 +38,13 @@ pub fn run(presets: &[ArchPreset], args: &mut Cursor) -> Result<(), UsageError> 
         presets
     };
 
-    let bench = match run_validation_bench(presets) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("validate failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let bench = or_exit(run_validation_bench(presets), "validate failed");
     print!("{}", bench.to_human());
     if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, bench.json()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        or_exit(
+            std::fs::write(&path, bench.json()),
+            format_args!("failed to write {}", path.display()),
+        );
         println!("wrote {}", path.display());
     }
     if let Err(violations) = bench.check() {

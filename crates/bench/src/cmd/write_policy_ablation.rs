@@ -8,7 +8,8 @@
 //! ```
 
 use gpu_sim::WritePolicy;
-use latency_bench::{run_bfs_traced, BfsExperiment};
+use latency_bench::{mean_and_p95, run_bfs_traced, BfsExperiment};
+use latency_core::cli::or_exit;
 use latency_core::{ArchPreset, LatencyBreakdown};
 
 pub fn run() {
@@ -21,21 +22,13 @@ pub fn run() {
     for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
         let mut cfg = ArchPreset::FermiGf100.config();
         cfg.l2.as_mut().expect("GF100 has an L2").write_policy = policy;
-        let run = match run_bfs_traced(cfg, &exp) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{policy:?}: failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        let mut lat: Vec<u64> = run
-            .requests
-            .iter()
-            .filter_map(|r| r.timeline.total_latency())
-            .collect();
-        lat.sort_unstable();
-        let mean = lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64;
-        let p95 = lat.get(lat.len() * 95 / 100).copied().unwrap_or(0);
+        let run = or_exit(
+            run_bfs_traced(cfg, &exp),
+            format_args!("{policy:?}: failed"),
+        );
+        let fetches = run.requests.iter();
+        let (mean, p95) =
+            mean_and_p95(fetches.filter_map(|r| r.timeline.total_latency()).collect());
         println!(
             "{:>14} {:>12} {:>16.1} {:>14}",
             format!("{policy:?}"),

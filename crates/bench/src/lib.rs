@@ -2,17 +2,16 @@
 //!
 //! Each experiment from DESIGN.md's index has a driver here, shared between
 //! the `latency` binary's subcommands (`latency table1`, …; `src/main.rs`
-//! and `src/cmd/`) and the plain-`main` benches timed by [`harness`]:
+//! and `src/cmd/`), the `bench` suites and the cross-crate tests:
 //!
 //! - **E1 / Table I**: [`run_table1`] (wrapping [`latency_core::Table1`]).
 //! - **E2 / Figure 1**: [`run_bfs_traced`] + [`latency_core::LatencyBreakdown`].
 //! - **E3 / Figure 2**: [`run_bfs_traced`] + [`latency_core::ExposureAnalysis`].
-//! - **E4**: [`run_workload_traced`] over the non-BFS workloads.
+//! - **E4**: [`run_workload_traced`] over [`Workload::e4`].
 //! - **E5**: [`dram_sched_comparison`] (FR-FCFS vs FCFS ablation).
 //! - **E6**: [`hiding_sweep`] (exposed latency vs. warps/SM and scheduler).
 
 pub mod experiments;
-pub mod harness;
 pub mod progress;
 pub mod reference;
 pub mod regression;
@@ -21,11 +20,10 @@ pub mod tracebundle;
 pub mod validate;
 
 pub use experiments::{
-    builtin_kernels, dram_sched_comparison, hiding_sweep, resume_bfs_checkpointed,
-    run_bfs_checkpointed, run_bfs_traced, run_table1, run_workload_traced, workload_kernel,
-    BfsCheckpointOutcome, BfsCheckpointed, BfsExperiment, DramSchedResult, HidingPoint, TracedRun,
-    Workload,
+    dram_sched_comparison, hiding_sweep, mean_and_p95, run_bfs_traced, run_table1, run_traced,
+    run_workload_traced, DramSchedResult, HidingPoint, TracedOutcome, TracedRun,
 };
+pub use gpu_workloads::{builtin_kernels, BfsExperiment, Workload};
 pub use progress::ProgressHeartbeat;
 pub use reference::{
     reference_rows, run_validation_bench, LevelValidation, PresetValidation, ReferenceRow,

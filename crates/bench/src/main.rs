@@ -120,6 +120,12 @@ fn main() {
         exit_usage(&err, &top_usage());
     };
     if let Err(err) = dispatch(run, &mut args) {
+        // `trace` lists the workload table's names in its synopsis.
+        let names: Vec<&str> = latency_bench::Workload::all()
+            .iter()
+            .map(|w| w.name)
+            .collect();
+        let flags = flags.replace("{workloads}", &names.join("|"));
         exit_usage(&err, format!("latency {name} {flags}").trim_end());
     }
 }

@@ -28,17 +28,16 @@ use std::time::Instant;
 
 use gpu_serve::{Client, ServerConfig, ServerHandle};
 use gpu_sim::profile::{self, ProfCounter, ProfSpan};
-use gpu_sim::{Gpu, SimError};
+use gpu_sim::{CheckpointPolicy, RunOutcome, SimError};
 use gpu_trace::cycles_per_second;
 use gpu_trace::json::{self, Fixed, ToJson, Writer};
-use gpu_workloads::bfs::{read_costs, run_bfs_mask, upload_graph_mask};
-use gpu_workloads::Graph;
+use gpu_workloads::{BfsExperiment, Workload};
 use latency_core::{
     cache_stats, pow2_range, reset_cache_stats, set_cache_dir, ArchPreset, CacheStats, ChaseSpace,
     Sweep,
 };
 
-use crate::experiments::{run_workload_traced, Workload};
+use crate::experiments::run_workload_traced;
 
 /// Host CPU count recorded alongside timing so a baseline measured on one
 /// machine is never silently compared against another shape of machine.
@@ -319,10 +318,14 @@ impl TickBench {
 /// attributing each run's host time to the nine tick stages.
 pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32, threads: &[usize]) -> TickBench {
     assert!(!threads.is_empty(), "need at least one tick-thread count");
-    let graph = Graph::uniform_random(nodes, degree, 20150301);
+    let exp = BfsExperiment {
+        nodes,
+        degree,
+        ..BfsExperiment::default()
+    };
     let runs = threads
         .iter()
-        .map(|&t| measure_tick(preset, &graph, t))
+        .map(|&t| measure_tick(preset, &exp, t))
         .collect();
     TickBench {
         preset,
@@ -335,25 +338,28 @@ pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32, threads: &[us
     }
 }
 
-fn measure_tick(preset: ArchPreset, graph: &Graph, tick_threads: usize) -> TickRun {
-    let cfg = preset.config();
-    let mut gpu = Gpu::new(cfg);
-    gpu.set_tick_threads(tick_threads);
-    let dev = upload_graph_mask(&mut gpu, graph);
+fn measure_tick(preset: ArchPreset, exp: &BfsExperiment, tick_threads: usize) -> TickRun {
     // Snapshot the (cumulative, process-global) profiler around the run so
     // this run's stage times are a clean delta — no reset, so the whole
     // bench process still adds up in the final profile.json.
     let before = profile::report();
     let t0 = Instant::now();
-    run_bfs_mask(&mut gpu, &dev, 0, 128).expect("bfs runs");
+    // The plain run path with the latency sink left off: this suite times
+    // the tick loop, not the instrumentation.
+    let run = Workload::bfs()
+        .execute(
+            preset.config(),
+            exp,
+            &CheckpointPolicy::none(),
+            None,
+            |gpu| gpu.set_tick_threads(tick_threads),
+        )
+        .expect("bfs runs");
     let wall_seconds = t0.elapsed().as_secs_f64();
     let after = profile::report();
-    assert_eq!(
-        read_costs(&gpu, &dev),
-        graph.bfs_levels(0),
-        "BFS answer wrong at {tick_threads} tick threads"
-    );
-    let summary = gpu.summary();
+    let Some((_, RunOutcome::Completed(summary))) = run else {
+        unreachable!("the null policy neither resumes nor kills");
+    };
     let stage_nanos = ProfSpan::STAGES
         .iter()
         .map(|&s| after.span(s).nanos.saturating_sub(before.span(s).nanos))
@@ -378,7 +384,7 @@ fn measure_tick(preset: ArchPreset, graph: &Graph, tick_threads: usize) -> TickR
 #[derive(Debug, Clone)]
 pub struct WorkloadRun {
     /// Which E4 workload.
-    pub workload: Workload,
+    pub workload: &'static Workload,
     /// Simulated cycles (exact-reproduce).
     pub cycles: u64,
     /// Warp instructions issued (exact-reproduce).
@@ -415,8 +421,7 @@ impl WorkloadBench {
         match self.runs.iter().find(|r| r.sanitizer_violations > 0) {
             Some(r) => Err(format!(
                 "{} sanitizer violation(s) running {}",
-                r.sanitizer_violations,
-                r.workload.name()
+                r.sanitizer_violations, r.workload.name
             )),
             None => Ok(()),
         }
@@ -429,7 +434,7 @@ impl WorkloadBench {
         w.key("runs").array();
         for r in &self.runs {
             let rate = cycles_per_second(r.cycles, wall_nanos(r.wall_seconds));
-            w.object().field("workload", r.workload.name());
+            w.object().field("workload", r.workload.name);
             w.field("simulated_cycles", r.cycles);
             w.field("instructions", r.instructions);
             w.field("content_hash", format!("{:016x}", r.content_hash));
@@ -473,10 +478,10 @@ pub fn workloads_json(benches: &[WorkloadBench]) -> String {
 /// Propagates the first simulator failure.
 pub fn run_workload_bench(
     preset: ArchPreset,
-    workloads: &[Workload],
+    workloads: &'static [Workload],
 ) -> Result<WorkloadBench, SimError> {
     let mut runs = Vec::with_capacity(workloads.len());
-    for &workload in workloads {
+    for workload in workloads {
         let t0 = Instant::now();
         let traced = run_workload_traced(preset.config(), workload)?;
         runs.push(WorkloadRun {
@@ -877,7 +882,7 @@ mod tests {
             preset,
             host_cpus: 4,
             runs: vec![WorkloadRun {
-                workload: Workload::VecAdd,
+                workload: Workload::by_name("vecadd").unwrap(),
                 cycles: 1000,
                 instructions: 5000,
                 content_hash: hash,

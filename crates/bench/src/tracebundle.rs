@@ -16,14 +16,14 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use gpu_sim::{
-    CompletedRequest, GpuConfig, LevelKind, LoadInstrRecord, MetricsReport, RunSummary, StallReason,
-};
+use gpu_sim::{GpuConfig, LevelKind, StallReason};
 use gpu_trace::{
     counters_csv, events_jsonl, ChromeTraceBuilder, CounterKind, ProfileReport, StageLabels,
-    TraceData, TrackNames,
+    TrackNames,
 };
 use latency_core::{breakdown_csv, exposure_csv, Bucketing, ExposureAnalysis, LatencyBreakdown};
+
+use crate::experiments::TracedRun;
 
 /// Tracing behaviour requested through the `LATENCY_TRACE` environment
 /// variable.
@@ -56,24 +56,12 @@ pub fn env_request() -> EnvTrace {
     }
 }
 
-/// Everything one instrumented run produced, borrowed for export.
+/// One instrumented run, borrowed for export, plus how to draw its machine.
 #[derive(Debug)]
 pub struct TraceBundle<'a> {
-    /// Completed line fetches with full timelines.
-    pub requests: &'a [CompletedRequest],
-    /// Completed warp-level loads.
-    pub loads: &'a [LoadInstrRecord],
-    /// Event stream and counter samples.
-    pub trace: &'a TraceData,
-    /// Counter summaries, stall attribution, host throughput.
-    pub metrics: &'a MetricsReport,
-    /// Total simulated cycles.
-    pub cycles: u64,
-    /// Stable content hash of the run (configuration timing + workload +
-    /// inputs — see `RunSummary::content_hash`); doubles as the sweep
-    /// cache key derivation, so two bundles with equal hashes came from
-    /// identical simulations.
-    pub content_hash: u64,
+    /// The run: traces, metrics, cycle count and content hash (two bundles
+    /// with equal hashes came from identical simulations).
+    pub run: &'a TracedRun,
     /// SMs in the simulated machine (Perfetto track layout).
     pub num_sms: u32,
     /// Memory partitions in the simulated machine.
@@ -153,7 +141,21 @@ pub fn track_names_for(cfg: &GpuConfig) -> TrackNames {
     }
 }
 
-impl TraceBundle<'_> {
+impl<'a> TraceBundle<'a> {
+    /// The bundle of a finished run on `cfg`'s machine: shape, stage labels
+    /// and track names are derived from the configuration, and the host-side
+    /// self-profile is included when the profiler is recording.
+    pub fn of(run: &'a TracedRun, cfg: &GpuConfig) -> Self {
+        TraceBundle {
+            run,
+            num_sms: cfg.num_sms as u32,
+            num_partitions: cfg.num_partitions as u32,
+            stage_labels: stage_labels_for(cfg),
+            track_names: track_names_for(cfg),
+            profile: gpu_trace::profile::enabled().then(gpu_trace::profile::report),
+        }
+    }
+
     /// Renders the Chrome trace-event JSON: one track per SM / partition,
     /// one async span per traced request tiled into its pipeline stages,
     /// instants for events and counter tracks for samples.
@@ -164,13 +166,13 @@ impl TraceBundle<'_> {
             self.track_names.clone(),
         );
         b.set_stage_labels(self.stage_labels.clone());
-        for (i, r) in self.requests.iter().enumerate() {
+        for (i, r) in self.run.requests.iter().enumerate() {
             b.add_request_span(r.sm.get(), i as u64, &r.timeline);
         }
-        for e in &self.trace.events {
+        for e in &self.run.trace.events {
             b.add_event(e);
         }
-        for s in &self.trace.samples {
+        for s in &self.run.trace.samples {
             b.add_counter_sample(s);
         }
         if let Some(p) = &self.profile {
@@ -182,14 +184,14 @@ impl TraceBundle<'_> {
     /// Renders `metrics.txt`: counter summaries, stall attribution and
     /// host throughput in a stable `key = value` / table format.
     pub fn metrics_text(&self) -> String {
-        let m = self.metrics;
+        let (run, m) = (self.run, &self.run.metrics);
         let mut out = String::new();
-        out.push_str(&format!("cycles = {}\n", self.cycles));
-        out.push_str(&format!("content_hash = {:016x}\n", self.content_hash));
+        out.push_str(&format!("cycles = {}\n", run.cycles));
+        out.push_str(&format!("content_hash = {:016x}\n", run.content_hash));
         out.push_str(&format!("host_nanos = {}\n", m.host_nanos));
         out.push_str(&format!(
             "cycles_per_second = {:.0}\n",
-            m.cycles_per_second(self.cycles)
+            m.cycles_per_second(run.cycles)
         ));
         out.push_str(&format!("events_recorded = {}\n", m.events_recorded));
         out.push_str(&format!("events_dropped = {}\n", m.events_dropped));
@@ -219,7 +221,8 @@ impl TraceBundle<'_> {
     /// histogram (`lo,hi,count` per bucket plus an `overflow` row).
     pub fn latency_hist_csv(&self) -> String {
         let bucketing = Bucketing::from_totals(
-            self.requests
+            self.run
+                .requests
                 .iter()
                 .filter_map(|r| r.timeline.total_latency()),
             32,
@@ -243,11 +246,12 @@ impl TraceBundle<'_> {
     pub fn write(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join("trace.json"), self.chrome_json())?;
-        std::fs::write(dir.join("events.jsonl"), events_jsonl(&self.trace.events))?;
-        std::fs::write(dir.join("counters.csv"), counters_csv(&self.trace.samples))?;
-        let (breakdown, _) = LatencyBreakdown::from_requests_clipped(self.requests, 48, 0.999);
+        let run = self.run;
+        std::fs::write(dir.join("events.jsonl"), events_jsonl(&run.trace.events))?;
+        std::fs::write(dir.join("counters.csv"), counters_csv(&run.trace.samples))?;
+        let (breakdown, _) = LatencyBreakdown::from_requests_clipped(&run.requests, 48, 0.999);
         std::fs::write(dir.join("breakdown.csv"), breakdown_csv(&breakdown))?;
-        let (exposure, _) = ExposureAnalysis::from_loads_clipped(self.loads, 24, 0.999);
+        let (exposure, _) = ExposureAnalysis::from_loads_clipped(&run.loads, 24, 0.999);
         std::fs::write(dir.join("exposure.csv"), exposure_csv(&exposure))?;
         std::fs::write(dir.join("latency_hist.csv"), self.latency_hist_csv())?;
         std::fs::write(dir.join("metrics.txt"), self.metrics_text())?;
@@ -257,50 +261,13 @@ impl TraceBundle<'_> {
         }
         Ok(())
     }
-
-    /// Best-effort write for `LATENCY_TRACE`-triggered exports: failures
-    /// go to stderr instead of aborting the experiment.
-    pub fn write_best_effort(&self, dir: &Path) {
-        if let Err(e) = self.write(dir) {
-            eprintln!("warning: failed to write trace bundle to {dir:?}: {e}");
-        }
-    }
-}
-
-/// Applies the `LATENCY_TRACE` request to a run summary + traced data,
-/// writing a bundle when a directory was named. Machine shape, stage labels
-/// and track names are derived from the run's configuration; a host-side
-/// self-profile is included when the profiler is recording.
-pub fn export_if_requested(
-    req: &EnvTrace,
-    summary: &RunSummary,
-    requests: &[CompletedRequest],
-    loads: &[LoadInstrRecord],
-    trace: &TraceData,
-    cfg: &GpuConfig,
-) {
-    if let EnvTrace::Bundle(dir) = req {
-        TraceBundle {
-            requests,
-            loads,
-            trace,
-            metrics: &summary.metrics,
-            cycles: summary.cycles,
-            content_hash: summary.content_hash,
-            num_sms: cfg.num_sms as u32,
-            num_partitions: cfg.num_partitions as u32,
-            stage_labels: stage_labels_for(cfg),
-            track_names: track_names_for(cfg),
-            profile: gpu_trace::profile::enabled().then(gpu_trace::profile::report),
-        }
-        .write_best_effort(dir);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{run_bfs_traced, BfsExperiment};
+    use crate::experiments::run_bfs_traced;
+    use crate::BfsExperiment;
     use gpu_sim::GpuConfig;
 
     #[test]
@@ -325,12 +292,7 @@ mod tests {
             .any(|c| c == "L1 MSHR occupancy"));
         let run = run_bfs_traced(cfg, &exp).unwrap();
         let bundle = TraceBundle {
-            requests: &run.requests,
-            loads: &run.loads,
-            trace: &run.trace,
-            metrics: &run.metrics,
-            cycles: run.cycles,
-            content_hash: run.content_hash,
+            run: &run,
             num_sms: 2,
             num_partitions: 2,
             stage_labels,

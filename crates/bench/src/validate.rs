@@ -32,10 +32,11 @@ use std::fmt::Write as _;
 use gpu_arch::{ArchDesc, LevelKind};
 use gpu_mem::{PipelineSpace, Stamp, Timeline};
 use gpu_sim::{GpuConfig, SimError};
+use gpu_workloads::Workload;
 use latency_check::{AnalysisConfig, Cfg};
 use latency_core::{ArchPreset, ChaseError};
 
-use crate::experiments::{run_workload_traced, workload_kernel, Workload};
+use crate::experiments::run_workload_traced;
 
 /// One statically-predicted load compared against its dynamic records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,12 +202,22 @@ fn allowed_levels(desc: &ArchDesc, space: PipelineSpace) -> Vec<LevelKind> {
 ///
 /// Propagates simulator failures; contract violations are reported in the
 /// returned [`ValidationReport`], not as errors.
-pub fn validate_run(preset: ArchPreset, workload: Workload) -> Result<ValidationReport, SimError> {
+///
+/// # Panics
+///
+/// Panics on a multi-kernel workload: contract A keys dynamic loads by pc,
+/// which only names an instruction within one kernel.
+pub fn validate_run(preset: ArchPreset, workload: &Workload) -> Result<ValidationReport, SimError> {
     let cfg = small_cfg(preset);
     let desc = cfg.arch_desc();
-    let kernel = workload_kernel(workload);
-    let kcfg = Cfg::build(&kernel);
-    let sym = latency_check::symaddr::analyze(&kernel, &kcfg);
+    // The descriptor lists what the run below launches
+    // (tests/workload_table.rs holds it to that).
+    let kernels = (workload.kernels)();
+    let [kernel] = kernels.as_slice() else {
+        panic!("{} launches {} kernels", workload.name, kernels.len());
+    };
+    let kcfg = Cfg::build(kernel);
+    let sym = latency_check::symaddr::analyze(kernel, &kcfg);
     // Contract A compares *transaction* counts, which on a sectored machine
     // means sectors: the simulator's coalescer emits granule-sized
     // transactions, so the static prediction must count at the same granule
@@ -302,7 +313,7 @@ pub fn validate_run(preset: ArchPreset, workload: Workload) -> Result<Validation
 
     Ok(ValidationReport {
         arch: desc.name.clone(),
-        workload: workload.name(),
+        workload: workload.name,
         loads,
         level_counts,
         requests: run.requests.len(),

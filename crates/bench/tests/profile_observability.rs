@@ -107,12 +107,7 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
     //    and host-clock profile tracks side by side.
     let cfg = small_cfg();
     let bundle = TraceBundle {
-        requests: &on.requests,
-        loads: &on.loads,
-        trace: &on.trace,
-        metrics: &on.metrics,
-        cycles: on.cycles,
-        content_hash: on.content_hash,
+        run: &on,
         num_sms: cfg.num_sms as u32,
         num_partitions: cfg.num_partitions as u32,
         stage_labels: stage_labels_for(&cfg),

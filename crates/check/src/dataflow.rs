@@ -303,10 +303,8 @@ pub fn guard_const_pass(kernel: &Kernel, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
 fn const_setp(op: CmpOp, a: Operand, b: Operand) -> Option<bool> {
     match (a, b) {
         (Operand::Imm(x), Operand::Imm(y)) => Some(op.eval(x, y)),
-        (Operand::Reg(x), Operand::Reg(y)) if x == y => Some(match op {
-            CmpOp::Eq | CmpOp::Le | CmpOp::Ge => true,
-            CmpOp::Ne | CmpOp::Lt | CmpOp::Gt => false,
-        }),
+        // A register against itself: whatever it holds, the operands are equal.
+        (Operand::Reg(x), Operand::Reg(y)) if x == y => Some(op.eval(0, 0)),
         _ => None,
     }
 }

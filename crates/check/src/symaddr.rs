@@ -326,38 +326,10 @@ fn operand_val(op: Operand, env: &Env) -> SymVal {
     }
 }
 
-/// Constant folding with the executor's semantics (wrapping two's
-/// complement, `div 0 → 0`, `rem 0 → dividend`, shifts mod 64).
+/// Constant folding through the executor's own ALU; float ops stay
+/// unfolded (addresses are integers).
 fn fold_const(op: AluOp, a: i64, b: i64) -> Option<i64> {
-    let (ua, ub) = (a as u64, b as u64);
-    let v = match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        AluOp::Rem => {
-            if b == 0 {
-                a
-            } else {
-                a.wrapping_rem(b)
-            }
-        }
-        AluOp::Min => a.min(b),
-        AluOp::Max => a.max(b),
-        AluOp::And => (ua & ub) as i64,
-        AluOp::Or => (ua | ub) as i64,
-        AluOp::Xor => (ua ^ ub) as i64,
-        AluOp::Shl => (ua.wrapping_shl(ub as u32 & 63)) as i64,
-        AluOp::Shr => (ua.wrapping_shr(ub as u32 & 63)) as i64,
-        AluOp::FAdd | AluOp::FMul | AluOp::FDiv => return None,
-    };
-    Some(v)
+    (!op.is_float()).then(|| gpu_isa::eval_alu(op, a as u64, b as u64) as i64)
 }
 
 /// Abstract ALU transfer: linear ops stay linear, non-affine ops on
@@ -1148,5 +1120,57 @@ mod tests {
         assert_eq!(a.mul_const(0).as_const(), Some(0));
         assert_eq!(a.add(&b).lane_coeff(), 8);
         assert_eq!(b.add_const(7).k, 8);
+    }
+
+    /// The analyzer's constant fold is the executor's ALU: every integer op
+    /// over the operands where the two used to be able to drift (zero
+    /// divisors, `i64::MIN / -1`, shift counts past the register width)
+    /// folds to the value a one-instruction kernel really computes.
+    #[test]
+    fn constant_folds_match_the_functional_executor() {
+        use gpu_isa::{LocalMap, MemBackend, ThreadCtx, WarpExec};
+        use gpu_types::Addr;
+        use std::sync::Arc;
+
+        struct NoMem;
+        impl MemBackend for NoMem {
+            fn load(&mut self, _: Space, _: Addr, _: Width) -> u64 {
+                0
+            }
+            fn store(&mut self, _: Space, _: Addr, _: Width, _: u64) {}
+            fn atomic_add(&mut self, _: Addr, _: Width, _: u64) -> u64 {
+                0
+            }
+        }
+
+        use AluOp::*;
+        let int_ops = [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, Shr];
+        let edges = [0, 1, -1, 7, 63, 64, 65, i64::MIN, i64::MAX];
+        let thread = ThreadCtx {
+            tid: 0,
+            ctaid: 0,
+            ntid: 1,
+            nctaid: 1,
+            lane: 0,
+        };
+        for op in int_ops {
+            for (a, b) in edges.iter().flat_map(|&a| edges.map(|b| (a, b))) {
+                let mut kb = KernelBuilder::new("fold");
+                let r = kb.alu(op, a, b);
+                kb.ld_global(Width::W4, r, 0);
+                kb.exit();
+                let k = kb.build().unwrap();
+                let folded = solved(&k).accesses[0]
+                    .addr
+                    .lin()
+                    .and_then(LinExpr::as_const);
+
+                let ctxs = vec![thread];
+                let mut w = WarpExec::new(Arc::new(k), Arc::from([]), ctxs, LocalMap::default());
+                w.step(&mut NoMem);
+                assert_eq!(folded, Some(w.reg(0, r) as i64), "{op:?}({a}, {b})");
+            }
+        }
+        assert_eq!(fold_const(AluOp::FAdd, 1, 2), None, "floats stay unfolded");
     }
 }

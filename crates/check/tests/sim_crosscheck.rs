@@ -120,21 +120,7 @@ fn all_builtin_workload_kernels_lint_clean() {
     // The acceptance bar for `latency lint`, asserted here as a test so a
     // regression fails CI even when the binary is not run.
     let analysis = AnalysisConfig::default();
-    let kernels = [
-        gpu_workloads::vecadd::build_vecadd_kernel(),
-        gpu_workloads::matmul::build_matmul_kernel(),
-        gpu_workloads::reduce::build_reduce_kernel(256),
-        gpu_workloads::spmv::build_spmv_kernel(),
-        gpu_workloads::stencil::build_stencil_kernel(),
-        gpu_workloads::histogram::build_histogram_kernel(),
-        gpu_workloads::transpose::build_transpose_kernel(gpu_workloads::transpose::Variant::Naive),
-        gpu_workloads::transpose::build_transpose_kernel(gpu_workloads::transpose::Variant::Tiled),
-        gpu_workloads::scan::build_scan_kernel(256),
-        gpu_workloads::bfs::build_bfs_kernel(),
-        gpu_workloads::bfs::build_bfs_mask_kernel1(),
-        gpu_workloads::bfs::build_bfs_mask_kernel2(),
-    ];
-    for kernel in kernels {
+    for kernel in gpu_workloads::builtin_kernels() {
         let report = analyze(&kernel, &analysis);
         assert!(
             report.is_clean(),

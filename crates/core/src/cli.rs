@@ -55,6 +55,15 @@ pub fn exit_usage(err: &UsageError, usage: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The run-time twin of [`exit_usage`]: unwraps `result`, or prints
+/// `{what}: {error}` to stderr and exits with status 1.
+pub fn or_exit<T, E: fmt::Display>(result: Result<T, E>, what: impl fmt::Display) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// `valid presets: gt200, gf106, …` — the one place the preset registry's
 /// tokens reach an error message, so adding a generation updates the CLI
 /// and the serve protocol at once.

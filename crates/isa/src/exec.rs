@@ -722,7 +722,11 @@ fn lanes(mask: u32) -> impl Iterator<Item = usize> {
     (0..MAX_WARP_SIZE).filter(move |&l| mask & (1 << l) != 0)
 }
 
-fn eval_alu(op: crate::instr::AluOp, a: u64, b: u64) -> u64 {
+/// The ALU's semantics on raw 64-bit register values: wrapping two's
+/// complement, `div 0 → 0`, `rem 0 → dividend`, shifts mod 64, float ops
+/// on the low 32 bits. The one definition — the functional executor steps
+/// through it and the static analyzer folds constants through it.
+pub fn eval_alu(op: crate::instr::AluOp, a: u64, b: u64) -> u64 {
     use crate::instr::AluOp::*;
     match op {
         Add => a.wrapping_add(b),

@@ -45,7 +45,8 @@ mod kernel;
 pub use asm::{parse_kernel, AsmError, AsmErrorKind};
 pub use builder::{KernelBuilder, MAX_PREDS};
 pub use exec::{
-    LaneAccess, LocalMap, MemBackend, MemOp, StepOutcome, ThreadCtx, WarpExec, MAX_WARP_SIZE,
+    eval_alu, LaneAccess, LocalMap, MemBackend, MemOp, StepOutcome, ThreadCtx, WarpExec,
+    MAX_WARP_SIZE,
 };
 pub use instr::{
     AluOp, CmpOp, Guard, Instr, InstrClass, MemRef, Operand, Pc, PredReg, Reg, Space, Special,

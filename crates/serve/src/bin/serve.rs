@@ -17,12 +17,11 @@
 //! already running again.
 
 use std::path::PathBuf;
-use std::process::exit;
 
 #[cfg(unix)]
 use gpu_serve::server::serve_unix;
 use gpu_serve::server::{serve_session, Server, ServerConfig, ServerHandle};
-use latency_core::cli::{self, exit_usage, Cursor, UsageError};
+use latency_core::cli::{self, exit_usage, or_exit, Cursor, UsageError};
 
 struct Args {
     listen: String,
@@ -72,10 +71,10 @@ fn main() {
     };
 
     if args.stdio {
-        let server = Server::new(cfg).unwrap_or_else(|e| {
-            eprintln!("serve: state dir {}: {e}", args.state.display());
-            exit(1);
-        });
+        let server = or_exit(
+            Server::new(cfg),
+            format_args!("serve: state dir {}", args.state.display()),
+        );
         let recovered = server.recover();
         if recovered > 0 {
             eprintln!("serve: recovered {recovered} unfinished job(s)");
@@ -96,10 +95,10 @@ fn main() {
     // Remove any stale address file first: clients poll for it, and a
     // leftover from a killed daemon must not point them at a dead port.
     let _ = std::fs::remove_file(args.state.join("serve.addr"));
-    let handle = ServerHandle::spawn(cfg, &args.listen).unwrap_or_else(|e| {
-        eprintln!("serve: binding {}: {e}", args.listen);
-        exit(1);
-    });
+    let handle = or_exit(
+        ServerHandle::spawn(cfg, &args.listen),
+        format_args!("serve: binding {}", args.listen),
+    );
     if handle.recovered > 0 {
         eprintln!("serve: recovered {} unfinished job(s)", handle.recovered);
     }
@@ -111,10 +110,10 @@ fn main() {
     #[cfg(unix)]
     if let Some(path) = &args.unix {
         let _ = std::fs::remove_file(path);
-        let listener = std::os::unix::net::UnixListener::bind(path).unwrap_or_else(|e| {
-            eprintln!("serve: binding {}: {e}", path.display());
-            exit(1);
-        });
+        let listener = or_exit(
+            std::os::unix::net::UnixListener::bind(path),
+            format_args!("serve: binding {}", path.display()),
+        );
         eprintln!("serve: also listening on {}", path.display());
         let server = handle.server().clone();
         std::thread::spawn(move || {
@@ -124,7 +123,7 @@ fn main() {
     #[cfg(not(unix))]
     if args.unix.is_some() {
         eprintln!("serve: --unix is only available on Unix hosts");
-        exit(2);
+        std::process::exit(2);
     }
     // Park until a client issues `shutdown`.
     let server = handle.server().clone();

@@ -29,7 +29,7 @@ use std::str::FromStr;
 use gpu_serve::client::Client;
 use gpu_serve::proto::{is_terminal_event, request_line, submit_line};
 use gpu_trace::json::{parse, Value, Writer};
-use latency_core::cli::{exit_usage, Cursor, UsageError};
+use latency_core::cli::{exit_usage, or_exit, Cursor, UsageError};
 
 const USAGE: &str = "serve-client [--connect ADDR | --addr-file PATH | --unix PATH] CMD ...\n\
      CMDs: submit | status JOB | watch JOB | cancel JOB | stats | shutdown\n\
@@ -53,10 +53,7 @@ fn connect(how: &Connect) -> Client {
         #[cfg(unix)]
         Connect::Unix(path) => Client::connect_unix(path),
     };
-    result.unwrap_or_else(|e| {
-        eprintln!("serve-client: connect: {e}");
-        exit(1);
-    })
+    or_exit(result, "serve-client: connect")
 }
 
 /// True when a terminal line reports success.
@@ -71,13 +68,10 @@ fn is_ok_terminal(line: &str) -> bool {
 }
 
 fn stream_to_stdout(client: &mut Client, first_request: &str, quiet: bool) -> ! {
-    client.send(first_request).unwrap_or_else(|e| {
-        eprintln!("serve-client: send: {e}");
-        exit(1);
-    });
+    or_exit(client.send(first_request), "serve-client: send");
     loop {
-        match client.recv() {
-            Ok(Some(line)) => {
+        match or_exit(client.recv(), "serve-client: recv") {
+            Some(line) => {
                 let terminal = is_terminal_event(&line);
                 if !quiet || terminal {
                     println!("{line}");
@@ -86,12 +80,8 @@ fn stream_to_stdout(client: &mut Client, first_request: &str, quiet: bool) -> ! 
                     exit(if is_ok_terminal(&line) { 0 } else { 1 });
                 }
             }
-            Ok(None) => {
+            None => {
                 eprintln!("serve-client: daemon closed the stream early");
-                exit(1);
-            }
-            Err(e) => {
-                eprintln!("serve-client: recv: {e}");
                 exit(1);
             }
         }
@@ -99,20 +89,13 @@ fn stream_to_stdout(client: &mut Client, first_request: &str, quiet: bool) -> ! 
 }
 
 fn one_shot(client: &mut Client, request: &str) -> ! {
-    match client.request(request) {
-        Ok(line) => {
-            println!("{line}");
-            let failed = parse(&line)
-                .ok()
-                .and_then(|v| v.get("event").and_then(Value::as_str).map(str::to_string))
-                == Some("error".to_string());
-            exit(if failed { 1 } else { 0 });
-        }
-        Err(e) => {
-            eprintln!("serve-client: {e}");
-            exit(1);
-        }
-    }
+    let line = or_exit(client.request(request), "serve-client");
+    println!("{line}");
+    let failed = parse(&line)
+        .ok()
+        .and_then(|v| v.get("event").and_then(Value::as_str).map(str::to_string))
+        == Some("error".to_string());
+    exit(if failed { 1 } else { 0 });
 }
 
 /// A comma-separated `--footprints`/`--strides` list.

@@ -24,15 +24,16 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use gpu_sim::{CheckpointPolicy, Gpu, GpuConfig};
+use gpu_sim::{CheckpointPolicy, GpuConfig, RunOutcome};
 use gpu_snapshot::{store, StableHasher};
-use gpu_workloads::{bfs, Graph};
+use gpu_workloads::{BfsExperiment, Workload};
 use latency_core::{chase_key, measure_chase, ChaseMeasurement, ChaseParams};
 
 use crate::proto::{
@@ -604,10 +605,7 @@ impl Server {
             }
         };
         let JobKind::Bfs {
-            nodes,
-            degree,
-            seed,
-            block_dim,
+            exp,
             checkpoint_every,
         } = spec.kind
         else {
@@ -615,7 +613,7 @@ impl Server {
         };
         let ckpt = self.job_dir(job_id).join("ckpt");
         let policy = CheckpointPolicy::new(checkpoint_every, &ckpt);
-        let outcome = run_or_resume_bfs(&spec, nodes, degree, seed, block_dim, &policy, &ckpt);
+        let outcome = run_or_resume_bfs(&spec, &exp, &policy, &ckpt);
         let mut inner = self.inner.lock().unwrap();
         match outcome {
             Ok(line) => {
@@ -638,57 +636,43 @@ impl Server {
 }
 
 /// Runs (or, when `ckpt` already holds a checkpoint, resumes) one
-/// checkpointed BFS job to completion and renders its terminal result line.
-/// The line contains only simulation-pure fields, so a resumed run is
-/// byte-identical to an uninterrupted one.
+/// checkpointed BFS job to completion through the workload table's run path
+/// and renders its terminal result line. The line contains only
+/// simulation-pure fields, so a resumed run is byte-identical to an
+/// uninterrupted one.
 fn run_or_resume_bfs(
     spec: &JobSpec,
-    nodes: u32,
-    degree: u32,
-    seed: u64,
-    block_dim: u32,
+    exp: &BfsExperiment,
     policy: &CheckpointPolicy,
     ckpt: &Path,
 ) -> Result<String, String> {
-    let graph = Graph::uniform_random(nodes, degree, seed);
-    let has_checkpoint = store::latest_checkpoint(ckpt)
-        .map_err(|e| format!("scanning {}: {e}", ckpt.display()))?
-        .is_some();
-    let (gpu, dev, run) = if has_checkpoint {
-        let mut gpu = Gpu::resume_latest(ckpt)
-            .map_err(|e| format!("resume from {}: {e}", ckpt.display()))?
-            .ok_or_else(|| format!("checkpoint vanished from {}", ckpt.display()))?;
-        // Snapshots never carry host-side executor state: re-apply it.
-        gpu.set_tick_threads(latency_core::tick_threads());
-        let dev = bfs::peek_mask_tag(gpu.host_tag())
-            .map_err(|e| format!("checkpoint carries no BFS host tag: {e}"))?;
-        match bfs::resume_bfs_mask(&mut gpu, policy).map_err(|e| e.to_string())? {
-            bfs::BfsMaskOutcome::Completed(run) => (gpu, dev, run),
-            bfs::BfsMaskOutcome::Killed { at } => {
-                return Err(format!("unexpected kill at cycle {at}"))
-            }
-        }
-    } else {
-        let config = spec.build_config().map_err(|e| e.to_string())?;
-        let mut gpu = Gpu::new(config);
-        gpu.set_tick_threads(latency_core::tick_threads());
-        let dev = bfs::upload_graph_mask(&mut gpu, &graph);
-        match bfs::run_bfs_mask_checkpointed(&mut gpu, &dev, 0, block_dim, policy)
-            .map_err(|e| e.to_string())?
-        {
-            bfs::BfsMaskOutcome::Completed(run) => (gpu, dev, run),
-            bfs::BfsMaskOutcome::Killed { at } => {
-                return Err(format!("unexpected kill at cycle {at}"))
-            }
-        }
+    let config = spec.build_config().map_err(|e| e.to_string())?;
+    let tick_threads = latency_core::tick_threads();
+    let execute = |config: GpuConfig, resume| {
+        // A traversal that fails verification (or, in debug builds, trips
+        // the sanitizer) panics; the job must fail, not take the worker
+        // thread down with it.
+        catch_unwind(AssertUnwindSafe(|| {
+            Workload::bfs().execute(config, exp, policy, resume, |gpu| {
+                gpu.set_tick_threads(tick_threads)
+            })
+        }))
+        .map_err(|_| "BFS run panicked (device output failed verification?)".to_string())?
+        .map_err(|e| e.to_string())
     };
-    if bfs::read_costs(&gpu, &dev) != graph.bfs_levels(0) {
-        return Err("device BFS diverged from host reference".to_string());
-    }
-    let summary = gpu.summary();
+    let run = match execute(config.clone(), Some(ckpt))? {
+        Some(resumed) => resumed,
+        None => execute(config, None)?.expect("a fresh run always starts"),
+    };
+    let summary = match run.1 {
+        RunOutcome::Completed(summary) => summary,
+        RunOutcome::Killed { at } => return Err(format!("unexpected kill at cycle {at}")),
+    };
+    // Each level is two launches (expand, commit) of one CTA per block.
+    let levels = summary.ctas / (2 * u64::from(exp.nodes.div_ceil(exp.block_dim)));
     let mut w = event("result", Some(spec.job_id()));
     w.field("kind", "bfs").field("status", "done");
-    w.field("levels", run.levels_run);
+    w.field("levels", levels);
     w.field("cycles", summary.cycles);
     w.field("instructions", summary.instructions);
     w.field("content_hash", format!("{:016x}", summary.content_hash));

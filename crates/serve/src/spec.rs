@@ -18,6 +18,7 @@
 use gpu_sim::{ArchDesc, GpuConfig};
 use gpu_snapshot::{Decoder, Encoder, StableHasher};
 use gpu_trace::json::{Value, Writer};
+use gpu_workloads::BfsExperiment;
 use latency_core::{ArchPreset, ChaseParams, ChaseSpace};
 
 /// Version tag folded into every job id; bump when the spec schema changes
@@ -59,14 +60,8 @@ pub enum JobKind {
     },
     /// A checkpointed mask-BFS traversal (long job; survives daemon death).
     Bfs {
-        /// Graph nodes.
-        nodes: u32,
-        /// Average out-degree.
-        degree: u32,
-        /// Graph seed.
-        seed: u64,
-        /// CTA width.
-        block_dim: u32,
+        /// Graph and launch geometry.
+        exp: BfsExperiment,
         /// Checkpoint cadence in cycles.
         checkpoint_every: u64,
     },
@@ -283,21 +278,20 @@ fn parse_sweep(sweep: &Value) -> Result<JobKind, SpecError> {
 }
 
 fn parse_bfs(bfs: &Value) -> Result<JobKind, SpecError> {
-    let nodes = field_u64(bfs, "nodes", MAX_NODES as u64)? as u32;
-    let degree = field_u64(bfs, "degree", 1 << 16)? as u32;
-    let seed = field_u64(bfs, "seed", MAX_SEED)?;
-    let block_dim = field_u64(bfs, "block_dim", 1 << 10)? as u32;
+    let exp = BfsExperiment {
+        nodes: field_u64(bfs, "nodes", MAX_NODES as u64)? as u32,
+        degree: field_u64(bfs, "degree", 1 << 16)? as u32,
+        seed: field_u64(bfs, "seed", MAX_SEED)?,
+        block_dim: field_u64(bfs, "block_dim", 1 << 10)? as u32,
+    };
     let checkpoint_every = field_u64(bfs, "checkpoint_every", u64::MAX)?;
-    if nodes == 0 || degree == 0 || block_dim == 0 || checkpoint_every == 0 {
+    if exp.nodes == 0 || exp.degree == 0 || exp.block_dim == 0 || checkpoint_every == 0 {
         return Err(SpecError::BadField(
             "bfs nodes, degree, block_dim, and checkpoint_every must be positive".to_string(),
         ));
     }
     Ok(JobKind::Bfs {
-        nodes,
-        degree,
-        seed,
-        block_dim,
+        exp,
         checkpoint_every,
     })
 }
@@ -438,17 +432,14 @@ impl JobSpec {
                 });
             }
             JobKind::Bfs {
-                nodes,
-                degree,
-                seed,
-                block_dim,
+                exp,
                 checkpoint_every,
             } => {
                 h.u8(2);
-                h.u32(*nodes);
-                h.u32(*degree);
-                h.u64(*seed);
-                h.u32(*block_dim);
+                h.u32(exp.nodes);
+                h.u32(exp.degree);
+                h.u64(exp.seed);
+                h.u32(exp.block_dim);
                 h.u64(*checkpoint_every);
             }
         }
@@ -479,15 +470,12 @@ impl JobSpec {
                 w.field("strides", &strides[..]).field("space", space);
             }
             JobKind::Bfs {
-                nodes,
-                degree,
-                seed,
-                block_dim,
+                exp,
                 checkpoint_every,
             } => {
                 w.key("bfs").object();
-                w.field("nodes", nodes).field("degree", degree);
-                w.field("seed", seed).field("block_dim", block_dim);
+                w.field("nodes", exp.nodes).field("degree", exp.degree);
+                w.field("seed", exp.seed).field("block_dim", exp.block_dim);
                 w.field("checkpoint_every", checkpoint_every);
             }
         }

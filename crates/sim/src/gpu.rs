@@ -183,13 +183,25 @@ impl CheckpointPolicy {
             kill_at: None,
         }
     }
+
+    /// The null policy: no periodic checkpoints, no kill switch. Every
+    /// plain run, at every layer, is its checkpointed twin under this.
+    pub fn none() -> Self {
+        CheckpointPolicy::new(0, PathBuf::new())
+    }
+
+    /// Whether this policy never writes a checkpoint and never kills.
+    pub fn is_none(&self) -> bool {
+        self.every == 0 && self.kill_at.is_none()
+    }
 }
 
-/// How a checkpointed run ended.
+/// How a checkpointed run ended. `T` is what a finished run yields: the
+/// summary here, a driver's own result in the layers above.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RunOutcome {
+pub enum RunOutcome<T = RunSummary> {
     /// The grid drained; the summary is the same one [`Gpu::run`] returns.
-    Completed(Box<RunSummary>),
+    Completed(Box<T>),
     /// The run stopped at [`CheckpointPolicy::kill_at`] without finishing.
     Killed {
         /// The cycle the run stopped at.
@@ -239,6 +251,9 @@ pub struct Gpu {
     launch: Option<LaunchState>,
     content_hash: u64,
     host_tag: Vec<u8>,
+    /// Distinct names of the kernels launched, in first-launch order.
+    /// Host-side bookkeeping like `exec`: never serialized.
+    launched: Vec<String>,
     schedule: TickSchedule,
     /// Parallel tick executor (`None` = the serial cycle loop). Host-side
     /// machinery, never serialized: a restored GPU starts serial and the
@@ -291,6 +306,7 @@ impl Gpu {
             launch: None,
             content_hash: 0,
             host_tag: Vec::new(),
+            launched: Vec::new(),
             schedule: TickSchedule::derive(&cfg),
             exec: None,
             sm_scratch: Vec::new(),
@@ -509,6 +525,9 @@ impl Gpu {
         } else {
             LocalMap::default()
         };
+        if !self.launched.iter().any(|n| n == kernel.name()) {
+            self.launched.push(kernel.name().to_string());
+        }
         let params: Arc<[u64]> = launch.params.clone().into();
         self.launch = Some(LaunchState {
             kernel: Arc::new(kernel),
@@ -528,11 +547,18 @@ impl Gpu {
     /// Returns [`SimError::Timeout`] at the cycle limit and
     /// [`SimError::NothingLaunched`] if no kernel was launched.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimError> {
-        let no_checkpoints = CheckpointPolicy::new(0, PathBuf::new());
-        match self.run_checkpointed(max_cycles, &no_checkpoints)? {
+        match self.run_checkpointed(max_cycles, &CheckpointPolicy::none())? {
             RunOutcome::Completed(summary) => Ok(*summary),
             RunOutcome::Killed { .. } => unreachable!("the null policy has no kill switch"),
         }
+    }
+
+    /// Distinct names of the kernels launched on this GPU, in first-launch
+    /// order — what a workload really ran, for checking against what its
+    /// descriptor says it runs. Not part of a snapshot: a restored GPU
+    /// lists only what was launched since.
+    pub fn launched_kernels(&self) -> &[String] {
+        &self.launched
     }
 
     /// The invariant sanitizer's accumulated findings. Populated only when

@@ -806,51 +806,61 @@ impl Sm {
         matures
     }
 
+    /// The warp in slot `w`, unless it is absent or has drained and only
+    /// waits for its CTA to retire — such warps neither issue nor vote.
+    fn live_warp(&self, w: usize) -> Option<&WarpSlot> {
+        self.slots[w].as_ref().filter(|s| !s.exec.is_finished())
+    }
+
+    /// The one issue predicate: the first condition keeping live warp `w`
+    /// from issuing, or `None` when it could issue now. `lsu_used` says the
+    /// LSU port is already taken this tick (a structural conflict, so
+    /// [`StallReason::Other`]). The scheduler, the idle-skip horizon and the
+    /// stall attribution all ask this, so they cannot disagree.
+    fn blocked_by(&self, w: usize, slot: &WarpSlot, lsu_used: bool) -> Option<StallReason> {
+        if slot.exec.at_barrier() {
+            return Some(StallReason::Barrier);
+        }
+        let Some((_, instr)) = slot.exec.peek() else {
+            return Some(StallReason::Other);
+        };
+        if !self.scoreboard.can_issue(w, instr) {
+            return Some(StallReason::Scoreboard);
+        }
+        if let InstrClass::Mem { space, .. } = instr.class() {
+            if lsu_used {
+                return Some(StallReason::Other);
+            }
+            // Worst case: one line per lane plus one boundary crossing.
+            let need = self.cfg.warp_size as usize + 1;
+            if space != Space::Shared && self.front.capacity() - self.front.len() < need {
+                return Some(if !self.l1_mshr.can_allocate() {
+                    StallReason::MshrFull
+                } else if self.miss_queue.is_full() {
+                    StallReason::IcntBackpressure
+                } else {
+                    StallReason::Other
+                });
+            }
+        }
+        None
+    }
+
     /// Names the dominant reason this SM issued nothing despite live warps:
-    /// every blocked warp votes for the first condition that blocks it, and
+    /// every live warp votes for the first condition that blocks it, and
     /// the reason with the most votes wins (ties break in
     /// [`StallReason::ALL`] order). This refines the paper's Fig. 2
     /// exposed/hidden split — a zero-issue cycle becomes exposed *because
     /// of* something.
     fn classify_stall(&self) -> StallReason {
         let mut votes = [0u64; StallReason::COUNT];
-        for (w, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot.as_ref() else { continue };
-            if slot.exec.is_finished() {
-                // Drained warps waiting for CTA retirement don't vote.
-                continue;
+        for w in 0..self.slots.len() {
+            if let Some(slot) = self.live_warp(w) {
+                let reason = self
+                    .blocked_by(w, slot, false)
+                    .unwrap_or(StallReason::Other);
+                votes[reason.index()] += 1;
             }
-            let reason = if slot.exec.at_barrier() {
-                StallReason::Barrier
-            } else {
-                match slot.exec.peek() {
-                    None => StallReason::Other,
-                    Some((_, instr)) => {
-                        if !self.scoreboard.can_issue(w, instr) {
-                            StallReason::Scoreboard
-                        } else if matches!(
-                            instr.class(),
-                            InstrClass::Mem { space, .. } if space != Space::Shared
-                        ) {
-                            let need = self.cfg.warp_size as usize + 1;
-                            if self.front.capacity() - self.front.len() < need {
-                                if !self.l1_mshr.can_allocate() {
-                                    StallReason::MshrFull
-                                } else if self.miss_queue.is_full() {
-                                    StallReason::IcntBackpressure
-                                } else {
-                                    StallReason::Other
-                                }
-                            } else {
-                                StallReason::Other
-                            }
-                        } else {
-                            StallReason::Other
-                        }
-                    }
-                }
-            };
-            votes[reason.index()] += 1;
         }
         let mut best = StallReason::Other;
         let mut best_votes = 0u64;
@@ -864,34 +874,10 @@ impl Sm {
     }
 
     fn warp_ready(&self, w: usize, lsu_used: bool) -> bool {
-        if self.issued.contains(&w) {
-            return false;
-        }
-        let Some(slot) = self.slots[w].as_ref() else {
-            return false;
-        };
-        if slot.exec.is_finished() || slot.exec.at_barrier() {
-            return false;
-        }
-        let Some((_, instr)) = slot.exec.peek() else {
-            return false;
-        };
-        if !self.scoreboard.can_issue(w, instr) {
-            return false;
-        }
-        if let InstrClass::Mem { space, .. } = instr.class() {
-            if lsu_used {
-                return false;
-            }
-            if space != Space::Shared {
-                // Worst case: one line per lane plus one boundary crossing.
-                let need = self.cfg.warp_size as usize + 1;
-                if self.front.capacity() - self.front.len() < need {
-                    return false;
-                }
-            }
-        }
-        true
+        !self.issued.contains(&w)
+            && self
+                .live_warp(w)
+                .is_some_and(|slot| self.blocked_by(w, slot, lsu_used).is_none())
     }
 
     fn pick_warp(&mut self, lsu_used: bool) -> Option<usize> {

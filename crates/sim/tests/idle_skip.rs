@@ -456,6 +456,9 @@ fn kill_inside_an_interval_stops_on_cue_and_resumes_identically() {
         observe(&mut resumed).events == observe(&mut straight).events,
         "resumed event stream"
     );
+    for dir in [dir, ref_dir, temp_dir("straight")] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 #[test]
@@ -487,6 +490,9 @@ fn every_checkpoint_multiple_inside_an_interval_is_written() {
     // The run drains at `total`, before it would checkpoint that cycle.
     assert_eq!(written.len() as u64, (total - 1) / every);
     assert!(written == checkpoint_files(&ref_dir), "checkpoint bytes");
+    for dir in [dir, ref_dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 #[test]

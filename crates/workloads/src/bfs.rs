@@ -233,6 +233,22 @@ pub struct BfsMaskDevice {
     pub num_nodes: u32,
 }
 
+impl BfsMaskDevice {
+    /// The seven device arrays, in declaration (and host-tag) order.
+    fn arrays(&self) -> [Addr; 7] {
+        let d = self;
+        [
+            d.row_offsets,
+            d.cols,
+            d.cost,
+            d.mask,
+            d.updating,
+            d.visited,
+            d.more,
+        ]
+    }
+}
+
 /// Uploads a graph and allocates mask-BFS state.
 pub fn upload_graph_mask(gpu: &mut Gpu, graph: &Graph) -> BfsMaskDevice {
     let n = graph.num_nodes();
@@ -350,7 +366,9 @@ pub fn build_bfs_mask_kernel2() -> Kernel {
 }
 
 /// Runs the Rodinia-style mask BFS from `source`: two kernel launches per
-/// level until no node is discovered.
+/// level until no node is discovered. This is
+/// [`run_bfs_mask_checkpointed`] under the null policy — there is one
+/// level loop.
 ///
 /// # Errors
 ///
@@ -365,62 +383,10 @@ pub fn run_bfs_mask(
     source: u32,
     block_dim: u32,
 ) -> Result<BfsRun, SimError> {
-    assert!(source < dev.num_nodes, "source out of range");
-    assert!(block_dim > 0, "block_dim must be positive");
-    let n = dev.num_nodes;
-    init_mask_state(gpu, dev, source);
-
-    let k1 = build_bfs_mask_kernel1();
-    let k2 = build_bfs_mask_kernel2();
-    let grid = n.div_ceil(block_dim);
-    let mut result = BfsRun {
-        levels_run: 0,
-        frontier_sizes: Vec::new(),
-        total_cycles: 0,
-        instructions: 0,
-    };
-    loop {
-        gpu.device_mut().write_u32(dev.more, 0);
-        gpu.launch(
-            k1.clone(),
-            Launch::new(
-                grid,
-                block_dim,
-                vec![
-                    dev.row_offsets.get(),
-                    dev.cols.get(),
-                    dev.cost.get(),
-                    dev.mask.get(),
-                    dev.updating.get(),
-                    dev.visited.get(),
-                    n as u64,
-                ],
-            ),
-        )?;
-        gpu.run(500_000_000)?;
-        gpu.launch(
-            k2.clone(),
-            Launch::new(
-                grid,
-                block_dim,
-                vec![
-                    dev.mask.get(),
-                    dev.updating.get(),
-                    dev.visited.get(),
-                    dev.more.get(),
-                    n as u64,
-                ],
-            ),
-        )?;
-        let summary = gpu.run(500_000_000)?;
-        result.instructions = summary.instructions;
-        result.levels_run += 1;
-        if gpu.device().read_u32(dev.more) == 0 || result.levels_run > n {
-            break;
-        }
+    match run_bfs_mask_checkpointed(gpu, dev, source, block_dim, &CheckpointPolicy::none())? {
+        BfsMaskOutcome::Completed(run) => Ok(run),
+        BfsMaskOutcome::Killed { .. } => unreachable!("the null policy has no kill switch"),
     }
-    result.total_cycles = gpu.now().get();
-    Ok(result)
 }
 
 /// Reads back the cost (level) array of a mask-BFS run.
@@ -469,13 +435,9 @@ pub enum BfsMaskOutcome {
 
 fn encode_mask_tag(dev: &BfsMaskDevice, block_dim: u32, levels_run: u32, phase: u8) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.u64(dev.row_offsets.get());
-    e.u64(dev.cols.get());
-    e.u64(dev.cost.get());
-    e.u64(dev.mask.get());
-    e.u64(dev.updating.get());
-    e.u64(dev.visited.get());
-    e.u64(dev.more.get());
+    for addr in dev.arrays() {
+        e.u64(addr.get());
+    }
     e.u32(dev.num_nodes);
     e.u32(block_dim);
     e.u32(levels_run);
@@ -541,10 +503,7 @@ pub fn run_bfs_mask_checkpointed(
     assert!(source < dev.num_nodes, "source out of range");
     assert!(block_dim > 0, "block_dim must be positive");
     init_mask_state(gpu, dev, source);
-    gpu.device_mut().write_u32(dev.more, 0);
-    launch_mask_expand(gpu, dev, block_dim)?;
-    gpu.set_host_tag(encode_mask_tag(dev, block_dim, 0, PHASE_EXPAND));
-    drive_mask_loop(gpu, dev, block_dim, 0, PHASE_EXPAND, policy)
+    drive_mask_loop(gpu, dev, block_dim, 0, PHASE_EXPAND, false, policy)
 }
 
 /// Continues a mask BFS restored from a checkpoint (the in-flight kernel and
@@ -560,88 +519,130 @@ pub fn resume_bfs_mask(
     gpu: &mut Gpu,
     policy: &CheckpointPolicy,
 ) -> Result<BfsMaskOutcome, SimError> {
-    let (dev, block_dim, levels_run, phase) = decode_mask_tag(gpu.host_tag())
-        .map_err(|e| SimError::Checkpoint(format!("checkpoint carries no BFS host tag: {e}")))?;
-    drive_mask_loop(gpu, &dev, block_dim, levels_run, phase, policy)
+    let (dev, block_dim, levels_run, phase) = restored_position(gpu)?;
+    drive_mask_loop(gpu, &dev, block_dim, levels_run, phase, true, policy)
 }
 
-fn launch_mask_expand(gpu: &mut Gpu, dev: &BfsMaskDevice, block_dim: u32) -> Result<(), SimError> {
-    let grid = dev.num_nodes.div_ceil(block_dim);
-    gpu.launch(
-        build_bfs_mask_kernel1(),
-        Launch::new(
-            grid,
-            block_dim,
-            vec![
-                dev.row_offsets.get(),
-                dev.cols.get(),
-                dev.cost.get(),
-                dev.mask.get(),
-                dev.updating.get(),
-                dev.visited.get(),
-                dev.num_nodes as u64,
-            ],
-        ),
-    )
+/// The loop position a restored `gpu` carries in its host tag.
+fn restored_position(gpu: &Gpu) -> Result<(BfsMaskDevice, u32, u32, u8), SimError> {
+    decode_mask_tag(gpu.host_tag())
+        .map_err(|e| SimError::Checkpoint(format!("checkpoint carries no BFS host tag: {e}")))
 }
 
-fn launch_mask_commit(gpu: &mut Gpu, dev: &BfsMaskDevice, block_dim: u32) -> Result<(), SimError> {
-    let grid = dev.num_nodes.div_ceil(block_dim);
-    gpu.launch(
-        build_bfs_mask_kernel2(),
-        Launch::new(
-            grid,
-            block_dim,
-            vec![
-                dev.mask.get(),
-                dev.updating.get(),
-                dev.visited.get(),
-                dev.more.get(),
-                dev.num_nodes as u64,
-            ],
-        ),
-    )
-}
-
-/// The shared level loop: finishes the in-flight kernel for `phase`, then
-/// alternates expand/commit launches until the commit kernel discovers
-/// nothing. The host tag is refreshed before every run so any checkpoint
-/// written during it carries the loop position that produced it.
+/// The one level loop: launches the kernel for `phase` (unless a restored
+/// checkpoint already has it `in_flight`), runs it under `policy`, and
+/// alternates expand/commit until the commit kernel discovers nothing.
+/// Both kernels are built once per traversal. The host tag is refreshed at
+/// every launch so any checkpoint written during the run carries the loop
+/// position that produced it.
 fn drive_mask_loop(
     gpu: &mut Gpu,
     dev: &BfsMaskDevice,
     block_dim: u32,
     mut levels_run: u32,
     mut phase: u8,
+    mut in_flight: bool,
     policy: &CheckpointPolicy,
 ) -> Result<BfsMaskOutcome, SimError> {
     let n = dev.num_nodes;
-    let mut instructions;
-    loop {
-        match gpu.run_checkpointed(500_000_000, policy)? {
-            RunOutcome::Killed { at } => return Ok(BfsMaskOutcome::Killed { at }),
-            RunOutcome::Completed(summary) => instructions = summary.instructions,
+    let grid = n.div_ceil(block_dim);
+    let (expand, commit) = (build_bfs_mask_kernel1(), build_bfs_mask_kernel2());
+    let [row_offsets, cols, cost, mask, updating, visited, more] = dev.arrays().map(Addr::get);
+    let instructions = loop {
+        if !in_flight {
+            let (kernel, params) = if phase == PHASE_EXPAND {
+                gpu.device_mut().write_u32(dev.more, 0);
+                let params = vec![row_offsets, cols, cost, mask, updating, visited, n as u64];
+                (expand.clone(), params)
+            } else {
+                let params = vec![mask, updating, visited, more, n as u64];
+                (commit.clone(), params)
+            };
+            gpu.launch(kernel, Launch::new(grid, block_dim, params))?;
+            gpu.set_host_tag(encode_mask_tag(dev, block_dim, levels_run, phase));
         }
+        in_flight = false;
+        let summary = match gpu.run_checkpointed(500_000_000, policy)? {
+            RunOutcome::Killed { at } => return Ok(BfsMaskOutcome::Killed { at }),
+            RunOutcome::Completed(summary) => summary,
+        };
         if phase == PHASE_EXPAND {
-            launch_mask_commit(gpu, dev, block_dim)?;
             phase = PHASE_COMMIT;
         } else {
             levels_run += 1;
             if gpu.device().read_u32(dev.more) == 0 || levels_run > n {
-                break;
+                break summary.instructions;
             }
-            gpu.device_mut().write_u32(dev.more, 0);
-            launch_mask_expand(gpu, dev, block_dim)?;
             phase = PHASE_EXPAND;
         }
-        gpu.set_host_tag(encode_mask_tag(dev, block_dim, levels_run, phase));
-    }
+    };
     Ok(BfsMaskOutcome::Completed(BfsRun {
         levels_run,
         frontier_sizes: Vec::new(),
         total_cycles: gpu.now().get(),
         instructions,
     }))
+}
+
+/// Parameters of the BFS dynamic-latency experiment (E2/E3): the graph and
+/// the launch geometry. The traversal always starts at node 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BfsExperiment {
+    /// Graph nodes.
+    pub nodes: u32,
+    /// Average out-degree.
+    pub degree: u32,
+    /// Graph seed.
+    pub seed: u64,
+    /// Threads per CTA.
+    pub block_dim: u32,
+}
+
+impl Default for BfsExperiment {
+    /// The default instrumented run: a 16k-node uniform random graph with
+    /// average degree 8 — a working set just over the GF100's aggregate L2,
+    /// so the run mixes L2 hits with real DRAM traffic like the paper's
+    /// Rodinia BFS input (whose latencies top out near 1800 cycles).
+    fn default() -> Self {
+        BfsExperiment {
+            nodes: 16384,
+            degree: 8,
+            seed: 20150301, // ISPASS 2015
+            block_dim: 128,
+        }
+    }
+}
+
+/// The workload table's BFS entry: uploads `exp`'s graph and starts the
+/// traversal — or, on a `resumed` machine, picks it up from the host tag —
+/// drives it under `policy`, and checks a completed traversal against the
+/// host reference (an instrumented run that computes the wrong BFS would be
+/// meaningless).
+pub(crate) fn run_experiment(
+    gpu: &mut Gpu,
+    exp: &BfsExperiment,
+    policy: &CheckpointPolicy,
+    resumed: bool,
+) -> Result<RunOutcome, SimError> {
+    let graph = Graph::uniform_random(exp.nodes, exp.degree, exp.seed);
+    let (dev, outcome) = if resumed {
+        (restored_position(gpu)?.0, resume_bfs_mask(gpu, policy)?)
+    } else {
+        let dev = upload_graph_mask(gpu, &graph);
+        let outcome = run_bfs_mask_checkpointed(gpu, &dev, 0, exp.block_dim, policy)?;
+        (dev, outcome)
+    };
+    Ok(match outcome {
+        BfsMaskOutcome::Killed { at } => RunOutcome::Killed { at },
+        BfsMaskOutcome::Completed(_) => {
+            assert_eq!(
+                read_costs(gpu, &dev),
+                graph.bfs_levels(0),
+                "device BFS diverged from reference"
+            );
+            RunOutcome::Completed(Box::new(gpu.summary()))
+        }
+    })
 }
 
 #[cfg(test)]

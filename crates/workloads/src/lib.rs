@@ -17,8 +17,9 @@
 //! - [`scan`]: per-CTA Hillis–Steele prefix sum — the barrier-densest kernel.
 //!
 //! Every workload provides a kernel builder, a device `setup`, a `run`
-//! driver, and a host-reference `verify`, so integration tests and the
-//! benchmark harness can use them uniformly.
+//! driver, and a host-reference `verify`; the [`table`] strings them into
+//! one [`Workload`] descriptor each, and [`Workload::execute`] is the one
+//! path that runs a descriptor — plain, checkpointed or resumed.
 
 pub mod bfs;
 pub mod graph;
@@ -28,7 +29,10 @@ pub mod reduce;
 pub mod scan;
 pub mod spmv;
 pub mod stencil;
+pub mod table;
 pub mod transpose;
 pub mod vecadd;
 
+pub use bfs::BfsExperiment;
 pub use graph::Graph;
+pub use table::{builtin_kernels, Workload};

@@ -27,7 +27,7 @@ use latency_core::ArchPreset;
 fn sweep_preset(preset: ArchPreset) {
     let mut compared = 0usize;
     let mut exact = 0usize;
-    for workload in Workload::ALL {
+    for workload in Workload::e4() {
         let report = validate_run(preset, workload).expect("instrumented run failed");
         assert!(
             report.ok(),
