@@ -6,9 +6,8 @@
 #      unloaded latencies and chase plateaus diffed against the committed
 #      REFERENCE_latencies.json, within its tolerance.
 #   3. trace    --preset <p> — a small deterministic BFS with --validate
-#      (span tiling + sanitizer), producing a metrics.txt. --stable zeroes
-#      the wall-clock field at the source, so metrics.txt is a pure
-#      function of the simulation.
+#      (span tiling + sanitizer), producing a metrics.txt, which is a
+#      pure function of the simulation (host time is on stdout only).
 #   4. Hash the whole metrics.txt and diff against the committed golden in
 #      ci/metrics-goldens.txt.
 #
@@ -28,7 +27,7 @@ latency=target/release/latency
 "$latency" validate --preset "$preset"
 "$latency" trace \
   --preset "$preset" --workload bfs --nodes 512 --degree 4 --block-dim 64 \
-  --out "$out" --validate --stable
+  --out "$out" --validate
 
 actual=$(sha256sum "$out/metrics.txt" | awk '{print $1}')
 

@@ -1,4 +1,4 @@
-//! Unified benchmark and perf-regression harness.
+//! The benchmark suites and their pin check.
 //!
 //! ```text
 //! latency bench [--check] [--update-baselines]
@@ -8,31 +8,29 @@
 //!
 //! Runs the five benchmarks from [`latency_bench::suite`] and
 //! [`latency_bench::reference`] — the sweep cold/warm cache comparison, the
-//! tick-parallelism scaling record, end-to-end workload throughput (one
-//! section per measured generation, paper-era and modern), the serve
-//! daemon's cold vs cache-hit job throughput, and the published-reference
-//! validation of every registered preset — under the host-side
-//! self-profiler, and writes the fresh `BENCH_*.json` results plus
-//! `profile.json`/`profile.txt` to `--out` (default `bench-out/`) as CI
-//! artifacts.
+//! tick-thread bit-identity record, the end-to-end workloads (one section
+//! per measured generation, paper-era and modern), the serve daemon cold
+//! vs cache-hit, and the published-reference validation of every
+//! registered preset — under the host-side self-profiler. How long each
+//! took goes to the `[bench]` stdout lines and to
+//! `profile.json`/`profile.txt`; the fresh `BENCH_*.json` documents written
+//! beside those in `--out` (default `bench-out/`) hold pins only.
 //!
-//! `--check` then compares each result against the committed baseline in
-//! `--baseline-dir` (default `.`) under [`latency_bench::regression`]'s
-//! rules: anything derived from the simulation alone (content hashes,
-//! cycle/instruction counts, grid shape) must reproduce exactly and fails
-//! the run on any host; wall-clock metrics are thresholded and downgraded
-//! to warnings on a single-CPU host or when the baseline was measured on a
-//! different CPU count. `--update-baselines` rewrites the committed files
-//! instead. `--inject-regression` deliberately corrupts the fresh results
-//! (hash flip + 100× slowdown) after measuring, so CI can prove the
-//! harness actually fails when it should.
+//! `--check` then compares each document against the committed baseline
+//! in `--baseline-dir` (default `.`) under [`latency_bench::regression`]'s
+//! one rule: every leaf must reproduce exactly, on any host.
+//! `--update-baselines` rewrites the committed files instead.
+//! `--check --inject-regression` flips one pin per suite after measuring,
+//! so CI can prove the check fails when it should; without `--check`, or
+//! with `--update-baselines`, the flag is a usage error — it must never
+//! reach an artifact anyone trusts.
 
 use std::path::PathBuf;
 use std::process::exit;
 
 use latency_bench::{
     compare_json, run_serve_bench, run_sweep_bench, run_tick_bench, run_validation_bench,
-    run_workload_bench, workloads_json, ProgressHeartbeat, Thresholds, Workload, SERVE_CLIENTS,
+    run_workload_bench, workloads_json, ProgressHeartbeat, Workload, SERVE_CLIENTS,
 };
 use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
@@ -94,6 +92,13 @@ fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
             other => return Err(UsageError::unknown(other)),
         }
     }
+    if parsed.inject && (parsed.update || !parsed.check) {
+        return Err(UsageError(
+            "--inject-regression corrupts the results: it needs --check and excludes \
+             --update-baselines"
+                .into(),
+        ));
+    }
     Ok(parsed)
 }
 
@@ -121,7 +126,6 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                 or_exit(b.check(), "FAIL: sweep bench self-check");
                 if args.inject {
                     b.simulated_cycles += 1;
-                    b.warm_wall_seconds *= 100.0;
                 }
                 println!(
                     "[bench] sweep: {} points, cold {:.3}s, warm {:.3}s, hit rate {:.1}%",
@@ -147,10 +151,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     );
                 }
                 if args.inject {
-                    for r in &mut b.runs {
-                        r.content_hash ^= 0xdead_beef;
-                        r.wall_seconds *= 100.0;
-                    }
+                    b.runs[0].content_hash ^= 1;
                 }
                 results.push(SuiteResult::new("tick", b.json()));
             }
@@ -163,7 +164,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                         preset.name()
                     );
                     let what = format!("FAIL: workload bench ({})", preset.name());
-                    let mut b = or_exit(run_workload_bench(preset, Workload::e4()), &what);
+                    let b = or_exit(run_workload_bench(preset, Workload::e4()), &what);
                     or_exit(b.check(), &what);
                     for r in &b.runs {
                         println!(
@@ -171,13 +172,10 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                             r.workload.name, r.cycles, r.wall_seconds, r.content_hash
                         );
                     }
-                    if args.inject {
-                        for r in &mut b.runs {
-                            r.content_hash ^= 0xdead_beef;
-                            r.wall_seconds *= 100.0;
-                        }
-                    }
                     sections.push(b);
+                }
+                if args.inject {
+                    sections[0].runs[0].content_hash ^= 1;
                 }
                 results.push(SuiteResult::new("workloads", workloads_json(&sections)));
             }
@@ -189,19 +187,19 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                 let mut b = run_serve_bench(SWEEP_PRESET, SERVE_CLIENTS, None);
                 or_exit(b.check(), "FAIL: serve bench self-check");
                 println!(
-                    "[bench] serve: {} points, cold {:.3}s ({:.2} jobs/s), \
-                     warm {:.3}s ({:.2} jobs/s), hash {}",
+                    "[bench] serve: {} points, cold {:.3}s ({:.2} jobs/s, p95 {:.3}s), \
+                     warm {:.3}s ({:.2} jobs/s, p95 {:.3}s), hash {}",
                     b.grid_points,
                     b.cold.wall_seconds,
                     b.cold.jobs_per_second(),
+                    b.cold.percentile(0.95),
                     b.warm.wall_seconds,
                     b.warm.jobs_per_second(),
+                    b.warm.percentile(0.95),
                     b.content_hash
                 );
                 if args.inject {
-                    b.content_hash = format!("{:016x}", 0xdead_beef_u64);
-                    b.cold.wall_seconds *= 100.0;
-                    b.warm.wall_seconds *= 100.0;
+                    b.cold.deduped_jobs += 1;
                 }
                 results.push(SuiteResult::new("serve", b.json()));
             }
@@ -226,9 +224,7 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     );
                 }
                 if args.inject {
-                    if let Some(l) = b.rows.iter_mut().find_map(|r| r.levels.first_mut()) {
-                        l.measured += 100.0;
-                    }
+                    b.rows[0].levels[0].measured += 1.0;
                 }
                 results.push(SuiteResult::new("validation", b.json()));
             }
@@ -288,11 +284,7 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         return Ok(());
     }
 
-    // Timing regressions cannot be trusted on a single-CPU host (the tick
-    // pool has nothing to scale onto); determinism divergence always can.
-    let warn_only = latency_bench::host_cpus() == 1;
     let mut fatal = false;
-    let mut warnings = 0usize;
     for r in &results {
         let path = args.baseline_dir.join(&r.file);
         let baseline = match std::fs::read_to_string(&path) {
@@ -307,20 +299,12 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
                 continue;
             }
         };
-        match compare_json(&baseline, &r.json, &Thresholds::default(), warn_only) {
-            Ok(cmp) => {
-                if !cmp.findings.is_empty() {
-                    print!(
-                        "[bench] {} vs {}:\n{}",
-                        r.name,
-                        path.display(),
-                        cmp.render()
-                    );
+        match compare_json(&baseline, &r.json) {
+            Ok(findings) => {
+                for f in &findings {
+                    println!("[bench] {} vs {}: FATAL {f}", r.name, path.display());
                 }
-                warnings += cmp.warnings();
-                if cmp.fatal() {
-                    fatal = true;
-                }
+                fatal |= !findings.is_empty();
             }
             Err(e) => {
                 eprintln!("FAIL: {}: {e}", r.name);
@@ -329,9 +313,31 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         }
     }
     if fatal {
-        eprintln!("FAIL: benchmark regression check failed");
+        eprintln!("FAIL: benchmark pin check failed");
         exit(1);
     }
-    println!("[bench] check passed ({warnings} timing warnings)");
+    println!("[bench] check passed");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, UsageError> {
+        parse_args(&mut Cursor::new(
+            flags.iter().map(|f| f.to_string()).collect(),
+        ))
+    }
+
+    #[test]
+    fn inject_regression_needs_check_and_excludes_update() {
+        let checked = parse(&["--check", "--inject-regression", "--suites", "tick"]);
+        assert!(checked.is_ok_and(|a| a.inject && a.check && !a.update));
+        // Alone it would write corrupt artifacts and exit 0; with
+        // --update-baselines it would commit them.
+        assert!(parse(&["--inject-regression"]).is_err());
+        assert!(parse(&["--update-baselines", "--inject-regression"]).is_err());
+        assert!(parse(&["--check", "--update-baselines", "--inject-regression"]).is_err());
+    }
 }

@@ -29,7 +29,6 @@ struct Args {
     sample: u64,
     max_events: usize,
     validate: bool,
-    stable: bool,
     progress: bool,
     checkpoint_every: u64,
     checkpoint_dir: Option<PathBuf>,
@@ -42,7 +41,7 @@ pub const FLAGS: &str = "[--preset NAME]\n\
      \x20      [--nodes N] [--degree N] [--seed N] [--block-dim N]\n\
      \x20      [--sms N] [--partitions N] [--out DIR]\n\
      \x20      [--sample CYCLES] [--max-events N] [--validate]\n\
-     \x20      [--stable] [--progress] [--tick-threads N]\n\
+     \x20      [--progress] [--tick-threads N]\n\
      \x20      [--checkpoint-every CYCLES] [--checkpoint-dir DIR]\n\
      \x20      [--resume DIR] [--kill-at CYCLE]   (BFS only)";
 
@@ -60,7 +59,6 @@ fn parse_args(presets: &[ArchPreset], it: &mut Cursor) -> Result<Args, UsageErro
         sample: 64,
         max_events: 1 << 20,
         validate: false,
-        stable: false,
         progress: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
@@ -84,7 +82,6 @@ fn parse_args(presets: &[ArchPreset], it: &mut Cursor) -> Result<Args, UsageErro
             "--sample" => args.sample = it.parsed("--sample")?,
             "--max-events" => args.max_events = it.parsed("--max-events")?,
             "--validate" => args.validate = true,
-            "--stable" => args.stable = true,
             "--progress" => args.progress = true,
             "--checkpoint-every" => args.checkpoint_every = it.parsed("--checkpoint-every")?,
             "--checkpoint-dir" => {
@@ -182,21 +179,9 @@ pub fn run(presets: &[ArchPreset], it: &mut Cursor) -> Result<(), UsageError> {
     let _heartbeat = args
         .progress
         .then(|| latency_bench::ProgressHeartbeat::start("trace"));
-    let mut run = run_workload(&args);
+    let run = run_workload(&args);
     drop(_heartbeat);
     let cfg = build_cfg(&args);
-    let throughput = format!(
-        "throughput: {:.0} simulated cycles/s over {:.2?} host time",
-        run.metrics.cycles_per_second(run.cycles),
-        run.metrics.wall_clock()
-    );
-    // --stable: normalise the only wall-clock-derived field so metrics.txt
-    // (and the throughput figure computed from it) is a pure function of
-    // the simulation — `cycles_per_second` renders 0 by its zero-wall-clock
-    // contract, and byte-identical output hashes byte-identically in CI.
-    if args.stable {
-        run.metrics.host_nanos = 0;
-    }
     let bundle = TraceBundle::of(&run, &cfg);
     if args.validate {
         let doc = or_exit(
@@ -223,7 +208,11 @@ pub fn run(presets: &[ArchPreset], it: &mut Cursor) -> Result<(), UsageError> {
         "content_hash: {:016x}   instructions: {}",
         run.content_hash, run.instructions
     );
-    println!("{throughput}");
+    println!(
+        "throughput: {:.0} simulated cycles/s over {:.2?} host time",
+        run.metrics.cycles_per_second(run.cycles),
+        run.metrics.wall_clock()
+    );
     println!(
         "bundle written to {:?} — open trace.json at https://ui.perfetto.dev",
         args.out

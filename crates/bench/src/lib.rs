@@ -29,10 +29,7 @@ pub use reference::{
     reference_rows, run_validation_bench, LevelValidation, PresetValidation, ReferenceRow,
     ValidationBench, REFERENCE_TABLES,
 };
-pub use regression::{
-    classify_document, compare_json, metric_class, Comparison, Finding, MetricClass, Severity,
-    Thresholds,
-};
+pub use regression::{compare_json, Finding};
 pub use suite::{
     host_cpus, run_serve_bench, run_sweep_bench, run_tick_bench, run_workload_bench,
     serve_grid_spec, sweep_grid_spec, workloads_json, ServeBench, ServePass, SweepBench, TickBench,

@@ -1,54 +1,44 @@
 //! The benchmark suite behind `latency bench`: each benchmark is a plain
 //! function returning a struct that renders the committed `BENCH_*.json`
-//! schema, so measuring and the regression harness share one
-//! implementation.
+//! schema, so measuring and the pin checker share one implementation.
 //!
-//! Three benchmarks:
+//! Four benchmarks (the fifth, validation, lives in [`crate::reference`]):
 //!
 //! - [`run_sweep_bench`]: the §II stride × footprint grid measured cold and
 //!   then warm from the content-addressed sweep cache (`BENCH_sweep.json`).
 //! - [`run_tick_bench`]: one mask BFS per tick-thread count, verifying
-//!   bit-identity while timing each; when the self-profiler is on, each run
-//!   also records its per-[`TickStage`](gpu_sim::TickStage) host-time
-//!   breakdown, so the scaling numbers show where the serial fractions
-//!   live (`BENCH_tick.json`).
-//! - [`run_workload_bench`]: end-to-end throughput over the E4 workload
-//!   set, one simulated run each, pinning `content_hash`, cycle and
-//!   instruction counts exactly (`BENCH_workloads.json`).
+//!   bit-identity across them (`BENCH_tick.json`).
+//! - [`run_workload_bench`]: the E4 workload set end to end, one simulated
+//!   run each, pinning `content_hash`, cycle and instruction counts
+//!   (`BENCH_workloads.json`).
+//! - [`run_serve_bench`]: concurrent clients against the daemon, cold and
+//!   cache-warm, pinning dedup and cache counters (`BENCH_serve.json`).
 //!
-//! Wall-clock fields are honest measurements of this host — the committed
-//! baselines record `host_cpus` where timing depends on parallelism, and
-//! the regression harness ([`crate::regression`]) treats timing as
-//! warn-only when the hosts are not comparable. Everything derived from
-//! the simulation alone (hashes, cycles, instructions, grid shape) must
-//! reproduce exactly.
+//! The structs carry the wall clock each run took, for the `[bench]`
+//! stdout lines; the `json()` renderings carry none of it. A committed
+//! document holds only what the simulation alone determines (hashes,
+//! cycles, instructions, grid shape, dedup and cache counters), which
+//! [`crate::regression`] compares leaf for leaf.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use gpu_serve::{Client, ServerConfig, ServerHandle};
-use gpu_sim::profile::{self, ProfCounter, ProfSpan};
+use gpu_sim::profile::{self, ProfCounter};
 use gpu_sim::{CheckpointPolicy, RunOutcome, SimError};
-use gpu_trace::cycles_per_second;
-use gpu_trace::json::{self, Fixed, ToJson, Writer};
+use gpu_trace::json::{self, ToJson, Writer};
 use gpu_workloads::{BfsExperiment, Workload};
 use latency_core::{
-    cache_stats, pow2_range, reset_cache_stats, set_cache_dir, ArchPreset, CacheStats, ChaseSpace,
-    Sweep,
+    cache_stats, disable_cache, pow2_range, reset_cache_stats, set_cache_dir, ArchPreset,
+    CacheStats, ChaseSpace, Sweep,
 };
 
 use crate::experiments::run_workload_traced;
 
-/// Host CPU count recorded alongside timing so a baseline measured on one
-/// machine is never silently compared against another shape of machine.
+/// Host CPU count. `benchmark/` records it with every result; it has no
+/// caller inside the workspace.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Converts a measured wall-clock duration to the nanosecond count the
-/// shared [`cycles_per_second`] contract expects.
-fn wall_nanos(seconds: f64) -> u64 {
-    (seconds * 1e9) as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -88,30 +78,16 @@ impl SweepBench {
         self.warm_cache.hit_rate()
     }
 
-    /// Cold wall clock over warm wall clock.
-    pub fn speedup(&self) -> f64 {
-        self.cold_wall_seconds / self.warm_wall_seconds.max(1e-9)
-    }
-
     /// Renders the committed `BENCH_sweep.json` schema.
     pub fn json(&self) -> String {
-        let cold_nanos = wall_nanos(self.cold_wall_seconds);
-        let cold_rate = cycles_per_second(self.simulated_cycles, cold_nanos);
         let mut w = Writer::indented();
         w.object().field("name", "sweep");
         w.field("preset", self.preset.name());
         w.field("grid_points", self.grid_points);
         w.field("skipped", self.skipped);
         w.field("simulated_cycles", self.simulated_cycles);
-        w.key("cold").object();
-        w.field("wall_seconds", Fixed(self.cold_wall_seconds, 6));
-        w.field("cycles_per_second", Fixed(cold_rate, 0));
-        w.field("cache", self.cold_cache).end();
-        w.key("warm").object();
-        w.field("wall_seconds", Fixed(self.warm_wall_seconds, 6));
-        w.field("cache", self.warm_cache).end();
-        w.field("warm_hit_rate", Fixed(self.warm_hit_rate(), 4));
-        w.field("speedup", Fixed(self.speedup(), 2));
+        w.key("cold").object().field("cache", self.cold_cache).end();
+        w.key("warm").object().field("cache", self.warm_cache).end();
         w.finish()
     }
 
@@ -137,17 +113,15 @@ impl SweepBench {
 /// Measures the sweep grid cold (empty cache) and warm (fully populated),
 /// panicking if the warm pass fails to reproduce the cold grid bit-for-bit.
 ///
-/// With `cache: None` a per-process temporary directory is used and wiped
-/// first, so the cold pass's cache traffic is deterministic (zero hits).
+/// With `cache: None` a per-process temporary directory is used, wiped
+/// first, so the cold pass's cache traffic is deterministic (zero hits),
+/// and removed afterwards. Either way the process-global chase cache is
+/// switched off on the way out, so nothing that runs later inherits it.
 pub fn run_sweep_bench(preset: ArchPreset, cache: Option<PathBuf>) -> SweepBench {
     let cfg = preset.config_microbench();
     let (footprints, strides) = sweep_grid_spec();
-    let dir = cache.unwrap_or_else(|| {
-        let dir = std::env::temp_dir().join(format!("latency-sweep-bench-{}", std::process::id()));
-        // A recycled pid must not hand the "cold" pass a warm cache.
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    });
+    let scratch = cache.is_none();
+    let dir = cache.unwrap_or_else(|| scratch_dir("sweep"));
     set_cache_dir(&dir);
 
     reset_cache_stats();
@@ -167,16 +141,31 @@ pub fn run_sweep_bench(preset: ArchPreset, cache: Option<PathBuf>) -> SweepBench
         warm.points(),
         "warm-cache sweep must reproduce the cold sweep bit-for-bit"
     );
+    let simulated_cycles = cold_grid_cycles(&cfg, &footprints, &strides);
+    disable_cache();
+    if scratch {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     SweepBench {
         preset,
         grid_points: cold.points().len(),
         skipped: cold.skipped_count(),
-        simulated_cycles: cold_grid_cycles(&cfg, &footprints, &strides),
+        simulated_cycles,
         cold_wall_seconds,
         cold_cache,
         warm_wall_seconds,
         warm_cache,
     }
+}
+
+/// A fresh per-process directory under the system temp dir for a suite that
+/// was not handed one. Wiped here because a recycled pid must not hand a
+/// "cold" pass a warm cache or finished job records; the suite removes it
+/// again when it is done.
+fn scratch_dir(suite: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("latency-{suite}-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// Total simulated cycles the cold pass spent, recovered from the cached
@@ -218,12 +207,9 @@ pub struct TickRun {
     /// Idle cycles the run loop jumped over instead of ticking (must match
     /// the serial run exactly: where the clock jumps is a property of the
     /// simulated machine, not of the executor). Read from the
-    /// self-profiler like `stage_nanos`; zero when profiling is off.
+    /// self-profiler's [`ProfCounter::CyclesSkipped`], which only counts
+    /// while profiling is on — `latency bench` always turns it on.
     pub skipped_cycles: u64,
-    /// Host nanoseconds per [`ProfSpan::STAGES`] entry, measured by the
-    /// self-profiler as a before/after delta around this run; all zeros
-    /// when profiling is off.
-    pub stage_nanos: Vec<u64>,
 }
 
 /// Tick-parallelism scaling record (`BENCH_tick.json`).
@@ -233,24 +219,16 @@ pub struct TickBench {
     pub preset: ArchPreset,
     /// SMs in the simulated machine.
     pub num_sms: usize,
-    /// Host CPUs available to the tick pool.
-    pub host_cpus: usize,
     /// BFS graph nodes.
     pub nodes: u32,
     /// BFS graph out-degree.
     pub degree: u32,
-    /// Whether the self-profiler was on (stage breakdowns are real).
-    pub profiled: bool,
     /// One entry per tick-thread count, serial first.
     pub runs: Vec<TickRun>,
 }
 
 impl TickBench {
-    /// Renders the committed `BENCH_tick.json` schema. When [`profiled`]
-    /// (see [`TickBench::profiled`]) each run carries a `stages` object
-    /// mapping tick-stage labels to host nanoseconds — the per-stage
-    /// breakdown that shows where a non-scaling run's serial fraction
-    /// lives.
+    /// Renders the committed `BENCH_tick.json` schema.
     pub fn json(&self) -> String {
         let serial = &self.runs[0];
         let workload = format!("bfs nodes={} degree={}", self.nodes, self.degree);
@@ -258,27 +236,13 @@ impl TickBench {
         w.object().field("name", "tick");
         w.field("preset", self.preset.name());
         w.field("num_sms", self.num_sms);
-        w.field("host_cpus", self.host_cpus);
         w.field("workload", workload);
         w.field("content_hash", format!("{:016x}", serial.content_hash));
         w.key("runs").array();
         for m in &self.runs {
-            let rate = cycles_per_second(m.cycles, wall_nanos(m.wall_seconds));
-            let speedup = serial.wall_seconds / m.wall_seconds.max(1e-9);
             w.object().field("tick_threads", m.tick_threads);
-            w.field("wall_seconds", Fixed(m.wall_seconds, 6));
             w.field("simulated_cycles", m.cycles);
-            w.field("skipped_cycles", m.skipped_cycles);
-            w.field("cycles_per_second", Fixed(rate, 0));
-            w.field("speedup_vs_serial", Fixed(speedup, 3));
-            if self.profiled {
-                w.key("stages").object();
-                for (stage, nanos) in ProfSpan::STAGES.iter().zip(&m.stage_nanos) {
-                    w.field(stage.label(), nanos);
-                }
-                w.end();
-            }
-            w.end();
+            w.field("skipped_cycles", m.skipped_cycles).end();
         }
         w.finish()
     }
@@ -314,8 +278,7 @@ impl TickBench {
 }
 
 /// Runs the tick-scaling benchmark: one mask BFS per entry in `threads`
-/// (serial first), timing each and — when the self-profiler is enabled —
-/// attributing each run's host time to the nine tick stages.
+/// (serial first), timing each.
 pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32, threads: &[usize]) -> TickBench {
     assert!(!threads.is_empty(), "need at least one tick-thread count");
     let exp = BfsExperiment {
@@ -330,19 +293,17 @@ pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32, threads: &[us
     TickBench {
         preset,
         num_sms: preset.config().num_sms,
-        host_cpus: host_cpus(),
         nodes,
         degree,
-        profiled: profile::enabled(),
         runs,
     }
 }
 
 fn measure_tick(preset: ArchPreset, exp: &BfsExperiment, tick_threads: usize) -> TickRun {
-    // Snapshot the (cumulative, process-global) profiler around the run so
-    // this run's stage times are a clean delta — no reset, so the whole
-    // bench process still adds up in the final profile.json.
-    let before = profile::report();
+    // The profiler's counters are cumulative and process-global: this
+    // run's skipped cycles are a before/after delta — no reset, so the
+    // whole bench process still adds up in the final profile.json.
+    let skipped_before = profile::value(ProfCounter::CyclesSkipped);
     let t0 = Instant::now();
     // The plain run path with the latency sink left off: this suite times
     // the tick loop, not the instrumentation.
@@ -356,23 +317,17 @@ fn measure_tick(preset: ArchPreset, exp: &BfsExperiment, tick_threads: usize) ->
         )
         .expect("bfs runs");
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let after = profile::report();
+    let skipped_cycles = profile::value(ProfCounter::CyclesSkipped) - skipped_before;
     let Some((_, RunOutcome::Completed(summary))) = run else {
         unreachable!("the null policy neither resumes nor kills");
     };
-    let stage_nanos = ProfSpan::STAGES
-        .iter()
-        .map(|&s| after.span(s).nanos.saturating_sub(before.span(s).nanos))
-        .collect();
     TickRun {
         tick_threads,
         wall_seconds,
         cycles: summary.cycles,
         content_hash: summary.content_hash,
         sanitizer_violations: summary.sanitizer_violations,
-        skipped_cycles: after.counter(ProfCounter::CyclesSkipped)
-            - before.counter(ProfCounter::CyclesSkipped),
-        stage_nanos,
+        skipped_cycles,
     }
 }
 
@@ -397,24 +352,17 @@ pub struct WorkloadRun {
     pub wall_seconds: f64,
 }
 
-/// End-to-end workload throughput record for one preset — one *section* of
-/// the committed `BENCH_workloads.json`.
+/// End-to-end workload record for one preset — one *section* of the
+/// committed `BENCH_workloads.json`.
 #[derive(Debug, Clone)]
 pub struct WorkloadBench {
     /// Architecture every workload ran on.
     pub preset: ArchPreset,
-    /// Host CPUs during the measurement.
-    pub host_cpus: usize,
     /// One entry per workload, in the order they were run.
     pub runs: Vec<WorkloadRun>,
 }
 
 impl WorkloadBench {
-    /// Sum of per-workload wall clocks.
-    pub fn total_wall_seconds(&self) -> f64 {
-        self.runs.iter().map(|r| r.wall_seconds).sum()
-    }
-
     /// The machine's own invariant: no run may have tripped the sanitizer,
     /// which release builds only count.
     pub fn check(&self) -> Result<(), String> {
@@ -430,16 +378,13 @@ impl WorkloadBench {
     /// Writes this preset's section of the `BENCH_workloads.json` schema.
     fn write_section(&self, w: &mut Writer) {
         w.object().field("preset", self.preset.name());
-        w.field("total_wall_seconds", Fixed(self.total_wall_seconds(), 6));
         w.key("runs").array();
         for r in &self.runs {
-            let rate = cycles_per_second(r.cycles, wall_nanos(r.wall_seconds));
             w.object().field("workload", r.workload.name);
             w.field("simulated_cycles", r.cycles);
             w.field("instructions", r.instructions);
-            w.field("content_hash", format!("{:016x}", r.content_hash));
-            w.field("wall_seconds", Fixed(r.wall_seconds, 6));
-            w.field("cycles_per_second", Fixed(rate, 0)).end();
+            w.field("content_hash", format!("{:016x}", r.content_hash))
+                .end();
         }
         w.end().end();
     }
@@ -462,7 +407,6 @@ pub fn workloads_json(benches: &[WorkloadBench]) -> String {
     assert!(!benches.is_empty(), "need at least one workload section");
     let mut w = Writer::indented();
     w.object().field("name", "workloads");
-    w.field("host_cpus", benches[0].host_cpus);
     w.key("sections").array();
     for b in benches {
         b.write_section(&mut w);
@@ -493,11 +437,7 @@ pub fn run_workload_bench(
             wall_seconds: t0.elapsed().as_secs_f64(),
         });
     }
-    Ok(WorkloadBench {
-        preset,
-        host_cpus: host_cpus(),
-        runs,
-    })
+    Ok(WorkloadBench { preset, runs })
 }
 
 // ---------------------------------------------------------------------------
@@ -551,12 +491,7 @@ impl ServePass {
 
 impl ToJson for ServePass {
     fn write_json(&self, w: &mut Writer) {
-        w.object();
-        w.field("wall_seconds", Fixed(self.wall_seconds, 6));
-        w.field("jobs_per_second", Fixed(self.jobs_per_second(), 2));
-        w.field("job_seconds_p50", Fixed(self.percentile(0.50), 6));
-        w.field("job_seconds_p95", Fixed(self.percentile(0.95), 6));
-        w.field("executed_points", self.executed_points);
+        w.object().field("executed_points", self.executed_points);
         w.field("deduped_jobs", self.deduped_jobs);
         w.field("cache", self.cache).end();
     }
@@ -564,18 +499,12 @@ impl ToJson for ServePass {
 
 /// Cold-vs-cache-hit measurement of the serve daemon (`BENCH_serve.json`).
 ///
-/// Every committed field is either simulation-pure (name, preset, client
-/// and point counts, content hash, dedup counters, cache traffic — compared
-/// exactly by `--check` on any host) or an explicitly thresholded
-/// wall-clock metric; `host_cpus` is the one informational field, recorded
-/// so timing comparisons across machines downgrade to warnings. The suite
-/// test pins that audit via [`crate::regression::classify_document`].
+/// Every committed field is simulation-pure: name, preset, client and
+/// point counts, content hash, dedup counters, cache traffic.
 #[derive(Debug, Clone)]
 pub struct ServeBench {
     /// Architecture the submitted sweep targets.
     pub preset: ArchPreset,
-    /// Host CPUs during the measurement.
-    pub host_cpus: usize,
     /// Concurrent clients per pass.
     pub clients: usize,
     /// Grid points in the submitted sweep (from the result line).
@@ -600,7 +529,6 @@ impl ServeBench {
         let mut w = Writer::indented();
         w.object().field("name", "serve");
         w.field("preset", self.preset.name());
-        w.field("host_cpus", self.host_cpus);
         w.field("clients", self.clients);
         w.field("grid_points", self.grid_points);
         w.field("content_hash", &self.content_hash);
@@ -717,16 +645,17 @@ fn serve_pass(state: &Path, spec: &str, clients: usize) -> (ServePass, String) {
 /// point re-executed from disk), with `clients` concurrent clients racing
 /// the identical submission in both passes.
 ///
-/// With `state: None` a per-process temporary directory is used and wiped
-/// first. Panics if any client's result line diverges within a pass; the
-/// cross-pass byte-identity is left to [`ServeBench::check`] so `--check`
-/// reports it as a finding rather than a crash.
+/// With `state: None` a per-process temporary directory is used and
+/// removed afterwards; either way the directory is wiped first, and the
+/// process-global chase cache the daemon pointed into it is switched off
+/// on the way out. Panics if any client's result line diverges within a
+/// pass; the cross-pass byte-identity is left to [`ServeBench::check`] so
+/// `--check` reports it as a finding rather than a crash.
 pub fn run_serve_bench(preset: ArchPreset, clients: usize, state: Option<PathBuf>) -> ServeBench {
-    let state = state.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("latency-serve-bench-{}", std::process::id()))
-    });
-    // A recycled pid (or a reused explicit dir) must not hand the cold
-    // pass a warm cache or finished job records.
+    let scratch = state.is_none();
+    let state = state.unwrap_or_else(|| scratch_dir("serve"));
+    // A reused explicit dir must not hand the cold pass a warm cache or
+    // finished job records either.
     let _ = std::fs::remove_dir_all(&state);
     let (footprints, strides) = serve_grid_spec();
     let mut w = Writer::compact();
@@ -741,6 +670,10 @@ pub fn run_serve_bench(preset: ArchPreset, clients: usize, state: Option<PathBuf
     // served by one disk read instead of a simulation.
     let _ = std::fs::remove_dir_all(state.join("jobs"));
     let (warm, warm_result) = serve_pass(&state, &spec, clients);
+    disable_cache();
+    if scratch {
+        let _ = std::fs::remove_dir_all(&state);
+    }
 
     let doc = json::parse(&cold_result).expect("result line is JSON");
     let grid_points = doc
@@ -754,7 +687,6 @@ pub fn run_serve_bench(preset: ArchPreset, clients: usize, state: Option<PathBuf
         .to_string();
     ServeBench {
         preset,
-        host_cpus: host_cpus(),
         clients,
         grid_points,
         content_hash,
@@ -798,15 +730,12 @@ mod tests {
             content_hash: hash,
             sanitizer_violations: 0,
             skipped_cycles: 61_000,
-            stage_nanos: vec![7; ProfSpan::STAGES.len()],
         };
         TickBench {
             preset: ArchPreset::FermiGf100,
             num_sms: 14,
-            host_cpus: 1,
             nodes: 4096,
             degree: 8,
-            profiled: true,
             runs: vec![run(1, 2.0, 0xabcd), run(2, 1.0, 0xabcd)],
         }
     }
@@ -816,12 +745,12 @@ mod tests {
         let doc = gpu_trace::json::parse(&fake_sweep().json()).expect("valid json");
         assert_eq!(doc.get("name").and_then(|v| v.as_str()), Some("sweep"));
         assert_eq!(doc.get("grid_points").and_then(|v| v.as_num()), Some(32.0));
-        let cold = doc.get("cold").expect("cold");
         assert_eq!(
-            cold.get("cycles_per_second").and_then(|v| v.as_num()),
-            Some(500_000.0)
+            doc.get("simulated_cycles").and_then(|v| v.as_num()),
+            Some(1_000_000.0)
         );
-        assert_eq!(doc.get("speedup").and_then(|v| v.as_num()), Some(20.0));
+        let warm_cache = doc.get("warm").and_then(|w| w.get("cache")).expect("cache");
+        assert_eq!(warm_cache.get("hits").and_then(|v| v.as_num()), Some(32.0));
     }
 
     #[test]
@@ -837,10 +766,8 @@ mod tests {
     }
 
     #[test]
-    fn tick_json_carries_stage_breakdown_when_profiled() {
-        let bench = fake_tick();
-        let json = bench.json();
-        let doc = gpu_trace::json::parse(&json).expect("valid json");
+    fn tick_json_parses_and_keeps_schema() {
+        let doc = gpu_trace::json::parse(&fake_tick().json()).expect("valid json");
         assert_eq!(
             doc.get("content_hash").and_then(|v| v.as_str()),
             Some("000000000000abcd")
@@ -851,16 +778,10 @@ mod tests {
             runs[1].get("skipped_cycles").and_then(|v| v.as_num()),
             Some(61_000.0)
         );
-        let stages = runs[0].get("stages").expect("stages object");
-        assert_eq!(stages.get("tick_sms").and_then(|v| v.as_num()), Some(7.0));
         assert_eq!(
-            runs[1].get("speedup_vs_serial").and_then(|v| v.as_num()),
+            runs[1].get("tick_threads").and_then(|v| v.as_num()),
             Some(2.0)
         );
-
-        let mut unprofiled = bench;
-        unprofiled.profiled = false;
-        assert!(!unprofiled.json().contains("\"stages\""));
     }
 
     #[test]
@@ -880,7 +801,6 @@ mod tests {
     fn fake_workloads(preset: ArchPreset, hash: u64) -> WorkloadBench {
         WorkloadBench {
             preset,
-            host_cpus: 4,
             runs: vec![WorkloadRun {
                 workload: Workload::by_name("vecadd").unwrap(),
                 cycles: 1000,
@@ -940,8 +860,8 @@ mod tests {
             Some("000000000000feed")
         );
         assert_eq!(
-            runs[0].get("cycles_per_second").and_then(|v| v.as_num()),
-            Some(2000.0)
+            runs[0].get("instructions").and_then(|v| v.as_num()),
+            Some(5000.0)
         );
         // The single-section wrapper emits the same schema.
         let single =
@@ -965,7 +885,6 @@ mod tests {
         };
         ServeBench {
             preset: ArchPreset::FermiGf106,
-            host_cpus: 1,
             clients: 4,
             grid_points: 10,
             content_hash: "00000000deadbeef".to_string(),
@@ -1004,10 +923,7 @@ mod tests {
             cold.get("executed_points").and_then(|v| v.as_num()),
             Some(10.0)
         );
-        assert_eq!(
-            cold.get("jobs_per_second").and_then(|v| v.as_num()),
-            Some(2.0)
-        );
+        assert_eq!(cold.get("deduped_jobs").and_then(|v| v.as_num()), Some(3.0));
         let warm = doc.get("warm").expect("warm");
         assert_eq!(
             warm.get("cache")
@@ -1046,24 +962,26 @@ mod tests {
     }
 
     #[test]
-    fn serve_schema_is_fully_audited() {
-        // Satellite pin: every leaf the serve suite commits is either
-        // simulation-pure (compared exactly) or an explicitly thresholded
-        // timing metric. `host_cpus` is the single allowed informational
-        // field — anything else invisible to `--check` is a schema bug.
-        let classes =
-            crate::regression::classify_document(&fake_serve().json()).expect("classifiable");
-        assert!(!classes.is_empty());
-        for (path, class) in classes {
-            if path == "host_cpus" {
-                assert_eq!(class, crate::regression::MetricClass::Informational);
-                continue;
-            }
-            assert_ne!(
-                class,
-                crate::regression::MetricClass::Informational,
-                "leaf {path:?} is invisible to --check; add a rule in regression::rule_for"
-            );
-        }
+    fn wall_clock_never_reaches_a_document() {
+        // The same simulation timed on a quiet and on a busy host must
+        // render byte-identical documents: every leaf is a pin.
+        let (quiet, mut busy) = (fake_sweep(), fake_sweep());
+        busy.cold_wall_seconds *= 7.0;
+        busy.warm_wall_seconds *= 3.0;
+        assert_eq!(quiet.json(), busy.json());
+
+        let (quiet, mut busy) = (fake_tick(), fake_tick());
+        busy.runs[1].wall_seconds *= 9.0;
+        assert_eq!(quiet.json(), busy.json());
+
+        let quiet = fake_workloads(ArchPreset::FermiGf100, 0xfeed);
+        let mut busy = quiet.clone();
+        busy.runs[0].wall_seconds *= 5.0;
+        assert_eq!(quiet.json(), busy.json());
+
+        let (quiet, mut busy) = (fake_serve(), fake_serve());
+        busy.cold.wall_seconds *= 4.0;
+        busy.warm.job_seconds.iter_mut().for_each(|s| *s *= 2.0);
+        assert_eq!(quiet.json(), busy.json());
     }
 }

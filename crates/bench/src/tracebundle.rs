@@ -181,18 +181,15 @@ impl<'a> TraceBundle<'a> {
         b.finish()
     }
 
-    /// Renders `metrics.txt`: counter summaries, stall attribution and
-    /// host throughput in a stable `key = value` / table format.
+    /// Renders `metrics.txt`: counter summaries and stall attribution in a
+    /// stable `key = value` / table format. Every line is a pure function
+    /// of the simulation, so the file hashes the same on any host; host
+    /// time is on `latency trace`'s `throughput:` stdout line.
     pub fn metrics_text(&self) -> String {
         let (run, m) = (self.run, &self.run.metrics);
         let mut out = String::new();
         out.push_str(&format!("cycles = {}\n", run.cycles));
         out.push_str(&format!("content_hash = {:016x}\n", run.content_hash));
-        out.push_str(&format!("host_nanos = {}\n", m.host_nanos));
-        out.push_str(&format!(
-            "cycles_per_second = {:.0}\n",
-            m.cycles_per_second(run.cycles)
-        ));
         out.push_str(&format!("events_recorded = {}\n", m.events_recorded));
         out.push_str(&format!("events_dropped = {}\n", m.events_dropped));
         out.push_str(&format!("counter_samples = {}\n", m.samples));
@@ -319,8 +316,11 @@ mod tests {
             assert!(dir.join(f).is_file(), "missing bundle file {f}");
         }
         let metrics = std::fs::read_to_string(dir.join("metrics.txt")).unwrap();
-        assert!(metrics.contains("cycles_per_second"));
         assert!(metrics.contains("[stalls]"));
+        assert!(
+            !metrics.contains("host_nanos") && !metrics.contains("per_second"),
+            "metrics.txt must not carry host time:\n{metrics}"
+        );
         assert!(
             metrics.contains(&format!("content_hash = {:016x}", run.content_hash)),
             "metrics.txt must carry the run's content hash"

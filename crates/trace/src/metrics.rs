@@ -34,11 +34,10 @@ pub struct MetricsReport {
 ///
 /// **Zero-wall-clock contract:** a run that recorded no host time
 /// (`host_nanos == 0` — e.g. a summary restored from a snapshot taken
-/// before any ticking, or a normalised `--stable` report) has *no*
-/// throughput, and this returns exactly `0.0` rather than an infinity or a
-/// NaN. Every throughput figure in the workspace — `MetricsReport`,
-/// `RunSummary::cycles_per_second`, `latency`'s stdout and their
-/// `BENCH_*.json` artifacts — funnels through here, pinned by a shared
+/// before any ticking) has *no* throughput, and this returns exactly `0.0`
+/// rather than an infinity or a NaN. Every throughput figure in the
+/// workspace — `MetricsReport`, `RunSummary::cycles_per_second`,
+/// `latency`'s stdout — funnels through here, pinned by a shared
 /// cross-crate test.
 pub fn cycles_per_second(cycles: u64, host_nanos: u64) -> f64 {
     if host_nanos == 0 {
