@@ -16,6 +16,8 @@
 //! ([`ArchDesc::unloaded_latency`]) and the derivation of the paper's
 //! Figure-1 stage labels ([`ArchDesc::fig1_stage_labels`]).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use gpu_icnt::IcntConfig;

@@ -8,7 +8,7 @@
 //!
 //! Runs the five benchmarks from [`latency_bench::suite`] and
 //! [`latency_bench::reference`] — the sweep cold/warm cache comparison, the
-//! tick-thread bit-identity record, the end-to-end workloads (one section
+//! loaded-BFS tick-loop pin, the end-to-end workloads (one section
 //! per measured generation, paper-era and modern), the serve daemon cold
 //! vs cache-hit, and the published-reference validation of every
 //! registered preset — under the host-side self-profiler. How long each
@@ -37,13 +37,13 @@ use latency_core::ArchPreset;
 
 /// Presets are pinned per suite so results stay comparable with the
 /// committed baselines: the sweep baseline is GF106 (the §II measurement
-/// chip), tick scaling uses the full GF100, and workload throughput runs
-/// one section per generation — the paper-era GF100 plus the sectored,
-/// sliced GV100 — so the modern timing model's hashes are pinned too.
+/// chip), the loaded tick loop uses the full GF100, and workload throughput
+/// runs one section per generation — the paper-era GF100 plus the
+/// sectored, sliced GV100 — so the modern timing model's hashes are pinned
+/// too.
 const SWEEP_PRESET: ArchPreset = ArchPreset::FermiGf106;
 const FULL_PRESET: ArchPreset = ArchPreset::FermiGf100;
 const MODERN_PRESET: ArchPreset = ArchPreset::VoltaGv100;
-const TICK_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 struct Args {
     suites: Vec<String>,
@@ -137,21 +137,15 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                 results.push(SuiteResult::new("sweep", b.json()));
             }
             "tick" => {
-                println!(
-                    "[bench] tick: bfs scaling on {} at {:?} threads",
-                    FULL_PRESET.name(),
-                    TICK_THREADS
-                );
-                let mut b = run_tick_bench(FULL_PRESET, 4096, 8, &TICK_THREADS);
+                println!("[bench] tick: loaded bfs on {}", FULL_PRESET.name());
+                let mut b = run_tick_bench(FULL_PRESET, 4096, 8);
                 or_exit(b.check(), "FAIL: tick bench self-check");
-                for m in &b.runs {
-                    println!(
-                        "[bench] tick: threads={:<2} wall={:.3}s cycles={} hash={:016x}",
-                        m.tick_threads, m.wall_seconds, m.cycles, m.content_hash
-                    );
-                }
+                println!(
+                    "[bench] tick: wall={:.3}s cycles={} hash={:016x}",
+                    b.wall_seconds, b.cycles, b.content_hash
+                );
                 if args.inject {
-                    b.runs[0].content_hash ^= 1;
+                    b.content_hash ^= 1;
                 }
                 results.push(SuiteResult::new("tick", b.json()));
             }

@@ -3,18 +3,13 @@
 //! capacities, and the L1 line size.
 //!
 //! ```text
-//! latency sweep [--preset NAME] [--threads N] [--tick-threads N]
-//!     [--cache DIR] [--json]
+//! latency sweep [--preset NAME] [--threads N] [--cache DIR] [--json]
 //! NAME: tesla | fermi | gf100 | kepler | gk110 | maxwell | …   (default
 //!       fermi; chip names like gt200/gf106/gk104/gm107 also work)
 //! ```
 //!
 //! `--threads N` forces the measurement pool to N workers (`--threads 1`
 //! is fully serial); the printed grid is identical for every worker count.
-//! `--tick-threads N` additionally parallelises *inside* each simulated GPU
-//! (SMs and partitions tick concurrently); results stay bit-identical, and
-//! the grid pool shrinks to `threads / tick_threads` so the two compose
-//! within one budget.
 //! `--cache DIR` stores every measured grid point content-addressed under
 //! DIR (same as the `LATENCY_CACHE` environment variable): a repeated sweep
 //! then completes from disk without simulating anything. `--json` prints
@@ -30,7 +25,7 @@ use latency_core::{
     cache_stats, detect_plateaus, infer_hierarchy, infer_line_size, ArchPreset, ChaseSpace, Sweep,
 };
 
-pub const FLAGS: &str = "[--preset NAME] [--threads N] [--tick-threads N] [--cache DIR] [--json]";
+pub const FLAGS: &str = "[--preset NAME] [--threads N] [--cache DIR] [--json]";
 
 /// Renders the measured grid as JSON (points, skipped combinations, and
 /// this process's cache traffic).

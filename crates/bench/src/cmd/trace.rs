@@ -40,8 +40,7 @@ pub const FLAGS: &str = "[--preset NAME]\n\
      \x20      [--workload {workloads}]\n\
      \x20      [--nodes N] [--degree N] [--seed N] [--block-dim N]\n\
      \x20      [--sms N] [--partitions N] [--out DIR]\n\
-     \x20      [--sample CYCLES] [--max-events N] [--validate]\n\
-     \x20      [--progress] [--tick-threads N]\n\
+     \x20      [--sample CYCLES] [--max-events N] [--validate] [--progress]\n\
      \x20      [--checkpoint-every CYCLES] [--checkpoint-dir DIR]\n\
      \x20      [--resume DIR] [--kill-at CYCLE]   (BFS only)";
 
@@ -92,6 +91,14 @@ fn parse_args(presets: &[ArchPreset], it: &mut Cursor) -> Result<Args, UsageErro
             other => return Err(UsageError::unknown(other)),
         }
     }
+    if !args.graph.is_runnable() {
+        return Err(UsageError(
+            "--nodes, --degree and --block-dim must be positive".into(),
+        ));
+    }
+    build_cfg(&args)
+        .validate()
+        .map_err(|e| UsageError(e.to_string()))?;
     if !args.workload.resumable() && checkpointing_requested(&args) {
         return Err(UsageError(
             "--checkpoint-every/--resume/--kill-at are only supported for --workload bfs".into(),

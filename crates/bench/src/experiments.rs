@@ -86,11 +86,7 @@ pub fn run_traced(
     if env.enabled() {
         config.trace.enabled = true;
     }
-    let tick_threads = latency_core::tick_threads();
-    let executed = workload.execute(config, graph, policy, resume, |gpu| {
-        gpu.set_tick_threads(tick_threads);
-        gpu.set_tracing(true);
-    })?;
+    let executed = workload.execute(config, graph, policy, resume, |gpu| gpu.set_tracing(true))?;
     let Some((mut gpu, outcome)) = executed else {
         return Ok(None);
     };

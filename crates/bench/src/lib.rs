@@ -11,6 +11,8 @@
 //! - **E5**: [`dram_sched_comparison`] (FR-FCFS vs FCFS ablation).
 //! - **E6**: [`hiding_sweep`] (exposed latency vs. warps/SM and scheduler).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod progress;
 pub mod reference;
@@ -33,7 +35,7 @@ pub use regression::{compare_json, Finding};
 pub use suite::{
     host_cpus, run_serve_bench, run_sweep_bench, run_tick_bench, run_workload_bench,
     serve_grid_spec, sweep_grid_spec, workloads_json, ServeBench, ServePass, SweepBench, TickBench,
-    TickRun, WorkloadBench, WorkloadRun, SERVE_CLIENTS,
+    WorkloadBench, WorkloadRun, SERVE_CLIENTS,
 };
 pub use tracebundle::{env_request, stage_labels_for, track_names_for, EnvTrace, TraceBundle};
 pub use validate::{

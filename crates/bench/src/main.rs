@@ -2,15 +2,17 @@
 //! ablation and harness of the reproduction is a subcommand.
 //!
 //! ```text
-//! latency <subcommand> [--preset NAME] [--threads N] [--tick-threads N]
-//!     [--cache DIR] [subcommand flags]
+//! latency <subcommand> [--preset NAME] [--threads N] [--cache DIR]
+//!     [subcommand flags]
 //! ```
 //!
 //! The shared flags are parsed once, here, by [`latency_core::cli`] — along
-//! with the `LATENCY_THREADS` / `LATENCY_TICK_THREADS` start-up check and the
-//! `LATENCY_PROFILE` opt-in — before the subcommand's module sees what is
-//! left. Every usage error, from any layer, leaves through one
-//! [`exit_usage`] call with status 2.
+//! with the `LATENCY_THREADS` start-up check and the `LATENCY_PROFILE`
+//! opt-in — before the subcommand's module sees what is left. Every usage
+//! error, from any layer, leaves through one [`exit_usage`] call with
+//! status 2.
+
+#![forbid(unsafe_code)]
 
 use latency_core::cli::{self, exit_usage, Cursor, UsageError};
 use latency_core::ArchPreset;
@@ -34,7 +36,7 @@ mod cmd {
 use cmd::*;
 
 /// What a subcommand reads from the command line beyond the shared
-/// `--threads` / `--tick-threads` / `--cache`.
+/// `--threads` / `--cache`.
 enum Run {
     /// Nothing: one fixed experiment.
     Fixed(fn()),
@@ -73,8 +75,7 @@ const SUBCOMMANDS: [(&str, &str, Run); 14] = [
 fn top_usage() -> String {
     let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, ..)| *name).collect();
     format!(
-        "latency <subcommand> [--preset NAME] [--threads N] [--tick-threads N] [--cache DIR] \
-         [subcommand flags]\n\
+        "latency <subcommand> [--preset NAME] [--threads N] [--cache DIR] [subcommand flags]\n\
          subcommands: {}\n\
          {}\n\
          `latency <subcommand> --help` prints that subcommand's flags",

@@ -106,8 +106,8 @@ mod tests {
         "name": "tick", "preset": "GF100",
         "content_hash": "6bb54b1962cb6f45",
         "runs": [
-            {"tick_threads": 1, "simulated_cycles": 104548, "skipped_cycles": 26899},
-            {"tick_threads": 2, "simulated_cycles": 104548, "skipped_cycles": 26899}
+            {"pass": 1, "simulated_cycles": 104548, "skipped_cycles": 26899},
+            {"pass": 2, "simulated_cycles": 104548, "skipped_cycles": 26899}
         ]
     }"#;
 

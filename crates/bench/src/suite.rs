@@ -6,8 +6,9 @@
 //!
 //! - [`run_sweep_bench`]: the §II stride × footprint grid measured cold and
 //!   then warm from the content-addressed sweep cache (`BENCH_sweep.json`).
-//! - [`run_tick_bench`]: one mask BFS per tick-thread count, verifying
-//!   bit-identity across them (`BENCH_tick.json`).
+//! - [`run_tick_bench`]: one loaded mask BFS on the full machine, timing
+//!   the tick loop and pinning its hash, cycles and idle skips
+//!   (`BENCH_tick.json`).
 //! - [`run_workload_bench`]: the E4 workload set end to end, one simulated
 //!   run each, pinning `content_hash`, cycle and instruction counts
 //!   (`BENCH_workloads.json`).
@@ -188,31 +189,11 @@ fn cold_grid_cycles(cfg: &gpu_sim::GpuConfig, footprints: &[u64], strides: &[u64
 }
 
 // ---------------------------------------------------------------------------
-// Tick-scaling benchmark
+// Loaded tick-loop benchmark
 // ---------------------------------------------------------------------------
 
-/// One timed BFS run at a fixed tick-thread count.
-#[derive(Debug, Clone)]
-pub struct TickRun {
-    /// Intra-run tick threads used (1 = serial reference).
-    pub tick_threads: usize,
-    /// Wall clock of the simulated traversal.
-    pub wall_seconds: f64,
-    /// Simulated cycles (must match the serial run exactly).
-    pub cycles: u64,
-    /// `RunSummary::content_hash` (must match the serial run exactly).
-    pub content_hash: u64,
-    /// Invariant violations the sanitizer counted (must be zero).
-    pub sanitizer_violations: u64,
-    /// Idle cycles the run loop jumped over instead of ticking (must match
-    /// the serial run exactly: where the clock jumps is a property of the
-    /// simulated machine, not of the executor). Read from the
-    /// self-profiler's [`ProfCounter::CyclesSkipped`], which only counts
-    /// while profiling is on — `latency bench` always turns it on.
-    pub skipped_cycles: u64,
-}
-
-/// Tick-parallelism scaling record (`BENCH_tick.json`).
+/// The loaded-BFS pin (`BENCH_tick.json`): one timed mask BFS on the full
+/// machine, with the latency sink left off.
 #[derive(Debug, Clone)]
 pub struct TickBench {
     /// Architecture (full config, all SMs).
@@ -223,83 +204,55 @@ pub struct TickBench {
     pub nodes: u32,
     /// BFS graph out-degree.
     pub degree: u32,
-    /// One entry per tick-thread count, serial first.
-    pub runs: Vec<TickRun>,
+    /// Wall clock of the simulated traversal.
+    pub wall_seconds: f64,
+    /// Simulated cycles.
+    pub cycles: u64,
+    /// `RunSummary::content_hash`.
+    pub content_hash: u64,
+    /// Invariant violations the sanitizer counted (must be zero).
+    pub sanitizer_violations: u64,
+    /// Idle cycles the run loop jumped over instead of ticking. Read from
+    /// the self-profiler's [`ProfCounter::CyclesSkipped`], which only
+    /// counts while profiling is on — `latency bench` always turns it on.
+    pub skipped_cycles: u64,
 }
 
 impl TickBench {
     /// Renders the committed `BENCH_tick.json` schema.
     pub fn json(&self) -> String {
-        let serial = &self.runs[0];
         let workload = format!("bfs nodes={} degree={}", self.nodes, self.degree);
         let mut w = Writer::indented();
         w.object().field("name", "tick");
         w.field("preset", self.preset.name());
         w.field("num_sms", self.num_sms);
         w.field("workload", workload);
-        w.field("content_hash", format!("{:016x}", serial.content_hash));
-        w.key("runs").array();
-        for m in &self.runs {
-            w.object().field("tick_threads", m.tick_threads);
-            w.field("simulated_cycles", m.cycles);
-            w.field("skipped_cycles", m.skipped_cycles).end();
-        }
+        w.field("content_hash", format!("{:016x}", self.content_hash));
+        w.field("simulated_cycles", self.cycles);
+        w.field("skipped_cycles", self.skipped_cycles);
         w.finish()
     }
 
-    /// Determinism invariant: every parallel run must reproduce the serial
-    /// run's `content_hash` and cycle count exactly — and no run may have
-    /// tripped the sanitizer, which release builds only count.
+    /// The run must not have tripped the sanitizer, which release builds
+    /// only count.
     pub fn check(&self) -> Result<(), String> {
-        let serial = &self.runs[0];
-        if let Some(m) = self.runs.iter().find(|m| m.sanitizer_violations > 0) {
+        if self.sanitizer_violations > 0 {
             return Err(format!(
-                "{} sanitizer violation(s) at {} tick threads",
-                m.sanitizer_violations, m.tick_threads
+                "{} sanitizer violation(s) in the loaded bfs run",
+                self.sanitizer_violations
             ));
-        }
-        for m in &self.runs[1..] {
-            if m.content_hash != serial.content_hash || m.cycles != serial.cycles {
-                return Err(format!(
-                    "{} tick threads diverged from serial (hash {:016x} vs {:016x}, \
-                     cycles {} vs {})",
-                    m.tick_threads, m.content_hash, serial.content_hash, m.cycles, serial.cycles
-                ));
-            }
-            if m.skipped_cycles != serial.skipped_cycles {
-                return Err(format!(
-                    "{} tick threads skipped {} idle cycles, serial skipped {}",
-                    m.tick_threads, m.skipped_cycles, serial.skipped_cycles
-                ));
-            }
         }
         Ok(())
     }
 }
 
-/// Runs the tick-scaling benchmark: one mask BFS per entry in `threads`
-/// (serial first), timing each.
-pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32, threads: &[usize]) -> TickBench {
-    assert!(!threads.is_empty(), "need at least one tick-thread count");
+/// Runs the loaded tick-loop benchmark: one mask BFS, timed.
+pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32) -> TickBench {
     let exp = BfsExperiment {
         nodes,
         degree,
         ..BfsExperiment::default()
     };
-    let runs = threads
-        .iter()
-        .map(|&t| measure_tick(preset, &exp, t))
-        .collect();
-    TickBench {
-        preset,
-        num_sms: preset.config().num_sms,
-        nodes,
-        degree,
-        runs,
-    }
-}
-
-fn measure_tick(preset: ArchPreset, exp: &BfsExperiment, tick_threads: usize) -> TickRun {
     // The profiler's counters are cumulative and process-global: this
     // run's skipped cycles are a before/after delta — no reset, so the
     // whole bench process still adds up in the final profile.json.
@@ -310,10 +263,10 @@ fn measure_tick(preset: ArchPreset, exp: &BfsExperiment, tick_threads: usize) ->
     let run = Workload::bfs()
         .execute(
             preset.config(),
-            exp,
+            &exp,
             &CheckpointPolicy::none(),
             None,
-            |gpu| gpu.set_tick_threads(tick_threads),
+            |_| {},
         )
         .expect("bfs runs");
     let wall_seconds = t0.elapsed().as_secs_f64();
@@ -321,8 +274,11 @@ fn measure_tick(preset: ArchPreset, exp: &BfsExperiment, tick_threads: usize) ->
     let Some((_, RunOutcome::Completed(summary))) = run else {
         unreachable!("the null policy neither resumes nor kills");
     };
-    TickRun {
-        tick_threads,
+    TickBench {
+        preset,
+        num_sms: preset.config().num_sms,
+        nodes,
+        degree,
         wall_seconds,
         cycles: summary.cycles,
         content_hash: summary.content_hash,
@@ -723,20 +679,16 @@ mod tests {
     }
 
     fn fake_tick() -> TickBench {
-        let run = |t: usize, wall: f64, hash: u64| TickRun {
-            tick_threads: t,
-            wall_seconds: wall,
-            cycles: 104_548,
-            content_hash: hash,
-            sanitizer_violations: 0,
-            skipped_cycles: 61_000,
-        };
         TickBench {
             preset: ArchPreset::FermiGf100,
             num_sms: 14,
             nodes: 4096,
             degree: 8,
-            runs: vec![run(1, 2.0, 0xabcd), run(2, 1.0, 0xabcd)],
+            wall_seconds: 2.0,
+            cycles: 104_548,
+            content_hash: 0xabcd,
+            sanitizer_violations: 0,
+            skipped_cycles: 61_000,
         }
     }
 
@@ -772,30 +724,14 @@ mod tests {
             doc.get("content_hash").and_then(|v| v.as_str()),
             Some("000000000000abcd")
         );
-        let runs = doc.get("runs").and_then(|v| v.as_arr()).expect("runs");
-        assert_eq!(runs.len(), 2);
         assert_eq!(
-            runs[1].get("skipped_cycles").and_then(|v| v.as_num()),
+            doc.get("simulated_cycles").and_then(|v| v.as_num()),
+            Some(104_548.0)
+        );
+        assert_eq!(
+            doc.get("skipped_cycles").and_then(|v| v.as_num()),
             Some(61_000.0)
         );
-        assert_eq!(
-            runs[1].get("tick_threads").and_then(|v| v.as_num()),
-            Some(2.0)
-        );
-    }
-
-    #[test]
-    fn tick_check_rejects_divergent_hash() {
-        assert!(fake_tick().check().is_ok());
-        let mut bad = fake_tick();
-        bad.runs[1].content_hash ^= 1;
-        assert!(bad.check().is_err());
-        let mut bad_cycles = fake_tick();
-        bad_cycles.runs[1].cycles += 1;
-        assert!(bad_cycles.check().is_err());
-        let mut bad_skips = fake_tick();
-        bad_skips.runs[1].skipped_cycles -= 1;
-        assert!(bad_skips.check().is_err());
     }
 
     fn fake_workloads(preset: ArchPreset, hash: u64) -> WorkloadBench {
@@ -818,8 +754,8 @@ mod tests {
         // broken machine must turn into a failing exit status.
         let mut tick = fake_tick();
         assert!(tick.check().is_ok());
-        tick.runs[0].sanitizer_violations = 3;
-        let err = tick.check().expect_err("serial run tripped the sanitizer");
+        tick.sanitizer_violations = 3;
+        let err = tick.check().expect_err("the run tripped the sanitizer");
         assert!(err.contains("3 sanitizer violation"), "{err}");
 
         let mut workloads = fake_workloads(ArchPreset::FermiGf100, 1);
@@ -971,7 +907,7 @@ mod tests {
         assert_eq!(quiet.json(), busy.json());
 
         let (quiet, mut busy) = (fake_tick(), fake_tick());
-        busy.runs[1].wall_seconds *= 9.0;
+        busy.wall_seconds *= 9.0;
         assert_eq!(quiet.json(), busy.json());
 
         let quiet = fake_workloads(ArchPreset::FermiGf100, 0xfeed);

@@ -47,6 +47,8 @@
 //! assert_eq!(report.count(latency_check::Severity::Info), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cfg;
 pub mod concurrency;
 pub mod cost;

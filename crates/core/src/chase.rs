@@ -261,7 +261,6 @@ pub fn write_shuffled_chain(gpu: &mut Gpu, base: Addr, count: u64, stride: u64, 
 
 fn run_once(config: &GpuConfig, params: &ChaseParams, iters: u64) -> Result<u64, ChaseError> {
     let mut gpu = Gpu::new(config.clone());
-    gpu.set_tick_threads(crate::parallel::tick_threads());
     let kernel = build_chase_kernel(params);
     let (base, sink) = match params.space {
         ChaseSpace::Global => {

@@ -11,7 +11,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use crate::parallel::{env_tick_threads, env_worker_count, parse_thread_count, ThreadCountError};
+use crate::parallel::{env_worker_count, parse_thread_count, ThreadCountError};
 use crate::ArchPreset;
 
 /// A command line this program cannot run; [`exit_usage`] turns it into
@@ -71,15 +71,14 @@ pub fn valid_presets() -> String {
     format!("valid presets: {}", ArchPreset::valid_tokens())
 }
 
-/// Refuses a zero or garbled `LATENCY_TICK_THREADS` / `LATENCY_THREADS`,
-/// which the forgiving library readers would otherwise silently ignore.
-/// Binaries call this once at start-up.
+/// Refuses a zero or garbled `LATENCY_THREADS`, which the forgiving
+/// library reader would otherwise silently ignore. Binaries call this once
+/// at start-up.
 ///
 /// # Errors
 ///
-/// The [`ThreadCountError`] of the first set-but-invalid variable.
+/// The [`ThreadCountError`] of a set-but-invalid variable.
 pub fn check_env() -> Result<(), UsageError> {
-    env_tick_threads()?;
     env_worker_count()?;
     Ok(())
 }
@@ -92,8 +91,6 @@ pub struct Shared {
     pub presets: Vec<ArchPreset>,
     /// `--threads N`: measurement-pool workers.
     pub threads: Option<usize>,
-    /// `--tick-threads N`: threads ticking inside each simulated GPU.
-    pub tick_threads: Option<usize>,
     /// `--cache DIR`: content-addressed chase-measurement cache.
     pub cache: Option<PathBuf>,
 }
@@ -104,9 +101,6 @@ impl Shared {
     pub fn apply(&self) {
         if let Some(n) = self.threads {
             crate::set_worker_count(n);
-        }
-        if let Some(n) = self.tick_threads {
-            crate::set_tick_threads(n);
         }
         if let Some(dir) = &self.cache {
             crate::set_cache_dir(dir);
@@ -198,7 +192,6 @@ impl Cursor {
             match arg.as_str() {
                 "--preset" => shared.presets.push(self.preset("--preset")?),
                 "--threads" => shared.threads = Some(self.threads("--threads")?),
-                "--tick-threads" => shared.tick_threads = Some(self.threads("--tick-threads")?),
                 "--cache" => shared.cache = Some(PathBuf::from(self.value("--cache")?)),
                 _ => rest.push(arg),
             }
@@ -254,7 +247,7 @@ mod tests {
 
     #[test]
     fn thread_flags_reject_zero_and_garbled() {
-        for flag in ["--threads", "--tick-threads"] {
+        for flag in ["--threads", "--workers"] {
             assert_eq!(cursor(&["4"]).threads(flag), Ok(4));
             let zero = cursor(&["0"]).threads(flag).unwrap_err();
             assert_eq!(
@@ -293,8 +286,6 @@ mod tests {
             "3",
             "--out",
             "x",
-            "--tick-threads",
-            "2",
             "--preset",
             "kepler",
             "--cache",
@@ -306,7 +297,6 @@ mod tests {
             Shared {
                 presets: vec![ArchPreset::FermiGf100, ArchPreset::KeplerGk104],
                 threads: Some(3),
-                tick_threads: Some(2),
                 cache: Some(PathBuf::from("/tmp/c")),
             }
         );
@@ -317,7 +307,6 @@ mod tests {
     #[test]
     fn shared_flags_fail_before_dispatch() {
         assert!(cursor(&["--threads", "0"]).shared().is_err());
-        assert!(cursor(&["--tick-threads", "0"]).shared().is_err());
         assert!(cursor(&["--json", "--cache"]).shared().is_err());
         assert!(cursor(&["--preset", "h100"]).shared().is_err());
     }

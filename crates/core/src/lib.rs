@@ -28,6 +28,8 @@
 //! # Ok::<(), latency_core::ChaseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod breakdown;
 pub mod bucketing;
 pub mod cache;
@@ -57,9 +59,8 @@ pub use exposure::ExposureAnalysis;
 pub use inference::{infer_hierarchy, infer_line_size, CacheLevelEstimate};
 pub use loaded::{build_loaded_kernel, loaded_chase, measure_chase_under_load, LoadedChase};
 pub use parallel::{
-    clear_tick_threads, clear_worker_count, env_tick_threads, env_worker_count, grid_worker_count,
-    par_map, parse_thread_count, set_tick_threads, set_worker_count, tick_threads, try_par_map,
-    worker_count, ThreadCountError,
+    clear_worker_count, env_worker_count, par_map, parse_thread_count, set_tick_threads,
+    set_worker_count, try_par_map, worker_count, ThreadCountError,
 };
 pub use plateau::{detect_plateaus, Plateau};
 pub use presets::{ArchPreset, Table1Row};

@@ -131,7 +131,6 @@ fn run_once(
     iters: u64,
 ) -> Result<u64, ChaseError> {
     let mut gpu = Gpu::new(config.clone());
-    gpu.set_tick_threads(crate::parallel::tick_threads());
     let chain = gpu.alloc(params.footprint, config.line_size);
     write_chain(&mut gpu, chain, params.count(), params.stride);
     let flag = gpu.alloc(16, config.line_size);

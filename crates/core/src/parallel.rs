@@ -39,13 +39,12 @@ pub const THREADS_ENV: &str = "LATENCY_THREADS";
 
 /// Why a requested thread count was rejected.
 ///
-/// Produced by [`parse_thread_count`], [`env_tick_threads`] and
-/// [`env_worker_count`] so the binaries can refuse `--tick-threads 0`,
-/// `--threads 0`, `LATENCY_TICK_THREADS=0` and `LATENCY_THREADS=0` with a
+/// Produced by [`parse_thread_count`] and [`env_worker_count`] so the
+/// binaries can refuse `--threads 0` and `LATENCY_THREADS=0` with a
 /// specific message instead of silently falling back to a default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThreadCountError {
-    /// The value parsed but was zero; zero threads cannot tick anything.
+    /// The value parsed but was zero; zero threads cannot run anything.
     Zero {
         /// Which knob carried the value (flag name or env var name).
         source: &'static str,
@@ -92,29 +91,12 @@ pub fn parse_thread_count(value: &str, source: &'static str) -> Result<usize, Th
     }
 }
 
-/// Validates [`TICK_THREADS_ENV`], returning the configured count (1 when
-/// the variable is unset).
-///
-/// [`tick_threads`] itself stays forgiving (library callers deep inside a
-/// sweep cannot usefully abort), so binaries call this once at startup to
-/// turn a nonsensical environment into a typed usage error.
-///
-/// # Errors
-///
-/// Propagates [`parse_thread_count`] rejections for a set-but-invalid
-/// variable.
-pub fn env_tick_threads() -> Result<usize, ThreadCountError> {
-    match std::env::var(TICK_THREADS_ENV) {
-        Ok(v) => parse_thread_count(&v, TICK_THREADS_ENV),
-        Err(_) => Ok(1),
-    }
-}
-
 /// Validates [`THREADS_ENV`], returning the configured worker count (`None`
 /// when the variable is unset and the CPU count decides).
 ///
-/// [`worker_count`] stays forgiving for the same reason [`tick_threads`]
-/// does; binaries call this once at startup.
+/// [`worker_count`] itself stays forgiving (library callers deep inside a
+/// sweep cannot usefully abort), so binaries call this once at startup to
+/// turn a nonsensical environment into a typed usage error.
 ///
 /// # Errors
 ///
@@ -127,15 +109,8 @@ pub fn env_worker_count() -> Result<Option<usize>, ThreadCountError> {
     }
 }
 
-/// Environment variable setting the intra-run tick-thread count (a positive
-/// integer). `1` (the default) runs every simulated cycle serially.
-pub const TICK_THREADS_ENV: &str = "LATENCY_TICK_THREADS";
-
 /// Process-wide programmatic override; 0 means "unset".
 static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide tick-thread override; 0 means "unset".
-static TICK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Forces the pool to `n` workers for the rest of the process (e.g. from a
 /// `--threads N` CLI flag). `n = 1` forces fully serial execution. Takes
@@ -172,51 +147,11 @@ pub fn worker_count() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Forces every simulator built by this crate's runners to tick with `n`
-/// threads (e.g. from a `--tick-threads N` CLI flag). `n = 1` forces the
-/// serial cycle loop. Takes precedence over [`TICK_THREADS_ENV`].
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn set_tick_threads(n: usize) {
-    assert!(n > 0, "tick-thread count must be positive");
-    TICK_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Clears a previous [`set_tick_threads`] override.
-pub fn clear_tick_threads() {
-    TICK_OVERRIDE.store(0, Ordering::Relaxed);
-}
-
-/// The intra-run tick-thread count: the programmatic override if set, else
-/// `LATENCY_TICK_THREADS` if set to a positive integer, else 1 (serial).
-///
-/// Unlike [`worker_count`], this does *not* default to the machine's CPU
-/// count: grid-level parallelism (many independent simulators) is the better
-/// use of cores, so intra-run ticking is opt-in.
-pub fn tick_threads() -> usize {
-    let forced = TICK_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(v) = std::env::var(TICK_THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    1
-}
-
-/// The worker count available to a *grid-level* parallel region once each
-/// grid point spends [`tick_threads`] threads ticking its own simulator:
-/// `max(1, worker_count() / tick_threads())`, so the total thread budget
-/// (`LATENCY_THREADS`) bounds `grid workers × tick threads`.
-pub fn grid_worker_count() -> usize {
-    (worker_count() / tick_threads()).max(1)
-}
+/// Frozen no-op shim: there is no intra-run tick-thread count to set since
+/// the parallel tick executor was deleted. `benchmark/` (frozen, see
+/// BENCHMARK.json) still calls this once; DESIGN.md, "Frozen signatures",
+/// says when it goes.
+pub fn set_tick_threads(_n: usize) {}
 
 /// Applies `f` to every item, possibly in parallel, returning results in
 /// input order.
@@ -238,7 +173,7 @@ where
 {
     use gpu_sim::profile::{self, ProfCounter, ProfSpan};
     let n = items.len();
-    let workers = grid_worker_count().min(n);
+    let workers = worker_count().min(n);
     if workers <= 1 {
         return items
             .iter()
@@ -347,56 +282,24 @@ mod tests {
     }
 
     #[test]
-    fn tick_threads_divide_the_grid_budget() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
-        set_worker_count(8);
-        set_tick_threads(1);
-        assert_eq!(grid_worker_count(), 8);
-        set_tick_threads(4);
-        assert_eq!(grid_worker_count(), 2);
-        set_tick_threads(16); // oversubscribed: grid still gets one worker
-        assert_eq!(grid_worker_count(), 1);
-        clear_tick_threads();
-        clear_worker_count();
-        assert_eq!(tick_threads(), 1, "serial ticking is the default");
-    }
-
-    #[test]
-    fn tick_thread_requests_are_validated() {
-        assert_eq!(parse_thread_count("4", "--tick-threads"), Ok(4));
-        assert_eq!(parse_thread_count(" 2 ", "--tick-threads"), Ok(2));
-        let zero = parse_thread_count("0", "--tick-threads");
+    fn thread_count_requests_are_validated() {
+        assert_eq!(parse_thread_count("4", "--threads"), Ok(4));
+        assert_eq!(parse_thread_count(" 2 ", "--threads"), Ok(2));
+        let zero = parse_thread_count("0", "--threads");
         assert_eq!(
             zero,
             Err(ThreadCountError::Zero {
-                source: "--tick-threads"
+                source: "--threads"
             })
         );
         assert_eq!(
             zero.unwrap_err().to_string(),
-            "--tick-threads must be a positive integer, got 0"
+            "--threads must be a positive integer, got 0"
         );
         assert!(matches!(
-            parse_thread_count("many", "--tick-threads"),
+            parse_thread_count("many", "--threads"),
             Err(ThreadCountError::Malformed { .. })
         ));
-    }
-
-    #[test]
-    fn env_tick_threads_rejects_zero_but_defaults_when_unset() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
-        std::env::remove_var(TICK_THREADS_ENV);
-        assert_eq!(env_tick_threads(), Ok(1));
-        std::env::set_var(TICK_THREADS_ENV, "3");
-        assert_eq!(env_tick_threads(), Ok(3));
-        std::env::set_var(TICK_THREADS_ENV, "0");
-        assert_eq!(
-            env_tick_threads(),
-            Err(ThreadCountError::Zero {
-                source: TICK_THREADS_ENV
-            })
-        );
-        std::env::remove_var(TICK_THREADS_ENV);
     }
 
     #[test]

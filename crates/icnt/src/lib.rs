@@ -34,6 +34,8 @@
 //! assert_eq!(xbar.eject(1, Cycle::new(8)), Some("pkt"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gpu_types::{Cycle, DelayQueue};
 
 /// Crossbar configuration.
@@ -184,33 +186,6 @@ impl<T> Crossbar<T> {
         self.queues[dst].front_ready(now)
     }
 
-    /// Splits the crossbar into one independently borrowable ejection port
-    /// per destination, so a parallel tick stage can drain every port
-    /// concurrently. Each port owns its destination's queue and bandwidth
-    /// counter; only the shared [`IcntStats::ejected`] tally is deferred —
-    /// the caller must sum [`EjectPort::delivered`] back via
-    /// [`Crossbar::credit_ejected`] after the concurrent stage (a plain sum,
-    /// so the tally is independent of completion order).
-    pub fn eject_ports(&mut self) -> Vec<EjectPort<'_, T>> {
-        let eject_per_dst = self.config.eject_per_dst;
-        self.queues
-            .iter_mut()
-            .zip(self.ejected_this_cycle.iter_mut())
-            .map(|(queue, ejected)| EjectPort {
-                queue,
-                ejected,
-                eject_per_dst,
-                delivered: 0,
-            })
-            .collect()
-    }
-
-    /// Folds per-port delivery counts from a concurrent ejection stage back
-    /// into [`IcntStats::ejected`].
-    pub fn credit_ejected(&mut self, n: u64) {
-        self.stats.ejected += n;
-    }
-
     /// The earliest cycle at which a packet can eject: the smallest head
     /// ready time over the destination queues ([`Cycle::MAX`] when nothing
     /// is in flight). A head that is already deliverable but was not
@@ -288,37 +263,6 @@ impl<T> Crossbar<T> {
         self.stats.ejected = d.u64()?;
         self.stats.inject_stalls = d.u64()?;
         Ok(())
-    }
-}
-
-/// One destination's ejection port, split out of a [`Crossbar`] by
-/// [`Crossbar::eject_ports`]. Ejection through a port is identical to
-/// [`Crossbar::eject`] on that destination, except the shared statistics
-/// tally is deferred to [`EjectPort::delivered`].
-#[derive(Debug)]
-pub struct EjectPort<'a, T> {
-    queue: &'a mut DelayQueue<T>,
-    ejected: &'a mut usize,
-    eject_per_dst: usize,
-    delivered: u64,
-}
-
-impl<T> EjectPort<'_, T> {
-    /// Ejects the next delivered packet, if its traversal latency has
-    /// elapsed and ejection bandwidth remains this cycle.
-    pub fn eject(&mut self, now: Cycle) -> Option<T> {
-        if *self.ejected >= self.eject_per_dst {
-            return None;
-        }
-        let item = self.queue.pop_ready(now)?;
-        *self.ejected += 1;
-        self.delivered += 1;
-        Some(item)
-    }
-
-    /// Packets this port delivered since it was split off.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 }
 
@@ -420,42 +364,6 @@ mod tests {
         x.begin_cycle();
         assert_eq!(x.eject(0, Cycle::new(6)), Some(11));
         assert_eq!(x.stats().ejected, 2);
-    }
-
-    #[test]
-    fn eject_ports_mirror_serial_ejection() {
-        // Same traffic through both drain paths: per-port ejection must obey
-        // the same latency and bandwidth rules and land on the same stats.
-        let mut serial = xbar(5, 8);
-        let mut split = xbar(5, 8);
-        for x in [&mut serial, &mut split] {
-            x.begin_cycle();
-            x.try_inject(0, 0, 10, Cycle::new(0)).unwrap();
-            x.try_inject(1, 1, 20, Cycle::new(0)).unwrap();
-            x.begin_cycle();
-            x.try_inject(0, 0, 11, Cycle::new(1)).unwrap();
-            x.begin_cycle();
-        }
-        let now = Cycle::new(5);
-        let a = (
-            serial.eject(0, now),
-            serial.eject(0, now),
-            serial.eject(1, now),
-        );
-        let (b, credit) = {
-            let mut ports = split.eject_ports();
-            let b = (
-                ports[0].eject(now),
-                ports[0].eject(now),
-                ports[1].eject(now),
-            );
-            (b, ports.iter().map(|p| p.delivered()).sum::<u64>())
-        };
-        split.credit_ejected(credit);
-        assert_eq!(a, b);
-        assert_eq!(a, (Some(10), None, Some(20)));
-        assert_eq!(split.stats(), serial.stats());
-        assert_eq!(split.in_flight(), serial.in_flight());
     }
 
     #[test]

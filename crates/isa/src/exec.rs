@@ -254,21 +254,6 @@ impl WarpExec {
         self.threads[lane].regs[reg as usize]
     }
 
-    /// Overwrites one lane's architectural register.
-    ///
-    /// This exists for deferred memory commit: a timing model may buffer a
-    /// load/atomic performed during [`WarpExec::step`] and patch the
-    /// destination register afterwards, once the true memory-order value is
-    /// known. Safe because each lane only reads its own registers and no
-    /// instruction issues again before the patch lands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` or `reg` is out of range.
-    pub fn poke_reg(&mut self, lane: usize, reg: crate::instr::Reg, value: u64) {
-        self.threads[lane].regs[reg as usize] = value;
-    }
-
     fn operand(&self, lane: usize, op: Operand) -> u64 {
         match op {
             Operand::Reg(r) => self.threads[lane].regs[r as usize],

@@ -36,6 +36,8 @@
 //! # Ok::<(), gpu_isa::ValidateError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 mod builder;
 mod exec;

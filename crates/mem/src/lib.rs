@@ -16,6 +16,8 @@
 //! The cycle-by-cycle wiring of these pieces into SMs, an interconnect and
 //! memory partitions lives in the `gpu-sim` crate.
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod device;
 mod dram;

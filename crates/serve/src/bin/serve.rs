@@ -1,8 +1,7 @@
 //! The `serve` daemon bin.
 //!
 //! ```text
-//! serve [--listen ADDR] [--unix PATH] [--stdio] [--state DIR]
-//!       [--workers N] [--tick-threads N]
+//! serve [--listen ADDR] [--unix PATH] [--stdio] [--state DIR] [--workers N]
 //! ```
 //!
 //! Defaults to TCP on `127.0.0.1:4780`; `--listen 127.0.0.1:0` picks an
@@ -15,6 +14,8 @@
 //! unfinished jobs re-enqueued *before* the first connection is accepted,
 //! so a client watching a job killed mid-flight reattaches to work that is
 //! already running again.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 
@@ -31,22 +32,21 @@ struct Args {
     workers: usize,
 }
 
-const USAGE: &str = "serve [--listen ADDR] [--unix PATH] [--stdio] [--state DIR]\n\
-     \x20            [--workers N] [--tick-threads N]";
+const USAGE: &str = "serve [--listen ADDR] [--unix PATH] [--stdio] [--state DIR] [--workers N]";
 
 fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     if args.wants_help() {
         return Err(UsageError::help());
     }
-    // A garbled LATENCY_TICK_THREADS or LATENCY_THREADS would silently
-    // fall back to a default; refuse it up front like a bad flag.
+    // A garbled LATENCY_THREADS would silently fall back to a default;
+    // refuse it up front like a bad flag.
     cli::check_env()?;
     let mut parsed = Args {
         listen: "127.0.0.1:4780".to_string(),
         unix: None,
         stdio: false,
         state: PathBuf::from("serve-state"),
-        workers: latency_core::grid_worker_count(),
+        workers: latency_core::worker_count(),
     };
     while let Some(arg) = args.next_arg() {
         match arg.as_str() {
@@ -55,7 +55,6 @@ fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
             "--stdio" => parsed.stdio = true,
             "--state" => parsed.state = PathBuf::from(args.value("--state")?),
             "--workers" => parsed.workers = args.threads("--workers")?,
-            "--tick-threads" => latency_core::set_tick_threads(args.threads("--tick-threads")?),
             other => return Err(UsageError::unknown(other)),
         }
     }

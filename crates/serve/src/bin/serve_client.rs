@@ -22,6 +22,8 @@
 //! terminal event is a successful `result` (or the one-shot command
 //! succeeded), 1 on `failed`/`cancelled`/`error`.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::exit;
 use std::str::FromStr;

@@ -18,6 +18,8 @@
 //! Everything is std-only and rides on `gpu_trace::json` (the workspace's
 //! one parser and one writer) for every line read or written.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod proto;
 pub mod server;

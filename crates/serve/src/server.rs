@@ -2,8 +2,8 @@
 //!
 //! One [`Server`] owns three maps behind a single mutex — jobs by id,
 //! chase points by cache key, and a FIFO work queue — plus a bounded worker
-//! pool sized to the `LATENCY_THREADS`/tick-thread budget. Submissions
-//! dedup at two levels:
+//! pool sized to the `LATENCY_THREADS` budget. Submissions dedup at two
+//! levels:
 //!
 //! * **job level** — an identical spec (same [`JobSpec::job_id`]) joins the
 //!   existing job instead of spawning a second one; every attached client
@@ -53,12 +53,11 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Config with the default pool width: the `LATENCY_THREADS` budget
-    /// divided by the per-simulation tick threads, so `workers × tick
-    /// threads` never oversubscribes the host.
+    /// ([`latency_core::worker_count`]).
     pub fn new(state_dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             state_dir: state_dir.into(),
-            workers: latency_core::grid_worker_count(),
+            workers: latency_core::worker_count(),
         }
     }
 }
@@ -647,15 +646,12 @@ fn run_or_resume_bfs(
     ckpt: &Path,
 ) -> Result<String, String> {
     let config = spec.build_config().map_err(|e| e.to_string())?;
-    let tick_threads = latency_core::tick_threads();
     let execute = |config: GpuConfig, resume| {
         // A traversal that fails verification (or, in debug builds, trips
         // the sanitizer) panics; the job must fail, not take the worker
         // thread down with it.
         catch_unwind(AssertUnwindSafe(|| {
-            Workload::bfs().execute(config, exp, policy, resume, |gpu| {
-                gpu.set_tick_threads(tick_threads)
-            })
+            Workload::bfs().execute(config, exp, policy, resume, |_| {})
         }))
         .map_err(|_| "BFS run panicked (device output failed verification?)".to_string())?
         .map_err(|e| e.to_string())

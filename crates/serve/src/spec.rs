@@ -285,7 +285,7 @@ fn parse_bfs(bfs: &Value) -> Result<JobKind, SpecError> {
         block_dim: field_u64(bfs, "block_dim", 1 << 10)? as u32,
     };
     let checkpoint_every = field_u64(bfs, "checkpoint_every", u64::MAX)?;
-    if exp.nodes == 0 || exp.degree == 0 || exp.block_dim == 0 || checkpoint_every == 0 {
+    if !exp.is_runnable() || checkpoint_every == 0 {
         return Err(SpecError::BadField(
             "bfs nodes, degree, block_dim, and checkpoint_every must be positive".to_string(),
         ));

@@ -5,23 +5,21 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use gpu_icnt::{Crossbar, EjectPort};
+use gpu_icnt::Crossbar;
 use gpu_isa::{Kernel, Launch, LocalMap, ValidateError};
 use gpu_mem::{AddressMap, DeviceMemory, MemRequest, Stamp};
 use gpu_snapshot::{store, Decoder, Encoder, SnapshotError, StableHasher};
 use gpu_trace::profile::{self, ProfCounter, ProfSpan};
 use gpu_trace::{
-    CounterKind, EventKind, NetDir, StallReason, TraceConfig, TraceData, TraceEvent, TraceSite,
-    Tracer,
+    CounterKind, EventKind, NetDir, StallReason, TraceData, TraceEvent, TraceSite, Tracer,
 };
 use gpu_types::{Addr, CtaId, Cycle, PartitionId, SmId};
 
 use crate::clock::{ClockedComponent, TickSchedule, TickStage};
 use crate::config::GpuConfig;
-use crate::exec_par::{self, TickPool};
 use crate::partition::Partition;
 use crate::sanitizer::{Sanitizer, Violation};
-use crate::sm::{DeferredDeviceOp, DeviceAccess, Sm};
+use crate::sm::Sm;
 use crate::stats::{CompletedRequest, LoadInstrRecord, RunSummary, SmStats, TraceSink};
 
 /// Minimum host time between self-profiler snapshots (the host-clock
@@ -96,62 +94,6 @@ struct LaunchState {
     launch: Launch,
     local_map: LocalMap,
     next_cta: u32,
-}
-
-/// Builds a scratch tracer for one component's share of a concurrent stage.
-/// Uncapped (`max_events = usize::MAX`): the *main* tracer's cap and drop
-/// accounting are applied when the scratch is drained into it, so the merged
-/// stream is bit-identical to a serial run's.
-fn scratch_tracer() -> Tracer {
-    Tracer::new(TraceConfig {
-        enabled: false,
-        sample_interval: 64,
-        max_events: usize::MAX,
-        counter_capacity: 1,
-    })
-}
-
-/// Per-SM collection buffers for the parallel `TickSms` stage: everything an
-/// SM's tick would have written into shared accumulators lands here instead,
-/// and is merged serially in SM-index order at the end of the stage. Always
-/// drained empty at cycle boundaries, so none of this is serialized.
-#[derive(Debug)]
-struct SmScratch {
-    tracer: Tracer,
-    sink: TraceSink,
-    sanitizer: Sanitizer,
-    ops: Vec<DeferredDeviceOp>,
-    retired: u64,
-    created: u64,
-}
-
-impl SmScratch {
-    fn new() -> Self {
-        SmScratch {
-            tracer: scratch_tracer(),
-            sink: TraceSink::default(),
-            sanitizer: Sanitizer::new(),
-            ops: Vec::new(),
-            retired: 0,
-            created: 0,
-        }
-    }
-}
-
-/// Per-partition collection buffers for the parallel `TickPartitions` stage.
-#[derive(Debug)]
-struct PartScratch {
-    tracer: Tracer,
-    stores_done: u64,
-}
-
-impl PartScratch {
-    fn new() -> Self {
-        PartScratch {
-            tracer: scratch_tracer(),
-            stores_done: 0,
-        }
-    }
 }
 
 /// Where and how often [`Gpu::run_checkpointed`] writes checkpoints.
@@ -252,18 +194,9 @@ pub struct Gpu {
     content_hash: u64,
     host_tag: Vec<u8>,
     /// Distinct names of the kernels launched, in first-launch order.
-    /// Host-side bookkeeping like `exec`: never serialized.
+    /// Host-side bookkeeping: never serialized.
     launched: Vec<String>,
     schedule: TickSchedule,
-    /// Parallel tick executor (`None` = the serial cycle loop). Host-side
-    /// machinery, never serialized: a restored GPU starts serial and the
-    /// caller re-applies [`Gpu::set_tick_threads`].
-    exec: Option<TickPool>,
-    sm_scratch: Vec<SmScratch>,
-    part_scratch: Vec<PartScratch>,
-    /// Test hook: merge scratch buffers in reverse component order, to prove
-    /// the determinism suite catches a shuffled merge.
-    reverse_merge: bool,
 }
 
 impl Gpu {
@@ -308,68 +241,15 @@ impl Gpu {
             host_tag: Vec::new(),
             launched: Vec::new(),
             schedule: TickSchedule::derive(&cfg),
-            exec: None,
-            sm_scratch: Vec::new(),
-            part_scratch: Vec::new(),
-            reverse_merge: false,
             cfg,
         }
     }
 
-    /// Sets the number of threads the cycle loop uses for the parallel
-    /// `TickSms` / `TickPartitions` stages. `n <= 1` (the default) selects
-    /// the serial cycle loop; larger values spawn a persistent [`TickPool`]
-    /// of `n - 1` workers that the calling thread joins each stage.
-    ///
-    /// Results are bit-identical at every thread count: same
-    /// [`RunSummary::content_hash`], same trace-event stream, same sanitizer
-    /// findings (pinned by the `tick_determinism` test suite). The setting
-    /// is host-side machinery — it is not part of [`GpuConfig`], does not
-    /// enter the content hash, and is not serialized into snapshots (a
-    /// restored GPU starts serial; call this again to re-parallelize).
-    pub fn set_tick_threads(&mut self, n: usize) {
-        if n <= 1 {
-            self.exec = None;
-            self.sm_scratch.clear();
-            self.part_scratch.clear();
-            return;
-        }
-        if self.exec.as_ref().map(TickPool::threads) != Some(n) {
-            // Drop first so the old pool's workers exit before new spawns.
-            self.exec = None;
-            self.exec = Some(TickPool::new(n));
-        }
-        self.sm_scratch = (0..self.sms.len()).map(|_| SmScratch::new()).collect();
-        self.part_scratch = (0..self.partitions.len())
-            .map(|_| PartScratch::new())
-            .collect();
-    }
-
-    /// Threads the cycle loop ticks with (1 = serial).
-    pub fn tick_threads(&self) -> usize {
-        self.exec.as_ref().map_or(1, TickPool::threads)
-    }
-
-    /// Test hook: merges per-component scratch buffers in *reverse*
-    /// component order during parallel stages. Deliberately wrong — it
-    /// exists so the determinism suite can prove a shuffled merge is
-    /// observable (trace events diverge) and that the index-ordered merge is
-    /// therefore load-bearing. No effect on the serial cycle loop or on
-    /// device-memory replay order (which would change simulation results,
-    /// not just observation order).
-    pub fn debug_set_reverse_merge(&mut self, on: bool) {
-        self.reverse_merge = on;
-    }
-
-    /// Component-index merge order for parallel-stage scratch buffers
-    /// (reversed under the [`Gpu::debug_set_reverse_merge`] test hook).
-    fn merge_order(&self, n: usize) -> Vec<usize> {
-        if self.reverse_merge {
-            (0..n).rev().collect()
-        } else {
-            (0..n).collect()
-        }
-    }
+    /// Frozen no-op shim: the parallel tick executor is gone and every run
+    /// ticks on the one serial loop. `benchmark/` (frozen, see
+    /// BENCHMARK.json) still calls this once; DESIGN.md, "Frozen
+    /// signatures", says when it goes.
+    pub fn set_tick_threads(&mut self, _n: usize) {}
 
     /// The per-cycle stage schedule this GPU executes (derived from its
     /// configuration at construction).
@@ -1031,14 +911,10 @@ impl Gpu {
                 self.reply_net.begin_cycle();
             }
             TickStage::TickPartitions => {
-                if self.exec.is_none() {
-                    for p in &mut self.partitions {
-                        let _g = profile::span(ProfSpan::PartitionTick);
-                        let stores_done = p.tick(now, &mut self.tracer);
-                        self.outstanding -= stores_done;
-                    }
-                } else {
-                    self.tick_partitions_parallel(now);
+                for p in &mut self.partitions {
+                    let _g = profile::span(ProfSpan::PartitionTick);
+                    let stores_done = p.tick(now, &mut self.tracer);
+                    self.outstanding -= stores_done;
                 }
             }
             TickStage::InjectReplies => {
@@ -1091,10 +967,6 @@ impl Gpu {
                 }
             }
             TickStage::TickSms => {
-                if self.exec.is_some() {
-                    self.tick_sms_parallel(now);
-                    return;
-                }
                 let sanitize = self.cfg.sanitize;
                 for si in 0..self.sms.len() {
                     let _g = profile::span(ProfSpan::SmTick);
@@ -1152,12 +1024,8 @@ impl Gpu {
                         }
                     }
 
-                    let created = sm.tick_issue(
-                        now,
-                        DeviceAccess::Direct(&mut self.device),
-                        &mut self.sink,
-                        &mut self.tracer,
-                    );
+                    let created =
+                        sm.tick_issue(now, &mut self.device, &mut self.sink, &mut self.tracer);
                     self.outstanding += created;
                     sm.maintain();
                 }
@@ -1178,195 +1046,6 @@ impl Gpu {
                 profile::sample_at_interval(PROFILE_SAMPLE_GAP_NANOS);
             }
             TickStage::AdvanceClock => self.now.tick(),
-        }
-    }
-
-    /// Parallel `TickPartitions`: every partition ticks concurrently into
-    /// its own scratch buffer; store-completion counts and trace events are
-    /// merged in partition-index order afterwards, reproducing the serial
-    /// loop bit-for-bit (partitions share no state, so only the observation
-    /// order needs pinning).
-    fn tick_partitions_parallel(&mut self, now: Cycle) {
-        let tracing = self.tracer.enabled();
-        for sc in &mut self.part_scratch {
-            sc.tracer.set_enabled(tracing);
-            sc.stores_done = 0;
-        }
-        {
-            let _fan = profile::span(ProfSpan::PartitionsFanout);
-            let mut work: Vec<(&mut Partition, &mut PartScratch)> = self
-                .partitions
-                .iter_mut()
-                .zip(self.part_scratch.iter_mut())
-                .collect();
-            exec_par::par_for_each_mut(self.exec.as_ref(), &mut work, |_, (p, sc)| {
-                let _g = profile::span(ProfSpan::PartitionTick);
-                sc.stores_done = p.tick(now, &mut sc.tracer);
-            });
-        }
-        let _merge = profile::span(ProfSpan::PartitionsMerge);
-        for pi in self.merge_order(self.part_scratch.len()) {
-            let sc = &mut self.part_scratch[pi];
-            self.outstanding -= sc.stores_done;
-            sc.stores_done = 0;
-            self.tracer.append_events_from(&mut sc.tracer);
-        }
-    }
-
-    /// Parallel `TickSms`, in five sub-phases that together replay the
-    /// serial per-SM sequence exactly (see DESIGN.md, "Parallel tick
-    /// executor"):
-    ///
-    /// 1. **Parallel** writeback → reply ejection → memory tick. Each SM
-    ///    owns its private eject port into the reply crossbar (disjoint
-    ///    per-destination queues), and writes sink records, sanitizer
-    ///    findings, and trace events into its own scratch.
-    /// 2. **Serial** miss injection in SM-index order — request-crossbar
-    ///    ports contend on per-destination queue capacity, so acceptance
-    ///    order is simulation semantics, not mere observation order.
-    /// 3. **Parallel** issue with device-memory access *deferred* into
-    ///    per-SM op buffers (a same-cycle store by SM *i* must be visible
-    ///    to a load by SM *j > i*, so loads cannot read live memory here).
-    /// 4. **Serial** replay of the deferred device ops in SM-index order —
-    ///    exactly the order the serial loop touches memory — patching load
-    ///    results back into the issuing warps' registers.
-    /// 5. **Serial** merge of scratch buffers in SM-index order:
-    ///    outstanding-count deltas, trace events, sink records, sanitizer
-    ///    findings. Each SM's scratch accumulated phases 1–3 in intra-SM
-    ///    order, so one index-ordered concatenation reproduces the serial
-    ///    event stream.
-    fn tick_sms_parallel(&mut self, now: Cycle) {
-        let sanitize = self.cfg.sanitize;
-        let tracing = self.tracer.enabled();
-        let sinking = self.sink.enabled;
-        let n = self.sms.len();
-        for sc in &mut self.sm_scratch {
-            sc.tracer.set_enabled(tracing);
-            sc.sink.enabled = sinking;
-        }
-
-        // Phase 1: writeback + reply ejection + memory tick, in parallel.
-        {
-            let _ph = profile::span(ProfSpan::SmsWriteback);
-            let ports = self.reply_net.eject_ports();
-            let mut work: Vec<((&mut Sm, &mut SmScratch), EjectPort<'_, MemRequest>)> = self
-                .sms
-                .iter_mut()
-                .zip(self.sm_scratch.iter_mut())
-                .zip(ports)
-                .collect();
-            exec_par::par_for_each_mut(self.exec.as_ref(), &mut work, |si, ((sm, sc), port)| {
-                let _g = profile::span(ProfSpan::SmTick);
-                sc.retired =
-                    sm.tick_writeback(now, &mut sc.sink, sanitize.then_some(&mut sc.sanitizer));
-                while sm.fill_space() {
-                    match port.eject(now) {
-                        Some(req) => {
-                            if sc.tracer.enabled() {
-                                sc.tracer.record(TraceEvent {
-                                    cycle: now.get(),
-                                    site: TraceSite::Gpu,
-                                    kind: EventKind::IcntEject {
-                                        net: NetDir::Reply,
-                                        req: req.id.get(),
-                                        port: si as u32,
-                                    },
-                                });
-                            }
-                            sm.accept_response(req, now, &mut sc.tracer);
-                        }
-                        None => break,
-                    }
-                }
-                sm.tick_memory(now, &mut sc.tracer);
-            });
-            let delivered: u64 = work.iter().map(|(_, port)| port.delivered()).sum();
-            drop(work);
-            self.reply_net.credit_ejected(delivered);
-        }
-
-        // Phase 2: miss injection, serial in SM-index order (never the
-        // merge-order hook: per-destination queue contention makes this
-        // order simulation semantics). Events go into per-SM scratch so the
-        // merged stream interleaves them exactly where the serial loop does.
-        let inject_span = profile::span(ProfSpan::SmsMissInject);
-        for si in 0..n {
-            let sm = &mut self.sms[si];
-            let sc = &mut self.sm_scratch[si];
-            while let Some(head) = sm.peek_miss() {
-                let dst = self.map.partition_of(head.addr).index();
-                if !self.req_net.can_inject(si, dst) {
-                    break;
-                }
-                let mut req = sm.pop_miss().expect("peeked");
-                req.timeline.record(Stamp::IcntInject, now);
-                let rid = req.id.get();
-                self.req_net
-                    .try_inject(si, dst, req, now)
-                    .expect("can_inject checked");
-                if sc.tracer.enabled() {
-                    sc.tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site: TraceSite::Gpu,
-                        kind: EventKind::IcntInject {
-                            net: NetDir::Request,
-                            req: rid,
-                            port: si as u32,
-                        },
-                    });
-                }
-            }
-        }
-
-        drop(inject_span);
-
-        // Phase 3: issue in parallel, deferring device-memory traffic.
-        {
-            let _ph = profile::span(ProfSpan::SmsIssue);
-            let mut work: Vec<(&mut Sm, &mut SmScratch)> = self
-                .sms
-                .iter_mut()
-                .zip(self.sm_scratch.iter_mut())
-                .collect();
-            exec_par::par_for_each_mut(self.exec.as_ref(), &mut work, |_, (sm, sc)| {
-                let _g = profile::span(ProfSpan::SmTick);
-                sc.created = sm.tick_issue(
-                    now,
-                    DeviceAccess::Deferred(&mut sc.ops),
-                    &mut sc.sink,
-                    &mut sc.tracer,
-                );
-                sm.maintain();
-            });
-        }
-
-        // Phase 4: replay deferred device ops in SM-index order — the exact
-        // order the serial loop touches device memory (never the merge-order
-        // hook: replay order decides what same-cycle loads observe).
-        let replay_span = profile::span(ProfSpan::SmsReplay);
-        for si in 0..n {
-            let sc = &mut self.sm_scratch[si];
-            for op in sc.ops.drain(..) {
-                if let Some((patch, value)) = op.replay(&mut self.device) {
-                    self.sms[si].poke_warp_reg(patch.warp, patch.lane, patch.reg, value);
-                }
-            }
-        }
-        drop(replay_span);
-
-        // Phase 5: merge scratch into the shared accumulators in SM-index
-        // order.
-        let _merge_span = profile::span(ProfSpan::SmsMerge);
-        for si in self.merge_order(n) {
-            let sc = &mut self.sm_scratch[si];
-            self.outstanding -= sc.retired;
-            self.outstanding += sc.created;
-            sc.retired = 0;
-            sc.created = 0;
-            self.tracer.append_events_from(&mut sc.tracer);
-            self.sink.requests.append(&mut sc.sink.requests);
-            self.sink.loads.append(&mut sc.sink.loads);
-            self.sanitizer.absorb(&mut sc.sanitizer);
         }
     }
 

@@ -24,11 +24,12 @@
 //!
 //! See [`Gpu`] for an end-to-end kernel launch.
 
+#![forbid(unsafe_code)]
+
 mod clock;
 pub mod coalesce;
 mod codec;
 mod config;
-mod exec_par;
 mod gpu;
 mod partition;
 mod sanitizer;
@@ -39,7 +40,6 @@ mod stats;
 pub use clock::{ClockedComponent, TickSchedule, TickStage};
 pub use coalesce::coalesce;
 pub use config::{ConfigError, GpuConfig, L1Config, L2Config, SchedPolicy, WritePolicy};
-pub use exec_par::{par_for_each_mut, TickPool};
 pub use gpu::{CheckpointPolicy, Gpu, RunOutcome, SimError};
 
 // Architecture-description types, re-exported so downstream crates can build
@@ -50,11 +50,11 @@ pub use gpu_arch::{
 pub use partition::Partition;
 pub use sanitizer::{Sanitizer, Site, Violation};
 pub use scoreboard::Scoreboard;
-pub use sm::{DeferredDeviceOp, DeviceAccess, PatchTarget, Sm};
+pub use sm::Sm;
 pub use stats::{CompletedRequest, LoadInstrRecord, RunSummary, SmStats, TraceSink};
 
 // The host-side self-profiler (`gpu-profile`), re-exported whole: the
-// cycle loop, the parallel executors and the bench harness all record into
+// cycle loop, the grid pool and the bench harness all record into
 // its process-global tables (see `gpu_trace::profile`).
 pub use gpu_trace::profile;
 

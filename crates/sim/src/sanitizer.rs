@@ -446,24 +446,6 @@ impl Sanitizer {
         self.total == 0
     }
 
-    /// Drains `other` into this sanitizer: the total keeps counting, and
-    /// stored violations transfer while this sanitizer's storage cap allows.
-    ///
-    /// This is the merge half of the parallel tick executor: each component
-    /// detects into a private scratch sanitizer during a concurrent stage,
-    /// and the scratch reports are absorbed here in fixed component-index
-    /// order. Each scratch's stored list is a prefix of that component's
-    /// detection sequence, so appending prefixes in index order under the
-    /// global cap reproduces the serial recorder exactly.
-    pub fn absorb(&mut self, other: &mut Sanitizer) {
-        self.total += std::mem::take(&mut other.total);
-        for v in other.violations.drain(..) {
-            if self.violations.len() < MAX_STORED {
-                self.violations.push(v);
-            }
-        }
-    }
-
     /// Audits one retired request: stamps must be non-decreasing in pipeline
     /// order, and the per-stage components (deltas between consecutive
     /// present stamps) must sum exactly to the issue-to-return lifetime.

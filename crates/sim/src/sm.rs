@@ -33,106 +33,6 @@ use crate::stats::{self, CompletedRequest, LoadInstrRecord, SmStats, TraceSink};
 /// Token value for requests with no pending-load entry (stores).
 const NO_TOKEN: u64 = u64::MAX;
 
-/// Where a deferred device-memory access patches its result once it is
-/// replayed in serial memory order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PatchTarget {
-    /// Warp slot that issued the access.
-    pub warp: usize,
-    /// Lane within the warp.
-    pub lane: usize,
-    /// Destination register to overwrite with the replayed value.
-    pub reg: Reg,
-}
-
-/// One device-memory access buffered during a parallel issue stage instead
-/// of being applied immediately. The parallel tick executor replays these in
-/// SM-index order (then buffer order) against the shared [`DeviceMemory`],
-/// reproducing exactly the access order a serial tick performs — the proof
-/// that parallel ticking stays bit-identical (see DESIGN.md).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeferredDeviceOp {
-    /// A global/local-space lane load; `patch` receives the loaded value.
-    Load {
-        /// Byte address.
-        addr: gpu_types::Addr,
-        /// Access width.
-        width: gpu_isa::Width,
-        /// Register to patch with the loaded value.
-        patch: Option<PatchTarget>,
-    },
-    /// A global/local-space lane store.
-    Store {
-        /// Byte address.
-        addr: gpu_types::Addr,
-        /// Access width.
-        width: gpu_isa::Width,
-        /// Value to store.
-        value: u64,
-    },
-    /// A global-space atomic add; `patch` receives the old value.
-    Atomic {
-        /// Byte address.
-        addr: gpu_types::Addr,
-        /// Access width.
-        width: gpu_isa::Width,
-        /// Addend.
-        value: u64,
-        /// Register to patch with the pre-add value.
-        patch: Option<PatchTarget>,
-    },
-}
-
-impl DeferredDeviceOp {
-    fn set_patch(&mut self, target: PatchTarget) {
-        match self {
-            DeferredDeviceOp::Load { patch, .. } | DeferredDeviceOp::Atomic { patch, .. } => {
-                *patch = Some(target);
-            }
-            DeferredDeviceOp::Store { .. } => {}
-        }
-    }
-
-    /// Applies this op to `device`, returning any register patch to perform:
-    /// `(target, value)`.
-    pub fn replay(self, device: &mut gpu_mem::DeviceMemory) -> Option<(PatchTarget, u64)> {
-        match self {
-            DeferredDeviceOp::Load { addr, width, patch } => {
-                let v = device.read_le(addr, width.bytes());
-                patch.map(|p| (p, v))
-            }
-            DeferredDeviceOp::Store { addr, width, value } => {
-                device.write_le(addr, width.bytes(), value);
-                None
-            }
-            DeferredDeviceOp::Atomic {
-                addr,
-                width,
-                value,
-                patch,
-            } => {
-                let old = device.fetch_add(addr, width.bytes(), value);
-                patch.map(|p| (p, old))
-            }
-        }
-    }
-}
-
-/// How the issue stage reaches functional device memory: directly (the
-/// serial tick), or buffered into a deferred-op list (a parallel tick, where
-/// SMs issue concurrently and cannot share `&mut DeviceMemory`).
-#[derive(Debug)]
-pub enum DeviceAccess<'a> {
-    /// Serial ticking: apply loads/stores/atomics immediately.
-    Direct(&'a mut gpu_mem::DeviceMemory),
-    /// Parallel ticking: buffer accesses for an in-order replay. Loads and
-    /// atomics return a placeholder `0` during issue; the true value is
-    /// patched into the destination register at replay, before any
-    /// instruction can observe it (the scoreboard holds the register until
-    /// the response returns, and a warp issues at most once per cycle).
-    Deferred(&'a mut Vec<DeferredDeviceOp>),
-}
-
 #[derive(Debug)]
 struct WarpSlot {
     exec: WarpExec,
@@ -692,22 +592,6 @@ impl Sm {
         }
     }
 
-    /// Overwrites one lane register of a live warp. Used by the parallel
-    /// tick executor to land deferred load/atomic results during the
-    /// in-order replay (see [`DeferredDeviceOp`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the warp slot is empty — a deferred patch always targets a
-    /// warp with a pending memory op, which [`Sm::maintain`] cannot retire.
-    pub fn poke_warp_reg(&mut self, warp: usize, lane: usize, reg: Reg, value: u64) {
-        self.slots[warp]
-            .as_mut()
-            .expect("deferred patch targets a live warp")
-            .exec
-            .poke_reg(lane, reg, value);
-    }
-
     /// Oldest request waiting to enter the interconnect, if any.
     pub fn peek_miss(&self) -> Option<&MemRequest> {
         self.miss_queue.front()
@@ -726,7 +610,7 @@ impl Sm {
     pub fn tick_issue(
         &mut self,
         now: Cycle,
-        mut device: DeviceAccess<'_>,
+        device: &mut gpu_mem::DeviceMemory,
         sink: &mut TraceSink,
         tracer: &mut Tracer,
     ) -> u64 {
@@ -737,7 +621,7 @@ impl Sm {
                 break;
             };
             self.issued.push(w);
-            new_requests += self.issue_warp(w, now, &mut device, sink, tracer, &mut lsu_used);
+            new_requests += self.issue_warp(w, now, device, sink, tracer, &mut lsu_used);
         }
         let issued = self.issued.len() as u64;
         self.issued.clear();
@@ -914,7 +798,7 @@ impl Sm {
         &mut self,
         w: usize,
         now: Cycle,
-        device: &mut DeviceAccess<'_>,
+        device: &mut gpu_mem::DeviceMemory,
         sink: &mut TraceSink,
         tracer: &mut Tracer,
         lsu_used: &mut bool,
@@ -925,43 +809,15 @@ impl Sm {
         let class = instr.class();
         let dst = instr.def_reg();
 
-        let ops_before = match device {
-            DeviceAccess::Direct(_) => 0,
-            DeviceAccess::Deferred(ops) => ops.len(),
-        };
         let outcome = {
             let cta = self.ctas[cta_index]
                 .as_mut()
                 .expect("warp belongs to a live CTA");
-            match device {
-                DeviceAccess::Direct(dev) => slot.exec.step(&mut IssueBackend {
-                    device: dev,
-                    shared: &mut cta.shared,
-                }),
-                DeviceAccess::Deferred(ops) => slot.exec.step(&mut DeferBackend {
-                    ops,
-                    shared: &mut cta.shared,
-                }),
-            }
+            slot.exec.step(&mut IssueBackend {
+                device,
+                shared: &mut cta.shared,
+            })
         };
-        // Annotate the deferred ops this step buffered (one per lane access,
-        // in lane order) with their register-patch targets, so the replay
-        // can land loaded/old values exactly where the direct backend would
-        // have written them.
-        if let (DeviceAccess::Deferred(ops), StepOutcome::Mem(op)) = (&mut *device, &outcome) {
-            if op.space != Space::Shared {
-                debug_assert_eq!(ops.len() - ops_before, op.accesses.len());
-                if let Some(d) = op.dst {
-                    for (defop, acc) in ops[ops_before..].iter_mut().zip(&op.accesses) {
-                        defop.set_patch(PatchTarget {
-                            warp: w,
-                            lane: acc.lane as usize,
-                            reg: d,
-                        });
-                    }
-                }
-            }
-        }
 
         let mut new_requests = 0;
         match outcome {
@@ -1394,66 +1250,5 @@ impl MemBackend for IssueBackend<'_> {
 
     fn atomic_add(&mut self, addr: gpu_types::Addr, width: gpu_isa::Width, value: u64) -> u64 {
         self.device.fetch_add(addr, width.bytes(), value)
-    }
-}
-
-/// Functional memory backend used during a *parallel* issue stage: shared
-/// space resolves to the executing CTA's scratchpad immediately (CTA-private
-/// state, touched only by this SM), while global/local-space accesses are
-/// buffered as [`DeferredDeviceOp`]s for an in-order replay. Loads and
-/// atomics return a placeholder `0`; the replay patches the real value into
-/// the destination register before anything can read it (the scoreboard
-/// holds that register until the memory response returns).
-struct DeferBackend<'a> {
-    ops: &'a mut Vec<DeferredDeviceOp>,
-    shared: &'a mut [u8],
-}
-
-impl MemBackend for DeferBackend<'_> {
-    fn load(&mut self, space: Space, addr: gpu_types::Addr, width: gpu_isa::Width) -> u64 {
-        match space {
-            Space::Shared => {
-                let mut v = 0u64;
-                for i in 0..width.bytes() {
-                    let idx = (addr.get() + i) as usize;
-                    v |= (*self.shared.get(idx).unwrap_or(&0) as u64) << (8 * i);
-                }
-                v
-            }
-            _ => {
-                self.ops.push(DeferredDeviceOp::Load {
-                    addr,
-                    width,
-                    patch: None,
-                });
-                0
-            }
-        }
-    }
-
-    fn store(&mut self, space: Space, addr: gpu_types::Addr, width: gpu_isa::Width, value: u64) {
-        match space {
-            Space::Shared => {
-                for i in 0..width.bytes() {
-                    let idx = (addr.get() + i) as usize;
-                    if let Some(b) = self.shared.get_mut(idx) {
-                        *b = (value >> (8 * i)) as u8;
-                    }
-                }
-            }
-            _ => self
-                .ops
-                .push(DeferredDeviceOp::Store { addr, width, value }),
-        }
-    }
-
-    fn atomic_add(&mut self, addr: gpu_types::Addr, width: gpu_isa::Width, value: u64) -> u64 {
-        self.ops.push(DeferredDeviceOp::Atomic {
-            addr,
-            width,
-            value,
-            patch: None,
-        });
-        0
     }
 }

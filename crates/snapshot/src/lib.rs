@@ -42,6 +42,7 @@
 //! d.expect_end().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

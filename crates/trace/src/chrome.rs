@@ -317,8 +317,7 @@ impl ChromeTraceBuilder {
 
         // Flame layout: roots tile [0, ..) in table order; every child
         // tiles from its parent's start. A slice sits on the thread for its
-        // tree depth, so parallel children that out-sum their parent
-        // (attribution, not a strict timeline) still render side by side.
+        // tree depth.
         let mut start = [0u64; ProfSpan::COUNT];
         let mut cursor = [0u64; ProfSpan::COUNT];
         let mut next_root = 0u64;
@@ -350,18 +349,16 @@ impl ChromeTraceBuilder {
             w.field("nanos", stat.nanos).end().end();
         }
 
-        // Sampled tracks (the tick stages, then the worker spans):
+        // Sampled tracks (the tick stages, then the grid-worker span):
         // cumulative snapshots become per-interval deltas.
-        const WORKERS: [ProfSpan; 3] = [
-            ProfSpan::PoolWorkerBusy,
-            ProfSpan::PoolWorkerIdle,
-            ProfSpan::GridWorkerBusy,
-        ];
         let mut prev_spans = [0u64; ProfSpan::COUNT];
         let mut prev_counters = [0u64; ProfCounter::COUNT];
         for sample in &report.samples {
             let ts = sample.host_nanos / 1_000;
-            for s in ProfSpan::STAGES.into_iter().chain(WORKERS) {
+            for s in ProfSpan::STAGES
+                .into_iter()
+                .chain([ProfSpan::GridWorkerBusy])
+            {
                 let delta = sample.span_nanos[s.index()].saturating_sub(prev_spans[s.index()]);
                 let name = format!("host us: {}", s.path());
                 counter(w, "host", &name, PID_HOST, ts, delta / 1_000);
@@ -633,8 +630,8 @@ mod tests {
             count: 100,
             nanos: 6_000_000,
         };
-        spans[ProfSpan::SmsIssue.index()] = SpanStat {
-            span: ProfSpan::SmsIssue,
+        spans[ProfSpan::SmTick.index()] = SpanStat {
+            span: ProfSpan::SmTick,
             count: 100,
             nanos: 2_500_000,
         };
@@ -658,7 +655,7 @@ mod tests {
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         // The flame view: run at depth 0, tick_sms nested at depth 1 from
-        // run's start, issue at depth 2 from tick_sms's start.
+        // run's start, sm_tick at depth 2 from tick_sms's start.
         let slice = |name: &str| {
             events
                 .iter()
@@ -674,12 +671,12 @@ mod tests {
         assert_eq!(run.get("tid").and_then(Value::as_num), Some(0.0));
         let sms = slice("run/tick_sms");
         assert_eq!(sms.get("tid").and_then(Value::as_num), Some(1.0));
-        let issue = slice("run/tick_sms/issue");
-        assert_eq!(issue.get("tid").and_then(Value::as_num), Some(2.0));
+        let sm_tick = slice("run/tick_sms/sm_tick");
+        assert_eq!(sm_tick.get("tid").and_then(Value::as_num), Some(2.0));
         // tick_sms tiles after the stages preceding it in the schedule
         // (all zero here except drain_check, also zero) — from run's start.
         assert_eq!(sms.get("ts").and_then(Value::as_num), Some(0.0));
-        assert_eq!(issue.get("ts").and_then(Value::as_num), Some(0.0));
+        assert_eq!(sm_tick.get("ts").and_then(Value::as_num), Some(0.0));
         // The sample ring became host-clock counter tracks.
         assert!(text.contains("\"host us: run/tick_sms\""), "{text}");
         assert!(text.contains("\"host: cycles_ticked\""), "{text}");

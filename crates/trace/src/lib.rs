@@ -26,6 +26,7 @@
 //! The crate deliberately depends only on `gpu-types` and `gpu-mem` (for
 //! `Timeline`): the simulator depends on *it*, not the other way around.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;

@@ -4,8 +4,8 @@
 //! until every fetch's latency was attributable. This module gives the
 //! *simulator itself* the same treatment: a process-global, hierarchical
 //! scoped profiler over the host monotonic clock, answering "where does
-//! host wall-clock go?" across the tick schedule, the parallel executors
-//! and the bench harness.
+//! host wall-clock go?" across the tick schedule, the grid pool and the
+//! bench harness.
 //!
 //! # Design
 //!
@@ -37,11 +37,10 @@
 //! # Hierarchy
 //!
 //! Spans form a static tree via [`ProfSpan::parent`]: the `run` span holds
-//! the nine tick-schedule stages, `tick_sms` holds the five parallel-phase
-//! spans and the per-SM component span, and so on. Parallel-phase component
-//! spans are summed across worker threads, so a child's total can exceed
-//! its parent's wall-clock on multi-core hosts — the tree is attribution,
-//! not a strict timeline.
+//! the nine tick-schedule stages, `tick_sms` holds the per-SM component
+//! span, and so on. The grid-worker span is summed across worker threads,
+//! so on multi-core hosts it can exceed the wall-clock it ran in — the tree
+//! is attribution, not a strict timeline.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -82,38 +81,19 @@ pub enum ProfSpan {
     SampleCounters,
     /// `TickStage::AdvanceClock`.
     AdvanceClock,
-    /// Parallel `TickSms` phase 1: writeback + reply ejection + memory.
-    SmsWriteback,
-    /// Parallel `TickSms` phase 2: serial miss injection.
-    SmsMissInject,
-    /// Parallel `TickSms` phase 3: parallel issue with deferred device ops.
-    SmsIssue,
-    /// Parallel `TickSms` phase 4: serial deferred-op replay.
-    SmsReplay,
-    /// Parallel `TickSms` phase 5: serial index-ordered scratch merge.
-    SmsMerge,
-    /// Parallel `TickPartitions`: the fan-out across partitions.
-    PartitionsFanout,
-    /// Parallel `TickPartitions`: the serial index-ordered merge.
-    PartitionsMerge,
-    /// One SM's share of a `TickSms` stage (summed over SMs and, in
-    /// parallel mode, over worker threads).
+    /// One SM's share of a `TickSms` stage (summed over SMs).
     SmTick,
     /// One partition's share of a `TickPartitions` stage.
     PartitionTick,
     /// One crossbar network's `begin_cycle`.
     CrossbarTick,
-    /// Tick-pool workers executing claimed component indices.
-    PoolWorkerBusy,
-    /// Tick-pool workers spinning / yielding / sleeping between jobs.
-    PoolWorkerIdle,
     /// Grid-pool workers executing experiment points (`par_map`).
     GridWorkerBusy,
 }
 
 impl ProfSpan {
     /// Every span, in table order.
-    pub const ALL: [ProfSpan; 24] = [
+    pub const ALL: [ProfSpan; 15] = [
         ProfSpan::Run,
         ProfSpan::DrainCheck,
         ProfSpan::BeginNetworks,
@@ -125,18 +105,9 @@ impl ProfSpan {
         ProfSpan::AuditInvariants,
         ProfSpan::SampleCounters,
         ProfSpan::AdvanceClock,
-        ProfSpan::SmsWriteback,
-        ProfSpan::SmsMissInject,
-        ProfSpan::SmsIssue,
-        ProfSpan::SmsReplay,
-        ProfSpan::SmsMerge,
-        ProfSpan::PartitionsFanout,
-        ProfSpan::PartitionsMerge,
         ProfSpan::SmTick,
         ProfSpan::PartitionTick,
         ProfSpan::CrossbarTick,
-        ProfSpan::PoolWorkerBusy,
-        ProfSpan::PoolWorkerIdle,
         ProfSpan::GridWorkerBusy,
     ];
 
@@ -177,18 +148,9 @@ impl ProfSpan {
             ProfSpan::AuditInvariants => "audit_invariants",
             ProfSpan::SampleCounters => "sample_counters",
             ProfSpan::AdvanceClock => "advance_clock",
-            ProfSpan::SmsWriteback => "writeback",
-            ProfSpan::SmsMissInject => "miss_inject",
-            ProfSpan::SmsIssue => "issue",
-            ProfSpan::SmsReplay => "replay",
-            ProfSpan::SmsMerge => "merge",
-            ProfSpan::PartitionsFanout => "fanout",
-            ProfSpan::PartitionsMerge => "merge",
             ProfSpan::SmTick => "sm_tick",
             ProfSpan::PartitionTick => "partition_tick",
             ProfSpan::CrossbarTick => "crossbar_tick",
-            ProfSpan::PoolWorkerBusy => "pool_worker_busy",
-            ProfSpan::PoolWorkerIdle => "pool_worker_idle",
             ProfSpan::GridWorkerBusy => "grid_worker_busy",
         }
     }
@@ -197,10 +159,7 @@ impl ProfSpan {
     /// run loop itself and the cross-cutting worker-thread spans).
     pub const fn parent(self) -> Option<ProfSpan> {
         match self {
-            ProfSpan::Run
-            | ProfSpan::PoolWorkerBusy
-            | ProfSpan::PoolWorkerIdle
-            | ProfSpan::GridWorkerBusy => None,
+            ProfSpan::Run | ProfSpan::GridWorkerBusy => None,
             ProfSpan::DrainCheck
             | ProfSpan::BeginNetworks
             | ProfSpan::TickPartitions
@@ -211,15 +170,8 @@ impl ProfSpan {
             | ProfSpan::AuditInvariants
             | ProfSpan::SampleCounters
             | ProfSpan::AdvanceClock => Some(ProfSpan::Run),
-            ProfSpan::SmsWriteback
-            | ProfSpan::SmsMissInject
-            | ProfSpan::SmsIssue
-            | ProfSpan::SmsReplay
-            | ProfSpan::SmsMerge
-            | ProfSpan::SmTick => Some(ProfSpan::TickSms),
-            ProfSpan::PartitionsFanout | ProfSpan::PartitionsMerge | ProfSpan::PartitionTick => {
-                Some(ProfSpan::TickPartitions)
-            }
+            ProfSpan::SmTick => Some(ProfSpan::TickSms),
+            ProfSpan::PartitionTick => Some(ProfSpan::TickPartitions),
             ProfSpan::CrossbarTick => Some(ProfSpan::BeginNetworks),
         }
     }
@@ -237,12 +189,6 @@ impl ProfSpan {
 /// last-write-wins gauges (marked in the variant docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfCounter {
-    /// Jobs the tick pool fanned out (one per parallel stage per cycle).
-    PoolJobs,
-    /// `notify_all` wakeups the tick pool issued to sleeping workers.
-    PoolNotifies,
-    /// Times a tick-pool worker gave up spinning and went to sleep.
-    PoolSleeps,
     /// Experiment points executed by the grid pool (`par_map`).
     GridTasks,
     /// Simulated cycles ticked while profiling was enabled.
@@ -260,10 +206,7 @@ pub enum ProfCounter {
 
 impl ProfCounter {
     /// Every counter, in table order.
-    pub const ALL: [ProfCounter; 8] = [
-        ProfCounter::PoolJobs,
-        ProfCounter::PoolNotifies,
-        ProfCounter::PoolSleeps,
+    pub const ALL: [ProfCounter; 5] = [
         ProfCounter::GridTasks,
         ProfCounter::CyclesTicked,
         ProfCounter::CyclesSkipped,
@@ -282,9 +225,6 @@ impl ProfCounter {
     /// Short machine-readable name (JSON keys, Perfetto track names).
     pub const fn label(self) -> &'static str {
         match self {
-            ProfCounter::PoolJobs => "pool_jobs",
-            ProfCounter::PoolNotifies => "pool_notifies",
-            ProfCounter::PoolSleeps => "pool_sleeps",
             ProfCounter::GridTasks => "grid_tasks",
             ProfCounter::CyclesTicked => "cycles_ticked",
             ProfCounter::CyclesSkipped => "cycles_skipped",
@@ -419,7 +359,7 @@ pub fn span(site: ProfSpan) -> SpanGuard {
 }
 
 /// Adds one occurrence of `nanos` host time to `site` (the manual form of
-/// [`span`], for worker threads that batch their own clock reads). No-op
+/// [`span`], for callers that batch their own clock reads). No-op
 /// when profiling is off.
 #[inline]
 pub fn span_add(site: ProfSpan, nanos: u64) {
@@ -679,7 +619,7 @@ mod tests {
         reset();
         {
             let _s = span(ProfSpan::TickSms);
-            add(ProfCounter::PoolJobs, 5);
+            add(ProfCounter::GridTasks, 5);
             set(ProfCounter::Outstanding, 9);
             span_add(ProfSpan::SmTick, 1000);
             sample_at_interval(0);
@@ -687,7 +627,7 @@ mod tests {
         let r = report();
         assert_eq!(r.span(ProfSpan::TickSms).count, 0);
         assert_eq!(r.span(ProfSpan::SmTick).nanos, 0);
-        assert_eq!(r.counter(ProfCounter::PoolJobs), 0);
+        assert_eq!(r.counter(ProfCounter::GridTasks), 0);
         assert_eq!(r.counter(ProfCounter::Outstanding), 0);
         assert!(r.samples.is_empty());
     }

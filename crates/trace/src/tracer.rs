@@ -219,27 +219,6 @@ impl Tracer {
         self.events.push(event);
     }
 
-    /// Drains every event out of `src` into this tracer, applying *this*
-    /// tracer's `max_events` cap and drop accounting, plus any drops `src`
-    /// already counted at its own cap.
-    ///
-    /// This is the merge half of the parallel tick executor: each component
-    /// records into a private scratch tracer during a concurrent stage, and
-    /// the scratch buffers are drained here in fixed component-index order.
-    /// Because the serial schedule keeps the *first* `max_events` events in
-    /// recording order and this merge appends in that same order, the merged
-    /// stream is bit-identical to a serial run's.
-    pub fn append_events_from(&mut self, src: &mut Tracer) {
-        for event in src.events.drain(..) {
-            if self.events.len() >= self.max_events {
-                self.dropped += 1;
-            } else {
-                self.events.push(event);
-            }
-        }
-        self.dropped += std::mem::take(&mut src.dropped);
-    }
-
     /// Returns `true` when the counter registry should be sampled at
     /// `cycle` (enabled, and the cycle hits the sample interval).
     #[inline]

@@ -34,6 +34,8 @@
 //! assert_eq!(t.since(Cycle::ZERO), 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod addr;
 mod cycle;
 mod histogram;

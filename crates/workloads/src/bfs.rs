@@ -598,6 +598,17 @@ pub struct BfsExperiment {
     pub block_dim: u32,
 }
 
+impl BfsExperiment {
+    /// Whether these parameters describe a run at all: a graph with at least
+    /// one node and one edge per node, launched with at least one thread per
+    /// CTA. The one rule every front end (`latency trace`'s flags, `serve`'s
+    /// spec parser) applies to outside input before it reaches the graph
+    /// builder and the launch, both of which panic on a zero.
+    pub fn is_runnable(&self) -> bool {
+        self.nodes > 0 && self.degree > 0 && self.block_dim > 0
+    }
+}
+
 impl Default for BfsExperiment {
     /// The default instrumented run: a 16k-node uniform random graph with
     /// average degree 8 — a working set just over the GF100's aggregate L2,

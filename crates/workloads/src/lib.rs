@@ -21,6 +21,8 @@
 //! one [`Workload`] descriptor each, and [`Workload::execute`] is the one
 //! path that runs a descriptor — plain, checkpointed or resumed.
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod graph;
 pub mod histogram;

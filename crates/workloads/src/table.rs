@@ -176,7 +176,7 @@ impl Workload {
     /// The one run path: builds a machine from `config` — or, with
     /// `resume`, restores the newest checkpoint in that directory
     /// (`Ok(None)` when it holds none) — lets `prepare` flip the host-side
-    /// switches a snapshot never carries (tick threads, latency tracing),
+    /// switches a snapshot never carries (latency tracing),
     /// then sets the problem up, drives it under `policy` and verifies the
     /// device output against the host reference. `graph` is the E2 input;
     /// the fixed-size E4 entries do not read it.

@@ -64,24 +64,9 @@ fn run_to_completion(graph: &Graph, policy: &CheckpointPolicy) -> Finished {
 /// Starts a traversal with a deterministic kill at `kill_at`, then resumes
 /// it from the newest checkpoint and drives it to completion.
 fn run_killed_and_resumed(graph: &Graph, dir: &Path, kill_at: u64) -> Finished {
-    run_killed_and_resumed_threads(graph, dir, kill_at, 1, 1)
-}
-
-/// Same as [`run_killed_and_resumed`], but the killed leg ticks with
-/// `kill_threads` and the resumed leg with `resume_threads`. Snapshots never
-/// carry executor state, so the resumed GPU comes back serial and the thread
-/// count is re-applied explicitly.
-fn run_killed_and_resumed_threads(
-    graph: &Graph,
-    dir: &Path,
-    kill_at: u64,
-    kill_threads: usize,
-    resume_threads: usize,
-) -> Finished {
     let mut policy = CheckpointPolicy::new(CKPT_EVERY, dir.to_path_buf());
     policy.kill_at = Some(kill_at);
     let mut gpu = Gpu::new(small_config());
-    gpu.set_tick_threads(kill_threads);
     let dev = upload_graph_mask(&mut gpu, graph);
     match run_bfs_mask_checkpointed(&mut gpu, &dev, SOURCE, BLOCK_DIM, &policy)
         .expect("killed traversal runs")
@@ -94,7 +79,6 @@ fn run_killed_and_resumed_threads(
     let mut resumed = Gpu::resume_latest(dir)
         .expect("checkpoint reads back")
         .expect("a checkpoint exists before the kill cycle");
-    resumed.set_tick_threads(resume_threads);
     assert!(
         resumed.now().get() <= kill_at,
         "resume point must not be past the kill"
@@ -191,33 +175,6 @@ fn resume_mid_checkpoint_interval_replays_the_gap() {
         let dir = temp_dir(tag);
         let resumed = run_killed_and_resumed(&graph, &dir, kill_at);
         assert_identical(&baseline, &resumed, tag);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-/// Kill-and-resume crossed with the parallel tick executor: a run killed
-/// while ticking serially or in parallel, resumed serially or in parallel,
-/// must land on the same bits in all four combinations. This pins two
-/// properties at once — checkpoints carry no executor state, and the
-/// parallel schedule is invisible to the snapshot/restore cycle.
-#[test]
-fn kill_and_resume_are_tick_thread_invariant() {
-    let graph = test_graph();
-    let base_dir = temp_dir("par-base");
-    let baseline = run_to_completion(&graph, &CheckpointPolicy::new(CKPT_EVERY, base_dir.clone()));
-    std::fs::remove_dir_all(&base_dir).ok();
-
-    // Land mid-interval so the resumed leg replays a real gap.
-    let kill_at = 2 * CKPT_EVERY + 37;
-    for (kill_threads, resume_threads) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
-        let dir = temp_dir(&format!("par-k{kill_threads}-r{resume_threads}"));
-        let resumed =
-            run_killed_and_resumed_threads(&graph, &dir, kill_at, kill_threads, resume_threads);
-        assert_identical(
-            &baseline,
-            &resumed,
-            &format!("kill-threads={kill_threads} resume-threads={resume_threads}"),
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -121,7 +121,7 @@ fn help_prints_usage_and_exits_2() {
 
 #[test]
 fn shared_flags_are_validated_on_every_subcommand() {
-    let rows: [(&[&str], &str); 7] = [
+    let rows: [(&[&str], &str); 6] = [
         (
             &["--threads", "0"],
             "--threads must be a positive integer, got 0",
@@ -130,12 +130,12 @@ fn shared_flags_are_validated_on_every_subcommand() {
             &["--threads", "lots"],
             "--threads must be a positive integer, got 'lots'",
         ),
+        // The parallel tick executor and its flag are gone, not deprecated.
         (
-            &["--tick-threads", "0"],
-            "--tick-threads must be a positive integer, got 0",
+            &["--tick-threads", "2"],
+            "unknown argument '--tick-threads'",
         ),
         (&["--threads"], "missing value for --threads"),
-        (&["--tick-threads"], "missing value for --tick-threads"),
         (&["--cache"], "missing value for --cache"),
         (&["--preset"], "missing value for --preset"),
     ];
@@ -161,16 +161,6 @@ fn thread_environment_is_validated_at_startup() {
             "lots",
             "LATENCY_THREADS must be a positive integer, got 'lots'",
         ),
-        (
-            "LATENCY_TICK_THREADS",
-            "0",
-            "LATENCY_TICK_THREADS must be a positive integer, got 0",
-        ),
-        (
-            "LATENCY_TICK_THREADS",
-            "x",
-            "LATENCY_TICK_THREADS must be a positive integer, got 'x'",
-        ),
     ];
     for sub in SUBCOMMANDS {
         for (var, value, message) in rows {
@@ -179,9 +169,57 @@ fn thread_environment_is_validated_at_startup() {
     }
 }
 
+/// `--tick-threads` and `LATENCY_TICK_THREADS` went with the parallel tick
+/// executor: the flag is an unknown argument to `serve` as it is to every
+/// `latency` subcommand (row above), no usage text offers it, and the
+/// variable is read by nothing — a value that used to refuse start-up no
+/// longer does.
+#[test]
+fn tick_threads_flag_and_variable_are_gone() {
+    let latency = env!("CARGO_BIN_EXE_latency");
+    // `serve` lands beside `latency` (a workspace `cargo test` builds both
+    // before running either package's tests).
+    let serve = std::path::Path::new(latency).with_file_name("serve");
+    let out = Command::new(&serve)
+        .args(["--tick-threads", "2"])
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {}: {e}", serve.display()));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown argument '--tick-threads'"),
+        "{stderr}"
+    );
+
+    let mut helps = vec![
+        (serve.as_path(), vec!["--help"]),
+        (latency.as_ref(), vec![]),
+    ];
+    helps.extend(SUBCOMMANDS.map(|sub| (latency.as_ref(), vec![sub, "--help"])));
+    for (exe, args) in helps {
+        let out = Command::new(exe).args(&args).output().expect("spawn");
+        let usage = String::from_utf8_lossy(&out.stderr);
+        assert!(usage.contains("usage: "), "{args:?}: {usage}");
+        assert!(!usage.contains("tick-threads"), "{args:?}: {usage}");
+    }
+
+    let out = Command::new(latency)
+        .args(["lint", "--deny", "all"])
+        .env("LATENCY_TICK_THREADS", "0")
+        .output()
+        .expect("spawn latency");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn subcommand_flags_are_validated_before_running() {
-    let rows: [(&[&str], &str); 9] = [
+    let positive = "--nodes, --degree and --block-dim must be positive";
+    let rows: [(&[&str], &str); 14] = [
         (&["table1", "--json"], "unknown argument '--json'"),
         (&["fig1", "extra"], "unknown argument 'extra'"),
         (
@@ -191,6 +229,16 @@ fn subcommand_flags_are_validated_before_running() {
         (
             &["trace", "--nodes", "many"],
             "bad value for --nodes: 'many'",
+        ),
+        // Each of these reached a panic (exit 101, backtrace) in the graph
+        // builder, the launch or `Gpu::new` before it was checked here.
+        (&["trace", "--nodes", "0"], positive),
+        (&["trace", "--degree", "0"], positive),
+        (&["trace", "--block-dim", "0"], positive),
+        (&["trace", "--sms", "0"], "need at least one SM"),
+        (
+            &["trace", "--partitions", "0"],
+            "need at least one partition",
         ),
         (&["trace", "--out"], "missing value for --out"),
         (&["trace", "--workload", "nbody"], "unknown workload: nbody"),
@@ -202,7 +250,8 @@ fn subcommand_flags_are_validated_before_running() {
         (&["bench", "--suites", "tick,bogus"], "unknown suite: bogus"),
     ];
     for (args, message) in rows {
-        assert_usage_error(args, &[], &[message]);
+        let usage = format!("usage: latency {}", args[0]);
+        assert_usage_error(args, &[], &[message, &usage]);
     }
 }
 
