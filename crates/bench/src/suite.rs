@@ -216,6 +216,13 @@ pub struct TickBench {
     /// the self-profiler's [`ProfCounter::CyclesSkipped`], which only
     /// counts while profiling is on — `latency bench` always turns it on.
     pub skipped_cycles: u64,
+    /// SM ticks the ticked cycles left out because the SM was asleep
+    /// ([`ProfCounter::SmTicksSlept`]). A pin like `skipped_cycles`: a
+    /// `next_event` that turns needlessly conservative moves it.
+    pub sm_ticks_slept: u64,
+    /// Partition ticks left out likewise
+    /// ([`ProfCounter::PartitionTicksSlept`]).
+    pub partition_ticks_slept: u64,
 }
 
 impl TickBench {
@@ -230,6 +237,8 @@ impl TickBench {
         w.field("content_hash", format!("{:016x}", self.content_hash));
         w.field("simulated_cycles", self.cycles);
         w.field("skipped_cycles", self.skipped_cycles);
+        w.field("sm_ticks_slept", self.sm_ticks_slept);
+        w.field("partition_ticks_slept", self.partition_ticks_slept);
         w.finish()
     }
 
@@ -254,9 +263,15 @@ pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32) -> TickBench 
         ..BfsExperiment::default()
     };
     // The profiler's counters are cumulative and process-global: this
-    // run's skipped cycles are a before/after delta — no reset, so the
-    // whole bench process still adds up in the final profile.json.
-    let skipped_before = profile::value(ProfCounter::CyclesSkipped);
+    // run's skipped cycles and slept ticks are before/after deltas — no
+    // reset, so the whole bench process still adds up in the final
+    // profile.json.
+    let idle_counters = [
+        ProfCounter::CyclesSkipped,
+        ProfCounter::SmTicksSlept,
+        ProfCounter::PartitionTicksSlept,
+    ];
+    let before = idle_counters.map(profile::value);
     let t0 = Instant::now();
     // The plain run path with the latency sink left off: this suite times
     // the tick loop, not the instrumentation.
@@ -270,7 +285,9 @@ pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32) -> TickBench 
         )
         .expect("bfs runs");
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let skipped_cycles = profile::value(ProfCounter::CyclesSkipped) - skipped_before;
+    let after = idle_counters.map(profile::value);
+    let [skipped_cycles, sm_ticks_slept, partition_ticks_slept] =
+        std::array::from_fn(|i| after[i] - before[i]);
     let Some((_, RunOutcome::Completed(summary))) = run else {
         unreachable!("the null policy neither resumes nor kills");
     };
@@ -284,6 +301,8 @@ pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32) -> TickBench 
         content_hash: summary.content_hash,
         sanitizer_violations: summary.sanitizer_violations,
         skipped_cycles,
+        sm_ticks_slept,
+        partition_ticks_slept,
     }
 }
 
@@ -689,6 +708,8 @@ mod tests {
             content_hash: 0xabcd,
             sanitizer_violations: 0,
             skipped_cycles: 61_000,
+            sm_ticks_slept: 900_000,
+            partition_ticks_slept: 200_000,
         }
     }
 
@@ -731,6 +752,14 @@ mod tests {
         assert_eq!(
             doc.get("skipped_cycles").and_then(|v| v.as_num()),
             Some(61_000.0)
+        );
+        assert_eq!(
+            doc.get("sm_ticks_slept").and_then(|v| v.as_num()),
+            Some(900_000.0)
+        );
+        assert_eq!(
+            doc.get("partition_ticks_slept").and_then(|v| v.as_num()),
+            Some(200_000.0)
         );
     }
 

@@ -92,6 +92,26 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
         jumps > 0 && skipped >= jumps,
         "{jumps} jumps skipped {skipped}"
     );
+    // On a ticked cycle every component was either ticked in full (and
+    // metered) or asleep (and only counted).
+    let machine = small_cfg();
+    for (component, slept, count) in [
+        (ProfSpan::SmTick, ProfCounter::SmTicksSlept, machine.num_sms),
+        (
+            ProfSpan::PartitionTick,
+            ProfCounter::PartitionTicksSlept,
+            machine.num_partitions,
+        ),
+    ] {
+        let slept = report.counter(slept);
+        assert!(slept > 0, "no {} ever slept", component.label());
+        assert_eq!(
+            report.span(component).count + slept,
+            ticked * count as u64,
+            "{}: full ticks + slept ticks != cycles ticked x components",
+            component.label()
+        );
+    }
 
     // The machine-readable report is valid JSON with the same numbers.
     let report_doc = gpu_trace::json::parse(&report.json()).expect("profile.json parses");

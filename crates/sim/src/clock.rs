@@ -4,11 +4,12 @@
 //! across `gpu.rs`, `sm.rs` and `partition.rs`. It now lives in one place: a
 //! [`TickSchedule`] derived from the machine description lists the stages a
 //! cycle executes, in order, and [`crate::Gpu::tick`] is a plain interpreter
-//! over that list. The order encodes the same-cycle visibility rules of the
-//! model (partitions drain DRAM before replies inject; SMs eject replies
-//! before issuing; the audit sees the machine between cycles), so the
-//! schedule is deterministic by construction — two GPUs built from the same
-//! description execute identical stage sequences.
+//! over that list (the run loop interprets the same list, leaving out the
+//! ticks of sleeping components). The order encodes the same-cycle
+//! visibility rules of the model (partitions drain DRAM before replies
+//! inject; SMs eject replies before issuing; the audit sees the machine
+//! between cycles), so the schedule is deterministic by construction — two
+//! GPUs built from the same description execute identical stage sequences.
 //!
 //! [`ClockedComponent`] is the uniform surface the cycle loop and the
 //! sanitizer use to treat SMs, memory partitions and the two crossbar
@@ -127,6 +128,12 @@ pub trait ClockedComponent {
     /// nothing is pending. The run loop jumps the clock over the cycles
     /// before the machine-wide minimum instead of ticking them (DESIGN.md,
     /// "Idle-cycle skipping"), so an answer may be early but never late.
+    ///
+    /// An SM or partition that went to sleep at the end of its last full
+    /// tick answers the wake cycle it stored then, without looking at its
+    /// queues again (DESIGN.md, "Sleeping components"): the same horizon,
+    /// derived once, and still valid because everything that hands a
+    /// sleeper work zeroes the stored cycle.
     fn next_event(&self, now: Cycle) -> Cycle;
 
     /// Per-cycle structural audit (queue and MSHR capacity checks).

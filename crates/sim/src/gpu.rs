@@ -694,8 +694,10 @@ impl Gpu {
     /// for its next event and, when the whole machine is quiescent until
     /// some later cycle, jumps the clock there instead of ticking the idle
     /// cycles one by one (`skip_idle` below; DESIGN.md, "Idle-cycle
-    /// skipping"). The result is bit-identical to stepping with
-    /// [`Gpu::tick`], which never skips.
+    /// skipping"). On the cycles it does tick, an SM or partition whose own
+    /// wake cycle is still ahead is not ticked (DESIGN.md, "Sleeping
+    /// components"). The result is bit-identical to stepping with
+    /// [`Gpu::tick`], which does neither.
     ///
     /// # Errors
     ///
@@ -741,7 +743,7 @@ impl Gpu {
                 self.host_nanos += wall.elapsed().as_nanos() as u64;
                 return Ok(RunOutcome::Killed { at: cycle });
             }
-            self.tick();
+            self.tick_cycle(true);
         }
         self.host_nanos += wall.elapsed().as_nanos() as u64;
         self.launch = None;
@@ -765,9 +767,10 @@ impl Gpu {
     /// The earliest cycle at which a tick could change the machine's state:
     /// `now` while CTAs wait for an SM that could take one, else the
     /// minimum over every component's [`ClockedComponent::next_event`].
-    /// Components are asked cheapest first (networks, partitions, SMs) and
-    /// the scan stops at the first that can act now, so a busy machine
-    /// rarely looks past its first SM.
+    /// A sleeping SM or partition answers its stored wake cycle, so only
+    /// the awake ones re-derive anything; components are asked cheapest
+    /// first (networks, partitions, SMs) and the scan stops at the first
+    /// that can act now.
     fn next_event(&self) -> Cycle {
         let now = self.now;
         let mut at = Cycle::MAX;
@@ -792,7 +795,8 @@ impl Gpu {
     }
 
     /// Idle-cycle skipping: if no component can change state before some
-    /// later cycle, advance the clock straight there, crediting exactly
+    /// later cycle — every SM and partition asleep, nothing arriving from
+    /// either network — advance the clock straight there, crediting exactly
     /// what the skipped ticks would have recorded.
     ///
     /// Over a quiescent interval every tick is the identity on the machine
@@ -860,25 +864,32 @@ impl Gpu {
 
     /// Advances the GPU by one cycle: a plain interpreter over the tick
     /// schedule derived from the machine description at construction.
-    /// Always exactly one cycle — idle-cycle skipping lives in the run loop,
-    /// so stepping with `tick` is the reference the skipping is tested
-    /// against.
+    /// Always exactly one cycle, every component ticked in full — idle-cycle
+    /// skipping and component sleep live in the run loop, so stepping with
+    /// `tick` is the reference both are tested against.
     ///
     /// With the self-profiler on, the host clock is stamped once *between*
     /// stages, so the per-stage deltas tile the loop body exactly (n+1
     /// clock reads for n stages, no metering gaps); with it off, the loop
     /// is the bare interpreter.
     pub fn tick(&mut self) {
+        self.tick_cycle(false);
+    }
+
+    /// One cycle of the schedule. The run loop passes `honour_sleep`, so an
+    /// SM or partition whose wake cycle is still ahead is not ticked;
+    /// [`Gpu::tick`] does not, and ticks every component in full.
+    fn tick_cycle(&mut self, honour_sleep: bool) {
         if !profile::enabled() {
             for i in 0..self.schedule.len() {
-                self.run_stage(self.schedule.stage(i));
+                self.run_stage(self.schedule.stage(i), honour_sleep);
             }
             return;
         }
         let mut prev = std::time::Instant::now();
         for i in 0..self.schedule.len() {
             let stage = self.schedule.stage(i);
-            self.run_stage(stage);
+            self.run_stage(stage, honour_sleep);
             let now = std::time::Instant::now();
             profile::span_add(Self::stage_span(stage), (now - prev).as_nanos() as u64);
             prev = now;
@@ -901,8 +912,11 @@ impl Gpu {
         }
     }
 
-    /// Executes one stage of the per-cycle schedule.
-    fn run_stage(&mut self, stage: TickStage) {
+    /// Executes one stage of the per-cycle schedule. With `honour_sleep`,
+    /// the two component stages leave out the ticks of sleeping components
+    /// (DESIGN.md, "Sleeping components"); every other stage, the audit
+    /// included, visits everything either way.
+    fn run_stage(&mut self, stage: TickStage, honour_sleep: bool) {
         let now = self.now;
         match stage {
             TickStage::BeginNetworks => {
@@ -911,11 +925,17 @@ impl Gpu {
                 self.reply_net.begin_cycle();
             }
             TickStage::TickPartitions => {
+                let mut slept = 0;
                 for p in &mut self.partitions {
+                    if honour_sleep && p.asleep(now) {
+                        slept += 1;
+                        continue;
+                    }
                     let _g = profile::span(ProfSpan::PartitionTick);
                     let stores_done = p.tick(now, &mut self.tracer);
                     self.outstanding -= stores_done;
                 }
+                profile::add(ProfCounter::PartitionTicksSlept, slept);
             }
             TickStage::InjectReplies => {
                 for (pi, p) in self.partitions.iter_mut().enumerate() {
@@ -968,9 +988,17 @@ impl Gpu {
             }
             TickStage::TickSms => {
                 let sanitize = self.cfg.sanitize;
+                let mut slept = 0;
                 for si in 0..self.sms.len() {
-                    let _g = profile::span(ProfSpan::SmTick);
                     let sm = &mut self.sms[si];
+                    // A deliverable reply wakes a sleeper; dispatch and the
+                    // leak hook zero its wake cycle themselves.
+                    if honour_sleep && sm.asleep(now) && self.reply_net.peek(si, now).is_none() {
+                        sm.sleep_through(now, &mut self.tracer);
+                        slept += 1;
+                        continue;
+                    }
+                    let _g = profile::span(ProfSpan::SmTick);
                     let retired = sm.tick_writeback(
                         now,
                         &mut self.sink,
@@ -1027,8 +1055,9 @@ impl Gpu {
                     let created =
                         sm.tick_issue(now, &mut self.device, &mut self.sink, &mut self.tracer);
                     self.outstanding += created;
-                    sm.maintain();
+                    sm.end_tick(now);
                 }
+                profile::add(ProfCounter::SmTicksSlept, slept);
             }
             TickStage::DispatchCtas => self.dispatch_ctas(),
             // Scheduled only on sanitizing machines (see TickSchedule::derive).

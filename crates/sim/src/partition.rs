@@ -61,6 +61,11 @@ pub struct Partition {
     stores_completed_total: u64,
     stores_retired_here: u64,
     evictions_in_flight: u64,
+    /// Host-side sleep state (never serialized, never read by the model):
+    /// until this cycle [`Partition::tick`] is the identity, unless
+    /// [`Partition::accept`] hands the partition a request first. Set only
+    /// at the end of `tick`.
+    wake_at: Cycle,
 }
 
 impl Partition {
@@ -98,6 +103,7 @@ impl Partition {
             stores_completed_total: 0,
             stores_retired_here: 0,
             evictions_in_flight: 0,
+            wake_at: Cycle::ZERO,
         }
     }
 
@@ -137,6 +143,7 @@ impl Partition {
         self.rop
             .push(now, req)
             .unwrap_or_else(|_| panic!("ROP overflow; can_accept not checked"));
+        self.wake_at = Cycle::ZERO;
     }
 
     /// Enables or disables the DRAM controller's command event log (drained
@@ -217,13 +224,27 @@ impl Partition {
 
     /// The earliest cycle at which ticking this partition could change its
     /// state, given that nothing arrives from the request network before
-    /// then (the crossbar reports its own arrivals). Work that moves on
-    /// demand rather than at a stored time — responses awaiting reply
+    /// then (the crossbar reports its own arrivals): a sleeper's stored
+    /// wake cycle, else [`Partition::horizon`].
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        if self.asleep(now) {
+            return self.wake_at;
+        }
+        self.horizon(now)
+    }
+
+    /// Whether a tick at `now` would be the identity and may be left out.
+    pub(crate) fn asleep(&self, now: Cycle) -> bool {
+        self.wake_at > now
+    }
+
+    /// [`Partition::next_event`] derived from the queues. Work that moves
+    /// on demand rather than at a stored time — responses awaiting reply
     /// injection, an L2 input-queue head, dirty victims awaiting DRAM —
     /// answers `now` (conservative: the head may be structurally blocked);
     /// otherwise the ROP and hit-pipe heads and the DRAM channel each store
     /// the cycle they next act. [`Cycle::MAX`] when idle.
-    pub fn next_event(&self, now: Cycle) -> Cycle {
+    fn horizon(&self, now: Cycle) -> Cycle {
         let on_demand = |s: &L2Slice| {
             !s.queue.is_empty() || s.cache.as_ref().is_some_and(|c| c.pending_writebacks() > 0)
         };
@@ -526,6 +547,10 @@ impl Partition {
         // sees a retired-but-unreported request.
         stores_done += std::mem::take(&mut self.stores_retired_here);
         self.stores_completed_total += stores_done;
+        // Sleep until the next cycle a tick can act (the next one, if any
+        // work moves on demand). Later stages of this cycle only take
+        // responses away or `accept` a request, which wakes.
+        self.wake_at = self.horizon(now + 1);
         stores_done
     }
 

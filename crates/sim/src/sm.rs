@@ -98,6 +98,17 @@ pub struct Sm {
     /// something, so the next one probably can too. Spares a busy machine
     /// the ready-warp scan; never serialized, never read by the model.
     issued_last_tick: bool,
+    /// Host-side sleep state, of the same standing as `issued_last_tick`:
+    /// until this cycle a tick of this SM is the identity plus one stall
+    /// credit, unless a reply becomes deliverable at its port first (the
+    /// run loop looks). Set only by [`Sm::end_tick`], at the end of a full
+    /// tick; zeroed by everything that hands the SM work.
+    wake_at: Cycle,
+    /// What each slept cycle's issue stage would have counted: the stall
+    /// reason the SM's state votes for, `None` with no warp resident. Kept
+    /// by every full tick that issues nothing; meaningful only while
+    /// asleep.
+    sleep_stall: Option<StallReason>,
     age_counter: u64,
     stats: SmStats,
 }
@@ -136,6 +147,8 @@ impl Sm {
             greedy: None,
             issued: Vec::with_capacity(cfg.issue_width),
             issued_last_tick: false,
+            wake_at: Cycle::ZERO,
+            sleep_stall: None,
             age_counter: 0,
             stats: SmStats::default(),
             cfg,
@@ -263,6 +276,8 @@ impl Sm {
             self.l1_mshr.allocate(line),
             "seeding requires a free MSHR entry"
         );
+        // MSHR occupancy feeds the stall attribution a sleeper has cached.
+        self.wake_at = Cycle::ZERO;
     }
 
     /// Returns `true` if a CTA of `warps_needed` warps can be dispatched.
@@ -326,6 +341,7 @@ impl Sm {
             slots: slot_ids,
             arrived: 0,
         });
+        self.wake_at = Cycle::ZERO;
     }
 
     /// Retires CTAs whose warps have all exited and drained their pending
@@ -629,51 +645,59 @@ impl Sm {
         if issued > 0 {
             self.stats.active_cycles += 1;
             self.stats.instructions += issued;
-        } else if let Some(reason) = self.credit_stall(1) {
-            if tracer.enabled() {
-                tracer.record(TraceEvent {
-                    cycle: now.get(),
-                    site: TraceSite::Sm(self.id.get()),
-                    kind: EventKind::Stall { reason },
-                });
-            }
+        } else {
+            self.sleep_stall = self.stall_vote();
+            self.count_stall(self.sleep_stall, now, tracer);
         }
         new_requests
     }
 
+    /// The reason a zero-issue cycle in the SM's current state stalls for;
+    /// `None` when no warp is resident (such a cycle counts nothing).
+    fn stall_vote(&self) -> Option<StallReason> {
+        (self.live_warps() > 0).then(|| self.classify_stall())
+    }
+
+    /// Books the zero-issue cycle `now`: one stall cycle against `reason`
+    /// and, with the tracer on, its `Stall` event.
+    fn count_stall(&mut self, reason: Option<StallReason>, now: Cycle, tracer: &mut Tracer) {
+        let Some(reason) = reason else {
+            return;
+        };
+        self.stats.stall_cycles += 1;
+        self.stats.stalls.bump_by(reason, 1);
+        if tracer.enabled() {
+            tracer.record(TraceEvent {
+                cycle: now.get(),
+                site: TraceSite::Sm(self.id.get()),
+                kind: EventKind::Stall { reason },
+            });
+        }
+    }
+
     /// Counts `cycles` zero-issue cycles against this SM, all attributed to
     /// the reason its current state stalls for, and returns that reason;
-    /// `None` (and nothing counted) when no warp is resident. The issue
-    /// stage calls this with 1; the run loop calls it with the length of a
-    /// skipped quiescent interval, over which the state — and so the
-    /// reason — cannot change.
+    /// `None` (and nothing counted) when no warp is resident. The run loop
+    /// calls it with the length of a skipped quiescent interval, over which
+    /// the state — and so the reason — cannot change.
     pub fn credit_stall(&mut self, cycles: u64) -> Option<StallReason> {
-        if self.live_warps() == 0 {
-            return None;
-        }
-        let reason = self.classify_stall();
+        let reason = self.stall_vote()?;
         self.stats.stall_cycles += cycles;
         self.stats.stalls.bump_by(reason, cycles);
         Some(reason)
     }
 
-    /// The earliest cycle at which ticking this SM could change its state,
-    /// given that nothing arrives from the reply network before then (the
-    /// crossbar reports its own arrivals): `now` while any warp can issue
-    /// (assumed, without looking, right after a cycle that issued) or a
-    /// miss waits for the interconnect, else the first ALU/shared
-    /// writeback or memory-pipe head to mature. A matured head that is
-    /// structurally blocked also answers `now` — conservative, always
-    /// legal. [`Cycle::MAX`] when nothing is pending.
-    pub fn next_event(&self, now: Cycle) -> Cycle {
-        if self.issued_last_tick || !self.miss_queue.is_empty() {
-            return now;
-        }
+    // ---- sleeping ---------------------------------------------------------
+
+    /// The first cycle an ALU/shared writeback or a memory-pipe head
+    /// matures ([`Cycle::MAX`] with none in flight). A matured head that is
+    /// structurally blocked answers a cycle already past.
+    fn next_maturity(&self) -> Cycle {
         let writeback = self
             .alu_wb
             .peek()
             .map(|&Reverse((at, _, _))| Cycle::new(at));
-        let matures = [
+        [
             writeback,
             self.front.next_ready(),
             self.l1_hit_pipe.next_ready(),
@@ -682,7 +706,56 @@ impl Sm {
         .into_iter()
         .flatten()
         .min()
-        .map_or(Cycle::MAX, |at| at.max(now));
+        .unwrap_or(Cycle::MAX)
+    }
+
+    /// Ends the SM's full tick at `now`: retires drained CTAs, then decides
+    /// how long the SM may sleep — the one place the wake cycle is set. An
+    /// SM that issued nothing and holds no miss for the interconnect has no
+    /// ready warp (the issue stage just looked, and retirement readies
+    /// none), so until its next maturity every tick is the identity plus
+    /// one stall credit. The issue stage left its vote in `sleep_stall`;
+    /// the slept cycles' issue stages would vote on the state *after*
+    /// retirement, so a retirement means asking again.
+    pub(crate) fn end_tick(&mut self, now: Cycle) {
+        let retired = self.maintain();
+        self.wake_at = if self.issued_last_tick || !self.miss_queue.is_empty() {
+            Cycle::ZERO
+        } else {
+            self.next_maturity()
+        };
+        if retired > 0 && self.wake_at > now + 1 {
+            self.sleep_stall = self.stall_vote();
+        }
+    }
+
+    /// Whether a tick at `now` may be replaced by [`Sm::sleep_through`],
+    /// provided no reply is deliverable at this SM's port.
+    pub(crate) fn asleep(&self, now: Cycle) -> bool {
+        self.wake_at > now
+    }
+
+    /// Everything a full tick of a sleeping SM at `now` would have done.
+    pub(crate) fn sleep_through(&mut self, now: Cycle, tracer: &mut Tracer) {
+        self.count_stall(self.sleep_stall, now, tracer);
+    }
+
+    /// The earliest cycle at which ticking this SM could change its state,
+    /// given that nothing arrives from the reply network before then (the
+    /// crossbar reports its own arrivals): a sleeper's stored wake cycle;
+    /// else `now` while any warp can issue (assumed, without looking, right
+    /// after a cycle that issued) or a miss waits for the interconnect,
+    /// else the first ALU/shared writeback or memory-pipe head to mature.
+    /// A matured head that is structurally blocked also answers `now` —
+    /// conservative, always legal. [`Cycle::MAX`] when nothing is pending.
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        if self.asleep(now) {
+            return self.wake_at;
+        }
+        if self.issued_last_tick || !self.miss_queue.is_empty() {
+            return now;
+        }
+        let matures = self.next_maturity().max(now);
         // The ready-warp scan is the expensive question; ask it last.
         if matures > now && (0..self.slots.len()).any(|w| self.warp_ready(w, false)) {
             return now;

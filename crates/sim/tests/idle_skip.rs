@@ -1,39 +1,33 @@
-//! Idle-cycle skipping is invisible: a launch driven by [`Gpu::run`] (which
-//! jumps the clock over quiescent intervals) must leave a simulator
+//! Idle skipping is invisible: a launch driven by [`Gpu::run`] (which jumps
+//! the clock over quiescent intervals and, on the cycles it does tick,
+//! leaves out every SM and partition that is asleep) must leave a simulator
 //! bit-identical to one stepped through the same cycles with
-//! [`Gpu::tick`] (which never skips) — same summary, per-SM stats, latency
-//! traces, event stream, counter samples and final snapshot. No switch
-//! selects the skipping, so `tick()` itself is the reference.
+//! [`Gpu::tick`] (which never skips and ticks every component in full) —
+//! same summary, per-SM stats, latency traces, event stream, counter
+//! samples and final snapshot. No switch selects the skipping, so `tick()`
+//! itself is the reference.
 //!
 //! The second half pins the three cycles where the run loop itself acts
 //! and a jump must stop short: the kill switch, every checkpoint multiple,
-//! and the `max_cycles` deadline.
+//! and the `max_cycles` deadline — on a quiescent machine and on one where
+//! some SMs sleep while others issue.
+
+mod skip_harness;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use gpu_isa::Launch;
 use gpu_sim::{
-    CheckpointPolicy, CounterSample, Gpu, GpuConfig, RunOutcome, RunSummary, SimError, SmStats,
-    TraceEvent, Violation,
+    CheckpointPolicy, Gpu, RunOutcome, RunSummary, SchedPolicy, SimError, StallReason, Violation,
 };
-use gpu_snapshot::Decoder;
 use gpu_types::Addr;
-use gpu_workloads::bfs::{
-    build_bfs_mask_kernel1, build_bfs_mask_kernel2, read_costs, upload_graph_mask, UNVISITED,
-};
-use gpu_workloads::{reduce, Graph};
 use latency_core::chase::{build_chase_kernel, write_chain, write_shuffled_chain, ChasePattern};
 use latency_core::{ArchPreset, ChaseParams};
-
-const MAX_CYCLES: u64 = 50_000_000;
-
-/// How a scenario waits for the launch it just made: `run()` on the GPU
-/// under test, a counted `tick()` loop on the reference.
-type Drain<'a> = &'a mut dyn FnMut(&mut Gpu);
-
-/// Sets a workload up on `gpu` and drives every launch through `drain`.
-type Scenario = dyn Fn(&mut Gpu, Drain<'_>);
+use skip_harness::{
+    assert_skip_invisible, barrier_reduce, launch_reduce, mask_bfs, new_gpu, observe, state_bytes,
+    traced_and_untraced, Drain, MAX_CYCLES,
+};
 
 // ---- scenarios -------------------------------------------------------------
 
@@ -68,174 +62,6 @@ fn chase(params: ChaseParams, iters: u64) -> impl Fn(&mut Gpu, Drain<'_>) {
             "chase escaped its ring"
         );
     }
-}
-
-/// Rodinia mask BFS: two launches per level, the host reading a flag in
-/// between — the multi-launch case, where each run starts mid-clock.
-fn mask_bfs(gpu: &mut Gpu, drain: Drain<'_>) {
-    let graph = Graph::uniform_random(96, 4, 20150301);
-    let dev = upload_graph_mask(gpu, &graph);
-    let n = dev.num_nodes;
-    let mut cost = vec![UNVISITED; n as usize];
-    cost[0] = 0;
-    let mut flags = vec![0u32; n as usize];
-    gpu.device_mut().write_u32_slice(dev.cost, &cost);
-    gpu.device_mut().write_u32_slice(dev.updating, &flags);
-    flags[0] = 1;
-    gpu.device_mut().write_u32_slice(dev.mask, &flags);
-    gpu.device_mut().write_u32_slice(dev.visited, &flags);
-
-    let block_dim = 32;
-    let grid = n.div_ceil(block_dim);
-    let addrs = |a: &[Addr]| a.iter().map(|x| x.get()).collect::<Vec<u64>>();
-    loop {
-        gpu.device_mut().write_u32(dev.more, 0);
-        let mut p1 = addrs(&[
-            dev.row_offsets,
-            dev.cols,
-            dev.cost,
-            dev.mask,
-            dev.updating,
-            dev.visited,
-        ]);
-        p1.push(u64::from(n));
-        gpu.launch(build_bfs_mask_kernel1(), Launch::new(grid, block_dim, p1))
-            .expect("expand launches");
-        drain(gpu);
-        let mut p2 = addrs(&[dev.mask, dev.updating, dev.visited, dev.more]);
-        p2.push(u64::from(n));
-        gpu.launch(build_bfs_mask_kernel2(), Launch::new(grid, block_dim, p2))
-            .expect("commit launches");
-        drain(gpu);
-        if gpu.device().read_u32(dev.more) == 0 {
-            break;
-        }
-    }
-    assert_eq!(read_costs(gpu, &dev), graph.bfs_levels(0), "BFS answer");
-}
-
-/// Shared-memory tree reduction in eight-warp CTAs: while the last warp's
-/// load is in flight the other seven sit at the barrier, so skipped
-/// intervals are credited to the `Barrier` stall reason too.
-fn barrier_reduce(gpu: &mut Gpu, drain: Drain<'_>) {
-    let dev = reduce::setup(gpu, 512);
-    gpu.device_mut().write_u32(dev.output, 0);
-    gpu.launch(
-        reduce::build_reduce_kernel(256),
-        Launch::new(2, 256, vec![dev.input.get(), dev.output.get(), dev.n]),
-    )
-    .expect("reduce launches");
-    drain(gpu);
-    let expected: u32 = (0..512u32).map(|i| i % 97).sum();
-    assert_eq!(gpu.device().read_u32(dev.output), expected, "block sums");
-}
-
-// ---- observation -----------------------------------------------------------
-
-/// The snapshot payload with its one wall-clock field zeroed. The payload
-/// opens with the configuration, then `now`, `outstanding`, `host_nanos`.
-fn state_bytes(gpu: &Gpu) -> Vec<u8> {
-    let framed = gpu.snapshot();
-    let mut payload = framed[16..framed.len() - 8].to_vec();
-    let mut d = Decoder::open(&framed).expect("own snapshot opens");
-    GpuConfig::decode(&mut d).expect("own snapshot decodes");
-    let host_nanos_at = payload.len() - d.remaining() + 16;
-    payload[host_nanos_at..host_nanos_at + 8].fill(0);
-    payload
-}
-
-/// Everything a finished simulator can be asked.
-struct Observed {
-    summary: RunSummary,
-    sm_stats: Vec<SmStats>,
-    state: Vec<u8>,
-    /// `CompletedRequest`/`LoadInstrRecord` lack `PartialEq`; their `Debug`
-    /// form carries every field.
-    requests: String,
-    loads: String,
-    events: Vec<TraceEvent>,
-    samples: Vec<CounterSample>,
-    dropped_events: u64,
-}
-
-fn observe(gpu: &mut Gpu) -> Observed {
-    let mut summary = gpu.summary();
-    summary.metrics.host_nanos = 0;
-    let sm_stats = gpu.sm_stats();
-    // Before the takes below, so the bytes cover the sink and the tracer.
-    let state = state_bytes(gpu);
-    let (requests, loads) = gpu.take_traces();
-    let trace = gpu.take_trace();
-    Observed {
-        summary,
-        sm_stats,
-        state,
-        requests: format!("{requests:?}"),
-        loads: format!("{loads:?}"),
-        events: trace.events,
-        samples: trace.samples,
-        dropped_events: trace.dropped_events,
-    }
-}
-
-fn new_gpu(cfg: &GpuConfig) -> Gpu {
-    let mut gpu = Gpu::new(cfg.clone());
-    gpu.set_tracing(true);
-    gpu
-}
-
-/// Runs `scenario` with `run()`, replays it on a fresh GPU with `tick()`
-/// for the same number of cycles per launch, and requires the two
-/// simulators to be indistinguishable. Returns the `run()` side.
-fn assert_skip_invisible(what: &str, cfg: &GpuConfig, scenario: &Scenario) -> Observed {
-    let mut launch_ends = Vec::new();
-    let mut skipping = new_gpu(cfg);
-    scenario(&mut skipping, &mut |gpu| {
-        gpu.run(MAX_CYCLES).expect("run drains");
-        launch_ends.push(gpu.now());
-    });
-
-    let mut ends = launch_ends.iter();
-    let mut stepped = new_gpu(cfg);
-    scenario(&mut stepped, &mut |gpu| {
-        let end = *ends.next().expect("same launch sequence");
-        while gpu.now() < end {
-            gpu.tick();
-        }
-        // Already drained, so this only retires the launch (as `run` did on
-        // the other side); it times out if the grid is in fact still busy.
-        gpu.run(0)
-            .unwrap_or_else(|e| panic!("{what}: stepped reference not drained at {end}: {e}"));
-    });
-
-    let (a, b) = (observe(&mut skipping), observe(&mut stepped));
-    // Field by field first: a failure names what diverged.
-    assert_eq!(a.summary, b.summary, "{what}: summaries");
-    assert_eq!(a.sm_stats, b.sm_stats, "{what}: per-SM stats");
-    assert_eq!(a.requests, b.requests, "{what}: completed requests");
-    assert_eq!(a.loads, b.loads, "{what}: load records");
-    assert_eq!(a.dropped_events, b.dropped_events, "{what}: event drops");
-    assert_eq!(a.events.len(), b.events.len(), "{what}: event count");
-    if let Some(i) = (0..a.events.len()).find(|&i| a.events[i] != b.events[i]) {
-        panic!(
-            "{what}: event {i} diverges: {:?} vs {:?}",
-            a.events[i], b.events[i]
-        );
-    }
-    assert_eq!(a.samples, b.samples, "{what}: counter samples");
-    assert!(a.state == b.state, "{what}: final snapshots differ");
-    assert_eq!(a.summary.sanitizer_violations, 0, "{what}: sanitizer");
-    a
-}
-
-/// Both tracer settings of one machine: off (the measured configuration)
-/// and on with a short sample interval, so samples and per-cycle `Stall`
-/// events fall inside skipped intervals.
-fn traced_and_untraced(mut cfg: GpuConfig) -> [GpuConfig; 2] {
-    let untraced = cfg.clone();
-    cfg.trace.enabled = true;
-    cfg.trace.sample_interval = 16;
-    [untraced, cfg]
 }
 
 // ---- equivalence -----------------------------------------------------------
@@ -285,29 +111,101 @@ fn chases_on_the_microbench_machines_match_stepping() {
     }
 }
 
+/// The gf100 machine cut down to `sms` SMs and two partitions.
+fn small_gf100(sms: usize) -> gpu_sim::GpuConfig {
+    let mut cfg = ArchPreset::FermiGf100.config();
+    cfg.num_sms = sms;
+    cfg.num_partitions = 2;
+    cfg
+}
+
 #[test]
 fn multi_launch_bfs_matches_stepping() {
-    let mut cfg = ArchPreset::FermiGf100.config();
-    cfg.num_sms = 3;
-    cfg.num_partitions = 2;
-    for cfg in traced_and_untraced(cfg) {
+    // Every launch after the first dispatches onto SMs that went to sleep
+    // empty when the previous grid drained.
+    for cfg in traced_and_untraced(small_gf100(3)) {
         let what = format!("gf100 mask BFS, tracing {}", cfg.trace.enabled);
-        assert_skip_invisible(&what, &cfg, &mask_bfs);
+        assert_skip_invisible(&what, &cfg, &mask_bfs(96, 4, 20150301, 32));
     }
 }
 
 #[test]
 fn barrier_and_shared_memory_kernel_matches_stepping() {
-    let mut cfg = ArchPreset::FermiGf100.config();
-    cfg.num_sms = 2;
-    cfg.num_partitions = 2;
-    for cfg in traced_and_untraced(cfg) {
+    for cfg in traced_and_untraced(small_gf100(2)) {
         let what = format!("gf100 reduce, tracing {}", cfg.trace.enabled);
-        let o = assert_skip_invisible(&what, &cfg, &barrier_reduce);
-        assert!(
-            o.summary.metrics.stalls.get(gpu_sim::StallReason::Barrier) > 0,
-            "{what}: the kernel should park warps at barriers"
-        );
+        let o = assert_skip_invisible(&what, &cfg, &barrier_reduce(512));
+        // Slept cycles are credited to the reason cached when the SM went
+        // to sleep: seven warps parked at the barrier while the eighth's
+        // load is in flight, then the tree's dependent shared-memory loads.
+        for reason in [StallReason::Barrier, StallReason::Scoreboard] {
+            assert!(
+                o.summary.metrics.stalls.get(reason) > 0,
+                "{what}: no {reason:?} stalls"
+            );
+        }
+    }
+}
+
+#[test]
+fn one_busy_sm_among_fourteen_sleepers_matches_stepping() {
+    // One CTA on the full 15-SM, 6-partition machine: SM 0 works, the other
+    // fourteen sleep from launch to drain and must observe nothing.
+    for cfg in traced_and_untraced(ArchPreset::FermiGf100.config()) {
+        let what = format!("gf100 one CTA, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &barrier_reduce(256));
+        assert_eq!(o.sm_stats.len(), 15);
+        assert!(o.sm_stats[0].instructions > 0 && o.sm_stats[0].stall_cycles > 0);
+        for idle in &o.sm_stats[1..] {
+            assert_eq!((idle.instructions, idle.stall_cycles), (0, 0), "{what}");
+        }
+    }
+}
+
+#[test]
+fn a_grid_larger_than_the_machine_refills_sleeping_sms() {
+    // Forty eight-warp CTAs on two SMs that hold six each: every later CTA
+    // is dispatched, in the cycle a CTA retires, onto an SM whose tick just
+    // ended with a wake cycle planned for the smaller load.
+    for cfg in traced_and_untraced(small_gf100(2)) {
+        let what = format!("gf100 40-CTA reduce, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &barrier_reduce(40 * 256));
+        assert_eq!(o.summary.ctas, 40);
+        for sm in &o.sm_stats {
+            assert!(sm.ctas_retired > 6, "{what}: an SM was never refilled");
+        }
+    }
+}
+
+#[test]
+fn replies_landing_inside_a_sleep_interval_wake_the_sm() {
+    // A divergent BFS load fans out into several transactions whose replies
+    // come back cycles apart. With the fill pipe stretched to 40 cycles the
+    // SM is asleep until the first fill matures when the next reply becomes
+    // deliverable, and must take it that cycle, not at its wake cycle.
+    let mut cfg = small_gf100(3);
+    cfg.fill_latency = 40;
+    for cfg in traced_and_untraced(cfg) {
+        let what = format!("gf100 slow-fill BFS, tracing {}", cfg.trace.enabled);
+        assert_skip_invisible(&what, &cfg, &mask_bfs(96, 4, 20150302, 32));
+    }
+}
+
+#[test]
+fn both_schedulers_and_issue_widths_match_stepping() {
+    for scheduler in [SchedPolicy::Lrr, SchedPolicy::Gto] {
+        for issue_width in [1, 2] {
+            let mut cfg = small_gf100(2);
+            cfg.scheduler = scheduler;
+            cfg.issue_width = issue_width;
+            let what = format!("gf100 {scheduler:?} x{issue_width}");
+            // Four two-warp CTAs a side, then twelve eight-warp ones.
+            assert_skip_invisible(
+                &format!("{what} BFS"),
+                &cfg,
+                &mask_bfs(256, 4, 20150303, 64),
+            );
+            assert_skip_invisible(&format!("{what} reduce"), &cfg, &barrier_reduce(12 * 256));
+        }
     }
 }
 
@@ -370,15 +268,15 @@ fn uninterrupted_cycles() -> u64 {
     launched().run(MAX_CYCLES).expect("run drains").cycles
 }
 
-#[test]
-fn kill_inside_an_interval_stops_on_cue_and_resumes_identically() {
-    let total = uninterrupted_cycles();
-    let every = 1000;
-    // Mid-run, off every checkpoint multiple, in the middle of a DRAM wait.
-    let kill_at = total / 2 / every * every + 337;
-
-    let dir = temp_dir("kill");
-    let mut policy = CheckpointPolicy::new(every, &dir);
+/// Kills a run of `launched()` at `kill_at` under a checkpoint-every-`every`
+/// policy and checks the checkpoint files and the state at the kill against
+/// a `tick()`-stepped reference; then resumes from the newest checkpoint
+/// and checks the finished run against one that was never interrupted.
+/// Returns the stepped reference, stopped at the kill cycle.
+fn kill_and_resume(tag: &str, launched: &dyn Fn() -> Gpu, every: u64, kill_at: u64) -> Gpu {
+    let dirs = ["kill", "ref", "straight"].map(|d| temp_dir(&format!("{tag}-{d}")));
+    let [dir, ref_dir, straight_dir] = &dirs;
+    let mut policy = CheckpointPolicy::new(every, dir);
     policy.kill_at = Some(kill_at);
     let mut killed = launched();
     let outcome = killed
@@ -388,28 +286,68 @@ fn kill_inside_an_interval_stops_on_cue_and_resumes_identically() {
     assert_eq!(killed.now().get(), kill_at);
 
     // The stepped reference writes the same checkpoints at the same cycles.
-    let ref_dir = temp_dir("kill-ref");
     let mut stepped = launched();
     while stepped.now().get() < kill_at {
         let c = stepped.now().get();
         if c > 0 && c.is_multiple_of(every) {
             stepped
-                .write_checkpoint(&ref_dir)
+                .write_checkpoint(ref_dir)
                 .expect("reference checkpoint");
         }
         stepped.tick();
     }
-    let written = checkpoint_files(&dir);
+    let written = checkpoint_files(dir);
     assert_eq!(
         written.len() as u64,
         kill_at / every,
         "every multiple written"
     );
-    assert!(written == checkpoint_files(&ref_dir), "checkpoint bytes");
+    assert!(written == checkpoint_files(ref_dir), "checkpoint bytes");
     assert!(
         state_bytes(&killed) == state_bytes(&stepped),
         "state at the kill"
     );
+
+    // Resume from the newest checkpoint and finish; compare with a run
+    // that was never interrupted.
+    let mut resumed = Gpu::resume_latest(dir)
+        .expect("checkpoint reads back")
+        .expect("a checkpoint precedes the kill");
+    assert_eq!(resumed.now().get(), kill_at / every * every);
+    let finish = |gpu: &mut Gpu, dir: &Path| -> RunSummary {
+        match gpu
+            .run_checkpointed(MAX_CYCLES, &CheckpointPolicy::new(every, dir))
+            .expect("run to the end")
+        {
+            RunOutcome::Completed(mut summary) => {
+                summary.metrics.host_nanos = 0;
+                *summary
+            }
+            RunOutcome::Killed { at } => panic!("no kill switch, killed at {at}"),
+        }
+    };
+    let mut straight = launched();
+    assert_eq!(
+        finish(&mut resumed, dir),
+        finish(&mut straight, straight_dir)
+    );
+    assert!(
+        observe(&mut resumed).events == observe(&mut straight).events,
+        "resumed event stream"
+    );
+    for dir in dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    stepped
+}
+
+#[test]
+fn kill_inside_an_interval_stops_on_cue_and_resumes_identically() {
+    let total = uninterrupted_cycles();
+    let every = 1000;
+    // Mid-run, off every checkpoint multiple, in the middle of a DRAM wait.
+    let kill_at = total / 2 / every * every + 337;
+    let mut stepped = kill_and_resume("quiescent", &launched, every, kill_at);
     // The kill cycle really is inside a jump: the machine was quiescent
     // across it.
     let before = stepped.summary().instructions;
@@ -421,44 +359,54 @@ fn kill_inside_an_interval_stops_on_cue_and_resumes_identically() {
         before,
         "kill cycle not idle"
     );
+}
 
-    // Resume from the newest checkpoint and finish; compare with a run
-    // that was never interrupted.
-    let mut resumed = Gpu::resume_latest(&dir)
-        .expect("checkpoint reads back")
-        .expect("a checkpoint precedes the kill");
-    assert_eq!(resumed.now().get(), kill_at / every * every);
-    let finished = match resumed
-        .run_checkpointed(MAX_CYCLES, &CheckpointPolicy::new(every, &dir))
-        .expect("resumed run")
-    {
-        RunOutcome::Completed(summary) => *summary,
-        RunOutcome::Killed { at } => panic!("resume killed again at {at}"),
+#[test]
+fn kill_and_checkpoint_land_while_some_sms_sleep_and_others_issue() {
+    // Five eight-warp CTAs on four SMs, traced. Stepping the reference
+    // finds the cycles where the machine is half asleep: some SM issues
+    // while another, warps resident, issues nothing from three cycles
+    // before to three after (parked on a load or a barrier).
+    let launched = || {
+        let mut cfg = small_gf100(4);
+        cfg.trace.enabled = true;
+        let mut gpu = new_gpu(&cfg);
+        launch_reduce(&mut gpu, 5 * 256);
+        gpu
     };
-    let mut straight = launched();
-    let expected = match straight
-        .run_checkpointed(
-            MAX_CYCLES,
-            &CheckpointPolicy::new(every, temp_dir("straight")),
-        )
-        .expect("uninterrupted run")
-    {
-        RunOutcome::Completed(summary) => *summary,
-        RunOutcome::Killed { at } => panic!("no kill switch, killed at {at}"),
-    };
-    assert_eq!(expected.cycles, total);
-    let normalise = |mut s: RunSummary| {
-        s.metrics.host_nanos = 0;
-        s
-    };
-    assert_eq!(normalise(finished), normalise(expected));
-    assert!(
-        observe(&mut resumed).events == observe(&mut straight).events,
-        "resumed event stream"
-    );
-    for dir in [dir, ref_dir, temp_dir("straight")] {
-        std::fs::remove_dir_all(dir).ok();
+    let total = launched().run(MAX_CYCLES).expect("run drains").cycles;
+    let mut stepped = launched();
+    let mut per_cycle = Vec::new();
+    let mut before = stepped.sm_stats();
+    for _ in 0..total {
+        stepped.tick();
+        let after = stepped.sm_stats();
+        let moved = |f: fn(&gpu_sim::SmStats) -> u64| -> Vec<bool> {
+            before
+                .iter()
+                .zip(&after)
+                .map(|(b, a)| f(a) > f(b))
+                .collect()
+        };
+        per_cycle.push((moved(|s| s.instructions), moved(|s| s.stall_cycles)));
+        before = after;
     }
+    let half_asleep: Vec<u64> = (3..per_cycle.len() - 3)
+        .filter(|&c| {
+            per_cycle[c].0.iter().any(|&issued| issued)
+                && (0..4).any(|sm| (c - 3..=c + 3).all(|w| per_cycle[w].1[sm]))
+        })
+        .map(|c| c as u64)
+        .collect();
+    let every = *half_asleep
+        .iter()
+        .find(|&&c| c >= total / 5)
+        .expect("a half-asleep cycle to checkpoint on");
+    let kill_at = *half_asleep
+        .iter()
+        .find(|&&c| c > 2 * every && !c.is_multiple_of(every))
+        .expect("a later half-asleep cycle to kill on");
+    kill_and_resume("half-asleep", &launched, every, kill_at);
 }
 
 #[test]
@@ -520,22 +468,33 @@ fn deadline_inside_an_interval_times_out_on_the_deadline() {
 #[test]
 fn a_seeded_mshr_leak_is_still_reported() {
     // The leak blocks nothing, so the run drains through its usual jumps;
-    // only the end-of-run audit can see it, and it must still happen.
+    // only the end-of-run audit can see it, and it must still happen —
+    // seeded before the first cycle, or mid-run into an SM 0 that is
+    // asleep on a DRAM wait.
     let leaked = Addr::new(0x7fff_0000);
-    let mut gpu = launched();
-    gpu.debug_seed_mshr_leak(leaked);
-    let outcome = catch_unwind(AssertUnwindSafe(|| gpu.run(MAX_CYCLES)));
-    if cfg!(debug_assertions) {
-        outcome.expect_err("debug builds panic with the sanitizer report");
-    } else {
-        let summary = outcome
-            .expect("release builds count instead")
-            .expect("run ok");
-        assert_eq!(summary.sanitizer_violations, 1);
+    let total = uninterrupted_cycles();
+    for seed_at in [0, total / 2 + 337] {
+        let mut gpu = launched();
+        if seed_at > 0 {
+            let mut policy = CheckpointPolicy::none();
+            policy.kill_at = Some(seed_at);
+            let outcome = gpu.run_checkpointed(MAX_CYCLES, &policy);
+            assert_eq!(outcome, Ok(RunOutcome::Killed { at: seed_at }));
+        }
+        gpu.debug_seed_mshr_leak(leaked);
+        let outcome = catch_unwind(AssertUnwindSafe(|| gpu.run(MAX_CYCLES)));
+        if cfg!(debug_assertions) {
+            outcome.expect_err("debug builds panic with the sanitizer report");
+        } else {
+            let summary = outcome
+                .expect("release builds count instead")
+                .expect("run ok");
+            assert_eq!(summary.sanitizer_violations, 1);
+        }
+        assert_eq!(gpu.now().get(), total);
+        assert!(gpu.sanitizer().violations().iter().any(|v| matches!(
+            v,
+            Violation::MshrLeak { lines, .. } if lines.contains(&leaked)
+        )));
     }
-    assert_eq!(gpu.now().get(), uninterrupted_cycles());
-    assert!(gpu.sanitizer().violations().iter().any(|v| matches!(
-        v,
-        Violation::MshrLeak { lines, .. } if lines.contains(&leaked)
-    )));
 }

@@ -1,12 +1,15 @@
 //! Randomized tests of the timing simulator, driven by the workspace's
 //! hermetic [`gpu_types::rng`] (fixed seeds, fully reproducible): functional
-//! results must be independent of timing configuration, and no configuration
-//! may deadlock.
+//! results must be independent of timing configuration, no configuration
+//! may deadlock, and `run()` must equal `tick()`-stepping on all of them.
+
+mod skip_harness;
 
 use gpu_isa::{CmpOp, KernelBuilder, LaneAccess, Launch, Special, Width};
 use gpu_sim::{coalesce, Gpu, GpuConfig, SchedPolicy};
 use gpu_types::rng::Rng;
 use gpu_types::Addr;
+use latency_core::ArchPreset;
 
 fn scaled_config(
     num_sms: usize,
@@ -139,6 +142,46 @@ fn minimal_queues_never_deadlock() {
                 "case {case}: element {i}"
             );
         }
+    }
+}
+
+/// What `run()` leaves out — quiescent cycles, the ticks of sleeping SMs
+/// and partitions — is invisible on machines and graphs nobody picked by
+/// hand: every generation's pipeline, either scheduler, one to five SMs,
+/// tracer on or off, a multi-launch BFS whose grid may or may not fill
+/// the machine.
+#[test]
+fn run_equals_stepping_on_random_machines() {
+    for case in 0..16u64 {
+        let mut rng = Rng::seed_from_u64(0x51EE_0000 + case);
+        let preset = ArchPreset::ALL[rng.gen_range_usize(0, ArchPreset::ALL.len())];
+        let mut cfg = preset.config();
+        cfg.num_sms = rng.gen_range_usize(1, 6);
+        cfg.num_partitions = 2;
+        cfg.scheduler = if rng.gen_bool() {
+            SchedPolicy::Gto
+        } else {
+            SchedPolicy::Lrr
+        };
+        cfg.trace.enabled = rng.gen_bool();
+        cfg.trace.sample_interval = 16;
+        let nodes = rng.gen_range_u32(48, 200);
+        let degree = rng.gen_range_u32(2, 6);
+        let block_dim = 32 << rng.gen_range_u32(0, 3);
+        let graph_seed = rng.next_u64();
+        let what = format!(
+            "case {case}: {} x{} {:?}, bfs {nodes}/{degree}/{graph_seed:#x} in {block_dim}s, \
+             tracing {}",
+            preset.token(),
+            cfg.num_sms,
+            cfg.scheduler,
+            cfg.trace.enabled
+        );
+        skip_harness::assert_skip_invisible(
+            &what,
+            &cfg,
+            &skip_harness::mask_bfs(nodes, degree, graph_seed, block_dim),
+        );
     }
 }
 

@@ -200,17 +200,25 @@ pub enum ProfCounter {
     /// Idle-interval jumps taken (`CyclesSkipped / IdleJumps` is the mean
     /// quiescent interval).
     IdleJumps,
+    /// SM ticks left out of ticked cycles because the SM was asleep (its
+    /// wake cycle ahead, no reply deliverable): the loaded machine's idle
+    /// skipping, where `CyclesSkipped` is the quiescent machine's.
+    SmTicksSlept,
+    /// Partition ticks left out of ticked cycles, likewise.
+    PartitionTicksSlept,
     /// Gauge: the GPU's outstanding-request counter at the last sample.
     Outstanding,
 }
 
 impl ProfCounter {
     /// Every counter, in table order.
-    pub const ALL: [ProfCounter; 5] = [
+    pub const ALL: [ProfCounter; 7] = [
         ProfCounter::GridTasks,
         ProfCounter::CyclesTicked,
         ProfCounter::CyclesSkipped,
         ProfCounter::IdleJumps,
+        ProfCounter::SmTicksSlept,
+        ProfCounter::PartitionTicksSlept,
         ProfCounter::Outstanding,
     ];
 
@@ -229,6 +237,8 @@ impl ProfCounter {
             ProfCounter::CyclesTicked => "cycles_ticked",
             ProfCounter::CyclesSkipped => "cycles_skipped",
             ProfCounter::IdleJumps => "idle_jumps",
+            ProfCounter::SmTicksSlept => "sm_ticks_slept",
+            ProfCounter::PartitionTicksSlept => "partition_ticks_slept",
             ProfCounter::Outstanding => "outstanding",
         }
     }
