@@ -12,9 +12,8 @@
 //! (`GpuConfig::from_arch`) and can reconstruct the description from any
 //! config (`GpuConfig::arch_desc`); the two forms are interconvertible.
 //! Validation lives here ([`ArchDesc::validate`], typed [`ConfigError`]),
-//! as do the generic level-list walks for unloaded latencies
-//! ([`ArchDesc::unloaded_latency`]) and the derivation of the paper's
-//! Figure-1 stage labels ([`ArchDesc::fig1_stage_labels`]).
+//! as does the generic level-list walk for unloaded latencies
+//! ([`ArchDesc::unloaded_latency`]).
 
 #![forbid(unsafe_code)]
 
@@ -629,37 +628,6 @@ impl ArchDesc {
         None
     }
 
-    /// The eight Figure-1 stage labels, derived from the level list: the
-    /// SM-side level names the injection queue, the partition-side levels
-    /// name the queue-to-queue hops and the DRAM scheduling/access stages.
-    /// For every paper generation this yields exactly the paper's labels
-    /// ("SM Base", "L1toICNT", …, "Fetch2SM") because the structural
-    /// skeleton — and therefore the level list — is the same; a description
-    /// with a different hierarchy would label its stages after its own
-    /// levels.
-    pub fn fig1_stage_labels(&self) -> [String; 8] {
-        let name = |kind: LevelKind| {
-            self.level(kind)
-                .map_or(kind.label(), |l| l.kind.label())
-                .to_string()
-        };
-        let (l1, l2, dram) = (
-            name(LevelKind::L1),
-            name(LevelKind::L2),
-            name(LevelKind::DramFront),
-        );
-        [
-            "SM Base".to_string(),
-            format!("{l1}toICNT"),
-            "ICNTtoROP".to_string(),
-            format!("ROPto{l2}Q"),
-            format!("{l2}Qto{dram}Q"),
-            format!("{dram}(QtoSch)"),
-            format!("{dram}(SchToA)"),
-            "Fetch2SM".to_string(),
-        ]
-    }
-
     // ---- hashing and snapshot codec ---------------------------------------
 
     /// Feeds every timing- and structure-relevant field into `h`, in a
@@ -1262,23 +1230,6 @@ mod tests {
         assert_eq!(
             m.unloaded_latency(LevelKind::DramFront),
             d.unloaded_latency(LevelKind::DramFront)
-        );
-    }
-
-    #[test]
-    fn fig1_labels_match_the_paper() {
-        assert_eq!(
-            fermi().fig1_stage_labels(),
-            [
-                "SM Base",
-                "L1toICNT",
-                "ICNTtoROP",
-                "ROPtoL2Q",
-                "L2QtoDRAMQ",
-                "DRAM(QtoSch)",
-                "DRAM(SchToA)",
-                "Fetch2SM",
-            ]
         );
     }
 

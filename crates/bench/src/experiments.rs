@@ -105,9 +105,11 @@ pub fn run_traced(
         content_hash: summary.content_hash,
         sanitizer_violations: summary.sanitizer_violations,
     };
-    if let EnvTrace::Bundle(dir) = &env {
+    if let EnvTrace::Bundle(root) = &env {
         // Best effort: a failed export is reported, never fatal.
-        if let Err(e) = TraceBundle::of(&run, gpu.config()).write(dir) {
+        let bundle = TraceBundle::of(&run, gpu.config());
+        let dir = bundle.env_dir(root);
+        if let Err(e) = bundle.write(&dir) {
             eprintln!("warning: failed to write trace bundle to {dir:?}: {e}");
         }
     }

@@ -37,7 +37,7 @@ pub use suite::{
     serve_grid_spec, sweep_grid_spec, workloads_json, ServeBench, ServePass, SweepBench, TickBench,
     WorkloadBench, WorkloadRun, SERVE_CLIENTS,
 };
-pub use tracebundle::{env_request, stage_labels_for, track_names_for, EnvTrace, TraceBundle};
+pub use tracebundle::{env_request, track_names_for, EnvTrace, TraceBundle};
 pub use validate::{
     derived_level, validate_floor, validate_run, FloorCheck, FloorReport, LoadCheck,
     ValidationReport,

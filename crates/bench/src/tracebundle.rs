@@ -10,16 +10,17 @@
 //! The `LATENCY_TRACE` environment variable turns instrumented experiment
 //! drivers into bundle writers without code changes: `1`/`true`/`on`
 //! enables event collection only; any other non-empty value names a
-//! directory to also write the bundle into (best effort — export failures
-//! are reported on stderr, never fatal).
+//! directory under which every run also writes its bundle, each into its
+//! own `<content hash>/` subdirectory ([`TraceBundle::env_dir`]) — a driver
+//! may make many runs, some concurrently (best effort — export failures are
+//! reported on stderr, never fatal).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use gpu_sim::{GpuConfig, LevelKind, StallReason};
 use gpu_trace::{
-    counters_csv, events_jsonl, ChromeTraceBuilder, CounterKind, ProfileReport, StageLabels,
-    TrackNames,
+    counters_csv, events_jsonl, ChromeTraceBuilder, CounterKind, ProfileReport, TrackNames,
 };
 use latency_core::{breakdown_csv, exposure_csv, Bucketing, ExposureAnalysis, LatencyBreakdown};
 
@@ -33,7 +34,8 @@ pub enum EnvTrace {
     Off,
     /// `1`, `true` or `on`: collect events in memory only.
     Collect,
-    /// Any other value: collect events and write a bundle to this directory.
+    /// Any other value: collect events and write each run's bundle under
+    /// this directory.
     Bundle(PathBuf),
 }
 
@@ -66,10 +68,6 @@ pub struct TraceBundle<'a> {
     pub num_sms: u32,
     /// Memory partitions in the simulated machine.
     pub num_partitions: u32,
-    /// Per-stage span labels, derived from the machine's architecture
-    /// description (see [`stage_labels_for`]); `StageLabels::default()`
-    /// yields the paper's Figure-1 legend.
-    pub stage_labels: StageLabels,
     /// Process/thread/counter display names for the Perfetto tracks,
     /// derived from the architecture description (see [`track_names_for`]).
     pub track_names: TrackNames,
@@ -79,33 +77,13 @@ pub struct TraceBundle<'a> {
     pub profile: Option<ProfileReport>,
 }
 
-/// The request-span stage labels for a machine: derived from the
-/// architecture description's level list. For every paper preset this
-/// equals `StageLabels::default()` — the hierarchy skeleton is the same —
-/// so traces stay bit-identical; a description with differently-labeled
-/// levels names its Perfetto slices after them.
-pub fn stage_labels_for(cfg: &GpuConfig) -> StageLabels {
-    StageLabels::new(cfg.arch_desc().fig1_stage_labels())
-}
-
-/// Perfetto track display names for a machine, derived from its
-/// architecture description: process names carry the description's display
-/// name, and the counter tracks are spelled with the hierarchy's own level
-/// and queue labels (`LevelKind::label`/`queue_label`) instead of the
-/// tracer's fixed machine names — the ROADMAP's "description-driven track
-/// naming" item.
+/// Perfetto track display names for a machine. What a description can vary
+/// is its display name (on the process tracks) and its L2 slice count (on
+/// the L2 queue track); the counter tracks are otherwise spelled with the
+/// fixed level and queue labels (`LevelKind::label`/`queue_label`).
 pub fn track_names_for(cfg: &GpuConfig) -> TrackNames {
     let desc = cfg.arch_desc();
-    let level = |kind: LevelKind| {
-        desc.level(kind)
-            .map_or(kind.label(), |l| l.kind.label())
-            .to_string()
-    };
-    let (l1, l2, dram) = (
-        level(LevelKind::L1),
-        level(LevelKind::L2),
-        level(LevelKind::DramFront),
-    );
+    let [l1, l2, dram] = [LevelKind::L1, LevelKind::L2, LevelKind::DramFront].map(LevelKind::label);
     let mut counters = CounterKind::ALL.map(|k| k.name().to_string());
     counters[CounterKind::L1MshrOccupancy.index()] = format!("{l1} MSHR occupancy");
     counters[CounterKind::FrontDepth.index()] = "SM front-end depth".to_string();
@@ -142,18 +120,26 @@ pub fn track_names_for(cfg: &GpuConfig) -> TrackNames {
 }
 
 impl<'a> TraceBundle<'a> {
-    /// The bundle of a finished run on `cfg`'s machine: shape, stage labels
-    /// and track names are derived from the configuration, and the host-side
+    /// The bundle of a finished run on `cfg`'s machine: shape and track
+    /// names are derived from the configuration, and the host-side
     /// self-profile is included when the profiler is recording.
     pub fn of(run: &'a TracedRun, cfg: &GpuConfig) -> Self {
         TraceBundle {
             run,
             num_sms: cfg.num_sms as u32,
             num_partitions: cfg.num_partitions as u32,
-            stage_labels: stage_labels_for(cfg),
             track_names: track_names_for(cfg),
             profile: gpu_trace::profile::enabled().then(gpu_trace::profile::report),
         }
+    }
+
+    /// Where this run's bundle goes under a `LATENCY_TRACE` directory:
+    /// `<root>/<content hash as 16 hex digits>/`. One directory per run
+    /// keeps a driver's many runs from writing over each other; two runs
+    /// with equal hashes are identical simulations, so sharing one is
+    /// harmless.
+    pub fn env_dir(&self, root: &Path) -> PathBuf {
+        root.join(format!("{:016x}", self.run.content_hash))
     }
 
     /// Renders the Chrome trace-event JSON: one track per SM / partition,
@@ -165,7 +151,6 @@ impl<'a> TraceBundle<'a> {
             self.num_partitions,
             self.track_names.clone(),
         );
-        b.set_stage_labels(self.stage_labels.clone());
         for (i, r) in self.run.requests.iter().enumerate() {
             b.add_request_span(r.sm.get(), i as u64, &r.timeline);
         }
@@ -279,8 +264,6 @@ mod tests {
             seed: 7,
             block_dim: 64,
         };
-        let stage_labels = stage_labels_for(&cfg);
-        assert_eq!(stage_labels, StageLabels::default());
         let track_names = track_names_for(&cfg);
         assert_eq!(track_names.sms_process, "GF100-like (Fermi) SMs");
         assert!(track_names
@@ -292,7 +275,6 @@ mod tests {
             run: &run,
             num_sms: 2,
             num_partitions: 2,
-            stage_labels,
             track_names,
             profile: None,
         };
@@ -327,6 +309,35 @@ mod tests {
         );
         assert_ne!(run.content_hash, 0, "BFS run must hash its content");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn env_bundles_land_in_one_directory_per_distinct_run() {
+        // `hiding_sweep` and the ablations make several runs under one
+        // LATENCY_TRACE directory, some concurrently: each must get its own
+        // subdirectory, and only identical simulations may share one.
+        let exp = BfsExperiment {
+            nodes: 128,
+            degree: 4,
+            seed: 7,
+            block_dim: 64,
+        };
+        let mut small = GpuConfig::fermi_gf100();
+        small.num_sms = 2;
+        small.num_partitions = 2;
+        let mut other = small.clone();
+        other.dram.sched = gpu_mem::DramSched::Fcfs;
+
+        let root = Path::new("trace-root");
+        let dir_of = |cfg: &GpuConfig| {
+            let run = run_bfs_traced(cfg.clone(), &exp).unwrap();
+            let dir = TraceBundle::of(&run, cfg).env_dir(root);
+            assert_eq!(dir, root.join(format!("{:016x}", run.content_hash)));
+            dir
+        };
+        let (a, b) = (dir_of(&small), dir_of(&other));
+        assert_ne!(a, b, "distinct simulations must not share a bundle");
+        assert_eq!(a, dir_of(&small), "identical simulations share one");
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! state, so parallel tests would race on the enabled flag.
 
 use gpu_sim::profile::{self, ProfCounter, ProfSpan};
-use latency_bench::{
-    run_bfs_traced, stage_labels_for, track_names_for, BfsExperiment, TraceBundle,
-};
+use latency_bench::{run_bfs_traced, track_names_for, BfsExperiment, TraceBundle};
 use latency_core::ArchPreset;
 
 fn small_cfg() -> gpu_sim::GpuConfig {
@@ -130,7 +128,6 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
         run: &on,
         num_sms: cfg.num_sms as u32,
         num_partitions: cfg.num_partitions as u32,
-        stage_labels: stage_labels_for(&cfg),
         track_names: track_names_for(&cfg),
         profile: Some(report.clone()),
     };

@@ -48,18 +48,12 @@ impl Component {
         Component::Fetch2Sm,
     ];
 
-    /// Label exactly as printed in the paper's Figure 1 legend.
+    /// Label exactly as printed in the paper's Figure 1 legend (read from
+    /// the one legend beside [`Stamp`]).
     pub fn label(self) -> &'static str {
-        match self {
-            Component::SmBase => "SM Base",
-            Component::L1ToIcnt => "L1toICNT",
-            Component::IcntToRop => "ICNTtoROP",
-            Component::RopToL2Q => "ROPtoL2Q",
-            Component::L2QToDramQ => "L2QtoDRAMQ",
-            Component::DramQToSch => "DRAM(QtoSch)",
-            Component::DramSchToA => "DRAM(SchToA)",
-            Component::Fetch2Sm => "Fetch2SM",
-        }
+        self.end()
+            .stage_label()
+            .expect("every stamp after Issue ends a labelled stage")
     }
 
     /// Index into component arrays.
@@ -67,38 +61,22 @@ impl Component {
         self as usize
     }
 
-    /// The component that the time *ending* at `stamp` belongs to.
-    /// `Stamp::Issue` starts the timeline and owns no component.
-    pub fn ending_at(stamp: Stamp) -> Option<Component> {
-        Some(match stamp {
-            Stamp::Issue => return None,
-            Stamp::L1Access => Component::SmBase,
-            Stamp::IcntInject => Component::L1ToIcnt,
-            Stamp::RopEnter => Component::IcntToRop,
-            Stamp::L2QueueEnter => Component::RopToL2Q,
-            Stamp::DramQueueEnter => Component::L2QToDramQ,
-            Stamp::DramScheduled => Component::DramQToSch,
-            Stamp::DramDone => Component::DramSchToA,
-            Stamp::Returned => Component::Fetch2Sm,
-        })
+    /// The stamp this component's time ends at. Components are the stages
+    /// in pipeline order and `Issue` ends none, so component `i` ends at
+    /// stamp `i + 1`.
+    const fn end(self) -> Stamp {
+        Stamp::ALL[self.index() + 1]
     }
 }
 
-/// Splits a completed timeline into its eight component durations.
-/// Returns `None` for incomplete timelines (missing issue or return).
+/// Splits a completed timeline into its eight component durations: a fold
+/// over [`Timeline::stages`]. Returns `None` for incomplete timelines
+/// (missing issue or return).
 pub fn components_of(timeline: &Timeline) -> Option<[u64; 8]> {
-    let issue = timeline.get(Stamp::Issue)?;
-    timeline.get(Stamp::Returned)?;
     let mut parts = [0u64; 8];
-    let mut prev = issue;
-    for stamp in Stamp::ALL {
-        let Some(t) = timeline.get(stamp) else {
-            continue;
-        };
-        if let Some(c) = Component::ending_at(stamp) {
-            parts[c.index()] += t.since(prev);
-        }
-        prev = t;
+    for (stamp, start, end) in timeline.stages()? {
+        // The walk never yields `Issue`; see `Component::end`.
+        parts[stamp.index() - 1] += end.since(start);
     }
     Some(parts)
 }
@@ -309,20 +287,13 @@ mod tests {
     }
 
     #[test]
-    fn missing_stamps_fold_into_following_component() {
-        // An L2 hit has no DRAM stamps: its post-L2Q time lands in Fetch2SM.
-        let r = request_with(&[
-            (Stamp::Issue, 0),
-            (Stamp::L1Access, 30),
-            (Stamp::IcntInject, 60),
-            (Stamp::RopEnter, 110),
-            (Stamp::L2QueueEnter, 170),
-            (Stamp::Returned, 310),
-        ]);
-        let parts = components_of(&r.timeline).unwrap();
-        assert_eq!(parts.iter().sum::<u64>(), 310);
-        assert_eq!(parts[Component::Fetch2Sm.index()], 140);
-        assert_eq!(parts[Component::DramQToSch.index()], 0);
+    fn components_read_the_stamp_legend() {
+        assert_eq!(Component::SmBase.end(), Stamp::L1Access);
+        assert_eq!(
+            Component::DramQToSch.label(),
+            Stamp::DramScheduled.stage_label().unwrap()
+        );
+        assert_eq!(Component::Fetch2Sm.end(), Stamp::Returned);
     }
 
     #[test]

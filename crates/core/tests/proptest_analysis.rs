@@ -1,14 +1,19 @@
 //! Randomized tests of the dynamic-latency analyses, driven by the
 //! workspace's hermetic [`gpu_types::rng`] (fixed seeds, fully
 //! reproducible): for arbitrary (well-formed) request timelines and load
-//! records, the breakdown must partition time exactly and the exposure
-//! fractions must stay coherent.
+//! records, the breakdown must partition time exactly, every consumer of
+//! the Figure-1 stage cut must agree on it, and the exposure fractions must
+//! stay coherent.
 
-use gpu_mem::{PipelineSpace, Stamp, Timeline};
-use gpu_sim::{CompletedRequest, LoadInstrRecord};
+use std::collections::BTreeMap;
+
+use gpu_mem::{AccessKind, MemRequest, PipelineSpace, RequestId, Stamp, Timeline};
+use gpu_sim::{CompletedRequest, LoadInstrRecord, Sanitizer};
+use gpu_trace::json::{self, Value};
+use gpu_trace::{check_span_sums, ChromeTraceBuilder};
 use gpu_types::rng::Rng;
-use gpu_types::{Cycle, SmId};
-use latency_core::{components_of, ExposureAnalysis, LatencyBreakdown};
+use gpu_types::{Addr, Cycle, SmId};
+use latency_core::{components_of, Component, ExposureAnalysis, LatencyBreakdown};
 
 /// A monotone timeline visiting `Issue`, a random subset of the interior
 /// stamps (in pipeline order), and `Returned`.
@@ -78,6 +83,109 @@ fn components_partition_total() {
             "case {case}"
         );
     }
+}
+
+fn timeline_of(stamps: &[(Stamp, u64)]) -> Timeline {
+    let mut t = Timeline::new();
+    for &(stamp, at) in stamps {
+        t.record(stamp, Cycle::new(at));
+    }
+    t
+}
+
+/// Checks one complete timeline against every consumer of the Figure-1 cut
+/// and returns its per-component durations: the shared walk
+/// (`Timeline::stages`) tiles `[Issue, Returned]`; `components_of` and the
+/// child slices `add_request_span` emits carry the same per-stage sums; and
+/// the sanitizer, which walks the stamps on its own, finds nothing.
+fn assert_consumers_agree(t: &Timeline, what: &str) -> [u64; 8] {
+    let (issue, returned) = (t.get(Stamp::Issue), t.get(Stamp::Returned));
+    let mut at = issue.expect("complete");
+    let mut last = Stamp::Issue;
+    for (stamp, start, end) in t.stages().expect("complete") {
+        assert!(stamp > last, "{what}: {stamp:?} out of pipeline order");
+        assert_eq!(start, at, "{what}: gap or overlap before {stamp:?}");
+        assert!(end >= start, "{what}: {stamp:?} runs backwards");
+        (last, at) = (stamp, end);
+    }
+    assert_eq!(Some(at), returned, "{what}: walk stops short of Returned");
+
+    let parts = components_of(t).expect("complete");
+
+    let mut b = ChromeTraceBuilder::new(1, 1);
+    b.add_request_span(0, 7, t);
+    let doc = json::parse(&b.finish()).expect("valid chrome trace json");
+    assert_eq!(check_span_sums(&doc), Ok(1), "{what}");
+    let mut slices: BTreeMap<&str, i64> = BTreeMap::new();
+    for ev in doc.get("traceEvents").and_then(Value::as_arr).unwrap() {
+        let field = |k| ev.get(k).and_then(Value::as_str);
+        let (Some("request"), Some(ph), Some(name)) = (field("cat"), field("ph"), field("name"))
+        else {
+            continue;
+        };
+        let ts = ev.get("ts").and_then(Value::as_num).unwrap() as i64;
+        *slices.entry(name).or_default() += if ph == "e" { ts } else { -ts };
+    }
+    assert_eq!(slices.remove("req7"), t.total_latency().map(|d| d as i64));
+    for c in Component::ALL {
+        let slice = slices.remove(c.label()).unwrap_or(0);
+        assert_eq!(slice, parts[c.index()] as i64, "{what}: {}", c.label());
+    }
+    assert!(slices.is_empty(), "{what}: unexpected slices {slices:?}");
+
+    let mut req = MemRequest::new(
+        RequestId::new(7),
+        Addr::new(0x80),
+        128,
+        AccessKind::Load,
+        PipelineSpace::Global,
+        SmId::new(0),
+        0,
+        Cycle::ZERO,
+    );
+    req.timeline = *t;
+    let mut san = Sanitizer::new();
+    san.check_retired(&req);
+    assert!(san.is_clean(), "{what}: {}", san.report());
+    parts
+}
+
+/// The walk, `components_of`, the chrome exporter and the sanitizer agree on
+/// every random sparse timeline.
+#[test]
+fn stage_cut_consumers_agree() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0x57A6_0000 + case);
+        assert_consumers_agree(&gen_timeline(&mut rng), &format!("case {case}"));
+    }
+}
+
+/// A stage the request skipped folds into the next one it reached.
+#[test]
+fn sparse_timelines_fold_into_the_next_present_stage() {
+    // An L2 hit has no DRAM stamps: its post-L2Q time lands in Fetch2SM.
+    let l2_hit = timeline_of(&[
+        (Stamp::Issue, 0),
+        (Stamp::L1Access, 30),
+        (Stamp::IcntInject, 60),
+        (Stamp::RopEnter, 110),
+        (Stamp::L2QueueEnter, 170),
+        (Stamp::Returned, 310),
+    ]);
+    let parts = assert_consumers_agree(&l2_hit, "L2 hit");
+    assert_eq!(parts.iter().sum::<u64>(), 310);
+    assert_eq!(parts[Component::Fetch2Sm.index()], 140);
+    assert_eq!(parts[Component::DramQToSch.index()], 0);
+
+    // An L1 hit only probes the L1 on its way back.
+    let l1_hit = timeline_of(&[
+        (Stamp::Issue, 0),
+        (Stamp::L1Access, 30),
+        (Stamp::Returned, 90),
+    ]);
+    let parts = assert_consumers_agree(&l1_hit, "L1 hit");
+    assert_eq!(parts[Component::SmBase.index()], 30);
+    assert_eq!(parts[Component::Fetch2Sm.index()], 60);
 }
 
 /// Bucketizing never loses or duplicates requests, and per-bucket

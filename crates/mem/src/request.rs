@@ -3,8 +3,11 @@
 //! A [`MemRequest`] is one line-granular memory transaction traversing the
 //! global/local memory pipeline (the paper calls these "memory fetches").
 //! Each request carries a [`Timeline`] that pipeline components stamp as the
-//! request moves between stages; the dynamic-latency analysis in
-//! `latency-core` turns those stamps into the Figure-1 breakdown components.
+//! request moves between stages. The paper's Figure-1 cut of that lifetime
+//! into named stages is written down here and nowhere else: the legend is
+//! [`Stamp::stage_label`], the cut itself is [`Timeline::stages`], and the
+//! breakdown in `latency-core` and the request spans in `gpu-trace` both
+//! read them.
 
 use std::fmt;
 
@@ -54,10 +57,9 @@ pub enum PipelineSpace {
 
 /// Transition points stamped on a request's [`Timeline`].
 ///
-/// Each stamp marks *entry into* the named point; the latency component
-/// between two consecutive present stamps is attributed to the later stamp's
-/// component (see `latency-core`). The variants are ordered by pipeline
-/// position.
+/// Each stamp marks *entry into* the named point; the time between two
+/// consecutive present stamps is the stage that *ends* at the later one
+/// ([`Stamp::stage_label`]). The variants are ordered by pipeline position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stamp {
     /// Warp issued the memory instruction (request creation).
@@ -98,6 +100,22 @@ impl Stamp {
     pub const fn index(self) -> usize {
         self as usize
     }
+
+    /// The Figure-1 legend: the paper's label for the stage that *ends* at
+    /// this stamp. `Issue` starts the timeline and ends no stage.
+    pub const fn stage_label(self) -> Option<&'static str> {
+        Some(match self {
+            Stamp::Issue => return None,
+            Stamp::L1Access => "SM Base",
+            Stamp::IcntInject => "L1toICNT",
+            Stamp::RopEnter => "ICNTtoROP",
+            Stamp::L2QueueEnter => "ROPtoL2Q",
+            Stamp::DramQueueEnter => "L2QtoDRAMQ",
+            Stamp::DramScheduled => "DRAM(QtoSch)",
+            Stamp::DramDone => "DRAM(SchToA)",
+            Stamp::Returned => "Fetch2SM",
+        })
+    }
 }
 
 /// The cycle stamps collected over a request's lifetime.
@@ -134,6 +152,21 @@ impl Timeline {
     /// Returns `true` once the request has fully returned.
     pub fn is_complete(&self) -> bool {
         self.get(Stamp::Issue).is_some() && self.get(Stamp::Returned).is_some()
+    }
+
+    /// The Figure-1 cut of a complete timeline: one `(stamp, start, end)`
+    /// per present stamp after `Issue`, in pipeline order, where `start` is
+    /// the previous present stamp's cycle — so the intervals tile
+    /// `[Issue, Returned]`, and a stage the request skipped (an L2 hit has
+    /// no DRAM stamps) folds into the next one it did reach. `None` for an
+    /// incomplete timeline (missing issue or return).
+    pub fn stages(&self) -> Option<impl Iterator<Item = (Stamp, Cycle, Cycle)> + '_> {
+        let mut prev = self.get(Stamp::Issue)?;
+        self.get(Stamp::Returned)?;
+        Some(Stamp::ALL[1..].iter().filter_map(move |&stamp| {
+            let end = self.get(stamp)?;
+            Some((stamp, std::mem::replace(&mut prev, end), end))
+        }))
     }
 }
 
@@ -331,6 +364,34 @@ mod tests {
         }
         assert_eq!(Stamp::Issue.index(), 0);
         assert_eq!(Stamp::Returned.index(), 8);
+    }
+
+    #[test]
+    fn every_stamp_but_issue_ends_a_labelled_stage() {
+        assert_eq!(Stamp::Issue.stage_label(), None);
+        let labels: Vec<_> = Stamp::ALL[1..].iter().map(|s| s.stage_label()).collect();
+        assert!(labels.iter().all(Option::is_some));
+        assert_eq!(labels[0], Some("SM Base"));
+        assert_eq!(labels[7], Some("Fetch2SM"));
+    }
+
+    #[test]
+    fn stages_tile_the_lifetime_and_skip_absent_stamps() {
+        let mut t = Timeline::new();
+        t.record(Stamp::Issue, Cycle::new(10));
+        assert!(t.stages().is_none(), "no return stamp yet");
+        t.record(Stamp::L1Access, Cycle::new(40));
+        t.record(Stamp::L2QueueEnter, Cycle::new(170));
+        t.record(Stamp::Returned, Cycle::new(310));
+        let c = Cycle::new;
+        assert_eq!(
+            t.stages().unwrap().collect::<Vec<_>>(),
+            [
+                (Stamp::L1Access, c(10), c(40)),
+                (Stamp::L2QueueEnter, c(40), c(170)),
+                (Stamp::Returned, c(170), c(310)),
+            ]
+        );
     }
 
     #[test]

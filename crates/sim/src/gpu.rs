@@ -15,7 +15,6 @@ use gpu_trace::{
 };
 use gpu_types::{Addr, CtaId, Cycle, PartitionId, SmId};
 
-use crate::clock::{ClockedComponent, TickSchedule, TickStage};
 use crate::config::GpuConfig;
 use crate::partition::Partition;
 use crate::sanitizer::{Sanitizer, Violation};
@@ -196,7 +195,6 @@ pub struct Gpu {
     /// Distinct names of the kernels launched, in first-launch order.
     /// Host-side bookkeeping: never serialized.
     launched: Vec<String>,
-    schedule: TickSchedule,
 }
 
 impl Gpu {
@@ -240,7 +238,6 @@ impl Gpu {
             content_hash: 0,
             host_tag: Vec::new(),
             launched: Vec::new(),
-            schedule: TickSchedule::derive(&cfg),
             cfg,
         }
     }
@@ -250,34 +247,6 @@ impl Gpu {
     /// BENCHMARK.json) still calls this once; DESIGN.md, "Frozen
     /// signatures", says when it goes.
     pub fn set_tick_threads(&mut self, _n: usize) {}
-
-    /// The per-cycle stage schedule this GPU executes (derived from its
-    /// configuration at construction).
-    pub fn schedule(&self) -> &TickSchedule {
-        &self.schedule
-    }
-
-    /// Every clocked component of the machine, in audit order: SMs, memory
-    /// partitions, then the two crossbar networks. Borrows the component
-    /// fields only, so callers can hold the sanitizer mutably alongside.
-    fn components_of<'a>(
-        sms: &'a [Sm],
-        partitions: &'a [Partition],
-        req_net: &'a Crossbar<MemRequest>,
-        reply_net: &'a Crossbar<MemRequest>,
-    ) -> impl Iterator<Item = &'a dyn ClockedComponent> {
-        sms.iter()
-            .map(|s| s as &dyn ClockedComponent)
-            .chain(partitions.iter().map(|p| p as &dyn ClockedComponent))
-            .chain([
-                req_net as &dyn ClockedComponent,
-                reply_net as &dyn ClockedComponent,
-            ])
-    }
-
-    fn components(&self) -> impl Iterator<Item = &dyn ClockedComponent> {
-        Self::components_of(&self.sms, &self.partitions, &self.req_net, &self.reply_net)
-    }
 
     /// The configuration this GPU was built from.
     pub fn config(&self) -> &GpuConfig {
@@ -460,7 +429,12 @@ impl Gpu {
             Some(l) => l.next_cta >= l.launch.grid_dim,
             None => true,
         };
-        dispatched_all && self.outstanding == 0 && self.components().all(|c| c.is_idle())
+        dispatched_all
+            && self.outstanding == 0
+            && self.sms.iter().all(Sm::is_idle)
+            && self.partitions.iter().all(Partition::is_idle)
+            && self.req_net.is_idle()
+            && self.reply_net.is_idle()
     }
 
     /// The cumulative run summary so far (the same value [`Gpu::run`]
@@ -728,10 +702,11 @@ impl Gpu {
             if self.now.since(start) >= max_cycles {
                 self.host_nanos += wall.elapsed().as_nanos() as u64;
                 if self.cfg.sanitize {
-                    // Name any stuck MSHR lines before reporting the hang.
-                    for p in &self.partitions {
-                        p.audit_drained(&mut self.sanitizer);
-                    }
+                    // Name what is stuck on either side before reporting
+                    // the hang: L1 MSHR lines and pending loads on the SMs,
+                    // L2 MSHR lines in the partitions. Counted, never a
+                    // panic — a timeout is already an error.
+                    self.audit_drained();
                 }
                 return Err(SimError::Timeout { max_cycles });
             }
@@ -748,12 +723,7 @@ impl Gpu {
         self.host_nanos += wall.elapsed().as_nanos() as u64;
         self.launch = None;
         if self.cfg.sanitize {
-            let san = &mut self.sanitizer;
-            for c in
-                Self::components_of(&self.sms, &self.partitions, &self.req_net, &self.reply_net)
-            {
-                c.audit_drained(san);
-            }
+            self.audit_drained();
             // Violations fail loudly in debug builds (which `cargo test`
             // uses); release builds keep the report queryable instead of
             // aborting long experiments.
@@ -766,19 +736,33 @@ impl Gpu {
 
     /// The earliest cycle at which a tick could change the machine's state:
     /// `now` while CTAs wait for an SM that could take one, else the
-    /// minimum over every component's [`ClockedComponent::next_event`].
-    /// A sleeping SM or partition answers its stored wake cycle, so only
-    /// the awake ones re-derive anything; components are asked cheapest
-    /// first (networks, partitions, SMs) and the scan stops at the first
-    /// that can act now.
+    /// minimum over the `next_event` of both crossbars, every partition
+    /// and every SM.
+    ///
+    /// The contract each of those `next_event`s keeps: the earliest cycle
+    /// at which ticking the component could change its state, assuming no
+    /// other component hands it work before then (each reports its own
+    /// hand-offs, and the minimum is taken here) — `now` if it could act
+    /// right away *or is unsure*, [`Cycle::MAX`] if nothing is pending. The
+    /// run loop jumps the clock over the cycles before the minimum instead
+    /// of ticking them (DESIGN.md, "Idle-cycle skipping"), so an answer may
+    /// be early but never late. An SM or partition that went to sleep at
+    /// the end of its last full tick answers the wake cycle it stored then,
+    /// without looking at its queues again (DESIGN.md, "Sleeping
+    /// components"): the same horizon, derived once, and still valid
+    /// because everything that hands a sleeper work zeroes the stored
+    /// cycle. So only the awake ones re-derive anything; components are
+    /// asked cheapest first (networks, partitions, SMs) and the scan stops
+    /// at the first that can act now.
     fn next_event(&self) -> Cycle {
         let now = self.now;
         let mut at = Cycle::MAX;
-        let nets = [&self.req_net, &self.reply_net].map(|n| n as &dyn ClockedComponent);
-        let partitions = self.partitions.iter().map(|p| p as &dyn ClockedComponent);
-        let sms = self.sms.iter().map(|s| s as &dyn ClockedComponent);
-        for c in nets.into_iter().chain(partitions).chain(sms) {
-            at = at.min(c.next_event(now));
+        let nets = [&self.req_net, &self.reply_net].into_iter();
+        let nets = nets.map(|n| n.next_event(now));
+        let partitions = self.partitions.iter().map(|p| p.next_event(now));
+        let sms = self.sms.iter().map(|s| s.next_event(now));
+        for next in nets.chain(partitions).chain(sms) {
+            at = at.min(next);
             if at <= now {
                 return now;
             }
@@ -862,220 +846,228 @@ impl Gpu {
         profile::add(ProfCounter::IdleJumps, 1);
     }
 
-    /// Advances the GPU by one cycle: a plain interpreter over the tick
-    /// schedule derived from the machine description at construction.
-    /// Always exactly one cycle, every component ticked in full — idle-cycle
-    /// skipping and component sleep live in the run loop, so stepping with
-    /// `tick` is the reference both are tested against.
-    ///
-    /// With the self-profiler on, the host clock is stamped once *between*
-    /// stages, so the per-stage deltas tile the loop body exactly (n+1
-    /// clock reads for n stages, no metering gaps); with it off, the loop
-    /// is the bare interpreter.
+    /// Advances the GPU by one cycle. Always exactly one cycle, every
+    /// component ticked in full — idle-cycle skipping and component sleep
+    /// live in the run loop, so stepping with `tick` is the reference both
+    /// are tested against.
     pub fn tick(&mut self) {
         self.tick_cycle(false);
     }
 
-    /// One cycle of the schedule. The run loop passes `honour_sleep`, so an
-    /// SM or partition whose wake cycle is still ahead is not ticked;
-    /// [`Gpu::tick`] does not, and ticks every component in full.
+    /// One cycle: the stages below, in this order, on every machine. The
+    /// order is the model's same-cycle visibility rules, so it is code, not
+    /// data (DESIGN.md, "The cycle's stage order"): the networks open
+    /// before anyone injects; partitions tick before their returns inject,
+    /// so a reply produced this cycle can enter the reply network this
+    /// cycle, and before the request network ejects into them, so a
+    /// request accepted this cycle is first worked on next cycle; SMs tick
+    /// after both networks moved and eject replies before they issue; CTAs
+    /// dispatch onto the slots that tick freed; the audit (sanitizing
+    /// machines only — `sanitize` is fixed at construction) and the
+    /// counter sample see the machine between cycles, every live request in
+    /// exactly one structure; the clock advances last.
+    ///
+    /// The run loop passes `honour_sleep`, so an SM or partition whose wake
+    /// cycle is still ahead is not ticked; [`Gpu::tick`] does not, and
+    /// ticks every component in full. Every other stage, the audit
+    /// included, visits everything either way.
+    ///
+    /// With the self-profiler on, the host clock is read once *between*
+    /// stages, so the per-stage deltas tile the cycle exactly (n+1 clock
+    /// reads for n stages, no metering gaps); with it off, no clock is read.
     fn tick_cycle(&mut self, honour_sleep: bool) {
-        if !profile::enabled() {
-            for i in 0..self.schedule.len() {
-                self.run_stage(self.schedule.stage(i), honour_sleep);
+        let now = self.now;
+        let mut clock = profile::enabled().then(std::time::Instant::now);
+        let mut done = |stage: ProfSpan| {
+            if let Some(prev) = &mut clock {
+                let at = std::time::Instant::now();
+                profile::span_add(stage, (at - *prev).as_nanos() as u64);
+                *prev = at;
             }
-            return;
+        };
+        self.begin_networks();
+        done(ProfSpan::BeginNetworks);
+        self.tick_partitions(now, honour_sleep);
+        done(ProfSpan::TickPartitions);
+        self.inject_replies(now);
+        done(ProfSpan::InjectReplies);
+        self.eject_requests(now);
+        done(ProfSpan::EjectRequests);
+        self.tick_sms(now, honour_sleep);
+        done(ProfSpan::TickSms);
+        self.dispatch_ctas();
+        done(ProfSpan::DispatchCtas);
+        if self.cfg.sanitize {
+            self.audit_cycle(now);
+            done(ProfSpan::AuditInvariants);
         }
-        let mut prev = std::time::Instant::now();
-        for i in 0..self.schedule.len() {
-            let stage = self.schedule.stage(i);
-            self.run_stage(stage, honour_sleep);
-            let now = std::time::Instant::now();
-            profile::span_add(Self::stage_span(stage), (now - prev).as_nanos() as u64);
-            prev = now;
-        }
+        self.sample_stage(now);
+        done(ProfSpan::SampleCounters);
+        self.now.tick();
+        done(ProfSpan::AdvanceClock);
         profile::add(ProfCounter::CyclesTicked, 1);
     }
 
-    /// The self-profiler site for one tick-schedule stage.
-    const fn stage_span(stage: TickStage) -> ProfSpan {
-        match stage {
-            TickStage::BeginNetworks => ProfSpan::BeginNetworks,
-            TickStage::TickPartitions => ProfSpan::TickPartitions,
-            TickStage::InjectReplies => ProfSpan::InjectReplies,
-            TickStage::EjectRequests => ProfSpan::EjectRequests,
-            TickStage::TickSms => ProfSpan::TickSms,
-            TickStage::DispatchCtas => ProfSpan::DispatchCtas,
-            TickStage::AuditInvariants => ProfSpan::AuditInvariants,
-            TickStage::SampleCounters => ProfSpan::SampleCounters,
-            TickStage::AdvanceClock => ProfSpan::AdvanceClock,
+    /// Opens both crossbar cycles (per-port injection budgets reset).
+    fn begin_networks(&mut self) {
+        let _g = profile::span(ProfSpan::CrossbarTick);
+        self.req_net.begin_cycle();
+        self.reply_net.begin_cycle();
+    }
+
+    /// Ticks every memory partition: DRAM completions, L2 access, ROP exit.
+    fn tick_partitions(&mut self, now: Cycle, honour_sleep: bool) {
+        let mut slept = 0;
+        for p in &mut self.partitions {
+            if honour_sleep && p.asleep(now) {
+                slept += 1;
+                continue;
+            }
+            let _g = profile::span(ProfSpan::PartitionTick);
+            let stores_done = p.tick(now, &mut self.tracer);
+            self.outstanding -= stores_done;
+        }
+        profile::add(ProfCounter::PartitionTicksSlept, slept);
+    }
+
+    /// Injects partition returns into the reply network.
+    fn inject_replies(&mut self, now: Cycle) {
+        for (pi, p) in self.partitions.iter_mut().enumerate() {
+            while let Some(head) = p.peek_return() {
+                let dst = head.sm.index();
+                if !self.reply_net.can_inject(pi, dst) {
+                    break;
+                }
+                let req = p.pop_return().expect("peeked");
+                let rid = req.id.get();
+                self.reply_net
+                    .try_inject(pi, dst, req, now)
+                    .expect("can_inject checked");
+                if self.tracer.enabled() {
+                    self.tracer.record(TraceEvent {
+                        cycle: now.get(),
+                        site: TraceSite::Gpu,
+                        kind: EventKind::IcntInject {
+                            net: NetDir::Reply,
+                            req: rid,
+                            port: pi as u32,
+                        },
+                    });
+                }
+            }
         }
     }
 
-    /// Executes one stage of the per-cycle schedule. With `honour_sleep`,
-    /// the two component stages leave out the ticks of sleeping components
-    /// (DESIGN.md, "Sleeping components"); every other stage, the audit
-    /// included, visits everything either way.
-    fn run_stage(&mut self, stage: TickStage, honour_sleep: bool) {
-        let now = self.now;
-        match stage {
-            TickStage::BeginNetworks => {
-                let _g = profile::span(ProfSpan::CrossbarTick);
-                self.req_net.begin_cycle();
-                self.reply_net.begin_cycle();
-            }
-            TickStage::TickPartitions => {
-                let mut slept = 0;
-                for p in &mut self.partitions {
-                    if honour_sleep && p.asleep(now) {
-                        slept += 1;
-                        continue;
-                    }
-                    let _g = profile::span(ProfSpan::PartitionTick);
-                    let stores_done = p.tick(now, &mut self.tracer);
-                    self.outstanding -= stores_done;
-                }
-                profile::add(ProfCounter::PartitionTicksSlept, slept);
-            }
-            TickStage::InjectReplies => {
-                for (pi, p) in self.partitions.iter_mut().enumerate() {
-                    while let Some(head) = p.peek_return() {
-                        let dst = head.sm.index();
-                        if !self.reply_net.can_inject(pi, dst) {
-                            break;
-                        }
-                        let req = p.pop_return().expect("peeked");
-                        let rid = req.id.get();
-                        self.reply_net
-                            .try_inject(pi, dst, req, now)
-                            .expect("can_inject checked");
+    /// Ejects the request network into partition ROP pipelines.
+    fn eject_requests(&mut self, now: Cycle) {
+        for (pi, p) in self.partitions.iter_mut().enumerate() {
+            while p.can_accept() {
+                match self.req_net.eject(pi, now) {
+                    Some(req) => {
                         if self.tracer.enabled() {
                             self.tracer.record(TraceEvent {
                                 cycle: now.get(),
                                 site: TraceSite::Gpu,
-                                kind: EventKind::IcntInject {
-                                    net: NetDir::Reply,
-                                    req: rid,
+                                kind: EventKind::IcntEject {
+                                    net: NetDir::Request,
+                                    req: req.id.get(),
                                     port: pi as u32,
                                 },
                             });
                         }
+                        p.accept(req, now, &mut self.tracer);
                     }
+                    None => break,
                 }
             }
-            TickStage::EjectRequests => {
-                for (pi, p) in self.partitions.iter_mut().enumerate() {
-                    while p.can_accept() {
-                        match self.req_net.eject(pi, now) {
-                            Some(req) => {
-                                if self.tracer.enabled() {
-                                    self.tracer.record(TraceEvent {
-                                        cycle: now.get(),
-                                        site: TraceSite::Gpu,
-                                        kind: EventKind::IcntEject {
-                                            net: NetDir::Request,
-                                            req: req.id.get(),
-                                            port: pi as u32,
-                                        },
-                                    });
-                                }
-                                p.accept(req, now, &mut self.tracer);
-                            }
-                            None => break,
-                        }
-                    }
-                }
+        }
+    }
+
+    /// Ticks every SM: writeback, reply ejection, L1 access, miss
+    /// injection, issue, CTA retirement.
+    fn tick_sms(&mut self, now: Cycle, honour_sleep: bool) {
+        let sanitize = self.cfg.sanitize;
+        let mut slept = 0;
+        for si in 0..self.sms.len() {
+            let sm = &mut self.sms[si];
+            // A deliverable reply wakes a sleeper; dispatch and the leak
+            // hook zero its wake cycle themselves.
+            if honour_sleep && sm.asleep(now) && self.reply_net.peek(si, now).is_none() {
+                sm.sleep_through(now, &mut self.tracer);
+                slept += 1;
+                continue;
             }
-            TickStage::TickSms => {
-                let sanitize = self.cfg.sanitize;
-                let mut slept = 0;
-                for si in 0..self.sms.len() {
-                    let sm = &mut self.sms[si];
-                    // A deliverable reply wakes a sleeper; dispatch and the
-                    // leak hook zero its wake cycle themselves.
-                    if honour_sleep && sm.asleep(now) && self.reply_net.peek(si, now).is_none() {
-                        sm.sleep_through(now, &mut self.tracer);
-                        slept += 1;
-                        continue;
-                    }
-                    let _g = profile::span(ProfSpan::SmTick);
-                    let retired = sm.tick_writeback(
-                        now,
-                        &mut self.sink,
-                        sanitize.then_some(&mut self.sanitizer),
-                    );
-                    self.outstanding -= retired;
+            let _g = profile::span(ProfSpan::SmTick);
+            let retired =
+                sm.tick_writeback(now, &mut self.sink, sanitize.then_some(&mut self.sanitizer));
+            self.outstanding -= retired;
 
-                    while sm.fill_space() {
-                        match self.reply_net.eject(si, now) {
-                            Some(req) => {
-                                if self.tracer.enabled() {
-                                    self.tracer.record(TraceEvent {
-                                        cycle: now.get(),
-                                        site: TraceSite::Gpu,
-                                        kind: EventKind::IcntEject {
-                                            net: NetDir::Reply,
-                                            req: req.id.get(),
-                                            port: si as u32,
-                                        },
-                                    });
-                                }
-                                sm.accept_response(req, now, &mut self.tracer);
-                            }
-                            None => break,
-                        }
-                    }
-
-                    sm.tick_memory(now, &mut self.tracer);
-
-                    while let Some(head) = sm.peek_miss() {
-                        let dst = self.map.partition_of(head.addr).index();
-                        if !self.req_net.can_inject(si, dst) {
-                            break;
-                        }
-                        let mut req = sm.pop_miss().expect("peeked");
-                        req.timeline.record(Stamp::IcntInject, now);
-                        let rid = req.id.get();
-                        self.req_net
-                            .try_inject(si, dst, req, now)
-                            .expect("can_inject checked");
+            while sm.fill_space() {
+                match self.reply_net.eject(si, now) {
+                    Some(req) => {
                         if self.tracer.enabled() {
                             self.tracer.record(TraceEvent {
                                 cycle: now.get(),
                                 site: TraceSite::Gpu,
-                                kind: EventKind::IcntInject {
-                                    net: NetDir::Request,
-                                    req: rid,
+                                kind: EventKind::IcntEject {
+                                    net: NetDir::Reply,
+                                    req: req.id.get(),
                                     port: si as u32,
                                 },
                             });
                         }
+                        sm.accept_response(req, now, &mut self.tracer);
                     }
+                    None => break,
+                }
+            }
 
-                    let created =
-                        sm.tick_issue(now, &mut self.device, &mut self.sink, &mut self.tracer);
-                    self.outstanding += created;
-                    sm.end_tick(now);
+            sm.tick_memory(now, &mut self.tracer);
+
+            while let Some(head) = sm.peek_miss() {
+                let dst = self.map.partition_of(head.addr).index();
+                if !self.req_net.can_inject(si, dst) {
+                    break;
                 }
-                profile::add(ProfCounter::SmTicksSlept, slept);
-            }
-            TickStage::DispatchCtas => self.dispatch_ctas(),
-            // Scheduled only on sanitizing machines (see TickSchedule::derive).
-            TickStage::AuditInvariants => self.audit_cycle(now),
-            TickStage::SampleCounters => {
-                if self.tracer.should_sample(now.get()) {
-                    self.sample_counters(now);
+                let mut req = sm.pop_miss().expect("peeked");
+                req.timeline.record(Stamp::IcntInject, now);
+                let rid = req.id.get();
+                self.req_net
+                    .try_inject(si, dst, req, now)
+                    .expect("can_inject checked");
+                if self.tracer.enabled() {
+                    self.tracer.record(TraceEvent {
+                        cycle: now.get(),
+                        site: TraceSite::Gpu,
+                        kind: EventKind::IcntInject {
+                            net: NetDir::Request,
+                            req: rid,
+                            port: si as u32,
+                        },
+                    });
                 }
-                // Host-clock self-profile sampling rides the same stage:
-                // publish the outstanding gauge and, at a bounded host-time
-                // interval, snapshot the profiler tables for the Perfetto
-                // host tracks. Both are one relaxed atomic when profiling
-                // is off.
-                profile::set(ProfCounter::Outstanding, self.outstanding);
-                profile::sample_at_interval(PROFILE_SAMPLE_GAP_NANOS);
             }
-            TickStage::AdvanceClock => self.now.tick(),
+
+            let created = sm.tick_issue(now, &mut self.device, &mut self.sink, &mut self.tracer);
+            self.outstanding += created;
+            sm.end_tick(now);
         }
+        profile::add(ProfCounter::SmTicksSlept, slept);
+    }
+
+    /// Counter sampling at the tracer's interval (whether a sample fires is
+    /// the tracer's runtime decision, since event tracing can be toggled
+    /// mid-run).
+    fn sample_stage(&mut self, now: Cycle) {
+        if self.tracer.should_sample(now.get()) {
+            self.sample_counters(now);
+        }
+        // Host-clock self-profile sampling rides the same stage: publish
+        // the outstanding gauge and, at a bounded host-time interval,
+        // snapshot the profiler tables for the Perfetto host tracks. Both
+        // are one relaxed atomic when profiling is off.
+        profile::set(ProfCounter::Outstanding, self.outstanding);
+        profile::sample_at_interval(PROFILE_SAMPLE_GAP_NANOS);
     }
 
     /// Reads the per-cycle gauges into one counter sample. Gauges are summed
@@ -1111,10 +1103,16 @@ impl Gpu {
     /// queues and MSHR tables must respect their configured capacities.
     fn audit_cycle(&mut self, now: Cycle) {
         let san = &mut self.sanitizer;
-        let mut in_flight = 0u64;
-        for c in Self::components_of(&self.sms, &self.partitions, &self.req_net, &self.reply_net) {
-            c.audit(san);
-            in_flight += c.in_flight_requests();
+        // The crossbars hold requests but have no audited structure: their
+        // capacity bounds are enforced by `can_inject`.
+        let mut in_flight = (self.req_net.in_flight() + self.reply_net.in_flight()) as u64;
+        for sm in &self.sms {
+            sm.audit(san);
+            in_flight += sm.in_flight_requests();
+        }
+        for p in &self.partitions {
+            p.audit(san);
+            in_flight += p.in_flight_requests();
         }
         if in_flight != self.outstanding {
             san.record(Violation::Conservation {
@@ -1125,6 +1123,19 @@ impl Gpu {
         }
     }
 
+    /// Leak audit of a machine that should hold nothing: MSHR lines and
+    /// pending loads still on the SMs, MSHR lines still in the partitions
+    /// (the crossbars cannot leak — `is_done` sees their every packet).
+    fn audit_drained(&mut self) {
+        for sm in &self.sms {
+            sm.audit_drained(&mut self.sanitizer);
+        }
+        for p in &self.partitions {
+            p.audit_drained(&mut self.sanitizer);
+        }
+    }
+
+    /// Dispatches pending CTAs onto free SMs (round-robin).
     fn dispatch_ctas(&mut self) {
         let Some(l) = self.launch.as_mut() else {
             return;

@@ -26,7 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-mod clock;
 pub mod coalesce;
 mod codec;
 mod config;
@@ -37,7 +36,6 @@ mod scoreboard;
 mod sm;
 mod stats;
 
-pub use clock::{ClockedComponent, TickSchedule, TickStage};
 pub use coalesce::coalesce;
 pub use config::{ConfigError, GpuConfig, L1Config, L2Config, SchedPolicy, WritePolicy};
 pub use gpu::{CheckpointPolicy, Gpu, RunOutcome, SimError};

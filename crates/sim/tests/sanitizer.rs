@@ -9,7 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gpu_isa::{KernelBuilder, Launch, Special, Width};
-use gpu_sim::{Gpu, GpuConfig, Violation};
+use gpu_sim::{Gpu, GpuConfig, SimError, Site, Violation};
 use gpu_types::Addr;
 
 fn small_config(sanitize: bool) -> GpuConfig {
@@ -96,6 +96,43 @@ fn seeded_mshr_leak_is_caught_by_sanitizer() {
         Violation::MshrLeak { lines, .. }
             if lines.contains(&Addr::new(0x7FFF_0000))
     )));
+}
+
+#[test]
+fn timeout_mid_load_names_what_is_stuck_on_both_sides() {
+    // Cut the run off while the first loads are out at DRAM: the hang report
+    // must name the SM side (L1 MSHR lines, pending loads) as well as the
+    // partition side (L2 MSHR lines). Counted in every build — the panic
+    // belongs to the drained path, where a leftover is a leak, not a hang.
+    let mut gpu = Gpu::new(small_config(true));
+    let src = gpu.alloc(4 * 2048, 128);
+    let dst = gpu.alloc(4 * 2048, 128);
+    gpu.launch(
+        copy_kernel(),
+        Launch::new(16, 128, vec![src.get(), dst.get()]),
+    )
+    .expect("launch");
+    assert_eq!(gpu.run(250), Err(SimError::Timeout { max_cycles: 250 }));
+    let stuck = gpu.sanitizer().violations();
+    let leak_at = |want_sm: bool| {
+        stuck.iter().any(|v| {
+            matches!(v, Violation::MshrLeak { site, lines }
+                if matches!(site, Site::Sm(_)) == want_sm && !lines.is_empty())
+        })
+    };
+    let report = gpu.sanitizer().report();
+    assert!(leak_at(true), "no SM-side MSHR lines in:\n{report}");
+    assert!(leak_at(false), "no partition-side MSHR lines in:\n{report}");
+    assert!(
+        stuck.iter().any(|v| matches!(
+            v,
+            Violation::PendingLoadLeak {
+                site: Site::Sm(_),
+                ..
+            }
+        )),
+        "no pending loads in:\n{report}"
+    );
 }
 
 #[test]

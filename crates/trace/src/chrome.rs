@@ -7,8 +7,9 @@
 //!   partition, process 3 the whole-GPU counters;
 //! * every traced request becomes one *nestable async* span (`ph` `b`/`e`,
 //!   keyed by `cat`+`id`) on its SM's track, with one nested child slice
-//!   per present `Timeline` stage — the child durations tile the parent
-//!   exactly, reproducing the Figure-1 stage decomposition per request;
+//!   per stage of `Timeline::stages`, named from `Stamp::stage_label` — the
+//!   child durations tile the parent exactly, reproducing the Figure-1
+//!   stage decomposition per request;
 //! * discrete [`TraceEvent`]s become thread-scoped instants (`ph` `"i"`);
 //! * counter samples become `ph` `"C"` counter tracks;
 //! * process 4 (present only when [`ChromeTraceBuilder::add_host_profile`]
@@ -33,83 +34,6 @@ use crate::event::{TraceEvent, TraceSite};
 use crate::json::{Value, Writer};
 use crate::profile::{ProfCounter, ProfSpan, ProfileReport};
 use crate::tracer::{CounterKind, CounterSample};
-
-/// The Figure-1 component label for the stage *ending* at `stamp`
-/// (`Issue` starts the span and owns no stage).
-///
-/// These strings intentionally match `latency_core`'s `Component::label`
-/// exactly so a span in the Perfetto UI reads like the paper's legend; a
-/// cross-crate test in `latency-bench` pins the correspondence.
-pub fn stage_label(stamp: Stamp) -> Option<&'static str> {
-    Some(match stamp {
-        Stamp::Issue => return None,
-        Stamp::L1Access => "SM Base",
-        Stamp::IcntInject => "L1toICNT",
-        Stamp::RopEnter => "ICNTtoROP",
-        Stamp::L2QueueEnter => "ROPtoL2Q",
-        Stamp::DramQueueEnter => "L2QtoDRAMQ",
-        Stamp::DramScheduled => "DRAM(QtoSch)",
-        Stamp::DramDone => "DRAM(SchToA)",
-        Stamp::Returned => "Fetch2SM",
-    })
-}
-
-/// Labels for the eight non-`Issue` timeline stages, in [`Stamp::ALL`]
-/// order. The default reproduces [`stage_label`]'s paper-legend strings;
-/// bundles built from an architecture description derive them from the
-/// hierarchy's level descriptors (`ArchDesc::fig1_stage_labels`), which
-/// yields those exact strings for every paper generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageLabels {
-    labels: [String; 8],
-}
-
-impl Default for StageLabels {
-    fn default() -> Self {
-        StageLabels::new(
-            Stamp::ALL[1..]
-                .iter()
-                .map(|&s| {
-                    stage_label(s)
-                        .expect("non-Issue stamp has a label")
-                        .to_string()
-                })
-                .collect::<Vec<_>>()
-                .try_into()
-                .expect("eight non-Issue stamps"),
-        )
-    }
-}
-
-impl StageLabels {
-    /// Wraps an explicit label table (e.g. one derived from an architecture
-    /// description).
-    pub fn new(labels: [String; 8]) -> Self {
-        StageLabels { labels }
-    }
-
-    /// The label for the stage ending at `stamp` (`None` for `Issue`,
-    /// which starts the span and owns no stage).
-    pub fn get(&self, stamp: Stamp) -> Option<&str> {
-        let i = match stamp {
-            Stamp::Issue => return None,
-            Stamp::L1Access => 0,
-            Stamp::IcntInject => 1,
-            Stamp::RopEnter => 2,
-            Stamp::L2QueueEnter => 3,
-            Stamp::DramQueueEnter => 4,
-            Stamp::DramScheduled => 5,
-            Stamp::DramDone => 6,
-            Stamp::Returned => 7,
-        };
-        Some(&self.labels[i])
-    }
-
-    /// The raw label table, in [`Stamp::ALL`] order.
-    pub fn as_slice(&self) -> &[String; 8] {
-        &self.labels
-    }
-}
 
 const PID_SMS: u32 = 1;
 const PID_PARTITIONS: u32 = 2;
@@ -196,14 +120,12 @@ fn counter(w: &mut Writer, cat: &str, name: &str, pid: u32, ts: u64, value: u64)
 #[derive(Debug)]
 pub struct ChromeTraceBuilder {
     w: Writer,
-    stage_labels: StageLabels,
     track_names: TrackNames,
 }
 
 impl ChromeTraceBuilder {
     /// Starts a trace document with name metadata for `num_sms` SM tracks
-    /// and `num_partitions` partition tracks, using the default (Figure-1)
-    /// stage labels and track names.
+    /// and `num_partitions` partition tracks, using the default track names.
     pub fn new(num_sms: u32, num_partitions: u32) -> Self {
         ChromeTraceBuilder::with_names(num_sms, num_partitions, TrackNames::default())
     }
@@ -228,38 +150,27 @@ impl ChromeTraceBuilder {
         }
         ChromeTraceBuilder {
             w,
-            stage_labels: StageLabels::default(),
             track_names: names,
         }
     }
 
-    /// Replaces the per-stage span labels (derived from an architecture
-    /// description by bundle writers).
-    pub fn set_stage_labels(&mut self, labels: StageLabels) {
-        self.stage_labels = labels;
-    }
-
     /// Adds one traced request as a nestable async span on SM `sm`'s track:
     /// an outer `req{id}` slice from issue to return, with one child slice
-    /// per present timeline stage. Incomplete timelines are skipped.
+    /// per stage of [`Timeline::stages`]. Incomplete timelines are skipped.
     pub fn add_request_span(&mut self, sm: u32, id: u64, timeline: &Timeline) {
-        let (Some(issue), Some(returned)) =
-            (timeline.get(Stamp::Issue), timeline.get(Stamp::Returned))
-        else {
+        let (Some(stages), Some(issue), Some(returned)) = (
+            timeline.stages(),
+            timeline.get(Stamp::Issue),
+            timeline.get(Stamp::Returned),
+        ) else {
             return;
         };
         let (w, outer) = (&mut self.w, format!("req{id}"));
         async_edge(w, "b", sm, id, &outer, issue.get());
-        let mut prev = issue;
-        for stamp in Stamp::ALL {
-            let Some(t) = timeline.get(stamp) else {
-                continue;
-            };
-            if let Some(label) = self.stage_labels.get(stamp) {
-                async_edge(w, "b", sm, id, label, prev.get());
-                async_edge(w, "e", sm, id, label, t.get());
-            }
-            prev = t;
+        for (stamp, start, end) in stages {
+            let label = stamp.stage_label().expect("a stage ends after Issue");
+            async_edge(w, "b", sm, id, label, start.get());
+            async_edge(w, "e", sm, id, label, end.get());
         }
         async_edge(w, "e", sm, id, &outer, returned.get());
     }
@@ -491,13 +402,12 @@ mod tests {
     fn spans_tile_the_lifetime_and_validate() {
         let mut b = ChromeTraceBuilder::new(2, 2);
         b.add_request_span(0, 7, &dram_timeline(100));
-        // An L2 hit (sparse timeline) must still tile exactly.
-        let mut sparse = Timeline::new();
-        sparse.record(Stamp::Issue, Cycle::new(0));
-        sparse.record(Stamp::L1Access, Cycle::new(30));
-        sparse.record(Stamp::Returned, Cycle::new(90));
-        b.add_request_span(1, 8, &sparse);
-        let doc = json::parse(&b.finish()).unwrap();
+        b.add_request_span(1, 8, &dram_timeline(0));
+        let text = b.finish();
+        // Children are named from the one legend beside `Stamp`.
+        let label = Stamp::DramDone.stage_label().unwrap();
+        assert!(text.contains(&format!("\"{label}\"")), "{text}");
+        let doc = json::parse(&text).unwrap();
         assert_eq!(check_span_sums(&doc).unwrap(), 2);
     }
 
@@ -570,22 +480,6 @@ mod tests {
         assert!(events.len() >= 7 + CounterKind::COUNT);
         // No request spans: the validator trivially passes with 0.
         assert_eq!(check_span_sums(&doc).unwrap(), 0);
-    }
-
-    #[test]
-    fn stage_labels_cover_every_non_issue_stamp() {
-        assert_eq!(stage_label(Stamp::Issue), None);
-        for stamp in &Stamp::ALL[1..] {
-            assert!(stage_label(*stamp).is_some());
-        }
-    }
-
-    #[test]
-    fn default_stage_labels_match_the_static_table() {
-        let labels = StageLabels::default();
-        for stamp in Stamp::ALL {
-            assert_eq!(labels.get(stamp), stage_label(stamp));
-        }
     }
 
     #[test]
@@ -681,20 +575,5 @@ mod tests {
         assert!(text.contains("\"host us: run/tick_sms\""), "{text}");
         assert!(text.contains("\"host: cycles_ticked\""), "{text}");
         assert!(text.contains("\"Host self-profile\""), "{text}");
-    }
-
-    #[test]
-    fn custom_stage_labels_rename_span_children() {
-        let mut b = ChromeTraceBuilder::new(1, 1);
-        let mut renamed = StageLabels::default().as_slice().clone();
-        renamed[0] = "Warmup".to_string();
-        b.set_stage_labels(StageLabels::new(renamed));
-        b.add_request_span(0, 7, &dram_timeline(100));
-        let text = b.finish();
-        assert!(text.contains("\"Warmup\""));
-        assert!(!text.contains("\"SM Base\""));
-        // Renaming must not break the tiling invariant.
-        let doc = json::parse(&text).unwrap();
-        assert_eq!(check_span_sums(&doc).unwrap(), 1);
     }
 }

@@ -40,7 +40,7 @@ pub mod tracer;
 /// re-exported because this crate's exporters are their main user.
 pub use gpu_types::json;
 
-pub use chrome::{check_span_sums, stage_label, ChromeTraceBuilder, StageLabels, TrackNames};
+pub use chrome::{check_span_sums, ChromeTraceBuilder, TrackNames};
 pub use event::{EventKind, NetDir, QueueKind, StallBreakdown, StallReason, TraceEvent, TraceSite};
 pub use export::{counters_csv, events_jsonl};
 pub use metrics::{cycles_per_second, MetricsReport};

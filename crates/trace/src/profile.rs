@@ -4,7 +4,7 @@
 //! until every fetch's latency was attributable. This module gives the
 //! *simulator itself* the same treatment: a process-global, hierarchical
 //! scoped profiler over the host monotonic clock, answering "where does
-//! host wall-clock go?" across the tick schedule, the grid pool and the
+//! host wall-clock go?" across the cycle's stages, the grid pool and the
 //! bench harness.
 //!
 //! # Design
@@ -37,7 +37,7 @@
 //! # Hierarchy
 //!
 //! Spans form a static tree via [`ProfSpan::parent`]: the `run` span holds
-//! the nine tick-schedule stages, `tick_sms` holds the per-SM component
+//! the nine stages of a cycle, `tick_sms` holds the per-SM component
 //! span, and so on. The grid-worker span is summed across worker threads,
 //! so on multi-core hosts it can exceed the wall-clock it ran in — the tree
 //! is attribution, not a strict timeline.
@@ -63,23 +63,24 @@ pub enum ProfSpan {
     /// grid-drained check and the idle-horizon scan (plus the jump and its
     /// stall crediting when the machine is quiescent).
     DrainCheck,
-    /// `TickStage::BeginNetworks`.
+    /// Open both crossbar cycles (per-port injection budgets reset).
     BeginNetworks,
-    /// `TickStage::TickPartitions`.
+    /// Tick every memory partition: DRAM completions, L2 access, ROP exit.
     TickPartitions,
-    /// `TickStage::InjectReplies`.
+    /// Inject partition returns into the reply network.
     InjectReplies,
-    /// `TickStage::EjectRequests`.
+    /// Eject the request network into partition ROP pipelines.
     EjectRequests,
-    /// `TickStage::TickSms`.
+    /// Tick every SM: writeback, reply ejection, L1 access, miss injection,
+    /// issue, CTA retirement.
     TickSms,
-    /// `TickStage::DispatchCtas`.
+    /// Dispatch pending CTAs onto free SMs (round-robin).
     DispatchCtas,
-    /// `TickStage::AuditInvariants` (scheduled on sanitizing machines).
+    /// Cycle-level invariant sweep (sanitizing machines only).
     AuditInvariants,
-    /// `TickStage::SampleCounters`.
+    /// Counter sampling at the tracer's interval.
     SampleCounters,
-    /// `TickStage::AdvanceClock`.
+    /// Advance the global cycle counter. Always last.
     AdvanceClock,
     /// One SM's share of a `TickSms` stage (summed over SMs).
     SmTick,
@@ -114,8 +115,9 @@ impl ProfSpan {
     /// Number of spans.
     pub const COUNT: usize = Self::ALL.len();
 
-    /// The nine tick-schedule stage spans, in schedule order. Their totals
-    /// tile the cycle loop: `tick()` stamps the clock once between stages,
+    /// The nine stages of one cycle, in the order the cycle loop runs them
+    /// (`Gpu::tick_cycle` is where that order lives). Their totals tile
+    /// the cycle loop: `tick()` stamps the clock once between stages,
     /// so consecutive deltas sum to the loop body with no metering gaps.
     pub const STAGES: [ProfSpan; 9] = [
         ProfSpan::BeginNetworks,
@@ -519,7 +521,7 @@ impl ProfileReport {
         self.spans[s.index()]
     }
 
-    /// Total nanoseconds across the nine tick-schedule stage spans. The
+    /// Total nanoseconds across the nine cycle-stage spans. The
     /// per-stage deltas are stamped back to back inside `Gpu::tick`, so
     /// this tiles the cycle-loop body (the gap to the `run` span is the
     /// drain check plus loop control).
