@@ -5,12 +5,18 @@
 //! functional executor reads and writes at issue time. The timing models
 //! (`cache`, `dram`, the `gpu-sim` pipeline) only ever see addresses.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use gpu_types::Addr;
 
 const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// Splits an address into its page index and the byte offset inside it.
+fn split(addr: Addr) -> (u64, usize) {
+    let a = addr.get();
+    (a >> PAGE_SHIFT, a as usize & (PAGE_SIZE - 1))
+}
 
 /// Sparse functional device memory with a bump allocator.
 ///
@@ -26,7 +32,9 @@ const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Default)]
 pub struct DeviceMemory {
-    pages: HashMap<u64, Box<[u8]>>,
+    /// Resident pages by page index. Ordered: a decoded snapshot chooses
+    /// the keys, and hashing and encoding walk them in address order.
+    pages: BTreeMap<u64, Box<[u8]>>,
     next: u64,
 }
 
@@ -38,7 +46,7 @@ impl DeviceMemory {
     /// Creates an empty device memory.
     pub fn new() -> Self {
         DeviceMemory {
-            pages: HashMap::new(),
+            pages: BTreeMap::new(),
             next: Self::ARENA_BASE,
         }
     }
@@ -64,39 +72,52 @@ impl DeviceMemory {
     fn page_mut(&mut self, page: u64) -> &mut [u8] {
         self.pages
             .entry(page)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+            .or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice())
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: Addr) -> u8 {
-        let a = addr.get();
-        match self.pages.get(&(a >> PAGE_SHIFT)) {
-            Some(p) => p[(a & (PAGE_SIZE - 1)) as usize],
-            None => 0,
-        }
+        let (page, off) = split(addr);
+        self.pages.get(&page).map_or(0, |p| p[off])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: Addr, value: u8) {
-        let a = addr.get();
-        self.page_mut(a >> PAGE_SHIFT)[(a & (PAGE_SIZE - 1)) as usize] = value;
+        let (page, off) = split(addr);
+        self.page_mut(page)[off] = value;
     }
 
-    /// Reads `n <= 8` bytes little-endian.
+    /// Reads `n <= 8` bytes little-endian. An access inside one page
+    /// resolves that page once; one that straddles two goes byte by byte.
     pub fn read_le(&self, addr: Addr, n: u64) -> u64 {
         debug_assert!(n <= 8);
-        let mut v = 0u64;
-        for i in 0..n {
-            v |= (self.read_u8(addr + i) as u64) << (8 * i);
+        let (page, off) = split(addr);
+        let n = n as usize;
+        let mut bytes = [0u8; 8];
+        if off + n > PAGE_SIZE {
+            for (i, b) in bytes[..n].iter_mut().enumerate() {
+                *b = self.read_u8(addr + i as u64);
+            }
+        } else if let Some(p) = self.pages.get(&page) {
+            bytes[..n].copy_from_slice(&p[off..off + n]);
         }
-        v
+        u64::from_le_bytes(bytes)
     }
 
-    /// Writes the low `n <= 8` bytes of `value` little-endian.
+    /// Writes the low `n <= 8` bytes of `value` little-endian, with the
+    /// same one page lookup as [`DeviceMemory::read_le`]. A store makes its
+    /// page resident whatever the value: zero is stored, not skipped.
     pub fn write_le(&mut self, addr: Addr, n: u64, value: u64) {
         debug_assert!(n <= 8);
-        for i in 0..n {
-            self.write_u8(addr + i, (value >> (8 * i)) as u8);
+        let (page, off) = split(addr);
+        let n = n as usize;
+        let bytes = value.to_le_bytes();
+        if off + n > PAGE_SIZE {
+            for (i, b) in bytes[..n].iter().enumerate() {
+                self.write_u8(addr + i as u64, *b);
+            }
+        } else if n > 0 {
+            self.page_mut(page)[off..off + n].copy_from_slice(&bytes[..n]);
         }
     }
 
@@ -120,41 +141,80 @@ impl DeviceMemory {
         self.write_le(addr, 8, value);
     }
 
-    /// Copies a `u32` slice into device memory starting at `addr`.
-    pub fn write_u32_slice(&mut self, addr: Addr, values: &[u32]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_u32(addr + 4 * i as u64, *v);
+    /// Copies a `u32` slice into device memory starting at `addr`: one page
+    /// lookup for each run of words inside a page, one
+    /// [`DeviceMemory::write_u32`] for a word that straddles two.
+    pub fn write_u32_slice(&mut self, mut addr: Addr, mut values: &[u32]) {
+        while let Some(&first) = values.first() {
+            let (page, off) = split(addr);
+            let run = ((PAGE_SIZE - off) / 4).min(values.len());
+            if run == 0 {
+                self.write_u32(addr, first);
+                (addr, values) = (addr + 4, &values[1..]);
+                continue;
+            }
+            let words = self.page_mut(page)[off..off + 4 * run].chunks_exact_mut(4);
+            for (word, v) in words.zip(values) {
+                word.copy_from_slice(&v.to_le_bytes());
+            }
+            (addr, values) = (addr + 4 * run as u64, &values[run..]);
         }
     }
 
-    /// Reads `len` consecutive `u32`s starting at `addr`.
-    pub fn read_u32_slice(&self, addr: Addr, len: usize) -> Vec<u32> {
-        (0..len)
-            .map(|i| self.read_u32(addr + 4 * i as u64))
-            .collect()
+    /// Reads `len` consecutive `u32`s starting at `addr`, with the page
+    /// lookups of [`DeviceMemory::write_u32_slice`].
+    pub fn read_u32_slice(&self, mut addr: Addr, len: usize) -> Vec<u32> {
+        let mut values = Vec::with_capacity(len);
+        while values.len() < len {
+            let (page, off) = split(addr);
+            let run = ((PAGE_SIZE - off) / 4).min(len - values.len());
+            if run == 0 {
+                values.push(self.read_u32(addr));
+                addr = addr + 4;
+                continue;
+            }
+            match self.pages.get(&page) {
+                Some(p) => values.extend(
+                    p[off..off + 4 * run]
+                        .chunks_exact(4)
+                        .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])),
+                ),
+                None => values.resize(values.len() + run, 0),
+            }
+            addr = addr + 4 * run as u64;
+        }
+        values
     }
 
     /// Atomically (functionally) adds to the `n`-byte word at `addr`,
     /// returning the previous value.
     pub fn fetch_add(&mut self, addr: Addr, n: u64, value: u64) -> u64 {
-        let old = self.read_le(addr, n);
-        self.write_le(addr, n, old.wrapping_add(value));
+        debug_assert!(n <= 8);
+        let (page, off) = split(addr);
+        let n = n as usize;
+        if off + n > PAGE_SIZE || n == 0 {
+            let old = self.read_le(addr, n as u64);
+            self.write_le(addr, n as u64, old.wrapping_add(value));
+            return old;
+        }
+        let word = &mut self.page_mut(page)[off..off + n];
+        let mut bytes = [0u8; 8];
+        bytes[..n].copy_from_slice(word);
+        let old = u64::from_le_bytes(bytes);
+        word.copy_from_slice(&old.wrapping_add(value).to_le_bytes()[..n]);
         old
     }
 
     // ---- snapshot codec ---------------------------------------------------
 
     /// Serializes the allocator cursor and every resident page in address
-    /// order (the sparse map's iteration order must be pinned for
-    /// deterministic snapshots).
+    /// order (the map's own).
     pub fn encode_state(&self, e: &mut gpu_snapshot::Encoder) {
         e.u64(self.next);
-        let mut indices: Vec<u64> = self.pages.keys().copied().collect();
-        indices.sort_unstable();
-        e.usize(indices.len());
-        for i in indices {
+        e.usize(self.pages.len());
+        for (&i, page) in &self.pages {
             e.u64(i);
-            e.bytes(&self.pages[&i]);
+            e.bytes(page);
         }
     }
 
@@ -174,7 +234,7 @@ impl DeviceMemory {
         for _ in 0..d.usize()? {
             let index = d.u64()?;
             let bytes = d.bytes()?;
-            if bytes.len() != PAGE_SIZE as usize {
+            if bytes.len() != PAGE_SIZE {
                 return Err(InvalidValue("device page has wrong size"));
             }
             if self
@@ -193,12 +253,10 @@ impl DeviceMemory {
     /// workload-inputs half of a run's `content_hash`.
     pub fn hash_state(&self, h: &mut gpu_snapshot::StableHasher) {
         h.u64(self.next);
-        let mut indices: Vec<u64> = self.pages.keys().copied().collect();
-        indices.sort_unstable();
-        h.usize(indices.len());
-        for i in indices {
+        h.usize(self.pages.len());
+        for (&i, page) in &self.pages {
             h.u64(i);
-            h.bytes(&self.pages[&i]);
+            h.bytes(page);
         }
     }
 }

@@ -161,7 +161,7 @@ impl DramController {
         DramController {
             config,
             map,
-            queue: VecDeque::new(),
+            queue: VecDeque::with_capacity(config.queue_capacity),
             banks: vec![Bank::default(); map.banks()],
             bus_free_at: Cycle::ZERO,
             in_service: Vec::new(),
@@ -221,8 +221,15 @@ impl DramController {
     /// returns the requests whose data completed this cycle (stamped
     /// `DramDone`).
     pub fn tick(&mut self, now: Cycle) -> Vec<MemRequest> {
-        self.try_schedule(now);
         let mut done = Vec::new();
+        self.tick_into(now, &mut done);
+        done
+    }
+
+    /// [`DramController::tick`] appending the completed requests to a
+    /// caller-owned sink, so a per-cycle caller allocates nothing.
+    pub fn tick_into(&mut self, now: Cycle, done: &mut Vec<MemRequest>) {
+        self.try_schedule(now);
         let mut i = 0;
         while i < self.in_service.len() {
             if self.in_service[i].0 <= now {
@@ -233,7 +240,6 @@ impl DramController {
                 i += 1;
             }
         }
-        done
     }
 
     /// Returns `true` when no work is queued or in flight.

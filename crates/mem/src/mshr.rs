@@ -10,9 +10,7 @@
 //! request object travels downstream, while merged requests are parked here
 //! until the fill returns.
 
-use std::collections::HashMap;
-
-use gpu_types::Addr;
+use gpu_types::{Addr, IntMap};
 
 /// Configuration of an MSHR table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +39,18 @@ pub struct MshrConfig {
 #[derive(Debug, Clone)]
 pub struct MshrTable<T> {
     config: MshrConfig,
-    entries: HashMap<u64, Vec<T>>,
+    /// Merge lists by line address. Never more than `config.entries` of
+    /// them, restored ones included, which is what lets the table hash its
+    /// keys without SipHash's defence against chosen ones.
+    entries: IntMap<Vec<T>>,
+    /// Waiters parked over all merge lists, kept rather than recounted:
+    /// `try_merge` adds one, `fill` takes its list's away, and a restore
+    /// recounts. Derived, so never serialized.
+    parked: usize,
+    /// Emptied merge lists, each `max_merged` long from the start:
+    /// [`MshrTable::allocate`] reuses one, so once the table has held its
+    /// working number of lines neither it nor a merge allocates.
+    spare: Vec<Vec<T>>,
 }
 
 impl<T> MshrTable<T> {
@@ -54,7 +63,9 @@ impl<T> MshrTable<T> {
         assert!(config.entries > 0, "MSHR table needs at least one entry");
         MshrTable {
             config,
-            entries: HashMap::with_capacity(config.entries),
+            entries: IntMap::with_capacity_and_hasher(config.entries, Default::default()),
+            parked: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -98,7 +109,11 @@ impl<T> MshrTable<T> {
         if !self.can_allocate() {
             return false;
         }
-        self.entries.insert(line.get(), Vec::new());
+        let list = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.config.max_merged));
+        self.entries.insert(line.get(), list);
         true
     }
 
@@ -120,6 +135,7 @@ impl<T> MshrTable<T> {
         match self.entries.get_mut(&line.get()) {
             Some(list) if list.len() < self.config.max_merged => {
                 list.push(waiter);
+                self.parked += 1;
                 Ok(())
             }
             _ => Err(waiter),
@@ -129,7 +145,23 @@ impl<T> MshrTable<T> {
     /// Completes the fill for `line`, returning the merged waiters in
     /// arrival order (empty if the line was not pending or had no merges).
     pub fn fill(&mut self, line: Addr) -> Vec<T> {
-        self.entries.remove(&line.get()).unwrap_or_default()
+        let mut waiters = Vec::new();
+        self.fill_with(line, |w| waiters.push(w));
+        waiters
+    }
+
+    /// [`MshrTable::fill`] handing each merged waiter to `wake` in arrival
+    /// order and returning how many there were; the emptied list stays
+    /// with the table, so a per-cycle caller allocates nothing.
+    pub fn fill_with(&mut self, line: Addr, wake: impl FnMut(T)) -> usize {
+        let Some(mut list) = self.entries.remove(&line.get()) else {
+            return 0;
+        };
+        let waiters = list.len();
+        self.parked -= waiters;
+        list.drain(..).for_each(wake);
+        self.spare.push(list);
+        waiters
     }
 
     // ---- audit accessors (used by the simulator's invariant sanitizer) ----
@@ -137,11 +169,20 @@ impl<T> MshrTable<T> {
     /// Total waiters parked across all merge lists (primary misses travel
     /// downstream and are not counted).
     pub fn waiters(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        debug_assert_eq!(
+            self.parked,
+            self.entries.values().map(Vec::len).sum::<usize>()
+        );
+        self.parked
     }
 
-    /// Length of the longest merge list, zero when empty.
+    /// Length of the longest merge list, zero when empty. With nothing
+    /// parked — the common case the per-cycle audit meets — no list is
+    /// walked.
     pub fn max_list_len(&self) -> usize {
+        if self.waiters() == 0 {
+            return 0;
+        }
         self.entries.values().map(Vec::len).max().unwrap_or(0)
     }
 
@@ -208,6 +249,7 @@ impl<T> MshrTable<T> {
     ) -> Result<(), gpu_snapshot::SnapshotError> {
         use gpu_snapshot::SnapshotError::InvalidValue;
         self.entries.clear();
+        self.parked = 0;
         let n = d.usize()?;
         if n > self.config.entries {
             return Err(InvalidValue("MSHR entry count exceeds table capacity"));
@@ -226,6 +268,7 @@ impl<T> MshrTable<T> {
                 return Err(InvalidValue("duplicate MSHR line in snapshot"));
             }
         }
+        self.parked = self.entries.values().map(Vec::len).sum();
         Ok(())
     }
 }

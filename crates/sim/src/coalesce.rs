@@ -35,11 +35,23 @@ use gpu_types::Addr;
 /// assert_eq!(coalesce(&accesses, 128), vec![Addr::new(0x1000)]);
 /// ```
 pub fn coalesce(accesses: &[LaneAccess], line_size: u64) -> Vec<Addr> {
+    let mut lines = Vec::with_capacity(accesses.len());
+    coalesce_into(accesses, line_size, &mut lines);
+    lines
+}
+
+/// [`coalesce`] into a caller-owned buffer, which is cleared first: the SM
+/// keeps one so that an issue past warm-up allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `line_size` is not a power of two.
+pub fn coalesce_into(accesses: &[LaneAccess], line_size: u64, lines: &mut Vec<Addr>) {
     assert!(
         line_size.is_power_of_two(),
         "line size must be a power of two"
     );
-    let mut lines: Vec<Addr> = Vec::with_capacity(accesses.len());
+    lines.clear();
     for a in accesses {
         let first = a.addr.align_down(line_size);
         let last = (a.addr + (a.width.bytes() - 1)).align_down(line_size);
@@ -50,7 +62,6 @@ pub fn coalesce(accesses: &[LaneAccess], line_size: u64) -> Vec<Addr> {
     }
     lines.sort_unstable();
     lines.dedup();
-    lines
 }
 
 #[cfg(test)]

@@ -821,7 +821,7 @@ impl Gpu {
         let tracing = self.tracer.enabled();
         let mut stalled: Vec<(u32, StallReason)> = Vec::new();
         for sm in &mut self.sms {
-            if let Some(reason) = sm.credit_stall(skipped) {
+            if let Some(reason) = sm.credit_stall(self.now, skipped) {
                 if tracing {
                     stalled.push((sm.id().get(), reason));
                 }

@@ -57,6 +57,9 @@ pub struct Partition {
     rop: DelayQueue<MemRequest>,
     slices: Vec<L2Slice>,
     dram: DramController,
+    /// This cycle's DRAM completions (scratch, empty between ticks; kept
+    /// for its capacity).
+    dram_done: Vec<MemRequest>,
     returns: VecDeque<MemRequest>,
     stores_completed_total: u64,
     stores_retired_here: u64,
@@ -99,6 +102,7 @@ impl Partition {
             rop: DelayQueue::new(cfg.rop_queue, cfg.rop_latency),
             slices,
             dram: DramController::new(cfg.dram, map),
+            dram_done: Vec::new(),
             returns: VecDeque::new(),
             stores_completed_total: 0,
             stores_retired_here: 0,
@@ -448,7 +452,8 @@ impl Partition {
 
         // 1. DRAM completions: stores retire; loads fill their slice's L2,
         //    wake MSHR waiters, and join the return flow.
-        let dram_done = self.dram.tick(now);
+        let mut dram_done = std::mem::take(&mut self.dram_done);
+        self.dram.tick_into(now, &mut dram_done);
         if tracer.enabled() {
             for e in self.dram.drain_events() {
                 let kind = match e.kind {
@@ -472,7 +477,7 @@ impl Partition {
                 });
             }
         }
-        for req in dram_done {
+        for req in dram_done.drain(..) {
             if req.kind == AccessKind::Store {
                 if req.token != EVICTION_TOKEN {
                     stores_done += 1;
@@ -487,16 +492,18 @@ impl Partition {
             if let Some(l2) = slice.cache.as_mut() {
                 let line = req.addr.align_down(granule);
                 l2.fill(line);
-                for mut w in slice.mshr.fill(line) {
+                let returns = &mut self.returns;
+                slice.mshr.fill_with(line, |mut w| {
                     // Merged waiters "ride along" with the primary fetch;
                     // their DRAM wait is attributed to scheduling time.
                     w.timeline.record(Stamp::DramScheduled, now);
                     w.timeline.record(Stamp::DramDone, now);
-                    self.returns.push_back(w);
-                }
+                    returns.push_back(w);
+                });
             }
             self.returns.push_back(req);
         }
+        self.dram_done = dram_done;
 
         // 2. Hit pipes: one data return per slice per cycle (a multi-slice
         //    L2 has genuinely more return bandwidth).

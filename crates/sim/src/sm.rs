@@ -9,7 +9,7 @@
 //! of "Fetch2SM").
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use gpu_arch::{LevelDesc, LevelKind, Routing};
@@ -19,11 +19,11 @@ use gpu_isa::{
 };
 use gpu_mem::{AccessKind, Cache, MemRequest, MshrTable, PipelineSpace, RequestId, Stamp};
 use gpu_trace::{EventKind, StallBreakdown, StallReason, TraceEvent, TraceSite, Tracer};
-use gpu_types::{BoundedQueue, CtaId, Cycle, DelayQueue, SmId};
+use gpu_types::{Addr, BoundedQueue, CtaId, Cycle, DelayQueue, SmId};
 
 use gpu_snapshot::{Decoder, Encoder, SnapshotError};
 
-use crate::coalesce::coalesce;
+use crate::coalesce::coalesce_into;
 use crate::codec;
 use crate::config::{GpuConfig, SchedPolicy};
 use crate::sanitizer::{Sanitizer, Site, Violation};
@@ -67,6 +67,10 @@ pub struct Sm {
     id: SmId,
     cfg: Arc<GpuConfig>,
     slots: Vec<Option<WarpSlot>>,
+    /// Occupied entries of `slots`, kept rather than recounted: dispatch
+    /// adds a CTA's warps, [`Sm::maintain`] takes a retired CTA's away, and
+    /// a restore recounts. Derived, so never serialized.
+    occupied: usize,
     ctas: Vec<Option<CtaRt>>,
     scoreboard: Scoreboard,
     alu_wb: BinaryHeap<Reverse<(u64, usize, Reg)>>,
@@ -86,7 +90,13 @@ pub struct Sm {
     l1_hit_pipe: DelayQueue<MemRequest>,
     miss_queue: BoundedQueue<MemRequest>,
     fill_pipe: DelayQueue<MemRequest>,
-    pending_loads: HashMap<u64, PendingLoad>,
+    /// The loads awaiting their last line, oldest token first. Tokens are
+    /// handed out ascending, so a new load is appended and the codec's
+    /// token order is the deque's own; a returning line finds its load by
+    /// binary search over the live ones. (A slab indexed by token offset
+    /// would need room for the whole span between the oldest live token
+    /// and the newest, and a decoded checkpoint chooses that span.)
+    pending_loads: VecDeque<(u64, PendingLoad)>,
     next_token: u64,
     next_req_id: u64,
     last_issued: usize,
@@ -94,6 +104,9 @@ pub struct Sm {
     /// Warps that already issued in the current issue stage (at most
     /// `issue_width` entries; empty between ticks, so not serialized).
     issued: Vec<usize>,
+    /// The issuing access's transaction addresses (scratch, empty between
+    /// issues; kept for its capacity).
+    lines: Vec<Addr>,
     /// Host-side hint for [`Sm::next_event`]: the last issue stage issued
     /// something, so the next one probably can too. Spares a busy machine
     /// the ready-warp scan; never serialized, never read by the model.
@@ -128,6 +141,7 @@ impl Sm {
         Sm {
             id,
             slots: (0..slots).map(|_| None).collect(),
+            occupied: 0,
             ctas: (0..cfg.max_ctas_per_sm).map(|_| None).collect(),
             scoreboard: Scoreboard::new(slots),
             alu_wb: BinaryHeap::new(),
@@ -140,12 +154,13 @@ impl Sm {
             l1_hit_pipe: DelayQueue::new(cfg.lsu_queue, l1_hit_latency),
             miss_queue: BoundedQueue::new(l1_desc.queue),
             fill_pipe: DelayQueue::new(512, cfg.fill_latency),
-            pending_loads: HashMap::new(),
+            pending_loads: VecDeque::new(),
             next_token: 0,
             next_req_id: 0,
             last_issued: 0,
             greedy: None,
             issued: Vec::with_capacity(cfg.issue_width),
+            lines: Vec::new(),
             issued_last_tick: false,
             wake_at: Cycle::ZERO,
             sleep_stall: None,
@@ -172,7 +187,11 @@ impl Sm {
 
     /// Number of occupied warp slots.
     pub fn live_warps(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        debug_assert_eq!(
+            self.occupied,
+            self.slots.iter().filter(|s| s.is_some()).count()
+        );
+        self.occupied
     }
 
     // ---- counter gauges --------------------------------------------------
@@ -282,8 +301,8 @@ impl Sm {
 
     /// Returns `true` if a CTA of `warps_needed` warps can be dispatched.
     pub fn can_dispatch(&self, warps_needed: usize) -> bool {
-        self.ctas.iter().any(|c| c.is_none())
-            && self.slots.iter().filter(|s| s.is_none()).count() >= warps_needed
+        self.slots.len() - self.live_warps() >= warps_needed
+            && self.ctas.iter().any(|c| c.is_none())
     }
 
     /// Dispatches one CTA onto this SM.
@@ -335,6 +354,7 @@ impl Sm {
             });
             slot_ids.push(slot);
         }
+        self.occupied += slot_ids.len();
         self.ctas[cta_index] = Some(CtaRt {
             shared: vec![0u8; kernel.shared_bytes() as usize],
             live: slot_ids.len(),
@@ -363,7 +383,9 @@ impl Sm {
             if done {
                 let c = self.ctas[ci].take().expect("checked above");
                 for s in c.slots {
-                    self.slots[s] = None;
+                    if self.slots[s].take().is_some() {
+                        self.occupied -= 1;
+                    }
                     self.scoreboard.clear(s);
                 }
                 self.stats.ctas_retired += 1;
@@ -386,31 +408,32 @@ impl Sm {
     /// this space is cached), wakes MSHR waiters, and queues everything for
     /// writeback.
     pub fn accept_response(&mut self, req: MemRequest, now: Cycle, tracer: &mut Tracer) {
-        let mut wake = Vec::new();
-        if req.is_load() && !req.bypass_l1 && self.l1_routing.serves(req.space) {
-            if let Some(l1) = self.l1_cache.as_mut() {
-                let line = req.addr.align_down(self.granule);
-                l1.fill(line);
-                wake = self.l1_mshr.fill(line);
-                if tracer.enabled() {
-                    tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site: TraceSite::Sm(self.id.get()),
-                        kind: EventKind::MshrFill {
-                            line: line.get(),
-                            waiters: wake.len() as u32,
-                        },
-                    });
-                }
-            }
-        }
+        let fills_l1 = req.is_load() && !req.bypass_l1 && self.l1_routing.serves(req.space);
+        let line = req.addr.align_down(self.granule);
         self.fill_pipe
             .push(now, req)
             .unwrap_or_else(|_| panic!("fill pipe overflow; fill_space not checked"));
-        for w in wake {
-            self.fill_pipe
-                .push(now, w)
-                .unwrap_or_else(|_| panic!("fill pipe overflow on MSHR wake"));
+        if !fills_l1 {
+            return;
+        }
+        if let Some(l1) = self.l1_cache.as_mut() {
+            l1.fill(line);
+            let fill_pipe = &mut self.fill_pipe;
+            let waiters = self.l1_mshr.fill_with(line, |w| {
+                fill_pipe
+                    .push(now, w)
+                    .unwrap_or_else(|_| panic!("fill pipe overflow on MSHR wake"));
+            });
+            if tracer.enabled() {
+                tracer.record(TraceEvent {
+                    cycle: now.get(),
+                    site: TraceSite::Sm(self.id.get()),
+                    kind: EventKind::MshrFill {
+                        line: line.get(),
+                        waiters: waiters as u32,
+                    },
+                });
+            }
         }
     }
 
@@ -476,40 +499,42 @@ impl Sm {
         if req.token == NO_TOKEN {
             return;
         }
-        let finished = match self.pending_loads.get_mut(&req.token) {
-            Some(pl) => {
-                pl.remaining -= 1;
-                pl.remaining == 0
-            }
-            None => panic!("response for unknown load token {}", req.token),
+        let Ok(at) = self
+            .pending_loads
+            .binary_search_by_key(&req.token, |&(token, _)| token)
+        else {
+            panic!("response for unknown load token {}", req.token);
         };
-        if finished {
-            let pl = self.pending_loads.remove(&req.token).expect("entry exists");
-            if let Some(d) = pl.dst {
-                self.scoreboard.release(pl.warp, d);
-            }
-            if let Some(slot) = self.slots[pl.warp].as_mut() {
-                slot.pending_ops -= 1;
-            }
-            let exposed = self.stats.stall_cycles - pl.stalls_at_issue;
-            // The SM can stall at most once per cycle, so the exposure
-            // counted against a load can never exceed its lifetime.
-            debug_assert!(
-                exposed <= now.since(pl.issue),
-                "exposed {} exceeds load lifetime {}",
-                exposed,
-                now.since(pl.issue)
-            );
-            sink.record_load(LoadInstrRecord {
-                sm: self.id,
-                pc: pl.pc,
-                issue: pl.issue,
-                complete: now,
-                exposed,
-                lines: pl.lines,
-                stall_reasons: self.stats.stalls.since(&pl.stall_reasons_at_issue),
-            });
+        let pl = &mut self.pending_loads[at].1;
+        pl.remaining -= 1;
+        if pl.remaining > 0 {
+            return;
         }
+        let (_, pl) = self.pending_loads.remove(at).expect("found above");
+        if let Some(d) = pl.dst {
+            self.scoreboard.release(pl.warp, d);
+        }
+        if let Some(slot) = self.slots[pl.warp].as_mut() {
+            slot.pending_ops -= 1;
+        }
+        let exposed = self.stats.stall_cycles - pl.stalls_at_issue;
+        // The SM can stall at most once per cycle, so the exposure
+        // counted against a load can never exceed its lifetime.
+        debug_assert!(
+            exposed <= now.since(pl.issue),
+            "exposed {} exceeds load lifetime {}",
+            exposed,
+            now.since(pl.issue)
+        );
+        sink.record_load(LoadInstrRecord {
+            sm: self.id,
+            pc: pl.pc,
+            issue: pl.issue,
+            complete: now,
+            exposed,
+            lines: pl.lines,
+            stall_reasons: self.stats.stalls.since(&pl.stall_reasons_at_issue),
+        });
     }
 
     // ---- L1 stage --------------------------------------------------------
@@ -675,13 +700,20 @@ impl Sm {
         }
     }
 
-    /// Counts `cycles` zero-issue cycles against this SM, all attributed to
-    /// the reason its current state stalls for, and returns that reason;
-    /// `None` (and nothing counted) when no warp is resident. The run loop
-    /// calls it with the length of a skipped quiescent interval, over which
-    /// the state — and so the reason — cannot change.
-    pub fn credit_stall(&mut self, cycles: u64) -> Option<StallReason> {
-        let reason = self.stall_vote()?;
+    /// Counts `cycles` zero-issue cycles from `now` on against this SM, all
+    /// attributed to the reason its current state stalls for, and returns
+    /// that reason; `None` (and nothing counted) when no warp is resident.
+    /// The run loop calls it with the length of a skipped quiescent
+    /// interval, over which the state — and so the reason — cannot change.
+    /// A sleeper has that reason cached in `sleep_stall`; only an SM that
+    /// is awake (a restored one, say) votes again.
+    pub fn credit_stall(&mut self, now: Cycle, cycles: u64) -> Option<StallReason> {
+        let reason = if self.asleep(now) {
+            debug_assert_eq!(self.sleep_stall, self.stall_vote());
+            self.sleep_stall
+        } else {
+            self.stall_vote()
+        }?;
         self.stats.stall_cycles += cycles;
         self.stats.stalls.bump_by(reason, cycles);
         Some(reason)
@@ -919,14 +951,13 @@ impl Sm {
                     // is a separate transaction that serializes at the
                     // memory partition (same-address atomics do not
                     // coalesce, unlike plain loads/stores).
-                    let lines = if op.is_atomic {
-                        op.accesses
-                            .iter()
-                            .map(|a| a.addr.align_down(self.granule))
-                            .collect()
+                    let mut lines = std::mem::take(&mut self.lines);
+                    if op.is_atomic {
+                        let granule = self.granule;
+                        lines.extend(op.accesses.iter().map(|a| a.addr.align_down(granule)));
                     } else {
-                        coalesce(&op.accesses, self.granule)
-                    };
+                        coalesce_into(&op.accesses, self.granule, &mut lines);
+                    }
                     self.stats.transactions += lines.len() as u64;
                     if tracer.enabled() {
                         tracer.record(TraceEvent {
@@ -958,7 +989,7 @@ impl Sm {
                         if let Some(d) = op.dst {
                             self.scoreboard.reserve(w, d);
                         }
-                        self.pending_loads.insert(
+                        self.pending_loads.push_back((
                             token,
                             PendingLoad {
                                 warp: w,
@@ -970,7 +1001,7 @@ impl Sm {
                                 stalls_at_issue: self.stats.stall_cycles,
                                 stall_reasons_at_issue: self.stats.stalls,
                             },
-                        );
+                        ));
                         slot.pending_ops += 1;
                         self.stats.global_loads += 1;
                         token
@@ -978,7 +1009,7 @@ impl Sm {
                         self.stats.global_stores += 1;
                         NO_TOKEN
                     };
-                    for line in lines {
+                    for line in lines.drain(..) {
                         let id = RequestId::new(((self.id.get() as u64) << 40) | self.next_req_id);
                         self.next_req_id += 1;
                         let mut req = MemRequest::new(
@@ -997,6 +1028,7 @@ impl Sm {
                             .unwrap_or_else(|_| panic!("front capacity checked at ready"));
                         new_requests += 1;
                     }
+                    self.lines = lines;
                 }
             }
             StepOutcome::Barrier => {
@@ -1088,12 +1120,9 @@ impl Sm {
         codec::encode_req_queue(e, &self.l1_hit_pipe);
         codec::encode_req_fifo(e, &self.miss_queue);
         codec::encode_req_queue(e, &self.fill_pipe);
-        let mut tokens: Vec<u64> = self.pending_loads.keys().copied().collect();
-        tokens.sort_unstable();
-        e.usize(tokens.len());
-        for t in tokens {
-            let pl = &self.pending_loads[&t];
-            e.u64(t);
+        e.usize(self.pending_loads.len());
+        for (token, pl) in &self.pending_loads {
+            e.u64(*token);
             e.usize(pl.warp);
             e.opt_u64(pl.dst.map(u64::from));
             e.usize(pl.pc);
@@ -1181,7 +1210,10 @@ impl Sm {
                 None
             };
         }
-        self.scoreboard.restore_state(d)?;
+        self.occupied = self.slots.iter().filter(|s| s.is_some()).count();
+        // Only a running kernel's instructions reserve registers.
+        let num_regs = kernel.map_or(0, |(k, _)| k.num_regs());
+        self.scoreboard.restore_state(d, num_regs)?;
         self.alu_wb.clear();
         for _ in 0..d.usize()? {
             let at = d.u64()?;
@@ -1215,7 +1247,7 @@ impl Sm {
             d,
             "fill pipe occupancy exceeds capacity",
         )?;
-        self.pending_loads.clear();
+        let mut pending_loads: Vec<(u64, PendingLoad)> = Vec::new();
         for _ in 0..d.usize()? {
             let token = d.u64()?;
             let warp = d.usize()?;
@@ -1238,11 +1270,21 @@ impl Sm {
                 stalls_at_issue: d.u64()?,
                 stall_reasons_at_issue: stats::decode_breakdown(d)?,
             };
-            if self.pending_loads.insert(token, pl).is_some() {
-                return Err(InvalidValue("duplicate pending-load token"));
-            }
+            pending_loads.push((token, pl));
         }
         self.next_token = d.u64()?;
+        pending_loads.sort_unstable_by_key(|&(token, _)| token);
+        if pending_loads.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(InvalidValue("duplicate pending-load token"));
+        }
+        // A live token the SM has yet to hand out would be handed out again.
+        if pending_loads
+            .last()
+            .is_some_and(|&(token, _)| token >= self.next_token)
+        {
+            return Err(InvalidValue("pending-load token not yet issued"));
+        }
+        self.pending_loads = pending_loads.into();
         self.next_req_id = d.u64()?;
         let last_issued = d.usize()?;
         if last_issued >= n_slots {
@@ -1270,16 +1312,16 @@ impl Sm {
     fn release_cta_barrier(&mut self, cta_index: usize, current: usize, slot: &mut WarpSlot) {
         let cta = self.ctas[cta_index].as_mut().expect("live CTA");
         cta.arrived = 0;
-        let slots = cta.slots.clone();
-        for s in slots {
-            if s == current {
-                if slot.exec.at_barrier() {
-                    slot.exec.release_barrier();
-                }
+        for &s in &cta.slots {
+            let exec = if s == current {
+                &mut slot.exec
             } else if let Some(other) = self.slots[s].as_mut() {
-                if other.exec.at_barrier() {
-                    other.exec.release_barrier();
-                }
+                &mut other.exec
+            } else {
+                continue;
+            };
+            if exec.at_barrier() {
+                exec.release_barrier();
             }
         }
     }

@@ -7,6 +7,7 @@
 // The counting allocator the tracer's allocation-freedom suites install.
 #[path = "../../trace/tests/common/mod.rs"]
 mod common;
+mod skip_harness;
 
 use gpu_isa::Launch;
 use gpu_sim::Gpu;
@@ -55,4 +56,53 @@ fn a_tick_in_the_middle_of_a_dram_wait_allocates_nothing() {
         assert_eq!(allocated, 0, "ticks at cycle {} allocated", before.cycles);
         waits_checked += 1;
     }
+}
+
+/// The loaded counterpart: mask BFS on the 15-SM GF100, grids that fit the
+/// machine, so a launch's first tick dispatches every CTA. A traversal of
+/// twice the size comes first and leaves every retained buffer — queues,
+/// MSHR merge lists, the pending-load table, the line and DRAM-completion
+/// scratch — at a working size the measured traversal stays within. Then a
+/// full tick (nobody sleeping, the audit included) on which no warp issues
+/// allocates nothing, whatever else moves: writebacks, L1 and L2 accesses,
+/// MSHR merges and fills, both crossbars, DRAM scheduling and completion,
+/// CTA retirement. What an issuing tick still allocates is the functional
+/// executor's (`gpu-isa`: a memory instruction's lane-access list, a
+/// branch's path list and SIMT-stack growth), not the timing model's.
+#[test]
+fn a_loaded_tick_on_which_no_warp_issues_allocates_nothing() {
+    const BLOCK: u32 = 64;
+    let cfg = ArchPreset::FermiGf100.config();
+    assert!(cfg.sanitize, "the audit stage is part of the claim");
+    assert!((4096 / BLOCK) as usize <= cfg.num_sms * cfg.max_ctas_per_sm);
+    let mut gpu = Gpu::new(cfg);
+    skip_harness::mask_bfs(4096, 8, 0x3A8, BLOCK)(&mut gpu, &mut |gpu| {
+        gpu.run(skip_harness::MAX_CYCLES).expect("warm-up drains");
+    });
+
+    let (mut checked, mut dram_at_work) = (0u64, 0u64);
+    skip_harness::mask_bfs(2048, 8, 0x10AD, BLOCK)(&mut gpu, &mut |gpu| {
+        let retired = gpu.summary().ctas + u64::from(2048 / BLOCK);
+        gpu.tick();
+        while gpu.summary().ctas < retired {
+            let before = gpu.summary();
+            let allocations = common::allocations();
+            gpu.tick();
+            let allocated = common::allocations() - allocations;
+            let after = gpu.summary();
+            if after.instructions != before.instructions {
+                continue;
+            }
+            assert_eq!(allocated, 0, "tick at cycle {} allocated", before.cycles);
+            checked += 1;
+            dram_at_work += u64::from(after.dram_serviced != before.dram_serviced);
+        }
+        gpu.run(skip_harness::MAX_CYCLES)
+            .expect("the retired grid drains");
+    });
+    assert!(checked > 5_000, "only {checked} ticks checked");
+    assert!(
+        dram_at_work > 500,
+        "DRAM scheduled on {dram_at_work} of them"
+    );
 }

@@ -230,3 +230,104 @@ fn coalesce_covers_all_bytes() {
         }
     }
 }
+
+/// The bitset scoreboard against a `BTreeSet` per slot: random reserve /
+/// release / clear sequences answer `can_issue`, `is_pending` and
+/// `pending_count` alike and encode to the model's ascending lists — over
+/// registers packed around the 64-bit word boundary and over registers up
+/// to the highest a kernel can name.
+#[test]
+fn bitset_scoreboard_matches_a_set_model() {
+    use gpu_isa::{AluOp, Instr, Operand, Reg};
+    use gpu_sim::Scoreboard;
+    use gpu_snapshot::{Decoder, Encoder, SnapshotError};
+    use std::collections::BTreeSet;
+
+    for case in 0..64u64 {
+        let mut rng = Rng::seed_from_u64(0x5C0B_0000 + case);
+        let slots = rng.gen_range_usize(1, 6);
+        // Odd cases crowd registers 56..72 so words 0 and 1 both fill.
+        let (lo, hi) = if case % 2 == 1 {
+            (56, 72)
+        } else {
+            (0, u32::from(Reg::MAX))
+        };
+        let reg = |rng: &mut Rng| rng.gen_range_u32(lo, hi) as Reg;
+        let mut sb = Scoreboard::new(slots);
+        let mut model = vec![BTreeSet::<Reg>::new(); slots];
+        for step in 0..400 {
+            let what = format!("case {case} step {step}");
+            let w = rng.gen_range_usize(0, slots);
+            let r = reg(&mut rng);
+            match rng.gen_range_u32(0, 8) {
+                0..=3 => {
+                    sb.reserve(w, r);
+                    model[w].insert(r);
+                }
+                4..=5 => {
+                    // Half the releases hit a reserved register.
+                    let r = match model[w].iter().next() {
+                        Some(&held) if rng.gen_bool() => held,
+                        _ => r,
+                    };
+                    sb.release(w, r);
+                    model[w].remove(&r);
+                }
+                6 => {
+                    sb.clear(w);
+                    model[w].clear();
+                }
+                _ => {}
+            }
+            let (dst, a, b) = (reg(&mut rng), reg(&mut rng), reg(&mut rng));
+            let instr = Instr::Alu {
+                op: AluOp::Add,
+                dst,
+                a: Operand::Reg(a),
+                b: Operand::Reg(b),
+            };
+            for (w, held) in model.iter().enumerate() {
+                assert_eq!(
+                    sb.can_issue(w, &instr),
+                    ![dst, a, b].iter().any(|r| held.contains(r)),
+                    "{what}: slot {w}"
+                );
+                assert_eq!(sb.pending_count(w), held.len(), "{what}: slot {w}");
+                assert_eq!(sb.is_pending(w, r), held.contains(&r), "{what}: slot {w}");
+            }
+        }
+
+        let mut want = Encoder::new();
+        want.usize(slots);
+        for held in &model {
+            want.usize(held.len());
+            for &r in held {
+                want.u32(u32::from(r));
+            }
+        }
+        let want = want.finish();
+        let mut got = Encoder::new();
+        sb.encode_state(&mut got);
+        assert_eq!(got.finish(), want, "case {case}: encoding");
+
+        // The bytes restore under a kernel that has the registers, and
+        // under no kernel with fewer.
+        let highest = model.iter().filter_map(|held| held.last()).max().copied();
+        let mut back = Scoreboard::new(slots);
+        let num_regs = highest.map_or(0, |r| r + 1);
+        back.restore_state(&mut Decoder::open(&want).unwrap(), num_regs)
+            .unwrap_or_else(|e| panic!("case {case}: {e:?}"));
+        let mut again = Encoder::new();
+        back.encode_state(&mut again);
+        assert_eq!(again.finish(), want, "case {case}: re-encoding");
+        if let Some(highest) = highest {
+            assert!(
+                matches!(
+                    back.restore_state(&mut Decoder::open(&want).unwrap(), highest),
+                    Err(SnapshotError::InvalidValue(_))
+                ),
+                "case {case}: r{highest} restored into a {highest}-register kernel"
+            );
+        }
+    }
+}

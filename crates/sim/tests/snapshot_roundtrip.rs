@@ -4,9 +4,12 @@
 //! once), and malformed streams of every flavour must be rejected with a
 //! typed [`SnapshotError`] — never a panic.
 
-use gpu_isa::{KernelBuilder, Launch, Special, Width};
-use gpu_sim::{Gpu, GpuConfig};
-use gpu_snapshot::{SnapshotError, FORMAT_VERSION, MAGIC};
+use std::sync::Arc;
+
+use gpu_isa::{Kernel, KernelBuilder, Launch, Special, Width};
+use gpu_sim::{Gpu, GpuConfig, Sm, SmStats, StallReason};
+use gpu_snapshot::{Decoder, Encoder, SnapshotError, FORMAT_VERSION, MAGIC};
+use gpu_types::SmId;
 
 fn small_config() -> GpuConfig {
     let mut cfg = GpuConfig::fermi_gf100();
@@ -194,4 +197,127 @@ fn resume_latest_picks_newest_checkpoint() {
         .expect("checkpoint exists");
     assert_eq!(resumed.now().get(), at, "newest checkpoint wins");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- decoded indices into the SM's dense state ----------------------------
+//
+// The scoreboard is a bitset as wide as the kernel's register file and the
+// pending loads are ordered by token, so a checkpoint must not be able to
+// name a register the kernel lacks or a token the SM has yet to hand out.
+// The cases splice one such value into the encoding of an idle SM, whose
+// layout is fixed by the configuration.
+
+/// The unframed encoding of an idle SM of `cfg`.
+fn idle_sm_payload(cfg: &GpuConfig) -> Vec<u8> {
+    let mut e = Encoder::new();
+    Sm::new(SmId::new(0), Arc::new(cfg.clone())).encode_state(&mut e);
+    let framed = e.finish();
+    framed[MAGIC.len() + 12..framed.len() - 8].to_vec()
+}
+
+fn restore_sm(
+    cfg: &GpuConfig,
+    payload: &[u8],
+    kernel: Option<&Arc<Kernel>>,
+) -> Result<(), SnapshotError> {
+    let mut e = Encoder::new();
+    payload.iter().for_each(|&b| e.u8(b));
+    let framed = e.finish();
+    let mut d = Decoder::open(&framed)?;
+    let params: Arc<[u64]> = Arc::from([0u64, 0]);
+    let mut sm = Sm::new(SmId::new(0), Arc::new(cfg.clone()));
+    sm.restore_state(&mut d, kernel.map(|k| (k, &params)))?;
+    d.expect_end()
+}
+
+/// `payload` with warp slot 0 holding one scoreboard reservation, on `reg`.
+fn with_reservation(cfg: &GpuConfig, payload: &[u8], reg: u32) -> Vec<u8> {
+    // Slot flags, CTA flags (a count and one byte each), then the
+    // scoreboard: its slot count and slot 0's register count.
+    let count_at = (8 + cfg.max_warps_per_sm) + (8 + cfg.max_ctas_per_sm) + 8;
+    assert_eq!(payload[count_at..count_at + 8], [0; 8], "slot 0 is empty");
+    let mut out = payload[..count_at].to_vec();
+    out.extend(1u64.to_le_bytes());
+    out.extend(reg.to_le_bytes());
+    out.extend(&payload[count_at + 8..]);
+    out
+}
+
+/// `payload` with one pending load under `token` and the SM's next token
+/// set to `next_token`.
+fn with_pending_load(payload: &[u8], token: u64, next_token: u64) -> Vec<u8> {
+    // The encoding ends: pending-load count, next token, next request id,
+    // rotation index, greedy warp (absent), age counter, statistics.
+    let mut stats = Encoder::new();
+    SmStats::default().encode_state(&mut stats);
+    let count_at = payload.len() - (8 + 8 + 8 + 8 + 1 + 8 + stats.len());
+    assert_eq!(
+        payload[count_at..count_at + 16],
+        [0; 16],
+        "no load, token 0"
+    );
+    let mut out = payload[..count_at].to_vec();
+    out.extend(1u64.to_le_bytes());
+    out.extend(token.to_le_bytes());
+    out.extend(0u64.to_le_bytes()); // warp slot
+    out.push(0); // no destination register
+    out.extend(0u64.to_le_bytes()); // pc
+    out.extend(1u32.to_le_bytes()); // lines remaining
+    out.extend(1u32.to_le_bytes()); // lines
+    out.extend([0; 16]); // issue cycle, stall cycles at issue
+    out.extend([0; 8 * StallReason::COUNT]);
+    out.extend(next_token.to_le_bytes());
+    out.extend(&payload[count_at + 16..]);
+    out
+}
+
+#[test]
+fn reservation_beyond_the_kernels_registers_is_rejected() {
+    let cfg = small_config();
+    let idle = idle_sm_payload(&cfg);
+    let kernel = Arc::new(copy_kernel());
+    let regs = u32::from(kernel.num_regs());
+    restore_sm(&cfg, &idle, Some(&kernel)).expect("the idle SM restores");
+    restore_sm(
+        &cfg,
+        &with_reservation(&cfg, &idle, regs - 1),
+        Some(&kernel),
+    )
+    .expect("the kernel's last register may be reserved");
+    for reg in [regs, 65_535, 65_536, u32::MAX] {
+        assert!(
+            matches!(
+                restore_sm(&cfg, &with_reservation(&cfg, &idle, reg), Some(&kernel)),
+                Err(SnapshotError::InvalidValue(_))
+            ),
+            "r{reg} restored into a {regs}-register kernel"
+        );
+    }
+}
+
+#[test]
+fn reservation_without_a_launch_is_rejected() {
+    let cfg = small_config();
+    let idle = idle_sm_payload(&cfg);
+    restore_sm(&cfg, &idle, None).expect("the idle SM restores without a launch");
+    assert!(matches!(
+        restore_sm(&cfg, &with_reservation(&cfg, &idle, 0), None),
+        Err(SnapshotError::InvalidValue(_))
+    ));
+}
+
+#[test]
+fn pending_load_token_not_yet_issued_is_rejected() {
+    let cfg = small_config();
+    let idle = idle_sm_payload(&cfg);
+    restore_sm(&cfg, &with_pending_load(&idle, 6, 7), None).expect("token 6 of 7 issued");
+    for (token, next_token) in [(7, 7), (0, 0), (u64::MAX - 1, 7), (1 << 60, 1 << 59)] {
+        assert!(
+            matches!(
+                restore_sm(&cfg, &with_pending_load(&idle, token, next_token), None),
+                Err(SnapshotError::InvalidValue(_))
+            ),
+            "token {token} restored with {next_token} the next to issue"
+        );
+    }
 }

@@ -13,6 +13,8 @@
 //!   pipeline delay, used to model fixed-latency pipeline segments.
 //! - [`Histogram`] and [`Buckets`]: sample collection and the equal-width
 //!   latency bucketing used by the paper's Figures 1 and 2.
+//! - [`IntMap`] / [`IntHasher`]: the one deterministic integer hasher, for
+//!   the bounded `u64`-keyed tables on the simulator's per-access path.
 //! - [`json`]: the workspace's one JSON layer — the parser every reader goes
 //!   through and the streaming writer every emitter goes through.
 //! - [`rng`]: hermetic, seedable pseudo-random number generation
@@ -38,6 +40,7 @@
 
 mod addr;
 mod cycle;
+mod hash;
 mod histogram;
 mod ids;
 pub mod json;
@@ -46,6 +49,7 @@ pub mod rng;
 
 pub use addr::Addr;
 pub use cycle::Cycle;
+pub use hash::{IntHasher, IntMap};
 pub use histogram::{Buckets, Histogram};
 pub use ids::{CtaId, PartitionId, SmId, ThreadId, WarpId};
 pub use queue::{BoundedQueue, DelayQueue, PushError};
