@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Run one architecture preset end to end and pin its timing:
-#   1. table1   --preset <p> — the paper's Table I row (asserts internally
-#      that measured latencies match the analytic unloaded model).
-#   2. validate --preset <p> — the published-reference harness: analytic
-#      unloaded latencies and chase plateaus diffed against the committed
-#      REFERENCE_latencies.json, within its tolerance.
+#   1. table1   --preset <p> — prints the paper's Table I row, measured
+#      beside published; it asserts nothing and always exits 0.
+#   2. validate --preset <p> — the published-reference check, and the step
+#      that asserts: analytic unloaded latencies and chase plateaus diffed
+#      against the committed REFERENCE_latencies.json within its
+#      tolerance, the analytic floor held under the plateau; exits 1 on any
+#      violation.
 #   3. trace    --preset <p> — a small deterministic BFS with --validate
 #      (span tiling + sanitizer), producing a metrics.txt, which is a
 #      pure function of the simulation (host time is on stdout only).

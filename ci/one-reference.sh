@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Table I is written down once and measured and checked by one path each:
+# the published latencies live only in REFERENCE_latencies.json (read through
+# latency_core::reference_rows / ArchPreset::published), a row is measured
+# only by Table1::measure_presets, and analytic, measured and published
+# values are compared only by latency-bench's published-reference check
+# (whose floor rule is contract C). Fail if a deleted second copy — the
+# hand-written expected table, a serial twin of a pooled measurement, the
+# separate floor harness — comes back under crates/ or tests/, or if the
+# Table I golden test spells out a measured row instead of reading the
+# published one.
+#
+# Usage: ci/one-reference.sh   (from the repository root)
+set -euo pipefail
+
+hits=0
+
+copies=$(grep -rnwE 'table1_expected|Table1Row|measure_row_serial|measure_serial|run_serial|validate_floor|FloorReport' crates tests || true)
+if [ -n "$copies" ]; then
+  echo "$copies"
+  hits=$((hits + $(wc -l <<<"$copies")))
+fi
+
+literal=$(grep -nF 'MeasuredRow {' tests/table1_golden.rs || true)
+if [ -n "$literal" ]; then
+  echo "$literal" | sed 's#^#tests/table1_golden.rs:#'
+  hits=$((hits + $(wc -l <<<"$literal")))
+fi
+
+if [ "$hits" -ne 0 ]; then
+  echo "one-reference: $hits stray copy(ies); read ArchPreset::published / measure with Table1::measure_presets / check in run_validation_bench" >&2
+  exit 1
+fi
+echo "one-reference: OK (one published table, one measurement, one check)"

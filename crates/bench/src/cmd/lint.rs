@@ -62,32 +62,35 @@ fn print_costs() {
 }
 
 /// Runs the differential validation matrix; returns `true` when every
-/// cell and every floor held.
+/// cell held and every preset passed the published-reference check (whose
+/// floor rule is contract C).
 fn run_validation() -> bool {
+    let reference = match latency_bench::run_validation_bench(&ArchPreset::TABLE1) {
+        Ok(bench) => bench,
+        Err(e) => {
+            eprintln!("published-reference check failed: {e}");
+            return false;
+        }
+    };
     let mut ok = true;
-    for preset in ArchPreset::TABLE1 {
+    for row in &reference.rows {
         for workload in latency_bench::Workload::e4() {
-            match latency_bench::validate_run(preset, workload) {
+            match latency_bench::validate_run(row.preset, workload) {
                 Ok(report) => {
                     print!("{}", report.to_human());
                     ok &= report.ok();
                 }
                 Err(e) => {
-                    eprintln!("{} x {:?}: simulation failed: {e}", workload.name, preset);
+                    eprintln!(
+                        "{} x {:?}: simulation failed: {e}",
+                        workload.name, row.preset
+                    );
                     ok = false;
                 }
             }
         }
-        match latency_bench::validate_floor(preset) {
-            Ok(report) => {
-                print!("{}", report.to_human());
-                ok &= report.ok();
-            }
-            Err(e) => {
-                eprintln!("{preset:?}: floor measurement failed: {e}");
-                ok = false;
-            }
-        }
+        print!("{}", row.floor_human());
+        ok &= row.violations.is_empty();
     }
     ok
 }

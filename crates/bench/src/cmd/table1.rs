@@ -12,7 +12,6 @@
 //! paper's four Table I columns (e.g. `gk110`) — which is how the CI matrix
 //! measures one generation per job.
 
-use latency_bench::run_table1;
 use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::{ArchPreset, Table1};
 
@@ -22,12 +21,12 @@ pub fn run(presets: &[ArchPreset], args: &mut Cursor) -> Result<(), UsageError> 
     args.finish()?;
     println!("Table I: latencies of memory loads through the global memory");
     println!("pipeline over four generations of NVIDIA GPUs (cycles)\n");
-    let result = if presets.is_empty() {
-        run_table1()
+    let presets = if presets.is_empty() {
+        &ArchPreset::TABLE1[..]
     } else {
-        Table1::measure_presets(presets)
+        presets
     };
-    let table = or_exit(result, "table1 failed");
+    let table = or_exit(Table1::measure_presets(presets), "table1 failed");
     print!("{table}");
     println!(
         "\nmax relative error vs. paper: {:.2}%",

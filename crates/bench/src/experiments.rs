@@ -13,18 +13,8 @@ use gpu_sim::{
     SimError,
 };
 use gpu_workloads::{BfsExperiment, Workload};
-use latency_core::{ChaseError, Table1};
 
 use crate::tracebundle::{env_request, EnvTrace, TraceBundle};
-
-/// Runs the full Table I reproduction (E1): all four paper columns.
-///
-/// # Errors
-///
-/// Propagates chase/simulator failures.
-pub fn run_table1() -> Result<Table1, ChaseError> {
-    Table1::measure()
-}
 
 /// Traces collected from one instrumented run.
 #[derive(Debug)]

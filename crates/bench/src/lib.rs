@@ -4,7 +4,8 @@
 //! the `latency` binary's subcommands (`latency table1`, …; `src/main.rs`
 //! and `src/cmd/`), the `bench` suites and the cross-crate tests:
 //!
-//! - **E1 / Table I**: [`run_table1`] (wrapping [`latency_core::Table1`]).
+//! - **E1 / Table I**: [`latency_core::Table1`], checked against the
+//!   published rows by [`run_validation_bench`].
 //! - **E2 / Figure 1**: [`run_bfs_traced`] + [`latency_core::LatencyBreakdown`].
 //! - **E3 / Figure 2**: [`run_bfs_traced`] + [`latency_core::ExposureAnalysis`].
 //! - **E4**: [`run_workload_traced`] over [`Workload::e4`].
@@ -22,15 +23,14 @@ pub mod tracebundle;
 pub mod validate;
 
 pub use experiments::{
-    dram_sched_comparison, hiding_sweep, mean_and_p95, run_bfs_traced, run_table1, run_traced,
+    dram_sched_comparison, hiding_sweep, mean_and_p95, run_bfs_traced, run_traced,
     run_workload_traced, DramSchedResult, HidingPoint, TracedOutcome, TracedRun,
 };
 pub use gpu_workloads::{builtin_kernels, BfsExperiment, Workload};
+/// Frozen re-export: `benchmark/` reads the published rows through here.
+pub use latency_core::reference_rows;
 pub use progress::ProgressHeartbeat;
-pub use reference::{
-    reference_rows, run_validation_bench, LevelValidation, PresetValidation, ReferenceRow,
-    ValidationBench, REFERENCE_TABLES,
-};
+pub use reference::{run_validation_bench, LevelValidation, PresetValidation, ValidationBench};
 pub use regression::{compare_json, Finding};
 pub use suite::{
     host_cpus, run_serve_bench, run_sweep_bench, run_tick_bench, run_workload_bench,
@@ -38,7 +38,4 @@ pub use suite::{
     WorkloadBench, WorkloadRun, SERVE_CLIENTS,
 };
 pub use tracebundle::{env_request, track_names_for, EnvTrace, TraceBundle};
-pub use validate::{
-    derived_level, validate_floor, validate_run, FloorCheck, FloorReport, LoadCheck,
-    ValidationReport,
-};
+pub use validate::{derived_level, validate_run, LoadCheck, ValidationReport};

@@ -1,25 +1,31 @@
-//! Per-preset cross-validation against the published reference tables.
+//! The published-reference check: every preset against its published row.
 //!
 //! Every registered [`ArchPreset`] is a hand-written data table claiming to
 //! reproduce a *published* machine: the paper's Table I for the four
 //! ISPASS 2015 generations (plus the GF100/GK110 derivatives), and the
 //! modern-generation microbenchmark papers (arXiv:2208.11174,
-//! arXiv:2507.10789) for the sectored GV100/GA102 presets. This module is
-//! the harness that keeps those claims falsifiable: the published per-level
-//! unloaded latencies are committed in-repo as `REFERENCE_latencies.json`
-//! (embedded at compile time), and [`run_validation_bench`] diffs, for each
-//! preset and each level the chip exposes to the global pipeline,
+//! arXiv:2507.10789) for the sectored GV100/GA102 presets. The published
+//! per-level unloaded latencies are written once, in
+//! `REFERENCE_latencies.json` ([`latency_core::reference_rows`]), and
+//! [`run_validation_bench`] is the one place they are compared with the
+//! model: for each preset and each level the chip exposes to the global
+//! pipeline it takes
 //!
 //! - the **analytic** unloaded latency of the description
 //!   ([`gpu_arch::ArchDesc::unloaded_latency`]), and
 //! - the **measured** pointer-chase plateau
-//!   ([`latency_core::measure_row`], the same measurement the Table I
-//!   reproduction uses)
+//!   ([`latency_core::Table1::measure_presets`], the Table I measurement,
+//!   all requested presets in one pooled batch)
 //!
-//! against the published reference value, within the file's tolerance.
-//! A presence mismatch (the chase finds a plateau the published table does
-//! not have, or vice versa) is a violation too — a preset cannot silently
-//! grow or lose a cache level.
+//! and reports a violation when
+//!
+//! - either diverges from the published value by more than the file's
+//!   tolerance;
+//! - the analytic latency exceeds the measurement — contract C of the
+//!   static analyzer: the unloaded latency is a floor, so no chase may beat
+//!   it (`lint --validate` prints these floor lines);
+//! - the level is present in one of the three and absent from another — a
+//!   preset cannot silently grow or lose a cache level.
 //!
 //! `latency validate` drives this from the command line (the CI preset
 //! matrix runs it once per preset), and the bench harness commits the full
@@ -29,75 +35,8 @@
 use std::fmt::Write as _;
 
 use gpu_arch::LevelKind;
-use gpu_trace::json::{self, Fixed, Value, Writer};
-use latency_core::{measure_row, ArchPreset};
-
-/// The published reference tables, committed at the repository root and
-/// embedded so the harness cannot run against a stale or missing copy.
-pub const REFERENCE_TABLES: &str = include_str!("../../../REFERENCE_latencies.json");
-
-/// One published row: per-level unloaded latencies in cycles, `None` where
-/// the chip does not expose the level to the global pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReferenceRow {
-    /// Canonical chip token ([`ArchPreset::token`]).
-    pub token: String,
-    /// Where the numbers come from (paper + table).
-    pub source: String,
-    /// Published L1 latency.
-    pub l1: Option<u64>,
-    /// Published L2 latency.
-    pub l2: Option<u64>,
-    /// Published DRAM latency.
-    pub dram: u64,
-}
-
-fn opt_cycles(row: &Value, key: &str) -> Result<Option<u64>, String> {
-    match row.get(key) {
-        Some(Value::Null) => Ok(None),
-        Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
-        other => Err(format!(
-            "reference row field {key:?} is not a cycle count or null: {other:?}"
-        )),
-    }
-}
-
-/// Parses [`REFERENCE_TABLES`], returning the tolerance (in percent) and
-/// the published rows in file order.
-///
-/// # Errors
-///
-/// Returns `Err` when the committed file is malformed — a broken reference
-/// table is a repo bug, not a validation finding.
-pub fn reference_rows() -> Result<(f64, Vec<ReferenceRow>), String> {
-    let doc = json::parse(REFERENCE_TABLES).map_err(|e| format!("reference table: {e}"))?;
-    let tolerance_percent = doc
-        .get("tolerance_percent")
-        .and_then(Value::as_num)
-        .filter(|t| *t > 0.0)
-        .ok_or("reference table lacks a positive tolerance_percent")?;
-    let rows = doc
-        .get("rows")
-        .and_then(Value::as_arr)
-        .ok_or("reference table lacks a rows array")?;
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let text = |key: &str| {
-            row.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or(format!("reference row lacks {key:?}"))
-        };
-        out.push(ReferenceRow {
-            token: text("token")?,
-            source: text("source")?,
-            l1: opt_cycles(row, "l1")?,
-            l2: opt_cycles(row, "l2")?,
-            dram: opt_cycles(row, "dram")?.ok_or("reference row has null dram")?,
-        });
-    }
-    Ok((tolerance_percent, out))
-}
+use gpu_trace::json::{Fixed, Writer};
+use latency_core::{reference_rows, ArchPreset, MeasuredRow, ReferenceRow, Table1};
 
 /// One level's three-way comparison: published vs analytic vs chase-measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,18 +49,6 @@ pub struct LevelValidation {
     pub analytic: u64,
     /// Pointer-chase plateau the simulator measured.
     pub measured: f64,
-}
-
-impl LevelValidation {
-    /// Relative error of the measured plateau against the published value.
-    pub fn measured_rel_error(&self) -> f64 {
-        (self.measured - self.reference as f64).abs() / self.reference as f64
-    }
-
-    /// Relative error of the analytic latency against the published value.
-    pub fn analytic_rel_error(&self) -> f64 {
-        (self.analytic as f64 - self.reference as f64).abs() / self.reference as f64
-    }
 }
 
 /// One preset's verdict against its published row.
@@ -138,6 +65,37 @@ pub struct PresetValidation {
     pub violations: Vec<String>,
 }
 
+impl PresetValidation {
+    fn verdict(&self) -> &'static str {
+        if self.violations.is_empty() {
+            "ok"
+        } else {
+            "FAIL"
+        }
+    }
+
+    /// Renders the floor half of the verdict (analytic <= measured per
+    /// level), as `lint --validate` prints it beside contracts A and B.
+    pub fn floor_human(&self) -> String {
+        let mut out = format!(
+            "{}: floor check -> {}\n",
+            self.preset.name(),
+            self.verdict()
+        );
+        for l in &self.levels {
+            let _ = writeln!(
+                out,
+                "  {}: analytic {} cyc <= measured {:.1} cyc",
+                l.level, l.analytic, l.measured
+            );
+        }
+        for v in &self.violations {
+            let _ = writeln!(out, "  violation: {v}");
+        }
+        out
+    }
+}
+
 /// The full cross-validation record (`BENCH_validation.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationBench {
@@ -148,11 +106,6 @@ pub struct ValidationBench {
 }
 
 impl ValidationBench {
-    /// `true` when every preset validated.
-    pub fn ok(&self) -> bool {
-        self.rows.iter().all(|r| r.violations.is_empty())
-    }
-
     /// All violations across every preset, for error reporting.
     pub fn check(&self) -> Result<(), String> {
         let mut out = String::new();
@@ -182,11 +135,7 @@ impl ValidationBench {
                 "{} [{}] -> {}",
                 row.preset.name(),
                 row.source,
-                if row.violations.is_empty() {
-                    "ok"
-                } else {
-                    "FAIL"
-                }
+                row.verdict()
             );
             for l in &row.levels {
                 let _ = writeln!(
@@ -233,11 +182,11 @@ impl ValidationBench {
 }
 
 /// Validates one preset against its published row: presence, analytic
-/// latency and measured plateau per level.
+/// latency, measured plateau and the analytic floor per level.
 fn validate_preset(
     preset: ArchPreset,
     row: &ReferenceRow,
-    measured: &latency_core::MeasuredRow,
+    measured: &MeasuredRow,
     tolerance: f64,
 ) -> PresetValidation {
     let desc = preset.desc();
@@ -254,31 +203,39 @@ fn validate_preset(
             // observable from the global pipeline; nothing to compare.
             (None, None, _) => {}
             (Some(reference), Some(measured), Some(analytic)) => {
-                let l = LevelValidation {
-                    level: kind.label(),
-                    reference,
-                    analytic,
-                    measured,
-                };
-                if l.analytic_rel_error() > tolerance {
+                let off = |v: f64| (v - reference as f64).abs() / reference as f64;
+                if off(analytic as f64) > tolerance {
                     violations.push(format!(
                         "{}: analytic unloaded latency {} cyc diverges {:.2}% from published {} cyc",
                         kind.label(),
                         analytic,
-                        100.0 * l.analytic_rel_error(),
+                        100.0 * off(analytic as f64),
                         reference
                     ));
                 }
-                if l.measured_rel_error() > tolerance {
+                if off(measured) > tolerance {
                     violations.push(format!(
                         "{}: chase plateau {:.1} cyc diverges {:.2}% from published {} cyc",
                         kind.label(),
                         measured,
-                        100.0 * l.measured_rel_error(),
+                        100.0 * off(measured),
                         reference
                     ));
                 }
-                levels.push(l);
+                if analytic as f64 > measured {
+                    violations.push(format!(
+                        "{}: analytic floor {} cyc exceeds measured {:.1} cyc",
+                        kind.label(),
+                        analytic,
+                        measured
+                    ));
+                }
+                levels.push(LevelValidation {
+                    level: kind.label(),
+                    reference,
+                    analytic,
+                    measured,
+                });
             }
             (reference, plateau, analytic) => violations.push(format!(
                 "{}: presence mismatch (published {reference:?}, chase plateau {plateau:?}, \
@@ -295,35 +252,39 @@ fn validate_preset(
     }
 }
 
-/// Runs the cross-validation harness for `presets`: one chase-measured row
-/// each, diffed against the committed published table.
+/// Runs the published-reference check for `presets`: their Table I rows,
+/// measured in one pooled batch, each diffed against its published row.
 ///
 /// # Errors
 ///
-/// Returns `Err` when the committed reference table is malformed or a chase
-/// measurement fails outright; validation *findings* are reported in the
-/// returned [`ValidationBench`], not as errors.
+/// Returns `Err` when the committed reference table is malformed or lacks a
+/// requested preset, or a chase measurement fails outright; validation
+/// *findings* are reported in the returned [`ValidationBench`], not as
+/// errors.
 pub fn run_validation_bench(presets: &[ArchPreset]) -> Result<ValidationBench, String> {
     let (tolerance_percent, reference) = reference_rows()?;
-    let tolerance = tolerance_percent / 100.0;
-    let mut rows = Vec::with_capacity(presets.len());
-    for &preset in presets {
-        let Some(row) = reference.iter().find(|r| r.token == preset.token()) else {
-            rows.push(PresetValidation {
-                preset,
-                source: String::new(),
-                levels: Vec::new(),
-                violations: vec![format!(
+    let published = presets
+        .iter()
+        .map(|p| {
+            reference
+                .iter()
+                .find(|r| r.token == p.token())
+                .ok_or(format!(
                     "no published reference row for token {:?} in REFERENCE_latencies.json",
-                    preset.token()
-                )],
-            });
-            continue;
-        };
-        let measured = measure_row(preset)
-            .map_err(|e| format!("{}: chase measurement failed: {e}", preset.token()))?;
-        rows.push(validate_preset(preset, row, &measured, tolerance));
-    }
+                    p.token()
+                ))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let table =
+        Table1::measure_presets(presets).map_err(|e| format!("chase measurement failed: {e}"))?;
+    let rows = table
+        .rows()
+        .iter()
+        .zip(published)
+        .map(|((preset, measured), row)| {
+            validate_preset(*preset, row, measured, tolerance_percent / 100.0)
+        })
+        .collect();
     Ok(ValidationBench {
         tolerance_percent,
         rows,
@@ -333,23 +294,14 @@ pub fn run_validation_bench(presets: &[ArchPreset]) -> Result<ValidationBench, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_trace::json::{self, Value};
 
-    #[test]
-    fn reference_table_covers_every_registered_preset() {
-        let (tolerance, rows) = reference_rows().expect("committed table parses");
-        assert!(tolerance > 0.0);
-        for preset in ArchPreset::ALL {
-            let row = rows
-                .iter()
-                .find(|r| r.token == preset.token())
-                .unwrap_or_else(|| panic!("no reference row for {}", preset.token()));
-            assert!(!row.source.is_empty());
-            // The committed published values and the preset's own expected
-            // Table-I row must agree — two copies of the same literature.
-            let expected = preset.table1_expected();
-            assert_eq!(row.l1, expected.l1, "{} l1", preset.token());
-            assert_eq!(row.l2, expected.l2, "{} l2", preset.token());
-            assert_eq!(row.dram, expected.dram, "{} dram", preset.token());
+    /// A measurement that reproduces `row` exactly.
+    fn exact(row: &ReferenceRow) -> MeasuredRow {
+        MeasuredRow {
+            l1: row.l1.map(|c| c as f64),
+            l2: row.l2.map(|c| c as f64),
+            dram: row.dram as f64,
         }
     }
 
@@ -413,14 +365,12 @@ mod tests {
 
     #[test]
     fn divergence_is_a_violation_not_an_error() {
-        let (_, rows) = reference_rows().expect("parses");
-        let row = rows.iter().find(|r| r.token == "gv100").expect("gv100 row");
-        let measured = latency_core::MeasuredRow {
-            l1: Some(28.0),
-            l2: Some(250.0), // ~30% off the published 193
-            dram: 472.0,
+        let row = ArchPreset::VoltaGv100.published();
+        let measured = MeasuredRow {
+            l2: row.l2.map(|c| c as f64 * 1.3),
+            ..exact(&row)
         };
-        let v = validate_preset(ArchPreset::VoltaGv100, row, &measured, 0.02);
+        let v = validate_preset(ArchPreset::VoltaGv100, &row, &measured, 0.02);
         assert_eq!(v.violations.len(), 1, "{:?}", v.violations);
         assert!(
             v.violations[0].contains("chase plateau"),
@@ -431,27 +381,69 @@ mod tests {
 
     #[test]
     fn presence_mismatch_is_a_violation() {
-        let (_, rows) = reference_rows().expect("parses");
-        let row = rows.iter().find(|r| r.token == "gv100").expect("gv100 row");
-        let measured = latency_core::MeasuredRow {
-            l1: None, // chase lost the L1 plateau
-            l2: Some(193.0),
-            dram: 472.0,
+        // Published but not measured: the chase lost GV100's L1 plateau.
+        let row = ArchPreset::VoltaGv100.published();
+        let lost = MeasuredRow {
+            l1: None,
+            ..exact(&row)
         };
-        let v = validate_preset(ArchPreset::VoltaGv100, row, &measured, 0.02);
+        let v = validate_preset(ArchPreset::VoltaGv100, &row, &lost, 0.02);
+        assert_eq!(v.violations.len(), 1, "{:?}", v.violations);
         assert!(
-            v.violations.iter().any(|m| m.contains("presence mismatch")),
-            "{:?}",
-            v.violations
+            v.violations[0].starts_with("L1: presence mismatch"),
+            "{v:?}"
         );
+        // Measured but not published: a plateau GM107 has no L1 for.
+        let row = ArchPreset::MaxwellGm107.published();
+        let grown = MeasuredRow {
+            l1: Some(40.0),
+            ..exact(&row)
+        };
+        let v = validate_preset(ArchPreset::MaxwellGm107, &row, &grown, 0.02);
+        assert_eq!(v.violations.len(), 1, "{:?}", v.violations);
+        assert!(
+            v.violations[0].starts_with("L1: presence mismatch"),
+            "{v:?}"
+        );
+    }
+
+    /// Contract C: a chase that beats the description's analytic floor,
+    /// while staying within tolerance of the published value, is exactly
+    /// one violation — the floor rule's.
+    #[test]
+    fn analytic_floor_above_measurement_is_one_violation() {
+        let row = ArchPreset::VoltaGv100.published();
+        let measured = MeasuredRow {
+            dram: row.dram as f64 - 0.5,
+            ..exact(&row)
+        };
+        let v = validate_preset(ArchPreset::VoltaGv100, &row, &measured, 0.02);
+        assert_eq!(
+            v.violations,
+            [format!(
+                "DRAM: analytic floor {} cyc exceeds measured {:.1} cyc",
+                row.dram, measured.dram
+            )]
+        );
+        let floor = v.floor_human();
+        assert!(
+            floor.starts_with("GV100 (Volta): floor check -> FAIL\n"),
+            "{floor}"
+        );
+        assert!(floor.ends_with(&format!("  violation: {}\n", v.violations[0])));
     }
 
     #[test]
     fn gt200_validates_against_the_published_row() {
         // End-to-end on the cheapest preset: DRAM-only machine, one chase.
         let bench = run_validation_bench(&[ArchPreset::TeslaGt200]).expect("harness runs");
-        assert!(bench.ok(), "{}", bench.to_human());
+        assert!(bench.check().is_ok(), "{}", bench.to_human());
         assert_eq!(bench.rows[0].levels.len(), 1);
         assert_eq!(bench.rows[0].levels[0].level, "DRAM");
+        let dram = ArchPreset::TeslaGt200.published().dram;
+        assert_eq!(
+            bench.rows[0].floor_human(),
+            format!("GT200 (Tesla): floor check -> ok\n  DRAM: analytic {dram} cyc <= measured {dram}.0 cyc\n")
+        );
     }
 }

@@ -18,13 +18,13 @@
 //!   ([`gpu_arch::ArchDesc::feasible_levels`]).
 //! - **Floor** (contract C): the analytic unloaded latency of each level
 //!   ([`gpu_arch::ArchDesc::unloaded_latency`]) must not exceed the
-//!   pointer-chase-measured latency of the same level
-//!   ([`latency_core::measure_row`]) — the static floor really is a floor.
+//!   pointer-chase-measured latency of the same level — the static floor
+//!   really is a floor. It is one rule of [`crate::run_validation_bench`].
 //!
-//! Contract A/B run per (preset, workload) cell via [`validate_run`];
-//! contract C runs once per preset via [`validate_floor`]. The
+//! Contract A/B run per (preset, workload) cell via [`validate_run`]. The
 //! `static_vs_dynamic` integration test sweeps the full Table-I matrix,
-//! and `lint --validate` prints the same reports from the command line.
+//! and `lint --validate` prints the same reports (and contract C's floor
+//! lines) from the command line.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,7 +34,7 @@ use gpu_mem::{PipelineSpace, Stamp, Timeline};
 use gpu_sim::{GpuConfig, SimError};
 use gpu_workloads::Workload;
 use latency_check::{AnalysisConfig, Cfg};
-use latency_core::{ArchPreset, ChaseError};
+use latency_core::ArchPreset;
 
 use crate::experiments::run_workload_traced;
 
@@ -98,57 +98,6 @@ impl ValidationReport {
             levels.join(" "),
             if self.ok() { "ok" } else { "FAIL" },
         );
-        for v in &self.violations {
-            let _ = writeln!(out, "  violation: {v}");
-        }
-        out
-    }
-}
-
-/// One level's analytic-vs-measured latency comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FloorCheck {
-    /// Level label.
-    pub level: &'static str,
-    /// Analytic unloaded latency from the machine description.
-    pub analytic: u64,
-    /// Pointer-chase-measured per-access latency.
-    pub measured: f64,
-}
-
-/// Contract C verdict for one preset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FloorReport {
-    /// Machine description name.
-    pub arch: String,
-    /// Per-level comparisons.
-    pub checks: Vec<FloorCheck>,
-    /// Contract violations, empty when every floor holds.
-    pub violations: Vec<String>,
-}
-
-impl FloorReport {
-    /// `true` when every analytic floor lower-bounds its measurement.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Renders the preset verdict as human-readable text.
-    pub fn to_human(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}: floor check -> {}",
-            self.arch,
-            if self.ok() { "ok" } else { "FAIL" }
-        );
-        for c in &self.checks {
-            let _ = writeln!(
-                out,
-                "  {}: analytic {} cyc <= measured {:.1} cyc",
-                c.level, c.analytic, c.measured
-            );
-        }
         for v in &self.violations {
             let _ = writeln!(out, "  violation: {v}");
         }
@@ -317,57 +266,6 @@ pub fn validate_run(preset: ArchPreset, workload: &Workload) -> Result<Validatio
         loads,
         level_counts,
         requests: run.requests.len(),
-        violations,
-    })
-}
-
-/// Checks contract C for `preset`: every level's analytic unloaded latency
-/// must lower-bound the pointer-chase measurement of the same level.
-///
-/// # Errors
-///
-/// Propagates chase-measurement failures; contract violations are reported
-/// in the returned [`FloorReport`].
-pub fn validate_floor(preset: ArchPreset) -> Result<FloorReport, ChaseError> {
-    let desc = preset.desc();
-    let row = latency_core::measure_row(preset)?;
-    let mut checks = Vec::new();
-    let mut violations = Vec::new();
-    let pairs = [
-        (LevelKind::L1, row.l1),
-        (LevelKind::L2, row.l2),
-        (LevelKind::DramFront, Some(row.dram)),
-    ];
-    for (kind, measured) in pairs {
-        let Some(measured) = measured else {
-            continue; // the preset has no such level, nothing was measured
-        };
-        match desc.unloaded_latency(kind) {
-            Some(analytic) => {
-                if analytic as f64 > measured {
-                    violations.push(format!(
-                        "{}: analytic floor {} cyc exceeds measured {:.1} cyc",
-                        kind.label(),
-                        analytic,
-                        measured
-                    ));
-                }
-                checks.push(FloorCheck {
-                    level: kind.label(),
-                    analytic,
-                    measured,
-                });
-            }
-            None => violations.push(format!(
-                "{}: measured {:.1} cyc at a level the description cannot serve",
-                kind.label(),
-                measured
-            )),
-        }
-    }
-    Ok(FloorReport {
-        arch: desc.name.clone(),
-        checks,
         violations,
     })
 }

@@ -13,7 +13,7 @@
 use std::fmt;
 
 use gpu_isa::{AluOp, CmpOp, Kernel, KernelBuilder, Launch, Operand, Space, Width};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, GpuConfig, LevelKind, SimError};
 use gpu_types::Addr;
 
 /// Dependent loads per loop iteration (amortizes loop overhead to well under
@@ -286,7 +286,8 @@ fn run_once(config: &GpuConfig, params: &ChaseParams, iters: u64) -> Result<u64,
         Launch::new(1, 1, vec![base.get(), iters, sink.get()]),
     )?;
     // Generous bound: every access could be a loaded DRAM round trip.
-    let worst = config.unloaded_dram() * 4 + 200;
+    let dram = config.arch_desc().unloaded_latency(LevelKind::DramFront);
+    let worst = dram.expect("the DRAM front is always walkable") * 4 + 200;
     let max_cycles = (iters * UNROLL as u64 + params.count() + 64) * worst + 100_000;
     let summary = gpu.run(max_cycles)?;
     // Sanity: the final pointer must still be inside the chain.
@@ -395,7 +396,7 @@ mod tests {
         // 4 KB footprint in a 16 KB L1: steady state is all hits.
         let cfg = ArchPreset::FermiGf106.config_microbench();
         let m = measure_chase(&cfg, &ChaseParams::global(4096, 128)).unwrap();
-        let expected = ArchPreset::FermiGf106.table1_expected().l1.unwrap() as f64;
+        let expected = ArchPreset::FermiGf106.published().l1.unwrap() as f64;
         assert!(
             (m.per_access - expected).abs() <= 3.0,
             "measured {} vs expected {expected}",

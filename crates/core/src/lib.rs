@@ -9,7 +9,8 @@
 //!    single-thread pointer-chase microbenchmark on per-generation machine
 //!    models ([`ArchPreset`]); [`Sweep`] and [`detect_plateaus`] implement
 //!    the stride × footprint methodology of Wong et al.; [`Table1`]
-//!    regenerates the paper's Table I.
+//!    regenerates the paper's Table I against the published rows
+//!    ([`reference_rows`], written once in `REFERENCE_latencies.json`).
 //! 2. **Dynamic latency** (paper §III, Figures 1 & 2):
 //!    [`LatencyBreakdown`] splits every traced memory fetch's lifetime into
 //!    the eight pipeline components of Figure 1, and [`ExposureAnalysis`]
@@ -41,6 +42,7 @@ pub mod loaded;
 pub mod parallel;
 pub mod plateau;
 pub mod presets;
+pub mod reference;
 pub mod report;
 pub mod sweep;
 pub mod table1;
@@ -63,7 +65,8 @@ pub use parallel::{
     set_worker_count, try_par_map, worker_count, ThreadCountError,
 };
 pub use plateau::{detect_plateaus, Plateau};
-pub use presets::{ArchPreset, Table1Row};
-pub use report::{breakdown_csv, exposure_csv, shares_markdown, table1_csv, table1_markdown};
+pub use presets::ArchPreset;
+pub use reference::{reference_rows, ReferenceRow, REFERENCE_TABLES};
+pub use report::{breakdown_csv, exposure_csv};
 pub use sweep::{pow2_range, SkipReason, SkippedPoint, Sweep, SweepPoint};
-pub use table1::{measure_row, measure_row_serial, MeasuredRow, Table1};
+pub use table1::{measure_row, MeasuredRow, Table1};

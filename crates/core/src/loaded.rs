@@ -9,7 +9,7 @@
 //! the interference is steady for its whole duration.
 
 use gpu_isa::{AluOp, CmpOp, Kernel, KernelBuilder, Launch, Special, Width};
-use gpu_sim::{Gpu, GpuConfig};
+use gpu_sim::{Gpu, GpuConfig, LevelKind};
 
 use crate::chase::{write_chain, ChaseError, ChaseParams, ChaseSpace, UNROLL};
 
@@ -145,7 +145,8 @@ fn run_once(
         ),
     )
     .map_err(ChaseError::Sim)?;
-    let worst = config.unloaded_dram() * 40 + 2000;
+    let dram = config.arch_desc().unloaded_latency(LevelKind::DramFront);
+    let worst = dram.expect("the DRAM front is always walkable") * 40 + 2000;
     let max_cycles = (iters * UNROLL as u64 + params.count() + 64) * worst + 500_000;
     let summary = gpu.run(max_cycles).map_err(ChaseError::Sim)?;
     assert_eq!(gpu.device().read_u32(flag), 1, "chaser must raise the flag");

@@ -14,9 +14,10 @@
 //! expensive point never stalls the whole chunk), but every result is
 //! written back into the slot of its *input index*. The output `Vec` is
 //! therefore always in input order, bit-identical to what a serial loop
-//! produces, regardless of worker count or OS scheduling. The serial
-//! reference paths (`Sweep::run_serial`, `Table1::measure_serial`, …) exist
-//! so the equivalence is testable, not because they ever differ.
+//! produces, regardless of worker count or OS scheduling. One worker *is*
+//! that serial loop (see below), so each entry point is its own serial
+//! reference: `tests/parallel_equivalence.rs` runs it at one worker and at
+//! several and compares, with no second implementation to keep in step.
 //!
 //! # Worker count
 //!

@@ -4,20 +4,16 @@
 //! Each preset encodes the *structure* the paper attributes to its
 //! generation — which cache levels exist and which memory spaces they serve
 //! — with stage latencies calibrated so that the pointer-chase microbenchmark
-//! ([`crate::chase`]) recovers the paper's measured latencies:
-//!
-//! | Unit  | GT200 | GF106 | GK104 | GM107 |
-//! |-------|-------|-------|-------|-------|
-//! | L1 D$ | —     | 45    | 30 (local only) | — |
-//! | L2 D$ | —     | 310   | 175   | 194   |
-//! | DRAM  | 440   | 685   | 300   | 350   |
+//! ([`crate::chase`]) recovers the paper's measured latencies — the
+//! published rows of `REFERENCE_latencies.json` ([`ArchPreset::published`],
+//! the one place those numbers are written).
 //!
 //! A preset is nothing but an [`ArchDesc`]: [`ArchPreset::desc`] returns the
 //! description and [`ArchPreset::config`] lowers it through
 //! [`GpuConfig::from_arch`]. Adding a generation means writing one more data
-//! table (see the GK110 entry, which reuses GK104's geometry with the
-//! read-only global path routed through the L1 per Mei & Chu's Kepler study)
-//! — no simulator code changes.
+//! table and its published row (see the GK110 entry, which reuses GK104's
+//! geometry with the read-only global path routed through the L1 per Mei &
+//! Chu's Kepler study) — no simulator code changes.
 //!
 //! Beyond the paper's Table I, two modern-generation presets exercise the
 //! v2 description schema: GV100 (Volta-class) and GA102 (Ampere-class),
@@ -32,19 +28,6 @@ use gpu_sim::{
     ArchDesc, CacheGeom, FabricDesc, GpuConfig, LevelDesc, LevelKind, MemDesc, Routing,
     SchedPolicy, SmDesc, WritePolicy,
 };
-
-/// The paper's expected Table I latencies for one architecture (hot-clock
-/// cycles). `None` means the unit does not exist (or is bypassed for global
-/// accesses and thus not reported).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Table1Row {
-    /// L1 data-cache hit latency.
-    pub l1: Option<u64>,
-    /// L2 data-cache hit latency.
-    pub l2: Option<u64>,
-    /// DRAM access latency.
-    pub dram: u64,
-}
 
 /// A GPU generation analyzed by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,53 +129,6 @@ impl ArchPreset {
             "volta" | "gv100" => Some(ArchPreset::VoltaGv100),
             "ampere" | "ga102" => Some(ArchPreset::AmpereGa102),
             _ => None,
-        }
-    }
-
-    /// The paper's Table I values for this architecture. The GK110 preset is
-    /// not a Table I column; its expectations are GK104's timings with the
-    /// L1 row observable from the global pipeline.
-    pub fn table1_expected(self) -> Table1Row {
-        match self {
-            ArchPreset::TeslaGt200 => Table1Row {
-                l1: None,
-                l2: None,
-                dram: 440,
-            },
-            ArchPreset::FermiGf106 | ArchPreset::FermiGf100 => Table1Row {
-                l1: Some(45),
-                l2: Some(310),
-                dram: 685,
-            },
-            ArchPreset::KeplerGk104 => Table1Row {
-                l1: Some(30), // local accesses only
-                l2: Some(175),
-                dram: 300,
-            },
-            ArchPreset::KeplerGk110 => Table1Row {
-                l1: Some(30), // read-only global path through the L1
-                l2: Some(175),
-                dram: 300,
-            },
-            ArchPreset::MaxwellGm107 => Table1Row {
-                l1: None,
-                l2: Some(194),
-                dram: 350,
-            },
-            // The modern presets are not Table I columns; their expectations
-            // come from the calibration targets of the validation harness
-            // (`gpu-bench`'s reference tables, after arXiv:2208.11174 and
-            // arXiv:2507.10789).
-            ArchPreset::VoltaGv100 => Table1Row {
-                l1: Some(28),
-                l2: Some(193),
-                dram: 472,
-            },
-            ArchPreset::AmpereGa102 => Table1Row {
-                l1: Some(33),
-                l2: Some(212),
-                dram: 466,
-            },
         }
     }
 
@@ -631,21 +567,19 @@ mod tests {
 
     #[test]
     fn generation_structure_matches_paper() {
+        let l1_serves = |p: ArchPreset, space| p.desc().serves(LevelKind::L1, space);
         // Tesla: uncached global pipeline.
         let t = ArchPreset::TeslaGt200.config();
         assert!(t.l1.is_none() && t.l2.is_none());
         // Fermi: L1 serves global and local.
-        let f = ArchPreset::FermiGf106.config();
-        assert!(f.l1_serves(PipelineSpace::Global));
-        assert!(f.l1_serves(PipelineSpace::Local));
+        assert!(l1_serves(ArchPreset::FermiGf106, PipelineSpace::Global));
+        assert!(l1_serves(ArchPreset::FermiGf106, PipelineSpace::Local));
         // Kepler GK104: L1 local-only.
-        let k = ArchPreset::KeplerGk104.config();
-        assert!(!k.l1_serves(PipelineSpace::Global));
-        assert!(k.l1_serves(PipelineSpace::Local));
+        assert!(!l1_serves(ArchPreset::KeplerGk104, PipelineSpace::Global));
+        assert!(l1_serves(ArchPreset::KeplerGk104, PipelineSpace::Local));
         // Kepler GK110: the global read path goes through the L1 too.
-        let k110 = ArchPreset::KeplerGk110.config();
-        assert!(k110.l1_serves(PipelineSpace::Global));
-        assert!(k110.l1_serves(PipelineSpace::Local));
+        assert!(l1_serves(ArchPreset::KeplerGk110, PipelineSpace::Global));
+        assert!(l1_serves(ArchPreset::KeplerGk110, PipelineSpace::Local));
         // Maxwell: L1 gone.
         let m = ArchPreset::MaxwellGm107.config();
         assert!(m.l1.is_none());
@@ -659,23 +593,6 @@ mod tests {
         base.name = gk110.name.clone();
         base.levels[0].routing = Routing::ALL;
         assert_eq!(base, gk110);
-    }
-
-    #[test]
-    fn expected_rows_match_paper_table() {
-        assert_eq!(ArchPreset::TeslaGt200.table1_expected().dram, 440);
-        let fermi = ArchPreset::FermiGf106.table1_expected();
-        assert_eq!((fermi.l1, fermi.l2, fermi.dram), (Some(45), Some(310), 685));
-        let kepler = ArchPreset::KeplerGk104.table1_expected();
-        assert_eq!(
-            (kepler.l1, kepler.l2, kepler.dram),
-            (Some(30), Some(175), 300)
-        );
-        let maxwell = ArchPreset::MaxwellGm107.table1_expected();
-        assert_eq!(
-            (maxwell.l1, maxwell.l2, maxwell.dram),
-            (None, Some(194), 350)
-        );
     }
 
     #[test]
@@ -754,8 +671,8 @@ mod tests {
     fn maxwell_slower_than_kepler_everywhere() {
         // The paper's §II observation: Maxwell's pipeline is slower than
         // Kepler's at every level.
-        let k = ArchPreset::KeplerGk104.table1_expected();
-        let m = ArchPreset::MaxwellGm107.table1_expected();
+        let k = ArchPreset::KeplerGk104.published();
+        let m = ArchPreset::MaxwellGm107.published();
         assert!(m.l2.unwrap() > k.l2.unwrap());
         assert!(m.dram > k.dram);
     }

@@ -1,66 +1,15 @@
-//! Machine-readable exports of the reproduction artifacts.
+//! Machine-readable exports of the Figure 1 and Figure 2 artifacts.
 //!
-//! The `Display` implementations on [`crate::Table1`],
-//! [`crate::LatencyBreakdown`] and [`crate::ExposureAnalysis`] print the
-//! paper-style text tables; this module renders the same data as CSV (for
-//! plotting the stacked-bar figures externally) and Markdown (for
-//! EXPERIMENTS.md-style reports).
+//! The `Display` implementations on [`crate::LatencyBreakdown`] and
+//! [`crate::ExposureAnalysis`] print the paper-style text tables; this
+//! module renders the same data as CSV, for plotting the stacked-bar
+//! figures externally (the trace bundle's `breakdown.csv` and
+//! `exposure.csv`).
 
 use std::fmt::Write as _;
 
 use crate::breakdown::{Component, LatencyBreakdown};
 use crate::exposure::ExposureAnalysis;
-use crate::table1::Table1;
-
-/// Renders Table I as CSV: `arch,unit,measured,paper`.
-pub fn table1_csv(table: &Table1) -> String {
-    let mut out = String::from("arch,unit,measured,paper\n");
-    for (preset, row) in table.rows() {
-        let expected = preset.table1_expected();
-        let mut push = |unit: &str, measured: Option<f64>, paper: Option<u64>| {
-            let m = measured.map_or(String::new(), |v| format!("{v:.1}"));
-            let p = paper.map_or(String::new(), |v| v.to_string());
-            let _ = writeln!(out, "{},{unit},{m},{p}", preset.name());
-        };
-        push("l1", row.l1, expected.l1);
-        push("l2", row.l2, expected.l2);
-        push("dram", Some(row.dram), Some(expected.dram));
-    }
-    out
-}
-
-/// Renders Table I as a Markdown table with `measured (paper)` cells.
-pub fn table1_markdown(table: &Table1) -> String {
-    let mut out = String::from("| Unit |");
-    for (preset, _) in table.rows() {
-        let _ = write!(out, " {} |", preset.name());
-    }
-    out.push('\n');
-    out.push_str("|---|");
-    for _ in table.rows() {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    let cell = |measured: Option<f64>, paper: Option<u64>| match (measured, paper) {
-        (Some(m), Some(p)) => format!("{m:.0} ({p})"),
-        (Some(m), None) => format!("{m:.0} (—)"),
-        _ => "—".to_string(),
-    };
-    for (unit, extract) in [("L1 D$", 0usize), ("L2 D$", 1), ("DRAM", 2)] {
-        let _ = write!(out, "| {unit} |");
-        for (preset, row) in table.rows() {
-            let expected = preset.table1_expected();
-            let c = match extract {
-                0 => cell(row.l1, expected.l1),
-                1 => cell(row.l2, expected.l2),
-                _ => cell(Some(row.dram), Some(expected.dram)),
-            };
-            let _ = write!(out, " {c} |");
-        }
-        out.push('\n');
-    }
-    out
-}
 
 /// Renders a latency breakdown as CSV:
 /// `bucket_lo,bucket_hi,count,<component columns...>` with percentages.
@@ -104,27 +53,12 @@ pub fn exposure_csv(analysis: &ExposureAnalysis) -> String {
     out
 }
 
-/// Renders the overall component shares as a Markdown table, largest first.
-pub fn shares_markdown(breakdown: &LatencyBreakdown) -> String {
-    let mut out = String::from("| Component | Share |\n|---|---|\n");
-    for (c, share) in breakdown.ranked_components() {
-        let _ = writeln!(out, "| {} | {share:.1}% |", c.label());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_mem::{PipelineSpace, Stamp, Timeline};
     use gpu_sim::{CompletedRequest, LoadInstrRecord};
     use gpu_types::{Cycle, SmId};
-
-    fn fake_table() -> Table1 {
-        // Build via public measurement path is slow; use the renderer on a
-        // tiny measured subset instead.
-        Table1::measure_presets(&[]).unwrap()
-    }
 
     fn sample_breakdown() -> LatencyBreakdown {
         let mut reqs = Vec::new();
@@ -140,15 +74,6 @@ mod tests {
             });
         }
         LatencyBreakdown::from_requests(&reqs, 4)
-    }
-
-    #[test]
-    fn empty_table_renders_headers() {
-        let t = fake_table();
-        let csv = table1_csv(&t);
-        assert!(csv.starts_with("arch,unit,measured,paper"));
-        let md = table1_markdown(&t);
-        assert!(md.starts_with("| Unit |"));
     }
 
     #[test]
@@ -184,14 +109,5 @@ mod tests {
         let csv = exposure_csv(&a);
         let row = csv.lines().nth(1).unwrap();
         assert!(row.ends_with("25.00,75.00"), "{row}");
-    }
-
-    #[test]
-    fn shares_markdown_is_ranked() {
-        let b = sample_breakdown();
-        let md = shares_markdown(&b);
-        let first_data = md.lines().nth(2).unwrap();
-        assert!(first_data.contains("SM Base"), "{md}");
-        assert!(first_data.contains("100.0%"), "{md}");
     }
 }

@@ -2,15 +2,15 @@
 //! grid of the paper's §II and of Wong et al.'s methodology).
 //!
 //! The grid points are independent simulations, so [`Sweep::run`] fans them
-//! out over the [`crate::parallel`] work pool; [`Sweep::run_serial`] is the
-//! single-threaded reference implementation that the parallel path must
-//! match bit-for-bit (covered by `tests/parallel_equivalence.rs`).
+//! out over the [`crate::parallel`] work pool; at one worker the pool is a
+//! plain serial loop, and every worker count must match it bit-for-bit
+//! (covered by `tests/parallel_equivalence.rs`).
 
 use std::fmt;
 
 use gpu_sim::GpuConfig;
 
-use crate::chase::{measure_chase, ChaseError, ChaseParams, ChaseSpace};
+use crate::chase::{measure_chase, ChaseError, ChaseParams, ChasePattern, ChaseSpace};
 use crate::parallel;
 
 /// One sweep sample.
@@ -61,9 +61,23 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Splits the requested cartesian grid into measurable points (in
-    /// deterministic footprint-major order) and skipped combinations.
-    fn plan(footprints: &[u64], strides: &[u64]) -> (Vec<(u64, u64)>, Vec<SkippedPoint>) {
+    /// Runs the chase for the cartesian product of `footprints` ×
+    /// `strides` on `config`, recording (not silently dropping) the
+    /// combinations with fewer than two chain elements. Grid points are
+    /// distributed over the [`crate::parallel`] pool; results are gathered
+    /// in grid order, so the output is identical for every worker count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the grid-order-first [`ChaseError`] (typically a
+    /// simulator timeout), whatever the worker count.
+    pub fn run(
+        config: &GpuConfig,
+        space: ChaseSpace,
+        footprints: &[u64],
+        strides: &[u64],
+    ) -> Result<Self, ChaseError> {
+        // Measurable points in footprint-major order, and the rest.
         let mut grid = Vec::new();
         let mut skipped = Vec::new();
         for &footprint in footprints {
@@ -79,70 +93,19 @@ impl Sweep {
                 }
             }
         }
-        (grid, skipped)
-    }
-
-    fn measure_point(
-        config: &GpuConfig,
-        space: ChaseSpace,
-        footprint: u64,
-        stride: u64,
-    ) -> Result<SweepPoint, ChaseError> {
-        let params = ChaseParams {
-            footprint,
-            stride,
-            space,
-            pattern: crate::chase::ChasePattern::Sequential,
-        };
-        let m = measure_chase(config, &params)?;
-        Ok(SweepPoint {
-            footprint,
-            stride,
-            latency: m.per_access,
-        })
-    }
-
-    /// Runs the chase for the cartesian product of `footprints` ×
-    /// `strides` on `config`, recording (not silently dropping) the
-    /// combinations with fewer than two chain elements. Grid points are
-    /// distributed over the [`crate::parallel`] pool; results are gathered
-    /// in grid order, so the output is identical to [`Sweep::run_serial`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the grid-order-first [`ChaseError`] (typically a
-    /// simulator timeout) — the same error the serial path reports.
-    pub fn run(
-        config: &GpuConfig,
-        space: ChaseSpace,
-        footprints: &[u64],
-        strides: &[u64],
-    ) -> Result<Self, ChaseError> {
-        let (grid, skipped) = Self::plan(footprints, strides);
         let points = parallel::try_par_map(&grid, |_, &(footprint, stride)| {
-            Self::measure_point(config, space, footprint, stride)
+            let params = ChaseParams {
+                footprint,
+                stride,
+                space,
+                pattern: ChasePattern::Sequential,
+            };
+            measure_chase(config, &params).map(|m| SweepPoint {
+                footprint,
+                stride,
+                latency: m.per_access,
+            })
         })?;
-        Ok(Sweep { points, skipped })
-    }
-
-    /// Single-threaded reference implementation of [`Sweep::run`]: same
-    /// grid, same order, same values, one point at a time on the calling
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ChaseError`] in grid order.
-    pub fn run_serial(
-        config: &GpuConfig,
-        space: ChaseSpace,
-        footprints: &[u64],
-        strides: &[u64],
-    ) -> Result<Self, ChaseError> {
-        let (grid, skipped) = Self::plan(footprints, strides);
-        let mut points = Vec::with_capacity(grid.len());
-        for &(footprint, stride) in &grid {
-            points.push(Self::measure_point(config, space, footprint, stride)?);
-        }
         Ok(Sweep { points, skipped })
     }
 
@@ -170,18 +133,6 @@ impl Sweep {
         } else {
             self.points.len() as f64 / total as f64
         }
-    }
-
-    /// Samples with the given stride, ordered by footprint.
-    pub fn by_stride(&self, stride: u64) -> Vec<SweepPoint> {
-        let mut v: Vec<SweepPoint> = self
-            .points
-            .iter()
-            .copied()
-            .filter(|p| p.stride == stride)
-            .collect();
-        v.sort_by_key(|p| p.footprint);
-        v
     }
 
     /// Latencies of all samples.
@@ -260,9 +211,9 @@ mod tests {
             }]
         );
         assert!((s.coverage() - 0.75).abs() < 1e-12);
-        let col = s.by_stride(512);
-        assert_eq!(col.len(), 2);
-        assert!(col[0].footprint < col[1].footprint);
+        // Measured points come back in footprint-major grid order.
+        let order: Vec<(u64, u64)> = s.points().iter().map(|p| (p.footprint, p.stride)).collect();
+        assert_eq!(order, [(1024, 512), (4096, 512), (4096, 2048)]);
         assert!(s.latencies().iter().all(|&l| l > 0.0));
         let text = s.to_string();
         assert!(text.contains("footprint"));

@@ -17,10 +17,11 @@ use gpu_sim::{ArchDesc, GpuConfig, LevelKind};
 
 use crate::chase::{measure_chase, ChaseError, ChaseParams};
 use crate::parallel;
-use crate::presets::{ArchPreset, Table1Row};
+use crate::presets::ArchPreset;
+use crate::reference::ReferenceRow;
 
-/// Measured latencies for one architecture (same shape as the expected
-/// [`Table1Row`], but with fractional cycles).
+/// Measured latencies for one architecture (same shape as the published
+/// [`ReferenceRow`], but with fractional cycles).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredRow {
     /// Measured L1 hit latency (absent if the preset has no L1).
@@ -32,9 +33,9 @@ pub struct MeasuredRow {
 }
 
 impl MeasuredRow {
-    /// Largest relative error versus the expected row, over the levels that
-    /// exist (e.g. 0.02 = within 2%).
-    pub fn max_rel_error(&self, expected: &Table1Row) -> f64 {
+    /// Largest relative error versus the published row, over the levels
+    /// that exist (e.g. 0.02 = within 2%).
+    pub fn max_rel_error(&self, expected: &ReferenceRow) -> f64 {
         let mut worst: f64 = 0.0;
         if let (Some(m), Some(e)) = (self.l1, expected.l1) {
             worst = worst.max((m - e as f64).abs() / e as f64);
@@ -89,120 +90,63 @@ fn row_points(desc: &ArchDesc) -> (Vec<ChaseParams>, bool, bool) {
     (points, l1_cap.is_some(), l2_cap.is_some())
 }
 
-fn assemble_row(latencies: &[f64], has_l1: bool, has_l2: bool) -> MeasuredRow {
-    let mut it = latencies.iter().copied();
-    MeasuredRow {
-        l1: has_l1.then(|| it.next().expect("L1 latency present")),
-        l2: has_l2.then(|| it.next().expect("L2 latency present")),
-        dram: it.next().expect("DRAM latency present"),
-    }
-}
-
-/// Measures one architecture's Table I row using the single-SM microbench
-/// machine (identical pipeline latencies, faster to simulate). The row's
-/// up-to-three chase points are independent simulations and run on the
-/// [`crate::parallel`] pool; results are identical to
-/// [`measure_row_serial`].
+/// Measures one architecture's Table I row: [`Table1::measure_presets`]
+/// of that one preset.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures as [`ChaseError`].
 pub fn measure_row(preset: ArchPreset) -> Result<MeasuredRow, ChaseError> {
-    let cfg = preset.config_microbench();
-    let (points, has_l1, has_l2) = row_points(&cfg.arch_desc());
-    let latencies = parallel::try_par_map(&points, |_, params| {
-        measure_chase(&cfg, params).map(|m| m.per_access)
-    })?;
-    Ok(assemble_row(&latencies, has_l1, has_l2))
+    Ok(Table1::measure_presets(&[preset])?.rows[0].1)
 }
 
-/// Single-threaded reference implementation of [`measure_row`]: same
-/// operating points, measured one at a time in level order.
-///
-/// # Errors
-///
-/// Propagates simulator failures as [`ChaseError`].
-pub fn measure_row_serial(preset: ArchPreset) -> Result<MeasuredRow, ChaseError> {
-    let cfg = preset.config_microbench();
-    let (points, has_l1, has_l2) = row_points(&cfg.arch_desc());
-    let mut latencies = Vec::with_capacity(points.len());
-    for params in &points {
-        latencies.push(measure_chase(&cfg, params)?.per_access);
-    }
-    Ok(assemble_row(&latencies, has_l1, has_l2))
-}
-
-/// The reproduced Table I: per-architecture measured and expected values.
+/// The reproduced Table I: per-architecture measured values, printed beside
+/// the published ones ([`ArchPreset::published`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1 {
     rows: Vec<(ArchPreset, MeasuredRow)>,
 }
 
 impl Table1 {
-    /// Measures all four architectures of the paper's Table I.
+    /// Measures a chosen subset of architectures — the one implementation
+    /// of a Table I row. The independent (preset, chase-point) simulations
+    /// are flattened into one batch for the [`crate::parallel`] pool, so all
+    /// rows' points load-balance across the available workers; results are
+    /// reassembled in preset order, identical for every worker count (one
+    /// worker is a plain serial loop).
     ///
     /// # Errors
     ///
-    /// Propagates the first measurement failure.
-    pub fn measure() -> Result<Self, ChaseError> {
-        Self::measure_presets(&ArchPreset::TABLE1)
-    }
-
-    /// Single-threaded reference implementation of [`Table1::measure`]:
-    /// rows and their chase points measured one at a time, in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first measurement failure.
-    pub fn measure_serial() -> Result<Self, ChaseError> {
-        let mut rows = Vec::with_capacity(ArchPreset::TABLE1.len());
-        for &p in &ArchPreset::TABLE1 {
-            rows.push((p, measure_row_serial(p)?));
-        }
-        Ok(Table1 { rows })
-    }
-
-    /// Measures a chosen subset of architectures. The independent
-    /// (preset, chase-point) simulations are flattened into one batch for
-    /// the [`crate::parallel`] pool, so all rows' points load-balance
-    /// across the available workers; results are reassembled in preset
-    /// order and are identical to [`Table1::measure_serial`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first measurement failure (in preset-major,
-    /// level-minor order — the same failure the serial path reports).
+    /// Propagates the first measurement failure in preset-major,
+    /// level-minor order.
     pub fn measure_presets(presets: &[ArchPreset]) -> Result<Self, ChaseError> {
-        struct RowPlan {
-            cfg: GpuConfig,
-            has_l1: bool,
-            has_l2: bool,
-            first_point: usize,
-            num_points: usize,
-        }
-        let mut plans = Vec::with_capacity(presets.len());
+        let configs: Vec<GpuConfig> = presets.iter().map(|p| p.config_microbench()).collect();
+        let mut levels = Vec::with_capacity(presets.len());
         let mut batch: Vec<(usize, ChaseParams)> = Vec::new();
-        for (row, &p) in presets.iter().enumerate() {
-            let cfg = p.config_microbench();
+        for (row, cfg) in configs.iter().enumerate() {
             let (points, has_l1, has_l2) = row_points(&cfg.arch_desc());
-            plans.push(RowPlan {
-                cfg,
-                has_l1,
-                has_l2,
-                first_point: batch.len(),
-                num_points: points.len(),
-            });
+            levels.push((has_l1, has_l2));
             batch.extend(points.into_iter().map(|params| (row, params)));
         }
         let latencies = parallel::try_par_map(&batch, |_, (row, params)| {
-            measure_chase(&plans[*row].cfg, params).map(|m| m.per_access)
+            measure_chase(&configs[*row], params).map(|m| m.per_access)
         })?;
+        // The batch is preset-major, level-minor: deal it back out in order.
+        let mut it = latencies.into_iter();
+        let mut next = |level| {
+            it.next()
+                .unwrap_or_else(|| panic!("{level} latency present"))
+        };
         let rows = presets
             .iter()
-            .zip(&plans)
-            .map(|(&p, plan)| {
-                let lats = &latencies[plan.first_point..plan.first_point + plan.num_points];
-                (p, assemble_row(lats, plan.has_l1, plan.has_l2))
+            .zip(levels)
+            .map(|(&p, (has_l1, has_l2))| {
+                let row = MeasuredRow {
+                    l1: has_l1.then(|| next("L1")),
+                    l2: has_l2.then(|| next("L2")),
+                    dram: next("DRAM"),
+                };
+                (p, row)
             })
             .collect();
         Ok(Table1 { rows })
@@ -217,14 +161,14 @@ impl Table1 {
     pub fn max_rel_error(&self) -> f64 {
         self.rows
             .iter()
-            .map(|(p, m)| m.max_rel_error(&p.table1_expected()))
+            .map(|(p, m)| m.max_rel_error(&p.published()))
             .fold(0.0, f64::max)
     }
 }
 
 impl fmt::Display for Table1 {
-    /// Renders measured (and expected) values in the layout of the paper's
-    /// Table I.
+    /// Renders measured (and published) values in the layout of the
+    /// paper's Table I.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:8}", "Unit")?;
         for (p, _) in &self.rows {
@@ -240,23 +184,21 @@ impl fmt::Display for Table1 {
                 _ => format!("{:>20}", "x"),
             }
         };
+        let rows: Vec<(&MeasuredRow, ReferenceRow)> =
+            self.rows.iter().map(|(p, m)| (m, p.published())).collect();
         write!(f, "{:8}", "L1 D$")?;
-        for (p, m) in &self.rows {
-            write!(f, " | {:>22}", cell(m.l1, p.table1_expected().l1))?;
+        for (m, e) in &rows {
+            write!(f, " | {:>22}", cell(m.l1, e.l1))?;
         }
         writeln!(f)?;
         write!(f, "{:8}", "L2 D$")?;
-        for (p, m) in &self.rows {
-            write!(f, " | {:>22}", cell(m.l2, p.table1_expected().l2))?;
+        for (m, e) in &rows {
+            write!(f, " | {:>22}", cell(m.l2, e.l2))?;
         }
         writeln!(f)?;
         write!(f, "{:8}", "DRAM")?;
-        for (p, m) in &self.rows {
-            write!(
-                f,
-                " | {:>22}",
-                cell(Some(m.dram), Some(p.table1_expected().dram))
-            )?;
+        for (m, e) in &rows {
+            write!(f, " | {:>22}", cell(Some(m.dram), Some(e.dram)))?;
         }
         writeln!(f)
     }
@@ -269,14 +211,14 @@ mod tests {
     #[test]
     fn fermi_row_matches_paper_within_two_percent() {
         let m = measure_row(ArchPreset::FermiGf106).unwrap();
-        let err = m.max_rel_error(&ArchPreset::FermiGf106.table1_expected());
+        let err = m.max_rel_error(&ArchPreset::FermiGf106.published());
         assert!(err < 0.02, "relative error {err:.3}: {m:?}");
     }
 
     #[test]
     fn kepler_row_matches_paper_within_two_percent() {
         let m = measure_row(ArchPreset::KeplerGk104).unwrap();
-        let err = m.max_rel_error(&ArchPreset::KeplerGk104.table1_expected());
+        let err = m.max_rel_error(&ArchPreset::KeplerGk104.published());
         assert!(err < 0.02, "relative error {err:.3}: {m:?}");
         assert!(m.l1.is_some(), "Kepler L1 measured via local chase");
     }
@@ -285,26 +227,28 @@ mod tests {
     fn tesla_has_no_cache_plateaus() {
         let m = measure_row(ArchPreset::TeslaGt200).unwrap();
         assert!(m.l1.is_none() && m.l2.is_none());
-        assert!((m.dram - 440.0).abs() < 9.0);
+        let published = ArchPreset::TeslaGt200.published().dram as f64;
+        assert!((m.dram - published).abs() < 9.0);
     }
 
     #[test]
     fn maxwell_row_matches_paper_within_two_percent() {
         let m = measure_row(ArchPreset::MaxwellGm107).unwrap();
-        let err = m.max_rel_error(&ArchPreset::MaxwellGm107.table1_expected());
+        let err = m.max_rel_error(&ArchPreset::MaxwellGm107.published());
         assert!(err < 0.02, "relative error {err:.3}: {m:?}");
         assert!(m.l1.is_none(), "Maxwell has no L1");
     }
 
     #[test]
     fn table_renders_paper_layout() {
+        let e = ArchPreset::FermiGf106.published();
         let t = Table1 {
             rows: vec![(
                 ArchPreset::FermiGf106,
                 MeasuredRow {
-                    l1: Some(45.0),
-                    l2: Some(310.0),
-                    dram: 685.0,
+                    l1: e.l1.map(|c| c as f64),
+                    l2: e.l2.map(|c| c as f64),
+                    dram: e.dram as f64,
                 },
             )],
         };
@@ -312,7 +256,7 @@ mod tests {
         assert!(s.contains("L1 D$"));
         assert!(s.contains("DRAM"));
         assert!(s.contains("GF106"));
-        assert!(s.contains("paper  310"));
+        assert!(s.contains(&format!("paper {:>4}", e.l2.unwrap())), "{s}");
         assert!(t.max_rel_error() < 1e-9);
     }
 }

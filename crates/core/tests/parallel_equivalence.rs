@@ -1,7 +1,9 @@
-//! Determinism contract of the parallel experiment engine: for every entry
-//! point that fans out over the [`latency_core::parallel`] pool, the output
-//! must be *bit-identical* to the single-threaded reference path — same
-//! order, same values — for any worker count.
+//! Determinism contract of the parallel experiment engine: every entry
+//! point that fans out over the [`latency_core::parallel`] pool returns
+//! *bit-identical* output — same order, same values — for any worker count.
+//! At one worker the pool is a plain serial loop on the calling thread, so
+//! each entry point is compared against itself at 1 worker, with no second
+//! (serial) implementation to keep in step.
 //!
 //! Worker counts are forced via [`latency_core::set_worker_count`] so the
 //! parallel code path is exercised even on single-core CI machines; tests
@@ -12,14 +14,24 @@ use std::sync::Mutex;
 use gpu_types::rng::Rng;
 use latency_core::chase::ChaseSpace;
 use latency_core::{
-    clear_worker_count, measure_row, measure_row_serial, set_worker_count, worker_count,
-    ArchPreset, Sweep, Table1,
+    clear_worker_count, measure_row, set_worker_count, worker_count, ArchPreset, Sweep, Table1,
 };
 
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Forced-parallel `Sweep::run` equals `Sweep::run_serial` exactly on a
-/// randomized grid, for every Table I preset.
+/// The worker counts every entry point is compared at, against 1.
+const WORKERS: [usize; 3] = [2, 5, 8];
+
+/// Runs `f` with the pool forced to `workers`.
+fn at_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
+    set_worker_count(workers);
+    let out = f();
+    clear_worker_count();
+    out
+}
+
+/// `Sweep::run` is identical at 1 and at 2/5/8 workers on a randomized
+/// grid, for every Table I preset.
 #[test]
 fn sweep_parallel_equals_serial_on_randomized_grids() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
@@ -34,61 +46,52 @@ fn sweep_parallel_equals_serial_on_randomized_grids() {
         let strides: Vec<u64> = (0..rng.gen_range_usize(2, 4))
             .map(|_| 128u64 << rng.gen_range_u32(0, 5))
             .collect();
-        clear_worker_count();
-        let serial = Sweep::run_serial(&cfg, ChaseSpace::Global, &footprints, &strides)
-            .expect("serial sweep runs");
-        for workers in [2, 5] {
-            set_worker_count(workers);
-            let parallel = Sweep::run(&cfg, ChaseSpace::Global, &footprints, &strides)
-                .expect("parallel sweep runs");
+        let run =
+            || Sweep::run(&cfg, ChaseSpace::Global, &footprints, &strides).expect("sweep runs");
+        let serial = at_workers(1, run);
+        for workers in WORKERS {
             assert_eq!(
                 serial,
-                parallel,
+                at_workers(workers, run),
                 "{}: sweep differs with {workers} workers (grid {footprints:?} x {strides:?})",
                 preset.name()
             );
         }
-        clear_worker_count();
     }
 }
 
-/// `measure_row` (pooled) equals `measure_row_serial` bit-for-bit on all
-/// four paper presets.
+/// `measure_row` is identical at 1 and at 2/5/8 workers on all four paper
+/// presets.
 #[test]
 fn measure_row_parallel_equals_serial_for_all_presets() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     for preset in ArchPreset::TABLE1 {
-        clear_worker_count();
-        let serial = measure_row_serial(preset).expect("serial row measures");
-        set_worker_count(8);
-        let parallel = measure_row(preset).expect("parallel row measures");
-        clear_worker_count();
-        assert_eq!(
-            serial,
-            parallel,
-            "{}: parallel row differs from serial",
-            preset.name()
-        );
+        let measure = || measure_row(preset).expect("row measures");
+        let serial = at_workers(1, measure);
+        for workers in WORKERS {
+            assert_eq!(
+                serial,
+                at_workers(workers, measure),
+                "{}: row differs with {workers} workers",
+                preset.name()
+            );
+        }
     }
 }
 
-/// The full Table I is identical between the batched parallel path and the
-/// one-at-a-time serial path, and stable across worker counts.
+/// The full Table I — every preset's points in one pooled batch — is
+/// identical at 1 and at 2/5/8 workers, and so is what it prints.
 #[test]
 fn table1_is_identical_across_worker_counts() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
-    clear_worker_count();
-    let serial = Table1::measure_serial().expect("serial table measures");
-    let mut renders = Vec::new();
-    for workers in [1, 3, 8] {
-        set_worker_count(workers);
-        let t = Table1::measure().expect("parallel table measures");
+    let measure = || Table1::measure_presets(&ArchPreset::TABLE1).expect("table measures");
+    let serial = at_workers(1, measure);
+    for workers in WORKERS {
+        let t = at_workers(workers, measure);
         assert_eq!(serial, t, "table differs with {workers} workers");
-        renders.push(t.to_string());
+        // The printed artifact (what `--threads N` users diff) too.
+        assert_eq!(serial.to_string(), t.to_string());
     }
-    clear_worker_count();
-    // The printed artifact (what `--threads N` users diff) is identical too.
-    assert!(renders.windows(2).all(|w| w[0] == w[1]));
 }
 
 /// The `LATENCY_THREADS` environment variable steers the pool when no

@@ -20,7 +20,7 @@
 use std::path::PathBuf;
 
 #[cfg(unix)]
-use gpu_serve::server::serve_unix;
+use gpu_serve::server::serve_listener;
 use gpu_serve::server::{serve_session, Server, ServerConfig, ServerHandle};
 use latency_core::cli::{self, exit_usage, or_exit, Cursor, UsageError};
 
@@ -116,7 +116,7 @@ fn main() {
         eprintln!("serve: also listening on {}", path.display());
         let server = handle.server().clone();
         std::thread::spawn(move || {
-            let _ = serve_unix(server, listener);
+            let _ = serve_listener(server, listener);
         });
     }
     #[cfg(not(unix))]

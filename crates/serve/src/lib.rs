@@ -30,12 +30,9 @@ pub use proto::{
     format_job_id, parse_job_id, parse_request, Request, RequestError, MAX_REQUEST_BYTES,
 };
 pub use server::{
-    serve_session, serve_tcp, Server, ServerConfig, ServerHandle, Submission, WatchAttach,
+    serve_listener, serve_session, Server, ServerConfig, ServerHandle, Submission, WatchAttach,
 };
 pub use spec::{
     encode_arch_frame, preset_token, ArchSource, JobKind, JobSpec, SpecError, MAX_FOOTPRINT,
     MAX_NODES, SPEC_VERSION,
 };
-
-#[cfg(unix)]
-pub use server::serve_unix;

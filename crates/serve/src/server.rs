@@ -809,49 +809,57 @@ fn stream_job<W: Write>(server: &Arc<Server>, job: u64, writer: &mut W) -> std::
     }
 }
 
-/// Accept loop for a TCP listener: one thread per connection, polling the
-/// shutdown flag between accepts.
-pub fn serve_tcp(server: Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if server.is_shutdown() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let server = Arc::clone(&server);
-                std::thread::spawn(move || {
-                    if let Ok(reader) = stream.try_clone() {
-                        let _ = serve_session(&server, reader, stream);
-                    }
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+/// A socket the daemon accepts sessions on: TCP, or a Unix socket.
+pub trait Listener {
+    /// One accepted connection.
+    type Stream: Read + Write + Send + 'static;
+    /// Puts the listener in polling (non-blocking) mode.
+    fn poll_accepts(&self) -> std::io::Result<()>;
+    /// Accepts a pending connection and puts it back in blocking mode.
+    fn accept_stream(&self) -> std::io::Result<Self::Stream>;
+    /// A second handle on the connection, to read from while writing.
+    fn clone_stream(stream: &Self::Stream) -> std::io::Result<Self::Stream>;
 }
 
-/// Accept loop for a Unix socket, same shape as [`serve_tcp`].
+macro_rules! listener {
+    ($listener:ty, $stream:ty) => {
+        impl Listener for $listener {
+            type Stream = $stream;
+            fn poll_accepts(&self) -> std::io::Result<()> {
+                self.set_nonblocking(true)
+            }
+            fn accept_stream(&self) -> std::io::Result<$stream> {
+                let (stream, _) = self.accept()?;
+                stream.set_nonblocking(false)?;
+                Ok(stream)
+            }
+            fn clone_stream(stream: &$stream) -> std::io::Result<$stream> {
+                stream.try_clone()
+            }
+        }
+    };
+}
+
+listener!(TcpListener, std::net::TcpStream);
 #[cfg(unix)]
-pub fn serve_unix(
-    server: Arc<Server>,
-    listener: std::os::unix::net::UnixListener,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
+listener!(
+    std::os::unix::net::UnixListener,
+    std::os::unix::net::UnixStream
+);
+
+/// The accept loop, for either listener: one thread per connection,
+/// polling the shutdown flag between accepts.
+pub fn serve_listener<L: Listener>(server: Arc<Server>, listener: L) -> std::io::Result<()> {
+    listener.poll_accepts()?;
     loop {
         if server.is_shutdown() {
             return Ok(());
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
+        match listener.accept_stream() {
+            Ok(stream) => {
                 let server = Arc::clone(&server);
                 std::thread::spawn(move || {
-                    if let Ok(reader) = stream.try_clone() {
+                    if let Ok(reader) = L::clone_stream(&stream) {
                         let _ = serve_session(&server, reader, stream);
                     }
                 });
@@ -895,7 +903,7 @@ impl ServerHandle {
             std::thread::Builder::new()
                 .name("serve-accept".to_string())
                 .spawn(move || {
-                    let _ = serve_tcp(acceptor, listener);
+                    let _ = serve_listener(acceptor, listener);
                 })
                 .expect("spawn acceptor"),
         );

@@ -298,7 +298,7 @@ fn parse_bfs(bfs: &Value) -> Result<JobKind, SpecError> {
 
 impl JobKind {
     /// Expands a sweep into its runnable chase points (footprint-major,
-    /// mirroring `latency_core::Sweep::plan`: pairs whose chain would hold
+    /// mirroring `latency_core::Sweep::run`: pairs whose chain would hold
     /// fewer than two elements are skipped). Empty for BFS jobs.
     pub fn sweep_points(&self) -> Vec<ChaseParams> {
         let JobKind::Sweep {

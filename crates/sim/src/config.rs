@@ -410,43 +410,6 @@ impl GpuConfig {
         self.level_descs()[idx]
     }
 
-    /// Returns `true` if the L1 serves accesses of the given pipeline space.
-    pub fn l1_serves(&self, space: gpu_mem::PipelineSpace) -> bool {
-        self.level_desc(LevelKind::L1)
-            .effective_routing()
-            .serves(space)
-    }
-
-    /// Analytic unloaded (zero-contention) latency of a hit at the given
-    /// hierarchy level, as a generic walk over the level list (see
-    /// [`ArchDesc::unloaded_latency`]).
-    pub fn unloaded_latency(&self, kind: LevelKind) -> Option<u64> {
-        self.arch_desc().unloaded_latency(kind)
-    }
-
-    /// Analytic unloaded (zero-contention) latency of an L1 hit: front-end
-    /// plus tag/data access. The hit path writes back directly (it does not
-    /// traverse the response fill stage), so this matches the measured
-    /// dependent-load round trip exactly.
-    pub fn unloaded_l1_hit(&self) -> Option<u64> {
-        self.unloaded_latency(LevelKind::L1)
-    }
-
-    /// Analytic unloaded latency of an L2 hit through the whole pipeline.
-    /// Miss detection at the L1 is a same-cycle tag probe, so the L1 hit
-    /// latency does not appear.
-    pub fn unloaded_l2_hit(&self) -> Option<u64> {
-        self.unloaded_latency(LevelKind::L2)
-    }
-
-    /// Analytic unloaded latency of a steady-state DRAM access through the
-    /// whole pipeline. A pointer-chase ring revisits each bank with a new
-    /// row, so steady state is the row-*conflict* path.
-    pub fn unloaded_dram(&self) -> u64 {
-        self.unloaded_latency(LevelKind::DramFront)
-            .expect("the DRAM front is always walkable")
-    }
-
     /// Builds the address map implied by this config.
     pub fn address_map(&self) -> gpu_mem::AddressMap {
         gpu_mem::AddressMap::new(
@@ -653,16 +616,16 @@ mod tests {
     fn gf100_is_valid() {
         let c = GpuConfig::fermi_gf100();
         c.assert_valid();
-        assert!(c.l1_serves(PipelineSpace::Global));
-        assert!(c.l1_serves(PipelineSpace::Local));
+        assert!(c.arch_desc().serves(LevelKind::L1, PipelineSpace::Global));
+        assert!(c.arch_desc().serves(LevelKind::L1, PipelineSpace::Local));
     }
 
     #[test]
     fn gf100_unloaded_latencies_near_table1() {
-        let c = GpuConfig::fermi_gf100();
-        let l1 = c.unloaded_l1_hit().unwrap();
-        let l2 = c.unloaded_l2_hit().unwrap();
-        let dram = c.unloaded_dram();
+        let d = GpuConfig::fermi_gf100().arch_desc();
+        let l1 = d.unloaded_latency(LevelKind::L1).unwrap();
+        let l2 = d.unloaded_latency(LevelKind::L2).unwrap();
+        let dram = d.unloaded_latency(LevelKind::DramFront).unwrap();
         // Fermi column of Table I: 45 / 310 / 685.
         assert!((40..=50).contains(&l1), "L1 {l1}");
         assert!((300..=320).contains(&l2), "L2 {l2}");
@@ -673,9 +636,10 @@ mod tests {
     fn l1_service_respects_absence() {
         let mut c = GpuConfig::fermi_gf100();
         c.l1 = None;
-        assert!(!c.l1_serves(PipelineSpace::Global));
-        assert!(!c.l1_serves(PipelineSpace::Local));
-        assert_eq!(c.unloaded_l1_hit(), None);
+        let d = c.arch_desc();
+        assert!(!d.serves(LevelKind::L1, PipelineSpace::Global));
+        assert!(!d.serves(LevelKind::L1, PipelineSpace::Local));
+        assert_eq!(d.unloaded_latency(LevelKind::L1), None);
     }
 
     #[test]
@@ -753,12 +717,13 @@ mod tests {
         let c = GpuConfig::fermi_gf100();
         let l1 = c.l1.as_ref().unwrap();
         let l2 = c.l2.as_ref().unwrap();
+        let d = c.arch_desc();
         assert_eq!(
-            c.unloaded_l1_hit(),
+            d.unloaded_latency(LevelKind::L1),
             Some(c.sm_base_latency + l1.hit_latency)
         );
         assert_eq!(
-            c.unloaded_l2_hit(),
+            d.unloaded_latency(LevelKind::L2),
             Some(
                 c.sm_base_latency
                     + 2 * c.icnt.latency
@@ -769,14 +734,16 @@ mod tests {
             )
         );
         assert_eq!(
-            c.unloaded_dram(),
-            c.sm_base_latency
-                + 2 * c.icnt.latency
-                + c.rop_latency
-                + c.dram.timing.row_conflict()
-                + c.dram.timing.burst
-                + c.fill_latency
-                + 2
+            d.unloaded_latency(LevelKind::DramFront),
+            Some(
+                c.sm_base_latency
+                    + 2 * c.icnt.latency
+                    + c.rop_latency
+                    + c.dram.timing.row_conflict()
+                    + c.dram.timing.burst
+                    + c.fill_latency
+                    + 2
+            )
         );
     }
 

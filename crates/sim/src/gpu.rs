@@ -1048,7 +1048,7 @@ impl Gpu {
                 }
             }
 
-            let created = sm.tick_issue(now, &mut self.device, &mut self.sink, &mut self.tracer);
+            let created = sm.tick_issue(now, &mut self.device, &mut self.tracer);
             self.outstanding += created;
             sm.end_tick(now);
         }

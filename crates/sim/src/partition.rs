@@ -25,7 +25,7 @@ use gpu_types::{BoundedQueue, Cycle, DelayQueue, PartitionId};
 
 use crate::codec;
 use crate::config::{GpuConfig, WritePolicy};
-use crate::sanitizer::{Sanitizer, Site, Violation};
+use crate::sanitizer::{Sanitizer, Site, Violation, ROP_QUEUE};
 
 /// Token marking internally-generated dirty-eviction writebacks (they are
 /// not tracked in the GPU's outstanding-request accounting).
@@ -292,7 +292,7 @@ impl Partition {
     /// multi-slice L2 report under their own static labels.
     pub fn audit(&self, san: &mut Sanitizer) {
         let site = Site::Partition(self.id.index());
-        san.check_queue(site, "rop", self.rop.len(), self.rop.capacity());
+        san.check_queue(site, ROP_QUEUE, self.rop.len(), self.rop.capacity());
         let sliced = self.slices.len() > 1;
         for (i, slice) in self.slices.iter().enumerate() {
             let (queue_label, hit_label) = if sliced {

@@ -16,6 +16,7 @@
 
 use std::fmt;
 
+use gpu_arch::{LevelKind, MAX_L2_SLICES};
 use gpu_mem::{MemRequest, RequestId, Stamp};
 use gpu_types::{Addr, Cycle};
 
@@ -219,34 +220,33 @@ impl Site {
     }
 }
 
-/// The queue names the audits use, in checkpoint-tag order. Violations
-/// carry `&'static str` queue names; the codec maps them through this table
-/// so a decoded violation points back at the same static string.
-const QUEUE_NAMES: [&str; 23] = [
-    "front",
-    "l1-hit",
-    "miss",
-    "fill",
-    "rop",
-    "l2-input",
-    "l2-hit",
-    "l2-input.0",
-    "l2-input.1",
-    "l2-input.2",
-    "l2-input.3",
-    "l2-input.4",
-    "l2-input.5",
-    "l2-input.6",
-    "l2-input.7",
-    "l2-hit.0",
-    "l2-hit.1",
-    "l2-hit.2",
-    "l2-hit.3",
-    "l2-hit.4",
-    "l2-hit.5",
-    "l2-hit.6",
-    "l2-hit.7",
-];
+/// Labels of the SM and partition queues that belong to no level (the
+/// levels' own queues are labelled by [`LevelKind`]).
+pub(crate) const FRONT_QUEUE: &str = "front";
+pub(crate) const FILL_QUEUE: &str = "fill";
+pub(crate) const ROP_QUEUE: &str = "rop";
+
+/// The queue names the audits use, in checkpoint-tag order, read from the
+/// label tables they come from. Violations carry `&'static str` queue
+/// names; the codec maps them through this table so a decoded violation
+/// points back at the same static string.
+const QUEUE_NAMES: [&str; 7 + 2 * MAX_L2_SLICES] = {
+    let mut names = [""; 7 + 2 * MAX_L2_SLICES];
+    names[0] = FRONT_QUEUE;
+    names[1] = LevelKind::L1.hit_pipe_label();
+    names[2] = LevelKind::L1.queue_label();
+    names[3] = FILL_QUEUE;
+    names[4] = ROP_QUEUE;
+    names[5] = LevelKind::L2.queue_label();
+    names[6] = LevelKind::L2.hit_pipe_label();
+    let mut slice = 0;
+    while slice < MAX_L2_SLICES {
+        names[7 + slice] = LevelKind::L2.sliced_queue_label(slice);
+        names[7 + MAX_L2_SLICES + slice] = LevelKind::L2.sliced_hit_pipe_label(slice);
+        slice += 1;
+    }
+    names
+};
 
 impl Violation {
     /// Serializes this violation. Tag values are part of the checkpoint
@@ -702,5 +702,56 @@ mod tests {
         let r = san.report();
         assert!(r.contains("sm3: MSHR leak"));
         assert!(r.contains("partition1: rop queue holds 17"));
+    }
+
+    /// Every label `Sm::audit` or `Partition::audit` can hand to
+    /// `check_queue` — the three level-less queues, the L1's two, and the
+    /// L2's unsliced, sliced and out-of-range-slice labels — has a
+    /// checkpoint tag: a violation naming it decodes to the same label, not
+    /// to "unknown".
+    #[test]
+    fn every_audited_queue_label_survives_the_codec() {
+        let l2 = LevelKind::L2;
+        let mut labels = vec![
+            FRONT_QUEUE,
+            FILL_QUEUE,
+            ROP_QUEUE,
+            LevelKind::L1.queue_label(),
+            LevelKind::L1.hit_pipe_label(),
+            l2.queue_label(),
+            l2.hit_pipe_label(),
+        ];
+        for slice in 0..=MAX_L2_SLICES {
+            labels.push(l2.sliced_queue_label(slice));
+            labels.push(l2.sliced_hit_pipe_label(slice));
+        }
+        for queue in labels {
+            let (site, len, capacity) = (Site::Partition(2), 9, 8);
+            let v = Violation::QueueOverflow {
+                site,
+                queue,
+                len,
+                capacity,
+            };
+            let mut e = gpu_snapshot::Encoder::new();
+            v.encode_state(&mut e);
+            let framed = e.finish();
+            let mut d = gpu_snapshot::Decoder::open(&framed).unwrap();
+            assert_eq!(Violation::decode(&mut d).unwrap(), v, "{queue}");
+        }
+        // The tags are checkpoint bytes: the unsliced labels keep their
+        // historical slots and the slices follow, queues before hit pipes.
+        assert_eq!(
+            QUEUE_NAMES[..7],
+            ["front", "l1-hit", "miss", "fill", "rop", "l2-input", "l2-hit"]
+        );
+        for (i, name) in QUEUE_NAMES[7..].iter().enumerate() {
+            let (pipe, slice) = if i < MAX_L2_SLICES {
+                ("input", i)
+            } else {
+                ("hit", i - MAX_L2_SLICES)
+            };
+            assert_eq!(*name, format!("l2-{pipe}.{slice}"));
+        }
     }
 }

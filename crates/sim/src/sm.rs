@@ -26,7 +26,7 @@ use gpu_snapshot::{Decoder, Encoder, SnapshotError};
 use crate::coalesce::coalesce_into;
 use crate::codec;
 use crate::config::{GpuConfig, SchedPolicy};
-use crate::sanitizer::{Sanitizer, Site, Violation};
+use crate::sanitizer::{Sanitizer, Site, Violation, FILL_QUEUE, FRONT_QUEUE};
 use crate::scoreboard::Scoreboard;
 use crate::stats::{self, CompletedRequest, LoadInstrRecord, SmStats, TraceSink};
 
@@ -239,7 +239,7 @@ impl Sm {
     /// capacities, MSHR occupancy against its configuration.
     pub fn audit(&self, san: &mut Sanitizer) {
         let site = Site::Sm(self.id.index());
-        san.check_queue(site, "front", self.front.len(), self.front.capacity());
+        san.check_queue(site, FRONT_QUEUE, self.front.len(), self.front.capacity());
         san.check_queue(
             site,
             self.l1_desc.kind.hit_pipe_label(),
@@ -254,7 +254,7 @@ impl Sm {
         );
         san.check_queue(
             site,
-            "fill",
+            FILL_QUEUE,
             self.fill_pipe.len(),
             self.fill_pipe.capacity(),
         );
@@ -652,7 +652,6 @@ impl Sm {
         &mut self,
         now: Cycle,
         device: &mut gpu_mem::DeviceMemory,
-        sink: &mut TraceSink,
         tracer: &mut Tracer,
     ) -> u64 {
         let mut new_requests = 0;
@@ -662,7 +661,7 @@ impl Sm {
                 break;
             };
             self.issued.push(w);
-            new_requests += self.issue_warp(w, now, device, sink, tracer, &mut lsu_used);
+            new_requests += self.issue_warp(w, now, device, tracer, &mut lsu_used);
         }
         let issued = self.issued.len() as u64;
         self.issued.clear();
@@ -904,7 +903,6 @@ impl Sm {
         w: usize,
         now: Cycle,
         device: &mut gpu_mem::DeviceMemory,
-        sink: &mut TraceSink,
         tracer: &mut Tracer,
         lsu_used: &mut bool,
     ) -> u64 {
@@ -1052,7 +1050,6 @@ impl Sm {
                 }
             }
         }
-        let _ = sink; // latency traces are recorded at writeback, not at issue
         self.slots[w] = Some(slot);
         new_requests
     }

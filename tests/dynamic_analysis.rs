@@ -4,7 +4,7 @@
 //! observations asserted as invariants.
 
 use gpu_mem::Stamp;
-use gpu_sim::{Gpu, GpuConfig};
+use gpu_sim::{Gpu, GpuConfig, LevelKind};
 use gpu_workloads::{bfs, graph::Graph};
 use latency_core::{components_of, Component, ExposureAnalysis, LatencyBreakdown};
 
@@ -66,7 +66,7 @@ fn l1_hit_buckets_are_pure_sm_base() {
     // entirely SM Base time (those requests were L1 hits).
     let t = run_traced_bfs(2048);
     let cfg = small_gf100();
-    let l1_hit = cfg.unloaded_l1_hit().unwrap();
+    let l1_hit = cfg.arch_desc().unloaded_latency(LevelKind::L1).unwrap();
     let hits: Vec<_> = t
         .requests
         .iter()

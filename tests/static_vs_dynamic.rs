@@ -5,9 +5,9 @@
 //! 1. **The matrix**: every Table-I preset x every E4 workload runs
 //!    instrumented, and `latency_bench::validate_run` checks the static
 //!    transaction predictions (contract A) and the feasible-level claim
-//!    (contract B) against the traces. `validate_floor` checks each
-//!    preset's analytic unloaded latencies against pointer-chase
-//!    measurements (contract C).
+//!    (contract B) against the traces. The published-reference check
+//!    (`run_validation_bench`) holds each preset's analytic unloaded
+//!    latencies under its pointer-chase measurements (contract C).
 //! 2. **Exactness canary**: a deliberately fully-strided kernel runs
 //!    dynamically and its predicted per-warp line count (32) must equal the
 //!    simulator's coalescer output record-for-record — an off-by-anything
@@ -18,7 +18,7 @@
 
 use gpu_isa::{CmpOp, KernelBuilder, Launch, Space, Special, Width};
 use gpu_sim::Gpu;
-use latency_bench::{validate_floor, validate_run, Workload};
+use latency_bench::{run_validation_bench, validate_run, Workload};
 use latency_check::{analyze, AnalysisConfig, Pass};
 use latency_core::ArchPreset;
 
@@ -92,13 +92,17 @@ fn matrix_ampere_ga102_sectored() {
 
 #[test]
 fn floors_lower_bound_measurements() {
-    for preset in ArchPreset::TABLE1 {
-        let report = validate_floor(preset).expect("chase measurement failed");
-        assert!(report.ok(), "floor violated:\n{}", report.to_human());
+    let bench = run_validation_bench(&ArchPreset::TABLE1).expect("chase measurement failed");
+    for row in &bench.rows {
+        assert!(row.violations.is_empty(), "{}", row.floor_human());
         assert!(
-            !report.checks.is_empty(),
-            "no level was measured for {preset:?}"
+            !row.levels.is_empty(),
+            "no level was measured for {:?}",
+            row.preset
         );
+        for l in &row.levels {
+            assert!(l.analytic as f64 <= l.measured, "{}", row.floor_human());
+        }
     }
 }
 

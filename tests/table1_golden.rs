@@ -1,92 +1,45 @@
-//! Golden snapshot of the reproduced Table I: the measured L1/L2/DRAM
-//! latency of every preset is pinned to the exact value the simulator
-//! produced when this snapshot was taken (all of which sit within 2% of the
-//! paper, as `table1_reproduction.rs` verifies).
+//! The reproduced Table I equals the published one exactly: every preset's
+//! measured L1/L2/DRAM latency is the cycle count `REFERENCE_latencies.json`
+//! publishes for it (`ArchPreset::published`), the one place those numbers
+//! are written. A level the table marks absent (`null`) is measured absent.
 //!
 //! Unlike the tolerance-based reproduction test, these are **exact-match**
 //! assertions: the simulator is deterministic, so any drift — a timing
 //! tweak, a cache-model change, a different chase layout, a PRNG change —
-//! must show up here as a conscious, reviewed snapshot update rather than
-//! sliding silently within the 2% band.
+//! must show up here as a conscious, reviewed change rather than sliding
+//! silently within the 2% band.
 
 use latency_core::{measure_row, ArchPreset, MeasuredRow, Table1};
 
-fn golden(preset: ArchPreset) -> MeasuredRow {
-    match preset {
-        ArchPreset::TeslaGt200 => MeasuredRow {
-            l1: None,
-            l2: None,
-            dram: 440.0,
-        },
-        ArchPreset::FermiGf106 => MeasuredRow {
-            l1: Some(45.0),
-            l2: Some(310.0),
-            dram: 685.0,
-        },
-        // GF100 is the paper's §III dynamic-analysis machine, not a Table I
-        // column; it has no pinned static row.
-        ArchPreset::FermiGf100 => unreachable!("GF100 is not a Table I column"),
-        ArchPreset::KeplerGk104 => MeasuredRow {
-            l1: Some(30.0),
-            l2: Some(175.0),
-            dram: 300.0,
-        },
-        // GK110 shares GK104's timings; its L1 row is observable from the
-        // *global* pipeline (read-only path), measured by its own test
-        // below rather than the Table I loops.
-        ArchPreset::KeplerGk110 => MeasuredRow {
-            l1: Some(30.0),
-            l2: Some(175.0),
-            dram: 300.0,
-        },
-        ArchPreset::MaxwellGm107 => MeasuredRow {
-            l1: None,
-            l2: Some(194.0),
-            dram: 350.0,
-        },
-        // The modern sectored/sliced presets pin the values their data
-        // tables were calibrated to (see the gpu-bench validation harness).
-        ArchPreset::VoltaGv100 => MeasuredRow {
-            l1: Some(28.0),
-            l2: Some(193.0),
-            dram: 472.0,
-        },
-        ArchPreset::AmpereGa102 => MeasuredRow {
-            l1: Some(33.0),
-            l2: Some(212.0),
-            dram: 466.0,
-        },
-    }
+/// Asserts `measured` is `preset`'s published row, level for level.
+fn assert_published(preset: ArchPreset, measured: &MeasuredRow) {
+    let row = preset.published();
+    let cycles = |c: Option<u64>| c.map(|c| c as f64);
+    assert_eq!(
+        (measured.l1, measured.l2, measured.dram),
+        (cycles(row.l1), cycles(row.l2), row.dram as f64),
+        "{}: measured row drifted from the published row",
+        preset.name()
+    );
 }
 
-/// Every Table I cell matches the pinned snapshot exactly (f64 equality —
+/// Every Table I cell equals the published value exactly (f64 equality —
 /// the measurement is a deterministic cycle count divided by a constant).
 #[test]
 fn measured_rows_match_golden_snapshot_exactly() {
     for preset in ArchPreset::TABLE1 {
-        let measured = measure_row(preset).expect("chase runs");
-        assert_eq!(
-            measured,
-            golden(preset),
-            "{}: measured row drifted from the golden snapshot",
-            preset.name()
-        );
+        assert_published(preset, &measure_row(preset).expect("chase runs"));
     }
 }
 
-/// The batched full-table path produces the same pinned values as the
-/// row-at-a-time path (guards the parallel batching in `measure_presets`).
+/// The batched full-table path produces the same values as the one-preset
+/// call (guards the pooled batching in `measure_presets`).
 #[test]
 fn full_table_matches_golden_snapshot_exactly() {
-    let table = Table1::measure().expect("table measures");
+    let table = Table1::measure_presets(&ArchPreset::TABLE1).expect("table measures");
     assert_eq!(table.rows().len(), ArchPreset::TABLE1.len());
     for (preset, measured) in table.rows() {
-        assert_eq!(
-            *measured,
-            golden(*preset),
-            "{}: table row drifted from the golden snapshot",
-            preset.name()
-        );
+        assert_published(*preset, measured);
     }
 }
 
@@ -96,21 +49,16 @@ fn full_table_matches_golden_snapshot_exactly() {
 #[test]
 fn gk110_row_matches_golden_snapshot_exactly() {
     let measured = measure_row(ArchPreset::KeplerGk110).expect("chase runs");
-    assert_eq!(measured, golden(ArchPreset::KeplerGk110));
+    assert_published(ArchPreset::KeplerGk110, &measured);
+    assert_published(ArchPreset::KeplerGk104, &measured);
 }
 
-/// The modern sectored presets recover their calibration targets exactly
+/// The modern sectored presets recover their published rows exactly
 /// through the same generic chase machinery (sector fills, sliced L2 and a
 /// non-power-of-two partition count included).
 #[test]
 fn modern_rows_match_golden_snapshot_exactly() {
     for preset in [ArchPreset::VoltaGv100, ArchPreset::AmpereGa102] {
-        let measured = measure_row(preset).expect("chase runs");
-        assert_eq!(
-            measured,
-            golden(preset),
-            "{}: measured row drifted from the golden snapshot",
-            preset.name()
-        );
+        assert_published(preset, &measure_row(preset).expect("chase runs"));
     }
 }

@@ -10,7 +10,7 @@ use latency_core::{
 fn every_architecture_matches_table1_within_two_percent() {
     for preset in ArchPreset::TABLE1 {
         let measured = measure_row(preset).expect("chase runs");
-        let expected = preset.table1_expected();
+        let expected = preset.published();
         let err = measured.max_rel_error(&expected);
         assert!(
             err < 0.02,
