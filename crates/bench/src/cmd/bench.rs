@@ -2,24 +2,27 @@
 //!
 //! ```text
 //! latency bench [--check] [--update-baselines]
-//!     [--suites sweep,tick,workloads,serve,validation]
+//!     [--suites sweep,tick,workloads,serve,validation,experiments]
 //!     [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]
 //! ```
 //!
-//! Runs the five benchmarks from [`latency_bench::suite`] and
-//! [`latency_bench::reference`] — the sweep cold/warm cache comparison, the
-//! loaded-BFS tick-loop pin, the end-to-end workloads (one section
-//! per measured generation, paper-era and modern), the serve daemon cold
-//! vs cache-hit, and the published-reference validation of every
-//! registered preset — under the host-side self-profiler. How long each
-//! took goes to the `[bench]` stdout lines and to
+//! Runs the six benchmarks from [`latency_bench::suite`],
+//! [`latency_bench::reference`] and [`latency_bench::experiments`] — the
+//! sweep cold/warm cache comparison, the loaded-BFS tick-loop pin, the
+//! end-to-end workloads (one section per measured generation, paper-era and
+//! modern), the serve daemon cold vs cache-hit, the published-reference
+//! validation of every registered preset, and the whole experiment list,
+//! each distinct run once — under the host-side self-profiler. How long
+//! each took goes to the `[bench]` stdout lines and to
 //! `profile.json`/`profile.txt`; the fresh `BENCH_*.json` documents written
 //! beside those in `--out` (default `bench-out/`) hold pins only.
 //!
 //! `--check` then compares each document against the committed baseline
 //! in `--baseline-dir` (default `.`) under [`latency_bench::regression`]'s
-//! one rule: every leaf must reproduce exactly, on any host.
-//! `--update-baselines` rewrites the committed files instead.
+//! one rule: every leaf must reproduce exactly, on any host. The
+//! experiments suite also checks each row's block in the EXPERIMENTS.md
+//! there against its fresh stdout. `--update-baselines` rewrites the
+//! committed files, those blocks included, instead.
 //! `--check --inject-regression` flips one pin per suite after measuring,
 //! so CI can prove the check fails when it should; without `--check`, or
 //! with `--update-baselines`, the flag is a usage error — it must never
@@ -30,7 +33,8 @@ use std::process::exit;
 
 use latency_bench::{
     compare_json, run_serve_bench, run_sweep_bench, run_tick_bench, run_validation_bench,
-    run_workload_bench, workloads_json, ProgressHeartbeat, Workload, SERVE_CLIENTS,
+    run_workload_bench, splice_doc, workloads_json, Plan, ProgressHeartbeat, Record, Workload,
+    EXPERIMENTS, SERVE_CLIENTS,
 };
 use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
@@ -56,10 +60,17 @@ struct Args {
 }
 
 pub const FLAGS: &str = "[--check] [--update-baselines]\n\
-     \x20      [--suites sweep,tick,workloads,serve,validation]\n\
+     \x20      [--suites sweep,tick,workloads,serve,validation,experiments]\n\
      \x20      [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]";
 
-const SUITES: [&str; 5] = ["sweep", "tick", "workloads", "serve", "validation"];
+const SUITES: [&str; 6] = [
+    "sweep",
+    "tick",
+    "workloads",
+    "serve",
+    "validation",
+    "experiments",
+];
 
 fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     let mut parsed = Args {
@@ -102,17 +113,24 @@ fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     Ok(parsed)
 }
 
-/// One finished suite: its artifact filename and rendered JSON.
+/// One finished suite: its artifact filename, rendered JSON and — for the
+/// experiments — each row's stdout, the EXPERIMENTS.md blocks.
 struct SuiteResult {
     name: &'static str,
     file: String,
     json: String,
+    blocks: Vec<(&'static str, String)>,
 }
 
 impl SuiteResult {
     fn new(name: &'static str, json: String) -> Self {
-        let file = format!("BENCH_{name}.json");
-        SuiteResult { name, file, json }
+        let (file, blocks) = (format!("BENCH_{name}.json"), Vec::new());
+        SuiteResult {
+            name,
+            file,
+            json,
+            blocks,
+        }
     }
 }
 
@@ -222,6 +240,31 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                 }
                 results.push(SuiteResult::new("validation", b.json()));
             }
+            "experiments" => {
+                let plan = Plan::paper(&EXPERIMENTS);
+                let (rows, runs) = (plan.rows.len(), plan.runs.len());
+                println!("[bench] experiments: {rows} rows, {runs} distinct runs");
+                let executed = or_exit(plan.execute(), "FAIL: experiments");
+                let (mut records, walls): (Vec<_>, Vec<_>) = executed.into_iter().unzip();
+                // A row is charged the runs it is the first to read.
+                let mut charged = 0;
+                for (row, runs) in &plan.rows {
+                    let new = runs.iter().filter(|&&i| i >= charged);
+                    let wall = new.clone().fold(0.0, |sum, &i| sum + walls[i]);
+                    let (name, runs, new) = (row.name, runs.len(), new.count());
+                    println!("[bench] experiments: {name:<22} {runs:>2} run(s), {new:>2} new, {wall:5.1}s");
+                    charged += new;
+                }
+                if let (true, Record::Traced(run)) = (args.inject, &mut records[0]) {
+                    run.cycles += 1;
+                }
+                let json = plan.pins_json(&records);
+                let blocks = plan.render(&records);
+                results.push(SuiteResult {
+                    blocks,
+                    ..SuiteResult::new("experiments", json)
+                });
+            }
             other => unreachable!("parse_args admitted unknown suite {other}"),
         }
     }
@@ -264,6 +307,28 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
             .join(", ")
     );
 
+    // The experiments suite also owns EXPERIMENTS.md's blocks: each is
+    // one row's stdout.
+    let mut fatal = false;
+    let doc_path = args.baseline_dir.join("EXPERIMENTS.md");
+    let with_blocks = results.iter().filter(|r| !r.blocks.is_empty());
+    for r in with_blocks.filter(|_| args.check || args.update) {
+        let doc = std::fs::read_to_string(&doc_path);
+        let doc = or_exit(doc, format_args!("FAIL: read {}", doc_path.display()));
+        let (fresh, stale) = or_exit(splice_doc(&doc, &r.blocks), "FAIL: experiments");
+        if args.update {
+            write_file(&doc_path, &fresh);
+            println!("[bench] baseline updated: {}", doc_path.display());
+        }
+        for name in stale.iter().filter(|_| args.check) {
+            let doc = doc_path.display();
+            println!(
+                "[bench] {} vs {doc}: FATAL block `{name}` differs from `latency {name}`",
+                r.name
+            );
+            fatal = true;
+        }
+    }
     if args.update {
         for r in &results {
             write_file(&args.baseline_dir.join(&r.file), &r.json);
@@ -278,7 +343,6 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         return Ok(());
     }
 
-    let mut fatal = false;
     for r in &results {
         let path = args.baseline_dir.join(&r.file);
         let baseline = match std::fs::read_to_string(&path) {

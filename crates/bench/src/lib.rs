@@ -6,11 +6,11 @@
 //!
 //! - **E1 / Table I**: [`latency_core::Table1`], checked against the
 //!   published rows by [`run_validation_bench`].
-//! - **E2 / Figure 1**: [`run_bfs_traced`] + [`latency_core::LatencyBreakdown`].
-//! - **E3 / Figure 2**: [`run_bfs_traced`] + [`latency_core::ExposureAnalysis`].
-//! - **E4**: [`run_workload_traced`] over [`Workload::e4`].
-//! - **E5**: [`dram_sched_comparison`] (FR-FCFS vs FCFS ablation).
-//! - **E6**: [`hiding_sweep`] (exposed latency vs. warps/SM and scheduler).
+//! - **E2–E8** and the cross-generation BFS: the rows of [`EXPERIMENTS`]
+//!   (`fig1`, `fig2`, `other_workloads`, `dram_sched_ablation`,
+//!   `hiding_sweep`, `loaded_latency`, `write_policy_ablation`,
+//!   `arch_dynamic`), executed by a [`Plan`] that runs each distinct
+//!   simulation once.
 
 #![forbid(unsafe_code)]
 
@@ -23,8 +23,8 @@ pub mod tracebundle;
 pub mod validate;
 
 pub use experiments::{
-    dram_sched_comparison, hiding_sweep, mean_and_p95, run_bfs_traced, run_traced,
-    run_workload_traced, DramSchedResult, HidingPoint, TracedOutcome, TracedRun,
+    run_bfs_traced, run_traced, run_workload_traced, splice_doc, Experiment, Plan, Record, Spec,
+    TracedOutcome, TracedRun, EXPERIMENTS,
 };
 pub use gpu_workloads::{builtin_kernels, BfsExperiment, Workload};
 /// Frozen re-export: `benchmark/` reads the published rows through here.

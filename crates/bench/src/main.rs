@@ -14,66 +14,51 @@
 
 #![forbid(unsafe_code)]
 
-use latency_core::cli::{self, exit_usage, Cursor, UsageError};
+use latency_bench::{Experiment, Plan, EXPERIMENTS};
+use latency_core::cli::{self, exit_usage, or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
 
 mod cmd {
-    pub mod arch_dynamic;
     pub mod bench;
-    pub mod dram_sched_ablation;
-    pub mod fig1;
-    pub mod fig2;
-    pub mod hiding_sweep;
     pub mod lint;
-    pub mod loaded_latency;
-    pub mod other_workloads;
     pub mod sweep;
     pub mod table1;
     pub mod trace;
     pub mod validate;
-    pub mod write_policy_ablation;
 }
 use cmd::*;
 
 /// What a subcommand reads from the command line beyond the shared
 /// `--threads` / `--cache`.
+#[derive(Clone, Copy)]
 enum Run {
-    /// Nothing: one fixed experiment.
-    Fixed(fn()),
+    /// Nothing: one row of the experiment list.
+    Experiment(&'static Experiment),
     /// Its own flags, on fixed machines.
     Flags(fn(&mut Cursor) -> Result<(), UsageError>),
     /// `--preset` and its own flags.
     Presets(fn(&[ArchPreset], &mut Cursor) -> Result<(), UsageError>),
 }
 
-/// `(name, flag synopsis, entry point)`, in the order `--help` lists them.
-const SUBCOMMANDS: [(&str, &str, Run); 14] = [
+/// The tools: `(name, flag synopsis, entry point)`.
+const SUBCOMMANDS: [(&str, &str, Run); 6] = [
     ("table1", table1::FLAGS, Run::Presets(table1::run)),
     ("sweep", sweep::FLAGS, Run::Presets(sweep::run)),
     ("trace", trace::FLAGS, Run::Presets(trace::run)),
     ("validate", validate::FLAGS, Run::Presets(validate::run)),
     ("lint", lint::FLAGS, Run::Flags(lint::run)),
     ("bench", bench::FLAGS, Run::Flags(bench::run)),
-    ("fig1", "", Run::Fixed(fig1::run)),
-    ("fig2", "", Run::Fixed(fig2::run)),
-    ("other_workloads", "", Run::Fixed(other_workloads::run)),
-    (
-        "dram_sched_ablation",
-        "",
-        Run::Fixed(dram_sched_ablation::run),
-    ),
-    ("hiding_sweep", "", Run::Fixed(hiding_sweep::run)),
-    ("loaded_latency", "", Run::Fixed(loaded_latency::run)),
-    (
-        "write_policy_ablation",
-        "",
-        Run::Fixed(write_policy_ablation::run),
-    ),
-    ("arch_dynamic", "", Run::Fixed(arch_dynamic::run)),
 ];
 
+/// Every subcommand in the order `--help` lists them: the tools, then the
+/// experiment list.
+fn subcommands() -> impl Iterator<Item = (&'static str, &'static str, Run)> {
+    let rows = EXPERIMENTS.iter().map(|e| (e.name, "", Run::Experiment(e)));
+    SUBCOMMANDS.into_iter().chain(rows)
+}
+
 fn top_usage() -> String {
-    let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, ..)| *name).collect();
+    let names: Vec<&str> = subcommands().map(|(name, ..)| name).collect();
     format!(
         "latency <subcommand> [--preset NAME] [--threads N] [--cache DIR] [subcommand flags]\n\
          subcommands: {}\n\
@@ -100,9 +85,12 @@ fn dispatch(run: &Run, args: &mut Cursor) -> Result<(), UsageError> {
         gpu_sim::profile::set_enabled(true);
     }
     match run {
-        Run::Fixed(f) => {
+        Run::Experiment(row) => {
             args.finish()?;
-            f();
+            let plan = Plan::paper([*row]);
+            let records = or_exit(plan.execute(), format_args!("{} failed", row.name));
+            let (records, _): (Vec<_>, Vec<_>) = records.into_iter().unzip();
+            print!("{}", plan.render(&records)[0].1);
             Ok(())
         }
         Run::Flags(f) => f(args),
@@ -116,11 +104,11 @@ fn main() {
         // No subcommand: a bare `latency`, `--help`, or a stray flag.
         exit_usage(&UsageError::help(), &top_usage());
     };
-    let Some((_, flags, run)) = SUBCOMMANDS.iter().find(|(n, ..)| *n == name) else {
+    let Some((_, flags, run)) = subcommands().find(|(n, ..)| *n == name) else {
         let err = UsageError(format!("unknown subcommand '{name}'"));
         exit_usage(&err, &top_usage());
     };
-    if let Err(err) = dispatch(run, &mut args) {
+    if let Err(err) = dispatch(&run, &mut args) {
         // `trace` lists the workload table's names in its synopsis.
         let names: Vec<&str> = latency_bench::Workload::all()
             .iter()

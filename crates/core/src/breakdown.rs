@@ -10,6 +10,7 @@ use std::fmt;
 
 use gpu_mem::{Stamp, Timeline};
 use gpu_sim::CompletedRequest;
+use gpu_types::json::Writer;
 use gpu_types::Buckets;
 
 use crate::bucketing::Bucketing;
@@ -89,6 +90,21 @@ pub struct LatencyBreakdown {
     sums: Vec<[u64; 8]>,
     counts: Vec<u64>,
     grand_total: [u64; 8],
+    /// Requests the clip left out, and their component sums.
+    overflow: u64,
+    overflow_sums: [u64; 8],
+}
+
+/// Percentage share (0–100) of each component in `sums`.
+fn shares(sums: &[u64; 8]) -> [f64; 8] {
+    let total: u64 = sums.iter().sum();
+    sums.map(|sum| {
+        if total == 0 {
+            0.0
+        } else {
+            100.0 * sum as f64 / total as f64
+        }
+    })
 }
 
 impl LatencyBreakdown {
@@ -132,15 +148,17 @@ impl LatencyBreakdown {
         let mut sums = vec![[0u64; 8]; n_buckets];
         let mut counts = vec![0u64; n_buckets];
         let mut grand_total = [0u64; 8];
+        let mut overflow_sums = [0u64; 8];
         for (total, parts) in items {
-            let Some(i) = bucketing.index_of(total) else {
-                continue; // clipped into the overflow
+            let into = match bucketing.index_of(total) {
+                Some(i) => {
+                    counts[i] += 1;
+                    sums[i].iter_mut().zip(parts).for_each(|(s, p)| *s += p);
+                    &mut grand_total
+                }
+                None => &mut overflow_sums, // clipped into the overflow
             };
-            counts[i] += 1;
-            for c in 0..8 {
-                sums[i][c] += parts[c];
-                grand_total[c] += parts[c];
-            }
+            into.iter_mut().zip(parts).for_each(|(s, p)| *s += p);
         }
         let overflow = bucketing.overflow();
         (
@@ -149,6 +167,8 @@ impl LatencyBreakdown {
                 sums,
                 counts,
                 grand_total,
+                overflow,
+                overflow_sums,
             },
             overflow,
         )
@@ -169,36 +189,48 @@ impl LatencyBreakdown {
         self.counts.iter().sum()
     }
 
+    /// Requests the clip excluded.
+    pub fn overflow(&self) -> u64 {
+        self.overflow
+    }
+
     /// Percentage share (0–100) of each component within bucket `i`.
     pub fn percentages(&self, i: usize) -> [f64; 8] {
-        let total: u64 = self.sums[i].iter().sum();
-        let mut out = [0.0; 8];
-        if total > 0 {
-            for (o, &sum) in out.iter_mut().zip(&self.sums[i]) {
-                *o = 100.0 * sum as f64 / total as f64;
-            }
-        }
-        out
+        shares(&self.sums[i])
     }
 
-    /// Percentage share of each component across *all* requests.
+    /// Percentage share of each component across all bucketed requests.
     pub fn overall_percentages(&self) -> [f64; 8] {
-        let total: u64 = self.grand_total.iter().sum();
-        let mut out = [0.0; 8];
-        if total > 0 {
-            for (o, &sum) in out.iter_mut().zip(&self.grand_total) {
-                *o = 100.0 * sum as f64 / total as f64;
-            }
-        }
-        out
+        shares(&self.grand_total)
     }
 
-    /// The component contributing the most aggregate cycles overall.
-    pub fn dominant_component(&self) -> Component {
-        let idx = (0..8)
-            .max_by_key(|&c| self.grand_total[c])
-            .expect("eight components");
-        Component::ALL[idx]
+    /// Percentage share of each component across every request, the
+    /// clipped overflow included: what an unclipped breakdown reports.
+    pub fn unclipped_percentages(&self) -> [f64; 8] {
+        shares(&std::array::from_fn(|c| {
+            self.grand_total[c] + self.overflow_sums[c]
+        }))
+    }
+
+    /// Writes the exact integers behind this breakdown as one JSON object:
+    /// the overflow count, the component sums inside and beyond the clip,
+    /// and with `table` the bucket domain, per-bucket counts and sums.
+    pub fn write_pins(&self, w: &mut Writer, table: bool) {
+        w.object().field("overflow", self.overflow);
+        w.field("sums", &self.grand_total[..]);
+        w.field("overflow_sums", &self.overflow_sums[..]);
+        if table {
+            let last = self.buckets.range(self.buckets.len() - 1);
+            w.field("domain", &[self.buckets.range(0).0, last.1][..]);
+            w.field("counts", &self.counts[..])
+                .key("bucket_sums")
+                .array();
+            for s in &self.sums {
+                w.value(&s[..]);
+            }
+            w.end();
+        }
+        w.end();
     }
 
     /// Components ranked by overall contribution, largest first.

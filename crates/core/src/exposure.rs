@@ -9,6 +9,7 @@
 use std::fmt;
 
 use gpu_sim::LoadInstrRecord;
+use gpu_types::json::Writer;
 use gpu_types::Buckets;
 
 use crate::bucketing::Bucketing;
@@ -21,6 +22,19 @@ pub struct ExposureAnalysis {
     exposed: Vec<u64>,
     total: Vec<u64>,
     counts: Vec<u64>,
+    /// Loads the clip left out, and their exposed and total sums.
+    overflow: u64,
+    overflow_exposed: u64,
+    overflow_total: u64,
+}
+
+/// `exposed / total`, or 0 for an empty population.
+fn fraction(exposed: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        exposed as f64 / total as f64
+    }
 }
 
 impl ExposureAnalysis {
@@ -51,13 +65,18 @@ impl ExposureAnalysis {
         let mut exposed = vec![0u64; n_buckets];
         let mut total = vec![0u64; n_buckets];
         let mut counts = vec![0u64; n_buckets];
+        let (mut overflow_exposed, mut overflow_total) = (0, 0);
         for l in loads {
-            let Some(i) = bucketing.index_of(l.total()) else {
-                continue; // clipped into the overflow
-            };
             // Clamp: a load that issued in the same stall window as its
             // completion can attribute at most its own lifetime.
-            exposed[i] += l.exposed.min(l.total());
+            let clamped = l.exposed.min(l.total());
+            let Some(i) = bucketing.index_of(l.total()) else {
+                // Clipped into the overflow.
+                overflow_exposed += clamped;
+                overflow_total += l.total();
+                continue;
+            };
+            exposed[i] += clamped;
             total[i] += l.total();
             counts[i] += 1;
         }
@@ -68,6 +87,9 @@ impl ExposureAnalysis {
                 exposed,
                 total,
                 counts,
+                overflow,
+                overflow_exposed,
+                overflow_total,
             },
             overflow,
         )
@@ -88,13 +110,14 @@ impl ExposureAnalysis {
         self.counts.iter().sum()
     }
 
+    /// Loads the clip excluded.
+    pub fn overflow(&self) -> u64 {
+        self.overflow
+    }
+
     /// Exposed fraction (0–1) of bucket `i`'s aggregate latency.
     pub fn exposed_fraction(&self, i: usize) -> f64 {
-        if self.total[i] == 0 {
-            0.0
-        } else {
-            self.exposed[i] as f64 / self.total[i] as f64
-        }
+        fraction(self.exposed[i], self.total[i])
     }
 
     /// Hidden fraction (0–1) of bucket `i`'s aggregate latency.
@@ -102,15 +125,37 @@ impl ExposureAnalysis {
         1.0 - self.exposed_fraction(i)
     }
 
-    /// Exposed fraction across all loads.
+    /// Exposed fraction across all bucketed loads.
     pub fn overall_exposed_fraction(&self) -> f64 {
-        let e: u64 = self.exposed.iter().sum();
-        let t: u64 = self.total.iter().sum();
-        if t == 0 {
-            0.0
-        } else {
-            e as f64 / t as f64
+        fraction(self.exposed.iter().sum(), self.total.iter().sum())
+    }
+
+    /// Exposed fraction across every load, the clipped overflow included:
+    /// what an unclipped analysis reports.
+    pub fn unclipped_exposed_fraction(&self) -> f64 {
+        let exposed: u64 = self.exposed.iter().sum();
+        let total: u64 = self.total.iter().sum();
+        fraction(exposed + self.overflow_exposed, total + self.overflow_total)
+    }
+
+    /// Writes the exact integers behind this analysis as one JSON object:
+    /// the overflow count, the exposed and total sums inside and beyond the
+    /// clip, and with `table` the bucket domain and per-bucket counts and
+    /// sums.
+    pub fn write_pins(&self, w: &mut Writer, table: bool) {
+        w.object().field("overflow", self.overflow);
+        w.field("exposed", self.exposed.iter().sum::<u64>());
+        w.field("total", self.total.iter().sum::<u64>());
+        w.field("overflow_exposed", self.overflow_exposed);
+        w.field("overflow_total", self.overflow_total);
+        if table {
+            let last = self.buckets.range(self.buckets.len() - 1);
+            w.field("domain", &[self.buckets.range(0).0, last.1][..]);
+            w.field("counts", &self.counts[..]);
+            w.field("bucket_exposed", &self.exposed[..]);
+            w.field("bucket_total", &self.total[..]);
         }
+        w.end();
     }
 
     /// Fraction of *loads* (not cycles) whose individual exposed share

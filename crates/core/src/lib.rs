@@ -59,7 +59,7 @@ pub use chase::{
 };
 pub use exposure::ExposureAnalysis;
 pub use inference::{infer_hierarchy, infer_line_size, CacheLevelEstimate};
-pub use loaded::{build_loaded_kernel, loaded_chase, measure_chase_under_load, LoadedChase};
+pub use loaded::{build_loaded_kernel, measure_chase_under_load};
 pub use parallel::{
     clear_worker_count, env_worker_count, par_map, parse_thread_count, set_tick_threads,
     set_worker_count, try_par_map, worker_count, ThreadCountError,

@@ -13,26 +13,6 @@ use gpu_sim::{Gpu, GpuConfig, LevelKind};
 
 use crate::chase::{write_chain, ChaseError, ChaseParams, ChaseSpace, UNROLL};
 
-/// Result of a loaded-chase experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadedChase {
-    /// Per-access latency with no interference (streamers = 0).
-    pub unloaded: f64,
-    /// Per-access latency under interference.
-    pub loaded: f64,
-}
-
-impl LoadedChase {
-    /// Latency inflation factor caused by the load.
-    pub fn inflation(&self) -> f64 {
-        if self.unloaded == 0.0 {
-            0.0
-        } else {
-            self.loaded / self.unloaded
-        }
-    }
-}
-
 /// Builds the combined chaser/streamer kernel.
 ///
 /// CTA 0, thread 0 chases `iters × UNROLL` dependent pointers through the
@@ -189,22 +169,6 @@ pub fn measure_chase_under_load(
     Ok(c_long.saturating_sub(c_short) as f64 / extra as f64)
 }
 
-/// Runs the full loaded-vs-unloaded comparison.
-///
-/// # Errors
-///
-/// Propagates chase failures.
-pub fn loaded_chase(
-    config: &GpuConfig,
-    params: &ChaseParams,
-    streamer_ctas: u32,
-) -> Result<LoadedChase, ChaseError> {
-    Ok(LoadedChase {
-        unloaded: measure_chase_under_load(config, params, 0)?,
-        loaded: measure_chase_under_load(config, params, streamer_ctas)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,12 +205,13 @@ mod tests {
         // DRAM-resident chase: footprint beyond both caches of the shrunken
         // machine (2 slices x 128 KB).
         let params = ChaseParams::global(1024 * 1024, 4096);
-        let result = loaded_chase(&cfg, &params, 12).unwrap();
+        let unloaded = measure_chase_under_load(&cfg, &params, 0).unwrap();
+        let loaded = measure_chase_under_load(&cfg, &params, 12).unwrap();
         assert!(
-            result.inflation() > 1.3,
-            "expected visible queueing inflation: {result:?}"
+            loaded / unloaded > 1.3,
+            "expected visible queueing inflation: {loaded} vs {unloaded}"
         );
-        assert!(result.loaded > result.unloaded);
+        assert!(loaded > unloaded);
     }
 
     #[test]

@@ -221,8 +221,10 @@ fn breakdown_conserves_requests() {
     }
 }
 
-/// Clipping splits the population exactly into kept + overflow, and the
-/// clipped breakdown never covers a larger range than the unclipped one.
+/// Clipping splits the population exactly into kept + overflow, the
+/// clipped breakdown never covers a larger range than the unclipped one,
+/// and the overflow's kept sums give back the unclipped totals exactly —
+/// for fetches and for loads.
 #[test]
 fn clipping_is_a_partition() {
     for case in 0..CASES {
@@ -235,10 +237,23 @@ fn clipping_is_a_partition() {
             reqs.len() as u64,
             "case {case}"
         );
+        assert_eq!(clipped.overflow(), overflow, "case {case}");
         let full = LatencyBreakdown::from_requests(&reqs, 16);
         let (_, full_hi) = full.buckets().range(15);
         let (_, clipped_hi) = clipped.buckets().range(15);
         assert!(clipped_hi <= full_hi, "case {case}");
+        assert_eq!(
+            clipped.unclipped_percentages(),
+            full.overall_percentages(),
+            "case {case}"
+        );
+
+        let loads: Vec<LoadInstrRecord> =
+            (0..reqs.len()).map(|_| gen_load_record(&mut rng)).collect();
+        let (clipped, overflow) = ExposureAnalysis::from_loads_clipped(&loads, 12, quantile);
+        assert_eq!(clipped.overflow(), overflow, "case {case}");
+        let full = ExposureAnalysis::from_loads(&loads, 12).overall_exposed_fraction();
+        assert_eq!(clipped.unclipped_exposed_fraction(), full, "case {case}");
     }
 }
 

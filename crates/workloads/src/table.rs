@@ -146,6 +146,13 @@ static WORKLOADS: [Workload; 9] = [
     },
 ];
 
+/// A row is its name: the table holds each name once.
+impl PartialEq for Workload {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
 impl Workload {
     /// Every workload, BFS first.
     pub fn all() -> &'static [Workload] {
