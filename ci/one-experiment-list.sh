@@ -5,7 +5,10 @@
 # Fail if a subcommand module under crates/bench/src/cmd/ runs a simulation
 # of its own again — a printer that calls the drivers directly is a second
 # run of a run the list already makes — or if a deleted per-experiment
-# driver or result type comes back under crates/ or tests/.
+# driver or result type comes back under crates/ or tests/. The list is
+# also the one place simulation pins live: the workloads and tick bench
+# suites (E4 twice, one loaded BFS for idle coverage) were folded into it,
+# so their drivers and pin files must not come back either.
 #
 # Usage: ci/one-experiment-list.sh   (from the repository root)
 set -euo pipefail
@@ -20,6 +23,8 @@ report() {
 
 report "$(grep -rnE '\b(run_bfs_traced|run_workload_traced|measure_chase_under_load)\(' crates/bench/src/cmd || true)"
 report "$(grep -rnwE 'dram_sched_comparison|DramSchedResult|HidingPoint|LoadedChase' crates tests || true)"
+report "$(grep -rnwE 'run_tick_bench|run_workload_bench|TickBench|WorkloadBench|workloads_json' crates tests || true)"
+report "$(git ls-files BENCH_tick.json BENCH_workloads.json)"
 
 if [ "$hits" -ne 0 ]; then
   echo "one-experiment-list: $hits stray driver(s); add a row to latency_bench::EXPERIMENTS instead" >&2

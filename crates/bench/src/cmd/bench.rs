@@ -2,17 +2,17 @@
 //!
 //! ```text
 //! latency bench [--check] [--update-baselines]
-//!     [--suites sweep,tick,workloads,serve,validation,experiments]
+//!     [--suites sweep,serve,validation,experiments]
 //!     [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]
 //! ```
 //!
-//! Runs the six benchmarks from [`latency_bench::suite`],
+//! Runs the four benchmarks from [`latency_bench::suite`],
 //! [`latency_bench::reference`] and [`latency_bench::experiments`] — the
-//! sweep cold/warm cache comparison, the loaded-BFS tick-loop pin, the
-//! end-to-end workloads (one section per measured generation, paper-era and
-//! modern), the serve daemon cold vs cache-hit, the published-reference
-//! validation of every registered preset, and the whole experiment list,
-//! each distinct run once — under the host-side self-profiler. How long
+//! sweep cold/warm cache comparison, the serve daemon cold vs cache-hit,
+//! the published-reference validation of every registered preset, and the
+//! whole experiment list, each distinct run once, every simulation the
+//! paper's figures and E4 read with its own idle-coverage pins — under the
+//! host-side self-profiler. How long
 //! each took goes to the `[bench]` stdout lines and to
 //! `profile.json`/`profile.txt`; the fresh `BENCH_*.json` documents written
 //! beside those in `--out` (default `bench-out/`) hold pins only.
@@ -32,22 +32,16 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use latency_bench::{
-    compare_json, run_serve_bench, run_sweep_bench, run_tick_bench, run_validation_bench,
-    run_workload_bench, splice_doc, workloads_json, Plan, ProgressHeartbeat, Record, Workload,
-    EXPERIMENTS, SERVE_CLIENTS,
+    compare_json, run_serve_bench, run_sweep_bench, run_validation_bench, splice_doc, Plan,
+    ProgressHeartbeat, Record, EXPERIMENTS, SERVE_CLIENTS,
 };
 use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
 
-/// Presets are pinned per suite so results stay comparable with the
-/// committed baselines: the sweep baseline is GF106 (the §II measurement
-/// chip), the loaded tick loop uses the full GF100, and workload throughput
-/// runs one section per generation — the paper-era GF100 plus the
-/// sectored, sliced GV100 — so the modern timing model's hashes are pinned
-/// too.
+/// The sweep and serve suites' preset, pinned so results stay comparable
+/// with the committed baselines: GF106, the §II measurement chip. The
+/// experiment list names its own machines.
 const SWEEP_PRESET: ArchPreset = ArchPreset::FermiGf106;
-const FULL_PRESET: ArchPreset = ArchPreset::FermiGf100;
-const MODERN_PRESET: ArchPreset = ArchPreset::VoltaGv100;
 
 struct Args {
     suites: Vec<String>,
@@ -60,17 +54,10 @@ struct Args {
 }
 
 pub const FLAGS: &str = "[--check] [--update-baselines]\n\
-     \x20      [--suites sweep,tick,workloads,serve,validation,experiments]\n\
+     \x20      [--suites sweep,serve,validation,experiments]\n\
      \x20      [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]";
 
-const SUITES: [&str; 6] = [
-    "sweep",
-    "tick",
-    "workloads",
-    "serve",
-    "validation",
-    "experiments",
-];
+const SUITES: [&str; 4] = ["sweep", "serve", "validation", "experiments"];
 
 fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     let mut parsed = Args {
@@ -153,43 +140,6 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     b.warm_hit_rate() * 100.0
                 );
                 results.push(SuiteResult::new("sweep", b.json()));
-            }
-            "tick" => {
-                println!("[bench] tick: loaded bfs on {}", FULL_PRESET.name());
-                let mut b = run_tick_bench(FULL_PRESET, 4096, 8);
-                or_exit(b.check(), "FAIL: tick bench self-check");
-                println!(
-                    "[bench] tick: wall={:.3}s cycles={} hash={:016x}",
-                    b.wall_seconds, b.cycles, b.content_hash
-                );
-                if args.inject {
-                    b.content_hash ^= 1;
-                }
-                results.push(SuiteResult::new("tick", b.json()));
-            }
-            "workloads" => {
-                let mut sections = Vec::new();
-                for preset in [FULL_PRESET, MODERN_PRESET] {
-                    println!(
-                        "[bench] workloads: {} end-to-end runs on {}",
-                        Workload::e4().len(),
-                        preset.name()
-                    );
-                    let what = format!("FAIL: workload bench ({})", preset.name());
-                    let b = or_exit(run_workload_bench(preset, Workload::e4()), &what);
-                    or_exit(b.check(), &what);
-                    for r in &b.runs {
-                        println!(
-                            "[bench] workloads: {:<10} cycles={:<8} wall={:.3}s hash={:016x}",
-                            r.workload.name, r.cycles, r.wall_seconds, r.content_hash
-                        );
-                    }
-                    sections.push(b);
-                }
-                if args.inject {
-                    sections[0].runs[0].content_hash ^= 1;
-                }
-                results.push(SuiteResult::new("workloads", workloads_json(&sections)));
             }
             "serve" => {
                 println!(
@@ -390,7 +340,7 @@ mod tests {
 
     #[test]
     fn inject_regression_needs_check_and_excludes_update() {
-        let checked = parse(&["--check", "--inject-regression", "--suites", "tick"]);
+        let checked = parse(&["--check", "--inject-regression", "--suites", "sweep"]);
         assert!(checked.is_ok_and(|a| a.inject && a.check && !a.update));
         // Alone it would write corrupt artifacts and exit 0; with
         // --update-baselines it would commit them.

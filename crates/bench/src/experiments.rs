@@ -19,8 +19,8 @@ use std::time::Instant;
 
 use gpu_mem::DramSched;
 use gpu_sim::{
-    CheckpointPolicy, CompletedRequest, GpuConfig, LoadInstrRecord, RunOutcome, SchedPolicy,
-    SimError, WritePolicy,
+    CheckpointPolicy, CompletedRequest, GpuConfig, IdleCounts, LoadInstrRecord, RunOutcome,
+    SchedPolicy, SimError, WritePolicy,
 };
 use gpu_trace::json::{ToJson, Writer};
 use gpu_workloads::{BfsExperiment, Workload};
@@ -53,6 +53,11 @@ pub struct TracedRun {
     /// Invariant violations the sanitizer counted (release builds only
     /// accumulate them; see `RunSummary::sanitizer_violations`).
     pub sanitizer_violations: u64,
+    /// What the run loop left out ([`Gpu::idle_counts`]); a resumed run
+    /// counts from its checkpoint on.
+    ///
+    /// [`Gpu::idle_counts`]: gpu_sim::Gpu::idle_counts
+    pub idle: IdleCounts,
 }
 
 /// How an instrumented run under a checkpoint policy ended: completed
@@ -109,6 +114,7 @@ pub fn run_traced(
         instructions: summary.instructions,
         content_hash: summary.content_hash,
         sanitizer_violations: summary.sanitizer_violations,
+        idle: gpu.idle_counts(),
     };
     if let EnvTrace::Bundle(root) = &env {
         // Best effort: a failed export is reported, never fatal.
@@ -219,6 +225,9 @@ pub struct TracedRecord {
     pub content_hash: u64,
     pub cycles: u64,
     pub instructions: u64,
+    /// Coverage pins: a `next_event` that answers needlessly early changes
+    /// no output, but moves these.
+    pub idle: IdleCounts,
     /// Figure 1, over 48 buckets.
     pub fetches: LatencyBreakdown,
     /// Figure 2, over 24 buckets.
@@ -240,8 +249,9 @@ impl Record {
         }
     }
 
-    /// A chase's cycles per access; for a traced run its identity, fetch
-    /// and load totals, the bucket `table` its row draws and its latencies.
+    /// A chase's cycles per access; for a traced run its identity, idle
+    /// coverage, fetch and load totals, the bucket `table` its row draws
+    /// and its latencies.
     fn write_pins(&self, w: &mut Writer, table: Table) {
         let r = match self {
             Record::Traced(r) => r,
@@ -254,7 +264,11 @@ impl Record {
         w.object()
             .field("content_hash", hash)
             .field("cycles", r.cycles);
-        w.field("instructions", r.instructions).key("fetches");
+        w.field("instructions", r.instructions);
+        w.field("skipped_cycles", r.idle.skipped_cycles);
+        w.field("sm_ticks_slept", r.idle.sm_ticks_slept);
+        w.field("partition_ticks_slept", r.idle.partition_ticks_slept);
+        w.key("fetches");
         r.fetches.write_pins(w, table == Table::Fetches);
         w.key("loads");
         r.loads.write_pins(w, table == Table::Loads);
@@ -273,11 +287,27 @@ fn reduce(spec: &Spec) -> Result<Record, String> {
         }
     };
     let run = run_to_completion(config, workload, exp).map_err(|e| e.to_string())?;
+    reduce_run(spec, &run)
+}
+
+/// Reduces `spec`'s finished run to its record. Release builds only count
+/// sanitizer violations, so this is where one fails the list.
+fn reduce_run(spec: &Spec, run: &TracedRun) -> Result<Record, String> {
+    if run.sanitizer_violations > 0 {
+        let Spec::Traced(config, workload, _) = spec else {
+            unreachable!("only traced runs are sanitized here")
+        };
+        return Err(format!(
+            "{} sanitizer violation(s) running {} on {}",
+            run.sanitizer_violations, workload.name, config.name
+        ));
+    }
     let fetches = run.requests.iter().map(|r| r.timeline.total_latency());
     Ok(Record::Traced(Box::new(TracedRecord {
         content_hash: run.content_hash,
         cycles: run.cycles,
         instructions: run.instructions,
+        idle: run.idle,
         fetches: LatencyBreakdown::from_requests_clipped(&run.requests, 48, 0.99).0,
         loads: ExposureAnalysis::from_loads_clipped(&run.loads, 24, 0.99).0,
         load_latency: Latency::of(run.loads.iter().map(LoadInstrRecord::total)),
@@ -408,29 +438,43 @@ fn fig2(runs: &Runs) -> String {
     )
 }
 
+/// The E4 workloads on the paper's machine, then on the sectored, sliced
+/// GV100: does the paper's answer hold on a modern hierarchy?
 fn e4(base: &GpuConfig, _: &BfsExperiment) -> Vec<Spec> {
-    let run = |w| Spec::Traced(base.clone(), w, BfsExperiment::default());
-    Workload::e4().iter().map(run).collect()
+    let machines = [base.clone(), ArchPreset::VoltaGv100.config()];
+    let runs = |config: GpuConfig| {
+        let run = move |w| Spec::Traced(config.clone(), w, BfsExperiment::default());
+        Workload::e4().iter().map(run)
+    };
+    machines.into_iter().flat_map(runs).collect()
 }
 
 /// E4: §III's "other workloads similarly showed queueing and arbitration
-/// as the two key latency contributors".
+/// as the two key latency contributors" — one table per machine.
 fn other_workloads(runs: &Runs) -> String {
     let label = |c: &Component| format!(" {:>12}", c.label());
     let labels: String = Component::ALL.iter().map(label).collect();
-    let rows = lines(runs, |spec, run| {
-        let Spec::Traced(_, workload, _) = spec else {
-            unreachable!("E4 reads traced runs")
-        };
-        let shares = run.fetches.unclipped_percentages();
-        let shares = shares.map(|share| format!(" {share:>11.1}%")).concat();
-        let exposed = 100.0 * run.loads.unclipped_exposed_fraction();
-        format!("{:>8}{shares} {exposed:>8.1}%\n", workload.name)
-    });
+    let table = |runs: &Runs| {
+        let name = runs[0].0.config().name.as_str();
+        let chip = name.split_once(' ').map_or(name, |(chip, _)| chip);
+        let rows = lines(runs, |spec, run| {
+            let Spec::Traced(_, workload, _) = spec else {
+                unreachable!("E4 reads traced runs")
+            };
+            let shares = run.fetches.unclipped_percentages();
+            let shares = shares.map(|share| format!(" {share:>11.1}%")).concat();
+            let exposed = 100.0 * run.loads.unclipped_exposed_fraction();
+            format!("{:>8}{shares} {exposed:>8.1}%\n", workload.name)
+        });
+        format!(
+            "E4: latency component shares per workload ({chip} config)\n\n\
+             workload{labels}   exposed\n{rows}\n"
+        )
+    };
+    let same_machine = |a: &(&Spec, &Record), b: &(&Spec, &Record)| a.0.config() == b.0.config();
+    let tables: String = runs.chunk_by(same_machine).map(table).collect();
     format!(
-        "E4: latency component shares per workload (GF100 config)\n\n\
-         workload{labels}   exposed\n{rows}\n\
-         queueing components: L1toICNT (miss queue / injection), ICNTtoROP;\n\
+        "{tables}queueing components: L1toICNT (miss queue / injection), ICNTtoROP;\n\
          arbitration component: DRAM(QtoSch).\n"
     )
 }
@@ -752,5 +796,23 @@ mod tests {
         };
         let run = run_workload_traced(small.clone(), vecadd).unwrap();
         assert!(!run.loads.is_empty());
+    }
+
+    #[test]
+    fn a_sanitizer_violation_fails_the_list() {
+        // Release builds only count violations: reducing the run is where a
+        // broken machine must turn into a failing experiment list.
+        let spec = &small_runs("other_workloads")[0];
+        let Spec::Traced(small, vecadd, exp) = spec else {
+            unreachable!()
+        };
+        let mut run = run_to_completion(small.clone(), vecadd, exp).unwrap();
+        assert!(reduce_run(spec, &run).is_ok());
+        run.sanitizer_violations = 3;
+        let err = reduce_run(spec, &run).expect_err("the run tripped the sanitizer");
+        assert!(
+            err.contains("3 sanitizer violation(s) running vecadd"),
+            "{err}"
+        );
     }
 }

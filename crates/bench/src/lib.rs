@@ -33,9 +33,8 @@ pub use progress::ProgressHeartbeat;
 pub use reference::{run_validation_bench, LevelValidation, PresetValidation, ValidationBench};
 pub use regression::{compare_json, Finding};
 pub use suite::{
-    host_cpus, run_serve_bench, run_sweep_bench, run_tick_bench, run_workload_bench,
-    serve_grid_spec, sweep_grid_spec, workloads_json, ServeBench, ServePass, SweepBench, TickBench,
-    WorkloadBench, WorkloadRun, SERVE_CLIENTS,
+    host_cpus, run_serve_bench, run_sweep_bench, serve_grid_spec, sweep_grid_spec, ServeBench,
+    ServePass, SweepBench, SERVE_CLIENTS,
 };
 pub use tracebundle::{env_request, track_names_for, EnvTrace, TraceBundle};
 pub use validate::{derived_level, validate_run, LoadCheck, ValidationReport};

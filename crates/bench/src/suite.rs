@@ -2,16 +2,11 @@
 //! function returning a struct that renders the committed `BENCH_*.json`
 //! schema, so measuring and the pin checker share one implementation.
 //!
-//! Four benchmarks (the fifth, validation, lives in [`crate::reference`]):
+//! Two of the four suites live here; validation lives in
+//! [`crate::reference`] and the experiment list in [`crate::experiments`]:
 //!
 //! - [`run_sweep_bench`]: the §II stride × footprint grid measured cold and
 //!   then warm from the content-addressed sweep cache (`BENCH_sweep.json`).
-//! - [`run_tick_bench`]: one loaded mask BFS on the full machine, timing
-//!   the tick loop and pinning its hash, cycles and idle skips
-//!   (`BENCH_tick.json`).
-//! - [`run_workload_bench`]: the E4 workload set end to end, one simulated
-//!   run each, pinning `content_hash`, cycle and instruction counts
-//!   (`BENCH_workloads.json`).
 //! - [`run_serve_bench`]: concurrent clients against the daemon, cold and
 //!   cache-warm, pinning dedup and cache counters (`BENCH_serve.json`).
 //!
@@ -25,16 +20,11 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use gpu_serve::{Client, ServerConfig, ServerHandle};
-use gpu_sim::profile::{self, ProfCounter};
-use gpu_sim::{CheckpointPolicy, RunOutcome, SimError};
 use gpu_trace::json::{self, ToJson, Writer};
-use gpu_workloads::{BfsExperiment, Workload};
 use latency_core::{
     cache_stats, disable_cache, pow2_range, reset_cache_stats, set_cache_dir, ArchPreset,
     CacheStats, ChaseSpace, Sweep,
 };
-
-use crate::experiments::run_workload_traced;
 
 /// Host CPU count. `benchmark/` records it with every result; it has no
 /// caller inside the workspace.
@@ -186,233 +176,6 @@ fn cold_grid_cycles(cfg: &gpu_sim::GpuConfig, footprints: &[u64], strides: &[u64
         }
     }
     total
-}
-
-// ---------------------------------------------------------------------------
-// Loaded tick-loop benchmark
-// ---------------------------------------------------------------------------
-
-/// The loaded-BFS pin (`BENCH_tick.json`): one timed mask BFS on the full
-/// machine, with the latency sink left off.
-#[derive(Debug, Clone)]
-pub struct TickBench {
-    /// Architecture (full config, all SMs).
-    pub preset: ArchPreset,
-    /// SMs in the simulated machine.
-    pub num_sms: usize,
-    /// BFS graph nodes.
-    pub nodes: u32,
-    /// BFS graph out-degree.
-    pub degree: u32,
-    /// Wall clock of the simulated traversal.
-    pub wall_seconds: f64,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// `RunSummary::content_hash`.
-    pub content_hash: u64,
-    /// Invariant violations the sanitizer counted (must be zero).
-    pub sanitizer_violations: u64,
-    /// Idle cycles the run loop jumped over instead of ticking. Read from
-    /// the self-profiler's [`ProfCounter::CyclesSkipped`], which only
-    /// counts while profiling is on — `latency bench` always turns it on.
-    pub skipped_cycles: u64,
-    /// SM ticks the ticked cycles left out because the SM was asleep
-    /// ([`ProfCounter::SmTicksSlept`]). A pin like `skipped_cycles`: a
-    /// `next_event` that turns needlessly conservative moves it.
-    pub sm_ticks_slept: u64,
-    /// Partition ticks left out likewise
-    /// ([`ProfCounter::PartitionTicksSlept`]).
-    pub partition_ticks_slept: u64,
-}
-
-impl TickBench {
-    /// Renders the committed `BENCH_tick.json` schema.
-    pub fn json(&self) -> String {
-        let workload = format!("bfs nodes={} degree={}", self.nodes, self.degree);
-        let mut w = Writer::indented();
-        w.object().field("name", "tick");
-        w.field("preset", self.preset.name());
-        w.field("num_sms", self.num_sms);
-        w.field("workload", workload);
-        w.field("content_hash", format!("{:016x}", self.content_hash));
-        w.field("simulated_cycles", self.cycles);
-        w.field("skipped_cycles", self.skipped_cycles);
-        w.field("sm_ticks_slept", self.sm_ticks_slept);
-        w.field("partition_ticks_slept", self.partition_ticks_slept);
-        w.finish()
-    }
-
-    /// The run must not have tripped the sanitizer, which release builds
-    /// only count.
-    pub fn check(&self) -> Result<(), String> {
-        if self.sanitizer_violations > 0 {
-            return Err(format!(
-                "{} sanitizer violation(s) in the loaded bfs run",
-                self.sanitizer_violations
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Runs the loaded tick-loop benchmark: one mask BFS, timed.
-pub fn run_tick_bench(preset: ArchPreset, nodes: u32, degree: u32) -> TickBench {
-    let exp = BfsExperiment {
-        nodes,
-        degree,
-        ..BfsExperiment::default()
-    };
-    // The profiler's counters are cumulative and process-global: this
-    // run's skipped cycles and slept ticks are before/after deltas — no
-    // reset, so the whole bench process still adds up in the final
-    // profile.json.
-    let idle_counters = [
-        ProfCounter::CyclesSkipped,
-        ProfCounter::SmTicksSlept,
-        ProfCounter::PartitionTicksSlept,
-    ];
-    let before = idle_counters.map(profile::value);
-    let t0 = Instant::now();
-    // The plain run path with the latency sink left off: this suite times
-    // the tick loop, not the instrumentation.
-    let run = Workload::bfs()
-        .execute(
-            preset.config(),
-            &exp,
-            &CheckpointPolicy::none(),
-            None,
-            |_| {},
-        )
-        .expect("bfs runs");
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let after = idle_counters.map(profile::value);
-    let [skipped_cycles, sm_ticks_slept, partition_ticks_slept] =
-        std::array::from_fn(|i| after[i] - before[i]);
-    let Some((_, RunOutcome::Completed(summary))) = run else {
-        unreachable!("the null policy neither resumes nor kills");
-    };
-    TickBench {
-        preset,
-        num_sms: preset.config().num_sms,
-        nodes,
-        degree,
-        wall_seconds,
-        cycles: summary.cycles,
-        content_hash: summary.content_hash,
-        sanitizer_violations: summary.sanitizer_violations,
-        skipped_cycles,
-        sm_ticks_slept,
-        partition_ticks_slept,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Workload-throughput benchmark
-// ---------------------------------------------------------------------------
-
-/// One end-to-end workload run.
-#[derive(Debug, Clone)]
-pub struct WorkloadRun {
-    /// Which E4 workload.
-    pub workload: &'static Workload,
-    /// Simulated cycles (exact-reproduce).
-    pub cycles: u64,
-    /// Warp instructions issued (exact-reproduce).
-    pub instructions: u64,
-    /// `RunSummary::content_hash` (exact-reproduce).
-    pub content_hash: u64,
-    /// Invariant violations the sanitizer counted (must be zero).
-    pub sanitizer_violations: u64,
-    /// Host wall clock including setup and result verification.
-    pub wall_seconds: f64,
-}
-
-/// End-to-end workload record for one preset — one *section* of the
-/// committed `BENCH_workloads.json`.
-#[derive(Debug, Clone)]
-pub struct WorkloadBench {
-    /// Architecture every workload ran on.
-    pub preset: ArchPreset,
-    /// One entry per workload, in the order they were run.
-    pub runs: Vec<WorkloadRun>,
-}
-
-impl WorkloadBench {
-    /// The machine's own invariant: no run may have tripped the sanitizer,
-    /// which release builds only count.
-    pub fn check(&self) -> Result<(), String> {
-        match self.runs.iter().find(|r| r.sanitizer_violations > 0) {
-            Some(r) => Err(format!(
-                "{} sanitizer violation(s) running {}",
-                r.sanitizer_violations, r.workload.name
-            )),
-            None => Ok(()),
-        }
-    }
-
-    /// Writes this preset's section of the `BENCH_workloads.json` schema.
-    fn write_section(&self, w: &mut Writer) {
-        w.object().field("preset", self.preset.name());
-        w.key("runs").array();
-        for r in &self.runs {
-            w.object().field("workload", r.workload.name);
-            w.field("simulated_cycles", r.cycles);
-            w.field("instructions", r.instructions);
-            w.field("content_hash", format!("{:016x}", r.content_hash))
-                .end();
-        }
-        w.end().end();
-    }
-
-    /// Renders a single-section `BENCH_workloads.json` document.
-    pub fn json(&self) -> String {
-        workloads_json(std::slice::from_ref(self))
-    }
-}
-
-/// Renders the committed `BENCH_workloads.json` schema: one section per
-/// measured preset (the paper-era full machine plus the modern sectored
-/// generation), so a cycle-count or hash change on *any* generation fails
-/// the exact-reproduce regression check.
-///
-/// # Panics
-///
-/// Panics on an empty slice — an empty benchmark document is a caller bug.
-pub fn workloads_json(benches: &[WorkloadBench]) -> String {
-    assert!(!benches.is_empty(), "need at least one workload section");
-    let mut w = Writer::indented();
-    w.object().field("name", "workloads");
-    w.key("sections").array();
-    for b in benches {
-        b.write_section(&mut w);
-    }
-    w.finish()
-}
-
-/// Runs every workload in `workloads` once on `preset`'s full config,
-/// timing each end to end (setup, simulation, verification).
-///
-/// # Errors
-///
-/// Propagates the first simulator failure.
-pub fn run_workload_bench(
-    preset: ArchPreset,
-    workloads: &'static [Workload],
-) -> Result<WorkloadBench, SimError> {
-    let mut runs = Vec::with_capacity(workloads.len());
-    for workload in workloads {
-        let t0 = Instant::now();
-        let traced = run_workload_traced(preset.config(), workload)?;
-        runs.push(WorkloadRun {
-            workload,
-            cycles: traced.cycles,
-            instructions: traced.instructions,
-            content_hash: traced.content_hash,
-            sanitizer_violations: traced.sanitizer_violations,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        });
-    }
-    Ok(WorkloadBench { preset, runs })
 }
 
 // ---------------------------------------------------------------------------
@@ -697,22 +460,6 @@ mod tests {
         }
     }
 
-    fn fake_tick() -> TickBench {
-        TickBench {
-            preset: ArchPreset::FermiGf100,
-            num_sms: 14,
-            nodes: 4096,
-            degree: 8,
-            wall_seconds: 2.0,
-            cycles: 104_548,
-            content_hash: 0xabcd,
-            sanitizer_violations: 0,
-            skipped_cycles: 61_000,
-            sm_ticks_slept: 900_000,
-            partition_ticks_slept: 200_000,
-        }
-    }
-
     #[test]
     fn sweep_json_parses_and_keeps_schema() {
         let doc = gpu_trace::json::parse(&fake_sweep().json()).expect("valid json");
@@ -736,108 +483,6 @@ mod tests {
         let mut slow_warm = fake_sweep();
         slow_warm.warm_wall_seconds = 3.0;
         assert!(slow_warm.check().is_err());
-    }
-
-    #[test]
-    fn tick_json_parses_and_keeps_schema() {
-        let doc = gpu_trace::json::parse(&fake_tick().json()).expect("valid json");
-        assert_eq!(
-            doc.get("content_hash").and_then(|v| v.as_str()),
-            Some("000000000000abcd")
-        );
-        assert_eq!(
-            doc.get("simulated_cycles").and_then(|v| v.as_num()),
-            Some(104_548.0)
-        );
-        assert_eq!(
-            doc.get("skipped_cycles").and_then(|v| v.as_num()),
-            Some(61_000.0)
-        );
-        assert_eq!(
-            doc.get("sm_ticks_slept").and_then(|v| v.as_num()),
-            Some(900_000.0)
-        );
-        assert_eq!(
-            doc.get("partition_ticks_slept").and_then(|v| v.as_num()),
-            Some(200_000.0)
-        );
-    }
-
-    fn fake_workloads(preset: ArchPreset, hash: u64) -> WorkloadBench {
-        WorkloadBench {
-            preset,
-            runs: vec![WorkloadRun {
-                workload: Workload::by_name("vecadd").unwrap(),
-                cycles: 1000,
-                instructions: 5000,
-                content_hash: hash,
-                sanitizer_violations: 0,
-                wall_seconds: 0.5,
-            }],
-        }
-    }
-
-    #[test]
-    fn checks_fail_on_any_sanitizer_violation() {
-        // Release builds only count violations; `bench --check` is where a
-        // broken machine must turn into a failing exit status.
-        let mut tick = fake_tick();
-        assert!(tick.check().is_ok());
-        tick.sanitizer_violations = 3;
-        let err = tick.check().expect_err("the run tripped the sanitizer");
-        assert!(err.contains("3 sanitizer violation"), "{err}");
-
-        let mut workloads = fake_workloads(ArchPreset::FermiGf100, 1);
-        assert!(workloads.check().is_ok());
-        workloads.runs[0].sanitizer_violations = 1;
-        let err = workloads.check().expect_err("vecadd tripped the sanitizer");
-        assert!(err.contains("vecadd"), "{err}");
-    }
-
-    #[test]
-    fn workload_json_parses_with_exact_fields() {
-        let bench = fake_workloads;
-        let json = workloads_json(&[
-            bench(ArchPreset::FermiGf100, 0xfeed),
-            bench(ArchPreset::VoltaGv100, 0xbeef),
-        ]);
-        let doc = gpu_trace::json::parse(&json).expect("valid json");
-        assert_eq!(doc.get("name").and_then(|v| v.as_str()), Some("workloads"));
-        let sections = doc
-            .get("sections")
-            .and_then(|v| v.as_arr())
-            .expect("sections");
-        assert_eq!(sections.len(), 2);
-        assert_eq!(
-            sections[1].get("preset").and_then(|v| v.as_str()),
-            Some("GV100 (Volta)")
-        );
-        let runs = sections[0]
-            .get("runs")
-            .and_then(|v| v.as_arr())
-            .expect("runs");
-        assert_eq!(
-            runs[0].get("workload").and_then(|v| v.as_str()),
-            Some("vecadd")
-        );
-        assert_eq!(
-            runs[0].get("content_hash").and_then(|v| v.as_str()),
-            Some("000000000000feed")
-        );
-        assert_eq!(
-            runs[0].get("instructions").and_then(|v| v.as_num()),
-            Some(5000.0)
-        );
-        // The single-section wrapper emits the same schema.
-        let single =
-            gpu_trace::json::parse(&bench(ArchPreset::FermiGf100, 1).json()).expect("valid json");
-        assert_eq!(
-            single
-                .get("sections")
-                .and_then(|v| v.as_arr())
-                .map(<[gpu_trace::json::Value]>::len),
-            Some(1)
-        );
     }
 
     fn fake_serve() -> ServeBench {
@@ -933,15 +578,6 @@ mod tests {
         let (quiet, mut busy) = (fake_sweep(), fake_sweep());
         busy.cold_wall_seconds *= 7.0;
         busy.warm_wall_seconds *= 3.0;
-        assert_eq!(quiet.json(), busy.json());
-
-        let (quiet, mut busy) = (fake_tick(), fake_tick());
-        busy.wall_seconds *= 9.0;
-        assert_eq!(quiet.json(), busy.json());
-
-        let quiet = fake_workloads(ArchPreset::FermiGf100, 0xfeed);
-        let mut busy = quiet.clone();
-        busy.runs[0].wall_seconds *= 5.0;
         assert_eq!(quiet.json(), busy.json());
 
         let (quiet, mut busy) = (fake_serve(), fake_serve());

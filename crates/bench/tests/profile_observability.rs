@@ -8,8 +8,10 @@
 //!    within slack, because consecutive stage deltas tile the tick loop.
 //! 3. The exported trace bundle carries host-clock profile tracks, and its
 //!    process/counter tracks are named from the `ArchDesc` the run used.
+//! 4. The run's own idle counts (`TracedRun::idle`, which the experiment
+//!    list pins) are the profiler's idle counters for that run.
 //!
-//! One #[test] runs all three in sequence: the profiler is process-global
+//! One #[test] runs all four in sequence: the profiler is process-global
 //! state, so parallel tests would race on the enabled flag.
 
 use gpu_sim::profile::{self, ProfCounter, ProfSpan};
@@ -90,6 +92,20 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
         jumps > 0 && skipped >= jumps,
         "{jumps} jumps skipped {skipped}"
     );
+    // 4. The GPU kept the profiler's three idle counts for itself.
+    use ProfCounter::{CyclesSkipped, PartitionTicksSlept, SmTicksSlept};
+    let profiled = [CyclesSkipped, SmTicksSlept, PartitionTicksSlept].map(|c| report.counter(c));
+    let idle = on.idle;
+    let kept = [
+        idle.skipped_cycles,
+        idle.sm_ticks_slept,
+        idle.partition_ticks_slept,
+    ];
+    assert_eq!(
+        kept, profiled,
+        "the GPU's idle counts are not the profiler's"
+    );
+
     // On a ticked cycle every component was either ticked in full (and
     // metered) or asleep (and only counted).
     let machine = small_cfg();

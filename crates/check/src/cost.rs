@@ -1,5 +1,5 @@
-//! Arch-aware static cost model: per-load level assignment, unloaded-latency
-//! lower bounds and stall-class forecasts, derived from an [`ArchDesc`].
+//! Arch-aware static cost model: per-load level assignment and
+//! unloaded-latency lower bounds, derived from an [`ArchDesc`].
 //!
 //! For every global/local load (and atomic) the model combines the symbolic
 //! access pattern from [`crate::memlint`] with the machine description:
@@ -14,16 +14,11 @@
 //!   with empty queues. No dynamic execution of this load can complete
 //!   faster, which is exactly the contract the differential harness
 //!   (`static_vs_dynamic`) checks against pointer-chase measurements.
-//! - **Stall-class forecast** — which limiter the paper's methodology
-//!   (Fig. 7) predicts the load hits first under full-warp issue, from the
-//!   predicted per-warp transaction count: a fan-out that exceeds the entry
-//!   level's MSHR table saturates MSHRs; a large-but-smaller fan-out
-//!   pressures the injection path; a coalesced access just waits on its own
-//!   result (scoreboard).
+//! - **Transactions per warp** — line and sector fan-out of a fully active
+//!   warp, from the symbolic access pattern.
 //!
-//! The forecast is a heuristic ranking, not a simulated fact — the
-//! validation harness checks the *floor* and the *level set*, and reports
-//! the stall class as evidence only.
+//! The validation harness checks the *lines*, the *floor* and the *level
+//! set* against instrumented runs.
 
 use std::fmt::Write as _;
 
@@ -34,31 +29,6 @@ use gpu_mem::PipelineSpace;
 use crate::cfg::Cfg;
 use crate::memlint::{self, AccessPattern};
 use crate::AnalysisConfig;
-
-/// The limiter a load is forecast to hit first under full-warp issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallClass {
-    /// The warp simply waits on its own result: latency-bound via the
-    /// scoreboard, throughput unimpeded.
-    Scoreboard,
-    /// Per-warp fan-out pressures the SM's injection path into the
-    /// interconnect before any table fills.
-    IcntPressure,
-    /// Per-warp fan-out exceeds the entry level's MSHR table: misses
-    /// serialize on MSHR allocation.
-    MshrPressure,
-}
-
-impl StallClass {
-    /// Stable lowercase label.
-    pub fn name(self) -> &'static str {
-        match self {
-            StallClass::Scoreboard => "scoreboard",
-            StallClass::IcntPressure => "icnt-pressure",
-            StallClass::MshrPressure => "mshr-pressure",
-        }
-    }
-}
 
 /// Static cost prediction for one global/local load or atomic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,8 +56,6 @@ pub struct LoadCost {
     /// Analytic unloaded-latency lower bound in core cycles: a hit at the
     /// entry level with empty queues.
     pub floor: u64,
-    /// Forecast limiter under full-warp issue.
-    pub stall: StallClass,
 }
 
 /// Whole-kernel static cost prediction against one machine description.
@@ -129,7 +97,7 @@ impl KernelCost {
             let _ = writeln!(
                 out,
                 "  pc {:>3}: {} {what}: levels [{}], floor {} cyc @ {}, \
-                 {} line(s)/warp{}, stall {}",
+                 {} line(s)/warp{}",
                 l.pc,
                 l.space,
                 levels.join(", "),
@@ -137,7 +105,6 @@ impl KernelCost {
                 l.entry.label(),
                 lines,
                 sectors,
-                l.stall.name(),
             );
         }
         out
@@ -150,21 +117,6 @@ fn pipeline_space(space: Space) -> Option<PipelineSpace> {
         Space::Global => Some(PipelineSpace::Global),
         Space::Local => Some(PipelineSpace::Local),
         Space::Shared => None,
-    }
-}
-
-/// Forecast the limiter for a load with `lines` predicted transactions.
-fn stall_class(desc: &ArchDesc, entry: LevelKind, lines: Option<usize>) -> StallClass {
-    let Some(lines) = lines else {
-        return StallClass::Scoreboard; // unknown pattern: no fan-out claim
-    };
-    let mshr_entries = desc.level(entry).map_or(1, |l| l.mshr_config().entries);
-    if lines >= mshr_entries.max(2) {
-        StallClass::MshrPressure
-    } else if lines >= 8 {
-        StallClass::IcntPressure
-    } else {
-        StallClass::Scoreboard
     }
 }
 
@@ -218,9 +170,6 @@ pub fn kernel_cost(kernel: &Kernel, desc: &ArchDesc) -> KernelCost {
             pattern: p.pattern,
             lines: p.lines_per_warp,
             sectors,
-            // MSHR entries and injection slots are consumed per transaction,
-            // which on sectored machines means per sector.
-            stall: stall_class(desc, entry, sectors),
             feasible,
             entry,
             floor,
@@ -261,8 +210,7 @@ mod tests {
         let cost = kernel_cost(&strided_kernel(4), &desc_with_l1());
         assert_eq!(cost.loads.len(), 1);
         let l = &cost.loads[0];
-        assert_eq!(l.lines, Some(1));
-        assert_eq!(l.stall, StallClass::Scoreboard);
+        assert_eq!(l.lines, Some(1), "the warp waits on one transaction");
         assert_eq!(l.entry, l.feasible[0]);
         assert!(l.floor > 0);
         assert_eq!(
@@ -278,7 +226,8 @@ mod tests {
         let cost = kernel_cost(&strided_kernel(128), &desc);
         let l = &cost.loads[0];
         assert_eq!(l.lines, Some(32));
-        assert_eq!(l.stall, StallClass::MshrPressure, "32 lines > MSHR table");
+        let mshrs = desc.level(l.entry).unwrap().mshr_config().entries;
+        assert!(32 >= mshrs, "32 lines fill the {mshrs}-entry MSHR table");
     }
 
     #[test]
@@ -313,7 +262,7 @@ mod tests {
         let cost = kernel_cost(&strided_kernel(4), &desc_with_l1());
         let text = cost.to_human();
         assert!(text.contains("1 memory operation(s)"), "{text}");
-        assert!(text.contains("stall scoreboard"), "{text}");
+        assert!(text.contains("1 line(s)/warp"), "{text}");
     }
 
     /// The same Fermi-class machine with 32-byte sectors on both caches.
@@ -356,15 +305,5 @@ mod tests {
             "{}",
             cost.to_human()
         );
-    }
-
-    #[test]
-    fn stall_forecast_uses_sector_fanout_on_sectored_machines() {
-        // 32 sectors ≥ the 32-entry MSHR table: sector counting flips the
-        // forecast to MSHR pressure where line counting (8) would not.
-        let sectored = kernel_cost(&strided_kernel(32), &sectored_desc());
-        assert_eq!(sectored.loads[0].stall, StallClass::MshrPressure);
-        let unsectored = kernel_cost(&strided_kernel(32), &desc_with_l1());
-        assert_eq!(unsectored.loads[0].stall, StallClass::IcntPressure);
     }
 }

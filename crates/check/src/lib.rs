@@ -19,7 +19,7 @@
 //!   branch, including data-dependent loops.
 //!
 //! Beyond the lints, [`kernel_cost`] predicts per-load feasible service
-//! levels, unloaded-latency floors and stall classes against any
+//! levels, transactions per warp and unloaded-latency floors against any
 //! [`gpu_arch::ArchDesc`]; the `latency-bench` crate differentially
 //! validates these predictions against instrumented simulator runs.
 //!
@@ -60,7 +60,7 @@ pub mod symaddr;
 use gpu_isa::Kernel;
 
 pub use cfg::{Block, Cfg};
-pub use cost::{kernel_cost, KernelCost, LoadCost, StallClass};
+pub use cost::{kernel_cost, KernelCost, LoadCost};
 pub use diag::{to_sarif, Diagnostic, Pass, Report, Severity};
 pub use memlint::{AccessPattern, MemPrediction};
 pub use symaddr::{SymAnalysis, SymVal};

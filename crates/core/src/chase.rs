@@ -93,7 +93,9 @@ impl ChaseParams {
         self.footprint / self.stride
     }
 
-    fn validate(&self) -> Result<(), ChaseError> {
+    /// The geometry every chase driver accepts: a stride that is a positive
+    /// multiple of 8 and at least one chain element.
+    pub(crate) fn validate(&self) -> Result<(), ChaseError> {
         if self.stride < 8 || !self.stride.is_multiple_of(8) {
             return Err(ChaseError::BadStride(self.stride));
         }
@@ -104,6 +106,18 @@ impl ChaseParams {
             });
         }
         Ok(())
+    }
+
+    /// Allocates this global chase's chain on `gpu` and writes it in the
+    /// pattern's visiting order; returns its base.
+    pub fn upload_chain(&self, gpu: &mut Gpu) -> Addr {
+        let base = gpu.alloc(self.footprint, gpu.config().line_size);
+        let (count, stride) = (self.count(), self.stride);
+        match self.pattern {
+            ChasePattern::Sequential => write_chain(gpu, base, count, stride),
+            ChasePattern::Shuffled { seed } => write_shuffled_chain(gpu, base, count, stride, seed),
+        }
+        base
     }
 }
 
@@ -264,15 +278,7 @@ fn run_once(config: &GpuConfig, params: &ChaseParams, iters: u64) -> Result<u64,
     let kernel = build_chase_kernel(params);
     let (base, sink) = match params.space {
         ChaseSpace::Global => {
-            let base = gpu.alloc(params.footprint, config.line_size);
-            match params.pattern {
-                ChasePattern::Sequential => {
-                    write_chain(&mut gpu, base, params.count(), params.stride);
-                }
-                ChasePattern::Shuffled { seed } => {
-                    write_shuffled_chain(&mut gpu, base, params.count(), params.stride, seed);
-                }
-            }
+            let base = params.upload_chain(&mut gpu);
             let sink = gpu.alloc(8, config.line_size);
             (base, sink)
         }

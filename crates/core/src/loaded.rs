@@ -11,7 +11,7 @@
 use gpu_isa::{AluOp, CmpOp, Kernel, KernelBuilder, Launch, Special, Width};
 use gpu_sim::{Gpu, GpuConfig, LevelKind};
 
-use crate::chase::{write_chain, ChaseError, ChaseParams, ChaseSpace, UNROLL};
+use crate::chase::{ChaseError, ChaseParams, ChaseSpace, UNROLL};
 
 /// Builds the combined chaser/streamer kernel.
 ///
@@ -111,8 +111,7 @@ fn run_once(
     iters: u64,
 ) -> Result<u64, ChaseError> {
     let mut gpu = Gpu::new(config.clone());
-    let chain = gpu.alloc(params.footprint, config.line_size);
-    write_chain(&mut gpu, chain, params.count(), params.stride);
+    let chain = params.upload_chain(&mut gpu);
     let flag = gpu.alloc(16, config.line_size);
     let stream_words = 1u64 << 19; // 2 MiB interference array (beyond any modeled L2)
     let stream = gpu.alloc(4 * stream_words, config.line_size);
@@ -150,15 +149,7 @@ pub fn measure_chase_under_load(
         ChaseSpace::Global,
         "loaded chase measures the shared global pipeline"
     );
-    if params.stride < 8 || !params.stride.is_multiple_of(8) {
-        return Err(ChaseError::BadStride(params.stride));
-    }
-    if params.count() == 0 {
-        return Err(ChaseError::EmptyChain {
-            footprint: params.footprint,
-            stride: params.stride,
-        });
-    }
+    params.validate()?;
     let count = params.count();
     let min_accesses = (2 * count).max(256);
     let iters_short = min_accesses.div_ceil(UNROLL as u64);
@@ -195,6 +186,21 @@ mod tests {
         assert!(
             (loaded0 - static_m.per_access).abs() <= 3.0,
             "loaded(0) {loaded0} vs static {}",
+            static_m.per_access
+        );
+    }
+
+    #[test]
+    fn zero_interference_follows_a_shuffled_chain() {
+        // A shuffled DRAM-resident chain loses the sequential ring's row
+        // locality; the loaded chase must walk the same chain to see it.
+        let cfg = small_fermi();
+        let params = ChaseParams::global_shuffled(1024 * 1024, 512, 7);
+        let loaded0 = measure_chase_under_load(&cfg, &params, 0).unwrap();
+        let static_m = crate::chase::measure_chase(&cfg, &params).unwrap();
+        assert!(
+            (loaded0 - static_m.per_access).abs() <= 3.0,
+            "loaded(0) {loaded0} vs static shuffled {}",
             static_m.per_access
         );
     }

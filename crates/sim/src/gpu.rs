@@ -150,6 +150,21 @@ pub enum RunOutcome<T = RunSummary> {
     },
 }
 
+/// How much of a run the cycle loop left out: the same three values it
+/// hands the self-profiler (`CyclesSkipped`, `SmTicksSlept`,
+/// `PartitionTicksSlept`), kept per [`Gpu`] so a run can pin its own
+/// coverage whichever thread it ran on. Host-side: never serialized, so a
+/// restored GPU counts from zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IdleCounts {
+    /// Idle cycles [`Gpu::run`] jumped over instead of ticking.
+    pub skipped_cycles: u64,
+    /// SM ticks the ticked cycles left out because the SM was asleep.
+    pub sm_ticks_slept: u64,
+    /// Partition ticks left out likewise.
+    pub partition_ticks_slept: u64,
+}
+
 /// The simulated GPU.
 ///
 /// # Examples
@@ -195,6 +210,7 @@ pub struct Gpu {
     /// Distinct names of the kernels launched, in first-launch order.
     /// Host-side bookkeeping: never serialized.
     launched: Vec<String>,
+    idle: IdleCounts,
 }
 
 impl Gpu {
@@ -238,6 +254,7 @@ impl Gpu {
             content_hash: 0,
             host_tag: Vec::new(),
             launched: Vec::new(),
+            idle: IdleCounts::default(),
             cfg,
         }
     }
@@ -408,6 +425,12 @@ impl Gpu {
     /// lists only what was launched since.
     pub fn launched_kernels(&self) -> &[String] {
         &self.launched
+    }
+
+    /// The cycles and component ticks the run loop has left out on this
+    /// GPU so far. [`Gpu::tick`] leaves nothing out.
+    pub fn idle_counts(&self) -> IdleCounts {
+        self.idle
     }
 
     /// The invariant sanitizer's accumulated findings. Populated only when
@@ -842,6 +865,7 @@ impl Gpu {
             }
         }
         self.now = Cycle::new(target);
+        self.idle.skipped_cycles += skipped;
         profile::add(ProfCounter::CyclesSkipped, skipped);
         profile::add(ProfCounter::IdleJumps, 1);
     }
@@ -927,6 +951,7 @@ impl Gpu {
             let stores_done = p.tick(now, &mut self.tracer);
             self.outstanding -= stores_done;
         }
+        self.idle.partition_ticks_slept += slept;
         profile::add(ProfCounter::PartitionTicksSlept, slept);
     }
 
@@ -1052,6 +1077,7 @@ impl Gpu {
             self.outstanding += created;
             sm.end_tick(now);
         }
+        self.idle.sm_ticks_slept += slept;
         profile::add(ProfCounter::SmTicksSlept, slept);
     }
 

@@ -38,7 +38,7 @@ mod stats;
 
 pub use coalesce::coalesce;
 pub use config::{ConfigError, GpuConfig, L1Config, L2Config, SchedPolicy, WritePolicy};
-pub use gpu::{CheckpointPolicy, Gpu, RunOutcome, SimError};
+pub use gpu::{CheckpointPolicy, Gpu, IdleCounts, RunOutcome, SimError};
 
 // Architecture-description types, re-exported so downstream crates can build
 // and inspect configs declaratively without naming `gpu-arch` directly.

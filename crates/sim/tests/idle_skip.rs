@@ -22,7 +22,7 @@ use gpu_sim::{
     CheckpointPolicy, Gpu, RunOutcome, RunSummary, SchedPolicy, SimError, StallReason, Violation,
 };
 use gpu_types::Addr;
-use latency_core::chase::{build_chase_kernel, write_chain, write_shuffled_chain, ChasePattern};
+use latency_core::chase::build_chase_kernel;
 use latency_core::{ArchPreset, ChaseParams};
 use skip_harness::{
     assert_skip_invisible, barrier_reduce, launch_reduce, mask_bfs, new_gpu, observe, state_bytes,
@@ -35,15 +35,8 @@ use skip_harness::{
 /// thread, `iters` unrolled iterations. Returns the ring's base and the
 /// sink the final pointer lands in.
 fn launch_chase(gpu: &mut Gpu, params: ChaseParams, iters: u64) -> (Addr, Addr) {
-    let align = gpu.config().line_size;
-    let base = gpu.alloc(params.footprint, align);
-    match params.pattern {
-        ChasePattern::Sequential => write_chain(gpu, base, params.count(), params.stride),
-        ChasePattern::Shuffled { seed } => {
-            write_shuffled_chain(gpu, base, params.count(), params.stride, seed);
-        }
-    }
-    let sink = gpu.alloc(8, align);
+    let base = params.upload_chain(gpu);
+    let sink = gpu.alloc(8, gpu.config().line_size);
     gpu.launch(
         build_chase_kernel(&params),
         Launch::new(1, 1, vec![base.get(), iters, sink.get()]),

@@ -3,7 +3,7 @@
 //! `latency bench --check` compares every leaf of them for equality, which
 //! is only sound while every leaf is a pure function of the simulation.
 //! This is the guard that keeps host time from drifting back in — in the
-//! spirit of `ci/no-handwritten-json.sh`: the six files parse, compare
+//! spirit of `ci/no-handwritten-json.sh`: the four files parse, compare
 //! clean against themselves, and carry no key that names a wall-clock
 //! quantity or the host it was taken on.
 //!
@@ -15,10 +15,8 @@ use gpu_trace::json::{self, Value};
 use latency_bench::{compare_json, splice_doc, BfsExperiment, Plan, Spec, Workload, EXPERIMENTS};
 use latency_core::ArchPreset;
 
-const BASELINES: [(&str, &str); 6] = [
+const BASELINES: [(&str, &str); 4] = [
     ("sweep", include_str!("../BENCH_sweep.json")),
-    ("tick", include_str!("../BENCH_tick.json")),
-    ("workloads", include_str!("../BENCH_workloads.json")),
     ("serve", include_str!("../BENCH_serve.json")),
     ("validation", include_str!("../BENCH_validation.json")),
     ("experiments", include_str!("../BENCH_experiments.json")),
@@ -92,7 +90,8 @@ fn the_paper_plan_executes_each_distinct_run_once() {
     assert_ne!(hiding[6], fig1);
     assert_eq!((warps(hiding[6]), warps(fig1)), (32, 48));
     // 16 fig1-size BFS runs are declared and 12 are distinct; E4 adds
-    // eight workloads, arch_dynamic eight generations, E7 four chases.
+    // eight workloads on GF100 and the same eight on GV100, arch_dynamic
+    // eight generations, E7 four chases.
     let fig1_size = |&i: &usize| match &plan.runs[i] {
         Spec::Traced(_, w, exp) => *w == Workload::bfs() && *exp == BfsExperiment::default(),
         Spec::Chase(..) => false,
@@ -103,7 +102,40 @@ fn the_paper_plan_executes_each_distinct_run_once() {
         .flat_map(|(_, r)| r.iter().filter(|i| fig1_size(i)));
     assert_eq!(declared.count(), 16);
     assert_eq!((0..plan.runs.len()).filter(fig1_size).count(), 12);
-    assert_eq!(plan.runs.len(), 12 + 8 + 8 + 4);
+    assert_eq!(plan.runs.len(), 12 + 16 + 8 + 4);
+    let machine = |i: &usize| &plan.runs[*i].config().name;
+    let e4: Vec<_> = runs("other_workloads").iter().map(machine).collect();
+    assert_eq!(e4.len(), 16);
+    assert!(e4[..8].iter().all(|m| *m == "GF100 (Fermi)"), "{e4:?}");
+    assert!(e4[8..].iter().all(|m| *m == "GV100 (Volta)"), "{e4:?}");
+}
+
+#[test]
+fn every_traced_run_pins_its_idle_coverage() {
+    // The run loop's jumps and sleeps change no output, so these pins are
+    // what catches a `next_event` that turned needlessly early.
+    let doc = json::parse(include_str!("../BENCH_experiments.json")).expect("parses");
+    let Some(Value::Obj(rows)) = doc.get("rows") else {
+        panic!("BENCH_experiments.json has no rows object")
+    };
+    let mut traced = 0;
+    for (row, records) in rows {
+        let records = records.as_arr().expect("a row pins an array of runs");
+        for record in records.iter().filter(|r| r.get("content_hash").is_some()) {
+            let pin = |key: &str| {
+                let value = record.get(key).and_then(Value::as_num);
+                value.unwrap_or_else(|| panic!("{row}: a traced run without {key}")) as u64
+            };
+            let (cycles, skipped) = (pin("cycles"), pin("skipped_cycles"));
+            assert!(skipped < cycles, "{row}: skipped {skipped} of {cycles}");
+            pin("sm_ticks_slept");
+            pin("partition_ticks_slept");
+            traced += 1;
+        }
+    }
+    // fig1, fig2, E5, E6 and E8 read 16 BFS runs, E4 16 workloads and
+    // arch_dynamic 8; E7's chases have no traces.
+    assert_eq!(traced, 16 + 16 + 8);
 }
 
 #[test]
