@@ -4,9 +4,13 @@
 //! [`Kernel`], handling branch divergence with a reconvergence stack
 //! equivalent to GPGPU-Sim's immediate-post-dominator SIMT stack. Execution
 //! is *functional only*: register values and memory contents are updated at
-//! issue time, and every memory instruction reports the per-lane accesses it
-//! generated so a timing model (the `gpu-sim` crate) can replay them through
-//! the memory pipeline.
+//! issue time, and every memory instruction leaves the per-lane accesses it
+//! generated in [`WarpExec::accesses`] so a timing model (the `gpu-sim`
+//! crate) can replay them through the memory pipeline.
+//!
+//! The warp, not the thread, is the unit of state: one register-major
+//! register file (a row of lanes per register) and one lane mask per
+//! predicate register, the same `u32` lane set the SIMT stack uses.
 //!
 //! The split mirrors GPGPU-Sim: functional state is always architecturally
 //! correct, while latency, queueing and arbitration are modeled separately.
@@ -16,7 +20,8 @@ use std::sync::Arc;
 
 use gpu_types::Addr;
 
-use crate::instr::{Instr, Operand, Pc, Space, Special, Width, RECONV_NONE};
+use crate::builder::MAX_PREDS;
+use crate::instr::{Guard, Instr, Operand, Pc, Reg, Space, Special, Width, RECONV_NONE};
 use crate::kernel::Kernel;
 
 /// Maximum threads per warp supported by the executor (mask is a `u32`).
@@ -103,9 +108,9 @@ pub struct LaneAccess {
     pub width: Width,
 }
 
-/// A warp-level memory operation: the set of per-lane accesses generated by
-/// one memory instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A warp-level memory operation. Its per-lane accesses are
+/// [`WarpExec::accesses`] until the warp's next memory instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemOp {
     /// Memory space (with `Local` retained for cache-policy decisions even
     /// though addresses are already device addresses).
@@ -115,20 +120,18 @@ pub struct MemOp {
     /// `true` for atomics (stores that also return a value).
     pub is_atomic: bool,
     /// Destination register for loads/atomics (scoreboard release target).
-    pub dst: Option<crate::instr::Reg>,
+    pub dst: Option<Reg>,
     /// Program counter of the memory instruction that generated this op.
-    pub pc: crate::instr::Pc,
-    /// Per-lane accesses, in lane order, active lanes only.
-    pub accesses: Vec<LaneAccess>,
+    pub pc: Pc,
 }
 
 /// Result of executing one warp instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     /// A non-memory instruction executed.
     Ready,
-    /// A memory instruction executed; the timing model must replay these
-    /// accesses through the memory pipeline.
+    /// A memory instruction executed; the timing model must replay
+    /// [`WarpExec::accesses`] through the memory pipeline.
     Mem(MemOp),
     /// The warp arrived at a CTA barrier; call
     /// [`WarpExec::release_barrier`] once all warps of the CTA arrive.
@@ -144,20 +147,20 @@ struct StackEntry {
     mask: u32,
 }
 
-#[derive(Debug, Clone)]
-struct ThreadState {
-    regs: Box<[u64]>,
-    preds: [bool; crate::builder::MAX_PREDS],
-}
-
 /// Functional executor for one warp.
 #[derive(Debug, Clone)]
 pub struct WarpExec {
     kernel: Arc<Kernel>,
     params: Arc<[u64]>,
     ctxs: Vec<ThreadCtx>,
-    threads: Vec<ThreadState>,
+    /// Register-major: lane `l`'s register `r` is `regs[r * lanes + l]`.
+    regs: Box<[u64]>,
+    /// Bit `l` of `preds[p]` is lane `l`'s predicate `p`.
+    preds: [u32; MAX_PREDS],
     stack: Vec<StackEntry>,
+    /// The last memory instruction's accesses; kept, so a step never
+    /// allocates for them.
+    accesses: Vec<LaneAccess>,
     local_map: LocalMap,
     at_barrier: bool,
     instructions_executed: u64,
@@ -181,23 +184,18 @@ impl WarpExec {
             "warp must have 1..=32 live lanes"
         );
         let n = ctxs.len();
-        let threads = (0..n)
-            .map(|_| ThreadState {
-                regs: vec![0u64; kernel.num_regs() as usize].into_boxed_slice(),
-                preds: [false; crate::builder::MAX_PREDS],
-            })
-            .collect();
-        let mask = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
         WarpExec {
-            kernel,
-            params,
-            ctxs,
-            threads,
+            regs: vec![0u64; kernel.num_regs() as usize * n].into_boxed_slice(),
+            preds: [0; MAX_PREDS],
             stack: vec![StackEntry {
                 pc: 0,
                 rpc: RECONV_NONE,
-                mask,
+                mask: lane_mask(n),
             }],
+            accesses: Vec::with_capacity(n),
+            kernel,
+            params,
+            ctxs,
             local_map,
             at_barrier: false,
             instructions_executed: 0,
@@ -245,19 +243,40 @@ impl WarpExec {
         self.stack.last().map_or(0, |e| e.mask)
     }
 
+    /// The per-lane accesses of the last memory instruction this warp
+    /// executed, in lane order, active lanes only (empty before the first).
+    pub fn accesses(&self) -> &[LaneAccess] {
+        &self.accesses
+    }
+
     /// Reads a register of one lane (for tests and result extraction).
     ///
     /// # Panics
     ///
     /// Panics if `lane` or `reg` is out of range.
-    pub fn reg(&self, lane: usize, reg: crate::instr::Reg) -> u64 {
-        self.threads[lane].regs[reg as usize]
+    pub fn reg(&self, lane: usize, reg: Reg) -> u64 {
+        assert!(lane < self.ctxs.len(), "lane {lane} out of range");
+        self.regs[self.at(reg, lane)]
+    }
+
+    /// Index of `lane`'s copy of register `r` in the register file.
+    fn at(&self, r: Reg, lane: usize) -> usize {
+        r as usize * self.ctxs.len() + lane
     }
 
     fn operand(&self, lane: usize, op: Operand) -> u64 {
         match op {
-            Operand::Reg(r) => self.threads[lane].regs[r as usize],
+            Operand::Reg(r) => self.regs[self.at(r, lane)],
             Operand::Imm(v) => v as u64,
+        }
+    }
+
+    /// Writes `value(self, lane)` to register `dst` of every lane in `mask`.
+    fn write(&mut self, mask: u32, dst: Reg, value: impl Fn(&Self, usize) -> u64) {
+        for lane in lanes(mask) {
+            let v = value(self, lane);
+            let i = self.at(dst, lane);
+            self.regs[i] = v;
         }
     }
 
@@ -271,68 +290,62 @@ impl WarpExec {
     /// [`StepOutcome::Finished`].
     pub fn step(&mut self, backend: &mut dyn MemBackend) -> StepOutcome {
         assert!(!self.at_barrier, "step while warp waits at barrier");
-        let top = match self.stack.last().copied() {
-            Some(t) => t,
-            None => return StepOutcome::Finished,
+        let Some(&StackEntry { pc, mask, .. }) = self.stack.last() else {
+            return StepOutcome::Finished;
         };
-        let pc = top.pc;
-        let mask = top.mask;
         let instr = self.kernel.instr(pc).clone();
         self.instructions_executed += 1;
+        let mem = |space, is_store, is_atomic, dst| {
+            StepOutcome::Mem(MemOp {
+                space,
+                is_store,
+                is_atomic,
+                dst,
+                pc,
+            })
+        };
 
-        let outcome = match &instr {
+        let outcome = match instr {
             Instr::Alu { op, dst, a, b } => {
-                for lane in lanes(mask) {
-                    let av = self.operand(lane, *a);
-                    let bv = self.operand(lane, *b);
-                    let r = eval_alu(*op, av, bv);
-                    self.threads[lane].regs[*dst as usize] = r;
-                }
-                self.advance(pc);
+                self.write(mask, dst, |w, l| {
+                    eval_alu(op, w.operand(l, a), w.operand(l, b))
+                });
                 StepOutcome::Ready
             }
             Instr::Mov { dst, src } => {
-                for lane in lanes(mask) {
-                    let v = self.operand(lane, *src);
-                    self.threads[lane].regs[*dst as usize] = v;
-                }
-                self.advance(pc);
+                self.write(mask, dst, |w, l| w.operand(l, src));
                 StepOutcome::Ready
             }
             Instr::ReadSpecial { dst, special } => {
-                for lane in lanes(mask) {
-                    let ctx = self.ctxs[lane];
-                    let v = match special {
+                self.write(mask, dst, |w, l| {
+                    let ctx = w.ctxs[l];
+                    match special {
                         Special::TidX => ctx.tid as u64,
                         Special::CtaIdX => ctx.ctaid as u64,
                         Special::NTidX => ctx.ntid as u64,
                         Special::NCtaIdX => ctx.nctaid as u64,
                         Special::LaneId => ctx.lane as u64,
                         Special::GlobalTid => ctx.global_tid(),
-                    };
-                    self.threads[lane].regs[*dst as usize] = v;
-                }
-                self.advance(pc);
+                    }
+                });
                 StepOutcome::Ready
             }
             Instr::LdParam { dst, index } => {
                 let v = *self
                     .params
-                    .get(*index)
+                    .get(index)
                     .unwrap_or_else(|| panic!("kernel parameter {index} not supplied"));
-                for lane in lanes(mask) {
-                    self.threads[lane].regs[*dst as usize] = v;
-                }
-                self.advance(pc);
+                self.write(mask, dst, |_, _| v);
                 StepOutcome::Ready
             }
             Instr::SetP { pred, op, a, b } => {
+                let mut set = 0u32;
                 for lane in lanes(mask) {
-                    let av = self.operand(lane, *a) as i64;
-                    let bv = self.operand(lane, *b) as i64;
-                    self.threads[lane].preds[*pred as usize] = op.eval(av, bv);
+                    let (a, b) = (self.operand(lane, a) as i64, self.operand(lane, b) as i64);
+                    set |= u32::from(op.eval(a, b)) << lane;
                 }
-                self.advance(pc);
+                let p = &mut self.preds[pred as usize];
+                *p = (*p & !mask) | set;
                 StepOutcome::Ready
             }
             Instr::Ld {
@@ -342,28 +355,11 @@ impl WarpExec {
                 addr,
                 offset,
             } => {
-                let mut accesses = Vec::with_capacity(mask.count_ones() as usize);
-                for lane in lanes(mask) {
-                    let raw =
-                        Addr::new((self.threads[lane].regs[*addr as usize] as i64 + offset) as u64);
-                    let (bspace, baddr) = self.resolve(lane, *space, raw);
-                    let v = backend.load(bspace, baddr, *width);
-                    self.threads[lane].regs[*dst as usize] = v;
-                    accesses.push(LaneAccess {
-                        lane: lane as u32,
-                        addr: baddr,
-                        width: *width,
-                    });
-                }
-                self.advance(pc);
-                StepOutcome::Mem(MemOp {
-                    space: *space,
-                    is_store: false,
-                    is_atomic: false,
-                    dst: Some(*dst),
-                    pc,
-                    accesses,
-                })
+                self.each_access(mask, space, addr, offset, width, |w, lane, s, a| {
+                    let i = w.at(dst, lane);
+                    w.regs[i] = backend.load(s, a, width);
+                });
+                mem(space, false, false, Some(dst))
             }
             Instr::St {
                 space,
@@ -372,28 +368,10 @@ impl WarpExec {
                 addr,
                 offset,
             } => {
-                let mut accesses = Vec::with_capacity(mask.count_ones() as usize);
-                for lane in lanes(mask) {
-                    let raw =
-                        Addr::new((self.threads[lane].regs[*addr as usize] as i64 + offset) as u64);
-                    let v = self.operand(lane, *src);
-                    let (bspace, baddr) = self.resolve(lane, *space, raw);
-                    backend.store(bspace, baddr, *width, v);
-                    accesses.push(LaneAccess {
-                        lane: lane as u32,
-                        addr: baddr,
-                        width: *width,
-                    });
-                }
-                self.advance(pc);
-                StepOutcome::Mem(MemOp {
-                    space: *space,
-                    is_store: true,
-                    is_atomic: false,
-                    dst: None,
-                    pc,
-                    accesses,
-                })
+                self.each_access(mask, space, addr, offset, width, |w, lane, s, a| {
+                    backend.store(s, a, width, w.operand(lane, src));
+                });
+                mem(space, true, false, None)
             }
             Instr::AtomAdd {
                 width,
@@ -402,70 +380,70 @@ impl WarpExec {
                 offset,
                 val,
             } => {
-                let mut accesses = Vec::with_capacity(mask.count_ones() as usize);
-                for lane in lanes(mask) {
-                    let a =
-                        Addr::new((self.threads[lane].regs[*addr as usize] as i64 + offset) as u64);
-                    let v = self.operand(lane, *val);
-                    let old = backend.atomic_add(a, *width, v);
-                    self.threads[lane].regs[*dst as usize] = old;
-                    accesses.push(LaneAccess {
-                        lane: lane as u32,
-                        addr: a,
-                        width: *width,
-                    });
-                }
-                self.advance(pc);
-                StepOutcome::Mem(MemOp {
-                    space: Space::Global,
-                    is_store: true,
-                    is_atomic: true,
-                    dst: Some(*dst),
-                    pc,
-                    accesses,
-                })
+                self.each_access(mask, Space::Global, addr, offset, width, |w, lane, _, a| {
+                    let i = w.at(dst, lane);
+                    w.regs[i] = backend.atomic_add(a, width, w.operand(lane, val));
+                });
+                mem(Space::Global, true, true, Some(dst))
             }
             Instr::Branch {
                 guard,
                 target,
                 reconverge,
             } => {
-                self.branch(pc, mask, *guard, *target, *reconverge);
-                StepOutcome::Ready
+                self.branch(pc, mask, guard, target, reconverge);
+                return StepOutcome::Ready;
             }
             Instr::Bar => {
                 self.at_barrier = true;
-                self.advance(pc);
                 StepOutcome::Barrier
             }
-            Instr::MemBar => {
-                self.advance(pc);
-                StepOutcome::Ready
-            }
+            Instr::MemBar => StepOutcome::Ready,
             Instr::Exit => {
                 // Remove the exiting threads from every stack entry.
                 for entry in &mut self.stack {
                     entry.mask &= !mask;
                 }
                 self.normalize();
-                if self.stack.is_empty() {
-                    return StepOutcome::Finished;
-                }
-                StepOutcome::Ready
+                return if self.stack.is_empty() {
+                    StepOutcome::Finished
+                } else {
+                    StepOutcome::Ready
+                };
             }
         };
+        self.advance(pc);
         outcome
     }
 
-    /// Resolves a raw per-thread address to the backend's space/address,
-    /// translating `Local` into its device window.
-    fn resolve(&self, lane: usize, space: Space, raw: Addr) -> (Space, Addr) {
-        match space {
-            Space::Local => (
-                Space::Global,
-                self.local_map.translate(self.ctxs[lane].global_tid(), raw),
-            ),
-            other => (other, raw),
+    /// Calls `access` for every lane in `mask` with the backend's space and
+    /// address (the `base` register plus `offset`, `Local` translated into
+    /// the lane's device window), and records the accesses in lane order.
+    fn each_access(
+        &mut self,
+        mask: u32,
+        space: Space,
+        base: Reg,
+        offset: i64,
+        width: Width,
+        mut access: impl FnMut(&mut Self, usize, Space, Addr),
+    ) {
+        self.accesses.clear();
+        for lane in lanes(mask) {
+            let raw = Addr::new((self.regs[self.at(base, lane)] as i64 + offset) as u64);
+            let (bspace, addr) = match space {
+                Space::Local => (
+                    Space::Global,
+                    self.local_map.translate(self.ctxs[lane].global_tid(), raw),
+                ),
+                other => (other, raw),
+            };
+            access(self, lane, bspace, addr);
+            self.accesses.push(LaneAccess {
+                lane: lane as u32,
+                addr,
+                width,
+            });
         }
     }
 
@@ -476,90 +454,37 @@ impl WarpExec {
         self.normalize();
     }
 
-    fn branch(
-        &mut self,
-        pc: Pc,
-        mask: u32,
-        guard: Option<crate::instr::Guard>,
-        target: Pc,
-        reconverge: Pc,
-    ) {
+    fn branch(&mut self, pc: Pc, mask: u32, guard: Option<Guard>, target: Pc, reconverge: Pc) {
         let taken = match guard {
             None => mask,
-            Some(g) => {
-                let mut t = 0u32;
-                for lane in lanes(mask) {
-                    if self.threads[lane].preds[g.pred as usize] == g.expect {
-                        t |= 1 << lane;
-                    }
-                }
-                t
-            }
+            Some(g) if g.expect => mask & self.preds[g.pred as usize],
+            Some(g) => mask & !self.preds[g.pred as usize],
         };
         let fallthrough = mask & !taken;
-        let ft_pc = pc + 1;
-
-        if taken == 0 {
-            let top = self.stack.last_mut().expect("branch on empty stack");
-            top.pc = ft_pc;
-        } else if fallthrough == 0 {
-            let top = self.stack.last_mut().expect("branch on empty stack");
-            top.pc = target;
+        let top = self.stack.last_mut().expect("branch on empty stack");
+        if taken == 0 || fallthrough == 0 {
+            top.pc = if taken == 0 { pc + 1 } else { target };
         } else {
-            // Divergence.
             debug_assert_ne!(
                 reconverge, RECONV_NONE,
                 "divergent branch without reconvergence PC at {pc}"
             );
-            let top_rpc = self.stack.last().expect("branch on empty stack").rpc;
-            if reconverge == top_rpc {
-                // The join entry for this reconvergence point already exists
-                // below the current entry (this is a loop-style re-divergence).
-                // Threads whose path *is* the reconvergence point simply wait
-                // there; the rest keep executing in entries with rpc = R.
-                let mut paths: Vec<(Pc, u32)> = Vec::with_capacity(2);
-                if ft_pc != reconverge {
-                    paths.push((ft_pc, fallthrough));
-                }
-                if target != reconverge {
-                    paths.push((target, taken));
-                }
-                match paths.len() {
-                    0 => {
-                        // Everyone reached the reconvergence point.
-                        self.stack.pop();
-                    }
-                    _ => {
-                        let top = self.stack.last_mut().expect("branch on empty stack");
-                        top.pc = paths[0].0;
-                        top.mask = paths[0].1;
-                        for &(p, m) in &paths[1..] {
-                            self.stack.push(StackEntry {
-                                pc: p,
-                                rpc: reconverge,
-                                mask: m,
-                            });
-                        }
-                    }
-                }
+            // The current entry becomes the join at R — unless it is
+            // already a path that joins at R (a loop re-diverging), whose
+            // join entry waits below it. Each path that is not R itself
+            // gets an entry; the taken path is pushed last so it executes
+            // first (matches GPGPU-Sim).
+            if top.rpc == reconverge {
+                self.stack.pop();
             } else {
-                // Fresh divergence: current entry becomes the join at R, and
-                // each path that is not R itself gets a new entry. Taken path
-                // is pushed last so it executes first (matches GPGPU-Sim).
-                let top = self.stack.last_mut().expect("branch on empty stack");
                 top.pc = reconverge;
-                if ft_pc != reconverge {
+            }
+            for (pc, mask) in [(pc + 1, fallthrough), (target, taken)] {
+                if pc != reconverge {
                     self.stack.push(StackEntry {
-                        pc: ft_pc,
+                        pc,
                         rpc: reconverge,
-                        mask: fallthrough,
-                    });
-                }
-                if target != reconverge {
-                    self.stack.push(StackEntry {
-                        pc: target,
-                        rpc: reconverge,
-                        mask: taken,
+                        mask,
                     });
                 }
             }
@@ -581,14 +506,15 @@ impl WarpExec {
 
     // ---- snapshot codec ---------------------------------------------------
 
-    /// Serializes the warp's dynamic state: lane contexts, register files,
-    /// predicate files, the SIMT stack, the local-memory mapping, barrier
-    /// flag and instruction count. The kernel and launch parameters are
-    /// *not* serialized — they are shared per launch (the checkpoint stores
-    /// the kernel's round-trippable disassembly once) and supplied back to
-    /// [`WarpExec::decode`].
+    /// Serializes the warp's dynamic state: lane contexts, then each lane's
+    /// registers and predicates, the SIMT stack, the local-memory mapping,
+    /// barrier flag and instruction count. The kernel and launch parameters
+    /// are *not* serialized — they are shared per launch (the checkpoint
+    /// stores the kernel's round-trippable disassembly once) and supplied
+    /// back to [`WarpExec::decode`].
     pub fn encode_state(&self, e: &mut gpu_snapshot::Encoder) {
-        e.usize(self.ctxs.len());
+        let n = self.ctxs.len();
+        e.usize(n);
         for ctx in &self.ctxs {
             e.u32(ctx.tid);
             e.u32(ctx.ctaid);
@@ -596,13 +522,13 @@ impl WarpExec {
             e.u32(ctx.nctaid);
             e.u32(ctx.lane);
         }
-        for t in &self.threads {
-            e.usize(t.regs.len());
-            for r in t.regs.iter() {
+        for lane in 0..n {
+            e.usize(self.regs.len() / n);
+            for r in self.regs.iter().skip(lane).step_by(n) {
                 e.u64(*r);
             }
-            for p in t.preds {
-                e.bool(p);
+            for p in self.preds {
+                e.bool(p >> lane & 1 != 0);
             }
         }
         e.usize(self.stack.len());
@@ -623,7 +549,8 @@ impl WarpExec {
     /// # Errors
     ///
     /// Rejects lane counts outside `1..=32`, register files that do not
-    /// match the kernel's register count, and out-of-range stack PCs.
+    /// match the kernel's register count, out-of-range stack PCs, and stack
+    /// masks naming a lane the warp does not have.
     pub fn decode(
         d: &mut gpu_snapshot::Decoder,
         kernel: Arc<Kernel>,
@@ -644,30 +571,30 @@ impl WarpExec {
                 lane: d.u32()?,
             });
         }
-        let mut threads = Vec::with_capacity(n);
-        for _ in 0..n {
-            let num_regs = d.usize()?;
-            if num_regs != kernel.num_regs() as usize {
+        let num_regs = kernel.num_regs() as usize;
+        let mut regs = vec![0u64; num_regs * n].into_boxed_slice();
+        let mut preds = [0u32; MAX_PREDS];
+        for lane in 0..n {
+            if d.usize()? != num_regs {
                 return Err(InvalidValue("register file size mismatch with kernel"));
             }
-            let mut regs = vec![0u64; num_regs].into_boxed_slice();
-            for r in regs.iter_mut() {
+            for r in regs.iter_mut().skip(lane).step_by(n) {
                 *r = d.u64()?;
             }
-            let mut preds = [false; crate::builder::MAX_PREDS];
             for p in &mut preds {
-                *p = d.bool()?;
+                *p |= u32::from(d.bool()?) << lane;
             }
-            threads.push(ThreadState { regs, preds });
         }
-        let depth = d.usize()?;
-        let mut stack = Vec::with_capacity(depth);
-        for _ in 0..depth {
+        let mut stack = Vec::new();
+        for _ in 0..d.usize()? {
             let pc = d.usize()?;
             let rpc = d.usize()?;
             let mask = d.u32()?;
             if pc >= kernel.len() || (rpc != RECONV_NONE && rpc > kernel.len()) {
                 return Err(InvalidValue("SIMT stack PC out of kernel range"));
+            }
+            if mask & !lane_mask(n) != 0 {
+                return Err(InvalidValue("SIMT stack mask names a lane the warp lacks"));
             }
             stack.push(StackEntry { pc, rpc, mask });
         }
@@ -675,17 +602,17 @@ impl WarpExec {
             base: Addr::new(d.u64()?),
             bytes_per_thread: d.u64()?,
         };
-        let at_barrier = d.bool()?;
-        let instructions_executed = d.u64()?;
         Ok(WarpExec {
             kernel,
             params,
             ctxs,
-            threads,
+            regs,
+            preds,
             stack,
+            accesses: Vec::with_capacity(n),
             local_map,
-            at_barrier,
-            instructions_executed,
+            at_barrier: d.bool()?,
+            instructions_executed: d.u64()?,
         })
     }
 }
@@ -703,8 +630,17 @@ impl fmt::Display for WarpExec {
 }
 
 /// Iterates over the set lane indices of a mask, lowest first.
-fn lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..MAX_WARP_SIZE).filter(move |&l| mask & (1 << l) != 0)
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (lane < MAX_WARP_SIZE).then_some(lane)
+    })
+}
+
+/// The mask of a warp's `n` lanes (`1..=32`).
+fn lane_mask(n: usize) -> u32 {
+    u32::MAX >> (MAX_WARP_SIZE - n)
 }
 
 /// The ALU's semantics on raw 64-bit register values: wrapping two's
@@ -906,6 +842,15 @@ pub(crate) mod tests {
         let k = b.build().unwrap();
         let mut w = warp_of(k, 8, vec![]);
         let mut mem = TestMem::default();
+        for _ in 0..4 {
+            w.step(&mut mem);
+        }
+        // The branch's taken path (to the else arm at pc 6: the odd lanes)
+        // is pushed last, so it runs first, as in GPGPU-Sim.
+        assert_eq!(
+            (w.peek().map(|(pc, _)| pc), w.active_mask()),
+            (Some(6), 0xaa)
+        );
         run_to_completion(&mut w, &mut mem);
         for lane in 0..8 {
             let expect = if lane % 2 == 0 { 100 } else { 200 };
@@ -1020,9 +965,9 @@ pub(crate) mod tests {
                     StepOutcome::Mem(op) => {
                         assert!(!op.is_store);
                         assert_eq!(op.dst, Some(dst));
-                        assert_eq!(op.accesses.len(), 4);
-                        assert_eq!(op.accesses[0].addr, Addr::new(0x2000));
-                        assert_eq!(op.accesses[3].addr, Addr::new(0x200c));
+                        assert_eq!(w.accesses().len(), 4);
+                        assert_eq!(w.accesses()[0].addr, Addr::new(0x2000));
+                        assert_eq!(w.accesses()[3].addr, Addr::new(0x200c));
                         break;
                     }
                     other => panic!("expected Mem outcome, got {other:?}"),
@@ -1044,17 +989,17 @@ pub(crate) mod tests {
         let mut mem_ops = Vec::new();
         while !w.is_finished() {
             if let StepOutcome::Mem(op) = w.step(&mut mem) {
-                mem_ops.push(op);
+                mem_ops.push((op, w.accesses().to_vec()));
             }
         }
         assert_eq!(w.reg(0, v), 77);
         assert_eq!(w.reg(1, v), 77);
         // Lane 0 and lane 1 windows are distinct device addresses.
-        let st = &mem_ops[0];
+        let (st, accesses) = &mem_ops[0];
         assert_eq!(st.space, Space::Local);
         let base = 1u64 << 40;
-        assert_eq!(st.accesses[0].addr, Addr::new(base + 16));
-        assert_eq!(st.accesses[1].addr, Addr::new(base + 1024 + 16));
+        assert_eq!(accesses[0].addr, Addr::new(base + 16));
+        assert_eq!(accesses[1].addr, Addr::new(base + 1024 + 16));
     }
 
     #[test]
@@ -1240,6 +1185,56 @@ pub(crate) mod tests {
         assert!(matches!(
             WarpExec::decode(&mut d, wrong, Arc::from([])),
             Err(gpu_snapshot::SnapshotError::InvalidValue(_))
+        ));
+    }
+
+    #[test]
+    fn warp_decode_rejects_stack_mask_beyond_its_lanes() {
+        let mut b = KernelBuilder::new("k");
+        b.mov(Operand::Imm(1));
+        b.exit();
+        let kernel = b.build().unwrap();
+        let decode = |mask: u32| {
+            let mut w = warp_of(kernel.clone(), 4, vec![]);
+            w.stack[0].mask = mask;
+            let mut e = gpu_snapshot::Encoder::new();
+            w.encode_state(&mut e);
+            let framed = e.finish();
+            let mut d = gpu_snapshot::Decoder::open(&framed).unwrap();
+            WarpExec::decode(&mut d, Arc::new(kernel.clone()), Arc::from([]))
+        };
+        assert!(decode(0xf).is_ok());
+        for mask in [0x10, 1 << 31, u32::MAX] {
+            assert!(
+                matches!(
+                    decode(mask),
+                    Err(gpu_snapshot::SnapshotError::InvalidValue(_))
+                ),
+                "stack mask {mask:#x} decoded into a 4-lane warp"
+            );
+        }
+    }
+
+    #[test]
+    fn warp_decode_does_not_trust_the_stack_depth() {
+        let mut b = KernelBuilder::new("k");
+        b.mov(Operand::Imm(1));
+        b.exit();
+        let kernel = b.build().unwrap();
+        let mut e = gpu_snapshot::Encoder::new();
+        warp_of(kernel.clone(), 1, vec![]).encode_state(&mut e);
+        let framed = e.finish();
+        // Header, then one lane: count, context, register count, r0, preds.
+        let start = gpu_snapshot::MAGIC.len() + 12;
+        let depth_at = start + 8 + 20 + 8 + 8 + MAX_PREDS;
+        let mut e = gpu_snapshot::Encoder::new();
+        framed[start..depth_at].iter().for_each(|&b| e.u8(b));
+        e.usize(usize::MAX);
+        let framed = e.finish();
+        let mut d = gpu_snapshot::Decoder::open(&framed).unwrap();
+        assert!(matches!(
+            WarpExec::decode(&mut d, Arc::new(kernel), Arc::from([])),
+            Err(gpu_snapshot::SnapshotError::UnexpectedEof { .. })
         ));
     }
 

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use crate::instr::{Instr, Pc, Reg, RECONV_NONE};
+use crate::builder::MAX_PREDS;
+use crate::instr::{Guard, Instr, Pc, PredReg, Reg, RECONV_NONE};
 
 /// A compiled kernel: an instruction sequence plus the resources each thread
 /// and CTA needs.
@@ -90,8 +91,9 @@ impl Kernel {
     ///
     /// Returns a [`ValidateError`] if the kernel is empty, does not end every
     /// path in `exit` (conservatively: last instruction must be `exit` or an
-    /// unconditional branch), references a register `>= num_regs`, or
-    /// contains a branch whose target/reconvergence PC is out of range.
+    /// unconditional branch), references a register `>= num_regs` or a
+    /// predicate `>= MAX_PREDS`, or contains a branch whose
+    /// target/reconvergence PC is out of range.
     pub fn validate(&self) -> Result<(), ValidateError> {
         if self.instrs.is_empty() {
             return Err(ValidateError::Empty);
@@ -110,6 +112,16 @@ impl Kernel {
             for u in instr.use_regs() {
                 if u >= self.num_regs {
                     return Err(ValidateError::RegOutOfRange { pc, reg: u });
+                }
+            }
+            if let Instr::SetP { pred, .. }
+            | Instr::Branch {
+                guard: Some(Guard { pred, .. }),
+                ..
+            } = instr
+            {
+                if *pred as usize >= MAX_PREDS {
+                    return Err(ValidateError::PredOutOfRange { pc, pred: *pred });
                 }
             }
             if let Instr::Branch {
@@ -163,6 +175,13 @@ pub enum ValidateError {
         /// Offending register index.
         reg: Reg,
     },
+    /// A `setp` or branch guard names a predicate outside `0..MAX_PREDS`.
+    PredOutOfRange {
+        /// Offending instruction PC.
+        pc: Pc,
+        /// Offending predicate register.
+        pred: PredReg,
+    },
     /// A branch target or reconvergence PC is out of range.
     BadBranch {
         /// Offending instruction PC.
@@ -183,6 +202,12 @@ impl fmt::Display for ValidateError {
                 write!(
                     f,
                     "instruction {pc} references register r{reg} out of range"
+                )
+            }
+            ValidateError::PredOutOfRange { pc, pred } => {
+                write!(
+                    f,
+                    "instruction {pc} references predicate p{pred} out of range"
                 )
             }
             ValidateError::BadBranch { pc, target } => {
@@ -328,6 +353,20 @@ mod tests {
             k.validate(),
             Err(ValidateError::BadBranch { pc: 0, target: 99 })
         );
+    }
+
+    #[test]
+    fn pred_out_of_range_rejected() {
+        for (line, pred) in [("setp.lt p9, 1, 2", 9), ("@p8 bra 1 (reconv 1)", 8)] {
+            let text = format!(".kernel k\n.regs 1\n.shared 0\n.local 0\n{line}\nexit\n");
+            assert_eq!(
+                crate::asm::parse_kernel(&text).err().map(|e| e.kind),
+                Some(crate::asm::AsmErrorKind::Validation(
+                    ValidateError::PredOutOfRange { pc: 0, pred }
+                )),
+                "{line}"
+            );
+        }
     }
 
     #[test]

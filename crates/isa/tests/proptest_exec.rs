@@ -5,19 +5,27 @@
 //! The central property is *SIMT transparency*: lock-step execution with a
 //! reconvergence stack is an implementation detail, so a warp of N threads
 //! must produce exactly the per-thread results of N independent single-lane
-//! warps, no matter how the threads diverge.
+//! warps, no matter how the threads diverge — the warp's register-major
+//! register file and predicate masks against the one-lane model of each.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gpu_isa::{
-    AluOp, CmpOp, Kernel, KernelBuilder, LocalMap, MemBackend, Operand, PredReg, Space, Special,
-    ThreadCtx, WarpExec, Width,
+    AluOp, CmpOp, Kernel, KernelBuilder, LaneAccess, LocalMap, MemBackend, Operand, PredReg, Space,
+    Special, StepOutcome, ThreadCtx, WarpExec, Width, MAX_PREDS,
 };
 use gpu_types::rng::Rng;
 use gpu_types::Addr;
 
 const NUM_REGS: u16 = 8;
 const NUM_PREDS: u8 = 4;
+/// Holds the thread's own window of [`SLOTS`] words in global memory.
+const ADDR_REG: u16 = NUM_REGS;
+/// First of the [`MAX_PREDS`] registers the predicates are copied into.
+const PRED_COPY: u16 = NUM_REGS + 5;
+const SLOTS: u8 = 4;
+const WINDOW: u64 = 8 * SLOTS as u64;
 
 /// A tiny structured AST we can both lower to the IR and randomize safely
 /// (loops are bounded by construction).
@@ -25,9 +33,14 @@ const NUM_PREDS: u8 = 4;
 enum Node {
     Alu(AluOp, u16, Operand, Operand),
     SetP(PredReg, CmpOp, Operand, Operand),
-    If(PredReg, Vec<Node>),
+    /// `if (p == expect) { body }`: both guard polarities.
+    If(PredReg, bool, Vec<Node>),
     IfElse(PredReg, Vec<Node>, Vec<Node>),
     Repeat(u8, Vec<Node>),
+    /// `dst = window[slot]` (8-byte global load).
+    Load(u16, u8),
+    /// `window[slot] = value` (8-byte global store).
+    Store(u8, Operand),
 }
 
 fn gen_operand(rng: &mut Rng) -> Operand {
@@ -63,6 +76,15 @@ const CMP_OPS: [CmpOp; 6] = [
 ];
 
 fn gen_leaf(rng: &mut Rng) -> Node {
+    let slot = |rng: &mut Rng| rng.gen_range_u32(0, SLOTS as u32) as u8;
+    match rng.gen_range_u32(0, 4) {
+        0 => Node::Load(rng.gen_range_u32(0, NUM_REGS as u32) as u16, slot(rng)),
+        1 => Node::Store(slot(rng), gen_operand(rng)),
+        _ => gen_alu_or_setp(rng),
+    }
+}
+
+fn gen_alu_or_setp(rng: &mut Rng) -> Node {
     if rng.gen_bool() {
         Node::Alu(
             ALU_OPS[rng.gen_range_usize(0, ALU_OPS.len())],
@@ -95,6 +117,7 @@ fn gen_node(rng: &mut Rng, depth: u32) -> Node {
         0..=2 => gen_leaf(rng),
         3 => Node::If(
             rng.gen_range_u32(0, NUM_PREDS as u32) as u8,
+            rng.gen_bool(),
             gen_body(rng, depth - 1),
         ),
         4 => Node::IfElse(
@@ -115,8 +138,14 @@ fn lower(nodes: &[Node], b: &mut KernelBuilder, loop_depth: u16) {
     for n in nodes {
         match n {
             Node::Alu(op, d, a, x) => b.alu_to(*op, *d, *a, *x),
+            Node::Load(d, slot) => {
+                b.ld_to(Space::Global, Width::W8, *d, ADDR_REG, 8 * i64::from(*slot));
+            }
+            Node::Store(slot, v) => b.st_global(Width::W8, ADDR_REG, 8 * i64::from(*slot), *v),
             Node::SetP(p, c, a, x) => b.setp_to(*p, *c, *a, *x),
-            Node::If(p, body) => b.if_then(*p, |b| lower(body, b, loop_depth)),
+            Node::If(p, expect, body) => {
+                b.if_pred_then(*p, *expect, |b| lower(body, b, loop_depth));
+            }
             Node::IfElse(p, t, e) => {
                 b.if_then_else(*p, |b| lower(t, b, loop_depth), |b| lower(e, b, loop_depth));
             }
@@ -144,8 +173,9 @@ fn lower(nodes: &[Node], b: &mut KernelBuilder, loop_depth: u16) {
 
 fn build(nodes: &[Node]) -> Kernel {
     let mut b = KernelBuilder::new("prop");
-    // Register budget: NUM_REGS AST registers plus per-depth loop counters.
-    for _ in 0..NUM_REGS + 5 {
+    // Register budget: NUM_REGS AST registers, the window address,
+    // per-depth loop counters, and one copy of each predicate.
+    for _ in 0..PRED_COPY + MAX_PREDS as u16 {
         b.reg();
     }
     for _ in 0..=NUM_PREDS {
@@ -158,42 +188,93 @@ fn build(nodes: &[Node]) -> Kernel {
     });
     // Mix the tid into a second register for more varied predicates.
     b.alu_to(AluOp::Mul, 1, Operand::Reg(0), Operand::Imm(7));
+    b.alu_to(AluOp::Mul, ADDR_REG, Operand::Reg(0), WINDOW as i64);
+    // Predicate p starts as `tid > p`: the first guard already diverges,
+    // and a lane a branch leaves out holds live predicate bits.
+    for p in 0..NUM_PREDS {
+        b.setp_to(p, CmpOp::Gt, Operand::Reg(0), i64::from(p));
+    }
     lower(nodes, &mut b, 0);
+    for p in 0..MAX_PREDS as u8 {
+        let copy = PRED_COPY + u16::from(p);
+        b.mov_to(copy, 0i64);
+        b.if_then(p, |b| b.mov_to(copy, 1i64));
+    }
     b.exit();
     b.build().expect("generated program is structurally valid")
 }
 
-/// Memoryless backend (generated programs have no memory ops).
-struct NoMem;
-impl MemBackend for NoMem {
-    fn load(&mut self, _: Space, _: Addr, _: Width) -> u64 {
-        0
+/// Word-granular global memory: an untouched word reads as a function of
+/// its address, and every word written stays recorded.
+#[derive(Default)]
+struct RecordingMem(BTreeMap<u64, u64>);
+
+impl MemBackend for RecordingMem {
+    fn load(&mut self, space: Space, addr: Addr, width: Width) -> u64 {
+        assert_eq!((space, width), (Space::Global, Width::W8));
+        let a = addr.get();
+        *self
+            .0
+            .get(&a)
+            .unwrap_or(&(a.wrapping_mul(0x9E37_79B9) >> 7))
     }
-    fn store(&mut self, _: Space, _: Addr, _: Width, _: u64) {}
+    fn store(&mut self, space: Space, addr: Addr, width: Width, value: u64) {
+        assert_eq!((space, width), (Space::Global, Width::W8));
+        self.0.insert(addr.get(), value);
+    }
     fn atomic_add(&mut self, _: Addr, _: Width, _: u64) -> u64 {
-        0
+        unreachable!("generated programs have no atomics")
     }
 }
 
-fn run_warp(kernel: &Arc<Kernel>, ctxs: Vec<ThreadCtx>) -> Vec<Vec<u64>> {
+/// What one thread leaves behind: its registers (predicate copies
+/// included), its accesses in program order, and its memory window.
+#[derive(Debug, PartialEq)]
+struct ThreadResult {
+    regs: Vec<u64>,
+    accesses: Vec<(u64, Width)>,
+    window: Vec<(u64, u64)>,
+}
+
+fn run_warp(kernel: &Arc<Kernel>, ctxs: Vec<ThreadCtx>) -> Vec<ThreadResult> {
     let mut w = WarpExec::new(
         Arc::clone(kernel),
         Arc::from([]),
         ctxs.clone(),
         LocalMap::default(),
     );
-    let mut mem = NoMem;
+    let mut mem = RecordingMem::default();
+    let mut accesses: Vec<LaneAccess> = Vec::new();
     let mut steps = 0u64;
     while !w.is_finished() {
         if w.at_barrier() {
             w.release_barrier();
         }
-        w.step(&mut mem);
+        if let StepOutcome::Mem(_) = w.step(&mut mem) {
+            accesses.extend_from_slice(w.accesses());
+        }
         steps += 1;
         assert!(steps < 200_000, "runaway generated program");
     }
-    (0..ctxs.len())
-        .map(|lane| (0..NUM_REGS).map(|r| w.reg(lane, r)).collect())
+    let regs = (0..NUM_REGS).chain(PRED_COPY..PRED_COPY + MAX_PREDS as u16);
+    ctxs.iter()
+        .enumerate()
+        .map(|(lane, ctx)| {
+            let base = u64::from(ctx.tid) * WINDOW;
+            ThreadResult {
+                regs: regs.clone().map(|r| w.reg(lane, r)).collect(),
+                accesses: accesses
+                    .iter()
+                    .filter(|a| a.lane as usize == lane)
+                    .map(|a| (a.addr.get(), a.width))
+                    .collect(),
+                window: mem
+                    .0
+                    .range(base..base + WINDOW)
+                    .map(|(&a, &v)| (a, v))
+                    .collect(),
+            }
+        })
         .collect()
 }
 

@@ -87,6 +87,24 @@ impl From<ValidateError> for SimError {
     }
 }
 
+/// [`SimError::MissingParams`] unless `supplied` parameters cover every
+/// slot the kernel reads.
+fn check_params(kernel: &Kernel, supplied: usize) -> Result<(), SimError> {
+    let needed = kernel
+        .instrs()
+        .iter()
+        .filter_map(|i| match i {
+            gpu_isa::Instr::LdParam { index, .. } => Some(index.saturating_add(1)),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    if needed > supplied {
+        return Err(SimError::MissingParams { needed, supplied });
+    }
+    Ok(())
+}
+
 struct LaunchState {
     kernel: Arc<Kernel>,
     params: Arc<[u64]>,
@@ -342,22 +360,7 @@ impl Gpu {
     /// the launch does not supply.
     pub fn launch(&mut self, kernel: Kernel, launch: Launch) -> Result<(), SimError> {
         kernel.validate()?;
-        let max_param = kernel
-            .instrs()
-            .iter()
-            .filter_map(|i| match i {
-                gpu_isa::Instr::LdParam { index, .. } => Some(*index),
-                _ => None,
-            })
-            .max();
-        if let Some(max_param) = max_param {
-            if max_param >= launch.params.len() {
-                return Err(SimError::MissingParams {
-                    needed: max_param + 1,
-                    supplied: launch.params.len(),
-                });
-            }
-        }
+        check_params(&kernel, launch.params.len())?;
         let warps_needed = launch.warps_per_cta(self.cfg.warp_size) as usize;
         if warps_needed > self.cfg.max_warps_per_sm {
             return Err(SimError::BlockTooLarge {
@@ -571,8 +574,9 @@ impl Gpu {
     ///
     /// Rejects corrupted, truncated or wrong-version streams (framing),
     /// unknown tags, structural inconsistencies between the embedded
-    /// configuration and the serialized state, and kernels that fail to
-    /// re-parse. Never panics on malformed input.
+    /// configuration and the serialized state, kernels that fail to
+    /// re-parse, and kernels that read a parameter the launch lacks. Never
+    /// panics on malformed input.
     pub fn restore(bytes: &[u8]) -> Result<Gpu, SnapshotError> {
         use SnapshotError::InvalidValue;
         let mut d = Decoder::open(bytes)?;
@@ -607,6 +611,9 @@ impl Gpu {
                 bytes_per_thread: d.u64()?,
             };
             let next_cta = d.u32()?;
+            check_params(&kernel, params.len()).map_err(|_| {
+                InvalidValue("checkpoint kernel reads a parameter the launch lacks")
+            })?;
             let launch = Launch {
                 grid_dim,
                 block_dim,

@@ -950,11 +950,12 @@ impl Sm {
                     // memory partition (same-address atomics do not
                     // coalesce, unlike plain loads/stores).
                     let mut lines = std::mem::take(&mut self.lines);
+                    let accesses = slot.exec.accesses();
                     if op.is_atomic {
                         let granule = self.granule;
-                        lines.extend(op.accesses.iter().map(|a| a.addr.align_down(granule)));
+                        lines.extend(accesses.iter().map(|a| a.addr.align_down(granule)));
                     } else {
-                        coalesce_into(&op.accesses, self.granule, &mut lines);
+                        coalesce_into(accesses, self.granule, &mut lines);
                     }
                     self.stats.transactions += lines.len() as u64;
                     if tracer.enabled() {
@@ -963,7 +964,7 @@ impl Sm {
                             site: TraceSite::Sm(self.id.get()),
                             kind: EventKind::Coalesce {
                                 warp: w as u32,
-                                accesses: op.accesses.len() as u32,
+                                accesses: accesses.len() as u32,
                                 lines: lines.len() as u32,
                             },
                         });

@@ -2,7 +2,9 @@
 //! chase blocked on a DRAM access, `Gpu::tick()` — nine stages, the
 //! sanitizer's audit included — must not allocate. These are the cycles
 //! the run loop skips when it can and ticks when a clamp or an unsure
-//! component says it cannot, so they stay worth keeping free.
+//! component says it cannot, so they stay worth keeping free. A loaded
+//! BFS tick allocates nothing either, and the ticks on which its warps
+//! issue allocate only for each warp's first SIMT-stack growth.
 
 // The counting allocator the tracer's allocation-freedom suites install.
 #[path = "../../trace/tests/common/mod.rs"]
@@ -66,9 +68,10 @@ fn a_tick_in_the_middle_of_a_dram_wait_allocates_nothing() {
 /// full tick (nobody sleeping, the audit included) on which no warp issues
 /// allocates nothing, whatever else moves: writebacks, L1 and L2 accesses,
 /// MSHR merges and fills, both crossbars, DRAM scheduling and completion,
-/// CTA retirement. What an issuing tick still allocates is the functional
-/// executor's (`gpu-isa`: a memory instruction's lane-access list, a
-/// branch's path list and SIMT-stack growth), not the timing model's.
+/// CTA retirement. The ticks on which warps do issue — ALU, branch and
+/// memory instructions — allocate at most once per warp the launch
+/// dispatched, all told: the functional executor keeps its lane-access
+/// list, so what is left is each warp's first SIMT-stack growth.
 #[test]
 fn a_loaded_tick_on_which_no_warp_issues_allocates_nothing() {
     const BLOCK: u32 = 64;
@@ -80,10 +83,12 @@ fn a_loaded_tick_on_which_no_warp_issues_allocates_nothing() {
         gpu.run(skip_harness::MAX_CYCLES).expect("warm-up drains");
     });
 
-    let (mut checked, mut dram_at_work) = (0u64, 0u64);
+    let (mut checked, mut dram_at_work, mut issuing) = (0u64, 0u64, 0u64);
     skip_harness::mask_bfs(2048, 8, 0x10AD, BLOCK)(&mut gpu, &mut |gpu| {
         let retired = gpu.summary().ctas + u64::from(2048 / BLOCK);
+        let warps = u64::from(2048 / BLOCK * BLOCK.div_ceil(32));
         gpu.tick();
+        let mut issue_allocations = 0;
         while gpu.summary().ctas < retired {
             let before = gpu.summary();
             let allocations = common::allocations();
@@ -91,16 +96,23 @@ fn a_loaded_tick_on_which_no_warp_issues_allocates_nothing() {
             let allocated = common::allocations() - allocations;
             let after = gpu.summary();
             if after.instructions != before.instructions {
+                issue_allocations += allocated;
+                issuing += 1;
                 continue;
             }
             assert_eq!(allocated, 0, "tick at cycle {} allocated", before.cycles);
             checked += 1;
             dram_at_work += u64::from(after.dram_serviced != before.dram_serviced);
         }
+        assert!(
+            issue_allocations <= warps,
+            "issuing ticks allocated {issue_allocations} times for {warps} warps"
+        );
         gpu.run(skip_harness::MAX_CYCLES)
             .expect("the retired grid drains");
     });
     assert!(checked > 5_000, "only {checked} ticks checked");
+    assert!(issuing > 1_000, "only {issuing} issuing ticks");
     assert!(
         dram_at_work > 500,
         "DRAM scheduled on {dram_at_work} of them"

@@ -4,12 +4,15 @@
 //! once), and malformed streams of every flavour must be rejected with a
 //! typed [`SnapshotError`] — never a panic.
 
+mod skip_harness;
+
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use gpu_isa::{Kernel, KernelBuilder, Launch, Special, Width};
-use gpu_sim::{Gpu, GpuConfig, Sm, SmStats, StallReason};
+use gpu_isa::{AluOp, CmpOp, Kernel, KernelBuilder, Launch, Special, Width};
+use gpu_sim::{CheckpointPolicy, Gpu, GpuConfig, RunOutcome, Sm, SmStats, StallReason};
 use gpu_snapshot::{Decoder, Encoder, SnapshotError, FORMAT_VERSION, MAGIC};
-use gpu_types::SmId;
+use gpu_types::{Addr, SmId};
 
 fn small_config() -> GpuConfig {
     let mut cfg = GpuConfig::fermi_gf100();
@@ -165,16 +168,44 @@ fn restored_gpu_completes_identically() {
     let b = restored.run(10_000_000).expect("restored drains");
     // Only host wall-clock may differ: the restored GPU lost the nanos
     // spent before the snapshot.
-    let normalized = gpu_sim::RunSummary {
-        metrics: gpu_sim::MetricsReport {
-            host_nanos: a.metrics.host_nanos,
-            ..b.metrics
-        },
-        ..b
-    };
-    assert_eq!(a, normalized);
+    assert_eq!(a, with_host_nanos(b, a.metrics.host_nanos));
     assert_eq!(a.content_hash, b.content_hash);
     assert_ne!(a.content_hash, 0);
+}
+
+fn with_host_nanos(summary: gpu_sim::RunSummary, host_nanos: u64) -> gpu_sim::RunSummary {
+    gpu_sim::RunSummary {
+        metrics: gpu_sim::MetricsReport {
+            host_nanos,
+            ..summary.metrics
+        },
+        ..summary
+    }
+}
+
+#[test]
+fn restore_rejects_a_kernel_reading_a_parameter_the_launch_lacks() {
+    let mut gpu = Gpu::new(small_config());
+    let mut b = KernelBuilder::new("k");
+    b.param(0);
+    b.exit();
+    gpu.launch(b.build().expect("valid kernel"), Launch::new(1, 1, vec![7]))
+        .expect("launch");
+    let framed = gpu.snapshot();
+    Gpu::restore(&framed).expect("the untampered checkpoint restores");
+
+    // Same length, new checksum: only the launch check can tell.
+    let mut tampered = payload(&framed).to_vec();
+    let text = b"ld.param r0, [0]";
+    let at = tampered
+        .windows(text.len())
+        .position(|w| w == text)
+        .expect("the kernel's disassembly is in the checkpoint");
+    tampered[at + text.len() - 2] = b'3';
+    assert!(matches!(
+        Gpu::restore(&frame(&tampered)),
+        Err(SnapshotError::InvalidValue(_))
+    ));
 }
 
 #[test]
@@ -199,6 +230,19 @@ fn resume_latest_picks_newest_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The payload of a framed stream: between the header (magic, version,
+/// length) and the checksum.
+fn payload(framed: &[u8]) -> &[u8] {
+    &framed[MAGIC.len() + 12..framed.len() - 8]
+}
+
+/// Frames `payload` as the encoder does, checksum included.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut e = Encoder::new();
+    payload.iter().for_each(|&b| e.u8(b));
+    e.finish()
+}
+
 // ---- decoded indices into the SM's dense state ----------------------------
 //
 // The scoreboard is a bitset as wide as the kernel's register file and the
@@ -211,8 +255,7 @@ fn resume_latest_picks_newest_checkpoint() {
 fn idle_sm_payload(cfg: &GpuConfig) -> Vec<u8> {
     let mut e = Encoder::new();
     Sm::new(SmId::new(0), Arc::new(cfg.clone())).encode_state(&mut e);
-    let framed = e.finish();
-    framed[MAGIC.len() + 12..framed.len() - 8].to_vec()
+    payload(&e.finish()).to_vec()
 }
 
 fn restore_sm(
@@ -220,9 +263,7 @@ fn restore_sm(
     payload: &[u8],
     kernel: Option<&Arc<Kernel>>,
 ) -> Result<(), SnapshotError> {
-    let mut e = Encoder::new();
-    payload.iter().for_each(|&b| e.u8(b));
-    let framed = e.finish();
+    let framed = frame(payload);
     let mut d = Decoder::open(&framed)?;
     let params: Arc<[u64]> = Arc::from([0u64, 0]);
     let mut sm = Sm::new(SmId::new(0), Arc::new(cfg.clone()));
@@ -319,5 +360,118 @@ fn pending_load_token_not_yet_issued_is_rejected() {
             ),
             "token {token} restored with {next_token} the next to issue"
         );
+    }
+}
+
+// ---- a checkpoint an earlier build wrote ------------------------------------
+//
+// `tests/corpus/divergent_gather_c1200.ckpt` was written by the build whose
+// executor still kept one register file per thread: `corpus_gpu()` run
+// under `CheckpointPolicy { every: 1200, kill_at: Some(1200) }`, with all
+// four warps inside the divergent loop. A warp encodes lane by lane from
+// any layout, so the file restores, re-encodes to its own bytes, is the
+// state this build reaches at that cycle, and finishes as an uninterrupted
+// run does. It is also a seed for fuzzing the decoder.
+
+const CORPUS: &[u8] = include_bytes!("../../../tests/corpus/divergent_gather_c1200.ckpt");
+const CORPUS_KILL_AT: u64 = 1200;
+
+/// Each lane sums `lane % 8 + 1` table words starting at its global id:
+/// a loop whose trip count differs per lane, with a global load inside.
+fn corpus_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("divergent_gather");
+    let table = b.param(0);
+    let out = b.param(1);
+    let gtid = b.special(Special::GlobalTid);
+    let lane = b.special(Special::LaneId);
+    let trips = b.and(lane, 7);
+    let i = b.mov(0i64);
+    let acc = b.mov(0i64);
+    let p = b.pred();
+    b.while_loop(
+        |b| {
+            b.setp_to(p, CmpOp::Le, i, trips);
+            p
+        },
+        |b| {
+            let slot = b.add(gtid, i);
+            let slot = b.and(slot, 255);
+            let off = b.shl(slot, 2);
+            let addr = b.add(table, off);
+            let v = b.ld_global(Width::W4, addr, 0);
+            b.alu_to(AluOp::Add, acc, acc, v);
+            b.alu_to(AluOp::Add, i, i, 1i64);
+        },
+    );
+    let off = b.shl(gtid, 2);
+    let addr = b.add(out, off);
+    b.st_global(Width::W4, addr, 0, acc);
+    b.exit();
+    b.build().expect("valid kernel")
+}
+
+/// A 2-SM GF100, tracing off, with caches cut to a few KiB of tags so the
+/// checkpoint stays small; the kernel launched as four 16-lane CTAs.
+/// Returns the GPU and the output array's address.
+fn corpus_gpu() -> (Gpu, Addr) {
+    let mut cfg = GpuConfig::fermi_gf100();
+    cfg.num_sms = 2;
+    cfg.num_partitions = 2;
+    cfg.trace.enabled = false;
+    if let Some(l1) = cfg.l1.as_mut() {
+        l1.cache.sets = 8;
+    }
+    if let Some(l2) = cfg.l2.as_mut() {
+        l2.cache.sets = 16;
+    }
+    let mut gpu = Gpu::new(cfg);
+    let table = gpu.alloc(4 * 256, 128);
+    let out = gpu.alloc(4 * 64, 128);
+    for i in 0..256u64 {
+        gpu.device_mut()
+            .write_u32(table + 4 * i, (i * 7 + 1) as u32);
+    }
+    gpu.launch(
+        corpus_kernel(),
+        Launch::new(4, 16, vec![table.get(), out.get()]),
+    )
+    .expect("launches");
+    (gpu, out)
+}
+
+#[test]
+fn committed_checkpoint_resumes_like_an_uninterrupted_run() {
+    let mut restored = Gpu::restore(CORPUS).expect("the committed checkpoint restores");
+    assert!(restored.snapshot() == CORPUS, "re-encodes to its own bytes");
+    assert_eq!(restored.now().get(), CORPUS_KILL_AT);
+
+    let (mut killed, _) = corpus_gpu();
+    let kill = CheckpointPolicy {
+        kill_at: Some(CORPUS_KILL_AT),
+        ..CheckpointPolicy::new(0, PathBuf::new())
+    };
+    assert!(matches!(
+        killed.run_checkpointed(skip_harness::MAX_CYCLES, &kill),
+        Ok(RunOutcome::Killed { .. })
+    ));
+    assert!(
+        skip_harness::state_bytes(&killed) == skip_harness::state_bytes(&restored),
+        "this build reaches the committed state at cycle {CORPUS_KILL_AT}"
+    );
+
+    let (mut uninterrupted, out) = corpus_gpu();
+    let a = uninterrupted
+        .run(skip_harness::MAX_CYCLES)
+        .expect("the uninterrupted run drains");
+    let b = restored
+        .run(skip_harness::MAX_CYCLES)
+        .expect("the resumed run drains");
+    assert!(a.cycles > CORPUS_KILL_AT, "killed before the end");
+    assert_eq!(a, with_host_nanos(b, a.metrics.host_nanos));
+    let sums = uninterrupted.device().read_u32_slice(out, 64);
+    assert_eq!(sums, restored.device().read_u32_slice(out, 64));
+    for (t, &sum) in sums.iter().enumerate() {
+        let words = (t..=t + t % 8).map(|j| (j % 256) as u32 * 7 + 1);
+        assert_eq!(sum, words.sum::<u32>(), "thread {t}");
     }
 }
