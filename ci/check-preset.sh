@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
-# Run one architecture preset end to end and pin its timing:
-#   1. table1   --preset <p> — prints the paper's Table I row, measured
-#      beside published; it asserts nothing and always exits 0.
-#   2. validate --preset <p> — the published-reference check, and the step
-#      that asserts: analytic unloaded latencies and chase plateaus diffed
-#      against the committed REFERENCE_latencies.json within its
-#      tolerance, the analytic floor held under the plateau; exits 1 on any
-#      violation.
-#   3. trace    --preset <p> — a small deterministic BFS with --validate
+# Run one architecture preset's BFS trace and pin its timing:
+#   1. trace --preset <p> — a small deterministic BFS with --validate
 #      (span tiling + sanitizer), producing a metrics.txt, which is a
 #      pure function of the simulation (host time is on stdout only).
-#   4. Hash the whole metrics.txt and diff against the committed golden in
+#   2. Hash the whole metrics.txt and diff against the committed golden in
 #      ci/metrics-goldens.txt.
+#
+# The preset's Table I row and published-reference check are not run here:
+# they are rows of the experiment list (`latency table1`, `latency
+# validate`), and the pins job checks every preset's chase points through
+# the experiments bench suite.
 #
 # Usage: ci/check-preset.sh <preset> [--update]
 #   (expects target/release/latency built: cargo build --release --offline)
@@ -25,8 +23,6 @@ goldens="$(dirname "$0")/metrics-goldens.txt"
 out="target/ci-bundle-$preset"
 
 latency=target/release/latency
-"$latency" table1 --preset "$preset"
-"$latency" validate --preset "$preset"
 "$latency" trace \
   --preset "$preset" --workload bfs --nodes 512 --degree 4 --block-dim 64 \
   --out "$out" --validate

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Table I is written down once and measured and checked by one path each:
 # the published latencies live only in REFERENCE_latencies.json (read through
-# latency_core::reference_rows / ArchPreset::published), a row is measured
-# only by Table1::measure_presets, and analytic, measured and published
-# values are compared only by latency-bench's published-reference check
-# (whose floor rule is contract C). Fail if a deleted second copy — the
-# hand-written expected table, a serial twin of a pooled measurement, the
-# separate floor harness — comes back under crates/ or tests/, or if the
-# Table I golden test spells out a measured row instead of reading the
-# published one.
+# latency_core::reference_rows / ArchPreset::published), a preset's chase
+# points are derived only by row_points and measured as runs of the
+# experiment list (the `table1` and `validate` rows share them), and
+# analytic, measured and published values are compared only by
+# latency-bench's published-reference rules (whose floor rule is contract
+# C). Fail if a deleted second copy — the hand-written expected table, a
+# serial twin of a pooled measurement, the separate floor harness, the
+# batch measurer and validation suite the experiment list replaced, or its
+# pin file — comes back under crates/ or tests/, or if the Table I golden
+# test spells out a measured row instead of reading the published one.
 #
 # Usage: ci/one-reference.sh   (from the repository root)
 set -euo pipefail
@@ -21,6 +23,18 @@ if [ -n "$copies" ]; then
   hits=$((hits + $(wc -l <<<"$copies")))
 fi
 
+suite=$(grep -rnE 'Table1::measure_presets|\brun_validation_bench\b|\bValidationBench\b' crates tests || true)
+if [ -n "$suite" ]; then
+  echo "$suite"
+  hits=$((hits + $(wc -l <<<"$suite")))
+fi
+
+pins=$(git ls-files BENCH_validation.json)
+if [ -n "$pins" ]; then
+  echo "$pins: Table I's pins live in BENCH_experiments.json"
+  hits=$((hits + 1))
+fi
+
 literal=$(grep -nF 'MeasuredRow {' tests/table1_golden.rs || true)
 if [ -n "$literal" ]; then
   echo "$literal" | sed 's#^#tests/table1_golden.rs:#'
@@ -28,7 +42,7 @@ if [ -n "$literal" ]; then
 fi
 
 if [ "$hits" -ne 0 ]; then
-  echo "one-reference: $hits stray copy(ies); read ArchPreset::published / measure with Table1::measure_presets / check in run_validation_bench" >&2
+  echo "one-reference: $hits stray copy(ies); read ArchPreset::published / plan the table1 or validate row / check with latency_bench::reference" >&2
   exit 1
 fi
 echo "one-reference: OK (one published table, one measurement, one check)"

@@ -2,17 +2,17 @@
 //!
 //! ```text
 //! latency bench [--check] [--update-baselines]
-//!     [--suites sweep,serve,validation,experiments]
+//!     [--suites sweep,serve,experiments]
 //!     [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]
 //! ```
 //!
-//! Runs the four benchmarks from [`latency_bench::suite`],
-//! [`latency_bench::reference`] and [`latency_bench::experiments`] — the
-//! sweep cold/warm cache comparison, the serve daemon cold vs cache-hit,
-//! the published-reference validation of every registered preset, and the
-//! whole experiment list, each distinct run once, every simulation the
-//! paper's figures and E4 read with its own idle-coverage pins — under the
-//! host-side self-profiler. How long
+//! Runs the three benchmarks from [`latency_bench::suite`] and
+//! [`latency_bench::experiments`] — the sweep cold/warm cache comparison,
+//! the serve daemon cold vs cache-hit, and the whole experiment list, each
+//! distinct run once: every preset's Table I chase points, held to the
+//! published reference, and every simulation the paper's figures and E4
+//! read with its own idle-coverage pins — under the host-side
+//! self-profiler. How long
 //! each took goes to the `[bench]` stdout lines and to
 //! `profile.json`/`profile.txt`; the fresh `BENCH_*.json` documents written
 //! beside those in `--out` (default `bench-out/`) hold pins only.
@@ -32,8 +32,8 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use latency_bench::{
-    compare_json, run_serve_bench, run_sweep_bench, run_validation_bench, splice_doc, Plan,
-    ProgressHeartbeat, Record, EXPERIMENTS, SERVE_CLIENTS,
+    compare_json, run_serve_bench, run_sweep_bench, splice_doc, Plan, ProgressHeartbeat, Record,
+    EXPERIMENTS, SERVE_CLIENTS,
 };
 use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
@@ -54,10 +54,10 @@ struct Args {
 }
 
 pub const FLAGS: &str = "[--check] [--update-baselines]\n\
-     \x20      [--suites sweep,serve,validation,experiments]\n\
+     \x20      [--suites sweep,serve,experiments]\n\
      \x20      [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]";
 
-const SUITES: [&str; 4] = ["sweep", "serve", "validation", "experiments"];
+const SUITES: [&str; 3] = ["sweep", "serve", "experiments"];
 
 fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     let mut parsed = Args {
@@ -165,31 +165,6 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                 }
                 results.push(SuiteResult::new("serve", b.json()));
             }
-            "validation" => {
-                println!(
-                    "[bench] validation: {} presets vs published reference tables",
-                    ArchPreset::ALL.len()
-                );
-                let mut b = or_exit(
-                    run_validation_bench(&ArchPreset::ALL),
-                    "FAIL: validation bench",
-                );
-                if let Err(e) = b.check() {
-                    eprintln!("FAIL: validation bench self-check:\n{e}");
-                    exit(1);
-                }
-                for row in &b.rows {
-                    println!(
-                        "[bench] validation: {:<16} {} level(s) within tolerance",
-                        row.preset.token(),
-                        row.levels.len()
-                    );
-                }
-                if args.inject {
-                    b.rows[0].levels[0].measured += 1.0;
-                }
-                results.push(SuiteResult::new("validation", b.json()));
-            }
             "experiments" => {
                 let plan = Plan::paper(&EXPERIMENTS);
                 let (rows, runs) = (plan.rows.len(), plan.runs.len());
@@ -205,7 +180,11 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
                     println!("[bench] experiments: {name:<22} {runs:>2} run(s), {new:>2} new, {wall:5.1}s");
                     charged += new;
                 }
-                if let (true, Record::Traced(run)) = (args.inject, &mut records[0]) {
+                let traced = records.iter_mut().find_map(|r| match r {
+                    Record::Traced(run) => Some(run),
+                    _ => None,
+                });
+                if let (true, Some(run)) = (args.inject, traced) {
                     run.cycles += 1;
                 }
                 let json = plan.pins_json(&records);

@@ -24,6 +24,7 @@
 //!
 //! Exit status: 0 clean, 1 findings/violations, 2 usage.
 
+use latency_bench::{validate_rows, Plan, Record, EXPERIMENTS};
 use latency_check::{analyze, to_sarif, AnalysisConfig, Pass, Severity};
 use latency_core::cli::{Cursor, UsageError};
 use latency_core::ArchPreset;
@@ -63,17 +64,19 @@ fn print_costs() {
 
 /// Runs the differential validation matrix; returns `true` when every
 /// cell held and every preset passed the published-reference check (whose
-/// floor rule is contract C).
+/// floor rule is contract C), read from the `table1` row's chase points.
 fn run_validation() -> bool {
-    let reference = match latency_bench::run_validation_bench(&ArchPreset::TABLE1) {
-        Ok(bench) => bench,
+    let plan = Plan::paper(EXPERIMENTS.iter().filter(|e| e.name == "table1"));
+    let records: Vec<Record> = match plan.execute() {
+        Ok(executed) => executed.into_iter().map(|(record, _)| record).collect(),
         Err(e) => {
             eprintln!("published-reference check failed: {e}");
             return false;
         }
     };
+    let (_, verdicts) = validate_rows(&plan.measured_rows(&records));
     let mut ok = true;
-    for row in &reference.rows {
+    for row in &verdicts {
         for workload in latency_bench::Workload::e4() {
             match latency_bench::validate_run(row.preset, workload) {
                 Ok(report) => {

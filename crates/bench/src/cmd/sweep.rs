@@ -48,7 +48,7 @@ fn grid_json(preset: ArchPreset, grid: &Sweep) -> String {
     w.finish()
 }
 
-pub fn run(presets: &[ArchPreset], args: &mut Cursor) -> Result<(), UsageError> {
+pub fn run(preset: Option<ArchPreset>, args: &mut Cursor) -> Result<(), UsageError> {
     let mut json = false;
     while let Some(arg) = args.next_arg() {
         match arg.as_str() {
@@ -56,7 +56,7 @@ pub fn run(presets: &[ArchPreset], args: &mut Cursor) -> Result<(), UsageError> 
             other => return Err(UsageError::unknown(other)),
         }
     }
-    let preset = presets.last().copied().unwrap_or(ArchPreset::FermiGf106);
+    let preset = preset.unwrap_or(ArchPreset::FermiGf106);
     let cfg = preset.config_microbench();
     // One grid definition, in the suite, so `bench --suites sweep` measures
     // exactly this grid.

@@ -44,9 +44,9 @@ pub const FLAGS: &str = "[--preset NAME]\n\
      \x20      [--checkpoint-every CYCLES] [--checkpoint-dir DIR]\n\
      \x20      [--resume DIR] [--kill-at CYCLE]   (BFS only)";
 
-fn parse_args(presets: &[ArchPreset], it: &mut Cursor) -> Result<Args, UsageError> {
+fn parse_args(preset: Option<ArchPreset>, it: &mut Cursor) -> Result<Args, UsageError> {
     let mut args = Args {
-        preset: presets.last().copied().unwrap_or(ArchPreset::FermiGf100),
+        preset: preset.unwrap_or(ArchPreset::FermiGf100),
         workload: Workload::bfs(),
         graph: BfsExperiment {
             nodes: 4096,
@@ -175,8 +175,8 @@ fn run_workload(args: &Args) -> TracedRun {
     }
 }
 
-pub fn run(presets: &[ArchPreset], it: &mut Cursor) -> Result<(), UsageError> {
-    let args = parse_args(presets, it)?;
+pub fn run(preset: Option<ArchPreset>, it: &mut Cursor) -> Result<(), UsageError> {
+    let args = parse_args(preset, it)?;
     // `--progress` needs the self-profiler's cycle counters, so it implies
     // profiling; enabling it never changes the simulation (`content_hash`
     // is pinned bit-identical either way).

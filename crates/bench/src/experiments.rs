@@ -6,29 +6,33 @@
 //! [`Workload::execute`] with the latency sink and the `LATENCY_TRACE`
 //! hook and is the only place a [`TracedRun`] is built.
 //!
-//! [`EXPERIMENTS`] holds the figures and ablations. Each row declares the
-//! runs it reads ([`Spec`]), the pins it records and how it renders its
-//! stdout. A [`Plan`] executes each distinct run once — `fig1`, `fig2`,
-//! E5's FR-FCFS row, E6's 48-warp LRR point and E8's write-through row are
-//! one BFS — and reduces it to a [`Record`] of exact integers before its
-//! worker takes the next. `latency <row>`, `BENCH_experiments.json` and the
-//! blocks of EXPERIMENTS.md are all rendered from those records.
+//! [`EXPERIMENTS`] holds Table I, the published-reference check, the
+//! figures and the ablations. Each row declares the runs it reads
+//! ([`Spec`]), the pins it records and how it renders its stdout. A [`Plan`]
+//! executes each distinct run once — `fig1`, `fig2`, E5's FR-FCFS row, E6's
+//! 48-warp LRR point and E8's write-through row are one BFS; `table1`'s
+//! chase points are four of `validate`'s eight presets — and reduces it to a
+//! [`Record`] of exact numbers before its worker takes the next. `latency
+//! <row>`, `BENCH_experiments.json` and the blocks of EXPERIMENTS.md are all
+//! rendered from those records.
 
+use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
 use gpu_mem::DramSched;
 use gpu_sim::{
-    CheckpointPolicy, CompletedRequest, GpuConfig, IdleCounts, LoadInstrRecord, RunOutcome,
-    SchedPolicy, SimError, WritePolicy,
+    CheckpointPolicy, CompletedRequest, GpuConfig, IdleCounts, LevelKind, LoadInstrRecord,
+    RunOutcome, SchedPolicy, SimError, WritePolicy,
 };
 use gpu_trace::json::{ToJson, Writer};
 use gpu_workloads::{BfsExperiment, Workload};
 use latency_core::{
-    measure_chase_under_load, ArchPreset, ChaseParams, Component, ExposureAnalysis,
-    LatencyBreakdown,
+    measure_chase, measure_chase_under_load, row_points, ArchPreset, ChaseMeasurement, ChaseParams,
+    Component, ExposureAnalysis, LatencyBreakdown, MeasuredRow,
 };
 
+use crate::reference::{self, PresetValidation};
 use crate::tracebundle::{env_request, EnvTrace, TraceBundle};
 
 /// Traces collected from one instrumented run.
@@ -166,13 +170,44 @@ pub enum Spec {
     Traced(GpuConfig, &'static Workload, BfsExperiment),
     /// E7's chase under that many streamer CTAs.
     Chase(GpuConfig, ChaseParams, u32),
+    /// One level's unloaded chase point of a preset's Table I row
+    /// ([`row_points`]) on its microbenchmark machine, held to the
+    /// published reference ([`reference::check_point`]).
+    Point(ArchPreset, LevelKind, GpuConfig, ChaseParams),
 }
 
 impl Spec {
     /// The machine the run simulates.
     pub fn config(&self) -> &GpuConfig {
         match self {
-            Spec::Traced(config, ..) | Spec::Chase(config, ..) => config,
+            Spec::Traced(config, ..) | Spec::Chase(config, ..) | Spec::Point(_, _, config, _) => {
+                config
+            }
+        }
+    }
+}
+
+/// Names the run: its machine, and its workload or its chase geometry.
+impl fmt::Display for Spec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let chase = |p: &ChaseParams| format!("{} B chase at stride {}", p.footprint, p.stride);
+        match self {
+            Spec::Traced(config, workload, _) => write!(f, "{} on {}", workload.name, config.name),
+            Spec::Chase(config, params, ctas) => write!(
+                f,
+                "a {} under {ctas} streamer CTA(s) on {}",
+                chase(params),
+                config.name
+            ),
+            Spec::Point(_, level, config, params) => {
+                let level = level.label();
+                write!(
+                    f,
+                    "the {level} point ({}) on {}",
+                    chase(params),
+                    config.name
+                )
+            }
         }
     }
 }
@@ -215,6 +250,8 @@ pub enum Record {
     Traced(Box<TracedRecord>),
     /// A loaded chase's cycles per access.
     Chase(f64),
+    /// An unloaded chase point's two run lengths and cycles per access.
+    Point(ChaseMeasurement),
 }
 
 /// A traced run's record. Both figures clip the top 1% so the bucket
@@ -241,24 +278,40 @@ pub struct TracedRecord {
 impl Record {
     /// # Panics
     ///
-    /// Panics on a chase record: only E7 reads those.
+    /// Panics on a chase record: only E1 and E7 read those.
     fn traced(&self) -> &TracedRecord {
         match self {
             Record::Traced(r) => r,
-            Record::Chase(_) => panic!("a chase run has no traces"),
+            _ => panic!("a chase run has no traces"),
         }
     }
 
-    /// A chase's cycles per access; for a traced run its identity, idle
-    /// coverage, fetch and load totals, the bucket `table` its row draws
-    /// and its latencies.
-    fn write_pins(&self, w: &mut Writer, table: Table) {
-        let r = match self {
-            Record::Traced(r) => r,
-            Record::Chase(per_access) => {
+    /// A loaded chase's cycles per access; an unloaded point's preset,
+    /// level and measurement, with its published-reference verdict when its
+    /// row checks one; for a traced run its identity, idle coverage, fetch
+    /// and load totals, the bucket `table` its row draws and its latencies.
+    fn write_pins(&self, spec: &Spec, w: &mut Writer, table: Table) {
+        let r = match (self, spec) {
+            (Record::Traced(r), _) => r,
+            (Record::Chase(per_access), _) => {
                 w.value(*per_access);
                 return;
             }
+            (Record::Point(m), Spec::Point(preset, level, ..)) => {
+                w.object().field("preset", preset.name());
+                w.field("token", preset.token())
+                    .field("level", level.label());
+                w.field("cycles_short", m.cycles_short);
+                w.field("cycles_long", m.cycles_long);
+                w.field("measured", m.per_access);
+                if table == Table::Reference {
+                    let check = reference::check_point(*preset, *level, m.per_access);
+                    check.expect("reducing the point checked it").write_pins(w);
+                }
+                w.end();
+                return;
+            }
+            (Record::Point(_), _) => unreachable!("a point record is a point run's"),
         };
         let hash = format!("{:016x}", r.content_hash);
         w.object()
@@ -277,29 +330,35 @@ impl Record {
     }
 }
 
-/// Executes `spec` and reduces it to its record.
+/// Executes `spec` and reduces it to its record. Every error names the run.
 fn reduce(spec: &Spec) -> Result<Record, String> {
-    let (config, workload, exp) = match spec {
-        Spec::Traced(config, workload, exp) => (config.clone(), workload, exp),
+    let failed = |e: &dyn fmt::Display| format!("running {spec}: {e}");
+    match spec {
+        Spec::Traced(config, workload, exp) => {
+            let run = run_to_completion(config.clone(), workload, exp).map_err(|e| failed(&e))?;
+            reduce_run(spec, &run)
+        }
         Spec::Chase(config, params, ctas) => {
             let per_access = measure_chase_under_load(config, params, *ctas);
-            return per_access.map(Record::Chase).map_err(|e| e.to_string());
+            per_access.map(Record::Chase).map_err(|e| failed(&e))
         }
-    };
-    let run = run_to_completion(config, workload, exp).map_err(|e| e.to_string())?;
-    reduce_run(spec, &run)
+        // A point that breaks the published reference fails the list, as a
+        // sanitizer violation does.
+        Spec::Point(preset, level, config, params) => {
+            let m = measure_chase(config, params).map_err(|e| failed(&e))?;
+            reference::check_point(*preset, *level, m.per_access).map_err(|e| failed(&e))?;
+            Ok(Record::Point(m))
+        }
+    }
 }
 
 /// Reduces `spec`'s finished run to its record. Release builds only count
 /// sanitizer violations, so this is where one fails the list.
 fn reduce_run(spec: &Spec, run: &TracedRun) -> Result<Record, String> {
     if run.sanitizer_violations > 0 {
-        let Spec::Traced(config, workload, _) = spec else {
-            unreachable!("only traced runs are sanitized here")
-        };
+        let violations = run.sanitizer_violations;
         return Err(format!(
-            "{} sanitizer violation(s) running {} on {}",
-            run.sanitizer_violations, workload.name, config.name
+            "{violations} sanitizer violation(s) running {spec}"
         ));
     }
     let fetches = run.requests.iter().map(|r| r.timeline.total_latency());
@@ -315,12 +374,14 @@ fn reduce_run(spec: &Spec, run: &TracedRun) -> Result<Record, String> {
     })))
 }
 
-/// The bucket table a row pins beyond its runs' totals: the one it draws.
+/// What a row pins beyond its runs' own: the bucket table it draws, or the
+/// published reference it checks its points against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Table {
     None,
     Fetches,
     Loads,
+    Reference,
 }
 
 /// The runs a renderer reads, each beside its record, in the row's order.
@@ -354,8 +415,11 @@ const fn row(
     }
 }
 
-/// The paper's figures and the workspace's ablations, in `--help` order.
-pub static EXPERIMENTS: [Experiment; 8] = [
+/// Table I, the published-reference check, the paper's figures and the
+/// workspace's ablations, in `--help` order.
+pub static EXPERIMENTS: [Experiment; 10] = [
+    row("table1", paper_points, Table::None, table1),
+    row("validate", every_point, Table::Reference, validate),
     row("fig1", the_bfs, Table::Fetches, fig1),
     row("fig2", the_bfs, Table::Loads, fig2),
     row("other_workloads", e4, Table::None, other_workloads),
@@ -375,6 +439,83 @@ pub static EXPERIMENTS: [Experiment; 8] = [
     ),
     row("arch_dynamic", generations, Table::None, arch_dynamic),
 ];
+
+/// The Table I points of `presets`, preset-major, each on its preset's
+/// microbenchmark machine.
+fn points(presets: &[ArchPreset]) -> Vec<Spec> {
+    let preset_points = |&preset: &ArchPreset| {
+        let config = preset.config_microbench();
+        let points = row_points(&config.arch_desc()).into_iter();
+        points.map(move |(level, params)| Spec::Point(preset, level, config.clone(), params))
+    };
+    presets.iter().flat_map(preset_points).collect()
+}
+
+fn paper_points(_: &GpuConfig, _: &BfsExperiment) -> Vec<Spec> {
+    points(&ArchPreset::TABLE1)
+}
+
+fn every_point(_: &GpuConfig, _: &BfsExperiment) -> Vec<Spec> {
+    points(&ArchPreset::ALL)
+}
+
+/// Each preset's Table I row, assembled from its points in run order.
+fn measured_rows(runs: &Runs) -> Vec<(ArchPreset, MeasuredRow)> {
+    let point = |&(spec, record): &(&Spec, &Record)| match (spec, record) {
+        (Spec::Point(preset, level, ..), Record::Point(m)) => (*preset, *level, m.per_access),
+        _ => unreachable!("Table I reads chase points"),
+    };
+    let points: Vec<_> = runs.iter().map(point).collect();
+    let row = |points: &[(ArchPreset, LevelKind, f64)]| {
+        let levels = points.iter().map(|&(_, level, latency)| (level, latency));
+        (points[0].0, MeasuredRow::from_points(levels))
+    };
+    points.chunk_by(|a, b| a.0 == b.0).map(row).collect()
+}
+
+/// E1: the paper's **Table I** — static latencies of the global-memory
+/// pipeline across four generations, measured beside published.
+fn table1(runs: &Runs) -> String {
+    let rows: Vec<_> = measured_rows(runs)
+        .into_iter()
+        .map(|(preset, measured)| (preset, measured, preset.published()))
+        .collect();
+    let names: String = rows
+        .iter()
+        .map(|(p, ..)| format!(" | {:>22}", p.name()))
+        .collect();
+    let rule = "-".repeat(8 + rows.len() * 25);
+    let cell = |m: Option<f64>, e: Option<u64>| match (m, e) {
+        (Some(m), Some(e)) => format!("{m:>8.0} (paper {e:>4})"),
+        (Some(m), None) => format!("{m:>8.0} (paper  ---)"),
+        _ => format!("{:>20}", "x"),
+    };
+    let line = |(unit, level): (&str, LevelKind)| {
+        let cells = rows
+            .iter()
+            .map(|(_, m, e)| cell(m.level(level), e.level(level)));
+        let cells: String = cells.map(|c| format!(" | {c:>22}")).collect();
+        format!("{unit:8}{cells}\n")
+    };
+    let units = ["L1 D$", "L2 D$", "DRAM"].into_iter().zip(LevelKind::ALL);
+    let lines: String = units.map(line).collect();
+    let errors = rows.iter().map(|(_, m, e)| m.max_rel_error(e));
+    let worst = 100.0 * errors.fold(0.0, f64::max);
+    format!(
+        "Table I: latencies of memory loads through the global memory\n\
+         pipeline over four generations of NVIDIA GPUs (cycles)\n\n\
+         {:8}{names}\n{rule}\n{lines}\nmax relative error vs. paper: {worst:.2}%\n",
+        "Unit"
+    )
+}
+
+/// E1's check: every registered preset's analytic and measured latencies
+/// against its published row ([`reference::validate_preset`]).
+fn validate(runs: &Runs) -> String {
+    let (tolerance, verdicts) = reference::validate_rows(&measured_rows(runs));
+    let verdicts: String = verdicts.iter().map(PresetValidation::to_human).collect();
+    format!("published-reference validation (tolerance {tolerance:.1}%)\n{verdicts}")
+}
 
 /// The BFS of `exp` on `base` as changed by `edit`.
 fn bfs(base: &GpuConfig, exp: &BfsExperiment, edit: impl FnOnce(&mut GpuConfig)) -> Spec {
@@ -684,6 +825,14 @@ impl Plan {
         })
     }
 
+    /// Each preset's Table I row over the plan's chase points, in run
+    /// order, from [`Plan::execute`]'s records.
+    pub fn measured_rows(&self, records: &[Record]) -> Vec<(ArchPreset, MeasuredRow)> {
+        let runs: Vec<_> = self.runs.iter().zip(records).collect();
+        let points = |&(spec, _): &(&Spec, &Record)| matches!(spec, Spec::Point(..));
+        measured_rows(&runs.into_iter().filter(points).collect::<Vec<_>>())
+    }
+
     /// Each row's name and stdout, from [`Plan::execute`]'s records.
     pub fn render(&self, records: &[Record]) -> Vec<(&'static str, String)> {
         let render = |(row, runs): &(&'static Experiment, Vec<usize>)| {
@@ -700,7 +849,7 @@ impl Plan {
         for (row, runs) in &self.rows {
             w.key(row.name).array();
             runs.iter()
-                .for_each(|&i| records[i].write_pins(&mut w, row.table));
+                .for_each(|&i| records[i].write_pins(&self.runs[i], &mut w, row.table));
             w.end();
         }
         w.finish()
@@ -810,9 +959,55 @@ mod tests {
         assert!(reduce_run(spec, &run).is_ok());
         run.sanitizer_violations = 3;
         let err = reduce_run(spec, &run).expect_err("the run tripped the sanitizer");
-        assert!(
-            err.contains("3 sanitizer violation(s) running vecadd"),
-            "{err}"
+        let expected = format!("3 sanitizer violation(s) running vecadd on {}", small.name);
+        assert!(err.contains(&expected), "{err}");
+    }
+
+    #[test]
+    fn a_failed_run_names_its_machine_and_geometry() {
+        let gf100 = ArchPreset::FermiGf100.config();
+        let spec = Spec::Chase(gf100, ChaseParams::global(4096, 7), 0);
+        assert_eq!(
+            reduce(&spec).unwrap_err(),
+            "running a 4096 B chase at stride 7 under 0 streamer CTA(s) on GF100 (Fermi): \
+             stride 7 is not a positive multiple of 8"
         );
+        let [Spec::Point(preset, level, config, _), ..] = &points(&[ArchPreset::TeslaGt200])[..]
+        else {
+            unreachable!("GT200 has its DRAM point")
+        };
+        let spec = Spec::Point(*preset, *level, config.clone(), ChaseParams::global(8, 128));
+        assert_eq!(
+            reduce(&spec).unwrap_err(),
+            "running the DRAM point (8 B chase at stride 128) on GT200 (Tesla): \
+             footprint 8 < stride 128: empty chain"
+        );
+    }
+
+    #[test]
+    fn table_renders_paper_layout() {
+        // GF106's points, each measuring exactly its published latency.
+        let specs = points(&[ArchPreset::FermiGf106]);
+        let published = ArchPreset::FermiGf106.published();
+        let record = |spec: &Spec| {
+            let Spec::Point(_, level, ..) = spec else {
+                unreachable!("Table I reads chase points")
+            };
+            let per_access = published.level(*level).expect("published") as f64;
+            Record::Point(ChaseMeasurement {
+                per_access,
+                accesses: 0,
+                cycles_short: 0,
+                cycles_long: 0,
+            })
+        };
+        let records: Vec<Record> = specs.iter().map(record).collect();
+        let s = table1(&specs.iter().zip(&records).collect::<Vec<_>>());
+        assert!(s.contains("L1 D$"));
+        assert!(s.contains("DRAM"));
+        assert!(s.contains("GF106"));
+        let l2 = published.l2.unwrap();
+        assert!(s.contains(&format!("paper {l2:>4}")), "{s}");
+        assert!(s.ends_with("max relative error vs. paper: 0.00%\n"), "{s}");
     }
 }

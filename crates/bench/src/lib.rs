@@ -4,13 +4,13 @@
 //! the `latency` binary's subcommands (`latency table1`, …; `src/main.rs`
 //! and `src/cmd/`), the `bench` suites and the cross-crate tests:
 //!
-//! - **E1 / Table I**: [`latency_core::Table1`], checked against the
-//!   published rows by [`run_validation_bench`].
-//! - **E2–E8** and the cross-generation BFS: the rows of [`EXPERIMENTS`]
-//!   (`fig1`, `fig2`, `other_workloads`, `dram_sched_ablation`,
-//!   `hiding_sweep`, `loaded_latency`, `write_policy_ablation`,
-//!   `arch_dynamic`), executed by a [`Plan`] that runs each distinct
-//!   simulation once.
+//! - **E1–E8** and the cross-generation BFS: the rows of [`EXPERIMENTS`]
+//!   (`table1` and its published-reference check `validate`, `fig1`,
+//!   `fig2`, `other_workloads`, `dram_sched_ablation`, `hiding_sweep`,
+//!   `loaded_latency`, `write_policy_ablation`, `arch_dynamic`), executed
+//!   by a [`Plan`] that runs each distinct simulation once. `table1` and
+//!   `validate` share their chase points, each held to the published rows
+//!   by [`reference::check_point`] as it is reduced.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +30,7 @@ pub use gpu_workloads::{builtin_kernels, BfsExperiment, Workload};
 /// Frozen re-export: `benchmark/` reads the published rows through here.
 pub use latency_core::reference_rows;
 pub use progress::ProgressHeartbeat;
-pub use reference::{run_validation_bench, LevelValidation, PresetValidation, ValidationBench};
+pub use reference::{validate_preset, validate_rows, LevelValidation, PresetValidation};
 pub use regression::{compare_json, Finding};
 pub use suite::{
     host_cpus, run_serve_bench, run_sweep_bench, serve_grid_spec, sweep_grid_spec, ServeBench,

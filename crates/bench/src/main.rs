@@ -22,9 +22,7 @@ mod cmd {
     pub mod bench;
     pub mod lint;
     pub mod sweep;
-    pub mod table1;
     pub mod trace;
-    pub mod validate;
 }
 use cmd::*;
 
@@ -36,16 +34,14 @@ enum Run {
     Experiment(&'static Experiment),
     /// Its own flags, on fixed machines.
     Flags(fn(&mut Cursor) -> Result<(), UsageError>),
-    /// `--preset` and its own flags.
-    Presets(fn(&[ArchPreset], &mut Cursor) -> Result<(), UsageError>),
+    /// At most one `--preset` and its own flags.
+    Preset(fn(Option<ArchPreset>, &mut Cursor) -> Result<(), UsageError>),
 }
 
 /// The tools: `(name, flag synopsis, entry point)`.
-const SUBCOMMANDS: [(&str, &str, Run); 6] = [
-    ("table1", table1::FLAGS, Run::Presets(table1::run)),
-    ("sweep", sweep::FLAGS, Run::Presets(sweep::run)),
-    ("trace", trace::FLAGS, Run::Presets(trace::run)),
-    ("validate", validate::FLAGS, Run::Presets(validate::run)),
+const SUBCOMMANDS: [(&str, &str, Run); 4] = [
+    ("sweep", sweep::FLAGS, Run::Preset(sweep::run)),
+    ("trace", trace::FLAGS, Run::Preset(trace::run)),
     ("lint", lint::FLAGS, Run::Flags(lint::run)),
     ("bench", bench::FLAGS, Run::Flags(bench::run)),
 ];
@@ -75,7 +71,7 @@ fn dispatch(run: &Run, args: &mut Cursor) -> Result<(), UsageError> {
     }
     cli::check_env()?;
     let shared = args.shared()?;
-    if !matches!(run, Run::Presets(_)) && !shared.presets.is_empty() {
+    if !matches!(run, Run::Preset(_)) && shared.preset.is_some() {
         return Err(UsageError("this subcommand takes no --preset".into()));
     }
     shared.apply();
@@ -94,7 +90,7 @@ fn dispatch(run: &Run, args: &mut Cursor) -> Result<(), UsageError> {
             Ok(())
         }
         Run::Flags(f) => f(args),
-        Run::Presets(f) => f(&shared.presets, args),
+        Run::Preset(f) => f(shared.preset, args),
     }
 }
 

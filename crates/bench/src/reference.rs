@@ -6,16 +6,14 @@
 //! modern-generation microbenchmark papers (arXiv:2208.11174,
 //! arXiv:2507.10789) for the sectored GV100/GA102 presets. The published
 //! per-level unloaded latencies are written once, in
-//! `REFERENCE_latencies.json` ([`latency_core::reference_rows`]), and
-//! [`run_validation_bench`] is the one place they are compared with the
-//! model: for each preset and each level the chip exposes to the global
-//! pipeline it takes
+//! `REFERENCE_latencies.json` ([`latency_core::reference_rows`]); each
+//! level's chase point is measured once, as a run of the experiment list
+//! ([`crate::Spec::Point`]); and `validate_level` is the one rule set
+//! comparing them with the model. For each level it takes
 //!
 //! - the **analytic** unloaded latency of the description
 //!   ([`gpu_arch::ArchDesc::unloaded_latency`]), and
 //! - the **measured** pointer-chase plateau
-//!   ([`latency_core::Table1::measure_presets`], the Table I measurement,
-//!   all requested presets in one pooled batch)
 //!
 //! and reports a violation when
 //!
@@ -27,16 +25,18 @@
 //! - the level is present in one of the three and absent from another — a
 //!   preset cannot silently grow or lose a cache level.
 //!
-//! `latency validate` drives this from the command line (the CI preset
-//! matrix runs it once per preset), and the bench harness commits the full
-//! eight-preset result as `BENCH_validation.json`, pin-checked leaf for
-//! leaf like the other four baselines ([`crate::regression`]).
+//! Every chase point is held to these rules as it is reduced
+//! ([`check_point`]), so a violation fails the experiment list — `latency
+//! table1`, `latency validate` and the experiments bench suite alike. The
+//! `validate` row prints every preset's verdict ([`validate_preset`]) and
+//! pins each point's comparison ([`PointCheck`]) in
+//! `BENCH_experiments.json`.
 
 use std::fmt::Write as _;
 
-use gpu_arch::LevelKind;
-use gpu_trace::json::{Fixed, Writer};
-use latency_core::{reference_rows, ArchPreset, MeasuredRow, ReferenceRow, Table1};
+use gpu_arch::{ArchDesc, LevelKind};
+use gpu_trace::json::Writer;
+use latency_core::{reference_rows, ArchPreset, MeasuredRow, ReferenceRow};
 
 /// One level's three-way comparison: published vs analytic vs chase-measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,6 +74,32 @@ impl PresetValidation {
         }
     }
 
+    /// Renders the whole verdict, as `latency validate` prints it.
+    pub fn to_human(&self) -> String {
+        let mut out = format!(
+            "{} [{}] -> {}\n",
+            self.preset.name(),
+            self.source,
+            self.verdict()
+        );
+        for l in &self.levels {
+            let _ = writeln!(
+                out,
+                "  {:<4} published {:>4} cyc | analytic {:>4} cyc ({:+.2}%) | chase plateau {:>6.1} cyc ({:+.2}%)",
+                l.level,
+                l.reference,
+                l.analytic,
+                100.0 * (l.analytic as f64 / l.reference as f64 - 1.0),
+                l.measured,
+                100.0 * (l.measured / l.reference as f64 - 1.0),
+            );
+        }
+        for v in &self.violations {
+            let _ = writeln!(out, "  violation: {v}");
+        }
+        out
+    }
+
     /// Renders the floor half of the verdict (analytic <= measured per
     /// level), as `lint --validate` prints it beside contracts A and B.
     pub fn floor_human(&self) -> String {
@@ -96,154 +122,77 @@ impl PresetValidation {
     }
 }
 
-/// The full cross-validation record (`BENCH_validation.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValidationBench {
-    /// Allowed relative divergence, in percent, from the committed table.
-    pub tolerance_percent: f64,
-    /// One row per validated preset, in request order.
-    pub rows: Vec<PresetValidation>,
-}
-
-impl ValidationBench {
-    /// All violations across every preset, for error reporting.
-    pub fn check(&self) -> Result<(), String> {
-        let mut out = String::new();
-        for row in &self.rows {
-            for v in &row.violations {
-                let _ = writeln!(out, "{}: {v}", row.preset.token());
+/// The rules for one level of `desc`: presence in the published table, the
+/// description and the measurement alike, the analytic and measured
+/// latencies within `tolerance` of the published one, and the analytic
+/// floor under the measurement. Pushes each broken rule onto `violations`
+/// and returns the comparison when all three have the level.
+fn validate_level(
+    desc: &ArchDesc,
+    kind: LevelKind,
+    published: Option<u64>,
+    measured: Option<f64>,
+    tolerance: f64,
+    violations: &mut Vec<String>,
+) -> Option<LevelValidation> {
+    let label = kind.label();
+    match (published, measured, desc.unloaded_latency(kind)) {
+        // The published table and the chase agree the level is not
+        // observable from the global pipeline; nothing to compare.
+        (None, None, _) => None,
+        (Some(reference), Some(measured), Some(analytic)) => {
+            let off = |v: f64| (v - reference as f64).abs() / reference as f64;
+            if off(analytic as f64) > tolerance {
+                violations.push(format!(
+                    "{label}: analytic unloaded latency {analytic} cyc diverges {:.2}% from published {reference} cyc",
+                    100.0 * off(analytic as f64),
+                ));
             }
-        }
-        if out.is_empty() {
-            Ok(())
-        } else {
-            Err(out)
-        }
-    }
-
-    /// Renders the verdict as a human-readable table.
-    pub fn to_human(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "published-reference validation (tolerance {:.1}%)",
-            self.tolerance_percent
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{} [{}] -> {}",
-                row.preset.name(),
-                row.source,
-                row.verdict()
-            );
-            for l in &row.levels {
-                let _ = writeln!(
-                    out,
-                    "  {:<4} published {:>4} cyc | analytic {:>4} cyc ({:+.2}%) | chase plateau {:>6.1} cyc ({:+.2}%)",
-                    l.level,
-                    l.reference,
-                    l.analytic,
-                    100.0 * (l.analytic as f64 / l.reference as f64 - 1.0),
-                    l.measured,
-                    100.0 * (l.measured / l.reference as f64 - 1.0),
-                );
+            if off(measured) > tolerance {
+                violations.push(format!(
+                    "{label}: chase plateau {measured:.1} cyc diverges {:.2}% from published {reference} cyc",
+                    100.0 * off(measured),
+                ));
             }
-            for v in &row.violations {
-                let _ = writeln!(out, "  violation: {v}");
+            if analytic as f64 > measured {
+                violations.push(format!(
+                    "{label}: analytic floor {analytic} cyc exceeds measured {measured:.1} cyc"
+                ));
             }
+            Some(LevelValidation {
+                level: label,
+                reference,
+                analytic,
+                measured,
+            })
         }
-        out
-    }
-
-    /// Renders the committed `BENCH_validation.json` schema: every leaf is
-    /// a pure function of the committed reference table and the (fully
-    /// deterministic) simulation.
-    pub fn json(&self) -> String {
-        let mut w = Writer::indented();
-        w.object().field("name", "validation");
-        w.field("tolerance_percent", Fixed(self.tolerance_percent, 1));
-        w.key("rows").array();
-        for row in &self.rows {
-            w.object().field("preset", row.preset.name());
-            w.field("token", row.preset.token());
-            w.field("source", &row.source);
-            w.key("levels").array();
-            for l in &row.levels {
-                w.object().field("level", l.level);
-                w.field("reference", l.reference);
-                w.field("analytic", l.analytic);
-                w.field("measured", Fixed(l.measured, 1)).end();
-            }
-            w.end().end();
+        (reference, plateau, analytic) => {
+            violations.push(format!(
+                "{label}: presence mismatch (published {reference:?}, chase plateau {plateau:?}, \
+                 analytic {analytic:?})"
+            ));
+            None
         }
-        w.finish()
     }
 }
 
-/// Validates one preset against its published row: presence, analytic
-/// latency, measured plateau and the analytic floor per level.
-fn validate_preset(
+/// Validates one preset against its published row: `validate_level` on
+/// every level.
+pub fn validate_preset(
     preset: ArchPreset,
     row: &ReferenceRow,
     measured: &MeasuredRow,
     tolerance: f64,
 ) -> PresetValidation {
     let desc = preset.desc();
-    let mut levels = Vec::new();
     let mut violations = Vec::new();
-    let cells = [
-        (LevelKind::L1, row.l1, measured.l1),
-        (LevelKind::L2, row.l2, measured.l2),
-        (LevelKind::DramFront, Some(row.dram), Some(measured.dram)),
-    ];
-    for (kind, published, plateau) in cells {
-        match (published, plateau, desc.unloaded_latency(kind)) {
-            // The published table and the chase agree the level is not
-            // observable from the global pipeline; nothing to compare.
-            (None, None, _) => {}
-            (Some(reference), Some(measured), Some(analytic)) => {
-                let off = |v: f64| (v - reference as f64).abs() / reference as f64;
-                if off(analytic as f64) > tolerance {
-                    violations.push(format!(
-                        "{}: analytic unloaded latency {} cyc diverges {:.2}% from published {} cyc",
-                        kind.label(),
-                        analytic,
-                        100.0 * off(analytic as f64),
-                        reference
-                    ));
-                }
-                if off(measured) > tolerance {
-                    violations.push(format!(
-                        "{}: chase plateau {:.1} cyc diverges {:.2}% from published {} cyc",
-                        kind.label(),
-                        measured,
-                        100.0 * off(measured),
-                        reference
-                    ));
-                }
-                if analytic as f64 > measured {
-                    violations.push(format!(
-                        "{}: analytic floor {} cyc exceeds measured {:.1} cyc",
-                        kind.label(),
-                        analytic,
-                        measured
-                    ));
-                }
-                levels.push(LevelValidation {
-                    level: kind.label(),
-                    reference,
-                    analytic,
-                    measured,
-                });
-            }
-            (reference, plateau, analytic) => violations.push(format!(
-                "{}: presence mismatch (published {reference:?}, chase plateau {plateau:?}, \
-                 analytic {analytic:?})",
-                kind.label()
-            )),
-        }
-    }
+    let levels = LevelKind::ALL
+        .into_iter()
+        .filter_map(|kind| {
+            let (published, plateau) = (row.level(kind), measured.level(kind));
+            validate_level(&desc, kind, published, plateau, tolerance, &mut violations)
+        })
+        .collect();
     PresetValidation {
         preset,
         source: row.source.clone(),
@@ -252,49 +201,101 @@ fn validate_preset(
     }
 }
 
-/// Runs the published-reference check for `presets`: their Table I rows,
-/// measured in one pooled batch, each diffed against its published row.
+/// The committed tolerance, in percent.
+fn tolerance_percent() -> f64 {
+    reference_rows().expect("REFERENCE_latencies.json parses").0
+}
+
+/// Every preset's verdict over its measured `rows`, under the committed
+/// tolerance (in percent, returned beside them).
+pub fn validate_rows(rows: &[(ArchPreset, MeasuredRow)]) -> (f64, Vec<PresetValidation>) {
+    let tolerance = tolerance_percent();
+    let verdict = |(preset, measured): &(ArchPreset, MeasuredRow)| {
+        validate_preset(*preset, &preset.published(), measured, tolerance / 100.0)
+    };
+    (tolerance, rows.iter().map(verdict).collect())
+}
+
+/// One chase point's published-reference verdict, as the `validate` row
+/// pins it beside the point's measurement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PointCheck {
+    /// Citation of the published row.
+    pub source: String,
+    /// Allowed relative divergence, in percent.
+    pub tolerance_percent: f64,
+    /// The level's comparison.
+    pub level: LevelValidation,
+}
+
+impl PointCheck {
+    /// Writes the verdict's members into the open object.
+    pub fn write_pins(&self, w: &mut Writer) {
+        w.field("source", &self.source);
+        w.field("tolerance_percent", self.tolerance_percent);
+        w.field("reference", self.level.reference);
+        w.field("analytic", self.level.analytic);
+    }
+}
+
+/// Holds one measured chase point of `preset` to `validate_level`: its
+/// own level, and every level the description has no point for (a
+/// published level the description lost).
 ///
 /// # Errors
 ///
-/// Returns `Err` when the committed reference table is malformed or lacks a
-/// requested preset, or a chase measurement fails outright; validation
-/// *findings* are reported in the returned [`ValidationBench`], not as
-/// errors.
-pub fn run_validation_bench(presets: &[ArchPreset]) -> Result<ValidationBench, String> {
-    let (tolerance_percent, reference) = reference_rows()?;
-    let published = presets
-        .iter()
-        .map(|p| {
-            reference
-                .iter()
-                .find(|r| r.token == p.token())
-                .ok_or(format!(
-                    "no published reference row for token {:?} in REFERENCE_latencies.json",
-                    p.token()
-                ))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let table =
-        Table1::measure_presets(presets).map_err(|e| format!("chase measurement failed: {e}"))?;
-    let rows = table
-        .rows()
-        .iter()
-        .zip(published)
-        .map(|((preset, measured), row)| {
-            validate_preset(*preset, row, measured, tolerance_percent / 100.0)
-        })
-        .collect();
-    Ok(ValidationBench {
-        tolerance_percent,
-        rows,
-    })
+/// Names the preset, the point's level with its published, analytic and
+/// measured values, and each broken rule.
+pub fn check_point(
+    preset: ArchPreset,
+    kind: LevelKind,
+    measured: f64,
+) -> Result<PointCheck, String> {
+    let (desc, row, tolerance) = (preset.desc(), preset.published(), tolerance_percent());
+    let mut violations = Vec::new();
+    let mut rules = |k: LevelKind, plateau| {
+        validate_level(
+            &desc,
+            k,
+            row.level(k),
+            plateau,
+            tolerance / 100.0,
+            &mut violations,
+        )
+    };
+    for other in LevelKind::ALL {
+        if other != kind && desc.unloaded_latency(other).is_none() {
+            rules(other, None);
+        }
+    }
+    let level = rules(kind, Some(measured));
+    let published = row.level(kind);
+    match level {
+        Some(level) if violations.is_empty() => Ok(PointCheck {
+            source: row.source,
+            tolerance_percent: tolerance,
+            level,
+        }),
+        _ => {
+            let cycles = |c: Option<u64>| c.map_or("none".to_string(), |c| format!("{c} cyc"));
+            Err(format!(
+                "{} {} diverged from the published reference (published {}, analytic {}, \
+                 measured {measured:.1} cyc): {}",
+                preset.name(),
+                kind.label(),
+                cycles(published),
+                cycles(desc.unloaded_latency(kind)),
+                violations.join("; ")
+            ))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_trace::json::{self, Value};
+    use latency_core::measure_row;
 
     /// A measurement that reproduces `row` exactly.
     fn exact(row: &ReferenceRow) -> MeasuredRow {
@@ -305,61 +306,46 @@ mod tests {
         }
     }
 
-    fn fake_bench() -> ValidationBench {
-        ValidationBench {
-            tolerance_percent: 2.0,
-            rows: vec![PresetValidation {
-                preset: ArchPreset::VoltaGv100,
-                source: "arXiv:2208.11174".to_string(),
-                levels: vec![
-                    LevelValidation {
-                        level: "L1",
-                        reference: 28,
-                        analytic: 28,
-                        measured: 28.0,
-                    },
-                    LevelValidation {
-                        level: "DRAM",
-                        reference: 472,
-                        analytic: 472,
-                        measured: 472.0,
-                    },
-                ],
-                violations: Vec::new(),
-            }],
-        }
+    /// A point check's pins, in an object of their own.
+    fn pins(check: &PointCheck) -> Value {
+        let mut w = Writer::indented();
+        w.object();
+        check.write_pins(&mut w);
+        json::parse(&w.finish()).expect("valid json")
+    }
+
+    fn gv100_l1() -> PointCheck {
+        check_point(ArchPreset::VoltaGv100, LevelKind::L1, 28.0).expect("GV100's L1 is published")
     }
 
     /// A citation is free text from `REFERENCE_latencies.json`; quotes and
-    /// backslashes in it must survive into `BENCH_validation.json`.
+    /// backslashes in it must survive into `BENCH_experiments.json`.
     #[test]
     fn sources_with_quotes_and_backslashes_round_trip() {
-        let mut bench = fake_bench();
         let source = "Mei & Chu, \"Dissecting GPU memory\" (arXiv 1509.02308), table\\II";
-        bench.rows[0].source = source.to_string();
-        let doc = json::parse(&bench.json()).expect("valid json");
-        let rows = doc.get("rows").and_then(Value::as_arr).expect("rows");
-        assert_eq!(rows[0].get("source").and_then(Value::as_str), Some(source));
+        let check = PointCheck {
+            source: source.to_string(),
+            ..gv100_l1()
+        };
+        assert_eq!(
+            pins(&check).get("source").and_then(Value::as_str),
+            Some(source)
+        );
     }
 
     #[test]
     fn validation_json_parses_and_keeps_schema() {
-        let doc = json::parse(&fake_bench().json()).expect("valid json");
-        assert_eq!(doc.get("name").and_then(Value::as_str), Some("validation"));
-        let rows = doc.get("rows").and_then(Value::as_arr).expect("rows");
-        assert_eq!(rows[0].get("token").and_then(Value::as_str), Some("gv100"));
-        let levels = rows[0]
-            .get("levels")
-            .and_then(Value::as_arr)
-            .expect("levels");
-        assert_eq!(levels.len(), 2);
+        let doc = pins(&gv100_l1());
+        let num = |key: &str| doc.get(key).and_then(Value::as_num);
+        assert_eq!(num("tolerance_percent"), Some(2.0));
         assert_eq!(
-            levels[0].get("reference").and_then(Value::as_num),
-            Some(28.0)
+            (num("reference"), num("analytic")),
+            (Some(28.0), Some(28.0))
         );
+        let source = doc.get("source").and_then(Value::as_str);
         assert_eq!(
-            levels[1].get("measured").and_then(Value::as_num),
-            Some(472.0)
+            source,
+            Some(ArchPreset::VoltaGv100.published().source.as_str())
         );
     }
 
@@ -405,6 +391,11 @@ mod tests {
             v.violations[0].starts_with("L1: presence mismatch"),
             "{v:?}"
         );
+        // Reduced as a chase point, that plateau fails its check.
+        let err = check_point(ArchPreset::MaxwellGm107, LevelKind::L1, 40.0).unwrap_err();
+        assert!(err.starts_with("GM107 (Maxwell) L1 diverged"), "{err}");
+        assert!(err.contains("published none"), "{err}");
+        assert!(err.contains("L1: presence mismatch"), "{err}");
     }
 
     /// Contract C: a chase that beats the description's analytic floor,
@@ -431,19 +422,34 @@ mod tests {
             "{floor}"
         );
         assert!(floor.ends_with(&format!("  violation: {}\n", v.violations[0])));
+        // Reduced as a chase point, the same plateau fails with every value
+        // it was judged on.
+        let err = check_point(ArchPreset::VoltaGv100, LevelKind::DramFront, measured.dram)
+            .expect_err("the point beats its floor");
+        assert_eq!(
+            err,
+            format!(
+                "GV100 (Volta) DRAM diverged from the published reference (published {0} cyc, \
+                 analytic {0} cyc, measured {1:.1} cyc): {2}",
+                row.dram, measured.dram, v.violations[0]
+            )
+        );
     }
 
     #[test]
     fn gt200_validates_against_the_published_row() {
         // End-to-end on the cheapest preset: DRAM-only machine, one chase.
-        let bench = run_validation_bench(&[ArchPreset::TeslaGt200]).expect("harness runs");
-        assert!(bench.check().is_ok(), "{}", bench.to_human());
-        assert_eq!(bench.rows[0].levels.len(), 1);
-        assert_eq!(bench.rows[0].levels[0].level, "DRAM");
+        let measured = measure_row(ArchPreset::TeslaGt200).expect("chase runs");
+        let (tolerance, rows) = validate_rows(&[(ArchPreset::TeslaGt200, measured)]);
+        assert_eq!(tolerance, 2.0);
+        assert!(rows[0].violations.is_empty(), "{}", rows[0].to_human());
+        assert_eq!(rows[0].levels.len(), 1);
+        assert_eq!(rows[0].levels[0].level, "DRAM");
         let dram = ArchPreset::TeslaGt200.published().dram;
         assert_eq!(
-            bench.rows[0].floor_human(),
+            rows[0].floor_human(),
             format!("GT200 (Tesla): floor check -> ok\n  DRAM: analytic {dram} cyc <= measured {dram}.0 cyc\n")
         );
+        assert!(check_point(ArchPreset::TeslaGt200, LevelKind::DramFront, measured.dram).is_ok());
     }
 }

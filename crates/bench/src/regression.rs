@@ -3,10 +3,10 @@
 //!
 //! Every leaf of a committed baseline is a pure function of the simulation
 //! (names, grid shape, hashes, cycle / instruction / dedup / cache counts,
-//! the validation rows), so every leaf must reproduce *exactly* on any
-//! host. A leaf that differs, a path only the baseline has and a path only
-//! the fresh run has are each a [`Finding`], and any finding fails the
-//! check: the fix is the code change that explains it plus
+//! the Table I points and verdicts), so every leaf must reproduce
+//! *exactly* on any host. A leaf that differs, a path only the baseline
+//! has and a path only the fresh run has are each a [`Finding`], and any
+//! finding fails the check: the fix is the code change that explains it plus
 //! `bench --update-baselines`, or a bug. Nothing is chosen by key name, so
 //! a new pin is checked the moment a suite emits it.
 //!

@@ -2,8 +2,8 @@
 //! function returning a struct that renders the committed `BENCH_*.json`
 //! schema, so measuring and the pin checker share one implementation.
 //!
-//! Two of the four suites live here; validation lives in
-//! [`crate::reference`] and the experiment list in [`crate::experiments`]:
+//! Two of the three suites live here; the experiment list lives in
+//! [`crate::experiments`]:
 //!
 //! - [`run_sweep_bench`]: the §II stride × footprint grid measured cold and
 //!   then warm from the content-addressed sweep cache (`BENCH_sweep.json`).

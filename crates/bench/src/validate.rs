@@ -19,7 +19,8 @@
 //! - **Floor** (contract C): the analytic unloaded latency of each level
 //!   ([`gpu_arch::ArchDesc::unloaded_latency`]) must not exceed the
 //!   pointer-chase-measured latency of the same level — the static floor
-//!   really is a floor. It is one rule of [`crate::run_validation_bench`].
+//!   really is a floor. It is one rule of the published-reference check
+//!   ([`crate::reference`]), which every Table I chase point is held to.
 //!
 //! Contract A/B run per (preset, workload) cell via [`validate_run`]. The
 //! `static_vs_dynamic` integration test sweeps the full Table-I matrix,

@@ -1,6 +1,6 @@
 //! Content-addressed on-disk cache for chase measurements.
 //!
-//! Every grid point of a [`crate::Sweep`] or [`crate::Table1`] run is a pure
+//! Every grid point of a [`crate::Sweep`] or Table I point is a pure
 //! function of the GPU configuration's timing parameters and the chase
 //! parameters: same inputs, same simulated cycles, bit for bit. The cache
 //! exploits that purity — each point is keyed by a stable hash of

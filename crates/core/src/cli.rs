@@ -87,8 +87,8 @@ pub fn check_env() -> Result<(), UsageError> {
 /// by [`Cursor::shared`] before dispatch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Shared {
-    /// Every `--preset NAME`, in command-line order.
-    pub presets: Vec<ArchPreset>,
+    /// `--preset NAME`: the machine, for the subcommands that take one.
+    pub preset: Option<ArchPreset>,
     /// `--threads N`: measurement-pool workers.
     pub threads: Option<usize>,
     /// `--cache DIR`: content-addressed chase-measurement cache.
@@ -184,13 +184,18 @@ impl Cursor {
     ///
     /// # Errors
     ///
-    /// A shared flag's value is missing or invalid.
+    /// A shared flag's value is missing or invalid, or `--preset` repeats.
     pub fn shared(&mut self) -> Result<Shared, UsageError> {
         let mut shared = Shared::default();
         let mut rest = Vec::new();
         while let Some(arg) = self.next_arg() {
             match arg.as_str() {
-                "--preset" => shared.presets.push(self.preset("--preset")?),
+                "--preset" => {
+                    let preset = self.preset("--preset")?;
+                    if shared.preset.replace(preset).is_some() {
+                        return Err(UsageError("--preset given more than once".into()));
+                    }
+                }
                 "--threads" => shared.threads = Some(self.threads("--threads")?),
                 "--cache" => shared.cache = Some(PathBuf::from(self.value("--cache")?)),
                 _ => rest.push(arg),
@@ -280,8 +285,6 @@ mod tests {
     fn shared_flags_split_off_in_any_position() {
         let mut c = cursor(&[
             "--json",
-            "--preset",
-            "gf100",
             "--threads",
             "3",
             "--out",
@@ -295,7 +298,7 @@ mod tests {
         assert_eq!(
             shared,
             Shared {
-                presets: vec![ArchPreset::FermiGf100, ArchPreset::KeplerGk104],
+                preset: Some(ArchPreset::KeplerGk104),
                 threads: Some(3),
                 cache: Some(PathBuf::from("/tmp/c")),
             }
@@ -309,6 +312,11 @@ mod tests {
         assert!(cursor(&["--threads", "0"]).shared().is_err());
         assert!(cursor(&["--json", "--cache"]).shared().is_err());
         assert!(cursor(&["--preset", "h100"]).shared().is_err());
+        let twice = cursor(&["--preset", "gt200", "--json", "--preset", "gm107"]).shared();
+        assert_eq!(
+            twice,
+            Err(UsageError("--preset given more than once".into()))
+        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! 1. **Static latency** (paper §II, Table I): [`measure_chase`] runs the
 //!    single-thread pointer-chase microbenchmark on per-generation machine
 //!    models ([`ArchPreset`]); [`Sweep`] and [`detect_plateaus`] implement
-//!    the stride × footprint methodology of Wong et al.; [`Table1`]
-//!    regenerates the paper's Table I against the published rows
-//!    ([`reference_rows`], written once in `REFERENCE_latencies.json`).
+//!    the stride × footprint methodology of Wong et al.; [`row_points`]
+//!    derives each preset's Table I operating points and [`measure_row`]
+//!    measures them, held to the published rows ([`reference_rows`],
+//!    written once in `REFERENCE_latencies.json`).
 //! 2. **Dynamic latency** (paper §III, Figures 1 & 2):
 //!    [`LatencyBreakdown`] splits every traced memory fetch's lifetime into
 //!    the eight pipeline components of Figure 1, and [`ExposureAnalysis`]
@@ -69,4 +70,4 @@ pub use presets::ArchPreset;
 pub use reference::{reference_rows, ReferenceRow, REFERENCE_TABLES};
 pub use report::{breakdown_csv, exposure_csv};
 pub use sweep::{pow2_range, SkipReason, SkippedPoint, Sweep, SweepPoint};
-pub use table1::{measure_row, MeasuredRow, Table1};
+pub use table1::{measure_row, row_points, MeasuredRow};

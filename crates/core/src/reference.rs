@@ -1,10 +1,11 @@
 //! The published per-level latencies every preset is held to, written once
 //! in `REFERENCE_latencies.json` at the repository root (embedded at compile
 //! time): the paper's Table I for the paper-era generations, arXiv:2208.11174
-//! and arXiv:2507.10789 for GV100/GA102. [`crate::Table1`] prints its "paper"
+//! and arXiv:2507.10789 for GV100/GA102. `latency table1` prints its "paper"
 //! column from here; `latency-bench`'s published-reference check diffs every
 //! preset's analytic and measured latencies against the same rows.
 
+use gpu_sim::LevelKind;
 use gpu_types::json::{self, Value};
 
 use crate::presets::ArchPreset;
@@ -26,6 +27,17 @@ pub struct ReferenceRow {
     pub l2: Option<u64>,
     /// Published DRAM latency.
     pub dram: u64,
+}
+
+impl ReferenceRow {
+    /// The published latency of `kind`, if the chip exposes the level.
+    pub fn level(&self, kind: LevelKind) -> Option<u64> {
+        match kind {
+            LevelKind::L1 => self.l1,
+            LevelKind::L2 => self.l2,
+            LevelKind::DramFront => Some(self.dram),
+        }
+    }
 }
 
 fn opt_cycles(row: &Value, key: &str) -> Result<Option<u64>, String> {

@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use gpu_types::rng::Rng;
 use latency_core::chase::ChaseSpace;
 use latency_core::{
-    clear_worker_count, measure_row, set_worker_count, worker_count, ArchPreset, Sweep, Table1,
+    clear_worker_count, measure_row, set_worker_count, worker_count, ArchPreset, Sweep,
 };
 
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
@@ -76,21 +76,6 @@ fn measure_row_parallel_equals_serial_for_all_presets() {
                 preset.name()
             );
         }
-    }
-}
-
-/// The full Table I — every preset's points in one pooled batch — is
-/// identical at 1 and at 2/5/8 workers, and so is what it prints.
-#[test]
-fn table1_is_identical_across_worker_counts() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let measure = || Table1::measure_presets(&ArchPreset::TABLE1).expect("table measures");
-    let serial = at_workers(1, measure);
-    for workers in WORKERS {
-        let t = at_workers(workers, measure);
-        assert_eq!(serial, t, "table differs with {workers} workers");
-        // The printed artifact (what `--threads N` users diff) too.
-        assert_eq!(serial.to_string(), t.to_string());
     }
 }
 

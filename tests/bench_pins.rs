@@ -3,7 +3,7 @@
 //! `latency bench --check` compares every leaf of them for equality, which
 //! is only sound while every leaf is a pure function of the simulation.
 //! This is the guard that keeps host time from drifting back in — in the
-//! spirit of `ci/no-handwritten-json.sh`: the four files parse, compare
+//! spirit of `ci/no-handwritten-json.sh`: the three files parse, compare
 //! clean against themselves, and carry no key that names a wall-clock
 //! quantity or the host it was taken on.
 //!
@@ -15,10 +15,9 @@ use gpu_trace::json::{self, Value};
 use latency_bench::{compare_json, splice_doc, BfsExperiment, Plan, Spec, Workload, EXPERIMENTS};
 use latency_core::ArchPreset;
 
-const BASELINES: [(&str, &str); 4] = [
+const BASELINES: [(&str, &str); 3] = [
     ("sweep", include_str!("../BENCH_sweep.json")),
     ("serve", include_str!("../BENCH_serve.json")),
-    ("validation", include_str!("../BENCH_validation.json")),
     ("experiments", include_str!("../BENCH_experiments.json")),
 ];
 
@@ -94,7 +93,7 @@ fn the_paper_plan_executes_each_distinct_run_once() {
     // eight generations, E7 four chases.
     let fig1_size = |&i: &usize| match &plan.runs[i] {
         Spec::Traced(_, w, exp) => *w == Workload::bfs() && *exp == BfsExperiment::default(),
-        Spec::Chase(..) => false,
+        _ => false,
     };
     let declared = plan
         .rows
@@ -102,7 +101,23 @@ fn the_paper_plan_executes_each_distinct_run_once() {
         .flat_map(|(_, r)| r.iter().filter(|i| fig1_size(i)));
     assert_eq!(declared.count(), 16);
     assert_eq!((0..plan.runs.len()).filter(fig1_size).count(), 12);
-    assert_eq!(plan.runs.len(), 12 + 16 + 8 + 4);
+    // Table I's chase points are a subset of the published-reference
+    // check's, and each (preset, level) point is planned once: 21 over the
+    // eight presets.
+    let (table1, validate) = (runs("table1"), runs("validate"));
+    assert!(table1.iter().all(|i| validate.contains(i)), "{table1:?}");
+    let points: Vec<_> = (plan.runs.iter())
+        .filter_map(|run| match run {
+            Spec::Point(preset, level, ..) => Some((*preset, *level)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(points.len(), validate.len());
+    assert_eq!(points.len(), 21);
+    for (i, point) in points.iter().enumerate() {
+        assert!(!points[..i].contains(point), "{point:?} planned twice");
+    }
+    assert_eq!(plan.runs.len(), 12 + 16 + 8 + 4 + 21);
     let machine = |i: &usize| &plan.runs[*i].config().name;
     let e4: Vec<_> = runs("other_workloads").iter().map(machine).collect();
     assert_eq!(e4.len(), 16);

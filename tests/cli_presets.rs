@@ -28,7 +28,7 @@ const SUBCOMMANDS: [&str; 14] = [
 ];
 
 /// The subcommands that run on a caller-chosen machine.
-const PRESET_SUBCOMMANDS: [&str; 4] = ["table1", "sweep", "trace", "validate"];
+const PRESET_SUBCOMMANDS: [&str; 2] = ["sweep", "trace"];
 
 /// Runs `latency args…` under `env` and asserts exit code 2 with every
 /// needle on stderr.
@@ -56,8 +56,8 @@ fn assert_usage_error(args: &[&str], env: &[(&str, &str)], needles: &[&str]) {
     }
 }
 
+/// Every subcommand parses `--preset` before deciding whether it takes one.
 fn rejects_unknown_preset(subcommand: &str) {
-    assert!(PRESET_SUBCOMMANDS.contains(&subcommand));
     let mut needles = vec!["unknown preset: h100"];
     needles.extend(ArchPreset::ALL.iter().map(|p| p.token()));
     assert_usage_error(&[subcommand, "--preset", "h100"], &[], &needles);
@@ -83,6 +83,14 @@ fn sweep_rejects_unknown_preset_and_lists_tokens() {
 #[test]
 fn validate_rejects_unknown_preset_and_lists_tokens() {
     rejects_unknown_preset("validate");
+}
+
+#[test]
+fn a_repeated_preset_is_a_usage_error() {
+    for sub in PRESET_SUBCOMMANDS {
+        let args = [sub, "--preset", "gt200", "--preset", "gm107"];
+        assert_usage_error(&args, &[], &["--preset given more than once"]);
+    }
 }
 
 #[test]
@@ -220,7 +228,7 @@ fn tick_threads_flag_and_variable_are_gone() {
 #[test]
 fn subcommand_flags_are_validated_before_running() {
     let positive = "--nodes, --degree and --block-dim must be positive";
-    let rows: [(&[&str], &str); 16] = [
+    let rows: [(&[&str], &str); 17] = [
         (&["table1", "--json"], "unknown argument '--json'"),
         (&["fig1", "extra"], "unknown argument 'extra'"),
         (
@@ -258,6 +266,11 @@ fn subcommand_flags_are_validated_before_running() {
         (
             &["bench", "--suites", "workloads"],
             "unknown suite: workloads",
+        ),
+        // Table I's pins are rows of the experiment list now.
+        (
+            &["bench", "--suites", "validation"],
+            "unknown suite: validation",
         ),
     ];
     for (args, message) in rows {

@@ -6,8 +6,9 @@
 //!    instrumented, and `latency_bench::validate_run` checks the static
 //!    transaction predictions (contract A) and the feasible-level claim
 //!    (contract B) against the traces. The published-reference check
-//!    (`run_validation_bench`) holds each preset's analytic unloaded
-//!    latencies under its pointer-chase measurements (contract C).
+//!    (`validate_rows`, over the `table1` row's chase points) holds each
+//!    preset's analytic unloaded latencies under its pointer-chase
+//!    measurements (contract C).
 //! 2. **Exactness canary**: a deliberately fully-strided kernel runs
 //!    dynamically and its predicted per-warp line count (32) must equal the
 //!    simulator's coalescer output record-for-record — an off-by-anything
@@ -18,7 +19,7 @@
 
 use gpu_isa::{CmpOp, KernelBuilder, Launch, Space, Special, Width};
 use gpu_sim::Gpu;
-use latency_bench::{run_validation_bench, validate_run, Workload};
+use latency_bench::{validate_rows, validate_run, Plan, Record, Workload, EXPERIMENTS};
 use latency_check::{analyze, AnalysisConfig, Pass};
 use latency_core::ArchPreset;
 
@@ -92,8 +93,12 @@ fn matrix_ampere_ga102_sectored() {
 
 #[test]
 fn floors_lower_bound_measurements() {
-    let bench = run_validation_bench(&ArchPreset::TABLE1).expect("chase measurement failed");
-    for row in &bench.rows {
+    let plan = Plan::paper(EXPERIMENTS.iter().filter(|e| e.name == "table1"));
+    let executed = plan.execute().expect("chase measurement failed");
+    let records: Vec<Record> = executed.into_iter().map(|(record, _)| record).collect();
+    let (_, verdicts) = validate_rows(&plan.measured_rows(&records));
+    assert_eq!(verdicts.len(), ArchPreset::TABLE1.len());
+    for row in &verdicts {
         assert!(row.violations.is_empty(), "{}", row.floor_human());
         assert!(
             !row.levels.is_empty(),

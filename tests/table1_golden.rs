@@ -3,13 +3,14 @@
 //! publishes for it (`ArchPreset::published`), the one place those numbers
 //! are written. A level the table marks absent (`null`) is measured absent.
 //!
-//! Unlike the tolerance-based reproduction test, these are **exact-match**
-//! assertions: the simulator is deterministic, so any drift — a timing
-//! tweak, a cache-model change, a different chase layout, a PRNG change —
-//! must show up here as a conscious, reviewed change rather than sliding
-//! silently within the 2% band.
+//! These are **exact-match** assertions: the simulator is deterministic, so
+//! any drift — a timing tweak, a cache-model change, a different chase
+//! layout, a PRNG change — must show up here as a conscious, reviewed
+//! change rather than sliding silently within the published reference's
+//! tolerance.
 
-use latency_core::{measure_row, ArchPreset, MeasuredRow, Table1};
+use latency_bench::{Plan, Record, EXPERIMENTS};
+use latency_core::{clear_worker_count, measure_row, set_worker_count, ArchPreset, MeasuredRow};
 
 /// Asserts `measured` is `preset`'s published row, level for level.
 fn assert_published(preset: ArchPreset, measured: &MeasuredRow) {
@@ -32,14 +33,44 @@ fn measured_rows_match_golden_snapshot_exactly() {
     }
 }
 
-/// The batched full-table path produces the same values as the one-preset
-/// call (guards the pooled batching in `measure_presets`).
+/// The `table1` row's plan: the paper presets' chase points, one pooled
+/// batch.
+fn table1_plan() -> Plan {
+    Plan::paper(EXPERIMENTS.iter().filter(|e| e.name == "table1"))
+}
+
+fn execute(plan: &Plan) -> Vec<Record> {
+    let executed = plan.execute().expect("the points measure");
+    executed.into_iter().map(|(record, _)| record).collect()
+}
+
+/// The experiment list's table — every paper preset's points planned in
+/// one batch — measures the same values as the one-preset call.
 #[test]
 fn full_table_matches_golden_snapshot_exactly() {
-    let table = Table1::measure_presets(&ArchPreset::TABLE1).expect("table measures");
-    assert_eq!(table.rows().len(), ArchPreset::TABLE1.len());
-    for (preset, measured) in table.rows() {
+    let plan = table1_plan();
+    let rows = plan.measured_rows(&execute(&plan));
+    let presets: Vec<ArchPreset> = rows.iter().map(|(preset, _)| *preset).collect();
+    assert_eq!(presets, ArchPreset::TABLE1);
+    for (preset, measured) in &rows {
         assert_published(*preset, measured);
+    }
+}
+
+/// The `table1` row measures and prints identically at 1 and at 2/5/8
+/// workers: at one worker the pool is a plain serial loop.
+#[test]
+fn table1_is_identical_across_worker_counts() {
+    let plan = table1_plan();
+    let at = |workers| {
+        set_worker_count(workers);
+        let records = execute(&plan);
+        clear_worker_count();
+        (plan.measured_rows(&records), plan.render(&records))
+    };
+    let serial = at(1);
+    for workers in [2, 5, 8] {
+        assert_eq!(serial, at(workers), "table differs with {workers} workers");
     }
 }
 

@@ -1,37 +1,10 @@
-//! Full reproduction check of the paper's Table I: the pointer-chase
-//! microbenchmark must recover every published latency on every modeled
-//! generation within 2%.
+//! The structure behind the paper's Table I: the generational trends, the
+//! stride × footprint plateaus and Kepler's local-only L1. The table's cells
+//! themselves are pinned exactly by `table1_golden`.
 
 use latency_core::{
     detect_plateaus, measure_chase, measure_row, ArchPreset, ChaseParams, ChaseSpace, Sweep,
 };
-
-#[test]
-fn every_architecture_matches_table1_within_two_percent() {
-    for preset in ArchPreset::TABLE1 {
-        let measured = measure_row(preset).expect("chase runs");
-        let expected = preset.published();
-        let err = measured.max_rel_error(&expected);
-        assert!(
-            err < 0.02,
-            "{}: relative error {err:.3} (measured {measured:?}, expected {expected:?})",
-            preset.name()
-        );
-        // Structural presence/absence of levels must match the paper.
-        assert_eq!(
-            measured.l1.is_some(),
-            expected.l1.is_some(),
-            "{}",
-            preset.name()
-        );
-        assert_eq!(
-            measured.l2.is_some(),
-            expected.l2.is_some(),
-            "{}",
-            preset.name()
-        );
-    }
-}
 
 #[test]
 fn latency_increases_across_generations_at_dram_level_from_kepler_on() {
