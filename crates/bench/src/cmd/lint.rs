@@ -2,43 +2,43 @@
 //!
 //! ```text
 //! latency lint [--json] [--strict] [--deny <lint[,lint]|all>]
-//!     [--sarif <path|->] [--cost] [--validate]
+//!     [--sarif <path|->] [--cost]
 //! ```
 //!
 //! Runs the `latency-check` analyzer (CFG + dataflow + symbolic memory +
 //! concurrency lints) over each kernel the experiment drivers launch and
 //! prints one report per kernel. Output is deterministic (reports are
-//! sorted and deduplicated), so CI can diff it byte-for-byte.
+//! sorted and deduplicated), so CI can diff it byte-for-byte. It runs no
+//! simulation: the analyzer's claims are checked against every traced run
+//! of the experiment list as it is reduced, and `latency static_vs_dynamic`
+//! prints those verdicts.
 //!
 //! - `--json` emits one JSON object per line instead of the human listing.
 //! - `--strict` also fails on warnings.
 //! - `--deny` fails when any *named* pass produces a warning- or
 //!   error-severity finding (`all` denies every pass); advisory notes never
-//!   fail the gate. Unknown lint names are a usage error.
+//!   fail the gate. Repeated, it denies the union. Unknown lint names are a
+//!   usage error.
 //! - `--sarif` writes a SARIF 2.1.0 log to the given path (`-` = stdout).
 //! - `--cost` prints the arch-aware static cost model for each kernel
 //!   across the paper's Table-I presets.
-//! - `--validate` runs the static-vs-dynamic differential harness
-//!   (transaction counts, service levels, latency floors) over the Table-I
-//!   preset x workload matrix.
 //!
-//! Exit status: 0 clean, 1 findings/violations, 2 usage.
+//! Exit status: 0 clean, 1 findings or a failed SARIF write, 2 usage.
 
-use latency_bench::{validate_rows, Plan, Record, EXPERIMENTS};
 use latency_check::{analyze, to_sarif, AnalysisConfig, Pass, Severity};
-use latency_core::cli::{Cursor, UsageError};
+use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
 
 pub const FLAGS: &str =
-    "[--json] [--strict] [--deny <lint[,lint]|all>] [--sarif <path|->] [--cost] [--validate]";
+    "[--json] [--strict] [--deny <lint[,lint]|all>] [--sarif <path|->] [--cost]";
 
-/// Parses a `--deny` operand into the set of denied passes.
-fn parse_deny(spec: &str) -> Result<Vec<Pass>, UsageError> {
-    if spec == "all" {
-        return Ok(Pass::ALL.to_vec());
-    }
-    let mut denied = Vec::new();
-    for name in spec.split(',') {
+/// Adds the passes a `--deny` operand names to `denied`, each once.
+fn parse_deny(spec: &str, denied: &mut Vec<Pass>) -> Result<(), UsageError> {
+    let names: Vec<&str> = match spec {
+        "all" => Pass::ALL.map(Pass::name).to_vec(),
+        _ => spec.split(',').collect(),
+    };
+    for name in names {
         let pass = Pass::parse(name).ok_or_else(|| {
             UsageError(format!(
                 "unknown lint '{name}' (known: {})",
@@ -49,7 +49,7 @@ fn parse_deny(spec: &str) -> Result<Vec<Pass>, UsageError> {
             denied.push(pass);
         }
     }
-    Ok(denied)
+    Ok(())
 }
 
 /// Prints the per-preset static cost model for every builtin kernel.
@@ -62,47 +62,8 @@ fn print_costs() {
     }
 }
 
-/// Runs the differential validation matrix; returns `true` when every
-/// cell held and every preset passed the published-reference check (whose
-/// floor rule is contract C), read from the `table1` row's chase points.
-fn run_validation() -> bool {
-    let plan = Plan::paper(EXPERIMENTS.iter().filter(|e| e.name == "table1"));
-    let records: Vec<Record> = match plan.execute() {
-        Ok(executed) => executed.into_iter().map(|(record, _)| record).collect(),
-        Err(e) => {
-            eprintln!("published-reference check failed: {e}");
-            return false;
-        }
-    };
-    let (_, verdicts) = validate_rows(&plan.measured_rows(&records));
-    let mut ok = true;
-    for row in &verdicts {
-        for workload in latency_bench::Workload::e4() {
-            match latency_bench::validate_run(row.preset, workload) {
-                Ok(report) => {
-                    print!("{}", report.to_human());
-                    ok &= report.ok();
-                }
-                Err(e) => {
-                    eprintln!(
-                        "{} x {:?}: simulation failed: {e}",
-                        workload.name, row.preset
-                    );
-                    ok = false;
-                }
-            }
-        }
-        print!("{}", row.floor_human());
-        ok &= row.violations.is_empty();
-    }
-    ok
-}
-
 pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
-    let mut json = false;
-    let mut strict = false;
-    let mut cost = false;
-    let mut validate = false;
+    let (mut json, mut strict, mut cost) = (false, false, false);
     let mut denied: Vec<Pass> = Vec::new();
     let mut sarif_path: Option<String> = None;
     while let Some(arg) = args.next_arg() {
@@ -110,8 +71,7 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
             "--json" => json = true,
             "--strict" => strict = true,
             "--cost" => cost = true,
-            "--validate" => validate = true,
-            "--deny" => denied = parse_deny(&args.value("--deny")?)?,
+            "--deny" => parse_deny(&args.value("--deny")?, &mut denied)?,
             "--sarif" => sarif_path = Some(args.value("--sarif")?),
             other => return Err(UsageError::unknown(other)),
         }
@@ -145,20 +105,33 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         let sarif = to_sarif(&reports);
         if path == "-" {
             println!("{sarif}");
-        } else if let Err(e) = std::fs::write(&path, sarif) {
-            eprintln!("cannot write SARIF to '{path}': {e}");
-            std::process::exit(2);
+        } else {
+            let written = std::fs::write(&path, sarif);
+            or_exit(written, format_args!("cannot write SARIF to '{path}'"));
         }
     }
     if cost {
         print_costs();
     }
-    let validated = !validate || run_validation();
-    if errors > 0 || (strict && warnings > 0) || denied_hits > 0 || !validated {
+    if errors > 0 || (strict && warnings > 0) || denied_hits > 0 {
         if denied_hits > 0 {
             eprintln!("{denied_hits} denied finding(s)");
         }
         std::process::exit(1);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeated_deny_takes_the_union() {
+        let mut denied = Vec::new();
+        parse_deny("shared-race", &mut denied).unwrap();
+        parse_deny("coalescing,shared-race", &mut denied).unwrap();
+        assert_eq!(denied, [Pass::SharedRace, Pass::Coalescing]);
+        assert!(parse_deny("nonsense", &mut denied).is_err());
+    }
 }

@@ -7,14 +7,17 @@
 //! hook and is the only place a [`TracedRun`] is built.
 //!
 //! [`EXPERIMENTS`] holds Table I, the published-reference check, the
-//! figures and the ablations. Each row declares the runs it reads
-//! ([`Spec`]), the pins it records and how it renders its stdout. A [`Plan`]
-//! executes each distinct run once — `fig1`, `fig2`, E5's FR-FCFS row, E6's
-//! 48-warp LRR point and E8's write-through row are one BFS; `table1`'s
-//! chase points are four of `validate`'s eight presets — and reduces it to a
-//! [`Record`] of exact numbers before its worker takes the next. `latency
-//! <row>`, `BENCH_experiments.json` and the blocks of EXPERIMENTS.md are all
-//! rendered from those records.
+//! figures, the ablations and the static analyzer's contracts. Each row
+//! declares the runs it reads ([`Spec`]), the pins it records and how it
+//! renders its stdout. A [`Plan`] executes each distinct run once — `fig1`,
+//! `fig2`, E5's FR-FCFS row, E6's 48-warp LRR point and E8's write-through
+//! row are one BFS; `table1`'s chase points are four of `validate`'s eight
+//! presets; `static_vs_dynamic` reads E4's and `arch_dynamic`'s runs — and
+//! reduces it to a [`Record`] of exact numbers before its worker takes the
+//! next. Reducing a run checks it: a sanitizer violation, a broken
+//! static-vs-dynamic contract ([`validate::check`]) or a chase point off its
+//! published value fails the list. `latency <row>`, `BENCH_experiments.json`
+//! and the blocks of EXPERIMENTS.md are all rendered from those records.
 
 use std::fmt;
 use std::path::Path;
@@ -34,6 +37,7 @@ use latency_core::{
 
 use crate::reference::{self, PresetValidation};
 use crate::tracebundle::{env_request, EnvTrace, TraceBundle};
+use crate::validate::{self, ValidationReport};
 
 /// Traces collected from one instrumented run.
 #[derive(Debug)]
@@ -153,16 +157,6 @@ pub fn run_bfs_traced(config: GpuConfig, exp: &BfsExperiment) -> Result<TracedRu
     run_to_completion(config, Workload::bfs(), exp)
 }
 
-/// Runs one E4 workload's default problem on `config` and returns the
-/// latency traces.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn run_workload_traced(config: GpuConfig, workload: &Workload) -> Result<TracedRun, SimError> {
-    run_to_completion(config, workload, &BfsExperiment::default())
-}
-
 /// One run a row reads. Rows that declare equal runs share one execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Spec {
@@ -273,6 +267,8 @@ pub struct TracedRecord {
     pub load_latency: Latency,
     /// Line fetches, the Figure-1 timeline's total.
     pub fetch_latency: Latency,
+    /// The static analyzer's contracts A and B, as the run held them.
+    pub contracts: ValidationReport,
 }
 
 impl Record {
@@ -289,9 +285,14 @@ impl Record {
     /// A loaded chase's cycles per access; an unloaded point's preset,
     /// level and measurement, with its published-reference verdict when its
     /// row checks one; for a traced run its identity, idle coverage, fetch
-    /// and load totals, the bucket `table` its row draws and its latencies.
+    /// and load totals, the bucket `table` its row draws and its latencies
+    /// (or only its contract verdict).
     fn write_pins(&self, spec: &Spec, w: &mut Writer, table: Table) {
         let r = match (self, spec) {
+            (Record::Traced(r), _) if table == Table::Contracts => {
+                r.contracts.write_pins(w);
+                return;
+            }
             (Record::Traced(r), _) => r,
             (Record::Chase(per_access), _) => {
                 w.value(*per_access);
@@ -353,14 +354,22 @@ fn reduce(spec: &Spec) -> Result<Record, String> {
 }
 
 /// Reduces `spec`'s finished run to its record. Release builds only count
-/// sanitizer violations, so this is where one fails the list.
+/// sanitizer violations, so this is where one fails the list; a run that
+/// contradicts the static analyzer fails it the same way.
 fn reduce_run(spec: &Spec, run: &TracedRun) -> Result<Record, String> {
+    let Spec::Traced(config, workload, _) = spec else {
+        unreachable!("only a traced run has traces")
+    };
     if run.sanitizer_violations > 0 {
         let violations = run.sanitizer_violations;
         return Err(format!(
             "{violations} sanitizer violation(s) running {spec}"
         ));
     }
+    let contracts = validate::check(config, workload, run).map_err(|broken| {
+        let (n, broken) = (broken.len(), broken.join("; "));
+        format!("{n} static-vs-dynamic contract violation(s) running {spec}: {broken}")
+    })?;
     let fetches = run.requests.iter().map(|r| r.timeline.total_latency());
     Ok(Record::Traced(Box::new(TracedRecord {
         content_hash: run.content_hash,
@@ -371,17 +380,19 @@ fn reduce_run(spec: &Spec, run: &TracedRun) -> Result<Record, String> {
         loads: ExposureAnalysis::from_loads_clipped(&run.loads, 24, 0.99).0,
         load_latency: Latency::of(run.loads.iter().map(LoadInstrRecord::total)),
         fetch_latency: Latency::of(fetches.flatten()),
+        contracts,
     })))
 }
 
-/// What a row pins beyond its runs' own: the bucket table it draws, or the
-/// published reference it checks its points against.
+/// What a row pins beyond its runs' own: the bucket table it draws or the
+/// published reference it checks; or, instead, their contract verdicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Table {
     None,
     Fetches,
     Loads,
     Reference,
+    Contracts,
 }
 
 /// The runs a renderer reads, each beside its record, in the row's order.
@@ -415,9 +426,10 @@ const fn row(
     }
 }
 
-/// Table I, the published-reference check, the paper's figures and the
-/// workspace's ablations, in `--help` order.
-pub static EXPERIMENTS: [Experiment; 10] = [
+/// Table I, the published-reference check, the paper's figures, the
+/// workspace's ablations and the static analyzer's contracts, in `--help`
+/// order.
+pub static EXPERIMENTS: [Experiment; 11] = [
     row("table1", paper_points, Table::None, table1),
     row("validate", every_point, Table::Reference, validate),
     row("fig1", the_bfs, Table::Fetches, fig1),
@@ -438,6 +450,12 @@ pub static EXPERIMENTS: [Experiment; 10] = [
         write_policy_ablation,
     ),
     row("arch_dynamic", generations, Table::None, arch_dynamic),
+    row(
+        "static_vs_dynamic",
+        e4_and_bfs,
+        Table::Contracts,
+        static_vs_dynamic,
+    ),
 ];
 
 /// The Table I points of `presets`, preset-major, each on its preset's
@@ -778,6 +796,22 @@ fn arch_dynamic(runs: &Runs) -> String {
     )
 }
 
+/// E4's runs, whose kernels cover both transaction granules, and
+/// `arch_dynamic`'s, which cover every preset's routing: no run of its own.
+fn e4_and_bfs(base: &GpuConfig, exp: &BfsExperiment) -> Vec<Spec> {
+    [e4(base, exp), generations(base, exp)].concat()
+}
+
+/// The static analyzer's contracts A and B, as each run held them when the
+/// plan reduced it (a run that breaks one fails the list instead).
+fn static_vs_dynamic(runs: &Runs) -> String {
+    let reports = lines(runs, |_, run| run.contracts.to_human());
+    format!(
+        "static analyzer vs dynamic run: contract A (lines per warp at each load pc)\n\
+         and contract B (each request's service level is feasible for its space)\n\n{reports}"
+    )
+}
+
 /// Rows and the distinct runs they read: a row's runs are indices into
 /// `runs`, which holds each run once, in first-declared order.
 #[derive(Debug)]
@@ -883,6 +917,7 @@ pub fn splice_doc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_mem::{Stamp, Timeline};
 
     /// The runs of row `name` on a 4-SM, 2-partition GF100 and a 512-node
     /// BFS.
@@ -937,14 +972,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn workload_runs_are_verified() {
-        let vecadd = Workload::by_name("vecadd").unwrap();
-        let Spec::Traced(small, ..) = &small_runs("fig1")[0] else {
+    /// Vecadd on `spec`'s machine, with its finished run.
+    fn vecadd_run(spec: &Spec) -> TracedRun {
+        let Spec::Traced(config, workload, exp) = spec else {
             unreachable!()
         };
-        let run = run_workload_traced(small.clone(), vecadd).unwrap();
-        assert!(!run.loads.is_empty());
+        run_to_completion(config.clone(), workload, exp).unwrap()
+    }
+
+    #[test]
+    fn workload_runs_are_verified() {
+        assert!(!vecadd_run(&small_runs("other_workloads")[0])
+            .loads
+            .is_empty());
     }
 
     #[test]
@@ -952,15 +992,51 @@ mod tests {
         // Release builds only count violations: reducing the run is where a
         // broken machine must turn into a failing experiment list.
         let spec = &small_runs("other_workloads")[0];
-        let Spec::Traced(small, vecadd, exp) = spec else {
-            unreachable!()
-        };
-        let mut run = run_to_completion(small.clone(), vecadd, exp).unwrap();
+        let mut run = vecadd_run(spec);
         assert!(reduce_run(spec, &run).is_ok());
         run.sanitizer_violations = 3;
         let err = reduce_run(spec, &run).expect_err("the run tripped the sanitizer");
-        let expected = format!("3 sanitizer violation(s) running vecadd on {}", small.name);
+        let name = &spec.config().name;
+        let expected = format!("3 sanitizer violation(s) running vecadd on {name}");
         assert!(err.contains(&expected), "{err}");
+    }
+
+    #[test]
+    fn more_lines_than_predicted_fail_the_list() {
+        // Contract A: a warp coalesced into more transactions than the
+        // analyzer predicted for its pc.
+        let spec = &small_runs("other_workloads")[0];
+        let mut run = vecadd_run(spec);
+        let Ok(Record::Traced(ok)) = reduce_run(spec, &run) else {
+            panic!("vecadd holds its contracts")
+        };
+        let load = &ok.contracts.loads[0];
+        let record = run.loads.iter_mut().find(|r| r.pc == load.pc).unwrap();
+        record.lines = load.predicted_lines as u32 + 2;
+        let err = reduce_run(spec, &run).expect_err("the run contradicts the analyzer");
+        let (name, pc) = (&spec.config().name, load.pc);
+        let expected = format!("violation(s) running vecadd on {name}: pc {pc}: observed");
+        assert!(err.contains(&expected), "{err}");
+    }
+
+    #[test]
+    fn an_infeasible_service_level_fails_the_list() {
+        // Contract B: a request whose stamps say the L1 served it, on GT200,
+        // which has no L1.
+        let mut gt200 = ArchPreset::TeslaGt200.config();
+        (gt200.num_sms, gt200.num_partitions) = (4, 2);
+        let spec = &Spec::Traced(gt200, &Workload::e4()[0], BfsExperiment::default());
+        let mut run = vecadd_run(spec);
+        assert!(reduce_run(spec, &run).is_ok());
+        let timeline = &mut run.requests[0].timeline;
+        let issue = timeline.get(Stamp::Issue).unwrap();
+        *timeline = Timeline::new();
+        timeline.record(Stamp::Issue, issue);
+        timeline.record(Stamp::Returned, issue);
+        let err = reduce_run(spec, &run).expect_err("GT200 has no L1 to serve it");
+        let expected = "violation(s) running vecadd on GT200 (Tesla): \
+                        1 request(s) served at L1 but Global space only allows [\"DRAM\"]";
+        assert!(err.contains(expected), "{err}");
     }
 
     #[test]

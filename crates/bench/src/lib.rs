@@ -11,6 +11,8 @@
 //!   by a [`Plan`] that runs each distinct simulation once. `table1` and
 //!   `validate` share their chase points, each held to the published rows
 //!   by [`reference::check_point`] as it is reduced.
+//! - `static_vs_dynamic`: every traced run is held to the static
+//!   analyzer's contracts A and B ([`validate::check`]) as it is reduced.
 
 #![forbid(unsafe_code)]
 
@@ -23,8 +25,8 @@ pub mod tracebundle;
 pub mod validate;
 
 pub use experiments::{
-    run_bfs_traced, run_traced, run_workload_traced, splice_doc, Experiment, Plan, Record, Spec,
-    TracedOutcome, TracedRun, EXPERIMENTS,
+    run_bfs_traced, run_traced, splice_doc, Experiment, Plan, Record, Spec, TracedOutcome,
+    TracedRun, EXPERIMENTS,
 };
 pub use gpu_workloads::{builtin_kernels, BfsExperiment, Workload};
 /// Frozen re-export: `benchmark/` reads the published rows through here.
@@ -37,4 +39,4 @@ pub use suite::{
     ServePass, SweepBench, SERVE_CLIENTS,
 };
 pub use tracebundle::{env_request, track_names_for, EnvTrace, TraceBundle};
-pub use validate::{derived_level, validate_run, LoadCheck, ValidationReport};
+pub use validate::{LoadCheck, ValidationReport};

@@ -21,7 +21,7 @@
 //!   tolerance;
 //! - the analytic latency exceeds the measurement — contract C of the
 //!   static analyzer: the unloaded latency is a floor, so no chase may beat
-//!   it (`lint --validate` prints these floor lines);
+//!   it (contracts A and B are checked on traced runs, [`crate::validate`]);
 //! - the level is present in one of the three and absent from another — a
 //!   preset cannot silently grow or lose a cache level.
 //!
@@ -66,22 +66,14 @@ pub struct PresetValidation {
 }
 
 impl PresetValidation {
-    fn verdict(&self) -> &'static str {
-        if self.violations.is_empty() {
+    /// Renders the whole verdict, as `latency validate` prints it.
+    pub fn to_human(&self) -> String {
+        let verdict = if self.violations.is_empty() {
             "ok"
         } else {
             "FAIL"
-        }
-    }
-
-    /// Renders the whole verdict, as `latency validate` prints it.
-    pub fn to_human(&self) -> String {
-        let mut out = format!(
-            "{} [{}] -> {}\n",
-            self.preset.name(),
-            self.source,
-            self.verdict()
-        );
+        };
+        let mut out = format!("{} [{}] -> {verdict}\n", self.preset.name(), self.source);
         for l in &self.levels {
             let _ = writeln!(
                 out,
@@ -92,27 +84,6 @@ impl PresetValidation {
                 100.0 * (l.analytic as f64 / l.reference as f64 - 1.0),
                 l.measured,
                 100.0 * (l.measured / l.reference as f64 - 1.0),
-            );
-        }
-        for v in &self.violations {
-            let _ = writeln!(out, "  violation: {v}");
-        }
-        out
-    }
-
-    /// Renders the floor half of the verdict (analytic <= measured per
-    /// level), as `lint --validate` prints it beside contracts A and B.
-    pub fn floor_human(&self) -> String {
-        let mut out = format!(
-            "{}: floor check -> {}\n",
-            self.preset.name(),
-            self.verdict()
-        );
-        for l in &self.levels {
-            let _ = writeln!(
-                out,
-                "  {}: analytic {} cyc <= measured {:.1} cyc",
-                l.level, l.analytic, l.measured
             );
         }
         for v in &self.violations {
@@ -416,12 +387,9 @@ mod tests {
                 row.dram, measured.dram
             )]
         );
-        let floor = v.floor_human();
-        assert!(
-            floor.starts_with("GV100 (Volta): floor check -> FAIL\n"),
-            "{floor}"
-        );
-        assert!(floor.ends_with(&format!("  violation: {}\n", v.violations[0])));
+        let human = v.to_human();
+        assert!(human.starts_with("GV100 (Volta) ["), "{human}");
+        assert!(human.ends_with(&format!("  violation: {}\n", v.violations[0])));
         // Reduced as a chase point, the same plateau fails with every value
         // it was judged on.
         let err = check_point(ArchPreset::VoltaGv100, LevelKind::DramFront, measured.dram)
@@ -446,10 +414,8 @@ mod tests {
         assert_eq!(rows[0].levels.len(), 1);
         assert_eq!(rows[0].levels[0].level, "DRAM");
         let dram = ArchPreset::TeslaGt200.published().dram;
-        assert_eq!(
-            rows[0].floor_human(),
-            format!("GT200 (Tesla): floor check -> ok\n  DRAM: analytic {dram} cyc <= measured {dram}.0 cyc\n")
-        );
+        assert_eq!(rows[0].levels[0].analytic, dram);
+        assert_eq!(rows[0].levels[0].measured, dram as f64);
         assert!(check_point(ArchPreset::TeslaGt200, LevelKind::DramFront, measured.dram).is_ok());
     }
 }

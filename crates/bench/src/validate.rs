@@ -1,43 +1,39 @@
-//! Differential validation of the static analyzer against the simulator.
+//! The static analyzer held against every traced run of the experiment list.
 //!
 //! The static analyzer (`latency-check`) makes three falsifiable claims
-//! about every kernel, and this module checks each one against a real
-//! instrumented run of the same kernel on the same machine description:
+//! about a kernel on a machine. [`check`], a pure function of a finished
+//! [`TracedRun`], holds it to the first two; the plan calls it on every
+//! traced run after the sanitizer gate, so a broken claim fails the list:
 //!
 //! - **Transactions** (contract A): the symbolic coalescing prediction
-//!   (`lines_per_warp`, evaluated at the machine's transaction granule —
-//!   the sector size on sectored presets, the line size otherwise) must
-//!   match the per-warp transaction counts the simulator's own coalescer
-//!   produced ([`gpu_sim::stats::LoadInstrRecord::lines`], keyed by pc).
-//!   Outside divergent control flow the match is *exact* for a fully-active
-//!   warp; under divergence (or a loop whose per-iteration stride is not
-//!   granule-aligned) the static count is an upper bound.
+//!   (`lines_per_warp`, at the machine's transaction granule — the sector
+//!   size on sectored presets, the line size otherwise) must match the
+//!   per-warp transaction counts the simulator's coalescer produced
+//!   ([`gpu_sim::stats::LoadInstrRecord::lines`], keyed by pc): exactly for
+//!   a fully-active warp outside divergent control flow, as an upper bound
+//!   under divergence or a loop stride that is not granule-aligned. A pc
+//!   only names an instruction within one kernel, so BFS, which launches
+//!   two, is held to contract B alone.
 //! - **Levels** (contract B): every completed request's service level,
 //!   derived from its [`Timeline`] stamps, must lie in the level set the
-//!   machine description declares feasible for that space
+//!   description declares feasible for its space
 //!   ([`gpu_arch::ArchDesc::feasible_levels`]).
-//! - **Floor** (contract C): the analytic unloaded latency of each level
-//!   ([`gpu_arch::ArchDesc::unloaded_latency`]) must not exceed the
-//!   pointer-chase-measured latency of the same level — the static floor
-//!   really is a floor. It is one rule of the published-reference check
-//!   ([`crate::reference`]), which every Table I chase point is held to.
+//! - **Floor** (contract C): each level's analytic unloaded latency must not
+//!   exceed its chase measurement, one rule of [`crate::reference`].
 //!
-//! Contract A/B run per (preset, workload) cell via [`validate_run`]. The
-//! `static_vs_dynamic` integration test sweeps the full Table-I matrix,
-//! and `lint --validate` prints the same reports (and contract C's floor
-//! lines) from the command line.
+//! The `static_vs_dynamic` row prints E4's and `arch_dynamic`'s reports.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use gpu_arch::{ArchDesc, LevelKind};
+use gpu_isa::Kernel;
 use gpu_mem::{PipelineSpace, Stamp, Timeline};
-use gpu_sim::{GpuConfig, SimError};
+use gpu_sim::{CompletedRequest, GpuConfig, LoadInstrRecord};
+use gpu_trace::json::Writer;
 use gpu_workloads::Workload;
 use latency_check::{AnalysisConfig, Cfg};
-use latency_core::ArchPreset;
 
-use crate::experiments::run_workload_traced;
+use crate::experiments::TracedRun;
 
 /// One statically-predicted load compared against its dynamic records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,20 +46,17 @@ pub struct LoadCheck {
     pub max_observed_lines: u32,
     /// Number of dynamic records at this pc.
     pub records: usize,
-    /// `true` when the access executes under divergent control flow, so
-    /// the static count is only an upper bound.
-    pub divergent: bool,
-    /// `true` when the exact-match contract applied (and held).
-    pub exact: bool,
 }
 
-/// Contract A + B verdict for one (machine, workload) cell.
+/// What a traced run that held contracts A and B was checked on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidationReport {
     /// Machine description name.
     pub arch: String,
     /// Workload name.
     pub workload: &'static str,
+    /// Kernels the workload launches; contract A applies only to one.
+    pub kernels: usize,
     /// Per-load transaction comparisons (predictions with a known pattern
     /// that produced dynamic records).
     pub loads: Vec<LoadCheck>,
@@ -71,48 +64,39 @@ pub struct ValidationReport {
     pub level_counts: BTreeMap<&'static str, usize>,
     /// Total completed requests inspected.
     pub requests: usize,
-    /// Contract violations, empty when the cell validates.
-    pub violations: Vec<String>,
 }
 
 impl ValidationReport {
-    /// `true` when every contract held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Renders the cell verdict as human-readable text.
+    /// Renders the verdict as one line.
     pub fn to_human(&self) -> String {
-        let mut out = String::new();
-        let levels: Vec<String> = self
-            .level_counts
-            .iter()
-            .map(|(k, n)| format!("{k}:{n}"))
-            .collect();
-        let _ = writeln!(
-            out,
-            "{} x {}: {} load pc(s) compared, {} request(s) [{}] -> {}",
-            self.workload,
-            self.arch,
-            self.loads.len(),
-            self.requests,
-            levels.join(" "),
-            if self.ok() { "ok" } else { "FAIL" },
-        );
-        for v in &self.violations {
-            let _ = writeln!(out, "  violation: {v}");
-        }
-        out
+        let loads = match self.kernels {
+            1 => format!("{} load pc(s) compared", self.loads.len()),
+            n => format!("contract A n/a ({n} kernels)"),
+        };
+        let levels = self.level_counts.iter().map(|(k, n)| format!("{k}:{n}"));
+        let levels = levels.collect::<Vec<_>>().join(" ");
+        let (name, arch, requests) = (self.workload, &self.arch, self.requests);
+        format!("{name} x {arch}: {loads}, {requests} request(s) [{levels}] -> ok\n")
     }
-}
 
-/// Scales a preset down (like the determinism suite) so full-matrix
-/// validation stays fast; pipeline latencies are untouched.
-fn small_cfg(preset: ArchPreset) -> GpuConfig {
-    let mut cfg = preset.config();
-    cfg.num_sms = cfg.num_sms.min(4);
-    cfg.num_partitions = cfg.num_partitions.min(2);
-    cfg
+    /// Writes the integers behind [`Self::to_human`]'s line as one object.
+    pub fn write_pins(&self, w: &mut Writer) {
+        w.object().field("workload", self.workload);
+        w.field("arch", &self.arch).field("kernels", self.kernels);
+        w.key("loads").array();
+        for l in &self.loads {
+            w.object().field("pc", l.pc);
+            w.field("predicted", l.predicted_lines);
+            w.field("observed", l.max_observed_lines);
+            w.field("records", l.records).end();
+        }
+        w.end().field("requests", self.requests).key("levels");
+        w.object();
+        for (level, n) in &self.level_counts {
+            w.field(level, n);
+        }
+        w.end().end();
+    }
 }
 
 /// Derives the level that served a request from its timeline stamps: a
@@ -120,7 +104,7 @@ fn small_cfg(preset: ArchPreset) -> GpuConfig {
 /// that entered the L2 queue but never the DRAM queue hit in L2; one that
 /// entered the DRAM queue was served by DRAM. Returns `None` for a
 /// physically impossible stamp combination.
-pub fn derived_level(t: &Timeline) -> Option<LevelKind> {
+fn derived_level(t: &Timeline) -> Option<LevelKind> {
     if t.get(Stamp::DramQueueEnter).is_some() {
         Some(LevelKind::DramFront)
     } else if t.get(Stamp::L2QueueEnter).is_some() {
@@ -132,40 +116,44 @@ pub fn derived_level(t: &Timeline) -> Option<LevelKind> {
     }
 }
 
-/// The levels a request of `space` may legitimately be served at: the
-/// union over both bypass modes (the request trace does not record whether
-/// an access was an atomic).
-fn allowed_levels(desc: &ArchDesc, space: PipelineSpace) -> Vec<LevelKind> {
-    let mut v = desc.feasible_levels(space, false);
-    for k in desc.feasible_levels(space, true) {
-        if !v.contains(&k) {
-            v.push(k);
-        }
+/// Holds `run` — `workload` on `config` — to contracts A (transaction
+/// counts, where the workload launches one kernel) and B (service levels);
+/// errs with every violation, each naming its pc or level.
+pub fn check(
+    config: &GpuConfig,
+    workload: &Workload,
+    run: &TracedRun,
+) -> Result<ValidationReport, Vec<String>> {
+    let desc = config.arch_desc();
+    // What the run launched: tests/workload_table.rs holds the table to it.
+    let kernels = (workload.kernels)();
+    let mut violations = Vec::new();
+    let loads = match kernels.as_slice() {
+        [kernel] => transactions(kernel, &desc, &run.loads, &mut violations),
+        _ => Vec::new(),
+    };
+    let level_counts = levels(&desc, &run.requests, &mut violations);
+    if !violations.is_empty() {
+        return Err(violations);
     }
-    v
+    Ok(ValidationReport {
+        arch: desc.name.clone(),
+        workload: workload.name,
+        kernels: kernels.len(),
+        loads,
+        level_counts,
+        requests: run.requests.len(),
+    })
 }
 
-/// Runs `workload` on a scaled-down `preset` machine and checks contracts
-/// A (transaction counts) and B (service levels) against the traces.
-///
-/// # Errors
-///
-/// Propagates simulator failures; contract violations are reported in the
-/// returned [`ValidationReport`], not as errors.
-///
-/// # Panics
-///
-/// Panics on a multi-kernel workload: contract A keys dynamic loads by pc,
-/// which only names an instruction within one kernel.
-pub fn validate_run(preset: ArchPreset, workload: &Workload) -> Result<ValidationReport, SimError> {
-    let cfg = small_cfg(preset);
-    let desc = cfg.arch_desc();
-    // The descriptor lists what the run below launches
-    // (tests/workload_table.rs holds it to that).
-    let kernels = (workload.kernels)();
-    let [kernel] = kernels.as_slice() else {
-        panic!("{} launches {} kernels", workload.name, kernels.len());
-    };
+/// Contract A: `kernel`'s per-pc line counts in `records` against the
+/// analyzer's prediction on `desc`.
+fn transactions(
+    kernel: &Kernel,
+    desc: &ArchDesc,
+    records: &[LoadInstrRecord],
+    violations: &mut Vec<String>,
+) -> Vec<LoadCheck> {
     let kcfg = Cfg::build(kernel);
     let sym = latency_check::symaddr::analyze(kernel, &kcfg);
     // Contract A compares *transaction* counts, which on a sectored machine
@@ -178,13 +166,8 @@ pub fn validate_run(preset: ArchPreset, workload: &Workload) -> Result<Validatio
         ..AnalysisConfig::default()
     };
     let preds = latency_check::memlint::predict_from(&sym, &acfg);
-    let run = run_workload_traced(cfg, workload)?;
-
-    let mut violations = Vec::new();
-
-    // Contract A: per-pc line counts.
     let mut by_pc: BTreeMap<gpu_isa::Pc, Vec<u32>> = BTreeMap::new();
-    for r in &run.loads {
+    for r in records {
         by_pc.entry(r.pc).or_default().push(r.lines);
     }
     for pc in by_pc.keys() {
@@ -217,8 +200,7 @@ pub fn validate_run(preset: ArchPreset, workload: &Workload) -> Result<Validatio
                 p.pc, max_obs, n, iter_slack
             ));
         }
-        let exact = !divergent && iter_slack == 0;
-        if exact && max_obs as usize != n {
+        if !divergent && iter_slack == 0 && max_obs as usize != n {
             violations.push(format!(
                 "pc {}: predicted exactly {} line(s)/warp outside divergence, observed {}",
                 p.pc, n, max_obs
@@ -229,44 +211,45 @@ pub fn validate_run(preset: ArchPreset, workload: &Workload) -> Result<Validatio
             predicted_lines: n,
             max_observed_lines: max_obs,
             records: obs.len(),
-            divergent,
-            exact,
         });
     }
-    // Contract B: derived service levels.
-    let allowed_global = allowed_levels(&desc, PipelineSpace::Global);
-    let allowed_local = allowed_levels(&desc, PipelineSpace::Local);
-    let mut level_counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for req in &run.requests {
-        match derived_level(&req.timeline) {
-            Some(level) => {
-                *level_counts.entry(level.label()).or_insert(0) += 1;
-                let allowed = match req.space {
-                    PipelineSpace::Global => &allowed_global,
-                    PipelineSpace::Local => &allowed_local,
-                };
-                if !allowed.contains(&level) {
-                    violations.push(format!(
-                        "request served at {} but {:?} space only allows {:?}",
-                        level.label(),
-                        req.space,
-                        allowed.iter().map(|k| k.label()).collect::<Vec<_>>(),
-                    ));
-                }
-            }
-            None => violations.push(
-                "request crossed the interconnect but entered neither the L2 nor the DRAM queue"
-                    .to_string(),
-            ),
-        }
-    }
+    loads
+}
 
-    Ok(ValidationReport {
-        arch: desc.name.clone(),
-        workload: workload.name,
-        loads,
-        level_counts,
-        requests: run.requests.len(),
-        violations,
-    })
+/// Contract B: counts `requests` per derived service level; each kind of
+/// request `desc` does not allow is one violation, with its count.
+fn levels(
+    desc: &ArchDesc,
+    requests: &[CompletedRequest],
+    violations: &mut Vec<String>,
+) -> BTreeMap<&'static str, usize> {
+    // Bypassing the L1, as an atomic does, only removes a level, so the
+    // non-bypassing set allows every request (the trace does not record
+    // which ones were atomics).
+    let spaces = [PipelineSpace::Global, PipelineSpace::Local];
+    let [global, local] = spaces.map(|s| desc.feasible_levels(s, false));
+    let (mut counts, mut broken) = (BTreeMap::new(), BTreeMap::new());
+    for req in requests {
+        let allowed = match req.space {
+            PipelineSpace::Global => &global,
+            PipelineSpace::Local => &local,
+        };
+        let what = match derived_level(&req.timeline) {
+            Some(level) => {
+                *counts.entry(level.label()).or_insert(0) += 1;
+                if allowed.contains(&level) {
+                    continue;
+                }
+                let allowed: Vec<&str> = allowed.iter().map(|k| k.label()).collect();
+                let (level, space) = (level.label(), req.space);
+                format!("served at {level} but {space:?} space only allows {allowed:?}")
+            }
+            None => "crossed the interconnect but entered neither the L2 nor the DRAM queue".into(),
+        };
+        *broken.entry(what).or_insert(0) += 1;
+    }
+    for (what, n) in broken {
+        violations.push(format!("{n} request(s) {what}"));
+    }
+    counts
 }

@@ -9,8 +9,9 @@ use std::process::Command;
 
 use latency_core::ArchPreset;
 
-/// Every subcommand: the names of the bins `latency` replaced, verbatim.
-const SUBCOMMANDS: [&str; 14] = [
+/// Every subcommand: the names of the bins `latency` replaced, verbatim,
+/// then the rows added to the experiment list since.
+const SUBCOMMANDS: [&str; 15] = [
     "table1",
     "sweep",
     "trace",
@@ -25,6 +26,7 @@ const SUBCOMMANDS: [&str; 14] = [
     "loaded_latency",
     "write_policy_ablation",
     "arch_dynamic",
+    "static_vs_dynamic",
 ];
 
 /// The subcommands that run on a caller-chosen machine.
@@ -228,7 +230,7 @@ fn tick_threads_flag_and_variable_are_gone() {
 #[test]
 fn subcommand_flags_are_validated_before_running() {
     let positive = "--nodes, --degree and --block-dim must be positive";
-    let rows: [(&[&str], &str); 17] = [
+    let rows: [(&[&str], &str); 18] = [
         (&["table1", "--json"], "unknown argument '--json'"),
         (&["fig1", "extra"], "unknown argument 'extra'"),
         (
@@ -256,6 +258,9 @@ fn subcommand_flags_are_validated_before_running() {
             "only supported for --workload bfs",
         ),
         (&["lint", "--deny", "nonsense"], "unknown lint 'nonsense'"),
+        // The contracts are checked on the experiment list's own runs
+        // (`latency static_vs_dynamic`); lint runs no simulation.
+        (&["lint", "--validate"], "unknown argument '--validate'"),
         (
             &["bench", "--suites", "sweep,bogus"],
             "unknown suite: bogus",
@@ -277,6 +282,22 @@ fn subcommand_flags_are_validated_before_running() {
         let usage = format!("usage: latency {}", args[0]);
         assert_usage_error(args, &[], &[message, &usage]);
     }
+}
+
+/// A run-time failure, unlike a usage error, exits 1 through `or_exit`.
+#[test]
+fn a_failed_sarif_write_exits_1() {
+    let out = Command::new(env!("CARGO_BIN_EXE_latency"))
+        .args(["lint", "--sarif", "/nonexistent-dir/x.sarif"])
+        .output()
+        .expect("spawn latency");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot write SARIF to '/nonexistent-dir/x.sarif': "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "{stderr}");
 }
 
 #[test]

@@ -2,13 +2,14 @@
 //!
 //! Three layers:
 //!
-//! 1. **The matrix**: every Table-I preset x every E4 workload runs
-//!    instrumented, and `latency_bench::validate_run` checks the static
-//!    transaction predictions (contract A) and the feasible-level claim
-//!    (contract B) against the traces. The published-reference check
-//!    (`validate_rows`, over the `table1` row's chase points) holds each
-//!    preset's analytic unloaded latencies under its pointer-chase
-//!    measurements (contract C).
+//! 1. **The matrix**: every preset x every E4 workload runs on a 4-SM,
+//!    2-partition machine through the experiment list's `Plan::execute`,
+//!    whose reduce step holds each run to the static transaction
+//!    predictions (contract A) and the feasible-level claim (contract B);
+//!    a mismatch fails the plan, naming the run and the pc or level. The
+//!    published-reference check (`validate_rows`, over the `table1` row's
+//!    chase points) holds each preset's analytic unloaded latencies under
+//!    its pointer-chase measurements (contract C).
 //! 2. **Exactness canary**: a deliberately fully-strided kernel runs
 //!    dynamically and its predicted per-warp line count (32) must equal the
 //!    simulator's coalescer output record-for-record — an off-by-anything
@@ -19,63 +20,80 @@
 
 use gpu_isa::{CmpOp, KernelBuilder, Launch, Space, Special, Width};
 use gpu_sim::Gpu;
-use latency_bench::{validate_rows, validate_run, Plan, Record, Workload, EXPERIMENTS};
+use latency_bench::{validate_rows, BfsExperiment, Plan, Record, Spec, Workload, EXPERIMENTS};
 use latency_check::{analyze, AnalysisConfig, Pass};
 use latency_core::ArchPreset;
 
-/// Runs the full workload sweep for one preset and asserts every cell
-/// validates.
-fn sweep_preset(preset: ArchPreset) {
-    let mut compared = 0usize;
-    let mut exact = 0usize;
-    for workload in Workload::e4() {
-        let report = validate_run(preset, workload).expect("instrumented run failed");
-        assert!(
-            report.ok(),
-            "static/dynamic mismatch:\n{}",
-            report.to_human()
-        );
+/// Runs every E4 workload on `preset` scaled down to 4 SMs and 2
+/// partitions (pipeline latencies untouched) through a plan, so each run is
+/// held to contracts A and B as it is reduced, and asserts the matrix
+/// compared something.
+fn e4_holds_its_contracts(preset: ArchPreset) {
+    let mut small = preset.config();
+    small.num_sms = small.num_sms.min(4);
+    small.num_partitions = small.num_partitions.min(2);
+    let run = |w| Spec::Traced(small.clone(), w, BfsExperiment::default());
+    let plan = Plan {
+        runs: Workload::e4().iter().map(run).collect(),
+        rows: Vec::new(),
+    };
+    let executed = plan.execute().unwrap_or_else(|e| panic!("{e}"));
+    let (mut compared, mut tight) = (0, 0);
+    for (record, _) in &executed {
+        let Record::Traced(run) = record else {
+            unreachable!("E4 runs are traced")
+        };
+        let report = &run.contracts;
         assert!(
             report.requests > 0,
-            "cell traced nothing:\n{}",
+            "run traced nothing:\n{}",
             report.to_human()
         );
         compared += report.loads.len();
-        exact += report
-            .loads
-            .iter()
+        let loads = report.loads.iter();
+        tight += loads
             .filter(|l| l.max_observed_lines as usize == l.predicted_lines)
             .count();
     }
     // Some kernels (e.g. matmul's divided indices) are legitimately beyond
     // the affine domain, and every builtin body is bounds-guarded (so the
     // statically-exact contract is exercised by the strided canary, not
-    // here) — but the sweep as a whole must compare real loads and some
+    // here) — but the matrix as a whole must compare real loads and some
     // predictions must be tight, not just upper bounds.
     assert!(
-        compared >= 8 && exact >= 1,
-        "sweep compared too little: {compared} loads, {exact} tight"
+        compared >= 8 && tight >= 1,
+        "{preset:?} compared too little: {compared} loads, {tight} tight"
     );
 }
 
 #[test]
 fn matrix_tesla_gt200() {
-    sweep_preset(ArchPreset::TeslaGt200);
+    e4_holds_its_contracts(ArchPreset::TeslaGt200);
 }
 
 #[test]
 fn matrix_fermi_gf106() {
-    sweep_preset(ArchPreset::FermiGf106);
+    e4_holds_its_contracts(ArchPreset::FermiGf106);
+}
+
+#[test]
+fn matrix_fermi_gf100() {
+    e4_holds_its_contracts(ArchPreset::FermiGf100);
 }
 
 #[test]
 fn matrix_kepler_gk104() {
-    sweep_preset(ArchPreset::KeplerGk104);
+    e4_holds_its_contracts(ArchPreset::KeplerGk104);
+}
+
+#[test]
+fn matrix_kepler_gk110() {
+    e4_holds_its_contracts(ArchPreset::KeplerGk110);
 }
 
 #[test]
 fn matrix_maxwell_gm107() {
-    sweep_preset(ArchPreset::MaxwellGm107);
+    e4_holds_its_contracts(ArchPreset::MaxwellGm107);
 }
 
 #[test]
@@ -83,12 +101,18 @@ fn matrix_volta_gv100_sectored() {
     // Contract A on a sectored preset compares *sector* traffic: the
     // analyzer predicts at the 32-byte granule and the simulator's
     // coalescer emits 32-byte transactions.
-    sweep_preset(ArchPreset::VoltaGv100);
+    e4_holds_its_contracts(ArchPreset::VoltaGv100);
 }
 
 #[test]
 fn matrix_ampere_ga102_sectored() {
-    sweep_preset(ArchPreset::AmpereGa102);
+    e4_holds_its_contracts(ArchPreset::AmpereGa102);
+}
+
+#[test]
+fn every_registered_preset_has_a_matrix_test() {
+    // One `matrix_*` test above per preset: a ninth needs its own.
+    assert_eq!(ArchPreset::ALL.len(), 8);
 }
 
 #[test]
@@ -99,14 +123,14 @@ fn floors_lower_bound_measurements() {
     let (_, verdicts) = validate_rows(&plan.measured_rows(&records));
     assert_eq!(verdicts.len(), ArchPreset::TABLE1.len());
     for row in &verdicts {
-        assert!(row.violations.is_empty(), "{}", row.floor_human());
+        assert!(row.violations.is_empty(), "{}", row.to_human());
         assert!(
             !row.levels.is_empty(),
             "no level was measured for {:?}",
             row.preset
         );
         for l in &row.levels {
-            assert!(l.analytic as f64 <= l.measured, "{}", row.floor_human());
+            assert!(l.analytic as f64 <= l.measured, "{}", row.to_human());
         }
     }
 }

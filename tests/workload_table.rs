@@ -74,7 +74,8 @@ fn every_entry_runs_verifies_and_launches_what_it_lists() {
         };
         assert_eq!(summary.sanitizer_violations, 0, "{name}");
 
-        // What lint and validate_run analyze is what really ran.
+        // What lint and the static-vs-dynamic check analyze is what
+        // really ran.
         let listed: Vec<String> = (workload.kernels)()
             .iter()
             .map(|k| k.name().to_string())
