@@ -10,8 +10,10 @@
 //!    process/counter tracks are named from the `ArchDesc` the run used.
 //! 4. The run's own idle counts (`TracedRun::idle`, which the experiment
 //!    list pins) are the profiler's idle counters for that run.
+//! 5. The issue stage's walk is counted: at least one warp examined per
+//!    instruction issued, fewer than a scan of every slot per SM tick.
 //!
-//! One #[test] runs all four in sequence: the profiler is process-global
+//! One #[test] runs all five in sequence: the profiler is process-global
 //! state, so parallel tests would race on the enabled flag.
 
 use gpu_sim::profile::{self, ProfCounter, ProfSpan};
@@ -126,6 +128,21 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
             component.label()
         );
     }
+
+    // 5. The scheduler's walk: each issued instruction is a warp the issue
+    //    stage looked at, and all told it looked at fewer warps than one
+    //    scan of every slot per full SM tick would have.
+    let examined = report.counter(ProfCounter::IssueWarpsExamined);
+    let sm_ticks = report.span(ProfSpan::SmTick).count;
+    assert!(
+        examined >= on.instructions,
+        "{examined} warps examined for {} issues",
+        on.instructions
+    );
+    assert!(
+        examined < sm_ticks * machine.max_warps_per_sm as u64,
+        "{examined} warps examined over {sm_ticks} SM ticks"
+    );
 
     // The machine-readable report is valid JSON with the same numbers.
     let report_doc = gpu_trace::json::parse(&report.json()).expect("profile.json parses");

@@ -349,6 +349,12 @@ impl Gpu {
         self.sms.iter().map(|s| s.stats()).collect()
     }
 
+    /// The SMs, read-only: their statistics, idle state and
+    /// [`Sm::stall_votes`].
+    pub fn sms(&self) -> &[Sm] {
+        &self.sms
+    }
+
     /// Launches a kernel. The previous kernel must have drained (via
     /// [`Gpu::run`]) first.
     ///

@@ -18,6 +18,7 @@ use gpu_isa::{
     WarpExec,
 };
 use gpu_mem::{AccessKind, Cache, MemRequest, MshrTable, PipelineSpace, RequestId, Stamp};
+use gpu_trace::profile::{self, ProfCounter};
 use gpu_trace::{EventKind, StallBreakdown, StallReason, TraceEvent, TraceSite, Tracer};
 use gpu_types::{Addr, BoundedQueue, CtaId, Cycle, DelayQueue, SmId};
 
@@ -39,6 +40,62 @@ struct WarpSlot {
     cta_index: usize,
     age: u64,
     pending_ops: u32,
+}
+
+/// What a live warp's own state says about its next issue: the part of
+/// the issue predicate that changes only when the warp issues, when a
+/// scoreboard release lands on it, when its CTA's barrier releases, or when
+/// it is dispatched. The rest — whether the LSU port is taken and whether
+/// the front-end pipe has room — is SM-wide and asked once per tick for a
+/// whole class ([`WarpClass::blocked_by`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WarpClass {
+    /// Parked at `bar.sync` until its CTA's barrier releases.
+    Barrier,
+    /// Has no instruction to issue.
+    Stuck,
+    /// Its next instruction reads or writes a register whose writer is
+    /// still in flight.
+    Scoreboard,
+    /// Its next instruction is a shared-memory access: it needs the LSU
+    /// port.
+    Shared,
+    /// Its next instruction is a global or local access: it needs the LSU
+    /// port and room in the front-end pipe.
+    Global,
+    /// Issues as soon as the scheduler picks it.
+    Ready,
+}
+
+impl WarpClass {
+    const ALL: [WarpClass; 6] = [
+        WarpClass::Barrier,
+        WarpClass::Stuck,
+        WarpClass::Scoreboard,
+        WarpClass::Shared,
+        WarpClass::Global,
+        WarpClass::Ready,
+    ];
+
+    const COUNT: usize = Self::ALL.len();
+
+    /// The one issue predicate: the first condition keeping a warp of this
+    /// class from issuing, or `None` when it could issue now. `lsu_used`
+    /// says the LSU port is already taken this tick (a structural
+    /// conflict, so [`StallReason::Other`]); `front` is
+    /// [`Sm::front_block`]'s answer. The scheduler, the idle-skip horizon
+    /// and the stall attribution all ask this, so they cannot disagree.
+    fn blocked_by(self, lsu_used: bool, front: Option<StallReason>) -> Option<StallReason> {
+        match self {
+            WarpClass::Barrier => Some(StallReason::Barrier),
+            WarpClass::Stuck => Some(StallReason::Other),
+            WarpClass::Scoreboard => Some(StallReason::Scoreboard),
+            WarpClass::Shared => lsu_used.then_some(StallReason::Other),
+            WarpClass::Global if lsu_used => Some(StallReason::Other),
+            WarpClass::Global => front,
+            WarpClass::Ready => None,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -71,6 +128,17 @@ pub struct Sm {
     /// adds a CTA's warps, [`Sm::maintain`] takes a retired CTA's away, and
     /// a restore recounts. Derived, so never serialized.
     occupied: usize,
+    /// Each slot's [`WarpClass`]; `None` unless the slot holds an
+    /// unfinished warp. Derived like `occupied`, so never serialized:
+    /// [`Sm::reclassify`] keeps it on every event that can change it, and
+    /// a restore recomputes it.
+    class: Vec<Option<WarpClass>>,
+    /// The slots whose `class` is set, ascending: the live set the
+    /// scheduler walks instead of every slot.
+    live: Vec<usize>,
+    /// Live warps per class, indexed by `WarpClass as usize`: the stall
+    /// vote and "can anything issue" read these, not the warps.
+    class_counts: [usize; WarpClass::COUNT],
     ctas: Vec<Option<CtaRt>>,
     scoreboard: Scoreboard,
     alu_wb: BinaryHeap<Reverse<(u64, usize, Reg)>>,
@@ -107,9 +175,10 @@ pub struct Sm {
     /// The issuing access's transaction addresses (scratch, empty between
     /// issues; kept for its capacity).
     lines: Vec<Addr>,
-    /// Host-side hint for [`Sm::next_event`]: the last issue stage issued
-    /// something, so the next one probably can too. Spares a busy machine
-    /// the ready-warp scan; never serialized, never read by the model.
+    /// Host-side hint for [`Sm::next_event`] and [`Sm::end_tick`]: the last
+    /// issue stage issued something, so the next one probably can too, and
+    /// the SM stays awake without the ready set being asked. Never
+    /// serialized, never read by the model.
     issued_last_tick: bool,
     /// Host-side sleep state, of the same standing as `issued_last_tick`:
     /// until this cycle a tick of this SM is the identity plus one stall
@@ -142,6 +211,9 @@ impl Sm {
             id,
             slots: (0..slots).map(|_| None).collect(),
             occupied: 0,
+            class: vec![None; slots],
+            live: Vec::with_capacity(slots),
+            class_counts: [0; WarpClass::COUNT],
             ctas: (0..cfg.max_ctas_per_sm).map(|_| None).collect(),
             scoreboard: Scoreboard::new(slots),
             alu_wb: BinaryHeap::new(),
@@ -352,6 +424,7 @@ impl Sm {
                 age: self.age_counter,
                 pending_ops: 0,
             });
+            self.reclassify(slot);
             slot_ids.push(slot);
         }
         self.occupied += slot_ids.len();
@@ -383,6 +456,7 @@ impl Sm {
             if done {
                 let c = self.ctas[ci].take().expect("checked above");
                 for s in c.slots {
+                    debug_assert_eq!(self.class[s], None, "a retired warp is not live");
                     if self.slots[s].take().is_some() {
                         self.occupied -= 1;
                     }
@@ -453,6 +527,7 @@ impl Sm {
             }
             self.alu_wb.pop();
             self.scoreboard.release(w, r);
+            self.reclassify(w);
         }
         let mut retired = 0;
         // Two writeback ports: returned fills and L1 hits.
@@ -513,6 +588,7 @@ impl Sm {
         let (_, pl) = self.pending_loads.remove(at).expect("found above");
         if let Some(d) = pl.dst {
             self.scoreboard.release(pl.warp, d);
+            self.reclassify(pl.warp);
         }
         if let Some(slot) = self.slots[pl.warp].as_mut() {
             slot.pending_ops -= 1;
@@ -656,13 +732,18 @@ impl Sm {
     ) -> u64 {
         let mut new_requests = 0;
         let mut lsu_used = false;
+        // Only a memory issue fills the front pipe, and it takes the LSU
+        // port with it: once asked, the answer holds for the whole stage.
+        let front = self.front_block();
+        let mut examined = 0;
         for _ in 0..self.cfg.issue_width {
-            let Some(w) = self.pick_warp(lsu_used) else {
+            let Some(w) = self.pick_warp(lsu_used, front, &mut examined) else {
                 break;
             };
             self.issued.push(w);
             new_requests += self.issue_warp(w, now, device, tracer, &mut lsu_used);
         }
+        profile::add(ProfCounter::IssueWarpsExamined, examined);
         let issued = self.issued.len() as u64;
         self.issued.clear();
         self.issued_last_tick = issued > 0;
@@ -775,10 +856,11 @@ impl Sm {
     /// given that nothing arrives from the reply network before then (the
     /// crossbar reports its own arrivals): a sleeper's stored wake cycle;
     /// else `now` while any warp can issue (assumed, without looking, right
-    /// after a cycle that issued) or a miss waits for the interconnect,
-    /// else the first ALU/shared writeback or memory-pipe head to mature.
-    /// A matured head that is structurally blocked also answers `now` —
-    /// conservative, always legal. [`Cycle::MAX`] when nothing is pending.
+    /// after a cycle that issued; else read off the ready set's class
+    /// counts) or a miss waits for the interconnect, else the first
+    /// ALU/shared writeback or memory-pipe head to mature. A matured head
+    /// that is structurally blocked also answers `now` — conservative,
+    /// always legal. [`Cycle::MAX`] when nothing is pending.
     pub fn next_event(&self, now: Cycle) -> Cycle {
         if self.asleep(now) {
             return self.wake_at;
@@ -787,109 +869,219 @@ impl Sm {
             return now;
         }
         let matures = self.next_maturity().max(now);
-        // The ready-warp scan is the expensive question; ask it last.
-        if matures > now && (0..self.slots.len()).any(|w| self.warp_ready(w, false)) {
+        if matures > now && self.issuable(false, self.front_block()) > 0 {
             return now;
         }
         matures
     }
 
-    /// The warp in slot `w`, unless it is absent or has drained and only
-    /// waits for its CTA to retire — such warps neither issue nor vote.
-    fn live_warp(&self, w: usize) -> Option<&WarpSlot> {
-        self.slots[w].as_ref().filter(|s| !s.exec.is_finished())
-    }
+    // ---- the ready set ----------------------------------------------------
 
-    /// The one issue predicate: the first condition keeping live warp `w`
-    /// from issuing, or `None` when it could issue now. `lsu_used` says the
-    /// LSU port is already taken this tick (a structural conflict, so
-    /// [`StallReason::Other`]). The scheduler, the idle-skip horizon and the
-    /// stall attribution all ask this, so they cannot disagree.
-    fn blocked_by(&self, w: usize, slot: &WarpSlot, lsu_used: bool) -> Option<StallReason> {
+    /// Slot `w`'s class as its warp's state says now; `None` when the slot
+    /// is empty or its warp has drained and only waits for its CTA to
+    /// retire — such warps neither issue nor vote.
+    fn fresh_class(&self, w: usize) -> Option<WarpClass> {
+        let slot = self.slots[w].as_ref().filter(|s| !s.exec.is_finished())?;
         if slot.exec.at_barrier() {
-            return Some(StallReason::Barrier);
+            return Some(WarpClass::Barrier);
         }
         let Some((_, instr)) = slot.exec.peek() else {
-            return Some(StallReason::Other);
+            return Some(WarpClass::Stuck);
         };
         if !self.scoreboard.can_issue(w, instr) {
-            return Some(StallReason::Scoreboard);
+            return Some(WarpClass::Scoreboard);
         }
-        if let InstrClass::Mem { space, .. } = instr.class() {
-            if lsu_used {
-                return Some(StallReason::Other);
+        Some(match instr.class() {
+            InstrClass::Mem {
+                space: Space::Shared,
+                ..
+            } => WarpClass::Shared,
+            InstrClass::Mem { .. } => WarpClass::Global,
+            _ => WarpClass::Ready,
+        })
+    }
+
+    /// Brings slot `w`'s cached class, the live set and the class counts
+    /// up to date with the slot's state. Every event that can change a
+    /// warp's class calls it: the warp's dispatch, its own issue (which
+    /// also finishes it), a scoreboard release on it, and its CTA's barrier
+    /// release. A slot with no live warp before and after is a no-op.
+    fn reclassify(&mut self, w: usize) {
+        let to = self.fresh_class(w);
+        let from = std::mem::replace(&mut self.class[w], to);
+        match (from, to) {
+            (None, None) => return,
+            (None, Some(_)) => {
+                let at = self.live.partition_point(|&s| s < w);
+                self.live.insert(at, w);
             }
-            // Worst case: one line per lane plus one boundary crossing.
-            let need = self.cfg.warp_size as usize + 1;
-            if space != Space::Shared && self.front.capacity() - self.front.len() < need {
-                return Some(if !self.l1_mshr.can_allocate() {
-                    StallReason::MshrFull
-                } else if self.miss_queue.is_full() {
-                    StallReason::IcntBackpressure
-                } else {
-                    StallReason::Other
-                });
+            (Some(_), None) => {
+                let at = self.live.binary_search(&w).expect("a classed slot is live");
+                self.live.remove(at);
+            }
+            (Some(_), Some(_)) => {}
+        }
+        if let Some(c) = from {
+            self.class_counts[c as usize] -= 1;
+        }
+        if let Some(c) = to {
+            self.class_counts[c as usize] += 1;
+        }
+    }
+
+    /// Recomputes the whole ready set from the warps (a restore: it is
+    /// derived, so a checkpoint does not carry it).
+    fn rebuild_ready_set(&mut self) {
+        self.class.fill(None);
+        self.live.clear();
+        self.class_counts = [0; WarpClass::COUNT];
+        for w in 0..self.slots.len() {
+            self.reclassify(w);
+        }
+    }
+
+    /// Recounts the ready set from the warps and panics on any drift: the
+    /// live set must be exactly the slots holding an unfinished warp, in
+    /// slot order, each cached class what its warp's state says now, and
+    /// the counts the tally of the classes. Run (in debug builds) wherever
+    /// the set is read.
+    fn assert_ready_set(&self) {
+        let mut counts = [0; WarpClass::COUNT];
+        for w in 0..self.slots.len() {
+            let fresh = self.fresh_class(w);
+            assert_eq!(
+                self.class[w],
+                fresh,
+                "SM {} slot {w}: stale class",
+                self.id.get()
+            );
+            if let Some(c) = fresh {
+                counts[c as usize] += 1;
             }
         }
-        None
+        assert!(
+            self.live
+                .iter()
+                .copied()
+                .eq((0..self.slots.len()).filter(|&w| self.class[w].is_some())),
+            "SM {}: live set {:?} is not the classed slots",
+            self.id.get(),
+            self.live
+        );
+        assert_eq!(
+            self.class_counts,
+            counts,
+            "SM {}: class counts",
+            self.id.get()
+        );
+    }
+
+    /// Whether the front-end pipe lacks room for a global or local access —
+    /// worst case one line per lane plus one boundary crossing — and, if
+    /// so, the stall reason the back-pressure behind it names. SM-wide
+    /// state: asked once for every [`WarpClass::Global`] warp at once.
+    fn front_block(&self) -> Option<StallReason> {
+        let need = self.cfg.warp_size as usize + 1;
+        (self.front.capacity() - self.front.len() < need).then(|| {
+            if !self.l1_mshr.can_allocate() {
+                StallReason::MshrFull
+            } else if self.miss_queue.is_full() {
+                StallReason::IcntBackpressure
+            } else {
+                StallReason::Other
+            }
+        })
+    }
+
+    /// How many live warps could issue given the LSU port and the front
+    /// pipe — those that already issued this tick included.
+    fn issuable(&self, lsu_used: bool, front: Option<StallReason>) -> usize {
+        if cfg!(debug_assertions) {
+            self.assert_ready_set();
+        }
+        WarpClass::ALL
+            .into_iter()
+            .filter(|c| c.blocked_by(lsu_used, front).is_none())
+            .map(|c| self.class_counts[c as usize])
+            .sum()
+    }
+
+    /// Every live warp's vote at the start of a tick — the first condition
+    /// keeping it from issuing, [`StallReason::Other`] for a warp that
+    /// could issue — tallied from the class counts, without visiting a
+    /// warp. The votes total the SM's unfinished warps.
+    pub fn stall_votes(&self) -> StallBreakdown {
+        if cfg!(debug_assertions) {
+            self.assert_ready_set();
+        }
+        let front = self.front_block();
+        let mut votes = StallBreakdown::new();
+        for c in WarpClass::ALL {
+            let reason = c.blocked_by(false, front).unwrap_or(StallReason::Other);
+            votes.bump_by(reason, self.class_counts[c as usize] as u64);
+        }
+        votes
     }
 
     /// Names the dominant reason this SM issued nothing despite live warps:
-    /// every live warp votes for the first condition that blocks it, and
-    /// the reason with the most votes wins (ties break in
-    /// [`StallReason::ALL`] order). This refines the paper's Fig. 2
-    /// exposed/hidden split — a zero-issue cycle becomes exposed *because
-    /// of* something.
+    /// every live warp votes ([`Sm::stall_votes`]), and the reason with the
+    /// most votes wins (ties break in [`StallReason::ALL`] order). This
+    /// refines the paper's Fig. 2 exposed/hidden split — a zero-issue cycle
+    /// becomes exposed *because of* something.
     fn classify_stall(&self) -> StallReason {
-        let mut votes = [0u64; StallReason::COUNT];
-        for w in 0..self.slots.len() {
-            if let Some(slot) = self.live_warp(w) {
-                let reason = self
-                    .blocked_by(w, slot, false)
-                    .unwrap_or(StallReason::Other);
-                votes[reason.index()] += 1;
-            }
-        }
+        let votes = self.stall_votes();
         let mut best = StallReason::Other;
         let mut best_votes = 0u64;
         for r in StallReason::ALL {
-            if votes[r.index()] > best_votes {
+            if votes.get(r) > best_votes {
                 best = r;
-                best_votes = votes[r.index()];
+                best_votes = votes.get(r);
             }
         }
         best
     }
 
-    fn warp_ready(&self, w: usize, lsu_used: bool) -> bool {
-        !self.issued.contains(&w)
-            && self
-                .live_warp(w)
-                .is_some_and(|slot| self.blocked_by(w, slot, lsu_used).is_none())
-    }
-
-    fn pick_warp(&mut self, lsu_used: bool) -> Option<usize> {
-        let n = self.slots.len();
+    /// The scheduler: the next warp to issue, walking only the live set —
+    /// and not even that when the class counts say no warp can issue.
+    /// `examined` counts the warps it looks at.
+    fn pick_warp(
+        &mut self,
+        lsu_used: bool,
+        front: Option<StallReason>,
+        examined: &mut u64,
+    ) -> Option<usize> {
+        debug_assert!(lsu_used || front == self.front_block());
+        if self.issuable(lsu_used, front) == 0 {
+            return None;
+        }
+        let mut can_issue = |w: usize| {
+            *examined += 1;
+            !self.issued.contains(&w)
+                && self.class[w].is_some_and(|c| c.blocked_by(lsu_used, front).is_none())
+        };
         match self.cfg.scheduler {
             SchedPolicy::Lrr => {
-                for off in 1..=n {
-                    let w = (self.last_issued + off) % n;
-                    if self.warp_ready(w, lsu_used) {
-                        self.last_issued = w;
-                        return Some(w);
-                    }
+                // Rotation order: the slots after the last issued, then
+                // the rest from the lowest.
+                let (wrapped, ahead) = self
+                    .live
+                    .split_at(self.live.partition_point(|&s| s <= self.last_issued));
+                let picked = ahead.iter().chain(wrapped).copied().find(|&w| can_issue(w));
+                if let Some(w) = picked {
+                    self.last_issued = w;
                 }
-                None
+                picked
             }
             SchedPolicy::Gto => {
-                if let Some(g) = self.greedy {
-                    if self.warp_ready(g, lsu_used) {
-                        return Some(g);
-                    }
+                if self.greedy.is_some_and(&mut can_issue) {
+                    return self.greedy;
                 }
-                let oldest = (0..n)
-                    .filter(|&w| self.warp_ready(w, lsu_used))
-                    .min_by_key(|&w| self.slots[w].as_ref().expect("ready implies live").age);
+                let oldest = self
+                    .live
+                    .iter()
+                    .copied()
+                    .filter(|&w| can_issue(w))
+                    .min_by_key(|&w| self.slots[w].as_ref().expect("live").age);
                 if let Some(w) = oldest {
                     self.greedy = Some(w);
                 }
@@ -1052,6 +1244,7 @@ impl Sm {
             }
         }
         self.slots[w] = Some(slot);
+        self.reclassify(w);
         new_requests
     }
 
@@ -1301,27 +1494,31 @@ impl Sm {
         };
         self.age_counter = d.u64()?;
         self.stats = SmStats::decode(d)?;
+        self.rebuild_ready_set();
         Ok(())
     }
 
-    /// Releases every warp of the CTA waiting at the barrier. `current` (the
-    /// warp being issued, temporarily taken out of `slots`) is handled via
-    /// its moved-out slot.
+    /// Releases every warp of the CTA waiting at the barrier and
+    /// reclassifies each. `current` (the warp being issued, temporarily
+    /// taken out of `slots`) is handled via its moved-out slot and
+    /// reclassified when its issue ends.
     fn release_cta_barrier(&mut self, cta_index: usize, current: usize, slot: &mut WarpSlot) {
         let cta = self.ctas[cta_index].as_mut().expect("live CTA");
         cta.arrived = 0;
-        for &s in &cta.slots {
-            let exec = if s == current {
-                &mut slot.exec
+        let members = std::mem::take(&mut cta.slots);
+        for &s in &members {
+            if s == current {
+                if slot.exec.at_barrier() {
+                    slot.exec.release_barrier();
+                }
             } else if let Some(other) = self.slots[s].as_mut() {
-                &mut other.exec
-            } else {
-                continue;
-            };
-            if exec.at_barrier() {
-                exec.release_barrier();
+                if other.exec.at_barrier() {
+                    other.exec.release_barrier();
+                    self.reclassify(s);
+                }
             }
         }
+        self.ctas[cta_index].as_mut().expect("live CTA").slots = members;
     }
 }
 

@@ -4,15 +4,17 @@
 //! the run loop skips when it can and ticks when a clamp or an unsure
 //! component says it cannot, so they stay worth keeping free. A loaded
 //! BFS tick allocates nothing either, and the ticks on which its warps
-//! issue allocate only for each warp's first SIMT-stack growth.
+//! issue allocate only for each warp's first SIMT-stack growth. The ready
+//! set's own events — a warp leaving it on exit, a barrier reclassifying
+//! its CTA — allocate nothing.
 
 // The counting allocator the tracer's allocation-freedom suites install.
 #[path = "../../trace/tests/common/mod.rs"]
 mod common;
 mod skip_harness;
 
-use gpu_isa::Launch;
-use gpu_sim::Gpu;
+use gpu_isa::{Kernel, KernelBuilder, Launch, Space, Special, Width};
+use gpu_sim::{Gpu, StallReason};
 use latency_core::chase::{build_chase_kernel, write_chain};
 use latency_core::{ArchPreset, ChaseParams};
 
@@ -117,4 +119,115 @@ fn a_loaded_tick_on_which_no_warp_issues_allocates_nothing() {
         dram_at_work > 500,
         "DRAM scheduled on {dram_at_work} of them"
     );
+}
+
+/// Each thread stores its input word to shared memory, meets its CTA at
+/// `bar.sync`, adds its neighbour-warp's word and writes the sum out: a
+/// barrier per CTA and an exit per warp, without a branch, so no warp ever
+/// grows its SIMT stack.
+fn barrier_exchange_kernel(block_dim: u32) -> Kernel {
+    let mut b = KernelBuilder::new("barrier_exchange");
+    let sdata = b.alloc_shared(4 * u64::from(block_dim));
+    let input = b.param(0);
+    let output = b.param(1);
+    let tid = b.special(Special::TidX);
+    let gtid = b.special(Special::GlobalTid);
+    let g_off = b.shl(gtid, 2);
+    let in_addr = b.add(input, g_off);
+    let mine = b.ld_global(Width::W4, in_addr, 0);
+    let s_off = b.shl(tid, 2);
+    let s_addr = b.add(s_off, sdata as i64);
+    b.st(Space::Shared, Width::W4, s_addr, 0, mine);
+    b.bar();
+    let peer = b.add(tid, 32i64);
+    let peer = b.and(peer, i64::from(block_dim - 1));
+    let p_off = b.shl(peer, 2);
+    let p_addr = b.add(p_off, sdata as i64);
+    let theirs = b.ld(Space::Shared, Width::W4, p_addr, 0);
+    let sum = b.add(mine, theirs);
+    let out_addr = b.add(output, g_off);
+    b.st_global(Width::W4, out_addr, 0, sum);
+    b.exit();
+    b.build().expect("valid kernel")
+}
+
+/// Live warps and warps parked at a barrier, machine-wide, as the SMs'
+/// stall votes count them.
+fn live_and_parked(gpu: &Gpu) -> (u64, u64) {
+    gpu.sms().iter().fold((0, 0), |(live, parked), sm| {
+        let votes = sm.stall_votes();
+        (
+            live + votes.total(),
+            parked + votes.get(StallReason::Barrier),
+        )
+    })
+}
+
+/// On a 2-SM GF100 whose grid fits the machine (every CTA dispatched on
+/// the launch's first tick), after a warm-up launch of the same kernel: a
+/// tick on which a warp exits and leaves the live set, and a tick on which
+/// a CTA's barrier releases and its warps are reclassified, allocate
+/// nothing.
+#[test]
+fn ticks_on_which_warps_exit_or_a_barrier_releases_allocate_nothing() {
+    const BLOCK: u32 = 128;
+    const CTAS: u32 = 8;
+    let mut cfg = ArchPreset::FermiGf100.config();
+    cfg.num_sms = 2;
+    cfg.num_partitions = 2;
+    assert!(cfg.sanitize, "the audit stage is part of the claim");
+    let mut gpu = Gpu::new(cfg);
+    let threads = u64::from(BLOCK * CTAS);
+    let input = gpu.alloc(4 * threads, 128);
+    let output = gpu.alloc(4 * threads, 128);
+    for i in 0..threads {
+        gpu.device_mut().write_u32(input + 4 * i, i as u32);
+    }
+    let launch = |gpu: &mut Gpu| {
+        gpu.launch(
+            barrier_exchange_kernel(BLOCK),
+            Launch::new(CTAS, BLOCK, vec![input.get(), output.get()]),
+        )
+        .expect("launches");
+    };
+    launch(&mut gpu);
+    gpu.run(skip_harness::MAX_CYCLES).expect("warm-up drains");
+
+    launch(&mut gpu);
+    gpu.tick();
+    let warps = u64::from(CTAS * BLOCK / 32);
+    assert_eq!(
+        live_and_parked(&gpu).0,
+        warps,
+        "one tick dispatched them all"
+    );
+    let (mut exits, mut releases) = (0, 0);
+    while live_and_parked(&gpu).0 > 0 {
+        let (live, parked) = live_and_parked(&gpu);
+        let allocations = common::allocations();
+        gpu.tick();
+        let allocated = common::allocations() - allocations;
+        let (live_after, parked_after) = live_and_parked(&gpu);
+        // A parked warp leaves the barrier only by its release.
+        let (exited, released) = (live_after < live, parked_after < parked);
+        if exited || released {
+            assert_eq!(
+                allocated,
+                0,
+                "tick at cycle {} (exit: {exited}, release: {released}) allocated",
+                gpu.now().get() - 1
+            );
+        }
+        exits += u64::from(exited);
+        releases += u64::from(released);
+    }
+    assert!(
+        exits > 0 && releases > 0,
+        "{exits} exit and {releases} release ticks"
+    );
+    gpu.run(skip_harness::MAX_CYCLES).expect("the grid drains");
+    for t in 0..threads {
+        let peer = t / u64::from(BLOCK) * u64::from(BLOCK) + (t + 32) % u64::from(BLOCK);
+        assert_eq!(gpu.device().read_u32(output + 4 * t), (t + peer) as u32);
+    }
 }

@@ -363,6 +363,55 @@ fn pending_load_token_not_yet_issued_is_rejected() {
     }
 }
 
+// ---- derived scheduler state ------------------------------------------------
+
+/// Which warps are live and what each one waits on is derived state — the
+/// ready set the issue stage reads — so a checkpoint does not carry it and
+/// a restore rebuilds it. Taken while one SM holds warps parked at
+/// `bar.sync` beside warps waiting on the scoreboard, the checkpoint
+/// restores to the same stall votes, re-encodes to its own bytes, and
+/// finishes as the uninterrupted run does.
+#[test]
+fn a_checkpoint_among_barrier_and_scoreboard_waits_resumes_identically() {
+    let n = 4096;
+    let mut uninterrupted = Gpu::new(small_config());
+    let dev = skip_harness::launch_reduce(&mut uninterrupted, n);
+    let mixed = |gpu: &Gpu| {
+        gpu.sms().iter().any(|sm| {
+            let votes = sm.stall_votes();
+            votes.get(StallReason::Barrier) > 0 && votes.get(StallReason::Scoreboard) > 0
+        })
+    };
+    while !mixed(&uninterrupted) {
+        assert!(
+            uninterrupted.now().get() < 20_000,
+            "no SM ever held barrier and scoreboard waits at once"
+        );
+        uninterrupted.tick();
+    }
+
+    let bytes = uninterrupted.snapshot();
+    let mut restored = Gpu::restore(&bytes).expect("restores");
+    assert!(restored.snapshot() == bytes, "re-encodes to its own bytes");
+    for (a, b) in uninterrupted.sms().iter().zip(restored.sms()) {
+        assert_eq!(a.stall_votes(), b.stall_votes(), "SM {:?}", a.id());
+    }
+
+    let a = uninterrupted
+        .run(skip_harness::MAX_CYCLES)
+        .expect("the uninterrupted run drains");
+    let b = restored
+        .run(skip_harness::MAX_CYCLES)
+        .expect("the resumed run drains");
+    assert_eq!(a, with_host_nanos(b, a.metrics.host_nanos));
+    assert_eq!(uninterrupted.content_hash(), restored.content_hash());
+    assert_eq!(
+        restored.device().read_u32(dev.output),
+        gpu_workloads::reduce::reference(n),
+        "block sums"
+    );
+}
+
 // ---- a checkpoint an earlier build wrote ------------------------------------
 //
 // `tests/corpus/divergent_gather_c1200.ckpt` was written by the build whose

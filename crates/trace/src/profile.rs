@@ -208,19 +208,25 @@ pub enum ProfCounter {
     SmTicksSlept,
     /// Partition ticks left out of ticked cycles, likewise.
     PartitionTicksSlept,
+    /// Warps the issue stage's scheduler looked at, added once per full SM
+    /// tick: against `CyclesTicked` it is the scheduler's walk per cycle
+    /// (a tick on which the ready set's counts say no warp can issue looks
+    /// at none).
+    IssueWarpsExamined,
     /// Gauge: the GPU's outstanding-request counter at the last sample.
     Outstanding,
 }
 
 impl ProfCounter {
     /// Every counter, in table order.
-    pub const ALL: [ProfCounter; 7] = [
+    pub const ALL: [ProfCounter; 8] = [
         ProfCounter::GridTasks,
         ProfCounter::CyclesTicked,
         ProfCounter::CyclesSkipped,
         ProfCounter::IdleJumps,
         ProfCounter::SmTicksSlept,
         ProfCounter::PartitionTicksSlept,
+        ProfCounter::IssueWarpsExamined,
         ProfCounter::Outstanding,
     ];
 
@@ -241,6 +247,7 @@ impl ProfCounter {
             ProfCounter::IdleJumps => "idle_jumps",
             ProfCounter::SmTicksSlept => "sm_ticks_slept",
             ProfCounter::PartitionTicksSlept => "partition_ticks_slept",
+            ProfCounter::IssueWarpsExamined => "issue_warps_examined",
             ProfCounter::Outstanding => "outstanding",
         }
     }
