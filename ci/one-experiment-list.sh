@@ -13,6 +13,8 @@
 # are reduced (the static_vs_dynamic row prints them), so the private
 # driver that made runs of its own for them (validate_run and the
 # run_workload_traced it called) and `lint --validate` must not come back.
+# Every traced run pins its stall and counter totals, so the per-preset
+# metrics.txt hash goldens and their script must not come back either.
 #
 # Usage: ci/one-experiment-list.sh   (from the repository root)
 set -euo pipefail
@@ -31,6 +33,7 @@ report "$(grep -rnwE 'run_tick_bench|run_workload_bench|TickBench|WorkloadBench|
 report "$(grep -rnwE 'validate_run|run_workload_traced' crates tests || true)"
 report "$(grep -nF '"--validate"' crates/bench/src/cmd/lint.rs || true)"
 report "$(git ls-files BENCH_tick.json BENCH_workloads.json)"
+report "$(git ls-files ci/check-preset.sh ci/metrics-goldens.txt)"
 
 if [ "$hits" -ne 0 ]; then
   echo "one-experiment-list: $hits stray driver(s); add a row to latency_bench::EXPERIMENTS instead" >&2

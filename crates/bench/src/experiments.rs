@@ -25,8 +25,9 @@ use std::time::Instant;
 
 use gpu_mem::DramSched;
 use gpu_sim::{
-    CheckpointPolicy, CompletedRequest, GpuConfig, IdleCounts, LevelKind, LoadInstrRecord,
-    RunOutcome, SchedPolicy, SimError, WritePolicy,
+    CheckpointPolicy, CompletedRequest, CounterKind, CounterSummary, GpuConfig, IdleCounts,
+    LevelKind, LoadInstrRecord, RunOutcome, SchedPolicy, SimError, StallBreakdown, StallReason,
+    TraceConfig, WritePolicy,
 };
 use gpu_trace::json::{ToJson, Writer};
 use gpu_workloads::{BfsExperiment, Workload};
@@ -259,6 +260,15 @@ pub struct TracedRecord {
     /// Coverage pins: a `next_event` that answers needlessly early changes
     /// no output, but moves these.
     pub idle: IdleCounts,
+    /// Stall cycles per reason, summed over SMs.
+    pub stalls: StallBreakdown,
+    /// Counter samples integrated.
+    pub samples: u64,
+    /// Events the tracer was handed, recorded plus dropped, so its cap does
+    /// not move them.
+    pub events: u64,
+    /// Each counter's summary over every sample.
+    pub counters: [CounterSummary; CounterKind::COUNT],
     /// Figure 1, over 48 buckets.
     pub fetches: LatencyBreakdown,
     /// Figure 2, over 24 buckets.
@@ -284,7 +294,8 @@ impl Record {
 
     /// A loaded chase's cycles per access; an unloaded point's preset,
     /// level and measurement, with its published-reference verdict when its
-    /// row checks one; for a traced run its identity, idle coverage, fetch
+    /// row checks one; for a traced run its identity, idle coverage, stall
+    /// and counter totals (what the bundle's `metrics.txt` reports), fetch
     /// and load totals, the bucket `table` its row draws and its latencies
     /// (or only its contract verdict).
     fn write_pins(&self, spec: &Spec, w: &mut Writer, table: Table) {
@@ -322,7 +333,18 @@ impl Record {
         w.field("skipped_cycles", r.idle.skipped_cycles);
         w.field("sm_ticks_slept", r.idle.sm_ticks_slept);
         w.field("partition_ticks_slept", r.idle.partition_ticks_slept);
-        w.key("fetches");
+        w.field("samples", r.samples).field("events", r.events);
+        w.key("stalls").object();
+        for reason in StallReason::ALL {
+            w.field(reason.name(), r.stalls.get(reason));
+        }
+        w.end().key("counters").object();
+        for kind in CounterKind::ALL {
+            let s = r.counters[kind.index()];
+            w.key(kind.name()).object().field("min", s.min);
+            w.field("max", s.max).field("sum", s.sum).end();
+        }
+        w.end().key("fetches");
         r.fetches.write_pins(w, table == Table::Fetches);
         w.key("loads");
         r.loads.write_pins(w, table == Table::Loads);
@@ -336,7 +358,11 @@ fn reduce(spec: &Spec) -> Result<Record, String> {
     let failed = |e: &dyn fmt::Display| format!("running {spec}: {e}");
     match spec {
         Spec::Traced(config, workload, exp) => {
-            let run = run_to_completion(config.clone(), workload, exp).map_err(|e| failed(&e))?;
+            let mut config = config.clone();
+            if !env_request().enabled() {
+                config.trace = sampled(config.trace);
+            }
+            let run = run_to_completion(config, workload, exp).map_err(|e| failed(&e))?;
             reduce_run(spec, &run)
         }
         Spec::Chase(config, params, ctas) => {
@@ -350,6 +376,19 @@ fn reduce(spec: &Spec) -> Result<Record, String> {
             reference::check_point(*preset, *level, m.per_access).map_err(|e| failed(&e))?;
             Ok(Record::Point(m))
         }
+    }
+}
+
+/// `trace` with the counter sampler on and nothing stored: a record reads
+/// only the summaries, which integrate every sample however small the ring,
+/// and the event count, which counts drops. When `LATENCY_TRACE` asks for
+/// events, [`run_traced`]'s caps stand instead; the pins are the same.
+fn sampled(trace: TraceConfig) -> TraceConfig {
+    TraceConfig {
+        enabled: true,
+        max_events: 0,
+        counter_capacity: 1,
+        ..trace
     }
 }
 
@@ -371,11 +410,16 @@ fn reduce_run(spec: &Spec, run: &TracedRun) -> Result<Record, String> {
         format!("{n} static-vs-dynamic contract violation(s) running {spec}: {broken}")
     })?;
     let fetches = run.requests.iter().map(|r| r.timeline.total_latency());
+    let m = &run.metrics;
     Ok(Record::Traced(Box::new(TracedRecord {
         content_hash: run.content_hash,
         cycles: run.cycles,
         instructions: run.instructions,
         idle: run.idle,
+        stalls: m.stalls,
+        samples: m.samples,
+        events: m.events_recorded + m.events_dropped,
+        counters: m.counters,
         fetches: LatencyBreakdown::from_requests_clipped(&run.requests, 48, 0.99).0,
         loads: ExposureAnalysis::from_loads_clipped(&run.loads, 24, 0.99).0,
         load_latency: Latency::of(run.loads.iter().map(LoadInstrRecord::total)),
@@ -942,6 +986,68 @@ mod tests {
         assert!(run.loads.total_loads() > 0);
         assert!(run.cycles > 0);
         assert!(run.instructions > 0);
+    }
+
+    /// A traced record's pins, as `BENCH_experiments.json` holds them.
+    fn pins(spec: &Spec, record: &Record) -> String {
+        let mut w = Writer::indented();
+        record.write_pins(spec, &mut w, Table::None);
+        w.finish()
+    }
+
+    #[test]
+    fn stall_and_counter_pins_do_not_depend_on_the_tracer_caps() {
+        // The list stores no event and keeps one counter sample; a
+        // `LATENCY_TRACE` run stores up to the default caps. Both must pin
+        // the same totals.
+        let spec = &small_runs("fig1")[0];
+        let Spec::Traced(config, workload, exp) = spec else {
+            unreachable!("fig1 reads a BFS")
+        };
+        let run = |trace| {
+            let config = GpuConfig {
+                trace,
+                ..config.clone()
+            };
+            run_to_completion(config, workload, exp).unwrap()
+        };
+        let listed = run(sampled(config.trace));
+        let stored = run(TraceConfig {
+            enabled: true,
+            ..TraceConfig::default()
+        });
+        assert_eq!(listed.trace.events.len(), 0);
+        assert_eq!(listed.trace.samples.len(), 1);
+        assert!(stored.trace.events.len() > 1 && stored.trace.samples.len() > 1);
+        let [listed, stored] =
+            [&listed, &stored].map(|r| pins(spec, &reduce_run(spec, r).unwrap()));
+        assert_eq!(listed, stored);
+        let record = reduce(spec).unwrap();
+        let r = record.traced();
+        assert!(
+            r.samples > 1 && r.events > 1 && r.stalls.total() > 0,
+            "{listed}"
+        );
+        assert_eq!(pins(spec, &record), listed);
+    }
+
+    #[test]
+    fn a_partition_latency_moves_stall_and_counter_pins() {
+        // One ROP cycle more: the drift names where the time went, not only
+        // that the run got longer.
+        let spec = small_runs("fig1").remove(0);
+        let mut slower = spec.clone();
+        let Spec::Traced(config, ..) = &mut slower else {
+            unreachable!("fig1 reads a BFS")
+        };
+        config.rop_latency += 1;
+        let [before, after] = [&spec, &slower].map(|s| pins(s, &reduce(s).unwrap()));
+        let findings = crate::regression::compare_json(&before, &after).unwrap();
+        let paths: Vec<&str> = findings.iter().map(|f| f.path.as_str()).collect();
+        assert!(paths.contains(&"cycles"), "{paths:?}");
+        for section in ["stalls.", "counters."] {
+            assert!(paths.iter().any(|p| p.starts_with(section)), "{paths:?}");
+        }
     }
 
     #[test]

@@ -251,64 +251,67 @@ mod tests {
     use crate::experiments::run_bfs_traced;
     use crate::BfsExperiment;
     use gpu_sim::GpuConfig;
+    use latency_core::ArchPreset;
 
     #[test]
     fn bundle_writes_all_files_and_valid_chrome_json() {
-        let mut cfg = GpuConfig::fermi_gf100();
-        cfg.num_sms = 2;
-        cfg.num_partitions = 2;
-        cfg.trace.enabled = true;
+        let track_names = track_names_for(&GpuConfig::fermi_gf100());
+        assert_eq!(track_names.sms_process, "GF100-like (Fermi) SMs");
+        assert!(track_names
+            .counters
+            .iter()
+            .any(|c| c == "L1 MSHR occupancy"));
         let exp = BfsExperiment {
             nodes: 256,
             degree: 4,
             seed: 7,
             block_dim: 64,
         };
-        let track_names = track_names_for(&cfg);
-        assert_eq!(track_names.sms_process, "GF100-like (Fermi) SMs");
-        assert!(track_names
-            .counters
-            .iter()
-            .any(|c| c == "L1 MSHR occupancy"));
-        let run = run_bfs_traced(cfg, &exp).unwrap();
-        let bundle = TraceBundle {
-            run: &run,
-            num_sms: 2,
-            num_partitions: 2,
-            track_names,
-            profile: None,
-        };
+        // Spans must tile their lifetimes on a Fermi-like machine and on a
+        // sectored one whose L2 is sliced.
+        for mut cfg in [GpuConfig::fermi_gf100(), ArchPreset::AmpereGa102.config()] {
+            (cfg.num_sms, cfg.num_partitions) = (2, 2);
+            cfg.trace.enabled = true;
+            let run = run_bfs_traced(cfg.clone(), &exp).unwrap();
+            let bundle = TraceBundle {
+                run: &run,
+                num_sms: 2,
+                num_partitions: 2,
+                track_names: track_names_for(&cfg),
+                profile: None,
+            };
 
-        let json = bundle.chrome_json();
-        let doc = gpu_trace::json::parse(&json).expect("valid chrome trace json");
-        let verified = gpu_trace::check_span_sums(&doc).expect("stage sums tile lifetimes");
-        assert!(verified > 0);
+            let json = bundle.chrome_json();
+            let doc = gpu_trace::json::parse(&json).expect("valid chrome trace json");
+            let verified = gpu_trace::check_span_sums(&doc).expect("stage sums tile lifetimes");
+            assert!(verified > 0, "{}", cfg.name);
 
-        let dir = std::env::temp_dir().join(format!("gpu-trace-bundle-{}", std::process::id()));
-        bundle.write(&dir).expect("bundle written");
-        for f in [
-            "trace.json",
-            "events.jsonl",
-            "counters.csv",
-            "breakdown.csv",
-            "exposure.csv",
-            "latency_hist.csv",
-            "metrics.txt",
-        ] {
-            assert!(dir.join(f).is_file(), "missing bundle file {f}");
+            let dir = std::env::temp_dir().join(format!("gpu-trace-bundle-{}", std::process::id()));
+            bundle.write(&dir).expect("bundle written");
+            for f in [
+                "trace.json",
+                "events.jsonl",
+                "counters.csv",
+                "breakdown.csv",
+                "exposure.csv",
+                "latency_hist.csv",
+                "metrics.txt",
+            ] {
+                assert!(dir.join(f).is_file(), "missing bundle file {f}");
+            }
+            let metrics = std::fs::read_to_string(dir.join("metrics.txt")).unwrap();
+            assert!(metrics.contains("[stalls]"));
+            assert!(
+                !metrics.contains("host_nanos") && !metrics.contains("per_second"),
+                "metrics.txt must not carry host time:\n{metrics}"
+            );
+            assert!(
+                metrics.contains(&format!("content_hash = {:016x}", run.content_hash)),
+                "metrics.txt must carry the run's content hash"
+            );
+            assert_ne!(run.content_hash, 0, "BFS run must hash its content");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let metrics = std::fs::read_to_string(dir.join("metrics.txt")).unwrap();
-        assert!(metrics.contains("[stalls]"));
-        assert!(
-            !metrics.contains("host_nanos") && !metrics.contains("per_second"),
-            "metrics.txt must not carry host time:\n{metrics}"
-        );
-        assert!(
-            metrics.contains(&format!("content_hash = {:016x}", run.content_hash)),
-            "metrics.txt must carry the run's content hash"
-        );
-        assert_ne!(run.content_hash, 0, "BFS run must hash its content");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -70,12 +70,6 @@ pub struct KernelCost {
 }
 
 impl KernelCost {
-    /// The tightest whole-kernel memory-latency lower bound: the largest
-    /// per-load floor (every load must complete at least once).
-    pub fn max_floor(&self) -> Option<u64> {
-        self.loads.iter().map(|l| l.floor).max()
-    }
-
     /// Renders the prediction table as human-readable text.
     pub fn to_human(&self) -> String {
         let mut out = String::new();

@@ -1,14 +1,14 @@
 //! The `serve` daemon bin.
 //!
 //! ```text
-//! serve [--listen ADDR] [--unix PATH] [--stdio] [--state DIR] [--workers N]
+//! serve [--listen ADDR] [--stdio] [--state DIR] [--workers N]
 //! ```
 //!
 //! Defaults to TCP on `127.0.0.1:4780`; `--listen 127.0.0.1:0` picks an
 //! ephemeral port. Either way the bound address is published to
 //! `STATE/serve.addr` so clients and scripts can find it. `--stdio` serves
 //! exactly one session over stdin/stdout (the mode the malformed-spec tests
-//! drive), and `--unix PATH` adds a Unix-socket listener alongside TCP.
+//! drive).
 //!
 //! Boot order matters for crash recovery: the state tree is scanned and
 //! unfinished jobs re-enqueued *before* the first connection is accepted,
@@ -19,20 +19,17 @@
 
 use std::path::PathBuf;
 
-#[cfg(unix)]
-use gpu_serve::server::serve_listener;
 use gpu_serve::server::{serve_session, Server, ServerConfig, ServerHandle};
 use latency_core::cli::{self, exit_usage, or_exit, Cursor, UsageError};
 
 struct Args {
     listen: String,
-    unix: Option<PathBuf>,
     stdio: bool,
     state: PathBuf,
     workers: usize,
 }
 
-const USAGE: &str = "serve [--listen ADDR] [--unix PATH] [--stdio] [--state DIR] [--workers N]";
+const USAGE: &str = "serve [--listen ADDR] [--stdio] [--state DIR] [--workers N]";
 
 fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     if args.wants_help() {
@@ -43,7 +40,6 @@ fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     cli::check_env()?;
     let mut parsed = Args {
         listen: "127.0.0.1:4780".to_string(),
-        unix: None,
         stdio: false,
         state: PathBuf::from("serve-state"),
         workers: latency_core::worker_count(),
@@ -51,7 +47,6 @@ fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     while let Some(arg) = args.next_arg() {
         match arg.as_str() {
             "--listen" => parsed.listen = args.value("--listen")?,
-            "--unix" => parsed.unix = Some(PathBuf::from(args.value("--unix")?)),
             "--stdio" => parsed.stdio = true,
             "--state" => parsed.state = PathBuf::from(args.value("--state")?),
             "--workers" => parsed.workers = args.threads("--workers")?,
@@ -106,24 +101,6 @@ fn main() {
         handle.addr,
         args.state.display()
     );
-    #[cfg(unix)]
-    if let Some(path) = &args.unix {
-        let _ = std::fs::remove_file(path);
-        let listener = or_exit(
-            std::os::unix::net::UnixListener::bind(path),
-            format_args!("serve: binding {}", path.display()),
-        );
-        eprintln!("serve: also listening on {}", path.display());
-        let server = handle.server().clone();
-        std::thread::spawn(move || {
-            let _ = serve_listener(server, listener);
-        });
-    }
-    #[cfg(not(unix))]
-    if args.unix.is_some() {
-        eprintln!("serve: --unix is only available on Unix hosts");
-        std::process::exit(2);
-    }
     // Park until a client issues `shutdown`.
     let server = handle.server().clone();
     while !server.is_shutdown() {

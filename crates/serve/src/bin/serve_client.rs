@@ -1,7 +1,7 @@
 //! The `serve-client` bin: submit, status, cancel, watch, stats, shutdown.
 //!
 //! ```text
-//! serve-client [--connect ADDR | --addr-file PATH | --unix PATH] CMD ...
+//! serve-client [--connect ADDR | --addr-file PATH] CMD ...
 //!
 //! CMDs:
 //!   submit [--preset NAME | --arch-frame HEX] [--microbench BOOL]
@@ -33,7 +33,7 @@ use gpu_serve::proto::{is_terminal_event, request_line, submit_line};
 use gpu_trace::json::{parse, Value, Writer};
 use latency_core::cli::{exit_usage, or_exit, Cursor, UsageError};
 
-const USAGE: &str = "serve-client [--connect ADDR | --addr-file PATH | --unix PATH] CMD ...\n\
+const USAGE: &str = "serve-client [--connect ADDR | --addr-file PATH] CMD ...\n\
      CMDs: submit | status JOB | watch JOB | cancel JOB | stats | shutdown\n\
      submit: [--preset NAME | --arch-frame HEX] [--microbench true|false]\n\
      \x20       --footprints A,B --strides A,B [--space global|local]\n\
@@ -44,16 +44,12 @@ const USAGE: &str = "serve-client [--connect ADDR | --addr-file PATH | --unix PA
 enum Connect {
     Tcp(String),
     AddrFile(PathBuf),
-    #[cfg(unix)]
-    Unix(PathBuf),
 }
 
 fn connect(how: &Connect) -> Client {
     let result = match how {
         Connect::Tcp(addr) => Client::connect_tcp(addr),
         Connect::AddrFile(path) => Client::connect_addr_file(path),
-        #[cfg(unix)]
-        Connect::Unix(path) => Client::connect_unix(path),
     };
     or_exit(result, "serve-client: connect")
 }
@@ -231,8 +227,6 @@ fn run(args: &mut Cursor) -> Result<(), UsageError> {
             "--addr-file" => {
                 connect_how = Connect::AddrFile(PathBuf::from(args.value("--addr-file")?));
             }
-            #[cfg(unix)]
-            "--unix" => connect_how = Connect::Unix(PathBuf::from(args.value("--unix")?)),
             _ => break arg,
         }
     };

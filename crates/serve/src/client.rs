@@ -41,21 +41,6 @@ impl Client {
         })
     }
 
-    /// Connects over a Unix socket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    #[cfg(unix)]
-    pub fn connect_unix(path: &Path) -> std::io::Result<Client> {
-        let stream = std::os::unix::net::UnixStream::connect(path)?;
-        let reader = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(Box::new(reader)),
-            writer: Box::new(stream),
-        })
-    }
-
     /// Reads `state/serve.addr` (written by the daemon after binding) and
     /// connects to it; the daemon's way of publishing an ephemeral port.
     ///

@@ -809,57 +809,20 @@ fn stream_job<W: Write>(server: &Arc<Server>, job: u64, writer: &mut W) -> std::
     }
 }
 
-/// A socket the daemon accepts sessions on: TCP, or a Unix socket.
-pub trait Listener {
-    /// One accepted connection.
-    type Stream: Read + Write + Send + 'static;
-    /// Puts the listener in polling (non-blocking) mode.
-    fn poll_accepts(&self) -> std::io::Result<()>;
-    /// Accepts a pending connection and puts it back in blocking mode.
-    fn accept_stream(&self) -> std::io::Result<Self::Stream>;
-    /// A second handle on the connection, to read from while writing.
-    fn clone_stream(stream: &Self::Stream) -> std::io::Result<Self::Stream>;
-}
-
-macro_rules! listener {
-    ($listener:ty, $stream:ty) => {
-        impl Listener for $listener {
-            type Stream = $stream;
-            fn poll_accepts(&self) -> std::io::Result<()> {
-                self.set_nonblocking(true)
-            }
-            fn accept_stream(&self) -> std::io::Result<$stream> {
-                let (stream, _) = self.accept()?;
-                stream.set_nonblocking(false)?;
-                Ok(stream)
-            }
-            fn clone_stream(stream: &$stream) -> std::io::Result<$stream> {
-                stream.try_clone()
-            }
-        }
-    };
-}
-
-listener!(TcpListener, std::net::TcpStream);
-#[cfg(unix)]
-listener!(
-    std::os::unix::net::UnixListener,
-    std::os::unix::net::UnixStream
-);
-
-/// The accept loop, for either listener: one thread per connection,
-/// polling the shutdown flag between accepts.
-pub fn serve_listener<L: Listener>(server: Arc<Server>, listener: L) -> std::io::Result<()> {
-    listener.poll_accepts()?;
+/// The accept loop: one thread per connection, polling the shutdown flag
+/// between accepts.
+pub fn serve_listener(server: Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
+    listener.set_nonblocking(true)?;
     loop {
         if server.is_shutdown() {
             return Ok(());
         }
-        match listener.accept_stream() {
-            Ok(stream) => {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(false)?;
                 let server = Arc::clone(&server);
                 std::thread::spawn(move || {
-                    if let Ok(reader) = L::clone_stream(&stream) {
+                    if let Ok(reader) = stream.try_clone() {
                         let _ = serve_session(&server, reader, stream);
                     }
                 });
