@@ -11,14 +11,19 @@
 //!   bypass the L1 everywhere.
 //! - **Unloaded floor** — the analytic best case
 //!   ([`ArchDesc::unloaded_floor`]): a hit at the shallowest feasible level
-//!   with empty queues. No dynamic execution of this load can complete
-//!   faster, which is exactly the contract the differential harness
-//!   (`static_vs_dynamic`) checks against pointer-chase measurements.
+//!   with empty queues. It claims that no dynamic execution of this load
+//!   completes faster.
 //! - **Transactions per warp** — line and sector fan-out of a fully active
 //!   warp, from the symbolic access pattern.
 //!
-//! The validation harness checks the *lines*, the *floor* and the *level
-//! set* against instrumented runs.
+//! What the experiment list holds against runs today
+//! (`latency_bench::validate`, `latency_bench::reference`): contract A
+//! checks [`crate::memlint`]'s per-warp transaction count at the
+//! transaction granule — its own prediction, not this module's — against
+//! every traced single-kernel run; contract B checks the level set
+//! ([`ArchDesc::feasible_levels`]) against every traced run; contract C
+//! checks each level's floor only against that level's unloaded
+//! pointer-chase point, never against a loaded run.
 
 use std::fmt::Write as _;
 

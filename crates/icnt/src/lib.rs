@@ -180,23 +180,17 @@ impl<T> Crossbar<T> {
         Some(item)
     }
 
-    /// Peeks at the next deliverable packet at `dst` without consuming
-    /// bandwidth.
-    pub fn peek(&self, dst: usize, now: Cycle) -> Option<&T> {
-        self.queues[dst].front_ready(now)
-    }
-
-    /// The earliest cycle at which a packet can eject: the smallest head
-    /// ready time over the destination queues ([`Cycle::MAX`] when nothing
-    /// is in flight). A head that is already deliverable but was not
-    /// ejected (receiver full, bandwidth spent) answers `now` — the
-    /// receiver may take it any cycle.
-    pub fn next_event(&self, now: Cycle) -> Cycle {
-        self.queues
-            .iter()
-            .filter_map(DelayQueue::next_ready)
-            .min()
-            .map_or(Cycle::MAX, |at| at.max(now))
+    /// The cycle the head packet queued for `dst` arrives (`None` when
+    /// nothing is queued there). Each destination queue is strictly FIFO,
+    /// so no [`Crossbar::eject`] at `dst` can succeed before this cycle; a
+    /// head that arrived but was not ejected (receiver full, bandwidth
+    /// spent) answers a cycle already past.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is out of range.
+    pub fn next_arrival(&self, dst: usize) -> Option<Cycle> {
+        self.queues[dst].next_ready()
     }
 
     /// Total packets currently inside the network.
@@ -289,24 +283,28 @@ mod tests {
         x.begin_cycle();
         x.try_inject(0, 1, 42, Cycle::new(100)).unwrap();
         assert_eq!(x.eject(1, Cycle::new(109)), None);
-        assert_eq!(x.peek(1, Cycle::new(110)), Some(&42));
+        assert_eq!(x.next_arrival(1), Some(Cycle::new(110)));
         assert_eq!(x.eject(1, Cycle::new(110)), Some(42));
         assert!(x.is_idle());
     }
 
     #[test]
-    fn next_event_is_the_earliest_head_arrival() {
+    fn next_arrival_is_the_port_head_arrival() {
         let mut x = xbar(10, 8);
-        assert_eq!(x.next_event(Cycle::new(5)), Cycle::MAX);
+        assert_eq!(x.next_arrival(1), None);
         x.begin_cycle();
         x.try_inject(0, 1, 1, Cycle::new(100)).unwrap();
         x.begin_cycle();
         x.try_inject(0, 0, 2, Cycle::new(103)).unwrap();
-        assert_eq!(x.next_event(Cycle::new(104)), Cycle::new(110));
-        // A deliverable packet nobody ejected yet can move any cycle.
-        assert_eq!(x.next_event(Cycle::new(112)), Cycle::new(112));
+        x.begin_cycle();
+        x.try_inject(0, 1, 3, Cycle::new(104)).unwrap();
+        assert_eq!(x.next_arrival(1), Some(Cycle::new(110)));
+        assert_eq!(x.next_arrival(0), Some(Cycle::new(113)));
+        // An arrived head nobody ejected yet keeps its (past) arrival.
+        assert_eq!(x.eject(1, Cycle::new(109)), None);
+        assert_eq!(x.next_arrival(1), Some(Cycle::new(110)));
         assert_eq!(x.eject(1, Cycle::new(112)), Some(1));
-        assert_eq!(x.next_event(Cycle::new(112)), Cycle::new(113));
+        assert_eq!(x.next_arrival(1), Some(Cycle::new(114)));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use gpu_trace::{
 };
 use gpu_types::{Addr, CtaId, Cycle, PartitionId, SmId};
 
+use crate::agenda::{arrival, Agenda, Audited};
 use crate::config::GpuConfig;
 use crate::partition::Partition;
 use crate::sanitizer::{Sanitizer, Violation};
@@ -111,6 +112,11 @@ struct LaunchState {
     launch: Launch,
     local_map: LocalMap,
     next_cta: u32,
+    /// Host-side: the last dispatch stage found no SM that could take CTA
+    /// `next_cta`. Only that stage and a launch change it, and nothing
+    /// between one dispatch stage and the next frees an SM, so the run
+    /// loop reads this instead of asking every SM again.
+    stalled: bool,
 }
 
 /// Where and how often [`Gpu::run_checkpointed`] writes checkpoints.
@@ -229,6 +235,12 @@ pub struct Gpu {
     /// Host-side bookkeeping: never serialized.
     launched: Vec<String>,
     idle: IdleCounts,
+    /// Host-side: the wake cycles and port arrivals the run loop visits
+    /// components by.
+    agenda: Agenda,
+    /// Host-side: what moved this cycle and what each component's last
+    /// audit found in flight (sanitizing machines only).
+    audited: Audited,
 }
 
 impl Gpu {
@@ -273,6 +285,8 @@ impl Gpu {
             host_tag: Vec::new(),
             launched: Vec::new(),
             idle: IdleCounts::default(),
+            agenda: Agenda::new(cfg.num_sms, cfg.num_partitions),
+            audited: Audited::new(cfg.sanitize, cfg.num_sms, cfg.num_partitions),
             cfg,
         }
     }
@@ -410,6 +424,7 @@ impl Gpu {
             launch,
             local_map,
             next_cta: 0,
+            stalled: false,
         });
         Ok(())
     }
@@ -454,8 +469,14 @@ impl Gpu {
     /// leaks (and that nothing else does).
     pub fn debug_seed_mshr_leak(&mut self, line: Addr) {
         self.sms[0].debug_seed_mshr_leak(line.align_down(self.cfg.line_size));
+        self.agenda.sm_wake[0] = Cycle::ZERO;
+        self.agenda.sm_watched.insert(0);
+        self.audited.sm_moved(0);
     }
 
+    /// Whether the launch has drained. The kept counts answer first; the
+    /// components are asked only once no SM holds a warp and nothing is
+    /// outstanding, at the end of a launch.
     fn is_done(&self) -> bool {
         let dispatched_all = match &self.launch {
             Some(l) => l.next_cta >= l.launch.grid_dim,
@@ -463,10 +484,10 @@ impl Gpu {
         };
         dispatched_all
             && self.outstanding == 0
+            && self.agenda.occupied_sms == 0
+            && self.agenda.net_in_flight == 0
             && self.sms.iter().all(Sm::is_idle)
             && self.partitions.iter().all(Partition::is_idle)
-            && self.req_net.is_idle()
-            && self.reply_net.is_idle()
     }
 
     /// The cumulative run summary so far (the same value [`Gpu::run`]
@@ -634,6 +655,7 @@ impl Gpu {
                 launch,
                 local_map,
                 next_cta,
+                stalled: false,
             })
         } else {
             None
@@ -652,6 +674,12 @@ impl Gpu {
         gpu.tracer.restore_state(&mut d)?;
         gpu.sanitizer.restore_state(&mut d)?;
         d.expect_end()?;
+        gpu.agenda.rebuild(&gpu.sms, &gpu.req_net, &gpu.reply_net);
+        gpu.audited.rebuild();
+        if let Some(l) = &mut gpu.launch {
+            let warps_needed = l.launch.warps_per_cta(gpu.cfg.warp_size) as usize;
+            l.stalled = !gpu.sms.iter().any(|sm| sm.can_dispatch(warps_needed));
+        }
         Ok(gpu)
     }
 
@@ -700,13 +728,13 @@ impl Gpu {
     /// honors its deterministic kill switch. With `policy.every == 0` and no
     /// `kill_at` this is exactly [`Gpu::run`] (which is that call).
     ///
-    /// This is the one run loop. Before each tick it asks every component
-    /// for its next event and, when the whole machine is quiescent until
+    /// This is the one run loop. Before each tick it asks for the
+    /// machine's next event and, when the whole machine is quiescent until
     /// some later cycle, jumps the clock there instead of ticking the idle
     /// cycles one by one (`skip_idle` below; DESIGN.md, "Idle-cycle
-    /// skipping"). On the cycles it does tick, an SM or partition whose own
-    /// wake cycle is still ahead is not ticked (DESIGN.md, "Sleeping
-    /// components"). The result is bit-identical to stepping with
+    /// skipping"). On the cycles it does tick, it visits only the
+    /// components that are due and audits only what moved (DESIGN.md,
+    /// "Sleeping components"). The result is bit-identical to stepping with
     /// [`Gpu::tick`], which does neither.
     ///
     /// # Errors
@@ -772,42 +800,63 @@ impl Gpu {
 
     /// The earliest cycle at which a tick could change the machine's state:
     /// `now` while CTAs wait for an SM that could take one, else the
-    /// minimum over the `next_event` of both crossbars, every partition
-    /// and every SM.
+    /// minimum over every network port's next arrival and every partition's
+    /// and SM's next event.
     ///
-    /// The contract each of those `next_event`s keeps: the earliest cycle
+    /// The contract each component's `next_event` keeps: the earliest cycle
     /// at which ticking the component could change its state, assuming no
-    /// other component hands it work before then (each reports its own
-    /// hand-offs, and the minimum is taken here) — `now` if it could act
-    /// right away *or is unsure*, [`Cycle::MAX`] if nothing is pending. The
-    /// run loop jumps the clock over the cycles before the minimum instead
-    /// of ticking them (DESIGN.md, "Idle-cycle skipping"), so an answer may
-    /// be early but never late. An SM or partition that went to sleep at
-    /// the end of its last full tick answers the wake cycle it stored then,
-    /// without looking at its queues again (DESIGN.md, "Sleeping
+    /// other component hands it work before then (each hand-off is the
+    /// producer's or a network arrival, and the minimum is taken here) —
+    /// `now` if it could act right away *or is unsure*, [`Cycle::MAX`] if
+    /// nothing is pending. The run loop jumps the clock over the cycles
+    /// before the minimum instead of ticking them (DESIGN.md, "Idle-cycle
+    /// skipping"), so an answer may be early but never late. An SM or
+    /// partition asleep since its last full tick answers the wake cycle the
+    /// agenda stored then, without being visited (DESIGN.md, "Sleeping
     /// components"): the same horizon, derived once, and still valid
-    /// because everything that hands a sleeper work zeroes the stored
-    /// cycle. So only the awake ones re-derive anything; components are
-    /// asked cheapest first (networks, partitions, SMs) and the scan stops
-    /// at the first that can act now.
+    /// because every hand-off to a sleeper lowers the stored cycle. So only
+    /// the awake ones re-derive anything; the dense arrays are read first
+    /// and the scan stops at the first component that can act now.
     fn next_event(&self) -> Cycle {
         let now = self.now;
-        let mut at = Cycle::MAX;
-        let nets = [&self.req_net, &self.reply_net].into_iter();
-        let nets = nets.map(|n| n.next_event(now));
-        let partitions = self.partitions.iter().map(|p| p.next_event(now));
-        let sms = self.sms.iter().map(|s| s.next_event(now));
-        for next in nets.chain(partitions).chain(sms) {
-            at = at.min(next);
+        if let Some(l) = &self.launch {
+            if cfg!(debug_assertions) && l.stalled {
+                let warps_needed = l.launch.warps_per_cta(self.cfg.warp_size) as usize;
+                assert!(!self.sms.iter().any(|sm| sm.can_dispatch(warps_needed)));
+            }
+            if l.next_cta < l.launch.grid_dim && !l.stalled {
+                return now;
+            }
+        }
+        let a = &self.agenda;
+        if cfg!(debug_assertions) {
+            a.assert_matches(&self.sms, &self.req_net, &self.reply_net);
+        }
+        // An SM the run loop does not watch has no wake cycle and no
+        // arrival ahead: its entries read `Cycle::MAX`, so dense scans of
+        // the arrays need not ask which SMs are watched.
+        let arrivals = a.sm_port.iter().chain(&a.part_port).copied().min();
+        let mut at = arrivals.unwrap_or(Cycle::MAX);
+        if at <= now {
+            return now;
+        }
+        for (pi, &wake) in a.part_wake.iter().enumerate() {
+            at = at.min(if wake > now {
+                wake
+            } else {
+                self.partitions[pi].next_event(now)
+            });
             if at <= now {
                 return now;
             }
         }
-        if let Some(l) = &self.launch {
-            let warps_needed = l.launch.warps_per_cta(self.cfg.warp_size) as usize;
-            if l.next_cta < l.launch.grid_dim
-                && self.sms.iter().any(|sm| sm.can_dispatch(warps_needed))
-            {
+        for (si, &wake) in a.sm_wake.iter().enumerate() {
+            at = at.min(if wake > now {
+                wake
+            } else {
+                self.sms[si].next_event(now)
+            });
+            if at <= now {
                 return now;
             }
         }
@@ -856,8 +905,13 @@ impl Gpu {
         let skipped = target - now;
         let tracing = self.tracer.enabled();
         let mut stalled: Vec<(u32, StallReason)> = Vec::new();
-        for sm in &mut self.sms {
-            if let Some(reason) = sm.credit_stall(self.now, skipped) {
+        let a = &self.agenda;
+        for (si, sm) in self.sms.iter_mut().enumerate() {
+            let asleep = a.sm_wake[si] > self.now;
+            if asleep && !a.sm_occupied[si] {
+                continue;
+            }
+            if let Some(reason) = sm.credit_stall(asleep, skipped) {
                 if tracing {
                     stalled.push((sm.id().get(), reason));
                 }
@@ -904,10 +958,12 @@ impl Gpu {
     /// counter sample see the machine between cycles, every live request in
     /// exactly one structure; the clock advances last.
     ///
-    /// The run loop passes `honour_sleep`, so an SM or partition whose wake
-    /// cycle is still ahead is not ticked; [`Gpu::tick`] does not, and
-    /// ticks every component in full. Every other stage, the audit
-    /// included, visits everything either way.
+    /// The run loop passes `honour_sleep`, so the stages visit only the
+    /// components that are due — an SM or partition whose wake cycle came,
+    /// a port a packet arrived at, a partition with returns — plus the
+    /// sleeping SMs that hold warps, for their stall credit; and the audit
+    /// checks what moved. [`Gpu::tick`] does not, and ticks and audits
+    /// every component in full.
     ///
     /// With the self-profiler on, the host clock is read once *between*
     /// stages, so the per-stage deltas tile the cycle exactly (n+1 clock
@@ -928,14 +984,14 @@ impl Gpu {
         done(ProfSpan::TickPartitions);
         self.inject_replies(now);
         done(ProfSpan::InjectReplies);
-        self.eject_requests(now);
+        self.eject_requests(now, honour_sleep);
         done(ProfSpan::EjectRequests);
         self.tick_sms(now, honour_sleep);
         done(ProfSpan::TickSms);
         self.dispatch_ctas();
         done(ProfSpan::DispatchCtas);
         if self.cfg.sanitize {
-            self.audit_cycle(now);
+            self.audit_cycle(now, !honour_sleep);
             done(ProfSpan::AuditInvariants);
         }
         self.sample_stage(now);
@@ -952,25 +1008,34 @@ impl Gpu {
         self.reply_net.begin_cycle();
     }
 
-    /// Ticks every memory partition: DRAM completions, L2 access, ROP exit.
+    /// Ticks the memory partitions that are due: DRAM completions, L2
+    /// access, ROP exit.
     fn tick_partitions(&mut self, now: Cycle, honour_sleep: bool) {
+        let a = &mut self.agenda;
+        a.ticked.clear();
         let mut slept = 0;
-        for p in &mut self.partitions {
-            if honour_sleep && p.asleep(now) {
+        for (pi, p) in self.partitions.iter_mut().enumerate() {
+            if honour_sleep && a.part_wake[pi] > now {
                 slept += 1;
                 continue;
             }
             let _g = profile::span(ProfSpan::PartitionTick);
-            let stores_done = p.tick(now, &mut self.tracer);
+            let (stores_done, wake) = p.tick(now, &mut self.tracer);
             self.outstanding -= stores_done;
+            a.part_wake[pi] = wake;
+            a.ticked.push(pi);
+            self.audited.partition_moved(pi);
         }
         self.idle.partition_ticks_slept += slept;
         profile::add(ProfCounter::PartitionTicksSlept, slept);
     }
 
-    /// Injects partition returns into the reply network.
+    /// Injects the returns of the partitions that ticked into the reply
+    /// network, lowering each receiving SM's port arrival.
     fn inject_replies(&mut self, now: Cycle) {
-        for (pi, p) in self.partitions.iter_mut().enumerate() {
+        let a = &mut self.agenda;
+        for &pi in &a.ticked {
+            let p = &mut self.partitions[pi];
             while let Some(head) = p.peek_return() {
                 let dst = head.sm.index();
                 if !self.reply_net.can_inject(pi, dst) {
@@ -981,6 +1046,9 @@ impl Gpu {
                 self.reply_net
                     .try_inject(pi, dst, req, now)
                     .expect("can_inject checked");
+                a.net_in_flight += 1;
+                a.sm_port[dst] = arrival(&self.reply_net, dst);
+                a.sm_watched.insert(dst);
                 if self.tracer.enabled() {
                     self.tracer.record(TraceEvent {
                         cycle: now.get(),
@@ -994,11 +1062,27 @@ impl Gpu {
                 }
             }
         }
+        if cfg!(debug_assertions) {
+            // Only a tick adds returns, and a partition left holding any
+            // is due next cycle.
+            for (pi, p) in self.partitions.iter().enumerate() {
+                assert!(
+                    p.peek_return().is_none() || a.ticked.contains(&pi),
+                    "partition {pi} holds returns it did not tick for"
+                );
+            }
+        }
     }
 
-    /// Ejects the request network into partition ROP pipelines.
-    fn eject_requests(&mut self, now: Cycle) {
+    /// Ejects the request network into the ROP pipelines of the partitions
+    /// a request arrived for; an accepted request wakes its partition.
+    fn eject_requests(&mut self, now: Cycle, honour_sleep: bool) {
+        let a = &mut self.agenda;
         for (pi, p) in self.partitions.iter_mut().enumerate() {
+            if honour_sleep && a.part_port[pi] > now {
+                continue;
+            }
+            let mut accepted = false;
             while p.can_accept() {
                 match self.req_net.eject(pi, now) {
                     Some(req) => {
@@ -1014,84 +1098,119 @@ impl Gpu {
                             });
                         }
                         p.accept(req, now, &mut self.tracer);
+                        a.net_in_flight -= 1;
+                        accepted = true;
                     }
                     None => break,
                 }
+            }
+            if accepted {
+                a.part_port[pi] = arrival(&self.req_net, pi);
+                a.part_wake[pi] = Cycle::ZERO;
+                self.audited.partition_moved(pi);
             }
         }
     }
 
-    /// Ticks every SM: writeback, reply ejection, L1 access, miss
-    /// injection, issue, CTA retirement.
+    /// Ticks the SMs that are due in full. The run loop walks the watched
+    /// SMs only: a sleeper that holds warps is credited its stall, an empty
+    /// one is left alone, and the dormant ones are not looked at.
     fn tick_sms(&mut self, now: Cycle, honour_sleep: bool) {
-        let sanitize = self.cfg.sanitize;
-        let mut slept = 0;
-        for si in 0..self.sms.len() {
-            let sm = &mut self.sms[si];
-            // A deliverable reply wakes a sleeper; dispatch and the leak
-            // hook zero its wake cycle themselves.
-            if honour_sleep && sm.asleep(now) && self.reply_net.peek(si, now).is_none() {
-                sm.sleep_through(now, &mut self.tracer);
-                slept += 1;
-                continue;
-            }
-            let _g = profile::span(ProfSpan::SmTick);
-            let retired =
-                sm.tick_writeback(now, &mut self.sink, sanitize.then_some(&mut self.sanitizer));
-            self.outstanding -= retired;
-
-            while sm.fill_space() {
-                match self.reply_net.eject(si, now) {
-                    Some(req) => {
-                        if self.tracer.enabled() {
-                            self.tracer.record(TraceEvent {
-                                cycle: now.get(),
-                                site: TraceSite::Gpu,
-                                kind: EventKind::IcntEject {
-                                    net: NetDir::Reply,
-                                    req: req.id.get(),
-                                    port: si as u32,
-                                },
-                            });
-                        }
-                        sm.accept_response(req, now, &mut self.tracer);
+        let n = self.sms.len();
+        let mut ticked = 0;
+        if honour_sleep {
+            for k in 0..self.agenda.sm_watched.words() {
+                for si in self.agenda.sm_watched.word(k) {
+                    if self.agenda.sm_due(si, now) {
+                        self.tick_sm(si, now);
+                        ticked += 1;
+                    } else if self.agenda.sm_occupied[si] {
+                        self.sms[si].sleep_through(now, &mut self.tracer);
                     }
-                    None => break,
                 }
             }
-
-            sm.tick_memory(now, &mut self.tracer);
-
-            while let Some(head) = sm.peek_miss() {
-                let dst = self.map.partition_of(head.addr).index();
-                if !self.req_net.can_inject(si, dst) {
-                    break;
-                }
-                let mut req = sm.pop_miss().expect("peeked");
-                req.timeline.record(Stamp::IcntInject, now);
-                let rid = req.id.get();
-                self.req_net
-                    .try_inject(si, dst, req, now)
-                    .expect("can_inject checked");
-                if self.tracer.enabled() {
-                    self.tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site: TraceSite::Gpu,
-                        kind: EventKind::IcntInject {
-                            net: NetDir::Request,
-                            req: rid,
-                            port: si as u32,
-                        },
-                    });
-                }
+        } else {
+            for si in 0..n {
+                self.tick_sm(si, now);
             }
-
-            let created = sm.tick_issue(now, &mut self.device, &mut self.tracer);
-            self.outstanding += created;
-            sm.end_tick(now);
+            ticked = n;
         }
+        let slept = (n - ticked) as u64;
         self.idle.sm_ticks_slept += slept;
         profile::add(ProfCounter::SmTicksSlept, slept);
+    }
+
+    /// One SM's full tick: writeback, reply ejection, L1 access, miss
+    /// injection, issue, CTA retirement; then its wake cycle is planned.
+    fn tick_sm(&mut self, si: usize, now: Cycle) {
+        let a = &mut self.agenda;
+        let sm = &mut self.sms[si];
+        let _g = profile::span(ProfSpan::SmTick);
+        let sanitize = self.cfg.sanitize;
+        let retired =
+            sm.tick_writeback(now, &mut self.sink, sanitize.then_some(&mut self.sanitizer));
+        self.outstanding -= retired;
+
+        let mut ejected = false;
+        while sm.fill_space() {
+            match self.reply_net.eject(si, now) {
+                Some(req) => {
+                    if self.tracer.enabled() {
+                        self.tracer.record(TraceEvent {
+                            cycle: now.get(),
+                            site: TraceSite::Gpu,
+                            kind: EventKind::IcntEject {
+                                net: NetDir::Reply,
+                                req: req.id.get(),
+                                port: si as u32,
+                            },
+                        });
+                    }
+                    sm.accept_response(req, now, &mut self.tracer);
+                    a.net_in_flight -= 1;
+                    ejected = true;
+                }
+                None => break,
+            }
+        }
+        if ejected {
+            a.sm_port[si] = arrival(&self.reply_net, si);
+        }
+
+        sm.tick_memory(now, &mut self.tracer);
+
+        while let Some(head) = sm.peek_miss() {
+            let dst = self.map.partition_of(head.addr).index();
+            if !self.req_net.can_inject(si, dst) {
+                break;
+            }
+            let mut req = sm.pop_miss().expect("peeked");
+            req.timeline.record(Stamp::IcntInject, now);
+            let rid = req.id.get();
+            self.req_net
+                .try_inject(si, dst, req, now)
+                .expect("can_inject checked");
+            a.net_in_flight += 1;
+            a.part_port[dst] = arrival(&self.req_net, dst);
+            if self.tracer.enabled() {
+                self.tracer.record(TraceEvent {
+                    cycle: now.get(),
+                    site: TraceSite::Gpu,
+                    kind: EventKind::IcntInject {
+                        net: NetDir::Request,
+                        req: rid,
+                        port: si as u32,
+                    },
+                });
+            }
+        }
+
+        let created = sm.tick_issue(now, &mut self.device, &mut self.tracer);
+        self.outstanding += created;
+        a.sm_wake[si] = sm.end_tick(now);
+        a.set_occupied(si, sm.live_warps() > 0);
+        a.settle_sm(si);
+        self.audited.sm_moved(si);
     }
 
     /// Counter sampling at the tracer's interval (whether a sample fires is
@@ -1140,19 +1259,22 @@ impl Gpu {
     /// in exactly one pipeline structure, so the global outstanding counter
     /// must equal the sum of all per-component occupancies; each component's
     /// queues and MSHR tables must respect their configured capacities.
-    fn audit_cycle(&mut self, now: Cycle) {
+    ///
+    /// An audit of unchanged state finds what the last one found, so on a
+    /// clean machine only the components that moved this cycle are audited,
+    /// and every other one adds the in-flight count its last audit
+    /// measured: conservation still covers the whole machine every cycle.
+    /// `everything` ([`Gpu::tick`]) and any finding so far (whose repeats
+    /// a full audit would record each cycle) audit every component.
+    fn audit_cycle(&mut self, now: Cycle, everything: bool) {
         let san = &mut self.sanitizer;
+        let everything = everything || !san.is_clean();
         // The crossbars hold requests but have no audited structure: their
         // capacity bounds are enforced by `can_inject`.
-        let mut in_flight = (self.req_net.in_flight() + self.reply_net.in_flight()) as u64;
-        for sm in &self.sms {
-            sm.audit(san);
-            in_flight += sm.in_flight_requests();
-        }
-        for p in &self.partitions {
-            p.audit(san);
-            in_flight += p.in_flight_requests();
-        }
+        let in_flight = self.agenda.net_in_flight
+            + self
+                .audited
+                .audit(&self.sms, &self.partitions, san, everything);
         if in_flight != self.outstanding {
             san.record(Violation::Conservation {
                 cycle: now,
@@ -1196,9 +1318,14 @@ impl Gpu {
                         l.local_map,
                     );
                     l.next_cta += 1;
+                    self.agenda.sm_wake[s] = Cycle::ZERO;
+                    self.agenda.set_occupied(s, true);
+                    self.agenda.sm_watched.insert(s);
+                    self.audited.sm_moved(s);
                 }
                 None => break,
             }
         }
+        l.stalled = l.next_cta < l.launch.grid_dim;
     }
 }

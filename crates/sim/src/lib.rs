@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+mod agenda;
 pub mod coalesce;
 mod codec;
 mod config;

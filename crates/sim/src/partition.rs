@@ -64,11 +64,6 @@ pub struct Partition {
     stores_completed_total: u64,
     stores_retired_here: u64,
     evictions_in_flight: u64,
-    /// Host-side sleep state (never serialized, never read by the model):
-    /// until this cycle [`Partition::tick`] is the identity, unless
-    /// [`Partition::accept`] hands the partition a request first. Set only
-    /// at the end of `tick`.
-    wake_at: Cycle,
 }
 
 impl Partition {
@@ -107,7 +102,6 @@ impl Partition {
             stores_completed_total: 0,
             stores_retired_here: 0,
             evictions_in_flight: 0,
-            wake_at: Cycle::ZERO,
         }
     }
 
@@ -147,7 +141,6 @@ impl Partition {
         self.rop
             .push(now, req)
             .unwrap_or_else(|_| panic!("ROP overflow; can_accept not checked"));
-        self.wake_at = Cycle::ZERO;
     }
 
     /// Enables or disables the DRAM controller's command event log (drained
@@ -228,27 +221,15 @@ impl Partition {
 
     /// The earliest cycle at which ticking this partition could change its
     /// state, given that nothing arrives from the request network before
-    /// then (the crossbar reports its own arrivals): a sleeper's stored
-    /// wake cycle, else [`Partition::horizon`].
+    /// then (the run loop holds the arrivals) and that the partition is
+    /// awake (a sleeper's answer is the wake cycle the run loop stored).
+    /// Work that moves on demand rather than at a stored time — responses
+    /// awaiting reply injection, an L2 input-queue head, dirty victims
+    /// awaiting DRAM — answers `now` (conservative: the head may be
+    /// structurally blocked); otherwise the ROP and hit-pipe heads and the
+    /// DRAM channel each store the cycle they next act. [`Cycle::MAX`] when
+    /// idle.
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        if self.asleep(now) {
-            return self.wake_at;
-        }
-        self.horizon(now)
-    }
-
-    /// Whether a tick at `now` would be the identity and may be left out.
-    pub(crate) fn asleep(&self, now: Cycle) -> bool {
-        self.wake_at > now
-    }
-
-    /// [`Partition::next_event`] derived from the queues. Work that moves
-    /// on demand rather than at a stored time — responses awaiting reply
-    /// injection, an L2 input-queue head, dirty victims awaiting DRAM —
-    /// answers `now` (conservative: the head may be structurally blocked);
-    /// otherwise the ROP and hit-pipe heads and the DRAM channel each store
-    /// the cycle they next act. [`Cycle::MAX`] when idle.
-    fn horizon(&self, now: Cycle) -> Cycle {
         let on_demand = |s: &L2Slice| {
             !s.queue.is_empty() || s.cache.as_ref().is_some_and(|c| c.pending_writebacks() > 0)
         };
@@ -418,8 +399,11 @@ impl Partition {
     }
 
     /// Advances the partition one cycle. Returns the number of store
-    /// requests that retired this cycle (for global outstanding tracking).
-    pub fn tick(&mut self, now: Cycle, tracer: &mut Tracer) -> u64 {
+    /// requests that retired this cycle (for global outstanding tracking)
+    /// and the cycle until which further ticks are the identity, unless a
+    /// request is accepted first: the one place a partition's wake cycle is
+    /// planned (the run loop stores it).
+    pub fn tick(&mut self, now: Cycle, tracer: &mut Tracer) -> (u64, Cycle) {
         let mut stores_done = 0;
         let site = TraceSite::Partition(self.id.get());
 
@@ -557,8 +541,7 @@ impl Partition {
         // Sleep until the next cycle a tick can act (the next one, if any
         // work moves on demand). Later stages of this cycle only take
         // responses away or `accept` a request, which wakes.
-        self.wake_at = self.horizon(now + 1);
-        stores_done
+        (stores_done, self.next_event(now + 1))
     }
 
     fn tick_l2_slice(&mut self, idx: usize, now: Cycle, tracer: &mut Tracer) {

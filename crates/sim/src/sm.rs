@@ -180,16 +180,10 @@ pub struct Sm {
     /// the SM stays awake without the ready set being asked. Never
     /// serialized, never read by the model.
     issued_last_tick: bool,
-    /// Host-side sleep state, of the same standing as `issued_last_tick`:
-    /// until this cycle a tick of this SM is the identity plus one stall
-    /// credit, unless a reply becomes deliverable at its port first (the
-    /// run loop looks). Set only by [`Sm::end_tick`], at the end of a full
-    /// tick; zeroed by everything that hands the SM work.
-    wake_at: Cycle,
     /// What each slept cycle's issue stage would have counted: the stall
     /// reason the SM's state votes for, `None` with no warp resident. Kept
     /// by every full tick that issues nothing; meaningful only while
-    /// asleep.
+    /// asleep (the run loop holds the wake cycle).
     sleep_stall: Option<StallReason>,
     age_counter: u64,
     stats: SmStats,
@@ -234,7 +228,6 @@ impl Sm {
             issued: Vec::with_capacity(cfg.issue_width),
             lines: Vec::new(),
             issued_last_tick: false,
-            wake_at: Cycle::ZERO,
             sleep_stall: None,
             age_counter: 0,
             stats: SmStats::default(),
@@ -361,14 +354,13 @@ impl Sm {
     /// Test hook: allocates an L1 MSHR entry that no fill will ever release,
     /// modeling the classic lost-fill bug. The run still drains (the entry
     /// holds no queue slot), so only the sanitizer's end-of-run audit can
-    /// catch it.
+    /// catch it. MSHR occupancy feeds the stall attribution a sleeper has
+    /// cached, so the caller must wake the SM.
     pub fn debug_seed_mshr_leak(&mut self, line: gpu_types::Addr) {
         assert!(
             self.l1_mshr.allocate(line),
             "seeding requires a free MSHR entry"
         );
-        // MSHR occupancy feeds the stall attribution a sleeper has cached.
-        self.wake_at = Cycle::ZERO;
     }
 
     /// Returns `true` if a CTA of `warps_needed` warps can be dispatched.
@@ -434,7 +426,6 @@ impl Sm {
             slots: slot_ids,
             arrived: 0,
         });
-        self.wake_at = Cycle::ZERO;
     }
 
     /// Retires CTAs whose warps have all exited and drained their pending
@@ -780,15 +771,16 @@ impl Sm {
         }
     }
 
-    /// Counts `cycles` zero-issue cycles from `now` on against this SM, all
+    /// Counts `cycles` zero-issue cycles against this SM, all
     /// attributed to the reason its current state stalls for, and returns
     /// that reason; `None` (and nothing counted) when no warp is resident.
     /// The run loop calls it with the length of a skipped quiescent
     /// interval, over which the state — and so the reason — cannot change.
-    /// A sleeper has that reason cached in `sleep_stall`; only an SM that
-    /// is awake (a restored one, say) votes again.
-    pub fn credit_stall(&mut self, now: Cycle, cycles: u64) -> Option<StallReason> {
-        let reason = if self.asleep(now) {
+    /// A sleeper (`asleep`: the run loop says its wake cycle is ahead) has
+    /// that reason cached in `sleep_stall`; only an SM that is awake (a
+    /// restored one, say) votes again.
+    pub(crate) fn credit_stall(&mut self, asleep: bool, cycles: u64) -> Option<StallReason> {
+        let reason = if asleep {
             debug_assert_eq!(self.sleep_stall, self.stall_vote());
             self.sleep_stall
         } else {
@@ -821,50 +813,46 @@ impl Sm {
         .unwrap_or(Cycle::MAX)
     }
 
-    /// Ends the SM's full tick at `now`: retires drained CTAs, then decides
-    /// how long the SM may sleep — the one place the wake cycle is set. An
-    /// SM that issued nothing and holds no miss for the interconnect has no
-    /// ready warp (the issue stage just looked, and retirement readies
-    /// none), so until its next maturity every tick is the identity plus
-    /// one stall credit. The issue stage left its vote in `sleep_stall`;
-    /// the slept cycles' issue stages would vote on the state *after*
-    /// retirement, so a retirement means asking again.
-    pub(crate) fn end_tick(&mut self, now: Cycle) {
+    /// Ends the SM's full tick at `now`: retires drained CTAs, then plans
+    /// how long the SM may sleep and returns that wake cycle — the one
+    /// place it is planned (the run loop stores it). An SM that issued
+    /// nothing and holds no miss for the interconnect has no ready warp
+    /// (the issue stage just looked, and retirement readies none), so until
+    /// its next maturity every tick is the identity plus one stall credit.
+    /// The issue stage left its vote in `sleep_stall`; the slept cycles'
+    /// issue stages would vote on the state *after* retirement, so a
+    /// retirement means asking again.
+    pub(crate) fn end_tick(&mut self, now: Cycle) -> Cycle {
         let retired = self.maintain();
-        self.wake_at = if self.issued_last_tick || !self.miss_queue.is_empty() {
+        let wake_at = if self.issued_last_tick || !self.miss_queue.is_empty() {
             Cycle::ZERO
         } else {
             self.next_maturity()
         };
-        if retired > 0 && self.wake_at > now + 1 {
+        if retired > 0 && wake_at > now + 1 {
             self.sleep_stall = self.stall_vote();
         }
-    }
-
-    /// Whether a tick at `now` may be replaced by [`Sm::sleep_through`],
-    /// provided no reply is deliverable at this SM's port.
-    pub(crate) fn asleep(&self, now: Cycle) -> bool {
-        self.wake_at > now
+        wake_at
     }
 
     /// Everything a full tick of a sleeping SM at `now` would have done.
+    /// The run loop calls it only for a sleeper that holds warps.
     pub(crate) fn sleep_through(&mut self, now: Cycle, tracer: &mut Tracer) {
+        debug_assert!(self.sleep_stall.is_some(), "an empty SM counts nothing");
         self.count_stall(self.sleep_stall, now, tracer);
     }
 
     /// The earliest cycle at which ticking this SM could change its state,
     /// given that nothing arrives from the reply network before then (the
-    /// crossbar reports its own arrivals): a sleeper's stored wake cycle;
-    /// else `now` while any warp can issue (assumed, without looking, right
-    /// after a cycle that issued; else read off the ready set's class
-    /// counts) or a miss waits for the interconnect, else the first
-    /// ALU/shared writeback or memory-pipe head to mature. A matured head
-    /// that is structurally blocked also answers `now` — conservative,
-    /// always legal. [`Cycle::MAX`] when nothing is pending.
+    /// run loop holds the arrivals) and that the SM is awake (a sleeper's
+    /// answer is the wake cycle the run loop stored): `now` while any warp
+    /// can issue (assumed, without looking, right after a cycle that
+    /// issued; else read off the ready set's class counts) or a miss waits
+    /// for the interconnect, else the first ALU/shared writeback or
+    /// memory-pipe head to mature. A matured head that is structurally
+    /// blocked also answers `now` — conservative, always legal.
+    /// [`Cycle::MAX`] when nothing is pending.
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        if self.asleep(now) {
-            return self.wake_at;
-        }
         if self.issued_last_tick || !self.miss_queue.is_empty() {
             return now;
         }

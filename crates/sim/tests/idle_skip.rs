@@ -155,6 +155,23 @@ fn one_busy_sm_among_fourteen_sleepers_matches_stepping() {
 }
 
 #[test]
+fn sixteen_ctas_on_the_full_gv100_match_stepping() {
+    // The kernels-modern machine: 80 SMs with sectored L1s, eight
+    // partitions of two L2 slices. Sixteen CTAs land on SMs 0-15; the
+    // other 64 go dormant after their first tick and are never visited
+    // again, while the sixteen busy ones sleep on barriers and loads.
+    for cfg in traced_and_untraced(ArchPreset::VoltaGv100.config()) {
+        assert_eq!((cfg.num_sms, cfg.num_partitions), (80, 8));
+        let what = format!("gv100 16-CTA reduce, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &barrier_reduce(16 * 256));
+        assert_eq!(o.summary.ctas, 16);
+        for (si, sm) in o.sm_stats.iter().enumerate() {
+            assert_eq!(sm.ctas_retired, u64::from(si < 16), "{what}: SM {si}");
+        }
+    }
+}
+
+#[test]
 fn a_grid_larger_than_the_machine_refills_sleeping_sms() {
     // Forty eight-warp CTAs on two SMs that hold six each: every later CTA
     // is dispatched, in the cycle a CTA retires, onto an SM whose tick just
@@ -400,6 +417,52 @@ fn kill_and_checkpoint_land_while_some_sms_sleep_and_others_issue() {
         .find(|&&c| c > 2 * every && !c.is_multiple_of(every))
         .expect("a later half-asleep cycle to kill on");
     kill_and_resume("half-asleep", &launched, every, kill_at);
+}
+
+#[test]
+fn kill_and_checkpoint_land_while_most_of_a_gv100_sleeps() {
+    // Sixteen eight-warp CTAs on the 80-SM gv100, traced. Driving `run`
+    // one cycle at a time (a kill switch on the next cycle) reads off, from
+    // the idle counts, the ticked cycles on which some SM issued while at
+    // least 65 slept — the 64 empty ones and at least one holding warps:
+    // the kill and the checkpoint land on those.
+    let launched = || {
+        let mut cfg = ArchPreset::VoltaGv100.config();
+        cfg.trace.enabled = true;
+        let mut gpu = new_gpu(&cfg);
+        launch_reduce(&mut gpu, 16 * 256);
+        gpu
+    };
+    let mut probe = launched();
+    let mut mostly_asleep = Vec::new();
+    loop {
+        let cycle = probe.now().get();
+        let (idle, issued) = (probe.idle_counts(), probe.summary().instructions);
+        let mut policy = CheckpointPolicy::none();
+        policy.kill_at = Some(cycle + 1);
+        let outcome = probe
+            .run_checkpointed(MAX_CYCLES, &policy)
+            .expect("one cycle");
+        let after = probe.idle_counts();
+        let ticked = after.skipped_cycles == idle.skipped_cycles;
+        let slept = after.sm_ticks_slept - idle.sm_ticks_slept;
+        if ticked && slept > 64 && probe.summary().instructions > issued {
+            mostly_asleep.push(cycle);
+        }
+        if matches!(outcome, RunOutcome::Completed(_)) {
+            break;
+        }
+    }
+    let total = probe.now().get();
+    let every = *mostly_asleep
+        .iter()
+        .find(|&&c| c >= total / 5)
+        .expect("a mostly-asleep cycle to checkpoint on");
+    let kill_at = *mostly_asleep
+        .iter()
+        .find(|&&c| c > 2 * every && !c.is_multiple_of(every))
+        .expect("a later mostly-asleep cycle to kill on");
+    kill_and_resume("gv100", &launched, every, kill_at);
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! BFS tick allocates nothing either, and the ticks on which its warps
 //! issue allocate only for each warp's first SIMT-stack growth. The ready
 //! set's own events — a warp leaving it on exit, a barrier reclassifying
-//! its CTA — allocate nothing.
+//! its CTA — allocate nothing. Nor does the run loop's own bookkeeping —
+//! the wake cycles, port arrivals and audit marks it visits components by
+//! — on the 80-SM gv100.
 
 // The counting allocator the tracer's allocation-freedom suites install.
 #[path = "../../trace/tests/common/mod.rs"]
@@ -14,7 +16,7 @@ mod common;
 mod skip_harness;
 
 use gpu_isa::{Kernel, KernelBuilder, Launch, Space, Special, Width};
-use gpu_sim::{Gpu, StallReason};
+use gpu_sim::{CheckpointPolicy, Gpu, RunOutcome, StallReason};
 use latency_core::chase::{build_chase_kernel, write_chain};
 use latency_core::{ArchPreset, ChaseParams};
 
@@ -230,4 +232,60 @@ fn ticks_on_which_warps_exit_or_a_barrier_releases_allocate_nothing() {
         let peer = t / u64::from(BLOCK) * u64::from(BLOCK) + (t + 32) % u64::from(BLOCK);
         assert_eq!(gpu.device().read_u32(output + 4 * t), (t + peer) as u32);
     }
+}
+
+/// The `kernels-modern` machine, driven by `run` itself: sixteen CTAs of
+/// the barrier-heavy reduction on the full 80-SM gv100 (sanitizer on, so
+/// the audit's marks and stored counts are in play), after a warm-up
+/// launch of the same grid. `run` is stopped after every cycle by a kill
+/// switch on the next one, so each call is exactly one cycle of the run
+/// loop — ticked, with 64 dormant SMs and most of the rest asleep, or
+/// jumped. Once the first cycle has dispatched the grid, every such cycle
+/// on which no warp issues allocates nothing.
+#[test]
+fn a_run_cycle_on_the_full_gv100_allocates_nothing() {
+    const N: u64 = 16 * 256;
+    let cfg = ArchPreset::VoltaGv100.config();
+    assert!(cfg.sanitize, "the audit stage is part of the claim");
+    assert_eq!(cfg.num_sms, 80);
+    let mut gpu = Gpu::new(cfg);
+    skip_harness::barrier_reduce(N)(&mut gpu, &mut |gpu| {
+        gpu.run(skip_harness::MAX_CYCLES).expect("warm-up drains");
+    });
+
+    skip_harness::launch_reduce(&mut gpu, N);
+    let mut policy = CheckpointPolicy::none();
+    let mut one_cycle = |gpu: &mut Gpu| {
+        policy.kill_at = Some(gpu.now().get() + 1);
+        let allocations = common::allocations();
+        let outcome = gpu
+            .run_checkpointed(skip_harness::MAX_CYCLES, &policy)
+            .expect("one cycle");
+        (outcome, common::allocations() - allocations)
+    };
+    one_cycle(&mut gpu);
+    assert_eq!(
+        live_and_parked(&gpu).0,
+        16 * 8,
+        "the first cycle dispatched"
+    );
+    let (mut checked, mut jumped) = (0u64, 0u64);
+    loop {
+        let (issued, skipped) = (gpu.summary().instructions, gpu.idle_counts());
+        let (outcome, allocated) = one_cycle(&mut gpu);
+        if let RunOutcome::Completed(_) = outcome {
+            break;
+        }
+        if gpu.summary().instructions != issued {
+            continue;
+        }
+        assert_eq!(allocated, 0, "cycle {} allocated", gpu.now().get() - 1);
+        checked += 1;
+        jumped += gpu.idle_counts().skipped_cycles - skipped.skipped_cycles;
+    }
+    assert!(checked > 500, "only {checked} cycles checked");
+    assert!(
+        checked > jumped,
+        "{jumped} of {checked} checked cycles were jumps"
+    );
 }

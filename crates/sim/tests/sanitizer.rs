@@ -4,13 +4,16 @@
 //! fill ever releases) drains and "passes" silently when the sanitizer is
 //! off — the SM idle check ignores the MSHR table because a leaked entry
 //! holds no queue slot — and is caught, named, and turned into a test
-//! failure when the sanitizer is on.
+//! failure when the sanitizer is on. On the 80-SM gv100, where the run loop
+//! audits only what moved, both findings name exactly what a `tick()`-
+//! stepped run, audited in full every cycle, names.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gpu_isa::{KernelBuilder, Launch, Special, Width};
 use gpu_sim::{Gpu, GpuConfig, SimError, Site, Violation};
 use gpu_types::Addr;
+use latency_core::ArchPreset;
 
 fn small_config(sanitize: bool) -> GpuConfig {
     let mut cfg = GpuConfig::fermi_gf100();
@@ -35,7 +38,9 @@ fn copy_kernel() -> gpu_isa::Kernel {
     b.build().expect("valid kernel")
 }
 
-fn run_copy(gpu: &mut Gpu, n: u64) -> Result<gpu_sim::RunSummary, gpu_sim::SimError> {
+/// Uploads `n` words and launches the copy kernel over them in 128-thread
+/// CTAs, without running it. Returns the source and destination arrays.
+fn launch_copy(gpu: &mut Gpu, n: u64) -> (Addr, Addr) {
     let src = gpu.alloc(4 * n, 128);
     let dst = gpu.alloc(4 * n, 128);
     for i in 0..n {
@@ -45,7 +50,13 @@ fn run_copy(gpu: &mut Gpu, n: u64) -> Result<gpu_sim::RunSummary, gpu_sim::SimEr
     gpu.launch(
         copy_kernel(),
         Launch::new(grid, 128, vec![src.get(), dst.get()]),
-    )?;
+    )
+    .expect("launch");
+    (src, dst)
+}
+
+fn run_copy(gpu: &mut Gpu, n: u64) -> Result<gpu_sim::RunSummary, gpu_sim::SimError> {
+    let (_, dst) = launch_copy(gpu, n);
     let summary = gpu.run(10_000_000)?;
     for i in 0..n {
         assert_eq!(gpu.device().read_u32(dst + 4 * i), (i * 3) as u32);
@@ -156,4 +167,93 @@ fn sanitized_and_unsanitized_runs_time_identically() {
         },
         b
     );
+}
+
+#[test]
+fn gv100_leak_and_timeout_name_what_stepping_names() {
+    // Sixteen CTAs on SMs 0-15 of 80: the rest sleep empty, so nearly all
+    // of the machine is left out of each cycle's audit under `run`. The
+    // stepped twin ticks and audits every component every cycle; `run(0)`
+    // then only performs the run loop's end-of-run audit on it.
+    let gv100 = ArchPreset::VoltaGv100.config();
+    assert!(gv100.sanitize);
+    let findings = |gpu: &mut Gpu, budget: u64| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| gpu.run(budget)));
+        if let Ok(result) = outcome {
+            if cfg!(debug_assertions) {
+                // Only a timeout returns with findings in a debug build.
+                assert!(matches!(result, Err(SimError::Timeout { .. })));
+            }
+        }
+        gpu.sanitizer().violations().to_vec()
+    };
+
+    // The seeded leak: the run drains; the drained audit names SM 0's line.
+    let leaked = Addr::new(0x7FFF_0000);
+    let mut sites = Vec::new();
+    for stepped in [false, true] {
+        let mut gpu = Gpu::new(gv100.clone());
+        launch_copy(&mut gpu, 16 * 128);
+        gpu.debug_seed_mshr_leak(leaked);
+        let budget = if stepped {
+            let end = leak_free_cycles(&gv100);
+            while gpu.now().get() < end {
+                gpu.tick();
+            }
+            0
+        } else {
+            10_000_000
+        };
+        sites.push(findings(&mut gpu, budget));
+    }
+    assert_eq!(sites[0], sites[1], "leak findings, run vs stepped");
+    assert_eq!(
+        sites[0],
+        vec![Violation::MshrLeak {
+            site: Site::Sm(0),
+            lines: vec![leaked],
+        }]
+    );
+
+    // Cut off mid-load: both sides name the same stuck lines and loads.
+    let mut sites = Vec::new();
+    for stepped in [false, true] {
+        let mut gpu = Gpu::new(gv100.clone());
+        launch_copy(&mut gpu, 16 * 128);
+        let budget = if stepped {
+            for _ in 0..250 {
+                gpu.tick();
+            }
+            0
+        } else {
+            250
+        };
+        assert_eq!(
+            gpu.run(budget),
+            Err(SimError::Timeout { max_cycles: budget })
+        );
+        sites.push(gpu.sanitizer().violations().to_vec());
+    }
+    assert_eq!(sites[0], sites[1], "timeout findings, run vs stepped");
+    let stuck = &sites[0];
+    for sm in 0..16 {
+        assert!(stuck.iter().any(|v| matches!(v,
+            Violation::PendingLoadLeak { site: Site::Sm(s), .. } if *s == sm)));
+    }
+    assert!(stuck.iter().all(|v| !matches!(v,
+        Violation::MshrLeak { site: Site::Sm(s), .. } | Violation::PendingLoadLeak { site: Site::Sm(s), .. } if *s >= 16)));
+    assert!(stuck.iter().any(|v| matches!(
+        v,
+        Violation::MshrLeak {
+            site: Site::Partition(_),
+            ..
+        }
+    )));
+}
+
+/// Cycles the sixteen-CTA copy takes on `cfg` when nothing is seeded.
+fn leak_free_cycles(cfg: &GpuConfig) -> u64 {
+    let mut gpu = Gpu::new(cfg.clone());
+    launch_copy(&mut gpu, 16 * 128);
+    gpu.run(10_000_000).expect("clean run drains").cycles
 }
