@@ -15,6 +15,9 @@
 # run_workload_traced it called) and `lint --validate` must not come back.
 # Every traced run pins its stall and counter totals, so the per-preset
 # metrics.txt hash goldens and their script must not come back either.
+# §II's stride x footprint grid and its inference are the sweep row's runs,
+# pinned with the rest, so the `latency sweep` tool's private driver, the
+# sweep bench suite and its pin file must not come back.
 #
 # Usage: ci/one-experiment-list.sh   (from the repository root)
 set -euo pipefail
@@ -34,6 +37,8 @@ report "$(grep -rnwE 'validate_run|run_workload_traced' crates tests || true)"
 report "$(grep -nF '"--validate"' crates/bench/src/cmd/lint.rs || true)"
 report "$(git ls-files BENCH_tick.json BENCH_workloads.json)"
 report "$(git ls-files ci/check-preset.sh ci/metrics-goldens.txt)"
+report "$(grep -rnwE 'run_sweep_bench|SweepBench|cold_grid_cycles' crates tests || true)"
+report "$(git ls-files BENCH_sweep.json crates/bench/src/cmd/sweep.rs)"
 
 if [ "$hits" -ne 0 ]; then
   echo "one-experiment-list: $hits stray driver(s); add a row to latency_bench::EXPERIMENTS instead" >&2

@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! latency bench [--check] [--update-baselines]
-//!     [--suites sweep,serve,experiments]
+//!     [--suites serve,experiments]
 //!     [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]
 //! ```
 //!
-//! Runs the three benchmarks from [`latency_bench::suite`] and
-//! [`latency_bench::experiments`] — the sweep cold/warm cache comparison,
-//! the serve daemon cold vs cache-hit, and the whole experiment list, each
-//! distinct run once: every preset's Table I chase points, held to the
-//! published reference, and every simulation the paper's figures and E4
-//! read with its own idle-coverage pins — under the host-side
-//! self-profiler. How long
+//! Runs the two benchmarks from [`latency_bench::suite`] and
+//! [`latency_bench::experiments`] — the serve daemon cold vs cache-hit, and
+//! the whole experiment list, each distinct run once: every preset's
+//! Table I chase points, held to the published reference, its §II grid and
+//! inference, and every simulation the paper's figures and E4 read with its
+//! own idle-coverage pins — under the host-side self-profiler. How long
 //! each took goes to the `[bench]` stdout lines and to
 //! `profile.json`/`profile.txt`; the fresh `BENCH_*.json` documents written
 //! beside those in `--out` (default `bench-out/`) hold pins only.
@@ -32,16 +31,16 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use latency_bench::{
-    compare_json, run_serve_bench, run_sweep_bench, splice_doc, Plan, ProgressHeartbeat, Record,
-    EXPERIMENTS, SERVE_CLIENTS,
+    compare_json, run_serve_bench, splice_doc, Plan, ProgressHeartbeat, Record, EXPERIMENTS,
+    SERVE_CLIENTS,
 };
 use latency_core::cli::{or_exit, Cursor, UsageError};
 use latency_core::ArchPreset;
 
-/// The sweep and serve suites' preset, pinned so results stay comparable
-/// with the committed baselines: GF106, the §II measurement chip. The
-/// experiment list names its own machines.
-const SWEEP_PRESET: ArchPreset = ArchPreset::FermiGf106;
+/// The serve suite's preset, pinned so results stay comparable with the
+/// committed baseline: GF106, the §II measurement chip. The experiment list
+/// names its own machines.
+const SERVE_PRESET: ArchPreset = ArchPreset::FermiGf106;
 
 struct Args {
     suites: Vec<String>,
@@ -54,10 +53,10 @@ struct Args {
 }
 
 pub const FLAGS: &str = "[--check] [--update-baselines]\n\
-     \x20      [--suites sweep,serve,experiments]\n\
+     \x20      [--suites serve,experiments]\n\
      \x20      [--out DIR] [--baseline-dir DIR] [--inject-regression] [--progress]";
 
-const SUITES: [&str; 3] = ["sweep", "serve", "experiments"];
+const SUITES: [&str; 2] = ["serve", "experiments"];
 
 fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
     let mut parsed = Args {
@@ -125,28 +124,12 @@ fn run_suites(args: &Args) -> Vec<SuiteResult> {
     let mut results = Vec::new();
     for suite in &args.suites {
         match suite.as_str() {
-            "sweep" => {
-                println!("[bench] sweep: cold+warm grid on {}", SWEEP_PRESET.name());
-                let mut b = run_sweep_bench(SWEEP_PRESET, None);
-                or_exit(b.check(), "FAIL: sweep bench self-check");
-                if args.inject {
-                    b.simulated_cycles += 1;
-                }
-                println!(
-                    "[bench] sweep: {} points, cold {:.3}s, warm {:.3}s, hit rate {:.1}%",
-                    b.grid_points,
-                    b.cold_wall_seconds,
-                    b.warm_wall_seconds,
-                    b.warm_hit_rate() * 100.0
-                );
-                results.push(SuiteResult::new("sweep", b.json()));
-            }
             "serve" => {
                 println!(
                     "[bench] serve: {SERVE_CLIENTS} clients, cold+cache-hit daemon on {}",
-                    SWEEP_PRESET.name()
+                    SERVE_PRESET.name()
                 );
-                let mut b = run_serve_bench(SWEEP_PRESET, SERVE_CLIENTS, None);
+                let mut b = run_serve_bench(SERVE_PRESET, SERVE_CLIENTS, None);
                 or_exit(b.check(), "FAIL: serve bench self-check");
                 println!(
                     "[bench] serve: {} points, cold {:.3}s ({:.2} jobs/s, p95 {:.3}s), \
@@ -319,7 +302,7 @@ mod tests {
 
     #[test]
     fn inject_regression_needs_check_and_excludes_update() {
-        let checked = parse(&["--check", "--inject-regression", "--suites", "sweep"]);
+        let checked = parse(&["--check", "--inject-regression", "--suites", "serve"]);
         assert!(checked.is_ok_and(|a| a.inject && a.check && !a.update));
         // Alone it would write corrupt artifacts and exit 0; with
         // --update-baselines it would commit them.

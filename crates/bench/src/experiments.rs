@@ -12,18 +12,20 @@
 //! renders its stdout. A [`Plan`] executes each distinct run once — `fig1`,
 //! `fig2`, E5's FR-FCFS row, E6's 48-warp LRR point and E8's write-through
 //! row are one BFS; `table1`'s chase points are four of `validate`'s eight
-//! presets; `static_vs_dynamic` reads E4's and `arch_dynamic`'s runs — and
-//! reduces it to a [`Record`] of exact numbers before its worker takes the
-//! next. Reducing a run checks it: a sanitizer violation, a broken
-//! static-vs-dynamic contract ([`validate::check`]) or a chase point off its
-//! published value fails the list. `latency <row>`, `BENCH_experiments.json`
-//! and the blocks of EXPERIMENTS.md are all rendered from those records.
+//! presets, and `sweep`'s grid shares the ones its cells land on;
+//! `static_vs_dynamic` reads E4's and `arch_dynamic`'s runs — and reduces it
+//! to a [`Record`] of exact numbers before its worker takes the next.
+//! Reducing a run checks it: a sanitizer violation, a broken
+//! static-vs-dynamic contract ([`validate::check`]), a Table I point off its
+//! published value or a failed inference fails the list. `latency <row>`,
+//! `BENCH_experiments.json` and the blocks of EXPERIMENTS.md are all
+//! rendered from those records.
 
 use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
-use gpu_mem::DramSched;
+use gpu_mem::{DramSched, PipelineSpace};
 use gpu_sim::{
     CheckpointPolicy, CompletedRequest, CounterKind, CounterSummary, GpuConfig, IdleCounts,
     LevelKind, LoadInstrRecord, RunOutcome, SchedPolicy, SimError, StallBreakdown, StallReason,
@@ -32,8 +34,9 @@ use gpu_sim::{
 use gpu_trace::json::{ToJson, Writer};
 use gpu_workloads::{BfsExperiment, Workload};
 use latency_core::{
-    measure_chase, measure_chase_under_load, row_points, ArchPreset, ChaseMeasurement, ChaseParams,
-    Component, ExposureAnalysis, LatencyBreakdown, MeasuredRow,
+    detect_plateaus, infer_hierarchy, infer_line_size, measure_chase, measure_chase_under_load,
+    pow2_range, row_points, ArchPreset, CacheLevelEstimate, ChaseMeasurement, ChaseParams,
+    ChaseSpace, Component, ExposureAnalysis, LatencyBreakdown, MeasuredRow, Plateau,
 };
 
 use crate::reference::{self, PresetValidation};
@@ -165,20 +168,38 @@ pub enum Spec {
     Traced(GpuConfig, &'static Workload, BfsExperiment),
     /// E7's chase under that many streamer CTAs.
     Chase(GpuConfig, ChaseParams, u32),
-    /// One level's unloaded chase point of a preset's Table I row
-    /// ([`row_points`]) on its microbenchmark machine, held to the
-    /// published reference ([`reference::check_point`]).
-    Point(ArchPreset, LevelKind, GpuConfig, ChaseParams),
+    /// An unloaded chase point on a preset's microbenchmark machine: a cell
+    /// of §II's grid, a level of its Table I row ([`Spec::level`]) or both.
+    /// A Table I point is held to the published reference
+    /// ([`reference::check_point`]).
+    Point(ArchPreset, GpuConfig, ChaseParams),
+    /// §II's adaptive run on a preset's microbenchmark machine: capacity
+    /// bisection over the 512 B column and, where the L1 serves global
+    /// loads, the line-size sweep.
+    Infer(ArchPreset, GpuConfig),
 }
 
 impl Spec {
     /// The machine the run simulates.
     pub fn config(&self) -> &GpuConfig {
         match self {
-            Spec::Traced(config, ..) | Spec::Chase(config, ..) | Spec::Point(_, _, config, _) => {
-                config
-            }
+            Spec::Traced(config, ..)
+            | Spec::Chase(config, ..)
+            | Spec::Point(_, config, _)
+            | Spec::Infer(_, config) => config,
         }
+    }
+
+    /// The Table I level a chase point measures: the level whose
+    /// [`row_points`] entry it is, if any.
+    pub fn level(&self) -> Option<LevelKind> {
+        let Spec::Point(_, config, params) = self else {
+            return None;
+        };
+        let points = row_points(&config.arch_desc());
+        points
+            .into_iter()
+            .find_map(|(level, p)| (p == *params).then_some(level))
     }
 }
 
@@ -194,15 +215,14 @@ impl fmt::Display for Spec {
                 chase(params),
                 config.name
             ),
-            Spec::Point(_, level, config, params) => {
-                let level = level.label();
-                write!(
-                    f,
-                    "the {level} point ({}) on {}",
-                    chase(params),
-                    config.name
-                )
-            }
+            Spec::Point(_, config, params) => match self.level() {
+                Some(level) => {
+                    let (level, chase) = (level.label(), chase(params));
+                    write!(f, "the {level} point ({chase}) on {}", config.name)
+                }
+                None => write!(f, "a {} on {}", chase(params), config.name),
+            },
+            Spec::Infer(_, config) => write!(f, "the hierarchy inference on {}", config.name),
         }
     }
 }
@@ -247,6 +267,9 @@ pub enum Record {
     Chase(f64),
     /// An unloaded chase point's two run lengths and cycles per access.
     Point(ChaseMeasurement),
+    /// The inferred levels, the last one memory, and the L1 line size where
+    /// the L1 serves global loads.
+    Infer(Vec<CacheLevelEstimate>, Option<u64>),
 }
 
 /// A traced run's record. Both figures clip the top 1% so the bucket
@@ -284,11 +307,21 @@ pub struct TracedRecord {
 impl Record {
     /// # Panics
     ///
-    /// Panics on a chase record: only E1 and E7 read those.
+    /// Panics on a chase record: only E1, §II's sweep and E7 read those.
     fn traced(&self) -> &TracedRecord {
         match self {
             Record::Traced(r) => r,
             _ => panic!("a chase run has no traces"),
+        }
+    }
+
+    /// # Panics
+    ///
+    /// Panics unless this is an unloaded chase point's record.
+    fn point(&self) -> &ChaseMeasurement {
+        match self {
+            Record::Point(m) => m,
+            _ => panic!("not a chase point's record"),
         }
     }
 
@@ -309,21 +342,22 @@ impl Record {
                 w.value(*per_access);
                 return;
             }
-            (Record::Point(m), Spec::Point(preset, level, ..)) => {
+            (Record::Point(m), Spec::Point(preset, ..)) => {
+                let level = spec.level().expect("Table I reads its row's points");
                 w.object().field("preset", preset.name());
                 w.field("token", preset.token())
                     .field("level", level.label());
-                w.field("cycles_short", m.cycles_short);
-                w.field("cycles_long", m.cycles_long);
-                w.field("measured", m.per_access);
+                write_measurement(w, m);
                 if table == Table::Reference {
-                    let check = reference::check_point(*preset, *level, m.per_access);
+                    let check = reference::check_point(*preset, level, m.per_access);
                     check.expect("reducing the point checked it").write_pins(w);
                 }
                 w.end();
                 return;
             }
-            (Record::Point(_), _) => unreachable!("a point record is a point run's"),
+            (Record::Point(_) | Record::Infer(..), _) => {
+                unreachable!("§II's sweep pins its records per preset")
+            }
         };
         let hash = format!("{:016x}", r.content_hash);
         w.object()
@@ -369,14 +403,34 @@ fn reduce(spec: &Spec) -> Result<Record, String> {
             let per_access = measure_chase_under_load(config, params, *ctas);
             per_access.map(Record::Chase).map_err(|e| failed(&e))
         }
-        // A point that breaks the published reference fails the list, as a
-        // sanitizer violation does.
-        Spec::Point(preset, level, config, params) => {
+        // A Table I point that breaks the published reference fails the
+        // list, as a sanitizer violation does.
+        Spec::Point(preset, config, params) => {
             let m = measure_chase(config, params).map_err(|e| failed(&e))?;
-            reference::check_point(*preset, *level, m.per_access).map_err(|e| failed(&e))?;
+            if let Some(level) = spec.level() {
+                let check = reference::check_point(*preset, level, m.per_access);
+                check.map_err(|e| failed(&e))?;
+            }
             Ok(Record::Point(m))
         }
+        Spec::Infer(_, config) => {
+            let levels = infer_hierarchy(config, ChaseSpace::Global, 512, 1024, 512 * 1024);
+            let levels = levels.map_err(|e| failed(&e))?;
+            let l1 = config
+                .arch_desc()
+                .serves(LevelKind::L1, PipelineSpace::Global);
+            let line_size = l1.then(|| infer_line_size(config, 64 * 1024)).transpose();
+            Ok(Record::Infer(levels, line_size.map_err(|e| failed(&e))?))
+        }
     }
+}
+
+/// An unloaded chase point's pins: its two run lengths and cycles per
+/// access.
+fn write_measurement(w: &mut Writer, m: &ChaseMeasurement) {
+    w.field("cycles_short", m.cycles_short);
+    w.field("cycles_long", m.cycles_long);
+    w.field("measured", m.per_access);
 }
 
 /// `trace` with the counter sampler on and nothing stored: a record reads
@@ -429,7 +483,8 @@ fn reduce_run(spec: &Spec, run: &TracedRun) -> Result<Record, String> {
 }
 
 /// What a row pins beyond its runs' own: the bucket table it draws or the
-/// published reference it checks; or, instead, their contract verdicts.
+/// published reference it checks; or, instead, their contract verdicts or
+/// §II's sweep of each preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Table {
     None,
@@ -437,6 +492,7 @@ enum Table {
     Loads,
     Reference,
     Contracts,
+    Sweep,
 }
 
 /// The runs a renderer reads, each beside its record, in the row's order.
@@ -470,12 +526,13 @@ const fn row(
     }
 }
 
-/// Table I, the published-reference check, the paper's figures, the
-/// workspace's ablations and the static analyzer's contracts, in `--help`
-/// order.
-pub static EXPERIMENTS: [Experiment; 11] = [
+/// Table I, the published-reference check, §II's sweep, the paper's
+/// figures, the workspace's ablations and the static analyzer's contracts,
+/// in `--help` order.
+pub static EXPERIMENTS: [Experiment; 12] = [
     row("table1", paper_points, Table::None, table1),
     row("validate", every_point, Table::Reference, validate),
+    row("sweep", grids, Table::Sweep, sweep),
     row("fig1", the_bfs, Table::Fetches, fig1),
     row("fig2", the_bfs, Table::Loads, fig2),
     row("other_workloads", e4, Table::None, other_workloads),
@@ -508,7 +565,7 @@ fn points(presets: &[ArchPreset]) -> Vec<Spec> {
     let preset_points = |&preset: &ArchPreset| {
         let config = preset.config_microbench();
         let points = row_points(&config.arch_desc()).into_iter();
-        points.map(move |(level, params)| Spec::Point(preset, level, config.clone(), params))
+        points.map(move |(_, params)| Spec::Point(preset, config.clone(), params))
     };
     presets.iter().flat_map(preset_points).collect()
 }
@@ -523,8 +580,11 @@ fn every_point(_: &GpuConfig, _: &BfsExperiment) -> Vec<Spec> {
 
 /// Each preset's Table I row, assembled from its points in run order.
 fn measured_rows(runs: &Runs) -> Vec<(ArchPreset, MeasuredRow)> {
-    let point = |&(spec, record): &(&Spec, &Record)| match (spec, record) {
-        (Spec::Point(preset, level, ..), Record::Point(m)) => (*preset, *level, m.per_access),
+    let point = |&(spec, record): &(&Spec, &Record)| match spec {
+        Spec::Point(preset, ..) => {
+            let level = spec.level().expect("Table I reads its row's points");
+            (*preset, level, record.point().per_access)
+        }
         _ => unreachable!("Table I reads chase points"),
     };
     let points: Vec<_> = runs.iter().map(point).collect();
@@ -577,6 +637,155 @@ fn validate(runs: &Runs) -> String {
     let (tolerance, verdicts) = reference::validate_rows(&measured_rows(runs));
     let verdicts: String = verdicts.iter().map(PresetValidation::to_human).collect();
     format!("published-reference validation (tolerance {tolerance:.1}%)\n{verdicts}")
+}
+
+/// The §II grid the `sweep` row measures on every preset (and the
+/// benchmark's `chase-sweep` workload reads): 2 KiB–512 KiB footprints ×
+/// four strides.
+pub fn sweep_grid_spec() -> (Vec<u64>, [u64; 4]) {
+    (pow2_range(2 * 1024, 512 * 1024), [128u64, 512, 2048, 8192])
+}
+
+/// Every preset's measurable grid cells (a chain of at least two elements)
+/// on its microbenchmark machine, footprint-major, then its inference.
+fn grids(_: &GpuConfig, _: &BfsExperiment) -> Vec<Spec> {
+    let (footprints, strides) = sweep_grid_spec();
+    let preset_runs = |preset: ArchPreset| {
+        let config = preset.config_microbench();
+        let cells = footprints.iter().flat_map(|&f| strides.map(|s| (f, s)));
+        let cells = cells.filter(|&(f, s)| f / s >= 2);
+        let point = |(f, s)| Spec::Point(preset, config.clone(), ChaseParams::global(f, s));
+        let mut runs: Vec<Spec> = cells.map(point).collect();
+        runs.push(Spec::Infer(preset, config));
+        runs
+    };
+    ArchPreset::ALL.into_iter().flat_map(preset_runs).collect()
+}
+
+/// One preset's §II sweep, from its grid points and its inference run.
+struct PresetSweep<'a> {
+    preset: ArchPreset,
+    points: Vec<(&'a ChaseParams, &'a ChaseMeasurement)>,
+    levels: &'a [CacheLevelEstimate],
+    line_size: Option<u64>,
+}
+
+impl<'a> PresetSweep<'a> {
+    /// Each preset's sweep, from the row's runs: a preset's grid points end
+    /// with its inference.
+    fn all(runs: &'a Runs<'a>) -> impl Iterator<Item = PresetSweep<'a>> {
+        let ends = |(spec, _): &(&Spec, &Record)| matches!(spec, Spec::Infer(..));
+        runs.split_inclusive(ends).map(|runs| {
+            let (points, [(Spec::Infer(preset, _), Record::Infer(levels, line_size))]) =
+                runs.split_at(runs.len() - 1)
+            else {
+                unreachable!("a preset's sweep ends with its inference")
+            };
+            let point = |(spec, record): &(&'a Spec, &'a Record)| match spec {
+                Spec::Point(_, _, params) => (params, record.point()),
+                _ => unreachable!("a preset's grid holds chase points"),
+            };
+            let (preset, line_size) = (*preset, *line_size);
+            let points = points.iter().map(point).collect();
+            PresetSweep {
+                preset,
+                points,
+                levels,
+                line_size,
+            }
+        })
+    }
+
+    /// Grid cells with a chain shorter than two elements.
+    fn skipped(&self) -> usize {
+        let (footprints, strides) = sweep_grid_spec();
+        footprints.len() * strides.len() - self.points.len()
+    }
+
+    /// The plateaus of the 512 B column.
+    fn plateaus(&self) -> Vec<Plateau> {
+        let column = self.points.iter().filter(|(p, _)| p.stride == 512);
+        let latencies: Vec<f64> = column.map(|(_, m)| m.per_access).collect();
+        detect_plateaus(&latencies, 0.20)
+    }
+
+    fn render(&self) -> String {
+        let (footprints, strides) = sweep_grid_spec();
+        let heads: String = strides.iter().map(|s| format!(" {s:>9}B")).collect();
+        let cell = |f: u64, s: u64| {
+            let at = |(p, _): &&(&ChaseParams, _)| (p.footprint, p.stride) == (f, s);
+            match self.points.iter().find(at) {
+                Some((_, m)) => format!(" {:>10.1}", m.per_access),
+                None => format!(" {:>10}", "-"),
+            }
+        };
+        let line = |&f: &u64| format!("{f:>10}{}\n", strides.map(|s| cell(f, s)).concat());
+        let grid: String = footprints.iter().map(line).collect();
+        let (total, skipped) = (footprints.len() * strides.len(), self.skipped());
+        let skipped = match skipped {
+            0 => String::new(),
+            n => format!("({n} of {total} grid points skipped: chain shorter than 2 elements)\n"),
+        };
+        let plateaus: String = self.plateaus().iter().map(|p| format!("  {p}\n")).collect();
+        let level = |l: &CacheLevelEstimate| match l.capacity_hi {
+            u64::MAX => format!("  memory: ~{:.0} cycles\n", l.latency),
+            hi => format!(
+                "  cache: ~{:.0} cycles, capacity {} KiB (bracket {}..{hi})\n",
+                l.latency,
+                l.capacity() / 1024,
+                l.capacity_lo
+            ),
+        };
+        let levels: String = self.levels.iter().map(level).collect();
+        let line_size = (self.line_size).map_or(String::new(), |l| {
+            format!("\ninferred L1 line size: {l} B\n")
+        });
+        format!(
+            "stride x footprint sweep on {}\n\n{:>10}{heads}   (cycles per access)\n\
+             {grid}{skipped}\nplateaus at stride 512 B:\n{plateaus}\n\
+             inferred hierarchy (capacity bisection):\n{levels}{line_size}",
+            self.preset.name(),
+            "footprint"
+        )
+    }
+
+    /// Its grid points' run lengths and cycles per access, the skipped
+    /// count, the plateaus, each level's capacity bracket (none for
+    /// memory) and latency, and the line size.
+    fn write_pins(&self, w: &mut Writer) {
+        w.object().field("preset", self.preset.name());
+        w.field("token", self.preset.token()).key("points").array();
+        for (params, m) in &self.points {
+            w.object().field("footprint", params.footprint);
+            w.field("stride", params.stride);
+            write_measurement(w, m);
+            w.end();
+        }
+        w.end()
+            .field("skipped", self.skipped())
+            .key("plateaus")
+            .array();
+        for p in self.plateaus() {
+            w.object().field("latency", p.latency);
+            w.field("samples", p.samples).end();
+        }
+        w.end().key("levels").array();
+        for l in self.levels {
+            let hi = (l.capacity_hi != u64::MAX).then_some(l.capacity_hi);
+            w.object().field("latency", l.latency);
+            w.field("capacity_lo", l.capacity_lo);
+            w.field("capacity_hi", hi).end();
+        }
+        w.end().field("line_size", self.line_size).end();
+    }
+}
+
+/// §II, after Wong et al.: each preset's stride × footprint grid, the
+/// plateaus of its 512 B column and the hierarchy and line size inferred
+/// from chases alone.
+fn sweep(runs: &Runs) -> String {
+    let blocks: Vec<String> = PresetSweep::all(runs).map(|s| s.render()).collect();
+    blocks.join("\n")
 }
 
 /// The BFS of `exp` on `base` as changed by `edit`.
@@ -907,27 +1116,37 @@ impl Plan {
     /// order, from [`Plan::execute`]'s records.
     pub fn measured_rows(&self, records: &[Record]) -> Vec<(ArchPreset, MeasuredRow)> {
         let runs: Vec<_> = self.runs.iter().zip(records).collect();
-        let points = |&(spec, _): &(&Spec, &Record)| matches!(spec, Spec::Point(..));
+        let points = |&(spec, _): &(&Spec, &Record)| spec.level().is_some();
         measured_rows(&runs.into_iter().filter(points).collect::<Vec<_>>())
+    }
+
+    /// A row's runs beside their records.
+    fn runs<'a>(&'a self, runs: &[usize], records: &'a [Record]) -> Vec<(&'a Spec, &'a Record)> {
+        runs.iter().map(|&i| (&self.runs[i], &records[i])).collect()
     }
 
     /// Each row's name and stdout, from [`Plan::execute`]'s records.
     pub fn render(&self, records: &[Record]) -> Vec<(&'static str, String)> {
         let render = |(row, runs): &(&'static Experiment, Vec<usize>)| {
-            let runs: Vec<_> = runs.iter().map(|&i| (&self.runs[i], &records[i])).collect();
-            (row.name, (row.render)(&runs))
+            (row.name, (row.render)(&self.runs(runs, records)))
         };
         self.rows.iter().map(render).collect()
     }
 
-    /// The `BENCH_experiments.json` document: per row, its runs' pins.
+    /// The `BENCH_experiments.json` document: per row, its runs' pins (per
+    /// preset for §II's sweep).
     pub fn pins_json(&self, records: &[Record]) -> String {
         let mut w = Writer::indented();
         w.object().field("name", "experiments").key("rows").object();
         for (row, runs) in &self.rows {
+            let runs = self.runs(runs, records);
             w.key(row.name).array();
-            runs.iter()
-                .for_each(|&i| records[i].write_pins(&self.runs[i], &mut w, row.table));
+            match row.table {
+                Table::Sweep => PresetSweep::all(&runs).for_each(|s| s.write_pins(&mut w)),
+                table => runs
+                    .iter()
+                    .for_each(|(s, r)| r.write_pins(s, &mut w, table)),
+            }
             w.end();
         }
         w.finish()
@@ -1154,15 +1373,23 @@ mod tests {
             "running a 4096 B chase at stride 7 under 0 streamer CTA(s) on GF100 (Fermi): \
              stride 7 is not a positive multiple of 8"
         );
-        let [Spec::Point(preset, level, config, _), ..] = &points(&[ArchPreset::TeslaGt200])[..]
-        else {
-            unreachable!("GT200 has its DRAM point")
+        let [dram @ Spec::Point(preset, config, _)] = &points(&[ArchPreset::TeslaGt200])[..] else {
+            unreachable!("GT200 has only its DRAM point")
         };
-        let spec = Spec::Point(*preset, *level, config.clone(), ChaseParams::global(8, 128));
+        assert_eq!(
+            dram.to_string(),
+            "the DRAM point (1048576 B chase at stride 4096) on GT200 (Tesla)"
+        );
+        let spec = Spec::Point(*preset, config.clone(), ChaseParams::global(8, 128));
         assert_eq!(
             reduce(&spec).unwrap_err(),
-            "running the DRAM point (8 B chase at stride 128) on GT200 (Tesla): \
+            "running a 8 B chase at stride 128 on GT200 (Tesla): \
              footprint 8 < stride 128: empty chain"
+        );
+        let infer = Spec::Infer(*preset, config.clone());
+        assert_eq!(
+            infer.to_string(),
+            "the hierarchy inference on GT200 (Tesla)"
         );
     }
 
@@ -1172,10 +1399,8 @@ mod tests {
         let specs = points(&[ArchPreset::FermiGf106]);
         let published = ArchPreset::FermiGf106.published();
         let record = |spec: &Spec| {
-            let Spec::Point(_, level, ..) = spec else {
-                unreachable!("Table I reads chase points")
-            };
-            let per_access = published.level(*level).expect("published") as f64;
+            let level = spec.level().expect("Table I reads its row's points");
+            let per_access = published.level(level).expect("published") as f64;
             Record::Point(ChaseMeasurement {
                 per_access,
                 accesses: 0,

@@ -5,12 +5,13 @@
 //! and `src/cmd/`), the `bench` suites and the cross-crate tests:
 //!
 //! - **E1–E8** and the cross-generation BFS: the rows of [`EXPERIMENTS`]
-//!   (`table1` and its published-reference check `validate`, `fig1`,
-//!   `fig2`, `other_workloads`, `dram_sched_ablation`, `hiding_sweep`,
-//!   `loaded_latency`, `write_policy_ablation`, `arch_dynamic`), executed
-//!   by a [`Plan`] that runs each distinct simulation once. `table1` and
-//!   `validate` share their chase points, each held to the published rows
-//!   by [`reference::check_point`] as it is reduced.
+//!   (`table1` and its published-reference check `validate`, §II's
+//!   `sweep`, `fig1`, `fig2`, `other_workloads`, `dram_sched_ablation`,
+//!   `hiding_sweep`, `loaded_latency`, `write_policy_ablation`,
+//!   `arch_dynamic`), executed by a [`Plan`] that runs each distinct
+//!   simulation once. `table1`, `validate` and `sweep` share their chase
+//!   points, each Table I point held to the published rows by
+//!   [`reference::check_point`] as it is reduced.
 //! - `static_vs_dynamic`: every traced run is held to the static
 //!   analyzer's contracts A and B ([`validate::check`]) as it is reduced.
 
@@ -25,8 +26,8 @@ pub mod tracebundle;
 pub mod validate;
 
 pub use experiments::{
-    run_bfs_traced, run_traced, splice_doc, Experiment, Plan, Record, Spec, TracedOutcome,
-    TracedRun, EXPERIMENTS,
+    run_bfs_traced, run_traced, splice_doc, sweep_grid_spec, Experiment, Plan, Record, Spec,
+    TracedOutcome, TracedRun, EXPERIMENTS,
 };
 pub use gpu_workloads::{builtin_kernels, BfsExperiment, Workload};
 /// Frozen re-export: `benchmark/` reads the published rows through here.
@@ -35,8 +36,7 @@ pub use progress::ProgressHeartbeat;
 pub use reference::{validate_preset, validate_rows, LevelValidation, PresetValidation};
 pub use regression::{compare_json, Finding};
 pub use suite::{
-    host_cpus, run_serve_bench, run_sweep_bench, serve_grid_spec, sweep_grid_spec, ServeBench,
-    ServePass, SweepBench, SERVE_CLIENTS,
+    host_cpus, run_serve_bench, serve_grid_spec, ServeBench, ServePass, SERVE_CLIENTS,
 };
 pub use tracebundle::{env_request, track_names_for, EnvTrace, TraceBundle};
 pub use validate::{LoadCheck, ValidationReport};

@@ -21,7 +21,6 @@ use latency_core::ArchPreset;
 mod cmd {
     pub mod bench;
     pub mod lint;
-    pub mod sweep;
     pub mod trace;
 }
 use cmd::*;
@@ -39,8 +38,7 @@ enum Run {
 }
 
 /// The tools: `(name, flag synopsis, entry point)`.
-const SUBCOMMANDS: [(&str, &str, Run); 4] = [
-    ("sweep", sweep::FLAGS, Run::Preset(sweep::run)),
+const SUBCOMMANDS: [(&str, &str, Run); 3] = [
     ("trace", trace::FLAGS, Run::Preset(trace::run)),
     ("lint", lint::FLAGS, Run::Flags(lint::run)),
     ("bench", bench::FLAGS, Run::Flags(bench::run)),

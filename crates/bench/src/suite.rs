@@ -1,20 +1,14 @@
-//! The benchmark suite behind `latency bench`: each benchmark is a plain
-//! function returning a struct that renders the committed `BENCH_*.json`
-//! schema, so measuring and the pin checker share one implementation.
+//! The serve suite behind `latency bench`; the other suite, the experiment
+//! list, lives in [`crate::experiments`].
 //!
-//! Two of the three suites live here; the experiment list lives in
-//! [`crate::experiments`]:
-//!
-//! - [`run_sweep_bench`]: the §II stride × footprint grid measured cold and
-//!   then warm from the content-addressed sweep cache (`BENCH_sweep.json`).
-//! - [`run_serve_bench`]: concurrent clients against the daemon, cold and
-//!   cache-warm, pinning dedup and cache counters (`BENCH_serve.json`).
-//!
-//! The structs carry the wall clock each run took, for the `[bench]`
-//! stdout lines; the `json()` renderings carry none of it. A committed
-//! document holds only what the simulation alone determines (hashes,
-//! cycles, instructions, grid shape, dedup and cache counters), which
-//! [`crate::regression`] compares leaf for leaf.
+//! [`run_serve_bench`] races concurrent clients against the daemon, cold
+//! and then cache-warm, and returns a struct that renders the committed
+//! `BENCH_serve.json` schema, so measuring and the pin checker share one
+//! implementation. The struct carries the wall clock each pass took, for
+//! the `[bench]` stdout lines and the warm-faster-than-cold self-check; the
+//! `json()` rendering carries none of it. The committed document holds only
+//! what the simulation alone determines (grid shape, content hash, dedup
+//! and cache counters), which [`crate::regression`] compares leaf for leaf.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -22,8 +16,7 @@ use std::time::Instant;
 use gpu_serve::{Client, ServerConfig, ServerHandle};
 use gpu_trace::json::{self, ToJson, Writer};
 use latency_core::{
-    cache_stats, disable_cache, pow2_range, reset_cache_stats, set_cache_dir, ArchPreset,
-    CacheStats, ChaseSpace, Sweep,
+    cache_stats, disable_cache, pow2_range, reset_cache_stats, ArchPreset, CacheStats,
 };
 
 /// Host CPU count. `benchmark/` records it with every result; it has no
@@ -31,156 +24,6 @@ use latency_core::{
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
-
-// ---------------------------------------------------------------------------
-// Sweep-cache benchmark
-// ---------------------------------------------------------------------------
-
-/// The sweep grid shared by every output mode of `latency sweep` and the
-/// bench harness: 2 KiB–512 KiB footprints × four strides.
-pub fn sweep_grid_spec() -> (Vec<u64>, [u64; 4]) {
-    (pow2_range(2 * 1024, 512 * 1024), [128u64, 512, 2048, 8192])
-}
-
-/// Cold-vs-warm measurement of the full sweep grid (`BENCH_sweep.json`).
-#[derive(Debug, Clone)]
-pub struct SweepBench {
-    /// Architecture the grid was measured on.
-    pub preset: ArchPreset,
-    /// Measured grid points (excluding skipped combinations).
-    pub grid_points: usize,
-    /// Grid combinations skipped as unmeasurable (chain shorter than 2).
-    pub skipped: usize,
-    /// Total simulated cycles the cold pass spent.
-    pub simulated_cycles: u64,
-    /// Cold-pass wall clock (empty cache: every point simulated).
-    pub cold_wall_seconds: f64,
-    /// Cache traffic of the cold pass (all misses, then stores).
-    pub cold_cache: CacheStats,
-    /// Warm-pass wall clock (fully populated cache: no simulation).
-    pub warm_wall_seconds: f64,
-    /// Cache traffic of the warm pass (all hits if the cache works).
-    pub warm_cache: CacheStats,
-}
-
-impl SweepBench {
-    /// Fraction of warm-pass lookups served from the cache.
-    pub fn warm_hit_rate(&self) -> f64 {
-        self.warm_cache.hit_rate()
-    }
-
-    /// Renders the committed `BENCH_sweep.json` schema.
-    pub fn json(&self) -> String {
-        let mut w = Writer::indented();
-        w.object().field("name", "sweep");
-        w.field("preset", self.preset.name());
-        w.field("grid_points", self.grid_points);
-        w.field("skipped", self.skipped);
-        w.field("simulated_cycles", self.simulated_cycles);
-        w.key("cold").object().field("cache", self.cold_cache).end();
-        w.key("warm").object().field("cache", self.warm_cache).end();
-        w.finish()
-    }
-
-    /// The sweep bench's own invariant: the warm pass must actually have
-    /// been carried by the cache, and must have been faster for it.
-    pub fn check(&self) -> Result<(), String> {
-        if self.warm_hit_rate() < 0.95 {
-            return Err(format!(
-                "warm pass hit rate {:.2}% < 95%",
-                self.warm_hit_rate() * 100.0
-            ));
-        }
-        if self.warm_wall_seconds >= self.cold_wall_seconds {
-            return Err(format!(
-                "warm pass ({:.3}s) not faster than cold ({:.3}s)",
-                self.warm_wall_seconds, self.cold_wall_seconds
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Measures the sweep grid cold (empty cache) and warm (fully populated),
-/// panicking if the warm pass fails to reproduce the cold grid bit-for-bit.
-///
-/// With `cache: None` a per-process temporary directory is used, wiped
-/// first, so the cold pass's cache traffic is deterministic (zero hits),
-/// and removed afterwards. Either way the process-global chase cache is
-/// switched off on the way out, so nothing that runs later inherits it.
-pub fn run_sweep_bench(preset: ArchPreset, cache: Option<PathBuf>) -> SweepBench {
-    let cfg = preset.config_microbench();
-    let (footprints, strides) = sweep_grid_spec();
-    let scratch = cache.is_none();
-    let dir = cache.unwrap_or_else(|| scratch_dir("sweep"));
-    set_cache_dir(&dir);
-
-    reset_cache_stats();
-    let t0 = Instant::now();
-    let cold = Sweep::run(&cfg, ChaseSpace::Global, &footprints, &strides).expect("cold sweep");
-    let cold_wall_seconds = t0.elapsed().as_secs_f64();
-    let cold_cache = cache_stats();
-
-    reset_cache_stats();
-    let t1 = Instant::now();
-    let warm = Sweep::run(&cfg, ChaseSpace::Global, &footprints, &strides).expect("warm sweep");
-    let warm_wall_seconds = t1.elapsed().as_secs_f64();
-    let warm_cache = cache_stats();
-
-    assert_eq!(
-        cold.points(),
-        warm.points(),
-        "warm-cache sweep must reproduce the cold sweep bit-for-bit"
-    );
-    let simulated_cycles = cold_grid_cycles(&cfg, &footprints, &strides);
-    disable_cache();
-    if scratch {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    SweepBench {
-        preset,
-        grid_points: cold.points().len(),
-        skipped: cold.skipped_count(),
-        simulated_cycles,
-        cold_wall_seconds,
-        cold_cache,
-        warm_wall_seconds,
-        warm_cache,
-    }
-}
-
-/// A fresh per-process directory under the system temp dir for a suite that
-/// was not handed one. Wiped here because a recycled pid must not hand a
-/// "cold" pass a warm cache or finished job records; the suite removes it
-/// again when it is done.
-fn scratch_dir(suite: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("latency-{suite}-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Total simulated cycles the cold pass spent, recovered from the cached
-/// measurements themselves (each grid point runs the microbench twice).
-fn cold_grid_cycles(cfg: &gpu_sim::GpuConfig, footprints: &[u64], strides: &[u64]) -> u64 {
-    use latency_core::{measure_chase, ChaseParams};
-    let mut total = 0u64;
-    for &f in footprints {
-        for &s in strides {
-            if f / s < 2 {
-                continue;
-            }
-            // Served from the just-populated cache: no simulation here.
-            if let Ok(m) = measure_chase(cfg, &ChaseParams::global(f, s)) {
-                total += m.cycles_short + m.cycles_long;
-            }
-        }
-    }
-    total
-}
-
-// ---------------------------------------------------------------------------
-// Serve daemon benchmark
-// ---------------------------------------------------------------------------
 
 /// The sweep grid every serve-bench client submits: ten grid points, small
 /// enough that the cold pass stays in seconds but wide enough that dedup
@@ -276,7 +119,8 @@ impl ServeBench {
 
     /// The serve bench's own invariants: clients and passes agree byte for
     /// byte, each pass executed every point exactly once with all other
-    /// clients deduped, and the cache carried the warm pass.
+    /// clients deduped, and the cache carried the warm pass and made it
+    /// faster.
     pub fn check(&self) -> Result<(), String> {
         if self.cold_result != self.warm_result {
             return Err("warm-pass result line diverged from the cold pass".to_string());
@@ -307,6 +151,12 @@ impl ServeBench {
         if w.hits != gp || w.misses != 0 {
             return Err(format!(
                 "warm pass cache traffic {w:?}, expected {gp} hits / 0 misses"
+            ));
+        }
+        let (cold, warm) = (self.cold.wall_seconds, self.warm.wall_seconds);
+        if warm >= cold {
+            return Err(format!(
+                "warm pass ({warm:.3}s) not faster than cold ({cold:.3}s)"
             ));
         }
         Ok(())
@@ -391,9 +241,11 @@ fn serve_pass(state: &Path, spec: &str, clients: usize) -> (ServePass, String) {
 /// `--check` reports it as a finding rather than a crash.
 pub fn run_serve_bench(preset: ArchPreset, clients: usize, state: Option<PathBuf>) -> ServeBench {
     let scratch = state.is_none();
-    let state = state.unwrap_or_else(|| scratch_dir("serve"));
-    // A reused explicit dir must not hand the cold pass a warm cache or
-    // finished job records either.
+    let state = state.unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("latency-serve-bench-{}", std::process::id()))
+    });
+    // A reused dir (an explicit one, or a recycled pid's) must not hand the
+    // cold pass a warm cache or finished job records.
     let _ = std::fs::remove_dir_all(&state);
     let (footprints, strides) = serve_grid_spec();
     let mut w = Writer::compact();
@@ -438,52 +290,6 @@ pub fn run_serve_bench(preset: ArchPreset, clients: usize, state: Option<PathBuf
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fake_sweep() -> SweepBench {
-        SweepBench {
-            preset: ArchPreset::FermiGf106,
-            grid_points: 32,
-            skipped: 4,
-            simulated_cycles: 1_000_000,
-            cold_wall_seconds: 2.0,
-            cold_cache: CacheStats {
-                hits: 0,
-                misses: 32,
-                stores: 32,
-            },
-            warm_wall_seconds: 0.1,
-            warm_cache: CacheStats {
-                hits: 32,
-                misses: 0,
-                stores: 0,
-            },
-        }
-    }
-
-    #[test]
-    fn sweep_json_parses_and_keeps_schema() {
-        let doc = gpu_trace::json::parse(&fake_sweep().json()).expect("valid json");
-        assert_eq!(doc.get("name").and_then(|v| v.as_str()), Some("sweep"));
-        assert_eq!(doc.get("grid_points").and_then(|v| v.as_num()), Some(32.0));
-        assert_eq!(
-            doc.get("simulated_cycles").and_then(|v| v.as_num()),
-            Some(1_000_000.0)
-        );
-        let warm_cache = doc.get("warm").and_then(|w| w.get("cache")).expect("cache");
-        assert_eq!(warm_cache.get("hits").and_then(|v| v.as_num()), Some(32.0));
-    }
-
-    #[test]
-    fn sweep_check_requires_a_working_cache() {
-        assert!(fake_sweep().check().is_ok());
-        let mut cold_cache_only = fake_sweep();
-        cold_cache_only.warm_cache.hits = 1;
-        cold_cache_only.warm_cache.misses = 31;
-        assert!(cold_cache_only.check().is_err());
-        let mut slow_warm = fake_sweep();
-        slow_warm.warm_wall_seconds = 3.0;
-        assert!(slow_warm.check().is_err());
-    }
 
     fn fake_serve() -> ServeBench {
         let pass = |wall: f64, cache: CacheStats| ServePass {
@@ -561,6 +367,9 @@ mod tests {
         cache_missed.warm.cache.hits = 9;
         cache_missed.warm.cache.misses = 1;
         assert!(cache_missed.check().is_err());
+        let mut slow_warm = fake_serve();
+        slow_warm.warm.wall_seconds = 3.0;
+        assert!(slow_warm.check().is_err());
     }
 
     #[test]
@@ -575,11 +384,6 @@ mod tests {
     fn wall_clock_never_reaches_a_document() {
         // The same simulation timed on a quiet and on a busy host must
         // render byte-identical documents: every leaf is a pin.
-        let (quiet, mut busy) = (fake_sweep(), fake_sweep());
-        busy.cold_wall_seconds *= 7.0;
-        busy.warm_wall_seconds *= 3.0;
-        assert_eq!(quiet.json(), busy.json());
-
         let (quiet, mut busy) = (fake_serve(), fake_serve());
         busy.cold.wall_seconds *= 4.0;
         busy.warm.job_seconds.iter_mut().for_each(|s| *s *= 2.0);

@@ -111,7 +111,7 @@ impl CacheStats {
 }
 
 /// The `{"hits":…,"misses":…,"stores":…}` object of every document that
-/// reports cache traffic (`serve` stats, `sweep --json`, the bench suites).
+/// reports cache traffic (`serve` stats, the serve bench suite).
 impl ToJson for CacheStats {
     fn write_json(&self, w: &mut Writer) {
         w.object().field("hits", self.hits);

@@ -3,7 +3,7 @@
 //! `latency bench --check` compares every leaf of them for equality, which
 //! is only sound while every leaf is a pure function of the simulation.
 //! This is the guard that keeps host time from drifting back in — in the
-//! spirit of `ci/no-handwritten-json.sh`: the three files parse, compare
+//! spirit of `ci/no-handwritten-json.sh`: the two files parse, compare
 //! clean against themselves, and carry no key that names a wall-clock
 //! quantity or the host it was taken on.
 //!
@@ -12,11 +12,12 @@
 //! EXPERIMENTS.md block.
 
 use gpu_trace::json::{self, Value};
-use latency_bench::{compare_json, splice_doc, BfsExperiment, Plan, Spec, Workload, EXPERIMENTS};
-use latency_core::ArchPreset;
+use latency_bench::{
+    compare_json, splice_doc, sweep_grid_spec, BfsExperiment, Plan, Spec, Workload, EXPERIMENTS,
+};
+use latency_core::{ArchPreset, ChaseParams};
 
-const BASELINES: [(&str, &str); 3] = [
-    ("sweep", include_str!("../BENCH_sweep.json")),
+const BASELINES: [(&str, &str); 2] = [
     ("serve", include_str!("../BENCH_serve.json")),
     ("experiments", include_str!("../BENCH_experiments.json")),
 ];
@@ -108,7 +109,7 @@ fn the_paper_plan_executes_each_distinct_run_once() {
     assert!(table1.iter().all(|i| validate.contains(i)), "{table1:?}");
     let points: Vec<_> = (plan.runs.iter())
         .filter_map(|run| match run {
-            Spec::Point(preset, level, ..) => Some((*preset, *level)),
+            Spec::Point(preset, ..) => Some((*preset, run.level()?)),
             _ => None,
         })
         .collect();
@@ -117,7 +118,43 @@ fn the_paper_plan_executes_each_distinct_run_once() {
     for (i, point) in points.iter().enumerate() {
         assert!(!points[..i].contains(point), "{point:?} planned twice");
     }
-    assert_eq!(plan.runs.len(), 12 + 16 + 8 + 4 + 21);
+    // §II's sweep reads, per preset, its grid's 32 measurable cells (4 of
+    // the 36 chains are too short) and then one inference run.
+    let sweep = runs("sweep");
+    let (footprints, strides) = sweep_grid_spec();
+    assert_eq!(footprints.len() * strides.len(), 36);
+    assert_eq!(sweep.len(), ArchPreset::ALL.len() * (32 + 1));
+    for (preset, sweep) in ArchPreset::ALL.iter().zip(sweep.chunks(32 + 1)) {
+        let (grid, infer) = sweep.split_at(32);
+        let on_preset = |i: &usize| matches!(&plan.runs[*i], Spec::Point(p, ..) if p == preset);
+        assert!(grid.iter().all(on_preset), "{preset:?}");
+        assert!(matches!(&plan.runs[infer[0]], Spec::Infer(p, _) if p == preset));
+    }
+    // A grid cell that is a Table I point is that point's run: GF106's L1
+    // and L2 points are read by `table1` and `sweep` alike.
+    for (footprint, stride) in [(4096, 128), (64 * 1024, 512)] {
+        let cell = ChaseParams::global(footprint, stride);
+        let gf106 = |i: &usize| match &plan.runs[*i] {
+            Spec::Point(ArchPreset::FermiGf106, _, params) => *params == cell,
+            _ => false,
+        };
+        let [point] = table1.iter().copied().filter(gf106).collect::<Vec<_>>()[..] else {
+            panic!("GF106's {cell:?} is not one Table I point")
+        };
+        assert_eq!(sweep.iter().filter(|&&i| i == point).count(), 1);
+    }
+    // No two runs of the plan are equal.
+    for (i, run) in plan.runs.iter().enumerate() {
+        assert!(!plan.runs[..i].contains(run), "{run} planned twice");
+    }
+    // Every global L1 and L2 point on a grid cell: two on GF106, GF100,
+    // GK110, GV100 and GA102, the L2 point on GK104 and GM107.
+    let shared = sweep.iter().filter(|i| validate.contains(i)).count();
+    assert_eq!(shared, 12);
+    assert_eq!(
+        plan.runs.len(),
+        12 + 16 + 8 + 4 + 21 + ArchPreset::ALL.len() * 33 - shared
+    );
     let machine = |i: &usize| &plan.runs[*i].config().name;
     let e4: Vec<_> = runs("other_workloads").iter().map(machine).collect();
     assert_eq!(e4.len(), 16);

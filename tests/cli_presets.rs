@@ -30,7 +30,7 @@ const SUBCOMMANDS: [&str; 15] = [
 ];
 
 /// The subcommands that run on a caller-chosen machine.
-const PRESET_SUBCOMMANDS: [&str; 2] = ["sweep", "trace"];
+const PRESET_SUBCOMMANDS: [&str; 1] = ["trace"];
 
 /// Runs `latency args…` under `env` and asserts exit code 2 with every
 /// needle on stderr.
@@ -80,6 +80,12 @@ fn sweep_rejects_unknown_preset_and_lists_tokens() {
     rejects_unknown_preset("sweep");
     // The preset is a flag like everywhere else, never a bare token.
     assert_usage_error(&["sweep", "gf106"], &[], &["unknown argument 'gf106'"]);
+    // A row of the experiment list: every preset, no knobs.
+    let usage = "usage: latency sweep";
+    let no_preset = ["this subcommand takes no --preset", usage];
+    assert_usage_error(&["sweep", "--preset", "gf106"], &[], &no_preset);
+    let no_json = ["unknown argument '--json'", usage];
+    assert_usage_error(&["sweep", "--json"], &[], &no_json);
 }
 
 #[test]
@@ -230,7 +236,7 @@ fn tick_threads_flag_and_variable_are_gone() {
 #[test]
 fn subcommand_flags_are_validated_before_running() {
     let positive = "--nodes, --degree and --block-dim must be positive";
-    let rows: [(&[&str], &str); 18] = [
+    let rows: [(&[&str], &str); 19] = [
         (&["table1", "--json"], "unknown argument '--json'"),
         (&["fig1", "extra"], "unknown argument 'extra'"),
         (
@@ -262,9 +268,11 @@ fn subcommand_flags_are_validated_before_running() {
         // (`latency static_vs_dynamic`); lint runs no simulation.
         (&["lint", "--validate"], "unknown argument '--validate'"),
         (
-            &["bench", "--suites", "sweep,bogus"],
+            &["bench", "--suites", "serve,bogus"],
             "unknown suite: bogus",
         ),
+        // The §II grid and its inference are the `sweep` row's runs.
+        (&["bench", "--suites", "sweep"], "unknown suite: sweep"),
         // Folded into the experiment list: the loaded BFS's idle pins are
         // every traced run's, and E4 runs on GV100 too.
         (&["bench", "--suites", "tick"], "unknown suite: tick"),
