@@ -366,6 +366,7 @@ impl Record {
         w.field("instructions", r.instructions);
         w.field("skipped_cycles", r.idle.skipped_cycles);
         w.field("sm_ticks_slept", r.idle.sm_ticks_slept);
+        w.field("sm_port_sleeps", r.idle.sm_port_sleeps);
         w.field("partition_ticks_slept", r.idle.partition_ticks_slept);
         w.field("samples", r.samples).field("events", r.events);
         w.key("stalls").object();

@@ -135,6 +135,12 @@ impl<T> Crossbar<T> {
         self.injected_this_cycle[src] < self.config.inject_per_src && !self.queues[dst].is_full()
     }
 
+    /// Returns `true` if `dst`'s queue has no free slot: no source can
+    /// inject toward it, whatever its budget, until an ejection at `dst`.
+    pub fn is_full(&self, dst: usize) -> bool {
+        self.queues[dst].is_full()
+    }
+
     /// Attempts to inject `item` from `src` toward `dst` at time `now`.
     ///
     /// # Errors

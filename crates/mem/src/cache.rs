@@ -288,6 +288,17 @@ impl Cache {
         }
     }
 
+    /// Whether [`Cache::reserve`] at `addr` would succeed, without
+    /// reserving: the line is present, or some way of its set has no
+    /// in-flight fill.
+    pub fn can_reserve(&self, addr: Addr) -> bool {
+        let tag = self.tag(addr);
+        self.set_range(addr).any(|i| {
+            let line = &self.lines[i];
+            (line.tag == tag && line.present()) || line.reserved == 0
+        })
+    }
+
     /// Fills `addr`'s sector (fill-on-return). Clears any reservation for
     /// that sector; allocates a victim way if the line was not resident.
     pub fn fill(&mut self, addr: Addr) {
@@ -579,13 +590,17 @@ mod tests {
     fn reserve_blocks_when_all_ways_reserved() {
         let mut c = small_cache(2);
         assert!(c.reserve(addr(0, 0)));
+        assert!(c.can_reserve(addr(0, 1)));
         assert!(c.reserve(addr(0, 1)));
+        assert!(!c.can_reserve(addr(0, 2)));
         assert!(!c.reserve(addr(0, 2)), "set exhausted by in-flight fills");
         // Re-reserving an already reserved line succeeds (MSHR merge case).
+        assert!(c.can_reserve(addr(0, 0)));
         assert!(c.reserve(addr(0, 0)));
         // Fill completes the reservation and frees nothing else.
         c.fill(addr(0, 0));
         assert!(c.probe(addr(0, 0)));
+        assert!(c.can_reserve(addr(0, 2)));
         assert!(
             c.reserve(addr(0, 2)),
             "way freed after fill (evicts line 0)"

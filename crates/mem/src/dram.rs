@@ -11,6 +11,22 @@
 //! - [`DramSched::Fcfs`]: strict arrival order, the ablation baseline for the
 //!   paper's suggestion that "request latency could potentially be reduced
 //!   through usage of a different DRAM scheduling algorithm".
+//!
+//! # The scheduling horizon
+//!
+//! A queued request's start cycle depends only on its bank's state, the
+//! data bus and whether it hits its bank's open row (its bank and row are
+//! decoded once, at enqueue). Bank and bus state change only when a
+//! request is scheduled, so between two schedules every start cycle is a
+//! constant. The controller keeps their minimum over the requests the
+//! scheduler considers (FCFS: the head; FR-FCFS: all) as its `horizon`,
+//! [`Cycle::MAX`] with the queue empty. The invariant: `horizon` always
+//! equals that minimum, recomputed from the queue. An enqueue lowers it
+//! (FR-FCFS) or sets it (FCFS, onto an empty queue); a schedule and a
+//! restore recompute it. A tick before the horizon schedules nothing and
+//! returns without looking at the queue, and
+//! [`DramController::next_event`] reads the horizon instead of walking the
+//! queue. Being derived, the horizon is not part of a snapshot.
 
 use std::collections::VecDeque;
 
@@ -124,11 +140,22 @@ pub struct DramStats {
     pub queue_wait_cycles: u64,
 }
 
+/// A queued request with its bank and row, decoded once at enqueue.
+#[derive(Debug)]
+struct Queued {
+    req: MemRequest,
+    bank: usize,
+    row: u64,
+}
+
 /// One DRAM channel: queue + banks + data bus + scheduler.
 pub struct DramController {
     config: DramConfig,
     map: AddressMap,
-    queue: VecDeque<MemRequest>,
+    queue: VecDeque<Queued>,
+    /// The earliest cycle a request the scheduler considers can start
+    /// (module doc, "The scheduling horizon").
+    horizon: Cycle,
     banks: Vec<Bank>,
     bus_free_at: Cycle,
     in_service: Vec<(Cycle, MemRequest)>,
@@ -162,6 +189,7 @@ impl DramController {
             config,
             map,
             queue: VecDeque::with_capacity(config.queue_capacity),
+            horizon: Cycle::MAX,
             banks: vec![Bank::default(); map.banks()],
             bus_free_at: Cycle::ZERO,
             in_service: Vec::new(),
@@ -214,7 +242,11 @@ impl DramController {
     pub fn enqueue(&mut self, mut req: MemRequest, now: Cycle) {
         assert!(self.can_accept(), "DRAM queue overflow");
         req.timeline.record(Stamp::DramQueueEnter, now);
-        self.queue.push_back(req);
+        let (bank, row) = (self.map.bank_of(req.addr), self.map.row_of(req.addr));
+        if self.config.sched == DramSched::FrFcfs || self.queue.is_empty() {
+            self.horizon = self.horizon.min(self.start_time(bank, row));
+        }
+        self.queue.push_back(Queued { req, bank, row });
     }
 
     /// Advances the channel one cycle: schedules at most one request and
@@ -230,6 +262,12 @@ impl DramController {
     /// caller-owned sink, so a per-cycle caller allocates nothing.
     pub fn tick_into(&mut self, now: Cycle, done: &mut Vec<MemRequest>) {
         self.try_schedule(now);
+        self.complete_into(now, done);
+    }
+
+    /// Moves the requests whose data completed by `now` to `done`,
+    /// stamped `DramDone`.
+    fn complete_into(&mut self, now: Cycle, done: &mut Vec<MemRequest>) {
         let mut i = 0;
         while i < self.in_service.len() {
             if self.in_service[i].0 <= now {
@@ -248,33 +286,26 @@ impl DramController {
     }
 
     /// The earliest cycle at which ticking this channel can change its
-    /// state: the first in-service completion, or the first cycle a queued
-    /// request the scheduler considers can start. Bank and bus state only
-    /// move when a request is scheduled, so between `now` and that cycle
-    /// every tick is a no-op. [`Cycle::MAX`] when idle.
+    /// state: the first in-service completion, or the horizon — the first
+    /// cycle a queued request the scheduler considers can start. Bank and
+    /// bus state only move when a request is scheduled, so between `now`
+    /// and that cycle every tick is a no-op. [`Cycle::MAX`] when idle.
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        let considered = match self.config.sched {
-            DramSched::Fcfs => 1,
-            DramSched::FrFcfs => self.queue.len(),
-        };
-        let start = self
-            .queue
-            .iter()
-            .take(considered)
-            .map(|r| self.start_time(r));
+        debug_assert_eq!(self.horizon, self.scan_horizon(), "stale DRAM horizon");
         let done = self.in_service.iter().map(|(at, _)| *at);
-        start.chain(done).min().map_or(Cycle::MAX, |at| at.max(now))
+        done.fold(self.horizon, Cycle::min).max(now)
     }
 
-    /// The first cycle `req` can start service under the current bank and
-    /// bus state: its bank accepts a command and the data bus will be free
-    /// by the time its access completes (commands pipeline up to one access
-    /// depth; anything beyond waits *in the queue*, which is what the
-    /// paper's `DRAM(QtoSch)` component measures).
-    fn start_time(&self, req: &MemRequest) -> Cycle {
-        let bank = &self.banks[self.map.bank_of(req.addr)];
+    /// The first cycle a request to `bank`, `row` can start service under
+    /// the current bank and bus state: its bank accepts a command and the
+    /// data bus will be free by the time its access completes (commands
+    /// pipeline up to one access depth; anything beyond waits *in the
+    /// queue*, which is what the paper's `DRAM(QtoSch)` component
+    /// measures).
+    fn start_time(&self, bank: usize, row: u64) -> Cycle {
+        let bank = &self.banks[bank];
         let access = match bank.open_row {
-            Some(open) if open == self.map.row_of(req.addr) => self.config.timing.row_hit(),
+            Some(open) if open == row => self.config.timing.row_hit(),
             Some(_) => self.config.timing.row_conflict(),
             None => self.config.timing.row_closed(),
         };
@@ -282,45 +313,59 @@ impl DramController {
         bank.ready_at.max(bus_allows)
     }
 
-    fn can_start(&self, req: &MemRequest, now: Cycle) -> bool {
-        self.start_time(req) <= now
+    /// The horizon recomputed from the queue: the minimum start cycle over
+    /// the requests the scheduler considers.
+    fn scan_horizon(&self) -> Cycle {
+        let considered = match self.config.sched {
+            DramSched::Fcfs => 1,
+            DramSched::FrFcfs => self.queue.len(),
+        };
+        self.queue
+            .iter()
+            .take(considered)
+            .map(|q| self.start_time(q.bank, q.row))
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
-    fn try_schedule(&mut self, now: Cycle) {
-        if self.queue.is_empty() {
-            return;
+    /// Schedules the request the policy picks, if one can start at `now`,
+    /// and returns its id. Before the horizon nothing can, and the queue
+    /// is not looked at; at or past it, something can, and the horizon is
+    /// recomputed after the schedule moved bank and bus state.
+    fn try_schedule(&mut self, now: Cycle) -> Option<RequestId> {
+        if now < self.horizon {
+            return None;
         }
-        let pick = match self.config.sched {
-            DramSched::Fcfs => {
-                if self.can_start(&self.queue[0], now) {
-                    Some(0)
-                } else {
-                    None
-                }
-            }
+        let idx = match self.config.sched {
+            DramSched::Fcfs => 0,
             DramSched::FrFcfs => {
-                let mut fallback = None;
-                let mut row_hit = None;
-                for (i, req) in self.queue.iter().enumerate() {
-                    if !self.can_start(req, now) {
+                let mut pick = None;
+                for (i, q) in self.queue.iter().enumerate() {
+                    if self.start_time(q.bank, q.row) > now {
                         continue;
                     }
-                    if fallback.is_none() {
-                        fallback = Some(i);
-                    }
-                    let bank = self.map.bank_of(req.addr);
-                    if self.banks[bank].open_row == Some(self.map.row_of(req.addr)) {
-                        row_hit = Some(i);
+                    if self.banks[q.bank].open_row == Some(q.row) {
+                        pick = Some(i);
                         break; // oldest ready row-hit
                     }
+                    pick.get_or_insert(i); // else the oldest ready
                 }
-                row_hit.or(fallback)
+                pick.expect("a request can start at the horizon")
             }
         };
-        let Some(idx) = pick else { return };
-        let mut req = self.queue.remove(idx).expect("picked index in range");
-        let bank_idx = self.map.bank_of(req.addr);
-        let row = self.map.row_of(req.addr);
+        let id = self.start_service(idx, now);
+        self.horizon = self.scan_horizon();
+        Some(id)
+    }
+
+    /// Takes queue entry `idx` into service at `now`: opens its row, books
+    /// its bank and the data bus, and returns its id.
+    fn start_service(&mut self, idx: usize, now: Cycle) -> RequestId {
+        let Queued {
+            mut req,
+            bank: bank_idx,
+            row,
+        } = self.queue.remove(idx).expect("picked index in range");
         let t = &self.config.timing;
         // `access` is the pipeline *latency* to data; `busy` is how long the
         // bank is occupied before it can accept the next command. Column
@@ -392,7 +437,9 @@ impl DramController {
         let bank = &mut self.banks[bank_idx];
         bank.open_row = Some(row);
         bank.ready_at = now + busy;
+        let id = req.id;
         self.in_service.push((done, req));
+        id
     }
 
     // ---- snapshot codec ---------------------------------------------------
@@ -403,8 +450,8 @@ impl DramController {
     /// restore target must be constructed identically.
     pub fn encode_state(&self, e: &mut gpu_snapshot::Encoder) {
         e.usize(self.queue.len());
-        for req in &self.queue {
-            req.encode_state(e);
+        for q in &self.queue {
+            q.req.encode_state(e);
         }
         e.usize(self.banks.len());
         for bank in &self.banks {
@@ -454,7 +501,9 @@ impl DramController {
         }
         self.queue.clear();
         for _ in 0..n {
-            self.queue.push_back(MemRequest::decode(d)?);
+            let req = MemRequest::decode(d)?;
+            let (bank, row) = (self.map.bank_of(req.addr), self.map.row_of(req.addr));
+            self.queue.push_back(Queued { req, bank, row });
         }
         if d.usize()? != self.banks.len() {
             return Err(InvalidValue("DRAM bank count mismatch"));
@@ -495,6 +544,7 @@ impl DramController {
                 id,
             });
         }
+        self.horizon = self.scan_horizon();
         Ok(())
     }
 }
@@ -800,6 +850,151 @@ mod tests {
         run_until_done(&mut c, Cycle::new(0), 100_000);
         assert!(c.stats().queue_wait_cycles > 0);
         assert_eq!(c.stats().serviced, 8);
+    }
+
+    /// The reference scheduler the horizon is checked against: it walks
+    /// the queue on every tick and on every `next_event`, deriving each
+    /// request's bank and row from its address, and never reads the
+    /// horizon. Taking a request into service and completing requests are
+    /// the controller's own code.
+    struct ScanReference(DramController);
+
+    impl ScanReference {
+        fn start_time(&self, req: &MemRequest) -> Cycle {
+            let c = &self.0;
+            let bank = &c.banks[c.map.bank_of(req.addr)];
+            let access = match bank.open_row {
+                Some(open) if open == c.map.row_of(req.addr) => c.config.timing.row_hit(),
+                Some(_) => c.config.timing.row_conflict(),
+                None => c.config.timing.row_closed(),
+            };
+            let bus_allows = Cycle::new(c.bus_free_at.get().saturating_sub(access));
+            bank.ready_at.max(bus_allows)
+        }
+
+        fn next_event(&self, now: Cycle) -> Cycle {
+            let c = &self.0;
+            let considered = match c.config.sched {
+                DramSched::Fcfs => 1,
+                DramSched::FrFcfs => c.queue.len(),
+            };
+            let start = c
+                .queue
+                .iter()
+                .take(considered)
+                .map(|q| self.start_time(&q.req));
+            let done = c.in_service.iter().map(|(at, _)| *at);
+            start.chain(done).min().map_or(Cycle::MAX, |at| at.max(now))
+        }
+
+        fn pick(&self, now: Cycle) -> Option<usize> {
+            let c = &self.0;
+            if c.queue.is_empty() {
+                return None;
+            }
+            match c.config.sched {
+                DramSched::Fcfs => (self.start_time(&c.queue[0].req) <= now).then_some(0),
+                DramSched::FrFcfs => {
+                    let mut fallback = None;
+                    let mut row_hit = None;
+                    for (i, q) in c.queue.iter().enumerate() {
+                        if self.start_time(&q.req) > now {
+                            continue;
+                        }
+                        if fallback.is_none() {
+                            fallback = Some(i);
+                        }
+                        let bank = c.map.bank_of(q.req.addr);
+                        if c.banks[bank].open_row == Some(c.map.row_of(q.req.addr)) {
+                            row_hit = Some(i);
+                            break;
+                        }
+                    }
+                    row_hit.or(fallback)
+                }
+            }
+        }
+
+        fn tick_into(&mut self, now: Cycle, done: &mut Vec<MemRequest>) -> Option<RequestId> {
+            let id = self.pick(now).map(|idx| self.0.start_service(idx, now));
+            self.0.complete_into(now, done);
+            id
+        }
+    }
+
+    fn state(c: &DramController) -> Vec<u8> {
+        let mut e = gpu_snapshot::Encoder::new();
+        c.encode_state(&mut e);
+        e.finish()
+    }
+
+    /// Seeded random enqueue streams over four banks and three rows of a
+    /// three-partition map, under both schedulers, with bursts that fill
+    /// the queue and lulls that drain it, then a drain to idle: the horizon controller schedules
+    /// the same request, completes the same requests and answers the same
+    /// `next_event` as the scan on every cycle, including after a
+    /// mid-stream snapshot restored into a fresh controller.
+    #[test]
+    fn the_horizon_matches_a_full_scan_on_every_cycle() {
+        use gpu_types::Xoshiro256pp;
+        let map = AddressMap::new(3, 256, 4, 1024);
+        let config = |sched| DramConfig {
+            timing: timing(),
+            queue_capacity: 8,
+            sched,
+        };
+        let mut scheduled = 0;
+        for seed in 0..48u64 {
+            for sched in [DramSched::FrFcfs, DramSched::Fcfs] {
+                let mut rng = Xoshiro256pp::seed_from_u64(0xD7A3 ^ seed);
+                let mut fast = DramController::new(config(sched), map);
+                let mut slow = ScanReference(DramController::new(config(sched), map));
+                let (mut next_id, mut now) = (0u64, Cycle::ZERO);
+                let (mut fast_done, mut slow_done) = (Vec::new(), Vec::new());
+                let mut cycle = 0u64;
+                while cycle < 450 || !fast.is_idle() {
+                    assert!(cycle < 100_000, "seed {seed}: does not drain");
+                    if cycle == 250 {
+                        let bytes = state(&fast);
+                        assert_eq!(bytes, state(&slow.0), "seed {seed}: state");
+                        let mut restored = DramController::new(config(sched), map);
+                        let mut d = gpu_snapshot::Decoder::open(&bytes).unwrap();
+                        restored.restore_state(&mut d).unwrap();
+                        d.expect_end().unwrap();
+                        fast = restored;
+                    }
+                    // Bursts while the stream runs, then a drain.
+                    let burst = cycle < 400 && rng.gen_range_u64(0, 4) == 0;
+                    for _ in 0..if burst { rng.gen_range_u64(1, 4) } else { 0 } {
+                        if !fast.can_accept() {
+                            break;
+                        }
+                        let addr = rng.gen_range_u64(0, 3 * 3 * 4 * 1024) / 32 * 32;
+                        fast.enqueue(req(next_id, addr, cycle), now);
+                        slow.0.enqueue(req(next_id, addr, cycle), now);
+                        next_id += 1;
+                    }
+                    let picked = fast.try_schedule(now);
+                    fast.complete_into(now, &mut fast_done);
+                    assert_eq!(picked, slow.tick_into(now, &mut slow_done), "seed {seed}");
+                    scheduled += u64::from(picked.is_some());
+                    let ids = |v: &mut Vec<MemRequest>| {
+                        v.drain(..).map(|r| (r.id, r.timeline)).collect::<Vec<_>>()
+                    };
+                    assert_eq!(ids(&mut fast_done), ids(&mut slow_done), "seed {seed}");
+                    now.tick();
+                    assert_eq!(
+                        fast.next_event(now),
+                        slow.next_event(now),
+                        "seed {seed} {sched:?}: next_event at {now}"
+                    );
+                    cycle += 1;
+                }
+                assert!(slow.0.is_idle(), "seed {seed}: the scan drained too");
+                assert_eq!(fast.stats(), slow.0.stats());
+            }
+        }
+        assert!(scheduled > 4_000, "only {scheduled} schedules");
     }
 
     /// EXPERIMENTS.md E5's synthetic ablation, asserted: 2 000 requests

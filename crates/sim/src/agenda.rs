@@ -1,7 +1,8 @@
 //! What the run loop knows about each SM and partition without visiting
 //! it: the cycle its next tick is due, the cycle the head packet at its
-//! network port arrives, whether an SM holds warps, and — for the
-//! sanitizer — the in-flight count a component's last audit measured.
+//! network port arrives, whether an SM holds warps, which full request
+//! port an SM's miss waits on, and — for the sanitizer — the in-flight
+//! count a component's last audit measured.
 //! A ticked cycle reads these dense arrays and visits only the components
 //! that are due (DESIGN.md, "Sleeping components").
 //!
@@ -10,7 +11,7 @@
 //! audits every component on its first cycle ([`Audited::rebuild`]).
 
 use gpu_icnt::Crossbar;
-use gpu_mem::MemRequest;
+use gpu_mem::{AddressMap, MemRequest};
 use gpu_types::Cycle;
 
 use crate::partition::Partition;
@@ -22,7 +23,8 @@ pub(crate) struct Agenda {
     /// Per SM, the first cycle at which ticking it could change its state:
     /// planned by `Sm::end_tick` at the end of each full tick and lowered
     /// to [`Cycle::ZERO`] by every hand-off (a dispatched CTA, the leak
-    /// hook). Before it, a tick is the identity plus one stall credit.
+    /// hook, a freed slot at the request port its miss waits on). Before
+    /// it, a tick is the identity plus one stall credit.
     pub sm_wake: Vec<Cycle>,
     /// Per SM, when the head packet queued at its reply-network port
     /// arrives ([`Cycle::MAX`] with none queued). An arrival is due at the
@@ -47,6 +49,15 @@ pub(crate) struct Agenda {
     /// ejection stage only: an arriving request is accepted on its arrival
     /// cycle and the partition first works on it the cycle after.
     pub part_port: Vec<Cycle>,
+    /// Per partition, the SMs whose miss head was blocked on that
+    /// partition's full request-network queue at the end of their last
+    /// full tick. Only an ejection there frees a slot,
+    /// and the ejection stage wakes as many of them, lowest index first, as
+    /// it accepted requests: exactly the ones the SM stage's index-order
+    /// injection would give a freed slot.
+    port_waiters: Vec<IndexSet>,
+    /// Per SM, the partition it waits on in `port_waiters`, if any.
+    waits_on: Vec<Option<usize>>,
     /// The partitions ticked this cycle, ascending. Only a tick produces
     /// returns, and a partition holding returns is due the next cycle, so
     /// these are the only ones with returns to inject.
@@ -66,6 +77,8 @@ impl Agenda {
             sm_watched: IndexSet::full(sms),
             part_wake: vec![Cycle::ZERO; partitions],
             part_port: vec![Cycle::MAX; partitions],
+            port_waiters: (0..partitions).map(|_| IndexSet::new(sms)).collect(),
+            waits_on: vec![None; sms],
             ticked: Vec::with_capacity(partitions),
             net_in_flight: 0,
         }
@@ -76,12 +89,14 @@ impl Agenda {
     pub fn rebuild(
         &mut self,
         sms: &[Sm],
+        map: &AddressMap,
         req_net: &Crossbar<MemRequest>,
         reply_net: &Crossbar<MemRequest>,
     ) {
         for (si, sm) in sms.iter().enumerate() {
             self.set_occupied(si, sm.live_warps() > 0);
             self.sm_port[si] = arrival(reply_net, si);
+            self.wait_on_port(si, blocked_port(sm, map, req_net));
         }
         for (pi, port) in self.part_port.iter_mut().enumerate() {
             *port = arrival(req_net, pi);
@@ -110,6 +125,44 @@ impl Agenda {
         !self.sm_occupied[si] && self.sm_wake[si] == Cycle::MAX && self.sm_port[si] == Cycle::MAX
     }
 
+    /// Registers SM `si` as waiting on partition `port`'s full request
+    /// queue, or on none: every full tick of the SM re-decides it.
+    pub fn wait_on_port(&mut self, si: usize, port: Option<usize>) {
+        let old = std::mem::replace(&mut self.waits_on[si], port);
+        if old != port {
+            if let Some(pi) = old {
+                self.port_waiters[pi].remove(si);
+            }
+            if let Some(pi) = port {
+                self.port_waiters[pi].insert(si);
+            }
+        }
+    }
+
+    /// Whether SM `si`'s last full tick left its miss head waiting on a
+    /// full request port.
+    pub fn waits_on_port(&self, si: usize) -> bool {
+        self.waits_on[si].is_some()
+    }
+
+    /// Partition `pi` accepted `freed` requests from the request network:
+    /// wakes the `freed` lowest-index SMs waiting on its port. The SM stage
+    /// injects in index order, and each of them injects toward `pi` while
+    /// a slot is left, so no other waiter can win one this cycle.
+    pub fn wake_port_waiters(&mut self, pi: usize, freed: usize) {
+        let mut left = freed;
+        for k in 0..self.port_waiters[pi].words() {
+            for si in self.port_waiters[pi].word(k) {
+                if left == 0 {
+                    return;
+                }
+                self.sm_wake[si] = Cycle::ZERO;
+                self.sm_watched.insert(si);
+                left -= 1;
+            }
+        }
+    }
+
     /// Records whether SM `si` holds warps.
     pub fn set_occupied(&mut self, si: usize, occupied: bool) {
         if self.sm_occupied[si] != occupied {
@@ -124,9 +177,17 @@ impl Agenda {
 
     /// Panics unless the ports, the occupancy and the network count agree
     /// with the machine. Run (in debug builds) wherever they are read.
+    ///
+    /// A port registration is recounted from the SM's miss head. It must
+    /// name the full port that head waits on, with one exception: an SM
+    /// whose head was held back only by its injection budget, with the
+    /// port filling up behind it later that cycle, is not registered — it
+    /// is awake and registers on its next full tick.
     pub fn assert_matches(
         &self,
+        now: Cycle,
         sms: &[Sm],
+        map: &AddressMap,
         req_net: &Crossbar<MemRequest>,
         reply_net: &Crossbar<MemRequest>,
     ) {
@@ -137,6 +198,19 @@ impl Agenda {
                 self.sm_dormant(si) || self.sm_watched.contains(si),
                 "SM {si}: unwatched but not dormant"
             );
+            let waits_on = self.waits_on[si];
+            let blocked = blocked_port(sm, map, req_net);
+            assert!(
+                waits_on == blocked || (waits_on.is_none() && self.sm_wake[si] <= now),
+                "SM {si}: registered on port {waits_on:?}, its miss head waits on {blocked:?}"
+            );
+            for (pi, waiters) in self.port_waiters.iter().enumerate() {
+                assert_eq!(
+                    waiters.contains(si),
+                    waits_on == Some(pi),
+                    "SM {si}: partition {pi}'s port waiters"
+                );
+            }
         }
         for (pi, &port) in self.part_port.iter().enumerate() {
             assert_eq!(port, arrival(req_net, pi), "partition {pi}: port");
@@ -227,6 +301,18 @@ impl Iterator for Bits {
         self.bits &= self.bits - 1;
         Some(self.base + i)
     }
+}
+
+/// The partition whose full request-network queue SM `sm`'s miss head
+/// waits on: `None` with the miss queue empty or the head's queue not full
+/// (a head held back only by the SM's injection budget goes next cycle).
+pub(crate) fn blocked_port(
+    sm: &Sm,
+    map: &AddressMap,
+    req_net: &Crossbar<MemRequest>,
+) -> Option<usize> {
+    let dst = map.partition_of(sm.peek_miss()?.addr).index();
+    req_net.is_full(dst).then_some(dst)
 }
 
 /// When the head packet at `net`'s port `dst` arrives.

@@ -176,8 +176,9 @@ pub enum RunOutcome<T = RunSummary> {
 
 /// How much of a run the cycle loop left out: the same three values it
 /// hands the self-profiler (`CyclesSkipped`, `SmTicksSlept`,
-/// `PartitionTicksSlept`), kept per [`Gpu`] so a run can pin its own
-/// coverage whichever thread it ran on. Host-side: never serialized, so a
+/// `PartitionTicksSlept`), and how many SM sleeps began on a full request
+/// port, kept per [`Gpu`] so a run can pin its own coverage whichever
+/// thread it ran on. Host-side: never serialized, so a
 /// restored GPU counts from zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdleCounts {
@@ -187,6 +188,10 @@ pub struct IdleCounts {
     pub sm_ticks_slept: u64,
     /// Partition ticks left out likewise.
     pub partition_ticks_slept: u64,
+    /// Sleeps begun on a full request port: full SM ticks that ended with
+    /// the miss head waiting on a full request-network queue and the SM
+    /// asleep from the next cycle on.
+    pub sm_port_sleeps: u64,
 }
 
 /// The simulated GPU.
@@ -457,6 +462,16 @@ impl Gpu {
         self.idle
     }
 
+    /// How many SMs are asleep with their miss head waiting on a full
+    /// request-network queue: each woken when an ejection there frees a
+    /// slot it would win. Host-side, like [`Gpu::idle_counts`].
+    pub fn port_sleepers(&self) -> usize {
+        let a = &self.agenda;
+        (0..self.sms.len())
+            .filter(|&si| a.waits_on_port(si) && a.sm_wake[si] > self.now)
+            .count()
+    }
+
     /// The invariant sanitizer's accumulated findings. Populated only when
     /// [`GpuConfig::sanitize`] is set.
     pub fn sanitizer(&self) -> &Sanitizer {
@@ -674,7 +689,8 @@ impl Gpu {
         gpu.tracer.restore_state(&mut d)?;
         gpu.sanitizer.restore_state(&mut d)?;
         d.expect_end()?;
-        gpu.agenda.rebuild(&gpu.sms, &gpu.req_net, &gpu.reply_net);
+        gpu.agenda
+            .rebuild(&gpu.sms, &gpu.map, &gpu.req_net, &gpu.reply_net);
         gpu.audited.rebuild();
         if let Some(l) = &mut gpu.launch {
             let warps_needed = l.launch.warps_per_cta(gpu.cfg.warp_size) as usize;
@@ -830,7 +846,7 @@ impl Gpu {
         }
         let a = &self.agenda;
         if cfg!(debug_assertions) {
-            a.assert_matches(&self.sms, &self.req_net, &self.reply_net);
+            a.assert_matches(now, &self.sms, &self.map, &self.req_net, &self.reply_net);
         }
         // An SM the run loop does not watch has no wake cycle and no
         // arrival ahead: its entries read `Cycle::MAX`, so dense scans of
@@ -1075,14 +1091,16 @@ impl Gpu {
     }
 
     /// Ejects the request network into the ROP pipelines of the partitions
-    /// a request arrived for; an accepted request wakes its partition.
+    /// a request arrived for; an accepted request wakes its partition, and
+    /// each slot it frees in the request network wakes an SM waiting on
+    /// that port.
     fn eject_requests(&mut self, now: Cycle, honour_sleep: bool) {
         let a = &mut self.agenda;
         for (pi, p) in self.partitions.iter_mut().enumerate() {
             if honour_sleep && a.part_port[pi] > now {
                 continue;
             }
-            let mut accepted = false;
+            let mut accepted = 0;
             while p.can_accept() {
                 match self.req_net.eject(pi, now) {
                     Some(req) => {
@@ -1099,14 +1117,15 @@ impl Gpu {
                         }
                         p.accept(req, now, &mut self.tracer);
                         a.net_in_flight -= 1;
-                        accepted = true;
+                        accepted += 1;
                     }
                     None => break,
                 }
             }
-            if accepted {
+            if accepted > 0 {
                 a.part_port[pi] = arrival(&self.req_net, pi);
                 a.part_wake[pi] = Cycle::ZERO;
+                a.wake_port_waiters(pi, accepted);
                 self.audited.partition_moved(pi);
             }
         }
@@ -1124,6 +1143,10 @@ impl Gpu {
                     if self.agenda.sm_due(si, now) {
                         self.tick_sm(si, now);
                         ticked += 1;
+                        let a = &self.agenda;
+                        if a.waits_on_port(si) && a.sm_wake[si] > now + 1 {
+                            self.idle.sm_port_sleeps += 1;
+                        }
                     } else if self.agenda.sm_occupied[si] {
                         self.sms[si].sleep_through(now, &mut self.tracer);
                     }
@@ -1179,9 +1202,13 @@ impl Gpu {
 
         sm.tick_memory(now, &mut self.tracer);
 
+        // The partition whose full request queue the miss head waits on;
+        // none for a head held back only by this cycle's injection budget.
+        let mut port = None;
         while let Some(head) = sm.peek_miss() {
             let dst = self.map.partition_of(head.addr).index();
             if !self.req_net.can_inject(si, dst) {
+                port = self.req_net.is_full(dst).then_some(dst);
                 break;
             }
             let mut req = sm.pop_miss().expect("peeked");
@@ -1207,7 +1234,8 @@ impl Gpu {
 
         let created = sm.tick_issue(now, &mut self.device, &mut self.tracer);
         self.outstanding += created;
-        a.sm_wake[si] = sm.end_tick(now);
+        a.wait_on_port(si, port);
+        a.sm_wake[si] = sm.end_tick(now, port.is_some());
         a.set_occupied(si, sm.live_warps() > 0);
         a.settle_sm(si);
         self.audited.sm_moved(si);

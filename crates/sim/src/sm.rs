@@ -98,6 +98,26 @@ impl WarpClass {
     }
 }
 
+/// Where the L1 stage sends the transaction at the front-end pipe's head
+/// ([`Sm::l1_route`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum L1Route {
+    /// A structural stall: the miss queue, the MSHR table or the line's
+    /// merge list is full, or every way of its set is reserved for an
+    /// in-flight fill. Only an injection (which pops the miss queue) or a
+    /// fill (which frees MSHR entries and reservations) clears one, and
+    /// both happen in the SM's own full tick.
+    Stall,
+    /// A store, or an access the L1 does not serve: on to the miss queue.
+    Forward,
+    /// An L1 hit: into the hit pipe.
+    Hit,
+    /// A miss on a line already in flight: parks on its MSHR entry.
+    Merge,
+    /// A primary miss: reserves a way, allocates an MSHR entry and queues.
+    Allocate,
+}
+
 #[derive(Debug)]
 struct CtaRt {
     shared: Vec<u8>,
@@ -606,96 +626,109 @@ impl Sm {
 
     // ---- L1 stage --------------------------------------------------------
 
+    /// Where the L1 stage would send `head`, the front-end pipe's head, in
+    /// the SM's state now. Pure: [`Sm::tick_memory`] acts on it, and the
+    /// wake planner asks it whether the head is stalled.
+    fn l1_route(&self, head: &MemRequest) -> L1Route {
+        if head.kind == AccessKind::Store || !self.l1_serves(head) {
+            return if self.miss_queue.is_full() {
+                L1Route::Stall
+            } else {
+                L1Route::Forward
+            };
+        }
+        // Cache lines and MSHR entries are keyed by the transaction granule
+        // (the sector on sectored machines, else the line); the coalescer
+        // always sends aligned transactions, but align defensively.
+        let addr = head.addr.align_down(self.granule);
+        let l1 = self.l1_cache.as_ref().expect("served implies L1");
+        if l1.probe(addr) {
+            L1Route::Hit
+        } else if self.l1_mshr.is_pending(addr) {
+            if self.l1_mshr.can_merge(addr) {
+                L1Route::Merge
+            } else {
+                L1Route::Stall // merge list full
+            }
+        } else if !self.l1_mshr.can_allocate() || self.miss_queue.is_full() || !l1.can_reserve(addr)
+        {
+            L1Route::Stall // every way reserved by in-flight fills, or full
+        } else {
+            L1Route::Allocate
+        }
+    }
+
+    /// Whether the L1 serves `req`'s space (effective routing is masked by
+    /// cache presence, so `true` implies the L1 exists).
+    fn l1_serves(&self, req: &MemRequest) -> bool {
+        !req.bypass_l1 && self.l1_routing.serves(req.space)
+    }
+
     /// L1 access stage: moves at most one transaction from the front-end
     /// pipe into the hit pipe or the miss queue.
     pub fn tick_memory(&mut self, now: Cycle, tracer: &mut Tracer) {
         let Some(head) = self.front.front_ready(now) else {
             return;
         };
-        // Cache lines and MSHR entries are keyed by the transaction granule
-        // (the sector on sectored machines, else the line); the coalescer
-        // always sends aligned transactions, but align defensively.
-        let addr = head.addr.align_down(self.granule);
-        let kind = head.kind;
-        let bypass = head.bypass_l1;
-        let space = head.space;
-        // Effective routing is masked by cache presence, so `served` implies
-        // the L1 exists.
-        let served = !bypass && self.l1_routing.serves(space);
-
-        if kind == AccessKind::Store {
-            if self.miss_queue.is_full() {
-                return;
-            }
-            let mut req = self.front.pop_ready(now).expect("front head ready");
-            req.timeline.record(Stamp::L1Access, now);
-            if served {
-                self.l1_cache
-                    .as_mut()
-                    .expect("served implies L1")
-                    .store_invalidate(addr);
-            }
-            self.miss_queue.push(req).expect("capacity checked");
+        let route = self.l1_route(head);
+        if route == L1Route::Stall {
             return;
         }
-
-        if !served {
-            if self.miss_queue.is_full() {
-                return;
+        let mut req = self.front.pop_ready(now).expect("front head ready");
+        let addr = req.addr.align_down(self.granule);
+        match route {
+            L1Route::Stall => unreachable!("a stalled head stays in the pipe"),
+            L1Route::Forward => {
+                req.timeline.record(Stamp::L1Access, now);
+                if req.kind == AccessKind::Store && self.l1_serves(&req) {
+                    self.l1_cache
+                        .as_mut()
+                        .expect("served implies L1")
+                        .store_invalidate(addr);
+                }
+                self.miss_queue.push(req).expect("capacity checked");
             }
-            let mut req = self.front.pop_ready(now).expect("front head ready");
-            req.timeline.record(Stamp::L1Access, now);
-            self.miss_queue.push(req).expect("capacity checked");
-            return;
-        }
-
-        let l1 = self.l1_cache.as_mut().expect("served implies L1");
-        if l1.probe(addr) {
-            let req = self.front.pop_ready(now).expect("front head ready");
-            // No stamp here: a hit never leaves the SM, so its entire
-            // lifetime counts as "SM Base" (the L1Access stamp is set at
-            // writeback; see `complete_response`), matching the paper's
-            // all-SM-Base short-latency buckets.
-            let _ = l1.load(addr); // records the hit
-            self.l1_hit_pipe
-                .push(now, req)
-                .expect("hit pipe sized like the front pipe");
-        } else if self.l1_mshr.is_pending(addr) {
-            if !self.l1_mshr.can_merge(addr) {
-                return; // merge list full: stall
+            L1Route::Hit => {
+                // No stamp here: a hit never leaves the SM, so its entire
+                // lifetime counts as "SM Base" (the L1Access stamp is set
+                // at writeback; see `complete_response`), matching the
+                // paper's all-SM-Base short-latency buckets.
+                let l1 = self.l1_cache.as_mut().expect("served implies L1");
+                let _ = l1.load(addr); // records the hit
+                self.l1_hit_pipe
+                    .push(now, req)
+                    .expect("hit pipe sized like the front pipe");
             }
-            let mut req = self.front.pop_ready(now).expect("front head ready");
-            req.timeline.record(Stamp::L1Access, now);
-            req.l1_merged = true;
-            let _ = l1.load(addr); // records the miss
-            self.l1_mshr
-                .try_merge(addr, req)
-                .expect("merge space checked");
-            if tracer.enabled() {
-                tracer.record(TraceEvent {
-                    cycle: now.get(),
-                    site: TraceSite::Sm(self.id.get()),
-                    kind: EventKind::MshrMerge { line: addr.get() },
-                });
+            L1Route::Merge => {
+                req.timeline.record(Stamp::L1Access, now);
+                req.l1_merged = true;
+                let l1 = self.l1_cache.as_mut().expect("served implies L1");
+                let _ = l1.load(addr); // records the miss
+                self.l1_mshr
+                    .try_merge(addr, req)
+                    .expect("merge space checked");
+                if tracer.enabled() {
+                    tracer.record(TraceEvent {
+                        cycle: now.get(),
+                        site: TraceSite::Sm(self.id.get()),
+                        kind: EventKind::MshrMerge { line: addr.get() },
+                    });
+                }
             }
-        } else {
-            if !self.l1_mshr.can_allocate() || self.miss_queue.is_full() {
-                return; // structural stall
-            }
-            if !l1.reserve(addr) {
-                return; // every way reserved by in-flight fills
-            }
-            let mut req = self.front.pop_ready(now).expect("front head ready");
-            req.timeline.record(Stamp::L1Access, now);
-            let _ = l1.load(addr); // records the miss
-            assert!(self.l1_mshr.allocate(addr), "capacity checked");
-            self.miss_queue.push(req).expect("capacity checked");
-            if tracer.enabled() {
-                tracer.record(TraceEvent {
-                    cycle: now.get(),
-                    site: TraceSite::Sm(self.id.get()),
-                    kind: EventKind::MshrAllocate { line: addr.get() },
-                });
+            L1Route::Allocate => {
+                let l1 = self.l1_cache.as_mut().expect("served implies L1");
+                assert!(l1.reserve(addr), "a free way checked");
+                req.timeline.record(Stamp::L1Access, now);
+                let _ = l1.load(addr); // records the miss
+                assert!(self.l1_mshr.allocate(addr), "capacity checked");
+                self.miss_queue.push(req).expect("capacity checked");
+                if tracer.enabled() {
+                    tracer.record(TraceEvent {
+                        cycle: now.get(),
+                        site: TraceSite::Sm(self.id.get()),
+                        kind: EventKind::MshrAllocate { line: addr.get() },
+                    });
+                }
             }
         }
     }
@@ -793,17 +826,28 @@ impl Sm {
 
     // ---- sleeping ---------------------------------------------------------
 
-    /// The first cycle an ALU/shared writeback or a memory-pipe head
-    /// matures ([`Cycle::MAX`] with none in flight). A matured head that is
-    /// structurally blocked answers a cycle already past.
-    fn next_maturity(&self) -> Cycle {
+    /// The first cycle after `now` an ALU/shared writeback or a
+    /// memory-pipe head matures ([`Cycle::MAX`] with none in flight), or
+    /// a cycle already past for a matured head still to be taken. A
+    /// matured front-end head the L1 stage stalls ([`L1Route::Stall`]) is
+    /// no maturity: only an injection or a fill clears its stall, and each
+    /// is part of a full tick of this SM — one the SM is due for anyway,
+    /// by its port registration or its reply port — after which the wake
+    /// is planned again.
+    fn next_maturity(&self, now: Cycle) -> Cycle {
         let writeback = self
             .alu_wb
             .peek()
             .map(|&Reverse((at, _, _))| Cycle::new(at));
+        let front = self
+            .front
+            .entries()
+            .next()
+            .filter(|&(at, head)| at > now || self.l1_route(head) != L1Route::Stall)
+            .map(|(at, _)| at);
         [
             writeback,
-            self.front.next_ready(),
+            front,
             self.l1_hit_pipe.next_ready(),
             self.fill_pipe.next_ready(),
         ]
@@ -815,19 +859,23 @@ impl Sm {
 
     /// Ends the SM's full tick at `now`: retires drained CTAs, then plans
     /// how long the SM may sleep and returns that wake cycle — the one
-    /// place it is planned (the run loop stores it). An SM that issued
-    /// nothing and holds no miss for the interconnect has no ready warp
-    /// (the issue stage just looked, and retirement readies none), so until
-    /// its next maturity every tick is the identity plus one stall credit.
-    /// The issue stage left its vote in `sleep_stall`; the slept cycles'
-    /// issue stages would vote on the state *after* retirement, so a
-    /// retirement means asking again.
-    pub(crate) fn end_tick(&mut self, now: Cycle) -> Cycle {
+    /// place it is planned (the run loop stores it). `port_blocked` says
+    /// the miss queue's head waits on a full request-network queue (not
+    /// merely on this cycle's injection budget): only an ejection at that
+    /// port frees a slot, and the run loop wakes the SM for it. An SM that
+    /// issued nothing and holds no miss that could inject next cycle has
+    /// no ready warp (the issue stage just looked, and retirement readies
+    /// none), so until its next maturity every tick is the identity plus
+    /// one stall credit. The issue stage left its vote in `sleep_stall`;
+    /// the slept cycles' issue stages would vote on the state *after*
+    /// retirement, so a retirement means asking again.
+    pub(crate) fn end_tick(&mut self, now: Cycle, port_blocked: bool) -> Cycle {
         let retired = self.maintain();
-        let wake_at = if self.issued_last_tick || !self.miss_queue.is_empty() {
+        let miss_waits = !self.miss_queue.is_empty() && !port_blocked;
+        let wake_at = if self.issued_last_tick || miss_waits {
             Cycle::ZERO
         } else {
-            self.next_maturity()
+            self.next_maturity(now)
         };
         if retired > 0 && wake_at > now + 1 {
             self.sleep_stall = self.stall_vote();
@@ -849,14 +897,14 @@ impl Sm {
     /// can issue (assumed, without looking, right after a cycle that
     /// issued; else read off the ready set's class counts) or a miss waits
     /// for the interconnect, else the first ALU/shared writeback or
-    /// memory-pipe head to mature. A matured head that is structurally
-    /// blocked also answers `now` — conservative, always legal.
-    /// [`Cycle::MAX`] when nothing is pending.
+    /// memory-pipe head to mature; a matured front-end head the L1 stage
+    /// stalls is none ([`Sm::next_maturity`]). [`Cycle::MAX`] when nothing
+    /// is pending.
     pub fn next_event(&self, now: Cycle) -> Cycle {
         if self.issued_last_tick || !self.miss_queue.is_empty() {
             return now;
         }
-        let matures = self.next_maturity().max(now);
+        let matures = self.next_maturity(now).max(now);
         if matures > now && self.issuable(false, self.front_block()) > 0 {
             return now;
         }

@@ -25,8 +25,8 @@ use gpu_types::Addr;
 use latency_core::chase::build_chase_kernel;
 use latency_core::{ArchPreset, ChaseParams};
 use skip_harness::{
-    assert_skip_invisible, barrier_reduce, launch_reduce, mask_bfs, new_gpu, observe, state_bytes,
-    traced_and_untraced, Drain, MAX_CYCLES,
+    assert_skip_invisible, barrier_reduce, contended_histogram, launch_histogram, launch_reduce,
+    mask_bfs, new_gpu, observe, state_bytes, traced_and_untraced, Drain, MAX_CYCLES,
 };
 
 // ---- scenarios -------------------------------------------------------------
@@ -217,6 +217,44 @@ fn both_schedulers_and_issue_widths_match_stepping() {
             assert_skip_invisible(&format!("{what} reduce"), &cfg, &barrier_reduce(12 * 256));
         }
     }
+}
+
+#[test]
+fn a_few_bins_histogram_on_the_full_gv100_sleeps_on_full_ports_and_matches_stepping() {
+    // Four bins: every atomic goes to one line, so one partition's request
+    // port stays full and the SMs whose misses wait on it sleep until an
+    // ejection frees a slot they would win.
+    for cfg in traced_and_untraced(ArchPreset::VoltaGv100.config()) {
+        let what = format!("gv100 4-bin histogram, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &contended_histogram(64 * 256, 4));
+        assert!(o.idle.sm_port_sleeps > 100, "{what}: {:?}", o.idle);
+        let stalls = o.summary.metrics.stalls.get(StallReason::IcntBackpressure);
+        assert!(stalls > 0, "{what}: no back-pressure");
+    }
+}
+
+/// The 15-SM gf100 with two-slot request and reply queues: a loaded
+/// machine's misses back up behind every partition's port, not one.
+fn narrow_crossbar_gf100() -> gpu_sim::GpuConfig {
+    let mut cfg = ArchPreset::FermiGf100.config();
+    cfg.icnt.output_queue = 2;
+    cfg
+}
+
+#[test]
+fn a_narrow_crossbar_bfs_sleeps_on_full_ports_and_matches_stepping() {
+    for cfg in traced_and_untraced(narrow_crossbar_gf100()) {
+        let what = format!("narrow-crossbar BFS, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &mask_bfs(1024, 8, 20150304, 64));
+        assert!(o.idle.sm_port_sleeps > 100, "{what}: {:?}", o.idle);
+    }
+    let what = "narrow-crossbar histogram";
+    let o = assert_skip_invisible(
+        what,
+        &narrow_crossbar_gf100(),
+        &contended_histogram(8192, 16),
+    );
+    assert!(o.idle.sm_port_sleeps > 100, "{what}: {:?}", o.idle);
 }
 
 #[test]
@@ -463,6 +501,51 @@ fn kill_and_checkpoint_land_while_most_of_a_gv100_sleeps() {
         .find(|&&c| c > 2 * every && !c.is_multiple_of(every))
         .expect("a later mostly-asleep cycle to kill on");
     kill_and_resume("gv100", &launched, every, kill_at);
+}
+
+#[test]
+fn kill_and_checkpoint_land_while_sms_sleep_on_a_full_port() {
+    // The narrow-crossbar gf100 running a 16-bin histogram, traced.
+    // Driving `run` one cycle at a time reads off the ticked cycles on
+    // which at least three SMs sleep with their miss waiting on a full
+    // request port: the checkpoint multiple and the kill land on those,
+    // and the resumed run, which carries no registration, rebuilds it.
+    let launched = || {
+        let mut cfg = narrow_crossbar_gf100();
+        cfg.trace.enabled = true;
+        let mut gpu = new_gpu(&cfg);
+        launch_histogram(&mut gpu, 8192, 16);
+        gpu
+    };
+    let mut probe = launched();
+    let mut port_asleep = Vec::new();
+    loop {
+        let cycle = probe.now().get();
+        let skipped = probe.idle_counts().skipped_cycles;
+        let mut policy = CheckpointPolicy::none();
+        policy.kill_at = Some(cycle + 1);
+        let outcome = probe
+            .run_checkpointed(MAX_CYCLES, &policy)
+            .expect("one cycle");
+        let ticked = probe.idle_counts().skipped_cycles == skipped;
+        if ticked && probe.port_sleepers() >= 3 {
+            port_asleep.push(cycle + 1);
+        }
+        if matches!(outcome, RunOutcome::Completed(_)) {
+            break;
+        }
+    }
+    assert!(probe.idle_counts().sm_port_sleeps > 100);
+    let total = probe.now().get();
+    let every = *port_asleep
+        .iter()
+        .find(|&&c| c >= total / 5)
+        .expect("a port-asleep cycle to checkpoint on");
+    let kill_at = *port_asleep
+        .iter()
+        .find(|&&c| c > 2 * every && !c.is_multiple_of(every))
+        .expect("a later port-asleep cycle to kill on");
+    kill_and_resume("port", &launched, every, kill_at);
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //! set's own events — a warp leaving it on exit, a barrier reclassifying
 //! its CTA — allocate nothing. Nor does the run loop's own bookkeeping —
 //! the wake cycles, port arrivals and audit marks it visits components by
-//! — on the 80-SM gv100.
+//! — on the 80-SM gv100, nor, on a back-pressured gf100, its port
+//! registrations and the DRAM scheduling horizon.
 
 // The counting allocator the tracer's allocation-freedom suites install.
 #[path = "../../trace/tests/common/mod.rs"]
@@ -288,4 +289,63 @@ fn a_run_cycle_on_the_full_gv100_allocates_nothing() {
         checked > jumped,
         "{jumped} of {checked} checked cycles were jumps"
     );
+}
+
+/// Drives `run` one cycle at a time (a kill switch on the next cycle):
+/// returns the outcome and the allocations the cycle made.
+fn one_run_cycle(gpu: &mut Gpu) -> (RunOutcome, u64) {
+    let mut policy = CheckpointPolicy::none();
+    policy.kill_at = Some(gpu.now().get() + 1);
+    let allocations = common::allocations();
+    let outcome = gpu
+        .run_checkpointed(skip_harness::MAX_CYCLES, &policy)
+        .expect("one cycle");
+    (outcome, common::allocations() - allocations)
+}
+
+/// Mask BFS on the 15-SM gf100 with two-slot crossbar queues, driven by
+/// `run` one cycle at a time after a traversal of twice the size: misses
+/// back up behind full request ports and SMs sleep on them, while the
+/// DRAM channels schedule. After each launch's first cycle (which
+/// dispatches its CTAs), a cycle on which no warp issues allocates
+/// nothing — the ones on which SMs sleep on a port (registering, woken by
+/// an ejection, registering again) and the ones on which a DRAM channel
+/// schedules and recomputes its horizon included.
+#[test]
+fn port_sleeps_and_dram_horizon_updates_allocate_nothing() {
+    const BLOCK: u32 = 64;
+    let mut cfg = ArchPreset::FermiGf100.config();
+    cfg.icnt.output_queue = 2;
+    assert!(cfg.sanitize, "the audit stage is part of the claim");
+    let mut gpu = Gpu::new(cfg);
+    skip_harness::mask_bfs(4096, 8, 0x3A8, BLOCK)(&mut gpu, &mut |gpu| {
+        gpu.run(skip_harness::MAX_CYCLES).expect("warm-up drains");
+    });
+
+    let (mut port_sleeping, mut scheduling) = (0u64, 0u64);
+    skip_harness::mask_bfs(2048, 8, 0x10AD, BLOCK)(&mut gpu, &mut |gpu| {
+        one_run_cycle(gpu);
+        loop {
+            let (before, sleeps) = (gpu.summary(), gpu.idle_counts().sm_port_sleeps);
+            let (outcome, allocated) = one_run_cycle(gpu);
+            if let RunOutcome::Completed(_) = outcome {
+                break;
+            }
+            let after = gpu.summary();
+            if after.instructions != before.instructions {
+                continue;
+            }
+            let cycle = gpu.now().get() - 1;
+            assert_eq!(allocated, 0, "cycle {cycle} allocated");
+            if gpu.port_sleepers() > 0 || gpu.idle_counts().sm_port_sleeps > sleeps {
+                port_sleeping += 1;
+            }
+            scheduling += u64::from(after.dram_serviced != before.dram_serviced);
+        }
+    });
+    assert!(
+        port_sleeping > 10_000,
+        "only {port_sleeping} port-sleep cycles"
+    );
+    assert!(scheduling > 1_000, "DRAM scheduled on {scheduling} of them");
 }

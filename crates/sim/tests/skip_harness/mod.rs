@@ -7,13 +7,13 @@
 #![allow(dead_code)]
 
 use gpu_isa::Launch;
-use gpu_sim::{CounterSample, Gpu, GpuConfig, RunSummary, SmStats, TraceEvent};
+use gpu_sim::{CounterSample, Gpu, GpuConfig, IdleCounts, RunSummary, SmStats, TraceEvent};
 use gpu_snapshot::Decoder;
 use gpu_types::Addr;
 use gpu_workloads::bfs::{
     build_bfs_mask_kernel1, build_bfs_mask_kernel2, read_costs, upload_graph_mask, UNVISITED,
 };
-use gpu_workloads::{reduce, Graph};
+use gpu_workloads::{histogram, reduce, Graph};
 
 pub const MAX_CYCLES: u64 = 50_000_000;
 
@@ -108,6 +108,35 @@ pub fn barrier_reduce(n: u64) -> impl Fn(&mut Gpu, Drain<'_>) {
     }
 }
 
+/// Launches the global-atomics histogram of `n` elements into `bins`
+/// bins, in 256-thread CTAs, without running it. With few bins every
+/// atomic lands on a handful of lines in one or two partitions, and the
+/// SMs' misses queue up behind those partitions' full request ports.
+pub fn launch_histogram(gpu: &mut Gpu, n: u64, bins: u32) -> histogram::HistogramDevice {
+    let dev = histogram::setup(gpu, n, bins);
+    for b in 0..u64::from(bins) {
+        gpu.device_mut().write_u32(dev.bins + 4 * b, 0);
+    }
+    gpu.launch(
+        histogram::build_histogram_kernel(),
+        Launch::new(
+            (n as u32).div_ceil(256),
+            256,
+            vec![dev.input.get(), dev.bins.get(), n, u64::from(bins - 1)],
+        ),
+    )
+    .expect("histogram launches");
+    dev
+}
+
+pub fn contended_histogram(n: u64, bins: u32) -> impl Fn(&mut Gpu, Drain<'_>) {
+    move |gpu, drain| {
+        let dev = launch_histogram(gpu, n, bins);
+        drain(gpu);
+        histogram::verify(gpu, &dev);
+    }
+}
+
 // ---- observation -----------------------------------------------------------
 
 /// The snapshot payload with its one wall-clock field zeroed. The payload
@@ -134,6 +163,7 @@ pub struct Observed {
     pub events: Vec<TraceEvent>,
     pub samples: Vec<CounterSample>,
     pub dropped_events: u64,
+    pub idle: IdleCounts,
 }
 
 pub fn observe(gpu: &mut Gpu) -> Observed {
@@ -153,6 +183,7 @@ pub fn observe(gpu: &mut Gpu) -> Observed {
         events: trace.events,
         samples: trace.samples,
         dropped_events: trace.dropped_events,
+        idle: gpu.idle_counts(),
     }
 }
 

@@ -181,6 +181,7 @@ fn every_traced_run_pins_its_idle_coverage() {
             let (cycles, skipped) = (pin("cycles"), pin("skipped_cycles"));
             assert!(skipped < cycles, "{row}: skipped {skipped} of {cycles}");
             pin("sm_ticks_slept");
+            pin("sm_port_sleeps");
             pin("partition_ticks_slept");
             traced += 1;
         }
