@@ -18,6 +18,9 @@
 # §II's stride x footprint grid and its inference are the sweep row's runs,
 # pinned with the rest, so the `latency sweep` tool's private driver, the
 # sweep bench suite and its pin file must not come back.
+# The serve daemon's cold and warm race is a gpu-serve test that asserts
+# its counters exactly, so `latency bench` runs the list alone: the serve
+# bench suite, its pin file and the `--suites` flag must not come back.
 #
 # Usage: ci/one-experiment-list.sh   (from the repository root)
 set -euo pipefail
@@ -39,6 +42,9 @@ report "$(git ls-files BENCH_tick.json BENCH_workloads.json)"
 report "$(git ls-files ci/check-preset.sh ci/metrics-goldens.txt)"
 report "$(grep -rnwE 'run_sweep_bench|SweepBench|cold_grid_cycles' crates tests || true)"
 report "$(git ls-files BENCH_sweep.json crates/bench/src/cmd/sweep.rs)"
+report "$(git ls-files BENCH_serve.json crates/bench/src/suite.rs)"
+report "$(grep -rnwE 'run_serve_bench|ServeBench|ServePass|SuiteResult' crates/bench/src || true)"
+report "$(grep -nF '"--suites"' crates/bench/src/cmd/bench.rs || true)"
 
 if [ "$hits" -ne 0 ]; then
   echo "one-experiment-list: $hits stray driver(s); add a row to latency_bench::EXPERIMENTS instead" >&2

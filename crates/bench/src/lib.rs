@@ -2,7 +2,8 @@
 //!
 //! Each experiment from DESIGN.md's index has a driver here, shared between
 //! the `latency` binary's subcommands (`latency table1`, …; `src/main.rs`
-//! and `src/cmd/`), the `bench` suites and the cross-crate tests:
+//! and `src/cmd/`), the `latency bench` pin check and the cross-crate
+//! tests:
 //!
 //! - **E1–E8** and the cross-generation BFS: the rows of [`EXPERIMENTS`]
 //!   (`table1` and its published-reference check `validate`, §II's
@@ -21,7 +22,6 @@ pub mod experiments;
 pub mod progress;
 pub mod reference;
 pub mod regression;
-pub mod suite;
 pub mod tracebundle;
 pub mod validate;
 
@@ -35,8 +35,11 @@ pub use latency_core::reference_rows;
 pub use progress::ProgressHeartbeat;
 pub use reference::{validate_preset, validate_rows, LevelValidation, PresetValidation};
 pub use regression::{compare_json, Finding};
-pub use suite::{
-    host_cpus, run_serve_bench, serve_grid_spec, ServeBench, ServePass, SERVE_CLIENTS,
-};
 pub use tracebundle::{env_request, track_names_for, EnvTrace, TraceBundle};
 pub use validate::{LoadCheck, ValidationReport};
+
+/// Host CPU count. `benchmark/` records it with every result; it has no
+/// caller inside the workspace.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

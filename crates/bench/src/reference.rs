@@ -27,7 +27,7 @@
 //!
 //! Every chase point is held to these rules as it is reduced
 //! ([`check_point`]), so a violation fails the experiment list — `latency
-//! table1`, `latency validate` and the experiments bench suite alike. The
+//! table1`, `latency validate` and `latency bench` alike. The
 //! `validate` row prints every preset's verdict ([`validate_preset`]) and
 //! pins each point's comparison ([`PointCheck`]) in
 //! `BENCH_experiments.json`.

@@ -1,17 +1,18 @@
-//! The pin checker behind `latency bench --check`: a fresh `BENCH_*.json`
-//! against the committed one, under one rule.
+//! The pin checker behind `latency bench --check`: a fresh
+//! `BENCH_experiments.json` against the committed one, under one rule.
 //!
 //! Every leaf of a committed baseline is a pure function of the simulation
-//! (names, grid shape, hashes, cycle / instruction / dedup / cache counts,
-//! the Table I points and verdicts), so every leaf must reproduce
+//! (names, hashes, cycle / instruction counts, the Table I points and
+//! verdicts), so every leaf must reproduce
 //! *exactly* on any host. A leaf that differs, a path only the baseline
 //! has and a path only the fresh run has are each a [`Finding`], and any
 //! finding fails the check: the fix is the code change that explains it plus
 //! `bench --update-baselines`, or a bug. Nothing is chosen by key name, so
-//! a new pin is checked the moment a suite emits it.
+//! a new pin is checked the moment the experiment list emits it.
 //!
-//! Host time is not in these documents (the `[bench]` stdout lines and
-//! `bench-out/profile.{json,txt}` carry it, `benchmark/` judges it);
+//! Host time is not in these documents (the `[bench]` stdout lines and,
+//! under `LATENCY_PROFILE=1`, `bench-out/profile.{json,txt}` carry it,
+//! `benchmark/` judges it);
 //! `tests/bench_pins.rs` keeps it from drifting back in.
 
 use std::collections::{BTreeMap, BTreeSet};

@@ -1,13 +1,13 @@
-//! The committed `BENCH_*.json` files hold pins only.
+//! The committed `BENCH_experiments.json` holds pins only.
 //!
-//! `latency bench --check` compares every leaf of them for equality, which
+//! `latency bench --check` compares every leaf of it for equality, which
 //! is only sound while every leaf is a pure function of the simulation.
 //! This is the guard that keeps host time from drifting back in — in the
-//! spirit of `ci/no-handwritten-json.sh`: the two files parse, compare
-//! clean against themselves, and carry no key that names a wall-clock
-//! quantity or the host it was taken on.
+//! spirit of `ci/no-handwritten-json.sh`: the file parses, compares clean
+//! against itself, and carries no key that names a wall-clock quantity or
+//! the host it was taken on.
 //!
-//! The experiments suite is planned here too, without simulating: the
+//! The experiment list is planned here too, without simulating: the
 //! paper's rows share their runs, and every row has its pins and its
 //! EXPERIMENTS.md block.
 
@@ -17,10 +17,7 @@ use latency_bench::{
 };
 use latency_core::{ArchPreset, ChaseParams};
 
-const BASELINES: [(&str, &str); 2] = [
-    ("serve", include_str!("../BENCH_serve.json")),
-    ("experiments", include_str!("../BENCH_experiments.json")),
-];
+const BASELINES: [(&str, &str); 1] = [("experiments", include_str!("../BENCH_experiments.json"))];
 
 const TIMING_SUFFIXES: [&str; 3] = ["_seconds", "_per_second", "_nanos"];
 const TIMING_KEYS: [&str; 5] = [
@@ -67,7 +64,7 @@ fn committed_baselines_are_pins_only() {
             assert!(
                 !TIMING_KEYS.contains(&key) && !TIMING_SUFFIXES.iter().any(|s| key.ends_with(s)),
                 "BENCH_{suite}.json carries {key:?}: host time belongs on the [bench] \
-                 stdout lines and in bench-out/profile.json, not in a committed pin file"
+                 stdout lines and in the opt-in profile.json, not in a committed pin file"
             );
         }
     }

@@ -236,7 +236,7 @@ fn tick_threads_flag_and_variable_are_gone() {
 #[test]
 fn subcommand_flags_are_validated_before_running() {
     let positive = "--nodes, --degree and --block-dim must be positive";
-    let rows: [(&[&str], &str); 19] = [
+    let rows: [(&[&str], &str); 15] = [
         (&["table1", "--json"], "unknown argument '--json'"),
         (&["fig1", "extra"], "unknown argument 'extra'"),
         (
@@ -267,23 +267,11 @@ fn subcommand_flags_are_validated_before_running() {
         // The contracts are checked on the experiment list's own runs
         // (`latency static_vs_dynamic`); lint runs no simulation.
         (&["lint", "--validate"], "unknown argument '--validate'"),
+        // One pin check: the experiment list; the serve daemon's cold and
+        // warm race is a test of gpu-serve.
         (
-            &["bench", "--suites", "serve,bogus"],
-            "unknown suite: bogus",
-        ),
-        // The §II grid and its inference are the `sweep` row's runs.
-        (&["bench", "--suites", "sweep"], "unknown suite: sweep"),
-        // Folded into the experiment list: the loaded BFS's idle pins are
-        // every traced run's, and E4 runs on GV100 too.
-        (&["bench", "--suites", "tick"], "unknown suite: tick"),
-        (
-            &["bench", "--suites", "workloads"],
-            "unknown suite: workloads",
-        ),
-        // Table I's pins are rows of the experiment list now.
-        (
-            &["bench", "--suites", "validation"],
-            "unknown suite: validation",
+            &["bench", "--suites", "experiments"],
+            "unknown argument '--suites'",
         ),
     ];
     for (args, message) in rows {
