@@ -177,12 +177,6 @@ fn run_workload(args: &Args) -> TracedRun {
 
 pub fn run(preset: Option<ArchPreset>, it: &mut Cursor) -> Result<(), UsageError> {
     let args = parse_args(preset, it)?;
-    // `--progress` needs the self-profiler's cycle counters, so it implies
-    // profiling; enabling it never changes the simulation (`content_hash`
-    // is pinned bit-identical either way).
-    if args.progress {
-        gpu_sim::profile::set_enabled(true);
-    }
     let _heartbeat = args
         .progress
         .then(|| latency_bench::ProgressHeartbeat::start("trace"));

@@ -7,6 +7,9 @@
 //! cache hits, and (when the caller declared a goal) an ETA. It observes
 //! only process-global atomics, so it needs no plumbing through the run
 //! paths: any subcommand can wrap any workload with [`ProgressHeartbeat::start`].
+//! Those counters count only while the profiler records, so a running
+//! heartbeat keeps the profiler on, and puts it back as it found it when
+//! it stops; the profiler never changes the simulation.
 //!
 //! Groundwork for the job-server roadmap item: the same counters a human
 //! watches here are what a scheduler would poll.
@@ -31,14 +34,13 @@ const POLL: Duration = Duration::from_millis(100);
 pub struct ProgressHeartbeat {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
+    /// Whether the profiler was on before this heartbeat switched it on.
+    was_profiling: bool,
 }
 
 impl ProgressHeartbeat {
     /// Starts a heartbeat tagged `tag` with no completion goal (no ETA —
     /// a single simulated run's cycle count is open-ended).
-    ///
-    /// The self-profiler must already be enabled; the cycle counters the
-    /// heartbeat reads are recorded only while it is on.
     pub fn start(tag: &str) -> Self {
         Self::with_goal(tag, None)
     }
@@ -47,6 +49,8 @@ impl ProgressHeartbeat {
     /// `(counter, total)` — e.g. `(ProfCounter::GridTasks, points)` for a
     /// sweep — and estimates time to completion from the counter's rate.
     pub fn with_goal(tag: &str, goal: Option<(ProfCounter, u64)>) -> Self {
+        let was_profiling = profile::enabled();
+        profile::set_enabled(true);
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let tag = tag.to_string();
@@ -57,6 +61,7 @@ impl ProgressHeartbeat {
         ProgressHeartbeat {
             stop,
             handle: Some(handle),
+            was_profiling,
         }
     }
 }
@@ -67,6 +72,7 @@ impl Drop for ProgressHeartbeat {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+        profile::set_enabled(self.was_profiling);
     }
 }
 

@@ -144,7 +144,8 @@ impl<'a> TraceBundle<'a> {
 
     /// Renders the Chrome trace-event JSON: one track per SM / partition,
     /// one async span per traced request tiled into its pipeline stages,
-    /// instants for events and counter tracks for samples.
+    /// a slice per stall interval, instants for the other events and
+    /// counter tracks for samples.
     pub fn chrome_json(&self) -> String {
         let mut b = ChromeTraceBuilder::with_names(
             self.num_sms,

@@ -24,7 +24,8 @@ pub(crate) struct Agenda {
     /// planned by `Sm::end_tick` at the end of each full tick and lowered
     /// to [`Cycle::ZERO`] by every hand-off (a dispatched CTA, the leak
     /// hook, a freed slot at the request port its miss waits on). Before
-    /// it, a tick is the identity plus one stall credit.
+    /// it, a tick is the identity: the cycle stalls for the SM's open stall
+    /// interval, which nobody needs to tell.
     pub sm_wake: Vec<Cycle>,
     /// Per SM, when the head packet queued at its reply-network port
     /// arrives ([`Cycle::MAX`] with none queued). An arrival is due at the
@@ -32,8 +33,7 @@ pub(crate) struct Agenda {
     /// due every cycle.
     pub sm_port: Vec<Cycle>,
     /// Per SM, whether it holds warps (as of its last full tick or
-    /// dispatch): a sleeper that does is credited a stall each cycle, one
-    /// that does not is not visited at all.
+    /// dispatch): an empty one with nothing pending is dormant.
     pub sm_occupied: Vec<bool>,
     /// How many entries of `sm_occupied` are set.
     pub occupied_sms: usize,
@@ -58,6 +58,11 @@ pub(crate) struct Agenda {
     port_waiters: Vec<IndexSet>,
     /// Per SM, the partition it waits on in `port_waiters`, if any.
     waits_on: Vec<Option<usize>>,
+    /// The SMs whose state changed after their issue stage this cycle —
+    /// the last CTA retired, or a CTA arrived — so the stall they vote for
+    /// from the next cycle on may differ from their open interval's. The
+    /// cycle re-votes them (`Sm::revote`) after its last event is recorded.
+    pub revote: IndexSet,
     /// The partitions ticked this cycle, ascending. Only a tick produces
     /// returns, and a partition holding returns is due the next cycle, so
     /// these are the only ones with returns to inject.
@@ -79,6 +84,7 @@ impl Agenda {
             part_port: vec![Cycle::MAX; partitions],
             port_waiters: (0..partitions).map(|_| IndexSet::new(sms)).collect(),
             waits_on: vec![None; sms],
+            revote: IndexSet::new(sms),
             ticked: Vec::with_capacity(partitions),
             net_in_flight: 0,
         }
@@ -252,7 +258,7 @@ impl IndexSet {
         }
     }
 
-    fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.words.fill(0);
     }
 

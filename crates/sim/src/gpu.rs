@@ -10,9 +10,7 @@ use gpu_isa::{Kernel, Launch, LocalMap, ValidateError};
 use gpu_mem::{AddressMap, DeviceMemory, MemRequest, Stamp};
 use gpu_snapshot::{store, Decoder, Encoder, SnapshotError, StableHasher};
 use gpu_trace::profile::{self, ProfCounter, ProfSpan};
-use gpu_trace::{
-    CounterKind, EventKind, NetDir, StallReason, TraceData, TraceEvent, TraceSite, Tracer,
-};
+use gpu_trace::{CounterKind, EventKind, NetDir, TraceData, TraceEvent, TraceSite, Tracer};
 use gpu_types::{Addr, CtaId, Cycle, PartitionId, SmId};
 
 use crate::agenda::{arrival, Agenda, Audited};
@@ -21,11 +19,6 @@ use crate::partition::Partition;
 use crate::sanitizer::{Sanitizer, Violation};
 use crate::sm::Sm;
 use crate::stats::{CompletedRequest, LoadInstrRecord, RunSummary, SmStats, TraceSink};
-
-/// Minimum host time between self-profiler snapshots (the host-clock
-/// Perfetto tracks' resolution): 10 ms keeps a multi-second run well under
-/// the profiler's retention cap while still resolving phase changes.
-const PROFILE_SAMPLE_GAP_NANOS: u64 = 10_000_000;
 
 /// Error launching or running a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -347,11 +340,21 @@ impl Gpu {
     }
 
     /// Takes the recorded event trace and counter samples, leaving the
-    /// tracer empty. Call [`Gpu::run`] (or read the summary) first if the
-    /// counter summaries in [`crate::RunSummary::metrics`] are wanted —
-    /// taking resets them.
+    /// tracer empty. Every SM's open stall interval is closed into it first
+    /// and goes on from now. Call [`Gpu::run`] (or read the summary) first
+    /// if the counter summaries in [`crate::RunSummary::metrics`] are
+    /// wanted — taking resets them.
     pub fn take_trace(&mut self) -> TraceData {
+        self.cut_stall_runs();
         self.tracer.take()
+    }
+
+    /// Closes every SM's open stall interval at `now` and opens its
+    /// continuation: the trace holds every stall cycle before `now`.
+    fn cut_stall_runs(&mut self) {
+        for sm in &mut self.sms {
+            sm.cut_run(self.now, &mut self.tracer);
+        }
     }
 
     /// Takes the collected traces (completed line fetches, completed load
@@ -363,9 +366,9 @@ impl Gpu {
         )
     }
 
-    /// Per-SM statistics.
+    /// Per-SM statistics, stalls credited through the last cycle run.
     pub fn sm_stats(&self) -> Vec<SmStats> {
-        self.sms.iter().map(|s| s.stats()).collect()
+        self.sms.iter().map(|s| s.stats(self.now)).collect()
     }
 
     /// The SMs, read-only: their statistics, idle state and
@@ -484,6 +487,7 @@ impl Gpu {
     /// leaks (and that nothing else does).
     pub fn debug_seed_mshr_leak(&mut self, line: Addr) {
         self.sms[0].debug_seed_mshr_leak(line.align_down(self.cfg.line_size));
+        self.sms[0].revote(self.now, &mut self.tracer);
         self.agenda.sm_wake[0] = Cycle::ZERO;
         self.agenda.sm_watched.insert(0);
         self.audited.sm_moved(0);
@@ -513,7 +517,7 @@ impl Gpu {
             ..RunSummary::default()
         };
         for sm in &self.sms {
-            let st = sm.stats();
+            let st = sm.stats(self.now);
             s.instructions += st.instructions;
             s.ctas += st.ctas_retired;
             s.metrics.stalls.merge(&st.stalls);
@@ -593,7 +597,7 @@ impl Gpu {
             }
         }
         for sm in &self.sms {
-            sm.encode_state(&mut e);
+            sm.encode_state(&mut e, self.now);
         }
         for p in &self.partitions {
             p.encode_state(&mut e);
@@ -689,6 +693,9 @@ impl Gpu {
         gpu.tracer.restore_state(&mut d)?;
         gpu.sanitizer.restore_state(&mut d)?;
         d.expect_end()?;
+        for sm in &mut gpu.sms {
+            sm.revote(gpu.now, &mut gpu.tracer);
+        }
         gpu.agenda
             .rebuild(&gpu.sms, &gpu.map, &gpu.req_net, &gpu.reply_net);
         gpu.audited.rebuild();
@@ -700,15 +707,18 @@ impl Gpu {
     }
 
     /// Records a checkpoint event and writes a full snapshot atomically into
-    /// `dir`, named after the current cycle. The event is recorded *before*
-    /// the snapshot is encoded so it lands inside the serialized tracer
-    /// state: a run resumed from this checkpoint replays the identical event
-    /// stream an uninterrupted run records. Returns the snapshot size.
+    /// `dir`, named after the current cycle. Every SM's open stall interval
+    /// is closed first and goes on from now, as a restored SM's does; then
+    /// the event is recorded, *before* the snapshot is encoded, so both
+    /// land inside the serialized tracer state: a run resumed from this
+    /// checkpoint replays the identical event stream an uninterrupted run
+    /// records. Returns the snapshot size.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Checkpoint`] when the file cannot be written.
     pub fn write_checkpoint(&mut self, dir: &Path) -> Result<u64, SimError> {
+        self.cut_stall_runs();
         if self.tracer.enabled() {
             // The snapshot size is unknowable before encoding, and encoding
             // must happen after this event is recorded; 0 marks "pending".
@@ -881,18 +891,17 @@ impl Gpu {
 
     /// Idle-cycle skipping: if no component can change state before some
     /// later cycle — every SM and partition asleep, nothing arriving from
-    /// either network — advance the clock straight there, crediting exactly
-    /// what the skipped ticks would have recorded.
+    /// either network — advance the clock straight there.
     ///
     /// Over a quiescent interval every tick is the identity on the machine
-    /// except for three observations, all constant across the interval
-    /// because the state is: each SM with resident warps counts one stall
-    /// cycle for the reason [`Sm::credit_stall`] names, the tracer (when
-    /// on) gets one `Stall` event per such SM per cycle, and the counter
-    /// registry samples at its interval. The sanitizer needs nothing: an
-    /// audit of unchanged state finds what the last one found, so a clean
-    /// machine stays clean — and an unclean one is never skipped, because
-    /// its per-cycle findings would have to be replayed.
+    /// except for two observations, both constant across the interval
+    /// because the state is: each SM with resident warps stalls, for its
+    /// open stall interval's reason — which the interval simply goes on
+    /// covering — and the counter registry samples at its interval, which
+    /// the jump steps through. The sanitizer needs nothing: an audit of
+    /// unchanged state finds what the last one found, so a clean machine
+    /// stays clean — and an unclean one is never skipped, because its
+    /// per-cycle findings would have to be replayed.
     ///
     /// The jump stops short at every cycle where the run loop itself acts:
     /// the `max_cycles` deadline, the next multiple of the checkpoint
@@ -918,35 +927,12 @@ impl Gpu {
         if target <= now {
             return;
         }
+        let mut sample = self.tracer.next_sample(now);
+        while let Some(cycle) = sample.filter(|&c| c < target) {
+            self.sample_counters(Cycle::new(cycle));
+            sample = self.tracer.next_sample(cycle + 1);
+        }
         let skipped = target - now;
-        let tracing = self.tracer.enabled();
-        let mut stalled: Vec<(u32, StallReason)> = Vec::new();
-        let a = &self.agenda;
-        for (si, sm) in self.sms.iter_mut().enumerate() {
-            let asleep = a.sm_wake[si] > self.now;
-            if asleep && !a.sm_occupied[si] {
-                continue;
-            }
-            if let Some(reason) = sm.credit_stall(asleep, skipped) {
-                if tracing {
-                    stalled.push((sm.id().get(), reason));
-                }
-            }
-        }
-        if tracing {
-            for cycle in now..target {
-                for &(sm, reason) in &stalled {
-                    self.tracer.record(TraceEvent {
-                        cycle,
-                        site: TraceSite::Sm(sm),
-                        kind: EventKind::Stall { reason },
-                    });
-                }
-                if self.tracer.should_sample(cycle) {
-                    self.sample_counters(Cycle::new(cycle));
-                }
-            }
-        }
         self.now = Cycle::new(target);
         self.idle.skipped_cycles += skipped;
         profile::add(ProfCounter::CyclesSkipped, skipped);
@@ -976,10 +962,10 @@ impl Gpu {
     ///
     /// The run loop passes `honour_sleep`, so the stages visit only the
     /// components that are due — an SM or partition whose wake cycle came,
-    /// a port a packet arrived at, a partition with returns — plus the
-    /// sleeping SMs that hold warps, for their stall credit; and the audit
-    /// checks what moved. [`Gpu::tick`] does not, and ticks and audits
-    /// every component in full.
+    /// a port a packet arrived at, a partition with returns — and the audit
+    /// checks what moved. A sleeping SM gets no call: its cycle stalls for
+    /// its open stall interval's reason. [`Gpu::tick`] does not, and ticks
+    /// and audits every component in full.
     ///
     /// With the self-profiler on, the host clock is read once *between*
     /// stages, so the per-stage deltas tile the cycle exactly (n+1 clock
@@ -1005,6 +991,7 @@ impl Gpu {
         self.tick_sms(now, honour_sleep);
         done(ProfSpan::TickSms);
         self.dispatch_ctas();
+        self.revote_stalls(now + 1);
         done(ProfSpan::DispatchCtas);
         if self.cfg.sanitize {
             self.audit_cycle(now, !honour_sleep);
@@ -1132,8 +1119,8 @@ impl Gpu {
     }
 
     /// Ticks the SMs that are due in full. The run loop walks the watched
-    /// SMs only: a sleeper that holds warps is credited its stall, an empty
-    /// one is left alone, and the dormant ones are not looked at.
+    /// SMs only and calls none that sleeps; the dormant ones are not looked
+    /// at.
     fn tick_sms(&mut self, now: Cycle, honour_sleep: bool) {
         let n = self.sms.len();
         let mut ticked = 0;
@@ -1147,8 +1134,6 @@ impl Gpu {
                         if a.waits_on_port(si) && a.sm_wake[si] > now + 1 {
                             self.idle.sm_port_sleeps += 1;
                         }
-                    } else if self.agenda.sm_occupied[si] {
-                        self.sms[si].sleep_through(now, &mut self.tracer);
                     }
                 }
             }
@@ -1169,6 +1154,7 @@ impl Gpu {
         let a = &mut self.agenda;
         let sm = &mut self.sms[si];
         let _g = profile::span(ProfSpan::SmTick);
+        sm.begin_tick(now);
         let sanitize = self.cfg.sanitize;
         let retired =
             sm.tick_writeback(now, &mut self.sink, sanitize.then_some(&mut self.sanitizer));
@@ -1236,7 +1222,11 @@ impl Gpu {
         self.outstanding += created;
         a.wait_on_port(si, port);
         a.sm_wake[si] = sm.end_tick(now, port.is_some());
-        a.set_occupied(si, sm.live_warps() > 0);
+        let occupied = sm.live_warps() > 0;
+        a.set_occupied(si, occupied);
+        if !occupied {
+            a.revote.insert(si);
+        }
         a.settle_sm(si);
         self.audited.sm_moved(si);
     }
@@ -1248,12 +1238,22 @@ impl Gpu {
         if self.tracer.should_sample(now.get()) {
             self.sample_counters(now);
         }
-        // Host-clock self-profile sampling rides the same stage: publish
-        // the outstanding gauge and, at a bounded host-time interval,
-        // snapshot the profiler tables for the Perfetto host tracks. Both
-        // are one relaxed atomic when profiling is off.
+        // The self-profiler's outstanding gauge (the progress heartbeat's
+        // "in flight"): one relaxed atomic load when profiling is off.
         profile::set(ProfCounter::Outstanding, self.outstanding);
-        profile::sample_at_interval(PROFILE_SAMPLE_GAP_NANOS);
+    }
+
+    /// Re-votes the open stall interval of every SM whose state changed
+    /// after its issue stage this cycle, for the cycles from `at` on. The
+    /// cycle's other events are all recorded by now, so an interval closing
+    /// at `at` keeps the trace in cycle order.
+    fn revote_stalls(&mut self, at: Cycle) {
+        for k in 0..self.agenda.revote.words() {
+            for si in self.agenda.revote.word(k) {
+                self.sms[si].revote(at, &mut self.tracer);
+            }
+        }
+        self.agenda.revote.clear();
     }
 
     /// Reads the per-cycle gauges into one counter sample. Gauges are summed
@@ -1346,6 +1346,7 @@ impl Gpu {
                         l.local_map,
                     );
                     l.next_cta += 1;
+                    self.agenda.revote.insert(s);
                     self.agenda.sm_wake[s] = Cycle::ZERO;
                     self.agenda.set_occupied(s, true);
                     self.agenda.sm_watched.insert(s);

@@ -126,6 +126,17 @@ struct CtaRt {
     arrived: usize,
 }
 
+/// A stall interval still open: from `start` on, every cycle is one on
+/// which the SM issues nothing, for `reason`. Its cycles before `credited`
+/// are in the counters already; the rest are credited when something reads
+/// them (a full tick, [`Sm::stats`], a snapshot) or the interval closes.
+#[derive(Debug, Clone, Copy)]
+struct StallRun {
+    reason: StallReason,
+    start: Cycle,
+    credited: Cycle,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PendingLoad {
     warp: usize,
@@ -200,11 +211,13 @@ pub struct Sm {
     /// the SM stays awake without the ready set being asked. Never
     /// serialized, never read by the model.
     issued_last_tick: bool,
-    /// What each slept cycle's issue stage would have counted: the stall
-    /// reason the SM's state votes for, `None` with no warp resident. Kept
-    /// by every full tick that issues nothing; meaningful only while
-    /// asleep (the run loop holds the wake cycle).
-    sleep_stall: Option<StallReason>,
+    /// The open stall interval: `None` after a cycle the SM issued on or
+    /// while it holds no warp. Its reason is what the SM's state votes for,
+    /// so a cycle the run loop does not tick — the SM asleep, or the whole
+    /// machine skipped — stalls for it, and only a full tick (or a re-vote
+    /// after a CTA retires or arrives) changes it. Derived like `class`, so
+    /// never serialized: a restore opens it with a fresh vote.
+    stall_run: Option<StallRun>,
     age_counter: u64,
     stats: SmStats,
 }
@@ -248,7 +261,7 @@ impl Sm {
             issued: Vec::with_capacity(cfg.issue_width),
             lines: Vec::new(),
             issued_last_tick: false,
-            sleep_stall: None,
+            stall_run: None,
             age_counter: 0,
             stats: SmStats::default(),
             cfg,
@@ -260,9 +273,14 @@ impl Sm {
         self.id
     }
 
-    /// Per-SM statistics.
-    pub fn stats(&self) -> SmStats {
-        self.stats
+    /// Per-SM statistics, the open stall interval credited through the
+    /// cycle before `now`.
+    pub fn stats(&self, now: Cycle) -> SmStats {
+        let mut stats = self.stats;
+        if let Some((reason, cycles)) = self.owed(now) {
+            stats.add_stall(reason, cycles);
+        }
+        stats
     }
 
     /// L1 hit/miss counts, if an L1 exists.
@@ -374,8 +392,8 @@ impl Sm {
     /// Test hook: allocates an L1 MSHR entry that no fill will ever release,
     /// modeling the classic lost-fill bug. The run still drains (the entry
     /// holds no queue slot), so only the sanitizer's end-of-run audit can
-    /// catch it. MSHR occupancy feeds the stall attribution a sleeper has
-    /// cached, so the caller must wake the SM.
+    /// catch it. MSHR occupancy feeds the stall vote, so the caller must
+    /// wake the SM and re-vote its open stall interval.
     pub fn debug_seed_mshr_leak(&mut self, line: gpu_types::Addr) {
         assert!(
             self.l1_mshr.allocate(line),
@@ -449,9 +467,8 @@ impl Sm {
     }
 
     /// Retires CTAs whose warps have all exited and drained their pending
-    /// memory operations; returns the number retired.
-    pub fn maintain(&mut self) -> u64 {
-        let mut retired = 0;
+    /// memory operations.
+    pub fn maintain(&mut self) {
         for ci in 0..self.ctas.len() {
             let done = match &self.ctas[ci] {
                 Some(c) => {
@@ -474,10 +491,8 @@ impl Sm {
                     self.scoreboard.clear(s);
                 }
                 self.stats.ctas_retired += 1;
-                retired += 1;
             }
         }
-        retired
     }
 
     // ---- response path --------------------------------------------------
@@ -774,9 +789,9 @@ impl Sm {
         if issued > 0 {
             self.stats.active_cycles += 1;
             self.stats.instructions += issued;
+            self.vote_run(None, now, tracer);
         } else {
-            self.sleep_stall = self.stall_vote();
-            self.count_stall(self.sleep_stall, now, tracer);
+            self.vote_run(self.stall_vote(), now, tracer);
         }
         new_requests
     }
@@ -787,41 +802,81 @@ impl Sm {
         (self.live_warps() > 0).then(|| self.classify_stall())
     }
 
-    /// Books the zero-issue cycle `now`: one stall cycle against `reason`
-    /// and, with the tracer on, its `Stall` event.
-    fn count_stall(&mut self, reason: Option<StallReason>, now: Cycle, tracer: &mut Tracer) {
-        let Some(reason) = reason else {
-            return;
-        };
-        self.stats.stall_cycles += 1;
-        self.stats.stalls.bump_by(reason, 1);
-        if tracer.enabled() {
-            tracer.record(TraceEvent {
-                cycle: now.get(),
-                site: TraceSite::Sm(self.id.get()),
-                kind: EventKind::Stall { reason },
-            });
+    /// The open stall interval's reason and how many of its cycles before
+    /// `at` the counters lack.
+    fn owed(&self, at: Cycle) -> Option<(StallReason, u64)> {
+        self.stall_run
+            .filter(|run| at > run.credited)
+            .map(|run| (run.reason, at.since(run.credited)))
+    }
+
+    /// Credits the open stall interval's cycles before `at` to the counters.
+    fn credit_run(&mut self, at: Cycle) {
+        if let Some((reason, cycles)) = self.owed(at) {
+            self.stats.add_stall(reason, cycles);
+            self.stall_run.as_mut().expect("owed").credited = at;
         }
     }
 
-    /// Counts `cycles` zero-issue cycles against this SM, all
-    /// attributed to the reason its current state stalls for, and returns
-    /// that reason; `None` (and nothing counted) when no warp is resident.
-    /// The run loop calls it with the length of a skipped quiescent
-    /// interval, over which the state — and so the reason — cannot change.
-    /// A sleeper (`asleep`: the run loop says its wake cycle is ahead) has
-    /// that reason cached in `sleep_stall`; only an SM that is awake (a
-    /// restored one, say) votes again.
-    pub(crate) fn credit_stall(&mut self, asleep: bool, cycles: u64) -> Option<StallReason> {
-        let reason = if asleep {
-            debug_assert_eq!(self.sleep_stall, self.stall_vote());
-            self.sleep_stall
-        } else {
-            self.stall_vote()
-        }?;
-        self.stats.stall_cycles += cycles;
-        self.stats.stalls.bump_by(reason, cycles);
-        Some(reason)
+    /// From cycle `at` on, the SM stalls for `vote` (`None`: it issues, or
+    /// holds no warp). The open interval goes on if that is its reason;
+    /// otherwise it closes at `at` — credited in full and, with the tracer
+    /// on, recorded as one `Stall` event stamped `at` — and an interval for
+    /// `vote` opens there.
+    fn vote_run(&mut self, vote: Option<StallReason>, at: Cycle, tracer: &mut Tracer) {
+        if self.stall_run.map(|run| run.reason) == vote {
+            return;
+        }
+        self.credit_run(at);
+        if let Some(run) = self.stall_run.take() {
+            let cycles = at.since(run.start);
+            if cycles > 0 && tracer.enabled() {
+                tracer.record(TraceEvent {
+                    cycle: at.get(),
+                    site: TraceSite::Sm(self.id.get()),
+                    kind: EventKind::Stall {
+                        reason: run.reason,
+                        cycles,
+                    },
+                });
+            }
+        }
+        self.stall_run = vote.map(|reason| StallRun {
+            reason,
+            start: at,
+            credited: at,
+        });
+    }
+
+    /// Votes again for the cycles from `at` on, after something other than
+    /// the issue stage changed what the SM waits on: its last CTA retired
+    /// (no warp, so no vote), a CTA arrived, or a restore rebuilt it. The
+    /// run loop calls it once no more events of the cycle before `at` can
+    /// be recorded, so a closing interval keeps the trace in cycle order.
+    pub(crate) fn revote(&mut self, at: Cycle, tracer: &mut Tracer) {
+        self.vote_run(self.stall_vote(), at, tracer);
+    }
+
+    /// Closes the open stall interval at `at` and opens its continuation
+    /// there: the trace gets the interval so far (a checkpoint, or the
+    /// trace being taken), and the SM goes on stalling for the same reason.
+    pub(crate) fn cut_run(&mut self, at: Cycle, tracer: &mut Tracer) {
+        let reason = self.stall_run.map(|run| run.reason);
+        self.vote_run(None, at, tracer);
+        self.vote_run(reason, at, tracer);
+    }
+
+    /// Opens the SM's full tick at `now`: the open stall interval's cycles
+    /// so far go into the counters first, so what the tick reads of them —
+    /// a load's exposure at writeback — counts every cycle before `now`.
+    pub(crate) fn begin_tick(&mut self, now: Cycle) {
+        debug_assert!(
+            self.stall_run
+                .is_none_or(|run| Some(run.reason) == self.stall_vote()),
+            "SM {}: the state changed under an open stall interval",
+            self.id.get()
+        );
+        self.credit_run(now);
     }
 
     // ---- sleeping ---------------------------------------------------------
@@ -865,29 +920,19 @@ impl Sm {
     /// port frees a slot, and the run loop wakes the SM for it. An SM that
     /// issued nothing and holds no miss that could inject next cycle has
     /// no ready warp (the issue stage just looked, and retirement readies
-    /// none), so until its next maturity every tick is the identity plus
-    /// one stall credit. The issue stage left its vote in `sleep_stall`;
-    /// the slept cycles' issue stages would vote on the state *after*
-    /// retirement, so a retirement means asking again.
+    /// none), so until its next maturity every tick is the identity: each
+    /// such cycle stalls for the open interval's reason, and nothing calls
+    /// the SM for it. Retirement removes only finished warps, which cast
+    /// no vote, so it changes the vote only by emptying the SM; the run
+    /// loop then re-votes ([`Sm::revote`]).
     pub(crate) fn end_tick(&mut self, now: Cycle, port_blocked: bool) -> Cycle {
-        let retired = self.maintain();
+        self.maintain();
         let miss_waits = !self.miss_queue.is_empty() && !port_blocked;
-        let wake_at = if self.issued_last_tick || miss_waits {
+        if self.issued_last_tick || miss_waits {
             Cycle::ZERO
         } else {
             self.next_maturity(now)
-        };
-        if retired > 0 && wake_at > now + 1 {
-            self.sleep_stall = self.stall_vote();
         }
-        wake_at
-    }
-
-    /// Everything a full tick of a sleeping SM at `now` would have done.
-    /// The run loop calls it only for a sleeper that holds warps.
-    pub(crate) fn sleep_through(&mut self, now: Cycle, tracer: &mut Tracer) {
-        debug_assert!(self.sleep_stall.is_some(), "an empty SM counts nothing");
-        self.count_stall(self.sleep_stall, now, tracer);
     }
 
     /// The earliest cycle at which ticking this SM could change its state,
@@ -1291,11 +1336,12 @@ impl Sm {
     /// their shared-memory contents, the scoreboard, ALU writeback heap (in
     /// sorted order — the heap's internal layout is not deterministic), all
     /// memory-pipeline queues with absolute ready times, the MSHR table,
-    /// pending-load bookkeeping (in token order) and statistics. Structural
+    /// pending-load bookkeeping (in token order) and statistics, credited
+    /// through the cycle before `now` ([`Sm::stats`]). Structural
     /// configuration (capacities, latencies) is *not* serialized — the GPU
     /// checkpoint stores the full [`GpuConfig`] once and rebuilds each SM
     /// from it before restoring.
-    pub fn encode_state(&self, e: &mut Encoder) {
+    pub fn encode_state(&self, e: &mut Encoder, now: Cycle) {
         e.usize(self.slots.len());
         for slot in &self.slots {
             match slot {
@@ -1364,7 +1410,7 @@ impl Sm {
         e.usize(self.last_issued);
         e.opt_u64(self.greedy.map(|g| g as u64));
         e.u64(self.age_counter);
-        self.stats.encode_state(e);
+        self.stats(now).encode_state(e);
     }
 
     /// Overwrites this SM's dynamic state with a decoded checkpoint.

@@ -228,6 +228,12 @@ pub struct SmStats {
 }
 
 impl SmStats {
+    /// Counts `cycles` stall cycles against `reason`.
+    pub(crate) fn add_stall(&mut self, reason: StallReason, cycles: u64) {
+        self.stall_cycles += cycles;
+        self.stalls.bump_by(reason, cycles);
+    }
+
     /// Serializes these statistics.
     pub fn encode_state(&self, e: &mut Encoder) {
         e.u64(self.instructions);

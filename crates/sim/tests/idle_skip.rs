@@ -19,7 +19,8 @@ use std::path::{Path, PathBuf};
 
 use gpu_isa::Launch;
 use gpu_sim::{
-    CheckpointPolicy, Gpu, RunOutcome, RunSummary, SchedPolicy, SimError, StallReason, Violation,
+    CheckpointPolicy, EventKind, Gpu, RunOutcome, RunSummary, SchedPolicy, SimError, StallReason,
+    TraceSite, Violation,
 };
 use gpu_types::Addr;
 use latency_core::chase::build_chase_kernel;
@@ -259,18 +260,19 @@ fn a_narrow_crossbar_bfs_sleeps_on_full_ports_and_matches_stepping() {
 
 #[test]
 fn event_cap_drops_are_counted_through_a_jump() {
-    // Skipped cycles emit their `Stall` events through the same capped
-    // recorder a tick uses: the first `max_events` survive, the rest count
-    // as drops, wherever the cap lands inside an interval.
+    // A stall interval spanning skipped cycles closes through the same
+    // capped recorder a tick uses: the first `max_events` survive, the rest
+    // count as drops, wherever the cap lands. The chase records 558 events
+    // uncapped.
     let mut cfg = ArchPreset::FermiGf106.config_microbench();
     cfg.trace.enabled = true;
-    cfg.trace.max_events = 700;
+    cfg.trace.max_events = 300;
     let o = assert_skip_invisible(
         "capped trace",
         &cfg,
         &chase(ChaseParams::global(2 * 1024 * 1024, 32 * 1024), 2),
     );
-    assert_eq!(o.events.len(), 700);
+    assert_eq!(o.events.len(), 300);
     assert!(o.dropped_events > 0);
 }
 
@@ -406,6 +408,67 @@ fn kill_inside_an_interval_stops_on_cue_and_resumes_identically() {
         stepped.summary().instructions,
         before,
         "kill cycle not idle"
+    );
+}
+
+#[test]
+fn a_checkpoint_inside_an_open_stall_interval_splits_it() {
+    // The lone chase's SM stalls for one reason through a whole DRAM wait.
+    // A checkpoint landing inside one closes the open interval into the
+    // trace and opens its continuation — the interval a restored SM opens
+    // with its fresh vote — so the run and its resumption record the same
+    // stream (`kill_and_resume` compares them).
+    let total = uninterrupted_cycles() as usize;
+    let mut stepped = launched();
+    let mut reasons = Vec::new();
+    let mut before = stepped.sm_stats()[0].stalls;
+    for _ in 0..total {
+        stepped.tick();
+        let after = stepped.sm_stats()[0].stalls;
+        let moved = StallReason::ALL
+            .into_iter()
+            .find(|&r| after.get(r) > before.get(r));
+        reasons.push(moved);
+        before = after;
+    }
+    let every = (total / 3..total)
+        .find(|&c| reasons[c].is_some() && reasons[c - 1] == reasons[c])
+        .expect("a cycle inside a stall interval") as u64;
+    let mut reference = kill_and_resume("split", &launched, every, every + every / 2);
+
+    let events = observe(&mut reference).events;
+    let on_sm0 = |e: &&gpu_sim::TraceEvent| {
+        e.site == TraceSite::Sm(0) && matches!(e.kind, EventKind::Stall { .. })
+    };
+    let at = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::Checkpoint { .. }))
+        .expect("the checkpoint is traced");
+    assert_eq!(events[at].cycle, every);
+    let closed = events[..at]
+        .iter()
+        .rev()
+        .find(on_sm0)
+        .expect("a closed interval");
+    let next = events[at + 1..]
+        .iter()
+        .find(on_sm0)
+        .expect("its continuation");
+    let (
+        EventKind::Stall { reason, .. },
+        EventKind::Stall {
+            reason: goes_on,
+            cycles,
+        },
+    ) = (closed.kind, next.kind)
+    else {
+        panic!("not a split interval: {closed:?}, {next:?}");
+    };
+    assert_eq!(closed.cycle, every, "closed at the checkpoint");
+    assert_eq!(
+        (goes_on, next.cycle - cycles),
+        (reason, every),
+        "goes on from it"
     );
 }
 

@@ -238,8 +238,8 @@ pub fn assert_skip_invisible(what: &str, cfg: &GpuConfig, scenario: &Scenario) -
 }
 
 /// Both tracer settings of one machine: off (the measured configuration)
-/// and on with a short sample interval, so samples and per-cycle `Stall`
-/// events fall inside skipped intervals.
+/// and on with a short sample interval, so samples fall inside skipped
+/// intervals and `Stall` intervals span slept and skipped cycles.
 pub fn traced_and_untraced(mut cfg: GpuConfig) -> [GpuConfig; 2] {
     let untraced = cfg.clone();
     cfg.trace.enabled = true;

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use gpu_isa::{AluOp, CmpOp, Kernel, KernelBuilder, Launch, Special, Width};
 use gpu_sim::{CheckpointPolicy, Gpu, GpuConfig, RunOutcome, Sm, SmStats, StallReason};
 use gpu_snapshot::{Decoder, Encoder, SnapshotError, FORMAT_VERSION, MAGIC};
-use gpu_types::{Addr, SmId};
+use gpu_types::{Addr, Cycle, SmId};
 
 fn small_config() -> GpuConfig {
     let mut cfg = GpuConfig::fermi_gf100();
@@ -254,7 +254,7 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 /// The unframed encoding of an idle SM of `cfg`.
 fn idle_sm_payload(cfg: &GpuConfig) -> Vec<u8> {
     let mut e = Encoder::new();
-    Sm::new(SmId::new(0), Arc::new(cfg.clone())).encode_state(&mut e);
+    Sm::new(SmId::new(0), Arc::new(cfg.clone())).encode_state(&mut e, Cycle::ZERO);
     payload(&e.finish()).to_vec()
 }
 
@@ -414,13 +414,12 @@ fn a_checkpoint_among_barrier_and_scoreboard_waits_resumes_identically() {
 
 // ---- a checkpoint an earlier build wrote ------------------------------------
 //
-// `tests/corpus/divergent_gather_c1200.ckpt` was written by the build whose
-// executor still kept one register file per thread: `corpus_gpu()` run
-// under `CheckpointPolicy { every: 1200, kill_at: Some(1200) }`, with all
-// four warps inside the divergent loop. A warp encodes lane by lane from
-// any layout, so the file restores, re-encodes to its own bytes, is the
-// state this build reaches at that cycle, and finishes as an uninterrupted
-// run does. It is also a seed for fuzzing the decoder.
+// `tests/corpus/divergent_gather_c1200.ckpt` was written by the first
+// format-5 build (stall intervals): `corpus_gpu()` run under
+// `CheckpointPolicy { every: 1200, kill_at: Some(1200) }`, with all four
+// warps inside the divergent loop. The file restores, re-encodes to its own
+// bytes, is the state this build reaches at that cycle, and finishes as an
+// uninterrupted run does. It is also a seed for fuzzing the decoder.
 
 const CORPUS: &[u8] = include_bytes!("../../../tests/corpus/divergent_gather_c1200.ckpt");
 const CORPUS_KILL_AT: u64 = 1200;
@@ -523,4 +522,16 @@ fn committed_checkpoint_resumes_like_an_uninterrupted_run() {
         let words = (t..=t + t % 8).map(|j| (j % 256) as u32 * 7 + 1);
         assert_eq!(sum, words.sum::<u32>(), "thread {t}");
     }
+}
+
+#[test]
+fn a_format_4_checkpoint_is_rejected_typed() {
+    // Format 4 traced a stall as one event per cycle, with no length; its
+    // checkpoints are refused, never reinterpreted.
+    let mut v4 = CORPUS.to_vec();
+    v4[4..8].copy_from_slice(&4u32.to_le_bytes());
+    assert!(matches!(
+        Gpu::restore(&v4),
+        Err(SnapshotError::UnsupportedVersion(4))
+    ));
 }

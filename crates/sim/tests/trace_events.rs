@@ -1,9 +1,12 @@
 //! End-to-end tests of the observability layer: event tracing must never
-//! perturb timing, and the exported Chrome-trace spans must tile each
-//! request's Timeline lifetime exactly.
+//! perturb timing, the exported Chrome-trace spans must tile each
+//! request's Timeline lifetime exactly, and the traced stall intervals must
+//! add up to the stall counters.
+
+mod skip_harness;
 
 use gpu_isa::{KernelBuilder, Launch, Special, Width};
-use gpu_sim::{Gpu, GpuConfig, MetricsReport, RunSummary};
+use gpu_sim::{Gpu, GpuConfig, MetricsReport, RunSummary, StallReason, TraceSite};
 use gpu_trace::{json, ChromeTraceBuilder, EventKind};
 
 fn small_config() -> GpuConfig {
@@ -171,5 +174,52 @@ fn per_load_stall_reasons_are_bounded_by_lifetime() {
         assert_eq!(l.stall_reasons.total(), l.exposed);
         assert!(l.exposed <= l.total());
         assert!(l.exposed_fraction() <= 1.0);
+    }
+}
+
+#[test]
+fn stall_intervals_add_up_to_each_sms_stall_counters() {
+    // A full 15-SM GF100 running the mask BFS, every event kept: for each
+    // (SM, reason) the `Stall` intervals' lengths sum to that SM's stall
+    // cycles for the reason, and one SM's intervals never overlap.
+    let mut cfg = GpuConfig::fermi_gf100();
+    cfg.trace.enabled = true;
+    let mut gpu = Gpu::new(cfg);
+    skip_harness::mask_bfs(1024, 6, 20150301, 64)(&mut gpu, &mut |gpu| {
+        gpu.run(skip_harness::MAX_CYCLES).expect("run drains");
+    });
+    let stats = gpu.sm_stats();
+    let data = gpu.take_trace();
+    assert_eq!(data.dropped_events, 0);
+    assert!(data.events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+
+    let mut summed = vec![[0u64; StallReason::COUNT]; stats.len()];
+    let mut ends = vec![0u64; stats.len()];
+    let mut intervals = 0;
+    for e in &data.events {
+        let (EventKind::Stall { reason, cycles }, TraceSite::Sm(sm)) = (e.kind, e.site) else {
+            continue;
+        };
+        let sm = sm as usize;
+        assert!(cycles > 0, "an empty interval at {e:?}");
+        assert!(e.cycle - cycles >= ends[sm], "SM {sm}: {e:?} overlaps");
+        ends[sm] = e.cycle;
+        summed[sm][reason.index()] += cycles;
+        intervals += 1;
+    }
+    let total: u64 = stats.iter().map(|s| s.stall_cycles).sum();
+    assert!(
+        total > 10 * intervals,
+        "{intervals} intervals for {total} stall cycles"
+    );
+    for (sm, s) in stats.iter().enumerate() {
+        for reason in StallReason::ALL {
+            assert_eq!(
+                summed[sm][reason.index()],
+                s.stalls.get(reason),
+                "SM {sm}, {}",
+                reason.name()
+            );
+        }
     }
 }

@@ -62,8 +62,9 @@ pub const MAGIC: [u8; 4] = *b"GSNP";
 /// the issuing instruction's program counter (static-analyzer cross-checks).
 /// Version 4: sectored cache arrays serialize per-sector valid/reserved/dirty
 /// masks and a sectors-per-line count, and sliced L2 partitions serialize one
-/// bank (queue, tags, MSHRs, hit pipe) per slice in index order.
-pub const FORMAT_VERSION: u32 = 4;
+/// bank (queue, tags, MSHRs, hit pipe) per slice in index order. Version 5:
+/// a traced stall is one event per interval, carrying its length in cycles.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug)]
@@ -533,8 +534,9 @@ mod tests {
 
     #[test]
     fn previous_format_versions_rejected_typed() {
-        // Pre-sectoring checkpoints (v1–v3) decode the cache arrays
-        // differently; they must be refused outright, never reinterpreted.
+        // Older checkpoints (v1–v4) decode the cache arrays or the stall
+        // events differently; they must be refused outright, never
+        // reinterpreted.
         for old in 1..FORMAT_VERSION {
             let mut framed = Encoder::new().finish();
             framed[4..8].copy_from_slice(&old.to_le_bytes());

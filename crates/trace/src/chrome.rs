@@ -10,12 +10,13 @@
 //!   per stage of `Timeline::stages`, named from `Stamp::stage_label` — the
 //!   child durations tile the parent exactly, reproducing the Figure-1
 //!   stage decomposition per request;
-//! * discrete [`TraceEvent`]s become thread-scoped instants (`ph` `"i"`);
+//! * a stall interval becomes one complete `ph` `"X"` slice on its SM's
+//!   track, spanning the cycles it covers; every other [`TraceEvent`]
+//!   becomes a thread-scoped instant (`ph` `"i"`);
 //! * counter samples become `ph` `"C"` counter tracks;
 //! * process 4 (present only when [`ChromeTraceBuilder::add_host_profile`]
 //!   is called) carries the *host-clock* self-profile: complete `ph` `"X"`
-//!   slices laying the span-total tree out as a flame view, plus counter
-//!   tracks of per-interval host time from the profiler's sample ring.
+//!   slices laying the span-total tree out as a flame view.
 //!
 //! Timestamps on the simulated processes are cycles written as integer `ts`
 //! values (Perfetto displays them as microseconds; the scale is irrelevant
@@ -30,9 +31,9 @@ use std::collections::BTreeMap;
 
 use gpu_mem::{Stamp, Timeline};
 
-use crate::event::{TraceEvent, TraceSite};
+use crate::event::{EventKind, TraceEvent, TraceSite};
 use crate::json::{Value, Writer};
-use crate::profile::{ProfCounter, ProfSpan, ProfileReport};
+use crate::profile::{ProfSpan, ProfileReport};
 use crate::tracer::{CounterKind, CounterSample};
 
 const PID_SMS: u32 = 1;
@@ -175,14 +176,26 @@ impl ChromeTraceBuilder {
         async_edge(w, "e", sm, id, &outer, returned.get());
     }
 
-    /// Adds one discrete event as a thread-scoped instant on its site's
-    /// track, with the payload spelled out in `args`.
+    /// Adds one event on its site's track, with the payload spelled out in
+    /// `args`: a stall interval as a complete slice over the cycles it
+    /// covers (`cycle - cycles .. cycle`), anything else as a
+    /// thread-scoped instant.
     pub fn add_event(&mut self, event: &TraceEvent) {
         let (pid, tid) = site_coords(event.site);
-        let w = begin(&mut self.w, "event", "i").field("s", "t");
-        w.field("name", event.kind.name());
-        w.field("pid", pid).field("tid", tid);
-        w.field("ts", event.cycle);
+        let w = match event.kind {
+            EventKind::Stall { cycles, .. } => {
+                let w = begin(&mut self.w, "event", "X").field("name", event.kind.name());
+                w.field("pid", pid).field("tid", tid);
+                w.field("ts", event.cycle.saturating_sub(cycles))
+                    .field("dur", cycles)
+            }
+            _ => {
+                let w = begin(&mut self.w, "event", "i").field("s", "t");
+                w.field("name", event.kind.name());
+                w.field("pid", pid).field("tid", tid);
+                w.field("ts", event.cycle)
+            }
+        };
         event.kind.write_fields(w.key("args").object());
         w.end().end();
     }
@@ -199,15 +212,11 @@ impl ChromeTraceBuilder {
     }
 
     /// Merges a host-clock self-profile into the document on its own
-    /// process (pid 4, named from [`TrackNames::host_process`]):
-    ///
-    /// * **span totals** — one complete `ph` `"X"` slice per entered span,
-    ///   laid out in attribution-tree order (children tile from their
-    ///   parent's start, one thread per tree depth) so the process reads as
-    ///   a flame view of where host time went;
-    /// * **sampled tracks** — per-interval `ph` `"C"` deltas of the nine
-    ///   tick-stage spans, the worker busy/idle spans and the profiler
-    ///   counters, over host time, from the profiler's sample ring.
+    /// process (pid 4, named from [`TrackNames::host_process`]): one
+    /// complete `ph` `"X"` slice per entered span, laid out in
+    /// attribution-tree order (children tile from their parent's start, one
+    /// thread per tree depth) so the process reads as a flame view of where
+    /// host time went.
     ///
     /// Timestamps here are host *microseconds*; the simulated processes use
     /// cycles. They share the file, never a track.
@@ -229,7 +238,6 @@ impl ChromeTraceBuilder {
         // Flame layout: roots tile [0, ..) in table order; every child
         // tiles from its parent's start. A slice sits on the thread for its
         // tree depth.
-        let mut start = [0u64; ProfSpan::COUNT];
         let mut cursor = [0u64; ProfSpan::COUNT];
         let mut next_root = 0u64;
         for s in ProfSpan::ALL {
@@ -246,7 +254,6 @@ impl ChromeTraceBuilder {
                     at
                 }
             };
-            start[s.index()] = at;
             cursor[s.index()] = at;
             if stat.count == 0 {
                 continue;
@@ -258,34 +265,6 @@ impl ChromeTraceBuilder {
             w.field("ts", at / 1_000).field("dur", stat.nanos / 1_000);
             w.key("args").object().field("count", stat.count);
             w.field("nanos", stat.nanos).end().end();
-        }
-
-        // Sampled tracks (the tick stages, then the grid-worker span):
-        // cumulative snapshots become per-interval deltas.
-        let mut prev_spans = [0u64; ProfSpan::COUNT];
-        let mut prev_counters = [0u64; ProfCounter::COUNT];
-        for sample in &report.samples {
-            let ts = sample.host_nanos / 1_000;
-            for s in ProfSpan::STAGES
-                .into_iter()
-                .chain([ProfSpan::GridWorkerBusy])
-            {
-                let delta = sample.span_nanos[s.index()].saturating_sub(prev_spans[s.index()]);
-                let name = format!("host us: {}", s.path());
-                counter(w, "host", &name, PID_HOST, ts, delta / 1_000);
-            }
-            for c in ProfCounter::ALL {
-                // Gauges are plotted raw; monotonic counts as deltas.
-                let v = sample.counters[c.index()];
-                let value = match c {
-                    ProfCounter::Outstanding => v,
-                    _ => v.saturating_sub(prev_counters[c.index()]),
-                };
-                let name = format!("host: {}", c.label());
-                counter(w, "host", &name, PID_HOST, ts, value);
-            }
-            prev_spans = sample.span_nanos;
-            prev_counters = sample.counters;
         }
     }
 
@@ -380,7 +359,7 @@ pub fn check_span_sums(doc: &Value) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, NetDir, QueueKind, StallReason};
+    use crate::event::{NetDir, QueueKind, StallReason};
     use crate::json;
     use gpu_types::Cycle;
 
@@ -440,9 +419,6 @@ mod tests {
     fn instants_and_counters_serialise_to_valid_json() {
         let mut b = ChromeTraceBuilder::new(1, 1);
         for kind in [
-            EventKind::Stall {
-                reason: StallReason::MshrFull,
-            },
             EventKind::Coalesce {
                 warp: 3,
                 accesses: 32,
@@ -477,9 +453,39 @@ mod tests {
         let text = b.finish();
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(events.len() >= 7 + CounterKind::COUNT);
+        assert!(events.len() >= 6 + CounterKind::COUNT);
         // No request spans: the validator trivially passes with 0.
         assert_eq!(check_span_sums(&doc).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_stall_interval_is_one_slice_over_the_cycles_it_covers() {
+        let mut b = ChromeTraceBuilder::new(2, 1);
+        b.add_event(&TraceEvent {
+            cycle: 50,
+            site: TraceSite::Sm(1),
+            kind: EventKind::Stall {
+                reason: StallReason::MshrFull,
+                cycles: 12,
+            },
+        });
+        let text = b.finish();
+        let doc = json::parse(&text).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let stall = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some("stall"))
+            .unwrap_or_else(|| panic!("no stall slice in {text}"));
+        let num = |k: &str| stall.get(k).and_then(Value::as_num);
+        assert_eq!(stall.get("ph").and_then(Value::as_str), Some("X"));
+        assert_eq!((num("ts"), num("dur")), (Some(38.0), Some(12.0)));
+        assert_eq!((num("pid"), num("tid")), (Some(1.0), Some(1.0)));
+        let args = stall.get("args").unwrap();
+        assert_eq!(
+            args.get("reason").and_then(Value::as_str),
+            Some("mshr_full")
+        );
+        assert_eq!(args.get("cycles").and_then(Value::as_num), Some(12.0));
     }
 
     #[test]
@@ -504,8 +510,8 @@ mod tests {
     }
 
     #[test]
-    fn host_profile_emits_flame_slices_and_sample_tracks() {
-        use crate::profile::{ProfCounter, ProfSample, ProfileReport, SpanStat};
+    fn host_profile_emits_flame_slices() {
+        use crate::profile::{ProfCounter, ProfileReport, SpanStat};
         let mut spans: Vec<SpanStat> = ProfSpan::ALL
             .iter()
             .map(|&span| SpanStat {
@@ -529,19 +535,10 @@ mod tests {
             count: 100,
             nanos: 2_500_000,
         };
-        let mut sample = ProfSample {
-            host_nanos: 5_000_000,
-            span_nanos: [0; ProfSpan::COUNT],
-            counters: [0; ProfCounter::COUNT],
-        };
-        sample.span_nanos[ProfSpan::TickSms.index()] = 3_000_000;
-        sample.counters[ProfCounter::CyclesTicked.index()] = 50;
         let report = ProfileReport {
             total_nanos: 10_000_000,
             spans,
             counters: [0; ProfCounter::COUNT],
-            samples: vec![sample],
-            samples_dropped: 0,
         };
         let mut b = ChromeTraceBuilder::new(1, 1);
         b.add_host_profile(&report);
@@ -571,9 +568,8 @@ mod tests {
         // (all zero here except drain_check, also zero) — from run's start.
         assert_eq!(sms.get("ts").and_then(Value::as_num), Some(0.0));
         assert_eq!(sm_tick.get("ts").and_then(Value::as_num), Some(0.0));
-        // The sample ring became host-clock counter tracks.
-        assert!(text.contains("\"host us: run/tick_sms\""), "{text}");
-        assert!(text.contains("\"host: cycles_ticked\""), "{text}");
+        // Span totals only: no host-clock counter tracks.
+        assert!(!text.contains("\"ph\":\"C\""), "{text}");
         assert!(text.contains("\"Host self-profile\""), "{text}");
     }
 }

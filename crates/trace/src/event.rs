@@ -195,10 +195,16 @@ impl QueueKind {
 /// The payload of one trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// An SM issued nothing this cycle despite live warps.
+    /// An SM issued nothing for `cycles` consecutive cycles despite live
+    /// warps, for one reason throughout: the interval ends just before the
+    /// event's cycle, so it covers `cycle - cycles .. cycle`. Recorded
+    /// when the interval closes — the SM issues or its reason changes, a
+    /// checkpoint is written or the trace is taken.
     Stall {
         /// Dominant reason among the blocked warps.
         reason: StallReason,
+        /// Length of the interval, at least 1.
+        cycles: u64,
     },
     /// The coalescer turned one warp memory access into line transactions.
     Coalesce {
@@ -313,7 +319,9 @@ impl EventKind {
     /// in an event's `args`, the JSONL exporter flattens them into the row.
     pub fn write_fields(&self, w: &mut Writer) {
         match *self {
-            Self::Stall { reason } => w.field("reason", reason.name()),
+            Self::Stall { reason, cycles } => {
+                w.field("reason", reason.name()).field("cycles", cycles)
+            }
             Self::Coalesce {
                 warp,
                 accesses,
@@ -432,9 +440,10 @@ impl StallReason {
 impl EventKind {
     fn encode_state(&self, e: &mut Encoder) {
         match *self {
-            EventKind::Stall { reason } => {
+            EventKind::Stall { reason, cycles } => {
                 e.u8(0);
                 e.u8(reason.index() as u8);
+                e.u64(cycles);
             }
             EventKind::Coalesce {
                 warp,
@@ -506,6 +515,7 @@ impl EventKind {
         Ok(match d.u8()? {
             0 => EventKind::Stall {
                 reason: StallReason::decode(d)?,
+                cycles: d.u64()?,
             },
             1 => EventKind::Coalesce {
                 warp: d.u32()?,
@@ -564,13 +574,20 @@ impl TraceEvent {
     /// # Errors
     ///
     /// Returns [`SnapshotError::InvalidValue`] on an unknown site, kind,
-    /// reason, net or queue tag, and propagates decoder errors.
+    /// reason, net or queue tag and on a stall interval that is empty or
+    /// starts before cycle 0, and propagates decoder errors.
     pub fn decode(d: &mut Decoder) -> Result<Self, SnapshotError> {
-        Ok(TraceEvent {
+        let event = TraceEvent {
             cycle: d.u64()?,
             site: TraceSite::decode(d)?,
             kind: EventKind::decode(d)?,
-        })
+        };
+        match event.kind {
+            EventKind::Stall { cycles, .. } if cycles == 0 || cycles > event.cycle => Err(
+                SnapshotError::InvalidValue("stall interval empty or before cycle 0"),
+            ),
+            _ => Ok(event),
+        }
     }
 }
 
@@ -622,6 +639,7 @@ mod tests {
         let kinds = [
             EventKind::Stall {
                 reason: StallReason::IcntBackpressure,
+                cycles: 17,
             },
             EventKind::Coalesce {
                 warp: 3,
@@ -708,6 +726,24 @@ mod tests {
             TraceEvent::decode(&mut d),
             Err(gpu_snapshot::SnapshotError::InvalidValue(_))
         ));
+
+        // A stall interval can be neither empty nor start before cycle 0.
+        for cycles in [0, 6] {
+            let mut e = gpu_snapshot::Encoder::new();
+            let kind = EventKind::Stall {
+                reason: StallReason::Other,
+                cycles,
+            };
+            TraceEvent {
+                cycle: 5,
+                site: TraceSite::Gpu,
+                kind,
+            }
+            .encode_state(&mut e);
+            let framed = e.finish();
+            let mut d = gpu_snapshot::Decoder::open(&framed).unwrap();
+            assert!(TraceEvent::decode(&mut d).is_err(), "{cycles} cycles");
+        }
 
         // A kind tag of 200 does not exist.
         let mut e = gpu_snapshot::Encoder::new();

@@ -62,6 +62,7 @@ mod tests {
                 site: TraceSite::Sm(2),
                 kind: EventKind::Stall {
                     reason: StallReason::Scoreboard,
+                    cycles: 4,
                 },
             },
             TraceEvent {
@@ -80,6 +81,7 @@ mod tests {
         assert_eq!(v.get("cycle").unwrap().as_num(), Some(10.0));
         assert_eq!(v.get("site").unwrap().as_str(), Some("sm"));
         assert_eq!(v.get("reason").unwrap().as_str(), Some("scoreboard"));
+        assert_eq!(v.get("cycles").unwrap().as_num(), Some(4.0));
         let v = json::parse(lines[1]).unwrap();
         assert_eq!(v.get("queue").unwrap().as_str(), Some("l2_input"));
         assert_eq!(v.get("req").unwrap().as_num(), Some(44.0));
@@ -94,6 +96,7 @@ mod tests {
                 site: TraceSite::Sm(3),
                 kind: EventKind::Stall {
                     reason: StallReason::MshrFull,
+                    cycles: 1,
                 },
             },
             TraceEvent {
@@ -205,7 +208,7 @@ mod tests {
             chrome.add_event(ev);
         }
         let doc = json::parse(&chrome.finish()).unwrap();
-        let instants: Vec<_> = doc
+        let exported: Vec<_> = doc
             .get("traceEvents")
             .unwrap()
             .as_arr()
@@ -214,15 +217,15 @@ mod tests {
             .filter(|e| e.get("cat").and_then(json::Value::as_str) == Some("event"))
             .collect();
         let jsonl = events_jsonl(&events);
-        assert_eq!(instants.len(), events.len());
-        for ((instant, line), ev) in instants.iter().zip(jsonl.lines()).zip(&events) {
+        assert_eq!(exported.len(), events.len());
+        for ((exported, line), ev) in exported.iter().zip(jsonl.lines()).zip(&events) {
             let json::Value::Obj(row) = json::parse(line).unwrap() else {
                 panic!("row is not an object: {line}");
             };
             let keys: Vec<_> = row[..4].iter().map(|(k, _)| k.as_str()).collect();
             assert_eq!(keys, ["cycle", "site", "index", "kind"]);
-            assert_eq!(text(instant, "name"), ev.kind.name());
-            let args = instant.get("args").unwrap();
+            assert_eq!(text(exported, "name"), ev.kind.name());
+            let args = exported.get("args").unwrap();
             assert_eq!(args, &json::Value::Obj(row[4..].to_vec()), "{line}");
         }
     }
@@ -248,7 +251,10 @@ mod tests {
             assert_eq!(num(&v, "index"), index);
             assert_eq!(text(&v, "kind"), ev.kind.name());
             match ev.kind {
-                EventKind::Stall { reason } => assert_eq!(text(&v, "reason"), reason.name()),
+                EventKind::Stall { reason, cycles } => {
+                    assert_eq!(text(&v, "reason"), reason.name());
+                    assert_eq!(num(&v, "cycles"), cycles);
+                }
                 EventKind::Coalesce {
                     warp,
                     accesses,

@@ -19,8 +19,7 @@
 //!   allocator).
 //! * **Allocation-free when on.** Recording a span or bumping a counter is
 //!   two relaxed atomic adds; worker threads accumulate into the same
-//!   table without locks. Only the bounded sample ring (for host-clock
-//!   Perfetto tracks) takes a mutex, on a rate-limited path.
+//!   table without locks. Nothing on the cycle path takes a lock.
 //! * **Simulation-invisible.** The profiler observes host time only; it
 //!   never reads or writes simulated state, so `RunSummary` and
 //!   `content_hash` are bit-identical with profiling on or off (pinned by
@@ -28,11 +27,10 @@
 //!
 //! # Clock domains
 //!
-//! Span totals and samples are *host* nanoseconds from
-//! [`std::time::Instant`]; the simulator's own tracer records *simulated
-//! cycles*. The two meet only in the exported Perfetto bundle, where
-//! host-clock tracks live on their own process and are never compared
-//! against cycle timestamps.
+//! Span totals are *host* nanoseconds from [`std::time::Instant`]; the
+//! simulator's own tracer records *simulated cycles*. The two meet only in
+//! the exported Perfetto bundle, where the host-clock flame slices live on
+//! their own process and are never compared against cycle timestamps.
 //!
 //! # Hierarchy
 //!
@@ -60,8 +58,8 @@ pub enum ProfSpan {
     /// The whole cycle loop of one `Gpu::run` (or `run_checkpointed`).
     Run,
     /// The run loop's per-iteration control outside the tick stages: the
-    /// grid-drained check and the idle-horizon scan (plus the jump and its
-    /// stall crediting when the machine is quiescent).
+    /// grid-drained check and the idle-horizon scan (plus the jump and the
+    /// counter samples it steps through when the machine is quiescent).
     DrainCheck,
     /// Open both crossbar cycles (per-port injection budgets reset).
     BeginNetworks,
@@ -213,7 +211,8 @@ pub enum ProfCounter {
     /// (a tick on which the ready set's counts say no warp can issue looks
     /// at none).
     IssueWarpsExamined,
-    /// Gauge: the GPU's outstanding-request counter at the last sample.
+    /// Gauge: the GPU's outstanding-request counter as of the last ticked
+    /// cycle.
     Outstanding,
 }
 
@@ -267,38 +266,9 @@ static SPANS: [SpanCell; ProfSpan::COUNT] = [const {
 }; ProfSpan::COUNT];
 static COUNTERS: [AtomicU64; ProfCounter::COUNT] =
     [const { AtomicU64::new(0) }; ProfCounter::COUNT];
-/// Host nanoseconds (since `START`) of the newest sample; gates the
-/// rate-limited sampling path without taking the ring mutex. `u64::MAX`
-/// means "no sample yet" so the first call always samples.
-static LAST_SAMPLE: AtomicU64 = AtomicU64::new(u64::MAX);
+/// When profiling was first enabled (or last [`reset`]): the base of
+/// [`ProfileReport::total_nanos`]. Read only when a report is taken.
 static START: Mutex<Option<Instant>> = Mutex::new(None);
-static SAMPLES: Mutex<SampleRing> = Mutex::new(SampleRing {
-    samples: Vec::new(),
-    dropped: 0,
-});
-
-/// Bound on retained samples: at the default 10 ms sampling gap this covers
-/// a ~40-second run; longer runs keep the earliest window and count drops.
-const SAMPLE_CAP: usize = 4096;
-
-struct SampleRing {
-    samples: Vec<ProfSample>,
-    dropped: u64,
-}
-
-/// One host-clock snapshot of the cumulative span and counter tables, taken
-/// on the rate-limited sampling path (see [`sample_at_interval`]). Exported
-/// as Perfetto counter tracks: per-interval deltas of `span_nanos` show
-/// where host time went over host time.
-#[derive(Debug, Clone)]
-pub struct ProfSample {
-    /// Host nanoseconds since profiling was enabled.
-    pub host_nanos: u64,
-    /// Cumulative span nanoseconds, indexed by [`ProfSpan::index`].
-    pub span_nanos: [u64; ProfSpan::COUNT],
-    /// Counter values, indexed by [`ProfCounter::index`].
-    pub counters: [u64; ProfCounter::COUNT],
-}
 
 /// Whether the self-profiler is currently recording. One relaxed load —
 /// this is the whole cost of every instrumentation site when profiling is
@@ -308,9 +278,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Switches the self-profiler on or off. Enabling (re)bases the host clock
-/// for samples if no base exists yet; accumulated totals are kept — call
-/// [`reset`] for a fresh measurement window.
+/// Switches the self-profiler on or off. Enabling bases the host clock
+/// of [`ProfileReport::total_nanos`] if no base exists yet; accumulated
+/// totals are kept — call [`reset`] for a fresh measurement window.
 pub fn set_enabled(on: bool) {
     if on {
         let mut start = START.lock().expect("profiler start lock");
@@ -329,8 +299,8 @@ pub fn env_requested() -> bool {
     )
 }
 
-/// Clears every span total, counter, and retained sample, and re-bases the
-/// host clock. The enabled flag is left as is.
+/// Clears every span total and counter, and re-bases the host clock. The
+/// enabled flag is left as is.
 pub fn reset() {
     for cell in &SPANS {
         cell.count.store(0, Ordering::Relaxed);
@@ -338,12 +308,6 @@ pub fn reset() {
     }
     for c in &COUNTERS {
         c.store(0, Ordering::Relaxed);
-    }
-    LAST_SAMPLE.store(u64::MAX, Ordering::Relaxed);
-    {
-        let mut ring = SAMPLES.lock().expect("profiler sample lock");
-        ring.samples.clear();
-        ring.dropped = 0;
     }
     let mut start = START.lock().expect("profiler start lock");
     *start = Some(Instant::now());
@@ -415,51 +379,11 @@ pub fn value(counter: ProfCounter) -> u64 {
 }
 
 /// Host nanoseconds since profiling was first enabled (0 before that).
-pub fn elapsed_nanos() -> u64 {
+fn elapsed_nanos() -> u64 {
     START
         .lock()
         .expect("profiler start lock")
         .map_or(0, |t0| t0.elapsed().as_nanos() as u64)
-}
-
-/// Takes a host-clock sample of the cumulative tables if at least
-/// `min_gap_nanos` have passed since the previous one. Cheap to call every
-/// cycle: the off path is one atomic load, the rate-limited path one clock
-/// read and one atomic compare. Samples beyond the retention cap are
-/// dropped (and counted) rather than evicting history.
-pub fn sample_at_interval(min_gap_nanos: u64) {
-    if !enabled() {
-        return;
-    }
-    let now = elapsed_nanos();
-    let last = LAST_SAMPLE.load(Ordering::Relaxed);
-    if last != u64::MAX && now < last.saturating_add(min_gap_nanos) {
-        return;
-    }
-    if LAST_SAMPLE
-        .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-        .is_err()
-    {
-        return; // another thread raced us to this interval
-    }
-    let mut span_nanos = [0u64; ProfSpan::COUNT];
-    for (i, cell) in SPANS.iter().enumerate() {
-        span_nanos[i] = cell.nanos.load(Ordering::Relaxed);
-    }
-    let mut counters = [0u64; ProfCounter::COUNT];
-    for (i, c) in COUNTERS.iter().enumerate() {
-        counters[i] = c.load(Ordering::Relaxed);
-    }
-    let mut ring = SAMPLES.lock().expect("profiler sample lock");
-    if ring.samples.len() >= SAMPLE_CAP {
-        ring.dropped += 1;
-        return;
-    }
-    ring.samples.push(ProfSample {
-        host_nanos: now,
-        span_nanos,
-        counters,
-    });
 }
 
 /// One span's aggregate in a [`ProfileReport`].
@@ -473,11 +397,11 @@ pub struct SpanStat {
     pub nanos: u64,
 }
 
-/// A snapshot of everything the profiler accumulated: span totals, counter
-/// values, and the host-clock sample ring. Produced by [`report`];
-/// rendered by [`ProfileReport::text`] (the `profile.txt` top-table) and
-/// [`ProfileReport::json`] (`profile.json`), and consumed by the Chrome
-/// trace builder for host-clock Perfetto tracks.
+/// A snapshot of everything the profiler accumulated: span totals and
+/// counter values. Produced by [`report`]; rendered by
+/// [`ProfileReport::text`] (the `profile.txt` top-table) and
+/// [`ProfileReport::json`] (`profile.json`), and laid out as a flame view
+/// by the Chrome trace builder.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
     /// Host nanoseconds from enabling to this snapshot.
@@ -486,10 +410,6 @@ pub struct ProfileReport {
     pub spans: Vec<SpanStat>,
     /// Counter values, in [`ProfCounter::ALL`] order.
     pub counters: [u64; ProfCounter::COUNT],
-    /// The retained host-clock samples, oldest first.
-    pub samples: Vec<ProfSample>,
-    /// Samples dropped at the retention cap.
-    pub samples_dropped: u64,
 }
 
 /// Snapshots the profiler's current state.
@@ -509,16 +429,10 @@ pub fn report() -> ProfileReport {
     for (i, c) in COUNTERS.iter().enumerate() {
         counters[i] = c.load(Ordering::Relaxed);
     }
-    let (samples, samples_dropped) = {
-        let ring = SAMPLES.lock().expect("profiler sample lock");
-        (ring.samples.clone(), ring.dropped)
-    };
     ProfileReport {
         total_nanos: elapsed_nanos(),
         spans,
         counters,
-        samples,
-        samples_dropped,
     }
 }
 
@@ -575,17 +489,11 @@ impl ProfileReport {
         for c in ProfCounter::ALL {
             out.push_str(&format!("{} = {}\n", c.label(), self.counter(c)));
         }
-        if self.samples_dropped > 0 {
-            out.push_str(&format!(
-                "\n# {} host-clock samples dropped at the retention cap\n",
-                self.samples_dropped
-            ));
-        }
         out
     }
 
     /// Renders `profile.json`: machine-readable span totals (with paths and
-    /// parents), counters, and sample metadata.
+    /// parents) and counters.
     pub fn json(&self) -> String {
         let mut w = Writer::indented();
         w.object().field("total_nanos", self.total_nanos);
@@ -600,8 +508,7 @@ impl ProfileReport {
         for c in ProfCounter::ALL {
             w.field(c.label(), self.counter(c));
         }
-        w.end().field("samples_retained", self.samples.len());
-        w.field("samples_dropped", self.samples_dropped);
+        w.end();
         w.finish()
     }
 }
@@ -641,14 +548,12 @@ mod tests {
             add(ProfCounter::GridTasks, 5);
             set(ProfCounter::Outstanding, 9);
             span_add(ProfSpan::SmTick, 1000);
-            sample_at_interval(0);
         }
         let r = report();
         assert_eq!(r.span(ProfSpan::TickSms).count, 0);
         assert_eq!(r.span(ProfSpan::SmTick).nanos, 0);
         assert_eq!(r.counter(ProfCounter::GridTasks), 0);
         assert_eq!(r.counter(ProfCounter::Outstanding), 0);
-        assert!(r.samples.is_empty());
     }
 
     #[test]
@@ -665,7 +570,6 @@ mod tests {
             span_add(ProfSpan::SmTick, 500);
             add(ProfCounter::CyclesTicked, 7);
             set(ProfCounter::Outstanding, 42);
-            sample_at_interval(0);
         }
         let r = report();
         set_enabled(false);
@@ -674,8 +578,6 @@ mod tests {
         assert_eq!(r.span(ProfSpan::SmTick).nanos, 500);
         assert_eq!(r.counter(ProfCounter::CyclesTicked), 7);
         assert_eq!(r.counter(ProfCounter::Outstanding), 42);
-        assert_eq!(r.samples.len(), 1);
-        assert!(r.samples[0].counters[ProfCounter::Outstanding.index()] == 42);
 
         let text = r.text();
         assert!(text.contains("run/tick_sms"), "{text}");
@@ -696,20 +598,6 @@ mod tests {
                 .as_num(),
             Some(7.0)
         );
-    }
-
-    #[test]
-    fn sampling_is_rate_limited_and_capped() {
-        let _guard = PROFILE_LOCK.lock().unwrap();
-        set_enabled(true);
-        reset();
-        // A huge gap: only the first call samples.
-        sample_at_interval(u64::MAX);
-        sample_at_interval(u64::MAX);
-        let r = report();
-        set_enabled(false);
-        assert_eq!(r.samples.len(), 1);
-        assert_eq!(r.samples_dropped, 0);
     }
 
     #[test]

@@ -226,6 +226,14 @@ impl Tracer {
         self.enabled && cycle.is_multiple_of(self.sample_interval)
     }
 
+    /// The first cycle at or after `from` at which the counter registry
+    /// samples; `None` while disabled. The run loop steps through a skipped
+    /// interval's samples with it instead of asking every cycle.
+    pub fn next_sample(&self, from: u64) -> Option<u64> {
+        self.enabled
+            .then(|| from.next_multiple_of(self.sample_interval))
+    }
+
     /// Stores one counter sample: pushed into the bounded ring (oldest
     /// rotates out) and integrated into the running summaries.
     pub fn sample(&mut self, cycle: u64, values: [u64; CounterKind::COUNT]) {
@@ -440,6 +448,9 @@ mod tests {
         assert!(t.should_sample(0));
         assert!(!t.should_sample(7));
         assert!(t.should_sample(16));
+        assert_eq!(t.next_sample(0), Some(0));
+        assert_eq!(t.next_sample(9), Some(16));
+        assert_eq!(Tracer::new(TraceConfig::default()).next_sample(9), None);
     }
 
     #[test]

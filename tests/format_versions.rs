@@ -12,7 +12,7 @@ fn format_constants_move_together() {
             latency_core::CACHE_FORMAT_VERSION,
             gpu_serve::spec::SPEC_VERSION,
         ),
-        (2, 4, 3, 1),
+        (2, 5, 3, 1),
         "a format constant moved: read the \"Format compatibility\" table in DESIGN.md, \
          make the bumps it implies, then update that table and this tuple together"
     );
