@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use latency_bench::{compare_json, splice_doc, Plan, ProgressHeartbeat, Record, EXPERIMENTS};
-use latency_core::cli::{or_exit, Cursor, UsageError};
+use latency_core::cli::{or_exit, print, Cursor, UsageError};
 
 /// The pin file, in `--out` and in `--baseline-dir`.
 const PINS: &str = "BENCH_experiments.json";
@@ -81,7 +81,9 @@ fn parse_args(args: &mut Cursor) -> Result<Args, UsageError> {
 fn run_experiments(inject: bool) -> (String, Vec<(&'static str, String)>) {
     let plan = Plan::paper(&EXPERIMENTS);
     let (rows, runs) = (plan.rows.len(), plan.runs.len());
-    println!("[bench] experiments: {rows} rows, {runs} distinct runs");
+    print(format_args!(
+        "[bench] experiments: {rows} rows, {runs} distinct runs\n"
+    ));
     let executed = or_exit(plan.execute(), "FAIL: experiments");
     let (mut records, walls): (Vec<_>, Vec<_>) = executed.into_iter().unzip();
     // A row is charged the runs it is the first to read.
@@ -90,7 +92,9 @@ fn run_experiments(inject: bool) -> (String, Vec<(&'static str, String)>) {
         let new = runs.iter().filter(|&&i| i >= charged);
         let wall = new.clone().fold(0.0, |sum, &i| sum + walls[i]);
         let (name, runs, new) = (row.name, runs.len(), new.count());
-        println!("[bench] experiments: {name:<22} {runs:>2} run(s), {new:>2} new, {wall:5.1}s");
+        print(format_args!(
+            "[bench] experiments: {name:<22} {runs:>2} run(s), {new:>2} new, {wall:5.1}s\n"
+        ));
         charged += new;
     }
     let traced = records.iter_mut().find_map(|r| match r {
@@ -130,7 +134,10 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         write_file(&args.out.join("profile.txt"), &report.text());
         artifacts += " + profile.json/profile.txt";
     }
-    println!("[bench] artifacts in {}: {artifacts}", args.out.display());
+    print(format_args!(
+        "[bench] artifacts in {}: {artifacts}\n",
+        args.out.display()
+    ));
     if !args.check && !args.update {
         return Ok(());
     }
@@ -145,7 +152,10 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         write_file(&doc_path, &fresh);
         write_file(&path, &json);
         for updated in [&doc_path, &path] {
-            println!("[bench] baseline updated: {}", updated.display());
+            print(format_args!(
+                "[bench] baseline updated: {}\n",
+                updated.display()
+            ));
         }
         return Ok(());
     }
@@ -153,9 +163,9 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
     let mut fatal = !stale.is_empty();
     for name in &stale {
         let doc = doc_path.display();
-        println!(
-            "[bench] experiments vs {doc}: FATAL block `{name}` differs from `latency {name}`"
-        );
+        print(format_args!(
+            "[bench] experiments vs {doc}: FATAL block `{name}` differs from `latency {name}`\n"
+        ));
     }
     let baseline = std::fs::read_to_string(&path).map_err(|e| {
         let path = path.display();
@@ -164,7 +174,10 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
     match baseline.and_then(|baseline| compare_json(&baseline, &json)) {
         Ok(findings) => {
             for f in &findings {
-                println!("[bench] experiments vs {}: FATAL {f}", path.display());
+                print(format_args!(
+                    "[bench] experiments vs {}: FATAL {f}\n",
+                    path.display()
+                ));
             }
             fatal |= !findings.is_empty();
         }
@@ -177,7 +190,7 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         eprintln!("FAIL: benchmark pin check failed");
         exit(1);
     }
-    println!("[bench] check passed");
+    print("[bench] check passed\n");
     Ok(())
 }
 

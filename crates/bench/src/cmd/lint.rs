@@ -26,7 +26,7 @@
 //! Exit status: 0 clean, 1 findings or a failed SARIF write, 2 usage.
 
 use latency_check::{analyze, to_sarif, AnalysisConfig, Pass, Severity};
-use latency_core::cli::{or_exit, Cursor, UsageError};
+use latency_core::cli::{or_exit, print, Cursor, UsageError};
 use latency_core::ArchPreset;
 
 pub const FLAGS: &str =
@@ -57,7 +57,7 @@ fn print_costs() {
     for kernel in latency_bench::builtin_kernels() {
         for preset in ArchPreset::TABLE1 {
             let cost = latency_check::kernel_cost(&kernel, &preset.desc());
-            print!("{}", cost.to_human());
+            print(cost.to_human());
         }
     }
 }
@@ -92,19 +92,21 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
             .filter(|d| d.severity >= Severity::Warning && denied.contains(&d.pass))
             .count();
         if json {
-            println!("{}", report.to_json());
+            print(format_args!("{}\n", report.to_json()));
         } else {
-            print!("{}", report.to_human());
+            print(report.to_human());
         }
         reports.push(report);
     }
     if !json {
-        println!("total: {errors} error(s), {warnings} warning(s)");
+        print(format_args!(
+            "total: {errors} error(s), {warnings} warning(s)\n"
+        ));
     }
     if let Some(path) = sarif_path {
         let sarif = to_sarif(&reports);
         if path == "-" {
-            println!("{sarif}");
+            print(format_args!("{sarif}\n"));
         } else {
             let written = std::fs::write(&path, sarif);
             or_exit(written, format_args!("cannot write SARIF to '{path}'"));

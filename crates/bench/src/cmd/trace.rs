@@ -16,7 +16,7 @@ use std::process::exit;
 
 use gpu_sim::CheckpointPolicy;
 use latency_bench::{run_traced, BfsExperiment, TraceBundle, TracedOutcome, TracedRun, Workload};
-use latency_core::cli::{or_exit, Cursor, UsageError};
+use latency_core::cli::{or_exit, print, Cursor, UsageError};
 use latency_core::ArchPreset;
 
 struct Args {
@@ -158,10 +158,10 @@ fn run_workload(args: &Args) -> TracedRun {
     match or_exit(outcome, format_args!("{what} failed")) {
         Some(TracedOutcome::Completed(run)) => *run,
         Some(TracedOutcome::Killed { at }) => {
-            println!(
-                "killed at cycle {at}; checkpoints in {} — rerun with --resume {0}",
+            print(format_args!(
+                "killed at cycle {at}; checkpoints in {} — rerun with --resume {0}\n",
                 dir.display()
-            );
+            ));
             exit(0);
         }
         None => {
@@ -190,33 +190,30 @@ pub fn run(preset: Option<ArchPreset>, it: &mut Cursor) -> Result<(), UsageError
             "validation failed: trace.json does not parse",
         );
         let n = or_exit(gpu_trace::check_span_sums(&doc), "validation failed");
-        println!("validated: {n} request spans tile their Timeline lifetimes");
+        print(format_args!(
+            "validated: {n} request spans tile their Timeline lifetimes\n"
+        ));
     }
     or_exit(
         bundle.write(&args.out),
         format_args!("failed to write bundle to {:?}", args.out),
     );
-    println!(
-        "preset: {}   workload: {}   cycles: {}   events: {} ({} dropped)   samples: {}",
+    print(format_args!(
+        "preset: {}   workload: {}   cycles: {}   events: {} ({} dropped)   samples: {}\n\
+         content_hash: {:016x}   instructions: {}\n\
+         throughput: {:.0} simulated cycles/s over {:.2?} host time\n\
+         bundle written to {:?} — open trace.json at https://ui.perfetto.dev\n",
         args.preset.name(),
         args.workload.name,
         run.cycles,
         run.metrics.events_recorded,
         run.metrics.events_dropped,
-        run.metrics.samples
-    );
-    println!(
-        "content_hash: {:016x}   instructions: {}",
-        run.content_hash, run.instructions
-    );
-    println!(
-        "throughput: {:.0} simulated cycles/s over {:.2?} host time",
+        run.metrics.samples,
+        run.content_hash,
+        run.instructions,
         run.metrics.cycles_per_second(run.cycles),
-        run.metrics.wall_clock()
-    );
-    println!(
-        "bundle written to {:?} — open trace.json at https://ui.perfetto.dev",
+        run.metrics.wall_clock(),
         args.out
-    );
+    ));
     Ok(())
 }

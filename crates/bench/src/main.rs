@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 
 use latency_bench::{Experiment, Plan, EXPERIMENTS};
-use latency_core::cli::{self, exit_usage, or_exit, Cursor, UsageError};
+use latency_core::cli::{self, exit_usage, or_exit, print, Cursor, UsageError};
 use latency_core::ArchPreset;
 
 mod cmd {
@@ -84,7 +84,7 @@ fn dispatch(run: &Run, args: &mut Cursor) -> Result<(), UsageError> {
             let plan = Plan::paper([*row]);
             let records = or_exit(plan.execute(), format_args!("{} failed", row.name));
             let (records, _): (Vec<_>, Vec<_>) = records.into_iter().unzip();
-            print!("{}", plan.render(&records)[0].1);
+            print(&plan.render(&records)[0].1);
             Ok(())
         }
         Run::Flags(f) => f(args),

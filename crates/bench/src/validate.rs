@@ -5,10 +5,11 @@
 //! [`TracedRun`], holds it to the first two; the plan calls it on every
 //! traced run after the sanitizer gate, so a broken claim fails the list:
 //!
-//! - **Transactions** (contract A): the symbolic coalescing prediction
-//!   (`lines_per_warp`, at the machine's transaction granule — the sector
-//!   size on sectored presets, the line size otherwise) must match the
-//!   per-warp transaction counts the simulator's coalescer produced
+//! - **Transactions** (contract A): the cost model's coalescing prediction
+//!   ([`latency_check::LoadCost::sectors`], at the machine's transaction
+//!   granule — the sector size on sectored presets, the line size
+//!   otherwise) must match the per-warp transaction counts the simulator's
+//!   coalescer produced
 //!   ([`gpu_sim::stats::LoadInstrRecord::lines`], keyed by pc): exactly for
 //!   a fully-active warp outside divergent control flow, as an upper bound
 //!   under divergence or a loop stride that is not granule-aligned. A pc
@@ -31,7 +32,6 @@ use gpu_mem::{PipelineSpace, Stamp, Timeline};
 use gpu_sim::{CompletedRequest, GpuConfig, LoadInstrRecord};
 use gpu_trace::json::Writer;
 use gpu_workloads::Workload;
-use latency_check::{AnalysisConfig, Cfg};
 
 use crate::experiments::TracedRun;
 
@@ -146,68 +146,60 @@ pub fn check(
     })
 }
 
-/// Contract A: `kernel`'s per-pc line counts in `records` against the
-/// analyzer's prediction on `desc`.
+/// Contract A: `kernel`'s per-pc transaction counts in `records` against
+/// the cost model's prediction on `desc` ([`latency_check::LoadCost`]).
+/// The coalescer emits granule-sized transactions, so the prediction is
+/// the one at the transaction granule, `sectors` (the line count on the
+/// paper-era presets).
 fn transactions(
     kernel: &Kernel,
     desc: &ArchDesc,
     records: &[LoadInstrRecord],
     violations: &mut Vec<String>,
 ) -> Vec<LoadCheck> {
-    let kcfg = Cfg::build(kernel);
-    let sym = latency_check::symaddr::analyze(kernel, &kcfg);
-    // Contract A compares *transaction* counts, which on a sectored machine
-    // means sectors: the simulator's coalescer emits granule-sized
-    // transactions, so the static prediction must count at the same granule
-    // (identical to the line size on the paper-era presets).
-    let acfg = AnalysisConfig {
-        line_size: desc.transaction_granule(),
-        warp_size: desc.sm.warp_size,
-        ..AnalysisConfig::default()
-    };
-    let preds = latency_check::memlint::predict_from(&sym, &acfg);
+    let cost = latency_check::kernel_cost(kernel, desc);
+    let granule = desc.transaction_granule();
     let mut by_pc: BTreeMap<gpu_isa::Pc, Vec<u32>> = BTreeMap::new();
     for r in records {
         by_pc.entry(r.pc).or_default().push(r.lines);
     }
     for pc in by_pc.keys() {
-        if sym.access_at(*pc).is_none() {
+        if !cost.loads.iter().any(|l| l.pc == *pc) {
             violations.push(format!(
                 "dynamic load at pc {pc} has no static access prediction"
             ));
         }
     }
     let mut loads = Vec::new();
-    for p in &preds {
-        let Some(n) = p.lines_per_warp else {
+    for l in &cost.loads {
+        let Some(n) = l.sectors else {
             continue; // unknown pattern: the analyzer claimed nothing
         };
-        let Some(obs) = by_pc.get(&p.pc) else {
+        let Some(obs) = by_pc.get(&l.pc) else {
             continue; // access never executed (e.g. guarded off)
         };
-        let divergent = sym.pc_in_divergent_region(&kcfg, p.pc);
-        // A loop stride that is not line-aligned shifts the window across
-        // line boundaries, so later iterations may straddle one extra line
-        // relative to the iteration-0 prediction.
+        // A loop stride that is not granule-aligned shifts the window
+        // across transaction boundaries, so later iterations may straddle
+        // one extra transaction relative to the iteration-0 prediction.
         let iter_slack = usize::from(
-            p.iter_stride
-                .is_some_and(|s| s.unsigned_abs() % acfg.line_size != 0),
+            l.iter_stride
+                .is_some_and(|s| s.unsigned_abs() % granule != 0),
         );
         let max_obs = obs.iter().copied().max().unwrap_or(0);
         if max_obs as usize > n + iter_slack {
             violations.push(format!(
                 "pc {}: observed {} line(s)/warp exceeds predicted {} (+{} slack)",
-                p.pc, max_obs, n, iter_slack
+                l.pc, max_obs, n, iter_slack
             ));
         }
-        if !divergent && iter_slack == 0 && max_obs as usize != n {
+        if !l.divergent && iter_slack == 0 && max_obs as usize != n {
             violations.push(format!(
                 "pc {}: predicted exactly {} line(s)/warp outside divergence, observed {}",
-                p.pc, n, max_obs
+                l.pc, n, max_obs
             ));
         }
         loads.push(LoadCheck {
-            pc: p.pc,
+            pc: l.pc,
             predicted_lines: n,
             max_observed_lines: max_obs,
             records: obs.len(),

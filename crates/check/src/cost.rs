@@ -14,16 +14,16 @@
 //!   with empty queues. It claims that no dynamic execution of this load
 //!   completes faster.
 //! - **Transactions per warp** — line and sector fan-out of a fully active
-//!   warp, from the symbolic access pattern.
+//!   warp, from the symbolic access pattern, with what may loosen it: a
+//!   loop stride and divergent control flow.
 //!
 //! What the experiment list holds against runs today
 //! (`latency_bench::validate`, `latency_bench::reference`): contract A
-//! checks [`crate::memlint`]'s per-warp transaction count at the
-//! transaction granule — its own prediction, not this module's — against
-//! every traced single-kernel run; contract B checks the level set
-//! ([`ArchDesc::feasible_levels`]) against every traced run; contract C
-//! checks each level's floor only against that level's unloaded
-//! pointer-chase point, never against a loaded run.
+//! checks this module's per-warp transaction count at the transaction
+//! granule ([`LoadCost::sectors`]) against every traced single-kernel run;
+//! contract B checks the level set ([`ArchDesc::feasible_levels`]) against
+//! every traced run; contract C checks each level's floor only against
+//! that level's unloaded pointer-chase point, never against a loaded run.
 
 use std::fmt::Write as _;
 
@@ -33,7 +33,7 @@ use gpu_mem::PipelineSpace;
 
 use crate::cfg::Cfg;
 use crate::memlint::{self, AccessPattern};
-use crate::AnalysisConfig;
+use crate::{symaddr, AnalysisConfig};
 
 /// Static cost prediction for one global/local load or atomic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +54,13 @@ pub struct LoadCost {
     /// `lines` on unsectored machines; on sectored machines this is the
     /// sector traffic the miss path actually carries (≥ `lines`).
     pub sectors: Option<usize>,
+    /// Per-iteration byte stride of the innermost enclosing loop, when the
+    /// address is affine in that loop's counter: a stride off the granule
+    /// lets a later iteration straddle one more transaction.
+    pub iter_stride: Option<i64>,
+    /// `true` when the access sits under divergent control flow, so a warp
+    /// may reach it with a partial lane mask and fewer transactions.
+    pub divergent: bool,
     /// Levels this access can be served at, in pipeline order.
     pub feasible: Vec<LevelKind>,
     /// Shallowest feasible level.
@@ -122,6 +129,7 @@ fn pipeline_space(space: Space) -> Option<PipelineSpace> {
 /// Predicts per-load costs for `kernel` against the machine `desc`.
 pub fn kernel_cost(kernel: &Kernel, desc: &ArchDesc) -> KernelCost {
     let cfg = Cfg::build(kernel);
+    let sym = symaddr::analyze(kernel, &cfg);
     let config = AnalysisConfig {
         line_size: desc.line_size,
         warp_size: desc.sm.warp_size,
@@ -136,13 +144,10 @@ pub fn kernel_cost(kernel: &Kernel, desc: &ArchDesc) -> KernelCost {
             line_size: granule,
             ..config
         };
-        memlint::predict(kernel, &cfg, &sector_config)
+        memlint::predict_from(&sym, &sector_config)
     });
     let mut loads = Vec::new();
-    for (i, p) in memlint::predict(kernel, &cfg, &config)
-        .into_iter()
-        .enumerate()
-    {
+    for (i, p) in memlint::predict_from(&sym, &config).into_iter().enumerate() {
         // Stores never produce a completed-load record and shared accesses
         // never leave the SM: only loads and atomics have a dynamic ground
         // truth to predict.
@@ -169,6 +174,8 @@ pub fn kernel_cost(kernel: &Kernel, desc: &ArchDesc) -> KernelCost {
             pattern: p.pattern,
             lines: p.lines_per_warp,
             sectors,
+            iter_stride: p.iter_stride,
+            divergent: sym.pc_in_divergent_region(&cfg, p.pc),
             feasible,
             entry,
             floor,

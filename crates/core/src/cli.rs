@@ -64,6 +64,22 @@ pub fn or_exit<T, E: fmt::Display>(result: Result<T, E>, what: impl fmt::Display
     })
 }
 
+/// Writes `text` to stdout: every line `latency` prints goes through here.
+/// A reader that closed the pipe (`latency table1 | head -n 1`) has all the
+/// output it wants, so a broken pipe exits 0 quietly; any other write error
+/// exits 1.
+pub fn print(text: impl fmt::Display) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = write!(out, "{text}").and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// `valid presets: gt200, gf106, …` — the one place the preset registry's
 /// tokens reach an error message, so adding a generation updates the CLI
 /// and the serve protocol at once.

@@ -172,7 +172,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    use gpu_sim::profile::{self, ProfCounter, ProfSpan};
+    use gpu_sim::profile::{self, ProfSpan};
     let n = items.len();
     let workers = worker_count().min(n);
     if workers <= 1 {
@@ -181,7 +181,6 @@ where
             .enumerate()
             .map(|(i, t)| {
                 let _g = profile::span(ProfSpan::GridWorkerBusy);
-                profile::add(ProfCounter::GridTasks, 1);
                 f(i, t)
             })
             .collect();
@@ -196,7 +195,6 @@ where
                     break;
                 }
                 let _g = profile::span(ProfSpan::GridWorkerBusy);
-                profile::add(ProfCounter::GridTasks, 1);
                 let r = f(i, &items[i]);
                 *slots[i].lock().expect("result slot poisoned") = Some(r);
             });

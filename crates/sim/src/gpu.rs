@@ -3,13 +3,14 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpu_icnt::Crossbar;
 use gpu_isa::{Kernel, Launch, LocalMap, ValidateError};
 use gpu_mem::{AddressMap, DeviceMemory, MemRequest, Stamp};
 use gpu_snapshot::{store, Decoder, Encoder, SnapshotError, StableHasher};
-use gpu_trace::profile::{self, ProfCounter, ProfSpan};
+use gpu_trace::profile::{self, ProfSpan};
 use gpu_trace::{CounterKind, EventKind, NetDir, TraceData, TraceEvent, TraceSite, Tracer};
 use gpu_types::{Addr, CtaId, Cycle, PartitionId, SmId};
 
@@ -167,11 +168,10 @@ pub enum RunOutcome<T = RunSummary> {
     },
 }
 
-/// How much of a run the cycle loop left out: the same three values it
-/// hands the self-profiler (`CyclesSkipped`, `SmTicksSlept`,
-/// `PartitionTicksSlept`), and how many SM sleeps began on a full request
-/// port, kept per [`Gpu`] so a run can pin its own coverage whichever
-/// thread it ran on. Host-side: never serialized, so a
+/// How much of a run the cycle loop left out: the idle cycles it jumped
+/// over, the SM and partition ticks it left out, and how many SM sleeps
+/// began on a full request port, kept per [`Gpu`] so a run can pin its own
+/// coverage whichever thread it ran on. Host-side: never serialized, so a
 /// restored GPU counts from zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdleCounts {
@@ -185,6 +185,24 @@ pub struct IdleCounts {
     /// the miss head waiting on a full request-network queue and the SM
     /// asleep from the next cycle on.
     pub sm_port_sleeps: u64,
+}
+
+/// Simulated cycles [`Gpu::run_checkpointed`] has advanced, summed over
+/// every GPU in the process (see [`cycles_simulated`]).
+static CYCLES_SIMULATED: AtomicU64 = AtomicU64::new(0);
+
+/// How many cycles a run loop may advance before it adds them to
+/// [`CYCLES_SIMULATED`]: often enough that a long run moves a progress
+/// line, rarely enough that the loop pays no atomic per cycle.
+const PUBLISH_EVERY: u64 = 1 << 16;
+
+/// Simulated cycles every [`Gpu::run_checkpointed`] in this process has
+/// advanced so far, ticked or jumped over. Always counted, whatever the
+/// profiler's state; a run adds its cycles as it returns and every
+/// 2^16 cycles before that. Host-side, like [`Gpu::idle_counts`]: what a
+/// progress line polls, never part of a result.
+pub fn cycles_simulated() -> u64 {
+    CYCLES_SIMULATED.load(Ordering::Relaxed)
 }
 
 /// The simulated GPU.
@@ -777,20 +795,49 @@ impl Gpu {
             return Err(SimError::NothingLaunched);
         }
         let _run_span = profile::span(ProfSpan::Run);
-        let start = self.now;
         let wall = std::time::Instant::now();
+        let mut published = self.now;
+        let stopped = self.cycle_loop(max_cycles, policy, &mut published);
+        self.host_nanos += wall.elapsed().as_nanos() as u64;
+        CYCLES_SIMULATED.fetch_add(self.now.since(published), Ordering::Relaxed);
+        if let Some(at) = stopped? {
+            return Ok(RunOutcome::Killed { at });
+        }
+        self.launch = None;
+        if self.cfg.sanitize {
+            self.audit_drained();
+            // Violations fail loudly in debug builds (which `cargo test`
+            // uses); release builds keep the report queryable instead of
+            // aborting long experiments.
+            if cfg!(debug_assertions) && !self.sanitizer.is_clean() {
+                panic!("{}", self.sanitizer.report());
+            }
+        }
+        Ok(RunOutcome::Completed(Box::new(self.summary())))
+    }
+
+    /// The cycle loop of [`Gpu::run_checkpointed`]: `None` once the grid
+    /// drained, the cycle at the kill switch. Every [`PUBLISH_EVERY`]
+    /// cycles past `published` it adds them to [`cycles_simulated`]; the
+    /// caller adds the rest.
+    fn cycle_loop(
+        &mut self,
+        max_cycles: u64,
+        policy: &CheckpointPolicy,
+        published: &mut Cycle,
+    ) -> Result<Option<u64>, SimError> {
+        let start = self.now;
         loop {
             {
                 // The loop control outside the tick stages, metered so the
                 // stage totals account for the whole run span.
                 let _g = profile::span(ProfSpan::DrainCheck);
                 if self.is_done() {
-                    break;
+                    return Ok(None);
                 }
                 self.skip_idle(start, max_cycles, policy);
             }
             if self.now.since(start) >= max_cycles {
-                self.host_nanos += wall.elapsed().as_nanos() as u64;
                 if self.cfg.sanitize {
                     // Name what is stuck on either side before reporting
                     // the hang: L1 MSHR lines and pending loads on the SMs,
@@ -805,23 +852,14 @@ impl Gpu {
                 self.write_checkpoint(&policy.dir)?;
             }
             if policy.kill_at == Some(cycle) && cycle > start.get() {
-                self.host_nanos += wall.elapsed().as_nanos() as u64;
-                return Ok(RunOutcome::Killed { at: cycle });
+                return Ok(Some(cycle));
             }
             self.tick_cycle(true);
-        }
-        self.host_nanos += wall.elapsed().as_nanos() as u64;
-        self.launch = None;
-        if self.cfg.sanitize {
-            self.audit_drained();
-            // Violations fail loudly in debug builds (which `cargo test`
-            // uses); release builds keep the report queryable instead of
-            // aborting long experiments.
-            if cfg!(debug_assertions) && !self.sanitizer.is_clean() {
-                panic!("{}", self.sanitizer.report());
+            if self.now.since(*published) >= PUBLISH_EVERY {
+                CYCLES_SIMULATED.fetch_add(self.now.since(*published), Ordering::Relaxed);
+                *published = self.now;
             }
         }
-        Ok(RunOutcome::Completed(Box::new(self.summary())))
     }
 
     /// The earliest cycle at which a tick could change the machine's state:
@@ -935,8 +973,6 @@ impl Gpu {
         let skipped = target - now;
         self.now = Cycle::new(target);
         self.idle.skipped_cycles += skipped;
-        profile::add(ProfCounter::CyclesSkipped, skipped);
-        profile::add(ProfCounter::IdleJumps, 1);
     }
 
     /// Advances the GPU by one cycle. Always exactly one cycle, every
@@ -997,11 +1033,14 @@ impl Gpu {
             self.audit_cycle(now, !honour_sleep);
             done(ProfSpan::AuditInvariants);
         }
-        self.sample_stage(now);
+        // Whether a sample fires is the tracer's runtime decision: event
+        // tracing can be toggled mid-run.
+        if self.tracer.should_sample(now.get()) {
+            self.sample_counters(now);
+        }
         done(ProfSpan::SampleCounters);
         self.now.tick();
         done(ProfSpan::AdvanceClock);
-        profile::add(ProfCounter::CyclesTicked, 1);
     }
 
     /// Opens both crossbar cycles (per-port injection budgets reset).
@@ -1030,7 +1069,6 @@ impl Gpu {
             self.audited.partition_moved(pi);
         }
         self.idle.partition_ticks_slept += slept;
-        profile::add(ProfCounter::PartitionTicksSlept, slept);
     }
 
     /// Injects the returns of the partitions that ticked into the reply
@@ -1145,7 +1183,6 @@ impl Gpu {
         }
         let slept = (n - ticked) as u64;
         self.idle.sm_ticks_slept += slept;
-        profile::add(ProfCounter::SmTicksSlept, slept);
     }
 
     /// One SM's full tick: writeback, reply ejection, L1 access, miss
@@ -1229,18 +1266,6 @@ impl Gpu {
         }
         a.settle_sm(si);
         self.audited.sm_moved(si);
-    }
-
-    /// Counter sampling at the tracer's interval (whether a sample fires is
-    /// the tracer's runtime decision, since event tracing can be toggled
-    /// mid-run).
-    fn sample_stage(&mut self, now: Cycle) {
-        if self.tracer.should_sample(now.get()) {
-            self.sample_counters(now);
-        }
-        // The self-profiler's outstanding gauge (the progress heartbeat's
-        // "in flight"): one relaxed atomic load when profiling is off.
-        profile::set(ProfCounter::Outstanding, self.outstanding);
     }
 
     /// Re-votes the open stall interval of every SM whose state changed

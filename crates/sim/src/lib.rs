@@ -39,7 +39,7 @@ mod stats;
 
 pub use coalesce::coalesce;
 pub use config::{ConfigError, GpuConfig, L1Config, L2Config, SchedPolicy, WritePolicy};
-pub use gpu::{CheckpointPolicy, Gpu, IdleCounts, RunOutcome, SimError};
+pub use gpu::{cycles_simulated, CheckpointPolicy, Gpu, IdleCounts, RunOutcome, SimError};
 
 // Architecture-description types, re-exported so downstream crates can build
 // and inspect configs declaratively without naming `gpu-arch` directly.

@@ -18,7 +18,6 @@ use gpu_isa::{
     WarpExec,
 };
 use gpu_mem::{AccessKind, Cache, MemRequest, MshrTable, PipelineSpace, RequestId, Stamp};
-use gpu_trace::profile::{self, ProfCounter};
 use gpu_trace::{EventKind, StallBreakdown, StallReason, TraceEvent, TraceSite, Tracer};
 use gpu_types::{Addr, BoundedQueue, CtaId, Cycle, DelayQueue, SmId};
 
@@ -774,15 +773,13 @@ impl Sm {
         // Only a memory issue fills the front pipe, and it takes the LSU
         // port with it: once asked, the answer holds for the whole stage.
         let front = self.front_block();
-        let mut examined = 0;
         for _ in 0..self.cfg.issue_width {
-            let Some(w) = self.pick_warp(lsu_used, front, &mut examined) else {
+            let Some(w) = self.pick_warp(lsu_used, front) else {
                 break;
             };
             self.issued.push(w);
             new_requests += self.issue_warp(w, now, device, tracer, &mut lsu_used);
         }
-        profile::add(ProfCounter::IssueWarpsExamined, examined);
         let issued = self.issued.len() as u64;
         self.issued.clear();
         self.issued_last_tick = issued > 0;
@@ -1124,19 +1121,12 @@ impl Sm {
 
     /// The scheduler: the next warp to issue, walking only the live set —
     /// and not even that when the class counts say no warp can issue.
-    /// `examined` counts the warps it looks at.
-    fn pick_warp(
-        &mut self,
-        lsu_used: bool,
-        front: Option<StallReason>,
-        examined: &mut u64,
-    ) -> Option<usize> {
+    fn pick_warp(&mut self, lsu_used: bool, front: Option<StallReason>) -> Option<usize> {
         debug_assert!(lsu_used || front == self.front_block());
         if self.issuable(lsu_used, front) == 0 {
             return None;
         }
-        let mut can_issue = |w: usize| {
-            *examined += 1;
+        let can_issue = |w: usize| {
             !self.issued.contains(&w)
                 && self.class[w].is_some_and(|c| c.blocked_by(lsu_used, front).is_none())
         };
@@ -1154,7 +1144,7 @@ impl Sm {
                 picked
             }
             SchedPolicy::Gto => {
-                if self.greedy.is_some_and(&mut can_issue) {
+                if self.greedy.is_some_and(can_issue) {
                     return self.greedy;
                 }
                 let oldest = self

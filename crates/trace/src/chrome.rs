@@ -511,7 +511,7 @@ mod tests {
 
     #[test]
     fn host_profile_emits_flame_slices() {
-        use crate::profile::{ProfCounter, ProfileReport, SpanStat};
+        use crate::profile::{ProfileReport, SpanStat};
         let mut spans: Vec<SpanStat> = ProfSpan::ALL
             .iter()
             .map(|&span| SpanStat {
@@ -538,7 +538,6 @@ mod tests {
         let report = ProfileReport {
             total_nanos: 10_000_000,
             spans,
-            counters: [0; ProfCounter::COUNT],
         };
         let mut b = ChromeTraceBuilder::new(1, 1);
         b.add_host_profile(&report);

@@ -44,5 +44,5 @@ pub use chrome::{check_span_sums, ChromeTraceBuilder, TrackNames};
 pub use event::{EventKind, NetDir, QueueKind, StallBreakdown, StallReason, TraceEvent, TraceSite};
 pub use export::{counters_csv, events_jsonl};
 pub use metrics::{cycles_per_second, MetricsReport};
-pub use profile::{ProfCounter, ProfSpan, ProfileReport};
+pub use profile::{ProfSpan, ProfileReport};
 pub use tracer::{CounterKind, CounterSample, CounterSummary, TraceConfig, TraceData, Tracer};

@@ -9,16 +9,18 @@
 //!
 //! # Design
 //!
-//! Every instrumentation site is a variant of a fixed enum ([`ProfSpan`]
-//! for timed scopes, [`ProfCounter`] for event counts and gauges) backed by
-//! a static table of atomics. Consequences:
+//! Every instrumentation site is a variant of a fixed enum, [`ProfSpan`],
+//! backed by a static table of atomics. The profiler only times: what a
+//! run counts (cycles ticked and skipped, components slept) it keeps for
+//! itself (`Gpu::idle_counts`), whether or not the profiler is on.
+//! Consequences:
 //!
 //! * **Zero-cost when off.** Every entry point loads one relaxed atomic
 //!   bool and returns; no clock read, no allocation, no branch beyond the
 //!   gate (pinned by `tests/profile_no_alloc.rs` with a counting
 //!   allocator).
-//! * **Allocation-free when on.** Recording a span or bumping a counter is
-//!   two relaxed atomic adds; worker threads accumulate into the same
+//! * **Allocation-free when on.** Recording a span is two relaxed atomic
+//!   adds; worker threads accumulate into the same
 //!   table without locks. Nothing on the cycle path takes a lock.
 //! * **Simulation-invisible.** The profiler observes host time only; it
 //!   never reads or writes simulated state, so `RunSummary` and
@@ -185,73 +187,6 @@ impl ProfSpan {
     }
 }
 
-/// A counted instrumentation site: monotonic event counts plus a few
-/// last-write-wins gauges (marked in the variant docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfCounter {
-    /// Experiment points executed by the grid pool (`par_map`).
-    GridTasks,
-    /// Simulated cycles ticked while profiling was enabled.
-    CyclesTicked,
-    /// Simulated cycles the run loop jumped over instead of ticking
-    /// (idle-cycle skipping); `CyclesTicked + CyclesSkipped` is the cycles
-    /// a run simulated.
-    CyclesSkipped,
-    /// Idle-interval jumps taken (`CyclesSkipped / IdleJumps` is the mean
-    /// quiescent interval).
-    IdleJumps,
-    /// SM ticks left out of ticked cycles because the SM was asleep (its
-    /// wake cycle ahead, no reply deliverable): the loaded machine's idle
-    /// skipping, where `CyclesSkipped` is the quiescent machine's.
-    SmTicksSlept,
-    /// Partition ticks left out of ticked cycles, likewise.
-    PartitionTicksSlept,
-    /// Warps the issue stage's scheduler looked at, added once per full SM
-    /// tick: against `CyclesTicked` it is the scheduler's walk per cycle
-    /// (a tick on which the ready set's counts say no warp can issue looks
-    /// at none).
-    IssueWarpsExamined,
-    /// Gauge: the GPU's outstanding-request counter as of the last ticked
-    /// cycle.
-    Outstanding,
-}
-
-impl ProfCounter {
-    /// Every counter, in table order.
-    pub const ALL: [ProfCounter; 8] = [
-        ProfCounter::GridTasks,
-        ProfCounter::CyclesTicked,
-        ProfCounter::CyclesSkipped,
-        ProfCounter::IdleJumps,
-        ProfCounter::SmTicksSlept,
-        ProfCounter::PartitionTicksSlept,
-        ProfCounter::IssueWarpsExamined,
-        ProfCounter::Outstanding,
-    ];
-
-    /// Number of counters.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Index into the static counter table.
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Short machine-readable name (JSON keys, Perfetto track names).
-    pub const fn label(self) -> &'static str {
-        match self {
-            ProfCounter::GridTasks => "grid_tasks",
-            ProfCounter::CyclesTicked => "cycles_ticked",
-            ProfCounter::CyclesSkipped => "cycles_skipped",
-            ProfCounter::IdleJumps => "idle_jumps",
-            ProfCounter::SmTicksSlept => "sm_ticks_slept",
-            ProfCounter::PartitionTicksSlept => "partition_ticks_slept",
-            ProfCounter::IssueWarpsExamined => "issue_warps_examined",
-            ProfCounter::Outstanding => "outstanding",
-        }
-    }
-}
-
 struct SpanCell {
     count: AtomicU64,
     nanos: AtomicU64,
@@ -264,8 +199,6 @@ static SPANS: [SpanCell; ProfSpan::COUNT] = [const {
         nanos: AtomicU64::new(0),
     }
 }; ProfSpan::COUNT];
-static COUNTERS: [AtomicU64; ProfCounter::COUNT] =
-    [const { AtomicU64::new(0) }; ProfCounter::COUNT];
 /// When profiling was first enabled (or last [`reset`]): the base of
 /// [`ProfileReport::total_nanos`]. Read only when a report is taken.
 static START: Mutex<Option<Instant>> = Mutex::new(None);
@@ -299,15 +232,12 @@ pub fn env_requested() -> bool {
     )
 }
 
-/// Clears every span total and counter, and re-bases the host clock. The
+/// Clears every span total and re-bases the host clock. The
 /// enabled flag is left as is.
 pub fn reset() {
     for cell in &SPANS {
         cell.count.store(0, Ordering::Relaxed);
         cell.nanos.store(0, Ordering::Relaxed);
-    }
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
     }
     let mut start = START.lock().expect("profiler start lock");
     *start = Some(Instant::now());
@@ -354,30 +284,6 @@ pub fn span_add(site: ProfSpan, nanos: u64) {
     cell.nanos.fetch_add(nanos, Ordering::Relaxed);
 }
 
-/// Adds `n` to a counter. No-op when profiling is off.
-#[inline]
-pub fn add(counter: ProfCounter, n: u64) {
-    if !enabled() {
-        return;
-    }
-    COUNTERS[counter.index()].fetch_add(n, Ordering::Relaxed);
-}
-
-/// Stores `v` into a gauge-style counter. No-op when profiling is off.
-#[inline]
-pub fn set(counter: ProfCounter, v: u64) {
-    if !enabled() {
-        return;
-    }
-    COUNTERS[counter.index()].store(v, Ordering::Relaxed);
-}
-
-/// Reads a counter's current value (works whether or not profiling is on;
-/// the progress heartbeat polls this from its own thread).
-pub fn value(counter: ProfCounter) -> u64 {
-    COUNTERS[counter.index()].load(Ordering::Relaxed)
-}
-
 /// Host nanoseconds since profiling was first enabled (0 before that).
 fn elapsed_nanos() -> u64 {
     START
@@ -397,8 +303,8 @@ pub struct SpanStat {
     pub nanos: u64,
 }
 
-/// A snapshot of everything the profiler accumulated: span totals and
-/// counter values. Produced by [`report`]; rendered by
+/// A snapshot of everything the profiler accumulated: the span totals.
+/// Produced by [`report`]; rendered by
 /// [`ProfileReport::text`] (the `profile.txt` top-table) and
 /// [`ProfileReport::json`] (`profile.json`), and laid out as a flame view
 /// by the Chrome trace builder.
@@ -408,8 +314,6 @@ pub struct ProfileReport {
     pub total_nanos: u64,
     /// Aggregates for every span, in [`ProfSpan::ALL`] order.
     pub spans: Vec<SpanStat>,
-    /// Counter values, in [`ProfCounter::ALL`] order.
-    pub counters: [u64; ProfCounter::COUNT],
 }
 
 /// Snapshots the profiler's current state.
@@ -425,14 +329,9 @@ pub fn report() -> ProfileReport {
             }
         })
         .collect();
-    let mut counters = [0u64; ProfCounter::COUNT];
-    for (i, c) in COUNTERS.iter().enumerate() {
-        counters[i] = c.load(Ordering::Relaxed);
-    }
     ProfileReport {
         total_nanos: elapsed_nanos(),
         spans,
-        counters,
     }
 }
 
@@ -450,14 +349,9 @@ impl ProfileReport {
         ProfSpan::STAGES.iter().map(|&s| self.span(s).nanos).sum()
     }
 
-    /// The value of one counter.
-    pub fn counter(&self, c: ProfCounter) -> u64 {
-        self.counters[c.index()]
-    }
-
     /// Renders the `profile.txt` top-table: every entered span as one row
     /// (full path, count, total, mean, share of the `run` span), sorted by
-    /// total descending, followed by the counters.
+    /// total descending.
     pub fn text(&self) -> String {
         let run_nanos = self.span(ProfSpan::Run).nanos.max(1);
         let mut rows: Vec<&SpanStat> = self.spans.iter().filter(|s| s.count > 0).collect();
@@ -485,15 +379,11 @@ impl ProfileReport {
                 s.nanos as f64 * 100.0 / run_nanos as f64,
             ));
         }
-        out.push_str("\n[counters]\n");
-        for c in ProfCounter::ALL {
-            out.push_str(&format!("{} = {}\n", c.label(), self.counter(c)));
-        }
         out
     }
 
     /// Renders `profile.json`: machine-readable span totals (with paths and
-    /// parents) and counters.
+    /// parents).
     pub fn json(&self) -> String {
         let mut w = Writer::indented();
         w.object().field("total_nanos", self.total_nanos);
@@ -503,10 +393,6 @@ impl ProfileReport {
             w.field("label", s.span.label());
             w.field("parent", s.span.parent().map(ProfSpan::label));
             w.field("count", s.count).field("nanos", s.nanos).end();
-        }
-        w.end().key("counters").object();
-        for c in ProfCounter::ALL {
-            w.field(c.label(), self.counter(c));
         }
         w.end();
         w.finish()
@@ -530,9 +416,6 @@ mod tests {
             // The parent chain terminates (paths are finite).
             assert!(s.path().split('/').count() <= 3, "{s:?} path too deep");
         }
-        for (i, c) in ProfCounter::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i, "{c:?} out of table order");
-        }
         for stage in ProfSpan::STAGES {
             assert_eq!(stage.parent(), Some(ProfSpan::Run));
         }
@@ -545,19 +428,15 @@ mod tests {
         reset();
         {
             let _s = span(ProfSpan::TickSms);
-            add(ProfCounter::GridTasks, 5);
-            set(ProfCounter::Outstanding, 9);
             span_add(ProfSpan::SmTick, 1000);
         }
         let r = report();
         assert_eq!(r.span(ProfSpan::TickSms).count, 0);
         assert_eq!(r.span(ProfSpan::SmTick).nanos, 0);
-        assert_eq!(r.counter(ProfCounter::GridTasks), 0);
-        assert_eq!(r.counter(ProfCounter::Outstanding), 0);
     }
 
     #[test]
-    fn enabled_spans_and_counters_accumulate_and_render() {
+    fn enabled_spans_accumulate_and_render() {
         let _guard = PROFILE_LOCK.lock().unwrap();
         set_enabled(true);
         reset();
@@ -568,20 +447,15 @@ mod tests {
                 std::hint::black_box(0u64);
             }
             span_add(ProfSpan::SmTick, 500);
-            add(ProfCounter::CyclesTicked, 7);
-            set(ProfCounter::Outstanding, 42);
         }
         let r = report();
         set_enabled(false);
         assert_eq!(r.span(ProfSpan::TickSms).count, 3);
         assert_eq!(r.span(ProfSpan::Run).count, 1);
         assert_eq!(r.span(ProfSpan::SmTick).nanos, 500);
-        assert_eq!(r.counter(ProfCounter::CyclesTicked), 7);
-        assert_eq!(r.counter(ProfCounter::Outstanding), 42);
 
         let text = r.text();
         assert!(text.contains("run/tick_sms"), "{text}");
-        assert!(text.contains("cycles_ticked = 7"), "{text}");
 
         let parsed = json::parse(&r.json()).expect("profile.json parses");
         let spans = parsed.get("spans").unwrap().as_arr().unwrap();
@@ -589,15 +463,6 @@ mod tests {
             s.get("path").and_then(json::Value::as_str) == Some("run/tick_sms")
                 && s.get("count").and_then(json::Value::as_num) == Some(3.0)
         }));
-        assert_eq!(
-            parsed
-                .get("counters")
-                .unwrap()
-                .get("cycles_ticked")
-                .unwrap()
-                .as_num(),
-            Some(7.0)
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! enumerates every valid token ([`ArchPreset::valid_tokens`]) on every
 //! subcommand, and adding a generation updates every error at once.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use latency_core::ArchPreset;
 
@@ -294,6 +294,40 @@ fn a_failed_sarif_write_exits_1() {
         "{stderr}"
     );
     assert!(!stderr.contains("usage:"), "{stderr}");
+}
+
+/// A reader that closes the pipe early (`latency table1 | head -n 1`) ends
+/// the output: the process exits 0 quietly instead of panicking on the
+/// broken pipe.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let out_dir = std::env::temp_dir().join(format!("latency-pipe-{}", std::process::id()));
+    let out = out_dir.to_str().expect("utf-8 temp dir");
+    let trace = [
+        "trace",
+        "--sms",
+        "2",
+        "--workload",
+        "bfs",
+        "--nodes",
+        "128",
+        "--out",
+        out,
+    ];
+    for args in [&trace[..], &["table1"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_latency"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn latency");
+        drop(child.stdout.take());
+        let done = child.wait_with_output().expect("wait for latency");
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert_eq!(done.status.code(), Some(0), "latency {args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "latency {args:?}:\n{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 #[test]
