@@ -10,6 +10,12 @@
 # data (TickSchedule) and the trait that only forwarded (ClockedComponent)
 # are gone, and neither name may come back under crates/*/src.
 #
+# A request's hops are recorded once, as stamps on its Timeline: the
+# crossbar and queue hop events (EventKind::Icnt*, EventKind::Queue*, with
+# their NetDir and QueueKind payloads) and the DRAM log's per-request
+# schedule entry (DramEventKind::Schedule) are gone, and none may come back
+# under crates/*/src.
+#
 # Usage: ci/one-legend.sh   (from the repository root)
 set -euo pipefail
 
@@ -27,8 +33,14 @@ if [ -n "$layers" ]; then
   hits=$((hits + $(wc -l <<<"$layers")))
 fi
 
+hops=$(grep -rnE 'QueueKind|NetDir|EventKind::(Queue|Icnt)|DramEventKind::Schedule' crates/*/src || true)
+if [ -n "$hops" ]; then
+  echo "$hops"
+  hits=$((hits + $(wc -l <<<"$hops")))
+fi
+
 if [ "$hits" -ne 0 ]; then
-  echo "one-legend: $hits stray copy(ies); read Stamp::stage_label / write the stage in Gpu::tick_cycle" >&2
+  echo "one-legend: $hits stray copy(ies); read Stamp::stage_label / write the stage in Gpu::tick_cycle / stamp the hop on the Timeline" >&2
   exit 1
 fi
-echo "one-legend: OK (one stage table, one cycle loop)"
+echo "one-legend: OK (one stage table, one cycle loop, one record per hop)"

@@ -40,7 +40,7 @@ use latency_core::{
 };
 
 use crate::reference::{self, PresetValidation};
-use crate::tracebundle::{env_request, EnvTrace, TraceBundle};
+use crate::tracebundle::{env_bundle_root, TraceBundle};
 use crate::validate::{self, ValidationReport};
 
 /// Traces collected from one instrumented run.
@@ -104,8 +104,9 @@ pub fn run_traced(
     policy: &CheckpointPolicy,
     resume: Option<&Path>,
 ) -> Result<Option<TracedOutcome>, SimError> {
-    let env = env_request();
-    if env.enabled() {
+    // A binary refuses a malformed value at start-up.
+    let bundle_root = env_bundle_root().ok().flatten();
+    if bundle_root.is_some() {
         config.trace.enabled = true;
     }
     let executed = workload.execute(config, graph, policy, resume, |gpu| gpu.set_tracing(true))?;
@@ -128,7 +129,7 @@ pub fn run_traced(
         sanitizer_violations: summary.sanitizer_violations,
         idle: gpu.idle_counts(),
     };
-    if let EnvTrace::Bundle(root) = &env {
+    if let Some(root) = &bundle_root {
         // Best effort: a failed export is reported, never fatal.
         let bundle = TraceBundle::of(&run, gpu.config());
         let dir = bundle.env_dir(root);
@@ -394,7 +395,7 @@ fn reduce(spec: &Spec) -> Result<Record, String> {
     match spec {
         Spec::Traced(config, workload, exp) => {
             let mut config = config.clone();
-            if !env_request().enabled() {
+            if env_bundle_root().ok().flatten().is_none() {
                 config.trace = sampled(config.trace);
             }
             let run = run_to_completion(config, workload, exp).map_err(|e| failed(&e))?;
@@ -436,8 +437,9 @@ fn write_measurement(w: &mut Writer, m: &ChaseMeasurement) {
 
 /// `trace` with the counter sampler on and nothing stored: a record reads
 /// only the summaries, which integrate every sample however small the ring,
-/// and the event count, which counts drops. When `LATENCY_TRACE` asks for
-/// events, [`run_traced`]'s caps stand instead; the pins are the same.
+/// and the event count, which counts drops. When `LATENCY_TRACE` names a
+/// bundle directory, [`run_traced`]'s caps stand instead; the pins are the
+/// same.
 fn sampled(trace: TraceConfig) -> TraceConfig {
     TraceConfig {
         enabled: true,

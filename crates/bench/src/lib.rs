@@ -35,7 +35,7 @@ pub use latency_core::reference_rows;
 pub use progress::ProgressHeartbeat;
 pub use reference::{validate_preset, validate_rows, LevelValidation, PresetValidation};
 pub use regression::{compare_json, Finding};
-pub use tracebundle::{env_request, track_names_for, EnvTrace, TraceBundle};
+pub use tracebundle::{env_bundle_root, track_names_for, TraceBundle};
 pub use validate::{LoadCheck, ValidationReport};
 
 /// Host CPU count. `benchmark/` records it with every result; it has no

@@ -7,10 +7,10 @@
 //! ```
 //!
 //! The shared flags are parsed once, here, by [`latency_core::cli`] — along
-//! with the `LATENCY_THREADS` start-up check and the `LATENCY_PROFILE`
-//! opt-in — before the subcommand's module sees what is left. Every usage
-//! error, from any layer, leaves through one [`exit_usage`] call with
-//! status 2.
+//! with the `LATENCY_THREADS` and `LATENCY_TRACE` start-up checks and the
+//! `LATENCY_PROFILE` opt-in — before the subcommand's module sees what is
+//! left. Every usage error, from any layer, leaves through one
+//! [`exit_usage`] call with status 2.
 
 #![forbid(unsafe_code)]
 
@@ -68,6 +68,7 @@ fn dispatch(run: &Run, args: &mut Cursor) -> Result<(), UsageError> {
         return Err(UsageError::help());
     }
     cli::check_env()?;
+    latency_bench::env_bundle_root()?;
     let shared = args.shared()?;
     if !matches!(run, Run::Preset(_)) && shared.preset.is_some() {
         return Err(UsageError("this subcommand takes no --preset".into()));

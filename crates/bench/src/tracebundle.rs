@@ -8,54 +8,54 @@
 //! and host throughput.
 //!
 //! The `LATENCY_TRACE` environment variable turns instrumented experiment
-//! drivers into bundle writers without code changes: `1`/`true`/`on`
-//! enables event collection only; any other non-empty value names a
-//! directory under which every run also writes its bundle, each into its
-//! own `<content hash>/` subdirectory ([`TraceBundle::env_dir`]) — a driver
-//! may make many runs, some concurrently (best effort — export failures are
-//! reported on stderr, never fatal).
+//! drivers into bundle writers without code changes: a value other than
+//! empty or `0` names a directory under which every run writes its bundle,
+//! each into its own `<content hash>/` subdirectory
+//! ([`TraceBundle::env_dir`]) — a driver may make many runs, some
+//! concurrently (best effort — export failures are reported on stderr,
+//! never fatal).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use gpu_sim::{GpuConfig, LevelKind, StallReason};
+use gpu_sim::{GpuConfig, LevelKind, StallReason, TraceSite};
 use gpu_trace::{
     counters_csv, events_jsonl, ChromeTraceBuilder, CounterKind, ProfileReport, TrackNames,
 };
+use latency_core::cli::UsageError;
 use latency_core::{breakdown_csv, exposure_csv, Bucketing, ExposureAnalysis, LatencyBreakdown};
 
 use crate::experiments::TracedRun;
 
-/// Tracing behaviour requested through the `LATENCY_TRACE` environment
-/// variable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EnvTrace {
-    /// Variable unset, empty, or `0`: no event tracing.
-    Off,
-    /// `1`, `true` or `on`: collect events in memory only.
-    Collect,
-    /// Any other value: collect events and write each run's bundle under
-    /// this directory.
-    Bundle(PathBuf),
-}
-
-impl EnvTrace {
-    /// Whether event tracing should be switched on.
-    pub fn enabled(&self) -> bool {
-        *self != EnvTrace::Off
+/// Parses a `LATENCY_TRACE` value: empty or `0` is `Ok(None)` (no event
+/// tracing); any other value is the directory every instrumented run writes
+/// its bundle under.
+///
+/// # Errors
+///
+/// A truthy value (`1`, `true`, `on`) names no directory; events collected
+/// without a bundle reach no output, so it is refused, naming the
+/// directory form.
+pub fn parse_bundle_root(value: &str) -> Result<Option<PathBuf>, UsageError> {
+    match value.trim() {
+        "" | "0" => Ok(None),
+        v @ ("1" | "true" | "on") => Err(UsageError(format!(
+            "LATENCY_TRACE names a bundle directory (LATENCY_TRACE=./trace-out), got '{v}'; \
+             unset it or set it to 0 for no event tracing"
+        ))),
+        dir => Ok(Some(PathBuf::from(dir))),
     }
 }
 
-/// Reads the `LATENCY_TRACE` environment variable.
-pub fn env_request() -> EnvTrace {
-    match std::env::var("LATENCY_TRACE") {
-        Err(_) => EnvTrace::Off,
-        Ok(v) => match v.trim() {
-            "" | "0" => EnvTrace::Off,
-            "1" | "true" | "on" => EnvTrace::Collect,
-            dir => EnvTrace::Bundle(PathBuf::from(dir)),
-        },
-    }
+/// Reads `LATENCY_TRACE` ([`parse_bundle_root`]); unset is `Ok(None)`.
+/// Binaries call this once at start-up, so a refused value never reaches
+/// a run.
+///
+/// # Errors
+///
+/// A truthy value.
+pub fn env_bundle_root() -> Result<Option<PathBuf>, UsageError> {
+    std::env::var("LATENCY_TRACE").map_or(Ok(None), |v| parse_bundle_root(&v))
 }
 
 /// One instrumented run, borrowed for export, plus how to draw its machine.
@@ -143,22 +143,28 @@ impl<'a> TraceBundle<'a> {
     }
 
     /// Renders the Chrome trace-event JSON: one track per SM / partition,
-    /// one async span per traced request tiled into its pipeline stages,
-    /// a slice per stall interval, instants for the other events and
-    /// counter tracks for samples.
+    /// one async span per traced request tiled into its pipeline stages
+    /// (loads on their SM's track, then retired stores and writebacks on
+    /// their partition's), a slice per stall interval, instants for the
+    /// other events and counter tracks for samples.
     pub fn chrome_json(&self) -> String {
         let mut b = ChromeTraceBuilder::with_names(
             self.num_sms,
             self.num_partitions,
             self.track_names.clone(),
         );
-        for (i, r) in self.run.requests.iter().enumerate() {
-            b.add_request_span(r.sm.get(), i as u64, &r.timeline);
+        let run = self.run;
+        let loads = run.requests.iter();
+        let loads = loads.map(|r| (TraceSite::Sm(r.sm.get()), &r.timeline));
+        let writes = run.trace.writes.iter();
+        let writes = writes.map(|w| (TraceSite::Partition(w.partition), &w.timeline));
+        for (id, (site, timeline)) in loads.chain(writes).enumerate() {
+            b.add_request_span(site, id as u64, timeline);
         }
-        for e in &self.run.trace.events {
+        for e in &run.trace.events {
             b.add_event(e);
         }
-        for s in &self.run.trace.samples {
+        for s in &run.trace.samples {
             b.add_counter_sample(s);
         }
         if let Some(p) = &self.profile {
@@ -369,9 +375,14 @@ mod tests {
 
     #[test]
     fn env_values_parse() {
-        // No env mutation: exercise the match arms via the public type.
-        assert!(!EnvTrace::Off.enabled());
-        assert!(EnvTrace::Collect.enabled());
-        assert!(EnvTrace::Bundle(PathBuf::from("x")).enabled());
+        // No env mutation: exercise the parser directly.
+        for off in ["", " ", "0"] {
+            assert_eq!(parse_bundle_root(off), Ok(None), "{off:?}");
+        }
+        assert_eq!(parse_bundle_root("out"), Ok(Some(PathBuf::from("out"))));
+        for truthy in ["1", "true", "on"] {
+            let err = parse_bundle_root(truthy).unwrap_err();
+            assert!(err.0.contains("LATENCY_TRACE=./trace-out"), "{err}");
+        }
     }
 }

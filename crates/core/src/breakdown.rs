@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use gpu_mem::{Stamp, Timeline};
+use gpu_mem::{Timeline, FIGURE1_COLUMNS};
 use gpu_sim::CompletedRequest;
 use gpu_types::json::Writer;
 use gpu_types::Buckets;
@@ -50,34 +50,26 @@ impl Component {
     ];
 
     /// Label exactly as printed in the paper's Figure 1 legend (read from
-    /// the one legend beside [`Stamp`]).
+    /// the one legend beside `Stamp`).
     pub fn label(self) -> &'static str {
-        self.end()
-            .stage_label()
-            .expect("every stamp after Issue ends a labelled stage")
+        FIGURE1_COLUMNS[self.index()]
     }
 
-    /// Index into component arrays.
+    /// Index into component arrays (and into the legend).
     pub const fn index(self) -> usize {
         self as usize
     }
-
-    /// The stamp this component's time ends at. Components are the stages
-    /// in pipeline order and `Issue` ends none, so component `i` ends at
-    /// stamp `i + 1`.
-    const fn end(self) -> Stamp {
-        Stamp::ALL[self.index() + 1]
-    }
 }
 
-/// Splits a completed timeline into its eight component durations: a fold
-/// over [`Timeline::stages`]. Returns `None` for incomplete timelines
-/// (missing issue or return).
+/// Splits a returned timeline into its eight component durations: a fold
+/// over [`Timeline::stages`], each stage counted in its stamp's column
+/// (`Stamp::column`). Returns `None` for a timeline that has not returned.
 pub fn components_of(timeline: &Timeline) -> Option<[u64; 8]> {
+    timeline.total_latency()?;
     let mut parts = [0u64; 8];
     for (stamp, start, end) in timeline.stages()? {
-        // The walk never yields `Issue`; see `Component::end`.
-        parts[stamp.index() - 1] += end.since(start);
+        let column = stamp.column().expect("the walk never yields Issue");
+        parts[column] += end.since(start);
     }
     Some(parts)
 }
@@ -271,7 +263,7 @@ impl fmt::Display for LatencyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_mem::PipelineSpace;
+    use gpu_mem::{PipelineSpace, Stamp};
     use gpu_types::{Cycle, SmId};
 
     fn request_with(stamps: &[(Stamp, u64)]) -> CompletedRequest {
@@ -304,6 +296,8 @@ mod tests {
             (Stamp::DramQueueEnter, issue + 320),
             (Stamp::DramScheduled, issue + 520),
             (Stamp::DramDone, issue + 620),
+            (Stamp::ReplyInject, issue + 630),
+            (Stamp::ReplyEject, issue + 680),
             (Stamp::Returned, issue + 700),
         ])
     }
@@ -320,12 +314,14 @@ mod tests {
 
     #[test]
     fn components_read_the_stamp_legend() {
-        assert_eq!(Component::SmBase.end(), Stamp::L1Access);
+        assert_eq!(Stamp::L1Access.column(), Some(Component::SmBase.index()));
         assert_eq!(
             Component::DramQToSch.label(),
             Stamp::DramScheduled.stage_label().unwrap()
         );
-        assert_eq!(Component::Fetch2Sm.end(), Stamp::Returned);
+        for part in [Stamp::L2Served, Stamp::ReplyEject, Stamp::Returned] {
+            assert_eq!(part.column(), Some(Component::Fetch2Sm.index()));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use gpu_mem::{AccessKind, MemRequest, PipelineSpace, RequestId, Stamp, Timeline};
 use gpu_sim::{CompletedRequest, LoadInstrRecord, Sanitizer};
 use gpu_trace::json::{self, Value};
-use gpu_trace::{check_span_sums, ChromeTraceBuilder};
+use gpu_trace::{check_span_sums, ChromeTraceBuilder, TraceSite};
 use gpu_types::rng::Rng;
 use gpu_types::{Addr, Cycle, SmId};
 use latency_core::{components_of, Component, ExposureAnalysis, LatencyBreakdown};
@@ -29,6 +29,9 @@ fn gen_timeline(rng: &mut Rng) -> Timeline {
         Stamp::DramQueueEnter,
         Stamp::DramScheduled,
         Stamp::DramDone,
+        Stamp::L2Served,
+        Stamp::ReplyInject,
+        Stamp::ReplyEject,
     ];
     for stamp in interior {
         if rng.gen_bool() {
@@ -113,7 +116,7 @@ fn assert_consumers_agree(t: &Timeline, what: &str) -> [u64; 8] {
     let parts = components_of(t).expect("complete");
 
     let mut b = ChromeTraceBuilder::new(1, 1);
-    b.add_request_span(0, 7, t);
+    b.add_request_span(TraceSite::Sm(0), 7, t);
     let doc = json::parse(&b.finish()).expect("valid chrome trace json");
     assert_eq!(check_span_sums(&doc), Ok(1), "{what}");
     let mut slices: BTreeMap<&str, i64> = BTreeMap::new();
@@ -127,9 +130,21 @@ fn assert_consumers_agree(t: &Timeline, what: &str) -> [u64; 8] {
         *slices.entry(name).or_default() += if ph == "e" { ts } else { -ts };
     }
     assert_eq!(slices.remove("req7"), t.total_latency().map(|d| d as i64));
+    // Each child slice is one stage, named for its part; the parts of a
+    // column (Fetch2SM's four) sum to that column.
+    let mut columns = [0i64; 8];
+    for stamp in &Stamp::ALL[1..] {
+        if let Some(slice) = slices.remove(stamp.stage_label().unwrap()) {
+            columns[stamp.column().unwrap()] += slice;
+        }
+    }
     for c in Component::ALL {
-        let slice = slices.remove(c.label()).unwrap_or(0);
-        assert_eq!(slice, parts[c.index()] as i64, "{what}: {}", c.label());
+        let label = c.label();
+        assert_eq!(
+            columns[c.index()],
+            parts[c.index()] as i64,
+            "{what}: {label}"
+        );
     }
     assert!(slices.is_empty(), "{what}: unexpected slices {slices:?}");
 

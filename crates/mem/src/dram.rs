@@ -103,8 +103,6 @@ pub enum DramEventKind {
     /// A bank's open row was precharged (closed) ahead of a conflicting
     /// access.
     Precharge,
-    /// A queued request was selected for service.
-    Schedule,
 }
 
 /// One logged DRAM command, emitted when event logging is enabled (see
@@ -121,8 +119,6 @@ pub struct DramEvent {
     pub bank: u32,
     /// Row the command refers to (for `Precharge`, the row that was open).
     pub row: u64,
-    /// The request that triggered the command, when one did.
-    pub id: Option<RequestId>,
 }
 
 /// Aggregate DRAM statistics.
@@ -200,7 +196,7 @@ impl DramController {
     }
 
     /// Enables or disables the command event log. Disabled (the default)
-    /// costs nothing; enabled, every schedule/activate/precharge is
+    /// costs nothing; enabled, every activate and precharge is
     /// appended for [`DramController::drain_events`] to collect.
     pub fn set_event_log(&mut self, on: bool) {
         self.log_events = on;
@@ -386,43 +382,23 @@ impl DramController {
                 (t.row_closed(), t.t_rcd + t.burst)
             }
         };
-        if self.log_events {
+        if self.log_events && open != Some(row) {
             let bank = bank_idx as u32;
-            let id = Some(req.id);
-            match open {
-                Some(o) if o == row => {}
-                Some(o) => {
-                    self.events.push(DramEvent {
-                        at: now,
-                        kind: DramEventKind::Precharge,
-                        bank,
-                        row: o,
-                        id,
-                    });
-                    self.events.push(DramEvent {
-                        at: now,
-                        kind: DramEventKind::Activate,
-                        bank,
-                        row,
-                        id,
-                    });
-                }
-                None => {
-                    self.events.push(DramEvent {
-                        at: now,
-                        kind: DramEventKind::Activate,
-                        bank,
-                        row,
-                        id,
-                    });
-                }
+            if let Some(open) = open {
+                let kind = DramEventKind::Precharge;
+                self.events.push(DramEvent {
+                    at: now,
+                    kind,
+                    bank,
+                    row: open,
+                });
             }
+            let kind = DramEventKind::Activate;
             self.events.push(DramEvent {
                 at: now,
-                kind: DramEventKind::Schedule,
+                kind,
                 bank,
                 row,
-                id,
             });
         }
         req.timeline.record(Stamp::DramScheduled, now);
@@ -476,11 +452,9 @@ impl DramController {
             e.u8(match ev.kind {
                 DramEventKind::Activate => 0,
                 DramEventKind::Precharge => 1,
-                DramEventKind::Schedule => 2,
             });
             e.u32(ev.bank);
             e.u64(ev.row);
-            e.opt_u64(ev.id.map(RequestId::get));
         }
     }
 
@@ -530,18 +504,15 @@ impl DramController {
             let kind = match d.u8()? {
                 0 => DramEventKind::Activate,
                 1 => DramEventKind::Precharge,
-                2 => DramEventKind::Schedule,
                 _ => return Err(InvalidValue("unknown DramEventKind tag")),
             };
             let bank = d.u32()?;
             let row = d.u64()?;
-            let id = d.opt_u64()?.map(RequestId::new);
             self.events.push(DramEvent {
                 at,
                 kind,
                 bank,
                 row,
-                id,
             });
         }
         self.horizon = self.scan_horizon();
@@ -743,7 +714,7 @@ mod tests {
         let mut c = controller(DramSched::Fcfs);
         c.set_event_log(true);
         c.enqueue(req(1, 0, 0), Cycle::new(0)); // closed bank: Activate
-        c.enqueue(req(2, 128, 0), Cycle::new(0)); // row hit: Schedule only
+        c.enqueue(req(2, 128, 0), Cycle::new(0)); // row hit: no command
         c.enqueue(req(3, 4096, 0), Cycle::new(0)); // conflict: Precharge+Activate
         run_until_done(&mut c, Cycle::new(0), 100_000);
         let events = c.drain_events();
@@ -752,16 +723,12 @@ mod tests {
             kinds,
             vec![
                 DramEventKind::Activate,
-                DramEventKind::Schedule,
-                DramEventKind::Schedule,
                 DramEventKind::Precharge,
                 DramEventKind::Activate,
-                DramEventKind::Schedule,
             ]
         );
-        assert_eq!(events[0].id, Some(RequestId::new(1)));
-        assert_eq!(events[3].row, 0); // precharged row was row 0
-        assert_eq!(events[4].row, 1);
+        assert_eq!(events[1].row, 0); // precharged row was row 0
+        assert_eq!(events[2].row, 1);
         // Drain empties the log; once disabled, nothing is recorded.
         assert!(c.drain_events().is_empty());
         c.set_event_log(false);

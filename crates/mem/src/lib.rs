@@ -32,4 +32,6 @@ pub use dram::{
 };
 pub use mapping::AddressMap;
 pub use mshr::{MshrConfig, MshrTable};
-pub use request::{AccessKind, MemRequest, PipelineSpace, RequestId, Stamp, Timeline};
+pub use request::{
+    AccessKind, MemRequest, PipelineSpace, RequestId, Stamp, Timeline, FIGURE1_COLUMNS,
+};

@@ -59,7 +59,10 @@ pub enum PipelineSpace {
 ///
 /// Each stamp marks *entry into* the named point; the time between two
 /// consecutive present stamps is the stage that *ends* at the later one
-/// ([`Stamp::stage_label`]). The variants are ordered by pipeline position.
+/// ([`Stamp::stage_label`]), counted in Figure-1 column [`Stamp::column`].
+/// The variants are ordered by pipeline position. A load's path ends at
+/// `Returned`; a store's or writeback's ends where it retires, at
+/// `DramDone` or, absorbed by a write-back L2, at `L2Served`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stamp {
     /// Warp issued the memory instruction (request creation).
@@ -78,13 +81,32 @@ pub enum Stamp {
     DramScheduled,
     /// DRAM access (bank timing + data burst) completed.
     DramDone,
+    /// The L2 served a request that goes no further: an L2 hit left the
+    /// hit pipe, or the write-back L2 absorbed a store.
+    L2Served,
+    /// The reply was injected into the reply network.
+    ReplyInject,
+    /// The reply was ejected from the reply network at its SM.
+    ReplyEject,
     /// Data returned to the SM and the register writeback completed.
     Returned,
 }
 
+/// The paper's Figure-1 legend: its eight columns in pipeline order.
+pub const FIGURE1_COLUMNS: [&str; 8] = [
+    "SM Base",
+    "L1toICNT",
+    "ICNTtoROP",
+    "ROPtoL2Q",
+    "L2QtoDRAMQ",
+    "DRAM(QtoSch)",
+    "DRAM(SchToA)",
+    "Fetch2SM",
+];
+
 impl Stamp {
     /// All stamps in pipeline order.
-    pub const ALL: [Stamp; 9] = [
+    pub const ALL: [Stamp; 12] = [
         Stamp::Issue,
         Stamp::L1Access,
         Stamp::IcntInject,
@@ -93,6 +115,9 @@ impl Stamp {
         Stamp::DramQueueEnter,
         Stamp::DramScheduled,
         Stamp::DramDone,
+        Stamp::L2Served,
+        Stamp::ReplyInject,
+        Stamp::ReplyEject,
         Stamp::Returned,
     ];
 
@@ -101,27 +126,53 @@ impl Stamp {
         self as usize
     }
 
-    /// The Figure-1 legend: the paper's label for the stage that *ends* at
-    /// this stamp. `Issue` starts the timeline and ends no stage.
+    /// The index into [`FIGURE1_COLUMNS`] of the column the stage ending at
+    /// this stamp is counted in. The stages up to `DramDone` are the first
+    /// seven columns in order; the return path's parts (L2 service, reply
+    /// queue, reply network, SM writeback) are all Fetch2SM, where the
+    /// paper counts them. `Issue` ends no stage.
+    pub const fn column(self) -> Option<usize> {
+        match self {
+            Stamp::Issue => None,
+            Stamp::L2Served | Stamp::ReplyInject | Stamp::ReplyEject | Stamp::Returned => Some(7),
+            s => Some(s as usize - 1),
+        }
+    }
+
+    /// The name of the stage that ends at this stamp: its column's label,
+    /// or for a part of Fetch2SM that label and the part (a request span's
+    /// child slices, one per stage, so no two stages share a name).
     pub const fn stage_label(self) -> Option<&'static str> {
         Some(match self {
-            Stamp::Issue => return None,
-            Stamp::L1Access => "SM Base",
-            Stamp::IcntInject => "L1toICNT",
-            Stamp::RopEnter => "ICNTtoROP",
-            Stamp::L2QueueEnter => "ROPtoL2Q",
-            Stamp::DramQueueEnter => "L2QtoDRAMQ",
-            Stamp::DramScheduled => "DRAM(QtoSch)",
-            Stamp::DramDone => "DRAM(SchToA)",
-            Stamp::Returned => "Fetch2SM",
+            Stamp::L2Served => "Fetch2SM: L2",
+            Stamp::ReplyInject => "Fetch2SM: reply queue",
+            Stamp::ReplyEject => "Fetch2SM: reply network",
+            Stamp::Returned => "Fetch2SM: SM writeback",
+            s => match s.column() {
+                Some(c) => FIGURE1_COLUMNS[c],
+                None => return None,
+            },
         })
     }
 }
 
-/// The cycle stamps collected over a request's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// A [`Timeline`] slot no stamp has filled.
+const ABSENT: u64 = u64::MAX;
+
+/// The cycle stamps collected over a request's lifetime, one `u64` per
+/// [`Stamp`], `u64::MAX` for a point not (yet) reached: half the size of an
+/// `Option<Cycle>`, on a request that is moved at every hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timeline {
-    stamps: [Option<Cycle>; 9],
+    stamps: [u64; Stamp::ALL.len()],
+}
+
+impl Default for Timeline {
+    fn default() -> Self {
+        Timeline {
+            stamps: [ABSENT; Stamp::ALL.len()],
+        }
+    }
 }
 
 impl Timeline {
@@ -133,15 +184,17 @@ impl Timeline {
     /// Records `stamp` at time `now`. Stamping the same point twice keeps
     /// the first value (requests never revisit a stage in this pipeline).
     pub fn record(&mut self, stamp: Stamp, now: Cycle) {
+        debug_assert_ne!(now.get(), ABSENT, "a stamp at Cycle::MAX");
         let slot = &mut self.stamps[stamp.index()];
-        if slot.is_none() {
-            *slot = Some(now);
+        if *slot == ABSENT {
+            *slot = now.get();
         }
     }
 
     /// Returns the time `stamp` was recorded, if it was.
     pub fn get(&self, stamp: Stamp) -> Option<Cycle> {
-        self.stamps[stamp.index()]
+        let at = self.stamps[stamp.index()];
+        (at != ABSENT).then(|| Cycle::new(at))
     }
 
     /// Total lifetime (issue to return), if both endpoints were stamped.
@@ -154,15 +207,21 @@ impl Timeline {
         self.get(Stamp::Issue).is_some() && self.get(Stamp::Returned).is_some()
     }
 
-    /// The Figure-1 cut of a complete timeline: one `(stamp, start, end)`
-    /// per present stamp after `Issue`, in pipeline order, where `start` is
-    /// the previous present stamp's cycle — so the intervals tile
-    /// `[Issue, Returned]`, and a stage the request skipped (an L2 hit has
-    /// no DRAM stamps) folds into the next one it did reach. `None` for an
-    /// incomplete timeline (missing issue or return).
+    /// The last point stamped after `Issue`: `Returned` for a load that
+    /// came back, the hop where a store or writeback retired.
+    pub fn end(&self) -> Option<Cycle> {
+        Stamp::ALL[1..].iter().rev().find_map(|&s| self.get(s))
+    }
+
+    /// The Figure-1 cut of a timeline: one `(stamp, start, end)` per
+    /// present stamp after `Issue`, in pipeline order, where `start` is the
+    /// previous present stamp's cycle — so the intervals tile
+    /// `[Issue, end]` ([`Timeline::end`]), and a stage the request skipped
+    /// (an L2 hit has no DRAM stamps) folds into the next one it did reach.
+    /// `None` without an issue stamp or any stamp after it.
     pub fn stages(&self) -> Option<impl Iterator<Item = (Stamp, Cycle, Cycle)> + '_> {
         let mut prev = self.get(Stamp::Issue)?;
-        self.get(Stamp::Returned)?;
+        self.end()?;
         Some(Stamp::ALL[1..].iter().filter_map(move |&stamp| {
             let end = self.get(stamp)?;
             Some((stamp, std::mem::replace(&mut prev, end), end))
@@ -252,8 +311,8 @@ use gpu_snapshot::{Decoder, Encoder, SnapshotError};
 impl Timeline {
     /// Serializes the stamp array into a checkpoint.
     pub fn encode_state(&self, e: &mut Encoder) {
-        for slot in &self.stamps {
-            e.opt_u64(slot.map(Cycle::get));
+        for &slot in &self.stamps {
+            e.opt_u64((slot != ABSENT).then_some(slot));
         }
     }
 
@@ -261,11 +320,15 @@ impl Timeline {
     ///
     /// # Errors
     ///
-    /// Propagates decoder errors on truncated or corrupt input.
+    /// Rejects a stamp at the absent sentinel and propagates decoder
+    /// errors on truncated or corrupt input.
     pub fn decode(d: &mut Decoder) -> Result<Self, SnapshotError> {
         let mut t = Timeline::new();
         for slot in &mut t.stamps {
-            *slot = d.opt_u64()?.map(Cycle::new);
+            *slot = match d.opt_u64()? {
+                Some(ABSENT) => return Err(SnapshotError::InvalidValue("stamp at Cycle::MAX")),
+                at => at.unwrap_or(ABSENT),
+            };
         }
         Ok(t)
     }
@@ -363,7 +426,7 @@ mod tests {
             assert!(w[0] < w[1], "{:?} must precede {:?}", w[0], w[1]);
         }
         assert_eq!(Stamp::Issue.index(), 0);
-        assert_eq!(Stamp::Returned.index(), 8);
+        assert_eq!(Stamp::Returned.index(), 11);
     }
 
     #[test]
@@ -372,16 +435,30 @@ mod tests {
         let labels: Vec<_> = Stamp::ALL[1..].iter().map(|s| s.stage_label()).collect();
         assert!(labels.iter().all(Option::is_some));
         assert_eq!(labels[0], Some("SM Base"));
-        assert_eq!(labels[7], Some("Fetch2SM"));
+        // The first seven stages are the first seven columns, in order; the
+        // return path's four parts are all Fetch2SM.
+        let columns: Vec<_> = Stamp::ALL[1..]
+            .iter()
+            .map(|s| s.column().unwrap())
+            .collect();
+        assert_eq!(columns, [0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 7]);
+        assert_eq!(labels[6], Some(FIGURE1_COLUMNS[6]));
+        assert!(labels[7..]
+            .iter()
+            .all(|l| l.unwrap().starts_with("Fetch2SM: ")));
+        // A span's child slices need distinct names.
+        let distinct: std::collections::BTreeSet<_> = labels.iter().collect();
+        assert_eq!(distinct.len(), labels.len());
     }
 
     #[test]
     fn stages_tile_the_lifetime_and_skip_absent_stamps() {
         let mut t = Timeline::new();
         t.record(Stamp::Issue, Cycle::new(10));
-        assert!(t.stages().is_none(), "no return stamp yet");
+        assert!(t.stages().is_none(), "nothing after issue yet");
         t.record(Stamp::L1Access, Cycle::new(40));
         t.record(Stamp::L2QueueEnter, Cycle::new(170));
+        t.record(Stamp::L2Served, Cycle::new(190));
         t.record(Stamp::Returned, Cycle::new(310));
         let c = Cycle::new;
         assert_eq!(
@@ -389,9 +466,33 @@ mod tests {
             [
                 (Stamp::L1Access, c(10), c(40)),
                 (Stamp::L2QueueEnter, c(40), c(170)),
-                (Stamp::Returned, c(170), c(310)),
+                (Stamp::L2Served, c(170), c(190)),
+                (Stamp::Returned, c(190), c(310)),
             ]
         );
+    }
+
+    #[test]
+    fn a_store_ends_where_it_retires() {
+        let mut t = Timeline::new();
+        t.record(Stamp::Issue, Cycle::new(5));
+        t.record(Stamp::L2QueueEnter, Cycle::new(90));
+        t.record(Stamp::L2Served, Cycle::new(91));
+        assert_eq!(t.end(), Some(Cycle::new(91)));
+        assert_eq!(t.total_latency(), None, "a store never returns");
+        let last = t.stages().unwrap().last();
+        assert_eq!(
+            last,
+            Some((Stamp::L2Served, Cycle::new(90), Cycle::new(91)))
+        );
+    }
+
+    #[test]
+    fn a_request_is_no_larger_than_twelve_packed_stamps_allow() {
+        // Twelve `Option<Cycle>` slots would take 192 B; the nine of the
+        // previous format made a 184 B request.
+        assert_eq!(std::mem::size_of::<Timeline>(), 96);
+        assert_eq!(std::mem::size_of::<MemRequest>(), 136);
     }
 
     #[test]
@@ -409,6 +510,7 @@ mod tests {
         r.bypass_l1 = true;
         r.l1_merged = true;
         r.timeline.record(Stamp::IcntInject, Cycle::new(40));
+        r.timeline.record(Stamp::ReplyEject, Cycle::new(90));
 
         let mut e = Encoder::new();
         r.encode_state(&mut e);
@@ -445,6 +547,18 @@ mod tests {
         let mut d = Decoder::open(&framed).unwrap();
         assert!(matches!(
             MemRequest::decode(&mut d),
+            Err(SnapshotError::InvalidValue(_))
+        ));
+    }
+
+    #[test]
+    fn timeline_decode_rejects_a_stamp_at_the_sentinel() {
+        let mut e = Encoder::new();
+        e.opt_u64(Some(u64::MAX));
+        let framed = e.finish();
+        let mut d = Decoder::open(&framed).unwrap();
+        assert!(matches!(
+            Timeline::decode(&mut d),
             Err(SnapshotError::InvalidValue(_))
         ));
     }

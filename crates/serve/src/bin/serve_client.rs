@@ -31,7 +31,7 @@ use std::str::FromStr;
 use gpu_serve::client::Client;
 use gpu_serve::proto::{is_terminal_event, request_line, submit_line};
 use gpu_trace::json::{parse, Value, Writer};
-use latency_core::cli::{exit_usage, or_exit, Cursor, UsageError};
+use latency_core::cli::{exit_usage, or_exit, print, Cursor, UsageError};
 
 const USAGE: &str = "serve-client [--connect ADDR | --addr-file PATH] CMD ...\n\
      CMDs: submit | status JOB | watch JOB | cancel JOB | stats | shutdown\n\
@@ -72,7 +72,7 @@ fn stream_to_stdout(client: &mut Client, first_request: &str, quiet: bool) -> ! 
             Some(line) => {
                 let terminal = is_terminal_event(&line);
                 if !quiet || terminal {
-                    println!("{line}");
+                    print(format_args!("{line}\n"));
                 }
                 if terminal {
                     exit(if is_ok_terminal(&line) { 0 } else { 1 });
@@ -88,7 +88,7 @@ fn stream_to_stdout(client: &mut Client, first_request: &str, quiet: bool) -> ! 
 
 fn one_shot(client: &mut Client, request: &str) -> ! {
     let line = or_exit(client.request(request), "serve-client");
-    println!("{line}");
+    print(format_args!("{line}\n"));
     let failed = parse(&line)
         .ok()
         .and_then(|v| v.get("event").and_then(Value::as_str).map(str::to_string))

@@ -3,7 +3,7 @@
 //! anything is sent, and only `--spec` passes text through untouched. The
 //! client runs as a process against an in-process daemon.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use gpu_serve::{ServerConfig, ServerHandle};
 use gpu_trace::json::{parse, Value};
@@ -103,6 +103,33 @@ fn flags_cannot_change_the_shape_of_the_request() {
         Some("accepted")
     );
 
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    // `serve-client stats | true`: the reader is gone before the line is
+    // written, so the write fails with a broken pipe. The client has said
+    // all anyone wants to hear; it exits 0 without a panic.
+    let state = std::env::temp_dir().join(format!("serve-client-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let cfg = ServerConfig {
+        state_dir: state.clone(),
+        workers: 1,
+    };
+    let daemon = ServerHandle::spawn(cfg, "127.0.0.1:0").expect("spawn daemon");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_serve-client"))
+        .args(["--connect", &daemon.addr.to_string(), "stats"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run serve-client");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&state);
 }

@@ -11,7 +11,7 @@ use gpu_isa::{Kernel, Launch, LocalMap, ValidateError};
 use gpu_mem::{AddressMap, DeviceMemory, MemRequest, Stamp};
 use gpu_snapshot::{store, Decoder, Encoder, SnapshotError, StableHasher};
 use gpu_trace::profile::{self, ProfSpan};
-use gpu_trace::{CounterKind, EventKind, NetDir, TraceData, TraceEvent, TraceSite, Tracer};
+use gpu_trace::{CounterKind, EventKind, TraceData, TraceEvent, TraceSite, Tracer};
 use gpu_types::{Addr, CtaId, Cycle, PartitionId, SmId};
 
 use crate::agenda::{arrival, Agenda, Audited};
@@ -1082,25 +1082,14 @@ impl Gpu {
                 if !self.reply_net.can_inject(pi, dst) {
                     break;
                 }
-                let req = p.pop_return().expect("peeked");
-                let rid = req.id.get();
+                let mut req = p.pop_return().expect("peeked");
+                req.timeline.record(Stamp::ReplyInject, now);
                 self.reply_net
                     .try_inject(pi, dst, req, now)
                     .expect("can_inject checked");
                 a.net_in_flight += 1;
                 a.sm_port[dst] = arrival(&self.reply_net, dst);
                 a.sm_watched.insert(dst);
-                if self.tracer.enabled() {
-                    self.tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site: TraceSite::Gpu,
-                        kind: EventKind::IcntInject {
-                            net: NetDir::Reply,
-                            req: rid,
-                            port: pi as u32,
-                        },
-                    });
-                }
             }
         }
         if cfg!(debug_assertions) {
@@ -1129,18 +1118,7 @@ impl Gpu {
             while p.can_accept() {
                 match self.req_net.eject(pi, now) {
                     Some(req) => {
-                        if self.tracer.enabled() {
-                            self.tracer.record(TraceEvent {
-                                cycle: now.get(),
-                                site: TraceSite::Gpu,
-                                kind: EventKind::IcntEject {
-                                    net: NetDir::Request,
-                                    req: req.id.get(),
-                                    port: pi as u32,
-                                },
-                            });
-                        }
-                        p.accept(req, now, &mut self.tracer);
+                        p.accept(req, now);
                         a.net_in_flight -= 1;
                         accepted += 1;
                     }
@@ -1200,18 +1178,8 @@ impl Gpu {
         let mut ejected = false;
         while sm.fill_space() {
             match self.reply_net.eject(si, now) {
-                Some(req) => {
-                    if self.tracer.enabled() {
-                        self.tracer.record(TraceEvent {
-                            cycle: now.get(),
-                            site: TraceSite::Gpu,
-                            kind: EventKind::IcntEject {
-                                net: NetDir::Reply,
-                                req: req.id.get(),
-                                port: si as u32,
-                            },
-                        });
-                    }
+                Some(mut req) => {
+                    req.timeline.record(Stamp::ReplyEject, now);
                     sm.accept_response(req, now, &mut self.tracer);
                     a.net_in_flight -= 1;
                     ejected = true;
@@ -1236,23 +1204,11 @@ impl Gpu {
             }
             let mut req = sm.pop_miss().expect("peeked");
             req.timeline.record(Stamp::IcntInject, now);
-            let rid = req.id.get();
             self.req_net
                 .try_inject(si, dst, req, now)
                 .expect("can_inject checked");
             a.net_in_flight += 1;
             a.part_port[dst] = arrival(&self.req_net, dst);
-            if self.tracer.enabled() {
-                self.tracer.record(TraceEvent {
-                    cycle: now.get(),
-                    site: TraceSite::Gpu,
-                    kind: EventKind::IcntInject {
-                        net: NetDir::Request,
-                        req: rid,
-                        port: si as u32,
-                    },
-                });
-            }
         }
 
         let created = sm.tick_issue(now, &mut self.device, &mut self.tracer);

@@ -60,6 +60,6 @@ pub use gpu_trace::profile;
 // Observability types, re-exported so downstream crates can configure and
 // drain the tracer without naming `gpu-trace` directly.
 pub use gpu_trace::{
-    CounterKind, CounterSample, CounterSummary, EventKind, MetricsReport, StallBreakdown,
-    StallReason, TraceConfig, TraceData, TraceEvent, TraceSite, Tracer,
+    CounterKind, CounterSample, CounterSummary, EventKind, MetricsReport, RetiredWrite,
+    StallBreakdown, StallReason, TraceConfig, TraceData, TraceEvent, TraceSite, Tracer,
 };

@@ -3,7 +3,8 @@
 //! Each partition owns the stages behind the interconnect for its slice of
 //! the address space. The stamps recorded here delimit the paper's
 //! `ICNTtoROP`, `ROPtoL2Q`, `L2QtoDRAMQ`, `DRAM(QtoSch)` and `DRAM(SchToA)`
-//! latency components.
+//! latency components and the L2's part of `Fetch2SM` (`L2Served`). A
+//! store or writeback ends here: its timeline goes to the tracer.
 //!
 //! Modern-generation descriptions hash-interleave the L2 across several
 //! independent slices behind the partition's shared ROP and DRAM channel
@@ -20,7 +21,7 @@ use gpu_mem::{
     Stamp,
 };
 use gpu_snapshot::{Decoder, Encoder, SnapshotError};
-use gpu_trace::{EventKind, QueueKind, TraceEvent, TraceSite, Tracer};
+use gpu_trace::{EventKind, TraceEvent, TraceSite, Tracer};
 use gpu_types::{BoundedQueue, Cycle, DelayQueue, PartitionId};
 
 use crate::codec;
@@ -126,18 +127,8 @@ impl Partition {
     /// # Panics
     ///
     /// Panics if the ROP queue is full; check [`Partition::can_accept`].
-    pub fn accept(&mut self, mut req: MemRequest, now: Cycle, tracer: &mut Tracer) {
+    pub fn accept(&mut self, mut req: MemRequest, now: Cycle) {
         req.timeline.record(Stamp::RopEnter, now);
-        if tracer.enabled() {
-            tracer.record(TraceEvent {
-                cycle: now.get(),
-                site: TraceSite::Partition(self.id.get()),
-                kind: EventKind::QueueEnter {
-                    queue: QueueKind::Rop,
-                    req: req.id.get(),
-                },
-            });
-        }
         self.rop
             .push(now, req)
             .unwrap_or_else(|_| panic!("ROP overflow; can_accept not checked"));
@@ -449,10 +440,6 @@ impl Partition {
                         bank: e.bank,
                         row: e.row,
                     },
-                    DramEventKind::Schedule => EventKind::QueueLeave {
-                        queue: QueueKind::DramController,
-                        req: e.id.map_or(0, |id| id.get()),
-                    },
                 };
                 tracer.record(TraceEvent {
                     cycle: e.at.get(),
@@ -468,6 +455,7 @@ impl Partition {
                 } else {
                     self.evictions_in_flight -= 1;
                 }
+                tracer.retire_write(self.id.get(), req.timeline);
                 continue;
             }
             let idx = self.slice_index(req.addr);
@@ -492,7 +480,8 @@ impl Partition {
         // 2. Hit pipes: one data return per slice per cycle (a multi-slice
         //    L2 has genuinely more return bandwidth).
         for i in 0..self.slices.len() {
-            if let Some(req) = self.slices[i].hit_pipe.pop_ready(now) {
+            if let Some(mut req) = self.slices[i].hit_pipe.pop_ready(now) {
+                req.timeline.record(Stamp::L2Served, now);
                 self.returns.push_back(req);
             }
         }
@@ -510,25 +499,6 @@ impl Partition {
             if !self.slices[idx].queue.is_full() {
                 let mut req = self.rop.pop_ready(now).expect("front was ready");
                 req.timeline.record(Stamp::L2QueueEnter, now);
-                if tracer.enabled() {
-                    let id = req.id.get();
-                    tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site,
-                        kind: EventKind::QueueLeave {
-                            queue: QueueKind::Rop,
-                            req: id,
-                        },
-                    });
-                    tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site,
-                        kind: EventKind::QueueEnter {
-                            queue: QueueKind::L2Input,
-                            req: id,
-                        },
-                    });
-                }
                 self.slices[idx].queue.push(req).expect("space checked");
             }
         }
@@ -557,34 +527,12 @@ impl Partition {
         // always sends aligned transactions, but align defensively.
         let addr = head.addr.align_down(granule);
         let kind = head.kind;
-        let head_id = head.id.get();
-        // Emitted once a branch below actually pops the head.
-        let leave = EventKind::QueueLeave {
-            queue: QueueKind::L2Input,
-            req: head_id,
-        };
-        let dram_enter = EventKind::QueueEnter {
-            queue: QueueKind::DramController,
-            req: head_id,
-        };
 
         let Some(l2) = slice.cache.as_mut() else {
             // No L2 (Tesla-style): straight to DRAM.
             if self.dram.can_accept() {
                 let req = slice.queue.pop().expect("head exists");
                 self.dram.enqueue(req, now);
-                if tracer.enabled() {
-                    tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site,
-                        kind: leave,
-                    });
-                    tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site,
-                        kind: dram_enter,
-                    });
-                }
             }
             return;
         };
@@ -597,18 +545,6 @@ impl Partition {
                         l2.store_invalidate(addr);
                         let req = slice.queue.pop().expect("head exists");
                         self.dram.enqueue(req, now);
-                        if tracer.enabled() {
-                            tracer.record(TraceEvent {
-                                cycle: now.get(),
-                                site,
-                                kind: leave,
-                            });
-                            tracer.record(TraceEvent {
-                                cycle: now.get(),
-                                site,
-                                kind: dram_enter,
-                            });
-                        }
                     }
                 }
                 WritePolicy::WriteBack => {
@@ -618,15 +554,10 @@ impl Partition {
                     if !l2.store_mark_dirty(addr) && !l2.allocate_dirty(addr) {
                         return; // all ways reserved: retry next cycle
                     }
-                    let _ = slice.queue.pop().expect("head exists");
+                    let mut req = slice.queue.pop().expect("head exists");
+                    req.timeline.record(Stamp::L2Served, now);
+                    tracer.retire_write(self.id.get(), req.timeline);
                     self.stores_retired_here += 1;
-                    if tracer.enabled() {
-                        tracer.record(TraceEvent {
-                            cycle: now.get(),
-                            site,
-                            kind: leave,
-                        });
-                    }
                 }
             }
             return;
@@ -639,13 +570,6 @@ impl Partition {
                 .hit_pipe
                 .push(now, req)
                 .expect("hit pipe sized for the input queue");
-            if tracer.enabled() {
-                tracer.record(TraceEvent {
-                    cycle: now.get(),
-                    site,
-                    kind: leave,
-                });
-            }
         } else if slice.mshr.is_pending(addr) {
             if slice.mshr.can_merge(addr) {
                 let mut req = slice.queue.pop().expect("head exists");
@@ -656,11 +580,6 @@ impl Partition {
                     .try_merge(addr, req)
                     .expect("merge space checked");
                 if tracer.enabled() {
-                    tracer.record(TraceEvent {
-                        cycle: now.get(),
-                        site,
-                        kind: leave,
-                    });
                     tracer.record(TraceEvent {
                         cycle: now.get(),
                         site,
@@ -683,17 +602,7 @@ impl Partition {
                 tracer.record(TraceEvent {
                     cycle: now.get(),
                     site,
-                    kind: leave,
-                });
-                tracer.record(TraceEvent {
-                    cycle: now.get(),
-                    site,
                     kind: EventKind::MshrAllocate { line: addr.get() },
-                });
-                tracer.record(TraceEvent {
-                    cycle: now.get(),
-                    site,
-                    kind: dram_enter,
                 });
             }
         }

@@ -262,17 +262,17 @@ fn a_narrow_crossbar_bfs_sleeps_on_full_ports_and_matches_stepping() {
 fn event_cap_drops_are_counted_through_a_jump() {
     // A stall interval spanning skipped cycles closes through the same
     // capped recorder a tick uses: the first `max_events` survive, the rest
-    // count as drops, wherever the cap lands. The chase records 558 events
+    // count as drops, wherever the cap lands. The chase records 230 events
     // uncapped.
     let mut cfg = ArchPreset::FermiGf106.config_microbench();
     cfg.trace.enabled = true;
-    cfg.trace.max_events = 300;
+    cfg.trace.max_events = 120;
     let o = assert_skip_invisible(
         "capped trace",
         &cfg,
         &chase(ChaseParams::global(2 * 1024 * 1024, 32 * 1024), 2),
     );
-    assert_eq!(o.events.len(), 300);
+    assert_eq!(o.events.len(), 120);
     assert!(o.dropped_events > 0);
 }
 

@@ -69,7 +69,7 @@ fn cold_load_goes_to_dram_with_full_stamp_chain() {
     let mut p = partition(&cfg);
     let t0 = Cycle::new(100);
     assert!(p.can_accept());
-    p.accept(load(1, 0x8000, t0), t0, &mut no_trace());
+    p.accept(load(1, 0x8000, t0), t0);
     let (done, _) = drain(&mut p, t0, 1, 10_000);
     let tl = &done[0].timeline;
     // Every partition-side stamp must be present and ordered.
@@ -95,10 +95,10 @@ fn second_load_hits_l2_and_skips_dram() {
     let cfg = config();
     let mut p = partition(&cfg);
     let t0 = Cycle::new(0);
-    p.accept(load(1, 0x8000, t0), t0, &mut no_trace());
+    p.accept(load(1, 0x8000, t0), t0);
     let (_, t1) = drain(&mut p, t0, 1, 10_000);
     let t2 = t1 + 10;
-    p.accept(load(2, 0x8000, t2), t2, &mut no_trace());
+    p.accept(load(2, 0x8000, t2), t2);
     let (done, _) = drain(&mut p, t2, 1, 10_000);
     let tl = &done[0].timeline;
     assert_eq!(
@@ -121,9 +121,9 @@ fn concurrent_same_line_loads_merge_at_l2_mshr() {
     let cfg = config();
     let mut p = partition(&cfg);
     let t0 = Cycle::new(0);
-    p.accept(load(1, 0x4000, t0), t0, &mut no_trace());
-    p.accept(load(2, 0x4000, t0), t0, &mut no_trace());
-    p.accept(load(3, 0x4040, t0), t0, &mut no_trace()); // same line, different offset
+    p.accept(load(1, 0x4000, t0), t0);
+    p.accept(load(2, 0x4000, t0), t0);
+    p.accept(load(3, 0x4040, t0), t0); // same line, different offset
     let (done, _) = drain(&mut p, t0, 3, 20_000);
     assert_eq!(done.len(), 3);
     assert_eq!(
@@ -144,11 +144,11 @@ fn stores_write_through_and_are_counted() {
     let t0 = Cycle::new(0);
     // Warm the line, then store to it: the line must be invalidated and the
     // store must reach DRAM.
-    p.accept(load(1, 0x2000, t0), t0, &mut no_trace());
+    p.accept(load(1, 0x2000, t0), t0);
     let (_, t1) = drain(&mut p, t0, 1, 10_000);
     let before = p.stores_completed();
     let t2 = t1 + 1;
-    p.accept(store(2, 0x2000, t2), t2, &mut no_trace());
+    p.accept(store(2, 0x2000, t2), t2);
     // Stores produce no response; run until the store retires.
     let mut now = t2;
     for _ in 0..10_000 {
@@ -161,7 +161,7 @@ fn stores_write_through_and_are_counted() {
     assert_eq!(p.stores_completed(), before + 1);
     // The invalidated line now misses again.
     let t3 = now + 1;
-    p.accept(load(3, 0x2000, t3), t3, &mut no_trace());
+    p.accept(load(3, 0x2000, t3), t3);
     let (done, _) = drain(&mut p, t3, 1, 10_000);
     assert!(
         done[0].timeline.get(Stamp::DramQueueEnter).is_some(),
@@ -176,7 +176,7 @@ fn rop_queue_backpressures_accept() {
     let t0 = Cycle::new(0);
     for i in 0..cfg.rop_queue as u64 {
         assert!(p.can_accept(), "slot {i} available");
-        p.accept(load(i, i * 128, t0), t0, &mut no_trace());
+        p.accept(load(i, i * 128, t0), t0);
     }
     assert!(!p.can_accept(), "ROP full must back-pressure the network");
     // After a tick at rop_latency, one entry moves into the L2 queue.
@@ -191,14 +191,14 @@ fn cacheless_partition_routes_straight_to_dram() {
     cfg.l2 = None;
     let mut p = partition(&cfg);
     let t0 = Cycle::new(0);
-    p.accept(load(1, 0x1000, t0), t0, &mut no_trace());
+    p.accept(load(1, 0x1000, t0), t0);
     let (done, _) = drain(&mut p, t0, 1, 10_000);
     let tl = &done[0].timeline;
     assert!(tl.get(Stamp::DramQueueEnter).is_some());
     assert!(p.l2_counts().is_none());
     // Repeat access also goes to DRAM (nothing caches it).
     let t2 = Cycle::new(5000);
-    p.accept(load(2, 0x1000, t2), t2, &mut no_trace());
+    p.accept(load(2, 0x1000, t2), t2);
     drain(&mut p, t2, 1, 10_000);
     assert_eq!(p.dram_stats().serviced, 2);
 }
@@ -209,7 +209,7 @@ fn is_idle_reflects_in_flight_state() {
     let mut p = partition(&cfg);
     assert!(p.is_idle());
     let t0 = Cycle::new(0);
-    p.accept(load(1, 0, t0), t0, &mut no_trace());
+    p.accept(load(1, 0, t0), t0);
     assert!(!p.is_idle());
     drain(&mut p, t0, 1, 10_000);
     assert!(p.is_idle(), "drained partition must be idle");
@@ -231,11 +231,11 @@ mod write_back {
         let (_, mut p) = wb_partition();
         let t0 = Cycle::new(0);
         // Warm the line with a load, then store to it.
-        p.accept(load(1, 0x6000, t0), t0, &mut no_trace());
+        p.accept(load(1, 0x6000, t0), t0);
         let (_, t1) = drain(&mut p, t0, 1, 10_000);
         let dram_before = p.dram_stats().serviced;
         let t2 = t1 + 1;
-        p.accept(store(2, 0x6000, t2), t2, &mut no_trace());
+        p.accept(store(2, 0x6000, t2), t2);
         let mut now = t2;
         for _ in 0..10_000 {
             p.tick(now, &mut no_trace());
@@ -252,7 +252,7 @@ mod write_back {
         );
         // The dirtied line still serves loads.
         let t3 = now + 1;
-        p.accept(load(3, 0x6000, t3), t3, &mut no_trace());
+        p.accept(load(3, 0x6000, t3), t3);
         let (done, _) = drain(&mut p, t3, 1, 10_000);
         assert_eq!(done[0].timeline.get(Stamp::DramQueueEnter), None);
     }
@@ -261,7 +261,7 @@ mod write_back {
     fn store_miss_write_allocates() {
         let (_, mut p) = wb_partition();
         let t0 = Cycle::new(0);
-        p.accept(store(1, 0x7000, t0), t0, &mut no_trace());
+        p.accept(store(1, 0x7000, t0), t0);
         let mut now = t0;
         for _ in 0..10_000 {
             p.tick(now, &mut no_trace());
@@ -274,7 +274,7 @@ mod write_back {
         assert_eq!(p.dram_stats().serviced, 0, "no fetch-on-write, no DRAM yet");
         // A subsequent load of the written line hits the allocated entry.
         let t1 = now + 1;
-        p.accept(load(2, 0x7000, t1), t1, &mut no_trace());
+        p.accept(load(2, 0x7000, t1), t1);
         let (done, _) = drain(&mut p, t1, 1, 10_000);
         assert_eq!(done[0].timeline.get(Stamp::DramQueueEnter), None, "L2 hit");
     }
@@ -291,7 +291,7 @@ mod write_back {
         let mut now = Cycle::new(0);
         // `ways + 2` dirty stores to the same set force >= 2 dirty evictions.
         for k in 0..ways + 2 {
-            p.accept(store(k, k * set_stride, now), now, &mut no_trace());
+            p.accept(store(k, k * set_stride, now), now);
             // Let each store land before the next (queue capacity is small).
             for _ in 0..200 {
                 p.tick(now, &mut no_trace());

@@ -535,3 +535,15 @@ fn a_format_4_checkpoint_is_rejected_typed() {
         Err(SnapshotError::UnsupportedVersion(4))
     ));
 }
+
+#[test]
+fn a_format_5_checkpoint_is_rejected_typed() {
+    // Format 5 wrote nine timeline stamps and the crossbar and queue hop
+    // events; its checkpoints are refused, never reinterpreted.
+    let mut v5 = CORPUS.to_vec();
+    v5[4..8].copy_from_slice(&5u32.to_le_bytes());
+    assert!(matches!(
+        Gpu::restore(&v5),
+        Err(SnapshotError::UnsupportedVersion(5))
+    ));
+}

@@ -1,12 +1,13 @@
 //! End-to-end tests of the observability layer: event tracing must never
 //! perturb timing, the exported Chrome-trace spans must tile each
-//! request's Timeline lifetime exactly, and the traced stall intervals must
-//! add up to the stall counters.
+//! request's Timeline lifetime exactly, every store and writeback keeps its
+//! hops, and the traced stall intervals must add up to the stall counters.
 
 mod skip_harness;
 
 use gpu_isa::{KernelBuilder, Launch, Special, Width};
-use gpu_sim::{Gpu, GpuConfig, MetricsReport, RunSummary, StallReason, TraceSite};
+use gpu_mem::Stamp;
+use gpu_sim::{Gpu, GpuConfig, MetricsReport, RunSummary, StallReason, TraceSite, WritePolicy};
 use gpu_trace::{json, ChromeTraceBuilder, EventKind};
 
 fn small_config() -> GpuConfig {
@@ -81,8 +82,10 @@ fn enabled_run_emits_the_event_taxonomy() {
     cfg.trace.enabled = true;
     cfg.trace.sample_interval = 16;
     let mut gpu = Gpu::new(cfg);
+    gpu.set_tracing(true);
     let summary = run_copy(&mut gpu, 2048);
     let data = gpu.take_trace();
+    let (requests, _) = gpu.take_traces();
 
     assert!(!data.events.is_empty());
     assert!(!data.samples.is_empty());
@@ -94,25 +97,16 @@ fn enabled_run_emits_the_event_taxonomy() {
     for e in &data.events {
         seen.insert(e.kind.name());
     }
-    for kind in [
-        "coalesce",
-        "mshr_alloc",
-        "mshr_fill",
-        "icnt_inject",
-        "icnt_eject",
-        "queue_enter",
-        "queue_leave",
-        "row_activate",
-    ] {
+    for kind in ["coalesce", "mshr_alloc", "mshr_fill", "row_activate"] {
         assert!(seen.contains(kind), "missing event kind {kind}: {seen:?}");
     }
     // Events are recorded in simulation order.
     assert!(data.events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-    let _ = data
-        .events
-        .iter()
-        .find(|e| matches!(e.kind, EventKind::QueueEnter { .. }))
-        .expect("at least one queue event");
+    // A hop is a stamp, not an event: loads and the copy's stores both
+    // reach the DRAM queue on their timelines.
+    let queued = |t: &gpu_mem::Timeline| t.get(Stamp::DramQueueEnter).is_some();
+    assert!(requests.iter().any(|r| queued(&r.timeline)));
+    assert!(!data.writes.is_empty() && data.writes.iter().all(|w| queued(&w.timeline)));
 }
 
 #[test]
@@ -126,10 +120,15 @@ fn exported_spans_tile_each_request_lifetime() {
     let (requests, _) = gpu.take_traces();
     assert!(!requests.is_empty());
     let data = gpu.take_trace();
+    assert!(!data.writes.is_empty(), "the copy's stores retire");
 
     let mut builder = ChromeTraceBuilder::new(2, 2);
     for (i, r) in requests.iter().enumerate() {
-        builder.add_request_span(r.sm.get(), i as u64, &r.timeline);
+        builder.add_request_span(TraceSite::Sm(r.sm.get()), i as u64, &r.timeline);
+    }
+    for (i, w) in data.writes.iter().enumerate() {
+        let id = (requests.len() + i) as u64;
+        builder.add_request_span(TraceSite::Partition(w.partition), id, &w.timeline);
     }
     for e in &data.events {
         builder.add_event(e);
@@ -140,9 +139,65 @@ fn exported_spans_tile_each_request_lifetime() {
     let json_text = builder.finish();
     let doc = json::parse(&json_text).expect("exported trace must be valid JSON");
     let verified = gpu_trace::check_span_sums(&doc).expect("span stage sums must tile lifetimes");
-    let complete = requests.iter().filter(|r| r.timeline.is_complete()).count() as u64;
-    assert_eq!(verified, complete);
-    assert!(verified > 0);
+    let complete = requests.iter().filter(|r| r.timeline.is_complete()).count();
+    assert_eq!(verified, (complete + data.writes.len()) as u64);
+}
+
+#[test]
+fn stores_and_writebacks_keep_their_dram_hops() {
+    // A write-back L2 absorbs every store; the dirty lines it evicts go to
+    // DRAM as writebacks born at the partition. GF100 with its L2 cut to
+    // 4 sets a partition evicts on a 1024-node BFS.
+    let mut cfg = GpuConfig::fermi_gf100();
+    cfg.trace.enabled = true;
+    let l2 = cfg.l2.as_mut().expect("GF100 has an L2");
+    l2.write_policy = WritePolicy::WriteBack;
+    l2.cache.sets = 4;
+    let mut gpu = Gpu::new(cfg);
+    gpu.set_tracing(true);
+    let mut last = None;
+    skip_harness::mask_bfs(1024, 6, 20150301, 64)(&mut gpu, &mut |gpu| {
+        last = Some(gpu.run(skip_harness::MAX_CYCLES).expect("run drains"));
+    });
+    let serviced = last.expect("BFS launches").dram_serviced;
+    let (requests, _) = gpu.take_traces();
+    let writes = gpu.take_trace().writes;
+
+    let dram = [Stamp::DramQueueEnter, Stamp::DramScheduled, Stamp::DramDone];
+    let (mut stores, mut writebacks) = (0, 0);
+    for w in &writes {
+        let t = &w.timeline;
+        let [queued, scheduled, done] = dram.map(|s| t.get(s));
+        if t.get(Stamp::IcntInject).is_some() {
+            // A store: absorbed where the L2 served it.
+            assert!(
+                t.get(Stamp::L2Served).is_some(),
+                "store not absorbed: {t:?}"
+            );
+            assert_eq!((queued, scheduled, done), (None, None, None), "{t:?}");
+            stores += 1;
+        } else {
+            let (Some(q), Some(s), Some(d)) = (queued, scheduled, done) else {
+                panic!("writeback without its DRAM hops: {t:?}")
+            };
+            assert!(q <= s && s <= d, "writeback hops out of order: {t:?}");
+            writebacks += 1;
+        }
+    }
+    assert!(
+        stores > 0 && writebacks > 0,
+        "{stores} stores, {writebacks} writebacks"
+    );
+
+    // Every DRAM service has one retired record: a load's own, or a
+    // writeback's. An L2-merged waiter rides on its primary's service, and
+    // is stamped scheduled and done at the primary's completion.
+    let own_service = |t: &gpu_mem::Timeline| {
+        let (scheduled, done) = (t.get(Stamp::DramScheduled), t.get(Stamp::DramDone));
+        matches!((scheduled, done), (Some(s), Some(d)) if s < d)
+    };
+    let loads = requests.iter().filter(|r| own_service(&r.timeline)).count();
+    assert_eq!((loads + writebacks) as u64, serviced);
 }
 
 #[test]

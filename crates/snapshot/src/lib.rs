@@ -64,7 +64,12 @@ pub const MAGIC: [u8; 4] = *b"GSNP";
 /// masks and a sectors-per-line count, and sliced L2 partitions serialize one
 /// bank (queue, tags, MSHRs, hit pipe) per slice in index order. Version 5:
 /// a traced stall is one event per interval, carrying its length in cycles.
-pub const FORMAT_VERSION: u32 = 5;
+/// Version 6: a request timeline carries twelve stamps (the return path's
+/// L2 service, reply injection and reply ejection joined), the crossbar and
+/// queue hop events are gone, the DRAM command log no longer records a
+/// schedule or a request id, and the tracer carries retired stores' and
+/// writebacks' timelines.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug)]
@@ -534,9 +539,9 @@ mod tests {
 
     #[test]
     fn previous_format_versions_rejected_typed() {
-        // Older checkpoints (v1–v4) decode the cache arrays or the stall
-        // events differently; they must be refused outright, never
-        // reinterpreted.
+        // Older checkpoints (v1–v5) decode the cache arrays, the stall
+        // events or the timelines differently; they must be refused
+        // outright, never reinterpreted.
         for old in 1..FORMAT_VERSION {
             let mut framed = Encoder::new().finish();
             framed[4..8].copy_from_slice(&old.to_le_bytes());

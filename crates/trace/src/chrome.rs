@@ -6,10 +6,11 @@
 //! * process 1 holds one thread ("track") per SM, process 2 one per memory
 //!   partition, process 3 the whole-GPU counters;
 //! * every traced request becomes one *nestable async* span (`ph` `b`/`e`,
-//!   keyed by `cat`+`id`) on its SM's track, with one nested child slice
-//!   per stage of `Timeline::stages`, named from `Stamp::stage_label` — the
-//!   child durations tile the parent exactly, reproducing the Figure-1
-//!   stage decomposition per request;
+//!   keyed by `cat`+`id`) on its SM's track — a retired store or writeback
+//!   on its partition's — with one nested child slice per stage of
+//!   `Timeline::stages`, named from `Stamp::stage_label` — the child
+//!   durations tile the parent exactly, reproducing the Figure-1 stage
+//!   decomposition per request, with Fetch2SM in its parts;
 //! * a stall interval becomes one complete `ph` `"X"` slice on its SM's
 //!   track, spanning the cycles it covers; every other [`TraceEvent`]
 //!   becomes a thread-scoped instant (`ph` `"i"`);
@@ -103,10 +104,11 @@ fn metadata(w: &mut Writer, pid: u32, tid: Option<u32>, what: &str, name: &str) 
     w.key("args").object().field("name", name).end().end();
 }
 
-/// One edge (`ph` `b`/`e`) of request `id`'s nestable async span `name`.
-fn async_edge(w: &mut Writer, ph: &str, sm: u32, id: u64, name: &str, ts: u64) {
+/// One edge (`ph` `b`/`e`) of request `id`'s nestable async span `name`
+/// on track `(pid, tid)`.
+fn async_edge(w: &mut Writer, ph: &str, (pid, tid): (u32, u32), id: u64, name: &str, ts: u64) {
     begin(w, "request", ph).field("id", id).field("name", name);
-    w.field("pid", PID_SMS).field("tid", sm);
+    w.field("pid", pid).field("tid", tid);
     w.field("ts", ts).end();
 }
 
@@ -155,25 +157,27 @@ impl ChromeTraceBuilder {
         }
     }
 
-    /// Adds one traced request as a nestable async span on SM `sm`'s track:
-    /// an outer `req{id}` slice from issue to return, with one child slice
-    /// per stage of [`Timeline::stages`]. Incomplete timelines are skipped.
-    pub fn add_request_span(&mut self, sm: u32, id: u64, timeline: &Timeline) {
-        let (Some(stages), Some(issue), Some(returned)) = (
+    /// Adds one traced request as a nestable async span on `site`'s track
+    /// (its SM's for a load, its partition's for a retired write): an outer
+    /// `req{id}` slice from issue to [`Timeline::end`], with one child slice
+    /// per stage of [`Timeline::stages`]. A timeline with nothing stamped
+    /// after issue is skipped.
+    pub fn add_request_span(&mut self, site: TraceSite, id: u64, timeline: &Timeline) {
+        let (Some(stages), Some(issue), Some(last)) = (
             timeline.stages(),
             timeline.get(Stamp::Issue),
-            timeline.get(Stamp::Returned),
+            timeline.end(),
         ) else {
             return;
         };
-        let (w, outer) = (&mut self.w, format!("req{id}"));
-        async_edge(w, "b", sm, id, &outer, issue.get());
+        let (w, outer, track) = (&mut self.w, format!("req{id}"), site_coords(site));
+        async_edge(w, "b", track, id, &outer, issue.get());
         for (stamp, start, end) in stages {
             let label = stamp.stage_label().expect("a stage ends after Issue");
-            async_edge(w, "b", sm, id, label, start.get());
-            async_edge(w, "e", sm, id, label, end.get());
+            async_edge(w, "b", track, id, label, start.get());
+            async_edge(w, "e", track, id, label, end.get());
         }
-        async_edge(w, "e", sm, id, &outer, returned.get());
+        async_edge(w, "e", track, id, &outer, last.get());
     }
 
     /// Adds one event on its site's track, with the payload spelled out in
@@ -359,7 +363,7 @@ pub fn check_span_sums(doc: &Value) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{NetDir, QueueKind, StallReason};
+    use crate::event::StallReason;
     use crate::json;
     use gpu_types::Cycle;
 
@@ -373,6 +377,8 @@ mod tests {
         t.record(Stamp::DramQueueEnter, Cycle::new(issue + 320));
         t.record(Stamp::DramScheduled, Cycle::new(issue + 520));
         t.record(Stamp::DramDone, Cycle::new(issue + 620));
+        t.record(Stamp::ReplyInject, Cycle::new(issue + 640));
+        t.record(Stamp::ReplyEject, Cycle::new(issue + 690));
         t.record(Stamp::Returned, Cycle::new(issue + 700));
         t
     }
@@ -380,14 +386,34 @@ mod tests {
     #[test]
     fn spans_tile_the_lifetime_and_validate() {
         let mut b = ChromeTraceBuilder::new(2, 2);
-        b.add_request_span(0, 7, &dram_timeline(100));
-        b.add_request_span(1, 8, &dram_timeline(0));
+        b.add_request_span(TraceSite::Sm(0), 7, &dram_timeline(100));
+        b.add_request_span(TraceSite::Sm(1), 8, &dram_timeline(0));
+        // A store the write-back L2 absorbed, on its partition's track.
+        let mut store = Timeline::new();
+        store.record(Stamp::Issue, Cycle::new(10));
+        store.record(Stamp::L2QueueEnter, Cycle::new(90));
+        store.record(Stamp::L2Served, Cycle::new(91));
+        b.add_request_span(TraceSite::Partition(1), 9, &store);
         let text = b.finish();
         // Children are named from the one legend beside `Stamp`.
-        let label = Stamp::DramDone.stage_label().unwrap();
-        assert!(text.contains(&format!("\"{label}\"")), "{text}");
+        for stamp in [Stamp::DramDone, Stamp::ReplyEject, Stamp::L2Served] {
+            let label = stamp.stage_label().unwrap();
+            assert!(text.contains(&format!("\"{label}\"")), "{text}");
+        }
         let doc = json::parse(&text).unwrap();
-        assert_eq!(check_span_sums(&doc).unwrap(), 2);
+        assert_eq!(check_span_sums(&doc).unwrap(), 3);
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let store_edges: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("id").and_then(Value::as_num) == Some(9.0))
+            .map(|e| {
+                (
+                    e.get("pid").and_then(Value::as_num),
+                    e.get("tid").and_then(Value::as_num),
+                )
+            })
+            .collect();
+        assert_eq!(store_edges, [(Some(2.0), Some(1.0)); 6]);
     }
 
     #[test]
@@ -395,7 +421,7 @@ mod tests {
         let mut b = ChromeTraceBuilder::new(1, 1);
         let mut t = Timeline::new();
         t.record(Stamp::Issue, Cycle::new(5));
-        b.add_request_span(0, 1, &t);
+        b.add_request_span(TraceSite::Sm(0), 1, &t);
         assert_eq!(b.finish(), ChromeTraceBuilder::new(1, 1).finish());
     }
 
@@ -429,16 +455,8 @@ mod tests {
                 line: 0x1280,
                 waiters: 2,
             },
-            EventKind::IcntInject {
-                net: NetDir::Request,
-                req: 12,
-                port: 0,
-            },
-            EventKind::QueueLeave {
-                queue: QueueKind::Rop,
-                req: 12,
-            },
             EventKind::RowActivate { bank: 5, row: 900 },
+            EventKind::RowPrecharge { bank: 5, row: 900 },
         ] {
             b.add_event(&TraceEvent {
                 cycle: 50,
@@ -453,7 +471,7 @@ mod tests {
         let text = b.finish();
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(events.len() >= 6 + CounterKind::COUNT);
+        assert!(events.len() >= 5 + CounterKind::COUNT);
         // No request spans: the validator trivially passes with 0.
         assert_eq!(check_span_sums(&doc).unwrap(), 0);
     }

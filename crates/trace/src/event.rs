@@ -1,9 +1,10 @@
 //! The event taxonomy of the tracing layer.
 //!
 //! Every discrete thing the simulator can report — an SM stalling, a
-//! coalesced access, an MSHR transition, a crossbar hop, a queue move, a
-//! DRAM row-buffer command — becomes one [`TraceEvent`]: a cycle, a site,
-//! and a payload. Events are plain `Copy` data so recording one is a couple
+//! coalesced access, an MSHR transition, a DRAM row-buffer command —
+//! becomes one [`TraceEvent`]: a cycle, a site, and a payload. A request's
+//! hops through queues and networks are not events: its `Timeline` stamps
+//! each one once. Events are plain `Copy` data so recording one is a couple
 //! of stores into a pre-grown buffer, never an allocation.
 
 use gpu_types::json::Writer;
@@ -151,47 +152,6 @@ pub enum TraceSite {
     Gpu,
 }
 
-/// Which crossbar network a hop event belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NetDir {
-    /// SM → partition request network.
-    Request,
-    /// Partition → SM reply network.
-    Reply,
-}
-
-impl NetDir {
-    /// Short machine-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            NetDir::Request => "req",
-            NetDir::Reply => "reply",
-        }
-    }
-}
-
-/// Which bounded queue a queue-transition event refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueKind {
-    /// The partition's ROP pipeline queue.
-    Rop,
-    /// The L2 slice input queue.
-    L2Input,
-    /// The DRAM controller queue.
-    DramController,
-}
-
-impl QueueKind {
-    /// Short machine-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueKind::Rop => "rop",
-            QueueKind::L2Input => "l2_input",
-            QueueKind::DramController => "dram",
-        }
-    }
-}
-
 /// The payload of one trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -232,38 +192,6 @@ pub enum EventKind {
         /// Waiters woken.
         waiters: u32,
     },
-    /// A request entered a crossbar network.
-    IcntInject {
-        /// Which network.
-        net: NetDir,
-        /// Request id.
-        req: u64,
-        /// Source port index.
-        port: u32,
-    },
-    /// A request left a crossbar network.
-    IcntEject {
-        /// Which network.
-        net: NetDir,
-        /// Request id.
-        req: u64,
-        /// Destination port index.
-        port: u32,
-    },
-    /// A request entered a bounded queue.
-    QueueEnter {
-        /// Which queue.
-        queue: QueueKind,
-        /// Request id.
-        req: u64,
-    },
-    /// A request left a bounded queue.
-    QueueLeave {
-        /// Which queue.
-        queue: QueueKind,
-        /// Request id.
-        req: u64,
-    },
     /// DRAM activated a row in a bank.
     RowActivate {
         /// Bank index.
@@ -303,10 +231,6 @@ impl EventKind {
             EventKind::MshrAllocate { .. } => "mshr_alloc",
             EventKind::MshrMerge { .. } => "mshr_merge",
             EventKind::MshrFill { .. } => "mshr_fill",
-            EventKind::IcntInject { .. } => "icnt_inject",
-            EventKind::IcntEject { .. } => "icnt_eject",
-            EventKind::QueueEnter { .. } => "queue_enter",
-            EventKind::QueueLeave { .. } => "queue_leave",
             EventKind::RowActivate { .. } => "row_activate",
             EventKind::RowPrecharge { .. } => "row_precharge",
             EventKind::Checkpoint { .. } => "checkpoint",
@@ -332,13 +256,6 @@ impl EventKind {
                 .field("lines", lines),
             Self::MshrAllocate { line } | Self::MshrMerge { line } => w.field("line", line),
             Self::MshrFill { line, waiters } => w.field("line", line).field("waiters", waiters),
-            Self::IcntInject { net, req, port } | Self::IcntEject { net, req, port } => w
-                .field("net", net.name())
-                .field("req", req)
-                .field("port", port),
-            Self::QueueEnter { queue, req } | Self::QueueLeave { queue, req } => {
-                w.field("queue", queue.name()).field("req", req)
-            }
             Self::RowActivate { bank, row } | Self::RowPrecharge { bank, row } => {
                 w.field("bank", bank).field("row", row)
             }
@@ -363,7 +280,8 @@ pub struct TraceEvent {
 //
 // Events are `Copy` data with small closed enums, so the codec is a flat
 // tag-plus-fields layout. Tag values are part of the checkpoint format and
-// must never be reordered; new variants append new tags.
+// must never be reordered; new variants append new tags, and a deleted
+// variant's tag (5–8, the crossbar and queue hops of format 5) stays unused.
 
 use gpu_snapshot::{Decoder, Encoder, SnapshotError};
 
@@ -388,42 +306,6 @@ impl TraceSite {
             1 => TraceSite::Partition(d.u32()?),
             2 => TraceSite::Gpu,
             _ => return Err(SnapshotError::InvalidValue("unknown trace site tag")),
-        })
-    }
-}
-
-impl NetDir {
-    fn encode_state(&self, e: &mut Encoder) {
-        e.u8(match self {
-            NetDir::Request => 0,
-            NetDir::Reply => 1,
-        });
-    }
-
-    fn decode(d: &mut Decoder) -> Result<Self, SnapshotError> {
-        Ok(match d.u8()? {
-            0 => NetDir::Request,
-            1 => NetDir::Reply,
-            _ => return Err(SnapshotError::InvalidValue("unknown net direction tag")),
-        })
-    }
-}
-
-impl QueueKind {
-    fn encode_state(&self, e: &mut Encoder) {
-        e.u8(match self {
-            QueueKind::Rop => 0,
-            QueueKind::L2Input => 1,
-            QueueKind::DramController => 2,
-        });
-    }
-
-    fn decode(d: &mut Decoder) -> Result<Self, SnapshotError> {
-        Ok(match d.u8()? {
-            0 => QueueKind::Rop,
-            1 => QueueKind::L2Input,
-            2 => QueueKind::DramController,
-            _ => return Err(SnapshotError::InvalidValue("unknown queue kind tag")),
         })
     }
 }
@@ -468,28 +350,6 @@ impl EventKind {
                 e.u64(line);
                 e.u32(waiters);
             }
-            EventKind::IcntInject { net, req, port } => {
-                e.u8(5);
-                net.encode_state(e);
-                e.u64(req);
-                e.u32(port);
-            }
-            EventKind::IcntEject { net, req, port } => {
-                e.u8(6);
-                net.encode_state(e);
-                e.u64(req);
-                e.u32(port);
-            }
-            EventKind::QueueEnter { queue, req } => {
-                e.u8(7);
-                queue.encode_state(e);
-                e.u64(req);
-            }
-            EventKind::QueueLeave { queue, req } => {
-                e.u8(8);
-                queue.encode_state(e);
-                e.u64(req);
-            }
             EventKind::RowActivate { bank, row } => {
                 e.u8(9);
                 e.u32(bank);
@@ -528,24 +388,6 @@ impl EventKind {
                 line: d.u64()?,
                 waiters: d.u32()?,
             },
-            5 => EventKind::IcntInject {
-                net: NetDir::decode(d)?,
-                req: d.u64()?,
-                port: d.u32()?,
-            },
-            6 => EventKind::IcntEject {
-                net: NetDir::decode(d)?,
-                req: d.u64()?,
-                port: d.u32()?,
-            },
-            7 => EventKind::QueueEnter {
-                queue: QueueKind::decode(d)?,
-                req: d.u64()?,
-            },
-            8 => EventKind::QueueLeave {
-                queue: QueueKind::decode(d)?,
-                req: d.u64()?,
-            },
             9 => EventKind::RowActivate {
                 bank: d.u32()?,
                 row: d.u64()?,
@@ -574,7 +416,7 @@ impl TraceEvent {
     /// # Errors
     ///
     /// Returns [`SnapshotError::InvalidValue`] on an unknown site, kind,
-    /// reason, net or queue tag and on a stall interval that is empty or
+    /// or reason tag and on a stall interval that is empty or
     /// starts before cycle 0, and propagates decoder errors.
     pub fn decode(d: &mut Decoder) -> Result<Self, SnapshotError> {
         let event = TraceEvent {
@@ -651,24 +493,6 @@ mod tests {
             EventKind::MshrFill {
                 line: 0x1280,
                 waiters: 2,
-            },
-            EventKind::IcntInject {
-                net: NetDir::Request,
-                req: 12,
-                port: 0,
-            },
-            EventKind::IcntEject {
-                net: NetDir::Reply,
-                req: 12,
-                port: 7,
-            },
-            EventKind::QueueEnter {
-                queue: QueueKind::L2Input,
-                req: 44,
-            },
-            EventKind::QueueLeave {
-                queue: QueueKind::DramController,
-                req: 44,
             },
             EventKind::RowActivate { bank: 5, row: 900 },
             EventKind::RowPrecharge { bank: 5, row: 900 },
@@ -775,7 +599,5 @@ mod tests {
             kind: EventKind::MshrAllocate { line: 0x80 },
         };
         assert_eq!(e.kind.name(), "mshr_alloc");
-        assert_eq!(QueueKind::DramController.name(), "dram");
-        assert_eq!(NetDir::Reply.name(), "reply");
     }
 }

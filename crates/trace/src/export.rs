@@ -51,7 +51,7 @@ pub fn counters_csv(samples: &[CounterSample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, QueueKind, StallReason};
+    use crate::event::{EventKind, StallReason};
     use crate::json;
 
     #[test]
@@ -68,10 +68,7 @@ mod tests {
             TraceEvent {
                 cycle: 11,
                 site: TraceSite::Partition(1),
-                kind: EventKind::QueueEnter {
-                    queue: QueueKind::L2Input,
-                    req: 44,
-                },
+                kind: EventKind::RowActivate { bank: 3, row: 44 },
             },
         ];
         let text = events_jsonl(&events);
@@ -83,13 +80,12 @@ mod tests {
         assert_eq!(v.get("reason").unwrap().as_str(), Some("scoreboard"));
         assert_eq!(v.get("cycles").unwrap().as_num(), Some(4.0));
         let v = json::parse(lines[1]).unwrap();
-        assert_eq!(v.get("queue").unwrap().as_str(), Some("l2_input"));
-        assert_eq!(v.get("req").unwrap().as_num(), Some(44.0));
+        assert_eq!(v.get("site").unwrap().as_str(), Some("partition"));
+        assert_eq!(v.get("row").unwrap().as_num(), Some(44.0));
     }
 
     /// One event per [`EventKind`] variant, exercising every payload shape.
     fn one_event_per_kind() -> Vec<TraceEvent> {
-        use crate::event::NetDir;
         vec![
             TraceEvent {
                 cycle: 1,
@@ -124,40 +120,6 @@ mod tests {
                 kind: EventKind::MshrFill {
                     line: 0x00de_ad00,
                     waiters: 7,
-                },
-            },
-            TraceEvent {
-                cycle: 6,
-                site: TraceSite::Gpu,
-                kind: EventKind::IcntInject {
-                    net: NetDir::Request,
-                    req: 9,
-                    port: 2,
-                },
-            },
-            TraceEvent {
-                cycle: 7,
-                site: TraceSite::Gpu,
-                kind: EventKind::IcntEject {
-                    net: NetDir::Reply,
-                    req: 9,
-                    port: 0,
-                },
-            },
-            TraceEvent {
-                cycle: 8,
-                site: TraceSite::Partition(2),
-                kind: EventKind::QueueEnter {
-                    queue: QueueKind::DramController,
-                    req: 11,
-                },
-            },
-            TraceEvent {
-                cycle: 9,
-                site: TraceSite::Partition(2),
-                kind: EventKind::QueueLeave {
-                    queue: QueueKind::Rop,
-                    req: 11,
                 },
             },
             TraceEvent {
@@ -270,16 +232,6 @@ mod tests {
                 EventKind::MshrFill { line, waiters } => {
                     assert_eq!(num(&v, "line"), line);
                     assert_eq!(num(&v, "waiters"), u64::from(waiters));
-                }
-                EventKind::IcntInject { net, req, port }
-                | EventKind::IcntEject { net, req, port } => {
-                    assert_eq!(text(&v, "net"), net.name());
-                    assert_eq!(num(&v, "req"), req);
-                    assert_eq!(num(&v, "port"), u64::from(port));
-                }
-                EventKind::QueueEnter { queue, req } | EventKind::QueueLeave { queue, req } => {
-                    assert_eq!(text(&v, "queue"), queue.name());
-                    assert_eq!(num(&v, "req"), req);
                 }
                 EventKind::RowActivate { bank, row } | EventKind::RowPrecharge { bank, row } => {
                     assert_eq!(num(&v, "bank"), u64::from(bank));

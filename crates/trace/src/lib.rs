@@ -8,8 +8,9 @@
 //! * [`Tracer`] — a zero-cost-when-disabled event sink plus a per-cycle
 //!   sampled counter registry with bounded ring-buffer storage;
 //! * [`TraceEvent`]/[`EventKind`] — the event taxonomy (SM stalls with
-//!   [`StallReason`] attribution, coalescer, MSHR transitions, crossbar
-//!   hops, queue moves, DRAM row commands);
+//!   [`StallReason`] attribution, coalescer, MSHR transitions, DRAM row
+//!   commands); a request's hops are its `Timeline`'s stamps, and a
+//!   retired store's or writeback's timeline is kept as a [`RetiredWrite`];
 //! * [`MetricsReport`] — counter summaries, stall breakdowns and host
 //!   throughput, embedded in the simulator's `RunSummary`;
 //! * exporters — Chrome trace-event JSON for Perfetto
@@ -41,8 +42,10 @@ pub mod tracer;
 pub use gpu_types::json;
 
 pub use chrome::{check_span_sums, ChromeTraceBuilder, TrackNames};
-pub use event::{EventKind, NetDir, QueueKind, StallBreakdown, StallReason, TraceEvent, TraceSite};
+pub use event::{EventKind, StallBreakdown, StallReason, TraceEvent, TraceSite};
 pub use export::{counters_csv, events_jsonl};
 pub use metrics::{cycles_per_second, MetricsReport};
 pub use profile::{ProfSpan, ProfileReport};
-pub use tracer::{CounterKind, CounterSample, CounterSummary, TraceConfig, TraceData, Tracer};
+pub use tracer::{
+    CounterKind, CounterSample, CounterSummary, RetiredWrite, TraceConfig, TraceData, Tracer,
+};

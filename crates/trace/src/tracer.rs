@@ -7,6 +7,8 @@
 
 use std::collections::VecDeque;
 
+use gpu_mem::Timeline;
+
 use crate::event::TraceEvent;
 
 /// Tracing configuration, carried inside the simulator's `GpuConfig`.
@@ -150,11 +152,25 @@ impl CounterSummary {
     }
 }
 
+/// A store or writeback that retired at a memory partition, where its
+/// path ends (no reply goes back to an SM).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetiredWrite {
+    /// The partition it retired at.
+    pub partition: u32,
+    /// Its stamps, from issue (at the SM, or at the partition for a
+    /// writeback) to `DramDone` or `L2Served`.
+    pub timeline: Timeline,
+}
+
 /// Everything a traced run collected, taken out of the tracer in one move.
 #[derive(Debug, Default)]
 pub struct TraceData {
     /// Recorded events, in recording order.
     pub events: Vec<TraceEvent>,
+    /// Retired stores and writebacks, in retirement order (a load's
+    /// timeline goes to the simulator's latency sink instead).
+    pub writes: Vec<RetiredWrite>,
     /// Counter samples still in the ring (newest `counter_capacity`).
     pub samples: Vec<CounterSample>,
     /// Events dropped after `max_events` was reached.
@@ -170,6 +186,7 @@ pub struct Tracer {
     max_events: usize,
     counter_capacity: usize,
     events: Vec<TraceEvent>,
+    writes: Vec<RetiredWrite>,
     dropped: u64,
     ring: VecDeque<CounterSample>,
     summaries: [CounterSummary; CounterKind::COUNT],
@@ -186,6 +203,7 @@ impl Tracer {
             max_events: cfg.max_events,
             counter_capacity: cfg.counter_capacity.max(1),
             events: Vec::new(),
+            writes: Vec::new(),
             dropped: 0,
             ring: VecDeque::new(),
             summaries: [CounterSummary::default(); CounterKind::COUNT],
@@ -217,6 +235,18 @@ impl Tracer {
             return;
         }
         self.events.push(event);
+    }
+
+    /// Keeps the timeline of a store or writeback that retired at
+    /// `partition`. A disabled tracer returns immediately.
+    #[inline]
+    pub fn retire_write(&mut self, partition: u32, timeline: Timeline) {
+        if self.enabled {
+            self.writes.push(RetiredWrite {
+                partition,
+                timeline,
+            });
+        }
     }
 
     /// Returns `true` when the counter registry should be sampled at
@@ -275,6 +305,7 @@ impl Tracer {
     pub fn take(&mut self) -> TraceData {
         let data = TraceData {
             events: std::mem::take(&mut self.events),
+            writes: std::mem::take(&mut self.writes),
             samples: self.ring.drain(..).collect(),
             dropped_events: std::mem::take(&mut self.dropped),
         };
@@ -286,7 +317,8 @@ impl Tracer {
     // ---- snapshot codec ---------------------------------------------------
 
     /// Serializes the tracer completely: configuration knobs, every retained
-    /// event, the drop counter, the counter-sample ring and the running
+    /// event and retired write, the drop counter, the counter-sample ring
+    /// and the running
     /// summaries. A restored tracer keeps recording exactly where this one
     /// stopped, so a resumed run emits the identical event stream.
     pub fn encode_state(&self, e: &mut gpu_snapshot::Encoder) {
@@ -297,6 +329,11 @@ impl Tracer {
         e.usize(self.events.len());
         for ev in &self.events {
             ev.encode_state(e);
+        }
+        e.usize(self.writes.len());
+        for w in &self.writes {
+            e.u32(w.partition);
+            w.timeline.encode_state(e);
         }
         e.u64(self.dropped);
         e.usize(self.ring.len());
@@ -345,6 +382,15 @@ impl Tracer {
         for _ in 0..n_events {
             self.events.push(TraceEvent::decode(d)?);
         }
+        self.writes.clear();
+        for _ in 0..d.usize()? {
+            let partition = d.u32()?;
+            let timeline = Timeline::decode(d)?;
+            self.writes.push(RetiredWrite {
+                partition,
+                timeline,
+            });
+        }
         self.dropped = d.u64()?;
         let n_samples = d.usize()?;
         if n_samples > self.counter_capacity {
@@ -390,10 +436,12 @@ mod tests {
         let mut t = Tracer::new(TraceConfig::default());
         assert!(!t.enabled());
         t.record(ev(1));
+        t.retire_write(0, Timeline::new());
         t.sample(0, [1; CounterKind::COUNT]);
         assert!(!t.should_sample(0));
         let data = t.take();
         assert!(data.events.is_empty());
+        assert!(data.writes.is_empty());
         assert!(data.samples.is_empty());
     }
 
@@ -473,6 +521,10 @@ mod tests {
         for (i, v) in [5u64, 1, 9].into_iter().enumerate() {
             t.sample(i as u64 * 4, [v; CounterKind::COUNT]);
         }
+        let mut store = Timeline::new();
+        store.record(gpu_mem::Stamp::Issue, gpu_types::Cycle::new(2));
+        store.record(gpu_mem::Stamp::L2Served, gpu_types::Cycle::new(5));
+        t.retire_write(1, store);
 
         let mut e = gpu_snapshot::Encoder::new();
         t.encode_state(&mut e);
@@ -502,6 +554,8 @@ mod tests {
         assert_eq!(restored.summaries(), t.summaries());
         let (a, b) = (t.take(), restored.take());
         assert_eq!(a.events, b.events);
+        assert_eq!(a.writes, b.writes);
+        assert_eq!(a.writes.len(), 1);
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.dropped_events, b.dropped_events);
     }

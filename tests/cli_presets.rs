@@ -165,6 +165,8 @@ fn shared_flags_are_validated_on_every_subcommand() {
     }
 }
 
+/// `LATENCY_THREADS` and `LATENCY_TRACE` are checked before any
+/// subcommand runs.
 #[test]
 fn thread_environment_is_validated_at_startup() {
     let rows = [
@@ -178,6 +180,10 @@ fn thread_environment_is_validated_at_startup() {
             "lots",
             "LATENCY_THREADS must be a positive integer, got 'lots'",
         ),
+        // A truthy LATENCY_TRACE once collected events no output read; the
+        // variable names a bundle directory or nothing.
+        ("LATENCY_TRACE", "1", "LATENCY_TRACE=./trace-out"),
+        ("LATENCY_TRACE", "on", "names a bundle directory"),
     ];
     for sub in SUBCOMMANDS {
         for (var, value, message) in rows {
