@@ -9,10 +9,12 @@
 //! distinct run once: every preset's Table I chase points, held to the
 //! published reference, its §II grid and inference, and every simulation
 //! the paper's figures and E4 read with its own idle-coverage pins. How
-//! long each row took goes to the `[bench]` stdout lines; the fresh
-//! `BENCH_experiments.json` written to `--out` (default `bench-out/`)
-//! holds pins only. Under `LATENCY_PROFILE=1` the host-side self-profiler
-//! runs too, and its `profile.json`/`profile.txt` are written beside it.
+//! long each row took goes to the `[bench]` stdout lines, and the last of
+//! them is the process's peak resident set (`VmHWM`, where the host has a
+//! `/proc/self/status`); the fresh `BENCH_experiments.json` written to
+//! `--out` (default `bench-out/`) holds pins only. Under
+//! `LATENCY_PROFILE=1` the host-side self-profiler runs too, and its
+//! `profile.json`/`profile.txt` are written beside it.
 //!
 //! `--check` then compares the document against the committed baseline
 //! in `--baseline-dir` (default `.`) under [`latency_bench::regression`]'s
@@ -138,26 +140,47 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         "[bench] artifacts in {}: {artifacts}\n",
         args.out.display()
     ));
-    if !args.check && !args.update {
-        return Ok(());
+    let passed = !(args.check || args.update) || check_or_update(&args, &json, &blocks);
+    if let Some(kib) = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| peak_rss_kib(&status))
+    {
+        let mib = (kib + 512) / 1024;
+        print(format_args!("[bench] host: peak RSS {mib} MiB\n"));
     }
+    if !passed {
+        eprintln!("FAIL: benchmark pin check failed");
+        exit(1);
+    }
+    Ok(())
+}
 
+/// The `VmHWM` (peak resident set) of a `/proc/<pid>/status` text, in KiB.
+fn peak_rss_kib(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+/// `--update-baselines` rewrites the committed pins and EXPERIMENTS.md
+/// blocks; `--check` compares against them, printing each finding.
+/// Returns `false` when the check found a difference.
+fn check_or_update(args: &Args, json: &str, blocks: &[(&'static str, String)]) -> bool {
     // The list also owns EXPERIMENTS.md's blocks: each is one row's stdout.
     let doc_path = args.baseline_dir.join("EXPERIMENTS.md");
     let doc = std::fs::read_to_string(&doc_path);
     let doc = or_exit(doc, format_args!("FAIL: read {}", doc_path.display()));
-    let (fresh, stale) = or_exit(splice_doc(&doc, &blocks), "FAIL: experiments");
+    let (fresh, stale) = or_exit(splice_doc(&doc, blocks), "FAIL: experiments");
     let path = args.baseline_dir.join(PINS);
     if args.update {
         write_file(&doc_path, &fresh);
-        write_file(&path, &json);
+        write_file(&path, json);
         for updated in [&doc_path, &path] {
             print(format_args!(
                 "[bench] baseline updated: {}\n",
                 updated.display()
             ));
         }
-        return Ok(());
+        return true;
     }
 
     let mut fatal = !stale.is_empty();
@@ -171,7 +194,7 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         let path = path.display();
         format!("no baseline at {path} ({e}); run --update-baselines and commit it")
     });
-    match baseline.and_then(|baseline| compare_json(&baseline, &json)) {
+    match baseline.and_then(|baseline| compare_json(&baseline, json)) {
         Ok(findings) => {
             for f in &findings {
                 print(format_args!(
@@ -186,12 +209,10 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
             fatal = true;
         }
     }
-    if fatal {
-        eprintln!("FAIL: benchmark pin check failed");
-        exit(1);
+    if !fatal {
+        print("[bench] check passed\n");
     }
-    print("[bench] check passed\n");
-    Ok(())
+    !fatal
 }
 
 #[cfg(test)]
@@ -202,6 +223,14 @@ mod tests {
         parse_args(&mut Cursor::new(
             flags.iter().map(|f| f.to_string()).collect(),
         ))
+    }
+
+    #[test]
+    fn peak_rss_is_read_from_vm_hwm() {
+        let status = "Name:\tlatency\nVmPeak:\t  901234 kB\nVmHWM:\t  422400 kB\n";
+        assert_eq!(peak_rss_kib(status), Some(422_400));
+        assert_eq!(peak_rss_kib("Name:\tlatency\n"), None);
+        assert_eq!(peak_rss_kib("VmHWM:\t  garbled\n"), None);
     }
 
     #[test]

@@ -118,6 +118,9 @@ pub struct Cache {
     sector_bytes: u64,
     /// Sectors per line (1 = classic unsectored line).
     sectors_per_line: u32,
+    /// `config.sets * config.ways` entries, set-major — or none before the
+    /// first access that may change one ([`Cache::commit`]): a tag array
+    /// nobody has touched reads as all [`Line::EMPTY`].
     lines: Vec<Line>,
     writebacks: std::collections::VecDeque<Addr>,
     tick: u64,
@@ -137,7 +140,8 @@ impl Cache {
     }
 
     /// Creates an empty cache that fills and tags at `sector_bytes`
-    /// granularity (`None` = unsectored, whole-line fills). A probe hits
+    /// granularity (`None` = unsectored, whole-line fills). The tag array
+    /// takes its storage at the first access that may change it. A probe hits
     /// only when the touched *sector* is valid; fills and reservations
     /// cover one sector, so miss traffic is naturally counted in sectors.
     ///
@@ -161,7 +165,7 @@ impl Cache {
             config,
             sector_bytes: sector,
             sectors_per_line,
-            lines: vec![Line::EMPTY; config.sets * config.ways],
+            lines: Vec::new(),
             writebacks: std::collections::VecDeque::new(),
             tick: 0,
             hits: 0,
@@ -187,6 +191,20 @@ impl Cache {
     /// Demand misses observed so far.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Gives the tag array its storage, all lines empty, if it has none.
+    /// Every `&mut self` access that reads or writes a line calls this
+    /// first; the `&self` ones read through [`Cache::line`].
+    fn commit(&mut self) {
+        if self.lines.is_empty() {
+            self.lines = vec![Line::EMPTY; self.config.sets * self.config.ways];
+        }
+    }
+
+    /// Line `i`, [`Line::EMPTY`] while the tag array has no storage.
+    fn line(&self, i: usize) -> Line {
+        self.lines.get(i).copied().unwrap_or(Line::EMPTY)
     }
 
     fn set_index(&self, addr: Addr) -> usize {
@@ -217,6 +235,7 @@ impl Cache {
     /// allocated — call [`Cache::reserve`] (on MSHR allocation) and
     /// [`Cache::fill`] (when data returns) to complete the miss.
     pub fn load(&mut self, addr: Addr) -> LoadOutcome {
+        self.commit();
         self.tick += 1;
         let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
@@ -239,14 +258,17 @@ impl Cache {
     pub fn probe(&self, addr: Addr) -> bool {
         let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
-        self.set_range(addr)
-            .any(|i| self.lines[i].valid & bit != 0 && self.lines[i].tag == tag)
+        self.set_range(addr).any(|i| {
+            let line = self.line(i);
+            line.valid & bit != 0 && line.tag == tag
+        })
     }
 
     /// Reserves `addr`'s sector for an in-flight fill, evicting a victim
     /// line if needed. Returns `false` if every way is already reserved
     /// for other in-flight fills (the miss must stall).
     pub fn reserve(&mut self, addr: Addr) -> bool {
+        self.commit();
         self.tick += 1;
         let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
@@ -294,7 +316,7 @@ impl Cache {
     pub fn can_reserve(&self, addr: Addr) -> bool {
         let tag = self.tag(addr);
         self.set_range(addr).any(|i| {
-            let line = &self.lines[i];
+            let line = self.line(i);
             (line.tag == tag && line.present()) || line.reserved == 0
         })
     }
@@ -302,6 +324,7 @@ impl Cache {
     /// Fills `addr`'s sector (fill-on-return). Clears any reservation for
     /// that sector; allocates a victim way if the line was not resident.
     pub fn fill(&mut self, addr: Addr) {
+        self.commit();
         self.tick += 1;
         let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
@@ -348,6 +371,7 @@ impl Cache {
     /// allocate). On an unsectored cache the single sector is the line, so
     /// the whole line dies — the historical behavior.
     pub fn store_invalidate(&mut self, addr: Addr) {
+        self.commit();
         let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
         for i in self.set_range(addr) {
@@ -365,6 +389,7 @@ impl Cache {
     /// hit; on a miss nothing changes (caller decides between
     /// write-allocate via [`Cache::allocate_dirty`] or bypass).
     pub fn store_mark_dirty(&mut self, addr: Addr) -> bool {
+        self.commit();
         self.tick += 1;
         let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
@@ -388,6 +413,7 @@ impl Cache {
     /// functionally at issue). Evicted dirty victims join the writeback
     /// queue. Returns `false` if every way is reserved for in-flight fills.
     pub fn allocate_dirty(&mut self, addr: Addr) -> bool {
+        self.commit();
         self.tick += 1;
         let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
@@ -460,8 +486,9 @@ impl Cache {
     /// size.
     pub fn encode_state(&self, e: &mut gpu_snapshot::Encoder) {
         e.u32(self.sectors_per_line);
-        e.usize(self.lines.len());
-        for line in &self.lines {
+        let n = self.config.sets * self.config.ways;
+        e.usize(n);
+        for line in (0..n).map(|i| self.line(i)) {
             e.u64(line.tag);
             e.u32(line.valid);
             e.u32(line.reserved);
@@ -493,11 +520,12 @@ impl Cache {
             ));
         }
         let n = d.usize()?;
-        if n != self.lines.len() {
+        if n != self.config.sets * self.config.ways {
             return Err(gpu_snapshot::SnapshotError::InvalidValue(
                 "cache geometry mismatch",
             ));
         }
+        self.commit();
         for line in &mut self.lines {
             line.tag = d.u64()?;
             line.valid = d.u32()?;

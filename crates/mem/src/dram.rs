@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 
-use gpu_types::Cycle;
+use gpu_types::{reserve_bound, Cycle};
 
 use crate::mapping::AddressMap;
 use crate::request::{MemRequest, RequestId, Stamp};
@@ -148,6 +148,9 @@ struct Queued {
 pub struct DramController {
     config: DramConfig,
     map: AddressMap,
+    /// At most `config.queue_capacity` requests, in arrival order. No
+    /// storage until the first enqueue or restore, which reserves the whole
+    /// bound ([`reserve_bound`]).
     queue: VecDeque<Queued>,
     /// The earliest cycle a request the scheduler considers can start
     /// (module doc, "The scheduling horizon").
@@ -184,7 +187,7 @@ impl DramController {
         DramController {
             config,
             map,
-            queue: VecDeque::with_capacity(config.queue_capacity),
+            queue: VecDeque::new(),
             horizon: Cycle::MAX,
             banks: vec![Bank::default(); map.banks()],
             bus_free_at: Cycle::ZERO,
@@ -242,6 +245,7 @@ impl DramController {
         if self.config.sched == DramSched::FrFcfs || self.queue.is_empty() {
             self.horizon = self.horizon.min(self.start_time(bank, row));
         }
+        reserve_bound(&mut self.queue, self.config.queue_capacity);
         self.queue.push_back(Queued { req, bank, row });
     }
 
@@ -477,6 +481,7 @@ impl DramController {
         for _ in 0..n {
             let req = MemRequest::decode(d)?;
             let (bank, row) = (self.map.bank_of(req.addr), self.map.row_of(req.addr));
+            reserve_bound(&mut self.queue, self.config.queue_capacity);
             self.queue.push_back(Queued { req, bank, row });
         }
         if d.usize()? != self.banks.len() {

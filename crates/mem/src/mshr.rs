@@ -41,7 +41,9 @@ pub struct MshrTable<T> {
     config: MshrConfig,
     /// Merge lists by line address. Never more than `config.entries` of
     /// them, restored ones included, which is what lets the table hash its
-    /// keys without SipHash's defence against chosen ones.
+    /// keys without SipHash's defence against chosen ones. Empty and
+    /// without storage until the first line is allocated or restored, which
+    /// reserves room for all `config.entries` at once.
     entries: IntMap<Vec<T>>,
     /// Waiters parked over all merge lists, kept rather than recounted:
     /// `try_merge` adds one, `fill` takes its list's away, and a restore
@@ -49,12 +51,13 @@ pub struct MshrTable<T> {
     parked: usize,
     /// Emptied merge lists, each `max_merged` long from the start:
     /// [`MshrTable::allocate`] reuses one, so once the table has held its
-    /// working number of lines neither it nor a merge allocates.
+    /// working number of lines neither it nor a merge allocates. Room for
+    /// `config.entries` lists is reserved at the first fill.
     spare: Vec<Vec<T>>,
 }
 
 impl<T> MshrTable<T> {
-    /// Creates an empty table.
+    /// Creates an empty table. It allocates nothing until its first line.
     ///
     /// # Panics
     ///
@@ -63,7 +66,7 @@ impl<T> MshrTable<T> {
         assert!(config.entries > 0, "MSHR table needs at least one entry");
         MshrTable {
             config,
-            entries: IntMap::with_capacity_and_hasher(config.entries, Default::default()),
+            entries: IntMap::default(),
             parked: 0,
             spare: Vec::new(),
         }
@@ -109,12 +112,25 @@ impl<T> MshrTable<T> {
         if !self.can_allocate() {
             return false;
         }
-        let list = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(self.config.max_merged));
+        let list = match self.spare.pop() {
+            Some(list) => list,
+            None => {
+                self.reserve_bound();
+                Vec::with_capacity(self.config.max_merged)
+            }
+        };
         self.entries.insert(line.get(), list);
         true
+    }
+
+    /// Reserves the whole bound in one step if the map has no storage, so
+    /// it never grows. Removals leave tombstones that can bring a map with
+    /// storage to `capacity() == 0`, but only once its lines are filled,
+    /// which leaves spare lists: so this is called only with none in hand.
+    fn reserve_bound(&mut self) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve(self.config.entries);
+        }
     }
 
     /// Returns `true` if a waiter could merge onto the pending fill of
@@ -160,6 +176,9 @@ impl<T> MshrTable<T> {
         let waiters = list.len();
         self.parked -= waiters;
         list.drain(..).for_each(wake);
+        if self.spare.capacity() == 0 {
+            self.spare.reserve_exact(self.config.entries);
+        }
         self.spare.push(list);
         waiters
     }
@@ -248,11 +267,16 @@ impl<T> MshrTable<T> {
         mut dec: impl FnMut(&mut gpu_snapshot::Decoder) -> Result<T, gpu_snapshot::SnapshotError>,
     ) -> Result<(), gpu_snapshot::SnapshotError> {
         use gpu_snapshot::SnapshotError::InvalidValue;
+        // `clear` keeps the storage and drops its tombstones, so from here
+        // `capacity() == 0` means the map never had storage.
         self.entries.clear();
         self.parked = 0;
         let n = d.usize()?;
         if n > self.config.entries {
             return Err(InvalidValue("MSHR entry count exceeds table capacity"));
+        }
+        if n > 0 {
+            self.reserve_bound();
         }
         for _ in 0..n {
             let line = d.u64()?;

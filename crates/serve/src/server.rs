@@ -23,7 +23,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -509,7 +509,9 @@ impl Server {
         w.finish()
     }
 
-    /// Asks every worker and acceptor loop to wind down.
+    /// Asks every worker and acceptor loop to wind down. A worker wakes at
+    /// once; an acceptor blocked in `accept` at its next connection (see
+    /// [`serve_listener`]).
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.work.notify_all();
@@ -809,30 +811,37 @@ fn stream_job<W: Write>(server: &Arc<Server>, job: u64, writer: &mut W) -> std::
     }
 }
 
-/// The accept loop: one thread per connection, polling the shutdown flag
-/// between accepts.
+/// The accept loop: one thread per connection. `accept` blocks, so a
+/// connection is taken the moment it arrives; the loop ends at the first
+/// connection it takes after [`Server::shutdown`], which is how
+/// [`ServerHandle::shutdown`] wakes it (`wake_acceptor`).
 pub fn serve_listener(server: Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
     loop {
+        let (stream, _) = listener.accept()?;
         if server.is_shutdown() {
             return Ok(());
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let server = Arc::clone(&server);
-                std::thread::spawn(move || {
-                    if let Ok(reader) = stream.try_clone() {
-                        let _ = serve_session(&server, reader, stream);
-                    }
-                });
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            if let Ok(reader) = stream.try_clone() {
+                let _ = serve_session(&server, reader, stream);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            Err(e) => return Err(e),
-        }
+        });
     }
+}
+
+/// Connects to the listener bound at `addr` once, so an acceptor blocked in
+/// `accept` wakes and sees the shutdown flag. A listener on an unspecified
+/// address is reached through loopback. Failure means nobody is accepting
+/// any more, which is what the caller wants.
+fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, std::time::Duration::from_secs(1));
 }
 
 /// An in-process daemon: recovery, worker pool, and TCP acceptor all
@@ -883,9 +892,11 @@ impl ServerHandle {
         &self.server
     }
 
-    /// Graceful stop: signal, then join workers and the acceptor.
+    /// Graceful stop: signal, wake the acceptor, then join workers and the
+    /// acceptor.
     pub fn shutdown(self) {
         self.server.shutdown();
+        wake_acceptor(self.addr);
         for t in self.threads {
             let _ = t.join();
         }

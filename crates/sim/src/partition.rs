@@ -32,6 +32,12 @@ use crate::sanitizer::{Sanitizer, Site, Violation, ROP_QUEUE};
 /// not tracked in the GPU's outstanding-request accounting).
 const EVICTION_TOKEN: u64 = u64::MAX - 1;
 
+/// Slots in each L2 slice's hit pipe: the most L2 hits one slice holds in
+/// flight for their `hit_latency` at once. The access stage pushes at most
+/// one hit a cycle and does not check for room: a hit that finds all the
+/// slots taken panics.
+const L2_HIT_PIPE_SLOTS: usize = 64;
+
 /// One independent L2 bank: input queue, tag array, MSHRs and hit pipe.
 /// A classic monolithic L2 is exactly one of these.
 #[derive(Debug)]
@@ -84,7 +90,7 @@ impl Partition {
                     queue: BoundedQueue::new(l2_desc.queue),
                     cache,
                     mshr: MshrTable::new(l2_desc.mshr_config()),
-                    hit_pipe: DelayQueue::new(64, hit_latency),
+                    hit_pipe: DelayQueue::new(L2_HIT_PIPE_SLOTS, hit_latency),
                 }
             })
             .collect();

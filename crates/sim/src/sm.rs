@@ -33,6 +33,13 @@ use crate::stats::{self, CompletedRequest, LoadInstrRecord, SmStats, TraceSink};
 /// Token value for requests with no pending-load entry (stores).
 const NO_TOKEN: u64 = u64::MAX;
 
+/// Slots in an SM's fill pipe: the most responses and woken MSHR waiters on
+/// their way from the reply network to the register file at once. A
+/// response is admitted only while more than its level's `max_merged`
+/// slots are free ([`Sm::fill_space`]), so it and every waiter it wakes
+/// always fit.
+const FILL_PIPE_SLOTS: usize = 512;
+
 #[derive(Debug)]
 struct WarpSlot {
     exec: WarpExec,
@@ -153,6 +160,10 @@ struct PendingLoad {
 pub struct Sm {
     id: SmId,
     cfg: Arc<GpuConfig>,
+    /// `cfg.max_warps_per_sm` warp slots — or none before the SM's first
+    /// dispatch or restore ([`Sm::commit_slots`]); `class` and `live` take
+    /// their storage with them. An SM no CTA reaches reads as all slots
+    /// free.
     slots: Vec<Option<WarpSlot>>,
     /// Occupied entries of `slots`, kept rather than recounted: dispatch
     /// adds a CTA's warps, [`Sm::maintain`] takes a retired CTA's away, and
@@ -224,7 +235,6 @@ pub struct Sm {
 impl Sm {
     /// Creates an SM per the configuration.
     pub fn new(id: SmId, cfg: Arc<GpuConfig>) -> Self {
-        let slots = cfg.max_warps_per_sm;
         let l1_desc = cfg.level_desc(LevelKind::L1);
         let (l1_cache, l1_hit_latency) = match l1_desc.geom {
             Some(g) => (
@@ -235,13 +245,13 @@ impl Sm {
         };
         Sm {
             id,
-            slots: (0..slots).map(|_| None).collect(),
+            slots: Vec::new(),
             occupied: 0,
-            class: vec![None; slots],
-            live: Vec::with_capacity(slots),
+            class: Vec::new(),
+            live: Vec::new(),
             class_counts: [0; WarpClass::COUNT],
             ctas: (0..cfg.max_ctas_per_sm).map(|_| None).collect(),
-            scoreboard: Scoreboard::new(slots),
+            scoreboard: Scoreboard::new(cfg.max_warps_per_sm),
             alu_wb: BinaryHeap::new(),
             front: DelayQueue::new(cfg.lsu_queue, cfg.sm_base_latency),
             l1_desc,
@@ -251,7 +261,7 @@ impl Sm {
             l1_mshr: MshrTable::new(l1_desc.mshr_config()),
             l1_hit_pipe: DelayQueue::new(cfg.lsu_queue, l1_hit_latency),
             miss_queue: BoundedQueue::new(l1_desc.queue),
-            fill_pipe: DelayQueue::new(512, cfg.fill_latency),
+            fill_pipe: DelayQueue::new(FILL_PIPE_SLOTS, cfg.fill_latency),
             pending_loads: VecDeque::new(),
             next_token: 0,
             next_req_id: 0,
@@ -402,7 +412,7 @@ impl Sm {
 
     /// Returns `true` if a CTA of `warps_needed` warps can be dispatched.
     pub fn can_dispatch(&self, warps_needed: usize) -> bool {
-        self.slots.len() - self.live_warps() >= warps_needed
+        self.cfg.max_warps_per_sm - self.live_warps() >= warps_needed
             && self.ctas.iter().any(|c| c.is_none())
     }
 
@@ -419,6 +429,7 @@ impl Sm {
         launch: &Launch,
         local_map: LocalMap,
     ) {
+        self.commit_slots();
         let cta_index = self
             .ctas
             .iter()
@@ -463,6 +474,17 @@ impl Sm {
             slots: slot_ids,
             arrived: 0,
         });
+    }
+
+    /// Gives the warp slots, their classes and the live set their storage,
+    /// all slots free, if they have none.
+    fn commit_slots(&mut self) {
+        if self.slots.is_empty() {
+            let slots = self.cfg.max_warps_per_sm;
+            self.slots = (0..slots).map(|_| None).collect();
+            self.class = vec![None; slots];
+            self.live = Vec::with_capacity(slots);
+        }
     }
 
     /// Retires CTAs whose warps have all exited and drained their pending
@@ -1332,9 +1354,10 @@ impl Sm {
     /// checkpoint stores the full [`GpuConfig`] once and rebuilds each SM
     /// from it before restoring.
     pub fn encode_state(&self, e: &mut Encoder, now: Cycle) {
-        e.usize(self.slots.len());
-        for slot in &self.slots {
-            match slot {
+        let n_slots = self.cfg.max_warps_per_sm;
+        e.usize(n_slots);
+        for i in 0..n_slots {
+            match self.slots.get(i).and_then(Option::as_ref) {
                 None => e.bool(false),
                 Some(s) => {
                     e.bool(true);
@@ -1419,6 +1442,7 @@ impl Sm {
         kernel: Option<(&Arc<Kernel>, &Arc<[u64]>)>,
     ) -> Result<(), SnapshotError> {
         use SnapshotError::InvalidValue;
+        self.commit_slots();
         let n_slots = self.slots.len();
         let n_ctas = self.ctas.len();
         if d.usize()? != n_slots {

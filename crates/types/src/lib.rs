@@ -52,5 +52,5 @@ pub use cycle::Cycle;
 pub use hash::{IntHasher, IntMap};
 pub use histogram::{Buckets, Histogram};
 pub use ids::{CtaId, PartitionId, SmId, ThreadId, WarpId};
-pub use queue::{BoundedQueue, DelayQueue, PushError};
+pub use queue::{reserve_bound, BoundedQueue, DelayQueue, PushError};
 pub use rng::{Rng, SplitMix64, Xoshiro256pp};

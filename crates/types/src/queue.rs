@@ -26,6 +26,17 @@ impl<T> fmt::Display for PushError<T> {
 
 impl<T: fmt::Debug> std::error::Error for PushError<T> {}
 
+/// Makes room for one more element in the storage of a container bounded at
+/// `bound` that holds fewer than `bound`: when the storage is full, it
+/// reserves the whole remaining bound in one step. A new container
+/// therefore allocates on its first push, once, and never again, and one
+/// that is never pushed to holds no storage at all.
+pub fn reserve_bound<T>(items: &mut VecDeque<T>, bound: usize) {
+    if items.len() == items.capacity() {
+        items.reserve_exact(bound - items.len());
+    }
+}
+
 /// A finite-capacity FIFO queue.
 ///
 /// Every queue in the simulated memory pipeline (L1 miss queue, interconnect
@@ -33,6 +44,11 @@ impl<T: fmt::Debug> std::error::Error for PushError<T> {}
 /// `BoundedQueue`. When a queue is full the producer must stall, which is the
 /// mechanism by which *queueing latency* — one of the paper's two dominant
 /// dynamic latency contributors — arises in the model.
+///
+/// A new queue holds no storage. The first push that finds the storage full
+/// reserves the whole remaining bound in one step, so a queue allocates at
+/// most once in its life and a machine commits memory only for the queues
+/// it uses (see [`reserve_bound`]).
 ///
 /// # Examples
 ///
@@ -52,7 +68,8 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` elements.
+    /// Creates a queue holding at most `capacity` elements. It allocates
+    /// nothing until its first push.
     ///
     /// # Panics
     ///
@@ -61,7 +78,7 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         BoundedQueue {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
         }
     }
@@ -75,6 +92,7 @@ impl<T> BoundedQueue<T> {
         if self.items.len() >= self.capacity {
             Err(PushError(item))
         } else {
+            reserve_bound(&mut self.items, self.capacity);
             self.items.push_back(item);
             Ok(())
         }
@@ -127,7 +145,9 @@ impl<T> BoundedQueue<T> {
 /// This models fixed-latency pipeline segments — e.g. the raster-operations
 /// (ROP) pipeline in front of the L2, or interconnect zero-load traversal —
 /// while still being a finite resource (entries occupy a slot for their whole
-/// transit, so a saturated segment back-pressures its producer).
+/// transit, so a saturated segment back-pressures its producer). Like a
+/// [`BoundedQueue`], it holds no storage until its first push, which
+/// reserves the whole bound.
 ///
 /// # Examples
 ///
@@ -148,7 +168,7 @@ pub struct DelayQueue<T> {
 
 impl<T> DelayQueue<T> {
     /// Creates a delay queue with the given slot `capacity` and fixed
-    /// `delay` in cycles.
+    /// `delay` in cycles. It allocates nothing until its first push.
     ///
     /// # Panics
     ///
@@ -156,7 +176,7 @@ impl<T> DelayQueue<T> {
     pub fn new(capacity: usize, delay: u64) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         DelayQueue {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
             delay,
         }
@@ -172,6 +192,7 @@ impl<T> DelayQueue<T> {
         if self.items.len() >= self.capacity {
             Err(PushError(item))
         } else {
+            reserve_bound(&mut self.items, self.capacity);
             self.items.push_back((now + self.delay, item));
             Ok(())
         }
@@ -246,6 +267,7 @@ impl<T> DelayQueue<T> {
         if self.items.len() >= self.capacity {
             Err(PushError(item))
         } else {
+            reserve_bound(&mut self.items, self.capacity);
             self.items.push_back((ready_at, item));
             Ok(())
         }
