@@ -86,8 +86,9 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
             stage.label()
         );
     }
-    // On a ticked cycle every component was either ticked in full (and
-    // metered) or asleep (and only counted).
+    // On every cycle every component was either ticked in full (and
+    // metered) or left out (and only counted): asleep on a ticked cycle,
+    // or jumped over.
     let machine = small_cfg();
     for (component, slept, count) in [
         (ProfSpan::SmTick, idle.sm_ticks_slept, machine.num_sms),
@@ -100,8 +101,8 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
         assert!(slept > 0, "no {} ever slept", component.label());
         assert_eq!(
             report.span(component).count + slept,
-            ticked * count as u64,
-            "{}: full ticks + slept ticks != cycles ticked x components",
+            on.cycles * count as u64,
+            "{}: full ticks + slept ticks != cycles x components",
             component.label()
         );
     }

@@ -69,9 +69,38 @@ pub struct Crossbar<T> {
     config: IcntConfig,
     sources: usize,
     queues: Vec<DelayQueue<T>>,
-    injected_this_cycle: Vec<usize>,
-    ejected_this_cycle: Vec<usize>,
+    /// The cycle [`Crossbar::begin_cycle`] last opened, counted from 0.
+    epoch: u64,
+    injected_this_cycle: Vec<Budget>,
+    ejected_this_cycle: Vec<Budget>,
     stats: IcntStats,
+}
+
+/// A port's packets moved in one cycle, stamped with that cycle's epoch: a
+/// stamp from an earlier cycle reads 0, so opening a cycle touches no port.
+#[derive(Debug, Clone, Copy, Default)]
+struct Budget {
+    epoch: u64,
+    used: usize,
+}
+
+impl Budget {
+    /// The packets moved in cycle `epoch`.
+    fn used(self, epoch: u64) -> usize {
+        if self.epoch == epoch {
+            self.used
+        } else {
+            0
+        }
+    }
+
+    /// Counts one more packet moved in cycle `epoch`.
+    fn spend(&mut self, epoch: u64) {
+        *self = Budget {
+            epoch,
+            used: self.used(epoch) + 1,
+        };
+    }
 }
 
 impl<T> Crossbar<T> {
@@ -96,8 +125,9 @@ impl<T> Crossbar<T> {
             queues: (0..dests)
                 .map(|_| DelayQueue::new(config.output_queue, config.latency))
                 .collect(),
-            injected_this_cycle: vec![0; sources],
-            ejected_this_cycle: vec![0; dests],
+            epoch: 0,
+            injected_this_cycle: vec![Budget::default(); sources],
+            ejected_this_cycle: vec![Budget::default(); dests],
             stats: IcntStats::default(),
         }
     }
@@ -123,22 +153,28 @@ impl<T> Crossbar<T> {
     }
 
     /// Resets per-cycle bandwidth accounting; call once at the top of every
-    /// simulated cycle.
+    /// simulated cycle. Constant time: the ports' budgets are stamped with
+    /// the cycle they were spent in, and a new cycle makes every stamp old.
     pub fn begin_cycle(&mut self) {
-        self.injected_this_cycle.iter_mut().for_each(|c| *c = 0);
-        self.ejected_this_cycle.iter_mut().for_each(|c| *c = 0);
+        self.epoch += 1;
     }
 
     /// Returns `true` if `src` may inject toward `dst` this cycle (bandwidth
     /// and queue space permitting).
     pub fn can_inject(&self, src: usize, dst: usize) -> bool {
-        self.injected_this_cycle[src] < self.config.inject_per_src && !self.queues[dst].is_full()
+        self.injected_this_cycle[src].used(self.epoch) < self.config.inject_per_src
+            && !self.queues[dst].is_full()
     }
 
     /// Returns `true` if `dst`'s queue has no free slot: no source can
     /// inject toward it, whatever its budget, until an ejection at `dst`.
     pub fn is_full(&self, dst: usize) -> bool {
         self.queues[dst].is_full()
+    }
+
+    /// Packets queued for `dst`, in traversal or arrived.
+    pub fn queued(&self, dst: usize) -> usize {
+        self.queues[dst].len()
     }
 
     /// Attempts to inject `item` from `src` toward `dst` at time `now`.
@@ -153,13 +189,13 @@ impl<T> Crossbar<T> {
     ///
     /// Panics if `src` or `dst` is out of range.
     pub fn try_inject(&mut self, src: usize, dst: usize, item: T, now: Cycle) -> Result<(), T> {
-        if self.injected_this_cycle[src] >= self.config.inject_per_src {
+        if self.injected_this_cycle[src].used(self.epoch) >= self.config.inject_per_src {
             self.stats.inject_stalls += 1;
             return Err(item);
         }
         match self.queues[dst].push(now, item) {
             Ok(()) => {
-                self.injected_this_cycle[src] += 1;
+                self.injected_this_cycle[src].spend(self.epoch);
                 self.stats.injected += 1;
                 Ok(())
             }
@@ -177,11 +213,11 @@ impl<T> Crossbar<T> {
     ///
     /// Panics if `dst` is out of range.
     pub fn eject(&mut self, dst: usize, now: Cycle) -> Option<T> {
-        if self.ejected_this_cycle[dst] >= self.config.eject_per_dst {
+        if self.ejected_this_cycle[dst].used(self.epoch) >= self.config.eject_per_dst {
             return None;
         }
         let item = self.queues[dst].pop_ready(now)?;
-        self.ejected_this_cycle[dst] += 1;
+        self.ejected_this_cycle[dst].spend(self.epoch);
         self.stats.ejected += 1;
         Some(item)
     }

@@ -30,12 +30,20 @@ fn split(addr: Addr) -> (u64, usize) {
 /// mem.write_u32(buf, 0xdead_beef);
 /// assert_eq!(mem.read_u32(buf), 0xdead_beef);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DeviceMemory {
     /// Resident pages by page index. Ordered: a decoded snapshot chooses
     /// the keys, and hashing and encoding walk them in address order.
     pages: BTreeMap<u64, Box<[u8]>>,
     next: u64,
+}
+
+impl Default for DeviceMemory {
+    /// The same empty memory as [`DeviceMemory::new`]: allocation starts at
+    /// the arena base, so address 0 is never handed out.
+    fn default() -> Self {
+        DeviceMemory::new()
+    }
 }
 
 impl DeviceMemory {
@@ -274,6 +282,16 @@ mod tests {
         assert!(b.is_aligned(128));
         assert!(b.get() >= a.get() + 100);
         assert!(a.get() > 0, "null page must stay unallocated");
+    }
+
+    #[test]
+    fn a_default_memory_allocates_like_a_new_one() {
+        let mut d = DeviceMemory::default();
+        let mut n = DeviceMemory::new();
+        let first = d.alloc(64, 128);
+        assert!(first.get() > 0, "a default memory handed out address 0");
+        assert_eq!(first, n.alloc(64, 128));
+        assert_eq!(d.allocated_bytes(), n.allocated_bytes());
     }
 
     #[test]

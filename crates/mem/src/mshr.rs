@@ -49,6 +49,11 @@ pub struct MshrTable<T> {
     /// `try_merge` adds one, `fill` takes its list's away, and a restore
     /// recounts. Derived, so never serialized.
     parked: usize,
+    /// No merge list is longer: a merge raises it to its list's length, a
+    /// fill that leaves nothing parked zeroes it, and a restore recounts.
+    /// It lets [`MshrTable::longest_over`] answer without walking the
+    /// lists. Derived, so never serialized.
+    longest: usize,
     /// Emptied merge lists, each `max_merged` long from the start:
     /// [`MshrTable::allocate`] reuses one, so once the table has held its
     /// working number of lines neither it nor a merge allocates. Room for
@@ -68,6 +73,7 @@ impl<T> MshrTable<T> {
             config,
             entries: IntMap::default(),
             parked: 0,
+            longest: 0,
             spare: Vec::new(),
         }
     }
@@ -152,6 +158,7 @@ impl<T> MshrTable<T> {
             Some(list) if list.len() < self.config.max_merged => {
                 list.push(waiter);
                 self.parked += 1;
+                self.longest = self.longest.max(list.len());
                 Ok(())
             }
             _ => Err(waiter),
@@ -175,6 +182,9 @@ impl<T> MshrTable<T> {
         };
         let waiters = list.len();
         self.parked -= waiters;
+        if self.parked == 0 {
+            self.longest = 0;
+        }
         list.drain(..).for_each(wake);
         if self.spare.capacity() == 0 {
             self.spare.reserve_exact(self.config.entries);
@@ -203,6 +213,18 @@ impl<T> MshrTable<T> {
             return 0;
         }
         self.entries.values().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// The longest merge list's length if it exceeds `limit`. The per-cycle
+    /// audit asks this with the merge limit, which no list can exceed
+    /// while the kept bound on the longest list is within it: then no list
+    /// is walked.
+    pub fn longest_over(&self, limit: usize) -> Option<usize> {
+        debug_assert!(self.longest >= self.max_list_len(), "merge-list bound");
+        if self.longest <= limit {
+            return None;
+        }
+        Some(self.max_list_len()).filter(|&n| n > limit)
     }
 
     /// The outstanding line addresses, sorted (for reproducible reports).
@@ -271,6 +293,7 @@ impl<T> MshrTable<T> {
         // `capacity() == 0` means the map never had storage.
         self.entries.clear();
         self.parked = 0;
+        self.longest = 0;
         let n = d.usize()?;
         if n > self.config.entries {
             return Err(InvalidValue("MSHR entry count exceeds table capacity"));
@@ -293,6 +316,7 @@ impl<T> MshrTable<T> {
             }
         }
         self.parked = self.entries.values().map(Vec::len).sum();
+        self.longest = self.entries.values().map(Vec::len).max().unwrap_or(0);
         Ok(())
     }
 }

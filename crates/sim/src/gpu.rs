@@ -177,7 +177,10 @@ pub enum RunOutcome<T = RunSummary> {
 pub struct IdleCounts {
     /// Idle cycles [`Gpu::run`] jumped over instead of ticking.
     pub skipped_cycles: u64,
-    /// SM ticks the ticked cycles left out because the SM was asleep.
+    /// SM ticks the run loop left out: each sleeping SM's on a ticked
+    /// cycle and every SM's on a skipped one. With the full ticks they
+    /// make `cycles × SMs`, so a tick saved by sleeping or by skipping
+    /// raises it alike.
     pub sm_ticks_slept: u64,
     /// Partition ticks left out likewise.
     pub partition_ticks_slept: u64,
@@ -493,6 +496,16 @@ impl Gpu {
             .count()
     }
 
+    /// How many partitions are asleep with their return head waiting on a
+    /// full reply-network queue: each woken when its SM's ejection frees a
+    /// slot it would win. Host-side, like [`Gpu::idle_counts`].
+    pub fn reply_sleepers(&self) -> usize {
+        let a = &self.agenda;
+        (0..self.partitions.len())
+            .filter(|&pi| a.waits_on_reply(pi) && a.parts.at(pi) > self.now)
+            .count()
+    }
+
     /// The invariant sanitizer's accumulated findings. Populated only when
     /// [`GpuConfig::sanitize`] is set.
     pub fn sanitizer(&self) -> &Sanitizer {
@@ -506,8 +519,7 @@ impl Gpu {
     pub fn debug_seed_mshr_leak(&mut self, line: Addr) {
         self.sms[0].debug_seed_mshr_leak(line.align_down(self.cfg.line_size));
         self.sms[0].revote(self.now, &mut self.tracer);
-        self.agenda.sm_wake[0] = Cycle::ZERO;
-        self.agenda.sm_watched.insert(0);
+        self.agenda.set_sm_wake(0, Cycle::ZERO, self.now);
         self.audited.sm_moved(0);
     }
 
@@ -715,7 +727,7 @@ impl Gpu {
             sm.revote(gpu.now, &mut gpu.tracer);
         }
         gpu.agenda
-            .rebuild(&gpu.sms, &gpu.map, &gpu.req_net, &gpu.reply_net);
+            .rebuild(gpu.now, &gpu.sms, &gpu.map, &gpu.req_net, &gpu.reply_net);
         gpu.audited.rebuild();
         if let Some(l) = &mut gpu.launch {
             let warps_needed = l.launch.warps_per_cta(gpu.cfg.warp_size) as usize;
@@ -864,8 +876,8 @@ impl Gpu {
 
     /// The earliest cycle at which a tick could change the machine's state:
     /// `now` while CTAs wait for an SM that could take one, else the
-    /// minimum over every network port's next arrival and every partition's
-    /// and SM's next event.
+    /// earliest cycle any SM or partition is due or any packet arrives at
+    /// a network port.
     ///
     /// The contract each component's `next_event` keeps: the earliest cycle
     /// at which ticking the component could change its state, assuming no
@@ -874,14 +886,12 @@ impl Gpu {
     /// `now` if it could act right away *or is unsure*, [`Cycle::MAX`] if
     /// nothing is pending. The run loop jumps the clock over the cycles
     /// before the minimum instead of ticking them (DESIGN.md, "Idle-cycle
-    /// skipping"), so an answer may be early but never late. An SM or
-    /// partition asleep since its last full tick answers the wake cycle the
-    /// agenda stored then, without being visited (DESIGN.md, "Sleeping
-    /// components"): the same horizon, derived once, and still valid
-    /// because every hand-off to a sleeper lowers the stored cycle. So only
-    /// the awake ones re-derive anything; the dense arrays are read first
-    /// and the scan stops at the first component that can act now.
-    fn next_event(&self) -> Cycle {
+    /// skipping"), so an answer may be early but never late. Each SM's and
+    /// partition's answer is the wake cycle its last full tick planned and
+    /// every hand-off since lowered, filed in the agenda's calendars
+    /// (DESIGN.md, "Sleeping components"), so nothing is derived here: the
+    /// calendars answer from what is due and from the wheel buckets ahead.
+    fn next_event(&mut self) -> Cycle {
         let now = self.now;
         if let Some(l) = &self.launch {
             if cfg!(debug_assertions) && l.stalled {
@@ -892,39 +902,17 @@ impl Gpu {
                 return now;
             }
         }
-        let a = &self.agenda;
         if cfg!(debug_assertions) {
-            a.assert_matches(now, &self.sms, &self.map, &self.req_net, &self.reply_net);
+            self.agenda.assert_matches(
+                now,
+                &self.sms,
+                &self.partitions,
+                &self.map,
+                &self.req_net,
+                &self.reply_net,
+            );
         }
-        // An SM the run loop does not watch has no wake cycle and no
-        // arrival ahead: its entries read `Cycle::MAX`, so dense scans of
-        // the arrays need not ask which SMs are watched.
-        let arrivals = a.sm_port.iter().chain(&a.part_port).copied().min();
-        let mut at = arrivals.unwrap_or(Cycle::MAX);
-        if at <= now {
-            return now;
-        }
-        for (pi, &wake) in a.part_wake.iter().enumerate() {
-            at = at.min(if wake > now {
-                wake
-            } else {
-                self.partitions[pi].next_event(now)
-            });
-            if at <= now {
-                return now;
-            }
-        }
-        for (si, &wake) in a.sm_wake.iter().enumerate() {
-            at = at.min(if wake > now {
-                wake
-            } else {
-                self.sms[si].next_event(now)
-            });
-            if at <= now {
-                return now;
-            }
-        }
-        at
+        self.agenda.horizon(now)
     }
 
     /// Idle-cycle skipping: if no component can change state before some
@@ -973,6 +961,8 @@ impl Gpu {
         let skipped = target - now;
         self.now = Cycle::new(target);
         self.idle.skipped_cycles += skipped;
+        self.idle.sm_ticks_slept += skipped * self.sms.len() as u64;
+        self.idle.partition_ticks_slept += skipped * self.partitions.len() as u64;
     }
 
     /// Advances the GPU by one cycle. Always exactly one cycle, every
@@ -1016,6 +1006,7 @@ impl Gpu {
                 *prev = at;
             }
         };
+        self.agenda.begin(now);
         self.begin_networks();
         done(ProfSpan::BeginNetworks);
         self.tick_partitions(now, honour_sleep);
@@ -1051,35 +1042,55 @@ impl Gpu {
     }
 
     /// Ticks the memory partitions that are due: DRAM completions, L2
-    /// access, ROP exit.
+    /// access, ROP exit. The run loop walks the partitions' due set; the
+    /// wake cycle each tick plans is filed after its returns inject.
     fn tick_partitions(&mut self, now: Cycle, honour_sleep: bool) {
-        let a = &mut self.agenda;
-        a.ticked.clear();
-        let mut slept = 0;
-        for (pi, p) in self.partitions.iter_mut().enumerate() {
-            if honour_sleep && a.part_wake[pi] > now {
-                slept += 1;
-                continue;
+        self.agenda.ticked.clear();
+        if honour_sleep {
+            for k in 0..self.agenda.parts.words() {
+                for pi in self.agenda.parts.take_due(k) {
+                    self.tick_partition(pi, now);
+                }
             }
-            let _g = profile::span(ProfSpan::PartitionTick);
-            let (stores_done, wake) = p.tick(now, &mut self.tracer);
-            self.outstanding -= stores_done;
-            a.part_wake[pi] = wake;
-            a.ticked.push(pi);
-            self.audited.partition_moved(pi);
+        } else {
+            self.agenda.parts.clear_due();
+            for pi in 0..self.partitions.len() {
+                self.tick_partition(pi, now);
+            }
         }
-        self.idle.partition_ticks_slept += slept;
+        let slept = self.partitions.len() - self.agenda.ticked.len();
+        self.idle.partition_ticks_slept += slept as u64;
+    }
+
+    fn tick_partition(&mut self, pi: usize, now: Cycle) {
+        let _g = profile::span(ProfSpan::PartitionTick);
+        let (stores_done, wake) = self.partitions[pi].tick(now, &mut self.tracer);
+        self.outstanding -= stores_done;
+        self.agenda.ticked.push((pi, wake));
+        self.audited.partition_moved(pi);
     }
 
     /// Injects the returns of the partitions that ticked into the reply
-    /// network, lowering each receiving SM's port arrival.
+    /// network, lowering each receiving SM's port arrival, and files each
+    /// partition's wake cycle: the one its tick planned, unless returns
+    /// are left that the next cycle may inject (the partition's injection
+    /// budget ran out). A return head that waits on a full reply port
+    /// registers its partition there instead, to be woken by the SM's
+    /// ejection.
     fn inject_replies(&mut self, now: Cycle) {
         let a = &mut self.agenda;
-        for &pi in &a.ticked {
+        for i in 0..a.ticked.len() {
+            let (pi, mut wake) = a.ticked[i];
             let p = &mut self.partitions[pi];
+            let mut blocked = None;
             while let Some(head) = p.peek_return() {
                 let dst = head.sm.index();
                 if !self.reply_net.can_inject(pi, dst) {
+                    if self.reply_net.is_full(dst) {
+                        blocked = Some(dst);
+                    } else {
+                        wake = now + 1;
+                    }
                     break;
                 }
                 let mut req = p.pop_return().expect("peeked");
@@ -1088,72 +1099,82 @@ impl Gpu {
                     .try_inject(pi, dst, req, now)
                     .expect("can_inject checked");
                 a.net_in_flight += 1;
-                a.sm_port[dst] = arrival(&self.reply_net, dst);
-                a.sm_watched.insert(dst);
+                let port = arrival(&self.reply_net, dst);
+                if port != a.sm_port[dst] {
+                    a.set_sm_port(dst, port, now);
+                }
             }
-        }
-        if cfg!(debug_assertions) {
-            // Only a tick adds returns, and a partition left holding any
-            // is due next cycle.
-            for (pi, p) in self.partitions.iter().enumerate() {
-                assert!(
-                    p.peek_return().is_none() || a.ticked.contains(&pi),
-                    "partition {pi} holds returns it did not tick for"
-                );
-            }
+            a.wait_on_reply(pi, blocked);
+            a.parts.set(pi, wake, now);
         }
     }
 
     /// Ejects the request network into the ROP pipelines of the partitions
-    /// a request arrived for; an accepted request wakes its partition, and
-    /// each slot it frees in the request network wakes an SM waiting on
-    /// that port.
+    /// a request arrived for; an accepted request that becomes the ROP head
+    /// lowers its partition's wake cycle to its ready cycle, and each slot
+    /// it frees in the request network wakes an SM waiting on that port.
+    /// The run loop walks the ports' due set.
     fn eject_requests(&mut self, now: Cycle, honour_sleep: bool) {
-        let a = &mut self.agenda;
-        for (pi, p) in self.partitions.iter_mut().enumerate() {
-            if honour_sleep && a.part_port[pi] > now {
-                continue;
-            }
-            let mut accepted = 0;
-            while p.can_accept() {
-                match self.req_net.eject(pi, now) {
-                    Some(req) => {
-                        p.accept(req, now);
-                        a.net_in_flight -= 1;
-                        accepted += 1;
-                    }
-                    None => break,
+        if honour_sleep {
+            for k in 0..self.agenda.ports.words() {
+                for pi in self.agenda.ports.take_due(k) {
+                    self.eject_into(pi, now);
                 }
             }
-            if accepted > 0 {
-                a.part_port[pi] = arrival(&self.req_net, pi);
-                a.part_wake[pi] = Cycle::ZERO;
-                a.wake_port_waiters(pi, accepted);
-                self.audited.partition_moved(pi);
+        } else {
+            self.agenda.ports.clear_due();
+            for pi in 0..self.partitions.len() {
+                self.eject_into(pi, now);
             }
         }
     }
 
-    /// Ticks the SMs that are due in full. The run loop walks the watched
-    /// SMs only and calls none that sleeps; the dormant ones are not looked
-    /// at.
+    fn eject_into(&mut self, pi: usize, now: Cycle) {
+        let a = &mut self.agenda;
+        let p = &mut self.partitions[pi];
+        let rop_was_empty = p.rop_head_ready().is_none();
+        let mut accepted = 0;
+        while p.can_accept() {
+            match self.req_net.eject(pi, now) {
+                Some(req) => {
+                    p.accept(req, now);
+                    a.net_in_flight -= 1;
+                    accepted += 1;
+                }
+                None => break,
+            }
+        }
+        if accepted > 0 {
+            a.ports.set(pi, arrival(&self.req_net, pi), now);
+            if rop_was_empty {
+                let ready = p.rop_head_ready().expect("accepted");
+                a.parts.lower(pi, ready, now);
+            }
+            a.wake_port_waiters(pi, accepted, now);
+            self.audited.partition_moved(pi);
+        } else {
+            a.ports.file(pi, now);
+        }
+    }
+
+    /// Ticks the SMs that are due in full. The run loop walks the SMs' due
+    /// set and calls none that sleeps.
     fn tick_sms(&mut self, now: Cycle, honour_sleep: bool) {
         let n = self.sms.len();
         let mut ticked = 0;
         if honour_sleep {
-            for k in 0..self.agenda.sm_watched.words() {
-                for si in self.agenda.sm_watched.word(k) {
-                    if self.agenda.sm_due(si, now) {
-                        self.tick_sm(si, now);
-                        ticked += 1;
-                        let a = &self.agenda;
-                        if a.waits_on_port(si) && a.sm_wake[si] > now + 1 {
-                            self.idle.sm_port_sleeps += 1;
-                        }
+            for k in 0..self.agenda.sms.words() {
+                for si in self.agenda.sms.take_due(k) {
+                    self.tick_sm(si, now);
+                    ticked += 1;
+                    let a = &self.agenda;
+                    if a.waits_on_port(si) && a.sm_wake[si] > now + 1 {
+                        self.idle.sm_port_sleeps += 1;
                     }
                 }
             }
         } else {
+            self.agenda.sms.clear_due();
             for si in 0..n {
                 self.tick_sm(si, now);
             }
@@ -1175,20 +1196,21 @@ impl Gpu {
             sm.tick_writeback(now, &mut self.sink, sanitize.then_some(&mut self.sanitizer));
         self.outstanding -= retired;
 
-        let mut ejected = false;
+        let mut ejected = 0;
         while sm.fill_space() {
             match self.reply_net.eject(si, now) {
                 Some(mut req) => {
                     req.timeline.record(Stamp::ReplyEject, now);
                     sm.accept_response(req, now, &mut self.tracer);
                     a.net_in_flight -= 1;
-                    ejected = true;
+                    ejected += 1;
                 }
                 None => break,
             }
         }
-        if ejected {
+        if ejected > 0 {
             a.sm_port[si] = arrival(&self.reply_net, si);
+            a.wake_reply_waiters(si, ejected, now);
         }
 
         sm.tick_memory(now, &mut self.tracer);
@@ -1208,19 +1230,26 @@ impl Gpu {
                 .try_inject(si, dst, req, now)
                 .expect("can_inject checked");
             a.net_in_flight += 1;
-            a.part_port[dst] = arrival(&self.req_net, dst);
+            let arrives = arrival(&self.req_net, dst);
+            if arrives != a.ports.at(dst) {
+                a.ports.set(dst, arrives, now);
+            }
         }
 
         let created = sm.tick_issue(now, &mut self.device, &mut self.tracer);
         self.outstanding += created;
         a.wait_on_port(si, port);
-        a.sm_wake[si] = sm.end_tick(now, port.is_some());
+        let warps = sm.live_warps();
+        let wake = sm.end_tick(now, port.is_some());
+        a.set_sm_wake(si, wake, now);
         let occupied = sm.live_warps() > 0;
+        if sm.live_warps() < warps {
+            a.cta_retired = true;
+        }
         a.set_occupied(si, occupied);
-        if !occupied {
+        if !occupied || (sm.issued_last_tick() && wake != Cycle::ZERO) {
             a.revote.insert(si);
         }
-        a.settle_sm(si);
         self.audited.sm_moved(si);
     }
 
@@ -1310,6 +1339,12 @@ impl Gpu {
         let Some(l) = self.launch.as_mut() else {
             return;
         };
+        // A stalled launch waits for a CTA to retire: nothing else frees
+        // an SM's warp slots or CTA slots.
+        let retired = std::mem::take(&mut self.agenda.cta_retired);
+        if l.stalled && !retired {
+            return;
+        }
         let warps_needed = l.launch.warps_per_cta(self.cfg.warp_size) as usize;
         let n_sms = self.sms.len();
         while l.next_cta < l.launch.grid_dim {
@@ -1328,9 +1363,8 @@ impl Gpu {
                     );
                     l.next_cta += 1;
                     self.agenda.revote.insert(s);
-                    self.agenda.sm_wake[s] = Cycle::ZERO;
+                    self.agenda.set_sm_wake(s, Cycle::ZERO, self.now);
                     self.agenda.set_occupied(s, true);
-                    self.agenda.sm_watched.insert(s);
                     self.audited.sm_moved(s);
                 }
                 None => break,

@@ -216,34 +216,78 @@ impl Partition {
             && self.returns.is_empty()
     }
 
+    /// When the request at the head of the ROP pipe is ready to leave it
+    /// (`None` with the pipe empty).
+    pub fn rop_head_ready(&self) -> Option<Cycle> {
+        self.rop.next_ready()
+    }
+
     /// The earliest cycle at which ticking this partition could change its
     /// state, given that nothing arrives from the request network before
-    /// then (the run loop holds the arrivals) and that the partition is
-    /// awake (a sleeper's answer is the wake cycle the run loop stored).
-    /// Work that moves on demand rather than at a stored time — responses
-    /// awaiting reply injection, an L2 input-queue head, dirty victims
-    /// awaiting DRAM — answers `now` (conservative: the head may be
-    /// structurally blocked); otherwise the ROP and hit-pipe heads and the
-    /// DRAM channel each store the cycle they next act. [`Cycle::MAX`] when
-    /// idle.
+    /// then (the run loop holds the arrivals), that the partition is awake
+    /// (a sleeper's answer is the wake cycle the run loop stored), and
+    /// leaving out its returns: they leave when the reply network takes
+    /// them, which the run loop's reply stage decides. `now` while the
+    /// access stage would act on an L2 slice's input-queue head
+    /// (`head_acts`) or a dirty victim awaits a DRAM queue slot it would
+    /// get; otherwise the ROP and hit-pipe heads and the DRAM channel each
+    /// store the cycle they next act. A stalled slice head, and a ready ROP head behind a full
+    /// input queue, wait for the DRAM channel: only its next schedule frees
+    /// a queue slot and only its next completion fills a line and frees an
+    /// MSHR entry or a merge slot. [`Cycle::MAX`] when idle.
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        let on_demand = |s: &L2Slice| {
-            !s.queue.is_empty() || s.cache.as_ref().is_some_and(|c| c.pending_writebacks() > 0)
-        };
-        if !self.returns.is_empty() || self.slices.iter().any(on_demand) {
+        let drains = |s: &L2Slice| s.cache.as_ref().is_some_and(|c| c.pending_writebacks() > 0);
+        if (self.dram.can_accept() && self.slices.iter().any(drains))
+            || self.slices.iter().any(|s| self.head_acts(s))
+        {
             return now;
         }
+        let rop = self.rop.entries().next().and_then(|(at, head)| {
+            let blocked = at <= now && self.slices[self.slice_index(head.addr)].queue.is_full();
+            (!blocked).then_some(at)
+        });
         let pipes = self
             .slices
             .iter()
             .filter_map(|s| s.hit_pipe.next_ready())
-            .chain(self.rop.next_ready())
+            .chain(rop)
             .min()
             .map_or(Cycle::MAX, |at| at.max(now));
         if pipes <= now {
             return now;
         }
         pipes.min(self.dram.next_event(now))
+    }
+
+    /// Whether the access stage would act on `slice`'s input-queue head if
+    /// it ran now: the decisions [`Partition::tick_l2_slice`] takes, without
+    /// their effects. A head it would leave untouched waits on the DRAM
+    /// queue, the MSHR table or a merge list. Two attempts act even when
+    /// they fail, and so count as acting: a write-back store probes the tag
+    /// array (a hit or miss counted) and a miss with an MSHR entry and a
+    /// DRAM slot to go to calls `Cache::reserve`, which advances the
+    /// replacement clock whether or not a way is free.
+    fn head_acts(&self, slice: &L2Slice) -> bool {
+        let Some(head) = slice.queue.front() else {
+            return false;
+        };
+        let addr = head.addr.align_down(self.granule);
+        let Some(l2) = slice.cache.as_ref() else {
+            return self.dram.can_accept();
+        };
+        if head.kind == AccessKind::Store {
+            return match self.write_policy {
+                WritePolicy::WriteThrough => self.dram.can_accept(),
+                WritePolicy::WriteBack => true,
+            };
+        }
+        if l2.probe(addr) {
+            true
+        } else if slice.mshr.is_pending(addr) {
+            slice.mshr.can_merge(addr)
+        } else {
+            slice.mshr.can_allocate() && self.dram.can_accept()
+        }
     }
 
     // ---- sanitizer hooks -------------------------------------------------
@@ -294,7 +338,10 @@ impl Partition {
             san.check_mshr_occupancy(
                 site,
                 slice.mshr.len(),
-                slice.mshr.max_list_len(),
+                slice
+                    .mshr
+                    .longest_over(slice.mshr.config().max_merged)
+                    .unwrap_or(0),
                 slice.mshr.config(),
             );
         }
@@ -514,9 +561,9 @@ impl Partition {
         // sees a retired-but-unreported request.
         stores_done += std::mem::take(&mut self.stores_retired_here);
         self.stores_completed_total += stores_done;
-        // Sleep until the next cycle a tick can act (the next one, if any
-        // work moves on demand). Later stages of this cycle only take
-        // responses away or `accept` a request, which wakes.
+        // Sleep until the next cycle a tick can act. The returns are the
+        // reply stage's to plan; the ejection stage after it only `accept`s
+        // a request, which lowers the wake cycle.
         (stores_done, self.next_event(now + 1))
     }
 

@@ -488,6 +488,8 @@ impl Sanitizer {
     }
 
     /// Audits an MSHR occupancy snapshot against its configuration.
+    /// `max_list` is the longest merge list, or any length within
+    /// `max_merged` when none exceeds it (`MshrTable::longest_over`).
     pub fn check_mshr_occupancy(
         &mut self,
         site: Site,

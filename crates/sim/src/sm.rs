@@ -181,6 +181,10 @@ pub struct Sm {
     /// vote and "can anything issue" read these, not the warps.
     class_counts: [usize; WarpClass::COUNT],
     ctas: Vec<Option<CtaRt>>,
+    /// Resident CTAs whose warps have all exited (`live == 0`), waiting
+    /// for their memory operations to drain before they retire: the only
+    /// ones [`Sm::maintain`] can retire, so with none it looks at no CTA.
+    drained: usize,
     scoreboard: Scoreboard,
     alu_wb: BinaryHeap<Reverse<(u64, usize, Reg)>>,
     front: DelayQueue<MemRequest>,
@@ -216,10 +220,10 @@ pub struct Sm {
     /// The issuing access's transaction addresses (scratch, empty between
     /// issues; kept for its capacity).
     lines: Vec<Addr>,
-    /// Host-side hint for [`Sm::next_event`] and [`Sm::end_tick`]: the last
-    /// issue stage issued something, so the next one probably can too, and
-    /// the SM stays awake without the ready set being asked. Never
-    /// serialized, never read by the model.
+    /// Host-side: the last issue stage issued something. [`Sm::end_tick`]
+    /// then asks the ready set whether a warp can issue next cycle, and the
+    /// run loop re-votes an SM that issued and sleeps. Never serialized,
+    /// never read by the model.
     issued_last_tick: bool,
     /// The open stall interval: `None` after a cycle the SM issued on or
     /// while it holds no warp. Its reason is what the SM's state votes for,
@@ -251,6 +255,7 @@ impl Sm {
             live: Vec::new(),
             class_counts: [0; WarpClass::COUNT],
             ctas: (0..cfg.max_ctas_per_sm).map(|_| None).collect(),
+            drained: 0,
             scoreboard: Scoreboard::new(cfg.max_warps_per_sm),
             alu_wb: BinaryHeap::new(),
             front: DelayQueue::new(cfg.lsu_queue, cfg.sm_base_latency),
@@ -373,7 +378,9 @@ impl Sm {
         san.check_mshr_occupancy(
             site,
             self.l1_mshr.len(),
-            self.l1_mshr.max_list_len(),
+            self.l1_mshr
+                .longest_over(self.l1_mshr.config().max_merged)
+                .unwrap_or(0),
             self.l1_mshr.config(),
         );
     }
@@ -490,6 +497,14 @@ impl Sm {
     /// Retires CTAs whose warps have all exited and drained their pending
     /// memory operations.
     pub fn maintain(&mut self) {
+        debug_assert_eq!(
+            self.drained,
+            self.ctas.iter().flatten().filter(|c| c.live == 0).count(),
+            "drained CTAs"
+        );
+        if self.drained == 0 {
+            return;
+        }
         for ci in 0..self.ctas.len() {
             let done = match &self.ctas[ci] {
                 Some(c) => {
@@ -511,6 +526,7 @@ impl Sm {
                     }
                     self.scoreboard.clear(s);
                 }
+                self.drained -= 1;
                 self.stats.ctas_retired += 1;
             }
         }
@@ -943,36 +959,23 @@ impl Sm {
     /// such cycle stalls for the open interval's reason, and nothing calls
     /// the SM for it. Retirement removes only finished warps, which cast
     /// no vote, so it changes the vote only by emptying the SM; the run
-    /// loop then re-votes ([`Sm::revote`]).
+    /// loop then re-votes ([`Sm::revote`]). An SM that issued sleeps the
+    /// same way when the ready set says no warp can issue next cycle; its
+    /// issue closed its stall interval, so the run loop re-votes it too,
+    /// opening the interval its next cycle would.
     pub(crate) fn end_tick(&mut self, now: Cycle, port_blocked: bool) -> Cycle {
         self.maintain();
         let miss_waits = !self.miss_queue.is_empty() && !port_blocked;
-        if self.issued_last_tick || miss_waits {
+        if miss_waits || (self.issued_last_tick && self.issuable(false, self.front_block()) > 0) {
             Cycle::ZERO
         } else {
             self.next_maturity(now)
         }
     }
 
-    /// The earliest cycle at which ticking this SM could change its state,
-    /// given that nothing arrives from the reply network before then (the
-    /// run loop holds the arrivals) and that the SM is awake (a sleeper's
-    /// answer is the wake cycle the run loop stored): `now` while any warp
-    /// can issue (assumed, without looking, right after a cycle that
-    /// issued; else read off the ready set's class counts) or a miss waits
-    /// for the interconnect, else the first ALU/shared writeback or
-    /// memory-pipe head to mature; a matured front-end head the L1 stage
-    /// stalls is none ([`Sm::next_maturity`]). [`Cycle::MAX`] when nothing
-    /// is pending.
-    pub fn next_event(&self, now: Cycle) -> Cycle {
-        if self.issued_last_tick || !self.miss_queue.is_empty() {
-            return now;
-        }
-        let matures = self.next_maturity(now).max(now);
-        if matures > now && self.issuable(false, self.front_block()) > 0 {
-            return now;
-        }
-        matures
+    /// Whether the SM's last full tick issued an instruction.
+    pub(crate) fn issued_last_tick(&self) -> bool {
+        self.issued_last_tick
     }
 
     // ---- the ready set ----------------------------------------------------
@@ -1329,6 +1332,9 @@ impl Sm {
                 let release = {
                     let cta = self.ctas[cta_index].as_mut().expect("live CTA");
                     cta.live -= 1;
+                    if cta.live == 0 {
+                        self.drained += 1;
+                    }
                     cta.live > 0 && cta.arrived >= cta.live
                 };
                 if release {
@@ -1498,6 +1504,7 @@ impl Sm {
             };
         }
         self.occupied = self.slots.iter().filter(|s| s.is_some()).count();
+        self.drained = self.ctas.iter().flatten().filter(|c| c.live == 0).count();
         // Only a running kernel's instructions reserve registers.
         let num_regs = kernel.map_or(0, |(k, _)| k.num_regs());
         self.scoreboard.restore_state(d, num_regs)?;

@@ -258,6 +258,92 @@ fn a_narrow_crossbar_bfs_sleeps_on_full_ports_and_matches_stepping() {
     assert!(o.idle.sm_port_sleeps > 100, "{what}: {:?}", o.idle);
 }
 
+/// The 15-SM gf100 with one-slot network queues: one reply in flight
+/// fills an SM's port, so partitions hold returns their SM cannot take
+/// yet and sleep until its ejection frees the slot.
+fn narrow_reply_gf100() -> gpu_sim::GpuConfig {
+    let mut cfg = ArchPreset::FermiGf100.config();
+    cfg.icnt.output_queue = 1;
+    cfg
+}
+
+#[test]
+fn returns_held_at_a_full_reply_port_sleep_and_match_stepping() {
+    for cfg in traced_and_untraced(narrow_reply_gf100()) {
+        let what = format!("narrow-reply BFS, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &mask_bfs(1024, 8, 20150306, 64));
+        assert_eq!(
+            o.idle.partition_ticks_slept, 537_777,
+            "{what}: {:?}",
+            o.idle
+        );
+    }
+}
+
+/// The 15-SM gf100 with two-entry L2 MSHR tables that merge two waiters
+/// each: a slice's misses stall on a full table or merge list, and the
+/// partition sleeps until its DRAM channel fills a line.
+fn small_l2_mshr_gf100() -> gpu_sim::GpuConfig {
+    let mut cfg = ArchPreset::FermiGf100.config();
+    let l2 = cfg.l2.as_mut().expect("gf100 has an L2");
+    l2.mshr.entries = 2;
+    l2.mshr.max_merged = 2;
+    cfg
+}
+
+#[test]
+fn an_l2_slice_stalled_on_a_full_mshr_table_sleeps_and_matches_stepping() {
+    for cfg in traced_and_untraced(small_l2_mshr_gf100()) {
+        let what = format!("small-L2-MSHR BFS, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &mask_bfs(1024, 8, 20150307, 64));
+        assert_eq!(
+            o.idle.partition_ticks_slept, 333_021,
+            "{what}: {:?}",
+            o.idle
+        );
+    }
+}
+
+/// The 15-SM gf100 with L2 slices of one two-way set: a third line in
+/// flight finds both ways reserved. Each such attempt still advances the
+/// slice's replacement clock, so the partition must stay awake for it.
+fn reserved_l2_gf100() -> gpu_sim::GpuConfig {
+    let mut cfg = ArchPreset::FermiGf100.config();
+    let l2 = cfg.l2.as_mut().expect("gf100 has an L2");
+    l2.cache.sets = 1;
+    l2.cache.ways = 2;
+    cfg
+}
+
+#[test]
+fn an_l2_slice_with_every_way_reserved_matches_stepping() {
+    for cfg in traced_and_untraced(reserved_l2_gf100()) {
+        let what = format!("reserved-L2 BFS, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &mask_bfs(512, 8, 20150309, 64));
+        assert_eq!(
+            o.idle.partition_ticks_slept, 229_139,
+            "{what}: {:?}",
+            o.idle
+        );
+    }
+}
+
+#[test]
+fn a_gv100_bfs_accepting_behind_a_busy_rop_matches_stepping() {
+    // Requests reach a partition while earlier ones are still in its ROP
+    // pipe: an accept lowers the wake cycle only when it becomes the
+    // pipe's head, and the two L2 slices share the DRAM channel.
+    for cfg in traced_and_untraced(ArchPreset::VoltaGv100.config()) {
+        let what = format!("gv100 BFS, tracing {}", cfg.trace.enabled);
+        let o = assert_skip_invisible(&what, &cfg, &mask_bfs(2048, 8, 20150308, 64));
+        assert_eq!(
+            o.idle.partition_ticks_slept, 234_740,
+            "{what}: {:?}",
+            o.idle
+        );
+    }
+}
+
 #[test]
 fn event_cap_drops_are_counted_through_a_jump() {
     // A stall interval spanning skipped cycles closes through the same
@@ -609,6 +695,51 @@ fn kill_and_checkpoint_land_while_sms_sleep_on_a_full_port() {
         .find(|&&c| c > 2 * every && !c.is_multiple_of(every))
         .expect("a later port-asleep cycle to kill on");
     kill_and_resume("port", &launched, every, kill_at);
+}
+
+#[test]
+fn kill_and_checkpoint_land_while_partitions_sleep_on_a_full_reply_port() {
+    // The one-slot-queue gf100 running a 16-bin histogram, traced: the
+    // checkpoint multiple and the kill land on ticked cycles on which a
+    // partition sleeps with its return head waiting on a full reply port,
+    // and the resumed run, which carries no registration, starts with
+    // every partition due.
+    let launched = || {
+        let mut cfg = narrow_reply_gf100();
+        cfg.trace.enabled = true;
+        let mut gpu = new_gpu(&cfg);
+        launch_histogram(&mut gpu, 8192, 16);
+        gpu
+    };
+    let mut probe = launched();
+    let mut reply_asleep = Vec::new();
+    loop {
+        let cycle = probe.now().get();
+        let skipped = probe.idle_counts().skipped_cycles;
+        let mut policy = CheckpointPolicy::none();
+        policy.kill_at = Some(cycle + 1);
+        let outcome = probe
+            .run_checkpointed(MAX_CYCLES, &policy)
+            .expect("one cycle");
+        let ticked = probe.idle_counts().skipped_cycles == skipped;
+        if ticked && probe.reply_sleepers() > 0 {
+            reply_asleep.push(cycle + 1);
+        }
+        if matches!(outcome, RunOutcome::Completed(_)) {
+            break;
+        }
+    }
+    assert!(reply_asleep.len() > 100, "{} cycles", reply_asleep.len());
+    let total = probe.now().get();
+    let every = *reply_asleep
+        .iter()
+        .find(|&&c| c >= total / 5)
+        .expect("a reply-asleep cycle to checkpoint on");
+    let kill_at = *reply_asleep
+        .iter()
+        .find(|&&c| c > 2 * every && !c.is_multiple_of(every))
+        .expect("a later reply-asleep cycle to kill on");
+    kill_and_resume("reply", &launched, every, kill_at);
 }
 
 #[test]

@@ -148,6 +148,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// `PRIME^(8 · 2^i)` at index `i`: what `2^i` all-zero 8-byte words
+/// multiply an FNV-1a state by.
+const ZERO_WORD_POWERS: [u64; 64] = {
+    let mut powers = [0u64; 64];
+    let mut p = 1u64;
+    let mut k = 0;
+    while k < 8 {
+        p = p.wrapping_mul(StableHasher::PRIME);
+        k += 1;
+    }
+    let mut i = 0;
+    while i < 64 {
+        powers[i] = p;
+        p = p.wrapping_mul(p);
+        i += 1;
+    }
+    powers
+};
+
 /// A platform-independent, build-independent 64-bit hasher (FNV-1a).
 ///
 /// Used both for snapshot payload checksums and for deriving the stable
@@ -181,10 +200,43 @@ impl StableHasher {
         self.state = (self.state ^ u64::from(v)).wrapping_mul(Self::PRIME);
     }
 
-    /// Folds in a byte slice.
+    /// Folds in a byte slice. A zero byte only multiplies the state by the
+    /// prime, so each run of all-zero 8-byte words is folded in by the
+    /// prime's matching power, one multiply per set bit of the run's
+    /// length: the same FNV-1a value, without a multiply per byte of a
+    /// sparse page.
     pub fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        let mut zeros = 0u64;
+        for word in &mut words {
+            let v = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            if v == 0 {
+                zeros += 1;
+                continue;
+            }
+            if zeros > 0 {
+                self.zero_words(zeros);
+                zeros = 0;
+            }
+            for i in 0..8 {
+                self.u8((v >> (8 * i)) as u8);
+            }
+        }
+        self.zero_words(zeros);
+        for &b in words.remainder() {
             self.u8(b);
+        }
+    }
+
+    /// Folds in `n` all-zero 8-byte words: the state times `PRIME^(8 n)`.
+    fn zero_words(&mut self, mut n: u64) {
+        let mut bit = 0;
+        while n != 0 {
+            if n & 1 != 0 {
+                self.state = self.state.wrapping_mul(ZERO_WORD_POWERS[bit]);
+            }
+            n >>= 1;
+            bit += 1;
         }
     }
 
@@ -483,6 +535,44 @@ impl<'a> Decoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a one byte at a time: the definition [`StableHasher::bytes`]
+    /// must equal.
+    fn fnv1a_bytewise(state: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(state, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(StableHasher::PRIME)
+        })
+    }
+
+    #[test]
+    fn zero_runs_hash_as_fnv1a_byte_by_byte() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for len in 0..=4097usize {
+            // Mostly zero, with a few non-zero bytes scattered through it,
+            // so zero runs of many lengths start and end at every offset.
+            let mut buf = vec![0u8; len];
+            if len > 0 {
+                for _ in 0..next() % 6 {
+                    let at = (next() % len as u64) as usize;
+                    buf[at] = (next() % 255 + 1) as u8;
+                }
+            }
+            let mut h = StableHasher::new();
+            h.u64(next());
+            let prefix = h.state;
+            h.bytes(&buf);
+            assert_eq!(h.finish(), fnv1a_bytewise(prefix, &buf), "length {len}");
+        }
+        // Runs longer than any page: every bit of the run length.
+        let long = vec![0u8; (1 << 16) + 8 * 37 + 3];
+        assert_eq!(fnv1a(&long), fnv1a_bytewise(StableHasher::OFFSET, &long));
+    }
 
     #[test]
     fn round_trips_every_primitive() {
