@@ -9,10 +9,9 @@
 //! distinct run once: every preset's Table I chase points, held to the
 //! published reference, its §II grid and inference, and every simulation
 //! the paper's figures and E4 read with its own idle-coverage pins. How
-//! long each row took goes to the `[bench]` stdout lines, and the last of
-//! them is the process's peak resident set (`VmHWM`, where the host has a
-//! `/proc/self/status`); the fresh `BENCH_experiments.json` written to
-//! `--out` (default `bench-out/`) holds pins only. Under
+//! long each row took goes to the `[bench]` stdout lines, the last of them
+//! the process's peak resident set; the fresh `BENCH_experiments.json`
+//! written to `--out` (default `bench-out/`) holds pins only. Under
 //! `LATENCY_PROFILE=1` the host-side self-profiler runs too, and its
 //! `profile.json`/`profile.txt` are written beside it.
 //!
@@ -141,24 +140,12 @@ pub fn run(args: &mut Cursor) -> Result<(), UsageError> {
         args.out.display()
     ));
     let passed = !(args.check || args.update) || check_or_update(&args, &json, &blocks);
-    if let Some(kib) = std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| peak_rss_kib(&status))
-    {
-        let mib = (kib + 512) / 1024;
-        print(format_args!("[bench] host: peak RSS {mib} MiB\n"));
-    }
+    crate::print_peak_rss("[bench] ");
     if !passed {
         eprintln!("FAIL: benchmark pin check failed");
         exit(1);
     }
     Ok(())
-}
-
-/// The `VmHWM` (peak resident set) of a `/proc/<pid>/status` text, in KiB.
-fn peak_rss_kib(status: &str) -> Option<u64> {
-    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// `--update-baselines` rewrites the committed pins and EXPERIMENTS.md
@@ -225,8 +212,10 @@ mod tests {
         ))
     }
 
+    /// The last `[bench]` line reads `crate::peak_rss_kib`.
     #[test]
     fn peak_rss_is_read_from_vm_hwm() {
+        use crate::peak_rss_kib;
         let status = "Name:\tlatency\nVmPeak:\t  901234 kB\nVmHWM:\t  422400 kB\n";
         assert_eq!(peak_rss_kib(status), Some(422_400));
         assert_eq!(peak_rss_kib("Name:\tlatency\n"), None);

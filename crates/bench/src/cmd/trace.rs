@@ -1,6 +1,7 @@
-//! Emits a trace bundle — Perfetto-loadable Chrome trace JSON, raw event
-//! JSONL, sampled-counter CSV, Figure-1/2 analyses and a metrics report —
-//! for any builtin workload.
+//! Emits a trace bundle — Perfetto-loadable Chrome trace JSON (every span
+//! and event), sampled-counter CSV, Figure-1/2 analyses and a metrics
+//! report — for any builtin workload; `--validate` then checks the written
+//! `trace.json` row by row.
 //!
 //! ```text
 //! latency trace --workload bfs
@@ -11,6 +12,8 @@
 //! span per traced request tiled into its eight pipeline stages, counter
 //! tracks for queue depths / MSHR occupancy / row-hit rate.
 
+use std::fs::File;
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -184,20 +187,23 @@ pub fn run(preset: Option<ArchPreset>, it: &mut Cursor) -> Result<(), UsageError
     drop(_heartbeat);
     let cfg = build_cfg(&args);
     let bundle = TraceBundle::of(&run, &cfg);
-    if args.validate {
-        let doc = or_exit(
-            gpu_trace::json::parse(&bundle.chrome_json()),
-            "validation failed: trace.json does not parse",
-        );
-        let n = or_exit(gpu_trace::check_span_sums(&doc), "validation failed");
-        print(format_args!(
-            "validated: {n} request spans tile their Timeline lifetimes\n"
-        ));
-    }
     or_exit(
         bundle.write(&args.out),
         format_args!("failed to write bundle to {:?}", args.out),
     );
+    if args.validate {
+        // The written file, read back one row at a time: what a viewer
+        // loads is what is checked, and no second copy is held.
+        let path = args.out.join("trace.json");
+        let file = File::open(&path).map_err(|e| e.to_string());
+        let n = or_exit(
+            file.and_then(|f| gpu_trace::check_span_sums(BufReader::new(f))),
+            format_args!("validation failed: {path:?}"),
+        );
+        print(format_args!(
+            "validated: {n} request spans tile their Timeline lifetimes\n"
+        ));
+    }
     print(format_args!(
         "preset: {}   workload: {}   cycles: {}   events: {} ({} dropped)   samples: {}\n\
          content_hash: {:016x}   instructions: {}\n\
@@ -215,5 +221,6 @@ pub fn run(preset: Option<ArchPreset>, it: &mut Cursor) -> Result<(), UsageError
         run.metrics.wall_clock(),
         args.out
     ));
+    crate::print_peak_rss("");
     Ok(())
 }

@@ -93,6 +93,22 @@ fn dispatch(run: &Run, args: &mut Cursor) -> Result<(), UsageError> {
     }
 }
 
+/// Prints the process's peak resident set (`VmHWM`, where the host has a
+/// `/proc/self/status`) as `{prefix}host: peak RSS N MiB`: the last line
+/// of `bench` and of `trace`.
+fn print_peak_rss(prefix: &str) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    if let Some(mib) = peak_rss_kib(&status).map(|kib| (kib + 512) / 1024) {
+        print(format_args!("{prefix}host: peak RSS {mib} MiB\n"));
+    }
+}
+
+/// The `VmHWM` (peak resident set) of a `/proc/<pid>/status` text, in KiB.
+fn peak_rss_kib(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 fn main() {
     let mut args = Cursor::new(std::env::args().skip(1).collect());
     let Some(name) = args.next_arg().filter(|a| !a.starts_with('-')) else {

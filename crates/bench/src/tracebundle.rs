@@ -1,27 +1,19 @@
 //! Trace-bundle export: the on-disk artifact of an instrumented run.
 //!
 //! A bundle directory holds the Perfetto-loadable Chrome trace
-//! (`trace.json`), the raw event stream (`events.jsonl`), sampled counters
-//! (`counters.csv`), the Figure-1/2 analyses (`breakdown.csv`,
-//! `exposure.csv`), a clipped latency histogram (`latency_hist.csv`) and a
-//! human-readable `metrics.txt` with counter summaries, stall attribution
-//! and host throughput.
-//!
-//! The `LATENCY_TRACE` environment variable turns instrumented experiment
-//! drivers into bundle writers without code changes: a value other than
-//! empty or `0` names a directory under which every run writes its bundle,
-//! each into its own `<content hash>/` subdirectory
-//! ([`TraceBundle::env_dir`]) — a driver may make many runs, some
-//! concurrently (best effort — export failures are reported on stderr,
-//! never fatal).
+//! (`trace.json`: every request span and every event, one per line),
+//! sampled counters (`counters.csv`), the Figure-1/2 analyses
+//! (`breakdown.csv`, `exposure.csv`), a clipped latency histogram
+//! (`latency_hist.csv`) and `metrics.txt` (counter summaries and stall
+//! attribution). Under `LATENCY_TRACE=<dir>` every instrumented run writes
+//! its bundle into `<dir>/<content hash>/` ([`TraceBundle::env_dir`]), best
+//! effort: an export failure is reported on stderr, never fatal.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use gpu_sim::{GpuConfig, LevelKind, StallReason, TraceSite};
-use gpu_trace::{
-    counters_csv, events_jsonl, ChromeTraceBuilder, CounterKind, ProfileReport, TrackNames,
-};
+use gpu_trace::{counters_csv, ChromeTraceBuilder, CounterKind, ProfileReport, TrackNames};
 use latency_core::cli::UsageError;
 use latency_core::{breakdown_csv, exposure_csv, Bucketing, ExposureAnalysis, LatencyBreakdown};
 
@@ -236,7 +228,6 @@ impl<'a> TraceBundle<'a> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join("trace.json"), self.chrome_json())?;
         let run = self.run;
-        std::fs::write(dir.join("events.jsonl"), events_jsonl(&run.trace.events))?;
         std::fs::write(dir.join("counters.csv"), counters_csv(&run.trace.samples))?;
         let (breakdown, _) = LatencyBreakdown::from_requests_clipped(&run.requests, 48, 0.999);
         std::fs::write(dir.join("breakdown.csv"), breakdown_csv(&breakdown))?;
@@ -288,24 +279,25 @@ mod tests {
                 profile: None,
             };
 
-            let json = bundle.chrome_json();
-            let doc = gpu_trace::json::parse(&json).expect("valid chrome trace json");
-            let verified = gpu_trace::check_span_sums(&doc).expect("stage sums tile lifetimes");
-            assert!(verified > 0, "{}", cfg.name);
-
             let dir = std::env::temp_dir().join(format!("gpu-trace-bundle-{}", std::process::id()));
             bundle.write(&dir).expect("bundle written");
-            for f in [
+            let written = std::fs::File::open(dir.join("trace.json")).unwrap();
+            let verified = gpu_trace::check_span_sums(std::io::BufReader::new(written))
+                .expect("stage sums tile lifetimes");
+            assert!(verified > 0, "{}", cfg.name);
+            let files = [
                 "trace.json",
-                "events.jsonl",
                 "counters.csv",
                 "breakdown.csv",
                 "exposure.csv",
                 "latency_hist.csv",
                 "metrics.txt",
-            ] {
+            ];
+            for f in files {
                 assert!(dir.join(f).is_file(), "missing bundle file {f}");
             }
+            let written = std::fs::read_dir(&dir).unwrap().count();
+            assert_eq!(written, files.len(), "the bundle writes only its files");
             let metrics = std::fs::read_to_string(dir.join("metrics.txt")).unwrap();
             assert!(metrics.contains("[stalls]"));
             assert!(

@@ -117,8 +117,9 @@ fn assert_consumers_agree(t: &Timeline, what: &str) -> [u64; 8] {
 
     let mut b = ChromeTraceBuilder::new(1, 1);
     b.add_request_span(TraceSite::Sm(0), 7, t);
-    let doc = json::parse(&b.finish()).expect("valid chrome trace json");
-    assert_eq!(check_span_sums(&doc), Ok(1), "{what}");
+    let text = b.finish();
+    assert_eq!(check_span_sums(text.as_bytes()), Ok(1), "{what}");
+    let doc = json::parse(&text).expect("valid chrome trace json");
     let mut slices: BTreeMap<&str, i64> = BTreeMap::new();
     for ev in doc.get("traceEvents").and_then(Value::as_arr).unwrap() {
         let field = |k| ev.get(k).and_then(Value::as_str);

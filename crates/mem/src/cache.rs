@@ -452,6 +452,18 @@ impl Cache {
         }
     }
 
+    /// Whether [`Cache::allocate_dirty`] at `addr` would succeed, without
+    /// allocating: some sector of the line is valid, or some way of its set
+    /// has no in-flight fill. A store hit ([`Cache::probe`]) is such a line,
+    /// so this is also whether a write-back store completes.
+    pub fn can_allocate_dirty(&self, addr: Addr) -> bool {
+        let tag = self.tag(addr);
+        self.set_range(addr).any(|i| {
+            let line = self.line(i);
+            (line.valid != 0 && line.tag == tag) || line.reserved == 0
+        })
+    }
+
     /// Reconstructs the line-aligned address of an evicted line from its tag
     /// and a sibling address in the same set, then queues it for writeback.
     fn push_writeback(&mut self, victim_tag: u64, sibling: Addr) {
@@ -704,6 +716,49 @@ mod tests {
             "dirty line 1 evicted by fill"
         );
         assert_eq!(c.pop_writeback(), None, "clean line 2 evicted silently");
+    }
+
+    /// The pure twins answer exactly what their mutating forms do, in
+    /// every state a short deterministic mix of fills, reservations, dirty
+    /// allocations and invalidations reaches, sectored and not.
+    #[test]
+    fn can_allocate_dirty_and_can_reserve_match_their_mutations() {
+        for mut c in [small_cache(2), sectored_cache(2)] {
+            let addrs: Vec<Addr> = (0..4)
+                .flat_map(|k| [addr(0, k), addr(0, k) + 32, addr(1, k)])
+                .collect();
+            let mut seed = 0x2545_f491_4f6c_dd1du64;
+            let mut seen = [false; 2];
+            for _ in 0..400 {
+                for &a in &addrs {
+                    let can = c.can_allocate_dirty(a);
+                    seen[usize::from(can)] = true;
+                    assert_eq!(can, c.clone().allocate_dirty(a), "{a:?}");
+                    assert_eq!(c.can_reserve(a), c.clone().reserve(a), "{a:?}");
+                    if c.probe(a) {
+                        assert!(c.can_allocate_dirty(a), "a store hit completes: {a:?}");
+                    }
+                }
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                let a = addrs[(seed >> 8) as usize % addrs.len()];
+                match seed % 5 {
+                    0 | 1 => {
+                        c.reserve(a);
+                    }
+                    2 => c.fill(a),
+                    3 => {
+                        c.allocate_dirty(a);
+                    }
+                    _ => c.store_invalidate(a),
+                }
+            }
+            assert_eq!(
+                seen, [true; 2],
+                "the mix must reach a full set and a free one"
+            );
+        }
     }
 
     #[test]

@@ -234,7 +234,8 @@ impl Partition {
     /// store the cycle they next act. A stalled slice head, and a ready ROP head behind a full
     /// input queue, wait for the DRAM channel: only its next schedule frees
     /// a queue slot and only its next completion fills a line and frees an
-    /// MSHR entry or a merge slot. [`Cycle::MAX`] when idle.
+    /// MSHR entry, a merge slot or a reserved way. [`Cycle::MAX`] when
+    /// idle.
     pub fn next_event(&self, now: Cycle) -> Cycle {
         let drains = |s: &L2Slice| s.cache.as_ref().is_some_and(|c| c.pending_writebacks() > 0);
         if (self.dram.can_accept() && self.slices.iter().any(drains))
@@ -262,10 +263,10 @@ impl Partition {
     /// Whether the access stage would act on `slice`'s input-queue head if
     /// it ran now: the decisions [`Partition::tick_l2_slice`] takes, without
     /// their effects. A head it would leave untouched waits on the DRAM
-    /// queue, the MSHR table or a merge list. Two attempts act even when
-    /// they fail, and so count as acting: a write-back store probes the tag
-    /// array (a hit or miss counted) and a miss with an MSHR entry and a
-    /// DRAM slot to go to calls `Cache::reserve`, which advances the
+    /// queue, the MSHR table, a merge list or, for a write-back store, a
+    /// way of its set that an in-flight fill holds. One attempt acts even
+    /// when it fails, and so counts as acting: a miss with an MSHR entry
+    /// and a DRAM slot to go to calls `Cache::reserve`, which advances the
     /// replacement clock whether or not a way is free.
     fn head_acts(&self, slice: &L2Slice) -> bool {
         let Some(head) = slice.queue.front() else {
@@ -278,7 +279,7 @@ impl Partition {
         if head.kind == AccessKind::Store {
             return match self.write_policy {
                 WritePolicy::WriteThrough => self.dram.can_accept(),
-                WritePolicy::WriteBack => true,
+                WritePolicy::WriteBack => l2.can_allocate_dirty(addr),
             };
         }
         if l2.probe(addr) {
@@ -603,9 +604,15 @@ impl Partition {
                 WritePolicy::WriteBack => {
                     // Write-allocate (tag-only, no fetch): the store
                     // completes here; dirty victims join the writeback
-                    // queue drained in `tick`.
-                    if !l2.store_mark_dirty(addr) && !l2.allocate_dirty(addr) {
-                        return; // all ways reserved: retry next cycle
+                    // queue drained in `tick`. With every way of its set
+                    // reserved it waits, untouched, for the fill that
+                    // frees one: decided before the tag array counts a
+                    // miss or its replacement clock moves.
+                    if !l2.can_allocate_dirty(addr) {
+                        return;
+                    }
+                    if !l2.store_mark_dirty(addr) {
+                        assert!(l2.allocate_dirty(addr), "a free way was checked");
                     }
                     let mut req = slice.queue.pop().expect("head exists");
                     req.timeline.record(Stamp::L2Served, now);

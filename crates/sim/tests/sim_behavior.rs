@@ -5,6 +5,7 @@
 use gpu_isa::{AluOp, CmpOp, KernelBuilder, Launch, Space, Special, Width};
 use gpu_mem::Stamp;
 use gpu_sim::{Gpu, GpuConfig, SchedPolicy, SimError};
+use gpu_workloads::vecadd;
 
 fn vecadd_kernel() -> gpu_isa::Kernel {
     let mut b = KernelBuilder::new("vecadd");
@@ -378,4 +379,22 @@ fn missing_params_rejected_at_launch() {
         }) => {}
         other => panic!("expected MissingParams, got {other:?}"),
     }
+}
+
+/// GF100 whose write-back L2 is one two-way set per partition: vecadd's
+/// loads keep both ways reserved by in-flight fills, and a store that
+/// finds its set so waits for a fill to free a way.
+#[test]
+fn a_store_waiting_for_a_reserved_way_misses_once() {
+    let mut cfg = GpuConfig::fermi_gf100();
+    let l2 = cfg.l2.as_mut().expect("gf100 has an L2");
+    l2.write_policy = gpu_sim::WritePolicy::WriteBack;
+    (l2.cache.sets, l2.cache.ways) = (1, 2);
+    let mut gpu = Gpu::new(cfg);
+    let dev = vecadd::setup(&mut gpu, 16_384);
+    let summary = vecadd::run(&mut gpu, &dev, 256).unwrap();
+    vecadd::verify(&gpu, &dev);
+    // Every line is touched once: 1 024 load lines and 512 store lines,
+    // each one L2 miss however long it waited for its way.
+    assert_eq!((summary.l2_hits, summary.l2_misses), (0, 1536));
 }

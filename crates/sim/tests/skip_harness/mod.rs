@@ -13,7 +13,7 @@ use gpu_types::Addr;
 use gpu_workloads::bfs::{
     build_bfs_mask_kernel1, build_bfs_mask_kernel2, read_costs, upload_graph_mask, UNVISITED,
 };
-use gpu_workloads::{histogram, reduce, Graph};
+use gpu_workloads::{histogram, reduce, vecadd, Graph};
 
 pub const MAX_CYCLES: u64 = 50_000_000;
 
@@ -134,6 +134,20 @@ pub fn contended_histogram(n: u64, bins: u32) -> impl Fn(&mut Gpu, Drain<'_>) {
         let dev = launch_histogram(gpu, n, bins);
         drain(gpu);
         histogram::verify(gpu, &dev);
+    }
+}
+
+/// Streaming `c[i] = a[i] + b[i]` over `n` elements in 256-thread CTAs:
+/// two load lines and one store line per warp, each touched once.
+pub fn vecadd(n: u64) -> impl Fn(&mut Gpu, Drain<'_>) {
+    move |gpu, drain| {
+        let dev = vecadd::setup(gpu, n);
+        let params = vec![dev.a.get(), dev.b.get(), dev.c.get(), n];
+        let launch = Launch::new((n as u32).div_ceil(256), 256, params);
+        gpu.launch(vecadd::build_vecadd_kernel(), launch)
+            .expect("vecadd launches");
+        drain(gpu);
+        vecadd::verify(gpu, &dev);
     }
 }
 

@@ -29,11 +29,12 @@
 //! vocabulary rather than hard-coded strings.
 
 use std::collections::BTreeMap;
+use std::io::BufRead;
 
 use gpu_mem::{Stamp, Timeline};
 
 use crate::event::{EventKind, TraceEvent, TraceSite};
-use crate::json::{Value, Writer};
+use crate::json::{self, Value, Writer};
 use crate::profile::{ProfSpan, ProfileReport};
 use crate::tracer::{CounterKind, CounterSample};
 
@@ -272,49 +273,67 @@ impl ChromeTraceBuilder {
         }
     }
 
-    /// Serialises the document: `{"traceEvents": [...]}`.
+    /// Serialises the document in the rows layout [`check_span_sums`]
+    /// reads: the line `{"traceEvents":[`, one event per line, `]}`.
     pub fn finish(self) -> String {
         self.w.finish()
     }
 }
 
-/// Validates the request spans of a parsed Chrome trace: for every async
+/// Validates the request spans of a Chrome trace in the rows layout
+/// [`ChromeTraceBuilder::finish`] writes, one row at a time (it holds the
+/// open spans and a sum per request, never the document): for every async
 /// span pair (`ph` `b`/`e`, `cat` `"request"`), the child stage durations
 /// must sum exactly to the outer `req{id}` span's duration — the same
 /// stage-sum invariant the simulator's sanitizer enforces on timelines.
 ///
 /// Returns the number of verified request spans, or a description of the
-/// first violation.
-pub fn check_span_sums(doc: &Value) -> Result<u64, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_arr)
-        .ok_or("missing traceEvents array")?;
-
+/// first violation; a row that does not parse or breaks the framing (a
+/// comma after every row but the last) is named by its line.
+pub fn check_span_sums(trace: impl BufRead) -> Result<u64, String> {
+    let mut lines = trace.lines();
+    if !matches!(lines.next(), Some(Ok(first)) if first == r#"{"traceEvents":["#) {
+        return Err("missing traceEvents array".into());
+    }
     // (id, name) -> begin ts; spans never repeat a (id, stage) pair because
-    // timelines stamp each point once. Single pass: ends pair with their
-    // begin via the map, and closed spans fold straight into a per-id
-    // (outer duration, stage sum) accumulator.
+    // timelines stamp each point once. Ends pair with their begin via the
+    // map, and closed spans fold straight into a per-id (outer duration,
+    // stage sum) accumulator.
     let mut begins: BTreeMap<(u64, String), u64> = BTreeMap::new();
     let mut per_id: BTreeMap<u64, (Option<u64>, u64)> = BTreeMap::new();
-    for ev in events {
+    // Whether the row before ended in a comma (`None` before the first),
+    // and whether `]}` was read.
+    let (mut comma, mut closed) = (None, false);
+    for (line, at) in lines.zip(2..) {
+        let line = line.map_err(|e| format!("line {at}: {e}"))?;
+        if closed {
+            return Err(format!("line {at}: text after the closing `]}}`"));
+        } else if line == "]}" && comma != Some(true) {
+            closed = true;
+            continue;
+        } else if comma == Some(false) {
+            let prev = at - 1;
+            return Err(format!(
+                "line {at}: a row after the last (line {prev} lacks its comma)"
+            ));
+        }
+        let row = line.strip_suffix(',');
+        comma = Some(row.is_some());
+        let ev = json::parse(row.unwrap_or(&line)).map_err(|e| format!("line {at}: {e}"))?;
         if ev.get("cat").and_then(Value::as_str) != Some("request") {
             continue;
         }
         let ph = ev.get("ph").and_then(Value::as_str).unwrap_or("");
-        let id = ev
-            .get("id")
-            .and_then(Value::as_num)
-            .ok_or("request event without id")? as u64;
-        let name = ev
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("request event without name")?
-            .to_string();
-        let ts = ev
-            .get("ts")
-            .and_then(Value::as_num)
-            .ok_or("request event without ts")? as u64;
+        let missing = |key| format!("request event without {key}");
+        let num = |key| {
+            ev.get(key)
+                .and_then(Value::as_num)
+                .ok_or_else(|| missing(key))
+        };
+        let id = num("id")? as u64;
+        let name = ev.get("name").and_then(Value::as_str);
+        let name = name.ok_or_else(|| missing("name"))?.to_string();
+        let ts = num("ts")? as u64;
         match ph {
             "b" => {
                 begins.insert((id, name), ts);
@@ -343,6 +362,9 @@ pub fn check_span_sums(doc: &Value) -> Result<u64, String> {
             other => return Err(format!("unexpected request ph {other:?}")),
         }
     }
+    if !closed {
+        return Err("trace ends before its closing `]}`".into());
+    }
     if let Some(((id, name), _)) = begins.iter().next() {
         return Err(format!("unclosed span: req {id} {name:?}"));
     }
@@ -364,7 +386,6 @@ pub fn check_span_sums(doc: &Value) -> Result<u64, String> {
 mod tests {
     use super::*;
     use crate::event::StallReason;
-    use crate::json;
     use gpu_types::Cycle;
 
     fn dram_timeline(issue: u64) -> Timeline {
@@ -381,6 +402,17 @@ mod tests {
         t.record(Stamp::ReplyEject, Cycle::new(issue + 690));
         t.record(Stamp::Returned, Cycle::new(issue + 700));
         t
+    }
+
+    /// The event rows of a document in the rows layout, each parsed on its
+    /// own — the way [`check_span_sums`] reads them.
+    fn rows(text: &str) -> Vec<Value> {
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some(r#"{"traceEvents":["#), "{text}");
+        assert_eq!(lines.next_back(), Some("]}"), "{text}");
+        lines
+            .map(|l| json::parse(l.strip_suffix(',').unwrap_or(l)).expect("a row parses"))
+            .collect()
     }
 
     #[test]
@@ -400,10 +432,8 @@ mod tests {
             let label = stamp.stage_label().unwrap();
             assert!(text.contains(&format!("\"{label}\"")), "{text}");
         }
-        let doc = json::parse(&text).unwrap();
-        assert_eq!(check_span_sums(&doc).unwrap(), 3);
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let store_edges: Vec<_> = events
+        assert_eq!(check_span_sums(text.as_bytes()).unwrap(), 3);
+        let store_edges: Vec<_> = rows(&text)
             .iter()
             .filter(|e| e.get("id").and_then(Value::as_num) == Some(9.0))
             .map(|e| {
@@ -427,18 +457,87 @@ mod tests {
 
     #[test]
     fn validator_rejects_bad_stage_sums() {
-        // Hand-build a document whose stage slices do not tile the span.
-        let doc = json::parse(
-            r#"{"traceEvents":[
-            {"cat":"request","ph":"b","id":1,"name":"req1","pid":1,"tid":0,"ts":0},
-            {"cat":"request","ph":"b","id":1,"name":"SM Base","pid":1,"tid":0,"ts":0},
-            {"cat":"request","ph":"e","id":1,"name":"SM Base","pid":1,"tid":0,"ts":40},
-            {"cat":"request","ph":"e","id":1,"name":"req1","pid":1,"tid":0,"ts":100}
-            ]}"#,
-        )
-        .unwrap();
-        let err = check_span_sums(&doc).unwrap_err();
+        // A hand-built document whose stage slices do not tile the span.
+        let doc = r#"{"traceEvents":[
+{"cat":"request","ph":"b","id":1,"name":"req1","pid":1,"tid":0,"ts":0},
+{"cat":"request","ph":"b","id":1,"name":"SM Base","pid":1,"tid":0,"ts":0},
+{"cat":"request","ph":"e","id":1,"name":"SM Base","pid":1,"tid":0,"ts":40},
+{"cat":"request","ph":"e","id":1,"name":"req1","pid":1,"tid":0,"ts":100}
+]}
+"#;
+        let err = check_span_sums(doc.as_bytes()).unwrap_err();
         assert!(err.contains("stage sum 40 != lifetime 100"), "{err}");
+    }
+
+    /// The streamed check refuses a broken span and a broken frame alike:
+    /// each case edits the lines of a valid document (req7's edges, then
+    /// req8's, then a counter sample) and must fail naming what broke.
+    #[test]
+    fn the_streamed_check_rejects_bad_input() {
+        let mut b = ChromeTraceBuilder::new(1, 1);
+        b.add_request_span(TraceSite::Sm(0), 7, &dram_timeline(100));
+        b.add_request_span(TraceSite::Sm(0), 8, &dram_timeline(0));
+        b.add_counter_sample(&CounterSample {
+            cycle: 64,
+            values: [1; CounterKind::COUNT],
+        });
+        let text = b.finish();
+        assert_eq!(check_span_sums(text.as_bytes()), Ok(2));
+        let lines: Vec<&str> = text.lines().collect();
+        let find = |ph: &str, name: &str| {
+            let edge = format!(r#""ph":"{ph}","id":7,"name":"{name}""#);
+            lines.iter().position(|l| l.contains(&edge)).unwrap()
+        };
+        let stage = Stamp::DramDone.stage_label().unwrap();
+        let (outer_begin, outer_end, stage_end) =
+            (find("b", "req7"), find("e", "req7"), find("e", stage));
+        type Edit = Box<dyn Fn(&mut Vec<String>)>;
+        let cases: [(&str, Edit, &str); 6] = [
+            (
+                "one stage end a cycle late",
+                Box::new(move |l| {
+                    l[stage_end] = l[stage_end].replace(r#""ts":720}"#, r#""ts":721}"#)
+                }),
+                "for req7",
+            ),
+            (
+                "no closing brackets",
+                Box::new(|l| drop(l.pop())),
+                "closing `]}`",
+            ),
+            (
+                "a row without its comma",
+                Box::new(move |l| {
+                    l[stage_end].pop();
+                }),
+                "lacks its comma",
+            ),
+            (
+                "a row split over two lines",
+                Box::new(move |l| l[stage_end] = l[stage_end].replacen(',', ",\n", 1)),
+                &format!("line {}:", stage_end + 1),
+            ),
+            (
+                "an unclosed span",
+                Box::new(move |l| drop(l.remove(outer_end))),
+                "unclosed span: req 7",
+            ),
+            (
+                "a duplicate outer span",
+                Box::new(move |l| {
+                    let pair = [l[outer_begin].clone(), l[outer_end].clone()];
+                    l.splice(outer_end + 1..outer_end + 1, pair);
+                }),
+                "duplicate outer span for req7",
+            ),
+        ];
+        for (what, edit, expected) in cases {
+            let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            edit(&mut edited);
+            let doc = edited.join("\n") + "\n";
+            let err = check_span_sums(doc.as_bytes()).expect_err(what);
+            assert!(err.contains(expected), "{what}: {err}");
+        }
     }
 
     #[test]
@@ -469,11 +568,9 @@ mod tests {
             values: [9; CounterKind::COUNT],
         });
         let text = b.finish();
-        let doc = json::parse(&text).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(events.len() >= 5 + CounterKind::COUNT);
+        assert!(rows(&text).len() >= 5 + CounterKind::COUNT);
         // No request spans: the validator trivially passes with 0.
-        assert_eq!(check_span_sums(&doc).unwrap(), 0);
+        assert_eq!(check_span_sums(text.as_bytes()).unwrap(), 0);
     }
 
     #[test]
@@ -488,10 +585,8 @@ mod tests {
             },
         });
         let text = b.finish();
-        let doc = json::parse(&text).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let stall = events
-            .iter()
+        let stall = rows(&text)
+            .into_iter()
             .find(|e| e.get("name").and_then(Value::as_str) == Some("stall"))
             .unwrap_or_else(|| panic!("no stall slice in {text}"));
         let num = |k: &str| stall.get(k).and_then(Value::as_num);
@@ -504,6 +599,140 @@ mod tests {
             Some("mshr_full")
         );
         assert_eq!(args.get("cycles").and_then(Value::as_num), Some(12.0));
+    }
+
+    /// One event per [`EventKind`] variant, exercising every payload shape.
+    fn one_event_per_kind() -> Vec<TraceEvent> {
+        let event = |cycle, site, kind| TraceEvent { cycle, site, kind };
+        let line = 0x00de_ad00;
+        vec![
+            event(
+                3,
+                TraceSite::Sm(3),
+                EventKind::Stall {
+                    reason: StallReason::MshrFull,
+                    cycles: 2,
+                },
+            ),
+            event(
+                2,
+                TraceSite::Sm(0),
+                EventKind::Coalesce {
+                    warp: 5,
+                    accesses: 32,
+                    lines: 4,
+                },
+            ),
+            event(3, TraceSite::Sm(1), EventKind::MshrAllocate { line }),
+            event(4, TraceSite::Sm(1), EventKind::MshrMerge { line }),
+            event(
+                5,
+                TraceSite::Sm(1),
+                EventKind::MshrFill { line, waiters: 7 },
+            ),
+            event(
+                10,
+                TraceSite::Partition(0),
+                EventKind::RowActivate { bank: 1, row: 42 },
+            ),
+            event(
+                11,
+                TraceSite::Partition(2),
+                EventKind::RowPrecharge { bank: 1, row: 42 },
+            ),
+            event(12, TraceSite::Gpu, EventKind::Checkpoint { bytes: 4096 }),
+            event(13, TraceSite::Gpu, EventKind::CacheHit { key: 77 }),
+        ]
+    }
+
+    /// Reads an event back from its `trace.json` row alone: the site from
+    /// `pid`/`tid`, the cycle from `ts` (`ts + dur` for a stall slice),
+    /// the kind from `name` and its payload from `args`.
+    fn event_of(row: &Value) -> TraceEvent {
+        let num = |v: &Value, key: &str| {
+            let n = v.get(key).and_then(Value::as_num);
+            n.unwrap_or_else(|| panic!("no number {key} in {row:?}")) as u64
+        };
+        let args = row.get("args").expect("an event row carries args");
+        let arg = |key| num(args, key);
+        let small = |key| u32::try_from(arg(key)).unwrap();
+        let tid = num(row, "tid") as u32;
+        let site = match num(row, "pid") as u32 {
+            PID_SMS => TraceSite::Sm(tid),
+            PID_PARTITIONS => TraceSite::Partition(tid),
+            PID_GPU => TraceSite::Gpu,
+            pid => panic!("event on pid {pid}"),
+        };
+        let kind = match row.get("name").and_then(Value::as_str).unwrap() {
+            "stall" => {
+                let reason = args.get("reason").and_then(Value::as_str);
+                EventKind::Stall {
+                    reason: *StallReason::ALL
+                        .iter()
+                        .find(|r| Some(r.name()) == reason)
+                        .unwrap(),
+                    cycles: arg("cycles"),
+                }
+            }
+            "coalesce" => EventKind::Coalesce {
+                warp: small("warp"),
+                accesses: small("accesses"),
+                lines: small("lines"),
+            },
+            "mshr_alloc" => EventKind::MshrAllocate { line: arg("line") },
+            "mshr_merge" => EventKind::MshrMerge { line: arg("line") },
+            "mshr_fill" => EventKind::MshrFill {
+                line: arg("line"),
+                waiters: small("waiters"),
+            },
+            "row_activate" => EventKind::RowActivate {
+                bank: small("bank"),
+                row: arg("row"),
+            },
+            "row_precharge" => EventKind::RowPrecharge {
+                bank: small("bank"),
+                row: arg("row"),
+            },
+            "checkpoint" => EventKind::Checkpoint {
+                bytes: arg("bytes"),
+            },
+            "cache_hit" => EventKind::CacheHit { key: arg("key") },
+            other => panic!("unknown event name {other:?}"),
+        };
+        let end = match kind {
+            EventKind::Stall { .. } => num(row, "dur"),
+            _ => 0,
+        };
+        TraceEvent {
+            cycle: num(row, "ts") + end,
+            site,
+            kind,
+        }
+    }
+
+    /// Every [`EventKind`] survives in its `trace.json` row — site, cycle
+    /// and payload — so a diff of `trace.json` covers every event a run
+    /// records, and the row's `args` hold exactly the payload.
+    #[test]
+    fn every_event_kind_round_trips_through_its_row() {
+        let events = one_event_per_kind();
+        let mut b = ChromeTraceBuilder::new(4, 3);
+        for ev in &events {
+            b.add_event(ev);
+        }
+        let rows = rows(&b.finish());
+        let exported: Vec<_> = rows
+            .iter()
+            .filter(|e| e.get("cat").and_then(Value::as_str) == Some("event"))
+            .collect();
+        assert_eq!(exported.len(), events.len());
+        for (row, ev) in exported.into_iter().zip(&events) {
+            assert_eq!(&event_of(row), ev, "{row:?}");
+            let mut payload = Writer::compact();
+            ev.kind.write_fields(payload.object());
+            let payload = json::parse(&payload.finish()).unwrap();
+            assert_eq!(row.get("args"), Some(&payload), "{row:?}");
+        }
     }
 
     #[test]
@@ -524,7 +753,7 @@ mod tests {
         assert!(text.contains("\"SM (GF100-like) 0\""), "{text}");
         assert!(text.contains("\"L1 MSHR occupancy\""), "{text}");
         assert!(!text.contains("\"l1_mshr\""), "{text}");
-        json::parse(&text).unwrap();
+        rows(&text);
     }
 
     #[test]
@@ -560,8 +789,7 @@ mod tests {
         let mut b = ChromeTraceBuilder::new(1, 1);
         b.add_host_profile(&report);
         let text = b.finish();
-        let doc = json::parse(&text).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let events = rows(&text);
         // The flame view: run at depth 0, tick_sms nested at depth 1 from
         // run's start, sm_tick at depth 2 from tick_sms's start.
         let slice = |name: &str| {

@@ -14,9 +14,9 @@
 //! * [`MetricsReport`] — counter summaries, stall breakdowns and host
 //!   throughput, embedded in the simulator's `RunSummary`;
 //! * exporters — Chrome trace-event JSON for Perfetto
-//!   ([`ChromeTraceBuilder`]), JSONL and CSV for scripting, and a
-//!   [`check_span_sums`] validator that re-parses the emitted JSON with the
-//!   workspace [`json`] parser (all of them write through its `Writer`) and re-checks the sanitizer's stage-sum
+//!   ([`ChromeTraceBuilder`], through the workspace [`json`] `Writer`), CSV
+//!   counters for scripting, and [`check_span_sums`], which reads the
+//!   written JSON back row by row and re-checks the sanitizer's stage-sum
 //!   invariant on the exported spans;
 //! * [`profile`] — the host-side self-profiler (`gpu-profile`): a
 //!   zero-cost-when-off scoped profiler over the host monotonic clock that
@@ -43,7 +43,7 @@ pub use gpu_types::json;
 
 pub use chrome::{check_span_sums, ChromeTraceBuilder, TrackNames};
 pub use event::{EventKind, StallBreakdown, StallReason, TraceEvent, TraceSite};
-pub use export::{counters_csv, events_jsonl};
+pub use export::counters_csv;
 pub use metrics::{cycles_per_second, MetricsReport};
 pub use profile::{ProfSpan, ProfileReport};
 pub use tracer::{
