@@ -9,7 +9,8 @@
 //! its bundle into `<dir>/<content hash>/` ([`TraceBundle::env_dir`]), best
 //! effort: an export failure is reported on stderr, never fatal.
 
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use gpu_sim::{GpuConfig, LevelKind, StallReason, TraceSite};
@@ -134,12 +135,17 @@ impl<'a> TraceBundle<'a> {
         root.join(format!("{:016x}", self.run.content_hash))
     }
 
-    /// Renders the Chrome trace-event JSON: one track per SM / partition,
-    /// one async span per traced request tiled into its pipeline stages
-    /// (loads on their SM's track, then retired stores and writebacks on
-    /// their partition's), a slice per stall interval, instants for the
-    /// other events and counter tracks for samples.
-    pub fn chrome_json(&self) -> String {
+    /// Writes the Chrome trace-event JSON to `out` row by row, as the rows
+    /// are made: one track per SM / partition, one async span per traced
+    /// request tiled into its pipeline stages (loads on their SM's track,
+    /// then retired stores and writebacks on their partition's), a slice
+    /// per stall interval, instants for the other events and counter
+    /// tracks for samples.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `out`'s write errors.
+    pub fn write_chrome(&self, out: &mut impl Write) -> io::Result<()> {
         let mut b = ChromeTraceBuilder::with_names(
             self.num_sms,
             self.num_partitions,
@@ -152,17 +158,20 @@ impl<'a> TraceBundle<'a> {
         let writes = writes.map(|w| (TraceSite::Partition(w.partition), &w.timeline));
         for (id, (site, timeline)) in loads.chain(writes).enumerate() {
             b.add_request_span(site, id as u64, timeline);
+            b.write_rows(out)?;
         }
         for e in &run.trace.events {
             b.add_event(e);
+            b.write_rows(out)?;
         }
         for s in &run.trace.samples {
             b.add_counter_sample(s);
+            b.write_rows(out)?;
         }
         if let Some(p) = &self.profile {
             b.add_host_profile(p);
         }
-        b.finish()
+        out.write_all(b.finish().as_bytes())
     }
 
     /// Renders `metrics.txt`: counter summaries and stall attribution in a
@@ -226,7 +235,9 @@ impl<'a> TraceBundle<'a> {
     /// Propagates filesystem errors.
     pub fn write(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("trace.json"), self.chrome_json())?;
+        let mut trace = BufWriter::new(File::create(dir.join("trace.json"))?);
+        self.write_chrome(&mut trace)?;
+        trace.flush()?;
         let run = self.run;
         std::fs::write(dir.join("counters.csv"), counters_csv(&run.trace.samples))?;
         let (breakdown, _) = LatencyBreakdown::from_requests_clipped(&run.requests, 48, 0.999);

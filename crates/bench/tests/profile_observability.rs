@@ -127,7 +127,9 @@ fn profiling_is_invisible_and_stage_times_tile_the_run() {
         track_names: track_names_for(&cfg),
         profile: Some(report.clone()),
     };
-    let chrome = bundle.chrome_json();
+    let mut chrome = Vec::new();
+    bundle.write_chrome(&mut chrome).expect("written to memory");
+    let chrome = String::from_utf8(chrome).expect("the writer emits UTF-8");
     gpu_trace::json::parse(&chrome).expect("trace.json parses");
     let desc_name = cfg.arch_desc().name;
     assert!(

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use gpu_types::Addr;
 
 use crate::builder::MAX_PREDS;
-use crate::instr::{Guard, Instr, Operand, Pc, Reg, Space, Special, Width, RECONV_NONE};
+use crate::instr::{AluOp, Guard, Instr, Operand, Pc, Reg, Space, Special, Width, RECONV_NONE};
 use crate::kernel::Kernel;
 
 /// Maximum threads per warp supported by the executor (mask is a `u32`).
@@ -261,22 +261,20 @@ impl WarpExec {
 
     /// Index of `lane`'s copy of register `r` in the register file.
     fn at(&self, r: Reg, lane: usize) -> usize {
-        r as usize * self.ctxs.len() + lane
+        self.row(r) + lane
     }
 
-    fn operand(&self, lane: usize, op: Operand) -> u64 {
+    /// Index of lane 0's copy of register `r`: its row of lanes starts
+    /// there.
+    fn row(&self, r: Reg) -> usize {
+        r as usize * self.ctxs.len()
+    }
+
+    /// `op` resolved once for every lane of an instruction.
+    fn src(&self, op: Operand) -> Src {
         match op {
-            Operand::Reg(r) => self.regs[self.at(r, lane)],
-            Operand::Imm(v) => v as u64,
-        }
-    }
-
-    /// Writes `value(self, lane)` to register `dst` of every lane in `mask`.
-    fn write(&mut self, mask: u32, dst: Reg, value: impl Fn(&Self, usize) -> u64) {
-        for lane in lanes(mask) {
-            let v = value(self, lane);
-            let i = self.at(dst, lane);
-            self.regs[i] = v;
+            Operand::Reg(r) => Src::Row(self.row(r)),
+            Operand::Imm(v) => Src::Imm(v as u64),
         }
     }
 
@@ -288,12 +286,11 @@ impl WarpExec {
     /// [`WarpExec::at_barrier`] first) — the timing model must release the
     /// barrier before issuing again. Calling on a finished warp returns
     /// [`StepOutcome::Finished`].
-    pub fn step(&mut self, backend: &mut dyn MemBackend) -> StepOutcome {
+    pub fn step<B: MemBackend + ?Sized>(&mut self, backend: &mut B) -> StepOutcome {
         assert!(!self.at_barrier, "step while warp waits at barrier");
         let Some(&StackEntry { pc, mask, .. }) = self.stack.last() else {
             return StepOutcome::Finished;
         };
-        let instr = self.kernel.instr(pc).clone();
         self.instructions_executed += 1;
         let mem = |space, is_store, is_atomic, dst| {
             StepOutcome::Mem(MemOp {
@@ -305,20 +302,34 @@ impl WarpExec {
             })
         };
 
-        let outcome = match instr {
+        // Every field an instruction carries is `Copy`: the arms bind
+        // copies, so the kernel is not borrowed past the match's head.
+        let outcome = match *self.kernel.instr(pc) {
             Instr::Alu { op, dst, a, b } => {
-                self.write(mask, dst, |w, l| {
-                    eval_alu(op, w.operand(l, a), w.operand(l, b))
-                });
+                let (a, b, dst) = (self.src(a), self.src(b), self.row(dst));
+                // The op is resolved once, outside the lane loop: each arm
+                // is `eval_alu` with its op a constant.
+                macro_rules! per_op {
+                    ($($op:ident)*) => {
+                        match op {
+                            $(AluOp::$op => write_lanes(&mut self.regs, dst, mask, |r, l| {
+                                eval_alu(AluOp::$op, a.read(r, l), b.read(r, l))
+                            }),)*
+                        }
+                    };
+                }
+                per_op!(Add Sub Mul Div Rem Min Max And Or Xor Shl Shr FAdd FMul FDiv);
                 StepOutcome::Ready
             }
             Instr::Mov { dst, src } => {
-                self.write(mask, dst, |w, l| w.operand(l, src));
+                let (src, dst) = (self.src(src), self.row(dst));
+                write_lanes(&mut self.regs, dst, mask, |r, l| src.read(r, l));
                 StepOutcome::Ready
             }
             Instr::ReadSpecial { dst, special } => {
-                self.write(mask, dst, |w, l| {
-                    let ctx = w.ctxs[l];
+                let (dst, ctxs) = (self.row(dst), &self.ctxs);
+                write_lanes(&mut self.regs, dst, mask, |_, l| {
+                    let ctx = ctxs[l];
                     match special {
                         Special::TidX => ctx.tid as u64,
                         Special::CtaIdX => ctx.ctaid as u64,
@@ -335,13 +346,18 @@ impl WarpExec {
                     .params
                     .get(index)
                     .unwrap_or_else(|| panic!("kernel parameter {index} not supplied"));
-                self.write(mask, dst, |_, _| v);
+                let dst = self.row(dst);
+                write_lanes(&mut self.regs, dst, mask, |_, _| v);
                 StepOutcome::Ready
             }
             Instr::SetP { pred, op, a, b } => {
+                let (a, b) = (self.src(a), self.src(b));
                 let mut set = 0u32;
                 for lane in lanes(mask) {
-                    let (a, b) = (self.operand(lane, a) as i64, self.operand(lane, b) as i64);
+                    let (a, b) = (
+                        a.read(&self.regs, lane) as i64,
+                        b.read(&self.regs, lane) as i64,
+                    );
                     set |= u32::from(op.eval(a, b)) << lane;
                 }
                 let p = &mut self.preds[pred as usize];
@@ -355,9 +371,9 @@ impl WarpExec {
                 addr,
                 offset,
             } => {
-                self.each_access(mask, space, addr, offset, width, |w, lane, s, a| {
-                    let i = w.at(dst, lane);
-                    w.regs[i] = backend.load(s, a, width);
+                let row = self.row(dst);
+                self.each_access(mask, space, addr, offset, width, |regs, lane, s, a| {
+                    regs[row + lane] = backend.load(s, a, width);
                 });
                 mem(space, false, false, Some(dst))
             }
@@ -368,8 +384,9 @@ impl WarpExec {
                 addr,
                 offset,
             } => {
-                self.each_access(mask, space, addr, offset, width, |w, lane, s, a| {
-                    backend.store(s, a, width, w.operand(lane, src));
+                let src = self.src(src);
+                self.each_access(mask, space, addr, offset, width, |regs, lane, s, a| {
+                    backend.store(s, a, width, src.read(regs, lane));
                 });
                 mem(space, true, false, None)
             }
@@ -380,10 +397,17 @@ impl WarpExec {
                 offset,
                 val,
             } => {
-                self.each_access(mask, Space::Global, addr, offset, width, |w, lane, _, a| {
-                    let i = w.at(dst, lane);
-                    w.regs[i] = backend.atomic_add(a, width, w.operand(lane, val));
-                });
+                let (val, row) = (self.src(val), self.row(dst));
+                self.each_access(
+                    mask,
+                    Space::Global,
+                    addr,
+                    offset,
+                    width,
+                    |regs, lane, _, a| {
+                        regs[row + lane] = backend.atomic_add(a, width, val.read(regs, lane));
+                    },
+                );
                 mem(Space::Global, true, true, Some(dst))
             }
             Instr::Branch {
@@ -416,9 +440,10 @@ impl WarpExec {
         outcome
     }
 
-    /// Calls `access` for every lane in `mask` with the backend's space and
-    /// address (the `base` register plus `offset`, `Local` translated into
-    /// the lane's device window), and records the accesses in lane order.
+    /// Calls `access` for every lane in `mask` with the register file, the
+    /// lane, the backend's space and the address (the `base` register plus
+    /// `offset`, `Local` translated into the lane's device window), and
+    /// records the accesses in lane order.
     fn each_access(
         &mut self,
         mask: u32,
@@ -426,20 +451,28 @@ impl WarpExec {
         base: Reg,
         offset: i64,
         width: Width,
-        mut access: impl FnMut(&mut Self, usize, Space, Addr),
+        mut access: impl FnMut(&mut [u64], usize, Space, Addr),
     ) {
-        self.accesses.clear();
+        let base = self.row(base);
+        let WarpExec {
+            regs,
+            ctxs,
+            accesses,
+            local_map,
+            ..
+        } = self;
+        accesses.clear();
         for lane in lanes(mask) {
-            let raw = Addr::new((self.regs[self.at(base, lane)] as i64 + offset) as u64);
+            let raw = Addr::new((regs[base + lane] as i64 + offset) as u64);
             let (bspace, addr) = match space {
                 Space::Local => (
                     Space::Global,
-                    self.local_map.translate(self.ctxs[lane].global_tid(), raw),
+                    local_map.translate(ctxs[lane].global_tid(), raw),
                 ),
                 other => (other, raw),
             };
-            access(self, lane, bspace, addr);
-            self.accesses.push(LaneAccess {
+            access(regs, lane, bspace, addr);
+            accesses.push(LaneAccess {
                 lane: lane as u32,
                 addr,
                 width,
@@ -626,6 +659,34 @@ impl fmt::Display for WarpExec {
             self.ctxs.len(),
             self.is_finished()
         )
+    }
+}
+
+/// An instruction operand resolved once for all of its lanes.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// A register: the index of lane 0's copy ([`WarpExec::row`]).
+    Row(usize),
+    /// An immediate, as raw bits.
+    Imm(u64),
+}
+
+impl Src {
+    /// Lane `lane`'s value.
+    fn read(self, regs: &[u64], lane: usize) -> u64 {
+        match self {
+            Src::Row(row) => regs[row + lane],
+            Src::Imm(v) => v,
+        }
+    }
+}
+
+/// Writes `value(regs, lane)` to the register whose row starts at `row`,
+/// for every lane in `mask`.
+fn write_lanes(regs: &mut [u64], row: usize, mask: u32, value: impl Fn(&[u64], usize) -> u64) {
+    for lane in lanes(mask) {
+        let v = value(regs, lane);
+        regs[row + lane] = v;
     }
 }
 

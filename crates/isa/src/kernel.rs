@@ -10,7 +10,7 @@ use crate::instr::{Guard, Instr, Pc, PredReg, Reg, RECONV_NONE};
 ///
 /// Build kernels with [`crate::KernelBuilder`]; hand-assembled kernels should
 /// be checked with [`Kernel::validate`] before launch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Kernel {
     name: String,
     instrs: Vec<Instr>,

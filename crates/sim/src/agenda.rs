@@ -371,7 +371,13 @@ impl IndexSet {
     }
 
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        // A store only where a bit is set: a set of a word or two is
+        // cleared in place, not through a `memset` call.
+        for w in &mut self.words {
+            if *w != 0 {
+                *w = 0;
+            }
+        }
     }
 
     pub fn is_empty(&self) -> bool {

@@ -253,6 +253,10 @@ pub struct Gpu {
     /// Distinct names of the kernels launched, in first-launch order.
     /// Host-side bookkeeping: never serialized.
     launched: Vec<String>,
+    /// Each distinct kernel launched (compared by value) with its
+    /// disassembly, which the content hash folds in: a relaunch reuses the
+    /// text instead of rendering it again. Host-side, never serialized.
+    kernel_texts: Vec<(Kernel, String)>,
     idle: IdleCounts,
     /// Host-side: the wake cycles and port arrivals the run loop visits
     /// components by.
@@ -303,6 +307,7 @@ impl Gpu {
             content_hash: 0,
             host_tag: Vec::new(),
             launched: Vec::new(),
+            kernel_texts: Vec::new(),
             idle: IdleCounts::default(),
             agenda: Agenda::new(cfg.num_sms, cfg.num_partitions),
             audited: Audited::new(cfg.sanitize, cfg.num_sms, cfg.num_partitions),
@@ -422,10 +427,18 @@ impl Gpu {
         // the launch geometry and parameters, and the device-memory contents
         // at launch. Chaining on the previous hash makes multi-launch hosts
         // (e.g. iterative BFS) hash their whole launch sequence.
+        let at = match self.kernel_texts.iter().position(|(k, _)| *k == kernel) {
+            Some(at) => at,
+            None => {
+                let text = kernel.to_string();
+                self.kernel_texts.push((kernel.clone(), text));
+                self.kernel_texts.len() - 1
+            }
+        };
         let mut h = StableHasher::new();
         h.u64(self.content_hash);
         self.cfg.hash_timing(&mut h);
-        h.str(&kernel.to_string());
+        h.str(&self.kernel_texts[at].1);
         h.u32(launch.grid_dim);
         h.u32(launch.block_dim);
         h.usize(launch.params.len());
@@ -731,7 +744,8 @@ impl Gpu {
         gpu.audited.rebuild();
         if let Some(l) = &mut gpu.launch {
             let warps_needed = l.launch.warps_per_cta(gpu.cfg.warp_size) as usize;
-            l.stalled = !gpu.sms.iter().any(|sm| sm.can_dispatch(warps_needed));
+            l.stalled = l.next_cta < l.launch.grid_dim
+                && !gpu.sms.iter().any(|sm| sm.can_dispatch(warps_needed));
         }
         Ok(gpu)
     }
@@ -1336,13 +1350,14 @@ impl Gpu {
 
     /// Dispatches pending CTAs onto free SMs (round-robin).
     fn dispatch_ctas(&mut self) {
+        let retired = std::mem::take(&mut self.agenda.cta_retired);
         let Some(l) = self.launch.as_mut() else {
             return;
         };
-        // A stalled launch waits for a CTA to retire: nothing else frees
-        // an SM's warp slots or CTA slots.
-        let retired = std::mem::take(&mut self.agenda.cta_retired);
-        if l.stalled && !retired {
+        // A fully dispatched launch has nothing left to place, and a
+        // stalled one waits for a CTA to retire: nothing else frees an
+        // SM's warp slots or CTA slots.
+        if l.next_cta >= l.launch.grid_dim || (l.stalled && !retired) {
             return;
         }
         let warps_needed = l.launch.warps_per_cta(self.cfg.warp_size) as usize;

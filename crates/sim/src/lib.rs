@@ -32,6 +32,7 @@ mod codec;
 mod config;
 mod gpu;
 mod partition;
+mod ready;
 mod sanitizer;
 mod scoreboard;
 mod sm;

@@ -26,6 +26,7 @@ use gpu_snapshot::{Decoder, Encoder, SnapshotError};
 use crate::coalesce::coalesce_into;
 use crate::codec;
 use crate::config::{GpuConfig, SchedPolicy};
+use crate::ready::{slot_bit, Open, ReadySet, WarpClass};
 use crate::sanitizer::{Sanitizer, Site, Violation, FILL_QUEUE, FRONT_QUEUE};
 use crate::scoreboard::Scoreboard;
 use crate::stats::{self, CompletedRequest, LoadInstrRecord, SmStats, TraceSink};
@@ -46,62 +47,6 @@ struct WarpSlot {
     cta_index: usize,
     age: u64,
     pending_ops: u32,
-}
-
-/// What a live warp's own state says about its next issue: the part of
-/// the issue predicate that changes only when the warp issues, when a
-/// scoreboard release lands on it, when its CTA's barrier releases, or when
-/// it is dispatched. The rest — whether the LSU port is taken and whether
-/// the front-end pipe has room — is SM-wide and asked once per tick for a
-/// whole class ([`WarpClass::blocked_by`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WarpClass {
-    /// Parked at `bar.sync` until its CTA's barrier releases.
-    Barrier,
-    /// Has no instruction to issue.
-    Stuck,
-    /// Its next instruction reads or writes a register whose writer is
-    /// still in flight.
-    Scoreboard,
-    /// Its next instruction is a shared-memory access: it needs the LSU
-    /// port.
-    Shared,
-    /// Its next instruction is a global or local access: it needs the LSU
-    /// port and room in the front-end pipe.
-    Global,
-    /// Issues as soon as the scheduler picks it.
-    Ready,
-}
-
-impl WarpClass {
-    const ALL: [WarpClass; 6] = [
-        WarpClass::Barrier,
-        WarpClass::Stuck,
-        WarpClass::Scoreboard,
-        WarpClass::Shared,
-        WarpClass::Global,
-        WarpClass::Ready,
-    ];
-
-    const COUNT: usize = Self::ALL.len();
-
-    /// The one issue predicate: the first condition keeping a warp of this
-    /// class from issuing, or `None` when it could issue now. `lsu_used`
-    /// says the LSU port is already taken this tick (a structural
-    /// conflict, so [`StallReason::Other`]); `front` is
-    /// [`Sm::front_block`]'s answer. The scheduler, the idle-skip horizon
-    /// and the stall attribution all ask this, so they cannot disagree.
-    fn blocked_by(self, lsu_used: bool, front: Option<StallReason>) -> Option<StallReason> {
-        match self {
-            WarpClass::Barrier => Some(StallReason::Barrier),
-            WarpClass::Stuck => Some(StallReason::Other),
-            WarpClass::Scoreboard => Some(StallReason::Scoreboard),
-            WarpClass::Shared => lsu_used.then_some(StallReason::Other),
-            WarpClass::Global if lsu_used => Some(StallReason::Other),
-            WarpClass::Global => front,
-            WarpClass::Ready => None,
-        }
-    }
 }
 
 /// Where the L1 stage sends the transaction at the front-end pipe's head
@@ -161,25 +106,22 @@ pub struct Sm {
     id: SmId,
     cfg: Arc<GpuConfig>,
     /// `cfg.max_warps_per_sm` warp slots — or none before the SM's first
-    /// dispatch or restore ([`Sm::commit_slots`]); `class` and `live` take
-    /// their storage with them. An SM no CTA reaches reads as all slots
-    /// free.
+    /// dispatch or restore ([`Sm::commit_slots`]); `ready` and `issued`
+    /// take their storage with them. An SM no CTA reaches reads as all
+    /// slots free. A warp stays in its slot from dispatch to retirement:
+    /// the issue stage steps it there.
     slots: Vec<Option<WarpSlot>>,
     /// Occupied entries of `slots`, kept rather than recounted: dispatch
     /// adds a CTA's warps, [`Sm::maintain`] takes a retired CTA's away, and
     /// a restore recounts. Derived, so never serialized.
     occupied: usize,
-    /// Each slot's [`WarpClass`]; `None` unless the slot holds an
-    /// unfinished warp. Derived like `occupied`, so never serialized:
-    /// [`Sm::reclassify`] keeps it on every event that can change it, and
-    /// a restore recomputes it.
-    class: Vec<Option<WarpClass>>,
-    /// The slots whose `class` is set, ascending: the live set the
-    /// scheduler walks instead of every slot.
-    live: Vec<usize>,
-    /// Live warps per class, indexed by `WarpClass as usize`: the stall
-    /// vote and "can anything issue" read these, not the warps.
-    class_counts: [usize; WarpClass::COUNT],
+    /// The ready set: one slot mask per [`WarpClass`], a slot's bit set
+    /// in its warp's class while the warp is unfinished. Derived like
+    /// `occupied`, so never serialized: [`Sm::reclassify`] keeps it on
+    /// every event that can change a class, and a restore recomputes it.
+    /// The scheduler, the stall vote and "can anything issue" read it with
+    /// word operations, never visiting a warp.
+    ready: ReadySet,
     ctas: Vec<Option<CtaRt>>,
     /// Resident CTAs whose warps have all exited (`live == 0`), waiting
     /// for their memory operations to drain before they retire: the only
@@ -214,9 +156,10 @@ pub struct Sm {
     next_req_id: u64,
     last_issued: usize,
     greedy: Option<usize>,
-    /// Warps that already issued in the current issue stage (at most
-    /// `issue_width` entries; empty between ticks, so not serialized).
-    issued: Vec<usize>,
+    /// Warps that already issued in the current issue stage, one bit per
+    /// slot in the words of `ready` (zero between ticks, so not
+    /// serialized).
+    issued: Vec<u64>,
     /// The issuing access's transaction addresses (scratch, empty between
     /// issues; kept for its capacity).
     lines: Vec<Addr>,
@@ -251,9 +194,7 @@ impl Sm {
             id,
             slots: Vec::new(),
             occupied: 0,
-            class: Vec::new(),
-            live: Vec::new(),
-            class_counts: [0; WarpClass::COUNT],
+            ready: ReadySet::default(),
             ctas: (0..cfg.max_ctas_per_sm).map(|_| None).collect(),
             drained: 0,
             scoreboard: Scoreboard::new(cfg.max_warps_per_sm),
@@ -272,7 +213,7 @@ impl Sm {
             next_req_id: 0,
             last_issued: 0,
             greedy: None,
-            issued: Vec::with_capacity(cfg.issue_width),
+            issued: Vec::new(),
             lines: Vec::new(),
             issued_last_tick: false,
             stall_run: None,
@@ -483,14 +424,14 @@ impl Sm {
         });
     }
 
-    /// Gives the warp slots, their classes and the live set their storage,
-    /// all slots free, if they have none.
+    /// Gives the warp slots, the ready set and the issued mask their
+    /// storage, all slots free, if they have none.
     fn commit_slots(&mut self) {
         if self.slots.is_empty() {
             let slots = self.cfg.max_warps_per_sm;
             self.slots = (0..slots).map(|_| None).collect();
-            self.class = vec![None; slots];
-            self.live = Vec::with_capacity(slots);
+            self.ready = ReadySet::new(slots);
+            self.issued = vec![0; self.ready.words()];
         }
     }
 
@@ -520,7 +461,7 @@ impl Sm {
             if done {
                 let c = self.ctas[ci].take().expect("checked above");
                 for s in c.slots {
-                    debug_assert_eq!(self.class[s], None, "a retired warp is not live");
+                    debug_assert_eq!(self.ready.class_of(s), None, "a retired warp is not live");
                     if self.slots[s].take().is_some() {
                         self.occupied -= 1;
                     }
@@ -808,6 +749,7 @@ impl Sm {
     ) -> u64 {
         let mut new_requests = 0;
         let mut lsu_used = false;
+        let mut issued = 0;
         // Only a memory issue fills the front pipe, and it takes the LSU
         // port with it: once asked, the answer holds for the whole stage.
         let front = self.front_block();
@@ -815,13 +757,20 @@ impl Sm {
             let Some(w) = self.pick_warp(lsu_used, front) else {
                 break;
             };
-            self.issued.push(w);
+            let (i, bit) = slot_bit(w);
+            self.issued[i] |= bit;
+            issued += 1;
             new_requests += self.issue_warp(w, now, device, tracer, &mut lsu_used);
         }
-        let issued = self.issued.len() as u64;
-        self.issued.clear();
         self.issued_last_tick = issued > 0;
         if issued > 0 {
+            // In place, not through a `memset` call: the mask is a word or
+            // two.
+            for m in &mut self.issued {
+                if *m != 0 {
+                    *m = 0;
+                }
+            }
             self.stats.active_cycles += 1;
             self.stats.instructions += issued;
             self.vote_run(None, now, tracer);
@@ -925,26 +874,21 @@ impl Sm {
     /// by its port registration or its reply port — after which the wake
     /// is planned again.
     fn next_maturity(&self, now: Cycle) -> Cycle {
-        let writeback = self
-            .alu_wb
-            .peek()
-            .map(|&Reverse((at, _, _))| Cycle::new(at));
-        let front = self
-            .front
-            .entries()
-            .next()
-            .filter(|&(at, head)| at > now || self.l1_route(head) != L1Route::Stall)
-            .map(|(at, _)| at);
-        [
-            writeback,
-            front,
-            self.l1_hit_pipe.next_ready(),
-            self.fill_pipe.next_ready(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-        .unwrap_or(Cycle::MAX)
+        let mut next = Cycle::MAX;
+        if let Some(&Reverse((at, _, _))) = self.alu_wb.peek() {
+            next = Cycle::new(at);
+        }
+        if let Some((at, head)) = self.front.entries().next() {
+            if at < next && (at > now || self.l1_route(head) != L1Route::Stall) {
+                next = at;
+            }
+        }
+        for pipe in [&self.l1_hit_pipe, &self.fill_pipe] {
+            if let Some(at) = pipe.next_ready() {
+                next = next.min(at);
+            }
+        }
+        next
     }
 
     /// Ends the SM's full tick at `now`: retires drained CTAs, then plans
@@ -966,7 +910,7 @@ impl Sm {
     pub(crate) fn end_tick(&mut self, now: Cycle, port_blocked: bool) -> Cycle {
         self.maintain();
         let miss_waits = !self.miss_queue.is_empty() && !port_blocked;
-        if miss_waits || (self.issued_last_tick && self.issuable(false, self.front_block()) > 0) {
+        if miss_waits || (self.issued_last_tick && self.issuable(false, self.front_block())) {
             Cycle::ZERO
         } else {
             self.next_maturity(now)
@@ -1004,79 +948,39 @@ impl Sm {
         })
     }
 
-    /// Brings slot `w`'s cached class, the live set and the class counts
-    /// up to date with the slot's state. Every event that can change a
-    /// warp's class calls it: the warp's dispatch, its own issue (which
-    /// also finishes it), a scoreboard release on it, and its CTA's barrier
-    /// release. A slot with no live warp before and after is a no-op.
+    /// Brings slot `w`'s bit in the ready set up to date with the slot's
+    /// state. Every event that can change a warp's class calls it: the
+    /// warp's dispatch, its own issue (which also finishes it), a
+    /// scoreboard release on it, and its CTA's barrier release. A slot
+    /// with no live warp before and after is a no-op.
     fn reclassify(&mut self, w: usize) {
-        let to = self.fresh_class(w);
-        let from = std::mem::replace(&mut self.class[w], to);
-        match (from, to) {
-            (None, None) => return,
-            (None, Some(_)) => {
-                let at = self.live.partition_point(|&s| s < w);
-                self.live.insert(at, w);
-            }
-            (Some(_), None) => {
-                let at = self.live.binary_search(&w).expect("a classed slot is live");
-                self.live.remove(at);
-            }
-            (Some(_), Some(_)) => {}
-        }
-        if let Some(c) = from {
-            self.class_counts[c as usize] -= 1;
-        }
-        if let Some(c) = to {
-            self.class_counts[c as usize] += 1;
-        }
+        let class = self.fresh_class(w);
+        self.ready.set(w, class);
     }
 
     /// Recomputes the whole ready set from the warps (a restore: it is
     /// derived, so a checkpoint does not carry it).
     fn rebuild_ready_set(&mut self) {
-        self.class.fill(None);
-        self.live.clear();
-        self.class_counts = [0; WarpClass::COUNT];
+        self.ready.clear();
         for w in 0..self.slots.len() {
             self.reclassify(w);
         }
     }
 
-    /// Recounts the ready set from the warps and panics on any drift: the
-    /// live set must be exactly the slots holding an unfinished warp, in
-    /// slot order, each cached class what its warp's state says now, and
-    /// the counts the tally of the classes. Run (in debug builds) wherever
-    /// the set is read.
+    /// Recounts the ready set from the warps and panics on any drift: each
+    /// slot's bit must be set in exactly the class its warp's state says
+    /// now (in none for a free slot or a finished warp), and in no other.
+    /// Run (in debug builds) wherever the set is read.
     fn assert_ready_set(&self) {
-        let mut counts = [0; WarpClass::COUNT];
+        self.ready.assert_well_formed(self.slots.len());
         for w in 0..self.slots.len() {
-            let fresh = self.fresh_class(w);
             assert_eq!(
-                self.class[w],
-                fresh,
+                self.ready.class_of(w),
+                self.fresh_class(w),
                 "SM {} slot {w}: stale class",
                 self.id.get()
             );
-            if let Some(c) = fresh {
-                counts[c as usize] += 1;
-            }
         }
-        assert!(
-            self.live
-                .iter()
-                .copied()
-                .eq((0..self.slots.len()).filter(|&w| self.class[w].is_some())),
-            "SM {}: live set {:?} is not the classed slots",
-            self.id.get(),
-            self.live
-        );
-        assert_eq!(
-            self.class_counts,
-            counts,
-            "SM {}: class counts",
-            self.id.get()
-        );
     }
 
     /// Whether the front-end pipe lacks room for a global or local access —
@@ -1096,32 +1000,28 @@ impl Sm {
         })
     }
 
-    /// How many live warps could issue given the LSU port and the front
+    /// Whether a live warp could issue given the LSU port and the front
     /// pipe — those that already issued this tick included.
-    fn issuable(&self, lsu_used: bool, front: Option<StallReason>) -> usize {
+    fn issuable(&self, lsu_used: bool, front: Option<StallReason>) -> bool {
         if cfg!(debug_assertions) {
             self.assert_ready_set();
         }
-        WarpClass::ALL
-            .into_iter()
-            .filter(|c| c.blocked_by(lsu_used, front).is_none())
-            .map(|c| self.class_counts[c as usize])
-            .sum()
+        self.ready.any(&Open::new(lsu_used, front))
     }
 
     /// Every live warp's vote at the start of a tick — the first condition
     /// keeping it from issuing, [`StallReason::Other`] for a warp that
-    /// could issue — tallied from the class counts, without visiting a
-    /// warp. The votes total the SM's unfinished warps.
+    /// could issue — tallied from the class masks' popcounts, without
+    /// visiting a warp. The votes total the SM's unfinished warps.
     pub fn stall_votes(&self) -> StallBreakdown {
         if cfg!(debug_assertions) {
             self.assert_ready_set();
         }
         let front = self.front_block();
         let mut votes = StallBreakdown::new();
-        for c in WarpClass::ALL {
+        for (c, n) in WarpClass::ALL.into_iter().zip(self.ready.counts()) {
             let reason = c.blocked_by(false, front).unwrap_or(StallReason::Other);
-            votes.bump_by(reason, self.class_counts[c as usize] as u64);
+            votes.bump_by(reason, n);
         }
         votes
     }
@@ -1144,44 +1044,34 @@ impl Sm {
         best
     }
 
-    /// The scheduler: the next warp to issue, walking only the live set —
-    /// and not even that when the class counts say no warp can issue.
+    /// The scheduler: the next warp to issue, found by word operations on
+    /// the ready set — the open classes' masks, less the warps that issued
+    /// this stage. LRR takes the lowest candidate above the last issued,
+    /// else the lowest; GTO its greedy warp if that is a candidate, else
+    /// the oldest candidate (equal ages, which a decoded checkpoint can
+    /// hold, go to the lowest slot).
     fn pick_warp(&mut self, lsu_used: bool, front: Option<StallReason>) -> Option<usize> {
         debug_assert!(lsu_used || front == self.front_block());
-        if self.issuable(lsu_used, front) == 0 {
-            return None;
+        if cfg!(debug_assertions) {
+            self.assert_ready_set();
         }
-        let can_issue = |w: usize| {
-            !self.issued.contains(&w)
-                && self.class[w].is_some_and(|c| c.blocked_by(lsu_used, front).is_none())
-        };
+        let open = Open::new(lsu_used, front);
         match self.cfg.scheduler {
             SchedPolicy::Lrr => {
-                // Rotation order: the slots after the last issued, then
-                // the rest from the lowest.
-                let (wrapped, ahead) = self
-                    .live
-                    .split_at(self.live.partition_point(|&s| s <= self.last_issued));
-                let picked = ahead.iter().chain(wrapped).copied().find(|&w| can_issue(w));
+                let picked = self.ready.lrr(&open, &self.issued, self.last_issued);
                 if let Some(w) = picked {
                     self.last_issued = w;
                 }
                 picked
             }
             SchedPolicy::Gto => {
-                if self.greedy.is_some_and(can_issue) {
-                    return self.greedy;
+                let slots = &self.slots;
+                let age = |w: usize| slots[w].as_ref().expect("live").age;
+                let picked = self.ready.gto(&open, &self.issued, self.greedy, age);
+                if picked.is_some() {
+                    self.greedy = picked;
                 }
-                let oldest = self
-                    .live
-                    .iter()
-                    .copied()
-                    .filter(|&w| can_issue(w))
-                    .min_by_key(|&w| self.slots[w].as_ref().expect("live").age);
-                if let Some(w) = oldest {
-                    self.greedy = Some(w);
-                }
-                oldest
+                picked
             }
         }
     }
@@ -1194,7 +1084,11 @@ impl Sm {
         tracer: &mut Tracer,
         lsu_used: &mut bool,
     ) -> u64 {
-        let mut slot = self.slots[w].take().expect("scheduler picked a live warp");
+        // The warp steps where it sits: `slot` borrows its slot, and the
+        // rest of the SM is reached through its other fields.
+        let slot = self.slots[w]
+            .as_mut()
+            .expect("scheduler picked a live warp");
         let cta_index = slot.cta_index;
         let (_, instr) = slot.exec.peek().expect("scheduler checked peek");
         let class = instr.class();
@@ -1325,7 +1219,7 @@ impl Sm {
                     cta.arrived >= cta.live
                 };
                 if release {
-                    self.release_cta_barrier(cta_index, w, &mut slot);
+                    self.release_cta_barrier(cta_index);
                 }
             }
             StepOutcome::Finished => {
@@ -1338,11 +1232,10 @@ impl Sm {
                     cta.live > 0 && cta.arrived >= cta.live
                 };
                 if release {
-                    self.release_cta_barrier(cta_index, w, &mut slot);
+                    self.release_cta_barrier(cta_index);
                 }
             }
         }
-        self.slots[w] = Some(slot);
         self.reclassify(w);
         new_requests
     }
@@ -1602,23 +1495,15 @@ impl Sm {
     }
 
     /// Releases every warp of the CTA waiting at the barrier and
-    /// reclassifies each. `current` (the warp being issued, temporarily
-    /// taken out of `slots`) is handled via its moved-out slot and
-    /// reclassified when its issue ends.
-    fn release_cta_barrier(&mut self, cta_index: usize, current: usize, slot: &mut WarpSlot) {
+    /// reclassifies each.
+    fn release_cta_barrier(&mut self, cta_index: usize) {
         let cta = self.ctas[cta_index].as_mut().expect("live CTA");
         cta.arrived = 0;
         let members = std::mem::take(&mut cta.slots);
         for &s in &members {
-            if s == current {
-                if slot.exec.at_barrier() {
-                    slot.exec.release_barrier();
-                }
-            } else if let Some(other) = self.slots[s].as_mut() {
-                if other.exec.at_barrier() {
-                    other.exec.release_barrier();
-                    self.reclassify(s);
-                }
+            if let Some(warp) = self.slots[s].as_mut().filter(|w| w.exec.at_barrier()) {
+                warp.exec.release_barrier();
+                self.reclassify(s);
             }
         }
         self.ctas[cta_index].as_mut().expect("live CTA").slots = members;

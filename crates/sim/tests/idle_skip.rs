@@ -220,6 +220,45 @@ fn both_schedulers_and_issue_widths_match_stepping() {
     }
 }
 
+/// Two gf100 SMs of 96 warp slots and 24 CTA slots each: every mask of an
+/// SM's ready set spans two words.
+fn wide_sm_gf100() -> gpu_sim::GpuConfig {
+    let mut desc = small_gf100(2).arch_desc();
+    desc.sm.max_warps = 96;
+    desc.sm.max_ctas = 24;
+    gpu_sim::GpuConfig::from_arch(&desc).expect("a 96-slot SM is a valid description")
+}
+
+#[test]
+fn ninety_six_warp_slots_match_stepping_past_one_mask_word() {
+    // Twenty-four eight-warp CTAs fill both SMs' 96 slots on the first
+    // cycle, so warps live on both sides of the 63/64 word boundary.
+    let cfg = wide_sm_gf100();
+    let mut gpu = new_gpu(&cfg);
+    launch_reduce(&mut gpu, 24 * 256);
+    gpu.tick();
+    for sm in gpu.sms() {
+        assert_eq!(sm.live_warps(), 96);
+        assert_eq!(sm.stall_votes().total(), 96, "every live warp votes");
+    }
+    for scheduler in [SchedPolicy::Lrr, SchedPolicy::Gto] {
+        for issue_width in [1, 2] {
+            let mut cfg = cfg.clone();
+            cfg.scheduler = scheduler;
+            cfg.issue_width = issue_width;
+            let what = format!("96-slot gf100 {scheduler:?} x{issue_width}");
+            assert_skip_invisible(&format!("{what} reduce"), &cfg, &barrier_reduce(32 * 256));
+            assert_skip_invisible(&format!("{what} vecadd"), &cfg, &vecadd(48 * 256));
+        }
+    }
+    let [_, traced] = traced_and_untraced(cfg);
+    assert_skip_invisible(
+        "96-slot gf100 traced reduce",
+        &traced,
+        &barrier_reduce(32 * 256),
+    );
+}
+
 #[test]
 fn a_few_bins_histogram_on_the_full_gv100_sleeps_on_full_ports_and_matches_stepping() {
     // Four bins: every atomic goes to one line, so one partition's request

@@ -168,7 +168,7 @@ fn live_and_parked(gpu: &Gpu) -> (u64, u64) {
 
 /// On a 2-SM GF100 whose grid fits the machine (every CTA dispatched on
 /// the launch's first tick), after a warm-up launch of the same kernel: a
-/// tick on which a warp exits and leaves the live set, and a tick on which
+/// tick on which a warp exits and leaves the ready set, and a tick on which
 /// a CTA's barrier releases and its warps are reclassified, allocate
 /// nothing.
 #[test]

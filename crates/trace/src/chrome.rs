@@ -273,8 +273,22 @@ impl ChromeTraceBuilder {
         }
     }
 
+    /// Writes the rows added since the last call to `out`, so a large
+    /// document streams instead of being held whole; [`finish`] then
+    /// returns only what follows them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `out`'s write error.
+    ///
+    /// [`finish`]: ChromeTraceBuilder::finish
+    pub fn write_rows(&mut self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        self.w.drain_into(out)
+    }
+
     /// Serialises the document in the rows layout [`check_span_sums`]
-    /// reads: the line `{"traceEvents":[`, one event per line, `]}`.
+    /// reads: the line `{"traceEvents":[`, one event per line, `]}` — or,
+    /// after [`ChromeTraceBuilder::write_rows`], the rest of it.
     pub fn finish(self) -> String {
         self.w.finish()
     }

@@ -226,6 +226,20 @@ impl Writer {
         self.key(key).value(value)
     }
 
+    /// Moves the text written so far into `out` and goes on with an empty
+    /// buffer: what is open stays open, so everything drained and then
+    /// [`Writer::finish`]'s text concatenate to the document. A large
+    /// document streams to a file this way instead of being held whole.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `out`'s write error; the drained text is then lost.
+    pub fn drain_into(&mut self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        let written = out.write_all(self.out.as_bytes());
+        self.out.clear();
+        written
+    }
+
     /// Closes whatever is still open and returns the text. The file
     /// layouts end with a newline; compact text does not (line-oriented
     /// callers add their own).
