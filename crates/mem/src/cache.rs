@@ -4,7 +4,18 @@
 //! Used for both the per-SM L1 data caches and the per-partition L2 slices.
 //! Stores follow the Fermi-style global-store policy: write-through,
 //! no-allocate, and *write-evict* (a store invalidates a matching line so
-//! stale data is never served).
+//! stale data is never served); a write-back L2 marks lines dirty instead
+//! and write-allocates on a miss.
+//!
+//! Every access looks a line up one of two ways: the way holding the
+//! touched sector valid (a hit), or the way that *owns* the line (some
+//! sector valid or awaiting a fill). Every access that places a line —
+//! `reserve`, `fill`, `allocate_dirty` — takes the owner, or else one
+//! victim chosen by one rule (`Cache::replace`). The pure
+//! [`Cache::has_way`] asks the same helpers, so the planners that call it
+//! cannot drift from the accesses they plan around. A set owns each line at
+//! most once: debug builds check it after every access that places a line,
+//! and a restore rejects a snapshot that breaks it.
 
 use gpu_types::Addr;
 
@@ -76,6 +87,13 @@ struct Line {
     /// Sectors holding data newer than memory (write-back caches only).
     dirty: u32,
     stamp: u64,
+}
+
+/// Whether two ways of `set` own one line (see [`Line::present`]).
+fn owns_a_line_twice(set: &[Line]) -> bool {
+    set.iter()
+        .enumerate()
+        .any(|(i, a)| a.present() && set[i + 1..].iter().any(|b| b.present() && b.tag == a.tag))
 }
 
 impl Line {
@@ -195,7 +213,8 @@ impl Cache {
 
     /// Gives the tag array its storage, all lines empty, if it has none.
     /// Every `&mut self` access that reads or writes a line calls this
-    /// first; the `&self` ones read through [`Cache::line`].
+    /// first; the `&self` ones read a tag array with no storage as all
+    /// empty lines ([`Cache::set`], [`Cache::line`]).
     fn commit(&mut self) {
         if self.lines.is_empty() {
             self.lines = vec![Line::EMPTY; self.config.sets * self.config.ways];
@@ -207,13 +226,21 @@ impl Cache {
         self.lines.get(i).copied().unwrap_or(Line::EMPTY)
     }
 
+    // Line size, set count, sector size and sectors per line are powers of
+    // two (checked at construction), so the address splits with shifts and
+    // masks rather than divisions.
+
+    /// `addr`'s line number.
+    fn line_number(&self, addr: Addr) -> u64 {
+        addr.get() >> self.config.line_size.trailing_zeros()
+    }
+
     fn set_index(&self, addr: Addr) -> usize {
-        let line = addr.get() / self.config.line_size;
-        (line as usize) & (self.config.sets - 1)
+        (self.line_number(addr) as usize) & (self.config.sets - 1)
     }
 
     fn tag(&self, addr: Addr) -> u64 {
-        addr.get() / self.config.line_size / self.config.sets as u64
+        self.line_number(addr) >> self.config.sets.trailing_zeros()
     }
 
     fn set_range(&self, addr: Addr) -> std::ops::Range<usize> {
@@ -224,7 +251,86 @@ impl Cache {
     /// The mask bit of the sector `addr` falls in (always bit 0 when
     /// unsectored).
     fn sector_bit(&self, addr: Addr) -> u32 {
-        1 << ((addr.get() / self.sector_bytes) % self.sectors_per_line as u64)
+        let sector = addr.get() >> self.sector_bytes.trailing_zeros();
+        1 << (sector as u32 & (self.sectors_per_line - 1))
+    }
+
+    /// The index of the first way of `addr`'s set, and the set's lines:
+    /// none while the tag array has no storage.
+    fn set(&self, addr: Addr) -> (usize, &[Line]) {
+        let range = self.set_range(addr);
+        (range.start, self.lines.get(range).unwrap_or(&[]))
+    }
+
+    /// The way of `addr`'s set holding `addr`'s sector valid: the hit
+    /// `load`, `probe` and the stores look up.
+    fn valid_way(&self, addr: Addr) -> Option<usize> {
+        let tag = self.tag(addr);
+        let bit = self.sector_bit(addr);
+        let (first, set) = self.set(addr);
+        let way = set.iter().position(|l| l.valid & bit != 0 && l.tag == tag);
+        way.map(|w| first + w)
+    }
+
+    /// The way of `addr`'s set that owns `addr`'s line: the one with its
+    /// tag and some sector valid or awaiting a fill. A set owns each line
+    /// at most once.
+    fn owner(&self, addr: Addr) -> Option<usize> {
+        let tag = self.tag(addr);
+        let (first, set) = self.set(addr);
+        let way = set.iter().position(|l| l.tag == tag && l.present());
+        way.map(|w| first + w)
+    }
+
+    /// The way a line new to `addr`'s set replaces: among the ways that
+    /// await no fill, an empty one first, then the lowest stamp (least
+    /// recently used under LRU, oldest fill under FIFO). `None` when every
+    /// way awaits a fill.
+    fn victim(&self, addr: Addr) -> Option<usize> {
+        let (first, set) = self.set(addr);
+        let ways = set.iter().enumerate().filter(|(_, l)| l.reserved == 0);
+        let way = ways.min_by_key(|(_, l)| (l.valid != 0, l.stamp));
+        way.map(|(w, _)| first + w)
+    }
+
+    /// The way that holds `addr`'s line from now on: its owner, or else the
+    /// victim, emptied for it and stamped now (a dirty line it evicts joins
+    /// the writeback queue). `None` when neither exists.
+    fn replace(&mut self, addr: Addr) -> Option<usize> {
+        if let Some(i) = self.owner(addr) {
+            return Some(i);
+        }
+        let i = self.victim(addr)?;
+        let fresh = Line {
+            tag: self.tag(addr),
+            stamp: self.tick,
+            ..Line::EMPTY
+        };
+        let old = std::mem::replace(&mut self.lines[i], fresh);
+        if old.valid != 0 && old.dirty != 0 {
+            self.push_writeback(old.tag, addr);
+        }
+        Some(i)
+    }
+
+    /// Whether `addr`'s set can take `addr`'s line: the set owns it, or a
+    /// way awaits no fill. Pure: it is exactly when [`Cache::reserve`] and
+    /// [`Cache::allocate_dirty`] succeed, and a store hit
+    /// ([`Cache::probe`]) is such a line.
+    pub fn has_way(&self, addr: Addr) -> bool {
+        // A tag array with no storage is all empty ways.
+        self.lines.is_empty() || self.owner(addr).is_some() || self.victim(addr).is_some()
+    }
+
+    /// Panics, in debug builds, if two ways of `addr`'s set own one line.
+    fn debug_assert_owned_once(&self, addr: Addr) {
+        if cfg!(debug_assertions) {
+            let (_, set) = self.set(addr);
+            assert!(
+                !owns_a_line_twice(set),
+                "a cache set owns a line twice: {set:?}"
+            );
+        }
     }
 
     /// Probes for a load at `addr`. A hit requires the touched *sector* to
@@ -237,88 +343,39 @@ impl Cache {
     pub fn load(&mut self, addr: Addr) -> LoadOutcome {
         self.commit();
         self.tick += 1;
-        let tag = self.tag(addr);
-        let bit = self.sector_bit(addr);
-        let range = self.set_range(addr);
-        for i in range {
-            let line = &mut self.lines[i];
-            if line.valid & bit != 0 && line.tag == tag {
-                if self.config.replacement == Replacement::Lru {
-                    line.stamp = self.tick;
-                }
-                self.hits += 1;
-                return LoadOutcome::Hit;
-            }
+        let Some(i) = self.valid_way(addr) else {
+            self.misses += 1;
+            return LoadOutcome::Miss;
+        };
+        if self.config.replacement == Replacement::Lru {
+            self.lines[i].stamp = self.tick;
         }
-        self.misses += 1;
-        LoadOutcome::Miss
+        self.hits += 1;
+        LoadOutcome::Hit
     }
 
     /// Probes without updating recency or statistics.
     pub fn probe(&self, addr: Addr) -> bool {
-        let tag = self.tag(addr);
-        let bit = self.sector_bit(addr);
-        self.set_range(addr).any(|i| {
-            let line = self.line(i);
-            line.valid & bit != 0 && line.tag == tag
-        })
+        self.valid_way(addr).is_some()
     }
 
     /// Reserves `addr`'s sector for an in-flight fill, evicting a victim
-    /// line if needed. Returns `false` if every way is already reserved
-    /// for other in-flight fills (the miss must stall).
+    /// line if the set does not own the line (a sector miss on a resident
+    /// line needs no eviction). Returns `false` if every way is already
+    /// reserved for other in-flight fills (the miss must stall).
     pub fn reserve(&mut self, addr: Addr) -> bool {
         self.commit();
         self.tick += 1;
-        let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
-        let range = self.set_range(addr);
-        // Line already present (any sector)? Reserve just this sector —
-        // a sector miss on a resident line needs no eviction.
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            if line.tag == tag && line.present() {
-                if line.valid & bit == 0 {
-                    line.reserved |= bit;
-                }
-                return true;
-            }
+        let Some(i) = self.replace(addr) else {
+            return false;
+        };
+        let line = &mut self.lines[i];
+        if line.valid & bit == 0 {
+            line.reserved |= bit;
         }
-        // Find a victim among ways with no in-flight fills.
-        let victim = range
-            .filter(|&i| self.lines[i].reserved == 0)
-            .min_by_key(|&i| {
-                let l = &self.lines[i];
-                (l.valid != 0, l.stamp)
-            });
-        match victim {
-            Some(i) => {
-                let victim = self.lines[i];
-                if victim.valid != 0 && victim.dirty != 0 {
-                    self.push_writeback(victim.tag, addr);
-                }
-                self.lines[i] = Line {
-                    tag,
-                    valid: 0,
-                    reserved: bit,
-                    dirty: 0,
-                    stamp: self.tick,
-                };
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether [`Cache::reserve`] at `addr` would succeed, without
-    /// reserving: the line is present, or some way of its set has no
-    /// in-flight fill.
-    pub fn can_reserve(&self, addr: Addr) -> bool {
-        let tag = self.tag(addr);
-        self.set_range(addr).any(|i| {
-            let line = self.line(i);
-            (line.tag == tag && line.present()) || line.reserved == 0
-        })
+        self.debug_assert_owned_once(addr);
+        true
     }
 
     /// Fills `addr`'s sector (fill-on-return). Clears any reservation for
@@ -326,44 +383,18 @@ impl Cache {
     pub fn fill(&mut self, addr: Addr) {
         self.commit();
         self.tick += 1;
-        let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
-        let range = self.set_range(addr);
-        // Complete a reservation or refresh an existing line.
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            if line.tag == tag && line.present() {
-                line.valid |= bit;
-                line.reserved &= !bit;
-                line.stamp = self.tick;
-                return;
-            }
-        }
-        // Unreserved fill: pick the LRU/FIFO victim among ways with no
-        // in-flight fills.
-        if let Some(i) = range
-            .filter(|&i| self.lines[i].reserved == 0)
-            .min_by_key(|&i| {
-                let l = &self.lines[i];
-                (l.valid != 0, l.stamp)
-            })
-        {
-            let victim = self.lines[i];
-            if victim.valid != 0 && victim.dirty != 0 {
-                self.push_writeback(victim.tag, addr);
-            }
-            self.lines[i] = Line {
-                tag,
-                valid: bit,
-                reserved: 0,
-                dirty: 0,
-                stamp: self.tick,
-            };
-        }
-        // If all ways are reserved the fill is dropped; the reserved ways'
+        // With every way reserved the fill is dropped; the reserved ways'
         // own fills will bring their data. (Cannot happen when reserve() is
         // required before the downstream request, which is how the pipeline
         // uses this type.)
+        if let Some(i) = self.replace(addr) {
+            let line = &mut self.lines[i];
+            line.valid |= bit;
+            line.reserved &= !bit;
+            line.stamp = self.tick;
+            self.debug_assert_owned_once(addr);
+        }
     }
 
     /// Applies the write-evict store policy: invalidates the sector
@@ -372,14 +403,11 @@ impl Cache {
     /// the whole line dies — the historical behavior.
     pub fn store_invalidate(&mut self, addr: Addr) {
         self.commit();
-        let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
-        for i in self.set_range(addr) {
+        if let Some(i) = self.valid_way(addr) {
             let line = &mut self.lines[i];
-            if line.valid & bit != 0 && line.tag == tag {
-                line.valid &= !bit;
-                line.dirty &= !bit;
-            }
+            line.valid &= !bit;
+            line.dirty &= !bit;
         }
     }
 
@@ -391,77 +419,39 @@ impl Cache {
     pub fn store_mark_dirty(&mut self, addr: Addr) -> bool {
         self.commit();
         self.tick += 1;
-        let tag = self.tag(addr);
+        let Some(i) = self.valid_way(addr) else {
+            self.misses += 1;
+            return false;
+        };
         let bit = self.sector_bit(addr);
-        for i in self.set_range(addr) {
-            let line = &mut self.lines[i];
-            if line.valid & bit != 0 && line.tag == tag {
-                line.dirty |= bit;
-                if self.config.replacement == Replacement::Lru {
-                    line.stamp = self.tick;
-                }
-                self.hits += 1;
-                return true;
-            }
+        let line = &mut self.lines[i];
+        line.dirty |= bit;
+        if self.config.replacement == Replacement::Lru {
+            line.stamp = self.tick;
         }
-        self.misses += 1;
-        false
+        self.hits += 1;
+        true
     }
 
-    /// Write-allocates a dirty line for a store miss (no fetch: the model
+    /// Write-allocates a dirty sector for a store miss (no fetch: the model
     /// is tag-only and the store overwrites the relevant bytes
-    /// functionally at issue). Evicted dirty victims join the writeback
-    /// queue. Returns `false` if every way is reserved for in-flight fills.
+    /// functionally at issue) in the way that owns the line — one whose
+    /// fill is still in flight included — or else in a victim way, whose
+    /// dirty line joins the writeback queue. Returns `false` if the set
+    /// does not own the line and every way is reserved for in-flight fills.
     pub fn allocate_dirty(&mut self, addr: Addr) -> bool {
         self.commit();
         self.tick += 1;
-        let tag = self.tag(addr);
         let bit = self.sector_bit(addr);
-        let range = self.set_range(addr);
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            if line.valid != 0 && line.tag == tag {
-                line.valid |= bit;
-                line.dirty |= bit;
-                line.stamp = self.tick;
-                return true;
-            }
-        }
-        let victim = range
-            .filter(|&i| self.lines[i].reserved == 0)
-            .min_by_key(|&i| {
-                let l = &self.lines[i];
-                (l.valid != 0, l.stamp)
-            });
-        match victim {
-            Some(i) => {
-                let victim = self.lines[i];
-                if victim.valid != 0 && victim.dirty != 0 {
-                    self.push_writeback(victim.tag, addr);
-                }
-                self.lines[i] = Line {
-                    tag,
-                    valid: bit,
-                    reserved: 0,
-                    dirty: bit,
-                    stamp: self.tick,
-                };
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether [`Cache::allocate_dirty`] at `addr` would succeed, without
-    /// allocating: some sector of the line is valid, or some way of its set
-    /// has no in-flight fill. A store hit ([`Cache::probe`]) is such a line,
-    /// so this is also whether a write-back store completes.
-    pub fn can_allocate_dirty(&self, addr: Addr) -> bool {
-        let tag = self.tag(addr);
-        self.set_range(addr).any(|i| {
-            let line = self.line(i);
-            (line.valid != 0 && line.tag == tag) || line.reserved == 0
-        })
+        let Some(i) = self.replace(addr) else {
+            return false;
+        };
+        let line = &mut self.lines[i];
+        line.valid |= bit;
+        line.dirty |= bit;
+        line.stamp = self.tick;
+        self.debug_assert_owned_once(addr);
+        true
     }
 
     /// Reconstructs the line-aligned address of an evicted line from its tag
@@ -521,7 +511,8 @@ impl Cache {
     /// # Errors
     ///
     /// Rejects a snapshot whose line count disagrees with this cache's
-    /// geometry, and propagates decoder errors.
+    /// geometry or with a set that owns a line twice, and propagates
+    /// decoder errors.
     pub fn restore_state(
         &mut self,
         d: &mut gpu_snapshot::Decoder,
@@ -544,6 +535,11 @@ impl Cache {
             line.reserved = d.u32()?;
             line.dirty = d.u32()?;
             line.stamp = d.u64()?;
+        }
+        if self.lines.chunks(self.config.ways).any(owns_a_line_twice) {
+            return Err(gpu_snapshot::SnapshotError::InvalidValue(
+                "cache set owns a line twice",
+            ));
         }
         self.writebacks.clear();
         for _ in 0..d.usize()? {
@@ -630,17 +626,17 @@ mod tests {
     fn reserve_blocks_when_all_ways_reserved() {
         let mut c = small_cache(2);
         assert!(c.reserve(addr(0, 0)));
-        assert!(c.can_reserve(addr(0, 1)));
+        assert!(c.has_way(addr(0, 1)));
         assert!(c.reserve(addr(0, 1)));
-        assert!(!c.can_reserve(addr(0, 2)));
+        assert!(!c.has_way(addr(0, 2)));
         assert!(!c.reserve(addr(0, 2)), "set exhausted by in-flight fills");
         // Re-reserving an already reserved line succeeds (MSHR merge case).
-        assert!(c.can_reserve(addr(0, 0)));
+        assert!(c.has_way(addr(0, 0)));
         assert!(c.reserve(addr(0, 0)));
         // Fill completes the reservation and frees nothing else.
         c.fill(addr(0, 0));
         assert!(c.probe(addr(0, 0)));
-        assert!(c.can_reserve(addr(0, 2)));
+        assert!(c.has_way(addr(0, 2)));
         assert!(
             c.reserve(addr(0, 2)),
             "way freed after fill (evicts line 0)"
@@ -718,11 +714,11 @@ mod tests {
         assert_eq!(c.pop_writeback(), None, "clean line 2 evicted silently");
     }
 
-    /// The pure twins answer exactly what their mutating forms do, in
+    /// `has_way` answers exactly what `reserve` and `allocate_dirty` do, in
     /// every state a short deterministic mix of fills, reservations, dirty
     /// allocations and invalidations reaches, sectored and not.
     #[test]
-    fn can_allocate_dirty_and_can_reserve_match_their_mutations() {
+    fn has_way_matches_reserve_and_allocate_dirty() {
         for mut c in [small_cache(2), sectored_cache(2)] {
             let addrs: Vec<Addr> = (0..4)
                 .flat_map(|k| [addr(0, k), addr(0, k) + 32, addr(1, k)])
@@ -731,12 +727,12 @@ mod tests {
             let mut seen = [false; 2];
             for _ in 0..400 {
                 for &a in &addrs {
-                    let can = c.can_allocate_dirty(a);
+                    let can = c.has_way(a);
                     seen[usize::from(can)] = true;
                     assert_eq!(can, c.clone().allocate_dirty(a), "{a:?}");
-                    assert_eq!(c.can_reserve(a), c.clone().reserve(a), "{a:?}");
+                    assert_eq!(can, c.clone().reserve(a), "{a:?}");
                     if c.probe(a) {
-                        assert!(c.can_allocate_dirty(a), "a store hit completes: {a:?}");
+                        assert!(can, "a store hit completes: {a:?}");
                     }
                 }
                 seed ^= seed << 13;
@@ -759,6 +755,56 @@ mod tests {
                 "the mix must reach a full set and a free one"
             );
         }
+    }
+
+    /// A write-back store to a line whose fill is still in flight lands on
+    /// the way that fill completes, whether that way was empty or the other
+    /// way held a line: the set then owns the line once, valid and dirty,
+    /// and no way is left awaiting a fill that will not come.
+    #[test]
+    fn allocate_dirty_on_a_line_in_flight_keeps_one_copy() {
+        for other in [None, Some(addr(0, 1))] {
+            let mut c = small_cache(2);
+            if let Some(b) = other {
+                c.fill(b);
+            }
+            let a = addr(0, 0);
+            assert!(c.reserve(a));
+            assert!(c.allocate_dirty(a));
+            c.fill(a);
+            let set = &c.lines[..2];
+            let owners: Vec<&Line> = set
+                .iter()
+                .filter(|l| l.present() && l.tag == c.tag(a))
+                .collect();
+            assert_eq!(owners.len(), 1, "{other:?}: {set:?}");
+            let l = owners[0];
+            assert_eq!((l.valid, l.reserved, l.dirty), (1, 0, 1), "{other:?}");
+            assert!(set.iter().all(|l| l.reserved == 0), "{other:?}: {set:?}");
+            if let Some(b) = other {
+                assert!(c.probe(b), "the other line stays");
+                assert_eq!(c.pop_writeback(), None);
+            }
+        }
+    }
+
+    #[test]
+    fn cache_restore_rejects_a_set_owning_a_line_twice() {
+        let mut c = small_cache(2);
+        c.fill(addr(0, 0));
+        c.reserve(addr(0, 1));
+        c.lines[1].tag = c.lines[0].tag;
+        let mut e = gpu_snapshot::Encoder::new();
+        c.encode_state(&mut e);
+        let framed = e.finish();
+        let mut restored = small_cache(2);
+        let mut d = gpu_snapshot::Decoder::open(&framed).unwrap();
+        assert!(matches!(
+            restored.restore_state(&mut d),
+            Err(gpu_snapshot::SnapshotError::InvalidValue(
+                "cache set owns a line twice"
+            ))
+        ));
     }
 
     #[test]

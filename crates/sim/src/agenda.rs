@@ -53,22 +53,18 @@ pub(crate) struct Agenda {
     /// accepted on its arrival cycle and the partition first works on it
     /// the cycle after.
     pub ports: Calendar,
-    /// Per partition, the SMs whose miss head was blocked on that
-    /// partition's full request-network queue at the end of their last
-    /// full tick. Only an ejection there frees a slot,
-    /// and the ejection stage wakes as many of them, lowest index first, as
-    /// it accepted requests: exactly the ones the SM stage's index-order
+    /// The SMs whose miss head was blocked on a partition's full
+    /// request-network queue at the end of their last full tick, by
+    /// partition. Only an ejection there frees a slot, and the ejection
+    /// stage wakes as many of them as it accepted requests
+    /// ([`Waiters::first`]): exactly the ones the SM stage's index-order
     /// injection would give a freed slot.
-    port_waiters: IndexSets,
-    /// Per SM, the partition it waits on in `port_waiters`, if any.
-    waits_on: Vec<Option<usize>>,
-    /// Per SM, the partitions whose return head was blocked on that SM's
-    /// full reply-network queue when they last injected. Only the SM's
-    /// ejection frees a slot, and it wakes as many of them, lowest index
-    /// first, as it took replies: the reply stage injects in index order.
-    reply_waiters: IndexSets,
-    /// Per partition, the SM it waits on in `reply_waiters`, if any.
-    waits_on_reply: Vec<Option<usize>>,
+    pub port_waiters: Waiters,
+    /// The partitions whose return head was blocked on an SM's full
+    /// reply-network queue when they last injected, by SM. Only the SM's
+    /// ejection frees a slot, and it wakes as many of them as it took
+    /// replies: the reply stage injects in index order.
+    pub reply_waiters: Waiters,
     /// The SMs whose state changed after their issue stage this cycle —
     /// the last CTA retired, or a CTA arrived — so the stall they vote for
     /// from the next cycle on may differ from their open interval's. The
@@ -97,10 +93,8 @@ impl Agenda {
             occupied_sms: 0,
             parts: Calendar::new(partitions, Cycle::ZERO),
             ports: Calendar::new(partitions, Cycle::MAX),
-            port_waiters: IndexSets::new(partitions, sms),
-            waits_on: vec![None; sms],
-            reply_waiters: IndexSets::new(sms, partitions),
-            waits_on_reply: vec![None; partitions],
+            port_waiters: Waiters::new(partitions, sms),
+            reply_waiters: Waiters::new(sms, partitions),
             revote: IndexSet::new(sms),
             ticked: Vec::with_capacity(partitions),
             cta_retired: false,
@@ -121,7 +115,8 @@ impl Agenda {
         for (si, sm) in sms.iter().enumerate() {
             self.set_occupied(si, sm.live_warps() > 0);
             self.set_sm_port(si, arrival(reply_net, si), now);
-            self.wait_on_port(si, blocked_port(sm, map, req_net));
+            self.port_waiters
+                .register(si, blocked_port(sm, map, req_net));
         }
         for pi in 0..self.ports.len() {
             self.ports.set(pi, arrival(req_net, pi), now);
@@ -163,78 +158,24 @@ impl Agenda {
         self.sms.set(si, port.min(self.sm_wake[si]), now);
     }
 
-    /// Registers SM `si` as waiting on partition `port`'s full request
-    /// queue, or on none: every full tick of the SM re-decides it.
-    pub fn wait_on_port(&mut self, si: usize, port: Option<usize>) {
-        let old = std::mem::replace(&mut self.waits_on[si], port);
-        if old != port {
-            if let Some(pi) = old {
-                self.port_waiters.remove(pi, si);
-            }
-            if let Some(pi) = port {
-                self.port_waiters.insert(pi, si);
-            }
-        }
-    }
-
-    /// Whether SM `si`'s last full tick left its miss head waiting on a
-    /// full request port.
-    pub fn waits_on_port(&self, si: usize) -> bool {
-        self.waits_on[si].is_some()
-    }
-
     /// Partition `pi` accepted `freed` requests from the request network:
-    /// wakes the `freed` lowest-index SMs waiting on its port. The SM stage
-    /// injects in index order, and each of them injects toward `pi` while
-    /// a slot is left, so no other waiter can win one this cycle.
+    /// wakes the SMs waiting on its port that the SM stage gives the freed
+    /// slots ([`Waiters::first`]).
     pub fn wake_port_waiters(&mut self, pi: usize, freed: usize, now: Cycle) {
-        let mut left = freed;
-        for k in 0..self.port_waiters.words() {
-            for si in self.port_waiters.word(pi, k) {
-                if left == 0 {
-                    return;
-                }
-                self.set_sm_wake(si, Cycle::ZERO, now);
-                left -= 1;
-            }
+        for si in self.port_waiters.first(pi, freed) {
+            // `set_sm_wake(si, Cycle::ZERO, now)`, field by field: `first`
+            // holds the waiters borrowed.
+            self.sm_wake[si] = Cycle::ZERO;
+            self.sms.set(si, Cycle::ZERO, now);
         }
     }
 
-    /// Registers partition `pi` as waiting on SM `sm`'s full reply queue,
-    /// or on none: every reply injection of the partition re-decides it.
-    pub fn wait_on_reply(&mut self, pi: usize, sm: Option<usize>) {
-        let old = std::mem::replace(&mut self.waits_on_reply[pi], sm);
-        if old != sm {
-            if let Some(si) = old {
-                self.reply_waiters.remove(si, pi);
-            }
-            if let Some(si) = sm {
-                self.reply_waiters.insert(si, pi);
-            }
-        }
-    }
-
-    /// Whether partition `pi`'s last reply injection left its return head
-    /// waiting on a full reply port.
-    pub fn waits_on_reply(&self, pi: usize) -> bool {
-        self.waits_on_reply[pi].is_some()
-    }
-
-    /// SM `si` took `freed` replies from its port: wakes the `freed`
-    /// lowest-index partitions whose return head waits there, for the next
-    /// cycle. The reply stage injects in index order and each of them
-    /// injects its head toward `si` while a slot is left, so no other
-    /// waiter can win one.
+    /// SM `si` took `freed` replies from its port: wakes, for the next
+    /// cycle, the partitions whose return head waits there that the reply
+    /// stage gives the freed slots ([`Waiters::first`]).
     pub fn wake_reply_waiters(&mut self, si: usize, freed: usize, now: Cycle) {
-        let mut left = freed;
-        for k in 0..self.reply_waiters.words() {
-            for pi in self.reply_waiters.word(si, k) {
-                if left == 0 {
-                    return;
-                }
-                self.parts.lower(pi, Cycle::ZERO, now);
-                left -= 1;
-            }
+        for pi in self.reply_waiters.first(si, freed) {
+            self.parts.lower(pi, Cycle::ZERO, now);
         }
     }
 
@@ -286,24 +227,19 @@ impl Agenda {
                 "SM {si}: due cycle"
             );
             assert_eq!(self.sm_occupied[si], sm.live_warps() > 0, "SM {si}: warps");
-            let waits_on = self.waits_on[si];
+            let waits_on = self.port_waiters.on(si);
             let blocked = blocked_port(sm, map, req_net);
             assert!(
                 waits_on == blocked || (waits_on.is_none() && self.sm_wake[si] <= now),
                 "SM {si}: registered on port {waits_on:?}, its miss head waits on {blocked:?}"
             );
-            for pi in 0..partitions.len() {
-                assert_eq!(
-                    self.port_waiters.contains(pi, si),
-                    waits_on == Some(pi),
-                    "SM {si}: partition {pi}'s port waiters"
-                );
-            }
         }
+        self.port_waiters.assert_consistent("SM");
+        self.reply_waiters.assert_consistent("partition");
         let due = |pi: usize| self.parts.at(pi) <= now;
         for (pi, p) in partitions.iter().enumerate() {
             let head = p.peek_return().map(|r| r.sm.index());
-            let waits_on = self.waits_on_reply[pi];
+            let waits_on = self.reply_waiters.on(pi);
             assert!(
                 head.is_none() || due(pi) || waits_on.is_some(),
                 "partition {pi} holds returns, is asleep and waits on no reply port"
@@ -311,18 +247,10 @@ impl Agenda {
             if let Some(si) = waits_on {
                 assert_eq!(head, Some(si), "partition {pi}: reply port registration");
             }
-            for si in 0..sms.len() {
-                assert_eq!(
-                    self.reply_waiters.contains(si, pi),
-                    waits_on == Some(si),
-                    "partition {pi}: SM {si}'s reply waiters"
-                );
-            }
         }
         let cap = reply_net.config().output_queue;
         for si in 0..sms.len() {
-            let waiters = &self.reply_waiters;
-            let members = (0..waiters.words()).flat_map(|k| waiters.word(si, k));
+            let members = self.reply_waiters.first(si, usize::MAX);
             let first_asleep = members.clone().find(|&pi| !due(pi));
             if let Some(asleep) = first_asleep {
                 let woken = members.take_while(|&pi| pi < asleep).count();
@@ -488,6 +416,74 @@ impl IndexSets {
             base: 64 * k,
             bits: std::mem::take(&mut self.words[set * self.per + k]),
         }
+    }
+}
+
+/// Components waiting on full network ports: per port the set of its
+/// waiters, and per waiter the one port it waits on, if any.
+pub(crate) struct Waiters {
+    /// Per port, its waiters.
+    sets: IndexSets,
+    /// Per waiter, the port it is in the set of.
+    on: Vec<Option<usize>>,
+}
+
+impl Waiters {
+    /// `ports` ports, `waiters` waiters, none waiting.
+    fn new(ports: usize, waiters: usize) -> Self {
+        Waiters {
+            sets: IndexSets::new(ports, waiters),
+            on: vec![None; waiters],
+        }
+    }
+
+    /// Registers waiter `w` as waiting on `port`, or on none: the waiter's
+    /// every attempt to inject re-decides it.
+    pub fn register(&mut self, w: usize, port: Option<usize>) {
+        let old = std::mem::replace(&mut self.on[w], port);
+        if old != port {
+            if let Some(p) = old {
+                self.sets.remove(p, w);
+            }
+            if let Some(p) = port {
+                self.sets.insert(p, w);
+            }
+        }
+    }
+
+    /// The port waiter `w` waits on, if any.
+    pub fn on(&self, w: usize) -> Option<usize> {
+        self.on[w]
+    }
+
+    /// The first `n` waiters on `port`, lowest index first: the ones its
+    /// `n` freed slots go to. The stages inject in index order, and each
+    /// waiter's blocked head is the first packet it tries, toward `port`,
+    /// while a slot is left; so no other waiter can win one, and once these
+    /// have injected the port is full again or every waiter was woken.
+    pub fn first(&self, port: usize, n: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.sets.words())
+            .flat_map(move |k| self.sets.word(port, k))
+            .take(n)
+    }
+
+    /// Panics unless each waiter is in the set of exactly the port it
+    /// waits on.
+    fn assert_consistent(&self, what: &str) {
+        for (w, &on) in self.on.iter().enumerate() {
+            if let Some(p) = on {
+                assert!(
+                    self.sets.contains(p, w),
+                    "{what} {w}: not in port {p}'s waiters"
+                );
+            }
+        }
+        let members: u32 = self.sets.words.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(
+            members as usize,
+            self.on.iter().flatten().count(),
+            "{what}s filed under a port they do not wait on"
+        );
     }
 }
 

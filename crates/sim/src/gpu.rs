@@ -505,7 +505,7 @@ impl Gpu {
     pub fn port_sleepers(&self) -> usize {
         let a = &self.agenda;
         (0..self.sms.len())
-            .filter(|&si| a.waits_on_port(si) && a.sm_wake[si] > self.now)
+            .filter(|&si| a.port_waiters.on(si).is_some() && a.sm_wake[si] > self.now)
             .count()
     }
 
@@ -515,7 +515,7 @@ impl Gpu {
     pub fn reply_sleepers(&self) -> usize {
         let a = &self.agenda;
         (0..self.partitions.len())
-            .filter(|&pi| a.waits_on_reply(pi) && a.parts.at(pi) > self.now)
+            .filter(|&pi| a.reply_waiters.on(pi).is_some() && a.parts.at(pi) > self.now)
             .count()
     }
 
@@ -1118,7 +1118,7 @@ impl Gpu {
                     a.set_sm_port(dst, port, now);
                 }
             }
-            a.wait_on_reply(pi, blocked);
+            a.reply_waiters.register(pi, blocked);
             a.parts.set(pi, wake, now);
         }
     }
@@ -1182,7 +1182,7 @@ impl Gpu {
                     self.tick_sm(si, now);
                     ticked += 1;
                     let a = &self.agenda;
-                    if a.waits_on_port(si) && a.sm_wake[si] > now + 1 {
+                    if a.port_waiters.on(si).is_some() && a.sm_wake[si] > now + 1 {
                         self.idle.sm_port_sleeps += 1;
                     }
                 }
@@ -1252,7 +1252,7 @@ impl Gpu {
 
         let created = sm.tick_issue(now, &mut self.device, &mut self.tracer);
         self.outstanding += created;
-        a.wait_on_port(si, port);
+        a.port_waiters.register(si, port);
         let warps = sm.live_warps();
         let wake = sm.end_tick(now, port.is_some());
         a.set_sm_wake(si, wake, now);

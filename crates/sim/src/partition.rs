@@ -48,6 +48,31 @@ struct L2Slice {
     hit_pipe: DelayQueue<MemRequest>,
 }
 
+/// Where the access stage sends the head of an L2 slice's input queue
+/// ([`Partition::l2_route`]), beside the SM's `L1Route`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum L2Route {
+    /// Nothing moves: the queue is empty, or its head waits on the DRAM
+    /// queue, the MSHR table, its line's merge list or, for a write-back
+    /// store, a way of its set that an in-flight fill holds. Only the DRAM
+    /// channel's next schedule or completion clears a wait.
+    Wait,
+    /// No L2, or a write-through store (which evicts its line): on to the
+    /// DRAM queue.
+    Dram,
+    /// A write-back store: marks its line dirty, write-allocating it on a
+    /// miss, and retires.
+    StoreBack,
+    /// An L2 hit: into the hit pipe.
+    Hit,
+    /// A miss on a line already in flight: parks on its MSHR entry.
+    Merge,
+    /// A primary miss with an MSHR entry and a DRAM slot to go to: tries to
+    /// reserve a way. The attempt acts even when every way is reserved,
+    /// because it advances the replacement clock.
+    Miss,
+}
+
 /// One memory partition (ROP + L2 slices + DRAM channel).
 #[derive(Debug)]
 pub struct Partition {
@@ -227,19 +252,19 @@ impl Partition {
     /// then (the run loop holds the arrivals), that the partition is awake
     /// (a sleeper's answer is the wake cycle the run loop stored), and
     /// leaving out its returns: they leave when the reply network takes
-    /// them, which the run loop's reply stage decides. `now` while the
-    /// access stage would act on an L2 slice's input-queue head
-    /// (`head_acts`) or a dirty victim awaits a DRAM queue slot it would
-    /// get; otherwise the ROP and hit-pipe heads and the DRAM channel each
-    /// store the cycle they next act. A stalled slice head, and a ready ROP head behind a full
-    /// input queue, wait for the DRAM channel: only its next schedule frees
-    /// a queue slot and only its next completion fills a line and frees an
-    /// MSHR entry, a merge slot or a reserved way. [`Cycle::MAX`] when
-    /// idle.
+    /// them, which the run loop's reply stage decides. `now` while an L2
+    /// slice's input-queue head has a route other than [`L2Route::Wait`] or
+    /// a dirty victim awaits a DRAM queue slot it would get; otherwise the
+    /// ROP and hit-pipe heads and the DRAM channel each store the cycle
+    /// they next act. A waiting slice head, and a ready ROP head behind a
+    /// full input queue, wait for the DRAM channel: only its next schedule
+    /// frees a queue slot and only its next completion fills a line and
+    /// frees an MSHR entry, a merge slot or a reserved way. [`Cycle::MAX`]
+    /// when idle.
     pub fn next_event(&self, now: Cycle) -> Cycle {
         let drains = |s: &L2Slice| s.cache.as_ref().is_some_and(|c| c.pending_writebacks() > 0);
         if (self.dram.can_accept() && self.slices.iter().any(drains))
-            || self.slices.iter().any(|s| self.head_acts(s))
+            || (0..self.slices.len()).any(|i| self.l2_route(i) != L2Route::Wait)
         {
             return now;
         }
@@ -260,34 +285,35 @@ impl Partition {
         pipes.min(self.dram.next_event(now))
     }
 
-    /// Whether the access stage would act on `slice`'s input-queue head if
-    /// it ran now: the decisions [`Partition::tick_l2_slice`] takes, without
-    /// their effects. A head it would leave untouched waits on the DRAM
-    /// queue, the MSHR table, a merge list or, for a write-back store, a
-    /// way of its set that an in-flight fill holds. One attempt acts even
-    /// when it fails, and so counts as acting: a miss with an MSHR entry
-    /// and a DRAM slot to go to calls `Cache::reserve`, which advances the
-    /// replacement clock whether or not a way is free.
-    fn head_acts(&self, slice: &L2Slice) -> bool {
+    /// Where the access stage sends slice `idx`'s input-queue head in the
+    /// partition's state now. Pure: [`Partition::tick_l2_slice`] acts on it,
+    /// and [`Partition::next_event`] asks it whether the head waits.
+    fn l2_route(&self, idx: usize) -> L2Route {
+        let slice = &self.slices[idx];
         let Some(head) = slice.queue.front() else {
-            return false;
+            return L2Route::Wait;
         };
+        // MSHR entries and cache lines are keyed at the transaction granule
+        // (the sector on sectored machines, else the line); the coalescer
+        // always sends aligned transactions, but align defensively.
         let addr = head.addr.align_down(self.granule);
-        let Some(l2) = slice.cache.as_ref() else {
-            return self.dram.can_accept();
+        let route = match &slice.cache {
+            None => L2Route::Dram,
+            Some(l2) if head.kind == AccessKind::Store => match self.write_policy {
+                WritePolicy::WriteThrough => L2Route::Dram,
+                WritePolicy::WriteBack if l2.has_way(addr) => L2Route::StoreBack,
+                WritePolicy::WriteBack => L2Route::Wait,
+            },
+            Some(l2) if l2.probe(addr) => L2Route::Hit,
+            Some(_) if slice.mshr.can_merge(addr) => L2Route::Merge,
+            Some(_) if slice.mshr.is_pending(addr) || !slice.mshr.can_allocate() => L2Route::Wait,
+            Some(_) => L2Route::Miss,
         };
-        if head.kind == AccessKind::Store {
-            return match self.write_policy {
-                WritePolicy::WriteThrough => self.dram.can_accept(),
-                WritePolicy::WriteBack => l2.can_allocate_dirty(addr),
-            };
-        }
-        if l2.probe(addr) {
-            true
-        } else if slice.mshr.is_pending(addr) {
-            slice.mshr.can_merge(addr)
+        // What goes on to the DRAM queue waits for a slot there.
+        if matches!(route, L2Route::Dram | L2Route::Miss) && !self.dram.can_accept() {
+            L2Route::Wait
         } else {
-            slice.mshr.can_allocate() && self.dram.can_accept()
+            route
         }
     }
 
@@ -568,70 +594,52 @@ impl Partition {
         (stores_done, self.next_event(now + 1))
     }
 
+    /// The L2 access stage of slice `idx`: acts on its input-queue head
+    /// as [`Partition::l2_route`] routes it.
     fn tick_l2_slice(&mut self, idx: usize, now: Cycle, tracer: &mut Tracer) {
-        let granule = self.granule;
-        let write_policy = self.write_policy;
-        let slice = &mut self.slices[idx];
-        let Some(head) = slice.queue.front() else {
+        let route = self.l2_route(idx);
+        if route == L2Route::Wait {
             return;
-        };
+        }
+        let slice = &mut self.slices[idx];
+        let addr = slice.queue.front().expect("a routed head").addr;
+        let addr = addr.align_down(self.granule);
         let site = TraceSite::Partition(self.id.get());
-        // MSHR entries and cache lines are keyed at the transaction granule
-        // (the sector on sectored machines, else the line); the coalescer
-        // always sends aligned transactions, but align defensively.
-        let addr = head.addr.align_down(granule);
-        let kind = head.kind;
-
-        let Some(l2) = slice.cache.as_mut() else {
-            // No L2 (Tesla-style): straight to DRAM.
-            if self.dram.can_accept() {
+        match route {
+            L2Route::Wait => unreachable!("a waiting head stays in the queue"),
+            L2Route::Dram => {
+                // Write-through, no-allocate, write-evict; a load reaches
+                // here only with no L2 (Tesla-style).
+                if let Some(l2) = slice.cache.as_mut() {
+                    l2.store_invalidate(addr);
+                }
                 let req = slice.queue.pop().expect("head exists");
                 self.dram.enqueue(req, now);
             }
-            return;
-        };
-
-        if kind == AccessKind::Store {
-            match write_policy {
-                WritePolicy::WriteThrough => {
-                    // Write-through, no-allocate, write-evict.
-                    if self.dram.can_accept() {
-                        l2.store_invalidate(addr);
-                        let req = slice.queue.pop().expect("head exists");
-                        self.dram.enqueue(req, now);
-                    }
+            L2Route::StoreBack => {
+                // Write-allocate (tag-only, no fetch): the store completes
+                // here; dirty victims join the writeback queue drained in
+                // `tick`.
+                let l2 = slice.cache.as_mut().expect("routed by the L2");
+                if !l2.store_mark_dirty(addr) {
+                    assert!(l2.allocate_dirty(addr), "a way was checked");
                 }
-                WritePolicy::WriteBack => {
-                    // Write-allocate (tag-only, no fetch): the store
-                    // completes here; dirty victims join the writeback
-                    // queue drained in `tick`. With every way of its set
-                    // reserved it waits, untouched, for the fill that
-                    // frees one: decided before the tag array counts a
-                    // miss or its replacement clock moves.
-                    if !l2.can_allocate_dirty(addr) {
-                        return;
-                    }
-                    if !l2.store_mark_dirty(addr) {
-                        assert!(l2.allocate_dirty(addr), "a free way was checked");
-                    }
-                    let mut req = slice.queue.pop().expect("head exists");
-                    req.timeline.record(Stamp::L2Served, now);
-                    tracer.retire_write(self.id.get(), req.timeline);
-                    self.stores_retired_here += 1;
-                }
+                let mut req = slice.queue.pop().expect("head exists");
+                req.timeline.record(Stamp::L2Served, now);
+                tracer.retire_write(self.id.get(), req.timeline);
+                self.stores_retired_here += 1;
             }
-            return;
-        }
-
-        if l2.probe(addr) {
-            let req = slice.queue.pop().expect("head exists");
-            let _ = l2.load(addr); // records the hit
-            slice
-                .hit_pipe
-                .push(now, req)
-                .expect("hit pipe sized for the input queue");
-        } else if slice.mshr.is_pending(addr) {
-            if slice.mshr.can_merge(addr) {
+            L2Route::Hit => {
+                let l2 = slice.cache.as_mut().expect("routed by the L2");
+                let req = slice.queue.pop().expect("head exists");
+                let _ = l2.load(addr); // records the hit
+                slice
+                    .hit_pipe
+                    .push(now, req)
+                    .expect("hit pipe sized for the input queue");
+            }
+            L2Route::Merge => {
+                let l2 = slice.cache.as_mut().expect("routed by the L2");
                 let mut req = slice.queue.pop().expect("head exists");
                 let _ = l2.load(addr); // records the miss
                 req.timeline.record(Stamp::DramQueueEnter, now);
@@ -647,24 +655,144 @@ impl Partition {
                     });
                 }
             }
-        } else {
-            if !slice.mshr.can_allocate() || !self.dram.can_accept() {
-                return;
-            }
-            if !l2.reserve(addr) {
-                return;
-            }
-            let req = slice.queue.pop().expect("head exists");
-            let _ = l2.load(addr); // records the miss
-            assert!(slice.mshr.allocate(addr), "capacity checked");
-            self.dram.enqueue(req, now);
-            if tracer.enabled() {
-                tracer.record(TraceEvent {
-                    cycle: now.get(),
-                    site,
-                    kind: EventKind::MshrAllocate { line: addr.get() },
-                });
+            L2Route::Miss => {
+                let l2 = slice.cache.as_mut().expect("routed by the L2");
+                if !l2.reserve(addr) {
+                    return;
+                }
+                let req = slice.queue.pop().expect("head exists");
+                let _ = l2.load(addr); // records the miss
+                assert!(slice.mshr.allocate(addr), "capacity checked");
+                self.dram.enqueue(req, now);
+                if tracer.enabled() {
+                    tracer.record(TraceEvent {
+                        cycle: now.get(),
+                        site,
+                        kind: EventKind::MshrAllocate { line: addr.get() },
+                    });
+                }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpu_mem::PipelineSpace;
+    use gpu_trace::TraceConfig;
+    use gpu_types::{Addr, SmId};
+
+    /// A gf100 partition whose L2 slices are one two-way set behind
+    /// `entries` MSHR entries and a two-slot DRAM queue; `sectored` makes
+    /// it two slices of 32-byte sectors.
+    fn small_l2(policy: WritePolicy, entries: usize, sectored: bool) -> GpuConfig {
+        let mut cfg = GpuConfig::fermi_gf100();
+        let l2 = cfg.l2.as_mut().expect("gf100 has an L2");
+        l2.cache.sets = 1;
+        l2.cache.ways = 2;
+        l2.mshr.entries = entries;
+        l2.write_policy = policy;
+        if sectored {
+            l2.sector_bytes = Some(32);
+            l2.slices = 2;
+        }
+        cfg.dram.queue_capacity = 2;
+        cfg
+    }
+
+    fn encoded(p: &Partition) -> Vec<u8> {
+        let mut e = Encoder::new();
+        p.encode_state(&mut e);
+        e.finish()
+    }
+
+    /// `l2_route` is `Wait` exactly when the access stage leaves the
+    /// partition's encoded state byte-identical — `next_event` lets a
+    /// partition sleep on that. A failed `reserve` moves the replacement
+    /// clock, so it counts as a move. Random accepts and ticks on small L2
+    /// slices reach every route, write-back and write-through.
+    #[test]
+    fn an_l2_head_waits_exactly_when_the_access_stage_moves_nothing() {
+        let mut failed_reserves = 0;
+        for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+            for (entries, sectored) in [(2, false), (2, true), (4, false)] {
+                let cfg = small_l2(policy, entries, sectored);
+                let map =
+                    AddressMap::new(1, cfg.partition_chunk, cfg.dram_banks, cfg.dram_row_bytes);
+                let id = PartitionId::new(0);
+                let mut p = Partition::new(id, &cfg, map);
+                let mut tracer = Tracer::new(TraceConfig::default());
+                let mut seen = [false; 6];
+                let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+                let mut now = Cycle::ZERO;
+                for n in 0..3000 {
+                    for i in 0..p.slices.len() {
+                        let before = encoded(&p);
+                        let mut copy = Partition::new(id, &cfg, map);
+                        copy.restore_state(&mut Decoder::open(&before).unwrap())
+                            .unwrap();
+                        assert_eq!(encoded(&copy), before, "restore is exact");
+                        let route = copy.l2_route(i);
+                        seen[route as usize] = true;
+                        let queued = copy.slices[i].queue.len();
+                        copy.tick_l2_slice(i, now, &mut tracer);
+                        let moved = encoded(&copy) != before;
+                        assert_eq!(
+                            route == L2Route::Wait,
+                            !moved,
+                            "{policy:?}, {entries} entries, sectored {sectored}, \
+                             cycle {now}, slice {i}: {route:?}"
+                        );
+                        if route == L2Route::Miss && copy.slices[i].queue.len() == queued {
+                            failed_reserves += 1;
+                        }
+                    }
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    if !seed.is_multiple_of(3) && p.can_accept() {
+                        let sector = if sectored { (seed >> 16) % 4 * 32 } else { 0 };
+                        let kind = if (seed >> 20).is_multiple_of(4) {
+                            AccessKind::Store
+                        } else {
+                            AccessKind::Load
+                        };
+                        let req = MemRequest::new(
+                            RequestId::new(n),
+                            Addr::new((seed >> 8) % 3 * 128 + sector),
+                            32,
+                            kind,
+                            PipelineSpace::Global,
+                            SmId::new(0),
+                            n,
+                            now,
+                        );
+                        p.accept(req, now);
+                    }
+                    p.tick(now, &mut tracer);
+                    while p.pop_return().is_some() {}
+                    now.tick();
+                }
+                let (store, other) = match policy {
+                    WritePolicy::WriteThrough => (L2Route::Dram, L2Route::StoreBack),
+                    WritePolicy::WriteBack => (L2Route::StoreBack, L2Route::Dram),
+                };
+                for route in [
+                    L2Route::Wait,
+                    store,
+                    L2Route::Hit,
+                    L2Route::Merge,
+                    L2Route::Miss,
+                ] {
+                    assert!(
+                        seen[route as usize],
+                        "{policy:?}, {entries}: {route:?} never seen"
+                    );
+                }
+                assert!(!seen[other as usize], "{policy:?}: {other:?}");
+            }
+        }
+        assert!(failed_reserves > 0, "no miss found every way reserved");
     }
 }

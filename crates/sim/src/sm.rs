@@ -643,8 +643,7 @@ impl Sm {
             } else {
                 L1Route::Stall // merge list full
             }
-        } else if !self.l1_mshr.can_allocate() || self.miss_queue.is_full() || !l1.can_reserve(addr)
-        {
+        } else if !self.l1_mshr.can_allocate() || self.miss_queue.is_full() || !l1.has_way(addr) {
             L1Route::Stall // every way reserved by in-flight fills, or full
         } else {
             L1Route::Allocate
