@@ -95,6 +95,25 @@ pub trait MemBackend {
     /// Atomically adds `value` at the global address `addr`, returning the
     /// previous value.
     fn atomic_add(&mut self, addr: Addr, width: Width, value: u64) -> u64;
+
+    /// Loads `width` bytes at each of a warp access's lane addresses, all in
+    /// `space`, into `values` (one per access, in lane order). A backend
+    /// can resolve what the lanes share once; by default each lane is a
+    /// [`MemBackend::load`].
+    fn load_lanes(&mut self, space: Space, width: Width, lanes: &[LaneAccess], values: &mut [u64]) {
+        for (a, v) in lanes.iter().zip(values) {
+            *v = self.load(space, a.addr, width);
+        }
+    }
+
+    /// Stores each lane's value (one per access) at its address, all in
+    /// `space`, in lane order, so a later lane's bytes win. By default each
+    /// lane is a [`MemBackend::store`].
+    fn store_lanes(&mut self, space: Space, width: Width, lanes: &[LaneAccess], values: &[u64]) {
+        for (a, &v) in lanes.iter().zip(values) {
+            self.store(space, a.addr, width, v);
+        }
+    }
 }
 
 /// One lane's memory access, as reported to the timing model.
@@ -372,9 +391,13 @@ impl WarpExec {
                 offset,
             } => {
                 let row = self.row(dst);
-                self.each_access(mask, space, addr, offset, width, |regs, lane, s, a| {
-                    regs[row + lane] = backend.load(s, a, width);
-                });
+                let s = self.each_access(mask, space, addr, offset, width, |_, _, _, _| {});
+                let mut values = [0u64; MAX_WARP_SIZE];
+                let values = &mut values[..self.accesses.len()];
+                backend.load_lanes(s, width, &self.accesses, values);
+                for (a, &v) in self.accesses.iter().zip(values.iter()) {
+                    self.regs[row + a.lane as usize] = v;
+                }
                 mem(space, false, false, Some(dst))
             }
             Instr::St {
@@ -385,9 +408,13 @@ impl WarpExec {
                 offset,
             } => {
                 let src = self.src(src);
-                self.each_access(mask, space, addr, offset, width, |regs, lane, s, a| {
-                    backend.store(s, a, width, src.read(regs, lane));
+                let mut values = [0u64; MAX_WARP_SIZE];
+                let mut n = 0;
+                let s = self.each_access(mask, space, addr, offset, width, |regs, lane, _, _| {
+                    values[n] = src.read(regs, lane);
+                    n += 1;
                 });
+                backend.store_lanes(s, width, &self.accesses, &values[..n]);
                 mem(space, true, false, None)
             }
             Instr::AtomAdd {
@@ -443,7 +470,7 @@ impl WarpExec {
     /// Calls `access` for every lane in `mask` with the register file, the
     /// lane, the backend's space and the address (the `base` register plus
     /// `offset`, `Local` translated into the lane's device window), and
-    /// records the accesses in lane order.
+    /// records the accesses in lane order. Returns the backend's space.
     fn each_access(
         &mut self,
         mask: u32,
@@ -452,7 +479,7 @@ impl WarpExec {
         offset: i64,
         width: Width,
         mut access: impl FnMut(&mut [u64], usize, Space, Addr),
-    ) {
+    ) -> Space {
         let base = self.row(base);
         let WarpExec {
             regs,
@@ -477,6 +504,10 @@ impl WarpExec {
                 addr,
                 width,
             });
+        }
+        match space {
+            Space::Local => Space::Global,
+            other => other,
         }
     }
 

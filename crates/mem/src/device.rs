@@ -129,6 +129,72 @@ impl DeviceMemory {
         }
     }
 
+    /// Reads `n <= 8` bytes little-endian at each of a warp access's lane
+    /// addresses into `out`, lane by lane: the same values as
+    /// [`DeviceMemory::read_le`] at each address, but a page is looked up
+    /// once for a run of lanes inside it, and again only where a lane
+    /// leaves it. A lane that straddles two pages reads as `read_le` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `addrs`.
+    pub fn read_lanes(&self, n: u64, addrs: impl IntoIterator<Item = Addr>, out: &mut [u64]) {
+        debug_assert!(n <= 8);
+        let width = n as usize;
+        let mut page: Option<(u64, Option<&[u8]>)> = None;
+        for (i, addr) in addrs.into_iter().enumerate() {
+            let (index, off) = split(addr);
+            if off + width > PAGE_SIZE {
+                out[i] = self.read_le(addr, n);
+                continue;
+            }
+            let bytes = match page {
+                Some((at, bytes)) if at == index => bytes,
+                _ => {
+                    let bytes = self.pages.get(&index).map(|p| &p[..]);
+                    page = Some((index, bytes));
+                    bytes
+                }
+            };
+            let mut word = [0u8; 8];
+            if let Some(p) = bytes {
+                word[..width].copy_from_slice(&p[off..off + width]);
+            }
+            out[i] = u64::from_le_bytes(word);
+        }
+    }
+
+    /// Writes the low `n <= 8` bytes of each value at its address, lane by
+    /// lane in order: the same bytes as [`DeviceMemory::write_le`] at each,
+    /// later lanes over earlier ones, with the page lookups of
+    /// [`DeviceMemory::read_lanes`].
+    pub fn write_lanes(&mut self, n: u64, lanes: impl IntoIterator<Item = (Addr, u64)>) {
+        debug_assert!(n <= 8);
+        let width = n as usize;
+        if width == 0 {
+            return;
+        }
+        let mut lanes = lanes.into_iter().peekable();
+        while let Some((addr, value)) = lanes.next() {
+            let (index, off) = split(addr);
+            if off + width > PAGE_SIZE {
+                self.write_le(addr, n, value);
+                continue;
+            }
+            let page = self.page_mut(index);
+            page[off..off + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            // The lanes after it in the same page, without a lookup.
+            while let Some(&(addr, value)) = lanes.peek() {
+                let (at, off) = split(addr);
+                if at != index || off + width > PAGE_SIZE {
+                    break;
+                }
+                page[off..off + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                lanes.next();
+            }
+        }
+    }
+
     /// Reads a 32-bit little-endian word.
     pub fn read_u32(&self, addr: Addr) -> u32 {
         self.read_le(addr, 4) as u32
@@ -360,6 +426,60 @@ mod tests {
         m.hash_state(&mut h1);
         restored.hash_state(&mut h2);
         assert_eq!(h1.finish(), h2.finish());
+    }
+
+    /// Random warps of lane addresses — most in one page, some spread over
+    /// a few, some straddling a 4 KiB boundary, repeats included — read and
+    /// write the same bytes lane by lane and as a warp.
+    #[test]
+    fn lane_access_matches_per_lane_access() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let (mut per_lane, mut per_warp) = (DeviceMemory::new(), DeviceMemory::new());
+        let mut straddles = 0;
+        for warp in 0..4000u64 {
+            let n = [1, 2, 4, 8][(next() % 4) as usize];
+            let lanes = 1 + (next() % 32) as usize;
+            let base = (next() % 6) << PAGE_SHIFT;
+            let addrs: Vec<Addr> = (0..lanes)
+                .map(|_| {
+                    let (page, off) = match next() % 8 {
+                        // Straddling the boundary after `base`'s page.
+                        0 => (base, PAGE_SIZE as u64 - 1 - next() % 7),
+                        1 => ((next() % 6) << PAGE_SHIFT, next() % PAGE_SIZE as u64),
+                        _ => (base, next() % 64 * 8 + next() % 8),
+                    };
+                    Addr::new(page + off)
+                })
+                .collect();
+            straddles += addrs
+                .iter()
+                .filter(|a| split(**a).1 + n as usize > PAGE_SIZE)
+                .count();
+            if warp % 2 == 0 {
+                let values: Vec<u64> = addrs.iter().map(|_| next()).collect();
+                for (&a, &v) in addrs.iter().zip(&values) {
+                    per_lane.write_le(a, n, v);
+                }
+                per_warp.write_lanes(n, addrs.iter().copied().zip(values));
+            }
+            let mut out = vec![0; lanes];
+            per_warp.read_lanes(n, addrs.iter().copied(), &mut out);
+            let want: Vec<u64> = addrs.iter().map(|&a| per_lane.read_le(a, n)).collect();
+            assert_eq!(out, want, "warp {warp}");
+        }
+        assert!(straddles > 1000, "only {straddles} straddling lanes");
+        let bytes = |m: &DeviceMemory| {
+            let mut e = gpu_snapshot::Encoder::new();
+            m.encode_state(&mut e);
+            e.finish()
+        };
+        assert_eq!(bytes(&per_lane), bytes(&per_warp));
     }
 
     #[test]

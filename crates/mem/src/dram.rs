@@ -261,19 +261,25 @@ impl DramController {
     /// [`DramController::tick`] appending the completed requests to a
     /// caller-owned sink, so a per-cycle caller allocates nothing.
     pub fn tick_into(&mut self, now: Cycle, done: &mut Vec<MemRequest>) {
-        self.try_schedule(now);
-        self.complete_into(now, done);
+        self.tick_with(now, |req| done.push(req));
     }
 
-    /// Moves the requests whose data completed by `now` to `done`,
-    /// stamped `DramDone`.
-    fn complete_into(&mut self, now: Cycle, done: &mut Vec<MemRequest>) {
+    /// [`DramController::tick`] handing each completed request to `done`,
+    /// in the order [`DramController::tick`] returns them.
+    pub fn tick_with(&mut self, now: Cycle, done: impl FnMut(MemRequest)) {
+        self.try_schedule(now);
+        self.complete_with(now, done);
+    }
+
+    /// Hands the requests whose data completed by `now` to `done`, stamped
+    /// `DramDone`.
+    fn complete_with(&mut self, now: Cycle, mut done: impl FnMut(MemRequest)) {
         let mut i = 0;
         while i < self.in_service.len() {
             if self.in_service[i].0 <= now {
                 let (_, mut req) = self.in_service.swap_remove(i);
                 req.timeline.record(Stamp::DramDone, now);
-                done.push(req);
+                done(req);
             } else {
                 i += 1;
             }
@@ -889,7 +895,7 @@ mod tests {
 
         fn tick_into(&mut self, now: Cycle, done: &mut Vec<MemRequest>) -> Option<RequestId> {
             let id = self.pick(now).map(|idx| self.0.start_service(idx, now));
-            self.0.complete_into(now, done);
+            self.0.complete_with(now, |r| done.push(r));
             id
         }
     }
@@ -947,7 +953,7 @@ mod tests {
                         next_id += 1;
                     }
                     let picked = fast.try_schedule(now);
-                    fast.complete_into(now, &mut fast_done);
+                    fast.complete_with(now, |r| fast_done.push(r));
                     assert_eq!(picked, slow.tick_into(now, &mut slow_done), "seed {seed}");
                     scheduled += u64::from(picked.is_some());
                     let ids = |v: &mut Vec<MemRequest>| {

@@ -205,6 +205,11 @@ impl<T> MshrTable<T> {
         self.parked
     }
 
+    /// Every parked waiter, list by list (in no fixed order across lists).
+    pub fn iter_waiters(&self) -> impl Iterator<Item = &T> {
+        self.entries.values().flatten()
+    }
+
     /// Length of the longest merge list, zero when empty. With nothing
     /// parked — the common case the per-cycle audit meets — no list is
     /// walked.

@@ -13,10 +13,11 @@
 //! audits every component on its first cycle ([`Audited::rebuild`]).
 
 use gpu_icnt::Crossbar;
-use gpu_mem::{AddressMap, MemRequest};
+use gpu_mem::AddressMap;
 use gpu_types::Cycle;
 
 use crate::partition::Partition;
+use crate::requests::{ReqHandle, RequestTable};
 use crate::sanitizer::Sanitizer;
 use crate::sm::Sm;
 
@@ -80,11 +81,13 @@ pub(crate) struct Agenda {
     pub cta_retired: bool,
     /// Packets inside both networks.
     pub net_in_flight: u64,
+    /// The machine's address map: which partition a miss head goes to.
+    map: AddressMap,
 }
 
 impl Agenda {
     /// Every component due, every port empty: a fresh machine.
-    pub fn new(sms: usize, partitions: usize) -> Self {
+    pub fn new(sms: usize, partitions: usize, map: AddressMap) -> Self {
         Agenda {
             sm_wake: vec![Cycle::ZERO; sms],
             sm_port: vec![Cycle::MAX; sms],
@@ -99,6 +102,7 @@ impl Agenda {
             ticked: Vec::with_capacity(partitions),
             cta_retired: false,
             net_in_flight: 0,
+            map,
         }
     }
 
@@ -108,15 +112,15 @@ impl Agenda {
         &mut self,
         now: Cycle,
         sms: &[Sm],
-        map: &AddressMap,
-        req_net: &Crossbar<MemRequest>,
-        reply_net: &Crossbar<MemRequest>,
+        req_net: &Crossbar<ReqHandle>,
+        reply_net: &Crossbar<ReqHandle>,
+        reqs: &RequestTable,
     ) {
         for (si, sm) in sms.iter().enumerate() {
             self.set_occupied(si, sm.live_warps() > 0);
             self.set_sm_port(si, arrival(reply_net, si), now);
             self.port_waiters
-                .register(si, blocked_port(sm, map, req_net));
+                .register(si, blocked_port(sm, &self.map, req_net, reqs));
         }
         for pi in 0..self.ports.len() {
             self.ports.set(pi, arrival(req_net, pi), now);
@@ -212,9 +216,9 @@ impl Agenda {
         now: Cycle,
         sms: &[Sm],
         partitions: &[Partition],
-        map: &AddressMap,
-        req_net: &Crossbar<MemRequest>,
-        reply_net: &Crossbar<MemRequest>,
+        req_net: &Crossbar<ReqHandle>,
+        reply_net: &Crossbar<ReqHandle>,
+        reqs: &RequestTable,
     ) {
         self.sms.assert_filed(now, "SM");
         self.parts.assert_filed(now, "partition");
@@ -228,7 +232,7 @@ impl Agenda {
             );
             assert_eq!(self.sm_occupied[si], sm.live_warps() > 0, "SM {si}: warps");
             let waits_on = self.port_waiters.on(si);
-            let blocked = blocked_port(sm, map, req_net);
+            let blocked = blocked_port(sm, &self.map, req_net, reqs);
             assert!(
                 waits_on == blocked || (waits_on.is_none() && self.sm_wake[si] <= now),
                 "SM {si}: registered on port {waits_on:?}, its miss head waits on {blocked:?}"
@@ -238,7 +242,7 @@ impl Agenda {
         self.reply_waiters.assert_consistent("partition");
         let due = |pi: usize| self.parts.at(pi) <= now;
         for (pi, p) in partitions.iter().enumerate() {
-            let head = p.peek_return().map(|r| r.sm.index());
+            let head = p.peek_return().map(|h| reqs[h].sm.index());
             let waits_on = self.reply_waiters.on(pi);
             assert!(
                 head.is_none() || due(pi) || waits_on.is_some(),
@@ -493,14 +497,15 @@ impl Waiters {
 pub(crate) fn blocked_port(
     sm: &Sm,
     map: &AddressMap,
-    req_net: &Crossbar<MemRequest>,
+    req_net: &Crossbar<ReqHandle>,
+    reqs: &RequestTable,
 ) -> Option<usize> {
-    let dst = map.partition_of(sm.peek_miss()?.addr).index();
+    let dst = map.partition_of(reqs[sm.peek_miss()?].addr).index();
     req_net.is_full(dst).then_some(dst)
 }
 
 /// When the head packet at `net`'s port `dst` arrives.
-pub(crate) fn arrival(net: &Crossbar<MemRequest>, dst: usize) -> Cycle {
+pub(crate) fn arrival(net: &Crossbar<ReqHandle>, dst: usize) -> Cycle {
     net.next_arrival(dst).unwrap_or(Cycle::MAX)
 }
 

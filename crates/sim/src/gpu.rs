@@ -8,15 +8,17 @@ use std::sync::Arc;
 
 use gpu_icnt::Crossbar;
 use gpu_isa::{Kernel, Launch, LocalMap, ValidateError};
-use gpu_mem::{AddressMap, DeviceMemory, MemRequest, Stamp};
+use gpu_mem::{AccessKind, AddressMap, DeviceMemory, MemRequest, PipelineSpace, RequestId, Stamp};
 use gpu_snapshot::{store, Decoder, Encoder, SnapshotError, StableHasher};
 use gpu_trace::profile::{self, ProfSpan};
 use gpu_trace::{CounterKind, EventKind, TraceData, TraceEvent, TraceSite, Tracer};
 use gpu_types::{Addr, CtaId, Cycle, PartitionId, SmId};
 
 use crate::agenda::{arrival, Agenda, Audited};
+use crate::codec;
 use crate::config::GpuConfig;
 use crate::partition::Partition;
+use crate::requests::{ReqHandle, RequestTable};
 use crate::sanitizer::{Sanitizer, Violation};
 use crate::sm::Sm;
 use crate::stats::{CompletedRequest, LoadInstrRecord, RunSummary, SmStats, TraceSink};
@@ -239,8 +241,11 @@ pub struct Gpu {
     device: DeviceMemory,
     sms: Vec<Sm>,
     partitions: Vec<Partition>,
-    req_net: Crossbar<MemRequest>,
-    reply_net: Crossbar<MemRequest>,
+    req_net: Crossbar<ReqHandle>,
+    reply_net: Crossbar<ReqHandle>,
+    /// Every request in flight outside the DRAM channels, stored once: the
+    /// SMs, partitions and networks hold handles into it.
+    reqs: RequestTable,
     now: Cycle,
     outstanding: u64,
     sink: TraceSink,
@@ -297,6 +302,7 @@ impl Gpu {
             partitions,
             req_net,
             reply_net,
+            reqs: RequestTable::new(),
             now: Cycle::ZERO,
             outstanding: 0,
             sink: TraceSink::default(),
@@ -309,7 +315,7 @@ impl Gpu {
             launched: Vec::new(),
             kernel_texts: Vec::new(),
             idle: IdleCounts::default(),
-            agenda: Agenda::new(cfg.num_sms, cfg.num_partitions),
+            agenda: Agenda::new(cfg.num_sms, cfg.num_partitions, map),
             audited: Audited::new(cfg.sanitize, cfg.num_sms, cfg.num_partitions),
             cfg,
         }
@@ -536,6 +542,29 @@ impl Gpu {
         self.audited.sm_moved(0);
     }
 
+    /// Test hook: stores a request record in the request table and drops
+    /// its handle, so the slot stays live with no structure holding it —
+    /// a request that retired without leaving the table. The run drains
+    /// normally; only the sanitizer's per-cycle table count notices.
+    pub fn debug_seed_request_leak(&mut self) {
+        self.reqs.insert(MemRequest::new(
+            RequestId::new(u64::MAX),
+            Addr::new(0),
+            self.cfg.line_size as u32,
+            AccessKind::Load,
+            PipelineSpace::Global,
+            SmId::new(0),
+            u64::MAX,
+            self.now,
+        ));
+    }
+
+    /// The request table: how many records it holds and how far it has
+    /// grown.
+    pub fn requests(&self) -> &RequestTable {
+        &self.reqs
+    }
+
     /// Whether the launch has drained. The kept counts answer first; the
     /// components are asked only once no SM holds a warp and nothing is
     /// outstanding, at the end of a launch.
@@ -639,16 +668,17 @@ impl Gpu {
                 e.u32(l.next_cta);
             }
         }
+        let reqs = &self.reqs;
         for sm in &self.sms {
-            sm.encode_state(&mut e, self.now);
+            sm.encode_state(&mut e, self.now, reqs);
         }
         for p in &self.partitions {
-            p.encode_state(&mut e);
+            p.encode_state(&mut e, reqs);
         }
         self.req_net
-            .encode_state_with(&mut e, |req, e| req.encode_state(e));
+            .encode_state_with(&mut e, |&h, e| reqs[h].encode_state(e));
         self.reply_net
-            .encode_state_with(&mut e, |req, e| req.encode_state(e));
+            .encode_state_with(&mut e, |&h, e| reqs[h].encode_state(e));
         self.sink.encode_state(&mut e);
         self.tracer.encode_state(&mut e);
         self.sanitizer.encode_state(&mut e);
@@ -723,15 +753,18 @@ impl Gpu {
             None
         };
         let kp = gpu.launch.as_ref().map(|l| (&l.kernel, &l.params));
+        let reqs = &mut gpu.reqs;
         for sm in &mut gpu.sms {
-            sm.restore_state(&mut d, kp)?;
+            sm.restore_state(&mut d, kp, reqs)?;
         }
         for p in &mut gpu.partitions {
-            p.restore_state(&mut d)?;
+            p.restore_state(&mut d, reqs)?;
         }
-        gpu.req_net.restore_state_with(&mut d, MemRequest::decode)?;
+        reqs.restore_lent(gpu.partitions.iter().map(Partition::dram_held).sum());
+        gpu.req_net
+            .restore_state_with(&mut d, |d| codec::decode_req(d, reqs))?;
         gpu.reply_net
-            .restore_state_with(&mut d, MemRequest::decode)?;
+            .restore_state_with(&mut d, |d| codec::decode_req(d, reqs))?;
         gpu.sink.restore_state(&mut d)?;
         gpu.tracer.restore_state(&mut d)?;
         gpu.sanitizer.restore_state(&mut d)?;
@@ -740,7 +773,7 @@ impl Gpu {
             sm.revote(gpu.now, &mut gpu.tracer);
         }
         gpu.agenda
-            .rebuild(gpu.now, &gpu.sms, &gpu.map, &gpu.req_net, &gpu.reply_net);
+            .rebuild(gpu.now, &gpu.sms, &gpu.req_net, &gpu.reply_net, &gpu.reqs);
         gpu.audited.rebuild();
         if let Some(l) = &mut gpu.launch {
             let warps_needed = l.launch.warps_per_cta(gpu.cfg.warp_size) as usize;
@@ -921,9 +954,9 @@ impl Gpu {
                 now,
                 &self.sms,
                 &self.partitions,
-                &self.map,
                 &self.req_net,
                 &self.reply_net,
+                &self.reqs,
             );
         }
         self.agenda.horizon(now)
@@ -1078,7 +1111,7 @@ impl Gpu {
 
     fn tick_partition(&mut self, pi: usize, now: Cycle) {
         let _g = profile::span(ProfSpan::PartitionTick);
-        let (stores_done, wake) = self.partitions[pi].tick(now, &mut self.tracer);
+        let (stores_done, wake) = self.partitions[pi].tick(now, &mut self.reqs, &mut self.tracer);
         self.outstanding -= stores_done;
         self.agenda.ticked.push((pi, wake));
         self.audited.partition_moved(pi);
@@ -1098,7 +1131,7 @@ impl Gpu {
             let p = &mut self.partitions[pi];
             let mut blocked = None;
             while let Some(head) = p.peek_return() {
-                let dst = head.sm.index();
+                let dst = self.reqs[head].sm.index();
                 if !self.reply_net.can_inject(pi, dst) {
                     if self.reply_net.is_full(dst) {
                         blocked = Some(dst);
@@ -1107,10 +1140,10 @@ impl Gpu {
                     }
                     break;
                 }
-                let mut req = p.pop_return().expect("peeked");
-                req.timeline.record(Stamp::ReplyInject, now);
+                let h = p.pop_return().expect("peeked");
+                self.reqs[h].timeline.record(Stamp::ReplyInject, now);
                 self.reply_net
-                    .try_inject(pi, dst, req, now)
+                    .try_inject(pi, dst, h, now)
                     .expect("can_inject checked");
                 a.net_in_flight += 1;
                 let port = arrival(&self.reply_net, dst);
@@ -1150,8 +1183,8 @@ impl Gpu {
         let mut accepted = 0;
         while p.can_accept() {
             match self.req_net.eject(pi, now) {
-                Some(req) => {
-                    p.accept(req, now);
+                Some(h) => {
+                    p.accept(h, now, &mut self.reqs);
                     a.net_in_flight -= 1;
                     accepted += 1;
                 }
@@ -1206,16 +1239,20 @@ impl Gpu {
         let _g = profile::span(ProfSpan::SmTick);
         sm.begin_tick(now);
         let sanitize = self.cfg.sanitize;
-        let retired =
-            sm.tick_writeback(now, &mut self.sink, sanitize.then_some(&mut self.sanitizer));
+        let retired = sm.tick_writeback(
+            now,
+            &mut self.reqs,
+            &mut self.sink,
+            sanitize.then_some(&mut self.sanitizer),
+        );
         self.outstanding -= retired;
 
         let mut ejected = 0;
         while sm.fill_space() {
             match self.reply_net.eject(si, now) {
-                Some(mut req) => {
-                    req.timeline.record(Stamp::ReplyEject, now);
-                    sm.accept_response(req, now, &mut self.tracer);
+                Some(h) => {
+                    self.reqs[h].timeline.record(Stamp::ReplyEject, now);
+                    sm.accept_response(h, now, &self.reqs, &mut self.tracer);
                     a.net_in_flight -= 1;
                     ejected += 1;
                 }
@@ -1227,21 +1264,21 @@ impl Gpu {
             a.wake_reply_waiters(si, ejected, now);
         }
 
-        sm.tick_memory(now, &mut self.tracer);
+        sm.tick_memory(now, &mut self.reqs, &mut self.tracer);
 
         // The partition whose full request queue the miss head waits on;
         // none for a head held back only by this cycle's injection budget.
         let mut port = None;
         while let Some(head) = sm.peek_miss() {
-            let dst = self.map.partition_of(head.addr).index();
+            let dst = self.map.partition_of(self.reqs[head].addr).index();
             if !self.req_net.can_inject(si, dst) {
                 port = self.req_net.is_full(dst).then_some(dst);
                 break;
             }
-            let mut req = sm.pop_miss().expect("peeked");
-            req.timeline.record(Stamp::IcntInject, now);
+            let h = sm.pop_miss().expect("peeked");
+            self.reqs[h].timeline.record(Stamp::IcntInject, now);
             self.req_net
-                .try_inject(si, dst, req, now)
+                .try_inject(si, dst, h, now)
                 .expect("can_inject checked");
             a.net_in_flight += 1;
             let arrives = arrival(&self.req_net, dst);
@@ -1250,11 +1287,11 @@ impl Gpu {
             }
         }
 
-        let created = sm.tick_issue(now, &mut self.device, &mut self.tracer);
+        let created = sm.tick_issue(now, &mut self.reqs, &mut self.device, &mut self.tracer);
         self.outstanding += created;
         a.port_waiters.register(si, port);
         let warps = sm.live_warps();
-        let wake = sm.end_tick(now, port.is_some());
+        let wake = sm.end_tick(now, port.is_some(), &self.reqs);
         a.set_sm_wake(si, wake, now);
         let occupied = sm.live_warps() > 0;
         if sm.live_warps() < warps {
@@ -1318,6 +1355,10 @@ impl Gpu {
     /// measured: conservation still covers the whole machine every cycle.
     /// `everything` ([`Gpu::tick`]) and any finding so far (whose repeats
     /// a full audit would record each cycle) audit every component.
+    ///
+    /// The request table is counted against the same total, in O(1): it
+    /// holds a record for every request in flight except those lent to
+    /// the DRAM channels, which it counts as lent.
     fn audit_cycle(&mut self, now: Cycle, everything: bool) {
         let san = &mut self.sanitizer;
         let everything = everything || !san.is_clean();
@@ -1331,6 +1372,15 @@ impl Gpu {
             san.record(Violation::Conservation {
                 cycle: now,
                 outstanding: self.outstanding,
+                in_flight,
+            });
+        }
+        let (live, lent) = (self.reqs.live(), self.reqs.lent());
+        if live + lent != in_flight {
+            san.record(Violation::TableCount {
+                cycle: now,
+                live,
+                lent,
                 in_flight,
             });
         }

@@ -33,6 +33,7 @@ mod config;
 mod gpu;
 mod partition;
 mod ready;
+mod requests;
 mod sanitizer;
 mod scoreboard;
 mod sm;
@@ -48,6 +49,7 @@ pub use gpu_arch::{
     ArchDesc, CacheGeom, FabricDesc, LevelDesc, LevelKind, MemDesc, Routing, SmDesc,
 };
 pub use partition::Partition;
+pub use requests::{ReqHandle, RequestTable};
 pub use sanitizer::{Sanitizer, Site, Violation};
 pub use scoreboard::Scoreboard;
 pub use sm::Sm;

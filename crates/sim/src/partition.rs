@@ -6,6 +6,11 @@
 //! latency components and the L2's part of `Fetch2SM` (`L2Served`). A
 //! store or writeback ends here: its timeline goes to the tracer.
 //!
+//! The partition's queues hold handles into the GPU's [`RequestTable`];
+//! the DRAM channel takes requests by value, so the access stage lends a
+//! record out of the table when it enqueues it and the completion stage
+//! takes it back.
+//!
 //! Modern-generation descriptions hash-interleave the L2 across several
 //! independent slices behind the partition's shared ROP and DRAM channel
 //! (see [`gpu_arch::slice_of`]); each slice owns its own input queue, tag
@@ -26,6 +31,7 @@ use gpu_types::{BoundedQueue, Cycle, DelayQueue, PartitionId};
 
 use crate::codec;
 use crate::config::{GpuConfig, WritePolicy};
+use crate::requests::{ReqHandle, RequestTable};
 use crate::sanitizer::{Sanitizer, Site, Violation, ROP_QUEUE};
 
 /// Token marking internally-generated dirty-eviction writebacks (they are
@@ -42,10 +48,10 @@ const L2_HIT_PIPE_SLOTS: usize = 64;
 /// A classic monolithic L2 is exactly one of these.
 #[derive(Debug)]
 struct L2Slice {
-    queue: BoundedQueue<MemRequest>,
+    queue: BoundedQueue<ReqHandle>,
     cache: Option<Cache>,
-    mshr: MshrTable<MemRequest>,
-    hit_pipe: DelayQueue<MemRequest>,
+    mshr: MshrTable<ReqHandle>,
+    hit_pipe: DelayQueue<ReqHandle>,
 }
 
 /// Where the access stage sends the head of an L2 slice's input queue
@@ -86,13 +92,13 @@ pub struct Partition {
     l2_desc: LevelDesc,
     write_policy: WritePolicy,
     next_eviction_id: u64,
-    rop: DelayQueue<MemRequest>,
+    rop: DelayQueue<ReqHandle>,
     slices: Vec<L2Slice>,
     dram: DramController,
-    /// This cycle's DRAM completions (scratch, empty between ticks; kept
-    /// for its capacity).
-    dram_done: Vec<MemRequest>,
-    returns: VecDeque<MemRequest>,
+    /// This cycle's DRAM completions, back in the table (scratch, empty
+    /// between ticks; kept for its capacity).
+    dram_done: Vec<ReqHandle>,
+    returns: VecDeque<ReqHandle>,
     stores_completed_total: u64,
     stores_retired_here: u64,
     evictions_in_flight: u64,
@@ -158,10 +164,10 @@ impl Partition {
     /// # Panics
     ///
     /// Panics if the ROP queue is full; check [`Partition::can_accept`].
-    pub fn accept(&mut self, mut req: MemRequest, now: Cycle) {
-        req.timeline.record(Stamp::RopEnter, now);
+    pub fn accept(&mut self, h: ReqHandle, now: Cycle, reqs: &mut RequestTable) {
+        reqs[h].timeline.record(Stamp::RopEnter, now);
         self.rop
-            .push(now, req)
+            .push(now, h)
             .unwrap_or_else(|_| panic!("ROP overflow; can_accept not checked"));
     }
 
@@ -218,12 +224,12 @@ impl Partition {
     }
 
     /// Oldest response waiting to enter the reply network.
-    pub fn peek_return(&self) -> Option<&MemRequest> {
-        self.returns.front()
+    pub fn peek_return(&self) -> Option<ReqHandle> {
+        self.returns.front().copied()
     }
 
     /// Removes the oldest response for reply-network injection.
-    pub fn pop_return(&mut self) -> Option<MemRequest> {
+    pub fn pop_return(&mut self) -> Option<ReqHandle> {
         self.returns.pop_front()
     }
 
@@ -261,15 +267,18 @@ impl Partition {
     /// frees a queue slot and only its next completion fills a line and
     /// frees an MSHR entry, a merge slot or a reserved way. [`Cycle::MAX`]
     /// when idle.
-    pub fn next_event(&self, now: Cycle) -> Cycle {
+    pub fn next_event(&self, now: Cycle, reqs: &RequestTable) -> Cycle {
         let drains = |s: &L2Slice| s.cache.as_ref().is_some_and(|c| c.pending_writebacks() > 0);
         if (self.dram.can_accept() && self.slices.iter().any(drains))
-            || (0..self.slices.len()).any(|i| self.l2_route(i) != L2Route::Wait)
+            || (0..self.slices.len()).any(|i| self.l2_route(i, reqs) != L2Route::Wait)
         {
             return now;
         }
-        let rop = self.rop.entries().next().and_then(|(at, head)| {
-            let blocked = at <= now && self.slices[self.slice_index(head.addr)].queue.is_full();
+        let rop = self.rop.entries().next().and_then(|(at, &head)| {
+            let blocked = at <= now
+                && self.slices[self.slice_index(reqs[head].addr)]
+                    .queue
+                    .is_full();
             (!blocked).then_some(at)
         });
         let pipes = self
@@ -288,11 +297,12 @@ impl Partition {
     /// Where the access stage sends slice `idx`'s input-queue head in the
     /// partition's state now. Pure: [`Partition::tick_l2_slice`] acts on it,
     /// and [`Partition::next_event`] asks it whether the head waits.
-    fn l2_route(&self, idx: usize) -> L2Route {
+    fn l2_route(&self, idx: usize, reqs: &RequestTable) -> L2Route {
         let slice = &self.slices[idx];
-        let Some(head) = slice.queue.front() else {
+        let Some(&head) = slice.queue.front() else {
             return L2Route::Wait;
         };
+        let head = &reqs[head];
         // MSHR entries and cache lines are keyed at the transaction granule
         // (the sector on sectored machines, else the line); the coalescer
         // always sends aligned transactions, but align defensively.
@@ -330,9 +340,34 @@ impl Partition {
             .iter()
             .map(|s| s.queue.len() + s.hit_pipe.len() + s.mshr.waiters())
             .sum();
-        (self.rop.len() + sliced + self.dram.queued() + self.dram.in_service() + self.returns.len())
-            as u64
-            - self.evictions_in_flight
+        (self.rop.len() + sliced + self.returns.len()) as u64 + self.dram_held()
+    }
+
+    /// SM-originated requests the DRAM channel holds, lent out of the
+    /// request table: its queue and its accesses in service, less the
+    /// eviction writebacks among them.
+    pub(crate) fn dram_held(&self) -> u64 {
+        (self.dram.queued() + self.dram.in_service()) as u64 - self.evictions_in_flight
+    }
+
+    /// Whether any of the partition's structures holds `h`. A debug check:
+    /// a lent record's handle must be held nowhere.
+    fn holds(&self, h: ReqHandle) -> bool {
+        self.rop.entries().any(|(_, &x)| x == h)
+            || self.slices.iter().any(|s| {
+                s.queue.iter().any(|&x| x == h)
+                    || s.hit_pipe.entries().any(|(_, &x)| x == h)
+                    || s.mshr.iter_waiters().any(|&x| x == h)
+            })
+            || self.returns.contains(&h)
+            || self.dram_done.contains(&h)
+    }
+
+    /// Lends `h`'s record to the DRAM channel: it enqueues the request by
+    /// value, and the handle dies with the loan.
+    fn enqueue_dram(&mut self, h: ReqHandle, now: Cycle, reqs: &mut RequestTable) {
+        debug_assert!(!self.holds(h), "a lent request's handle is still held");
+        self.dram.enqueue(reqs.lend(h), now);
     }
 
     /// Per-cycle structural audit: queue occupancies against their
@@ -397,14 +432,11 @@ impl Partition {
     /// Structural configuration is *not* serialized — the GPU checkpoint
     /// stores the full config once and rebuilds each partition from it
     /// before restoring.
-    pub fn encode_state(&self, e: &mut Encoder) {
+    pub fn encode_state(&self, e: &mut Encoder, reqs: &RequestTable) {
         e.u64(self.next_eviction_id);
-        codec::encode_req_queue(e, &self.rop);
+        codec::encode_req_queue(e, &self.rop, reqs);
         for slice in &self.slices {
-            e.usize(slice.queue.len());
-            for req in slice.queue.iter() {
-                req.encode_state(e);
-            }
+            codec::encode_req_fifo(e, &slice.queue, reqs);
             match &slice.cache {
                 None => e.bool(false),
                 Some(c) => {
@@ -414,54 +446,68 @@ impl Partition {
             }
             slice
                 .mshr
-                .encode_state_with(e, |req, e| req.encode_state(e));
-            codec::encode_req_queue(e, &slice.hit_pipe);
+                .encode_state_with(e, |&h, e| reqs[h].encode_state(e));
+            codec::encode_req_queue(e, &slice.hit_pipe, reqs);
         }
         self.dram.encode_state(e);
         e.usize(self.returns.len());
-        for req in &self.returns {
-            req.encode_state(e);
+        for &h in &self.returns {
+            reqs[h].encode_state(e);
         }
         e.u64(self.stores_completed_total);
         e.u64(self.stores_retired_here);
         e.u64(self.evictions_in_flight);
     }
 
-    /// Overwrites this partition's dynamic state with a decoded checkpoint.
+    /// Overwrites this partition's dynamic state with a decoded checkpoint,
+    /// storing each decoded request in `reqs` (a fresh partition's: the
+    /// handles it held before are dropped, not freed). The DRAM channel
+    /// decodes its own requests: the caller counts them as lent.
     ///
     /// # Errors
     ///
     /// Rejects structural mismatches with this partition's configuration
     /// (queue capacities, L2 presence, cache geometry) and propagates
     /// decoder errors.
-    pub fn restore_state(&mut self, d: &mut Decoder) -> Result<(), SnapshotError> {
+    pub fn restore_state(
+        &mut self,
+        d: &mut Decoder,
+        reqs: &mut RequestTable,
+    ) -> Result<(), SnapshotError> {
         use SnapshotError::InvalidValue;
         self.next_eviction_id = d.u64()?;
-        codec::restore_req_queue(&mut self.rop, d, "ROP pipe occupancy exceeds capacity")?;
+        codec::restore_req_queue(
+            &mut self.rop,
+            d,
+            reqs,
+            "ROP pipe occupancy exceeds capacity",
+        )?;
         for slice in &mut self.slices {
-            let mut queue = BoundedQueue::new(slice.queue.capacity());
-            for _ in 0..d.usize()? {
-                queue
-                    .push(MemRequest::decode(d)?)
-                    .map_err(|_| InvalidValue("L2 input queue occupancy exceeds capacity"))?;
-            }
-            slice.queue = queue;
+            codec::restore_req_fifo(
+                &mut slice.queue,
+                d,
+                reqs,
+                "L2 input queue occupancy exceeds capacity",
+            )?;
             match (d.bool()?, &mut slice.cache) {
                 (true, Some(c)) => c.restore_state(d)?,
                 (false, None) => {}
                 _ => return Err(InvalidValue("L2 presence mismatch with configuration")),
             }
-            slice.mshr.restore_state_with(d, MemRequest::decode)?;
+            slice
+                .mshr
+                .restore_state_with(d, |d| codec::decode_req(d, reqs))?;
             codec::restore_req_queue(
                 &mut slice.hit_pipe,
                 d,
+                reqs,
                 "L2 hit pipe occupancy exceeds capacity",
             )?;
         }
         self.dram.restore_state(d)?;
         self.returns.clear();
         for _ in 0..d.usize()? {
-            self.returns.push_back(MemRequest::decode(d)?);
+            self.returns.push_back(codec::decode_req(d, reqs)?);
         }
         self.stores_completed_total = d.u64()?;
         self.stores_retired_here = d.u64()?;
@@ -474,7 +520,12 @@ impl Partition {
     /// and the cycle until which further ticks are the identity, unless a
     /// request is accepted first: the one place a partition's wake cycle is
     /// planned (the run loop stores it).
-    pub fn tick(&mut self, now: Cycle, tracer: &mut Tracer) -> (u64, Cycle) {
+    pub fn tick(
+        &mut self,
+        now: Cycle,
+        reqs: &mut RequestTable,
+        tracer: &mut Tracer,
+    ) -> (u64, Cycle) {
         let mut stores_done = 0;
         let site = TraceSite::Partition(self.id.get());
 
@@ -506,9 +557,18 @@ impl Partition {
         }
 
         // 1. DRAM completions: stores retire; loads fill their slice's L2,
-        //    wake MSHR waiters, and join the return flow.
+        //    wake MSHR waiters, and join the return flow. Each completion
+        //    comes back into the table; an eviction writeback, never lent,
+        //    enters it here to leave it again in the same order.
         let mut dram_done = std::mem::take(&mut self.dram_done);
-        self.dram.tick_into(now, &mut dram_done);
+        self.dram.tick_with(now, |req| {
+            let h = if req.token == EVICTION_TOKEN {
+                reqs.insert(req)
+            } else {
+                reqs.reclaim(req)
+            };
+            dram_done.push(h);
+        });
         if tracer.enabled() {
             for e in self.dram.drain_events() {
                 let kind = match e.kind {
@@ -528,8 +588,9 @@ impl Partition {
                 });
             }
         }
-        for req in dram_done.drain(..) {
-            if req.kind == AccessKind::Store {
+        for h in dram_done.drain(..) {
+            if reqs[h].kind == AccessKind::Store {
+                let req = reqs.remove(h);
                 if req.token != EVICTION_TOKEN {
                     stores_done += 1;
                 } else {
@@ -538,31 +599,32 @@ impl Partition {
                 tracer.retire_write(self.id.get(), req.timeline);
                 continue;
             }
-            let idx = self.slice_index(req.addr);
-            let granule = self.granule;
+            let addr = reqs[h].addr;
+            let idx = self.slice_index(addr);
             let slice = &mut self.slices[idx];
             if let Some(l2) = slice.cache.as_mut() {
-                let line = req.addr.align_down(granule);
+                let line = addr.align_down(self.granule);
                 l2.fill(line);
                 let returns = &mut self.returns;
-                slice.mshr.fill_with(line, |mut w| {
+                slice.mshr.fill_with(line, |w| {
                     // Merged waiters "ride along" with the primary fetch;
                     // their DRAM wait is attributed to scheduling time.
-                    w.timeline.record(Stamp::DramScheduled, now);
-                    w.timeline.record(Stamp::DramDone, now);
+                    let timeline = &mut reqs[w].timeline;
+                    timeline.record(Stamp::DramScheduled, now);
+                    timeline.record(Stamp::DramDone, now);
                     returns.push_back(w);
                 });
             }
-            self.returns.push_back(req);
+            self.returns.push_back(h);
         }
         self.dram_done = dram_done;
 
         // 2. Hit pipes: one data return per slice per cycle (a multi-slice
         //    L2 has genuinely more return bandwidth).
         for i in 0..self.slices.len() {
-            if let Some(mut req) = self.slices[i].hit_pipe.pop_ready(now) {
-                req.timeline.record(Stamp::L2Served, now);
-                self.returns.push_back(req);
+            if let Some(h) = self.slices[i].hit_pipe.pop_ready(now) {
+                reqs[h].timeline.record(Stamp::L2Served, now);
+                self.returns.push_back(h);
             }
         }
 
@@ -570,16 +632,16 @@ impl Partition {
         //    input queue, in slice index order (DRAM acceptance is
         //    arbitrated by that order, keeping runs deterministic).
         for i in 0..self.slices.len() {
-            self.tick_l2_slice(i, now, tracer);
+            self.tick_l2_slice(i, now, reqs, tracer);
         }
 
         // 4. ROP pipeline exit into the serving slice's input queue.
-        if let Some(head) = self.rop.front_ready(now) {
-            let idx = self.slice_index(head.addr);
+        if let Some(&head) = self.rop.front_ready(now) {
+            let idx = self.slice_index(reqs[head].addr);
             if !self.slices[idx].queue.is_full() {
-                let mut req = self.rop.pop_ready(now).expect("front was ready");
-                req.timeline.record(Stamp::L2QueueEnter, now);
-                self.slices[idx].queue.push(req).expect("space checked");
+                let h = self.rop.pop_ready(now).expect("front was ready");
+                reqs[h].timeline.record(Stamp::L2QueueEnter, now);
+                self.slices[idx].queue.push(h).expect("space checked");
             }
         }
 
@@ -591,19 +653,25 @@ impl Partition {
         // Sleep until the next cycle a tick can act. The returns are the
         // reply stage's to plan; the ejection stage after it only `accept`s
         // a request, which lowers the wake cycle.
-        (stores_done, self.next_event(now + 1))
+        (stores_done, self.next_event(now + 1, reqs))
     }
 
     /// The L2 access stage of slice `idx`: acts on its input-queue head
     /// as [`Partition::l2_route`] routes it.
-    fn tick_l2_slice(&mut self, idx: usize, now: Cycle, tracer: &mut Tracer) {
-        let route = self.l2_route(idx);
+    fn tick_l2_slice(
+        &mut self,
+        idx: usize,
+        now: Cycle,
+        reqs: &mut RequestTable,
+        tracer: &mut Tracer,
+    ) {
+        let route = self.l2_route(idx, reqs);
         if route == L2Route::Wait {
             return;
         }
         let slice = &mut self.slices[idx];
-        let addr = slice.queue.front().expect("a routed head").addr;
-        let addr = addr.align_down(self.granule);
+        let head = *slice.queue.front().expect("a routed head");
+        let addr = reqs[head].addr.align_down(self.granule);
         let site = TraceSite::Partition(self.id.get());
         match route {
             L2Route::Wait => unreachable!("a waiting head stays in the queue"),
@@ -613,8 +681,8 @@ impl Partition {
                 if let Some(l2) = slice.cache.as_mut() {
                     l2.store_invalidate(addr);
                 }
-                let req = slice.queue.pop().expect("head exists");
-                self.dram.enqueue(req, now);
+                let h = slice.queue.pop().expect("head exists");
+                self.enqueue_dram(h, now, reqs);
             }
             L2Route::StoreBack => {
                 // Write-allocate (tag-only, no fetch): the store completes
@@ -624,29 +692,26 @@ impl Partition {
                 if !l2.store_mark_dirty(addr) {
                     assert!(l2.allocate_dirty(addr), "a way was checked");
                 }
-                let mut req = slice.queue.pop().expect("head exists");
+                let mut req = reqs.remove(slice.queue.pop().expect("head exists"));
                 req.timeline.record(Stamp::L2Served, now);
                 tracer.retire_write(self.id.get(), req.timeline);
                 self.stores_retired_here += 1;
             }
             L2Route::Hit => {
                 let l2 = slice.cache.as_mut().expect("routed by the L2");
-                let req = slice.queue.pop().expect("head exists");
+                let h = slice.queue.pop().expect("head exists");
                 let _ = l2.load(addr); // records the hit
                 slice
                     .hit_pipe
-                    .push(now, req)
+                    .push(now, h)
                     .expect("hit pipe sized for the input queue");
             }
             L2Route::Merge => {
                 let l2 = slice.cache.as_mut().expect("routed by the L2");
-                let mut req = slice.queue.pop().expect("head exists");
+                let h = slice.queue.pop().expect("head exists");
                 let _ = l2.load(addr); // records the miss
-                req.timeline.record(Stamp::DramQueueEnter, now);
-                slice
-                    .mshr
-                    .try_merge(addr, req)
-                    .expect("merge space checked");
+                reqs[h].timeline.record(Stamp::DramQueueEnter, now);
+                slice.mshr.try_merge(addr, h).expect("merge space checked");
                 if tracer.enabled() {
                     tracer.record(TraceEvent {
                         cycle: now.get(),
@@ -660,10 +725,10 @@ impl Partition {
                 if !l2.reserve(addr) {
                     return;
                 }
-                let req = slice.queue.pop().expect("head exists");
+                let h = slice.queue.pop().expect("head exists");
                 let _ = l2.load(addr); // records the miss
                 assert!(slice.mshr.allocate(addr), "capacity checked");
-                self.dram.enqueue(req, now);
+                self.enqueue_dram(h, now, reqs);
                 if tracer.enabled() {
                     tracer.record(TraceEvent {
                         cycle: now.get(),
@@ -701,9 +766,9 @@ mod tests {
         cfg
     }
 
-    fn encoded(p: &Partition) -> Vec<u8> {
+    fn encoded(p: &Partition, reqs: &RequestTable) -> Vec<u8> {
         let mut e = Encoder::new();
-        p.encode_state(&mut e);
+        p.encode_state(&mut e, reqs);
         e.finish()
     }
 
@@ -722,22 +787,24 @@ mod tests {
                     AddressMap::new(1, cfg.partition_chunk, cfg.dram_banks, cfg.dram_row_bytes);
                 let id = PartitionId::new(0);
                 let mut p = Partition::new(id, &cfg, map);
+                let mut reqs = RequestTable::new();
                 let mut tracer = Tracer::new(TraceConfig::default());
                 let mut seen = [false; 6];
                 let mut seed = 0x9e37_79b9_7f4a_7c15u64;
                 let mut now = Cycle::ZERO;
                 for n in 0..3000 {
                     for i in 0..p.slices.len() {
-                        let before = encoded(&p);
+                        let before = encoded(&p, &reqs);
                         let mut copy = Partition::new(id, &cfg, map);
-                        copy.restore_state(&mut Decoder::open(&before).unwrap())
+                        let mut copy_reqs = RequestTable::new();
+                        copy.restore_state(&mut Decoder::open(&before).unwrap(), &mut copy_reqs)
                             .unwrap();
-                        assert_eq!(encoded(&copy), before, "restore is exact");
-                        let route = copy.l2_route(i);
+                        assert_eq!(encoded(&copy, &copy_reqs), before, "restore is exact");
+                        let route = copy.l2_route(i, &copy_reqs);
                         seen[route as usize] = true;
                         let queued = copy.slices[i].queue.len();
-                        copy.tick_l2_slice(i, now, &mut tracer);
-                        let moved = encoded(&copy) != before;
+                        copy.tick_l2_slice(i, now, &mut copy_reqs, &mut tracer);
+                        let moved = encoded(&copy, &copy_reqs) != before;
                         assert_eq!(
                             route == L2Route::Wait,
                             !moved,
@@ -768,10 +835,12 @@ mod tests {
                             n,
                             now,
                         );
-                        p.accept(req, now);
+                        p.accept(reqs.insert(req), now, &mut reqs);
                     }
-                    p.tick(now, &mut tracer);
-                    while p.pop_return().is_some() {}
+                    p.tick(now, &mut reqs, &mut tracer);
+                    while let Some(h) = p.pop_return() {
+                        reqs.remove(h);
+                    }
                     now.tick();
                 }
                 let (store, other) = match policy {

@@ -119,6 +119,19 @@ pub enum Violation {
         /// Number of leaked pending-load entries.
         entries: usize,
     },
+    /// The request table's records, with those lent to the DRAM channels,
+    /// disagree with the requests the pipeline structures hold: a slot
+    /// outlived its request, or a handle its slot.
+    TableCount {
+        /// Cycle of the audit.
+        cycle: Cycle,
+        /// Records in the table.
+        live: u64,
+        /// Records lent to the DRAM channels.
+        lent: u64,
+        /// Requests found in SMs, partitions and networks.
+        in_flight: u64,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -181,6 +194,16 @@ impl fmt::Display for Violation {
             Violation::PendingLoadLeak { site, entries } => write!(
                 f,
                 "{site}: {entries} pending-load entr(ies) survived the drain"
+            ),
+            Violation::TableCount {
+                cycle,
+                live,
+                lent,
+                in_flight,
+            } => write!(
+                f,
+                "request table out of step at cycle {cycle}: {live} record(s) stored and \
+                 {lent} lent to DRAM, but {in_flight} request(s) are in the pipeline"
             ),
         }
     }
@@ -329,6 +352,18 @@ impl Violation {
                 site.encode_state(e);
                 e.usize(*entries);
             }
+            Violation::TableCount {
+                cycle,
+                live,
+                lent,
+                in_flight,
+            } => {
+                e.u8(8);
+                e.u64(cycle.get());
+                e.u64(*live);
+                e.u64(*lent);
+                e.u64(*in_flight);
+            }
         }
     }
 
@@ -399,6 +434,12 @@ impl Violation {
             7 => Ok(Violation::PendingLoadLeak {
                 site: Site::decode(d)?,
                 entries: d.usize()?,
+            }),
+            8 => Ok(Violation::TableCount {
+                cycle: Cycle::new(d.u64()?),
+                live: d.u64()?,
+                lent: d.u64()?,
+                in_flight: d.u64()?,
             }),
             _ => Err(InvalidValue("unknown violation tag")),
         }

@@ -6,7 +6,9 @@
 //! generation/coalescing, the head of the paper's "SM Base" component), the
 //! L1 data cache with MSHRs, the L1 miss queue toward the interconnect (the
 //! paper's "L1toICNT" queue), and the response fill/writeback path (the tail
-//! of "Fetch2SM").
+//! of "Fetch2SM"). Its pipes and MSHR merge lists hold handles into the
+//! GPU's [`RequestTable`], where a request's record is created at issue and
+//! leaves at writeback.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -27,6 +29,7 @@ use crate::coalesce::coalesce_into;
 use crate::codec;
 use crate::config::{GpuConfig, SchedPolicy};
 use crate::ready::{slot_bit, Open, ReadySet, WarpClass};
+use crate::requests::{ReqHandle, RequestTable};
 use crate::sanitizer::{Sanitizer, Site, Violation, FILL_QUEUE, FRONT_QUEUE};
 use crate::scoreboard::Scoreboard;
 use crate::stats::{self, CompletedRequest, LoadInstrRecord, SmStats, TraceSink};
@@ -129,7 +132,7 @@ pub struct Sm {
     drained: usize,
     scoreboard: Scoreboard,
     alu_wb: BinaryHeap<Reverse<(u64, usize, Reg)>>,
-    front: DelayQueue<MemRequest>,
+    front: DelayQueue<ReqHandle>,
     /// The SM-side level descriptor (cached at construction; structural, not
     /// serialized). Audit labels derive from its kind.
     l1_desc: LevelDesc,
@@ -141,10 +144,10 @@ pub struct Sm {
     /// coalescer, L1/MSHR keys and request sizes all use it.
     granule: u64,
     l1_cache: Option<Cache>,
-    l1_mshr: MshrTable<MemRequest>,
-    l1_hit_pipe: DelayQueue<MemRequest>,
-    miss_queue: BoundedQueue<MemRequest>,
-    fill_pipe: DelayQueue<MemRequest>,
+    l1_mshr: MshrTable<ReqHandle>,
+    l1_hit_pipe: DelayQueue<ReqHandle>,
+    miss_queue: BoundedQueue<ReqHandle>,
+    fill_pipe: DelayQueue<ReqHandle>,
     /// The loads awaiting their last line, oldest token first. Tokens are
     /// handed out ascending, so a new load is appended and the codec's
     /// token order is the deque's own; a returning line finds its load by
@@ -485,11 +488,18 @@ impl Sm {
     /// Accepts a response ejected from the reply network: fills the L1 (if
     /// this space is cached), wakes MSHR waiters, and queues everything for
     /// writeback.
-    pub fn accept_response(&mut self, req: MemRequest, now: Cycle, tracer: &mut Tracer) {
+    pub fn accept_response(
+        &mut self,
+        h: ReqHandle,
+        now: Cycle,
+        reqs: &RequestTable,
+        tracer: &mut Tracer,
+    ) {
+        let req = &reqs[h];
         let fills_l1 = req.is_load() && !req.bypass_l1 && self.l1_routing.serves(req.space);
         let line = req.addr.align_down(self.granule);
         self.fill_pipe
-            .push(now, req)
+            .push(now, h)
             .unwrap_or_else(|_| panic!("fill pipe overflow; fill_space not checked"));
         if !fills_l1 {
             return;
@@ -516,12 +526,14 @@ impl Sm {
     }
 
     /// Writeback stage: releases completed ALU results and retires returned
-    /// memory responses. Returns the number of memory requests retired.
+    /// memory responses, each leaving the request table here. Returns the
+    /// number of memory requests retired.
     /// When the sanitizer is active, every retired request's timeline is
     /// audited on its way out.
     pub fn tick_writeback(
         &mut self,
         now: Cycle,
+        reqs: &mut RequestTable,
         sink: &mut TraceSink,
         mut sanitizer: Option<&mut Sanitizer>,
     ) -> u64 {
@@ -537,14 +549,16 @@ impl Sm {
         // Two writeback ports: returned fills and L1 hits.
         for _ in 0..2 {
             match self.fill_pipe.pop_ready(now) {
-                Some(req) => {
+                Some(h) => {
+                    let req = reqs.remove(h);
                     self.complete_response(req, now, sink, sanitizer.as_deref_mut());
                     retired += 1;
                 }
                 None => break,
             }
         }
-        if let Some(req) = self.l1_hit_pipe.pop_ready(now) {
+        if let Some(h) = self.l1_hit_pipe.pop_ready(now) {
+            let req = reqs.remove(h);
             self.complete_response(req, now, sink, sanitizer);
             retired += 1;
         }
@@ -658,27 +672,28 @@ impl Sm {
 
     /// L1 access stage: moves at most one transaction from the front-end
     /// pipe into the hit pipe or the miss queue.
-    pub fn tick_memory(&mut self, now: Cycle, tracer: &mut Tracer) {
-        let Some(head) = self.front.front_ready(now) else {
+    pub fn tick_memory(&mut self, now: Cycle, reqs: &mut RequestTable, tracer: &mut Tracer) {
+        let Some(&head) = self.front.front_ready(now) else {
             return;
         };
-        let route = self.l1_route(head);
+        let route = self.l1_route(&reqs[head]);
         if route == L1Route::Stall {
             return;
         }
-        let mut req = self.front.pop_ready(now).expect("front head ready");
+        let h = self.front.pop_ready(now).expect("front head ready");
+        let req = &mut reqs[h];
         let addr = req.addr.align_down(self.granule);
         match route {
             L1Route::Stall => unreachable!("a stalled head stays in the pipe"),
             L1Route::Forward => {
                 req.timeline.record(Stamp::L1Access, now);
-                if req.kind == AccessKind::Store && self.l1_serves(&req) {
+                if req.kind == AccessKind::Store && self.l1_serves(req) {
                     self.l1_cache
                         .as_mut()
                         .expect("served implies L1")
                         .store_invalidate(addr);
                 }
-                self.miss_queue.push(req).expect("capacity checked");
+                self.miss_queue.push(h).expect("capacity checked");
             }
             L1Route::Hit => {
                 // No stamp here: a hit never leaves the SM, so its entire
@@ -688,7 +703,7 @@ impl Sm {
                 let l1 = self.l1_cache.as_mut().expect("served implies L1");
                 let _ = l1.load(addr); // records the hit
                 self.l1_hit_pipe
-                    .push(now, req)
+                    .push(now, h)
                     .expect("hit pipe sized like the front pipe");
             }
             L1Route::Merge => {
@@ -697,7 +712,7 @@ impl Sm {
                 let l1 = self.l1_cache.as_mut().expect("served implies L1");
                 let _ = l1.load(addr); // records the miss
                 self.l1_mshr
-                    .try_merge(addr, req)
+                    .try_merge(addr, h)
                     .expect("merge space checked");
                 if tracer.enabled() {
                     tracer.record(TraceEvent {
@@ -713,7 +728,7 @@ impl Sm {
                 req.timeline.record(Stamp::L1Access, now);
                 let _ = l1.load(addr); // records the miss
                 assert!(self.l1_mshr.allocate(addr), "capacity checked");
-                self.miss_queue.push(req).expect("capacity checked");
+                self.miss_queue.push(h).expect("capacity checked");
                 if tracer.enabled() {
                     tracer.record(TraceEvent {
                         cycle: now.get(),
@@ -726,12 +741,12 @@ impl Sm {
     }
 
     /// Oldest request waiting to enter the interconnect, if any.
-    pub fn peek_miss(&self) -> Option<&MemRequest> {
-        self.miss_queue.front()
+    pub fn peek_miss(&self) -> Option<ReqHandle> {
+        self.miss_queue.front().copied()
     }
 
     /// Removes the oldest miss-queue request for network injection.
-    pub fn pop_miss(&mut self) -> Option<MemRequest> {
+    pub fn pop_miss(&mut self) -> Option<ReqHandle> {
         self.miss_queue.pop()
     }
 
@@ -743,6 +758,7 @@ impl Sm {
     pub fn tick_issue(
         &mut self,
         now: Cycle,
+        reqs: &mut RequestTable,
         device: &mut gpu_mem::DeviceMemory,
         tracer: &mut Tracer,
     ) -> u64 {
@@ -759,7 +775,7 @@ impl Sm {
             let (i, bit) = slot_bit(w);
             self.issued[i] |= bit;
             issued += 1;
-            new_requests += self.issue_warp(w, now, device, tracer, &mut lsu_used);
+            new_requests += self.issue_warp(w, now, reqs, device, tracer, &mut lsu_used);
         }
         self.issued_last_tick = issued > 0;
         if issued > 0 {
@@ -872,13 +888,13 @@ impl Sm {
     /// is part of a full tick of this SM — one the SM is due for anyway,
     /// by its port registration or its reply port — after which the wake
     /// is planned again.
-    fn next_maturity(&self, now: Cycle) -> Cycle {
+    fn next_maturity(&self, now: Cycle, reqs: &RequestTable) -> Cycle {
         let mut next = Cycle::MAX;
         if let Some(&Reverse((at, _, _))) = self.alu_wb.peek() {
             next = Cycle::new(at);
         }
-        if let Some((at, head)) = self.front.entries().next() {
-            if at < next && (at > now || self.l1_route(head) != L1Route::Stall) {
+        if let Some((at, &head)) = self.front.entries().next() {
+            if at < next && (at > now || self.l1_route(&reqs[head]) != L1Route::Stall) {
                 next = at;
             }
         }
@@ -906,13 +922,18 @@ impl Sm {
     /// same way when the ready set says no warp can issue next cycle; its
     /// issue closed its stall interval, so the run loop re-votes it too,
     /// opening the interval its next cycle would.
-    pub(crate) fn end_tick(&mut self, now: Cycle, port_blocked: bool) -> Cycle {
+    pub(crate) fn end_tick(
+        &mut self,
+        now: Cycle,
+        port_blocked: bool,
+        reqs: &RequestTable,
+    ) -> Cycle {
         self.maintain();
         let miss_waits = !self.miss_queue.is_empty() && !port_blocked;
         if miss_waits || (self.issued_last_tick && self.issuable(false, self.front_block())) {
             Cycle::ZERO
         } else {
-            self.next_maturity(now)
+            self.next_maturity(now, reqs)
         }
     }
 
@@ -1079,6 +1100,7 @@ impl Sm {
         &mut self,
         w: usize,
         now: Cycle,
+        reqs: &mut RequestTable,
         device: &mut gpu_mem::DeviceMemory,
         tracer: &mut Tracer,
         lsu_used: &mut bool,
@@ -1204,7 +1226,7 @@ impl Sm {
                         );
                         req.bypass_l1 = op.is_atomic;
                         self.front
-                            .push(now, req)
+                            .push(now, reqs.insert(req))
                             .unwrap_or_else(|_| panic!("front capacity checked at ready"));
                         new_requests += 1;
                     }
@@ -1251,7 +1273,7 @@ impl Sm {
     /// configuration (capacities, latencies) is *not* serialized — the GPU
     /// checkpoint stores the full [`GpuConfig`] once and rebuilds each SM
     /// from it before restoring.
-    pub fn encode_state(&self, e: &mut Encoder, now: Cycle) {
+    pub fn encode_state(&self, e: &mut Encoder, now: Cycle, reqs: &RequestTable) {
         let n_slots = self.cfg.max_warps_per_sm;
         e.usize(n_slots);
         for i in 0..n_slots {
@@ -1291,7 +1313,7 @@ impl Sm {
             e.usize(warp);
             e.u32(u32::from(reg));
         }
-        codec::encode_req_queue(e, &self.front);
+        codec::encode_req_queue(e, &self.front, reqs);
         match &self.l1_cache {
             None => e.bool(false),
             Some(c) => {
@@ -1300,10 +1322,10 @@ impl Sm {
             }
         }
         self.l1_mshr
-            .encode_state_with(e, |req, e| req.encode_state(e));
-        codec::encode_req_queue(e, &self.l1_hit_pipe);
-        codec::encode_req_fifo(e, &self.miss_queue);
-        codec::encode_req_queue(e, &self.fill_pipe);
+            .encode_state_with(e, |&h, e| reqs[h].encode_state(e));
+        codec::encode_req_queue(e, &self.l1_hit_pipe, reqs);
+        codec::encode_req_fifo(e, &self.miss_queue, reqs);
+        codec::encode_req_queue(e, &self.fill_pipe, reqs);
         e.usize(self.pending_loads.len());
         for (token, pl) in &self.pending_loads {
             e.u64(*token);
@@ -1327,7 +1349,9 @@ impl Sm {
     /// Overwrites this SM's dynamic state with a decoded checkpoint.
     /// `kernel` supplies the shared kernel and parameters live warps
     /// re-attach to (`None` when the checkpoint holds no launch, in which
-    /// case any live warp is rejected).
+    /// case any live warp is rejected); each decoded request is stored in
+    /// `reqs` (a fresh SM's: the handles it held before are dropped, not
+    /// freed).
     ///
     /// # Errors
     ///
@@ -1338,6 +1362,7 @@ impl Sm {
         &mut self,
         d: &mut Decoder,
         kernel: Option<(&Arc<Kernel>, &Arc<[u64]>)>,
+        reqs: &mut RequestTable,
     ) -> Result<(), SnapshotError> {
         use SnapshotError::InvalidValue;
         self.commit_slots();
@@ -1411,26 +1436,35 @@ impl Sm {
                 Reg::try_from(d.u32()?).map_err(|_| InvalidValue("register number overflow"))?;
             self.alu_wb.push(Reverse((at, warp, reg)));
         }
-        codec::restore_req_queue(&mut self.front, d, "front pipe occupancy exceeds capacity")?;
+        codec::restore_req_queue(
+            &mut self.front,
+            d,
+            reqs,
+            "front pipe occupancy exceeds capacity",
+        )?;
         match (d.bool()?, &mut self.l1_cache) {
             (true, Some(c)) => c.restore_state(d)?,
             (false, None) => {}
             _ => return Err(InvalidValue("L1 presence mismatch with configuration")),
         }
-        self.l1_mshr.restore_state_with(d, MemRequest::decode)?;
+        self.l1_mshr
+            .restore_state_with(d, |d| codec::decode_req(d, reqs))?;
         codec::restore_req_queue(
             &mut self.l1_hit_pipe,
             d,
+            reqs,
             "L1 hit pipe occupancy exceeds capacity",
         )?;
         codec::restore_req_fifo(
             &mut self.miss_queue,
             d,
+            reqs,
             "miss queue occupancy exceeds capacity",
         )?;
         codec::restore_req_queue(
             &mut self.fill_pipe,
             d,
+            reqs,
             "fill pipe occupancy exceeds capacity",
         )?;
         let mut pending_loads: Vec<(u64, PendingLoad)> = Vec::new();
@@ -1542,6 +1576,45 @@ impl MemBackend for IssueBackend<'_> {
                 }
             }
             _ => self.device.write_le(addr, width.bytes(), value),
+        }
+    }
+
+    fn load_lanes(
+        &mut self,
+        space: Space,
+        width: gpu_isa::Width,
+        lanes: &[gpu_isa::LaneAccess],
+        values: &mut [u64],
+    ) {
+        match space {
+            Space::Shared => {
+                for (a, v) in lanes.iter().zip(values) {
+                    *v = self.load(space, a.addr, width);
+                }
+            }
+            _ => self
+                .device
+                .read_lanes(width.bytes(), lanes.iter().map(|a| a.addr), values),
+        }
+    }
+
+    fn store_lanes(
+        &mut self,
+        space: Space,
+        width: gpu_isa::Width,
+        lanes: &[gpu_isa::LaneAccess],
+        values: &[u64],
+    ) {
+        match space {
+            Space::Shared => {
+                for (a, &v) in lanes.iter().zip(values) {
+                    self.store(space, a.addr, width, v);
+                }
+            }
+            _ => self.device.write_lanes(
+                width.bytes(),
+                lanes.iter().zip(values).map(|(a, &v)| (a.addr, v)),
+            ),
         }
     }
 

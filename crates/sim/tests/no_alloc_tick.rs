@@ -349,3 +349,46 @@ fn port_sleeps_and_dram_horizon_updates_allocate_nothing() {
     );
     assert!(scheduling > 1_000, "DRAM scheduled on {scheduling} of them");
 }
+
+/// The request table grows only to the peak number of requests in flight
+/// at once, so after a warm-up run it takes no more storage, issuing ticks
+/// included: a loaded mask BFS on the 15-SM gf100 after a traversal of
+/// twice the size, ticked in full, and the barrier-heavy reduction on the
+/// full gv100 after a warm-up launch of the same grid, driven by `run` one
+/// cycle at a time. The table grows only by pushing a slot, so a slot
+/// count that holds means no tick allocated for it.
+#[test]
+fn after_a_warm_up_no_tick_allocates_for_the_request_table() {
+    const BLOCK: u32 = 64;
+    let mut gpu = Gpu::new(ArchPreset::FermiGf100.config());
+    skip_harness::mask_bfs(4096, 8, 0x3A8, BLOCK)(&mut gpu, &mut |gpu| {
+        gpu.run(skip_harness::MAX_CYCLES).expect("warm-up drains");
+    });
+    let slots = gpu.requests().slots();
+    let mut peak = 0;
+    skip_harness::mask_bfs(2048, 8, 0x10AD, BLOCK)(&mut gpu, &mut |gpu| {
+        let retired = gpu.summary().ctas + u64::from(2048 / BLOCK);
+        while gpu.summary().ctas < retired {
+            gpu.tick();
+            assert_eq!(gpu.requests().slots(), slots, "cycle {}", gpu.now());
+            peak = peak.max(gpu.requests().live());
+        }
+        gpu.run(skip_harness::MAX_CYCLES)
+            .expect("the retired grid drains");
+    });
+    assert!(peak > 100, "only {peak} requests in flight at once");
+
+    const N: u64 = 16 * 256;
+    let mut gpu = Gpu::new(ArchPreset::VoltaGv100.config());
+    skip_harness::barrier_reduce(N)(&mut gpu, &mut |gpu| {
+        gpu.run(skip_harness::MAX_CYCLES).expect("warm-up drains");
+    });
+    let slots = gpu.requests().slots();
+    skip_harness::launch_reduce(&mut gpu, N);
+    let mut peak = 0;
+    while let (RunOutcome::Killed { .. }, _) = one_run_cycle(&mut gpu) {
+        assert_eq!(gpu.requests().slots(), slots, "cycle {}", gpu.now());
+        peak = peak.max(gpu.requests().live());
+    }
+    assert!(peak > 100, "only {peak} requests in flight at once");
+}

@@ -1,9 +1,11 @@
 //! Direct unit tests of the memory-partition pipeline: ROP delay, L2
 //! hit/miss handling, MSHR merging, DRAM interaction and stamp placement —
-//! driven request by request, without SMs or networks.
+//! driven request by request, without SMs or networks. The partition holds
+//! handles into a request table; each test hands requests in through its
+//! `Bench` and reads returned timelines out of it.
 
 use gpu_mem::{AccessKind, MemRequest, PipelineSpace, RequestId, Stamp};
-use gpu_sim::{GpuConfig, Partition, TraceConfig, Tracer};
+use gpu_sim::{GpuConfig, Partition, RequestTable, TraceConfig, Tracer};
 use gpu_types::{Addr, Cycle, PartitionId, SmId};
 
 fn config() -> GpuConfig {
@@ -15,10 +17,55 @@ fn no_trace() -> Tracer {
     Tracer::new(TraceConfig::default())
 }
 
-fn partition(cfg: &GpuConfig) -> Partition {
+/// A partition and the request table its queues hold handles into.
+struct Bench {
+    part: Partition,
+    reqs: RequestTable,
+}
+
+impl Bench {
+    fn can_accept(&self) -> bool {
+        self.part.can_accept()
+    }
+
+    fn accept(&mut self, req: MemRequest, now: Cycle) {
+        let h = self.reqs.insert(req);
+        self.part.accept(h, now, &mut self.reqs);
+    }
+
+    fn tick(&mut self, now: Cycle, tracer: &mut Tracer) {
+        self.part.tick(now, &mut self.reqs, tracer);
+    }
+
+    /// The oldest response, out of the table.
+    fn pop_return(&mut self) -> Option<MemRequest> {
+        self.part.pop_return().map(|h| self.reqs.remove(h))
+    }
+
+    fn is_idle(&self) -> bool {
+        self.part.is_idle()
+    }
+
+    fn stores_completed(&self) -> u64 {
+        self.part.stores_completed()
+    }
+
+    fn dram_stats(&self) -> gpu_mem::DramStats {
+        self.part.dram_stats()
+    }
+
+    fn l2_counts(&self) -> Option<(u64, u64)> {
+        self.part.l2_counts()
+    }
+}
+
+fn partition(cfg: &GpuConfig) -> Bench {
     // Single-partition map so partition-local == device addresses.
     let map = gpu_mem::AddressMap::new(1, cfg.partition_chunk, cfg.dram_banks, cfg.dram_row_bytes);
-    Partition::new(PartitionId::new(0), cfg, map)
+    Bench {
+        part: Partition::new(PartitionId::new(0), cfg, map),
+        reqs: RequestTable::new(),
+    }
 }
 
 fn load(id: u64, addr: u64, now: Cycle) -> MemRequest {
@@ -48,7 +95,7 @@ fn store(id: u64, addr: u64, now: Cycle) -> MemRequest {
 }
 
 /// Drives the partition until `want` responses have been produced.
-fn drain(p: &mut Partition, mut now: Cycle, want: usize, limit: u64) -> (Vec<MemRequest>, Cycle) {
+fn drain(p: &mut Bench, mut now: Cycle, want: usize, limit: u64) -> (Vec<MemRequest>, Cycle) {
     let mut out = Vec::new();
     for _ in 0..limit {
         p.tick(now, &mut no_trace());
@@ -219,7 +266,7 @@ mod write_back {
     use super::*;
     use gpu_sim::WritePolicy;
 
-    fn wb_partition() -> (GpuConfig, Partition) {
+    fn wb_partition() -> (GpuConfig, Bench) {
         let mut cfg = config();
         cfg.l2.as_mut().unwrap().write_policy = WritePolicy::WriteBack;
         let p = partition(&cfg);

@@ -109,6 +109,44 @@ fn seeded_mshr_leak_is_caught_by_sanitizer() {
     )));
 }
 
+/// A request record left in the request table with no structure holding
+/// its handle — a retirement that forgot to free its slot — changes no
+/// result and no outstanding count, so conservation holds; the table's own
+/// count against the pipeline catches it on the first audited cycle.
+#[test]
+fn seeded_request_table_leak_is_caught_by_sanitizer() {
+    let mut gpu = Gpu::new(small_config(true));
+    gpu.debug_seed_request_leak();
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_copy(&mut gpu, 2048)));
+    if cfg!(debug_assertions) {
+        let err = outcome.expect_err("sanitizer must panic on the seeded leak");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic carries the report");
+        assert!(msg.contains("request table"), "unexpected report: {msg}");
+    } else {
+        outcome.expect("release runs do not panic").expect("run ok");
+    }
+    let report = gpu.sanitizer();
+    assert!(!report.is_clean());
+    assert!(report.violations().iter().all(
+        |v| matches!(v, Violation::TableCount { live, lent, in_flight, .. }
+            if live + lent == in_flight + 1)
+    ));
+    assert!(matches!(
+        report.violations()[0],
+        Violation::TableCount { cycle, .. } if cycle.get() == 0
+    ));
+    assert_eq!(gpu.requests().live(), 1, "only the leaked record is left");
+
+    // Without the seed the same run keeps the table in step and empties it.
+    let mut gpu = Gpu::new(small_config(true));
+    run_copy(&mut gpu, 2048).expect("clean run");
+    assert!(gpu.sanitizer().is_clean(), "{}", gpu.sanitizer().report());
+    assert_eq!((gpu.requests().live(), gpu.requests().lent()), (0, 0));
+    assert!(gpu.requests().slots() > 0);
+}
+
 #[test]
 fn timeout_mid_load_names_what_is_stuck_on_both_sides() {
     // Cut the run off while the first loads are out at DRAM: the hang report

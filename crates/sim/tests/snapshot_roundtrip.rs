@@ -10,7 +10,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gpu_isa::{AluOp, CmpOp, Kernel, KernelBuilder, Launch, Special, Width};
-use gpu_sim::{CheckpointPolicy, Gpu, GpuConfig, RunOutcome, Sm, SmStats, StallReason};
+use gpu_sim::{
+    CheckpointPolicy, Gpu, GpuConfig, RequestTable, RunOutcome, Sm, SmStats, StallReason,
+};
 use gpu_snapshot::{Decoder, Encoder, SnapshotError, FORMAT_VERSION, MAGIC};
 use gpu_types::{Addr, Cycle, SmId};
 
@@ -254,7 +256,11 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 /// The unframed encoding of an idle SM of `cfg`.
 fn idle_sm_payload(cfg: &GpuConfig) -> Vec<u8> {
     let mut e = Encoder::new();
-    Sm::new(SmId::new(0), Arc::new(cfg.clone())).encode_state(&mut e, Cycle::ZERO);
+    Sm::new(SmId::new(0), Arc::new(cfg.clone())).encode_state(
+        &mut e,
+        Cycle::ZERO,
+        &RequestTable::new(),
+    );
     payload(&e.finish()).to_vec()
 }
 
@@ -267,7 +273,11 @@ fn restore_sm(
     let mut d = Decoder::open(&framed)?;
     let params: Arc<[u64]> = Arc::from([0u64, 0]);
     let mut sm = Sm::new(SmId::new(0), Arc::new(cfg.clone()));
-    sm.restore_state(&mut d, kernel.map(|k| (k, &params)))?;
+    sm.restore_state(
+        &mut d,
+        kernel.map(|k| (k, &params)),
+        &mut RequestTable::new(),
+    )?;
     d.expect_end()
 }
 
