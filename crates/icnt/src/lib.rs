@@ -235,9 +235,12 @@ impl<T> Crossbar<T> {
         self.queues[dst].next_ready()
     }
 
-    /// Total packets currently inside the network.
+    /// Total packets currently inside the network: those injected and not
+    /// yet ejected.
     pub fn in_flight(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        let n = (self.stats.injected - self.stats.ejected) as usize;
+        debug_assert_eq!(n, self.queues.iter().map(|q| q.len()).sum::<usize>());
+        n
     }
 
     /// Returns `true` if nothing is in flight.
@@ -276,7 +279,8 @@ impl<T> Crossbar<T> {
     /// # Errors
     ///
     /// Rejects snapshots whose destination count or queue occupancy exceeds
-    /// this crossbar's configuration, and propagates decoder errors.
+    /// this crossbar's configuration or whose injected and ejected counts
+    /// disagree with the packets queued, and propagates decoder errors.
     pub fn restore_state_with(
         &mut self,
         d: &mut gpu_snapshot::Decoder,
@@ -295,9 +299,13 @@ impl<T> Crossbar<T> {
                     .map_err(|_| InvalidValue("crossbar queue occupancy exceeds capacity"))?;
             }
         }
+        let queued: usize = self.queues.iter().map(|q| q.len()).sum();
         self.stats.injected = d.u64()?;
         self.stats.ejected = d.u64()?;
         self.stats.inject_stalls = d.u64()?;
+        if self.stats.injected.checked_sub(self.stats.ejected) != Some(queued as u64) {
+            return Err(InvalidValue("crossbar count disagrees with its queues"));
+        }
         Ok(())
     }
 }
@@ -529,6 +537,7 @@ mod conservation_tests {
                     sink.push(pkt);
                 }
             }
+            assert_eq!(x.in_flight(), (0..dests).map(|d| x.queued(d)).sum());
             now.tick();
         }
         // Drain.
@@ -539,6 +548,7 @@ mod conservation_tests {
                     sink.push(pkt);
                 }
             }
+            assert_eq!(x.in_flight(), (0..dests).map(|d| x.queued(d)).sum());
             now.tick();
         }
         for dst in 0..dests {

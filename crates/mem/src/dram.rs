@@ -254,18 +254,13 @@ impl DramController {
     /// `DramDone`).
     pub fn tick(&mut self, now: Cycle) -> Vec<MemRequest> {
         let mut done = Vec::new();
-        self.tick_into(now, &mut done);
+        self.tick_with(now, |req| done.push(req));
         done
     }
 
-    /// [`DramController::tick`] appending the completed requests to a
-    /// caller-owned sink, so a per-cycle caller allocates nothing.
-    pub fn tick_into(&mut self, now: Cycle, done: &mut Vec<MemRequest>) {
-        self.tick_with(now, |req| done.push(req));
-    }
-
     /// [`DramController::tick`] handing each completed request to `done`,
-    /// in the order [`DramController::tick`] returns them.
+    /// in the order [`DramController::tick`] returns them, so a per-cycle
+    /// caller allocates nothing.
     pub fn tick_with(&mut self, now: Cycle, done: impl FnMut(MemRequest)) {
         self.try_schedule(now);
         self.complete_with(now, done);

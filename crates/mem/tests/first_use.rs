@@ -165,7 +165,7 @@ fn request(i: usize) -> MemRequest {
 /// into `done`; returns the cycle after the last tick.
 fn drain(c: &mut DramController, mut now: Cycle, done: &mut Vec<MemRequest>) -> Cycle {
     while c.queued() + c.in_service() > 0 {
-        c.tick_into(now, done);
+        c.tick_with(now, |r| done.push(r));
         now += 1;
     }
     done.clear();

@@ -1,6 +1,6 @@
 //! What the run loop knows about each SM and partition without visiting
 //! it: the cycle its next tick is due, the cycle the head packet at its
-//! network port arrives, whether an SM holds warps, which full network
+//! network port arrives, how many SMs hold warps, which full network
 //! port an SM's miss or a partition's return waits on, and — for the
 //! sanitizer — the in-flight count a component's last audit measured.
 //! The due cycles are kept in [`Calendar`]s, so a ticked cycle visits the
@@ -39,10 +39,8 @@ pub(crate) struct Agenda {
     /// cycle an SM's tick is due. An empty SM with nothing pending and
     /// nothing arriving is in none of its sets until a hand-off.
     pub sms: Calendar,
-    /// Per SM, whether it holds warps (as of its last full tick or
-    /// dispatch).
-    pub sm_occupied: Vec<bool>,
-    /// How many entries of `sm_occupied` are set.
+    /// How many SMs hold warps: raised by a dispatch onto an empty SM,
+    /// lowered by a full tick that retires an SM's last CTA.
     pub occupied_sms: usize,
     /// The partitions by wake cycle: planned from `Partition::tick` and the
     /// reply injection after it, lowered by an accepted request that
@@ -79,8 +77,6 @@ pub(crate) struct Agenda {
     /// Whether an SM retired a CTA since the last dispatch stage: the one
     /// event that can let a stalled launch dispatch again.
     pub cta_retired: bool,
-    /// Packets inside both networks.
-    pub net_in_flight: u64,
     /// The machine's address map: which partition a miss head goes to.
     map: AddressMap,
 }
@@ -92,7 +88,6 @@ impl Agenda {
             sm_wake: vec![Cycle::ZERO; sms],
             sm_port: vec![Cycle::MAX; sms],
             sms: Calendar::new(sms, Cycle::ZERO),
-            sm_occupied: vec![false; sms],
             occupied_sms: 0,
             parts: Calendar::new(partitions, Cycle::ZERO),
             ports: Calendar::new(partitions, Cycle::MAX),
@@ -101,13 +96,12 @@ impl Agenda {
             revote: IndexSet::new(sms),
             ticked: Vec::with_capacity(partitions),
             cta_retired: false,
-            net_in_flight: 0,
             map,
         }
     }
 
-    /// Derives the ports, the occupancy and the network count from a
-    /// machine restored at `now`; every component stays due.
+    /// Derives the ports and the occupancy from a machine restored at
+    /// `now`; every component stays due.
     pub fn rebuild(
         &mut self,
         now: Cycle,
@@ -116,8 +110,8 @@ impl Agenda {
         reply_net: &Crossbar<ReqHandle>,
         reqs: &RequestTable,
     ) {
+        self.occupied_sms = occupied(sms);
         for (si, sm) in sms.iter().enumerate() {
-            self.set_occupied(si, sm.live_warps() > 0);
             self.set_sm_port(si, arrival(reply_net, si), now);
             self.port_waiters
                 .register(si, blocked_port(sm, &self.map, req_net, reqs));
@@ -125,7 +119,6 @@ impl Agenda {
         for pi in 0..self.ports.len() {
             self.ports.set(pi, arrival(req_net, pi), now);
         }
-        self.net_in_flight = (req_net.in_flight() + reply_net.in_flight()) as u64;
     }
 
     /// Starts cycle `now`: every component whose due cycle came joins its
@@ -183,20 +176,8 @@ impl Agenda {
         }
     }
 
-    /// Records whether SM `si` holds warps.
-    pub fn set_occupied(&mut self, si: usize, occupied: bool) {
-        if self.sm_occupied[si] != occupied {
-            self.sm_occupied[si] = occupied;
-            if occupied {
-                self.occupied_sms += 1;
-            } else {
-                self.occupied_sms -= 1;
-            }
-        }
-    }
-
-    /// Panics unless the calendars, the ports, the port registrations,
-    /// the occupancy and the network count agree with the machine between
+    /// Panics unless the calendars, the ports, the port registrations and
+    /// the occupancy agree with the machine between
     /// cycles, before cycle `now`. Run (in debug builds) wherever they are
     /// read.
     ///
@@ -230,7 +211,6 @@ impl Agenda {
                 self.sm_wake[si].min(self.sm_port[si]),
                 "SM {si}: due cycle"
             );
-            assert_eq!(self.sm_occupied[si], sm.live_warps() > 0, "SM {si}: warps");
             let waits_on = self.port_waiters.on(si);
             let blocked = blocked_port(sm, &self.map, req_net, reqs);
             assert!(
@@ -272,11 +252,13 @@ impl Agenda {
                 "partition {pi}: port"
             );
         }
-        let occupied = self.sm_occupied.iter().filter(|&&o| o).count();
-        assert_eq!(self.occupied_sms, occupied, "occupied SMs");
-        let in_flight = (req_net.in_flight() + reply_net.in_flight()) as u64;
-        assert_eq!(self.net_in_flight, in_flight, "network packets");
+        assert_eq!(self.occupied_sms, occupied(sms), "occupied SMs");
     }
+}
+
+/// How many of `sms` hold warps.
+fn occupied(sms: &[Sm]) -> usize {
+    sms.iter().filter(|sm| sm.live_warps() > 0).count()
 }
 
 /// A set of component indices, one bit each, walked a word at a time in

@@ -247,7 +247,6 @@ pub struct Gpu {
     /// SMs, partitions and networks hold handles into it.
     reqs: RequestTable,
     now: Cycle,
-    outstanding: u64,
     sink: TraceSink,
     tracer: Tracer,
     host_nanos: u64,
@@ -304,7 +303,6 @@ impl Gpu {
             reply_net,
             reqs: RequestTable::new(),
             now: Cycle::ZERO,
-            outstanding: 0,
             sink: TraceSink::default(),
             tracer,
             host_nanos: 0,
@@ -545,7 +543,7 @@ impl Gpu {
     /// Test hook: stores a request record in the request table and drops
     /// its handle, so the slot stays live with no structure holding it —
     /// a request that retired without leaving the table. The run drains
-    /// normally; only the sanitizer's per-cycle table count notices.
+    /// normally; only the sanitizer's per-cycle conservation check notices.
     pub fn debug_seed_request_leak(&mut self) {
         self.reqs.insert(MemRequest::new(
             RequestId::new(u64::MAX),
@@ -566,19 +564,19 @@ impl Gpu {
     }
 
     /// Whether the launch has drained. The kept counts answer first; the
-    /// components are asked only once no SM holds a warp and nothing is
-    /// outstanding, at the end of a launch.
+    /// components are asked only once no SM holds a warp and both networks
+    /// are empty, at the end of a launch.
     fn is_done(&self) -> bool {
         let dispatched_all = match &self.launch {
             Some(l) => l.next_cta >= l.launch.grid_dim,
             None => true,
         };
         dispatched_all
-            && self.outstanding == 0
             && self.agenda.occupied_sms == 0
-            && self.agenda.net_in_flight == 0
-            && self.sms.iter().all(Sm::is_idle)
+            && self.req_net.is_idle()
+            && self.reply_net.is_idle()
             && self.partitions.iter().all(Partition::is_idle)
+            && self.sms.iter().all(Sm::is_idle)
     }
 
     /// The cumulative run summary so far (the same value [`Gpu::run`]
@@ -647,7 +645,7 @@ impl Gpu {
         let mut e = Encoder::new();
         self.cfg.encode_state(&mut e);
         e.u64(self.now.get());
-        e.u64(self.outstanding);
+        e.u64(self.reqs.live() + self.reqs.lent());
         e.u64(self.host_nanos);
         e.u64(self.content_hash);
         e.bytes(&self.host_tag);
@@ -704,7 +702,7 @@ impl Gpu {
             .map_err(|_| InvalidValue("configuration fails structural validation"))?;
         let mut gpu = Gpu::new(cfg);
         gpu.now = Cycle::new(d.u64()?);
-        gpu.outstanding = d.u64()?;
+        let in_flight = d.u64()?;
         gpu.host_nanos = d.u64()?;
         gpu.content_hash = d.u64()?;
         gpu.host_tag = d.bytes()?.to_vec();
@@ -765,6 +763,11 @@ impl Gpu {
             .restore_state_with(&mut d, |d| codec::decode_req(d, reqs))?;
         gpu.reply_net
             .restore_state_with(&mut d, |d| codec::decode_req(d, reqs))?;
+        if in_flight != reqs.live() + reqs.lent() {
+            return Err(InvalidValue(
+                "in-flight count disagrees with the restored requests",
+            ));
+        }
         gpu.sink.restore_state(&mut d)?;
         gpu.tracer.restore_state(&mut d)?;
         gpu.sanitizer.restore_state(&mut d)?;
@@ -1111,8 +1114,7 @@ impl Gpu {
 
     fn tick_partition(&mut self, pi: usize, now: Cycle) {
         let _g = profile::span(ProfSpan::PartitionTick);
-        let (stores_done, wake) = self.partitions[pi].tick(now, &mut self.reqs, &mut self.tracer);
-        self.outstanding -= stores_done;
+        let wake = self.partitions[pi].tick(now, &mut self.reqs, &mut self.tracer);
         self.agenda.ticked.push((pi, wake));
         self.audited.partition_moved(pi);
     }
@@ -1145,7 +1147,6 @@ impl Gpu {
                 self.reply_net
                     .try_inject(pi, dst, h, now)
                     .expect("can_inject checked");
-                a.net_in_flight += 1;
                 let port = arrival(&self.reply_net, dst);
                 if port != a.sm_port[dst] {
                     a.set_sm_port(dst, port, now);
@@ -1185,7 +1186,6 @@ impl Gpu {
             match self.req_net.eject(pi, now) {
                 Some(h) => {
                     p.accept(h, now, &mut self.reqs);
-                    a.net_in_flight -= 1;
                     accepted += 1;
                 }
                 None => break,
@@ -1239,13 +1239,12 @@ impl Gpu {
         let _g = profile::span(ProfSpan::SmTick);
         sm.begin_tick(now);
         let sanitize = self.cfg.sanitize;
-        let retired = sm.tick_writeback(
+        sm.tick_writeback(
             now,
             &mut self.reqs,
             &mut self.sink,
             sanitize.then_some(&mut self.sanitizer),
         );
-        self.outstanding -= retired;
 
         let mut ejected = 0;
         while sm.fill_space() {
@@ -1253,7 +1252,6 @@ impl Gpu {
                 Some(h) => {
                     self.reqs[h].timeline.record(Stamp::ReplyEject, now);
                     sm.accept_response(h, now, &self.reqs, &mut self.tracer);
-                    a.net_in_flight -= 1;
                     ejected += 1;
                 }
                 None => break,
@@ -1280,25 +1278,25 @@ impl Gpu {
             self.req_net
                 .try_inject(si, dst, h, now)
                 .expect("can_inject checked");
-            a.net_in_flight += 1;
             let arrives = arrival(&self.req_net, dst);
             if arrives != a.ports.at(dst) {
                 a.ports.set(dst, arrives, now);
             }
         }
 
-        let created = sm.tick_issue(now, &mut self.reqs, &mut self.device, &mut self.tracer);
-        self.outstanding += created;
+        sm.tick_issue(now, &mut self.reqs, &mut self.device, &mut self.tracer);
         a.port_waiters.register(si, port);
         let warps = sm.live_warps();
         let wake = sm.end_tick(now, port.is_some(), &self.reqs);
         a.set_sm_wake(si, wake, now);
-        let occupied = sm.live_warps() > 0;
-        if sm.live_warps() < warps {
+        let live = sm.live_warps();
+        if live < warps {
             a.cta_retired = true;
+            if live == 0 {
+                a.occupied_sms -= 1;
+            }
         }
-        a.set_occupied(si, occupied);
-        if !occupied || (sm.issued_last_tick() && wake != Cycle::ZERO) {
+        if live == 0 || (sm.issued_last_tick() && wake != Cycle::ZERO) {
             a.revote.insert(si);
         }
         self.audited.sm_moved(si);
@@ -1339,15 +1337,16 @@ impl Gpu {
         }
         values[CounterKind::IcntInFlight.index()] =
             (self.req_net.in_flight() + self.reply_net.in_flight()) as u64;
-        values[CounterKind::Outstanding.index()] = self.outstanding;
+        values[CounterKind::Outstanding.index()] = self.reqs.live() + self.reqs.lent();
         values[CounterKind::DramRowHitPermille.index()] = row_hits * 1000 / serviced.max(1);
         self.tracer.sample(now.get(), values);
     }
 
-    /// Per-cycle sanitizer sweep: between ticks every live request must sit
-    /// in exactly one pipeline structure, so the global outstanding counter
-    /// must equal the sum of all per-component occupancies; each component's
-    /// queues and MSHR tables must respect their configured capacities.
+    /// Per-cycle sanitizer sweep: between ticks every request the table
+    /// holds must sit in exactly one pipeline structure, so the table's
+    /// count must equal the sum of all per-component occupancies; each
+    /// component's queues and MSHR tables must respect their configured
+    /// capacities.
     ///
     /// An audit of unchanged state finds what the last one found, so on a
     /// clean machine only the components that moved this cycle are audited,
@@ -1356,31 +1355,23 @@ impl Gpu {
     /// `everything` ([`Gpu::tick`]) and any finding so far (whose repeats
     /// a full audit would record each cycle) audit every component.
     ///
-    /// The request table is counted against the same total, in O(1): it
-    /// holds a record for every request in flight except those lent to
-    /// the DRAM channels, which it counts as lent.
+    /// The table's count is read in O(1): it holds a record for every
+    /// request in flight except those lent to the DRAM channels, which it
+    /// counts as lent.
     fn audit_cycle(&mut self, now: Cycle, everything: bool) {
         let san = &mut self.sanitizer;
         let everything = everything || !san.is_clean();
         // The crossbars hold requests but have no audited structure: their
         // capacity bounds are enforced by `can_inject`.
-        let in_flight = self.agenda.net_in_flight
+        let in_flight = (self.req_net.in_flight() + self.reply_net.in_flight()) as u64
             + self
                 .audited
                 .audit(&self.sms, &self.partitions, san, everything);
-        if in_flight != self.outstanding {
+        let table = self.reqs.live() + self.reqs.lent();
+        if table != in_flight {
             san.record(Violation::Conservation {
                 cycle: now,
-                outstanding: self.outstanding,
-                in_flight,
-            });
-        }
-        let (live, lent) = (self.reqs.live(), self.reqs.lent());
-        if live + lent != in_flight {
-            san.record(Violation::TableCount {
-                cycle: now,
-                live,
-                lent,
+                table,
                 in_flight,
             });
         }
@@ -1419,6 +1410,9 @@ impl Gpu {
                 .find(|&s| self.sms[s].can_dispatch(warps_needed));
             match target {
                 Some(s) => {
+                    if self.sms[s].live_warps() == 0 {
+                        self.agenda.occupied_sms += 1;
+                    }
                     self.sms[s].dispatch(
                         CtaId::new(l.next_cta),
                         &l.kernel,
@@ -1429,7 +1423,6 @@ impl Gpu {
                     l.next_cta += 1;
                     self.agenda.revote.insert(s);
                     self.agenda.set_sm_wake(s, Cycle::ZERO, self.now);
-                    self.agenda.set_occupied(s, true);
                     self.audited.sm_moved(s);
                 }
                 None => break,

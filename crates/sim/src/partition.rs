@@ -35,7 +35,7 @@ use crate::requests::{ReqHandle, RequestTable};
 use crate::sanitizer::{Sanitizer, Site, Violation, ROP_QUEUE};
 
 /// Token marking internally-generated dirty-eviction writebacks (they are
-/// not tracked in the GPU's outstanding-request accounting).
+/// not among the requests the GPU counts in flight).
 const EVICTION_TOKEN: u64 = u64::MAX - 1;
 
 /// Slots in each L2 slice's hit pipe: the most L2 hits one slice holds in
@@ -100,7 +100,6 @@ pub struct Partition {
     dram_done: Vec<ReqHandle>,
     returns: VecDeque<ReqHandle>,
     stores_completed_total: u64,
-    stores_retired_here: u64,
     evictions_in_flight: u64,
 }
 
@@ -138,7 +137,6 @@ impl Partition {
             dram_done: Vec::new(),
             returns: VecDeque::new(),
             stores_completed_total: 0,
-            stores_retired_here: 0,
             evictions_in_flight: 0,
         }
     }
@@ -332,8 +330,8 @@ impl Partition {
     /// SM-originated memory requests currently inside this partition: ROP
     /// pipe, L2 input queues, hit pipes, MSHR merge lists, DRAM controller
     /// and the return queue. Internally-generated eviction writebacks share
-    /// the DRAM queue but are not part of the GPU's outstanding accounting,
-    /// so they are subtracted out.
+    /// the DRAM queue but are not among the requests the GPU counts in
+    /// flight, so they are subtracted out.
     pub fn in_flight_requests(&self) -> u64 {
         let sliced: usize = self
             .slices
@@ -455,7 +453,9 @@ impl Partition {
             reqs[h].encode_state(e);
         }
         e.u64(self.stores_completed_total);
-        e.u64(self.stores_retired_here);
+        // The stores retired mid-tick, which were counted here before the
+        // tick ended; between ticks always none.
+        e.u64(0);
         e.u64(self.evictions_in_flight);
     }
 
@@ -467,8 +467,9 @@ impl Partition {
     /// # Errors
     ///
     /// Rejects structural mismatches with this partition's configuration
-    /// (queue capacities, L2 presence, cache geometry) and propagates
-    /// decoder errors.
+    /// (queue capacities, L2 presence, cache geometry), a store count
+    /// taken mid-tick, more eviction writebacks than the DRAM channel
+    /// holds, and propagates decoder errors.
     pub fn restore_state(
         &mut self,
         d: &mut Decoder,
@@ -510,23 +511,23 @@ impl Partition {
             self.returns.push_back(codec::decode_req(d, reqs)?);
         }
         self.stores_completed_total = d.u64()?;
-        self.stores_retired_here = d.u64()?;
+        if d.u64()? != 0 {
+            return Err(InvalidValue("partition store count taken mid-tick"));
+        }
         self.evictions_in_flight = d.u64()?;
+        if self.evictions_in_flight > (self.dram.queued() + self.dram.in_service()) as u64 {
+            return Err(InvalidValue(
+                "more eviction writebacks than the DRAM channel holds",
+            ));
+        }
         Ok(())
     }
 
-    /// Advances the partition one cycle. Returns the number of store
-    /// requests that retired this cycle (for global outstanding tracking)
-    /// and the cycle until which further ticks are the identity, unless a
-    /// request is accepted first: the one place a partition's wake cycle is
-    /// planned (the run loop stores it).
-    pub fn tick(
-        &mut self,
-        now: Cycle,
-        reqs: &mut RequestTable,
-        tracer: &mut Tracer,
-    ) -> (u64, Cycle) {
-        let mut stores_done = 0;
+    /// Advances the partition one cycle. Returns the cycle until which
+    /// further ticks are the identity, unless a request is accepted first:
+    /// the one place a partition's wake cycle is planned (the run loop
+    /// stores it).
+    pub fn tick(&mut self, now: Cycle, reqs: &mut RequestTable, tracer: &mut Tracer) -> Cycle {
         let site = TraceSite::Partition(self.id.get());
 
         // 0. Dirty victims of the (write-back) L2 become DRAM writes,
@@ -592,7 +593,7 @@ impl Partition {
             if reqs[h].kind == AccessKind::Store {
                 let req = reqs.remove(h);
                 if req.token != EVICTION_TOKEN {
-                    stores_done += 1;
+                    self.stores_completed_total += 1;
                 } else {
                     self.evictions_in_flight -= 1;
                 }
@@ -645,15 +646,10 @@ impl Partition {
             }
         }
 
-        // Stores retired at a write-back L2 this cycle (stage 3) are
-        // reported in the same tick so the global outstanding counter never
-        // sees a retired-but-unreported request.
-        stores_done += std::mem::take(&mut self.stores_retired_here);
-        self.stores_completed_total += stores_done;
         // Sleep until the next cycle a tick can act. The returns are the
         // reply stage's to plan; the ejection stage after it only `accept`s
         // a request, which lowers the wake cycle.
-        (stores_done, self.next_event(now + 1, reqs))
+        self.next_event(now + 1, reqs)
     }
 
     /// The L2 access stage of slice `idx`: acts on its input-queue head
@@ -695,7 +691,7 @@ impl Partition {
                 let mut req = reqs.remove(slice.queue.pop().expect("head exists"));
                 req.timeline.record(Stamp::L2Served, now);
                 tracer.retire_write(self.id.get(), req.timeline);
-                self.stores_retired_here += 1;
+                self.stores_completed_total += 1;
             }
             L2Route::Hit => {
                 let l2 = slice.cache.as_mut().expect("routed by the L2");

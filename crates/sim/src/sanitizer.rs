@@ -1,8 +1,8 @@
 //! Cycle-level invariant sanitizer.
 //!
 //! When [`crate::GpuConfig::sanitize`] is set, the simulator audits its own
-//! bookkeeping while it runs: request conservation (every request created is
-//! either retired or findable in exactly one pipeline structure), MSHR
+//! bookkeeping while it runs: request conservation (every request the
+//! request table holds is findable in exactly one pipeline structure), MSHR
 //! occupancy and end-of-run leaks, queue-capacity violations, per-request
 //! timeline monotonicity, and — the invariant the paper's Figure 1 depends
 //! on — that each retired request's per-stage components sum exactly to its
@@ -44,14 +44,15 @@ impl fmt::Display for Site {
 /// One detected invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
-    /// The global outstanding-request counter disagrees with the number of
-    /// requests actually present in the pipeline structures.
+    /// The request table's records, with those lent to the DRAM channels,
+    /// disagree with the requests the pipeline structures hold: a slot
+    /// outlived its request, or a handle its slot.
     Conservation {
         /// Cycle of the audit.
         cycle: Cycle,
-        /// Requests the GPU believes are in flight.
-        outstanding: u64,
-        /// Requests actually found in SMs, partitions and networks.
+        /// Records in the request table plus those lent to DRAM.
+        table: u64,
+        /// Requests found in SMs, partitions and networks.
         in_flight: u64,
     },
     /// An MSHR table still holds entries after the run drained.
@@ -119,19 +120,6 @@ pub enum Violation {
         /// Number of leaked pending-load entries.
         entries: usize,
     },
-    /// The request table's records, with those lent to the DRAM channels,
-    /// disagree with the requests the pipeline structures hold: a slot
-    /// outlived its request, or a handle its slot.
-    TableCount {
-        /// Cycle of the audit.
-        cycle: Cycle,
-        /// Records in the table.
-        live: u64,
-        /// Records lent to the DRAM channels.
-        lent: u64,
-        /// Requests found in SMs, partitions and networks.
-        in_flight: u64,
-    },
 }
 
 impl fmt::Display for Violation {
@@ -139,12 +127,12 @@ impl fmt::Display for Violation {
         match self {
             Violation::Conservation {
                 cycle,
-                outstanding,
+                table,
                 in_flight,
             } => write!(
                 f,
-                "conservation broken at cycle {cycle}: outstanding counter says \
-                 {outstanding} but {in_flight} request(s) are in the pipeline"
+                "conservation broken at cycle {cycle}: the request table holds \
+                 {table} request(s) but {in_flight} are in the pipeline"
             ),
             Violation::MshrLeak { site, lines } => {
                 write!(
@@ -194,16 +182,6 @@ impl fmt::Display for Violation {
             Violation::PendingLoadLeak { site, entries } => write!(
                 f,
                 "{site}: {entries} pending-load entr(ies) survived the drain"
-            ),
-            Violation::TableCount {
-                cycle,
-                live,
-                lent,
-                in_flight,
-            } => write!(
-                f,
-                "request table out of step at cycle {cycle}: {live} record(s) stored and \
-                 {lent} lent to DRAM, but {in_flight} request(s) are in the pipeline"
             ),
         }
     }
@@ -278,12 +256,12 @@ impl Violation {
         match self {
             Violation::Conservation {
                 cycle,
-                outstanding,
+                table,
                 in_flight,
             } => {
                 e.u8(0);
                 e.u64(cycle.get());
-                e.u64(*outstanding);
+                e.u64(*table);
                 e.u64(*in_flight);
             }
             Violation::MshrLeak { site, lines } => {
@@ -352,22 +330,12 @@ impl Violation {
                 site.encode_state(e);
                 e.usize(*entries);
             }
-            Violation::TableCount {
-                cycle,
-                live,
-                lent,
-                in_flight,
-            } => {
-                e.u8(8);
-                e.u64(cycle.get());
-                e.u64(*live);
-                e.u64(*lent);
-                e.u64(*in_flight);
-            }
         }
     }
 
-    /// Decodes a violation written by [`Violation::encode_state`].
+    /// Decodes a violation written by [`Violation::encode_state`]. Tag 8,
+    /// a table count written as its records and loans apart, decodes as
+    /// the [`Violation::Conservation`] it now is.
     ///
     /// # Errors
     ///
@@ -378,7 +346,7 @@ impl Violation {
         match d.u8()? {
             0 => Ok(Violation::Conservation {
                 cycle: Cycle::new(d.u64()?),
-                outstanding: d.u64()?,
+                table: d.u64()?,
                 in_flight: d.u64()?,
             }),
             1 => {
@@ -435,10 +403,12 @@ impl Violation {
                 site: Site::decode(d)?,
                 entries: d.usize()?,
             }),
-            8 => Ok(Violation::TableCount {
+            8 => Ok(Violation::Conservation {
                 cycle: Cycle::new(d.u64()?),
-                live: d.u64()?,
-                lent: d.u64()?,
+                table: d
+                    .u64()?
+                    .checked_add(d.u64()?)
+                    .ok_or(InvalidValue("request table count overflows"))?,
                 in_flight: d.u64()?,
             }),
             _ => Err(InvalidValue("unknown violation tag")),
@@ -725,13 +695,34 @@ mod tests {
         for i in 0..(MAX_STORED as u64 + 10) {
             san.record(Violation::Conservation {
                 cycle: Cycle::new(i),
-                outstanding: 1,
+                table: 1,
                 in_flight: 0,
             });
         }
         assert_eq!(san.violations().len(), MAX_STORED);
         assert_eq!(san.total(), MAX_STORED as u64 + 10);
         assert!(san.report().contains("and 10 more"));
+    }
+
+    /// A table count written under tag 8, records and loans apart, still
+    /// decodes: as a conservation finding over their sum.
+    #[test]
+    fn a_tag_8_table_count_decodes_as_conservation() {
+        let mut e = gpu_snapshot::Encoder::new();
+        e.u8(8);
+        for v in [12, 5, 2, 6] {
+            e.u64(v);
+        }
+        let framed = e.finish();
+        let mut d = gpu_snapshot::Decoder::open(&framed).unwrap();
+        assert_eq!(
+            Violation::decode(&mut d).unwrap(),
+            Violation::Conservation {
+                cycle: Cycle::new(12),
+                table: 7,
+                in_flight: 6,
+            }
+        );
     }
 
     #[test]

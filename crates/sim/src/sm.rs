@@ -526,8 +526,7 @@ impl Sm {
     }
 
     /// Writeback stage: releases completed ALU results and retires returned
-    /// memory responses, each leaving the request table here. Returns the
-    /// number of memory requests retired.
+    /// memory responses, each leaving the request table here.
     /// When the sanitizer is active, every retired request's timeline is
     /// audited on its way out.
     pub fn tick_writeback(
@@ -536,7 +535,7 @@ impl Sm {
         reqs: &mut RequestTable,
         sink: &mut TraceSink,
         mut sanitizer: Option<&mut Sanitizer>,
-    ) -> u64 {
+    ) {
         while let Some(&Reverse((c, w, r))) = self.alu_wb.peek() {
             if c > now.get() {
                 break;
@@ -545,14 +544,12 @@ impl Sm {
             self.scoreboard.release(w, r);
             self.reclassify(w);
         }
-        let mut retired = 0;
         // Two writeback ports: returned fills and L1 hits.
         for _ in 0..2 {
             match self.fill_pipe.pop_ready(now) {
                 Some(h) => {
                     let req = reqs.remove(h);
                     self.complete_response(req, now, sink, sanitizer.as_deref_mut());
-                    retired += 1;
                 }
                 None => break,
             }
@@ -560,9 +557,7 @@ impl Sm {
         if let Some(h) = self.l1_hit_pipe.pop_ready(now) {
             let req = reqs.remove(h);
             self.complete_response(req, now, sink, sanitizer);
-            retired += 1;
         }
-        retired
     }
 
     fn complete_response(
@@ -753,16 +748,15 @@ impl Sm {
     // ---- issue stage ------------------------------------------------------
 
     /// Issue stage: schedules up to `issue_width` ready warps and executes
-    /// one instruction each. Returns the number of new memory requests
-    /// created (the caller tracks global outstanding counts).
+    /// one instruction each; a memory instruction's requests enter the
+    /// request table here.
     pub fn tick_issue(
         &mut self,
         now: Cycle,
         reqs: &mut RequestTable,
         device: &mut gpu_mem::DeviceMemory,
         tracer: &mut Tracer,
-    ) -> u64 {
-        let mut new_requests = 0;
+    ) {
         let mut lsu_used = false;
         let mut issued = 0;
         // Only a memory issue fills the front pipe, and it takes the LSU
@@ -775,7 +769,7 @@ impl Sm {
             let (i, bit) = slot_bit(w);
             self.issued[i] |= bit;
             issued += 1;
-            new_requests += self.issue_warp(w, now, reqs, device, tracer, &mut lsu_used);
+            self.issue_warp(w, now, reqs, device, tracer, &mut lsu_used);
         }
         self.issued_last_tick = issued > 0;
         if issued > 0 {
@@ -792,7 +786,6 @@ impl Sm {
         } else {
             self.vote_run(self.stall_vote(), now, tracer);
         }
-        new_requests
     }
 
     /// The reason a zero-issue cycle in the SM's current state stalls for;
@@ -1104,7 +1097,7 @@ impl Sm {
         device: &mut gpu_mem::DeviceMemory,
         tracer: &mut Tracer,
         lsu_used: &mut bool,
-    ) -> u64 {
+    ) {
         // The warp steps where it sits: `slot` borrows its slot, and the
         // rest of the SM is reached through its other fields.
         let slot = self.slots[w]
@@ -1125,7 +1118,6 @@ impl Sm {
             })
         };
 
-        let mut new_requests = 0;
         match outcome {
             StepOutcome::Ready => {
                 let lat = match class {
@@ -1228,7 +1220,6 @@ impl Sm {
                         self.front
                             .push(now, reqs.insert(req))
                             .unwrap_or_else(|_| panic!("front capacity checked at ready"));
-                        new_requests += 1;
                     }
                     self.lines = lines;
                 }
@@ -1258,7 +1249,6 @@ impl Sm {
             }
         }
         self.reclassify(w);
-        new_requests
     }
 
     // ---- snapshot codec ---------------------------------------------------

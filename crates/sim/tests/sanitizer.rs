@@ -111,8 +111,8 @@ fn seeded_mshr_leak_is_caught_by_sanitizer() {
 
 /// A request record left in the request table with no structure holding
 /// its handle — a retirement that forgot to free its slot — changes no
-/// result and no outstanding count, so conservation holds; the table's own
-/// count against the pipeline catches it on the first audited cycle.
+/// result; the table's count against the pipeline catches it on the first
+/// audited cycle.
 #[test]
 fn seeded_request_table_leak_is_caught_by_sanitizer() {
     let mut gpu = Gpu::new(small_config(true));
@@ -130,12 +130,12 @@ fn seeded_request_table_leak_is_caught_by_sanitizer() {
     let report = gpu.sanitizer();
     assert!(!report.is_clean());
     assert!(report.violations().iter().all(
-        |v| matches!(v, Violation::TableCount { live, lent, in_flight, .. }
-            if live + lent == in_flight + 1)
+        |v| matches!(v, Violation::Conservation { table, in_flight, .. }
+            if *table == in_flight + 1)
     ));
     assert!(matches!(
         report.violations()[0],
-        Violation::TableCount { cycle, .. } if cycle.get() == 0
+        Violation::Conservation { cycle, .. } if cycle.get() == 0
     ));
     assert_eq!(gpu.requests().live(), 1, "only the leaked record is left");
 

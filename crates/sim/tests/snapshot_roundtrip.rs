@@ -46,6 +46,15 @@ fn copy_kernel() -> gpu_isa::Kernel {
 fn mid_flight_gpu(cycles: u64) -> Gpu {
     let mut gpu = Gpu::new(small_config());
     gpu.set_tracing(true);
+    launch_copy(&mut gpu);
+    for _ in 0..cycles {
+        gpu.tick();
+    }
+    gpu
+}
+
+/// Launches the copy kernel over 2 048 words.
+fn launch_copy(gpu: &mut Gpu) {
     let n = 2048u64;
     let src = gpu.alloc(4 * n, 128);
     let dst = gpu.alloc(4 * n, 128);
@@ -57,10 +66,6 @@ fn mid_flight_gpu(cycles: u64) -> Gpu {
         Launch::new((n as u32).div_ceil(128), 128, vec![src.get(), dst.get()]),
     )
     .expect("launch");
-    for _ in 0..cycles {
-        gpu.tick();
-    }
-    gpu
 }
 
 #[test]
@@ -243,6 +248,97 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     let mut e = Encoder::new();
     payload.iter().for_each(|&b| e.u8(b));
     e.finish()
+}
+
+// ---- decoded counts against the decoded state -----------------------------
+//
+// A checkpoint writes three counts beside what they count: the requests in
+// flight, each crossbar's injected and ejected packets, and each
+// partition's stores retired mid-tick (between ticks always none). A count
+// that disagrees with the state decoded beside it is a typed error.
+
+/// Asserts that `payload`, framed, fails to restore with an
+/// `InvalidValue` naming `what`.
+fn assert_rejected(payload: &[u8], what: &str) {
+    match Gpu::restore(&frame(payload)) {
+        Err(SnapshotError::InvalidValue(msg)) => assert!(msg.contains(what), "{msg}"),
+        other => panic!(
+            "expected InvalidValue naming {what:?}, got {:?}",
+            other.err()
+        ),
+    }
+}
+
+/// Adds `delta` to the `u64` at byte `at` of `payload`, returning the old
+/// value.
+fn bump_u64(payload: &mut [u8], at: usize, delta: u64) -> u64 {
+    let field: &mut [u8; 8] = (&mut payload[at..at + 8]).try_into().unwrap();
+    let old = u64::from_le_bytes(*field);
+    *field = old.wrapping_add(delta).to_le_bytes();
+    old
+}
+
+/// A drained copy run, untraced and unsanitized, and its payload: both
+/// networks are empty, and the payload ends with the reply network's
+/// statistics and then an untouched sink, tracer and sanitizer. Returns
+/// the offset where the request network's encoding starts and where the
+/// reply network's statistics do.
+fn drained_payload() -> (Vec<u8>, usize, usize) {
+    let mut cfg = small_config();
+    cfg.trace.enabled = false;
+    let mut gpu = Gpu::new(cfg.clone());
+    launch_copy(&mut gpu);
+    gpu.run(10_000_000).expect("drains");
+    let state = payload(&gpu.snapshot()).to_vec();
+    let mut tail = Encoder::new();
+    gpu_sim::TraceSink::default().encode_state(&mut tail);
+    gpu_sim::Tracer::new(cfg.trace).encode_state(&mut tail);
+    gpu_sim::Sanitizer::new().encode_state(&mut tail);
+    let tail_at = state.len() - tail.len();
+    assert_eq!(state[tail_at..], payload(&tail.finish())[..], "tail");
+    // An empty network: its destination count, an empty queue per
+    // destination, then injected, ejected and stalled.
+    let empty_net = |dests: usize| 8 + 8 * dests + 24;
+    let stats_at = tail_at - 24;
+    let req_net_at = tail_at - empty_net(cfg.num_sms) - empty_net(cfg.num_partitions);
+    (state, req_net_at, stats_at)
+}
+
+#[test]
+fn restore_rejects_an_in_flight_count_the_table_disagrees_with() {
+    let gpu = mid_flight_gpu(200);
+    let mut tampered = payload(&gpu.snapshot()).to_vec();
+    let mut cfg = Encoder::new();
+    gpu.config().encode_state(&mut cfg);
+    // The count follows the configuration and the cycle.
+    let at = cfg.len() + 8;
+    let table = gpu.requests().live() + gpu.requests().lent();
+    assert!(table > 0, "requests are in flight");
+    assert_eq!(bump_u64(&mut tampered, at, 1), table);
+    assert_rejected(&tampered, "in-flight count");
+    bump_u64(&mut tampered, at, u64::MAX - 1);
+    assert_rejected(&tampered, "in-flight count");
+}
+
+#[test]
+fn restore_rejects_a_crossbar_count_its_queues_disagree_with() {
+    let (payload, _, stats_at) = drained_payload();
+    Gpu::restore(&frame(&payload)).expect("the untampered checkpoint restores");
+    for (field, delta) in [(0, 1), (8, 1), (0, u64::MAX)] {
+        let mut tampered = payload.clone();
+        bump_u64(&mut tampered, stats_at + field, delta);
+        assert_rejected(&tampered, "crossbar count");
+    }
+}
+
+#[test]
+fn restore_rejects_a_store_count_taken_mid_tick() {
+    let (payload, req_net_at, _) = drained_payload();
+    let mut tampered = payload.clone();
+    // The last partition ends with its retired stores, the stores retired
+    // mid-tick and its eviction writebacks.
+    assert_eq!(bump_u64(&mut tampered, req_net_at - 16, 1), 0);
+    assert_rejected(&tampered, "mid-tick");
 }
 
 // ---- decoded indices into the SM's dense state ----------------------------
