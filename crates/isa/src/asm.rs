@@ -376,20 +376,10 @@ fn parse_operand(s: &str, lineno: usize) -> Result<Operand, AsmError> {
 }
 
 fn parse_special(s: &str, lineno: usize) -> Result<Special, AsmError> {
-    Ok(match s {
-        "%tid.x" => Special::TidX,
-        "%ctaid.x" => Special::CtaIdX,
-        "%ntid.x" => Special::NTidX,
-        "%nctaid.x" => Special::NCtaIdX,
-        "%laneid" => Special::LaneId,
-        "%gtid" => Special::GlobalTid,
-        other => {
-            return Err(AsmError::new(
-                lineno,
-                AsmErrorKind::UnknownSpecial(other.to_string()),
-            ))
-        }
-    })
+    Special::ALL
+        .into_iter()
+        .find(|sp| sp.name() == s)
+        .ok_or_else(|| AsmError::new(lineno, AsmErrorKind::UnknownSpecial(s.to_string())))
 }
 
 /// Parses `[rN+off]`, `[rN-off]`, or `[rN]`.
@@ -418,17 +408,10 @@ fn parse_addr(s: &str, lineno: usize) -> Result<(Reg, i64), AsmError> {
 }
 
 fn parse_space(s: &str, lineno: usize) -> Result<Space, AsmError> {
-    Ok(match s {
-        "global" => Space::Global,
-        "local" => Space::Local,
-        "shared" => Space::Shared,
-        other => {
-            return Err(AsmError::new(
-                lineno,
-                AsmErrorKind::UnknownSpace(other.to_string()),
-            ))
-        }
-    })
+    Space::ALL
+        .into_iter()
+        .find(|sp| sp.name() == s)
+        .ok_or_else(|| AsmError::new(lineno, AsmErrorKind::UnknownSpace(s.to_string())))
 }
 
 fn parse_width(s: &str, lineno: usize) -> Result<Width, AsmError> {
@@ -455,41 +438,19 @@ fn parse_target(s: &str) -> Target {
 }
 
 fn alu_op(mnemonic: &str) -> Option<AluOp> {
-    Some(match mnemonic {
-        "add" => AluOp::Add,
-        "sub" => AluOp::Sub,
-        "mul" => AluOp::Mul,
-        "div" => AluOp::Div,
-        "rem" => AluOp::Rem,
-        "min" => AluOp::Min,
-        "max" => AluOp::Max,
-        "and" => AluOp::And,
-        "or" => AluOp::Or,
-        "xor" => AluOp::Xor,
-        "shl" => AluOp::Shl,
-        "shr" => AluOp::Shr,
-        "fadd" => AluOp::FAdd,
-        "fmul" => AluOp::FMul,
-        "fdiv" => AluOp::FDiv,
-        _ => return None,
-    })
+    AluOp::ALL.into_iter().find(|op| op.mnemonic() == mnemonic)
 }
 
 fn cmp_op(mnemonic: &str, lineno: usize) -> Result<CmpOp, AsmError> {
-    Ok(match mnemonic {
-        "eq" => CmpOp::Eq,
-        "ne" => CmpOp::Ne,
-        "lt" => CmpOp::Lt,
-        "le" => CmpOp::Le,
-        "gt" => CmpOp::Gt,
-        "ge" => CmpOp::Ge,
-        other => {
-            return Err(AsmError::new(
+    CmpOp::ALL
+        .into_iter()
+        .find(|op| op.mnemonic() == mnemonic)
+        .ok_or_else(|| {
+            AsmError::new(
                 lineno,
-                AsmErrorKind::UnknownComparison(other.to_string()),
-            ))
-        }
-    })
+                AsmErrorKind::UnknownComparison(mnemonic.to_string()),
+            )
+        })
 }
 
 fn operands(rest: &str) -> Vec<&str> {
@@ -682,6 +643,24 @@ fn parse_instr(line: &str, lineno: usize) -> Result<Parsed, AsmError> {
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
+
+    /// The parser reads names from the tables the disassembler writes
+    /// them with, so each name is one variant's and parses back to it.
+    #[test]
+    fn every_name_parses_back_to_its_variant() {
+        for op in AluOp::ALL {
+            assert_eq!(alu_op(op.mnemonic()), Some(op));
+        }
+        for op in CmpOp::ALL {
+            assert_eq!(cmp_op(op.mnemonic(), 1), Ok(op));
+        }
+        for sp in Special::ALL {
+            assert_eq!(parse_special(sp.name(), 1), Ok(sp));
+        }
+        for sp in Space::ALL {
+            assert_eq!(parse_space(sp.name(), 1), Ok(sp));
+        }
+    }
 
     #[test]
     fn parse_minimal_kernel() {

@@ -38,14 +38,23 @@ pub enum Space {
     Shared,
 }
 
-impl fmt::Display for Space {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Space {
+    /// Every space, in declaration order.
+    pub const ALL: [Space; 3] = [Space::Global, Space::Local, Space::Shared];
+
+    /// Assembly name (see [`crate::asm`]).
+    pub fn name(self) -> &'static str {
+        match self {
             Space::Global => "global",
             Space::Local => "local",
             Space::Shared => "shared",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Space {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -526,6 +535,25 @@ impl Instr {
 }
 
 impl AluOp {
+    /// Every ALU operation, in declaration order.
+    pub const ALL: [AluOp; 15] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::Div,
+        AluOp::Rem,
+        AluOp::Min,
+        AluOp::Max,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::FAdd,
+        AluOp::FMul,
+        AluOp::FDiv,
+    ];
+
     /// Assembly mnemonic (see [`crate::asm`]).
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -549,6 +577,16 @@ impl AluOp {
 }
 
 impl CmpOp {
+    /// Every comparison, in declaration order.
+    pub const ALL: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
     /// Assembly mnemonic suffix (see [`crate::asm`]).
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -563,6 +601,16 @@ impl CmpOp {
 }
 
 impl Special {
+    /// Every special register, in declaration order.
+    pub const ALL: [Special; 6] = [
+        Special::TidX,
+        Special::CtaIdX,
+        Special::NTidX,
+        Special::NCtaIdX,
+        Special::LaneId,
+        Special::GlobalTid,
+    ];
+
     /// Assembly register name (see [`crate::asm`]).
     pub fn name(self) -> &'static str {
         match self {
