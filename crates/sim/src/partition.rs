@@ -60,8 +60,9 @@ struct L2Slice {
 enum L2Route {
     /// Nothing moves: the queue is empty, or its head waits on the DRAM
     /// queue, the MSHR table, its line's merge list or, for a write-back
-    /// store, a way of its set that an in-flight fill holds. Only the DRAM
-    /// channel's next schedule or completion clears a wait.
+    /// store or a primary miss, a way of its set that an in-flight fill
+    /// holds. Only the DRAM channel's next schedule or completion clears a
+    /// wait.
     Wait,
     /// No L2, or a write-through store (which evicts its line): on to the
     /// DRAM queue.
@@ -73,9 +74,8 @@ enum L2Route {
     Hit,
     /// A miss on a line already in flight: parks on its MSHR entry.
     Merge,
-    /// A primary miss with an MSHR entry and a DRAM slot to go to: tries to
-    /// reserve a way. The attempt acts even when every way is reserved,
-    /// because it advances the replacement clock.
+    /// A primary miss with an MSHR entry, a way and a DRAM slot to go to:
+    /// reserves the way.
     Miss,
 }
 
@@ -314,7 +314,13 @@ impl Partition {
             },
             Some(l2) if l2.probe(addr) => L2Route::Hit,
             Some(_) if slice.mshr.can_merge(addr) => L2Route::Merge,
-            Some(_) if slice.mshr.is_pending(addr) || !slice.mshr.can_allocate() => L2Route::Wait,
+            Some(l2)
+                if slice.mshr.is_pending(addr)
+                    || !slice.mshr.can_allocate()
+                    || !l2.has_way(addr) =>
+            {
+                L2Route::Wait
+            }
             Some(_) => L2Route::Miss,
         };
         // What goes on to the DRAM queue waits for a slot there.
@@ -718,9 +724,7 @@ impl Partition {
             }
             L2Route::Miss => {
                 let l2 = slice.cache.as_mut().expect("routed by the L2");
-                if !l2.reserve(addr) {
-                    return;
-                }
+                assert!(l2.reserve(addr), "a way was checked");
                 let h = slice.queue.pop().expect("head exists");
                 let _ = l2.load(addr); // records the miss
                 assert!(slice.mshr.allocate(addr), "capacity checked");
@@ -770,12 +774,13 @@ mod tests {
 
     /// `l2_route` is `Wait` exactly when the access stage leaves the
     /// partition's encoded state byte-identical — `next_event` lets a
-    /// partition sleep on that. A failed `reserve` moves the replacement
-    /// clock, so it counts as a move. Random accepts and ticks on small L2
-    /// slices reach every route, write-back and write-through.
+    /// partition sleep on that. A primary miss whose set has every way
+    /// reserved waits, as a write-back store there does. Random accepts and
+    /// ticks on small L2 slices reach every route, write-back and
+    /// write-through, and such a miss.
     #[test]
     fn an_l2_head_waits_exactly_when_the_access_stage_moves_nothing() {
-        let mut failed_reserves = 0;
+        let mut full_set_misses = 0;
         for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
             for (entries, sectored) in [(2, false), (2, true), (4, false)] {
                 let cfg = small_l2(policy, entries, sectored);
@@ -798,7 +803,23 @@ mod tests {
                         assert_eq!(encoded(&copy, &copy_reqs), before, "restore is exact");
                         let route = copy.l2_route(i, &copy_reqs);
                         seen[route as usize] = true;
-                        let queued = copy.slices[i].queue.len();
+                        let slice = &copy.slices[i];
+                        let full_set_miss = slice.queue.front().is_some_and(|&h| {
+                            let req = &copy_reqs[h];
+                            let addr = req.addr.align_down(copy.granule);
+                            req.kind == AccessKind::Load
+                                && slice
+                                    .cache
+                                    .as_ref()
+                                    .is_some_and(|l2| !l2.probe(addr) && !l2.has_way(addr))
+                                && !slice.mshr.is_pending(addr)
+                                && slice.mshr.can_allocate()
+                                && copy.dram.can_accept()
+                        });
+                        if full_set_miss {
+                            assert_eq!(route, L2Route::Wait, "a miss with no way to take");
+                            full_set_misses += 1;
+                        }
                         copy.tick_l2_slice(i, now, &mut copy_reqs, &mut tracer);
                         let moved = encoded(&copy, &copy_reqs) != before;
                         assert_eq!(
@@ -807,9 +828,6 @@ mod tests {
                             "{policy:?}, {entries} entries, sectored {sectored}, \
                              cycle {now}, slice {i}: {route:?}"
                         );
-                        if route == L2Route::Miss && copy.slices[i].queue.len() == queued {
-                            failed_reserves += 1;
-                        }
                     }
                     seed ^= seed << 13;
                     seed ^= seed >> 7;
@@ -858,6 +876,6 @@ mod tests {
                 assert!(!seen[other as usize], "{policy:?}: {other:?}");
             }
         }
-        assert!(failed_reserves > 0, "no miss found every way reserved");
+        assert!(full_set_misses > 0, "no miss found every way reserved");
     }
 }

@@ -344,8 +344,11 @@ fn an_l2_slice_stalled_on_a_full_mshr_table_sleeps_and_matches_stepping() {
 }
 
 /// The 15-SM gf100 with L2 slices of one two-way set: a third line in
-/// flight finds both ways reserved. Each such attempt still advances the
-/// slice's replacement clock, so the partition must stay awake for it.
+/// flight finds both ways reserved. Such a miss changes nothing until a
+/// fill frees a way, so the partition sleeps until its DRAM channel
+/// delivers one. (A build whose miss retried every cycle, advancing only
+/// the replacement clock, slept 229 139 partition ticks here and 36 956 on
+/// the write-back vecadd below.)
 fn reserved_l2_gf100() -> gpu_sim::GpuConfig {
     let mut cfg = ArchPreset::FermiGf100.config();
     let l2 = cfg.l2.as_mut().expect("gf100 has an L2");
@@ -360,7 +363,7 @@ fn an_l2_slice_with_every_way_reserved_matches_stepping() {
         let what = format!("reserved-L2 BFS, tracing {}", cfg.trace.enabled);
         let o = assert_skip_invisible(&what, &cfg, &mask_bfs(512, 8, 20150309, 64));
         assert_eq!(
-            o.idle.partition_ticks_slept, 229_139,
+            o.idle.partition_ticks_slept, 262_860,
             "{what}: {:?}",
             o.idle
         );
@@ -383,7 +386,11 @@ fn a_write_back_store_waiting_for_a_reserved_way_sleeps_and_matches_stepping() {
         );
         let o = assert_skip_invisible(&what, &cfg, &vecadd(16_384));
         assert_eq!(o.summary.l2_misses, 1536, "{what}");
-        assert_eq!(o.idle.partition_ticks_slept, 36_956, "{what}: {:?}", o.idle);
+        assert_eq!(
+            o.idle.partition_ticks_slept, 180_238,
+            "{what}: {:?}",
+            o.idle
+        );
     }
 }
 
