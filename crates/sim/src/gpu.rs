@@ -645,7 +645,7 @@ impl Gpu {
         let mut e = Encoder::new();
         self.cfg.encode_state(&mut e);
         e.u64(self.now.get());
-        e.u64(self.reqs.live() + self.reqs.lent());
+        e.u64(self.reqs.in_flight());
         e.u64(self.host_nanos);
         e.u64(self.content_hash);
         e.bytes(&self.host_tag);
@@ -763,7 +763,7 @@ impl Gpu {
             .restore_state_with(&mut d, |d| codec::decode_req(d, reqs))?;
         gpu.reply_net
             .restore_state_with(&mut d, |d| codec::decode_req(d, reqs))?;
-        if in_flight != reqs.live() + reqs.lent() {
+        if in_flight != reqs.in_flight() {
             return Err(InvalidValue(
                 "in-flight count disagrees with the restored requests",
             ));
@@ -1337,7 +1337,7 @@ impl Gpu {
         }
         values[CounterKind::IcntInFlight.index()] =
             (self.req_net.in_flight() + self.reply_net.in_flight()) as u64;
-        values[CounterKind::Outstanding.index()] = self.reqs.live() + self.reqs.lent();
+        values[CounterKind::Outstanding.index()] = self.reqs.in_flight();
         values[CounterKind::DramRowHitPermille.index()] = row_hits * 1000 / serviced.max(1);
         self.tracer.sample(now.get(), values);
     }
@@ -1367,7 +1367,7 @@ impl Gpu {
             + self
                 .audited
                 .audit(&self.sms, &self.partitions, san, everything);
-        let table = self.reqs.live() + self.reqs.lent();
+        let table = self.reqs.in_flight();
         if table != in_flight {
             san.record(Violation::Conservation {
                 cycle: now,

@@ -459,8 +459,8 @@ impl Partition {
             reqs[h].encode_state(e);
         }
         e.u64(self.stores_completed_total);
-        // The stores retired mid-tick, which were counted here before the
-        // tick ended; between ticks always none.
+        // The format's count of stores retired mid-tick: between ticks,
+        // where every snapshot is taken, none.
         e.u64(0);
         e.u64(self.evictions_in_flight);
     }

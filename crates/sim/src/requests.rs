@@ -120,6 +120,12 @@ impl RequestTable {
         self.lent
     }
 
+    /// Requests in flight: the records in the table and those on loan —
+    /// the one count of them the machine keeps.
+    pub fn in_flight(&self) -> u64 {
+        self.live + self.lent
+    }
+
     /// Sets the loan count of a restored machine, whose DRAM controllers
     /// decoded their requests themselves.
     pub(crate) fn restore_lent(&mut self, lent: u64) {

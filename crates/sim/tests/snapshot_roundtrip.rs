@@ -312,7 +312,7 @@ fn restore_rejects_an_in_flight_count_the_table_disagrees_with() {
     gpu.config().encode_state(&mut cfg);
     // The count follows the configuration and the cycle.
     let at = cfg.len() + 8;
-    let table = gpu.requests().live() + gpu.requests().lent();
+    let table = gpu.requests().in_flight();
     assert!(table > 0, "requests are in flight");
     assert_eq!(bump_u64(&mut tampered, at, 1), table);
     assert_rejected(&tampered, "in-flight count");
@@ -339,6 +339,14 @@ fn restore_rejects_a_store_count_taken_mid_tick() {
     // mid-tick and its eviction writebacks.
     assert_eq!(bump_u64(&mut tampered, req_net_at - 16, 1), 0);
     assert_rejected(&tampered, "mid-tick");
+}
+
+#[test]
+fn restore_rejects_more_eviction_writebacks_than_the_dram_channel_holds() {
+    let (payload, req_net_at, _) = drained_payload();
+    let mut tampered = payload.clone();
+    assert_eq!(bump_u64(&mut tampered, req_net_at - 8, 1), 0);
+    assert_rejected(&tampered, "eviction writebacks");
 }
 
 // ---- decoded indices into the SM's dense state ----------------------------
